@@ -12,9 +12,14 @@
 // Continuous features are min-max normalized to [0, 1]; low-cardinality
 // categoricals are one-hot encoded; large-alphabet categoricals (input and
 // template hashes) are deterministically hashed into 50 bins.
+//
+// steerq:hotpath — Encode runs once per example per training run and once per
+// served choice; the hotalloc analyzer guards it.
 package feature
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
 
 	"steerq/internal/bitvec"
@@ -58,9 +63,22 @@ type Encoder struct {
 	Ops     []plan.PhysOp `json:"ops"`      // operator slots, fixed order
 	DiffIDs []int         `json:"diff_ids"` // rule IDs observed in any training diff
 	// Ranges holds the min-max normalization bounds per feature key,
-	// exported so trained encoders serialize with their models.
+	// exported so trained encoders serialize with their models. Fit and
+	// UnmarshalJSON read it once into norms; Encode never touches the map.
 	Ranges map[string][2]float64 `json:"ranges"`
+
+	// norms is Ranges by slot (see rangeKeys). A key Ranges lacks is {0, 0},
+	// which normalizes everything to 0 exactly as a missing key does.
+	norms [][2]float64
 }
+
+// Slots of the continuous features in Encoder.norms: two fixed ones, then
+// count, cost and rows of each operator in Ops order.
+const (
+	slotInputBytes = iota
+	slotEstCost
+	slotOps
+)
 
 // trackedOps is the fixed operator-slot order.
 var trackedOps = []plan.PhysOp{
@@ -72,15 +90,29 @@ var trackedOps = []plan.PhysOp{
 	plan.PhysOutputImpl,
 }
 
+// rangeKeys returns each slot's key in Ranges.
+func rangeKeys(ops []plan.PhysOp) []string {
+	keys := make([]string, 0, slotOps+3*len(ops))
+	keys = append(keys, "inputBytes", "estCost")
+	for _, op := range ops {
+		name := op.String()
+		keys = append(keys, "count:"+name, "cost:"+name, "rows:"+name)
+	}
+	return keys
+}
+
 // Fit learns normalization ranges and the diff vocabulary from training
 // examples.
 func Fit(train []JobFeatures, k int) *Encoder {
 	e := &Encoder{K: k, Ops: trackedOps, Ranges: make(map[string][2]float64)}
-	diffSet := make(map[int]bool)
-	upd := func(key string, v float64) {
-		r, ok := e.Ranges[key]
-		if !ok {
-			e.Ranges[key] = [2]float64{v, v}
+	keys := rangeKeys(e.Ops)
+	norms := make([][2]float64, len(keys))
+	seen := make([]bool, len(keys))
+	upd := func(slot int, v float64) {
+		r := &norms[slot]
+		if !seen[slot] {
+			seen[slot] = true
+			*r = [2]float64{v, v}
 			return
 		}
 		if v < r[0] {
@@ -89,29 +121,56 @@ func Fit(train []JobFeatures, k int) *Encoder {
 		if v > r[1] {
 			r[1] = v
 		}
-		e.Ranges[key] = r
 	}
+	var diffs bitvec.Vector
 	for _, f := range train {
-		upd("inputBytes", logScale(f.InputBytes))
-		for _, op := range e.Ops {
+		upd(slotInputBytes, logScale(f.InputBytes))
+		for oi, op := range e.Ops {
 			s := f.OpStats[op]
-			upd("count:"+op.String(), float64(s.Count))
-			upd("cost:"+op.String(), logScale(s.AvgCost))
-			upd("rows:"+op.String(), logScale(s.AvgRows))
+			upd(slotOps+3*oi, float64(s.Count))
+			upd(slotOps+3*oi+1, logScale(s.AvgCost))
+			upd(slotOps+3*oi+2, logScale(s.AvgRows))
 		}
 		for ki := 0; ki < k && ki < len(f.EstCosts); ki++ {
-			upd("estCost", logScale(f.EstCosts[ki]))
-			for _, id := range f.Diffs[ki].Ones() {
-				diffSet[id] = true
-			}
+			upd(slotEstCost, logScale(f.EstCosts[ki]))
+			diffs = diffs.Or(f.Diffs[ki])
 		}
 	}
-	for id := 0; id < bitvec.Width; id++ {
-		if diffSet[id] {
-			e.DiffIDs = append(e.DiffIDs, id)
+	for slot, key := range keys {
+		if seen[slot] {
+			e.Ranges[key] = norms[slot]
 		}
 	}
+	if !diffs.IsEmpty() { // stays nil otherwise, as it serializes
+		e.DiffIDs = diffs.Ones()
+	}
+	e.norms = norms
 	return e
+}
+
+// UnmarshalJSON decodes a serialized encoder and resolves its ranges, so a
+// loaded encoder encodes exactly like the fitted one it was saved from.
+func (e *Encoder) UnmarshalJSON(data []byte) error {
+	type wire Encoder // the same fields without this method
+	var w wire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return fmt.Errorf("feature: decode encoder: %w", err)
+	}
+	if w.K < 0 {
+		return fmt.Errorf("feature: decode encoder: k = %d", w.K)
+	}
+	for _, id := range w.DiffIDs {
+		if id < 0 || id >= bitvec.Width {
+			return fmt.Errorf("feature: decode encoder: diff id %d outside [0, %d)", id, bitvec.Width)
+		}
+	}
+	*e = Encoder(w)
+	keys := rangeKeys(e.Ops)
+	e.norms = make([][2]float64, len(keys))
+	for slot, key := range keys {
+		e.norms[slot] = e.Ranges[key]
+	}
+	return nil
 }
 
 func logScale(v float64) float64 {
@@ -121,9 +180,10 @@ func logScale(v float64) float64 {
 	return math.Log1p(v)
 }
 
-func (e *Encoder) norm(key string, v float64) float64 {
-	r, ok := e.Ranges[key]
-	if !ok || r[1] <= r[0] {
+// norm min-max normalizes v into [0, 1] by the slot's fitted range.
+func (e *Encoder) norm(slot int, v float64) float64 {
+	r := e.norms[slot]
+	if r[1] <= r[0] {
 		return 0
 	}
 	x := (v - r[0]) / (r[1] - r[0])
@@ -145,41 +205,44 @@ func (e *Encoder) Width() int {
 }
 
 // Encode builds the input vector for one job.
-func (e *Encoder) Encode(f JobFeatures) []float64 {
-	x := make([]float64, 0, e.Width())
-	x = append(x, e.norm("inputBytes", logScale(f.InputBytes)))
+func (e *Encoder) Encode(f JobFeatures) []float64 { return e.EncodeInto(nil, f) }
 
-	inBins := make([]float64, HashBins)
-	inBins[int(f.InputsHash%HashBins)] = 1
-	x = append(x, inBins...)
-	tBins := make([]float64, HashBins)
-	tBins[int(f.TemplateHash%HashBins)] = 1
-	x = append(x, tBins...)
+// EncodeInto is Encode into a caller-owned buffer: dst is grown only when its
+// capacity is short of Width, overwritten, and returned.
+func (e *Encoder) EncodeInto(dst []float64, f JobFeatures) []float64 {
+	width := e.Width()
+	if cap(dst) < width {
+		dst = make([]float64, width)
+	}
+	x := dst[:width]
+	clear(x)
 
-	for _, op := range e.Ops {
+	x[0] = e.norm(slotInputBytes, logScale(f.InputBytes))
+	x[1+int(f.InputsHash%HashBins)] = 1
+	x[1+HashBins+int(f.TemplateHash%HashBins)] = 1
+
+	at := 1 + 2*HashBins
+	for oi, op := range e.Ops {
 		s := f.OpStats[op]
-		x = append(x,
-			e.norm("count:"+op.String(), float64(s.Count)),
-			e.norm("cost:"+op.String(), logScale(s.AvgCost)),
-			e.norm("rows:"+op.String(), logScale(s.AvgRows)),
-		)
+		x[at] = e.norm(slotOps+3*oi, float64(s.Count))
+		x[at+1] = e.norm(slotOps+3*oi+1, logScale(s.AvgCost))
+		x[at+2] = e.norm(slotOps+3*oi+2, logScale(s.AvgRows))
+		at += 3
 	}
 
 	for ki := 0; ki < e.K; ki++ {
-		valid := ki < len(f.EstCosts) && (f.Valid == nil || f.Valid[ki])
-		if !valid {
-			x = append(x, 0, 0)
-			x = append(x, make([]float64, len(e.DiffIDs))...)
-			continue
+		arm := x[at : at+2+len(e.DiffIDs)]
+		at += len(arm)
+		if ki >= len(f.EstCosts) || (f.Valid != nil && !f.Valid[ki]) {
+			continue // an arm that did not compile encodes as all zeros
 		}
-		x = append(x, 1, e.norm("estCost", logScale(f.EstCosts[ki])))
-		bits := make([]float64, len(e.DiffIDs))
+		arm[0] = 1
+		arm[1] = e.norm(slotEstCost, logScale(f.EstCosts[ki]))
 		for bi, id := range e.DiffIDs {
 			if f.Diffs[ki].Get(id) {
-				bits[bi] = 1
+				arm[2+bi] = 1
 			}
 		}
-		x = append(x, bits...)
 	}
 	return x
 }

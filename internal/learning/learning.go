@@ -13,6 +13,7 @@ package learning
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -156,14 +157,47 @@ type Model struct {
 // TrainOptions parameterize Train.
 type TrainOptions struct {
 	// Hidden is the hidden-layer width. The paper uses 1024; the simulator
-	// defaults to 64, which trains in milliseconds at this feature width.
+	// defaults to 64, which at ~200 encoded features and a 16-example train
+	// split costs tens of milliseconds per group (BenchmarkTrain in
+	// internal/nn is one of the two budgets at that shape).
 	Hidden int
-	NN     nn.TrainConfig
+	// NN configures each training run; its Epochs is the larger of the two
+	// candidate budgets (non-positive means the nn default).
+	NN nn.TrainConfig
 }
 
 // DefaultTrainOptions returns the simulator-scale defaults.
 func DefaultTrainOptions() TrainOptions {
 	return TrainOptions{Hidden: 64, NN: nn.DefaultTrainConfig()}
+}
+
+// epochBudgets returns the candidate epoch budgets Train selects between on
+// the validation split: half of epochs, then epochs itself. The half is
+// dropped when it rounds to 0, which nn.Train would read as "the default
+// budget", not as "no training".
+func epochBudgets(epochs int) []int {
+	if epochs <= 0 {
+		epochs = nn.DefaultTrainConfig().Epochs
+	}
+	if epochs == 1 {
+		return []int{1}
+	}
+	return []int{epochs / 2, epochs}
+}
+
+// samples encodes the given examples for training; the input vectors share
+// one backing array.
+func samples(enc *feature.Encoder, ds *Dataset, idx []int) []nn.Sample {
+	width := enc.Width()
+	xs := make([]float64, len(idx)*width)
+	out := make([]nn.Sample, len(idx))
+	for n, i := range idx {
+		ex := ds.Examples[i]
+		y, mask := normalizeTargets(ex.Runtimes)
+		x := xs[n*width : (n+1)*width : (n+1)*width]
+		out[n] = nn.Sample{X: enc.EncodeInto(x, ex.Feats), Y: y, Mask: mask}
+	}
+	return out
 }
 
 // Train fits a model on the dataset's train split. The validation split
@@ -177,30 +211,20 @@ func Train(ds *Dataset, split Split, opts TrainOptions, r *xrand.Source) *Model 
 	}
 	enc := feature.Fit(trainFeats, k)
 
-	mkSamples := func(idx []int) []nn.Sample {
-		out := make([]nn.Sample, 0, len(idx))
-		for _, i := range idx {
-			ex := ds.Examples[i]
-			y, mask := normalizeTargets(ex.Runtimes)
-			out = append(out, nn.Sample{X: enc.Encode(ex.Feats), Y: y, Mask: mask})
-		}
-		return out
+	trainSamples := samples(enc, ds, split.Train)
+	selectOn := samples(enc, ds, split.Val)
+	if len(selectOn) == 0 {
+		selectOn = trainSamples
 	}
-	trainSamples := mkSamples(split.Train)
-	valSamples := mkSamples(split.Val)
 
 	var best *nn.Network
 	bestLoss := math.Inf(1)
-	for _, epochs := range []int{opts.NN.Epochs / 2, opts.NN.Epochs} {
+	for _, epochs := range epochBudgets(opts.NN.Epochs) {
 		cfg := opts.NN
 		cfg.Epochs = epochs
 		net := nn.New(enc.Width(), opts.Hidden, k, r.Derive("init", fmt.Sprint(epochs)))
 		net.Train(trainSamples, cfg, r.Derive("train", fmt.Sprint(epochs)))
-		loss := net.BCELoss(valSamples)
-		if len(valSamples) == 0 {
-			loss = net.BCELoss(trainSamples)
-		}
-		if loss < bestLoss {
+		if loss := net.BCELoss(selectOn); loss < bestLoss {
 			bestLoss = loss
 			best = net
 		}
@@ -237,9 +261,21 @@ func normalizeTargets(runtimes []float64) (y []float64, mask []bool) {
 // Choose returns the arm index the model picks for an unseen job (the
 // smallest predicted normalized runtime over valid arms).
 func (m *Model) Choose(f feature.JobFeatures) int {
-	out := m.Net.Forward(m.Enc.Encode(f))
+	var s chooseScratch
+	return m.choose(&s, f)
+}
+
+// chooseScratch is the encoded vector and the forward-pass scratch of one
+// choice; Evaluate reuses one across a whole split.
+type chooseScratch struct {
+	x    []float64
+	eval nn.Eval
+}
+
+func (m *Model) choose(s *chooseScratch, f feature.JobFeatures) int {
+	s.x = m.Enc.EncodeInto(s.x, f)
 	best, bestV := 0, math.Inf(1)
-	for k, v := range out {
+	for k, v := range m.Net.ForwardInto(&s.eval, s.x) {
 		if f.Valid != nil && k < len(f.Valid) && !f.Valid[k] {
 			continue
 		}
@@ -270,9 +306,10 @@ type JobOutcome struct {
 // Evaluate applies the model to the given example indices.
 func Evaluate(m *Model, ds *Dataset, idx []int) Evaluation {
 	var ev Evaluation
+	var scratch chooseScratch
 	for _, i := range idx {
 		ex := ds.Examples[i]
-		arm := m.Choose(ex.Feats)
+		arm := m.choose(&scratch, ex.Feats)
 		best := math.Inf(1)
 		for _, rt := range ex.Runtimes {
 			if rt >= 0 && rt < best {
@@ -343,7 +380,12 @@ func (m *Model) Save() ([]byte, error) {
 	return json.Marshal(sm)
 }
 
-// Load restores a model serialized with Save.
+// ErrMalformed is wrapped by Load when a saved model's parts do not fit
+// together (a network that is itself inconsistent wraps nn.ErrShape).
+var ErrMalformed = errors.New("learning: malformed saved model")
+
+// Load restores a model serialized with Save. A model that loads is safe to
+// apply: the encoder, the network and the arms agree on every dimension.
 func Load(data []byte) (*Model, error) {
 	var sm SavedModel
 	if err := json.Unmarshal(data, &sm); err != nil {
@@ -351,7 +393,17 @@ func Load(data []byte) (*Model, error) {
 	}
 	net, err := nn.Unmarshal(sm.Net)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("learning: load model: %w", err)
+	}
+	switch {
+	case sm.Enc == nil:
+		return nil, fmt.Errorf("learning: load model: no encoder: %w", ErrMalformed)
+	case len(sm.Configs) != net.Out:
+		return nil, fmt.Errorf("learning: load model: %d arms, network with %d outputs: %w",
+			len(sm.Configs), net.Out, ErrMalformed)
+	case sm.Enc.Width() != net.In:
+		return nil, fmt.Errorf("learning: load model: encoder width %d, network input %d: %w",
+			sm.Enc.Width(), net.In, ErrMalformed)
 	}
 	m := &Model{Net: net, Enc: sm.Enc}
 	for _, hx := range sm.Configs {

@@ -1,10 +1,15 @@
 package learning
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"slices"
 	"testing"
 
 	"steerq/internal/abtest"
 	"steerq/internal/cost"
+	"steerq/internal/nn"
 	"steerq/internal/rules"
 	"steerq/internal/steering"
 	"steerq/internal/workload"
@@ -201,5 +206,112 @@ func TestModelSaveLoad(t *testing.T) {
 	}
 	if _, err := Load([]byte("{nope")); err == nil {
 		t.Fatal("Load accepted garbage")
+	}
+}
+
+func TestEpochBudgets(t *testing.T) {
+	def := nn.DefaultTrainConfig().Epochs
+	for _, c := range []struct {
+		epochs int
+		want   []int
+	}{
+		{60, []int{30, 60}},
+		{3, []int{1, 3}},
+		{2, []int{1, 2}},
+		{1, []int{1}},
+		{0, []int{def / 2, def}},
+		{-4, []int{def / 2, def}},
+	} {
+		if got := epochBudgets(c.epochs); !slices.Equal(got, c.want) {
+			t.Errorf("epochBudgets(%d) = %v, want %v", c.epochs, got, c.want)
+		}
+	}
+}
+
+// TestTrainOneEpochBudget: with Epochs 1 the half budget is 0, which nn.Train
+// reads as "the default"; Train used to fit a 200-epoch candidate for it.
+// The model must be the single candidate, trained for exactly one epoch.
+func TestTrainOneEpochBudget(t *testing.T) {
+	ds, _ := groupFixture(t)
+	split := NewSplit(len(ds.Examples), xrand.New(5))
+	opts := DefaultTrainOptions()
+	opts.Hidden = 8
+	opts.NN.Epochs = 1
+	model := Train(ds, split, opts, xrand.New(6))
+
+	r := xrand.New(6)
+	want := nn.New(model.Enc.Width(), opts.Hidden, len(ds.Configs), r.Derive("init", "1"))
+	want.Train(samples(model.Enc, ds, split.Train), opts.NN, r.Derive("train", "1"))
+	got, err := model.Net.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantData, err := want.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wantData) {
+		t.Fatal("Epochs: 1 did not produce the one-epoch candidate")
+	}
+}
+
+func TestLoadRejectsTampered(t *testing.T) {
+	ds, _ := groupFixture(t)
+	split := NewSplit(len(ds.Examples), xrand.New(5))
+	opts := DefaultTrainOptions()
+	opts.Hidden = 4
+	opts.NN.Epochs = 2
+	good, err := Train(ds, split, opts, xrand.New(6)).Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tamper := func(edit func(m map[string]any)) []byte {
+		var m map[string]any
+		if err := json.Unmarshal(good, &m); err != nil {
+			t.Fatal(err)
+		}
+		edit(m)
+		out, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	net := func(m map[string]any) map[string]any { return m["net"].(map[string]any) }
+	enc := func(m map[string]any) map[string]any { return m["encoder"].(map[string]any) }
+	cases := []struct {
+		name string
+		data []byte
+		is   error // nil: any error will do
+	}{
+		{"no encoder", tamper(func(m map[string]any) { delete(m, "encoder") }), ErrMalformed},
+		{"null encoder", tamper(func(m map[string]any) { m["encoder"] = nil }), ErrMalformed},
+		{"arm dropped", tamper(func(m map[string]any) { m["configs"] = m["configs"].([]any)[1:] }), ErrMalformed},
+		{"arm added", tamper(func(m map[string]any) { m["configs"] = append(m["configs"].([]any), m["configs"].([]any)[0]) }), ErrMalformed},
+		{"encoder narrower than network", tamper(func(m map[string]any) { enc(m)["ops"] = enc(m)["ops"].([]any)[1:] }), ErrMalformed},
+		{"encoder for fewer arms", tamper(func(m map[string]any) { enc(m)["k"] = len(ds.Configs) - 1 }), ErrMalformed},
+		{"encoder diff id out of range", tamper(func(m map[string]any) { enc(m)["diff_ids"] = []any{1 << 20} }), nil},
+		{"arm not hex", tamper(func(m map[string]any) { m["configs"].([]any)[0] = "zz" }), nil},
+		{"network row short", tamper(func(m map[string]any) {
+			w1 := net(m)["w1"].([]any)
+			w1[0] = w1[0].([]any)[1:]
+		}), nn.ErrShape},
+		{"network bias missing", tamper(func(m map[string]any) { delete(net(m), "b2") }), nn.ErrShape},
+		{"network claims wider input", tamper(func(m map[string]any) { net(m)["In"] = 10000 }), nn.ErrShape},
+	}
+	for _, c := range cases {
+		if bytes.Equal(c.data, good) {
+			t.Fatalf("%s: tampering left the file unchanged", c.name)
+		}
+		_, err := Load(c.data)
+		switch {
+		case err == nil:
+			t.Errorf("%s: loaded without error", c.name)
+		case c.is != nil && !errors.Is(err, c.is):
+			t.Errorf("%s: error %v does not wrap %v", c.name, err, c.is)
+		}
+	}
+	if m, err := Load(good); err != nil || m.Choose(ds.Examples[0].Feats) < 0 {
+		t.Fatalf("untampered model: %v", err)
 	}
 }

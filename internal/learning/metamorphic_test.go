@@ -2,6 +2,7 @@ package learning
 
 import (
 	"bytes"
+	"hash/fnv"
 	"testing"
 
 	"steerq/internal/xrand"
@@ -103,5 +104,30 @@ func TestNormalizeTargetsShiftInvariant(t *testing.T) {
 		if d := y1[i] - y2[i]; d > 1e-12 || d < -1e-12 {
 			t.Fatalf("normalized target %d changed under shift: %v vs %v", i, y1[i], y2[i])
 		}
+	}
+}
+
+// goldenSavedModel is the FNV-1a 64 hash of Model.Save() for the model
+// TestTrainEvaluateEndToEnd trains (same fixture, split, options and seed),
+// recorded on the commit before the training-kernel rewrite (89ab94a,
+// linux/amd64). It pins the whole learned path — Fit, Encode, sample
+// building, budget selection, the nn kernel and serialization — to the bytes
+// the old code produced.
+const goldenSavedModel = 0xb4617769de7a2c57
+
+func TestSavedModelGolden(t *testing.T) {
+	ds, _ := groupFixture(t)
+	split := NewSplit(len(ds.Examples), xrand.New(5))
+	opts := DefaultTrainOptions()
+	opts.Hidden = 16
+	opts.NN.Epochs = 60
+	data, err := Train(ds, split, opts, xrand.New(6)).Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(data)
+	if got := h.Sum64(); got != goldenSavedModel {
+		t.Fatalf("saved model hash %#016x, golden %#016x", got, uint64(goldenSavedModel))
 	}
 }
