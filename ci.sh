@@ -16,12 +16,16 @@
 #   6. parallel smoke            the pipeline determinism tests re-run with
 #                                STEERQ_WORKERS=4 so the race detector covers
 #                                the worker pool on every run
-#   7. alloc regression          the compile allocation budget and the nn
-#                                training/inference allocation budgets
-#                                re-checked under -race (testing.AllocsPerRun)
-#   8. bench smoke               the serial and 4-worker pipeline benchmarks
-#                                and the nn train/forward kernels at the
-#                                learn_groups shape, executed once
+#   7. alloc regression          the compile allocation budget, the nn
+#                                training/inference allocation budgets and
+#                                the exec simulator's once-per-node work and
+#                                allocation budgets re-checked under -race
+#                                (testing.AllocsPerRun)
+#   8. bench smoke               the serial and 4-worker pipeline benchmarks,
+#                                the nn train/forward kernels at the
+#                                learn_groups shape and the exec simulator's
+#                                Run/Explain over the discover_* plan shapes,
+#                                executed once
 #                                (-benchtime=1x) so a broken or pathologically
 #                                slow hot path fails CI, not the next perf run
 #   9. coverage floor            go test -cover over the robustness- and
@@ -108,10 +112,12 @@ STEERQ_WORKERS=4 STEERQ_CHECK_PLANS=1 go test -race ./internal/steering/ ./inter
 echo "== alloc regression (race) =="
 go test -race ./internal/rules/ -run TestCompileAllocationBudget -count=1
 go test -race ./internal/nn/ -run 'TestTrainAllocationBudget|TestForwardAllocationFree' -count=1
+go test -race ./internal/exec/ -run 'TestRunCostsEachNodeOnce|TestRunAllocationBudget' -count=1
 
 echo "== bench smoke (1x, serial + 4 workers) =="
 go test -run '^$' -bench 'BenchmarkPipelineWorkers(1|4)$' -benchtime=1x -benchmem .
 go test -run '^$' -bench 'Benchmark(Train|Forward)$' -benchtime=1x ./internal/nn/
+go test -run '^$' -bench 'Benchmark(Run|Explain)$' -benchtime=1x ./internal/exec/
 
 echo "== coverage floor (faults, par, steering, obs, learning, nn, analysis, serve, bundle >= 80%) =="
 go test -cover ./internal/faults/ ./internal/par/ ./internal/steering/ \

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"steerq/internal/xrand"
@@ -88,11 +89,37 @@ type Stream struct {
 
 	// trueRowsMu guards trueRowsByDay, the memoized daily true sizes.
 	// TrueRows sits on the execution simulator's per-node path and an
-	// uncached computation costs a fresh ~5KB generator state; the same
-	// few days are asked for constantly.
+	// uncached computation seeds a math/rand generator; the same few days
+	// are asked for constantly.
 	trueRowsMu    sync.Mutex
 	trueRowsByDay map[int]float64
+
+	// skew has one slot per column, sized by AddStream (see ColumnSkew).
+	skew []skewSlot
 }
+
+// ColumnSkew is what the true oracle derives from a column's (TrueDistinct,
+// Skew) pair: two sums of up to MaxRanks math.Pow calls, so each column
+// computes them once — on its first ColumnBySource rather than in AddStream,
+// where the ~800 skewed columns of Workload A at scale 0.01 would add 60 ms
+// (a fifth) to discover_cold's set-up for columns most runs never touch.
+type ColumnSkew struct {
+	// Fanout is SkewFanout(TrueDistinct, Skew); 1 for an unskewed column.
+	Fanout float64
+	// ZipfNorm is the harmonic normaliser of the column's Zipf law, the sum
+	// of i^-Skew over ranks i <= min(TrueDistinct, MaxRanks); 0 if unskewed.
+	ZipfNorm float64
+}
+
+type skewSlot struct {
+	once sync.Once
+	v    ColumnSkew
+}
+
+// MaxRanks caps the value ranks the Zipf sums run over. The sums do not
+// converge for Skew <= 1: the cap is a modelling choice (ranks past it share
+// the first MaxRanks' frequencies), not an approximation of an infinite sum.
+const MaxRanks = 4096
 
 // Catalog is a read-only set of streams plus registered user-defined
 // operators.
@@ -130,11 +157,14 @@ func New() *Catalog {
 
 // AddStream registers a stream. It panics on duplicate names: catalogs are
 // constructed once by generators, and a duplicate indicates a generator bug.
+// The stream's Columns must not change afterwards: the statistics served by
+// ColumnBySource are derived from them once.
 func (c *Catalog) AddStream(s *Stream) {
 	if _, dup := c.streams[s.Name]; dup {
 		// steerq:allow-panic — catalogs are built once by generators; a duplicate is a generator bug.
 		panic(fmt.Sprintf("catalog: duplicate stream %q", s.Name))
 	}
+	s.skew = make([]skewSlot, len(s.Columns))
 	c.streams[s.Name] = s
 	c.names = append(c.names, s.Name)
 	sort.Strings(c.names)
@@ -166,6 +196,34 @@ func (s *Stream) Column(name string) *Column {
 		}
 	}
 	return nil
+}
+
+// SplitSource splits a column's lineage source "stream.col" at its last dot.
+// ok is false for a source without one (a computed column).
+func SplitSource(src string) (stream, col string, ok bool) {
+	i := strings.LastIndexByte(src, '.')
+	if i < 0 {
+		return "", "", false
+	}
+	return src[:i], src[i+1:], true
+}
+
+// ColumnBySource resolves a lineage source "stream.col" to its registered
+// stream and column together with the column's skew statistics. A source
+// without a dot, an unknown stream and an unknown column all return
+// (nil, nil, ColumnSkew{Fanout: 1}) — the unskewed answer.
+func (c *Catalog) ColumnBySource(src string) (*Stream, *Column, ColumnSkew) {
+	stream, name, ok := SplitSource(src)
+	if st := c.streams[stream]; ok && st != nil {
+		for i := range st.Columns {
+			if col := &st.Columns[i]; col.Name == name {
+				sl := &st.skew[i]
+				sl.once.Do(func() { sl.v = skewOf(col.TrueDistinct, col.Skew) })
+				return st, col, sl.v
+			}
+		}
+	}
+	return nil, nil, ColumnSkew{Fanout: 1}
 }
 
 // TrueRows returns the actual number of rows in the stream on the given day.
@@ -208,30 +266,38 @@ func (s *Stream) CorrelationFactor(a, b string) float64 {
 	return 1
 }
 
-// SkewFanout converts a column's Zipf skew into the multiplier by which the
-// true join fan-out on that key exceeds the uniform-frequency prediction.
-// With skew z over d distinct values, the expected frequency of a uniformly
-// drawn *row*'s key is sum(f_i^2)/sum(f_i) rather than n/d; this returns the
-// ratio of the two, >= 1.
-func SkewFanout(distinct, skew float64) float64 {
-	if skew <= 0 || distinct <= 1 {
-		return 1
+// skewOf computes a column's skew statistics in one pass, in rank order, over
+// the relative frequencies f_i = i^-skew of its first n value ranks.
+func skewOf(distinct, skew float64) ColumnSkew {
+	if skew <= 0 {
+		return ColumnSkew{Fanout: 1}
 	}
-	d := int(distinct)
-	if d > 4096 {
-		// The harmonic sums converge quickly; cap the loop for speed.
-		d = 4096
+	n := int(distinct)
+	if n < 1 {
+		n = 1
+	}
+	if n > MaxRanks {
+		n = MaxRanks
 	}
 	var s1, s2 float64
-	for i := 1; i <= d; i++ {
+	for i := 1; i <= n; i++ {
 		f := 1 / math.Pow(float64(i), skew)
 		s1 += f
 		s2 += f * f
 	}
-	// ratio of (s2/s1^2) to (1/d): how concentrated the mass is.
-	r := (s2 / (s1 * s1)) * float64(d)
-	if r < 1 {
-		return 1
+	// ratio of (s2/s1^2) to (1/n): how concentrated the mass is.
+	r := (s2 / (s1 * s1)) * float64(n)
+	if distinct <= 1 || r < 1 {
+		r = 1
 	}
-	return r
+	return ColumnSkew{Fanout: r, ZipfNorm: s1}
+}
+
+// SkewFanout converts a column's Zipf skew into the multiplier by which the
+// true join fan-out on that key exceeds the uniform-frequency prediction.
+// With skew z over d distinct values, the expected frequency of a uniformly
+// drawn *row*'s key is sum(f_i^2)/sum(f_i) rather than n/d; this returns the
+// ratio of the two, >= 1. ColumnBySource serves it computed once per column.
+func SkewFanout(distinct, skew float64) float64 {
+	return skewOf(distinct, skew).Fanout
 }

@@ -3,7 +3,6 @@ package cost
 import (
 	"hash/fnv"
 	"math"
-	"strings"
 
 	"steerq/internal/catalog"
 	"steerq/internal/plan"
@@ -63,20 +62,13 @@ func (e *Estimator) Scan(table string, schema []plan.Column, pred *plan.Expr) Pr
 	return p
 }
 
-// colBase returns the base column name from a lineage source "stream.col".
+// colBase returns the base column name from a lineage source "stream.col",
+// or the column's own name when it has no such source.
 func colBase(c plan.Column) string {
-	if i := strings.LastIndexByte(c.Source, '.'); i >= 0 {
-		return c.Source[i+1:]
+	if _, col, ok := catalog.SplitSource(c.Source); ok {
+		return col
 	}
 	return c.Name
-}
-
-// colStream returns the base stream name from a lineage source, or "".
-func colStream(c plan.Column) string {
-	if i := strings.LastIndexByte(c.Source, '.'); i >= 0 {
-		return c.Source[:i]
-	}
-	return ""
 }
 
 // Filter returns the properties after applying pred to input p. The output
@@ -152,8 +144,8 @@ func (e *Estimator) correlationBoost(conjuncts []*plan.Expr) float64 {
 	var refs []ref
 	for _, c := range conjuncts {
 		if col, ok := singleColumn(c); ok {
-			if s := colStream(col); s != "" {
-				refs = append(refs, ref{s, colBase(col)})
+			if s, base, ok := catalog.SplitSource(col.Source); ok && s != "" {
+				refs = append(refs, ref{s, base})
 			}
 		}
 	}
@@ -231,11 +223,7 @@ func flipCmp(op plan.CmpOp) plan.CmpOp {
 }
 
 func (e *Estimator) colConstSelectivity(col plan.Column, op plan.CmpOp, lit plan.Literal, p Props) float64 {
-	st := e.Cat.Stream(colStream(col))
-	var cc *catalog.Column
-	if st != nil {
-		cc = st.Column(colBase(col))
-	}
+	_, cc, sk := e.Cat.ColumnBySource(col.Source)
 	ndv := p.ColNDV(col.ID)
 	switch op {
 	case plan.OpEQ:
@@ -244,7 +232,7 @@ func (e *Estimator) colConstSelectivity(col plan.Column, op plan.CmpOp, lit plan
 			// the value's rank is derived deterministically from the
 			// literal so recurring instances with different constants
 			// hit different frequency ranks.
-			return clampSel(zipfFreq(valueRank(lit, cc), cc.TrueDistinct, cc.Skew))
+			return clampSel(zipfFreq(valueRank(lit, cc), cc, sk.ZipfNorm))
 		}
 		return clampSel(1 / maxf(1, ndv))
 	case plan.OpNE:
@@ -297,25 +285,18 @@ func valueRank(lit plan.Literal, cc *catalog.Column) int {
 	return int(h.Sum64()%uint64(d)) + 1
 }
 
-// zipfFreq returns the relative frequency of the value of rank r among d
-// values under Zipf skew z.
-func zipfFreq(r int, d, z float64) float64 {
-	n := int(d)
-	if n < 1 {
-		n = 1
-	}
-	if n > 4096 {
-		n = 4096
+// zipfFreq returns the relative frequency of the value of rank r in column
+// cc under its Zipf skew; norm is the column's harmonic normaliser
+// (catalog.ColumnSkew.ZipfNorm). Ranks past the catalog's rank cap wrap onto
+// the capped ranks the normaliser was summed over.
+func zipfFreq(r int, cc *catalog.Column, norm float64) float64 {
+	if n := catalog.MaxRanks; int(cc.TrueDistinct) > n {
 		r = r % n
 		if r == 0 {
 			r = n
 		}
 	}
-	var h float64
-	for i := 1; i <= n; i++ {
-		h += 1 / math.Pow(float64(i), z)
-	}
-	return (1 / math.Pow(float64(r), z)) / h
+	return (1 / math.Pow(float64(r), cc.Skew)) / norm
 }
 
 // Join returns the properties of an inner join of l and r under pred.
@@ -369,19 +350,12 @@ func joinNDV(l, r Props, c plan.Column) float64 {
 	return maxf(l.Rows, r.Rows)
 }
 
-// keySkewFanout returns the true fan-out multiplier for a skewed join key.
+// keySkewFanout returns the true fan-out multiplier for a join key: exactly 1
+// for an unskewed or unresolvable column, whose fan-out is 1.
 func (e *Estimator) keySkewFanout(c plan.Column) float64 {
-	st := e.Cat.Stream(colStream(c))
-	if st == nil {
-		return 1
-	}
-	cc := st.Column(colBase(c))
-	if cc == nil || cc.Skew <= 0 {
-		return 1
-	}
-	f := catalog.SkewFanout(cc.TrueDistinct, cc.Skew)
+	_, _, sk := e.Cat.ColumnBySource(c.Source)
 	// Dampen: joins rarely realize the full theoretical fan-out.
-	return 1 + (f-1)*0.5
+	return 1 + (sk.Fanout-1)*0.5
 }
 
 func mergeProps(l, r Props) Props {

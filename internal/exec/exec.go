@@ -18,6 +18,12 @@
 // Executions are noisy but deterministic in (seed, job tag, plan, day), so
 // A/B comparisons (internal/abtest) are reproducible while still showing the
 // runtime variance the paper reports for short jobs (§3.1.1).
+//
+// steerq:hotpath — A/B executions are most of a discovery re-pass; the
+// hotalloc analyzer, TestRunCostsEachNodeOnce and TestRunAllocationBudget keep
+// an execution at one costing and a few allocations per node. DESIGN.md
+// ("Execution simulator") states the noise-seed and summation-order contracts
+// that any change here has to keep for the metrics to keep their bits.
 package exec
 
 import (
@@ -25,7 +31,7 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strings"
+	"strconv"
 
 	"steerq/internal/cascades"
 	"steerq/internal/catalog"
@@ -122,6 +128,41 @@ func New(cat *catalog.Catalog, seed uint64) *Executor {
 // the same plan (job instance ID, attempt number): different tags see
 // different noise, identical tags reproduce identical metrics.
 func (x *Executor) Run(p *plan.PhysNode, day int, tag string) Metrics {
+	return x.simulate(p, day, tag).metrics
+}
+
+// simNode is one distinct plan node of a simulated execution.
+type simNode struct {
+	node  *plan.PhysNode
+	props cost.Props   // true statistics of the node's output
+	usage cost.OpUsage // true usage: waves, skew and noise applied
+	path  float64      // longest latency path from any leaf through this node
+}
+
+// sim is one simulated execution: the plan DAG flattened in post-order, each
+// distinct node costed exactly once, and the metrics folded from the stored
+// usages. Run and Explain are both views of it. It is confined to one call,
+// so the shared Executor stays safe for concurrent use.
+type sim struct {
+	x      *Executor
+	oracle *cost.Estimator // the true oracle of the execution's day
+	// noise is the execution's stream; scratch is re-seeded from it per node,
+	// and tag holds the node-content bytes that pick the node's seed.
+	noise, scratch *xrand.Source
+	tag            []byte
+
+	nodes   []simNode // post-order: children before parents, root last
+	metrics Metrics
+	reseeds int // noise reseeds performed; tests hold it to one per node
+
+	// kids stacks the node indexes of the children of every node being
+	// visited; inProps/inSchemas are the n-ary union's argument buffers.
+	kids      []int
+	inProps   []cost.Props
+	inSchemas [][]plan.Column
+}
+
+func (x *Executor) simulate(p *plan.PhysNode, day int, tag string) *sim {
 	if x.CheckPlans {
 		if err := cascades.Validate(p, 0); err != nil {
 			// Executing a structurally broken plan would produce garbage
@@ -130,65 +171,66 @@ func (x *Executor) Run(p *plan.PhysNode, day int, tag string) Metrics {
 			panic(fmt.Sprintf("exec: STEERQ_CHECK_PLANS: job %q day %d: %v", tag, day, err))
 		}
 	}
-	oracle := cost.NewTrue(x.Cat, day)
-	props := make(map[*plan.PhysNode]cost.Props)
-	x.trueProps(p, oracle, props)
+	s := &sim{
+		x: x, oracle: cost.NewTrue(x.Cat, day),
+		noise: newNoise(x.Seed, tag, day), scratch: xrand.New(0),
+		nodes: make([]simNode, 0, 16),
+	}
+	root := s.visit(p)
 
-	noise := newNoise(x.Seed, tag, day)
-	// scratch is re-seeded per node inside nodeUsage instead of deriving a
-	// fresh ~5KB generator state per node; it is confined to this Run call,
-	// so the shared Executor stays safe for concurrent use.
-	scratch := xrand.New(0)
-
-	var m Metrics
-	longest := make(map[*plan.PhysNode]float64)
-	var walk func(n *plan.PhysNode) float64
-	seen := make(map[*plan.PhysNode]bool)
-	var rec func(n *plan.PhysNode)
-	// First pass: accumulate totals (each node once).
-	rec = func(n *plan.PhysNode) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		for _, c := range n.Children {
-			rec(c)
-		}
-		u := x.nodeUsage(n, props, noise, scratch, day)
+	// Totals in post-order, each node once — the order fixes the bits of the
+	// float sums. Parallel branches overlap and operators along a path
+	// serialize at stage boundaries, so the runtime is the root's longest
+	// path.
+	m := &s.metrics
+	for i := range s.nodes {
+		n, u := s.nodes[i].node, s.nodes[i].usage
 		m.CPUSec += u.CPUSeconds
 		m.IOBytes += u.IOBytes
-		dop := n.Dist.DOP
-		if dop < 1 {
-			dop = 1
-		}
+		dop := max(n.Dist.DOP, 1)
 		m.VertexSeconds += u.LatencySeconds * float64(dop)
 		if isStageHead(n.Op) {
-			m.Vertices += n.Dist.DOP
+			m.Vertices += dop
 		}
 	}
-	rec(p)
 	m.IOTimeSec = m.IOBytes / x.Coster.BytesPerIOSecond
-
-	// Second pass: critical path of per-node latencies (parallel branches
-	// overlap; operators along a path serialize at stage boundaries).
-	walk = func(n *plan.PhysNode) float64 {
-		if v, ok := longest[n]; ok {
-			return v
-		}
-		var childMax float64
-		for _, c := range n.Children {
-			if v := walk(c); v > childMax {
-				childMax = v
-			}
-		}
-		u := x.nodeUsage(n, props, noise, scratch, day)
-		v := childMax + u.LatencySeconds
-		longest[n] = v
-		return v
-	}
-	m.RuntimeSec = walk(p)
+	m.RuntimeSec = s.nodes[root].path
 	x.runtimeHist.Observe(m.RuntimeSec)
-	return m
+	return s
+}
+
+// index returns n's index in s.nodes, or -1 if n has not been simulated.
+// Plans have tens of nodes: finding a shared node again is a scan, not a map.
+func (s *sim) index(n *plan.PhysNode) int {
+	for i := range s.nodes {
+		if s.nodes[i].node == n {
+			return i
+		}
+	}
+	return -1
+}
+
+// visit returns n's index in s.nodes, first simulating n's subtree if this is
+// the first edge to reach it.
+func (s *sim) visit(n *plan.PhysNode) int {
+	if i := s.index(n); i >= 0 {
+		return i
+	}
+	base := len(s.kids)
+	var childMax float64
+	for _, c := range n.Children {
+		k := s.visit(c)
+		s.kids = append(s.kids, k)
+		if v := s.nodes[k].path; v > childMax {
+			childMax = v
+		}
+	}
+	kids := s.kids[base:]
+	props := s.trueProps(n, kids)
+	u := s.nodeUsage(n, props, kids)
+	s.kids = s.kids[:base]
+	s.nodes = append(s.nodes, simNode{node: n, props: props, usage: u, path: childMax + u.LatencySeconds})
+	return len(s.nodes) - 1
 }
 
 // RunCtx is Run behind the fault-injection and timeout layer: the injector
@@ -229,35 +271,33 @@ func isStageHead(op plan.PhysOp) bool {
 }
 
 // nodeUsage costs one node with true statistics, the plan's DOP, skew
-// penalties and execution noise. Deterministic per (executor seed, tag, day,
-// node identity) — it derives noise from the node's position-independent
-// content, so it is called twice per Run with identical results.
-func (x *Executor) nodeUsage(n *plan.PhysNode, props map[*plan.PhysNode]cost.Props, noise, scratch *xrand.Source, day int) cost.OpUsage {
-	p := props[n]
+// penalties and execution noise. props are the node's own true statistics and
+// kids index its children in s.nodes. Deterministic per (executor seed, tag,
+// day, node content): the noise seed is derived from the node's
+// position-independent content, never from its place in the walk.
+func (s *sim) nodeUsage(n *plan.PhysNode, props cost.Props, kids []int) cost.OpUsage {
+	x := s.x
 	var inRows, inBytes float64
-	for _, c := range n.Children {
-		cp := props[c]
+	for _, k := range kids {
+		cp := s.nodes[k].props
 		inRows += cp.Rows
 		inBytes += cp.Rows * cp.RowBytes
 	}
 	if n.Op == plan.PhysExtract || n.Op == plan.PhysRangeScan {
 		// Scans read the whole (true) stream.
 		if st := x.Cat.Stream(n.Table); st != nil {
-			inRows = st.TrueRows(day)
+			inRows = st.TrueRows(s.oracle.Day)
 			inBytes = inRows * st.BytesPerRow
 		}
 	}
-	dop := n.Dist.DOP
-	if dop < 1 {
-		dop = 1
-	}
+	dop := max(n.Dist.DOP, 1)
 	params := cost.OpCostParams{
 		Op:       n.Op,
 		Exchange: n.Exchange,
 		InRows:   inRows,
 		InBytes:  inBytes,
-		OutRows:  p.Rows,
-		OutBytes: p.Rows * p.RowBytes,
+		OutRows:  props.Rows,
+		OutBytes: props.Rows * props.RowBytes,
 		DOP:      dop,
 		TopN:     n.TopN,
 		Branches: len(n.Children),
@@ -265,12 +305,12 @@ func (x *Executor) nodeUsage(n *plan.PhysNode, props map[*plan.PhysNode]cost.Pro
 	if n.Processor != "" {
 		params.UDO = x.Cat.UDO(n.Processor)
 	}
-	if len(n.Children) == 2 {
+	if len(kids) == 2 {
 		switch n.Op {
 		case plan.PhysHashJoin, plan.PhysHashJoinAlt, plan.PhysMergeJoin, plan.PhysLoopJoin:
-			b := x.buildSide(n, props)
-			params.BuildRows = props[n.Children[b]].Rows
-			params.ProbeRows = props[n.Children[1-b]].Rows
+			b := buildSide(n)
+			params.BuildRows = s.nodes[kids[b]].props.Rows
+			params.ProbeRows = s.nodes[kids[1-b]].props.Rows
 		default:
 			// Binary but not a join: no build/probe split to cost.
 		}
@@ -291,9 +331,11 @@ func (x *Executor) nodeUsage(n *plan.PhysNode, props map[*plan.PhysNode]cost.Pro
 	}
 
 	// Execution noise, deterministic per node content. Re-seeding the
-	// per-Run scratch stream draws exactly like a freshly derived one.
-	r := scratch
-	noise.ReseedDerived(r, "node", nodeTag(n))
+	// per-execution scratch stream draws exactly like a freshly derived one.
+	r := s.scratch
+	s.tag = appendNodeTag(s.tag[:0], n)
+	s.noise.ReseedDerivedBytes(r, "node", s.tag)
+	s.reseeds++
 	sigma := x.BaseSigma + 0.25/math.Sqrt(1+u.LatencySeconds)
 	mult := r.LogNormal(0, sigma)
 	if r.Bool(x.HotSpotProb) {
@@ -304,15 +346,14 @@ func (x *Executor) nodeUsage(n *plan.PhysNode, props map[*plan.PhysNode]cost.Pro
 	return u
 }
 
-// buildSide locates the smaller true side for PhysHashJoin (which builds on
-// whichever side the optimizer *estimated* smaller — re-derive from the
-// plan's estimates, not the truth, since the executor must honor the plan).
-func (x *Executor) buildSide(n *plan.PhysNode, props map[*plan.PhysNode]cost.Props) int {
+// buildSide locates the build side of a join. PhysHashJoin and PhysMergeJoin
+// build on whichever side the optimizer *estimated* smaller — re-derived from
+// the plan's estimates, not the truth, since the executor must honor the
+// plan.
+func buildSide(n *plan.PhysNode) int {
 	if n.Op == plan.PhysHashJoinAlt || n.Op == plan.PhysLoopJoin {
 		return 1 // always builds the (broadcast) right side
 	}
-	// HashJoin / MergeJoin: the plan committed to the side with the
-	// smaller estimate.
 	if n.Children[0].EstRows < n.Children[1].EstRows {
 		return 0
 	}
@@ -335,31 +376,16 @@ func (x *Executor) skewFactor(n *plan.PhysNode) float64 {
 			if k != id {
 				continue
 			}
-			st, col := x.lookupColumn(c)
-			if st == nil || col == nil || col.Skew <= 0 {
-				continue
-			}
-			f := catalog.SkewFanout(col.TrueDistinct, col.Skew)
+			// An unskewed or unresolvable column has fan-out 1: no penalty.
+			_, _, sk := x.Cat.ColumnBySource(c.Source)
 			// The hottest key's share bounded by one partition's capacity.
-			pen := 1 + minf(f-1, float64(n.Dist.DOP)-1)*0.25
+			pen := 1 + minf(sk.Fanout-1, float64(n.Dist.DOP)-1)*0.25
 			if pen > worst {
 				worst = pen
 			}
 		}
 	}
 	return worst
-}
-
-func (x *Executor) lookupColumn(c plan.Column) (*catalog.Stream, *catalog.Column) {
-	i := strings.LastIndexByte(c.Source, '.')
-	if i < 0 {
-		return nil, nil
-	}
-	st := x.Cat.Stream(c.Source[:i])
-	if st == nil {
-		return nil, nil
-	}
-	return st, st.Column(c.Source[i+1:])
 }
 
 func minf(a, b float64) float64 {
@@ -369,81 +395,81 @@ func minf(a, b float64) float64 {
 	return b
 }
 
-// nodeTag builds a stable content tag for noise derivation.
-func nodeTag(n *plan.PhysNode) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%s|%s|%d|%d", n.Op, n.Table, n.Processor, n.Dist.DOP, len(n.Children))
+// appendNodeTag appends the node's stable content tag, the bytes its noise
+// seed is hashed from: "op|table|processor|dop|children", the predicate's
+// rendering if any, then ",id" per schema column.
+func appendNodeTag(b []byte, n *plan.PhysNode) []byte {
+	b = strconv.AppendInt(b, int64(n.Op), 10)
+	b = append(b, '|')
+	b = append(b, n.Table...)
+	b = append(b, '|')
+	b = append(b, n.Processor...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(n.Dist.DOP), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(len(n.Children)), 10)
 	if n.Pred != nil {
-		b.WriteString(n.Pred.String())
+		b = append(b, n.Pred.String()...)
 	}
 	for _, c := range n.Schema {
-		fmt.Fprintf(&b, ",%d", c.ID)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(c.ID), 10)
 	}
-	return b.String()
+	return b
 }
 
-// trueProps derives ground-truth statistics for every node of the physical
-// DAG.
-func (x *Executor) trueProps(n *plan.PhysNode, oracle *cost.Estimator, memo map[*plan.PhysNode]cost.Props) cost.Props {
-	if p, ok := memo[n]; ok {
-		return p
-	}
-	childProps := make([]cost.Props, len(n.Children))
-	childSchemas := make([][]plan.Column, len(n.Children))
-	for i, c := range n.Children {
-		childProps[i] = x.trueProps(c, oracle, memo)
-		childSchemas[i] = c.Schema
-	}
-	var p cost.Props
+// trueProps derives the ground-truth statistics of n's output from those of
+// its children, which s.nodes already holds at indexes kids.
+func (s *sim) trueProps(n *plan.PhysNode, kids []int) cost.Props {
+	oracle := s.oracle
+	in := func(i int) cost.Props { return s.nodes[kids[i]].props }
 	switch n.Op {
 	case plan.PhysExtract, plan.PhysRangeScan:
-		p = oracle.Scan(n.Table, n.Schema, n.Pred)
+		return oracle.Scan(n.Table, n.Schema, n.Pred)
 	case plan.PhysFilter:
-		p = oracle.Filter(childProps[0], n.Pred)
+		return oracle.Filter(in(0), n.Pred)
 	case plan.PhysCompute:
-		p = oracle.Project(childProps[0], n.Projs)
+		return oracle.Project(in(0), n.Projs)
 	case plan.PhysHashJoin, plan.PhysHashJoinAlt, plan.PhysMergeJoin, plan.PhysLoopJoin:
-		p = oracle.Join(childProps[0], childProps[1], n.Pred)
+		return oracle.Join(in(0), in(1), n.Pred)
 	case plan.PhysHashAgg, plan.PhysStreamAgg, plan.PhysFinalHashAgg:
-		p = oracle.GroupBy(childProps[0], n.GroupKeys, n.Aggs)
+		return oracle.GroupBy(in(0), n.GroupKeys, n.Aggs)
 	case plan.PhysPartialHashAgg:
-		full := oracle.GroupBy(childProps[0], n.GroupKeys, n.Aggs)
-		p = full
-		dop := float64(n.Dist.DOP)
-		if dop < 1 {
-			dop = 1
-		}
-		p.Rows = math.Min(childProps[0].Rows, full.Rows*dop)
+		p := oracle.GroupBy(in(0), n.GroupKeys, n.Aggs)
+		p.Rows = math.Min(in(0).Rows, p.Rows*float64(max(n.Dist.DOP, 1)))
+		return p
 	case plan.PhysUnionMerge, plan.PhysVirtualDataset:
-		p = oracle.UnionAll(childProps, childSchemas, n.Schema)
+		s.inProps, s.inSchemas = s.inProps[:0], s.inSchemas[:0]
+		for i, c := range n.Children {
+			s.inProps = append(s.inProps, in(i))
+			s.inSchemas = append(s.inSchemas, c.Schema)
+		}
+		return oracle.UnionAll(s.inProps, s.inSchemas, n.Schema)
 	case plan.PhysProcessImpl:
-		p = oracle.Process(childProps[0], n.Processor)
+		return oracle.Process(in(0), n.Processor)
 	case plan.PhysReduceImpl:
-		p = oracle.Reduce(childProps[0], n.ReduceKeys, n.Processor)
+		return oracle.Reduce(in(0), n.ReduceKeys, n.Processor)
 	case plan.PhysLocalTop:
 		// Value copy shares the child's NDV map copy-on-write; only Rows
 		// changes below (see the cost.Props contract).
-		p = childProps[0]
-		dop := float64(n.Dist.DOP)
-		if dop < 1 {
-			dop = 1
-		}
-		p.Rows = math.Min(childProps[0].Rows, float64(n.TopN)*dop)
+		p := in(0)
+		p.Rows = math.Min(p.Rows, float64(n.TopN)*float64(max(n.Dist.DOP, 1)))
+		return p
 	case plan.PhysGlobalTop:
-		p = oracle.Top(childProps[0], n.TopN)
+		return oracle.Top(in(0), n.TopN)
 	case plan.PhysSort, plan.PhysExchange, plan.PhysOutputImpl:
-		p = childProps[0]
+		return in(0)
 	case plan.PhysMultiImpl:
-		p = cost.Props{NDV: map[plan.ColumnID]float64{}}
-		for _, cp := range childProps {
+		p := cost.Props{NDV: map[plan.ColumnID]float64{}}
+		for i := range kids {
+			cp := in(i)
 			p.Rows += cp.Rows
 			if cp.RowBytes > p.RowBytes {
 				p.RowBytes = cp.RowBytes
 			}
 		}
+		return p
 	default:
-		p = cost.Props{Rows: 1, RowBytes: 8, NDV: map[plan.ColumnID]float64{}}
+		return cost.Props{Rows: 1, RowBytes: 8, NDV: map[plan.ColumnID]float64{}}
 	}
-	memo[n] = p
-	return p
 }

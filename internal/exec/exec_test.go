@@ -1,11 +1,13 @@
 package exec
 
 import (
+	"fmt"
+	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"steerq/internal/catalog"
-	"steerq/internal/cost"
 	"steerq/internal/plan"
 )
 
@@ -172,11 +174,10 @@ func TestTruePropsUDOExpansion(t *testing.T) {
 		Children: []*plan.PhysNode{scan},
 		Dist:     plan.Distribution{Kind: plan.DistRandom, DOP: 10}, RuleID: 233,
 	}
-	oracle := cost.NewTrue(x.Cat, 0)
-	memo := make(map[*plan.PhysNode]cost.Props)
-	x.trueProps(proc, oracle, memo)
-	if memo[proc].Rows != 2*memo[scan].Rows {
-		t.Fatalf("true UDO factor lost: in=%v out=%v", memo[scan].Rows, memo[proc].Rows)
+	s := x.simulate(proc, 0, "job")
+	in, out := s.nodes[s.index(scan)].props.Rows, s.nodes[s.index(proc)].props.Rows
+	if out != 2*in {
+		t.Fatalf("true UDO factor lost: in=%v out=%v", in, out)
 	}
 }
 
@@ -184,6 +185,19 @@ func TestSharedNodeCountedOnce(t *testing.T) {
 	x := New(execCatalog(), 42)
 	x.BaseSigma = 0
 	x.HotSpotProb = 0
+	multi := diamondPlan()
+	shared := x.Run(multi, 0, "dag")
+	single := x.Run(multi.Children[0], 0, "dag")
+	// The shared scan is paid once: the two-output job costs less CPU than
+	// twice the single-output job.
+	if shared.CPUSec >= 1.9*single.CPUSec {
+		t.Fatalf("shared scan double-counted: %v vs 2x %v", shared.CPUSec, single.CPUSec)
+	}
+}
+
+// diamondPlan is a DAG whose scan is shared by two outputs under one root:
+// four distinct nodes, five edges.
+func diamondPlan() *plan.PhysNode {
 	k := plan.Column{ID: 1, Name: "k", Source: "s.k"}
 	schema := []plan.Column{k}
 	scan := &plan.PhysNode{
@@ -192,33 +206,70 @@ func TestSharedNodeCountedOnce(t *testing.T) {
 	}
 	out1 := &plan.PhysNode{Op: plan.PhysOutputImpl, Schema: schema, OutputPath: "a", Children: []*plan.PhysNode{scan}, Dist: plan.Distribution{Kind: plan.DistRandom, DOP: 10}, RuleID: 2}
 	out2 := &plan.PhysNode{Op: plan.PhysOutputImpl, Schema: schema, OutputPath: "b", Children: []*plan.PhysNode{scan}, Dist: plan.Distribution{Kind: plan.DistRandom, DOP: 10}, RuleID: 2}
-	multi := &plan.PhysNode{Op: plan.PhysMultiImpl, Schema: nil, Children: []*plan.PhysNode{out1, out2}, Dist: plan.Distribution{Kind: plan.DistSingleton, DOP: 1}, RuleID: 6}
+	return &plan.PhysNode{Op: plan.PhysMultiImpl, Schema: nil, Children: []*plan.PhysNode{out1, out2}, Dist: plan.Distribution{Kind: plan.DistSingleton, DOP: 1}, RuleID: 6}
+}
 
-	shared := x.Run(multi, 0, "dag")
-	single := x.Run(out1, 0, "dag")
-	// The shared scan is paid once: the two-output job costs less CPU than
-	// twice the single-output job.
-	if shared.CPUSec >= 1.9*single.CPUSec {
-		t.Fatalf("shared scan double-counted: %v vs 2x %v", shared.CPUSec, single.CPUSec)
+// unionPlan is Output over a virtual-dataset union of the given number of
+// Extract -> Filter -> hash-shuffle branches: 3*branches+2 distinct nodes,
+// every filter constant different so no two branches share noise.
+func unionPlan(branches int) *plan.PhysNode {
+	k := plan.Column{ID: 1, Name: "k", Source: "s.k"}
+	v := plan.Column{ID: 2, Name: "v", Source: "s.v"}
+	schema := []plan.Column{k, v}
+	random := plan.Distribution{Kind: plan.DistRandom, DOP: 10}
+	hashed := plan.Distribution{Kind: plan.DistHash, Keys: []plan.ColumnID{1}, DOP: 10}
+	union := &plan.PhysNode{Op: plan.PhysVirtualDataset, Schema: schema, Dist: hashed, RuleID: 5}
+	for i := 0; i < branches; i++ {
+		scan := &plan.PhysNode{Op: plan.PhysExtract, Table: "s", Schema: schema, Dist: random, EstRows: 1e7, RuleID: 3}
+		filter := &plan.PhysNode{
+			Op: plan.PhysFilter, Schema: schema, Children: []*plan.PhysNode{scan}, Dist: random, EstRows: 5e6, RuleID: 4,
+			Pred: plan.Cmp(plan.OpGT, plan.ColExpr(v), plan.NumExpr(float64(i))),
+		}
+		union.Children = append(union.Children, &plan.PhysNode{
+			Op: plan.PhysExchange, Exchange: plan.ExchangeShuffle, Schema: schema,
+			Children: []*plan.PhysNode{filter}, Dist: hashed, EstRows: 5e6,
+		})
 	}
+	return &plan.PhysNode{Op: plan.PhysOutputImpl, OutputPath: "o", Schema: schema, Children: []*plan.PhysNode{union}, Dist: hashed, RuleID: 2}
 }
 
 func TestExplainMatchesRun(t *testing.T) {
 	x := New(execCatalog(), 42)
-	p := scanPlan(10)
-	rep := x.Explain(p, 0, "job")
-	m := x.Run(p, 0, "job")
-	if rep.Metrics != m {
-		t.Fatalf("Explain metrics %+v differ from Run %+v", rep.Metrics, m)
-	}
-	if len(rep.Nodes) != 3 {
-		t.Fatalf("report has %d nodes, want 3", len(rep.Nodes))
-	}
-	for _, n := range rep.Nodes {
-		if n.TrueRows <= 0 || n.DOP < 1 {
-			t.Fatalf("bad node report: %+v", n)
+	for name, p := range map[string]*plan.PhysNode{"chain": scanPlan(10), "diamond": diamondPlan(), "union": unionPlan(13)} {
+		rep := x.Explain(p, 0, "job")
+		m := x.Run(p, 0, "job")
+		if rep.Metrics != m {
+			t.Fatalf("%s: Explain metrics %+v differ from Run %+v", name, rep.Metrics, m)
+		}
+		if len(rep.Nodes) != p.Count() {
+			t.Fatalf("%s: report has %d nodes, plan %d", name, len(rep.Nodes), p.Count())
+		}
+		// The reported usages are the ones the totals were folded from:
+		// summed in the simulator's order (post-order, the report's pre-order
+		// reversed for a chain) they reproduce the totals bit for bit; in any
+		// order they agree to rounding.
+		var cpu, io float64
+		for _, n := range rep.Nodes {
+			if n.TrueRows <= 0 || n.DOP < 1 {
+				t.Fatalf("%s: bad node report: %+v", name, n)
+			}
+			cpu += n.Usage.CPUSeconds
+			io += n.Usage.IOBytes
+		}
+		if math.Abs(cpu-m.CPUSec) > 1e-9*m.CPUSec || math.Abs(io-m.IOBytes) > 1e-9*m.IOBytes {
+			t.Fatalf("%s: node usages sum to cpu %v io %v, totals %v %v", name, cpu, io, m.CPUSec, m.IOBytes)
+		}
+		if name == "chain" {
+			var cpuPost float64
+			for i := len(rep.Nodes) - 1; i >= 0; i-- {
+				cpuPost += rep.Nodes[i].Usage.CPUSeconds
+			}
+			if cpuPost != m.CPUSec {
+				t.Fatalf("post-order CPU sum %v != CPUSec %v", cpuPost, m.CPUSec)
+			}
 		}
 	}
+	rep := x.Explain(scanPlan(10), 0, "job")
 	// The scan's mis-estimate reflects the day's drift from the stale
 	// BaseRows statistic.
 	scan := rep.Nodes[len(rep.Nodes)-1]
@@ -232,6 +283,110 @@ func TestExplainMatchesRun(t *testing.T) {
 	if !strings.Contains(s, "Extract") || !strings.Contains(s, "runtime") {
 		t.Fatalf("report rendering incomplete:\n%s", s)
 	}
+}
+
+// TestVerticesUseClampedDOP: a stage head occupies at least one container,
+// the same clamped DOP its VertexSeconds are charged at.
+func TestVerticesUseClampedDOP(t *testing.T) {
+	x := New(execCatalog(), 42)
+	x.CheckPlans = false // validated plans have DOP >= 1; the clamp is for the rest
+	for _, tc := range []struct{ dop, want int }{{-1, 1}, {0, 1}, {1, 1}, {60, 60}} {
+		// scanPlan's only stage head is its Extract.
+		m := x.Run(scanPlan(tc.dop), 0, "job")
+		if m.Vertices != tc.want {
+			t.Errorf("DOP %d: Vertices = %d, want %d", tc.dop, m.Vertices, tc.want)
+		}
+		if m.VertexSeconds <= 0 {
+			t.Errorf("DOP %d: VertexSeconds = %v", tc.dop, m.VertexSeconds)
+		}
+	}
+}
+
+// TestRunCostsEachNodeOnce: one execution costs — and reseeds the noise
+// stream for — each distinct node exactly once, shared subtrees included.
+func TestRunCostsEachNodeOnce(t *testing.T) {
+	x := New(execCatalog(), 42)
+	for name, p := range map[string]*plan.PhysNode{"diamond": diamondPlan(), "union41": unionPlan(13)} {
+		s := x.simulate(p, 0, "job")
+		if want := p.Count(); len(s.nodes) != want || s.reseeds != want {
+			t.Errorf("%s: %d nodes simulated, %d reseeds, plan has %d distinct nodes", name, len(s.nodes), s.reseeds, want)
+		}
+		if len(s.kids) != 0 {
+			t.Errorf("%s: child-index stack not unwound: %v", name, s.kids)
+		}
+	}
+}
+
+// TestNodeTagBytes: the strconv-assembled tag is byte for byte the string the
+// fmt-built one was (kept here as the reference), so every noise seed stands.
+func TestNodeTagBytes(t *testing.T) {
+	ref := func(n *plan.PhysNode) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%d|%s|%s|%d|%d", n.Op, n.Table, n.Processor, n.Dist.DOP, len(n.Children))
+		if n.Pred != nil {
+			b.WriteString(n.Pred.String())
+		}
+		for _, c := range n.Schema {
+			fmt.Fprintf(&b, ",%d", c.ID)
+		}
+		return b.String()
+	}
+	odd := &plan.PhysNode{Op: plan.PhysProcessImpl, Processor: "u", Dist: plan.Distribution{DOP: -3}, Schema: []plan.Column{{ID: -7}, {ID: 1 << 40}}}
+	var buf []byte
+	for _, root := range []*plan.PhysNode{scanPlan(10), diamondPlan(), unionPlan(3), odd} {
+		root.Walk(func(n *plan.PhysNode) {
+			buf = appendNodeTag(buf[:0], n)
+			if string(buf) != ref(n) {
+				t.Fatalf("tag %q, fmt reference %q", buf, ref(n))
+			}
+		})
+	}
+}
+
+// TestRunAllocationBudget: past the fixed per-execution state, Run allocates
+// a small constant per node (the oracle's NDV maps and the predicate's
+// rendering) — no per-call map, no per-node generator, no second costing.
+func TestRunAllocationBudget(t *testing.T) {
+	x := New(execCatalog(), 42)
+	allocs := func(branches int) float64 {
+		p := unionPlan(branches)
+		return testing.AllocsPerRun(20, func() { x.Run(p, 0, "job") })
+	}
+	small, large := allocs(4), allocs(40)
+	perNode := (large - small) / (3 * 36)
+	t.Logf("allocs: %v at 14 nodes, %v at 122 nodes, %.2f per node", small, large, perNode)
+	if perNode > 4 {
+		t.Fatalf("Run allocates %.2f per node (%v at 14 nodes, %v at 122), budget 4", perNode, small, large)
+	}
+	if fixed := small - 14*perNode; fixed > 16 {
+		t.Fatalf("Run's fixed allocations %.1f, budget 16", fixed)
+	}
+}
+
+// TestConcurrentRunsShareCatalog: executions are pure in (seed, tag, plan,
+// day) even when eight goroutines race to be the first to resolve a column's
+// skew statistics in a fresh catalog. Run with -race.
+func TestConcurrentRunsShareCatalog(t *testing.T) {
+	plans := []*plan.PhysNode{scanPlan(10), diamondPlan(), unionPlan(3), unionPlan(13)}
+	want := make([]Metrics, len(plans))
+	ref := New(execCatalog(), 42)
+	for i, p := range plans {
+		want[i] = ref.Run(p, i, "job")
+	}
+	x := New(execCatalog(), 42)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, p := range plans {
+				if m := x.Run(p, i, "job"); m != want[i] {
+					t.Errorf("plan %d: concurrent metrics %+v, serial %+v", i, m, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestCheckPlansEnvToggle(t *testing.T) {

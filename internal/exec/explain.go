@@ -7,7 +7,6 @@ import (
 
 	"steerq/internal/cost"
 	"steerq/internal/plan"
-	"steerq/internal/xrand"
 )
 
 // NodeReport compares one operator's planned and actual behaviour.
@@ -32,30 +31,26 @@ type Report struct {
 }
 
 // Explain executes the plan like Run and additionally returns the
-// per-operator breakdown. Deterministic in the same inputs as Run.
+// per-operator breakdown — the same simulated execution, so Metrics is Run's
+// bit for bit and the nodes' usages are the ones it was folded from.
 func (x *Executor) Explain(p *plan.PhysNode, day int, tag string) Report {
-	oracle := cost.NewTrue(x.Cat, day)
-	props := make(map[*plan.PhysNode]cost.Props)
-	x.trueProps(p, oracle, props)
-	noise := newNoise(x.Seed, tag, day)
-	scratch := xrand.New(0)
-
-	var rep Report
-	seen := make(map[*plan.PhysNode]bool)
+	s := x.simulate(p, day, tag)
+	rep := Report{Metrics: s.metrics, Nodes: make([]NodeReport, 0, len(s.nodes))}
+	reported := make([]bool, len(s.nodes))
 	var rec func(n *plan.PhysNode)
 	rec = func(n *plan.PhysNode) {
-		if seen[n] {
+		i := s.index(n)
+		if reported[i] {
 			return
 		}
-		seen[n] = true
-		u := x.nodeUsage(n, props, noise, scratch, day)
+		reported[i] = true
 		nr := NodeReport{
 			Op:       n.Op,
 			Detail:   nodeDetail(n),
-			DOP:      maxIntE(n.Dist.DOP, 1),
+			DOP:      max(n.Dist.DOP, 1),
 			EstRows:  n.EstRows,
-			TrueRows: props[n].Rows,
-			Usage:    u,
+			TrueRows: s.nodes[i].props.Rows,
+			Usage:    s.nodes[i].usage,
 		}
 		if nr.EstRows > 0 {
 			nr.MisestimateX = nr.TrueRows / nr.EstRows
@@ -66,7 +61,6 @@ func (x *Executor) Explain(p *plan.PhysNode, day int, tag string) Report {
 		}
 	}
 	rec(p)
-	rep.Metrics = x.Run(p, day, tag)
 	return rep
 }
 
@@ -110,11 +104,4 @@ func (r Report) String() string {
 	var b strings.Builder
 	r.Render(&b)
 	return b.String()
-}
-
-func maxIntE(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

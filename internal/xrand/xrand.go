@@ -64,28 +64,54 @@ func (s *Source) Derive(path ...string) *Source {
 // rand.NewSource with the same seed, so the resulting sequence is identical
 // to a freshly derived stream. dst must not be shared across goroutines.
 func (s *Source) ReseedDerived(dst *Source, path ...string) {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := s.fnvSeed()
+	for _, p := range path {
+		h = fnvPart(h, p)
+	}
+	dst.reseed(h)
+}
+
+// ReseedDerivedBytes is ReseedDerived(dst, label, string(tag)) for a tag the
+// caller assembled in a reusable buffer: the same bytes are hashed, so the
+// same stream results, without the string.
+func (s *Source) ReseedDerivedBytes(dst *Source, label string, tag []byte) {
+	dst.reseed(fnvPart(fnvPart(s.fnvSeed(), label), tag))
+}
+
+// FNV-1a 64, as hash/fnv computes it in Derive.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvSeed hashes the stream's seed, little-endian: the start of every
+// derivation.
+func (s *Source) fnvSeed() uint64 {
+	h := uint64(fnvOffset64)
 	for i := 0; i < 8; i++ {
 		h ^= uint64(byte(s.seed >> (8 * uint(i))))
-		h *= prime64
+		h *= fnvPrime64
 	}
-	for _, p := range path {
-		h ^= 0
-		h *= prime64
-		for i := 0; i < len(p); i++ {
-			h ^= uint64(p[i])
-			h *= prime64
-		}
+	return h
+}
+
+// fnvPart hashes one path component behind its 0 separator byte (whose xor
+// is a no-op).
+func fnvPart[T string | []byte](h uint64, p T) uint64 {
+	h *= fnvPrime64
+	for i := 0; i < len(p); i++ {
+		h ^= uint64(p[i])
+		h *= fnvPrime64
 	}
-	dst.seed = h
-	if dst.rng != nil {
-		dst.rng.Seed(int64(h))
+	return h
+}
+
+func (s *Source) reseed(seed uint64) {
+	s.seed = seed
+	if s.rng != nil {
+		s.rng.Seed(int64(seed))
 	}
-	// A dst that has never drawn has no generator yet; gen() will seed it
+	// A source that has never drawn has no generator yet; gen() will seed it
 	// from the updated seed on first use, which is the same sequence.
 }
 

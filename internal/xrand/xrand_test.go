@@ -77,6 +77,25 @@ func TestReseedDerivedMatchesDerive(t *testing.T) {
 	}
 }
 
+func TestReseedDerivedBytesMatchesDerive(t *testing.T) {
+	root := New(99)
+	scratch := New(0)
+	buf := make([]byte, 0, 32)
+	for _, tag := range []string{"", "7|lake/A/fact_001||50|1(v > 50),1,2", "\x00"} {
+		buf = append(buf[:0], tag...)
+		root.ReseedDerivedBytes(scratch, "node", buf)
+		fresh := root.Derive("node", tag)
+		if scratch.Seed() != fresh.Seed() {
+			t.Fatalf("ReseedDerivedBytes(%q) seed %d, Derive seed %d", tag, scratch.Seed(), fresh.Seed())
+		}
+		for i := 0; i < 20; i++ {
+			if a, b := scratch.Int63(), fresh.Int63(); a != b {
+				t.Fatalf("ReseedDerivedBytes(%q) draw %d = %d, Derive = %d", tag, i, a, b)
+			}
+		}
+	}
+}
+
 func TestPermIntoMatchesPerm(t *testing.T) {
 	a := New(11)
 	b := New(11)
