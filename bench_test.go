@@ -15,6 +15,7 @@ import (
 	"steerq/internal/experiments"
 	"steerq/internal/learning"
 	"steerq/internal/steering"
+	"steerq/internal/workload"
 )
 
 // benchConfig is the shared scaled-down configuration. Benchmarks share one
@@ -258,58 +259,64 @@ func BenchmarkCompileDefault(b *testing.B) {
 	}
 }
 
-// benchPipelineRecompile measures the discovery pipeline's compile-heavy
-// half (span + M candidate recompilations) over a fixed job set at the given
-// worker count. A fresh (or nil) cache per iteration keeps the serial and
-// parallel numbers comparable; BenchmarkPipelineCached shows the warm path.
-func benchPipelineRecompile(b *testing.B, workers int, warmCache bool) {
-	r := experiments.NewRunner(benchConfig())
+// benchLongJobs is the fixed job set of the pipeline benchmarks.
+func benchLongJobs(b *testing.B, r *experiments.Runner, n int) []*workload.Job {
 	long := r.LongJobs("A", 0)
-	if len(long) > 4 {
-		long = long[:4]
+	if len(long) > n {
+		long = long[:n]
 	}
 	if len(long) == 0 {
 		b.Fatal("no long-running jobs at bench scale")
 	}
-	mk := func(cache *steering.CompileCache) *steering.Pipeline {
-		p := r.Pipeline("A")
-		p.Workers = workers
-		p.Cache = cache
-		return p
-	}
-	var cache *steering.CompileCache
-	if warmCache {
-		cache = steering.NewCompileCache()
-		for _, j := range long {
-			if _, err := mk(cache).Recompile(j); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
+	return long
+}
+
+// benchPipelineBuild measures the level of the discovery pipeline that fans
+// out — one BuildBundle over a fixed job set: group, then analyze every group
+// representative on `workers` workers (one analysis is serial). No cache, so
+// the serial and parallel numbers are comparable.
+func benchPipelineBuild(b *testing.B, workers int) {
+	r := experiments.NewRunner(benchConfig())
+	long := benchLongJobs(b, r, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := mk(cache)
+		p := r.Pipeline("A")
+		p.Workers, p.Harness.Workers = workers, workers
+		p.Cache = nil
+		if _, _, err := p.BuildBundle(long, 1, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(workers), "workers")
+}
+
+func BenchmarkPipelineWorkers1(b *testing.B) { benchPipelineBuild(b, 1) }
+
+func BenchmarkPipelineWorkers4(b *testing.B) { benchPipelineBuild(b, 4) }
+
+// BenchmarkPipelineCached measures the steady state of recurring-workload
+// experiments: every (job, config) compilation of the compile-heavy half
+// (span + M candidate recompilations) is served from the shared compile
+// cache.
+func BenchmarkPipelineCached(b *testing.B) {
+	r := experiments.NewRunner(benchConfig())
+	long := benchLongJobs(b, r, 4)
+	p := r.Pipeline("A")
+	p.Cache = steering.NewCompileCache()
+	recompile := func() {
 		for _, j := range long {
 			if _, err := p.Recompile(j); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	if warmCache {
-		st := cache.Stats()
-		b.ReportMetric(100*st.HitRate(), "hit-%")
+	recompile()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recompile()
 	}
-	b.ReportMetric(float64(workers), "workers")
+	b.ReportMetric(100*p.Cache.Stats().HitRate(), "hit-%")
 }
-
-func BenchmarkPipelineWorkers1(b *testing.B) { benchPipelineRecompile(b, 1, false) }
-
-func BenchmarkPipelineWorkers4(b *testing.B) { benchPipelineRecompile(b, 4, false) }
-
-// BenchmarkPipelineCached measures the steady state of recurring-workload
-// experiments: every (job, config) compilation is served from the shared
-// compile cache.
-func BenchmarkPipelineCached(b *testing.B) { benchPipelineRecompile(b, 4, true) }
 
 // BenchmarkJobSpan measures the cost of Algorithm 1 per job.
 func BenchmarkJobSpan(b *testing.B) {

@@ -13,15 +13,18 @@
 #   5. go test -race ./...       unit + property + golden tests under the
 #                                race detector, with plan validation forced
 #                                on via STEERQ_CHECK_PLANS
-#   6. parallel smoke            the pipeline determinism tests re-run with
-#                                STEERQ_WORKERS=4 so the race detector covers
-#                                the worker pool on every run
+#   6. parallel smoke            the pipeline determinism tests — the
+#                                BuildBundle/Group fan-out battery, the fault
+#                                batteries, the experiment runner's — re-run
+#                                with STEERQ_WORKERS=4 so the race detector
+#                                covers the worker pool on every run
 #   7. alloc regression          the compile allocation budget, the nn
 #                                training/inference allocation budgets and
 #                                the exec simulator's once-per-node work and
 #                                allocation budgets re-checked under -race
 #                                (testing.AllocsPerRun)
-#   8. bench smoke               the serial and 4-worker pipeline benchmarks,
+#   8. bench smoke               the serial and 4-worker pipeline benchmarks
+#                                (one BuildBundle over a fixed job set each),
 #                                the nn train/forward kernels at the
 #                                learn_groups shape and the exec simulator's
 #                                Run/Explain over the discover_* plan shapes,
@@ -67,7 +70,9 @@
 #                                parallel leg must be measured (never
 #                                skipped; oversubscribed runs are annotated,
 #                                not dropped), and the workers-1/2/4/8
-#                                scaling sweep must be present
+#                                scaling sweep must be present; every leg
+#                                times a whole BuildBundle, the level that
+#                                fans out
 #  15. bench compare smoke       steerq-bench -compare self-diffs the stage-14
 #                                report (a report never regresses against
 #                                itself) and then must flag an injected 10x

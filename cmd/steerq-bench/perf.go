@@ -8,10 +8,12 @@ import (
 	"testing"
 	"time"
 
+	"steerq/internal/abtest"
 	"steerq/internal/bitvec"
 	"steerq/internal/experiments"
 	"steerq/internal/obs"
 	"steerq/internal/steering"
+	"steerq/internal/workload"
 	"steerq/internal/xrand"
 )
 
@@ -34,8 +36,8 @@ type perfConfig struct {
 }
 
 // perfScalingLeg is one worker count of the scaling sweep: cold-cache
-// Recompile over the Zipf-skewed hot-template job set, with the scheduler's
-// steal/merge counters from one representative pass.
+// BuildBundle over the Zipf-skewed hot-template job set, with the group
+// fan-out's scheduler counters from one representative pass.
 type perfScalingLeg struct {
 	Workers    int     `json:"workers"`
 	GoMaxProcs int     `json:"gomaxprocs"`
@@ -45,12 +47,12 @@ type perfScalingLeg struct {
 	// Speedup is legs[0].NsPerOp / NsPerOp — throughput relative to the
 	// one-worker leg of the same sweep.
 	Speedup float64 `json:"speedup"`
-	// Items/Steals/Merges are per-op scheduler counters: candidate compiles
-	// dispatched, cross-worker steals (schedule-dependent, diagnostic only),
-	// and serial merge phases. Items and Merges are deterministic.
-	Items          int    `json:"items"`
+	// Items/Steals are per-op counters of the group fan-out's scheduler
+	// (steerq_par_items_total / steerq_par_steals_total): job groups
+	// analyzed — deterministic — and cross-worker steals, which are
+	// schedule-dependent diagnostics (and canonically 0 under STEERQ_VCLOCK).
+	Items          uint64 `json:"items"`
 	Steals         uint64 `json:"steals"`
-	Merges         int    `json:"merges"`
 	Oversubscribed bool   `json:"oversubscribed,omitempty"`
 }
 
@@ -77,27 +79,6 @@ type perfCompile struct {
 	AllocsPerCompile int64  `json:"allocs_per_compile"`
 	BytesPerCompile  int64  `json:"bytes_per_compile"`
 	Iterations       int    `json:"iterations"`
-}
-
-// perfBaseline pins the serial-leg numbers this PR was measured against and
-// the reductions achieved, so the report is self-describing.
-type perfBaseline struct {
-	Source            string  `json:"source"`
-	NsPerOp           int64   `json:"ns_per_op"`
-	AllocsPerOp       int64   `json:"allocs_per_op"`
-	BytesPerOp        int64   `json:"bytes_per_op"`
-	NsReductionPct    float64 `json:"ns_reduction_pct"`
-	AllocReductionPct float64 `json:"alloc_reduction_pct"`
-	BytesReductionPct float64 `json:"bytes_reduction_pct"`
-}
-
-// prBaseline is the serial pipeline leg recorded by PR 2's
-// BENCH_pipeline.json on this same machine, before the allocation work.
-var prBaseline = perfBaseline{
-	Source:      "PR 2 BENCH_pipeline.json (pre-interning-rework serial leg)",
-	NsPerOp:     253803482,
-	AllocsPerOp: 1475710,
-	BytesPerOp:  100479020,
 }
 
 // perfCache reports compile-cache effectiveness over two warm passes.
@@ -130,20 +111,21 @@ type perfFootprint struct {
 // perfReport is the full machine-readable benchmark record. Future PRs diff
 // these files to track the perf trajectory.
 type perfReport struct {
-	GeneratedUnix int64         `json:"generated_unix"`
-	NumCPU        int           `json:"num_cpu"`
-	Workload      string        `json:"workload"`
-	Jobs          int           `json:"jobs"`
-	Candidates    int           `json:"candidates"`
-	Serial        perfConfig    `json:"serial"`
-	Parallel      perfConfig    `json:"parallel"`
-	Speedup       float64       `json:"speedup,omitempty"`
-	Scaling       *perfScaling  `json:"scaling,omitempty"`
-	Compile       perfCompile   `json:"compile"`
-	Baseline      perfBaseline  `json:"baseline"`
-	Cache         perfCache     `json:"cache"`
-	Footprint     perfFootprint `json:"footprint"`
-	Obs           *obs.Snapshot `json:"obs,omitempty"`
+	GeneratedUnix int64  `json:"generated_unix"`
+	NumCPU        int    `json:"num_cpu"`
+	Workload      string `json:"workload"`
+	// Op names what one timed op of the serial, parallel and scaling legs is.
+	Op         string        `json:"op"`
+	Jobs       int           `json:"jobs"`
+	Candidates int           `json:"candidates"`
+	Serial     perfConfig    `json:"serial"`
+	Parallel   perfConfig    `json:"parallel"`
+	Speedup    float64       `json:"speedup,omitempty"`
+	Scaling    *perfScaling  `json:"scaling,omitempty"`
+	Compile    perfCompile   `json:"compile"`
+	Cache      perfCache     `json:"cache"`
+	Footprint  perfFootprint `json:"footprint"`
+	Obs        *obs.Snapshot `json:"obs,omitempty"`
 }
 
 // minParallelProcs is the floor for the parallel leg: measuring "parallel"
@@ -163,10 +145,34 @@ func benchOnce(f func() error) (int64, error) {
 	return time.Since(start).Nanoseconds(), err
 }
 
-// runPerf measures Pipeline.Recompile wall-clock at Workers=1 vs
-// Workers=workers over a fixed job set (cold cache each iteration, so the
-// comparison is honest), plus a single-compile microbenchmark, compile-cache
-// hit rates over repeated passes, and a workers-1/2/4/8 scaling sweep over a
+// perfOp is the timed unit of every pipeline leg. One job's analysis is
+// serial, so the legs time the level that fans out: a whole bundle build.
+const perfOp = "Pipeline.BuildBundle over the job set: group, then analyze (recompile + execute) every group representative on `workers` workers, no cache"
+
+// perfJobs caps the job set of the pipeline legs. BuildBundle analyzes one
+// representative per job group, so the set must hold comfortably more groups
+// than the widest leg has workers for the sweep to measure scaling.
+const perfJobs = 32
+
+// buildBundle is one timed op (see perfOp) on a fresh pipeline; reg, when
+// non-nil, receives the build's metrics. The harness's worker count follows
+// w as well, so the grouping step of a one-worker leg is serial too.
+func buildBundle(h *abtest.Harness, seed uint64, stream string, m, w int, jobs []*workload.Job, reg *obs.Registry) error {
+	h.Workers = w
+	p := steering.NewPipeline(h, xrand.New(seed).Derive(stream))
+	p.MaxCandidates = m
+	p.Workers = w
+	p.Obs = reg
+	if _, _, err := p.BuildBundle(jobs, 1, 0); err != nil {
+		return fmt.Errorf("perf: build bundle at workers=%d: %w", w, err)
+	}
+	return nil
+}
+
+// runPerf measures Pipeline.BuildBundle wall-clock at Workers=1 vs
+// Workers=workers over a fixed job set (no cache, so the comparison is
+// honest), plus a single-compile microbenchmark, compile-cache hit rates
+// over repeated passes, and a workers-1/2/4/8 scaling sweep over a
 // Zipf(zipf)-skewed hot-template workload, and writes the result as JSON to
 // outPath. quick swaps every calibrated testing.Benchmark loop for one timed
 // iteration (allocs unreported) so CI can smoke the whole report cheaply.
@@ -185,15 +191,16 @@ func runPerf(scale float64, seed uint64, m, workers int, zipf float64, quick boo
 		return fmt.Errorf("perf: workload %s has no long-running jobs at scale %g", wl, scale)
 	}
 	jobs := long
-	if len(jobs) > 6 {
-		jobs = jobs[:6]
+	if len(jobs) > perfJobs {
+		jobs = jobs[:perfJobs]
 	}
 	h := r.Harness(wl)
 
-	recompileAll := func(w int, cache *steering.CompileCache, stats *steering.FootprintStats) error {
+	// recompileAll is the untimed census pass: the candidate stage's
+	// footprint collapse and the cache's hit rates, per job.
+	recompileAll := func(cache *steering.CompileCache, stats *steering.FootprintStats) error {
 		p := steering.NewPipeline(h, xrand.New(seed).Derive("perf"))
 		p.MaxCandidates = m
-		p.Workers = w
 		p.Cache = cache
 		for _, j := range jobs {
 			a, err := p.Recompile(j)
@@ -207,17 +214,20 @@ func runPerf(scale float64, seed uint64, m, workers int, zipf float64, quick boo
 		return nil
 	}
 	// Warm up once so lazily built state (catalog statistics, day inputs)
-	// does not land inside the first measured iteration; the pass doubles as
-	// the footprint-collapse census (cold cache, serial — the same work every
-	// measured iteration repeats).
+	// does not land inside the first measured iteration; the recompile pass
+	// doubles as the footprint-collapse census (cold cache).
 	var fpStats steering.FootprintStats
-	if err := recompileAll(1, nil, &fpStats); err != nil {
+	if err := recompileAll(nil, &fpStats); err != nil {
+		return err
+	}
+	timed := func(w int) error { return buildBundle(h, seed, "perf", m, w, jobs, nil) }
+	if err := timed(1); err != nil {
 		return err
 	}
 
 	measure := func(w int) (perfConfig, error) {
 		if quick {
-			ns, err := benchOnce(func() error { return recompileAll(w, nil, nil) })
+			ns, err := benchOnce(func() error { return timed(w) })
 			return perfConfig{
 				Workers:    w,
 				GoMaxProcs: runtime.GOMAXPROCS(0),
@@ -230,7 +240,7 @@ func runPerf(scale float64, seed uint64, m, workers int, zipf float64, quick boo
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if e := recompileAll(w, nil, nil); e != nil && err == nil {
+				if e := timed(w); e != nil && err == nil {
 					err = e
 				}
 			}
@@ -329,7 +339,7 @@ func runPerf(scale float64, seed uint64, m, workers int, zipf float64, quick boo
 	}
 
 	// Scaling sweep: workers 1/2/4/8 over the Zipf-skewed hot-template
-	// workload, recording speedup and scheduler steal/merge counters. zipf=0
+	// workload, recording speedup and the scheduler's steal counter. zipf=0
 	// is the uniform limit of the law (arrival weights untouched), so the
 	// same sweep doubles as the uniform-traffic comparison; negative skew
 	// disables the sweep entirely.
@@ -346,20 +356,19 @@ func runPerf(scale float64, seed uint64, m, workers int, zipf float64, quick boo
 	// the steady state of recurring-workload experiments.
 	cache := steering.NewCompileCache()
 	for pass := 0; pass < 2; pass++ {
-		if err := recompileAll(workers, cache, nil); err != nil {
+		if err := recompileAll(cache, nil); err != nil {
 			return err
 		}
 	}
 	st := cache.Stats()
 
-	baseline := prBaseline
-	baseline.NsReductionPct = reductionPct(baseline.NsPerOp, serial.NsPerOp)
-	baseline.AllocReductionPct = reductionPct(baseline.AllocsPerOp, serial.AllocsPerOp)
-	baseline.BytesReductionPct = reductionPct(baseline.BytesPerOp, serial.BytesPerOp)
-
 	// Fold the run's observability snapshot into the report: compile counters
 	// and memo-size histograms accumulated across every measured iteration.
+	// The raw spans stay out of the report (one per trial of every timed
+	// iteration — megabytes); -metrics-out writes the full snapshot.
 	snap := r.Obs().Snapshot()
+	metrics := snap
+	metrics.Spans = nil
 
 	rep := perfReport{
 		// ClockFromEnv keeps -perf reports reproducible: under STEERQ_VCLOCK
@@ -367,13 +376,13 @@ func runPerf(scale float64, seed uint64, m, workers int, zipf float64, quick boo
 		GeneratedUnix: obs.ClockFromEnv()().Unix(),
 		NumCPU:        runtime.NumCPU(),
 		Workload:      wl,
+		Op:            perfOp,
 		Jobs:          len(jobs),
 		Candidates:    m,
 		Serial:        serial,
 		Parallel:      parallel,
 		Scaling:       scaling,
 		Compile:       compile,
-		Baseline:      baseline,
 		Cache: perfCache{
 			Hits:          st.Hits,
 			Misses:        st.Misses,
@@ -390,7 +399,7 @@ func runPerf(scale float64, seed uint64, m, workers int, zipf float64, quick boo
 			CacheSeeded: fpStats.CacheSeeded,
 			Avoided:     fpStats.Avoided,
 		},
-		Obs: &snap,
+		Obs: &metrics,
 	}
 	if fpStats.Candidates > 0 {
 		rep.Footprint.AvoidedRate = float64(fpStats.Avoided) / float64(fpStats.Candidates)
@@ -422,14 +431,12 @@ func runPerf(scale float64, seed uint64, m, workers int, zipf float64, quick boo
 			if leg.Oversubscribed {
 				tag = "  [oversubscribed]"
 			}
-			fmt.Printf("    workers=%d: %s/op  %.2fx  %d items  %d steals  %d merges%s\n",
-				leg.Workers, time.Duration(leg.NsPerOp), leg.Speedup, leg.Items, leg.Steals, leg.Merges, tag)
+			fmt.Printf("    workers=%d: %s/op  %.2fx  %d groups  %d steals%s\n",
+				leg.Workers, time.Duration(leg.NsPerOp), leg.Speedup, leg.Items, leg.Steals, tag)
 		}
 	}
 	fmt.Printf("  compile %s: %s  %d allocs  %d B\n",
 		compile.Job, time.Duration(compile.NsPerCompile), compile.AllocsPerCompile, compile.BytesPerCompile)
-	fmt.Printf("  vs baseline: allocs -%.1f%%  bytes -%.1f%%  time -%.1f%%\n",
-		baseline.AllocReductionPct, baseline.BytesReductionPct, baseline.NsReductionPct)
 	fmt.Printf("  footprint: %d candidates -> %d classes, %d compiled (%.0f%% compiles avoided)\n",
 		rep.Footprint.Candidates, rep.Footprint.Classes, rep.Footprint.Compiled, 100*rep.Footprint.AvoidedRate)
 	fmt.Printf("  cache: %d hits / %d misses (%.0f%% hit rate, %.0f%% projected, %d entries, %d evictions)\n",
@@ -450,13 +457,13 @@ func runPerf(scale float64, seed uint64, m, workers int, zipf float64, quick boo
 // count the -compare speedup gate reads.
 var scalingWorkers = []int{1, 2, 4, 8}
 
-// measureScaling runs the cold-cache Recompile sweep over a Zipf(s)-skewed
+// measureScaling runs the cold-cache BuildBundle sweep over a Zipf(s)-skewed
 // hot-template workload at each worker count in scalingWorkers. GOMAXPROCS is
 // raised to the leg's worker count when the machine has fewer cores, and such
 // legs (and the sweep) are marked oversubscribed so downstream gates can
-// ignore their speedups. One stats pass per leg records the scheduler's
-// items/steals/merges counters; items and merges are deterministic, steals
-// are schedule-dependent diagnostics.
+// ignore their speedups. One instrumented pass per leg records the group
+// fan-out's items/steals counters; items are deterministic, steals are
+// schedule-dependent diagnostics.
 func measureScaling(scale float64, seed uint64, m int, zipf float64, quick bool) (*perfScaling, error) {
 	cfg := experiments.DefaultConfig()
 	cfg.Scale = scale
@@ -469,28 +476,13 @@ func measureScaling(scale float64, seed uint64, m int, zipf float64, quick bool)
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("perf: zipf workload %s has no long-running jobs at scale %g", wl, scale)
 	}
-	if len(jobs) > 6 {
-		jobs = jobs[:6]
+	if len(jobs) > perfJobs {
+		jobs = jobs[:perfJobs]
 	}
 	h := r.Harness(wl)
-
-	recompileAll := func(w int, sched *steering.SchedStats) error {
-		p := steering.NewPipeline(h, xrand.New(seed).Derive("scaling"))
-		p.MaxCandidates = m
-		p.Workers = w
-		for _, j := range jobs {
-			a, err := p.Recompile(j)
-			if err != nil {
-				return fmt.Errorf("perf: scaling recompile %s: %w", j.ID, err)
-			}
-			if sched != nil {
-				sched.Add(a.Sched)
-			}
-		}
-		return nil
-	}
+	timed := func(w int, reg *obs.Registry) error { return buildBundle(h, seed, "scaling", m, w, jobs, reg) }
 	// Warm-up, and the lazily built state (statistics, day inputs) census.
-	if err := recompileAll(1, nil); err != nil {
+	if err := timed(1, nil); err != nil {
 		return nil, err
 	}
 
@@ -504,10 +496,10 @@ func measureScaling(scale float64, seed uint64, m int, zipf float64, quick bool)
 		}
 		runtime.GOMAXPROCS(procs)
 		leg := perfScalingLeg{Workers: w, GoMaxProcs: procs, Oversubscribed: procs > runtime.NumCPU()}
-		var sched steering.SchedStats
+		reg := obs.New()
 		if quick {
 			// The single timed iteration doubles as the stats pass.
-			ns, err := benchOnce(func() error { return recompileAll(w, &sched) })
+			ns, err := benchOnce(func() error { return timed(w, reg) })
 			if err != nil {
 				return nil, err
 			}
@@ -516,7 +508,7 @@ func measureScaling(scale float64, seed uint64, m int, zipf float64, quick bool)
 			var err error
 			res := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if e := recompileAll(w, nil); e != nil && err == nil {
+					if e := timed(w, nil); e != nil && err == nil {
 						err = e
 					}
 				}
@@ -525,12 +517,19 @@ func measureScaling(scale float64, seed uint64, m int, zipf float64, quick bool)
 				return nil, err
 			}
 			leg.NsPerOp, leg.Iterations = res.NsPerOp(), res.N
-			if err := recompileAll(w, &sched); err != nil {
+			if err := timed(w, reg); err != nil {
 				return nil, err
 			}
 		}
 		leg.SecPerOp = float64(leg.NsPerOp) / 1e9
-		leg.Items, leg.Steals, leg.Merges = sched.Items, sched.Steals, sched.Merges
+		for _, c := range reg.Snapshot().Counters {
+			switch c.Name {
+			case "steerq_par_items_total":
+				leg.Items += c.Value
+			case "steerq_par_steals_total":
+				leg.Steals += c.Value
+			}
+		}
 		if len(sc.Legs) > 0 && leg.NsPerOp > 0 {
 			leg.Speedup = float64(sc.Legs[0].NsPerOp) / float64(leg.NsPerOp)
 		} else if len(sc.Legs) == 0 {
@@ -546,11 +545,4 @@ func measureScaling(scale float64, seed uint64, m int, zipf float64, quick bool)
 		fmt.Fprintf(os.Stderr, "steerq-bench: warning: scaling sweep oversubscribed (NumCPU=%d); speedups recorded but not gate-worthy\n", runtime.NumCPU())
 	}
 	return sc, nil
-}
-
-func reductionPct(base, now int64) float64 {
-	if base <= 0 {
-		return 0
-	}
-	return 100 * (1 - float64(now)/float64(base))
 }

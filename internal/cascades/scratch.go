@@ -95,7 +95,7 @@ var scratchPool = sync.Pool{
 
 // Scratch is a caller-owned compile arena for OptimizeInto and
 // OptimizeCostInto. Call sites that compile in a tight loop — the steering
-// pipeline's candidate fan-out keys one Scratch per scheduler worker — hold
+// pipeline's job-group fan-out keys one Scratch per scheduler worker — hold
 // on to a Scratch so every compile reuses the same slabs and maps without a
 // sync.Pool round trip (and without the pool's cross-goroutine handoffs,
 // which under contention hand a cold arena to a hot loop). A Scratch must

@@ -51,8 +51,8 @@ type Config struct {
 	// optimizing.
 	LearnMinGroup     int
 	LearnMinMedianSec float64
-	// Workers bounds the goroutines used for job analysis and candidate
-	// recompilation. Zero resolves through STEERQ_WORKERS and then
+	// Workers bounds the goroutines jobs are analyzed on (one analysis is
+	// serial). Zero resolves through STEERQ_WORKERS and then
 	// GOMAXPROCS; every value produces bit-for-bit identical results.
 	Workers int
 	// ZipfSkew, when positive, switches every workload the runner builds

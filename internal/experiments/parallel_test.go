@@ -85,11 +85,10 @@ func TestAnalyzedJobsParallelDeterminism(t *testing.T) {
 // TestZipfPipelineParallelDeterminism is the metamorphic acceptance test for
 // the work-stealing scheduler on skewed traffic: a full pipeline run over the
 // Zipf hot-template workload, rendered to bytes, must be identical at 1 and 8
-// workers. The hot templates concentrate compiles on few footprints, which is
-// exactly where stealing and the merge phase see the most traffic. Steals are
-// deliberately absent from the rendering — they are schedule-dependent
-// diagnostics — while the scheduler's Items and Merges counters are included
-// because they must not depend on the worker count.
+// workers. The hot templates make the per-job analyses uneven, which is
+// exactly where the job-level fan-out steals the most. The candidate stage's
+// compile count (Sched.Items) is included because it must not depend on the
+// worker count.
 func TestZipfPipelineParallelDeterminism(t *testing.T) {
 	render := func(workers int) []byte {
 		cfg := tinyConfig()
@@ -116,8 +115,7 @@ func TestZipfPipelineParallelDeterminism(t *testing.T) {
 				fmt.Fprintf(&buf, "  trial %v sig %v cost %v metrics %v\n",
 					tr.Config, tr.Signature, tr.EstCost, tr.Metrics)
 			}
-			fmt.Fprintf(&buf, "  footprint %+v sched items=%d merges=%d\n",
-				a.Footprint, a.Sched.Items, a.Sched.Merges)
+			fmt.Fprintf(&buf, "  footprint %+v compiles=%d\n", a.Footprint, a.Sched.Items)
 		}
 		buf.WriteString("--- log ---\n")
 		buf.Write(log.Bytes())

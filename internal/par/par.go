@@ -12,9 +12,9 @@
 // Worker counts resolve in precedence order: an explicit positive value, the
 // STEERQ_WORKERS environment variable, then runtime.GOMAXPROCS(0).
 //
-// steerq:hotpath — every candidate compile is dispatched through this
-// package; the hotalloc analyzer guards the scheduler against allocation
-// regressions.
+// steerq:hotpath — every job-group analysis and experiment item is
+// dispatched through this package; the hotalloc analyzer guards the scheduler
+// against allocation regressions.
 package par
 
 import (
@@ -52,11 +52,10 @@ func Workers(n int) int {
 // as a reason to stop); the returned error is the one from the lowest failing
 // index, so the error too is independent of scheduling.
 //
-// ForEach schedules through the work-stealing scheduler (see Run) with no
-// priority function, so items are dealt in index order; callers that want
-// priorities, worker identities or scheduling telemetry use Run directly.
+// ForEach schedules through the work-stealing scheduler (see Run); callers
+// that want worker identities or scheduling telemetry use Run directly.
 func ForEach(workers, n int, f func(i int) error) error {
-	_, err := Run(workers, n, Options{}, func(_, i int) error {
+	_, err := Run(context.Background(), workers, n, nil, func(_, i int) error {
 		return f(i)
 	})
 	return err
@@ -88,12 +87,10 @@ func Map[T, R any](workers int, items []T, f func(i int, item T) (R, error)) ([]
 // returned error is still the lowest-index failure, and a context canceled
 // before the call starts skips every index deterministically.
 func ForEachCtx(ctx context.Context, workers, n int, f func(ctx context.Context, i int) error) error {
-	return ForEach(workers, n, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
+	_, err := Run(ctx, workers, n, nil, func(_, i int) error {
 		return f(ctx, i)
 	})
+	return err
 }
 
 // MapCtx is Map with a context, with the same slotting and lowest-index

@@ -1,16 +1,14 @@
 // Work-stealing scheduler: the execution engine behind ForEach/Map and the
 // direct Run API.
 //
-// The previous pool handed indices out of one shared atomic counter, which
-// serializes every worker on one cache line and cannot prioritize expensive
-// items. The scheduler instead deals the full index set into per-worker
-// bounded deques up front (optionally ordered by a caller-supplied priority,
-// heaviest first) and lets idle workers steal: a worker drains its own deque
+// The scheduler deals the index set round-robin into per-worker bounded
+// deques up front and lets idle workers steal: a worker drains its own deque
 // from the head and, once empty, takes the lowest-index item exposed at any
-// victim's steal end. Stealing moves scheduling decisions, never results —
-// results stay slotted by input index and errors still resolve to the lowest
-// failing index, so the determinism contract in the package comment is
-// untouched at any worker count.
+// victim's steal end — which is what keeps every core busy when items are as
+// uneven as whole job-group analyses. Stealing moves scheduling decisions,
+// never results — results stay slotted by input index and errors still
+// resolve to the lowest failing index, so the determinism contract in the
+// package comment is untouched at any worker count.
 //
 // Observability is the one place scheduling could leak: which worker ran an
 // item and how often deques ran dry are genuinely schedule-dependent. Under
@@ -24,27 +22,13 @@
 package par
 
 import (
+	"context"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"steerq/internal/obs"
 )
-
-// Options configures one Run beyond the worker count.
-type Options struct {
-	// Priority, when non-nil, returns the scheduling weight of item i:
-	// higher-weight items are dealt toward the front of the deques and so
-	// start earlier. Ties are broken by the lower index. Priority affects
-	// scheduling only — results, errors and all other observable outputs
-	// are identical for any weighting.
-	Priority func(i int) int64
-
-	// Obs, when non-nil, receives the run's scheduler telemetry (steal
-	// count, per-worker executed items, live queue depth).
-	Obs *SchedObs
-}
 
 // Stats reports one Run's scheduling activity. Steals and the per-worker
 // execution split depend on timing (they describe which worker got to an
@@ -79,10 +63,10 @@ func (s *Stats) Add(o Stats) {
 	}
 }
 
-// deque is one worker's bounded queue of item indices in schedule order.
-// The owner pops from the head (highest priority first); thieves take from
-// the tail (lowest priority, minimizing interference with the owner). The
-// backing slice is sized exactly to the dealt share and never grows.
+// deque is one worker's bounded queue of item indices in ascending order.
+// The owner pops from the head; thieves take from the tail (minimizing
+// interference with the owner). The backing slice is sized exactly to the
+// dealt share and never grows.
 type deque struct {
 	mu    sync.Mutex
 	items []int
@@ -132,12 +116,17 @@ func (d *deque) stealTail(expect int) bool {
 // Workers(workers) goroutines, scheduled by work stealing, and waits for all
 // of them. The worker argument is a stable identity in [0, workers): at most
 // one item runs under a given worker at a time, so callers may key
-// worker-local state (scratch arenas, write buffers) by it without locking.
+// worker-local state (compile arenas) by it without locking.
 //
 // Every index runs regardless of other indices' failures and the returned
 // error is the one from the lowest failing index, exactly as in ForEach.
-// The returned Stats describe scheduling only; see its comment.
-func Run(workers, n int, opts Options, f func(worker, i int) error) (Stats, error) {
+// Once ctx is done no further indices start: each unstarted index records
+// ctx.Err() as its error instead of running, while indices already in flight
+// run to completion (see ForEachCtx for the contract). so, when non-nil,
+// receives the run's scheduler telemetry (steal count, per-worker executed
+// items, live queue depth). The returned Stats describe scheduling only; see
+// its comment.
+func Run(ctx context.Context, workers, n int, so *SchedObs, f func(worker, i int) error) (Stats, error) {
 	if n <= 0 {
 		return Stats{}, nil
 	}
@@ -146,25 +135,29 @@ func Run(workers, n int, opts Options, f func(worker, i int) error) (Stats, erro
 		w = n
 	}
 	st := Stats{Workers: w, Items: n, Executed: make([]uint64, w)}
-	order := scheduleOrder(n, opts.Priority)
-	opts.Obs.enqueue(n)
+	item := func(worker, i int) error {
+		so.dequeue()
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		return f(worker, i)
+	}
+	so.enqueue(n)
 	if w == 1 {
-		// Serial fast path: the schedule is the priority order itself.
+		// Serial fast path: ascending order, so the first error is the
+		// lowest-index one.
 		var firstErr error
-		firstIdx := -1
-		for _, i := range order {
-			opts.Obs.dequeue()
-			if err := f(0, i); err != nil && (firstIdx == -1 || i < firstIdx) {
-				firstIdx, firstErr = i, err
+		for i := 0; i < n; i++ {
+			if err := item(0, i); err != nil && firstErr == nil {
+				firstErr = err
 			}
 		}
 		st.Executed[0] = uint64(n)
-		opts.Obs.publish(st)
+		so.publish(st)
 		return st, firstErr
 	}
 
-	// Deal the schedule round-robin so every deque is a priority-descending
-	// subsequence: worker g owns order[g], order[g+w], ...
+	// Deal the indices round-robin: worker g owns g, g+w, g+2w, ...
 	deques := make([]*deque, w)
 	backing := make([]int, n)
 	for g := 0; g < w; g++ {
@@ -172,7 +165,7 @@ func Run(workers, n int, opts Options, f func(worker, i int) error) (Stats, erro
 		items := backing[:share:share]
 		backing = backing[share:]
 		for k := 0; k < share; k++ {
-			items[k] = order[g+k*w]
+			items[k] = g + k*w
 		}
 		deques[g] = &deque{items: items, tail: share}
 	}
@@ -196,9 +189,8 @@ func Run(workers, n int, opts Options, f func(worker, i int) error) (Stats, erro
 					}
 					steals.Add(1)
 				}
-				opts.Obs.dequeue()
 				executed++
-				if err := f(self, i); err != nil {
+				if err := item(self, i); err != nil {
 					mu.Lock()
 					if firstIdx == -1 || i < firstIdx {
 						firstIdx, firstErr = i, err
@@ -211,30 +203,8 @@ func Run(workers, n int, opts Options, f func(worker, i int) error) (Stats, erro
 	}
 	wg.Wait()
 	st.Steals = steals.Load()
-	opts.Obs.publish(st)
+	so.publish(st)
 	return st, firstErr
-}
-
-// scheduleOrder returns the item indices in scheduling order: input order
-// without priorities, else by descending priority with ties broken by the
-// lower index (the stable sort over an ascending base guarantees the tie
-// rule).
-func scheduleOrder(n int, pri func(i int) int64) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	if pri == nil {
-		return order
-	}
-	weights := make([]int64, n)
-	for i := range weights {
-		weights[i] = pri(i)
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return weights[order[a]] > weights[order[b]]
-	})
-	return order
 }
 
 // stealLowest takes one item for a worker whose own deque ran dry: it scans

@@ -15,7 +15,7 @@ import (
 
 func TestRunZeroItems(t *testing.T) {
 	for _, n := range []int{0, -3} {
-		st, err := par.Run(8, n, par.Options{}, func(worker, i int) error {
+		st, err := par.Run(context.Background(), 8, n, nil, func(worker, i int) error {
 			t.Fatalf("callback ran for n=%d (worker=%d i=%d)", n, worker, i)
 			return nil
 		})
@@ -32,7 +32,7 @@ func TestRunWorkersExceedItems(t *testing.T) {
 	// 64 workers over 3 items must clamp to 3 workers, run every index exactly
 	// once, and attribute exactly 3 executions across the per-worker tallies.
 	var ran [3]atomic.Int32
-	st, err := par.Run(64, 3, par.Options{}, func(worker, i int) error {
+	st, err := par.Run(context.Background(), 64, 3, nil, func(worker, i int) error {
 		ran[i].Add(1)
 		return nil
 	})
@@ -58,7 +58,7 @@ func TestRunWorkersExceedItems(t *testing.T) {
 
 func TestRunAllErrorLowestIndexWins(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		_, err := par.Run(workers, 41, par.Options{}, func(_, i int) error {
+		_, err := par.Run(context.Background(), workers, 41, nil, func(_, i int) error {
 			return fmt.Errorf("item %d failed", i)
 		})
 		if err == nil || err.Error() != "item 0 failed" {
@@ -75,7 +75,7 @@ func TestRunWorkerIdentityIsExclusive(t *testing.T) {
 	const workers, n = 4, 256
 	depth := make([]atomic.Int32, workers)
 	counts := make([]int, workers) // unsynchronized on purpose: exclusivity is the lock
-	_, err := par.Run(workers, n, par.Options{}, func(worker, i int) error {
+	_, err := par.Run(context.Background(), workers, n, nil, func(worker, i int) error {
 		if d := depth[worker].Add(1); d != 1 {
 			return fmt.Errorf("worker %d reentered (depth %d)", worker, d)
 		}
@@ -95,69 +95,6 @@ func TestRunWorkerIdentityIsExclusive(t *testing.T) {
 	}
 }
 
-// TestRunPriorityOrderSerial pins the scheduling order at one worker: by
-// descending priority, ties broken by the lower input index. Results remain
-// slotted by index regardless.
-func TestRunPriorityOrderSerial(t *testing.T) {
-	pri := []int64{5, 9, 5, 1, 9, 5}
-	var order []int
-	out := make([]int, len(pri))
-	_, err := par.Run(1, len(pri), par.Options{
-		Priority: func(i int) int64 { return pri[i] },
-	}, func(_, i int) error {
-		order = append(order, i)
-		out[i] = i * 10
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("err = %v", err)
-	}
-	want := []int{1, 4, 0, 2, 5, 3} // 9s first (1 before 4), then 5s in index order, then 1
-	for k := range want {
-		if order[k] != want[k] {
-			t.Fatalf("schedule order = %v, want %v (priority desc, ties by index)", order, want)
-		}
-	}
-	for i := range out {
-		if out[i] != i*10 {
-			t.Fatalf("out[%d] = %d: results must stay slotted by index", i, out[i])
-		}
-	}
-}
-
-// TestRunPriorityDeterminismAcrossWorkers: priorities shift the schedule but
-// never the observable outputs — identical results and the same lowest-index
-// error at any worker count, with or without a priority function.
-func TestRunPriorityDeterminismAcrossWorkers(t *testing.T) {
-	const n = 97
-	boom := errors.New("boom")
-	run := func(workers int, pri func(int) int64) ([]int, error) {
-		out := make([]int, n)
-		_, err := par.Run(workers, n, par.Options{Priority: pri}, func(_, i int) error {
-			out[i] = i*i + 7
-			if i%13 == 4 {
-				return fmt.Errorf("%w at %d", boom, i)
-			}
-			return nil
-		})
-		return out, err
-	}
-	base, baseErr := run(1, nil)
-	for _, workers := range []int{1, 2, 8} {
-		for _, pri := range []func(int) int64{nil, func(i int) int64 { return int64(i % 7) }} {
-			out, err := run(workers, pri)
-			if (err == nil) != (baseErr == nil) || (err != nil && err.Error() != baseErr.Error()) {
-				t.Fatalf("workers=%d: err = %v, want %v", workers, err, baseErr)
-			}
-			for i := range out {
-				if out[i] != base[i] {
-					t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, out[i], base[i])
-				}
-			}
-		}
-	}
-}
-
 // TestRunStealsOccur forces the steal path: worker 0 stalls on its first item
 // while the others finish their deques, so the stalled worker's remaining
 // items must be stolen and the run must still complete every index.
@@ -169,7 +106,7 @@ func TestRunStealsOccur(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		st, err := par.Run(workers, n, par.Options{}, func(worker, i int) error {
+		st, err := par.Run(context.Background(), workers, n, nil, func(worker, i int) error {
 			if i == 0 {
 				stallOnce.Do(func() { <-release })
 			}
@@ -202,7 +139,7 @@ func TestRunCancelMidSteal(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran atomic.Int32
-	err := par.ForEachCtx(ctx, 8, n, func(c context.Context, i int) error {
+	_, err := par.Run(ctx, 8, n, nil, func(_, i int) error {
 		if ran.Add(1) == 10 {
 			cancel()
 		}
@@ -240,7 +177,7 @@ func TestSchedObsCanonicalUnderVClock(t *testing.T) {
 	reg := obs.NewWithClock(obs.FrozenClock())
 	so := par.NewSchedObs(reg, "pool", "test")
 	for _, workers := range []int{1, 8} {
-		if _, err := par.Run(workers, 50, par.Options{Obs: so}, func(_, i int) error {
+		if _, err := par.Run(context.Background(), workers, 50, so, func(_, i int) error {
 			return nil
 		}); err != nil {
 			t.Fatal(err)
@@ -284,7 +221,7 @@ func TestSchedObsActualsWithoutVClock(t *testing.T) {
 	t.Setenv(obs.VClockEnv, "")
 	reg := obs.NewWithClock(obs.FrozenClock())
 	so := par.NewSchedObs(reg, "pool", "test")
-	st, err := par.Run(4, 40, par.Options{Obs: so}, func(_, i int) error { return nil })
+	st, err := par.Run(context.Background(), 4, 40, so, func(_, i int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +242,7 @@ func TestNewSchedObsNilRegistry(t *testing.T) {
 		t.Fatal("nil registry must yield a nil (no-op) SchedObs")
 	}
 	// The nil SchedObs must be safe to thread through a run.
-	if _, err := par.Run(2, 8, par.Options{Obs: so}, func(_, i int) error { return nil }); err != nil {
+	if _, err := par.Run(context.Background(), 2, 8, so, func(_, i int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -2,6 +2,7 @@ package steering
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"steerq/internal/bundle"
@@ -42,9 +43,13 @@ func (p *Pipeline) BuildBundle(jobs []*workload.Job, version uint64, createdUnix
 // explicit fallback entry pinning the default configuration otherwise —
 // including when the representative's analysis failed under fault
 // injection, because a bundle must never steer a group on no evidence.
-// Groups are analyzed in their deterministic sorted order and the bundle
-// encoding is canonical, so the artifact is byte-identical at any Workers
-// count (the serving-equivalence suite asserts this).
+//
+// The group representatives are analyzed concurrently (see AnalyzeEachCtx).
+// Entries and errors are slotted by group index, the report is tallied from
+// them in group order afterwards, and the bundle encoding is canonical, so
+// the artifact is byte-identical at any Workers count (the determinism
+// battery asserts this). A canceled ctx stops unstarted groups and yields
+// the lowest failing group's error, never a partial bundle.
 func (p *Pipeline) BuildBundleCtx(ctx context.Context, jobs []*workload.Job, version uint64, createdUnix int64) (*bundle.Bundle, BundleReport, error) {
 	rep := BundleReport{Jobs: len(jobs)}
 	g := NewGrouper(p.Harness)
@@ -58,23 +63,41 @@ func (p *Pipeline) BuildBundleCtx(ctx context.Context, jobs []*workload.Job, ver
 	if len(jobs) > 0 {
 		b.Workload = jobs[0].Workload
 	}
-	for _, grp := range groups {
-		e := bundle.Entry{Signature: grp.Signature, Config: rs.DefaultConfig(), Fallback: true}
-		a, aerr := p.AnalyzeCtx(ctx, grp.Jobs[0])
-		switch {
-		case aerr != nil && ctx.Err() != nil:
-			return nil, rep, fmt.Errorf("steering: bundle build: %w", aerr)
-		case aerr != nil:
-			rep.Failed++
-		default:
-			if cfg, ok := MinimalConfig(a, rs); ok {
-				e.Config, e.Fallback = cfg, false
-				rep.Steered++
-			} else {
-				rep.Fallbacks++
-			}
+	// Each worker reduces its group's analysis to the entry on the spot, so
+	// at most Workers analyses are alive at once.
+	b.Entries = make([]bundle.Entry, len(groups))
+	errs := make([]error, len(groups))
+	reps := make([]*workload.Job, len(groups))
+	for gi, grp := range groups {
+		reps[gi] = grp.Jobs[0]
+		b.Entries[gi] = bundle.Entry{Signature: grp.Signature, Config: rs.DefaultConfig(), Fallback: true}
+	}
+	err = p.AnalyzeEachCtx(ctx, reps, func(gi int, a *Analysis, aerr error) {
+		if errs[gi] = aerr; aerr != nil {
+			return
 		}
-		b.Entries = append(b.Entries, e)
+		if cfg, ok := MinimalConfig(a, rs); ok {
+			b.Entries[gi].Config, b.Entries[gi].Fallback = cfg, false
+		}
+	})
+	if err != nil && ctx.Err() != nil {
+		// Canceled: err is the lowest failing group's — a skipped group's
+		// ctx.Err() or an in-flight analysis's, which may have seen the
+		// cancellation as an attempt timeout; say what it was either way.
+		if !errors.Is(err, ctx.Err()) {
+			err = fmt.Errorf("%w: %w", ctx.Err(), err)
+		}
+		return nil, rep, fmt.Errorf("steering: bundle build: %w", err)
+	}
+	for gi, e := range b.Entries {
+		switch {
+		case errs[gi] != nil:
+			rep.Failed++
+		case e.Fallback:
+			rep.Fallbacks++
+		default:
+			rep.Steered++
+		}
 	}
 	// Encode once to stamp the content checksum, so consumers that load the
 	// in-memory bundle directly (tests, the CLI printing the hash) see the

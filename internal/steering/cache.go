@@ -120,10 +120,15 @@ const (
 // second-chance CLOCK over its value slots in insertion order, and inserts
 // that push the global entry count past the capacity evict from the
 // inserting shard (a segmented clock — 64 independent hands, no global
-// ordering to contend on). Eviction order is deterministic whenever each
-// job's compiles are issued serially, which the pipeline guarantees: the
-// candidate stage's cache traffic is serial per job, and distinct jobs
-// occupy distinct shards.
+// ordering to contend on). One job's cache traffic is serial (an analysis
+// runs on one goroutine), but the entry count is global and distinct jobs
+// can share a shard, so when job groups are analyzed concurrently
+// (BuildBundle at Workers > 1, experiments.AnalyzedJobs) *which* entries
+// survive eviction depends on the schedule. Results never do: a hit is
+// bit-identical to the recompile a miss falls back to, so only the hit/miss/
+// eviction counters and the cache's contents can differ between runs. An
+// unbounded cache — every caller but the bounded-cache tests — has no such
+// caveat: its contents and counters are the same at any worker count.
 type CompileCache struct {
 	shards    [cacheShards]cacheShard
 	capacity  int
@@ -218,7 +223,7 @@ func (c *CompileCache) Get(fp JobFingerprint, cfg bitvec.Vector) (CompileValue, 
 	var ok, projected bool
 	if c.capacity > 0 {
 		// Bounded mode writes the reference bit, so hits need the write
-		// lock. Contention stays negligible: per-job traffic is serial.
+		// lock; only jobs sharing one of the 64 shards contend on it.
 		s.mu.Lock()
 		v, ok, projected = s.lookup(fp, cfg, full, true)
 		s.mu.Unlock()
@@ -249,31 +254,6 @@ func (c *CompileCache) Put(fp JobFingerprint, cfg bitvec.Vector, v CompileValue)
 	s := c.shard(fp)
 	s.mu.Lock()
 	c.putLocked(s, fp, cfg, v)
-	s.mu.Unlock()
-}
-
-// CacheWrite is one pending insertion for PutBatch.
-type CacheWrite struct {
-	Config bitvec.Vector
-	Value  CompileValue
-}
-
-// PutBatch applies a batch of writes for one fingerprinted job under a
-// single shard-lock acquisition, in slice order. The pipeline's merge phase
-// drains each compile batch's per-worker write buffers through it — all of
-// one job's entries live in one shard (sharding is by fingerprint alone),
-// so the batch pays one lock round trip instead of one per candidate, and
-// insertion order — hence CLOCK eviction order — is exactly the slice
-// order, independent of how many workers produced the values.
-func (c *CompileCache) PutBatch(fp JobFingerprint, writes []CacheWrite) {
-	if c == nil || len(writes) == 0 {
-		return
-	}
-	s := c.shard(fp)
-	s.mu.Lock()
-	for _, w := range writes {
-		c.putLocked(s, fp, w.Config, w.Value)
-	}
 	s.mu.Unlock()
 }
 

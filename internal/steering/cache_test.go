@@ -244,58 +244,3 @@ func TestCfpDistinct(t *testing.T) {
 		seen[fp] = i
 	}
 }
-
-// TestPutBatchMatchesSerialPuts: a PutBatch must leave a bounded cache in
-// exactly the state the same writes applied one Put at a time would —
-// entries, evictions, and the hit pattern of a probe sweep — because batch
-// insertion order is slice order and the CLOCK hand advances identically.
-func TestPutBatchMatchesSerialPuts(t *testing.T) {
-	const capacity = 8
-	fp := cfp(3)
-	build := func(batch bool) (*steering.CompileCache, string) {
-		c := steering.NewCompileCacheWithCapacity(capacity)
-		for round := 0; round < 4; round++ {
-			var writes []steering.CacheWrite
-			for k := 0; k < 6; k++ {
-				bit := (round*6 + k) % 20
-				w := steering.CacheWrite{Config: bitvec.New(bit), Value: cval(bit, float64(bit))}
-				if batch {
-					writes = append(writes, w)
-				} else {
-					c.Put(fp, w.Config, w.Value)
-				}
-			}
-			c.PutBatch(fp, writes)
-		}
-		probe := make([]byte, 20)
-		for bit := 0; bit < 20; bit++ {
-			if _, ok := c.Get(fp, bitvec.New(bit)); ok {
-				probe[bit] = 'H'
-			} else {
-				probe[bit] = 'm'
-			}
-		}
-		return c, string(probe)
-	}
-	serialC, serialProbe := build(false)
-	batchC, batchProbe := build(true)
-	if batchProbe != serialProbe {
-		t.Fatalf("probe pattern differs: batch %s vs serial %s", batchProbe, serialProbe)
-	}
-	ss, bs := serialC.Stats(), batchC.Stats()
-	if ss.Entries != bs.Entries || ss.Evictions != bs.Evictions {
-		t.Fatalf("stats differ: batch %+v vs serial %+v", bs, ss)
-	}
-}
-
-// TestPutBatchNilAndEmpty: the nil-receiver and empty-batch paths are
-// no-ops, matching Put's nil-safety so the pipeline needs no guards.
-func TestPutBatchNilAndEmpty(t *testing.T) {
-	var nilCache *steering.CompileCache
-	nilCache.PutBatch(cfp(1), []steering.CacheWrite{{Config: bitvec.New(1), Value: cval(1, 1)}})
-	c := steering.NewCompileCache()
-	c.PutBatch(cfp(1), nil)
-	if st := c.Stats(); st.Entries != 0 {
-		t.Fatalf("empty batch inserted entries: %+v", st)
-	}
-}

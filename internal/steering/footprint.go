@@ -15,9 +15,8 @@ import "steerq/internal/bitvec"
 // shares the outcome without compiling.
 //
 // Classes are discovered in admission order and scanned in that order on
-// lookup, so resolution is deterministic regardless of how many workers
-// produced the admitted values. The zero value is ready to use; the struct
-// is not safe for concurrent mutation (the pipeline admits and looks up
+// lookup. The zero value is ready to use; the struct is not safe for
+// concurrent use (each analysis owns one and resolves its candidates
 // serially).
 type FootprintClasses struct {
 	classes []footprintClass
@@ -50,8 +49,7 @@ func (fc *FootprintClasses) Lookup(cfg bitvec.Vector) (CompileValue, bool) {
 // Admit registers cfg's class with the outcome of compiling cfg, and
 // reports whether a new class was created. Admitting a configuration whose
 // class is already present is a no-op (compilation is deterministic, so the
-// value would be identical); this keeps Len an exact class count even when
-// one parallel batch compiles two configurations of the same class.
+// value would be identical), which keeps Len an exact class count.
 func (fc *FootprintClasses) Admit(cfg bitvec.Vector, v CompileValue) bool {
 	proj := cfg.And(v.Footprint).Key()
 	for i := range fc.classes {

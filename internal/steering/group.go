@@ -6,6 +6,7 @@ import (
 
 	"steerq/internal/abtest"
 	"steerq/internal/bitvec"
+	"steerq/internal/par"
 	"steerq/internal/workload"
 )
 
@@ -41,25 +42,50 @@ func (g *Grouper) DefaultSignature(job *workload.Job) (bitvec.Vector, error) {
 	if sig, ok := g.cache[job.InstanceHash]; ok {
 		return sig, nil
 	}
-	// Only the signature is kept; the plan-less compile skips building a
-	// physical DAG that would be dropped on the next line.
+	sig, err := g.compileSignature(job)
+	if err == nil {
+		g.cache[job.InstanceHash] = sig
+	}
+	return sig, err
+}
+
+// compileSignature compiles job under the default configuration. Only the
+// signature is kept, so the plan-less compile skips building a physical DAG
+// that would be dropped on the next line.
+func (g *Grouper) compileSignature(job *workload.Job) (bitvec.Vector, error) {
 	res, err := g.Harness.Opt.OptimizeCost(job.Root, g.Harness.Opt.Rules.DefaultConfig())
 	if err != nil {
 		return bitvec.Vector{}, fmt.Errorf("steering: default signature of %s: %w", job.ID, err)
 	}
-	g.cache[job.InstanceHash] = res.Signature
 	return res.Signature, nil
 }
 
 // Group partitions jobs into job groups, ordered by descending size (ties by
-// signature hex for determinism).
+// signature hex for determinism). The instances the Grouper has not seen are
+// deduplicated serially, compiled concurrently on up to Harness.Workers
+// workers and grouped serially, so the groups — and the error, the first
+// failing job's in input order — are the same at any worker count.
 func (g *Grouper) Group(jobs []*workload.Job) ([]*JobGroup, error) {
+	fresh := make([]*workload.Job, 0, len(jobs))
+	seen := make(map[uint64]bool, len(jobs))
+	for _, j := range jobs {
+		if _, ok := g.cache[j.InstanceHash]; !ok && !seen[j.InstanceHash] {
+			seen[j.InstanceHash] = true
+			fresh = append(fresh, j)
+		}
+	}
+	sigs, err := par.Map(g.Harness.Workers, fresh, func(_ int, j *workload.Job) (bitvec.Vector, error) {
+		return g.compileSignature(j)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, j := range fresh {
+		g.cache[j.InstanceHash] = sigs[i]
+	}
 	byKey := make(map[bitvec.Key]*JobGroup)
 	for _, j := range jobs {
-		sig, err := g.DefaultSignature(j)
-		if err != nil {
-			return nil, err
-		}
+		sig := g.cache[j.InstanceHash]
 		k := sig.Key()
 		grp, ok := byKey[k]
 		if !ok {

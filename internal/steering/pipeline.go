@@ -49,8 +49,8 @@ type Analysis struct {
 
 	// Robustness tallies the injected-fault handling this analysis needed:
 	// retries, timeouts, corrupted compiles and fallbacks. Always zero when
-	// injection is off. Accumulated serially in batch order, so it is
-	// identical at any worker count.
+	// injection is off. One analysis runs on one goroutine, so it accumulates
+	// in candidate order at any worker count.
 	Robustness faults.Record
 
 	// Footprint reports how far footprint memoization collapsed the
@@ -60,24 +60,25 @@ type Analysis struct {
 	// analysis or by a compile-cache hit (CacheSeeded).
 	Footprint FootprintStats
 
-	// Sched summarizes the candidate stage's scheduling. Steals are
-	// diagnostic — which worker reached an item first is timing-dependent —
-	// and are deliberately excluded from the determinism contract; every
-	// other field is a function of the batch sequence and so identical at
-	// any worker count.
+	// Sched counts the candidate stage's compiles in the shape the
+	// benchmark's par.* columns read. The stage is a serial loop: Items is the
+	// number of compiles it issued, Steals and Merges are always 0 and
+	// MaxWorkers is always 1. Parallelism lives one level up, across job
+	// groups (see BuildBundleCtx).
 	Sched SchedStats
 }
 
-// SchedStats aggregates work-stealing scheduler activity over the candidate
-// stage (and, through Add, over whole workloads in steerq-bench).
+// SchedStats is the candidate stage's compile count, kept in its historical
+// four-field shape for the benchmark module (and, through Add, for
+// workload-level sums).
 type SchedStats struct {
-	// Items counts compiles dispatched through the scheduler.
+	// Items counts the compiles the candidate stage issued.
 	Items int
-	// Steals counts cross-worker steals (diagnostic; see Analysis.Sched).
+	// Steals is always 0: the candidate stage no longer fans out.
 	Steals uint64
-	// Merges counts serial merge phases (one per compile batch).
+	// Merges is always 0: there are no merge phases left.
 	Merges int
-	// MaxWorkers is the widest resolved worker count any batch ran with.
+	// MaxWorkers is always 1 for an analysis that ran.
 	MaxWorkers int
 }
 
@@ -134,11 +135,12 @@ type Pipeline struct {
 	// paper executes the 10 cheapest).
 	ExecutePerJob int
 
-	// Workers bounds the goroutines recompiling candidates. Zero resolves
-	// through STEERQ_WORKERS and then GOMAXPROCS (see internal/par); any
-	// value yields bit-for-bit identical analyses — results are slotted by
-	// candidate index, each job draws from its own derived RNG stream, and
-	// fault decisions are keyed by content, not schedule.
+	// Workers bounds the goroutines BuildBundle analyzes job groups on (one
+	// analysis is serial). Zero resolves through STEERQ_WORKERS and then
+	// GOMAXPROCS (see internal/par); any value yields a byte-identical
+	// bundle — results are slotted by group index, each job draws from its
+	// own derived RNG stream, and fault decisions are keyed by content, not
+	// schedule.
 	Workers int
 
 	// Cache, when non-nil, memoizes {cost, signature} per (job fingerprint,
@@ -151,23 +153,16 @@ type Pipeline struct {
 
 	// Obs, when non-nil, records per-stage spans (pipeline.recompile,
 	// pipeline.span_search, pipeline.execute — tagged by job ID, never by
-	// schedule) and candidate/trial outcome counters, and mirrors the
-	// serially merged faults.Record into robustness counters. All recorded
+	// schedule) and candidate/trial outcome counters, and mirrors each
+	// analysis's faults.Record into robustness counters. All recorded
 	// state is commutative or content-keyed, so snapshots stay bit-identical
 	// at any Workers value.
 	Obs *obs.Registry
 
-	// schedMu guards the lazily built scheduler plumbing below; a Pipeline
-	// may serve concurrent Analyze calls, and each checks arenas out for
-	// the duration of its candidate stage.
-	schedMu sync.Mutex
-	// arenaFree is the free list of per-worker compile arenas. Arenas are
-	// keyed by scheduler worker identity while checked out, so a compile
-	// never touches the cascades scratch pool from the fan-out path.
-	arenaFree []*cascades.Scratch
-	// schedObs is the pipeline's scheduler telemetry, resolved once
-	// against Obs.
-	schedObs *par.SchedObs
+	// schedObs is the group fan-out's scheduler telemetry (nil when Obs is),
+	// resolved once against Obs.
+	schedOnce sync.Once
+	schedObs  *par.SchedObs
 }
 
 // NewPipeline returns a pipeline with the paper's parameters (M=1000, 10
@@ -186,7 +181,12 @@ func (p *Pipeline) Analyze(job *workload.Job) (*Analysis, error) {
 // AnalyzeCtx is Analyze bounded by a context; cancellation surfaces as the
 // returned error once in-flight compile attempts notice it.
 func (p *Pipeline) AnalyzeCtx(ctx context.Context, job *workload.Job) (*Analysis, error) {
-	a, err := p.RecompileCtx(ctx, job)
+	return p.analyze(ctx, job, nil)
+}
+
+// analyze is AnalyzeCtx compiling through arena (see recompile).
+func (p *Pipeline) analyze(ctx context.Context, job *workload.Job, arena *cascades.Scratch) (*Analysis, error) {
+	a, err := p.recompile(ctx, job, arena)
 	if err != nil {
 		return nil, err
 	}
@@ -203,8 +203,15 @@ func (p *Pipeline) Recompile(job *workload.Job) (*Analysis, error) {
 
 // RecompileCtx is Recompile bounded by a context.
 func (p *Pipeline) RecompileCtx(ctx context.Context, job *workload.Job) (*Analysis, error) {
+	return p.recompile(ctx, job, nil)
+}
+
+// recompile is RecompileCtx with every span-probe and candidate compile of
+// the analysis going through arena: the caller's worker-local compile arena
+// under AnalyzeEachCtx, nil (the cascades scratch pool) otherwise.
+func (p *Pipeline) recompile(ctx context.Context, job *workload.Job, arena *cascades.Scratch) (*Analysis, error) {
 	ctx, sp := p.Obs.StartSpan(ctx, "pipeline.recompile", job.ID)
-	a, err := p.recompileCtx(ctx, job)
+	a, err := p.recompileSpanned(ctx, job, arena)
 	sp.EndErr(err)
 	if a != nil {
 		mirrorRobustness(p.Obs, a.Robustness)
@@ -212,7 +219,7 @@ func (p *Pipeline) RecompileCtx(ctx context.Context, job *workload.Job) (*Analys
 	return a, err
 }
 
-func (p *Pipeline) recompileCtx(ctx context.Context, job *workload.Job) (*Analysis, error) {
+func (p *Pipeline) recompileSpanned(ctx context.Context, job *workload.Job, arena *cascades.Scratch) (*Analysis, error) {
 	h := p.Harness
 	a := &Analysis{Job: job}
 	def := h.RunConfigCtx(ctx, job.Root, h.Opt.Rules.DefaultConfig(), job.Day, job.ID+"/default", &a.Robustness)
@@ -227,7 +234,7 @@ func (p *Pipeline) recompileCtx(ctx context.Context, job *workload.Job) (*Analys
 	span, err := JobSpanFunc(h.Opt.Rules, func(cfg bitvec.Vector) (bitvec.Vector, error) {
 		tag := fmt.Sprintf("%s/span%d", job.ID, probe)
 		probe++
-		v, cerr := p.compile(ctx, job, cfg, tag, &a.Robustness)
+		v, cerr := p.compile(ctx, job, cfg, tag, &a.Robustness, arena)
 		if cerr != nil {
 			return bitvec.Vector{}, cerr
 		}
@@ -238,243 +245,103 @@ func (p *Pipeline) recompileCtx(ctx context.Context, job *workload.Job) (*Analys
 		return nil, fmt.Errorf("steering: span of %s: %w", job.ID, err)
 	}
 	a.Span = span
-	// Config generation stays serial on the job's derived stream; only the
-	// pure compile calls fan out below.
 	r := p.Rand.Derive("job", job.ID)
 	cfgs := CandidateConfigs(span, h.Opt.Rules, p.MaxCandidates, r)
-	// Candidate outcomes are per-candidate counters, not spans: M can be
-	// 1000, and an atomic add per candidate keeps the volume O(1) in memory.
-	// Pre-resolving the three counters keeps registry lookups out of the
-	// fan-out.
-	candCounters := map[string]*obs.Counter{
-		"compiled": p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "compiled"),
-		"noplan":   p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "noplan"),
-		"faulted":  p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "faulted"),
-	}
-	p.resolveCandidates(ctx, job, cfgs, a, candCounters)
+	p.resolveCandidates(ctx, job, cfgs, a, arena)
 	p.Obs.Counter("steerq_pipeline_footprint_classes_total").Add(uint64(a.Footprint.Classes))
 	p.Obs.Counter("steerq_pipeline_compiles_avoided_total").Add(uint64(a.Footprint.Avoided))
 	return a, nil
 }
 
-// classBatch is how many unresolved candidates each discovery round
-// compiles in parallel. Fixed — never derived from Workers — so the class
-// discovery sequence, and with it every shared value and counter, is
-// byte-identical at any worker count. 16 keeps even an 8-worker pool busy
-// while bounding the compiles wasted on candidates that round N+1 would
-// have resolved against round N's classes.
-const classBatch = 16
-
-// Merge-phase metric names and histogram bounds. Durations read the
-// registry clock, so frozen-clock runs record deterministic zeros exactly
-// like span durations.
-const (
-	mergeSecondsMetric = "steerq_pipeline_merge_seconds"
-	mergesMetric       = "steerq_pipeline_merges_total"
-)
-
-var mergeSecondsBounds = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1}
-
-// checkoutArenas takes w compile arenas off the pipeline's free list
-// (growing it on first use); returnArenas gives them back. Checked-out
-// arenas are indexed by scheduler worker identity, whose exclusivity
-// guarantee replaces locking.
-func (p *Pipeline) checkoutArenas(w int) []*cascades.Scratch {
-	p.schedMu.Lock()
-	defer p.schedMu.Unlock()
-	out := make([]*cascades.Scratch, w)
-	for i := range out {
-		if n := len(p.arenaFree); n > 0 {
-			out[i] = p.arenaFree[n-1]
-			p.arenaFree = p.arenaFree[:n-1]
-		} else {
-			out[i] = cascades.NewScratch()
+// AnalyzeEachCtx is the job-level fan-out BuildBundle runs over its group
+// representatives: it analyzes every job on up to Workers scheduler workers
+// — one compile arena per worker, one analysis serial on its worker — and
+// hands each outcome to visit on the goroutine that produced it, so visit
+// may only touch state slotted by i. It returns the lowest-index error; once
+// ctx is done unstarted jobs are skipped (never visited) and count as failing
+// with ctx.Err().
+func (p *Pipeline) AnalyzeEachCtx(ctx context.Context, jobs []*workload.Job, visit func(i int, a *Analysis, err error)) error {
+	p.schedOnce.Do(func() { p.schedObs = par.NewSchedObs(p.Obs) })
+	arenas := make([]*cascades.Scratch, par.Workers(p.Workers))
+	_, err := par.Run(ctx, p.Workers, len(jobs), p.schedObs, func(worker, i int) error {
+		if arenas[worker] == nil {
+			arenas[worker] = cascades.NewScratch()
 		}
-	}
-	return out
-}
-
-func (p *Pipeline) returnArenas(arenas []*cascades.Scratch) {
-	p.schedMu.Lock()
-	p.arenaFree = append(p.arenaFree, arenas...)
-	p.schedMu.Unlock()
-}
-
-// schedTelemetry resolves (once) the scheduler's obs instruments against
-// the pipeline's registry; nil when the pipeline is uninstrumented.
-func (p *Pipeline) schedTelemetry() *par.SchedObs {
-	if p.Obs == nil {
-		return nil
-	}
-	p.schedMu.Lock()
-	defer p.schedMu.Unlock()
-	if p.schedObs == nil {
-		p.schedObs = par.NewSchedObs(p.Obs)
-	}
-	return p.schedObs
-}
-
-// mergeEntry is one compiled candidate parked in its worker's write buffer
-// until the serial merge phase: the batch index it belongs to, the compile
-// outcome, and the fault record the attempt accumulated.
-type mergeEntry struct {
-	bi  int
-	v   CompileValue
-	err error
-	rec faults.Record
+		a, err := p.analyze(ctx, jobs[i], arenas[worker])
+		visit(i, a, err)
+		return err
+	})
+	return err
 }
 
 // resolveCandidates resolves every candidate configuration to a compile
-// outcome, compiling only one representative per footprint equivalence
-// class (see FootprintClasses). Rounds alternate a serial sweep — resolve
-// pending candidates against discovered classes, then against the compile
-// cache — with a work-stealing parallel compile of the first classBatch
-// still-unresolved candidates, and a serial merge phase.
+// outcome in one serial in-order loop, compiling only one representative per
+// footprint equivalence class (see FootprintClasses): a candidate agreeing
+// with a discovered class on that class's footprint bits takes its outcome,
+// one the compile cache knows seeds a class from the cached value, and only
+// the rest go through the optimizer — each fresh outcome is admitted as a
+// class and written to the cache before the next candidate is looked at, so
+// no compile is ever wasted on a configuration an earlier one decides.
+// Agreement on footprint bits implies a byte-identical compile, so
+// a.Candidates is exactly what compiling every configuration would give.
 //
-// The parallel phase is write-free on every shared structure: each worker
-// compiles through its own checked-out arena and parks outcomes in its own
-// write buffer (the worker-identity exclusivity of par.Run is the lock).
-// The merge phase then drains the buffers in worker-index order, scatters
-// them back into batch order, and applies them in ascending candidate
-// index — the exact order a serial run produces — pushing all cache writes
-// through one PutBatch. Classes, counters, fault records and the cache's
-// CLOCK eviction order therefore never see worker count or schedule, and
-// heavier candidates (more enabled rules) are scheduled first via the
-// priority hook without affecting any of it.
-func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, cfgs []bitvec.Vector, a *Analysis, candCounters map[string]*obs.Counter) {
+// Successes append to a.Candidates in candidate order (no-plan verdicts and
+// faulted compiles are dropped — §4 expects them). Candidate outcomes are
+// counters, not spans: M can be 1000, and an atomic add per candidate keeps
+// the volume O(1) in memory.
+func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, cfgs []bitvec.Vector, a *Analysis, arena *cascades.Scratch) {
 	a.Footprint.Candidates = len(cfgs)
 	fp, cacheable := jobFingerprint(job)
 	cacheable = cacheable && p.Cache != nil
+	compiled := p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "compiled")
+	noplan := p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "noplan")
+	faulted := p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "faulted")
 	var classes FootprintClasses
-	resolved := make([]Candidate, len(cfgs))
-	okFlags := make([]bool, len(cfgs))
-	record := func(i int, v CompileValue) {
-		if !v.OK {
-			candCounters["noplan"].Inc()
-			return
-		}
-		candCounters["compiled"].Inc()
-		resolved[i] = Candidate{Config: cfgs[i], EstCost: v.Cost, Signature: v.Signature}
-		okFlags[i] = true
-	}
-
-	workers := par.Workers(p.Workers)
-	if workers > classBatch {
-		workers = classBatch
-	}
-	arenas := p.checkoutArenas(workers)
-	defer p.returnArenas(arenas)
-	schedObs := p.schedTelemetry()
-	mergeHist := p.Obs.Histogram(mergeSecondsMetric, mergeSecondsBounds)
-	mergeCount := p.Obs.Counter(mergesMetric)
-	clock := p.Obs.Clock()
-
-	var slots [classBatch]mergeEntry
-	bufs := make([][]mergeEntry, workers)
-	var writes []CacheWrite
-	pending := make([]int, len(cfgs))
-	for i := range pending {
-		pending[i] = i
-	}
-	for len(pending) > 0 {
-		// The sweep overwrites pending in place: the write index never
-		// passes the read index, and each round only keeps the tail.
-		unresolved := pending[:0]
-		for _, i := range pending {
-			if v, ok := classes.Lookup(cfgs[i]); ok {
-				a.Footprint.Avoided++
-				record(i, v)
-				continue
-			}
-			if cacheable {
-				if v, ok := p.Cache.Get(fp, cfgs[i]); ok {
-					if classes.Admit(cfgs[i], v) {
-						a.Footprint.Classes++
-						a.Footprint.CacheSeeded++
-					}
-					a.Footprint.Avoided++
-					record(i, v)
-					continue
+	a.Candidates = make([]Candidate, 0, len(cfgs))
+	for i, cfg := range cfgs {
+		v, ok := classes.Lookup(cfg)
+		if ok {
+			a.Footprint.Avoided++
+		} else if cacheable {
+			if v, ok = p.Cache.Get(fp, cfg); ok {
+				if classes.Admit(cfg, v) {
+					a.Footprint.Classes++
+					a.Footprint.CacheSeeded++
 				}
-			}
-			unresolved = append(unresolved, i)
-		}
-		if len(unresolved) == 0 {
-			break
-		}
-		n := classBatch
-		if n > len(unresolved) {
-			n = len(unresolved)
-		}
-		batch := unresolved[:n]
-		// Parallel phase: workers compile into their own buffers through
-		// their own arenas; nothing shared is written.
-		for w := range bufs {
-			bufs[w] = bufs[w][:0]
-		}
-		st, _ := par.Run(workers, len(batch), par.Options{
-			Priority: func(bi int) int64 { return int64(cfgs[batch[bi]].Count()) },
-			Obs:      schedObs,
-		}, func(worker, bi int) error {
-			e := mergeEntry{bi: bi}
-			tag := fmt.Sprintf("%s/cand%d", job.ID, batch[bi])
-			e.v, e.err = p.compileFresh(ctx, job, cfgs[batch[bi]], tag, &e.rec, arenas[worker])
-			bufs[worker] = append(bufs[worker], e)
-			return nil
-		})
-		a.Sched.Items += st.Items
-		a.Sched.Steals += st.Steals
-		if st.Workers > a.Sched.MaxWorkers {
-			a.Sched.MaxWorkers = st.Workers
-		}
-
-		// Merge phase: worker-index order for collection, ascending
-		// candidate index for application.
-		mergeStart := clock()
-		for w := range bufs {
-			for _, e := range bufs[w] {
-				slots[e.bi] = e
+				a.Footprint.Avoided++
 			}
 		}
-		writes = writes[:0]
-		for bi := range batch {
-			s := &slots[bi]
-			i := batch[bi]
-			a.Robustness.Add(s.rec)
+		if !ok {
+			var err error
+			v, err = p.compileFresh(ctx, job, cfg, fmt.Sprintf("%s/cand%d", job.ID, i), &a.Robustness, arena)
 			a.Footprint.Compiled++
-			if s.err != nil && !errors.Is(s.err, cascades.ErrNoPlan) {
+			if err != nil && !errors.Is(err, cascades.ErrNoPlan) {
 				// Faulted compile: no footprint to trust, nothing shared.
-				candCounters["faulted"].Inc()
+				faulted.Inc()
 				continue
 			}
-			if classes.Admit(cfgs[i], s.v) {
+			if classes.Admit(cfg, v) {
 				a.Footprint.Classes++
 			}
 			if cacheable {
-				writes = append(writes, CacheWrite{Config: cfgs[i], Value: s.v})
+				p.Cache.Put(fp, cfg, v)
 			}
-			record(i, s.v)
 		}
-		p.Cache.PutBatch(fp, writes)
-		a.Sched.Merges++
-		mergeCount.Inc()
-		mergeHist.Observe(clock().Sub(mergeStart).Seconds())
-		pending = unresolved[n:]
-	}
-	a.Candidates = make([]Candidate, 0, len(cfgs))
-	for i := range cfgs {
-		if okFlags[i] {
-			a.Candidates = append(a.Candidates, resolved[i])
+		if !v.OK {
+			noplan.Inc()
+			continue
 		}
+		compiled.Inc()
+		a.Candidates = append(a.Candidates, Candidate{Config: cfg, EstCost: v.Cost, Signature: v.Signature})
 	}
+	a.Sched = SchedStats{Items: a.Footprint.Compiled, MaxWorkers: 1}
 }
 
 // compile optimizes job under cfg through the cache, retrying injected
 // faults per the harness policy. Failed compilations surface as
 // cascades.ErrNoPlan exactly as from Optimize, whether fresh or cached;
-// fault-injected errors surface wrapped and are never cached. Serial
-// callers only (span probes): the cache traffic must stay ordered.
-func (p *Pipeline) compile(ctx context.Context, job *workload.Job, cfg bitvec.Vector, tag string, rec *faults.Record) (CompileValue, error) {
+// fault-injected errors surface wrapped and are never cached.
+func (p *Pipeline) compile(ctx context.Context, job *workload.Job, cfg bitvec.Vector, tag string, rec *faults.Record, arena *cascades.Scratch) (CompileValue, error) {
 	fp, cacheable := jobFingerprint(job)
 	cacheable = cacheable && p.Cache != nil
 	if cacheable {
@@ -485,7 +352,7 @@ func (p *Pipeline) compile(ctx context.Context, job *workload.Job, cfg bitvec.Ve
 			return v, nil
 		}
 	}
-	v, err := p.compileFresh(ctx, job, cfg, tag, rec, nil)
+	v, err := p.compileFresh(ctx, job, cfg, tag, rec, arena)
 	if err != nil {
 		// Only the optimizer's own no-plan verdict is negative-cached;
 		// injected failures, timeouts and corruption must not poison the
@@ -508,7 +375,7 @@ func (p *Pipeline) compile(ctx context.Context, job *workload.Job, cfg bitvec.Ve
 // negatives share across equivalence classes exactly like successes.
 //
 // arena, when non-nil, is the caller's worker-local compile arena; nil
-// falls back to the cascades scratch pool (the serial span-probe path).
+// falls back to the cascades scratch pool.
 func (p *Pipeline) compileFresh(ctx context.Context, job *workload.Job, cfg bitvec.Vector, tag string, rec *faults.Record, arena *cascades.Scratch) (CompileValue, error) {
 	h := p.Harness
 	pol := faults.PolicyOrDefault(h.Retry, h.Faults)
