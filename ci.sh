@@ -19,15 +19,18 @@
 #                                with STEERQ_WORKERS=4 so the race detector
 #                                covers the worker pool on every run
 #   7. alloc regression          the compile allocation budget, the nn
-#                                training/inference allocation budgets and
-#                                the exec simulator's once-per-node work and
-#                                allocation budgets re-checked under -race
-#                                (testing.AllocsPerRun)
+#                                training/inference allocation budgets, the
+#                                exec simulator's once-per-node work and
+#                                allocation budgets and xrand's
+#                                allocation-free reseed-and-draw re-checked
+#                                under -race (testing.AllocsPerRun)
 #   8. bench smoke               the serial and 4-worker pipeline benchmarks
 #                                (one BuildBundle over a fixed job set each),
 #                                the nn train/forward kernels at the
-#                                learn_groups shape and the exec simulator's
-#                                Run/Explain over the discover_* plan shapes,
+#                                learn_groups shape, the exec simulator's
+#                                Run/Explain over the discover_* plan shapes
+#                                and xrand's short-stream (reseed + 3 draws)
+#                                and long-stream (seed + 1,000 draws) paths,
 #                                executed once
 #                                (-benchtime=1x) so a broken or pathologically
 #                                slow hot path fails CI, not the next perf run
@@ -78,9 +81,10 @@
 #                                itself) and then must flag an injected 10x
 #                                serial regression — both the zero-delta and
 #                                the gate-trips paths are exercised
-#  16. short fuzz pass           45s total over the scopeql parser/binder
-#                                (including the parse-print-parse round trip)
-#                                and the bundle decoder
+#  16. short fuzz pass           55s total over the scopeql parser/binder
+#                                (including the parse-print-parse round trip),
+#                                the bundle decoder and xrand's generator
+#                                against math/rand's
 #
 # Set STEERQ_CI_SKIP_FUZZ=1 to skip stage 16 (e.g. on very slow machines).
 set -eu
@@ -118,11 +122,13 @@ echo "== alloc regression (race) =="
 go test -race ./internal/rules/ -run TestCompileAllocationBudget -count=1
 go test -race ./internal/nn/ -run 'TestTrainAllocationBudget|TestForwardAllocationFree' -count=1
 go test -race ./internal/exec/ -run 'TestRunCostsEachNodeOnce|TestRunAllocationBudget' -count=1
+go test -race ./internal/xrand/ -run TestReseedDrawAllocationFree -count=1
 
 echo "== bench smoke (1x, serial + 4 workers) =="
 go test -run '^$' -bench 'BenchmarkPipelineWorkers(1|4)$' -benchtime=1x -benchmem .
 go test -run '^$' -bench 'Benchmark(Train|Forward)$' -benchtime=1x ./internal/nn/
 go test -run '^$' -bench 'Benchmark(Run|Explain)$' -benchtime=1x ./internal/exec/
+go test -run '^$' -bench 'Benchmark(ReseedDraw3|SeedFill)$' -benchtime=1x ./internal/xrand/
 
 echo "== coverage floor (faults, par, steering, obs, learning, nn, analysis, serve, bundle >= 80%) =="
 go test -cover ./internal/faults/ ./internal/par/ ./internal/steering/ \
@@ -290,6 +296,7 @@ if [ "${STEERQ_CI_SKIP_FUZZ:-0}" != "1" ]; then
     go test -fuzz=FuzzParse -fuzztime=15s ./internal/scopeql/
     go test -fuzz=FuzzCompile -fuzztime=15s ./internal/scopeql/
     go test -fuzz=FuzzBundleDecode -fuzztime=15s ./internal/bundle/
+    go test -fuzz=FuzzSourceMatchesMathRand -fuzztime=10s ./internal/xrand/
 fi
 
 echo "CI OK"

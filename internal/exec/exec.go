@@ -331,7 +331,8 @@ func (s *sim) nodeUsage(n *plan.PhysNode, props cost.Props, kids []int) cost.OpU
 	}
 
 	// Execution noise, deterministic per node content. Re-seeding the
-	// per-execution scratch stream draws exactly like a freshly derived one.
+	// per-execution scratch stream draws exactly like a freshly derived one,
+	// and xrand seeds only the words these two or three draws read.
 	r := s.scratch
 	s.tag = appendNodeTag(s.tag[:0], n)
 	s.noise.ReseedDerivedBytes(r, "node", s.tag)

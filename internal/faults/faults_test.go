@@ -167,12 +167,13 @@ func TestHang(t *testing.T) {
 	// Bounded context: Hang blocks until the deadline, then reports a timeout.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	start := time.Now()
 	err := faults.Hang(ctx, faults.SiteExec, "j", 1)
 	if !errors.Is(err, faults.ErrTimeout) {
 		t.Fatalf("Hang with deadline: %v, want ErrTimeout", err)
 	}
-	if time.Since(start) < 5*time.Millisecond {
+	// Measured against the context's own deadline: a clock read taken after
+	// WithTimeout returns starts late and can see less than the timeout.
+	if deadline, _ := ctx.Deadline(); time.Now().Before(deadline) {
 		t.Fatal("Hang returned before the deadline")
 	}
 	// Unbounded context: the watchdog-kill path returns immediately.

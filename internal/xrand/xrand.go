@@ -6,6 +6,13 @@
 // "workloadA/day3/job17". Equal paths yield equal streams, so experiments are
 // reproducible and independent components do not perturb each other's
 // randomness when code paths change.
+//
+// steerq:hotpath — the execution simulator repositions a stream and draws
+// from it once per plan node; the hotalloc analyzer,
+// TestReseedDrawAllocationFree and BenchmarkReseedDraw3 keep that at no
+// allocation and a few dozen nanoseconds. Every bit drawn is
+// rand.NewSource's (source.go, DESIGN.md "Determinism"); the equivalence
+// tests in source_test.go are what allow touching the generator at all.
 package xrand
 
 import (
@@ -24,19 +31,20 @@ type Source struct {
 }
 
 // New returns a stream for the given root seed. The underlying generator is
-// materialized lazily on the first draw: a math/rand source is ~5KB of
-// seeding work, and many derived streams (retry jitter on operations that
-// never retry, for one) are constructed eagerly but never drawn from. The
-// sequence is identical either way — rand.NewSource(seed) at first draw is
-// exactly rand.NewSource(seed) at construction.
+// allocated on the first draw: its state is ~5KB, and many derived streams
+// (retry jitter on operations that never retry, for one) are constructed
+// eagerly but never drawn from. The sequence is rand.NewSource(seed)'s either
+// way.
 func New(seed uint64) *Source {
 	return &Source{seed: seed}
 }
 
-// gen returns the stream's generator, seeding it on first use.
+// gen returns the stream's generator, allocating it on first use. The
+// distributions are math/rand's own code over source (source.go), which
+// yields rand.NewSource's words but seeds only the ones a stream draws.
 func (s *Source) gen() *rand.Rand {
 	if s.rng == nil {
-		s.rng = rand.New(rand.NewSource(int64(s.seed)))
+		s.rng = rand.New(newSource(int64(s.seed)))
 	}
 	return s.rng
 }
@@ -60,9 +68,9 @@ func (s *Source) Derive(path ...string) *Source {
 
 // ReseedDerived repositions dst onto the stream that s.Derive(path...) would
 // return, reusing dst's internal generator state instead of allocating a new
-// one (a math/rand source is ~5KB). rand.Rand.Seed reinitializes exactly like
-// rand.NewSource with the same seed, so the resulting sequence is identical
-// to a freshly derived stream. dst must not be shared across goroutines.
+// one (~5KB). Seeding a drawn generator repositions it exactly where a new
+// one would start, so the resulting sequence is identical to a freshly
+// derived stream. dst must not be shared across goroutines.
 func (s *Source) ReseedDerived(dst *Source, path ...string) {
 	h := s.fnvSeed()
 	for _, p := range path {
@@ -158,42 +166,6 @@ func (s *Source) Exp(rate float64) float64 {
 	return s.gen().ExpFloat64() / rate
 }
 
-// Pareto returns a Pareto(xm, alpha) sample: heavy-tailed sizes for inputs
-// and skewed key frequencies.
-func (s *Source) Pareto(xm, alpha float64) float64 {
-	u := s.gen().Float64()
-	for u == 0 {
-		u = s.gen().Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
-// Zipf returns integers in [0, n) with a Zipf-like rank-frequency law of the
-// given skew s (>0, larger is more skewed). Used to model hot join keys and
-// the heavy-headed distribution of rule signatures (Figure 2d).
-func (s *Source) Zipf(n int, skew float64) int {
-	if n <= 1 {
-		return 0
-	}
-	// Inverse-CDF sampling over the (truncated) harmonic weights.
-	// For the small n used here this is accurate and allocation-free
-	// besides being perfectly deterministic.
-	u := s.gen().Float64()
-	var total float64
-	for i := 1; i <= n; i++ {
-		total += 1 / math.Pow(float64(i), skew)
-	}
-	target := u * total
-	var cum float64
-	for i := 1; i <= n; i++ {
-		cum += 1 / math.Pow(float64(i), skew)
-		if cum >= target {
-			return i - 1
-		}
-	}
-	return n - 1
-}
-
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool { return s.gen().Float64() < p }
 
@@ -220,9 +192,6 @@ func (s *Source) PermInto(dst []int, n int) []int {
 	}
 	return dst
 }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.gen().Shuffle(n, swap) }
 
 // Pick returns a uniformly chosen element index weighted by weights.
 // Weights must be non-negative; if all are zero it returns 0.

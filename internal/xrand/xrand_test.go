@@ -133,34 +133,6 @@ func TestLogNormalPositive(t *testing.T) {
 	}
 }
 
-func TestParetoAtLeastXm(t *testing.T) {
-	r := New(3)
-	for i := 0; i < 1000; i++ {
-		if v := r.Pareto(2, 1.5); v < 2 {
-			t.Fatalf("Pareto below xm: %v", v)
-		}
-	}
-}
-
-func TestZipfBoundsAndSkew(t *testing.T) {
-	r := New(4)
-	const n = 20
-	counts := make([]int, n)
-	for i := 0; i < 20000; i++ {
-		k := r.Zipf(n, 1.2)
-		if k < 0 || k >= n {
-			t.Fatalf("Zipf out of range: %d", k)
-		}
-		counts[k]++
-	}
-	if counts[0] <= counts[n-1] {
-		t.Fatalf("Zipf not skewed: rank0=%d rank%d=%d", counts[0], n-1, counts[n-1])
-	}
-	if r.Zipf(1, 2) != 0 || r.Zipf(0, 2) != 0 {
-		t.Fatal("degenerate Zipf should return 0")
-	}
-}
-
 func TestPickWeights(t *testing.T) {
 	r := New(5)
 	w := []float64{0, 0, 10, 0}
