@@ -318,6 +318,39 @@ func BenchmarkPipelineCached(b *testing.B) {
 	b.ReportMetric(100*p.Cache.Stats().HitRate(), "hit-%")
 }
 
+// BenchmarkBundleRepass measures a re-analysis of recurring jobs: one
+// BuildBundle over the pipeline benchmarks' job set on a pipeline whose
+// compile cache an earlier pass filled. compiles/op is the optimizer calls per
+// pass and must read 0 — grouping, span, candidates and trials all resolve
+// from the cache, and only the executions are repeated.
+func BenchmarkBundleRepass(b *testing.B) {
+	r := experiments.NewRunner(benchConfig())
+	long := benchLongJobs(b, r, 8)
+	p := r.Pipeline("A")
+	p.Workers, p.Harness.Workers = 1, 1
+	build := func() {
+		if _, _, err := p.BuildBundle(long, 1, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	compiles := func() uint64 {
+		const name = "steerq_cascades_compiles_total"
+		return r.Obs().Counter(name, "outcome", "ok").Value() + r.Obs().Counter(name, "outcome", "noplan").Value()
+	}
+	build()
+	before := compiles()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build()
+	}
+	b.StopTimer()
+	perOp := float64(compiles()-before) / float64(b.N)
+	b.ReportMetric(perOp, "compiles/op")
+	if perOp != 0 {
+		b.Fatalf("a warm BuildBundle made %v optimizer calls", perOp)
+	}
+}
+
 // BenchmarkJobSpan measures the cost of Algorithm 1 per job.
 func BenchmarkJobSpan(b *testing.B) {
 	r := experiments.NewRunner(benchConfig())

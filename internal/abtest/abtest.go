@@ -138,15 +138,27 @@ func (h *Harness) RunConfig(root *plan.Node, cfg bitvec.Vector, day int, jobTag 
 }
 
 // RunConfigCtx is RunConfig with a context bounding the whole trial,
-// per-attempt timeouts, fault injection and bounded retry. rec, when
-// non-nil, observes retries and timeouts; pass one per pipeline unit and
-// merge serially to keep reports deterministic at any worker count.
+// per-attempt timeouts, fault injection and bounded retry: CompileCtx, then
+// ExecCtx on its result. rec, when non-nil, observes retries and timeouts;
+// pass one per pipeline unit and merge serially to keep reports deterministic
+// at any worker count.
 func (h *Harness) RunConfigCtx(ctx context.Context, root *plan.Node, cfg bitvec.Vector, day int, jobTag string, rec *faults.Record) Trial {
-	pol := faults.PolicyOrDefault(h.Retry, h.Faults)
+	res, attempts, err := h.CompileCtx(ctx, root, cfg, jobTag, rec)
+	if err != nil {
+		return Trial{Config: cfg, Err: err, Attempts: attempts}
+	}
+	t := h.ExecCtx(ctx, res, day, jobTag, rec)
+	t.Attempts += attempts
+	return t
+}
 
+// CompileCtx is the compile half of a trial: the job's logical plan
+// optimized, with plan, under cfg. It returns the attempts consumed next to
+// the result, which is nil when err is not.
+func (h *Harness) CompileCtx(ctx context.Context, root *plan.Node, cfg bitvec.Vector, jobTag string, rec *faults.Record) (*cascades.Result, int, error) {
 	var res *cascades.Result
 	cctx, csp := h.Obs.StartSpan(ctx, "abtest.compile", jobTag)
-	cAttempts, err := pol.Do(cctx, faults.SiteCompile, h.Faults.RetryRand(faults.SiteCompile, jobTag), rec,
+	attempts, err := faults.PolicyOrDefault(h.Retry, h.Faults).Do(cctx, faults.SiteCompile, h.Faults.RetryRand(faults.SiteCompile, jobTag), rec,
 		func(actx context.Context, attempt int) error {
 			ictx, cancel := par.ItemContext(actx, h.CompileTimeout)
 			defer cancel()
@@ -160,38 +172,29 @@ func (h *Harness) RunConfigCtx(ctx context.Context, root *plan.Node, cfg bitvec.
 			return nil
 		})
 	csp.End(compileOutcome(err))
-	h.Obs.Counter("steerq_abtest_attempts_total", "site", "compile").Add(uint64(cAttempts))
-	if err != nil {
-		return Trial{Config: cfg, Err: err, Attempts: cAttempts}
-	}
+	h.Obs.Counter("steerq_abtest_attempts_total", "site", "compile").Add(uint64(attempts))
+	return res, attempts, err
+}
 
-	var m exec.Metrics
+// ExecCtx is the execution half of a trial: res.Plan — any plan a compile of
+// this job under res.Config yields, e.g. one kept from an earlier CompileCtx
+// — run for the given day. The trial's Attempts count the executions only.
+func (h *Harness) ExecCtx(ctx context.Context, res *cascades.Result, day int, jobTag string, rec *faults.Record) Trial {
+	t := Trial{Config: res.Config, Signature: res.Signature, Footprint: res.Footprint, EstCost: res.Cost}
 	ectx, esp := h.Obs.StartSpan(ctx, "abtest.exec", jobTag)
-	eAttempts, err := pol.Do(ectx, faults.SiteExec, h.Faults.RetryRand(faults.SiteExec, jobTag), rec,
+	t.Attempts, t.Err = faults.PolicyOrDefault(h.Retry, h.Faults).Do(ectx, faults.SiteExec, h.Faults.RetryRand(faults.SiteExec, jobTag), rec,
 		func(actx context.Context, attempt int) error {
 			ictx, cancel := par.ItemContext(actx, h.ExecTimeout)
 			defer cancel()
-			mm, xerr := h.Executor.RunCtx(ictx, res.Plan, day, jobTag, attempt)
+			m, xerr := h.Executor.RunCtx(ictx, res.Plan, day, jobTag, attempt)
 			if xerr != nil {
 				return xerr
 			}
-			m = mm
+			t.Metrics = m
 			return nil
 		})
-	esp.EndErr(err)
-	h.Obs.Counter("steerq_abtest_attempts_total", "site", "exec").Add(uint64(eAttempts))
-	t := Trial{
-		Config:    cfg,
-		Signature: res.Signature,
-		Footprint: res.Footprint,
-		EstCost:   res.Cost,
-		Metrics:   m,
-		Attempts:  cAttempts + eAttempts,
-	}
-	if err != nil {
-		t.Err = err
-		t.Metrics = exec.Metrics{}
-	}
+	esp.EndErr(t.Err)
+	h.Obs.Counter("steerq_abtest_attempts_total", "site", "exec").Add(uint64(t.Attempts))
 	return t
 }
 

@@ -1,12 +1,17 @@
 package abtest_test
 
 import (
+	"context"
+	"fmt"
 	"testing"
+	"time"
 
 	"steerq/internal/abtest"
 	"steerq/internal/bitvec"
 	"steerq/internal/catalog"
 	"steerq/internal/cost"
+	"steerq/internal/faults"
+	"steerq/internal/obs"
 	"steerq/internal/rules"
 	"steerq/internal/scopeql"
 )
@@ -100,5 +105,117 @@ func TestTrialsDeterministicPerTag(t *testing.T) {
 	t2 := h.RunConfig(root, def, 0, "same-tag")
 	if t1.Metrics != t2.Metrics {
 		t.Fatal("identical tags produced different metrics")
+	}
+}
+
+// TestRunConfigIsCompileThenExec: RunConfigCtx is CompileCtx and ExecCtx
+// composed and nothing more — trial, attempts, fault record and everything
+// the registry saw (spans, outcomes, attempt counters) are identical whether a
+// trial runs whole or in its halves: clean, with no plan, and when either
+// site retries, times out or gives up.
+func TestRunConfigIsCompileThenExec(t *testing.T) {
+	const topScript = `x = SELECT TOP 5 k FROM "s" ORDER BY k; OUTPUT x TO "o";`
+	retrying := &faults.Plan{Seed: 11, Compile: faults.Probs{Fail: 0.4, Corrupt: 0.2}, Exec: faults.Probs{Fail: 0.5}}
+	for _, tc := range []struct {
+		name    string
+		script  string
+		empty   bool // the empty configuration, under which TOP has no plan
+		fault   *faults.Plan
+		timeout time.Duration
+	}{
+		{name: "clean", script: script},
+		{name: "no-plan", script: topScript, empty: true},
+		{name: "retries", script: script, fault: retrying},
+		{name: "compile-timeout", script: script, fault: &faults.Plan{Seed: 1, Compile: faults.Probs{Hang: 1}}, timeout: time.Millisecond},
+		{name: "exec-timeout", script: script, fault: &faults.Plan{Seed: 1, Exec: faults.Probs{Hang: 1}}, timeout: time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			type outcome struct {
+				trials []abtest.Trial
+				rec    faults.Record
+				snap   string
+			}
+			run := func(halves bool) outcome {
+				h, cat := harness(t)
+				reg := obs.NewWithClock(obs.FrozenClock())
+				h.SetObs(reg)
+				h.CompileTimeout, h.ExecTimeout = tc.timeout, tc.timeout
+				if tc.fault != nil {
+					h.SetFaults(faults.NewInjector(*tc.fault))
+				}
+				root, err := scopeql.Compile(tc.script, cat)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg := h.Opt.Rules.DefaultConfig()
+				if tc.empty {
+					cfg = bitvec.Vector{}
+				}
+				var out outcome
+				ctx := context.Background()
+				for i := 0; i < 12; i++ {
+					tag := fmt.Sprintf("j/%d", i)
+					if !halves {
+						out.trials = append(out.trials, h.RunConfigCtx(ctx, root, cfg, 3, tag, &out.rec))
+						continue
+					}
+					res, attempts, err := h.CompileCtx(ctx, root, cfg, tag, &out.rec)
+					if err != nil {
+						if res != nil {
+							t.Fatalf("%s: failed compile returned a result", tag)
+						}
+						out.trials = append(out.trials, abtest.Trial{Config: cfg, Err: err, Attempts: attempts})
+						continue
+					}
+					tr := h.ExecCtx(ctx, res, 3, tag, &out.rec)
+					tr.Attempts += attempts
+					out.trials = append(out.trials, tr)
+				}
+				snap, err := reg.Snapshot().MarshalIndent()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out.snap = string(snap)
+				return out
+			}
+			whole, halves := run(false), run(true)
+			failed, retried := 0, 0
+			for i, w := range whole.trials {
+				g := halves.trials[i]
+				if fmt.Sprint(g.Err) != fmt.Sprint(w.Err) {
+					t.Fatalf("trial %d: err %v, want %v", i, g.Err, w.Err)
+				}
+				g.Err, w.Err = nil, nil
+				if g != w {
+					t.Fatalf("trial %d: %+v, want %+v", i, g, w)
+				}
+				if halves.trials[i].Err != nil {
+					failed++
+				}
+				if w.Attempts > 2 {
+					retried++
+				}
+			}
+			if halves.rec != whole.rec {
+				t.Fatalf("record %+v, want %+v", halves.rec, whole.rec)
+			}
+			if halves.snap != whole.snap {
+				t.Fatalf("registry differs:\n%s--- want ---\n%s", halves.snap, whole.snap)
+			}
+			switch tc.name {
+			case "clean":
+				if failed != 0 || retried != 0 {
+					t.Fatalf("%d failed, %d retried", failed, retried)
+				}
+			case "retries":
+				if failed == 0 || failed == len(whole.trials) || retried == 0 || whole.rec.CompileRetries == 0 || whole.rec.ExecRetries == 0 || whole.rec.Corruptions == 0 {
+					t.Fatalf("%d failed, %d retried, record %+v; case is vacuous", failed, retried, whole.rec)
+				}
+			default:
+				if failed != len(whole.trials) || (tc.fault != nil && whole.rec.Timeouts == 0) {
+					t.Fatalf("%d of %d failed, record %+v", failed, len(whole.trials), whole.rec)
+				}
+			}
+		})
 	}
 }

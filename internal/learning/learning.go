@@ -12,6 +12,7 @@
 package learning
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -87,6 +88,7 @@ func CandidateArms(p *steering.Pipeline, group []*workload.Job, nBase, maxArms i
 // Collect executes every arm for every job and assembles the dataset.
 func Collect(h *abtest.Harness, sig bitvec.Vector, jobs []*workload.Job, arms []bitvec.Vector) *Dataset {
 	ds := &Dataset{Signature: sig, Configs: arms}
+	ctx := context.Background()
 	for _, j := range jobs {
 		ex := Example{Job: j, Runtimes: make([]float64, len(arms))}
 		ex.Feats = feature.JobFeatures{
@@ -103,18 +105,22 @@ func Collect(h *abtest.Harness, sig bitvec.Vector, jobs []*workload.Job, arms []
 		}
 		var defaultSig bitvec.Vector
 		for k, cfg := range arms {
-			t := h.RunConfig(j.Root, cfg, j.Day, fmt.Sprintf("%s/arm%d", j.ID, k))
-			if t.Err != nil {
+			tag := fmt.Sprintf("%s/arm%d", j.ID, k)
+			// The trial in its two halves: arm 0 also reads the compiled plan.
+			var t abtest.Trial
+			res, _, err := h.CompileCtx(ctx, j.Root, cfg, tag, nil)
+			if err == nil {
+				t = h.ExecCtx(ctx, res, j.Day, tag, nil)
+				err = t.Err
+			}
+			if err != nil {
 				ex.Runtimes[k] = -1
 				continue
 			}
 			if k == 0 {
 				defaultSig = t.Signature
 				// Query-graph features come from the default plan.
-				res, err := h.Opt.Optimize(j.Root, cfg)
-				if err == nil {
-					ex.Feats.OpStats = feature.PlanOpStats(res.Plan)
-				}
+				ex.Feats.OpStats = feature.PlanOpStats(res.Plan)
 			}
 			ex.Feats.Valid[k] = true
 			ex.Feats.EstCosts[k] = t.EstCost

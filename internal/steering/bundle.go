@@ -53,6 +53,7 @@ func (p *Pipeline) BuildBundle(jobs []*workload.Job, version uint64, createdUnix
 func (p *Pipeline) BuildBundleCtx(ctx context.Context, jobs []*workload.Job, version uint64, createdUnix int64) (*bundle.Bundle, BundleReport, error) {
 	rep := BundleReport{Jobs: len(jobs)}
 	g := NewGrouper(p.Harness)
+	g.compiles = p.Cache
 	groups, err := g.Group(jobs)
 	if err != nil {
 		return nil, rep, fmt.Errorf("steering: bundle build: %w", err)

@@ -6,6 +6,7 @@ import (
 
 	"steerq/internal/bitvec"
 	"steerq/internal/obs"
+	"steerq/internal/plan"
 	"steerq/internal/workload"
 )
 
@@ -25,10 +26,10 @@ type JobFingerprint struct {
 	Inputs   uint64
 }
 
-// CompileValue is the cached outcome of one compilation. Plans themselves are
-// not retained — the pipeline's candidate stage only consumes the estimated
-// cost and the rule signature, and dropping the plan keeps a multi-day cache
-// small.
+// CompileValue is the cached outcome of one compilation. The candidate stage
+// and the Grouper consume — and store — only the estimated cost and the rule
+// signature; a plan is kept for the few configurations per job that were
+// executed (see Plan), which keeps a multi-day cache small.
 type CompileValue struct {
 	Cost      float64
 	Signature bitvec.Vector
@@ -44,6 +45,13 @@ type CompileValue struct {
 	// and the footprint of a failed search is just as sharing-sound as a
 	// successful one's.
 	OK bool
+	// Plan is the physical plan, set only by an executed trial (the default
+	// and at most ExecutePerJob selected configurations per analysed job), so
+	// re-executing the configuration needs no compile: extraction is as
+	// deterministic per footprint class as cost and signature are, and a
+	// Result.Plan never points into a compile arena (cascades/scratch.go).
+	// Executions only read it. It leaves the cache with its slot.
+	Plan *plan.PhysNode
 }
 
 // cacheShards is the fixed shard count. Power of two so the shard pick is a
@@ -76,6 +84,29 @@ type cacheSlot struct {
 // rule sets, so the list stays short (often length one).
 type jobEntry struct {
 	foots []*footprintEntry
+}
+
+// lookup returns the slot of the first footprint entry, in insertion order,
+// that holds cfg's projection onto its footprint, or nil.
+func (je *jobEntry) lookup(cfg bitvec.Vector) *cacheSlot {
+	for _, fe := range je.foots {
+		if slot, ok := fe.vals[cfg.And(fe.foot).Key()]; ok {
+			return slot
+		}
+	}
+	return nil
+}
+
+// entry returns the job's entry for foot, appending an empty one if needed.
+func (je *jobEntry) entry(foot bitvec.Vector) *footprintEntry {
+	for _, fe := range je.foots {
+		if fe.foot.Equal(foot) {
+			return fe
+		}
+	}
+	fe := &footprintEntry{foot: foot, vals: make(map[bitvec.Key]*cacheSlot)}
+	je.foots = append(je.foots, fe)
+	return fe
 }
 
 // ringSlot is one value's position on its shard's eviction clock.
@@ -114,7 +145,8 @@ const (
 // the job, so recurring templates hit even when the probing configuration
 // differs from the writer's on rules the compile never consulted. A hit
 // whose full configuration differs from the writer's is additionally
-// counted as a projected hit.
+// counted as a projected hit. A trial's probe needs the plan: finding the
+// class without one is counted as a miss, since the caller compiles anyway.
 //
 // With a positive capacity the cache is bounded: each shard runs a
 // second-chance CLOCK over its value slots in insertion order, and inserts
@@ -198,15 +230,14 @@ func (s *cacheShard) lookup(fp JobFingerprint, cfg bitvec.Vector, full bitvec.Ke
 	if je == nil {
 		return CompileValue{}, false, false
 	}
-	for _, fe := range je.foots {
-		if slot, ok := fe.vals[cfg.And(fe.foot).Key()]; ok {
-			if mark {
-				slot.ref = true
-			}
-			return slot.val, true, slot.writer != full
-		}
+	slot := je.lookup(cfg)
+	if slot == nil {
+		return CompileValue{}, false, false
 	}
-	return CompileValue{}, false, false
+	if mark {
+		slot.ref = true
+	}
+	return slot.val, true, slot.writer != full
 }
 
 // Get returns the cached value for compiling the fingerprinted job under
@@ -214,6 +245,11 @@ func (s *cacheShard) lookup(fp JobFingerprint, cfg bitvec.Vector, full bitvec.Ke
 // counters are updated; a nil receiver reports a miss, so call sites need
 // no nil guards.
 func (c *CompileCache) Get(fp JobFingerprint, cfg bitvec.Vector) (CompileValue, bool) {
+	return c.get(fp, cfg, false)
+}
+
+// get is Get, hitting only on an entry that carries a plan when needPlan.
+func (c *CompileCache) get(fp JobFingerprint, cfg bitvec.Vector, needPlan bool) (CompileValue, bool) {
 	if c == nil {
 		return CompileValue{}, false
 	}
@@ -232,6 +268,7 @@ func (c *CompileCache) Get(fp JobFingerprint, cfg bitvec.Vector) (CompileValue, 
 		v, ok, projected = s.lookup(fp, cfg, full, false)
 		s.mu.RUnlock()
 	}
+	ok = ok && (!needPlan || v.Plan != nil)
 	if ok {
 		c.hits.Inc()
 		if projected {
@@ -265,17 +302,7 @@ func (c *CompileCache) putLocked(s *cacheShard, fp JobFingerprint, cfg bitvec.Ve
 		je = &jobEntry{}
 		s.jobs[fp] = je
 	}
-	var fe *footprintEntry
-	for _, f := range je.foots {
-		if f.foot.Equal(v.Footprint) {
-			fe = f
-			break
-		}
-	}
-	if fe == nil {
-		fe = &footprintEntry{foot: v.Footprint, vals: make(map[bitvec.Key]*cacheSlot)}
-		je.foots = append(je.foots, fe)
-	}
+	fe := je.entry(v.Footprint)
 	k := cfg.And(v.Footprint).Key()
 	if slot, ok := fe.vals[k]; ok {
 		slot.val = v // deterministic recompile of the same class; refresh

@@ -14,34 +14,27 @@ import "steerq/internal/bitvec"
 // configuration projecting onto the same (footprint, projected-key) pair
 // shares the outcome without compiling.
 //
-// Classes are discovered in admission order and scanned in that order on
-// lookup. The zero value is ready to use; the struct is not safe for
-// concurrent use (each analysis owns one and resolves its candidates
-// serially).
+// Classes are indexed the way the compile cache indexes one job's entries
+// (jobEntry): one map per distinct footprint — a job's candidates share a
+// handful — with the footprints scanned in admission order on lookup. The
+// zero value is ready to use; the struct is not safe for concurrent use (each
+// analysis owns one and resolves its candidates serially).
 type FootprintClasses struct {
-	classes []footprintClass
-}
-
-type footprintClass struct {
-	foot bitvec.Vector
-	proj bitvec.Key
-	val  CompileValue
+	job jobEntry
+	n   int
 }
 
 // Len returns the number of admitted classes.
-func (fc *FootprintClasses) Len() int { return len(fc.classes) }
+func (fc *FootprintClasses) Len() int { return fc.n }
 
 // Lookup returns the shared outcome of cfg's equivalence class, if one has
-// been admitted: the first class (in admission order) whose footprint
-// projection of cfg matches its representative's. An empty footprint
-// matches every configuration — correctly so: a compile that read no
-// enabled-bits behaves identically under all of them.
+// been admitted: a class whose footprint projection of cfg matches its
+// representative's (were several to match, they would carry one value). An
+// empty footprint matches every configuration — correctly so: a compile that
+// read no enabled-bits behaves identically under all of them.
 func (fc *FootprintClasses) Lookup(cfg bitvec.Vector) (CompileValue, bool) {
-	for i := range fc.classes {
-		cl := &fc.classes[i]
-		if cfg.And(cl.foot).Key() == cl.proj {
-			return cl.val, true
-		}
+	if slot := fc.job.lookup(cfg); slot != nil {
+		return slot.val, true
 	}
 	return CompileValue{}, false
 }
@@ -51,13 +44,12 @@ func (fc *FootprintClasses) Lookup(cfg bitvec.Vector) (CompileValue, bool) {
 // class is already present is a no-op (compilation is deterministic, so the
 // value would be identical), which keeps Len an exact class count.
 func (fc *FootprintClasses) Admit(cfg bitvec.Vector, v CompileValue) bool {
-	proj := cfg.And(v.Footprint).Key()
-	for i := range fc.classes {
-		cl := &fc.classes[i]
-		if cl.foot.Equal(v.Footprint) && cl.proj == proj {
-			return false
-		}
+	fe := fc.job.entry(v.Footprint)
+	k := cfg.And(v.Footprint).Key()
+	if _, ok := fe.vals[k]; ok {
+		return false
 	}
-	fc.classes = append(fc.classes, footprintClass{foot: v.Footprint, proj: proj, val: v})
+	fe.vals[k] = &cacheSlot{val: v}
+	fc.n++
 	return true
 }

@@ -30,6 +30,10 @@ type Grouper struct {
 	// cache maps instance hashes to signatures so recurring instances skip
 	// recompilation.
 	cache map[uint64]bitvec.Vector
+	// compiles, when non-nil (BuildBundle hands over its pipeline's cache),
+	// is probed before and filled after every default compile, so a warm pass
+	// groups without compiling and a cold one seeds each job's default class.
+	compiles *CompileCache
 }
 
 // NewGrouper returns a Grouper over the harness's optimizer.
@@ -42,20 +46,31 @@ func (g *Grouper) DefaultSignature(job *workload.Job) (bitvec.Vector, error) {
 	if sig, ok := g.cache[job.InstanceHash]; ok {
 		return sig, nil
 	}
-	sig, err := g.compileSignature(job)
+	sig, err := g.compileSignature(job, g.Harness.Opt.Rules.DefaultConfig())
 	if err == nil {
 		g.cache[job.InstanceHash] = sig
 	}
 	return sig, err
 }
 
-// compileSignature compiles job under the default configuration. Only the
-// signature is kept, so the plan-less compile skips building a physical DAG
-// that would be dropped on the next line.
-func (g *Grouper) compileSignature(job *workload.Job) (bitvec.Vector, error) {
-	res, err := g.Harness.Opt.OptimizeCost(job.Root, g.Harness.Opt.Rules.DefaultConfig())
+// compileSignature compiles job under cfg, the default configuration (built
+// once per Group: on a warm pass building it would cost more than the probe).
+// Only the signature is kept, so the plan-less compile skips building a
+// physical DAG that would be dropped on the next line.
+func (g *Grouper) compileSignature(job *workload.Job, cfg bitvec.Vector) (bitvec.Vector, error) {
+	fp, cacheable := jobFingerprint(job)
+	cacheable = cacheable && g.compiles != nil
+	if cacheable {
+		if v, ok := g.compiles.Get(fp, cfg); ok && v.OK {
+			return v.Signature, nil
+		}
+	}
+	res, err := g.Harness.Opt.OptimizeCost(job.Root, cfg)
 	if err != nil {
 		return bitvec.Vector{}, fmt.Errorf("steering: default signature of %s: %w", job.ID, err)
+	}
+	if cacheable {
+		g.compiles.Put(fp, cfg, CompileValue{Cost: res.Cost, Signature: res.Signature, Footprint: res.Footprint, OK: true})
 	}
 	return res.Signature, nil
 }
@@ -74,8 +89,9 @@ func (g *Grouper) Group(jobs []*workload.Job) ([]*JobGroup, error) {
 			fresh = append(fresh, j)
 		}
 	}
+	cfg := g.Harness.Opt.Rules.DefaultConfig()
 	sigs, err := par.Map(g.Harness.Workers, fresh, func(_ int, j *workload.Job) (bitvec.Vector, error) {
-		return g.compileSignature(j)
+		return g.compileSignature(j, cfg)
 	})
 	if err != nil {
 		return nil, err

@@ -143,12 +143,13 @@ type Pipeline struct {
 	// schedule.
 	Workers int
 
-	// Cache, when non-nil, memoizes {cost, signature} per (job fingerprint,
-	// config) so recurring jobs skip identical recompilations. Safe to share
-	// across goroutines and across pipelines of one workload. Faulted
-	// compilations — injected failures, timeouts, corrupted plans — are
-	// never cached; only validated successes and genuine no-plan outcomes
-	// are.
+	// Cache, when non-nil, memoizes every compile outcome — BuildBundle's
+	// grouping, span probes, candidates, and the plans of executed trials —
+	// per (job fingerprint, config), so recurring jobs skip identical
+	// recompilations. Safe to share across goroutines and across pipelines of
+	// one workload. Faulted compilations — injected failures, timeouts,
+	// corrupted plans — are never cached; only validated successes and
+	// genuine no-plan outcomes are.
 	Cache *CompileCache
 
 	// Obs, when non-nil, records per-stage spans (pipeline.recompile,
@@ -222,7 +223,7 @@ func (p *Pipeline) recompile(ctx context.Context, job *workload.Job, arena *casc
 func (p *Pipeline) recompileSpanned(ctx context.Context, job *workload.Job, arena *cascades.Scratch) (*Analysis, error) {
 	h := p.Harness
 	a := &Analysis{Job: job}
-	def := h.RunConfigCtx(ctx, job.Root, h.Opt.Rules.DefaultConfig(), job.Day, job.ID+"/default", &a.Robustness)
+	def := p.trial(ctx, job, h.Opt.Rules.DefaultConfig(), job.ID+"/default", &a.Robustness)
 	if def.Err != nil {
 		return nil, fmt.Errorf("steering: default compile of %s: %w", job.ID, def.Err)
 	}
@@ -412,6 +413,34 @@ func (p *Pipeline) compileFresh(ctx context.Context, job *workload.Job, cfg bitv
 	return CompileValue{Cost: res.Cost, Signature: res.Signature, Footprint: res.Footprint, OK: true}, nil
 }
 
+// trial is Harness.RunConfigCtx with the compile half memoised through the
+// cache: the plan an earlier trial of cfg's footprint class left there is
+// executed as is, and a plan compiled here is left for the next trial — a
+// re-analysis of a recurring job executes everything and compiles nothing.
+// Under fault injection the cache is bypassed: corruption targets the plan,
+// and compile-site fault decisions are keyed by tag.
+func (p *Pipeline) trial(ctx context.Context, job *workload.Job, cfg bitvec.Vector, tag string, rec *faults.Record) abtest.Trial {
+	h := p.Harness
+	fp, cacheable := jobFingerprint(job)
+	if !cacheable || p.Cache == nil || h.Faults.Active() {
+		return h.RunConfigCtx(ctx, job.Root, cfg, job.Day, tag, rec)
+	}
+	var res *cascades.Result
+	attempts := 1 // a kept plan stands for the one clean compile that built it
+	if v, ok := p.Cache.get(fp, cfg, true); ok {
+		res = &cascades.Result{Plan: v.Plan, Cost: v.Cost, Signature: v.Signature, Footprint: v.Footprint, Config: cfg}
+	} else {
+		var err error
+		if res, attempts, err = h.CompileCtx(ctx, job.Root, cfg, tag, rec); err != nil {
+			return abtest.Trial{Config: cfg, Err: err, Attempts: attempts}
+		}
+		p.Cache.Put(fp, cfg, CompileValue{Cost: res.Cost, Signature: res.Signature, Footprint: res.Footprint, OK: true, Plan: res.Plan})
+	}
+	t := h.ExecCtx(ctx, res, job.Day, tag, rec)
+	t.Attempts += attempts
+	return t
+}
+
 // Execute selects the cheapest recompiled candidates (deduplicated by rule
 // signature, so the executed set spans distinct plans) and runs them through
 // the A/B harness.
@@ -447,7 +476,7 @@ func (p *Pipeline) ExecuteCtx(ctx context.Context, a *Analysis) {
 	}
 	h := p.Harness
 	for i, c := range a.Selected {
-		t := h.RunConfigCtx(ctx, a.Job.Root, c.Config, a.Job.Day, fmt.Sprintf("%s/alt%d", a.Job.ID, i), &a.Robustness)
+		t := p.trial(ctx, a.Job, c.Config, fmt.Sprintf("%s/alt%d", a.Job.ID, i), &a.Robustness)
 		if t.Err != nil && h.Faults.Active() {
 			fb := a.Default
 			fb.Attempts = t.Attempts
