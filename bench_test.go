@@ -10,12 +10,16 @@
 package steerq_test
 
 import (
+	"errors"
 	"testing"
 
+	"steerq/internal/bitvec"
+	"steerq/internal/cascades"
 	"steerq/internal/experiments"
 	"steerq/internal/learning"
 	"steerq/internal/steering"
 	"steerq/internal/workload"
+	"steerq/internal/xrand"
 )
 
 // benchConfig is the shared scaled-down configuration. Benchmarks share one
@@ -348,6 +352,59 @@ func BenchmarkBundleRepass(b *testing.B) {
 	b.ReportMetric(perOp, "compiles/op")
 	if perOp != 0 {
 		b.Fatalf("a warm BuildBundle made %v optimizer calls", perOp)
+	}
+}
+
+// BenchmarkSessionCandidates measures what one analysis sends through one
+// optimizer session: the span probes and 300 candidate configurations of the
+// widest-span job of the pipeline benchmarks' set, plan-less, on one
+// caller-owned arena. explores/op is the logical explorations the sweep
+// actually ran (the rest shared an explored memo) and must stay at or below a
+// quarter of compiles/op — candidates differ mostly in implementation bits,
+// which exploration never reads.
+func BenchmarkSessionCandidates(b *testing.B) {
+	r := experiments.NewRunner(benchConfig())
+	opt := r.Harness("A").Opt
+	var job *workload.Job
+	var cfgs []bitvec.Vector
+	widest := -1
+	for _, j := range benchLongJobs(b, r, 8) {
+		var probes []bitvec.Vector
+		span, err := steering.JobSpanFunc(opt.Rules, func(cfg bitvec.Vector) (bitvec.Vector, error) {
+			probes = append(probes, cfg)
+			res, err := opt.OptimizeCost(j.Root, cfg)
+			if err != nil {
+				return bitvec.Vector{}, err
+			}
+			return res.Signature, nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if span.Count() > widest {
+			widest, job = span.Count(), j
+			cfgs = append(probes, steering.CandidateConfigs(span, opt.Rules, 300, xrand.New(1).Derive("bench", j.ID))...)
+		}
+	}
+	fresh := r.Obs().Counter("steerq_cascades_explorations_total", "outcome", "fresh")
+	sc := cascades.NewScratch()
+	before := fresh.Value()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess := opt.NewSession(sc, job.Root)
+		for _, cfg := range cfgs {
+			if _, err := sess.Optimize(cfg, false); err != nil && !errors.Is(err, cascades.ErrNoPlan) {
+				b.Fatal(err)
+			}
+		}
+		sess.Close()
+	}
+	b.StopTimer()
+	explores := float64(fresh.Value()-before) / float64(b.N)
+	b.ReportMetric(explores, "explores/op")
+	b.ReportMetric(float64(len(cfgs)), "compiles/op")
+	if explores > float64(len(cfgs))/4 {
+		b.Fatalf("%v explorations for %d compiles: the session shares too little", explores, len(cfgs))
 	}
 }
 

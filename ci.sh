@@ -17,9 +17,10 @@
 #                                BuildBundle/Group fan-out battery, the fault
 #                                batteries, the warm re-pass (no compile, kept
 #                                plans executed concurrently), the experiment
-#                                runner's — re-run with STEERQ_WORKERS=4 so the
-#                                race detector covers the worker pool on every
-#                                run
+#                                runner's, the faulted build held to its
+#                                pre-session baseline — re-run with
+#                                STEERQ_WORKERS=4 so the race detector covers
+#                                the worker pool on every run
 #   7. alloc regression          the compile allocation budget, the nn
 #                                training/inference allocation budgets, the
 #                                exec simulator's once-per-node work and
@@ -29,7 +30,10 @@
 #   8. bench smoke               the serial and 4-worker pipeline benchmarks
 #                                (one BuildBundle over a fixed job set each),
 #                                the warm re-pass over the same set (fails
-#                                unless it reads 0 compiles/op),
+#                                unless it reads 0 compiles/op), one job's
+#                                span probes + 300 candidates through one
+#                                optimizer session (fails unless explores/op
+#                                stays within a quarter of compiles/op),
 #                                the nn train/forward kernels at the
 #                                learn_groups shape, the exec simulator's
 #                                Run/Explain over the discover_* plan shapes
@@ -120,7 +124,7 @@ echo "== test (race) =="
 STEERQ_CHECK_PLANS=1 go test -race ./...
 
 echo "== parallel pipeline smoke (race, 4 workers) =="
-STEERQ_WORKERS=4 STEERQ_CHECK_PLANS=1 go test -race ./internal/steering/ ./internal/experiments/ -run 'Parallel|Determinism|Fault|Repass'
+STEERQ_WORKERS=4 STEERQ_CHECK_PLANS=1 go test -race ./internal/steering/ ./internal/experiments/ -run 'Parallel|Determinism|Fault|Repass|Session'
 
 echo "== alloc regression (race) =="
 go test -race ./internal/rules/ -run TestCompileAllocationBudget -count=1
@@ -129,7 +133,7 @@ go test -race ./internal/exec/ -run 'TestRunCostsEachNodeOnce|TestRunAllocationB
 go test -race ./internal/xrand/ -run TestReseedDrawAllocationFree -count=1
 
 echo "== bench smoke (1x, serial + 4 workers) =="
-go test -run '^$' -bench 'Benchmark(PipelineWorkers(1|4)|BundleRepass)$' -benchtime=1x -benchmem .
+go test -run '^$' -bench 'Benchmark(PipelineWorkers(1|4)|BundleRepass|SessionCandidates)$' -benchtime=1x -benchmem .
 go test -run '^$' -bench 'Benchmark(Train|Forward)$' -benchtime=1x ./internal/nn/
 go test -run '^$' -bench 'Benchmark(Run|Explain)$' -benchtime=1x ./internal/exec/
 go test -run '^$' -bench 'Benchmark(ReseedDraw3|SeedFill)$' -benchtime=1x ./internal/xrand/

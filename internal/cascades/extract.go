@@ -11,11 +11,10 @@ import (
 // derivation chain of the logical expressions those operators implement.
 func (s *search) extract(w *winner) (*plan.PhysNode, bitvec.Vector) {
 	var sig bitvec.Vector
-	built := make(map[*pexpr]*plan.PhysNode)
 	var rec func(p *pexpr) *plan.PhysNode
 	rec = func(p *pexpr) *plan.PhysNode {
-		if n, ok := built[p]; ok {
-			return n
+		if p.built != nil {
+			return p.built
 		}
 		if p.ruleID >= 0 {
 			sig.Set(p.ruleID)
@@ -38,7 +37,7 @@ func (s *search) extract(w *winner) (*plan.PhysNode, bitvec.Vector) {
 			n.Schema = p.lexpr.Group.Schema
 		}
 		copyPayload(n, p.node)
-		built[p] = n
+		p.built = n
 		n.Children = make([]*plan.PhysNode, len(p.children))
 		for i, c := range p.children {
 			n.Children[i] = rec(c)
@@ -68,17 +67,16 @@ func (s *search) extract(w *winner) (*plan.PhysNode, bitvec.Vector) {
 // signature collects the rule signature of the winning pexpr tree without
 // materializing any plan nodes — the plan-less sibling of extract, used by
 // OptimizeCost. It visits each distinct pexpr exactly once, like extract's
-// built map, so the resulting bit vector is identical to the Signature an
+// built mark, so the resulting bit vector is identical to the Signature an
 // extract of the same winner would report.
 func (s *search) signature(w *winner) bitvec.Vector {
 	var sig bitvec.Vector
-	seen := make(map[*pexpr]struct{})
 	var rec func(p *pexpr)
 	rec = func(p *pexpr) {
-		if _, ok := seen[p]; ok {
+		if p.seen {
 			return
 		}
-		seen[p] = struct{}{}
+		p.seen = true
 		if p.ruleID >= 0 {
 			sig.Set(p.ruleID)
 		}

@@ -29,10 +29,41 @@ type pexpr struct {
 	total    float64      // cumulative estimated latency cost
 	exchange plan.ExchangeKind
 	buildIdx int
+
+	// seen and built are the visit marks of the one signature or extract
+	// walk that ends the compile (a pexpr is shared wherever its group's
+	// winner is reused).
+	seen  bool
+	built *plan.PhysNode
 }
 
 // winner is the cached best plan of a group for one requirement.
 type winner = pexpr
+
+// groupSearch is one compile's physical-search state of one memo group. The
+// memo is shared between the compiles of a Session, so this lives with the
+// search — in the arena's physical side, indexed by GroupID — not on the
+// Group.
+type groupSearch struct {
+	// winners holds the best plan found per required distribution. A group
+	// sees a handful of distinct requirements, so a scan beats hashing.
+	winners []groupWinner
+	// candidates are the group's costed implementation alternatives once
+	// enumerated is set.
+	candidates []*pexpr
+	enumerated bool
+}
+
+type groupWinner struct {
+	dist distKey
+	w    *winner
+}
+
+// implAlt is what one implementation rule returned for one expression.
+type implAlt struct {
+	protos []*PhysProto
+	done   bool
+}
 
 // distKey is a small comparable form of a distribution requirement, used as
 // the winner-cache key so probing the cache never builds a string. The common
@@ -76,44 +107,13 @@ func makeDistKey(d plan.Distribution) distKey {
 	return distKey{extra: b.String()}
 }
 
-// newPexpr returns a zeroed candidate carved from the search's slab, so
-// candidate construction costs at most one heap allocation per chunk —
-// usually zero, since chunks are recycled across compiles through the
-// searchScratch arena. Slab entries live as long as the search, which
-// outlives every pexpr pointer handed out.
-func (s *search) newPexpr() *pexpr {
-	// Fixed small chunks: waste is bounded by one partial tail per search,
-	// which measured strictly better on total bytes than geometric growth
-	// (doubling over-reserves roughly 2x the live size on average).
-	if len(s.pexprSlab) == 0 {
-		s.pexprSlab = s.scratch.pexprChunk()
-	}
-	p := &s.pexprSlab[0]
-	s.pexprSlab = s.pexprSlab[1:]
-	return p
-}
+// newPexpr returns a zeroed candidate carved from the arena's physical side,
+// which outlives every pexpr pointer the search hands out.
+func (s *search) newPexpr() *pexpr { return s.scratch.pexprs.one(pexprChunkLen) }
 
-// childSlice carves an n-element child slice from a pooled backing array.
-// Capacity is clipped to n so no holder can append into a neighbour's
-// children. Carve before any recursive optimizeGroup call; the pool cursor
-// only ever advances, so carved slices are never handed out twice.
-func (s *search) childSlice(n int) []*pexpr {
-	if n == 0 {
-		return nil
-	}
-	if len(s.childPool) < n {
-		if n > childChunkLen {
-			// Oversize request: one-off allocation outside the recycled
-			// arena (operator fan-ins this wide do not occur in practice).
-			s.childPool = make([]*pexpr, n)
-		} else {
-			s.childPool = s.scratch.childChunk()
-		}
-	}
-	c := s.childPool[:n:n]
-	s.childPool = s.childPool[n:]
-	return c
-}
+// childSlice carves an n-element child slice, before any recursive
+// optimizeGroup call fills it.
+func (s *search) childSlice(n int) []*pexpr { return s.scratch.children.take(n, childChunkLen) }
 
 func (s *search) oneChild(p *pexpr) []*pexpr {
 	c := s.childSlice(1)
@@ -122,15 +122,11 @@ func (s *search) oneChild(p *pexpr) []*pexpr {
 }
 
 // placeholderNode carves an enforcer payload placeholder (an OpSelect node
-// carrying only a schema) from the arena's node slab. Like every arena node
-// it never escapes the compile: extraction copies its (empty) payload slice
-// headers, never the struct.
+// carrying only a schema) from the arena. Like every arena node it never
+// escapes the compile: extraction copies its (empty) payload slice headers,
+// never the struct.
 func (s *search) placeholderNode(schema []plan.Column) *plan.Node {
-	if len(s.nodeSlab) == 0 {
-		s.nodeSlab = s.scratch.nodeChunk()
-	}
-	n := &s.nodeSlab[0]
-	s.nodeSlab = s.nodeSlab[1:]
+	n := s.scratch.enforcers.one(nodeChunkLen)
 	n.Op = plan.OpSelect
 	n.Schema = schema
 	return n
@@ -140,13 +136,17 @@ func (s *search) placeholderNode(schema []plan.Column) *plan.Node {
 // distribution satisfying req, or nil when none exists.
 func (s *search) optimizeGroup(g *Group, req plan.Distribution) *winner {
 	key := makeDistKey(req)
-	if w, ok := g.winners[key]; ok {
-		return w
+	gs := &s.groups[g.ID]
+	for i := range gs.winners {
+		if gs.winners[i].dist == key {
+			return gs.winners[i].w
+		}
 	}
-	// Mark in-progress to make accidental cycles fail loudly rather than
-	// recurse forever (logical DAGs are acyclic, so this never triggers on
-	// well-formed input).
-	g.winners[key] = nil
+	// Mark in-progress (a nil winner) to make accidental cycles fail loudly
+	// rather than recurse forever (logical DAGs are acyclic, so this never
+	// triggers on well-formed input).
+	slot := len(gs.winners)
+	gs.winners = append(gs.winners, groupWinner{dist: key})
 
 	var best *pexpr
 	consider := func(p *pexpr) {
@@ -164,38 +164,47 @@ func (s *search) optimizeGroup(g *Group, req plan.Distribution) *winner {
 			consider(s.enforce(cand, req))
 		}
 	}
-	g.winners[key] = best
+	gs.winners[slot].w = best
 	return best
 }
 
 // groupCandidates enumerates (and caches) all physical implementation
 // candidates of a group, each fully costed with child winners resolved.
 func (s *search) groupCandidates(g *Group) []*pexpr {
-	if c, ok := s.candidates[g]; ok {
-		return c
+	gs := &s.groups[g.ID]
+	if gs.enumerated {
+		return gs.candidates
 	}
-	s.candidates[g] = nil // cycle guard
-	// Most expressions yield one or two implementations; sizing for the
-	// expression count keeps the common case to a single allocation.
-	out := make([]*pexpr, 0, len(g.Exprs)*2)
+	gs.enumerated = true // cycle guard: no candidates until the loop is done
+	out := gs.candidates[:0]
 	for _, e := range g.Exprs {
-		for _, r := range s.o.Rules.implementsFor(e.Node.Op) {
+		rules := s.o.Rules.implementsFor(e.Node.Op)
+		if e.impls == nil {
+			e.impls = s.scratch.impls.take(len(rules), implChunkLen)
+		}
+		for i, r := range rules {
 			ri := r.Info()
 			if !s.ruleEnabled(ri) {
 				continue
 			}
-			protos := r.Implement(e, s.m)
-			if len(protos) > 0 {
+			// Implement reads no configuration, so on the frozen memo its
+			// result belongs to the expression: asked once, kept for every
+			// compile of the session (ImplementRule's contract).
+			alt := &e.impls[i]
+			if !alt.done {
+				alt.protos, alt.done = r.Implement(e, s.m), true
+			}
+			if len(alt.protos) > 0 {
 				s.o.om.firings[ri.Category].Inc()
 			}
-			for _, proto := range protos {
+			for _, proto := range alt.protos {
 				if p := s.buildCandidate(e, proto, ri.ID); p != nil {
 					out = append(out, p)
 				}
 			}
 		}
 	}
-	s.candidates[g] = out
+	gs.candidates = out
 	return out
 }
 

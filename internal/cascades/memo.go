@@ -49,6 +49,11 @@ type MExpr struct {
 
 	fired bitvec.Vector // transformation rules already applied to this expr
 
+	// impls caches what each implementation rule of implementsFor(Node.Op)
+	// returned for this expression, filled rule by rule as the physical
+	// phases of the memo's compiles consult them (search.groupCandidates).
+	impls []implAlt
+
 	// bucketNext chains expressions sharing an interning hash bucket
 	// (see Memo.buckets). Intrusive so inserting an expression into the
 	// index never allocates.
@@ -66,10 +71,6 @@ type Group struct {
 	Exprs  []*MExpr
 	Schema []plan.Column // canonical output columns
 	Props  cost.Props    // estimated statistics (derived from first expr)
-
-	// winners caches the best physical alternative per required
-	// distribution.
-	winners map[distKey]*winner
 }
 
 // Memo is the space of explored plans.
@@ -97,28 +98,22 @@ type Memo struct {
 	// keeps this at (or very near) zero; the observability layer surfaces it
 	// so a degraded hash shows up as a counter, not as silent slowdown.
 	collisions uint64
-	// legacy reroutes interning through the pre-hash string-keyed index.
-	// Test-only: the memo-equivalence golden test compiles every workload
-	// through both paths and asserts identical memos, signatures and plans.
-	legacy      bool
-	legacyIndex map[string]*Group
 
 	byNode  map[*plan.Node]*Group
 	nextCol plan.ColumnID
 
-	// exprSlab, groupSlab and groupPool are the active tails of the
-	// chunked allocators for expressions, group structs and child-group
-	// slices; propsBuf and schemaBuf are reusable scratch for deriveProps
-	// (read-only to the estimator). When the memo is built inside Optimize
-	// the chunks come from — and return to — the recycled searchScratch
-	// arena (see scratch.go); a standalone NewMemo allocates them fresh.
+	// arena owns every expression, group struct, child-group slice and
+	// payload copy of the memo (see scratch.go): a Session's recycled arena,
+	// or a private one under a standalone NewMemo. propsBuf and schemaBuf
+	// are reusable scratch for deriveProps (read-only to the estimator).
 	arena     *searchScratch
-	exprSlab  []MExpr
-	groupSlab []Group
-	groupPool []*Group
-	nodeSlab  []plan.Node
 	propsBuf  []cost.Props
 	schemaBuf [][]plan.Column
+
+	// footprint is the decision footprint of the exploration that built
+	// the memo: the transformation-rule bits it read (⊆ the rule set's
+	// transformMask). Every compile sharing the memo starts from it.
+	footprint bitvec.Vector
 
 	// ExprLimit bounds expressions per group; TotalLimit bounds the whole
 	// memo. Exceeding either stops further exploration (big-data jobs have
@@ -131,41 +126,25 @@ type Memo struct {
 // NewMemo builds a memo over the logical plan DAG rooted at root, deriving
 // group properties with the given estimator.
 func NewMemo(root *plan.Node, est *cost.Estimator) *Memo {
-	return newMemo(root, est, false)
+	return newMemoArena(root, est, newSearchScratch())
 }
 
-func newMemo(root *plan.Node, est *cost.Estimator, legacy bool) *Memo {
-	return newMemoArena(root, est, legacy, nil)
-}
-
-// newMemoArena builds a memo whose slab chunks, interning maps and scratch
-// buffers come from sc when non-nil. The caller owns the arena's lifecycle:
-// it must not recycle sc before it is done with the memo and everything
-// extracted from it (see search.release).
-func newMemoArena(root *plan.Node, est *cost.Estimator, legacy bool, sc *searchScratch) *Memo {
+// newMemoArena builds a memo whose slabs, interning maps and scratch buffers
+// come from sc. The caller owns the arena's lifecycle: it must not recycle
+// sc before it is done with the memo (see Session.Close).
+func newMemoArena(root *plan.Node, est *cost.Estimator, sc *searchScratch) *Memo {
 	m := &Memo{
+		Groups:     sc.groupList,
 		est:        est,
-		arena:      sc,
+		buckets:    sc.buckets,
+		scratch:    sc.keyScratch,
 		hashMask:   ^uint64(0),
-		legacy:     legacy,
+		byNode:     sc.byNode,
+		arena:      sc,
+		propsBuf:   sc.memoProps,
+		schemaBuf:  sc.memoSchema,
 		ExprLimit:  10,
 		TotalLimit: 2048,
-	}
-	if sc != nil {
-		m.byNode = sc.byNode
-		m.Groups = sc.groups
-		m.scratch = sc.keyScratch
-		m.propsBuf = sc.memoProps
-		m.schemaBuf = sc.memoSchema
-	} else {
-		m.byNode = make(map[*plan.Node]*Group)
-	}
-	if legacy {
-		m.legacyIndex = make(map[string]*Group)
-	} else if sc != nil {
-		m.buckets = sc.buckets
-	} else {
-		m.buckets = make(map[uint64]*MExpr, 64)
 	}
 	maxID := plan.ColumnID(0)
 	root.Walk(func(n *plan.Node) {
@@ -193,14 +172,9 @@ func (m *Memo) NewColID() plan.ColumnID {
 }
 
 // lookupExpr finds the group already holding a structurally identical
-// expression. The returned hash is the expression's interning hash (0 on the
-// legacy path) and must be passed unchanged to insertExpr when the caller
-// interns a new expression.
+// expression. The returned hash is the expression's interning hash and must
+// be passed unchanged to insertExpr when the caller interns a new expression.
 func (m *Memo) lookupExpr(n *plan.Node, children []*Group) (*Group, uint64, bool) {
-	if m.legacy {
-		g, ok := m.legacyIndex[legacyExprKey(n, children)]
-		return g, 0, ok
-	}
 	h := m.exprHash(n, children)
 	for e := m.buckets[h]; e != nil; e = e.bucketNext {
 		if exprEqual(n, children, e.Node, e.Children) {
@@ -220,85 +194,29 @@ func (m *Memo) Collisions() uint64 { return m.collisions }
 // prepended to its bucket chain; chain order is irrelevant because at most
 // one chained expression can be structurally equal to any probe.
 func (m *Memo) insertExpr(e *MExpr, hash uint64) {
-	if m.legacy {
-		m.legacyIndex[legacyExprKey(e.Node, e.Children)] = e.Group
-		return
-	}
 	e.bucketNext = m.buckets[hash]
 	m.buckets[hash] = e
 }
 
-// newMExpr returns a zeroed expression carved from the memo's slab, at most
-// one heap allocation per chunk instead of one per expression — usually
-// zero, since arena-backed memos recycle chunks across compiles.
-func (m *Memo) newMExpr() *MExpr {
-	// Fixed small chunks: waste is bounded by one partial tail per memo,
-	// which measured strictly better on total bytes than geometric growth
-	// (doubling over-reserves roughly 2x the live size on average).
-	if len(m.exprSlab) == 0 {
-		if m.arena != nil {
-			m.exprSlab = m.arena.mexprChunk()
-		} else {
-			m.exprSlab = make([]MExpr, mexprChunkLen)
-		}
-	}
-	e := &m.exprSlab[0]
-	m.exprSlab = m.exprSlab[1:]
-	return e
-}
+// newMExpr returns a zeroed expression carved from the arena.
+func (m *Memo) newMExpr() *MExpr { return m.arena.mexprs.one(mexprChunkLen) }
 
-// newGroup returns a fresh group with an empty winners map. Arena-backed
-// memos carve the struct from a recycled chunk and inherit the slot's
-// cleared winners map, so steady-state group creation allocates nothing.
-func (m *Memo) newGroup() *Group {
-	if m.arena == nil {
-		return &Group{winners: make(map[distKey]*winner)}
-	}
-	if len(m.groupSlab) == 0 {
-		m.groupSlab = m.arena.groupChunk()
-	}
-	g := &m.groupSlab[0]
-	m.groupSlab = m.groupSlab[1:]
-	if g.winners == nil {
-		g.winners = make(map[distKey]*winner)
-	}
-	return g
-}
+// newGroup returns a zeroed group carved from the arena.
+func (m *Memo) newGroup() *Group { return m.arena.groups.one(groupChunkLen) }
 
 // exprsSeed returns the initial Exprs slice for a new group: length zero,
 // small capacity. Groups usually grow past one expression during
 // exploration; a little up-front capacity avoids the append regrowth on the
-// optimizer's hottest allocation site without over-reserving for leaves.
+// optimizer's hottest allocation site without over-reserving for leaves. A
+// group outgrowing the seed spills to a regular append reallocation, which
+// dies with the memo.
 func (m *Memo) exprsSeed() []*MExpr {
-	if m.arena != nil {
-		return m.arena.exprsSeed()
-	}
-	return make([]*MExpr, 0, exprsSeedCap)
+	return m.arena.exprs.take(exprsSeedCap, exprsChunkLen)[:0]
 }
 
-// groupSlice carves an n-element child-group slice from a pooled backing
-// array, capacity clipped so holders cannot append into a neighbour. Carved
-// before any recursive interning fills it; the pool cursor only advances, so
-// a slice is never handed out twice.
-func (m *Memo) groupSlice(n int) []*Group {
-	if n == 0 {
-		return nil
-	}
-	if len(m.groupPool) < n {
-		if m.arena != nil && n <= gsliceChunkLen {
-			m.groupPool = m.arena.gsliceChunk()
-		} else {
-			size := gsliceChunkLen
-			if n > size {
-				size = n
-			}
-			m.groupPool = make([]*Group, size)
-		}
-	}
-	s := m.groupPool[:n:n]
-	m.groupPool = m.groupPool[n:]
-	return s
-}
+// groupSlice carves an n-element child-group slice, before any recursive
+// interning fills it.
+func (m *Memo) groupSlice(n int) []*Group { return m.arena.gslices.take(n, gsliceChunkLen) }
 
 // groupForNode interns the logical DAG bottom-up, preserving sharing: a
 // *plan.Node consumed by several parents maps to one group.
@@ -330,27 +248,12 @@ func (m *Memo) groupForNode(n *plan.Node) *Group {
 	return g
 }
 
-// shallow copies a node payload without children.
-func shallow(n *plan.Node) *plan.Node {
-	cp := *n
-	cp.Children = nil
-	return &cp
-}
-
-// shallow copies a node payload without children, carving the copy from the
-// arena when one is available. The copy is only ever reachable through
-// memo-scoped structures (MExpr.Node, pexpr.node): extraction copies payload
-// slice headers out of it but never the struct, so it recycles with the
-// arena.
+// shallow copies a node payload without children into the arena. The copy is
+// only ever reachable through memo-scoped structures (MExpr.Node,
+// pexpr.node): extraction copies payload slice headers out of it but never
+// the struct, so it recycles with the arena.
 func (m *Memo) shallow(n *plan.Node) *plan.Node {
-	if m.arena == nil {
-		return shallow(n)
-	}
-	if len(m.nodeSlab) == 0 {
-		m.nodeSlab = m.arena.nodeChunk()
-	}
-	cp := &m.nodeSlab[0]
-	m.nodeSlab = m.nodeSlab[1:]
+	cp := m.arena.nodes.one(nodeChunkLen)
 	*cp = *n
 	cp.Children = nil
 	return cp

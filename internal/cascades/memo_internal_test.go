@@ -220,31 +220,6 @@ func TestHashCollisionFallback(t *testing.T) {
 	}
 }
 
-// TestHashedMatchesLegacyIntern replays one intern sequence through the
-// hashed and the string-keyed paths and asserts identical memo shapes.
-func TestHashedMatchesLegacyIntern(t *testing.T) {
-	est := cost.NewEstimated(memoCatalog())
-	build := func(legacy bool) *Memo {
-		m := newMemo(scanSelect(), est, legacy)
-		sel := findSelect(m)
-		for i := 0; i < 6; i++ {
-			m.Intern(selectVariant(sel, float64(100+i%3)), sel.Group, sel, 40+i%3)
-		}
-		return m
-	}
-	hashed, legacy := build(false), build(true)
-	if len(hashed.Groups) != len(legacy.Groups) || hashed.TotalExprs() != legacy.TotalExprs() {
-		t.Fatalf("hashed memo %d groups / %d exprs, legacy %d / %d",
-			len(hashed.Groups), hashed.TotalExprs(), len(legacy.Groups), legacy.TotalExprs())
-	}
-	for i := range hashed.Groups {
-		if len(hashed.Groups[i].Exprs) != len(legacy.Groups[i].Exprs) {
-			t.Fatalf("group %d: hashed %d exprs, legacy %d", i,
-				len(hashed.Groups[i].Exprs), len(legacy.Groups[i].Exprs))
-		}
-	}
-}
-
 func TestNewColIDFresh(t *testing.T) {
 	m := NewMemo(scanSelect(), cost.NewEstimated(memoCatalog()))
 	id1 := m.NewColID()

@@ -31,12 +31,6 @@ type Optimizer struct {
 	EnforceExchangeID int
 	EnforceSortID     int
 
-	// LegacyIntern reroutes memo interning through the pre-hash
-	// string-keyed path. Test-only: the memo-equivalence golden test
-	// compiles both paths and asserts identical results. Remove together
-	// with legacykey.go once the hashed path has baked.
-	LegacyIntern bool
-
 	// om holds the pre-resolved observability instruments (see SetObs).
 	// All fields are nil-safe no-ops until SetObs is called.
 	om optObs
@@ -47,8 +41,13 @@ type Optimizer struct {
 // lookup. Counters are atomic and histograms hold commutative integer
 // state, so concurrent Optimize calls stay deterministic at snapshot time.
 type optObs struct {
-	// firings counts rule applications per rule category.
+	// firings counts rule applications actually performed, per rule
+	// category: a transformation shared through a Session's memo fired once.
 	firings [len(categoryNames)]*obs.Counter
+	// explored counts compiles by where their explored memo came from:
+	// built for the compile (fresh) or shared from an earlier compile of
+	// the same Session.
+	exploredFresh, exploredShared *obs.Counter
 	// compiles counts outcomes: ok and noplan.
 	ok, noPlan *obs.Counter
 	// collisions accumulates memo interning hash collisions.
@@ -62,13 +61,16 @@ type optObs struct {
 var memoSizeBounds = []float64{8, 16, 32, 64, 128, 256, 512, 1024, 2048}
 
 // SetObs wires the optimizer's compile-time metrics into reg: rule firings
-// per category, compile outcomes, memo sizes and interning collisions. Call
+// per category, explorations by outcome, compile outcomes, memo sizes and
+// interning collisions. Call
 // it before the first Optimize; a nil registry leaves the optimizer
 // uninstrumented (every instrument no-ops).
 func (o *Optimizer) SetObs(reg *obs.Registry) {
 	for c := range o.om.firings {
 		o.om.firings[c] = reg.Counter("steerq_cascades_rule_firings_total", "category", Category(c).String())
 	}
+	o.om.exploredFresh = reg.Counter("steerq_cascades_explorations_total", "outcome", "fresh")
+	o.om.exploredShared = reg.Counter("steerq_cascades_explorations_total", "outcome", "shared")
 	o.om.ok = reg.Counter("steerq_cascades_compiles_total", "outcome", "ok")
 	o.om.noPlan = reg.Counter("steerq_cascades_compiles_total", "outcome", "noplan")
 	o.om.collisions = reg.Counter("steerq_cascades_intern_collisions_total")
@@ -106,72 +108,87 @@ type Result struct {
 var ErrNoPlan = errors.New("cascades: no physical plan under this rule configuration")
 
 // Optimize compiles the logical plan under cfg and returns the cheapest
-// physical plan found, its estimated cost, and its rule signature.
+// physical plan found, its estimated cost, and its rule signature: a Session
+// of one compile.
 //
-// Optimize is safe for concurrent use: every call builds a fresh Memo and
-// search, and the Optimizer's own fields (Rules, Est, Coster, limits) are
-// read-only after construction. The discovery pipeline relies on this to fan
-// candidate recompilations out across workers.
+// Optimize is safe for concurrent use: every call opens its own Session, and
+// the Optimizer's own fields (Rules, Est, Coster, limits) are read-only after
+// construction. The discovery pipeline relies on this to fan job analyses out
+// across workers.
 func (o *Optimizer) Optimize(root *plan.Node, cfg bitvec.Vector) (*Result, error) {
-	return o.optimize(root, cfg, true, nil)
-}
-
-// OptimizeInto is Optimize compiling through the caller-owned arena instead
-// of the shared scratch pool. Hot loops that compile many configurations on
-// one goroutine — or one scheduler worker — hold a cascades.Scratch per
-// worker so steady-state compiles never touch the pool. A nil Scratch
-// behaves exactly like Optimize.
-func (o *Optimizer) OptimizeInto(sc *Scratch, root *plan.Node, cfg bitvec.Vector) (*Result, error) {
-	return o.optimize(root, cfg, true, sc.arena())
-}
-
-// OptimizeCostInto is OptimizeCost through a caller-owned arena; see
-// OptimizeInto.
-func (o *Optimizer) OptimizeCostInto(sc *Scratch, root *plan.Node, cfg bitvec.Vector) (*Result, error) {
-	return o.optimize(root, cfg, false, sc.arena())
+	s := o.NewSession(nil, root)
+	defer s.Close()
+	return s.Optimize(cfg, true)
 }
 
 // OptimizeCost is Optimize without plan materialization: the returned Result
 // carries the same Cost, Signature, Footprint and memo statistics as an
-// Optimize of the same inputs, but Plan is nil. Candidate sweeps that keep
-// only the costed verdict (the steering pipeline resolves hundreds of
-// configurations per job and discards every plan but the chosen one) use it
-// to skip building a physical node DAG nobody reads — per-candidate, that is
+// Optimize of the same inputs, but Plan is nil. Callers that keep only the
+// costed verdict use it to skip building a physical node DAG nobody reads —
 // the single largest allocation of a compile. The search itself is
 // byte-identical to Optimize's; only the final extraction differs.
 func (o *Optimizer) OptimizeCost(root *plan.Node, cfg bitvec.Vector) (*Result, error) {
-	return o.optimize(root, cfg, false, nil)
+	s := o.NewSession(nil, root)
+	defer s.Close()
+	return s.Optimize(cfg, false)
 }
 
-func (o *Optimizer) optimize(root *plan.Node, cfg bitvec.Vector, buildPlan bool, sc *searchScratch) (*Result, error) {
-	if root == nil {
+// Session compiles one logical plan under many configurations, sharing what
+// the configurations cannot tell apart. A compile has two phases and each
+// reads its own bits: logical exploration reads only transformation-rule
+// bits, the physical phase only implementation-rule bits. The session
+// therefore keeps every explored memo, frozen, under cfg ∧ transformMask; a
+// later compile agreeing on those bits runs its physical phase on the same
+// memo — footprint induction applied to the explore prefix (DESIGN.md, "Two
+// phases, two key sets"), so every Result is what a fresh Optimize returns.
+// The candidate sweep of one job is the intended caller: its few hundred
+// configurations differ mostly in implementation bits.
+//
+// A Session holds its arena until Close and is for one goroutine; the
+// Optimizer stays safe for concurrent sessions.
+type Session struct {
+	o    *Optimizer
+	root *plan.Node
+	sc   *searchScratch
+}
+
+// NewSession opens a session compiling root through the caller-owned arena
+// sc, or through one from the shared pool when sc is nil. Close it to recycle
+// the arena; an owned Scratch serves one open session at a time.
+func (o *Optimizer) NewSession(sc *Scratch, root *plan.Node) *Session {
+	arena := sc.arena()
+	if arena == nil {
+		arena = scratchPool.Get().(*searchScratch)
+	}
+	return &Session{o: o, root: root, sc: arena}
+}
+
+// Close retires every memo of the session and recycles its arena. Results
+// already returned stay valid: they reference no arena memory.
+func (se *Session) Close() {
+	se.sc.retire()
+	se.sc = nil
+}
+
+// Optimize compiles the session's plan under cfg. With withPlan false the
+// Result carries no Plan (see OptimizeCost); plan-less and with-plan compiles
+// share memos freely.
+func (se *Session) Optimize(cfg bitvec.Vector, withPlan bool) (*Result, error) {
+	o, sc := se.o, se.sc
+	if se.root == nil {
 		return nil, errors.New("cascades: nil plan")
 	}
-	if sc == nil {
-		sc = scratchPool.Get().(*searchScratch)
-	}
-	m := newMemoArena(root, o.Est, o.LegacyIntern, sc)
-	if o.ExprLimit > 0 {
-		m.ExprLimit = o.ExprLimit
-	}
-	if o.TotalLimit > 0 {
-		m.TotalLimit = o.TotalLimit
-	}
-	s := &search{
-		o:          o,
-		m:          m,
-		cfg:        cfg,
-		scratch:    sc,
-		candidates: sc.candidates,
-		propsBuf:   sc.propsBuf,
-		schemaBuf:  sc.schemaBuf,
-	}
-	// Recycle the arena once the winner (if any) has been extracted; the
-	// Result only references memo-owned payloads, never slab memory.
+	s := &search{o: o, cfg: cfg, scratch: sc, propsBuf: sc.propsBuf, schemaBuf: sc.schemaBuf}
+	// Recycle the physical side once the winner (if any) has been
+	// extracted; the Result only references rule-owned payloads, never slab
+	// memory.
 	defer s.release()
-	s.explore()
+	m := se.explored(s)
+	for len(sc.perGroup) < len(m.Groups) {
+		sc.perGroup = append(sc.perGroup, groupSearch{})
+	}
+	s.groups = sc.perGroup[:len(m.Groups)]
 	w := s.optimizeGroup(m.Root, plan.Distribution{Kind: plan.DistAny})
-	o.om.collisions.Add(m.Collisions())
 	o.om.groups.Observe(float64(len(m.Groups)))
 	o.om.exprs.Observe(float64(m.TotalExprs()))
 	if w == nil {
@@ -189,7 +206,7 @@ func (o *Optimizer) optimize(root *plan.Node, cfg bitvec.Vector, buildPlan bool,
 	o.om.ok.Inc()
 	var p *plan.PhysNode
 	var sig bitvec.Vector
-	if buildPlan {
+	if withPlan {
 		p, sig = s.extract(w)
 	} else {
 		sig = s.signature(w)
@@ -205,13 +222,41 @@ func (o *Optimizer) optimize(root *plan.Node, cfg bitvec.Vector, buildPlan bool,
 	}, nil
 }
 
+// explored returns the frozen, explored memo s compiles on — an earlier
+// compile's when the session holds one for the transform bits of s.cfg, else
+// one built, explored and frozen now — and seeds s.footprint with the bits
+// that exploration read.
+func (se *Session) explored(s *search) *Memo {
+	o, sc := se.o, se.sc
+	key := s.cfg.And(o.Rules.transformMask).Key()
+	if m, ok := sc.memos[key]; ok {
+		o.om.exploredShared.Inc()
+		s.m, s.footprint = m, m.footprint
+		return m
+	}
+	o.om.exploredFresh.Inc()
+	m := newMemoArena(se.root, o.Est, sc)
+	if o.ExprLimit > 0 {
+		m.ExprLimit = o.ExprLimit
+	}
+	if o.TotalLimit > 0 {
+		m.TotalLimit = o.TotalLimit
+	}
+	s.m = m
+	s.explore()
+	m.footprint = s.footprint
+	m.freeze()
+	sc.memos[key] = m
+	o.om.collisions.Add(m.Collisions())
+	return m
+}
+
 // search carries per-compilation state.
 type search struct {
-	o          *Optimizer
-	m          *Memo
-	cfg        bitvec.Vector
-	scratch    *searchScratch
-	candidates map[*Group][]*pexpr
+	o       *Optimizer
+	m       *Memo
+	cfg     bitvec.Vector
+	scratch *searchScratch
 
 	// footprint accumulates the ID of every non-required rule whose
 	// enabled-bit the search read (see ruleEnabled). Configurations that
@@ -219,15 +264,10 @@ type search struct {
 	// explore/optimizeGroup and so produce identical plans.
 	footprint bitvec.Vector
 
-	// pexprSlab and childPool are the active tails of the scratch arena's
-	// chunked allocators for candidates and their child slices; propsBuf
-	// and schemaBuf are reusable scratch for DerivePropsFrom inputs (never
-	// retained by the estimator). Chunks come from — and return to — the
-	// recycled searchScratch, so steady-state compilation allocates near
-	// zero slab memory (see scratch.go for the ownership argument).
-	pexprSlab []pexpr
-	childPool []*pexpr
-	nodeSlab  []plan.Node
+	// groups is the per-group search state, one slot per memo group; it,
+	// propsBuf and schemaBuf — reusable scratch for DerivePropsFrom inputs,
+	// never retained by the estimator — are on loan from the arena.
+	groups    []groupSearch
 	propsBuf  []cost.Props
 	schemaBuf [][]plan.Column
 }

@@ -85,6 +85,13 @@ type ImplementRule interface {
 	Info() RuleInfo
 	// Implement returns candidates for e, or nil when the rule does not
 	// apply to e's operator.
+	//
+	// Implement takes no configuration and runs on a frozen memo (see
+	// Session): it must not Intern, must not call NewColID, and must be a
+	// pure function of e — its payload, its child groups' schemas and
+	// statistics. The optimizer calls it at most once per expression and
+	// hands the returned protos, unmodified, to every compile sharing the
+	// memo, so a rule must not retain or later mutate what it returned.
 	Implement(e *MExpr, m *Memo) []*PhysProto
 }
 
@@ -121,6 +128,11 @@ type RuleSet struct {
 	transformsAny  []TransformRule
 	implementsByOp map[plan.Op][]ImplementRule
 	implementsAny  []ImplementRule
+
+	// transformMask holds the IDs of the non-required rules in Transforms:
+	// every configuration bit logical exploration can read, hence the bits
+	// that key a Session's explored memos.
+	transformMask bitvec.Vector
 }
 
 // NewRuleSet assembles a rule set and verifies rule IDs are unique and in
@@ -172,8 +184,13 @@ func ruleOps(match func(i int) (plan.Op, bool), n int) []plan.Op {
 	return ops
 }
 
-// indexByOp builds the per-operator rule projections.
+// indexByOp builds the per-operator rule projections and the transform mask.
 func (rs *RuleSet) indexByOp() {
+	for _, r := range rs.Transforms {
+		if ri := r.Info(); ri.Category != Required {
+			rs.transformMask.Set(ri.ID)
+		}
+	}
 	tOps := ruleOps(func(i int) (plan.Op, bool) {
 		m, ok := rs.Transforms[i].(OpMatcher)
 		if !ok {

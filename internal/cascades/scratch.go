@@ -3,13 +3,14 @@ package cascades
 import (
 	"sync"
 
+	"steerq/internal/bitvec"
 	"steerq/internal/cost"
 	"steerq/internal/plan"
 )
 
-// Chunk sizes for the compile-scoped slab allocators. Fixed small chunks
-// bound waste to one partial tail per compile and make recycling trivial: a
-// chunk is either fully reusable or not yet allocated.
+// Chunk sizes for the slab allocators. Fixed small chunks bound waste to one
+// partial tail per slab and make recycling trivial: a chunk is either fully
+// reusable or not yet allocated.
 const (
 	pexprChunkLen  = 64
 	childChunkLen  = 256
@@ -19,89 +20,150 @@ const (
 	exprsChunkLen  = 128
 	exprsSeedCap   = 4
 	nodeChunkLen   = 64
+	implChunkLen   = 128
 )
 
-// searchScratch is the recyclable allocation arena of one compile: every
-// slab chunk the memo and the physical search carve from, plus the interning
-// maps, the candidates map and the property scratch buffers. Compilation
+// slab is a chunked bump allocator: elements are carved front to back from
+// fixed-size chunks, and reset zeroes what was handed out and rewinds, so a
+// steady-state user allocates nothing. The cursor only ever advances between
+// resets, so nothing is handed out twice.
+type slab[T any] struct {
+	chunks [][]T
+	used   int // chunks[:used] have been carved from since the last reset
+	tail   []T // uncarved remainder of chunks[used-1]
+}
+
+func (s *slab[T]) refill(chunkLen int) {
+	if s.used == len(s.chunks) {
+		s.chunks = append(s.chunks, make([]T, chunkLen))
+	}
+	s.tail = s.chunks[s.used]
+	s.used++
+}
+
+// one returns a zeroed element.
+func (s *slab[T]) one(chunkLen int) *T {
+	if len(s.tail) == 0 {
+		s.refill(chunkLen)
+	}
+	p := &s.tail[0]
+	s.tail = s.tail[1:]
+	return p
+}
+
+// take returns n zeroed elements, capacity clipped to n so no holder can
+// append into a neighbour. A request wider than a chunk is a one-off
+// allocation outside the slab (operator fan-ins that wide do not occur in
+// practice).
+func (s *slab[T]) take(n, chunkLen int) []T {
+	if n == 0 {
+		return nil
+	}
+	if len(s.tail) < n {
+		if n > chunkLen {
+			return make([]T, n)
+		}
+		s.refill(chunkLen)
+	}
+	out := s.tail[:n:n]
+	s.tail = s.tail[n:]
+	return out
+}
+
+// reset zeroes everything carved since the last reset — which also drops the
+// references the elements held into a dead search graph — and rewinds.
+func (s *slab[T]) reset() {
+	for i, c := range s.chunks[:s.used] {
+		if i == s.used-1 {
+			c = c[:len(c)-len(s.tail)]
+		}
+		clear(c)
+	}
+	s.used, s.tail = 0, nil
+}
+
+// searchScratch is the recyclable allocation arena of one Session: every slab
+// the memos and the physical searches carve from, plus the interning maps,
+// the per-group search state and the property scratch buffers. Compilation
 // allocates the same few hundred kilobytes of short-lived memory for every
-// candidate configuration; recycling the arena across Optimize calls turns
-// that from GC churn into a handful of memclears and map clears.
+// candidate configuration; recycling the arena turns that from GC churn into
+// a handful of memclears and map clears.
+//
+// The arena has three lifetimes (DESIGN.md, "Two phases, two key sets"):
+//
+//   - the physical side lives for one compile and is recycled by
+//     search.release;
+//   - the build side is what a memo needs only while it is interned and
+//     explored; Memo.freeze hands it back for the session's next memo;
+//   - the memo side — expressions, groups, child slices, payload copies,
+//     cached implementation alternatives — is carved by every memo of the
+//     session and stays put until Session.Close.
 //
 // Safety rests on an ownership argument, not on luck: extract materializes
 // the winning plan into fresh plan.PhysNodes whose payload slices belong to
 // the plan.Nodes and schema arrays the rules allocated — never to a pexpr,
 // an MExpr, a Group struct or any chunk. No pointer into the arena survives
-// Optimize (the winners maps and interning indexes die with the memo), so
-// once Optimize returns, the arena can be zeroed and handed to the next
-// compile. Zeroing also drops the chunk-held references into the dead
-// search graph, keeping the pool from pinning retired memos.
+// in a Result, so once the session is closed the arena can be zeroed and
+// handed to the next one.
 type searchScratch struct {
-	// owned marks an arena held by a caller's Scratch handle: release still
-	// zeroes it for the next compile but must not hand it to the shared
+	// owned marks an arena held by a caller's Scratch handle: Close still
+	// zeroes it for the next session but must not hand it to the shared
 	// pool, or two owners could end up recycling one arena concurrently.
 	owned bool
 
-	// Physical-search side.
-	pexprChunks [][]pexpr
-	childChunks [][]*pexpr
-	nextPexpr   int
-	nextChild   int
-	candidates  map[*Group][]*pexpr
-	propsBuf    []cost.Props
-	schemaBuf   [][]plan.Column
+	// Physical side.
+	pexprs    slab[pexpr]
+	children  slab[*pexpr]
+	enforcers slab[plan.Node] // enforcer payload placeholders
+	perGroup  []groupSearch   // indexed by GroupID; buffers kept across compiles
+	propsBuf  []cost.Props
+	schemaBuf [][]plan.Column
 
-	// nodeChunks back the compile-scoped plan.Node copies: the memo's
-	// shallow payload clones and the search's enforcer placeholders. Plan
-	// extraction copies payload slice headers out of these nodes but never
-	// retains the structs, so they recycle with the rest of the arena.
-	nodeChunks [][]plan.Node
-	nextNode   int
+	// Build side.
+	groupList  []*Group
+	buckets    map[uint64]*MExpr
+	byNode     map[*plan.Node]*Group
+	keyScratch []byte
+	memoProps  []cost.Props
+	memoSchema [][]plan.Column
 
-	// Memo side.
-	mexprChunks  [][]MExpr
-	groupChunks  [][]Group
-	gsliceChunks [][]*Group
-	exprsChunks  [][]*MExpr
-	nextMExpr    int
-	nextGroup    int
-	nextGSlice   int
-	nextExprs    int
-	exprsTail    []*MExpr
-	groups       []*Group
-	buckets      map[uint64]*MExpr
-	byNode       map[*plan.Node]*Group
-	keyScratch   []byte
-	memoProps    []cost.Props
-	memoSchema   [][]plan.Column
+	// Memo side. nodes back the memos' shallow payload copies: plan
+	// extraction copies payload slice headers out of them but never retains
+	// the structs, so they recycle with the rest.
+	mexprs  slab[MExpr]
+	groups  slab[Group]
+	gslices slab[*Group]
+	exprs   slab[*MExpr]
+	nodes   slab[plan.Node]
+	impls   slab[implAlt]
+	// memos are the session's explored memos by cfg ∧ transformMask.
+	memos map[bitvec.Key]*Memo
 }
 
-// newSearchScratch builds an empty arena; the chunk slabs grow lazily on
-// first use.
+// newSearchScratch builds an empty arena; the slabs grow lazily on first use.
 func newSearchScratch() *searchScratch {
 	return &searchScratch{
-		candidates: make(map[*Group][]*pexpr),
-		buckets:    make(map[uint64]*MExpr, 64),
-		byNode:     make(map[*plan.Node]*Group),
+		buckets: make(map[uint64]*MExpr, 64),
+		byNode:  make(map[*plan.Node]*Group),
+		memos:   make(map[bitvec.Key]*Memo),
 	}
 }
 
-// scratchPool recycles compile arenas across Optimize calls and goroutines.
-// Entries are dropped by the runtime under memory pressure, so a one-off
-// giant compile cannot pin its arena forever.
+// scratchPool recycles arenas across sessions and goroutines. Entries are
+// dropped by the runtime under memory pressure, so a one-off giant compile
+// cannot pin its arena forever.
 var scratchPool = sync.Pool{
 	New: func() any { return newSearchScratch() },
 }
 
-// Scratch is a caller-owned compile arena for OptimizeInto and
-// OptimizeCostInto. Call sites that compile in a tight loop — the steering
-// pipeline's job-group fan-out keys one Scratch per scheduler worker — hold
-// on to a Scratch so every compile reuses the same slabs and maps without a
-// sync.Pool round trip (and without the pool's cross-goroutine handoffs,
-// which under contention hand a cold arena to a hot loop). A Scratch must
-// not be used by two compiles at once; the zero of exclusivity is the
-// caller's worker identity. A nil *Scratch is valid and falls back to the
-// shared pool.
+// Scratch is a caller-owned compile arena for NewSession. Call sites that
+// compile in a tight loop — the steering pipeline's job-group fan-out keys
+// one Scratch per scheduler worker — hold on to a Scratch so every session
+// reuses the same slabs and maps without a sync.Pool round trip (and without
+// the pool's cross-goroutine handoffs, which under contention hand a cold
+// arena to a hot loop). A Scratch serves one open session at a time; the
+// zero of exclusivity is the caller's worker identity. A nil *Scratch is
+// valid and falls back to the shared pool.
 type Scratch struct {
 	sc *searchScratch
 }
@@ -121,168 +183,60 @@ func (s *Scratch) arena() *searchScratch {
 	return s.sc
 }
 
-// pexprChunk returns the next zeroed pexpr chunk, reusing a recycled one
-// when available.
-func (sc *searchScratch) pexprChunk() []pexpr {
-	if sc.nextPexpr < len(sc.pexprChunks) {
-		c := sc.pexprChunks[sc.nextPexpr]
-		sc.nextPexpr++
-		return c
-	}
-	c := make([]pexpr, pexprChunkLen)
-	sc.pexprChunks = append(sc.pexprChunks, c)
-	sc.nextPexpr = len(sc.pexprChunks)
-	return c
+// recycled returns buf emptied, with the references parked anywhere in its
+// backing array dropped.
+func recycled[T any](buf []T) []T {
+	buf = buf[:cap(buf)]
+	clear(buf)
+	return buf[:0]
 }
 
-// childChunk returns the next zeroed child-pointer chunk.
-func (sc *searchScratch) childChunk() []*pexpr {
-	if sc.nextChild < len(sc.childChunks) {
-		c := sc.childChunks[sc.nextChild]
-		sc.nextChild++
-		return c
-	}
-	c := make([]*pexpr, childChunkLen)
-	sc.childChunks = append(sc.childChunks, c)
-	sc.nextChild = len(sc.childChunks)
-	return c
-}
-
-// nodeChunk returns the next zeroed plan.Node chunk.
-func (sc *searchScratch) nodeChunk() []plan.Node {
-	if sc.nextNode < len(sc.nodeChunks) {
-		c := sc.nodeChunks[sc.nextNode]
-		sc.nextNode++
-		return c
-	}
-	c := make([]plan.Node, nodeChunkLen)
-	sc.nodeChunks = append(sc.nodeChunks, c)
-	sc.nextNode = len(sc.nodeChunks)
-	return c
-}
-
-// mexprChunk returns the next zeroed MExpr chunk.
-func (sc *searchScratch) mexprChunk() []MExpr {
-	if sc.nextMExpr < len(sc.mexprChunks) {
-		c := sc.mexprChunks[sc.nextMExpr]
-		sc.nextMExpr++
-		return c
-	}
-	c := make([]MExpr, mexprChunkLen)
-	sc.mexprChunks = append(sc.mexprChunks, c)
-	sc.nextMExpr = len(sc.mexprChunks)
-	return c
-}
-
-// groupChunk returns the next Group chunk. Recycled chunks keep each slot's
-// (cleared) winners map so steady-state compiles reuse the map storage too.
-func (sc *searchScratch) groupChunk() []Group {
-	if sc.nextGroup < len(sc.groupChunks) {
-		c := sc.groupChunks[sc.nextGroup]
-		sc.nextGroup++
-		return c
-	}
-	c := make([]Group, groupChunkLen)
-	sc.groupChunks = append(sc.groupChunks, c)
-	sc.nextGroup = len(sc.groupChunks)
-	return c
-}
-
-// gsliceChunk returns the next zeroed child-group chunk.
-func (sc *searchScratch) gsliceChunk() []*Group {
-	if sc.nextGSlice < len(sc.gsliceChunks) {
-		c := sc.gsliceChunks[sc.nextGSlice]
-		sc.nextGSlice++
-		return c
-	}
-	c := make([]*Group, gsliceChunkLen)
-	sc.gsliceChunks = append(sc.gsliceChunks, c)
-	sc.nextGSlice = len(sc.gsliceChunks)
-	return c
-}
-
-// exprsSeed carves a len-0, cap-exprsSeedCap expression slice for a new
-// group's Exprs. Groups outgrowing the seed spill to a regular append
-// reallocation, which dies with the memo.
-func (sc *searchScratch) exprsSeed() []*MExpr {
-	if len(sc.exprsTail) < exprsSeedCap {
-		if sc.nextExprs < len(sc.exprsChunks) {
-			sc.exprsTail = sc.exprsChunks[sc.nextExprs]
-		} else {
-			c := make([]*MExpr, exprsChunkLen)
-			sc.exprsChunks = append(sc.exprsChunks, c)
-			sc.exprsTail = c
-		}
-		sc.nextExprs++
-	}
-	s := sc.exprsTail[:0:exprsSeedCap]
-	sc.exprsTail = sc.exprsTail[exprsSeedCap:]
-	return s
-}
-
-// release zeroes every chunk handed out this compile, clears the maps and
-// buffers, and returns the arena to the pool. Must run only after the
-// winning plan has been extracted.
+// release recycles the physical side once the winner (if any) has been
+// extracted. The buffers may have grown (or been reallocated) during the
+// search; the arena takes them back.
 func (s *search) release() {
 	sc := s.scratch
-	if sc == nil {
-		return
+	sc.pexprs.reset()
+	sc.children.reset()
+	sc.enforcers.reset()
+	for i := range s.groups {
+		gs := &s.groups[i]
+		clear(gs.winners)
+		clear(gs.candidates)
+		*gs = groupSearch{winners: gs.winners[:0], candidates: gs.candidates[:0]}
 	}
-	for _, c := range sc.pexprChunks[:sc.nextPexpr] {
-		clear(c)
-	}
-	for _, c := range sc.childChunks[:sc.nextChild] {
-		clear(c)
-	}
-	for _, c := range sc.nodeChunks[:sc.nextNode] {
-		clear(c)
-	}
-	sc.nextPexpr, sc.nextChild, sc.nextNode = 0, 0, 0
-	clear(sc.candidates)
-	// The buffers may have grown (or been reallocated) during the search;
-	// take them back and drop any references parked beyond the live length.
-	pb := s.propsBuf[:cap(s.propsBuf)]
-	clear(pb)
-	sc.propsBuf = pb[:0]
-	sb := s.schemaBuf[:cap(s.schemaBuf)]
-	clear(sb)
-	sc.schemaBuf = sb[:0]
+	sc.propsBuf = recycled(s.propsBuf)
+	sc.schemaBuf = recycled(s.schemaBuf)
+}
 
-	if m := s.m; m != nil && m.arena == sc {
-		for _, c := range sc.mexprChunks[:sc.nextMExpr] {
-			clear(c)
-		}
-		for _, c := range sc.gsliceChunks[:sc.nextGSlice] {
-			clear(c)
-		}
-		for _, c := range sc.exprsChunks[:sc.nextExprs] {
-			clear(c)
-		}
-		for _, c := range sc.groupChunks[:sc.nextGroup] {
-			for i := range c {
-				w := c[i].winners
-				clear(w)
-				c[i] = Group{winners: w}
-			}
-		}
-		sc.nextMExpr, sc.nextGroup, sc.nextGSlice, sc.nextExprs = 0, 0, 0, 0
-		sc.exprsTail = nil
-		clear(sc.byNode)
-		clear(sc.buckets)
-		gs := m.Groups[:cap(m.Groups)]
-		clear(gs)
-		sc.groups = gs[:0]
-		sc.keyScratch = m.scratch[:0]
-		mp := m.propsBuf[:cap(m.propsBuf)]
-		clear(mp)
-		sc.memoProps = mp[:0]
-		ms := m.schemaBuf[:cap(m.schemaBuf)]
-		clear(ms)
-		sc.memoSchema = ms[:0]
-		m.arena = nil
-	}
+// freeze ends the memo's build phase: the group list moves to an exactly
+// sized memo-side slice and the interning maps and scratch buffers go back
+// to the arena for the session's next memo. A frozen memo is read-only —
+// Intern on it faults on the nil index — which is what lets every later
+// compile of the session run its physical phase on it.
+func (m *Memo) freeze() {
+	sc := m.arena
+	groups := sc.gslices.take(len(m.Groups), gsliceChunkLen)
+	copy(groups, m.Groups)
+	sc.groupList, m.Groups = recycled(m.Groups), groups
+	clear(m.byNode)
+	clear(m.buckets)
+	m.byNode, m.buckets = nil, nil
+	sc.keyScratch, m.scratch = m.scratch[:0], nil
+	sc.memoProps, m.propsBuf = recycled(m.propsBuf), nil
+	sc.memoSchema, m.schemaBuf = recycled(m.schemaBuf), nil
+}
 
-	s.scratch = nil
+// retire recycles the memo side and returns a pooled arena to the pool. Must
+// run only after every compile of the session has extracted its plan.
+func (sc *searchScratch) retire() {
+	sc.mexprs.reset()
+	sc.groups.reset()
+	sc.gslices.reset()
+	sc.exprs.reset()
+	sc.nodes.reset()
+	sc.impls.reset()
+	clear(sc.memos)
 	if !sc.owned {
 		scratchPool.Put(sc)
 	}

@@ -207,9 +207,10 @@ func (p *Pipeline) RecompileCtx(ctx context.Context, job *workload.Job) (*Analys
 	return p.recompile(ctx, job, nil)
 }
 
-// recompile is RecompileCtx with every span-probe and candidate compile of
-// the analysis going through arena: the caller's worker-local compile arena
-// under AnalyzeEachCtx, nil (the cascades scratch pool) otherwise.
+// recompile is RecompileCtx with the analysis's optimizer session — every
+// span-probe and candidate compile — on arena: the caller's worker-local
+// compile arena under AnalyzeEachCtx, nil (the cascades scratch pool)
+// otherwise.
 func (p *Pipeline) recompile(ctx context.Context, job *workload.Job, arena *cascades.Scratch) (*Analysis, error) {
 	ctx, sp := p.Obs.StartSpan(ctx, "pipeline.recompile", job.ID)
 	a, err := p.recompileSpanned(ctx, job, arena)
@@ -228,6 +229,10 @@ func (p *Pipeline) recompileSpanned(ctx context.Context, job *workload.Job, aren
 		return nil, fmt.Errorf("steering: default compile of %s: %w", job.ID, def.Err)
 	}
 	a.Default = def
+	// One optimizer session for the analysis: span probes and candidates
+	// differ mostly in implementation bits, so they share explored memos.
+	sess := h.Opt.NewSession(arena, job.Root)
+	defer sess.Close()
 	// Span probing is serial, so a plain counter gives each probe a stable
 	// tag independent of worker count.
 	probe := 0
@@ -235,7 +240,7 @@ func (p *Pipeline) recompileSpanned(ctx context.Context, job *workload.Job, aren
 	span, err := JobSpanFunc(h.Opt.Rules, func(cfg bitvec.Vector) (bitvec.Vector, error) {
 		tag := fmt.Sprintf("%s/span%d", job.ID, probe)
 		probe++
-		v, cerr := p.compile(ctx, job, cfg, tag, &a.Robustness, arena)
+		v, cerr := p.compile(ctx, job, cfg, tag, &a.Robustness, sess)
 		if cerr != nil {
 			return bitvec.Vector{}, cerr
 		}
@@ -248,7 +253,7 @@ func (p *Pipeline) recompileSpanned(ctx context.Context, job *workload.Job, aren
 	a.Span = span
 	r := p.Rand.Derive("job", job.ID)
 	cfgs := CandidateConfigs(span, h.Opt.Rules, p.MaxCandidates, r)
-	p.resolveCandidates(ctx, job, cfgs, a, arena)
+	p.resolveCandidates(ctx, job, cfgs, a, sess)
 	p.Obs.Counter("steerq_pipeline_footprint_classes_total").Add(uint64(a.Footprint.Classes))
 	p.Obs.Counter("steerq_pipeline_compiles_avoided_total").Add(uint64(a.Footprint.Avoided))
 	return a, nil
@@ -290,7 +295,7 @@ func (p *Pipeline) AnalyzeEachCtx(ctx context.Context, jobs []*workload.Job, vis
 // faulted compiles are dropped — §4 expects them). Candidate outcomes are
 // counters, not spans: M can be 1000, and an atomic add per candidate keeps
 // the volume O(1) in memory.
-func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, cfgs []bitvec.Vector, a *Analysis, arena *cascades.Scratch) {
+func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, cfgs []bitvec.Vector, a *Analysis, sess *cascades.Session) {
 	a.Footprint.Candidates = len(cfgs)
 	fp, cacheable := jobFingerprint(job)
 	cacheable = cacheable && p.Cache != nil
@@ -314,7 +319,7 @@ func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, cfg
 		}
 		if !ok {
 			var err error
-			v, err = p.compileFresh(ctx, job, cfg, fmt.Sprintf("%s/cand%d", job.ID, i), &a.Robustness, arena)
+			v, err = p.compileFresh(ctx, cfg, fmt.Sprintf("%s/cand%d", job.ID, i), &a.Robustness, sess)
 			a.Footprint.Compiled++
 			if err != nil && !errors.Is(err, cascades.ErrNoPlan) {
 				// Faulted compile: no footprint to trust, nothing shared.
@@ -342,7 +347,7 @@ func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, cfg
 // faults per the harness policy. Failed compilations surface as
 // cascades.ErrNoPlan exactly as from Optimize, whether fresh or cached;
 // fault-injected errors surface wrapped and are never cached.
-func (p *Pipeline) compile(ctx context.Context, job *workload.Job, cfg bitvec.Vector, tag string, rec *faults.Record, arena *cascades.Scratch) (CompileValue, error) {
+func (p *Pipeline) compile(ctx context.Context, job *workload.Job, cfg bitvec.Vector, tag string, rec *faults.Record, sess *cascades.Session) (CompileValue, error) {
 	fp, cacheable := jobFingerprint(job)
 	cacheable = cacheable && p.Cache != nil
 	if cacheable {
@@ -353,7 +358,7 @@ func (p *Pipeline) compile(ctx context.Context, job *workload.Job, cfg bitvec.Ve
 			return v, nil
 		}
 	}
-	v, err := p.compileFresh(ctx, job, cfg, tag, rec, arena)
+	v, err := p.compileFresh(ctx, cfg, tag, rec, sess)
 	if err != nil {
 		// Only the optimizer's own no-plan verdict is negative-cached;
 		// injected failures, timeouts and corruption must not poison the
@@ -369,15 +374,14 @@ func (p *Pipeline) compile(ctx context.Context, job *workload.Job, cfg bitvec.Ve
 	return v, nil
 }
 
-// compileFresh runs one cache-free compile of job under cfg, retrying
-// injected faults per the harness policy. On success the returned value
-// carries the compile's decision footprint; a genuine no-plan outcome
-// (cascades.ErrNoPlan) returns OK=false but still carries the footprint, so
-// negatives share across equivalence classes exactly like successes.
-//
-// arena, when non-nil, is the caller's worker-local compile arena; nil
-// falls back to the cascades scratch pool.
-func (p *Pipeline) compileFresh(ctx context.Context, job *workload.Job, cfg bitvec.Vector, tag string, rec *faults.Record, arena *cascades.Scratch) (CompileValue, error) {
+// compileFresh runs one cache-free compile of the analysis's job under cfg
+// through its optimizer session, retrying injected faults per the harness
+// policy. On success the returned value carries the compile's decision
+// footprint; a genuine no-plan outcome (cascades.ErrNoPlan) returns OK=false
+// but still carries the footprint, so negatives share across equivalence
+// classes exactly like successes. An injected failure or hang never enters
+// the optimizer, so the session only ever holds completed compiles.
+func (p *Pipeline) compileFresh(ctx context.Context, cfg bitvec.Vector, tag string, rec *faults.Record, sess *cascades.Session) (CompileValue, error) {
 	h := p.Harness
 	pol := faults.PolicyOrDefault(h.Retry, h.Faults)
 	// Candidate resolution keeps only the costed verdict, so skip plan
@@ -391,10 +395,7 @@ func (p *Pipeline) compileFresh(ctx context.Context, job *workload.Job, cfg bitv
 			ictx, cancel := par.ItemContext(actx, h.CompileTimeout)
 			defer cancel()
 			r, cerr := h.Faults.CompileAttempt(ictx, tag, attempt, func() (*cascades.Result, error) {
-				if buildPlan {
-					return h.Opt.OptimizeInto(arena, job.Root, cfg)
-				}
-				return h.Opt.OptimizeCostInto(arena, job.Root, cfg)
+				return sess.Optimize(cfg, buildPlan)
 			})
 			if r != nil {
 				// Optimize reports a result even for its no-plan verdict;

@@ -15,15 +15,20 @@ import (
 //     heuristic can still help — footnote 2 of the paper);
 //  2. per category, an independently sampled subset of the span rules is
 //     disabled;
-//  3. duplicates are discarded until m unique configurations exist (or the
-//     attempt budget runs out — the span may span fewer than m distinct
-//     configurations).
+//  3. duplicates are discarded until m unique configurations exist, the span
+//     is exhausted (n span rules admit exactly 2^n configurations, and the
+//     sampler reaches every one) or the attempt budget runs out.
+//
+// How many values are drawn from r depends on where sampling stops, so r
+// should be a stream derived for this call.
 func CandidateConfigs(span bitvec.Vector, rs *cascades.RuleSet, m int, r *xrand.Source) []bitvec.Vector {
 	byCat := SpanByCategory(span, rs)
 	var catBits [][]int
+	spanRules := 0
 	for _, cat := range []cascades.Category{cascades.OffByDefault, cascades.OnByDefault, cascades.Implementation} {
 		if v, ok := byCat[cat]; ok && !v.IsEmpty() {
 			catBits = append(catBits, v.Ones())
+			spanRules += v.Count()
 		}
 	}
 
@@ -36,11 +41,17 @@ func CandidateConfigs(span bitvec.Vector, rs *cascades.RuleSet, m int, r *xrand.
 		// burn the whole attempt budget rediscovering it.
 		return []bitvec.Vector{all}
 	}
-	seen := make(map[bitvec.Key]bool, m)
-	out := make([]bitvec.Vector, 0, m)
+	// A small span has fewer than m configurations; once all 2^n are out,
+	// the rest of the attempt budget could only rediscover duplicates.
+	want := m
+	if spanRules < 31 && 1<<spanRules < want {
+		want = 1 << spanRules
+	}
+	seen := make(map[bitvec.Key]bool, want)
+	out := make([]bitvec.Vector, 0, want)
 	attempts := 0
 	var permBuf []int // reused across attempts; PermInto draws exactly like Sample did
-	for len(out) < m && attempts < 20*m+100 {
+	for len(out) < want && attempts < 20*m+100 {
 		attempts++
 		cfg := all
 		for _, bits := range catBits {

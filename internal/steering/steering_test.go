@@ -151,6 +151,80 @@ func TestCandidateConfigsCapBydistinct(t *testing.T) {
 	}
 }
 
+// candidateConfigsFullBudget is CandidateConfigs as it was before it learned
+// to stop at an exhausted span: it keeps sampling until m configurations are
+// out or the whole attempt budget is spent. Kept as the reference the
+// short-circuit is held to.
+func candidateConfigsFullBudget(span bitvec.Vector, rs *cascades.RuleSet, m int, r *xrand.Source) []bitvec.Vector {
+	byCat := steering.SpanByCategory(span, rs)
+	var catBits [][]int
+	for _, cat := range []cascades.Category{cascades.OffByDefault, cascades.OnByDefault, cascades.Implementation} {
+		if v, ok := byCat[cat]; ok && !v.IsEmpty() {
+			catBits = append(catBits, v.Ones())
+		}
+	}
+	all := bitvec.AllSet(bitvec.Width)
+	if m <= 0 {
+		return nil
+	}
+	if len(catBits) == 0 {
+		return []bitvec.Vector{all}
+	}
+	seen := make(map[bitvec.Key]bool, m)
+	var out []bitvec.Vector
+	for attempts := 0; len(out) < m && attempts < 20*m+100; attempts++ {
+		cfg := all
+		for _, bits := range catBits {
+			k := r.Intn(len(bits) + 1)
+			for _, idx := range r.Perm(len(bits))[:k] {
+				cfg.Clear(bits[idx])
+			}
+		}
+		if !seen[cfg.Key()] {
+			seen[cfg.Key()] = true
+			out = append(out, cfg)
+		}
+	}
+	return out
+}
+
+// TestCandidateConfigsStopsAtExhaustedSpan: stopping once all 2^n
+// configurations of an n-rule span are out yields exactly what spending the
+// whole attempt budget yields, for spans below, at and above m.
+func TestCandidateConfigsStopsAtExhaustedSpan(t *testing.T) {
+	rs := rules.Catalog()
+	ids := rs.NonRequiredIDs()
+	pick := xrand.New(11)
+	exhausted := 0
+	for n := 0; n <= 12; n++ {
+		for trial := 0; trial < 3; trial++ {
+			var span bitvec.Vector
+			for _, i := range pick.Perm(len(ids))[:n] {
+				span.Set(ids[i])
+			}
+			for _, m := range []int{1, 7, 300, 1000} {
+				seed := uint64(1000*n + 10*trial + m)
+				got := steering.CandidateConfigs(span, rs, m, xrand.New(seed))
+				want := candidateConfigsFullBudget(span, rs, m, xrand.New(seed))
+				if len(got) != len(want) {
+					t.Fatalf("span of %d rules, m=%d: %d configurations, full budget finds %d", n, m, len(got), len(want))
+				}
+				for i := range want {
+					if !got[i].Equal(want[i]) {
+						t.Fatalf("span of %d rules, m=%d: configuration %d differs from the full-budget loop's", n, m, i)
+					}
+				}
+				if len(got) == 1<<n && len(got) < m {
+					exhausted++
+				}
+			}
+		}
+	}
+	if exhausted == 0 {
+		t.Fatal("no span was exhausted below m; the test is vacuous")
+	}
+}
+
 func TestDiffProperties(t *testing.T) {
 	f := func(aBits, bBits []uint8) bool {
 		var a, b bitvec.Vector
