@@ -11,6 +11,7 @@ package steerq_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"steerq/internal/bitvec"
@@ -361,7 +362,10 @@ func BenchmarkBundleRepass(b *testing.B) {
 // caller-owned arena. explores/op is the logical explorations the sweep
 // actually ran (the rest shared an explored memo) and must stay at or below a
 // quarter of compiles/op — candidates differ mostly in implementation bits,
-// which exploration never reads.
+// which exploration never reads. allocs/compile spreads the sweep's
+// allocations — the explorations' rule payloads and one Result per compile;
+// the physical phases allocate nothing — over its compiles, and must stay at
+// or below 16 (it measures 10; 44 when every costed operator built a map).
 func BenchmarkSessionCandidates(b *testing.B) {
 	r := experiments.NewRunner(benchConfig())
 	opt := r.Harness("A").Opt
@@ -389,6 +393,9 @@ func BenchmarkSessionCandidates(b *testing.B) {
 	fresh := r.Obs().Counter("steerq_cascades_explorations_total", "outcome", "fresh")
 	sc := cascades.NewScratch()
 	before := fresh.Value()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess := opt.NewSession(sc, job.Root)
@@ -400,11 +407,17 @@ func BenchmarkSessionCandidates(b *testing.B) {
 		sess.Close()
 	}
 	b.StopTimer()
+	runtime.ReadMemStats(&ms)
 	explores := float64(fresh.Value()-before) / float64(b.N)
+	perCompile := float64(ms.Mallocs-mallocs) / float64(b.N*len(cfgs))
 	b.ReportMetric(explores, "explores/op")
 	b.ReportMetric(float64(len(cfgs)), "compiles/op")
+	b.ReportMetric(perCompile, "allocs/compile")
 	if explores > float64(len(cfgs))/4 {
 		b.Fatalf("%v explorations for %d compiles: the session shares too little", explores, len(cfgs))
+	}
+	if perCompile > 16 {
+		b.Fatalf("%.1f allocations per compile, budget 16: the physical phase allocates again", perCompile)
 	}
 }
 

@@ -21,7 +21,10 @@
 #                                pre-session baseline — re-run with
 #                                STEERQ_WORKERS=4 so the race detector covers
 #                                the worker pool on every run
-#   7. alloc regression          the compile allocation budget, the nn
+#   7. alloc regression          the compile allocation budget, the warm
+#                                session compile's (its Result and nothing
+#                                else), the column-statistics sets against
+#                                their map reference, the nn
 #                                training/inference allocation budgets, the
 #                                exec simulator's once-per-node work and
 #                                allocation budgets and xrand's
@@ -33,7 +36,8 @@
 #                                unless it reads 0 compiles/op), one job's
 #                                span probes + 300 candidates through one
 #                                optimizer session (fails unless explores/op
-#                                stays within a quarter of compiles/op),
+#                                stays within a quarter of compiles/op and
+#                                allocs/compile within 16),
 #                                the nn train/forward kernels at the
 #                                learn_groups shape, the exec simulator's
 #                                Run/Explain over the discover_* plan shapes
@@ -89,10 +93,11 @@
 #                                itself) and then must flag an injected 10x
 #                                serial regression — both the zero-delta and
 #                                the gate-trips paths are exercised
-#  16. short fuzz pass           55s total over the scopeql parser/binder
+#  16. short fuzz pass           60s total over the scopeql parser/binder
 #                                (including the parse-print-parse round trip),
-#                                the bundle decoder and xrand's generator
-#                                against math/rand's
+#                                the bundle decoder, xrand's generator
+#                                against math/rand's and the column-statistics
+#                                merge against its map reference
 #
 # Set STEERQ_CI_SKIP_FUZZ=1 to skip stage 16 (e.g. on very slow machines).
 set -eu
@@ -128,6 +133,8 @@ STEERQ_WORKERS=4 STEERQ_CHECK_PLANS=1 go test -race ./internal/steering/ ./inter
 
 echo "== alloc regression (race) =="
 go test -race ./internal/rules/ -run TestCompileAllocationBudget -count=1
+go test -race ./internal/cascades/ -run TestSessionWarmCompileAllocations -count=1
+go test -race ./internal/cost/ -run TestNDVsMatchMapReference -count=1
 go test -race ./internal/nn/ -run 'TestTrainAllocationBudget|TestForwardAllocationFree' -count=1
 go test -race ./internal/exec/ -run 'TestRunCostsEachNodeOnce|TestRunAllocationBudget' -count=1
 go test -race ./internal/xrand/ -run TestReseedDrawAllocationFree -count=1
@@ -305,6 +312,7 @@ if [ "${STEERQ_CI_SKIP_FUZZ:-0}" != "1" ]; then
     go test -fuzz=FuzzCompile -fuzztime=15s ./internal/scopeql/
     go test -fuzz=FuzzBundleDecode -fuzztime=15s ./internal/bundle/
     go test -fuzz=FuzzSourceMatchesMathRand -fuzztime=10s ./internal/xrand/
+    go test -fuzz=FuzzNDVsMerge -fuzztime=5s ./internal/cost/
 fi
 
 echo "CI OK"

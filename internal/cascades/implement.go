@@ -261,7 +261,7 @@ func (s *search) buildCandidate(e *MExpr, proto *PhysProto, ruleID int) *pexpr {
 		childSchemas = append(childSchemas, e.Children[i].Schema)
 	}
 	s.propsBuf, s.schemaBuf = childProps, childSchemas
-	props := s.m.DerivePropsFrom(proto.Node, childProps, childSchemas, g.Schema)
+	props := s.m.DerivePropsFrom(&s.scratch.physStats, proto.Node, childProps, childSchemas, g.Schema)
 	p := s.newPexpr()
 	*p = pexpr{
 		op:       proto.Op,
@@ -452,15 +452,15 @@ func (s *search) wrapLocalPre(inner *pexpr, proto *PhysProto, e *MExpr, ruleID i
 		cp := append(s.propsBuf[:0], inner.props)
 		cs := append(s.schemaBuf[:0], e.Children[0].Schema)
 		s.propsBuf, s.schemaBuf = cp, cs
-		final := s.m.DerivePropsFrom(proto.Node, cp, cs, e.Group.Schema)
+		final := s.m.DerivePropsFrom(&s.scratch.physStats, proto.Node, cp, cs, e.Group.Schema)
 		outRows = minFloat(inner.rows, final.Rows*float64(maxInt(inner.dop, 1)))
 	case plan.PhysLocalTop:
 		outRows = minFloat(inner.rows, float64(proto.Node.TopN*maxInt(inner.dop, 1)))
 	default:
 		// No other operator is used as a local pre-phase.
 	}
-	// Props value copy shares the NDV map copy-on-write; only Rows differs
-	// and nothing downstream mutates NDV maps in place (see cost.Props).
+	// Props value copy shares the NDV set copy-on-write; only Rows differs
+	// and nothing downstream mutates a derived set in place (see cost.Props).
 	preProps := inner.props
 	preProps.Rows = maxFloat(1, outRows)
 	pre := s.newPexpr()

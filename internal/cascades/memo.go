@@ -103,9 +103,10 @@ type Memo struct {
 	nextCol plan.ColumnID
 
 	// arena owns every expression, group struct, child-group slice and
-	// payload copy of the memo (see scratch.go): a Session's recycled arena,
-	// or a private one under a standalone NewMemo. propsBuf and schemaBuf
-	// are reusable scratch for deriveProps (read-only to the estimator).
+	// payload copy and group statistic of the memo (see scratch.go): a
+	// Session's recycled arena, or a private one under a standalone NewMemo.
+	// propsBuf and schemaBuf are reusable scratch for deriveProps (read-only
+	// to the estimator).
 	arena     *searchScratch
 	propsBuf  []cost.Props
 	schemaBuf [][]plan.Column
@@ -600,10 +601,11 @@ func literalEqual(a, b plan.Literal) bool {
 	return math.Float64bits(a.F) == math.Float64bits(b.F)
 }
 
-// deriveProps computes a group's estimated statistics from one expression.
-// The child slices are reusable scratch (read-only to the estimator); every
-// child group is fully interned before the call, so nothing re-enters the
-// memo while they are live.
+// deriveProps computes a group's estimated statistics from one expression,
+// carved from the arena's memo side: a frozen memo's statistics are read by
+// every later compile of the session. The child slices are reusable scratch
+// (read-only to the estimator); every child group is fully interned before the
+// call, so nothing re-enters the memo while they are live.
 func (m *Memo) deriveProps(e *MExpr) cost.Props {
 	childProps := m.propsBuf[:0]
 	childSchemas := m.schemaBuf[:0]
@@ -612,47 +614,48 @@ func (m *Memo) deriveProps(e *MExpr) cost.Props {
 		childSchemas = append(childSchemas, c.Schema)
 	}
 	m.propsBuf, m.schemaBuf = childProps, childSchemas
-	return m.DerivePropsFrom(e.Node, childProps, childSchemas, e.Group.Schema)
+	return m.DerivePropsFrom(&m.arena.memoStats, e.Node, childProps, childSchemas, e.Group.Schema)
 }
 
 // DerivePropsFrom estimates one operator's output statistics from explicit
-// child statistics. The physical search uses it to cost every candidate from
-// its *own* expression tree rather than canonical group statistics — which is
-// why the same job recompiled under different rule configurations can come
-// out with different (and sometimes lower) estimated costs: "the costs across
-// recompilation runs with different rules are not directly comparable" (§5.3).
-func (m *Memo) DerivePropsFrom(n *plan.Node, childProps []cost.Props, childSchemas [][]plan.Column, outSchema []plan.Column) cost.Props {
+// child statistics, carving its column statistics from a — whose owner thereby
+// decides how long the result lives. The physical search uses it to cost
+// every candidate from its *own* expression tree rather than canonical group
+// statistics — which is why the same job recompiled under different rule
+// configurations can come out with different (and sometimes lower) estimated
+// costs: "the costs across recompilation runs with different rules are not
+// directly comparable" (§5.3).
+func (m *Memo) DerivePropsFrom(a *cost.Arena, n *plan.Node, childProps []cost.Props, childSchemas [][]plan.Column, outSchema []plan.Column) cost.Props {
 	switch n.Op {
 	case plan.OpGet:
-		return m.est.Scan(n.Table, n.Schema, n.Pred)
+		return m.est.Scan(a, n.Table, n.Schema, n.Pred)
 	case plan.OpSelect:
-		return m.est.Filter(childProps[0], n.Pred)
+		return m.est.Filter(a, childProps[0], n.Pred)
 	case plan.OpProject:
-		return m.est.Project(childProps[0], n.Projs)
+		return m.est.Project(a, childProps[0], n.Projs)
 	case plan.OpJoin:
-		return m.est.Join(childProps[0], childProps[1], n.Pred)
+		return m.est.Join(a, childProps[0], childProps[1], n.Pred)
 	case plan.OpGroupBy:
-		return m.est.GroupBy(childProps[0], n.GroupKeys, n.Aggs)
+		return m.est.GroupBy(a, childProps[0], n.GroupKeys, n.Aggs)
 	case plan.OpUnionAll:
-		return m.est.UnionAll(childProps, childSchemas, outSchema)
+		return m.est.UnionAll(a, childProps, childSchemas, outSchema)
 	case plan.OpProcess:
-		return m.est.Process(childProps[0], n.Processor)
+		return m.est.Process(a, childProps[0], n.Processor)
 	case plan.OpReduce:
-		return m.est.Reduce(childProps[0], n.ReduceKeys, n.Processor)
+		return m.est.Reduce(a, childProps[0], n.ReduceKeys, n.Processor)
 	case plan.OpTop:
-		return m.est.Top(childProps[0], n.TopN)
+		return m.est.Top(a, childProps[0], n.TopN)
 	case plan.OpOutput:
 		return childProps[0]
 	case plan.OpMulti:
 		var p cost.Props
-		p.NDV = map[plan.ColumnID]float64{}
 		for _, cp := range childProps {
 			p.Rows += cp.Rows
 			p.RowBytes = maxFloat(p.RowBytes, cp.RowBytes)
 		}
 		return p
 	}
-	return cost.Props{Rows: 1, RowBytes: 8, NDV: map[plan.ColumnID]float64{}}
+	return cost.Props{Rows: 1, RowBytes: 8}
 }
 
 func maxFloat(a, b float64) float64 {

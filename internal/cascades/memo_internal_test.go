@@ -1,6 +1,7 @@
 package cascades
 
 import (
+	"fmt"
 	"testing"
 
 	"steerq/internal/bitvec"
@@ -19,7 +20,27 @@ func memoCatalog() *catalog.Catalog {
 		},
 		BaseRows: 1e5, BytesPerRow: 16, GrowthPerDay: 1,
 	})
+	// A stream wide enough that one operator's column statistics outgrow a
+	// fresh statistics arena's first buffer.
+	wide := &catalog.Stream{Name: "w", BaseRows: 1e6, BytesPerRow: 8 * wideCols, GrowthPerDay: 1}
+	for i := 0; i < wideCols; i++ {
+		d := float64(10 * (i + 1))
+		wide.Columns = append(wide.Columns, catalog.Column{Name: fmt.Sprintf("c%d", i), Distinct: d, TrueDistinct: d, Min: 0, Max: d})
+	}
+	cat.AddStream(wide)
 	return cat
+}
+
+const wideCols = 100
+
+// wideSchema is stream w's columns, IDs from 100.
+func wideSchema() []plan.Column {
+	cols := make([]plan.Column, wideCols)
+	for i := range cols {
+		name := fmt.Sprintf("c%d", i)
+		cols[i] = plan.Column{ID: plan.ColumnID(100 + i), Name: name, Source: "w." + name}
+	}
+	return cols
 }
 
 func tcol(id int, name string) plan.Column {

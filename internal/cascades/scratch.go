@@ -91,13 +91,13 @@ func (s *slab[T]) reset() {
 //
 // The arena has three lifetimes (DESIGN.md, "Two phases, two key sets"):
 //
-//   - the physical side lives for one compile and is recycled by
-//     search.release;
+//   - the physical side — candidates and their statistics — lives for one
+//     compile and is recycled by search.release;
 //   - the build side is what a memo needs only while it is interned and
 //     explored; Memo.freeze hands it back for the session's next memo;
-//   - the memo side — expressions, groups, child slices, payload copies,
-//     cached implementation alternatives — is carved by every memo of the
-//     session and stays put until Session.Close.
+//   - the memo side — expressions, groups and their statistics, child
+//     slices, payload copies, cached implementation alternatives — is carved
+//     by every memo of the session and stays put until Session.Close.
 //
 // Safety rests on an ownership argument, not on luck: extract materializes
 // the winning plan into fresh plan.PhysNodes whose payload slices belong to
@@ -116,6 +116,7 @@ type searchScratch struct {
 	children  slab[*pexpr]
 	enforcers slab[plan.Node] // enforcer payload placeholders
 	perGroup  []groupSearch   // indexed by GroupID; buffers kept across compiles
+	physStats cost.Arena      // pexpr.props column statistics
 	propsBuf  []cost.Props
 	schemaBuf [][]plan.Column
 
@@ -136,6 +137,8 @@ type searchScratch struct {
 	exprs   slab[*MExpr]
 	nodes   slab[plan.Node]
 	impls   slab[implAlt]
+	// memoStats backs Group.Props column statistics.
+	memoStats cost.Arena
 	// memos are the session's explored memos by cfg ∧ transformMask.
 	memos map[bitvec.Key]*Memo
 }
@@ -199,6 +202,7 @@ func (s *search) release() {
 	sc.pexprs.reset()
 	sc.children.reset()
 	sc.enforcers.reset()
+	sc.physStats.Reset()
 	for i := range s.groups {
 		gs := &s.groups[i]
 		clear(gs.winners)
@@ -236,6 +240,7 @@ func (sc *searchScratch) retire() {
 	sc.exprs.reset()
 	sc.nodes.reset()
 	sc.impls.reset()
+	sc.memoStats.Reset()
 	clear(sc.memos)
 	if !sc.owned {
 		scratchPool.Put(sc)

@@ -113,16 +113,25 @@ func toyOptimizer(t *testing.T) *Optimizer {
 	return &Optimizer{Rules: rs, Est: cost.NewEstimated(memoCatalog()), Coster: cost.NewCoster(), EnforceExchangeID: 3, EnforceSortID: 4}
 }
 
-// toyPlans are small jobs over the toy catalog: a filtered aggregation, and
-// two outputs sharing one filtered scan.
+// toyPlans are small jobs over the toy catalog: a filtered aggregation over
+// the wide stream, a filtered aggregation, and two outputs sharing one
+// filtered scan. The wide job comes first: on a fresh Scratch its first memo
+// build and its first physical phase each carve several times what a
+// statistics arena starts with, so both arenas replace their buffers under
+// statistics that are still being read.
 func toyPlans() []*plan.Node {
 	a, b, n := tcol(1, "a"), tcol(2, "b"), plan.Column{ID: 3, Name: "n"}
+	w := wideSchema()
+	wideAgg := plan.NewGroupBy(
+		plan.NewSelect(plan.NewGet("w", w), plan.Cmp(plan.OpGT, plan.ColExpr(w[7]), plan.NumExpr(5))),
+		[]plan.Column{w[0], w[3]}, []plan.Agg{{Fn: "COUNT", Out: n}})
 	filtered := func() *plan.Node {
 		return plan.NewSelect(plan.NewGet("t", []plan.Column{a, b}), plan.Cmp(plan.OpGT, plan.ColExpr(b), plan.NumExpr(5)))
 	}
 	count := []plan.Agg{{Fn: "COUNT", Out: n}}
 	shared := filtered()
 	return []*plan.Node{
+		plan.NewOutput(wideAgg, "wide"),
 		plan.NewOutput(plan.NewGroupBy(filtered(), []plan.Column{a}, count), "agg"),
 		plan.NewMulti(plan.NewOutput(shared, "raw"), plan.NewOutput(plan.NewGroupBy(shared, []plan.Column{b}, count), "byb")),
 	}
@@ -161,7 +170,8 @@ func sameResult(got *Result, gerr error, want *Result, werr error) error {
 
 // census flattens everything a physical phase could corrupt in a memo: group
 // and expression identities and counts, child pointers, provenance,
-// statistics, the column counter, the explore footprint.
+// statistics down to every column's ID and IEEE bits, the column counter, the
+// explore footprint.
 func census(m *Memo) []uint64 {
 	addr := func(p unsafe.Pointer) uint64 { return uint64(uintptr(p)) }
 	bits := func(out []uint64, v bitvec.Vector) []uint64 {
@@ -173,6 +183,9 @@ func census(m *Memo) []uint64 {
 	for _, g := range m.Groups {
 		out = append(out, addr(unsafe.Pointer(g)), uint64(g.ID), uint64(len(g.Exprs)), uint64(len(g.Schema)),
 			math.Float64bits(g.Props.Rows), math.Float64bits(g.Props.RowBytes), uint64(len(g.Props.NDV)))
+		for _, c := range g.Props.NDV {
+			out = append(out, uint64(c.ID), math.Float64bits(c.V))
+		}
 		for _, e := range g.Exprs {
 			out = append(out, addr(unsafe.Pointer(e)), addr(unsafe.Pointer(e.Node)), addr(unsafe.Pointer(e.Group)),
 				uint64(e.Node.Op), uint64(int64(e.RuleID)), uint64(len(e.Children)))
@@ -188,9 +201,11 @@ func census(m *Memo) []uint64 {
 // TestFrozenMeansFrozen: through one session per plan, every configuration
 // of the toy rule set in forward, reversed and shuffled order — plan-less and
 // with-plan compiles interleaved — equals a one-shot compile, no physical
-// phase changes the census of any memo the session holds, every explore
-// footprint lies inside the transform mask, and the session explores exactly
-// one memo per transform-bit class.
+// phase (384 per plan) nor later memo build changes the census of any memo the
+// session holds — including the ones whose statistics were carved while the
+// arenas were still growing — every explore footprint lies inside the
+// transform mask, and the session explores exactly one memo per transform-bit
+// class.
 func TestFrozenMeansFrozen(t *testing.T) {
 	o := toyOptimizer(t)
 	mask := o.Rules.transformMask

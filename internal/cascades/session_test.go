@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"steerq/internal/bitvec"
@@ -114,6 +115,17 @@ func TestSessionMatchesOneShot(t *testing.T) {
 	mask := transformMask(opt.Rules)
 	fresh := reg.Counter("steerq_cascades_explorations_total", "outcome", "fresh")
 	shared := reg.Counter("steerq_cascades_explorations_total", "outcome", "shared")
+	// The widest job goes first, on a fresh Scratch: its first compiles carve
+	// several times the statistics an arena's first buffers hold, so both
+	// sides replace their buffers in the middle of a memo build and of a
+	// physical phase, and must still produce the one-shot results.
+	widest, groups := 0, 0
+	for ji, job := range jobs {
+		if res, err := opt.OptimizeCost(job.Root, opt.Rules.DefaultConfig()); err == nil && res.Groups > groups {
+			widest, groups = ji, res.Groups
+		}
+	}
+	jobs[0], jobs[widest] = jobs[widest], jobs[0]
 	sc := cascades.NewScratch()
 	sharedTotal, multiMemo := uint64(0), 0
 	for ji, job := range jobs {
@@ -207,4 +219,75 @@ func TestSessionNoPlanSharesMemo(t *testing.T) {
 	if explored := fresh.Value() - fresh0; explored != 1 {
 		t.Fatalf("four configurations agreeing on every transform bit explored %d memos", explored)
 	}
+}
+
+// TestSessionWarmCompileAllocations: on an explored memo and a warm arena, a
+// plan-less compile allocates its Result and nothing else — no statistics, no
+// candidates, no search state — whatever the size of the plan.
+func TestSessionWarmCompileAllocations(t *testing.T) {
+	opt, _, jobs := sessionJobs(t)
+	cfg := opt.Rules.DefaultConfig()
+	sc := cascades.NewScratch()
+	worst := 0.0
+	for _, job := range jobs {
+		sess := opt.NewSession(sc, job.Root)
+		compile := func() {
+			if _, err := sess.Optimize(cfg, false); err != nil {
+				t.Fatalf("%s: %v", job.ID, err)
+			}
+		}
+		compile() // explores the memo
+		compile() // the arena's buffers reach their steady size
+		n := testing.AllocsPerRun(10, compile)
+		if n > 2 {
+			res, _ := sess.Optimize(cfg, false)
+			t.Errorf("%s (%d groups): a warm plan-less compile allocates %v objects, budget 2", job.ID, res.Groups, n)
+		}
+		worst = max(worst, n)
+		sess.Close()
+	}
+	t.Logf("warm plan-less compile: at most %v allocations over %d jobs", worst, len(jobs))
+}
+
+// TestConcurrentSessionsShareEstimator: eight goroutines, each with its own
+// Scratch, sweep every job through sessions of one Optimizer — one shared
+// Estimator, Coster and rule set — and get the serial results. Run with -race:
+// the estimator carries no per-compile state to race on.
+func TestConcurrentSessionsShareEstimator(t *testing.T) {
+	opt, _, jobs := sessionJobs(t)
+	base := opt.Rules.DefaultConfig()
+	cfgs := []bitvec.Vector{base, base, base}
+	cfgs[1].Clear(rules.IDHashJoinImpl1)
+	cfgs[2].Clear(rules.IDHashAggImpl)
+	want := make([][]oneShot, len(jobs))
+	for ji, job := range jobs {
+		for _, cfg := range cfgs {
+			res, err := opt.Optimize(job.Root, cfg)
+			want[ji] = append(want[ji], flatten(t, res, err))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			sc := cascades.NewScratch()
+			for k := range jobs {
+				ji := (k + 3*g) % len(jobs) // every goroutine on a different job
+				sess := opt.NewSession(sc, jobs[ji].Root)
+				for ci, cfg := range cfgs {
+					res, err := sess.Optimize(cfg, true)
+					if err != nil && !errors.Is(err, cascades.ErrNoPlan) {
+						t.Errorf("%s cfg %d: %v", jobs[ji].ID, ci, err)
+						continue
+					}
+					if got := flatten(t, res, err); got != want[ji][ci] {
+						t.Errorf("%s cfg %d: concurrent session diverges from the serial compile", jobs[ji].ID, ci)
+					}
+				}
+				sess.Close()
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -9,7 +9,9 @@ import (
 )
 
 // Estimator derives output statistics for operators under a Mode. A single
-// Estimator is safe for concurrent use.
+// Estimator is immutable and safe for concurrent use: every derivation carves
+// its output's column statistics from the Arena its caller passes, which
+// thereby owns their lifetime (see Props).
 type Estimator struct {
 	Cat  *catalog.Catalog
 	Mode Mode
@@ -30,7 +32,7 @@ func NewTrue(cat *catalog.Catalog, day int) *Estimator {
 
 // Scan returns the properties of reading a stream with the given output
 // schema, applying an optional embedded scan predicate.
-func (e *Estimator) Scan(table string, schema []plan.Column, pred *plan.Expr) Props {
+func (e *Estimator) Scan(a *Arena, table string, schema []plan.Column, pred *plan.Expr) Props {
 	st := e.Cat.Stream(table)
 	var rows, rowBytes float64 = 1000, 100
 	if st != nil {
@@ -41,7 +43,7 @@ func (e *Estimator) Scan(table string, schema []plan.Column, pred *plan.Expr) Pr
 			rows = st.BaseRows
 		}
 	}
-	ndv := make(map[plan.ColumnID]float64, len(schema))
+	ndv := a.take(len(schema))
 	for _, c := range schema {
 		d := rows
 		if st != nil {
@@ -53,11 +55,11 @@ func (e *Estimator) Scan(table string, schema []plan.Column, pred *plan.Expr) Pr
 				}
 			}
 		}
-		ndv[c.ID] = minf(d, rows)
+		ndv = ndv.set(c.ID, minf(d, rows))
 	}
 	p := Props{Rows: rows, RowBytes: rowBytes, NDV: ndv}
 	if pred != nil {
-		p = e.Filter(p, pred)
+		p = e.Filter(a, p, pred)
 	}
 	return p
 }
@@ -72,12 +74,12 @@ func colBase(c plan.Column) string {
 }
 
 // Filter returns the properties after applying pred to input p. The output
-// shares p's NDV map unless clamping to the reduced row count changes an
+// shares p's NDV set unless clamping to the reduced row count changes an
 // entry (copy-on-write).
-func (e *Estimator) Filter(p Props, pred *plan.Expr) Props {
+func (e *Estimator) Filter(a *Arena, p Props, pred *plan.Expr) Props {
 	sel := e.Selectivity(pred, p)
 	rows := maxf(1, p.Rows*sel)
-	return Props{Rows: rows, RowBytes: p.RowBytes, NDV: clampedNDV(p.NDV, rows)}
+	return Props{Rows: rows, RowBytes: p.RowBytes, NDV: clamped(a, p.NDV, rows)}
 }
 
 // Selectivity returns the selectivity of pred against input p.
@@ -304,26 +306,18 @@ func zipfFreq(r int, cc *catalog.Column, norm float64) float64 {
 // the true oracle additionally multiplies the skew fan-out of the most
 // skewed join key — the underestimate class that makes nested-loop-style
 // plans disastrous (§1).
-func (e *Estimator) Join(l, r Props, pred *plan.Expr) Props {
-	out := Props{
-		RowBytes: l.RowBytes + r.RowBytes,
-		NDV:      make(map[plan.ColumnID]float64, len(l.NDV)+len(r.NDV)),
-	}
-	for k, v := range l.NDV {
-		out.NDV[k] = v
-	}
-	for k, v := range r.NDV {
-		out.NDV[k] = v
-	}
-	cross := l.Rows * r.Rows
+func (e *Estimator) Join(a *Arena, l, r Props, pred *plan.Expr) Props {
+	// Until the final clamp, out is the cross product's statistics — what a
+	// residual conjunct's selectivity is estimated against.
+	out := Props{Rows: l.Rows * r.Rows, RowBytes: l.RowBytes + r.RowBytes, NDV: merged(a, l.NDV, r.NDV)}
 	sel := 1.0
 	applied := false
 	for _, c := range plan.Conjuncts(pred) {
-		if a, b, ok := c.EquiJoinSides(); ok {
-			ndv := maxf(joinNDV(l, r, a), joinNDV(l, r, b))
+		if ka, kb, ok := c.EquiJoinSides(); ok {
+			ndv := maxf(joinNDV(l, r, ka), joinNDV(l, r, kb))
 			s := 1 / maxf(1, ndv)
 			if e.Mode == ModeTrue {
-				s *= e.keySkewFanout(a) * e.keySkewFanout(b)
+				s *= e.keySkewFanout(ka) * e.keySkewFanout(kb)
 			}
 			if applied && e.Mode == ModeEstimated {
 				s = math.Sqrt(s) // backoff on extra equi conjuncts
@@ -331,20 +325,20 @@ func (e *Estimator) Join(l, r Props, pred *plan.Expr) Props {
 			sel *= s
 			applied = true
 		} else {
-			sel *= e.Selectivity(c, mergeProps(l, r))
+			sel *= e.Selectivity(c, out)
 		}
 	}
-	out.Rows = maxf(1, cross*clampSel(sel))
-	clampNDV(out.NDV, out.Rows)
+	out.Rows = maxf(1, out.Rows*clampSel(sel))
+	out.NDV.clamp(out.Rows)
 	return out
 }
 
 // joinNDV returns the NDV of a join key column from whichever side owns it.
 func joinNDV(l, r Props, c plan.Column) float64 {
-	if v, ok := l.NDV[c.ID]; ok {
+	if v, ok := l.NDV.get(c.ID); ok {
 		return v
 	}
-	if v, ok := r.NDV[c.ID]; ok {
+	if v, ok := r.NDV.get(c.ID); ok {
 		return v
 	}
 	return maxf(l.Rows, r.Rows)
@@ -358,20 +352,9 @@ func (e *Estimator) keySkewFanout(c plan.Column) float64 {
 	return 1 + (sk.Fanout-1)*0.5
 }
 
-func mergeProps(l, r Props) Props {
-	m := Props{Rows: l.Rows * r.Rows, RowBytes: l.RowBytes + r.RowBytes, NDV: make(map[plan.ColumnID]float64, len(l.NDV)+len(r.NDV))}
-	for k, v := range l.NDV {
-		m.NDV[k] = v
-	}
-	for k, v := range r.NDV {
-		m.NDV[k] = v
-	}
-	return m
-}
-
 // GroupBy returns the properties of grouping in by keys with the given
 // aggregates.
-func (e *Estimator) GroupBy(in Props, keys []plan.Column, aggs []plan.Agg) Props {
+func (e *Estimator) GroupBy(a *Arena, in Props, keys []plan.Column, aggs []plan.Agg) Props {
 	groups := 1.0
 	for _, k := range keys {
 		groups *= in.ColNDV(k.ID)
@@ -391,20 +374,20 @@ func (e *Estimator) GroupBy(in Props, keys []plan.Column, aggs []plan.Agg) Props
 		groups = 1
 	}
 	out := Props{Rows: maxf(1, groups), RowBytes: float64(8 * (len(keys) + len(aggs)))}
-	out.NDV = make(map[plan.ColumnID]float64, len(keys)+len(aggs))
+	out.NDV = a.take(len(keys) + len(aggs))
 	for _, k := range keys {
-		out.NDV[k.ID] = minf(in.ColNDV(k.ID), out.Rows)
+		out.NDV = out.NDV.set(k.ID, minf(in.ColNDV(k.ID), out.Rows))
 	}
-	for _, a := range aggs {
-		out.NDV[a.Out.ID] = out.Rows
+	for _, ag := range aggs {
+		out.NDV = out.NDV.set(ag.Out.ID, out.Rows)
 	}
 	return out
 }
 
 // UnionAll returns the properties of an n-ary union. Child column NDVs are
 // mapped positionally onto the output schema (taken from the first child).
-func (e *Estimator) UnionAll(children []Props, childSchemas [][]plan.Column, outSchema []plan.Column) Props {
-	out := Props{NDV: make(map[plan.ColumnID]float64, len(outSchema))}
+func (e *Estimator) UnionAll(a *Arena, children []Props, childSchemas [][]plan.Column, outSchema []plan.Column) Props {
+	out := Props{NDV: a.take(len(outSchema))}
 	for _, c := range children {
 		out.Rows += c.Rows
 		if c.RowBytes > out.RowBytes {
@@ -418,33 +401,30 @@ func (e *Estimator) UnionAll(children []Props, childSchemas [][]plan.Column, out
 				sum += c.ColNDV(childSchemas[ci][pos].ID)
 			}
 		}
-		out.NDV[oc.ID] = minf(sum, out.Rows)
+		out.NDV = out.NDV.set(oc.ID, minf(sum, out.Rows))
 	}
 	out.Rows = maxf(1, out.Rows)
 	return out
 }
 
 // Process returns the properties after a user-defined row processor.
-func (e *Estimator) Process(in Props, udoName string) Props {
+func (e *Estimator) Process(a *Arena, in Props, udoName string) Props {
 	factor := 1.0
-	cpw := 1.0
 	if u := e.Cat.UDO(udoName); u != nil {
 		if e.Mode == ModeTrue {
 			factor = u.TrueFactor
 		} else {
 			factor = u.EstFactor
 		}
-		cpw = u.CPUPerRow
 	}
-	_ = cpw
 	out := in
 	out.Rows = maxf(1, in.Rows*factor)
-	out.NDV = clampedNDV(in.NDV, out.Rows)
+	out.NDV = clamped(a, in.NDV, out.Rows)
 	return out
 }
 
 // Reduce returns the properties after a user-defined per-key reducer.
-func (e *Estimator) Reduce(in Props, keys []plan.Column, udoName string) Props {
+func (e *Estimator) Reduce(a *Arena, in Props, keys []plan.Column, udoName string) Props {
 	// A reducer emits roughly factor rows per key group.
 	groups := 1.0
 	for _, k := range keys {
@@ -461,30 +441,30 @@ func (e *Estimator) Reduce(in Props, keys []plan.Column, udoName string) Props {
 	}
 	out := in
 	out.Rows = maxf(1, groups*factor)
-	out.NDV = clampedNDV(in.NDV, out.Rows)
+	out.NDV = clamped(a, in.NDV, out.Rows)
 	return out
 }
 
 // Top returns the properties of a top-N.
-func (e *Estimator) Top(in Props, n int) Props {
+func (e *Estimator) Top(a *Arena, in Props, n int) Props {
 	out := in
 	out.Rows = minf(in.Rows, float64(n))
 	if out.Rows < 1 {
 		out.Rows = 1
 	}
-	out.NDV = clampedNDV(in.NDV, out.Rows)
+	out.NDV = clamped(a, in.NDV, out.Rows)
 	return out
 }
 
 // Project returns the properties of a projection: pass-through columns keep
 // their NDV, computed columns default to row count.
-func (e *Estimator) Project(in Props, projs []plan.Projection) Props {
-	out := Props{Rows: in.Rows, RowBytes: maxf(8, float64(12*len(projs))), NDV: make(map[plan.ColumnID]float64, len(projs))}
+func (e *Estimator) Project(a *Arena, in Props, projs []plan.Projection) Props {
+	out := Props{Rows: in.Rows, RowBytes: maxf(8, float64(12*len(projs))), NDV: a.take(len(projs))}
 	for _, p := range projs {
 		if p.Expr.Kind == plan.ExprColumn {
-			out.NDV[p.Out.ID] = in.ColNDV(p.Expr.Col.ID)
+			out.NDV = out.NDV.set(p.Out.ID, in.ColNDV(p.Expr.Col.ID))
 		} else {
-			out.NDV[p.Out.ID] = in.Rows
+			out.NDV = out.NDV.set(p.Out.ID, in.Rows)
 		}
 	}
 	return out

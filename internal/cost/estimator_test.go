@@ -53,7 +53,7 @@ func sSchema() []plan.Column {
 func TestScanProps(t *testing.T) {
 	cat := estCatalog()
 	est := NewEstimated(cat)
-	p := est.Scan("s", sSchema(), nil)
+	p := est.Scan(&Arena{}, "s", sSchema(), nil)
 	if p.Rows != 1e6 {
 		t.Fatalf("estimated scan rows %v", p.Rows)
 	}
@@ -61,7 +61,7 @@ func TestScanProps(t *testing.T) {
 		t.Fatalf("k NDV %v", got)
 	}
 	oracle := NewTrue(cat, 0)
-	tp := oracle.Scan("s", sSchema(), nil)
+	tp := oracle.Scan(&Arena{}, "s", sSchema(), nil)
 	if tp.Rows == p.Rows {
 		t.Fatal("true scan rows identical to stale estimate (no daily drift)")
 	}
@@ -72,7 +72,7 @@ func TestScanProps(t *testing.T) {
 
 func TestSelectivityClamped(t *testing.T) {
 	est := NewEstimated(estCatalog())
-	p := est.Scan("s", sSchema(), nil)
+	p := est.Scan(&Arena{}, "s", sSchema(), nil)
 	f := func(op uint8, v float64) bool {
 		pred := plan.Cmp(plan.CmpOp(op%6), plan.ColExpr(scol(2, "v")), plan.NumExpr(v))
 		s := est.Selectivity(pred, p)
@@ -88,7 +88,7 @@ func TestBackoffOrderMatters(t *testing.T) {
 	// oracle's does not. This asymmetry powers SelectPredNormalized.
 	cat := estCatalog()
 	est := NewEstimated(cat)
-	p := est.Scan("s", sSchema(), nil)
+	p := est.Scan(&Arena{}, "s", sSchema(), nil)
 	selective := plan.Cmp(plan.OpEQ, plan.ColExpr(scol(3, "f1")), plan.NumExpr(3))
 	loose := plan.Cmp(plan.OpGT, plan.ColExpr(scol(2, "v")), plan.NumExpr(10))
 	s1 := est.Selectivity(plan.And(selective, loose), p)
@@ -111,7 +111,7 @@ func TestCorrelationBoost(t *testing.T) {
 	cat := estCatalog()
 	est := NewEstimated(cat)
 	oracle := NewTrue(cat, 0)
-	p := est.Scan("s", sSchema(), nil)
+	p := est.Scan(&Arena{}, "s", sSchema(), nil)
 	pred := plan.And(
 		plan.Cmp(plan.OpEQ, plan.ColExpr(scol(3, "f1")), plan.NumExpr(3)),
 		plan.Cmp(plan.OpEQ, plan.ColExpr(scol(4, "f2")), plan.NumExpr(2)),
@@ -125,7 +125,7 @@ func TestCorrelationBoost(t *testing.T) {
 
 func TestDisjunctionSelectivity(t *testing.T) {
 	est := NewEstimated(estCatalog())
-	p := est.Scan("s", sSchema(), nil)
+	p := est.Scan(&Arena{}, "s", sSchema(), nil)
 	a := plan.Cmp(plan.OpEQ, plan.ColExpr(scol(3, "f1")), plan.NumExpr(3))
 	or := plan.Or(a, plan.Cmp(plan.OpEQ, plan.ColExpr(scol(3, "f1")), plan.NumExpr(4)))
 	sa := est.Selectivity(a, p)
@@ -141,18 +141,18 @@ func TestDisjunctionSelectivity(t *testing.T) {
 func TestJoinCardinality(t *testing.T) {
 	cat := estCatalog()
 	est := NewEstimated(cat)
-	l := est.Scan("s", sSchema(), nil)
-	r := est.Scan("d", []plan.Column{dcol(10, "k"), dcol(11, "attr")}, nil)
+	l := est.Scan(&Arena{}, "s", sSchema(), nil)
+	r := est.Scan(&Arena{}, "d", []plan.Column{dcol(10, "k"), dcol(11, "attr")}, nil)
 	pred := plan.Cmp(plan.OpEQ, plan.ColExpr(scol(1, "k")), plan.ColExpr(dcol(10, "k")))
-	j := est.Join(l, r, pred)
+	j := est.Join(&Arena{}, l, r, pred)
 	// Containment: |L||R|/max(ndv) = 1e6*1000/1000 = 1e6.
 	if j.Rows < 0.5e6 || j.Rows > 2e6 {
 		t.Fatalf("estimated join rows %v, want ~1e6", j.Rows)
 	}
 	oracle := NewTrue(cat, 0)
-	lt := oracle.Scan("s", sSchema(), nil)
-	rt := oracle.Scan("d", []plan.Column{dcol(10, "k"), dcol(11, "attr")}, nil)
-	jt := oracle.Join(lt, rt, pred)
+	lt := oracle.Scan(&Arena{}, "s", sSchema(), nil)
+	rt := oracle.Scan(&Arena{}, "d", []plan.Column{dcol(10, "k"), dcol(11, "attr")}, nil)
+	jt := oracle.Join(&Arena{}, lt, rt, pred)
 	// k is skewed: true join output exceeds the uniform prediction scaled
 	// by input drift.
 	if jt.Rows/lt.Rows <= 1.01*(j.Rows/l.Rows) {
@@ -162,9 +162,9 @@ func TestJoinCardinality(t *testing.T) {
 
 func TestCrossJoinWithoutPred(t *testing.T) {
 	est := NewEstimated(estCatalog())
-	l := est.Scan("s", sSchema(), nil)
-	r := est.Scan("d", []plan.Column{dcol(10, "k")}, nil)
-	j := est.Join(l, r, nil)
+	l := est.Scan(&Arena{}, "s", sSchema(), nil)
+	r := est.Scan(&Arena{}, "d", []plan.Column{dcol(10, "k")}, nil)
+	j := est.Join(&Arena{}, l, r, nil)
 	if j.Rows != l.Rows*r.Rows {
 		t.Fatalf("cross join rows %v, want %v", j.Rows, l.Rows*r.Rows)
 	}
@@ -172,8 +172,8 @@ func TestCrossJoinWithoutPred(t *testing.T) {
 
 func TestGroupByCaps(t *testing.T) {
 	est := NewEstimated(estCatalog())
-	in := est.Scan("s", sSchema(), nil)
-	g := est.GroupBy(in, []plan.Column{scol(1, "k")}, []plan.Agg{{Fn: "COUNT", Out: plan.Column{ID: 99, Name: "c"}}})
+	in := est.Scan(&Arena{}, "s", sSchema(), nil)
+	g := est.GroupBy(&Arena{}, in, []plan.Column{scol(1, "k")}, []plan.Agg{{Fn: "COUNT", Out: plan.Column{ID: 99, Name: "c"}}})
 	if g.Rows > in.Rows {
 		t.Fatal("groupby output exceeds input")
 	}
@@ -181,7 +181,7 @@ func TestGroupByCaps(t *testing.T) {
 		t.Fatalf("groupby rows %v, want key NDV 1000", g.Rows)
 	}
 	// Keyless aggregation: one row.
-	g0 := est.GroupBy(in, nil, []plan.Agg{{Fn: "COUNT", Out: plan.Column{ID: 99, Name: "c"}}})
+	g0 := est.GroupBy(&Arena{}, in, nil, []plan.Agg{{Fn: "COUNT", Out: plan.Column{ID: 99, Name: "c"}}})
 	if g0.Rows != 1 {
 		t.Fatalf("global agg rows %v", g0.Rows)
 	}
@@ -189,9 +189,9 @@ func TestGroupByCaps(t *testing.T) {
 
 func TestUnionAllSums(t *testing.T) {
 	est := NewEstimated(estCatalog())
-	a := est.Scan("s", sSchema(), nil)
-	b := est.Scan("s", sSchema(), nil)
-	out := est.UnionAll(
+	a := est.Scan(&Arena{}, "s", sSchema(), nil)
+	b := est.Scan(&Arena{}, "s", sSchema(), nil)
+	out := est.UnionAll(&Arena{},
 		[]Props{a, b},
 		[][]plan.Column{sSchema(), sSchema()},
 		sSchema(),
@@ -205,9 +205,9 @@ func TestProcessFactors(t *testing.T) {
 	cat := estCatalog()
 	est := NewEstimated(cat)
 	oracle := NewTrue(cat, 0)
-	in := est.Scan("s", sSchema(), nil)
-	pe := est.Process(in, "u")
-	pt := oracle.Process(in, "u")
+	in := est.Scan(&Arena{}, "s", sSchema(), nil)
+	pe := est.Process(&Arena{}, in, "u")
+	pt := oracle.Process(&Arena{}, in, "u")
 	if pe.Rows != in.Rows {
 		t.Fatalf("estimated UDO factor should be 1: %v", pe.Rows)
 	}
@@ -218,20 +218,20 @@ func TestProcessFactors(t *testing.T) {
 
 func TestTopCaps(t *testing.T) {
 	est := NewEstimated(estCatalog())
-	in := est.Scan("s", sSchema(), nil)
-	if got := est.Top(in, 100).Rows; got != 100 {
+	in := est.Scan(&Arena{}, "s", sSchema(), nil)
+	if got := est.Top(&Arena{}, in, 100).Rows; got != 100 {
 		t.Fatalf("top rows %v", got)
 	}
-	small := Props{Rows: 5, NDV: map[plan.ColumnID]float64{}}
-	if got := est.Top(small, 100).Rows; got != 5 {
+	small := Props{Rows: 5}
+	if got := est.Top(&Arena{}, small, 100).Rows; got != 5 {
 		t.Fatalf("top of small input %v", got)
 	}
 }
 
 func TestProjectNDVPropagation(t *testing.T) {
 	est := NewEstimated(estCatalog())
-	in := est.Scan("s", sSchema(), nil)
-	out := est.Project(in, []plan.Projection{
+	in := est.Scan(&Arena{}, "s", sSchema(), nil)
+	out := est.Project(&Arena{}, in, []plan.Projection{
 		{Expr: plan.ColExpr(scol(1, "k")), Out: scol(1, "k")},
 		{Expr: plan.Cmp(plan.OpAdd, plan.ColExpr(scol(2, "v")), plan.NumExpr(1)), Out: plan.Column{ID: 50, Name: "vx"}},
 	})
@@ -245,10 +245,10 @@ func TestProjectNDVPropagation(t *testing.T) {
 
 func TestFilterReducesRowsMonotonically(t *testing.T) {
 	est := NewEstimated(estCatalog())
-	in := est.Scan("s", sSchema(), nil)
+	in := est.Scan(&Arena{}, "s", sSchema(), nil)
 	f := func(v float64) bool {
 		pred := plan.Cmp(plan.OpGT, plan.ColExpr(scol(2, "v")), plan.NumExpr(v))
-		out := est.Filter(in, pred)
+		out := est.Filter(&Arena{}, in, pred)
 		return out.Rows >= 1 && out.Rows <= in.Rows
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

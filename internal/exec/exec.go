@@ -160,6 +160,8 @@ type sim struct {
 	kids      []int
 	inProps   []cost.Props
 	inSchemas [][]plan.Column
+	// stats backs every node's column statistics and dies with the sim.
+	stats cost.Arena
 }
 
 func (x *Executor) simulate(p *plan.PhysNode, day int, tag string) *sim {
@@ -422,21 +424,21 @@ func appendNodeTag(b []byte, n *plan.PhysNode) []byte {
 // trueProps derives the ground-truth statistics of n's output from those of
 // its children, which s.nodes already holds at indexes kids.
 func (s *sim) trueProps(n *plan.PhysNode, kids []int) cost.Props {
-	oracle := s.oracle
+	oracle, a := s.oracle, &s.stats
 	in := func(i int) cost.Props { return s.nodes[kids[i]].props }
 	switch n.Op {
 	case plan.PhysExtract, plan.PhysRangeScan:
-		return oracle.Scan(n.Table, n.Schema, n.Pred)
+		return oracle.Scan(a, n.Table, n.Schema, n.Pred)
 	case plan.PhysFilter:
-		return oracle.Filter(in(0), n.Pred)
+		return oracle.Filter(a, in(0), n.Pred)
 	case plan.PhysCompute:
-		return oracle.Project(in(0), n.Projs)
+		return oracle.Project(a, in(0), n.Projs)
 	case plan.PhysHashJoin, plan.PhysHashJoinAlt, plan.PhysMergeJoin, plan.PhysLoopJoin:
-		return oracle.Join(in(0), in(1), n.Pred)
+		return oracle.Join(a, in(0), in(1), n.Pred)
 	case plan.PhysHashAgg, plan.PhysStreamAgg, plan.PhysFinalHashAgg:
-		return oracle.GroupBy(in(0), n.GroupKeys, n.Aggs)
+		return oracle.GroupBy(a, in(0), n.GroupKeys, n.Aggs)
 	case plan.PhysPartialHashAgg:
-		p := oracle.GroupBy(in(0), n.GroupKeys, n.Aggs)
+		p := oracle.GroupBy(a, in(0), n.GroupKeys, n.Aggs)
 		p.Rows = math.Min(in(0).Rows, p.Rows*float64(max(n.Dist.DOP, 1)))
 		return p
 	case plan.PhysUnionMerge, plan.PhysVirtualDataset:
@@ -445,23 +447,23 @@ func (s *sim) trueProps(n *plan.PhysNode, kids []int) cost.Props {
 			s.inProps = append(s.inProps, in(i))
 			s.inSchemas = append(s.inSchemas, c.Schema)
 		}
-		return oracle.UnionAll(s.inProps, s.inSchemas, n.Schema)
+		return oracle.UnionAll(a, s.inProps, s.inSchemas, n.Schema)
 	case plan.PhysProcessImpl:
-		return oracle.Process(in(0), n.Processor)
+		return oracle.Process(a, in(0), n.Processor)
 	case plan.PhysReduceImpl:
-		return oracle.Reduce(in(0), n.ReduceKeys, n.Processor)
+		return oracle.Reduce(a, in(0), n.ReduceKeys, n.Processor)
 	case plan.PhysLocalTop:
-		// Value copy shares the child's NDV map copy-on-write; only Rows
+		// Value copy shares the child's NDV set copy-on-write; only Rows
 		// changes below (see the cost.Props contract).
 		p := in(0)
 		p.Rows = math.Min(p.Rows, float64(n.TopN)*float64(max(n.Dist.DOP, 1)))
 		return p
 	case plan.PhysGlobalTop:
-		return oracle.Top(in(0), n.TopN)
+		return oracle.Top(a, in(0), n.TopN)
 	case plan.PhysSort, plan.PhysExchange, plan.PhysOutputImpl:
 		return in(0)
 	case plan.PhysMultiImpl:
-		p := cost.Props{NDV: map[plan.ColumnID]float64{}}
+		var p cost.Props
 		for i := range kids {
 			cp := in(i)
 			p.Rows += cp.Rows
@@ -471,6 +473,6 @@ func (s *sim) trueProps(n *plan.PhysNode, kids []int) cost.Props {
 		}
 		return p
 	default:
-		return cost.Props{Rows: 1, RowBytes: 8, NDV: map[plan.ColumnID]float64{}}
+		return cost.Props{Rows: 1, RowBytes: 8}
 	}
 }

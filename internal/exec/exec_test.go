@@ -344,8 +344,10 @@ func TestNodeTagBytes(t *testing.T) {
 }
 
 // TestRunAllocationBudget: past the fixed per-execution state, Run allocates
-// a small constant per node (the oracle's NDV maps and the predicate's
-// rendering) — no per-call map, no per-node generator, no second costing.
+// about once per node — a filter predicate's rendering for the noise tag, and
+// the amortized growth of the node list and of the arena the oracle's column
+// statistics are carved from. No per-node statistics, no per-call map, no
+// per-node generator, no second costing.
 func TestRunAllocationBudget(t *testing.T) {
 	x := New(execCatalog(), 42)
 	allocs := func(branches int) float64 {
@@ -355,8 +357,9 @@ func TestRunAllocationBudget(t *testing.T) {
 	small, large := allocs(4), allocs(40)
 	perNode := (large - small) / (3 * 36)
 	t.Logf("allocs: %v at 14 nodes, %v at 122 nodes, %.2f per node", small, large, perNode)
-	if perNode > 4 {
-		t.Fatalf("Run allocates %.2f per node (%v at 14 nodes, %v at 122), budget 4", perNode, small, large)
+	// Measured 1.09 per node, 1.29 under -race.
+	if perNode > 1.5 {
+		t.Fatalf("Run allocates %.2f per node (%v at 14 nodes, %v at 122), budget 1.5", perNode, small, large)
 	}
 	if fixed := small - 14*perNode; fixed > 16 {
 		t.Fatalf("Run's fixed allocations %.1f, budget 16", fixed)
