@@ -1,7 +1,7 @@
 # steerq development targets. `make ci` is the authoritative gate; the
 # other targets are the individual stages for quick local iteration.
 
-.PHONY: all build test race lint lint-fix vet fmt fuzz bench bench-compare ci
+.PHONY: all build test race lint lint-fix vet fmt fuzz bench ci
 
 all: build
 
@@ -29,33 +29,22 @@ vet:
 fmt:
 	gofmt -w .
 
+# fuzz is ci.sh's short fuzz stage: the same five targets and budgets.
 fuzz:
 	go test -fuzz=FuzzParse -fuzztime=15s ./internal/scopeql/
 	go test -fuzz=FuzzCompile -fuzztime=15s ./internal/scopeql/
+	go test -fuzz=FuzzBundleDecode -fuzztime=15s ./internal/bundle/
+	go test -fuzz=FuzzSourceMatchesMathRand -fuzztime=10s ./internal/xrand/
+	go test -fuzz=FuzzNDVsMerge -fuzztime=5s ./internal/cost/
 
-# bench runs the pipeline benchmarks and regenerates BENCH_pipeline.json
-# (ns/op, allocs/op, cache hit rate, serial-vs-parallel speedup, and the
-# workers-1/2/4/8 Zipf scaling sweep on this machine) so PRs carry a perf
-# trajectory, then regenerates BENCH_serving.json (serving-path load legs:
-# workers-1/2/4/8 saturation sweeps, paced diurnal/burst shape legs with
-# coordinated-omission-corrected percentiles, and a loopback steerqd leg).
-# On machines with fewer cores than workers the parallel legs are forced and
-# annotated oversubscribed rather than skipped.
+# bench runs the root pipeline benchmarks, then every workload of the repo
+# benchmark the way the driver calls it (README "Benchmark"). The workload
+# names are the first table `-list` prints; each run prints its metrics.
 bench:
 	go test -run '^$$' -bench 'BenchmarkPipeline' -benchmem .
-	STEERQ_BENCH_FORCE_PARALLEL=1 go run ./cmd/steerq-bench -perf -perf-out BENCH_pipeline.json
-	go run ./cmd/steerq-bench -serving -serving-out BENCH_serving.json
-
-# bench-compare diffs older reports against the current BENCH_pipeline.json
-# and BENCH_serving.json and exits nonzero on a regression past the
-# thresholds (ns/op, allocs/op, scaling-sweep speedup, and serving achieved
-# QPS at the highest worker count). Usage:
-#   make bench-compare OLD=old/BENCH_pipeline.json OLD_SERVING=old/BENCH_serving.json
-OLD ?= BENCH_pipeline.json
-OLD_SERVING ?= BENCH_serving.json
-bench-compare:
-	go run ./cmd/steerq-bench -compare $(OLD) -perf-out BENCH_pipeline.json
-	go run ./cmd/steerq-bench -compare-serving $(OLD_SERVING) -serving-out BENCH_serving.json
+	for w in $$(bash benchmark/run.sh -list | awk -F'`' '/^$$/ { exit } NR > 2 { print $$2 }'); do \
+		bash benchmark/run.sh --workload $$w --seed 7 --seconds 10 --trace 0 || exit 1; \
+	done
 
 ci:
 	./ci.sh

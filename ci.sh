@@ -7,9 +7,8 @@
 #   3. go vet ./...              stdlib vet findings
 #   4. go run ./cmd/steerq-lint  all ten project analyzers (see README),
 #                                filtered through lint-baseline.json; the JSON
-#                                report is archived as LINT_report.json next
-#                                to BENCH_pipeline.json, and stale baseline
-#                                entries fail the stage
+#                                report is archived as LINT_report.json, and
+#                                stale baseline entries fail the stage
 #   5. go test -race ./...       unit + property + golden tests under the
 #                                race detector, with plan validation forced
 #                                on via STEERQ_CHECK_PLANS
@@ -69,37 +68,20 @@
 #                                drain the daemon with SIGTERM, and diff its
 #                                frozen-clock metrics snapshot against the
 #                                committed ci_serving.golden.json
-#  13. serving load smoke        a pinned-seed steerq-bench -serving run under
-#                                the frozen virtual clock: the whole
-#                                BENCH_serving.json report (arrival schedules,
-#                                decision mixes, worker sweep) must be
-#                                byte-identical to the committed golden, the
-#                                -compare-serving self-diff must pass, and an
-#                                injected throughput collapse must trip the
-#                                gate once the virtual-report skip is removed
-#  14. perf stamp smoke          a tiny steerq-bench -perf -perf-quick run
-#                                under the frozen clock with
-#                                STEERQ_BENCH_FORCE_PARALLEL=1: the report's
-#                                generated_unix stamp must be 0 (reports are
-#                                reproducible under STEERQ_VCLOCK), the
-#                                parallel leg must be measured (never
-#                                skipped; oversubscribed runs are annotated,
-#                                not dropped), and the workers-1/2/4/8
-#                                scaling sweep must be present; every leg
-#                                times a whole BuildBundle, the level that
-#                                fans out
-#  15. bench compare smoke       steerq-bench -compare self-diffs the stage-14
-#                                report (a report never regresses against
-#                                itself) and then must flag an injected 10x
-#                                serial regression — both the zero-delta and
-#                                the gate-trips paths are exercised
-#  16. short fuzz pass           60s total over the scopeql parser/binder
+#  13. benchmark module          (cd benchmark && go vet ./... && go test
+#                                ./...): the repo benchmark is its own module
+#                                importing this one, so a root change that
+#                                breaks the API it calls fails here; its tests
+#                                pin BENCHMARK.json to `-manifest`, check the
+#                                oracles against tampered outputs and smoke
+#                                all five workloads offline
+#  14. short fuzz pass           60s total over the scopeql parser/binder
 #                                (including the parse-print-parse round trip),
 #                                the bundle decoder, xrand's generator
 #                                against math/rand's and the column-statistics
 #                                merge against its map reference
 #
-# Set STEERQ_CI_SKIP_FUZZ=1 to skip stage 16 (e.g. on very slow machines).
+# Set STEERQ_CI_SKIP_FUZZ=1 to skip stage 14 (e.g. on very slow machines).
 set -eu
 
 echo "== build =="
@@ -242,69 +224,8 @@ diff -u cmd/steerqd/testdata/ci_serving.golden.json "$servdir/serving.json" || {
 }
 rm -rf "$servdir"
 
-echo "== serving load smoke (frozen clock, pinned seed) =="
-# The whole report — bundle checksum, arrival counts, decision mixes, worker
-# sweep — must reproduce byte for byte under the frozen virtual clock.
-STEERQ_VCLOCK=1 go run ./cmd/steerq-bench -serving -serving-quick \
-    -scale 0.002 -m 40 -serving-out /tmp/steerq-serving.$$.json > /dev/null
-diff -u cmd/steerq-bench/testdata/ci_serving_load.golden.json /tmp/steerq-serving.$$.json || {
-    echo "serving load smoke: BENCH_serving.json drifted from committed golden" >&2
-    echo "(if the change is intentional, regenerate with the command above)" >&2
-    rm -f /tmp/steerq-serving.$$.json
-    exit 1
-}
-# A report diffed against itself never regresses.
-go run ./cmd/steerq-bench -compare-serving /tmp/steerq-serving.$$.json \
-    -serving-out /tmp/steerq-serving.$$.json > /dev/null
-# With the virtual-report skip removed and the old report claiming enormous
-# throughput, the achieved-QPS gate must trip (exit nonzero).
-sed '/"virtual": true,/d' /tmp/steerq-serving.$$.json > /tmp/steerq-serving-real.$$.json
-sed -E 's/"achieved_qps": [0-9.]+/"achieved_qps": 1000000/' \
-    /tmp/steerq-serving-real.$$.json > /tmp/steerq-serving-old.$$.json
-if go run ./cmd/steerq-bench -compare-serving /tmp/steerq-serving-old.$$.json \
-    -serving-out /tmp/steerq-serving-real.$$.json > /dev/null 2>&1; then
-    echo "serving load smoke: injected throughput collapse was not flagged" >&2
-    rm -f /tmp/steerq-serving.$$.json /tmp/steerq-serving-real.$$.json /tmp/steerq-serving-old.$$.json
-    exit 1
-fi
-rm -f /tmp/steerq-serving.$$.json /tmp/steerq-serving-real.$$.json /tmp/steerq-serving-old.$$.json
-
-echo "== perf stamp smoke (frozen clock, forced parallel) =="
-STEERQ_VCLOCK=1 STEERQ_BENCH_FORCE_PARALLEL=1 go run ./cmd/steerq-bench \
-    -perf -perf-quick -scale 0.002 -m 10 \
-    -perf-out /tmp/steerq-perf.$$.json > /dev/null
-grep -q '"generated_unix": 0' /tmp/steerq-perf.$$.json || {
-    echo "perf smoke: report stamp not frozen under STEERQ_VCLOCK (wall-clock leak)" >&2
-    rm -f /tmp/steerq-perf.$$.json
-    exit 1
-}
-if grep -q '"skipped": true' /tmp/steerq-perf.$$.json; then
-    echo "perf smoke: a leg was skipped despite STEERQ_BENCH_FORCE_PARALLEL=1" >&2
-    rm -f /tmp/steerq-perf.$$.json
-    exit 1
-fi
-grep -q '"speedup_at_max"' /tmp/steerq-perf.$$.json || {
-    echo "perf smoke: report has no workers-1/2/4/8 scaling sweep" >&2
-    rm -f /tmp/steerq-perf.$$.json
-    exit 1
-}
-
-echo "== bench compare smoke =="
-# A report diffed against itself has zero deltas everywhere; the gate must
-# pass.
-go run ./cmd/steerq-bench -compare /tmp/steerq-perf.$$.json \
-    -perf-out /tmp/steerq-perf.$$.json > /dev/null
-# Shrink the old report's serial ns/op so the fresh report looks like a huge
-# regression; the gate must trip (exit nonzero).
-awk '!done && /"ns_per_op":/ { sub(/"ns_per_op": [0-9]+/, "\"ns_per_op\": 1"); done = 1 } { print }' \
-    /tmp/steerq-perf.$$.json > /tmp/steerq-perf-old.$$.json
-if go run ./cmd/steerq-bench -compare /tmp/steerq-perf-old.$$.json \
-    -perf-out /tmp/steerq-perf.$$.json > /dev/null 2>&1; then
-    echo "compare smoke: injected serial regression was not flagged" >&2
-    rm -f /tmp/steerq-perf.$$.json /tmp/steerq-perf-old.$$.json
-    exit 1
-fi
-rm -f /tmp/steerq-perf.$$.json /tmp/steerq-perf-old.$$.json
+echo "== benchmark module (vet + tests) =="
+(cd benchmark && go vet ./... && go test ./...)
 
 if [ "${STEERQ_CI_SKIP_FUZZ:-0}" != "1" ]; then
     echo "== fuzz (short) =="

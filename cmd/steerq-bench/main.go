@@ -1,16 +1,12 @@
 // Command steerq-bench regenerates every table and figure of the paper on
 // the simulated stack and prints them in order. Use -exp to run a single
-// experiment, -workers to fan analysis out across goroutines (results are
-// identical at any worker count), and -perf to measure pipeline throughput
-// and write a machine-readable BENCH_pipeline.json.
+// experiment and -workers to fan analysis out across goroutines (results are
+// identical at any worker count). Performance is measured by benchmark/ (see
+// README "Benchmark"), not here; -cpuprofile/-memprofile profile a run.
 //
 // Usage:
 //
 //	steerq-bench [-scale 0.01] [-seed 2021] [-m 300] [-workers N] [-exp all|table1..table5|fig1..fig8|ablations|extensions] [-v]
-//	steerq-bench -perf [-perf-out BENCH_pipeline.json] [-workers 4] [-scale 0.01] [-m 300] [-zipf 1.1] [-perf-quick]
-//	steerq-bench -compare old.json [-perf-out new.json] [-compare-ns-threshold 10] [-compare-allocs-threshold 10] [-compare-speedup-threshold 10]
-//	steerq-bench -serving [-serving-out BENCH_serving.json] [-serving-qps 2000] [-serving-duration 2s] [-zipf 1.1] [-serving-quick]
-//	steerq-bench -compare-serving old.json [-serving-out new.json] [-compare-serving-qps-threshold 10]
 package main
 
 import (
@@ -40,21 +36,6 @@ func realMain() int {
 		m          = flag.Int("m", 300, "candidate configurations per analyzed job (paper: up to 1000)")
 		workers    = flag.Int("workers", 0, "worker goroutines (0 = $STEERQ_WORKERS or GOMAXPROCS); results are identical at any setting")
 		expName    = flag.String("exp", "all", "experiment to run (all, table1..table5, fig1..fig8)")
-		perf       = flag.Bool("perf", false, "measure pipeline throughput instead of running experiments")
-		perfOut    = flag.String("perf-out", "BENCH_pipeline.json", "output path for the -perf JSON report")
-		perfQuick  = flag.Bool("perf-quick", false, "with -perf, time one iteration per leg instead of a calibrated benchmark loop (CI smoke; allocs unreported)")
-		zipf       = flag.Float64("zipf", 1.1, "with -perf, Zipf skew s for the scaling sweep's hot-template workload (0 = uniform arrivals, negative disables the sweep)")
-		compareOld = flag.String("compare", "", "diff this old BENCH_pipeline.json against -perf-out and exit nonzero on regression past the thresholds")
-		compareNs  = flag.Float64("compare-ns-threshold", 10.0, "with -compare, max tolerated ns/op regression in percent")
-		compareAl  = flag.Float64("compare-allocs-threshold", 10.0, "with -compare, max tolerated allocs/op regression in percent")
-		compareSp  = flag.Float64("compare-speedup-threshold", 10.0, "with -compare, max tolerated scaling-sweep speedup regression at the highest worker count, in percent")
-		serving    = flag.Bool("serving", false, "measure the serving path under deterministic open-loop load instead of running experiments")
-		servingOut = flag.String("serving-out", "BENCH_serving.json", "output path for the -serving JSON report")
-		servingQPS = flag.Float64("serving-qps", 2000, "with -serving, mean offered arrival rate per leg")
-		servingDur = flag.Duration("serving-duration", 2*time.Second, "with -serving, arrival-timeline length per leg")
-		servingQk  = flag.Bool("serving-quick", false, "with -serving, shrink the offered load and bundle feed (CI smoke)")
-		compareSv  = flag.String("compare-serving", "", "diff this old BENCH_serving.json against -serving-out and exit nonzero on regression past the threshold")
-		compareSQ  = flag.Float64("compare-serving-qps-threshold", 10.0, "with -compare-serving, max tolerated achieved-QPS regression at the highest worker count, in percent")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write an allocation heap profile to this file on exit")
 		faultSeed  = flag.String("fault-seed", "", "arm deterministic fault injection with this seed (empty = $STEERQ_FAULT_SEED or off)")
@@ -101,38 +82,6 @@ func realMain() int {
 				fmt.Fprintln(os.Stderr, "steerq-bench: -memprofile:", err)
 			}
 		}()
-	}
-
-	if *compareOld != "" {
-		if err := runCompare(*compareOld, *perfOut, *compareNs, *compareAl, *compareSp); err != nil {
-			fmt.Fprintln(os.Stderr, "steerq-bench:", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *compareSv != "" {
-		if err := runCompareServing(*compareSv, *servingOut, *compareSQ); err != nil {
-			fmt.Fprintln(os.Stderr, "steerq-bench:", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *serving {
-		if err := runServing(*scale, *seed, *m, *zipf, *servingQPS, *servingDur, *servingQk, *servingOut); err != nil {
-			fmt.Fprintln(os.Stderr, "steerq-bench:", err)
-			return 1
-		}
-		return 0
-	}
-
-	if *perf {
-		if err := runPerf(*scale, *seed, *m, *workers, *zipf, *perfQuick, *perfOut, *metricsOut, *verbose); err != nil {
-			fmt.Fprintln(os.Stderr, "steerq-bench:", err)
-			return 1
-		}
-		return 0
 	}
 
 	cfg := experiments.DefaultConfig()

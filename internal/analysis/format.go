@@ -8,8 +8,8 @@ import (
 
 // This file renders findings in the driver's three output formats. All three
 // are deterministic given the sorted diagnostics Run returns: text for
-// humans, JSON (the Report type) for CI archival next to BENCH_pipeline.json,
-// and SARIF 2.1.0 for code-scanning UIs.
+// humans, JSON (the Report type) for CI archival as LINT_report.json, and
+// SARIF 2.1.0 for code-scanning UIs.
 
 // ReportFinding is one finding in the JSON report, with module-relative
 // paths so the archived report is machine-independent.

@@ -83,10 +83,10 @@ func TestAnalyzedJobsParallelDeterminism(t *testing.T) {
 }
 
 // TestZipfPipelineParallelDeterminism is the metamorphic acceptance test for
-// the work-stealing scheduler on skewed traffic: a full pipeline run over the
-// Zipf hot-template workload, rendered to bytes, must be identical at 1 and 8
+// the scheduler on skewed traffic: a full pipeline run over the Zipf
+// hot-template workload, rendered to bytes, must be identical at 1 and 8
 // workers. The hot templates make the per-job analyses uneven, which is
-// exactly where the job-level fan-out steals the most. The candidate stage's
+// exactly where which worker runs which job varies the most. The candidate stage's
 // compile count (Sched.Items) is included because it must not depend on the
 // worker count.
 func TestZipfPipelineParallelDeterminism(t *testing.T) {

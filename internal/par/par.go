@@ -52,8 +52,8 @@ func Workers(n int) int {
 // as a reason to stop); the returned error is the one from the lowest failing
 // index, so the error too is independent of scheduling.
 //
-// ForEach schedules through the work-stealing scheduler (see Run); callers
-// that want worker identities or scheduling telemetry use Run directly.
+// ForEach schedules through Run; callers that want a context, worker
+// identities or scheduling telemetry use Run directly.
 func ForEach(workers, n int, f func(i int) error) error {
 	_, err := Run(context.Background(), workers, n, nil, func(_, i int) error {
 		return f(i)
@@ -69,36 +69,6 @@ func Map[T, R any](workers int, items []T, f func(i int, item T) (R, error)) ([]
 	out := make([]R, len(items))
 	err := ForEach(workers, len(items), func(i int) error {
 		r, err := f(i, items[i])
-		out[i] = r
-		return err
-	})
-	return out, err
-}
-
-// ForEachCtx is ForEach with a context: f receives ctx so long-running items
-// can honor deadlines, and once ctx is done no further indices start — each
-// unstarted index records ctx.Err() as its error instead of running. Indices
-// already in flight run to completion (they see the cancellation through
-// their own ctx), so the pool never abandons a goroutine mid-item.
-//
-// The determinism contract weakens only on the error path: with a live
-// context the results are bit-for-bit identical to ForEach; after a
-// cancellation the set of indices that ran depends on timing, but the
-// returned error is still the lowest-index failure, and a context canceled
-// before the call starts skips every index deterministically.
-func ForEachCtx(ctx context.Context, workers, n int, f func(ctx context.Context, i int) error) error {
-	_, err := Run(ctx, workers, n, nil, func(_, i int) error {
-		return f(ctx, i)
-	})
-	return err
-}
-
-// MapCtx is Map with a context, with the same slotting and lowest-index
-// error semantics; see ForEachCtx for the cancellation contract.
-func MapCtx[T, R any](ctx context.Context, workers int, items []T, f func(ctx context.Context, i int, item T) (R, error)) ([]R, error) {
-	out := make([]R, len(items))
-	err := ForEachCtx(ctx, workers, len(items), func(ctx context.Context, i int) error {
-		r, err := f(ctx, i, items[i])
 		out[i] = r
 		return err
 	})

@@ -82,12 +82,14 @@ func TestMapEdgeCases(t *testing.T) {
 	}
 }
 
-func TestForEachCtxPassesLiveContext(t *testing.T) {
+// TestRunPassesLiveContext: Run hands no context to the callback — an item
+// sees the caller's ctx (values and cancellation) by closing over it.
+func TestRunPassesLiveContext(t *testing.T) {
 	type ctxKey struct{}
 	ctx := context.WithValue(context.Background(), ctxKey{}, "payload")
 	var ran atomic.Int32
-	err := par.ForEachCtx(ctx, 4, 16, func(c context.Context, i int) error {
-		if c.Value(ctxKey{}) != "payload" {
+	_, err := par.Run(ctx, 4, 16, nil, func(_, i int) error {
+		if ctx.Value(ctxKey{}) != "payload" {
 			return errors.New("wrong context")
 		}
 		ran.Add(1)
@@ -98,12 +100,12 @@ func TestForEachCtxPassesLiveContext(t *testing.T) {
 	}
 }
 
-func TestForEachCtxPreCanceledSkipsEverything(t *testing.T) {
+func TestRunPreCanceledSkipsEverything(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 8} {
 		var ran atomic.Int32
-		err := par.ForEachCtx(ctx, workers, 32, func(context.Context, int) error {
+		_, err := par.Run(ctx, workers, 32, nil, func(_, _ int) error {
 			ran.Add(1)
 			return nil
 		})
@@ -116,7 +118,7 @@ func TestForEachCtxPreCanceledSkipsEverything(t *testing.T) {
 	}
 }
 
-func TestMapCtxCancellationMidMap(t *testing.T) {
+func TestRunCancellationMidRun(t *testing.T) {
 	// Index 5 cancels the context; indices not yet started must record
 	// ctx.Err() instead of running, and the error must be the lowest-index
 	// failure. With workers=1 the schedule is serial, so exactly indices
@@ -125,12 +127,14 @@ func TestMapCtxCancellationMidMap(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran atomic.Int32
-	out, err := par.MapCtx(ctx, 1, make([]struct{}, n), func(c context.Context, i int, _ struct{}) (int, error) {
+	out := make([]int, n)
+	_, err := par.Run(ctx, 1, n, nil, func(_, i int) error {
 		ran.Add(1)
 		if i == 5 {
 			cancel()
 		}
-		return i + 1, nil
+		out[i] = i + 1
+		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled from index 6", err)
@@ -148,17 +152,17 @@ func TestMapCtxCancellationMidMap(t *testing.T) {
 		}
 	}
 	// Parallel: timing decides which indices ran, but the invariants hold —
-	// slotted output, canceled error, and no new items after cancellation
-	// had propagated (checked loosely: at least the canceling item ran).
+	// canceled error, and no new items after cancellation had propagated
+	// (checked loosely: at least the canceling item ran).
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	var ran2 atomic.Int32
-	_, err = par.MapCtx(ctx2, 8, make([]struct{}, n), func(c context.Context, i int, _ struct{}) (int, error) {
+	_, err = par.Run(ctx2, 8, n, nil, func(_, i int) error {
 		ran2.Add(1)
 		if i == 5 {
 			cancel2()
 		}
-		return i + 1, nil
+		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel err = %v, want context.Canceled", err)
@@ -168,18 +172,18 @@ func TestMapCtxCancellationMidMap(t *testing.T) {
 	}
 }
 
-func TestMapCtxItemErrorBeatsLaterCancellation(t *testing.T) {
+func TestRunItemErrorBeatsLaterCancellation(t *testing.T) {
 	// A genuine item failure at a low index must win over the ctx.Err()
 	// entries of later skipped indices.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	boom := errors.New("boom")
-	_, err := par.MapCtx(ctx, 1, make([]struct{}, 10), func(c context.Context, i int, _ struct{}) (int, error) {
+	_, err := par.Run(ctx, 1, 10, nil, func(_, i int) error {
 		if i == 2 {
 			cancel()
-			return 0, boom
+			return boom
 		}
-		return 0, nil
+		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the item's own error", err)

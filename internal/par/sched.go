@@ -1,23 +1,21 @@
-// Work-stealing scheduler: the execution engine behind ForEach/Map and the
-// direct Run API.
+// Scheduler: the execution engine behind ForEach/Map and the direct Run API.
 //
-// The scheduler deals the index set round-robin into per-worker bounded
-// deques up front and lets idle workers steal: a worker drains its own deque
-// from the head and, once empty, takes the lowest-index item exposed at any
-// victim's steal end — which is what keeps every core busy when items are as
-// uneven as whole job-group analyses. Stealing moves scheduling decisions,
-// never results — results stay slotted by input index and errors still
-// resolve to the lowest failing index, so the determinism contract in the
-// package comment is untouched at any worker count.
+// The index set is a flat range, so scheduling is one shared cursor: a free
+// worker takes the next index. That keeps every core busy when items are as
+// uneven as whole job-group analyses — a worker stuck in a long item simply
+// stops taking indices while the others drain the range. Which worker runs
+// an index moves scheduling decisions, never results — results stay slotted
+// by input index and errors still resolve to the lowest failing index, so the
+// determinism contract in the package comment is untouched at any worker
+// count.
 //
 // Observability is the one place scheduling could leak: which worker ran an
-// item and how often deques ran dry are genuinely schedule-dependent. Under
-// the deterministic virtual clock (STEERQ_VCLOCK, the same switch that
-// freezes span durations) SchedObs therefore publishes the canonical serial
-// schedule — every item attributed to worker 0, zero steals — keeping
-// frozen-clock metric snapshots byte-identical at any worker count, exactly
-// as durations are canonicalized to zero. Wall-clock runs publish the
-// actuals.
+// item is genuinely schedule-dependent. Under the deterministic virtual
+// clock (STEERQ_VCLOCK, the same switch that freezes span durations)
+// SchedObs therefore publishes the canonical serial schedule — every item
+// attributed to worker 0 — keeping frozen-clock metric snapshots
+// byte-identical at any worker count, exactly as durations are canonicalized
+// to zero. Wall-clock runs publish the actuals.
 
 package par
 
@@ -30,17 +28,15 @@ import (
 	"steerq/internal/obs"
 )
 
-// Stats reports one Run's scheduling activity. Steals and the per-worker
-// execution split depend on timing (they describe which worker got to an
-// item first) and are therefore diagnostic: no determinism guarantee covers
-// them, unlike every value Run's callback computes.
+// Stats reports one Run's scheduling activity. The per-worker execution
+// split depends on timing (it describes which worker got to an item first)
+// and is therefore diagnostic: no determinism guarantee covers it, unlike
+// every value Run's callback computes.
 type Stats struct {
 	// Workers is the resolved worker count of the run.
 	Workers int
 	// Items is the number of scheduled items.
 	Items int
-	// Steals counts items a worker took from another worker's deque.
-	Steals uint64
 	// Executed[w] counts the items worker w ran, summing to Items.
 	Executed []uint64
 }
@@ -52,7 +48,6 @@ func (s *Stats) Add(o Stats) {
 		s.Workers = o.Workers
 	}
 	s.Items += o.Items
-	s.Steals += o.Steals
 	if len(o.Executed) > len(s.Executed) {
 		grown := make([]uint64, len(o.Executed))
 		copy(grown, s.Executed)
@@ -63,69 +58,27 @@ func (s *Stats) Add(o Stats) {
 	}
 }
 
-// deque is one worker's bounded queue of item indices in ascending order.
-// The owner pops from the head; thieves take from the tail (minimizing
-// interference with the owner). The backing slice is sized exactly to the
-// dealt share and never grows.
-type deque struct {
-	mu    sync.Mutex
-	items []int
-	head  int
-	tail  int // one past the last queued item
-}
-
-// pop removes the head item. ok is false when the deque is empty.
-func (d *deque) pop() (int, bool) {
-	d.mu.Lock()
-	if d.head >= d.tail {
-		d.mu.Unlock()
-		return 0, false
-	}
-	i := d.items[d.head]
-	d.head++
-	d.mu.Unlock()
-	return i, true
-}
-
-// peekTail reports the item a thief would steal, without taking it.
-func (d *deque) peekTail() (int, bool) {
-	d.mu.Lock()
-	if d.head >= d.tail {
-		d.mu.Unlock()
-		return 0, false
-	}
-	i := d.items[d.tail-1]
-	d.mu.Unlock()
-	return i, true
-}
-
-// stealTail takes the tail item iff it is still the expected one; a false
-// return means the deque changed since the peek and the thief must rescan.
-func (d *deque) stealTail(expect int) bool {
-	d.mu.Lock()
-	if d.head >= d.tail || d.items[d.tail-1] != expect {
-		d.mu.Unlock()
-		return false
-	}
-	d.tail--
-	d.mu.Unlock()
-	return true
-}
-
 // Run executes f(worker, i) for every i in [0, n) on at most
-// Workers(workers) goroutines, scheduled by work stealing, and waits for all
-// of them. The worker argument is a stable identity in [0, workers): at most
-// one item runs under a given worker at a time, so callers may key
-// worker-local state (compile arenas) by it without locking.
+// Workers(workers) goroutines, each taking the next unstarted index when it
+// is free, and waits for all of them. The worker argument is a stable
+// identity in [0, workers): at most one item runs under a given worker at a
+// time, so callers may key worker-local state (compile arenas) by it without
+// locking.
 //
 // Every index runs regardless of other indices' failures and the returned
 // error is the one from the lowest failing index, exactly as in ForEach.
 // Once ctx is done no further indices start: each unstarted index records
 // ctx.Err() as its error instead of running, while indices already in flight
-// run to completion (see ForEachCtx for the contract). so, when non-nil,
-// receives the run's scheduler telemetry (steal count, per-worker executed
-// items, live queue depth). The returned Stats describe scheduling only; see
-// its comment.
+// run to completion (they see the cancellation through the ctx their
+// callback closes over), so the pool never abandons a goroutine mid-item.
+// With a live context the results are bit-for-bit identical at any worker
+// count; after a cancellation the set of indices that ran depends on timing,
+// but the returned error is still the lowest-index failure, and a context
+// canceled before the call starts skips every index deterministically.
+//
+// so, when non-nil, receives the run's scheduler telemetry (per-worker
+// executed items, live queue depth). The returned Stats describe scheduling
+// only; see its comment.
 func Run(ctx context.Context, workers, n int, so *SchedObs, f func(worker, i int) error) (Stats, error) {
 	if n <= 0 {
 		return Stats{}, nil
@@ -135,109 +88,58 @@ func Run(ctx context.Context, workers, n int, so *SchedObs, f func(worker, i int
 		w = n
 	}
 	st := Stats{Workers: w, Items: n, Executed: make([]uint64, w)}
-	item := func(worker, i int) error {
-		so.dequeue()
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return f(worker, i)
-	}
 	so.enqueue(n)
-	if w == 1 {
-		// Serial fast path: ascending order, so the first error is the
-		// lowest-index one.
-		var firstErr error
-		for i := 0; i < n; i++ {
-			if err := item(0, i); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		st.Executed[0] = uint64(n)
-		so.publish(st)
-		return st, firstErr
-	}
 
-	// Deal the indices round-robin: worker g owns g, g+w, g+2w, ...
-	deques := make([]*deque, w)
-	backing := make([]int, n)
-	for g := 0; g < w; g++ {
-		share := (n - g + w - 1) / w
-		items := backing[:share:share]
-		backing = backing[share:]
-		for k := 0; k < share; k++ {
-			items[k] = g + k*w
-		}
-		deques[g] = &deque{items: items, tail: share}
-	}
-
-	var steals atomic.Uint64
+	var next atomic.Int64 // the cursor: the lowest index no worker has taken
 	var mu sync.Mutex
 	firstIdx := -1
 	var firstErr error
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			var executed uint64
-			for {
-				i, ok := deques[self].pop()
-				if !ok {
-					i, ok = stealLowest(deques, self)
-					if !ok {
-						break
-					}
-					steals.Add(1)
-				}
-				executed++
-				if err := item(self, i); err != nil {
-					mu.Lock()
-					if firstIdx == -1 || i < firstIdx {
-						firstIdx, firstErr = i, err
-					}
-					mu.Unlock()
-				}
+	drain := func(self int) {
+		var executed uint64
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				st.Executed[self] = executed
+				return
 			}
-			st.Executed[self] = executed
-		}(g)
+			executed++
+			so.dequeue()
+			err := ctx.Err()
+			if err == nil {
+				err = f(self, i)
+			}
+			if err != nil {
+				mu.Lock()
+				if firstIdx == -1 || i < firstIdx {
+					firstIdx, firstErr = i, err
+				}
+				mu.Unlock()
+			}
+		}
 	}
-	wg.Wait()
-	st.Steals = steals.Load()
+	if w == 1 {
+		// Serial fast path: the caller's goroutine walks the range in
+		// ascending order.
+		drain(0)
+	} else {
+		var wg sync.WaitGroup
+		for g := 0; g < w; g++ {
+			wg.Add(1)
+			go func(self int) {
+				defer wg.Done()
+				drain(self)
+			}(g)
+		}
+		wg.Wait()
+	}
 	so.publish(st)
 	return st, firstErr
 }
 
-// stealLowest takes one item for a worker whose own deque ran dry: it scans
-// every victim's steal end and steals the lowest item index exposed there,
-// so the steal policy is a function of the queue state, not of victim-scan
-// luck. ok is false once every deque is empty (items still executing on
-// other workers are no longer stealable).
-func stealLowest(deques []*deque, self int) (int, bool) {
-	for {
-		best, victim := -1, -1
-		for v := range deques {
-			if v == self {
-				continue
-			}
-			if i, ok := deques[v].peekTail(); ok && (victim == -1 || i < best) {
-				best, victim = i, v
-			}
-		}
-		if victim == -1 {
-			return 0, false
-		}
-		if deques[victim].stealTail(best) {
-			return best, true
-		}
-		// Lost the race to the owner or another thief; rescan.
-	}
-}
-
 // Scheduler metric names.
 const (
-	schedStealsMetric = "steerq_par_steals_total"
-	schedItemsMetric  = "steerq_par_items_total"
-	schedDepthMetric  = "steerq_par_queue_depth"
+	schedItemsMetric = "steerq_par_items_total"
+	schedDepthMetric = "steerq_par_queue_depth"
 )
 
 // maxWorkerLabel bounds the per-worker label cardinality: workers beyond the
@@ -252,21 +154,19 @@ var workerLabels = [maxWorkerLabel + 1]string{
 	"8", "9", "10", "11", "12", "13", "14", "15", "16+",
 }
 
-// SchedObs publishes scheduler telemetry into an obs.Registry: a steal
-// counter, per-worker executed-item counters and a live queue-depth gauge
-// (items dealt but not yet started — nonzero only while a Run is in flight,
-// which makes it a debug-endpoint signal and a deterministic zero in
-// snapshots taken between runs).
+// SchedObs publishes scheduler telemetry into an obs.Registry: per-worker
+// executed-item counters and a live queue-depth gauge (items not yet started
+// — nonzero only while a Run is in flight, which makes it a debug-endpoint
+// signal and a deterministic zero in snapshots taken between runs).
 //
-// Which worker ran an item, and how many steals that took, are the only
-// schedule-dependent quantities in this package; under STEERQ_VCLOCK they
-// are canonicalized to the serial schedule (all items on worker "0", zero
-// steals) so frozen-clock snapshot goldens stay byte-identical at any
-// worker count. The Stats returned by Run always carry the actuals.
+// Which worker ran an item is the only schedule-dependent quantity in this
+// package; under STEERQ_VCLOCK it is canonicalized to the serial schedule
+// (all items on worker "0") so frozen-clock snapshot goldens stay
+// byte-identical at any worker count. The Stats returned by Run always
+// carry the actuals.
 type SchedObs struct {
 	reg    *obs.Registry
 	labels []string
-	steals *obs.Counter
 	queued atomic.Int64
 
 	mu      sync.Mutex
@@ -282,7 +182,6 @@ func NewSchedObs(reg *obs.Registry, labels ...string) *SchedObs {
 	s := &SchedObs{
 		reg:     reg,
 		labels:  labels,
-		steals:  reg.Counter(schedStealsMetric, labels...),
 		workers: make(map[int]*obs.Counter),
 	}
 	reg.GaugeFunc(schedDepthMetric, func() float64 {
@@ -337,7 +236,6 @@ func (s *SchedObs) publish(st Stats) {
 		s.workerCounter(0).Add(uint64(st.Items))
 		return
 	}
-	s.steals.Add(st.Steals)
 	for w, n := range st.Executed {
 		if n > 0 {
 			s.workerCounter(w).Add(n)

@@ -4,10 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"steerq/internal/obs"
 	"steerq/internal/par"
@@ -22,7 +21,7 @@ func TestRunZeroItems(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: err = %v", n, err)
 		}
-		if st.Items != 0 || st.Steals != 0 || len(st.Executed) != 0 {
+		if st.Items != 0 || len(st.Executed) != 0 {
 			t.Fatalf("n=%d: stats = %+v, want zero value", n, st)
 		}
 	}
@@ -95,44 +94,45 @@ func TestRunWorkerIdentityIsExclusive(t *testing.T) {
 	}
 }
 
-// TestRunStealsOccur forces the steal path: worker 0 stalls on its first item
-// while the others finish their deques, so the stalled worker's remaining
-// items must be stolen and the run must still complete every index.
-func TestRunStealsOccur(t *testing.T) {
+// TestRunParkedWorkerStrandsNoIndex parks the worker that took index 0 inside
+// that item until every other index has completed: the free workers must take
+// all of them, so no index waits on a worker that is busy. A static split of
+// the range across workers fails this — the parked worker's share never runs.
+func TestRunParkedWorkerStrandsNoIndex(t *testing.T) {
 	const workers, n = 4, 64
-	release := make(chan struct{})
-	var ran atomic.Int32
-	var stallOnce sync.Once
-	done := make(chan struct{})
+	othersDone := make(chan struct{})
+	var others atomic.Int32
+	var ran [n]atomic.Int32
+	done := make(chan error, 1)
 	go func() {
-		defer close(done)
-		st, err := par.Run(context.Background(), workers, n, nil, func(worker, i int) error {
+		_, err := par.Run(context.Background(), workers, n, nil, func(_, i int) error {
+			ran[i].Add(1)
 			if i == 0 {
-				stallOnce.Do(func() { <-release })
+				<-othersDone
+			} else if others.Add(1) == n-1 {
+				close(othersDone)
 			}
-			ran.Add(1)
 			return nil
 		})
-		if err != nil {
-			t.Errorf("err = %v", err)
-		}
-		if st.Steals == 0 {
-			t.Errorf("steals = 0, want >0: a stalled worker's deque must be raided")
-		}
+		done <- err
 	}()
-	// The other workers drain everything stealable; index 0 is still running.
-	for ran.Load() < n-1 {
-		runtime.Gosched()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("err = %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("run hung with %d of %d other indices complete: indices stranded behind the parked worker", others.Load(), n-1)
 	}
-	close(release)
-	<-done
-	if ran.Load() != n {
-		t.Fatalf("%d items ran, want %d", ran.Load(), n)
+	for i := range ran {
+		if got := ran[i].Load(); got != 1 {
+			t.Fatalf("index %d ran %d times", i, got)
+		}
 	}
 }
 
 // TestRunCancelMidSteal cancels the context from an item while other workers
-// are deep in the steal loop; unstarted indices must record ctx.Err(), the
+// are taking indices; unstarted indices must record ctx.Err(), the
 // lowest-index failure must win, and the run must terminate.
 func TestRunCancelMidSteal(t *testing.T) {
 	const n = 200
@@ -155,10 +155,10 @@ func TestRunCancelMidSteal(t *testing.T) {
 
 func TestStatsAdd(t *testing.T) {
 	var s par.Stats
-	s.Add(par.Stats{Workers: 2, Items: 10, Steals: 3, Executed: []uint64{6, 4}})
-	s.Add(par.Stats{Workers: 4, Items: 8, Steals: 1, Executed: []uint64{2, 2, 2, 2}})
-	want := par.Stats{Workers: 4, Items: 18, Steals: 4, Executed: []uint64{8, 6, 2, 2}}
-	if s.Workers != want.Workers || s.Items != want.Items || s.Steals != want.Steals {
+	s.Add(par.Stats{Workers: 2, Items: 10, Executed: []uint64{6, 4}})
+	s.Add(par.Stats{Workers: 4, Items: 8, Executed: []uint64{2, 2, 2, 2}})
+	want := par.Stats{Workers: 4, Items: 18, Executed: []uint64{8, 6, 2, 2}}
+	if s.Workers != want.Workers || s.Items != want.Items {
 		t.Fatalf("stats = %+v, want %+v", s, want)
 	}
 	for w := range want.Executed {
@@ -169,9 +169,9 @@ func TestStatsAdd(t *testing.T) {
 }
 
 // TestSchedObsCanonicalUnderVClock: with the deterministic clock set, the
-// published schedule is the canonical serial one — all items on worker "0",
-// zero steals — no matter how many workers actually ran, so frozen-clock
-// metric snapshots cannot depend on scheduling.
+// published schedule is the canonical serial one — all items on worker "0"
+// — no matter how many workers actually ran, so frozen-clock metric snapshots
+// cannot depend on scheduling.
 func TestSchedObsCanonicalUnderVClock(t *testing.T) {
 	t.Setenv(obs.VClockEnv, "1")
 	reg := obs.NewWithClock(obs.FrozenClock())
@@ -184,26 +184,21 @@ func TestSchedObsCanonicalUnderVClock(t *testing.T) {
 		}
 	}
 	snap := reg.Snapshot()
-	var items, steals uint64
+	var items uint64
 	workerSeen := map[string]bool{}
 	for _, c := range snap.Counters {
-		switch c.Name {
-		case "steerq_par_items_total":
-			items += c.Value
-			for _, l := range c.Labels {
-				if l.Key == "worker" {
-					workerSeen[l.Value] = true
-				}
+		if c.Name != "steerq_par_items_total" {
+			continue
+		}
+		items += c.Value
+		for _, l := range c.Labels {
+			if l.Key == "worker" {
+				workerSeen[l.Value] = true
 			}
-		case "steerq_par_steals_total":
-			steals += c.Value
 		}
 	}
 	if items != 100 {
 		t.Fatalf("canonical items = %v, want 100", items)
-	}
-	if steals != 0 {
-		t.Fatalf("canonical steals = %v, want 0", steals)
 	}
 	if len(workerSeen) != 1 || !workerSeen["0"] {
 		t.Fatalf("worker labels = %v, want only \"0\" under %s", workerSeen, obs.VClockEnv)
@@ -216,7 +211,7 @@ func TestSchedObsCanonicalUnderVClock(t *testing.T) {
 }
 
 // TestSchedObsActualsWithoutVClock: on the wall clock the per-worker split
-// and steal count are published as measured (summing to the item count).
+// is published as measured (summing to the item count).
 func TestSchedObsActualsWithoutVClock(t *testing.T) {
 	t.Setenv(obs.VClockEnv, "")
 	reg := obs.NewWithClock(obs.FrozenClock())

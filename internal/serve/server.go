@@ -57,6 +57,13 @@ const requestsMetric = "steerq_serve_requests_total"
 // MaxBundleUpload bounds one POST /v1/bundles body.
 const MaxBundleUpload = 16 << 20
 
+// readHeaderTimeout bounds how long a connection may take to send one
+// request's header. Without it a client that opens a connection and never
+// finishes its request line holds a goroutine and a descriptor for the
+// daemon's lifetime. Idle keep-alive connections are not affected: the clock
+// starts with a request's first byte.
+const readHeaderTimeout = 5 * time.Second
+
 // SteerResponse is the GET /v1/steer reply.
 type SteerResponse struct {
 	// Version is the bundle version that decided this lookup.
@@ -105,7 +112,7 @@ type Server struct {
 // (nil for uninstrumented).
 func NewServer(sdk *SDK, reg *obs.Registry) *Server {
 	s := &Server{sdk: sdk, reg: reg}
-	s.srv = &http.Server{Handler: s.Handler()}
+	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	return s
 }
 

@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -74,6 +76,47 @@ func TestLifecycleTransitions(t *testing.T) {
 	}
 	if s.BeginDrain() {
 		t.Fatal("second BeginDrain reported first")
+	}
+}
+
+// TestHalfSentHeaderIsClosed: a client that stops mid-header is disconnected
+// by the server within readHeaderTimeout, and while it hangs the daemon keeps
+// answering on other connections.
+func TestHalfSentHeaderIsClosed(t *testing.T) {
+	t.Parallel()
+	reg := obs.NewWithClock(obs.FrozenClock())
+	s, base := startServer(t, reg)
+	b := testBundle(t, 1, 3)
+	if err := s.SDK().Load(b); err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET "+PathSteer+" HTTP/1.1\r\nHost: steerqd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	if code, body := get(t, base+PathReadyz); code != 200 {
+		t.Fatalf("readyz beside a stalled connection: %d %q", code, body)
+	}
+	if code, body := get(t, base+PathSteer+"?sig="+b.Entries[0].Signature.Hex()); code != 200 {
+		t.Fatalf("steer beside a stalled connection: %d %q", code, body)
+	}
+
+	// The server hangs up (EOF or reset, possibly after an error reply); only
+	// this test's own read deadline passing first is a failure.
+	const slack = 5 * time.Second
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + slack)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = io.Copy(io.Discard, conn)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("half-sent header still open %v after its first byte (bound %v)", time.Since(start), readHeaderTimeout)
 	}
 }
 

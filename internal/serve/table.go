@@ -58,28 +58,10 @@ type tableEntry struct {
 	fallback bool
 }
 
-// tableShards is the shard fan-out of a large table. A power of two so the
-// shard of a key is a mask of its first signature word.
-const tableShards = 16
-
-// shardThreshold is the entry count above which NewTable builds a sharded
-// table. Small tables stay a single map — one probe, best cache locality;
-// large tables split by signature prefix so each probe walks a map a
-// sixteenth of the size and concurrent lookups spread across distinct
-// bucket arrays instead of all contending for the same hot cache lines.
-// A variable, not a constant, so tests exercise both layouts with small
-// bundles.
-var shardThreshold = 4096
-
 // Table is one bundle compiled into an immutable in-memory decision table.
 // After NewTable returns, a Table is only ever read, which is what makes a
 // bare atomic pointer swap a sufficient concurrency protocol (no lock on
 // the lookup path) and lookups allocation-free.
-//
-// Layout is entry-count dependent: at most shardThreshold entries live in
-// one map (entries); above that they are sharded by signature prefix
-// (shards). Exactly one of the two is non-nil. Lookup results are identical
-// under either layout — TestTableShardingEquivalence pins that down.
 type Table struct {
 	version     uint64
 	createdUnix int64
@@ -87,14 +69,7 @@ type Table struct {
 	workload    string
 	def         bitvec.Vector
 	entries     map[bitvec.Key]tableEntry
-	shards      *[tableShards]map[bitvec.Key]tableEntry
-	len         int
 }
-
-// shardOf picks the shard for a key: the low bits of the signature's first
-// word. Rule signatures differ densely in their low rule IDs, so the prefix
-// spreads real bundles about evenly.
-func shardOf(k bitvec.Key) int { return int(k[0] & (tableShards - 1)) }
 
 // NewTable compiles a decoded bundle into a decision table. The bundle's
 // decoder has already rejected duplicate signatures, so the map build is
@@ -106,36 +81,18 @@ func NewTable(b *bundle.Bundle) *Table {
 		checksum:    b.Checksum(),
 		workload:    b.Workload,
 		def:         b.Default,
-		len:         len(b.Entries),
-	}
-	if len(b.Entries) <= shardThreshold {
-		t.entries = make(map[bitvec.Key]tableEntry, len(b.Entries))
-		for _, e := range b.Entries {
-			t.entries[e.Signature.Key()] = tableEntry{config: e.Config, fallback: e.Fallback}
-		}
-		return t
-	}
-	var shards [tableShards]map[bitvec.Key]tableEntry
-	for i := range shards {
-		shards[i] = make(map[bitvec.Key]tableEntry, len(b.Entries)/tableShards+1)
+		entries:     make(map[bitvec.Key]tableEntry, len(b.Entries)),
 	}
 	for _, e := range b.Entries {
-		k := e.Signature.Key()
-		shards[shardOf(k)][k] = tableEntry{config: e.Config, fallback: e.Fallback}
+		t.entries[e.Signature.Key()] = tableEntry{config: e.Config, fallback: e.Fallback}
 	}
-	t.shards = &shards
 	return t
 }
 
 // Lookup resolves one default rule signature. It is total: a signature with
 // no entry resolves to the table's default configuration with KindDefault.
 func (t *Table) Lookup(sig bitvec.Vector) Decision {
-	k := sig.Key()
-	m := t.entries
-	if m == nil {
-		m = t.shards[shardOf(k)]
-	}
-	if e, ok := m[k]; ok {
+	if e, ok := t.entries[sig.Key()]; ok {
 		kind := KindHit
 		if e.fallback {
 			kind = KindFallback
@@ -155,10 +112,7 @@ func (t *Table) Checksum() uint64 { return t.checksum }
 func (t *Table) Workload() string { return t.workload }
 
 // Len reports the number of explicit entries (hits plus fallbacks).
-func (t *Table) Len() int { return t.len }
-
-// Sharded reports whether the table uses the prefix-sharded layout.
-func (t *Table) Sharded() bool { return t.shards != nil }
+func (t *Table) Len() int { return len(t.entries) }
 
 // Default reports the table's default configuration.
 func (t *Table) Default() bitvec.Vector { return t.def }

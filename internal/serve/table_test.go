@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"steerq/internal/bitvec"
-	"steerq/internal/bundle"
 )
 
 func TestTableLookupKinds(t *testing.T) {
@@ -47,114 +46,6 @@ func TestTableLookupKinds(t *testing.T) {
 	var zero bitvec.Vector
 	if d := tab.Lookup(zero); d.Kind != KindDefault {
 		t.Fatalf("zero-signature lookup kind %v", d.Kind)
-	}
-}
-
-// uniqueBundle builds a bundle with n entries whose signatures are unique by
-// construction: entry i sets bit j exactly when bit j of i is set (plus a
-// high marker bit). Unlike testBundle's sigFor, this cannot collide at large
-// n, so it is safe for building tables big enough to shard.
-func uniqueBundle(t *testing.T, version uint64, n int) *bundle.Bundle {
-	t.Helper()
-	if n >= 1<<16 {
-		t.Fatalf("uniqueBundle supports < 65536 entries, got %d", n)
-	}
-	b := &bundle.Bundle{
-		Version:     version,
-		CreatedUnix: 1700000000,
-		Workload:    "W",
-		Default:     vec(200, 201),
-	}
-	for i := 0; i < n; i++ {
-		sig := vec(100)
-		for j := 0; j < 16; j++ {
-			if i>>j&1 == 1 {
-				sig.Set(j)
-			}
-		}
-		e := bundle.Entry{Signature: sig}
-		if i%3 == 2 {
-			e.Config, e.Fallback = b.Default, true
-		} else {
-			e.Config = configFor(version, i)
-		}
-		b.Entries = append(b.Entries, e)
-	}
-	return b
-}
-
-// TestTableShardingEquivalence builds the same bundle into both layouts by
-// moving the shard threshold, and checks every entry plus a block of misses
-// resolves identically. This is the license to flip layouts by size: lookups
-// cannot tell them apart.
-func TestTableShardingEquivalence(t *testing.T) {
-	const n = 300
-	b := uniqueBundle(t, 3, n)
-
-	defer func(old int) { shardThreshold = old }(shardThreshold)
-	shardThreshold = 1 << 20
-	flat := NewTable(b)
-	shardThreshold = n - 1
-	sharded := NewTable(b)
-
-	if flat.Sharded() {
-		t.Fatal("flat table reports sharded")
-	}
-	if !sharded.Sharded() {
-		t.Fatal("large table did not shard")
-	}
-	if flat.Len() != n || sharded.Len() != n {
-		t.Fatalf("lens %d/%d, want %d", flat.Len(), sharded.Len(), n)
-	}
-
-	check := func(sig bitvec.Vector) {
-		t.Helper()
-		df, ds := flat.Lookup(sig), sharded.Lookup(sig)
-		if df.Kind != ds.Kind || df.Version != ds.Version || !df.Config.Equal(ds.Config) {
-			t.Fatalf("layouts disagree on %s: flat %+v sharded %+v", sig.Hex(), df, ds)
-		}
-	}
-	for _, e := range b.Entries {
-		check(e.Signature)
-		if d := sharded.Lookup(e.Signature); e.Fallback && d.Kind != KindFallback {
-			t.Fatalf("fallback entry resolved as %v", d.Kind)
-		}
-	}
-	// Misses: the same construction with the marker bit moved, so none of
-	// these signatures exist in the table; every shard sees some of them.
-	for i := 0; i < n; i++ {
-		sig := vec(101)
-		for j := 0; j < 16; j++ {
-			if i>>j&1 == 1 {
-				sig.Set(j)
-			}
-		}
-		check(sig)
-		if d := sharded.Lookup(sig); d.Kind != KindDefault {
-			t.Fatalf("miss %d resolved as %v", i, d.Kind)
-		}
-	}
-}
-
-// TestShardOfSpread pins the shard function: consecutive low-word prefixes
-// land on distinct shards and the whole range [0, tableShards) is covered.
-func TestShardOfSpread(t *testing.T) {
-	seen := make(map[int]bool)
-	for i := 0; i < tableShards; i++ {
-		sig := vec(100)
-		for j := 0; j < 4; j++ {
-			if i>>j&1 == 1 {
-				sig.Set(j)
-			}
-		}
-		s := shardOf(sig.Key())
-		if s != i {
-			t.Fatalf("shardOf(prefix %d) = %d", i, s)
-		}
-		seen[s] = true
-	}
-	if len(seen) != tableShards {
-		t.Fatalf("covered %d shards, want %d", len(seen), tableShards)
 	}
 }
 

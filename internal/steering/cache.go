@@ -55,9 +55,11 @@ type CompileValue struct {
 }
 
 // cacheShards is the fixed shard count. Power of two so the shard pick is a
-// mask; 64 shards keep lock contention negligible at any plausible worker
-// count. Sharding is by job fingerprint alone, so all entries of one job —
-// and its eviction clock — live in one shard.
+// mask. Sharding is by job fingerprint alone, so all entries of one job live
+// in one shard. Measured, kept (EXPERIMENTS.md "Prove-or-delete"): one lock in
+// place of the 64 lost 7 of 8 alternating discover_cold pairs on two cores
+// (4,771 → 4,545 jobs/s, −4.7 %) at unchanged cpu_ms_per_op — concurrent
+// group analyses waiting on each other, not working.
 const cacheShards = 64
 
 // footprintEntry holds every cached outcome sharing one decision footprint,
@@ -67,16 +69,13 @@ type footprintEntry struct {
 	vals map[bitvec.Key]*cacheSlot
 }
 
-// cacheSlot is one cached outcome plus its CLOCK bookkeeping.
+// cacheSlot is one cached outcome.
 type cacheSlot struct {
 	val CompileValue
 	// writer is the full (unprojected) key of the configuration that wrote
 	// the entry; a lookup whose full key differs found the entry through
 	// footprint projection alone (counted as a projected hit).
 	writer bitvec.Key
-	// ref is the second-chance bit: set on every bounded-mode hit, cleared
-	// (instead of evicting) when the clock hand passes.
-	ref bool
 }
 
 // jobEntry indexes one job's footprint entries in insertion order. Lookups
@@ -109,19 +108,9 @@ func (je *jobEntry) entry(foot bitvec.Vector) *footprintEntry {
 	return fe
 }
 
-// ringSlot is one value's position on its shard's eviction clock.
-type ringSlot struct {
-	fp  JobFingerprint
-	fe  *footprintEntry
-	key bitvec.Key
-}
-
 type cacheShard struct {
 	mu   sync.RWMutex
 	jobs map[JobFingerprint]*jobEntry
-	// ring orders the shard's value slots by insertion for the CLOCK hand.
-	ring []ringSlot
-	hand int
 }
 
 // Cache metric names. The cache always counts through *obs.Counter — a
@@ -129,17 +118,17 @@ type cacheShard struct {
 // are atomic everywhere and wiring observability re-points rather than
 // duplicates.
 const (
-	cacheHitsMetric      = "steerq_cache_hits_total"
-	cacheMissesMetric    = "steerq_cache_misses_total"
-	cacheEntriesMetric   = "steerq_cache_entries"
-	cacheProjHitsMetric  = "steerq_cache_projected_hits_total"
-	cacheEvictionsMetric = "steerq_cache_evictions_total"
+	cacheHitsMetric     = "steerq_cache_hits_total"
+	cacheMissesMetric   = "steerq_cache_misses_total"
+	cacheEntriesMetric  = "steerq_cache_entries"
+	cacheProjHitsMetric = "steerq_cache_projected_hits_total"
 )
 
 // CompileCache is a sharded, concurrency-safe memo of compilation outcomes
 // indexed by (job fingerprint, footprint-projected configuration). A single
-// cache is shared across days and experiments of one workload; hit/miss/
-// projected-hit counters feed the steerq-bench perf report.
+// cache is shared across days and experiments of one workload and never
+// evicts; one job's cache traffic is serial (an analysis runs on one
+// goroutine), so its contents and counters are the same at any worker count.
 //
 // Lookups project the probing configuration onto each stored footprint of
 // the job, so recurring templates hit even when the probing configuration
@@ -147,45 +136,20 @@ const (
 // whose full configuration differs from the writer's is additionally
 // counted as a projected hit. A trial's probe needs the plan: finding the
 // class without one is counted as a miss, since the caller compiles anyway.
-//
-// With a positive capacity the cache is bounded: each shard runs a
-// second-chance CLOCK over its value slots in insertion order, and inserts
-// that push the global entry count past the capacity evict from the
-// inserting shard (a segmented clock — 64 independent hands, no global
-// ordering to contend on). One job's cache traffic is serial (an analysis
-// runs on one goroutine), but the entry count is global and distinct jobs
-// can share a shard, so when job groups are analyzed concurrently
-// (BuildBundle at Workers > 1, experiments.AnalyzedJobs) *which* entries
-// survive eviction depends on the schedule. Results never do: a hit is
-// bit-identical to the recompile a miss falls back to, so only the hit/miss/
-// eviction counters and the cache's contents can differ between runs. An
-// unbounded cache — every caller but the bounded-cache tests — has no such
-// caveat: its contents and counters are the same at any worker count.
 type CompileCache struct {
 	shards    [cacheShards]cacheShard
-	capacity  int
 	entries   atomic.Int64
 	hits      *obs.Counter
 	misses    *obs.Counter
 	projected *obs.Counter
-	evictions *obs.Counter
 }
 
-// NewCompileCache returns an empty, unbounded cache.
+// NewCompileCache returns an empty cache.
 func NewCompileCache() *CompileCache {
-	return NewCompileCacheWithCapacity(0)
-}
-
-// NewCompileCacheWithCapacity returns an empty cache bounded to at most
-// capacity entries (0 means unbounded). Serving-scale workloads should
-// bound the cache: without it, churned templates accumulate forever.
-func NewCompileCacheWithCapacity(capacity int) *CompileCache {
 	c := &CompileCache{
-		capacity:  capacity,
 		hits:      obs.NewCounter(cacheHitsMetric),
 		misses:    obs.NewCounter(cacheMissesMetric),
 		projected: obs.NewCounter(cacheProjHitsMetric),
-		evictions: obs.NewCounter(cacheEvictionsMetric),
 	}
 	for i := range c.shards {
 		c.shards[i].jobs = make(map[JobFingerprint]*jobEntry)
@@ -205,12 +169,10 @@ func (c *CompileCache) SetObs(reg *obs.Registry, labels ...string) {
 	hits := reg.Counter(cacheHitsMetric, labels...)
 	misses := reg.Counter(cacheMissesMetric, labels...)
 	projected := reg.Counter(cacheProjHitsMetric, labels...)
-	evictions := reg.Counter(cacheEvictionsMetric, labels...)
 	hits.Add(c.hits.Value())
 	misses.Add(c.misses.Value())
 	projected.Add(c.projected.Value())
-	evictions.Add(c.evictions.Value())
-	c.hits, c.misses, c.projected, c.evictions = hits, misses, projected, evictions
+	c.hits, c.misses, c.projected = hits, misses, projected
 	reg.GaugeFunc(cacheEntriesMetric, func() float64 {
 		return float64(c.entries.Load())
 	}, labels...)
@@ -223,9 +185,9 @@ func (c *CompileCache) shard(fp JobFingerprint) *cacheShard {
 }
 
 // lookup scans the job's footprint entries in insertion order for one whose
-// projection of cfg is present. mark sets the CLOCK reference bit (bounded
-// mode only — callers holding just the read lock must pass false).
-func (s *cacheShard) lookup(fp JobFingerprint, cfg bitvec.Vector, full bitvec.Key, mark bool) (CompileValue, bool, bool) {
+// projection of cfg is present; projected reports a hit whose writer was a
+// different full configuration.
+func (s *cacheShard) lookup(fp JobFingerprint, cfg bitvec.Vector) (v CompileValue, ok, projected bool) {
 	je := s.jobs[fp]
 	if je == nil {
 		return CompileValue{}, false, false
@@ -234,10 +196,7 @@ func (s *cacheShard) lookup(fp JobFingerprint, cfg bitvec.Vector, full bitvec.Ke
 	if slot == nil {
 		return CompileValue{}, false, false
 	}
-	if mark {
-		slot.ref = true
-	}
-	return slot.val, true, slot.writer != full
+	return slot.val, true, slot.writer != cfg.Key()
 }
 
 // Get returns the cached value for compiling the fingerprinted job under
@@ -254,20 +213,9 @@ func (c *CompileCache) get(fp JobFingerprint, cfg bitvec.Vector, needPlan bool) 
 		return CompileValue{}, false
 	}
 	s := c.shard(fp)
-	full := cfg.Key()
-	var v CompileValue
-	var ok, projected bool
-	if c.capacity > 0 {
-		// Bounded mode writes the reference bit, so hits need the write
-		// lock; only jobs sharing one of the 64 shards contend on it.
-		s.mu.Lock()
-		v, ok, projected = s.lookup(fp, cfg, full, true)
-		s.mu.Unlock()
-	} else {
-		s.mu.RLock()
-		v, ok, projected = s.lookup(fp, cfg, full, false)
-		s.mu.RUnlock()
-	}
+	s.mu.RLock()
+	v, ok, projected := s.lookup(fp, cfg)
+	s.mu.RUnlock()
 	ok = ok && (!needPlan || v.Plan != nil)
 	if ok {
 		c.hits.Inc()
@@ -283,20 +231,14 @@ func (c *CompileCache) get(fp JobFingerprint, cfg bitvec.Vector, needPlan bool) 
 // Put stores the outcome of compiling the fingerprinted job under cfg. The
 // entry is indexed by cfg projected onto v.Footprint. Concurrent Puts of
 // the same projection are benign: compilation is deterministic, so both
-// writers carry identical values. Inserts past the capacity evict.
+// writers carry identical values.
 func (c *CompileCache) Put(fp JobFingerprint, cfg bitvec.Vector, v CompileValue) {
 	if c == nil {
 		return
 	}
 	s := c.shard(fp)
 	s.mu.Lock()
-	c.putLocked(s, fp, cfg, v)
-	s.mu.Unlock()
-}
-
-// putLocked inserts one entry into s, which must be fp's shard and write-
-// locked by the caller.
-func (c *CompileCache) putLocked(s *cacheShard, fp JobFingerprint, cfg bitvec.Vector, v CompileValue) {
+	defer s.mu.Unlock()
 	je := s.jobs[fp]
 	if je == nil {
 		je = &jobEntry{}
@@ -309,58 +251,7 @@ func (c *CompileCache) putLocked(s *cacheShard, fp JobFingerprint, cfg bitvec.Ve
 		return
 	}
 	fe.vals[k] = &cacheSlot{val: v, writer: cfg.Key()}
-	s.ring = append(s.ring, ringSlot{fp: fp, fe: fe, key: k})
-	n := c.entries.Add(1)
-	if c.capacity > 0 {
-		for ; n > int64(c.capacity); n-- {
-			s.evictLocked(c)
-		}
-	}
-}
-
-// evictLocked removes one value slot from the shard by second-chance CLOCK:
-// the hand sweeps the insertion-ordered ring, clearing reference bits until
-// it finds a slot whose bit is already clear. Callers hold the write lock.
-func (s *cacheShard) evictLocked(c *CompileCache) {
-	for len(s.ring) > 0 {
-		if s.hand >= len(s.ring) {
-			s.hand = 0
-		}
-		rs := s.ring[s.hand]
-		if slot := rs.fe.vals[rs.key]; slot != nil && slot.ref {
-			slot.ref = false
-			s.hand++
-			continue
-		}
-		delete(rs.fe.vals, rs.key)
-		s.ring = append(s.ring[:s.hand], s.ring[s.hand+1:]...)
-		if len(rs.fe.vals) == 0 {
-			s.dropFootprint(rs.fp, rs.fe)
-		}
-		c.entries.Add(-1)
-		c.evictions.Inc()
-		return
-	}
-}
-
-// dropFootprint unlinks an emptied footprint entry from its job (and the
-// job itself once footprint-less) so churned templates do not accumulate
-// empty shells.
-func (s *cacheShard) dropFootprint(fp JobFingerprint, fe *footprintEntry) {
-	je := s.jobs[fp]
-	if je == nil {
-		return
-	}
-	foots := je.foots[:0]
-	for _, f := range je.foots {
-		if f != fe {
-			foots = append(foots, f)
-		}
-	}
-	je.foots = foots
-	if len(je.foots) == 0 {
-		delete(s.jobs, fp)
-	}
+	c.entries.Add(1)
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.
@@ -368,9 +259,7 @@ type CacheStats struct {
 	Hits      uint64
 	Misses    uint64
 	Projected uint64
-	Evictions uint64
 	Entries   int
-	Capacity  int
 }
 
 // HitRate returns hits / (hits + misses), or 0 before any lookup.
@@ -382,15 +271,6 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// ProjectedRate returns the fraction of hits found through footprint
-// projection rather than an exact writer-configuration match.
-func (s CacheStats) ProjectedRate() float64 {
-	if s.Hits == 0 {
-		return 0
-	}
-	return float64(s.Projected) / float64(s.Hits)
-}
-
 // Stats snapshots the counters and entry count. Safe on a nil cache.
 func (c *CompileCache) Stats() CacheStats {
 	if c == nil {
@@ -400,9 +280,7 @@ func (c *CompileCache) Stats() CacheStats {
 		Hits:      c.hits.Value(),
 		Misses:    c.misses.Value(),
 		Projected: c.projected.Value(),
-		Evictions: c.evictions.Value(),
 		Entries:   int(c.entries.Load()),
-		Capacity:  c.capacity,
 	}
 }
 

@@ -23,9 +23,8 @@ import (
 
 // fanoutSetup is one configuration of the group-level fan-out under test.
 type fanoutSetup struct {
-	workers  int
-	fault    *faults.Plan // nil = injection off
-	capacity int          // compile-cache capacity; 0 = unbounded
+	workers int
+	fault   *faults.Plan // nil = injection off
 }
 
 // fanoutEnv is a fully instrumented pipeline on a frozen clock over a slice
@@ -55,7 +54,7 @@ func newFanoutEnv(t *testing.T, s fanoutSetup) *fanoutEnv {
 	p.MaxCandidates = 24
 	p.ExecutePerJob = 3
 	p.Workers = s.workers
-	p.Cache = steering.NewCompileCacheWithCapacity(s.capacity)
+	p.Cache = steering.NewCompileCache()
 	p.Cache.SetObs(reg, "workload", w.Name)
 	p.Obs = reg
 	jobs := w.Day(0)
@@ -131,25 +130,20 @@ var fanoutWorkers = []int{2, 8}
 // TestBuildBundleParallelDeterminism is the determinism contract of the
 // group-level fan-out: bundle bytes, BundleReport, every group's analysis and
 // the frozen-clock obs snapshot are identical at Workers 1, 2 and 8 —
-// fault-free and under a pinned fault seed. With a tiny bounded cache which
-// entries survive eviction is schedule-dependent, so only the results (bundle
-// bytes and report) are held equal there.
+// fault-free and under a pinned fault seed.
 func TestBuildBundleParallelDeterminism(t *testing.T) {
 	t.Setenv(obs.VClockEnv, "1")
 	plan := faults.DefaultPlan(1337)
 	for _, tc := range []struct {
-		name     string
-		fault    *faults.Plan
-		capacity int
-		full     bool // compare snapshots and analyses too
+		name  string
+		fault *faults.Plan
 	}{
-		{name: "fault-free", full: true},
-		{name: "fault-seed", fault: &plan, full: true},
-		{name: "bounded-cache", capacity: 16},
+		{name: "fault-free"},
+		{name: "fault-seed", fault: &plan},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			setup := func(w int) fanoutSetup {
-				return fanoutSetup{workers: w, fault: tc.fault, capacity: tc.capacity}
+				return fanoutSetup{workers: w, fault: tc.fault}
 			}
 			base := buildWith(t, setup(1))
 			if base.rep.Groups < 4 || base.rep.Steered == 0 {
@@ -163,13 +157,10 @@ func TestBuildBundleParallelDeterminism(t *testing.T) {
 				if got.rep != base.rep {
 					t.Errorf("workers=%d: report %+v, want %+v", w, got.rep, base.rep)
 				}
-				if tc.full && got.snap != base.snap {
+				if got.snap != base.snap {
 					t.Errorf("workers=%d: obs snapshot differs from workers=1\n--- w1 ---\n%s--- w%d ---\n%s",
 						w, base.snap, w, got.snap)
 				}
-			}
-			if !tc.full {
-				return
 			}
 			baseAs, baseErrs := analyzeEachWith(t, setup(1))
 			injected := false
@@ -208,10 +199,9 @@ func TestBuildBundleParallelDeterminism(t *testing.T) {
 // data-race free.
 //
 // STEERQ_VCLOCK is set the way the deterministic CI run sets it: the
-// scheduler's per-worker attribution and steal counts are the one
-// schedule-dependent corner of the registry, and the virtual clock is the
-// switch that canonicalizes them (like it zeroes span durations), so the
-// frozen-clock goldens cover them too.
+// scheduler's per-worker attribution is the one schedule-dependent corner of
+// the registry, and the virtual clock is the switch that canonicalizes it
+// (like it zeroes span durations), so the frozen-clock goldens cover it too.
 func TestObsSnapshotWorkerDeterminism(t *testing.T) {
 	t.Setenv(obs.VClockEnv, "1")
 	plan := faults.DefaultPlan(1337)
@@ -233,7 +223,6 @@ func TestObsSnapshotWorkerDeterminism(t *testing.T) {
 		"steerq_cascades_rule_firings_total",
 		"steerq_robustness_retries_total",
 		"steerq_par_items_total",
-		"steerq_par_steals_total",
 		"steerq_par_queue_depth",
 		"pipeline.recompile",
 		"abtest.compile",

@@ -12,7 +12,10 @@ import "steerq/internal/bitvec"
 // results — plan, cost, signature, even the footprint itself. The classifier
 // exploits this: once one representative of a class is compiled, every other
 // configuration projecting onto the same (footprint, projected-key) pair
-// shares the outcome without compiling.
+// shares the outcome without compiling. Measured, kept (EXPERIMENTS.md
+// "Prove-or-delete"): the classes avoid 12.6 % of a cold discovery pass's
+// candidate compiles (the benchmark's steering.fp_avoided_share on
+// discover_cold).
 //
 // Classes are indexed the way the compile cache indexes one job's entries
 // (jobEntry): one map per distinct footprint — a job's candidates share a

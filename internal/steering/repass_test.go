@@ -195,38 +195,6 @@ func TestTrialFromCachedPlanMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestRepassBoundedCache: in a cache far smaller than one pass's entries a
-// plan leaves with its slot, and a re-pass — now a mix of kept plans and
-// recompiles — still reproduces the bundle byte for byte.
-func TestRepassBoundedCache(t *testing.T) {
-	const capacity = 16
-	e := newFanoutEnv(t, fanoutSetup{workers: 1, capacity: capacity})
-	cold := encodedBundle(t, e, e.jobs)
-	st := e.p.Cache.Stats()
-	if st.Evictions == 0 || st.Entries > capacity {
-		t.Fatalf("after the cold pass: %+v", st)
-	}
-	unbounded := newFanoutEnv(t, fanoutSetup{workers: 1})
-	if want := encodedBundle(t, unbounded, e.jobs); !bytes.Equal(cold, want) {
-		t.Error("bounded-cache bundle differs from the unbounded one")
-	}
-	plans, all := 0, 0
-	for _, job := range e.reps(t) {
-		a, err := unbounded.p.Recompile(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans += plansKept(e, job, a.Span)
-		all += plansKept(unbounded, job, a.Span)
-	}
-	if plans > capacity || plans >= all {
-		t.Fatalf("%d plans kept in %d slots, %d when nothing is evicted", plans, capacity, all)
-	}
-	if warm := encodedBundle(t, e, recompiled(t, e)); !bytes.Equal(warm, cold) {
-		t.Error("bounded-cache re-pass bundle differs from the cold pass's")
-	}
-}
-
 // TestCachedPlanParallelExec: eight goroutines re-analysing one warm job
 // execute the same kept plans at once; every analysis equals the serial one
 // and none compiles. Under -race this holds exec to only reading a plan.
