@@ -358,8 +358,8 @@ func BenchmarkBundleRepass(b *testing.B) {
 
 // BenchmarkSessionCandidates measures what one analysis sends through one
 // optimizer session: the span probes and 300 candidate configurations of the
-// widest-span job of the pipeline benchmarks' set, plan-less, on one
-// caller-owned arena. explores/op is the logical explorations the sweep
+// widest-span job of the pipeline benchmarks' set, plan-less, on one pooled
+// arena. explores/op is the logical explorations the sweep
 // actually ran (the rest shared an explored memo) and must stay at or below a
 // quarter of compiles/op — candidates differ mostly in implementation bits,
 // which exploration never reads. allocs/compile spreads the sweep's
@@ -391,14 +391,13 @@ func BenchmarkSessionCandidates(b *testing.B) {
 		}
 	}
 	fresh := r.Obs().Counter("steerq_cascades_explorations_total", "outcome", "fresh")
-	sc := cascades.NewScratch()
 	before := fresh.Value()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	mallocs := ms.Mallocs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sess := opt.NewSession(sc, job.Root)
+		sess := opt.NewSession(job.Root)
 		for _, cfg := range cfgs {
 			if _, err := sess.Optimize(cfg, false); err != nil && !errors.Is(err, cascades.ErrNoPlan) {
 				b.Fatal(err)

@@ -20,10 +20,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"sort"
 	"strconv"
@@ -601,8 +599,7 @@ func cmdSteer(args []string) error {
 	}
 	fmt.Printf("signature: %s\n", sig.Hex())
 
-	var version uint64
-	var kind, cfgHex string
+	var d serve.Decision
 	if *addr != "" {
 		base := "http://" + *addr
 		if *waitReady > 0 {
@@ -610,40 +607,25 @@ func cmdSteer(args []string) error {
 				return err
 			}
 		}
-		resp, err := http.Get(base + serve.PathSteer + "?sig=" + sig.Hex())
-		if err != nil {
-			return fmt.Errorf("steer: %w", err)
+		var err error
+		if d, err = serve.Steer(base, sig); err != nil {
+			return fmt.Errorf("steer: %s: %w", *addr, err)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			var er serve.ErrorResponse
-			_ = json.NewDecoder(resp.Body).Decode(&er)
-			return fmt.Errorf("steer: %s returned %d: %s", *addr, resp.StatusCode, er.Error)
-		}
-		var sr serve.SteerResponse
-		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-			return fmt.Errorf("steer: decode response: %w", err)
-		}
-		version, kind, cfgHex = sr.Version, sr.Kind, sr.Config
 	} else {
 		sdk := serve.NewSDK(e.reg)
 		if err := sdk.LoadFile(*bundlePath); err != nil {
 			return err
 		}
-		d, ok := sdk.Lookup(sig)
-		if !ok {
+		var ok bool
+		if d, ok = sdk.Lookup(sig); !ok {
 			return fmt.Errorf("steer: no bundle live after load")
 		}
-		version, kind, cfgHex = d.Version, d.Kind.String(), d.Config.Hex()
 	}
 
-	fmt.Printf("version: %d kind: %s\n", version, kind)
-	fmt.Printf("config: %s\n", cfgHex)
+	fmt.Printf("version: %d kind: %s\n", d.Version, d.Kind)
+	fmt.Printf("config: %s\n", d.Config.Hex())
 	if built {
-		cfg, err := bitvec.ParseHex(cfgHex)
-		if err == nil {
-			fmt.Printf("hints:\n%s", steering.HintsFor(cfg, e.harness.Opt.Rules).String())
-		}
+		fmt.Printf("hints:\n%s", steering.HintsFor(d.Config, e.harness.Opt.Rules).String())
 		return e.finish()
 	}
 	return nil

@@ -116,7 +116,7 @@ var ErrNoPlan = errors.New("cascades: no physical plan under this rule configura
 // construction. The discovery pipeline relies on this to fan job analyses out
 // across workers.
 func (o *Optimizer) Optimize(root *plan.Node, cfg bitvec.Vector) (*Result, error) {
-	s := o.NewSession(nil, root)
+	s := o.NewSession(root)
 	defer s.Close()
 	return s.Optimize(cfg, true)
 }
@@ -128,7 +128,7 @@ func (o *Optimizer) Optimize(root *plan.Node, cfg bitvec.Vector) (*Result, error
 // the single largest allocation of a compile. The search itself is
 // byte-identical to Optimize's; only the final extraction differs.
 func (o *Optimizer) OptimizeCost(root *plan.Node, cfg bitvec.Vector) (*Result, error) {
-	s := o.NewSession(nil, root)
+	s := o.NewSession(root)
 	defer s.Close()
 	return s.Optimize(cfg, false)
 }
@@ -152,21 +152,17 @@ type Session struct {
 	sc   *searchScratch
 }
 
-// NewSession opens a session compiling root through the caller-owned arena
-// sc, or through one from the shared pool when sc is nil. Close it to recycle
-// the arena; an owned Scratch serves one open session at a time.
-func (o *Optimizer) NewSession(sc *Scratch, root *plan.Node) *Session {
-	arena := sc.arena()
-	if arena == nil {
-		arena = scratchPool.Get().(*searchScratch)
-	}
-	return &Session{o: o, root: root, sc: arena}
+// NewSession opens a session compiling root through an arena from the shared
+// pool. Close it to hand the arena back.
+func (o *Optimizer) NewSession(root *plan.Node) *Session {
+	return &Session{o: o, root: root, sc: scratchPool.Get().(*searchScratch)}
 }
 
-// Close retires every memo of the session and recycles its arena. Results
-// already returned stay valid: they reference no arena memory.
+// Close retires every memo of the session and returns its arena to the pool.
+// Results already returned stay valid: they reference no arena memory.
 func (se *Session) Close() {
 	se.sc.retire()
+	scratchPool.Put(se.sc)
 	se.sc = nil
 }
 

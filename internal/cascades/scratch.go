@@ -106,11 +106,6 @@ func (s *slab[T]) reset() {
 // in a Result, so once the session is closed the arena can be zeroed and
 // handed to the next one.
 type searchScratch struct {
-	// owned marks an arena held by a caller's Scratch handle: Close still
-	// zeroes it for the next session but must not hand it to the shared
-	// pool, or two owners could end up recycling one arena concurrently.
-	owned bool
-
 	// Physical side.
 	pexprs    slab[pexpr]
 	children  slab[*pexpr]
@@ -152,38 +147,13 @@ func newSearchScratch() *searchScratch {
 	}
 }
 
-// scratchPool recycles arenas across sessions and goroutines. Entries are
-// dropped by the runtime under memory pressure, so a one-off giant compile
-// cannot pin its arena forever.
+// scratchPool is the one owner of idle arenas: NewSession takes one and
+// Session.Close puts it back, so every session — a one-shot Optimize or a
+// whole job analysis — costs one pool round trip. Entries are dropped by the
+// runtime under memory pressure, so a one-off giant compile cannot pin its
+// arena forever.
 var scratchPool = sync.Pool{
 	New: func() any { return newSearchScratch() },
-}
-
-// Scratch is a caller-owned compile arena for NewSession. Call sites that
-// compile in a tight loop — the steering pipeline's job-group fan-out keys
-// one Scratch per scheduler worker — hold on to a Scratch so every session
-// reuses the same slabs and maps without a sync.Pool round trip (and without
-// the pool's cross-goroutine handoffs, which under contention hand a cold
-// arena to a hot loop). A Scratch serves one open session at a time; the
-// zero of exclusivity is the caller's worker identity. A nil *Scratch is
-// valid and falls back to the shared pool.
-type Scratch struct {
-	sc *searchScratch
-}
-
-// NewScratch returns an empty caller-owned arena.
-func NewScratch() *Scratch {
-	sc := newSearchScratch()
-	sc.owned = true
-	return &Scratch{sc: sc}
-}
-
-// arena returns the backing arena, or nil to request the pooled path.
-func (s *Scratch) arena() *searchScratch {
-	if s == nil {
-		return nil
-	}
-	return s.sc
 }
 
 // recycled returns buf emptied, with the references parked anywhere in its
@@ -231,8 +201,9 @@ func (m *Memo) freeze() {
 	sc.memoSchema, m.schemaBuf = recycled(m.schemaBuf), nil
 }
 
-// retire recycles the memo side and returns a pooled arena to the pool. Must
-// run only after every compile of the session has extracted its plan.
+// retire recycles the memo side, leaving the arena as empty as a new one for
+// the next session. Must run only after every compile of the session has
+// extracted its plan.
 func (sc *searchScratch) retire() {
 	sc.mexprs.reset()
 	sc.groups.reset()
@@ -242,7 +213,4 @@ func (sc *searchScratch) retire() {
 	sc.impls.reset()
 	sc.memoStats.Reset()
 	clear(sc.memos)
-	if !sc.owned {
-		scratchPool.Put(sc)
-	}
 }

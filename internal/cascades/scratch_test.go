@@ -8,10 +8,11 @@ import (
 	"steerq/internal/rules"
 )
 
-// TestSessionOnScratchMatchesOptimize: sessions on one caller-owned arena —
-// reused back to back, including across a no-plan failure — are
-// byte-identical to pooled one-shot compiles of the same inputs. This is the
-// contract the pipeline's per-worker arenas rest on.
+// TestSessionOnScratchMatchesOptimize: sessions opened back to back, each on
+// an arena the previous one handed back to the pool — including after a
+// no-plan failure — are byte-identical to one-shot compiles of the same
+// inputs. The in-package TestCloseRetiresEverything pins the same property on
+// one fixed arena.
 func TestSessionOnScratchMatchesOptimize(t *testing.T) {
 	cat := testCatalog()
 	opt := newOpt(cat)
@@ -23,9 +24,8 @@ func TestSessionOnScratchMatchesOptimize(t *testing.T) {
 		broken.Clear(id)
 	}
 
-	sc := cascades.NewScratch()
 	for pass := 0; pass < 3; pass++ {
-		sess := opt.NewSession(sc, root)
+		sess := opt.NewSession(root)
 		// Success case, plan materialized.
 		want, err := opt.Optimize(root, base)
 		if err != nil {
@@ -37,7 +37,7 @@ func TestSessionOnScratchMatchesOptimize(t *testing.T) {
 		}
 		if want.Cost != got.Cost || !want.Signature.Equal(got.Signature) ||
 			!want.Footprint.Equal(got.Footprint) || want.Plan.String() != got.Plan.String() {
-			t.Fatalf("pass %d: arena compile diverged from pooled compile", pass)
+			t.Fatalf("pass %d: session compile diverged from one-shot compile", pass)
 		}
 		// Cost-only through the same session.
 		costed, err := sess.Optimize(base, false)
@@ -57,26 +57,5 @@ func TestSessionOnScratchMatchesOptimize(t *testing.T) {
 			t.Fatalf("pass %d: no-plan footprints diverged", pass)
 		}
 		sess.Close()
-	}
-}
-
-// TestSessionNilScratch: a nil *Scratch falls back to the shared pool, so
-// call sites can thread an optional arena without branching.
-func TestSessionNilScratch(t *testing.T) {
-	cat := testCatalog()
-	opt := newOpt(cat)
-	root := compile(t, cat, joinAggScript)
-	want, err := opt.Optimize(root, opt.Rules.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := opt.NewSession(nil, root)
-	defer sess.Close()
-	got, err := sess.Optimize(opt.Rules.DefaultConfig(), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Cost != got.Cost || !want.Signature.Equal(got.Signature) {
-		t.Fatal("nil-scratch compile diverged")
 	}
 }

@@ -115,7 +115,7 @@ func toyOptimizer(t *testing.T) *Optimizer {
 
 // toyPlans are small jobs over the toy catalog: a filtered aggregation over
 // the wide stream, a filtered aggregation, and two outputs sharing one
-// filtered scan. The wide job comes first: on a fresh Scratch its first memo
+// filtered scan. The wide job comes first: on a fresh arena its first memo
 // build and its first physical phase each carve several times what a
 // statistics arena starts with, so both arenas replace their buffers under
 // statistics that are still being read.
@@ -152,6 +152,14 @@ func toyConfigs() []bitvec.Vector {
 		out = append(out, cfg)
 	}
 	return out
+}
+
+// sessionOn opens a session on the fixed arena sc instead of a pooled one.
+// End it with sc.retire(), which recycles the arena exactly as Close does but
+// keeps it out of the pool, so a test can run session after session on one
+// arena and inspect it in between.
+func sessionOn(o *Optimizer, sc *searchScratch, root *plan.Node) *Session {
+	return &Session{o: o, root: root, sc: sc}
 }
 
 func sameResult(got *Result, gerr error, want *Result, werr error) error {
@@ -218,11 +226,11 @@ func TestFrozenMeansFrozen(t *testing.T) {
 		orders[0][i], orders[1][i] = i, len(cfgs)-1-i
 		orders[2][i] = (i*37 + 11) % len(cfgs) // 37 is coprime to 128: a fixed shuffle
 	}
-	sc := NewScratch()
+	sc := newSearchScratch()
 	noPlans := 0
 	for pi, root := range toyPlans() {
 		for oi, order := range orders {
-			sess := o.NewSession(sc, root)
+			sess := sessionOn(o, sc, root)
 			frozen := map[*Memo][]uint64{}
 			for step, i := range order {
 				label := fmt.Sprintf("plan %d order %d step %d", pi, oi, step)
@@ -250,7 +258,7 @@ func TestFrozenMeansFrozen(t *testing.T) {
 			if len(frozen) != 4 || len(sess.sc.memos) != 4 {
 				t.Fatalf("plan %d order %d: %d memos for 4 transform-bit classes", pi, oi, len(sess.sc.memos))
 			}
-			sess.Close()
+			sc.retire()
 		}
 	}
 	if noPlans == 0 {
@@ -295,15 +303,15 @@ func poison(sc *searchScratch, clean bool) {
 // TestCloseRetiresEverything: nothing a closed session produced or held
 // reaches into its arena. Results returned before Close validate and render
 // the same while every chunk of the arena is poisoned, the arena's maps are
-// empty, and the next plan's session on the same Scratch — whose
+// empty, and the next plan's session on the same arena — whose
 // configurations map to the very same memo keys — equals one-shot compiles.
 func TestCloseRetiresEverything(t *testing.T) {
 	o := toyOptimizer(t)
 	cfgs := toyConfigs()
-	sc := NewScratch()
+	sc := newSearchScratch()
 	for round := 0; round < 2; round++ {
 		for pi, root := range toyPlans() {
-			sess := o.NewSession(sc, root)
+			sess := sessionOn(o, sc, root)
 			var kept []*Result
 			var text []string
 			for i, cfg := range cfgs {
@@ -316,11 +324,11 @@ func TestCloseRetiresEverything(t *testing.T) {
 					kept, text = append(kept, got), append(text, got.Plan.String())
 				}
 			}
-			sess.Close()
-			if len(sc.sc.memos)+len(sc.sc.buckets)+len(sc.sc.byNode) != 0 {
+			sc.retire()
+			if len(sc.memos)+len(sc.buckets)+len(sc.byNode) != 0 {
 				t.Fatalf("plan %d: a closed session left map entries behind", pi)
 			}
-			poison(sc.sc, false)
+			poison(sc, false)
 			for i, res := range kept {
 				if err := Validate(res.Plan, 0); err != nil {
 					t.Fatalf("plan %d: result %d broke once its arena was retired: %v", pi, i, err)
@@ -329,7 +337,7 @@ func TestCloseRetiresEverything(t *testing.T) {
 					t.Fatalf("plan %d: result %d renders differently once its arena was retired", pi, i)
 				}
 			}
-			poison(sc.sc, true)
+			poison(sc, true)
 		}
 	}
 }

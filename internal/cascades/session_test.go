@@ -109,24 +109,13 @@ func transformMask(rs *cascades.RuleSet) bitvec.Vector {
 // memo size, and plan text when asked for. The sweep must explore exactly one
 // memo per transform-bit class of its configurations, which is at most
 // 2^(transform rules in the span) beyond its span probes. (The frozen-memo
-// census and arena retirement need package internals: session_internal_test.go.)
+// census, arena retirement and buffer growth on a fresh arena need package
+// internals: session_internal_test.go.)
 func TestSessionMatchesOneShot(t *testing.T) {
 	opt, reg, jobs := sessionJobs(t)
 	mask := transformMask(opt.Rules)
 	fresh := reg.Counter("steerq_cascades_explorations_total", "outcome", "fresh")
 	shared := reg.Counter("steerq_cascades_explorations_total", "outcome", "shared")
-	// The widest job goes first, on a fresh Scratch: its first compiles carve
-	// several times the statistics an arena's first buffers hold, so both
-	// sides replace their buffers in the middle of a memo build and of a
-	// physical phase, and must still produce the one-shot results.
-	widest, groups := 0, 0
-	for ji, job := range jobs {
-		if res, err := opt.OptimizeCost(job.Root, opt.Rules.DefaultConfig()); err == nil && res.Groups > groups {
-			widest, groups = ji, res.Groups
-		}
-	}
-	jobs[0], jobs[widest] = jobs[widest], jobs[0]
-	sc := cascades.NewScratch()
 	sharedTotal, multiMemo := uint64(0), 0
 	for ji, job := range jobs {
 		sw := newSweep(t, opt, job, 300)
@@ -150,7 +139,7 @@ func TestSessionMatchesOneShot(t *testing.T) {
 		slices.Reverse(reversed)
 		for oi, order := range [][]int{forward, reversed, xrand.New(uint64(ji)).Perm(n)} {
 			fresh0, shared0 := fresh.Value(), shared.Value()
-			sess := opt.NewSession(sc, job.Root)
+			sess := opt.NewSession(job.Root)
 			for step, i := range order {
 				withPlan := (step+ji)%2 == 0
 				res, err := sess.Optimize(sw.cfgs[i], withPlan)
@@ -202,7 +191,7 @@ func TestSessionNoPlanSharesMemo(t *testing.T) {
 	}
 	fresh := reg.Counter("steerq_cascades_explorations_total", "outcome", "fresh")
 	fresh0 := fresh.Value()
-	sess := opt.NewSession(nil, root)
+	sess := opt.NewSession(root)
 	defer sess.Close()
 	for i, cfg := range cfgs {
 		got, gerr := sess.Optimize(cfg, false)
@@ -227,10 +216,9 @@ func TestSessionNoPlanSharesMemo(t *testing.T) {
 func TestSessionWarmCompileAllocations(t *testing.T) {
 	opt, _, jobs := sessionJobs(t)
 	cfg := opt.Rules.DefaultConfig()
-	sc := cascades.NewScratch()
 	worst := 0.0
 	for _, job := range jobs {
-		sess := opt.NewSession(sc, job.Root)
+		sess := opt.NewSession(job.Root)
 		compile := func() {
 			if _, err := sess.Optimize(cfg, false); err != nil {
 				t.Fatalf("%s: %v", job.ID, err)
@@ -249,10 +237,11 @@ func TestSessionWarmCompileAllocations(t *testing.T) {
 	t.Logf("warm plan-less compile: at most %v allocations over %d jobs", worst, len(jobs))
 }
 
-// TestConcurrentSessionsShareEstimator: eight goroutines, each with its own
-// Scratch, sweep every job through sessions of one Optimizer — one shared
-// Estimator, Coster and rule set — and get the serial results. Run with -race:
-// the estimator carries no per-compile state to race on.
+// TestConcurrentSessionsShareEstimator: eight goroutines sweep every job
+// through sessions of one Optimizer — one shared Estimator, Coster and rule
+// set, arenas passed between them through the pool — and get the serial
+// results. Run with -race: the estimator carries no per-compile state to race
+// on, and no arena is held by two sessions at once.
 func TestConcurrentSessionsShareEstimator(t *testing.T) {
 	opt, _, jobs := sessionJobs(t)
 	base := opt.Rules.DefaultConfig()
@@ -271,10 +260,9 @@ func TestConcurrentSessionsShareEstimator(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			sc := cascades.NewScratch()
 			for k := range jobs {
 				ji := (k + 3*g) % len(jobs) // every goroutine on a different job
-				sess := opt.NewSession(sc, jobs[ji].Root)
+				sess := opt.NewSession(jobs[ji].Root)
 				for ci, cfg := range cfgs {
 					res, err := sess.Optimize(cfg, true)
 					if err != nil && !errors.Is(err, cascades.ErrNoPlan) {

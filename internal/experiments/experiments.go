@@ -55,11 +55,6 @@ type Config struct {
 	// serial). Zero resolves through STEERQ_WORKERS and then
 	// GOMAXPROCS; every value produces bit-for-bit identical results.
 	Workers int
-	// ZipfSkew, when positive, switches every workload the runner builds
-	// into the Zipf hot-template popularity mode (see
-	// workload.Profile.ZipfSkew): template arrival rates follow a Zipf(s)
-	// law over a seeded ranking instead of the two-tier heavy/normal mix.
-	ZipfSkew float64
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 	// CheckPlans validates every executed plan (cascades.Validate) before
@@ -153,9 +148,6 @@ func (r *Runner) Workload(name string) *workload.Workload {
 	default:
 		// steerq:allow-panic — workload names come from the experiment table, not user input.
 		panic("experiments: unknown workload " + name)
-	}
-	if r.Cfg.ZipfSkew > 0 {
-		p = p.WithZipf(r.Cfg.ZipfSkew)
 	}
 	w := workload.Generate(p)
 	r.workloads[name] = w

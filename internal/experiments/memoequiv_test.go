@@ -74,7 +74,7 @@ func TestHashedInternMatchesLegacy(t *testing.T) {
 	}
 
 	for ji, j := range jobs {
-		sess := opt.NewSession(nil, j.Root)
+		sess := opt.NewSession(j.Root)
 		for ci, c := range []struct {
 			name string
 			cfg  bitvec.Vector

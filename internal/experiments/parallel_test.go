@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"steerq/internal/bitvec"
@@ -79,53 +78,6 @@ func TestAnalyzedJobsParallelDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d: progress log differs from serial run:\n--- serial ---\n%s\n--- parallel ---\n%s",
 				workers, serialLog, parallelLog)
 		}
-	}
-}
-
-// TestZipfPipelineParallelDeterminism is the metamorphic acceptance test for
-// the scheduler on skewed traffic: a full pipeline run over the Zipf
-// hot-template workload, rendered to bytes, must be identical at 1 and 8
-// workers. The hot templates make the per-job analyses uneven, which is
-// exactly where which worker runs which job varies the most. The candidate stage's
-// compile count (Sched.Items) is included because it must not depend on the
-// worker count.
-func TestZipfPipelineParallelDeterminism(t *testing.T) {
-	render := func(workers int) []byte {
-		cfg := tinyConfig()
-		cfg.Workers = workers
-		cfg.ZipfSkew = 1.2
-		var log bytes.Buffer
-		cfg.Log = &log
-		r := NewRunner(cfg)
-		out := r.AnalyzedJobs("A", 0)
-		if len(out) == 0 {
-			t.Fatalf("workers=%d: zipf run produced no analyses; test is vacuous", workers)
-		}
-		var buf bytes.Buffer
-		for _, a := range out {
-			fmt.Fprintf(&buf, "job %s span %v default %v/%v\n",
-				a.Job.ID, a.Span, a.Default.Signature, a.Default.Metrics)
-			for _, c := range a.Candidates {
-				fmt.Fprintf(&buf, "  cand %v cost %v sig %v\n", c.Config, c.EstCost, c.Signature)
-			}
-			for _, s := range a.Selected {
-				fmt.Fprintf(&buf, "  sel %v\n", s.Config)
-			}
-			for _, tr := range a.Trials {
-				fmt.Fprintf(&buf, "  trial %v sig %v cost %v metrics %v\n",
-					tr.Config, tr.Signature, tr.EstCost, tr.Metrics)
-			}
-			fmt.Fprintf(&buf, "  footprint %+v compiles=%d\n", a.Footprint, a.Sched.Items)
-		}
-		buf.WriteString("--- log ---\n")
-		buf.Write(log.Bytes())
-		return buf.Bytes()
-	}
-	serial := render(1)
-	parallel := render(8)
-	if !bytes.Equal(serial, parallel) {
-		t.Fatalf("zipf pipeline run not byte-identical at 1 vs 8 workers:\n--- w1 ---\n%s\n--- w8 ---\n%s",
-			serial, parallel)
 	}
 }
 

@@ -14,7 +14,9 @@
 //     end (see DESIGN.md, "Immutable tables and the atomic swap");
 //   - Server is the HTTP surface: GET /v1/steer lookups, POST /v1/bundles
 //     hot reload, /metrics, /healthz and /readyz wired to internal/obs,
-//     and graceful drain for SIGTERM handling.
+//     and graceful drain for SIGTERM handling;
+//   - Steer is the one HTTP client of that surface, decoding a reply into
+//     the same Decision an SDK lookup yields; WaitReady is its boot wait.
 //
 // The lookup read path is allocation-free after warmup: instruments are
 // resolved once at SDK construction, the table is a plain map keyed by the

@@ -2,14 +2,13 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
-	"net/http"
 	"testing"
 
 	"steerq/internal/abtest"
 	"steerq/internal/bitvec"
 	"steerq/internal/bundle"
 	"steerq/internal/cost"
+	"steerq/internal/loadgen"
 	"steerq/internal/obs"
 	"steerq/internal/rules"
 	"steerq/internal/steering"
@@ -79,7 +78,8 @@ func TestServingEquivalence(t *testing.T) {
 	}
 
 	// Metamorphic leg 2: offline == SDK == HTTP for every job in the
-	// workload, byte-for-byte on the config hex.
+	// workload — hits and fallbacks — and for a miss; the HTTP side goes
+	// through the Steer client and must decode to the SDK's very Decision.
 	g := steering.NewGrouper(h)
 	for _, job := range jobs {
 		sig, err := g.DefaultSignature(job)
@@ -105,19 +105,25 @@ func TestServingEquivalence(t *testing.T) {
 			t.Fatalf("%s: kind %v vs fallback flag %v", job.ID, d.Kind, e.Fallback)
 		}
 
-		resp, err := http.Get(base + PathSteer + "?sig=" + sig.Hex())
+		hd, err := Steer(base, sig)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: HTTP steer: %v", job.ID, err)
 		}
-		var sr SteerResponse
-		derr := json.NewDecoder(resp.Body).Decode(&sr)
-		resp.Body.Close()
-		if derr != nil || resp.StatusCode != 200 {
-			t.Fatalf("%s: HTTP steer %d: %v", job.ID, resp.StatusCode, derr)
+		if hd != d {
+			t.Fatalf("%s: HTTP decision %+v != SDK %+v", job.ID, hd, d)
 		}
-		if sr.Config != e.Config.Hex() || sr.Version != 42 || sr.Kind != d.Kind.String() {
-			t.Fatalf("%s: HTTP decision %+v != offline %s", job.ID, sr, e.Config.Hex())
-		}
+	}
+
+	// A signature the bundle does not hold resolves to the same default
+	// decision in the SDK and over HTTP.
+	known := make([]bitvec.Vector, len(b1.Entries))
+	for i, e := range b1.Entries {
+		known[i] = e.Signature
+	}
+	miss := loadgen.MissSignatures(3, 1, known)[0]
+	d, _ := sdk.Lookup(miss)
+	if hd, err := Steer(base, miss); err != nil || hd != d || d.Kind != KindDefault || !d.Config.Equal(b1.Default) {
+		t.Fatalf("miss: HTTP %+v (err %v), SDK %+v, default %s", hd, err, d, b1.Default.Hex())
 	}
 
 	// Metamorphic leg 3: the steered executor compiles under exactly the

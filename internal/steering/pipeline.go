@@ -182,12 +182,7 @@ func (p *Pipeline) Analyze(job *workload.Job) (*Analysis, error) {
 // AnalyzeCtx is Analyze bounded by a context; cancellation surfaces as the
 // returned error once in-flight compile attempts notice it.
 func (p *Pipeline) AnalyzeCtx(ctx context.Context, job *workload.Job) (*Analysis, error) {
-	return p.analyze(ctx, job, nil)
-}
-
-// analyze is AnalyzeCtx compiling through arena (see recompile).
-func (p *Pipeline) analyze(ctx context.Context, job *workload.Job, arena *cascades.Scratch) (*Analysis, error) {
-	a, err := p.recompile(ctx, job, arena)
+	a, err := p.RecompileCtx(ctx, job)
 	if err != nil {
 		return nil, err
 	}
@@ -204,16 +199,8 @@ func (p *Pipeline) Recompile(job *workload.Job) (*Analysis, error) {
 
 // RecompileCtx is Recompile bounded by a context.
 func (p *Pipeline) RecompileCtx(ctx context.Context, job *workload.Job) (*Analysis, error) {
-	return p.recompile(ctx, job, nil)
-}
-
-// recompile is RecompileCtx with the analysis's optimizer session — every
-// span-probe and candidate compile — on arena: the caller's worker-local
-// compile arena under AnalyzeEachCtx, nil (the cascades scratch pool)
-// otherwise.
-func (p *Pipeline) recompile(ctx context.Context, job *workload.Job, arena *cascades.Scratch) (*Analysis, error) {
 	ctx, sp := p.Obs.StartSpan(ctx, "pipeline.recompile", job.ID)
-	a, err := p.recompileSpanned(ctx, job, arena)
+	a, err := p.recompileSpanned(ctx, job)
 	sp.EndErr(err)
 	if a != nil {
 		mirrorRobustness(p.Obs, a.Robustness)
@@ -221,7 +208,7 @@ func (p *Pipeline) recompile(ctx context.Context, job *workload.Job, arena *casc
 	return a, err
 }
 
-func (p *Pipeline) recompileSpanned(ctx context.Context, job *workload.Job, arena *cascades.Scratch) (*Analysis, error) {
+func (p *Pipeline) recompileSpanned(ctx context.Context, job *workload.Job) (*Analysis, error) {
 	h := p.Harness
 	a := &Analysis{Job: job}
 	def := p.trial(ctx, job, h.Opt.Rules.DefaultConfig(), job.ID+"/default", &a.Robustness)
@@ -230,8 +217,9 @@ func (p *Pipeline) recompileSpanned(ctx context.Context, job *workload.Job, aren
 	}
 	a.Default = def
 	// One optimizer session for the analysis: span probes and candidates
-	// differ mostly in implementation bits, so they share explored memos.
-	sess := h.Opt.NewSession(arena, job.Root)
+	// differ mostly in implementation bits, so they share explored memos and
+	// one pooled arena: one pool round trip per job.
+	sess := h.Opt.NewSession(job.Root)
 	defer sess.Close()
 	// Span probing is serial, so a plain counter gives each probe a stable
 	// tag independent of worker count.
@@ -261,19 +249,14 @@ func (p *Pipeline) recompileSpanned(ctx context.Context, job *workload.Job, aren
 
 // AnalyzeEachCtx is the job-level fan-out BuildBundle runs over its group
 // representatives: it analyzes every job on up to Workers scheduler workers
-// — one compile arena per worker, one analysis serial on its worker — and
-// hands each outcome to visit on the goroutine that produced it, so visit
-// may only touch state slotted by i. It returns the lowest-index error; once
-// ctx is done unstarted jobs are skipped (never visited) and count as failing
-// with ctx.Err().
+// — one analysis serial on its worker — and hands each outcome to visit on
+// the goroutine that produced it, so visit may only touch state slotted by i.
+// It returns the lowest-index error; once ctx is done unstarted jobs are
+// skipped (never visited) and count as failing with ctx.Err().
 func (p *Pipeline) AnalyzeEachCtx(ctx context.Context, jobs []*workload.Job, visit func(i int, a *Analysis, err error)) error {
 	p.schedOnce.Do(func() { p.schedObs = par.NewSchedObs(p.Obs) })
-	arenas := make([]*cascades.Scratch, par.Workers(p.Workers))
-	_, err := par.Run(ctx, p.Workers, len(jobs), p.schedObs, func(worker, i int) error {
-		if arenas[worker] == nil {
-			arenas[worker] = cascades.NewScratch()
-		}
-		a, err := p.analyze(ctx, jobs[i], arenas[worker])
+	_, err := par.Run(ctx, p.Workers, len(jobs), p.schedObs, func(_, i int) error {
+		a, err := p.AnalyzeCtx(ctx, jobs[i])
 		visit(i, a, err)
 		return err
 	})

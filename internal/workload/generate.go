@@ -38,52 +38,14 @@ type Profile struct {
 	HeavyTemplateFrac float64
 	HeavyWeight       float64
 
-	// ZipfSkew, when positive, replaces the two-tier heavy/normal
-	// popularity model with a Zipf(s) law over a seeded random ranking of
-	// the templates: the rank-k template arrives ∝ 1/k^s. This is the
-	// serving-skew regime of the production deployments — Table 1's
-	// workloads map tens of thousands of daily jobs onto a few hundred
-	// rule-signature groups, with single hot groups near 1000 jobs/day;
-	// s in [1.0, 1.2] reproduces that top-group share at workload-B scale.
-	// Total daily volume is unchanged: weights are normalized to mean 1.
-	ZipfSkew float64
-
 	// ShapeWeights orders: cookRaw, joinAgg, multiJoin, unionCook,
 	// reduceJob, topDash, multiOut, unionProcess.
 	ShapeWeights []float64
 }
 
-// WithZipf returns a copy of the profile with ZipfSkew set — the knob the
-// scaling benchmark and the skew experiments use to turn a uniform-ish
-// workload into a hot-template one without touching anything else.
-func (p Profile) WithZipf(s float64) Profile {
-	p.ZipfSkew = s
-	return p
-}
-
-// ZipfWeights returns the n popularity weights of a Zipf(s) law over ranks
-// 1..n, scaled so the mean weight is 1: weight[k] ∝ (k+1)^-s. Scaling to
-// mean 1 keeps a profile's total arrival volume fixed while concentrating
-// it — only the shape of the popularity curve changes with s.
-func ZipfWeights(n int, s float64) []float64 {
-	w := make([]float64, n)
-	var sum float64
-	for i := range w {
-		w[i] = math.Pow(float64(i+1), -s)
-		sum += w[i]
-	}
-	scale := float64(n) / sum
-	for i := range w {
-		w[i] *= scale
-	}
-	return w
-}
-
 // ZipfProbs returns the Zipf(s) popularity law over ranks 1..n as a
-// probability vector: prob[k] ∝ (k+1)^-s, normalized to sum to 1. The load
-// generator draws request signatures from this — ZipfWeights scales the same
-// law to mean 1 for arrival *volumes*, ZipfProbs to total 1 for per-request
-// *draws*. s=0 is the uniform limit.
+// probability vector: prob[k] ∝ (k+1)^-s, normalized to sum to 1. The serving
+// benchmark draws its request signatures from it. s=0 is the uniform limit.
 func ZipfProbs(n int, s float64) []float64 {
 	w := make([]float64, n)
 	var sum float64
@@ -156,16 +118,6 @@ func Generate(p Profile) *Workload {
 	nTemplates := max(1, int(float64(p.TemplatesFull)*p.Scale))
 	for i := 0; i < nTemplates; i++ {
 		w.Templates = append(w.Templates, g.buildTemplate(i))
-	}
-	if p.ZipfSkew > 0 {
-		// Zipf mode: a seeded permutation assigns ranks, so which template
-		// is hot is deterministic in the profile seed but uncorrelated with
-		// template structure (template 0 is not systematically the hot one).
-		zw := ZipfWeights(nTemplates, p.ZipfSkew)
-		perm := r.Derive("zipf").Perm(nTemplates)
-		for rank, ti := range perm {
-			w.Templates[ti].weight = zw[rank]
-		}
 	}
 	return w
 }

@@ -79,11 +79,6 @@ type Template struct {
 	hints []int
 }
 
-// Weight exposes the template's relative daily arrival rate (1 for a
-// typical template; Zipf or heavy-template profiles push hot templates far
-// above it) for skew-aware consumers like the scaling benchmark.
-func (t *Template) Weight() float64 { return t.weight }
-
 // Day instantiates the workload's jobs for one day, deterministically.
 func (w *Workload) Day(day int) []*Job {
 	r := xrand.New(w.seed).Derive("day", fmt.Sprint(day))

@@ -7,134 +7,10 @@ import (
 	"steerq/internal/workload"
 )
 
-func TestZipfWeightsShapeAndScale(t *testing.T) {
-	const n, s = 100, 1.1
-	w := workload.ZipfWeights(n, s)
-	if len(w) != n {
-		t.Fatalf("len = %d, want %d", len(w), n)
-	}
-	var sum float64
-	for i, v := range w {
-		if v <= 0 {
-			t.Fatalf("weight[%d] = %v, want positive", i, v)
-		}
-		if i > 0 && v > w[i-1] {
-			t.Fatalf("weights not decreasing at rank %d: %v > %v", i, v, w[i-1])
-		}
-		sum += v
-	}
-	if math.Abs(sum-float64(n)) > 1e-9 {
-		t.Fatalf("weights sum to %v, want %d (mean 1 keeps volume fixed)", sum, n)
-	}
-	// The law itself: w[k]/w[0] = (k+1)^-s.
-	for _, k := range []int{1, 9, 99} {
-		want := math.Pow(float64(k+1), -s)
-		if got := w[k] / w[0]; math.Abs(got-want) > 1e-9 {
-			t.Fatalf("w[%d]/w[0] = %v, want %v", k, got, want)
-		}
-	}
-}
-
-// TestZipfDayConcentration: at s=1.1 a day's arrivals must concentrate —
-// the most popular template should take a far larger share than under the
-// default two-tier mix — while both modes produce the same job count.
-func TestZipfDayConcentration(t *testing.T) {
-	base := workload.ProfileB(0.02, 7)
-	uniform := workload.Generate(base)
-	zipf := workload.Generate(base.WithZipf(1.1))
-
-	share := func(w *workload.Workload) (float64, int) {
-		jobs := w.Day(0)
-		counts := map[int]int{}
-		for _, j := range jobs {
-			counts[j.Template]++
-		}
-		top := 0
-		for _, c := range counts {
-			if c > top {
-				top = c
-			}
-		}
-		return float64(top) / float64(len(jobs)), len(jobs)
-	}
-	uShare, uJobs := share(uniform)
-	zShare, zJobs := share(zipf)
-	if uJobs != zJobs {
-		t.Fatalf("job volume changed: %d vs %d", uJobs, zJobs)
-	}
-	if zShare <= uShare {
-		t.Fatalf("zipf top-template share %.3f not above uniform %.3f", zShare, uShare)
-	}
-	if zShare < 0.05 {
-		t.Fatalf("zipf top-template share %.3f too flat for s=1.1", zShare)
-	}
-}
-
-// TestZipfDeterministicAndSeedSensitive: the hot ranking is a pure function
-// of the profile seed — same seed, same day byte-for-byte; different seed,
-// different hot template (almost surely).
-func TestZipfDeterministicAndSeedSensitive(t *testing.T) {
-	p := workload.ProfileB(0.02, 7).WithZipf(1.2)
-	a := workload.Generate(p).Day(0)
-	b := workload.Generate(p).Day(0)
-	if len(a) != len(b) {
-		t.Fatalf("job counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i].Script != b[i].Script || a[i].Template != b[i].Template {
-			t.Fatalf("job %d differs across identical generations", i)
-		}
-	}
-	hot := func(jobs []*workload.Job) int {
-		counts := map[int]int{}
-		for _, j := range jobs {
-			counts[j.Template]++
-		}
-		best, top := -1, -1
-		for ti, c := range counts {
-			if c > top || (c == top && ti < best) {
-				best, top = ti, c
-			}
-		}
-		return best
-	}
-	p2 := workload.ProfileB(0.02, 1234).WithZipf(1.2)
-	c := workload.Generate(p2).Day(0)
-	if hot(a) == hot(c) && a[0].Script == c[0].Script {
-		t.Fatal("different seeds produced an identical zipf day")
-	}
-}
-
-// TestZipfTemplateWeights: the template pool's weights follow the ranked
-// Zipf law — some template holds the rank-0 weight, and the multiset of
-// weights equals ZipfWeights(n, s).
-func TestZipfTemplateWeights(t *testing.T) {
-	const s = 1.3
-	p := workload.ProfileA(0.005, 3).WithZipf(s)
-	w := workload.Generate(p)
-	want := workload.ZipfWeights(len(w.Templates), s)
-	got := make([]float64, 0, len(w.Templates))
-	for _, tpl := range w.Templates {
-		got = append(got, tpl.Weight())
-	}
-	used := make([]bool, len(want))
-	for _, g := range got {
-		found := false
-		for i, v := range want {
-			if !used[i] && math.Abs(v-g) < 1e-12 {
-				used[i], found = true, true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("template weight %v not in the zipf weight multiset", g)
-		}
-	}
-}
-
-// TestZipfProbsSumAndMonotone is the load-generator half of the law: the
-// per-request draw distribution must be a genuine probability vector (sums to
-// 1) that is rank-monotone, with s=0 the exact uniform limit.
+// TestZipfProbsSumAndMonotone: the serving benchmark's per-request draw
+// distribution must be a genuine probability vector (sums to 1) that is
+// rank-monotone and follows the law p[k]/p[0] = (k+1)^-s, with s=0 the exact
+// uniform limit.
 func TestZipfProbsSumAndMonotone(t *testing.T) {
 	const n, s = 64, 1.1
 	p := workload.ZipfProbs(n, s)
@@ -154,10 +30,8 @@ func TestZipfProbsSumAndMonotone(t *testing.T) {
 	if math.Abs(sum-1) > 1e-12 {
 		t.Fatalf("probs sum to %v, want 1", sum)
 	}
-	// Same law as ZipfWeights, just normalized differently.
-	w := workload.ZipfWeights(n, s)
 	for _, k := range []int{1, 7, 63} {
-		if got, want := p[k]/p[0], w[k]/w[0]; math.Abs(got-want) > 1e-12 {
+		if got, want := p[k]/p[0], math.Pow(float64(k+1), -s); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("p[%d]/p[0] = %v, want %v", k, got, want)
 		}
 	}
