@@ -19,9 +19,13 @@
 #                                batteries, the warm re-pass (no compile, kept
 #                                plans executed concurrently), the experiment
 #                                runner's, the faulted build held to its
-#                                pre-session baseline — re-run with
-#                                STEERQ_WORKERS=4 so the race detector covers
-#                                the worker pool on every run
+#                                pre-session baseline, the one compile path
+#                                under injection (TestFaultedTrialsKeepPlans)
+#                                and the plan-under-injection rule it rests on
+#                                (faults' TestCompileAttemptBuildsPlanUnder-
+#                                Injection) — re-run with STEERQ_WORKERS=4 so
+#                                the race detector covers the worker pool on
+#                                every run
 #   7. alloc regression          the compile allocation budget, the warm
 #                                session compile's (its Result and nothing
 #                                else), the column-statistics sets against
@@ -111,6 +115,7 @@ STEERQ_CHECK_PLANS=1 go test -race ./...
 
 echo "== parallel pipeline smoke (race, 4 workers) =="
 STEERQ_WORKERS=4 STEERQ_CHECK_PLANS=1 go test -race ./internal/steering/ ./internal/experiments/ -run 'Parallel|Determinism|Fault|Repass|Session'
+STEERQ_WORKERS=4 STEERQ_CHECK_PLANS=1 go test -race ./internal/faults/ -run 'TestCompileAttemptBuildsPlanUnderInjection'
 
 echo "== alloc regression (race) =="
 go test -race ./internal/rules/ -run TestCompileAllocationBudget -count=1

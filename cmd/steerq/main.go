@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -344,7 +345,7 @@ func cmdPipeline(args []string) error {
 	p.Cache = steering.NewCompileCache()
 	p.Cache.SetObs(e.reg, "workload", *e.name)
 	p.Obs = e.reg
-	a, err := p.Analyze(j)
+	a, err := p.AnalyzeCtx(context.Background(), j)
 	if err != nil {
 		return err
 	}

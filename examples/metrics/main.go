@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,7 @@ func main() {
 		if probe.Err != nil || probe.Metrics.RuntimeSec < 60 {
 			continue
 		}
-		a, err := p.Analyze(j)
+		a, err := p.AnalyzeCtx(context.Background(), j)
 		if err != nil {
 			log.Printf("analyze %s: %v", j.ID, err)
 			continue

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -67,7 +68,7 @@ func main() {
 	p := steering.NewPipeline(h, xrand.New(11))
 	p.MaxCandidates = 200
 	job := &workload.Job{ID: "quickstart", Root: root, Script: script}
-	a, err := p.Analyze(job)
+	a, err := p.AnalyzeCtx(context.Background(), job)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -55,7 +56,7 @@ func main() {
 		if probe.Err != nil || probe.Metrics.RuntimeSec < 120 {
 			continue
 		}
-		a, err := p.Analyze(base)
+		a, err := p.AnalyzeCtx(context.Background(), base)
 		if err != nil {
 			continue
 		}

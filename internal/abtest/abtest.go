@@ -8,7 +8,6 @@ package abtest
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"steerq/internal/bitvec"
@@ -64,9 +63,9 @@ type Harness struct {
 	Opt      *cascades.Optimizer
 	Executor *exec.Executor
 
-	// Workers bounds the goroutines RunConfigs uses; zero resolves through
-	// STEERQ_WORKERS and then GOMAXPROCS. Trials come back in input order
-	// regardless.
+	// Workers bounds the goroutines callers fan trials out on (the
+	// steering Grouper's default compiles); zero resolves through
+	// STEERQ_WORKERS and then GOMAXPROCS.
 	Workers int
 
 	// Faults, when non-nil, injects deterministic compile and execution
@@ -138,12 +137,14 @@ func (h *Harness) RunConfig(root *plan.Node, cfg bitvec.Vector, day int, jobTag 
 }
 
 // RunConfigCtx is RunConfig with a context bounding the whole trial,
-// per-attempt timeouts, fault injection and bounded retry: CompileCtx, then
-// ExecCtx on its result. rec, when non-nil, observes retries and timeouts;
-// pass one per pipeline unit and merge serially to keep reports deterministic
-// at any worker count.
+// per-attempt timeouts, fault injection and bounded retry: CompileCtx over a
+// fresh optimizer call, then ExecCtx on its result. rec, when non-nil,
+// observes retries and timeouts; pass one per pipeline unit and merge
+// serially to keep reports deterministic at any worker count.
 func (h *Harness) RunConfigCtx(ctx context.Context, root *plan.Node, cfg bitvec.Vector, day int, jobTag string, rec *faults.Record) Trial {
-	res, attempts, err := h.CompileCtx(ctx, root, cfg, jobTag, rec)
+	res, attempts, err := h.CompileCtx(ctx, jobTag, rec, func(bool) (*cascades.Result, error) {
+		return h.Opt.Optimize(root, cfg)
+	})
 	if err != nil {
 		return Trial{Config: cfg, Err: err, Attempts: attempts}
 	}
@@ -152,32 +153,38 @@ func (h *Harness) RunConfigCtx(ctx context.Context, root *plan.Node, cfg bitvec.
 	return t
 }
 
-// CompileCtx is the compile half of a trial: the job's logical plan
-// optimized, with plan, under cfg. It returns the attempts consumed next to
-// the result, which is nil when err is not.
-func (h *Harness) CompileCtx(ctx context.Context, root *plan.Node, cfg bitvec.Vector, jobTag string, rec *faults.Record) (*cascades.Result, int, error) {
-	var res *cascades.Result
+// CompileCtx is the compile half of a trial: RetryCompile inside an
+// abtest.compile span, its attempts counted at the compile site. A trial
+// executes the plan, so compile should build one whatever it is asked.
+func (h *Harness) CompileCtx(ctx context.Context, jobTag string, rec *faults.Record, compile func(plan bool) (*cascades.Result, error)) (*cascades.Result, int, error) {
 	cctx, csp := h.Obs.StartSpan(ctx, "abtest.compile", jobTag)
-	attempts, err := faults.PolicyOrDefault(h.Retry, h.Faults).Do(cctx, faults.SiteCompile, h.Faults.RetryRand(faults.SiteCompile, jobTag), rec,
-		func(actx context.Context, attempt int) error {
-			ictx, cancel := par.ItemContext(actx, h.CompileTimeout)
-			defer cancel()
-			r, cerr := h.Faults.CompileAttempt(ictx, jobTag, attempt, func() (*cascades.Result, error) {
-				return h.Opt.Optimize(root, cfg)
-			})
-			if cerr != nil {
-				return cerr
-			}
-			res = r
-			return nil
-		})
+	res, attempts, err := h.RetryCompile(cctx, jobTag, rec, compile)
 	csp.End(compileOutcome(err))
 	h.Obs.Counter("steerq_abtest_attempts_total", "site", "compile").Add(uint64(attempts))
 	return res, attempts, err
 }
 
+// RetryCompile is the one retry loop of a compile: it runs compile — one
+// attempt at compiling the job, asked for a plan per faults.CompileAttempt —
+// under the harness's retry policy, per-attempt timeout and fault injection,
+// and returns the attempts consumed next to the result. The result is nil on
+// error except with the optimizer's own no-plan verdict, which carries the
+// decision footprint. An injected failure or hang never calls compile.
+func (h *Harness) RetryCompile(ctx context.Context, jobTag string, rec *faults.Record, compile func(plan bool) (*cascades.Result, error)) (*cascades.Result, int, error) {
+	var res *cascades.Result
+	attempts, err := faults.PolicyOrDefault(h.Retry, h.Faults).Do(ctx, faults.SiteCompile, h.Faults.RetryRand(faults.SiteCompile, jobTag), rec,
+		func(actx context.Context, attempt int) error {
+			ictx, cancel := par.ItemContext(actx, h.CompileTimeout)
+			defer cancel()
+			var cerr error
+			res, cerr = h.Faults.CompileAttempt(ictx, jobTag, attempt, compile)
+			return cerr
+		})
+	return res, attempts, err
+}
+
 // ExecCtx is the execution half of a trial: res.Plan — any plan a compile of
-// this job under res.Config yields, e.g. one kept from an earlier CompileCtx
+// this job under res.Config yields, e.g. one kept from an earlier compile
 // — run for the given day. The trial's Attempts count the executions only.
 func (h *Harness) ExecCtx(ctx context.Context, res *cascades.Result, day int, jobTag string, rec *faults.Record) Trial {
 	t := Trial{Config: res.Config, Signature: res.Signature, Footprint: res.Footprint, EstCost: res.Cost}
@@ -225,14 +232,4 @@ func (h *Harness) RunSteeredCtx(ctx context.Context, root *plan.Node, day int, j
 		}
 	}
 	return h.RunConfigCtx(ctx, root, cfg, day, jobTag, rec), steered
-}
-
-// RunConfigs executes the job under every configuration, returning trials in
-// input order. Compile failures are recorded, not fatal: many candidate
-// configurations legitimately do not compile (§4).
-func (h *Harness) RunConfigs(root *plan.Node, cfgs []bitvec.Vector, day int, jobTag string) []Trial {
-	out, _ := par.Map(h.Workers, cfgs, func(i int, cfg bitvec.Vector) (Trial, error) {
-		return h.RunConfig(root, cfg, day, fmt.Sprintf("%s/cfg%d", jobTag, i)), nil
-	})
-	return out
 }

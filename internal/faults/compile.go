@@ -16,18 +16,25 @@ import (
 // handing it back, so a corrupted result surfaces as a retryable ErrCorrupt
 // instead of reaching the cache, the executor, or a report.
 //
+// compile's argument asks it for a plan. It is true exactly when injection is
+// active: corruption and validation target the plan, so a caller that keeps
+// only the costed verdict gets one built then, and skips plan
+// materialization — a compile's single largest allocation — otherwise. A
+// caller that needs the plan regardless builds it regardless.
+//
 // Validation on every compile (not just corrupted ones) is deliberate: the
 // robustness layer must catch corruption by checking invariants, not by
 // peeking at the injector's decision — that is what makes the metamorphic
 // tests meaningful.
-func (in *Injector) CompileAttempt(ctx context.Context, tag string, attempt int, compile func() (*cascades.Result, error)) (*cascades.Result, error) {
+func (in *Injector) CompileAttempt(ctx context.Context, tag string, attempt int, compile func(plan bool) (*cascades.Result, error)) (*cascades.Result, error) {
+	withPlan := in.Active()
 	switch in.Decide(SiteCompile, tag, attempt) {
 	case KindFail:
 		return nil, Injectedf(SiteCompile, tag, attempt)
 	case KindHang:
 		return nil, Hang(ctx, SiteCompile, tag, attempt)
 	case KindCorrupt:
-		res, err := compile()
+		res, err := compile(withPlan)
 		if err != nil {
 			// Pass the optimizer's partial result (no-plan verdicts carry
 			// the decision footprint) through with the error.
@@ -36,7 +43,7 @@ func (in *Injector) CompileAttempt(ctx context.Context, tag string, attempt int,
 		res.Plan = CorruptPlan(res.Plan, in.Rand(SiteCompile, tag, attempt))
 		return in.validated(res, tag, attempt)
 	}
-	res, err := compile()
+	res, err := compile(withPlan)
 	if err != nil {
 		return res, err
 	}

@@ -99,7 +99,7 @@ func decideKind(t *testing.T, in *faults.Injector, want faults.Kind) string {
 func TestCompileAttemptFaultPaths(t *testing.T) {
 	_, res := compiledResult(t)
 	in := faults.NewInjector(faults.Plan{Seed: 8, Compile: faults.Probs{Fail: 0.2, Hang: 0.2, Corrupt: 0.2}})
-	fresh := func() (*cascades.Result, error) {
+	fresh := func(bool) (*cascades.Result, error) {
 		r := *res // shallow copy so injected corruption cannot leak across subtests
 		return &r, nil
 	}
@@ -140,7 +140,7 @@ func TestCompileAttemptFaultPaths(t *testing.T) {
 	t.Run("compile-error-passthrough", func(t *testing.T) {
 		tag := decideKind(t, in, faults.KindNone)
 		genuine := errors.New("cascades: no plan")
-		_, err := in.CompileAttempt(context.Background(), tag, 0, func() (*cascades.Result, error) {
+		_, err := in.CompileAttempt(context.Background(), tag, 0, func(bool) (*cascades.Result, error) {
 			return nil, genuine
 		})
 		if !errors.Is(err, genuine) {
@@ -154,4 +154,40 @@ func TestCompileAttemptFaultPaths(t *testing.T) {
 			t.Fatalf("nil injector altered the compile: (%v, %v)", got, err)
 		}
 	})
+}
+
+// TestCompileAttemptBuildsPlanUnderInjection pins where the plan-under-faults
+// rule lives: with injection active, CompileAttempt asks even a caller that
+// keeps only the costed verdict for a plan, so a corrupt decision corrupts it
+// and validation rejects it; with injection off the compile stays plan-less.
+func TestCompileAttemptBuildsPlanUnderInjection(t *testing.T) {
+	_, res := compiledResult(t)
+	// costOnly compiles the way a candidate probe does: the plan is built
+	// only when the attempt asks for one.
+	var asked []bool
+	costOnly := func(plan bool) (*cascades.Result, error) {
+		asked = append(asked, plan)
+		r := *res
+		if !plan {
+			r.Plan = nil
+		}
+		return &r, nil
+	}
+	in := faults.NewInjector(faults.Plan{Seed: 8, Compile: faults.Probs{Fail: 0.2, Hang: 0.2, Corrupt: 0.2}})
+
+	got, err := in.CompileAttempt(context.Background(), decideKind(t, in, faults.KindNone), 0, costOnly)
+	if err != nil || got.Plan == nil {
+		t.Fatalf("clean attempt under injection: plan %v, err %v; want a validated plan", got.Plan, err)
+	}
+	if _, err := in.CompileAttempt(context.Background(), decideKind(t, in, faults.KindCorrupt), 0, costOnly); !errors.Is(err, faults.ErrCorrupt) {
+		t.Fatalf("corrupt attempt under injection: err %v, want ErrCorrupt", err)
+	}
+	var off *faults.Injector
+	got, err = off.CompileAttempt(context.Background(), "any", 0, costOnly)
+	if err != nil || got.Plan != nil {
+		t.Fatalf("injection off: plan %v, err %v; want a plan-less verdict", got.Plan, err)
+	}
+	if want := []bool{true, true, false}; fmt.Sprint(asked) != fmt.Sprint(want) {
+		t.Fatalf("compile asked for a plan %v, want %v", asked, want)
+	}
 }

@@ -21,6 +21,7 @@ import (
 
 	"steerq/internal/abtest"
 	"steerq/internal/bitvec"
+	"steerq/internal/cascades"
 	"steerq/internal/feature"
 	"steerq/internal/nn"
 	"steerq/internal/steering"
@@ -54,7 +55,7 @@ func CandidateArms(p *steering.Pipeline, group []*workload.Job, nBase, maxArms i
 	arms := []bitvec.Vector{h.Opt.Rules.DefaultConfig()}
 	seen := map[bitvec.Key]bool{arms[0].Key(): true}
 	for bi := 0; bi < nBase && bi < len(group); bi++ {
-		a, err := p.Analyze(group[bi])
+		a, err := p.AnalyzeCtx(context.Background(), group[bi])
 		if err != nil {
 			return nil, fmt.Errorf("learning: base job %s: %w", group[bi].ID, err)
 		}
@@ -108,7 +109,9 @@ func Collect(h *abtest.Harness, sig bitvec.Vector, jobs []*workload.Job, arms []
 			tag := fmt.Sprintf("%s/arm%d", j.ID, k)
 			// The trial in its two halves: arm 0 also reads the compiled plan.
 			var t abtest.Trial
-			res, _, err := h.CompileCtx(ctx, j.Root, cfg, tag, nil)
+			res, _, err := h.CompileCtx(ctx, tag, nil, func(bool) (*cascades.Result, error) {
+				return h.Opt.Optimize(j.Root, cfg)
+			})
 			if err == nil {
 				t = h.ExecCtx(ctx, res, j.Day, tag, nil)
 				err = t.Err

@@ -1,10 +1,12 @@
 package steering
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
 	"steerq/internal/bitvec"
+	"steerq/internal/cascades"
 	"steerq/internal/obs"
 	"steerq/internal/plan"
 	"steerq/internal/workload"
@@ -226,6 +228,44 @@ func (c *CompileCache) get(fp JobFingerprint, cfg bitvec.Vector, needPlan bool) 
 		c.misses.Inc()
 	}
 	return v, ok
+}
+
+// compile is the one compile path of the steering layer — the Grouper's
+// default signatures, span probes, candidates and trials alike: it looks up
+// the job's outcome under cfg (a hit must carry a plan when withPlan), runs
+// compile on a miss, and writes back what it yields. That is a validated
+// success, with its plan only when withPlan, or the optimizer's own no-plan
+// verdict with its footprint. A faulted compile — injected failure, timeout,
+// corrupted plan — is never written. hit reports that compile did not run.
+// A no-plan outcome, cached or fresh, surfaces as cascades.ErrNoPlan. A nil
+// cache, or a job without a fingerprint, always compiles and writes nothing.
+func (c *CompileCache) compile(job *workload.Job, cfg bitvec.Vector, withPlan bool, compile func() (*cascades.Result, error)) (v CompileValue, hit bool, err error) {
+	fp, cacheable := jobFingerprint(job)
+	cacheable = cacheable && c != nil
+	if cacheable {
+		if v, ok := c.get(fp, cfg, withPlan); ok {
+			if !v.OK {
+				return v, true, cascades.ErrNoPlan
+			}
+			return v, true, nil
+		}
+	}
+	res, err := compile()
+	switch {
+	case err == nil:
+		v = CompileValue{Cost: res.Cost, Signature: res.Signature, Footprint: res.Footprint, OK: true}
+		if withPlan {
+			v.Plan = res.Plan
+		}
+	case res != nil && errors.Is(err, cascades.ErrNoPlan):
+		v.Footprint = res.Footprint
+	default:
+		return CompileValue{}, false, err
+	}
+	if cacheable {
+		c.Put(fp, cfg, v)
+	}
+	return v, false, err
 }
 
 // Put stores the outcome of compiling the fingerprinted job under cfg. The

@@ -1,6 +1,7 @@
 package steering_test
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -34,7 +35,7 @@ func analyzeFaulty(t *testing.T, workers int, cache *steering.CompileCache, fp f
 	p := faultyPipeline(t, workers, cache, fp)
 	job := steerJob(t, p.Harness.Cat)
 	fingerprintJob(t, job)
-	a, err := p.Analyze(job)
+	a, err := p.AnalyzeCtx(context.Background(), job)
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
@@ -113,7 +114,7 @@ func TestFallbackToDefault(t *testing.T) {
 		fp := faults.Plan{Seed: seed, Exec: faults.Probs{Fail: 0.6}}
 		p := faultyPipeline(t, 4, nil, fp)
 		job := steerJob(t, p.Harness.Cat)
-		a, err := p.Analyze(job)
+		a, err := p.AnalyzeCtx(context.Background(), job)
 		if err != nil {
 			continue // this seed killed even the default trial; try the next
 		}
@@ -253,7 +254,7 @@ func TestFaultedCompileErrorsStayOutOfNegativeCache(t *testing.T) {
 	p := faultyPipeline(t, 2, cache, fp)
 	job := steerJob(t, p.Harness.Cat)
 	fingerprintJob(t, job)
-	_, err := p.Analyze(job)
+	_, err := p.AnalyzeCtx(context.Background(), job)
 	if err == nil {
 		t.Fatal("all-fail plan still analyzed")
 	}

@@ -6,6 +6,7 @@ import (
 
 	"steerq/internal/abtest"
 	"steerq/internal/bitvec"
+	"steerq/internal/cascades"
 	"steerq/internal/par"
 	"steerq/internal/workload"
 )
@@ -54,25 +55,18 @@ func (g *Grouper) DefaultSignature(job *workload.Job) (bitvec.Vector, error) {
 }
 
 // compileSignature compiles job under cfg, the default configuration (built
-// once per Group: on a warm pass building it would cost more than the probe).
-// Only the signature is kept, so the plan-less compile skips building a
-// physical DAG that would be dropped on the next line.
+// once per Group: on a warm pass building it would cost more than the probe),
+// through the compile cache. Only the signature is kept, so the plan-less
+// compile skips building a physical DAG that would be dropped on the next
+// line.
 func (g *Grouper) compileSignature(job *workload.Job, cfg bitvec.Vector) (bitvec.Vector, error) {
-	fp, cacheable := jobFingerprint(job)
-	cacheable = cacheable && g.compiles != nil
-	if cacheable {
-		if v, ok := g.compiles.Get(fp, cfg); ok && v.OK {
-			return v.Signature, nil
-		}
-	}
-	res, err := g.Harness.Opt.OptimizeCost(job.Root, cfg)
+	v, _, err := g.compiles.compile(job, cfg, false, func() (*cascades.Result, error) {
+		return g.Harness.Opt.OptimizeCost(job.Root, cfg)
+	})
 	if err != nil {
 		return bitvec.Vector{}, fmt.Errorf("steering: default signature of %s: %w", job.ID, err)
 	}
-	if cacheable {
-		g.compiles.Put(fp, cfg, CompileValue{Cost: res.Cost, Signature: res.Signature, Footprint: res.Footprint, OK: true})
-	}
-	return res.Signature, nil
+	return v.Signature, nil
 }
 
 // Group partitions jobs into job groups, ordered by descending size (ties by

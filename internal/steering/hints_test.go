@@ -1,6 +1,7 @@
 package steering_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -72,7 +73,7 @@ func TestRecommend(t *testing.T) {
 	p := steering.NewPipeline(h, xrand.New(3))
 	p.MaxCandidates = 60
 	p.ExecutePerJob = 5
-	a, err := p.Analyze(job)
+	a, err := p.AnalyzeCtx(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package steering_test
 
 import (
+	"context"
 	"testing"
 
 	"steerq/internal/steering"
@@ -28,7 +29,7 @@ func analyzeWith(t *testing.T, workers int, cache *steering.CompileCache) *steer
 	p.ExecutePerJob = 5
 	p.Workers = workers
 	p.Cache = cache
-	a, err := p.Analyze(job)
+	a, err := p.AnalyzeCtx(context.Background(), job)
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}

@@ -172,15 +172,10 @@ func NewPipeline(h *abtest.Harness, r *xrand.Source) *Pipeline {
 	return &Pipeline{Harness: h, Rand: r, MaxCandidates: 1000, ExecutePerJob: 10}
 }
 
-// Analyze runs the full pipeline for one job: default execution, span,
+// AnalyzeCtx runs the full pipeline for one job: default execution, span,
 // candidate generation, recompilation, selection of the cheapest plans and
-// their execution.
-func (p *Pipeline) Analyze(job *workload.Job) (*Analysis, error) {
-	return p.AnalyzeCtx(context.Background(), job)
-}
-
-// AnalyzeCtx is Analyze bounded by a context; cancellation surfaces as the
-// returned error once in-flight compile attempts notice it.
+// their execution. Cancellation surfaces as the returned error once in-flight
+// compile attempts notice it.
 func (p *Pipeline) AnalyzeCtx(ctx context.Context, job *workload.Job) (*Analysis, error) {
 	a, err := p.RecompileCtx(ctx, job)
 	if err != nil {
@@ -211,24 +206,25 @@ func (p *Pipeline) RecompileCtx(ctx context.Context, job *workload.Job) (*Analys
 func (p *Pipeline) recompileSpanned(ctx context.Context, job *workload.Job) (*Analysis, error) {
 	h := p.Harness
 	a := &Analysis{Job: job}
-	def := p.trial(ctx, job, h.Opt.Rules.DefaultConfig(), job.ID+"/default", &a.Robustness)
+	// One optimizer session for this half of the analysis: the default
+	// trial, span probes and candidates differ mostly in implementation
+	// bits, so they share explored memos and one pooled arena: one pool
+	// round trip per job.
+	sess := h.Opt.NewSession(job.Root)
+	defer sess.Close()
+	def := p.trial(ctx, sess, job, h.Opt.Rules.DefaultConfig(), job.ID+"/default", &a.Robustness)
 	if def.Err != nil {
 		return nil, fmt.Errorf("steering: default compile of %s: %w", job.ID, def.Err)
 	}
 	a.Default = def
-	// One optimizer session for the analysis: span probes and candidates
-	// differ mostly in implementation bits, so they share explored memos and
-	// one pooled arena: one pool round trip per job.
-	sess := h.Opt.NewSession(job.Root)
-	defer sess.Close()
 	// Span probing is serial, so a plain counter gives each probe a stable
 	// tag independent of worker count.
 	probe := 0
 	_, spanSp := p.Obs.StartSpan(ctx, "pipeline.span_search", job.ID)
 	span, err := JobSpanFunc(h.Opt.Rules, func(cfg bitvec.Vector) (bitvec.Vector, error) {
-		tag := fmt.Sprintf("%s/span%d", job.ID, probe)
+		n := probe
 		probe++
-		v, cerr := p.compile(ctx, job, cfg, tag, &a.Robustness, sess)
+		v, _, _, cerr := p.compile(ctx, sess, job, cfg, func() string { return fmt.Sprintf("%s/span%d", job.ID, n) }, &a.Robustness, false)
 		if cerr != nil {
 			return bitvec.Vector{}, cerr
 		}
@@ -280,8 +276,6 @@ func (p *Pipeline) AnalyzeEachCtx(ctx context.Context, jobs []*workload.Job, vis
 // the volume O(1) in memory.
 func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, cfgs []bitvec.Vector, a *Analysis, sess *cascades.Session) {
 	a.Footprint.Candidates = len(cfgs)
-	fp, cacheable := jobFingerprint(job)
-	cacheable = cacheable && p.Cache != nil
 	compiled := p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "compiled")
 	noplan := p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "noplan")
 	faulted := p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "faulted")
@@ -291,19 +285,15 @@ func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, cfg
 		v, ok := classes.Lookup(cfg)
 		if ok {
 			a.Footprint.Avoided++
-		} else if cacheable {
-			if v, ok = p.Cache.Get(fp, cfg); ok {
-				if classes.Admit(cfg, v) {
-					a.Footprint.Classes++
-					a.Footprint.CacheSeeded++
-				}
-				a.Footprint.Avoided++
-			}
-		}
-		if !ok {
+		} else {
+			var hit bool
 			var err error
-			v, err = p.compileFresh(ctx, cfg, fmt.Sprintf("%s/cand%d", job.ID, i), &a.Robustness, sess)
-			a.Footprint.Compiled++
+			v, _, hit, err = p.compile(ctx, sess, job, cfg, func() string { return fmt.Sprintf("%s/cand%d", job.ID, i) }, &a.Robustness, false)
+			if hit {
+				a.Footprint.Avoided++
+			} else {
+				a.Footprint.Compiled++
+			}
 			if err != nil && !errors.Is(err, cascades.ErrNoPlan) {
 				// Faulted compile: no footprint to trust, nothing shared.
 				faulted.Inc()
@@ -311,9 +301,9 @@ func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, cfg
 			}
 			if classes.Admit(cfg, v) {
 				a.Footprint.Classes++
-			}
-			if cacheable {
-				p.Cache.Put(fp, cfg, v)
+				if hit {
+					a.Footprint.CacheSeeded++
+				}
 			}
 		}
 		if !v.OK {
@@ -326,101 +316,41 @@ func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, cfg
 	a.Sched = SchedStats{Items: a.Footprint.Compiled, MaxWorkers: 1}
 }
 
-// compile optimizes job under cfg through the cache, retrying injected
-// faults per the harness policy. Failed compilations surface as
-// cascades.ErrNoPlan exactly as from Optimize, whether fresh or cached;
-// fault-injected errors surface wrapped and are never cached.
-func (p *Pipeline) compile(ctx context.Context, job *workload.Job, cfg bitvec.Vector, tag string, rec *faults.Record, sess *cascades.Session) (CompileValue, error) {
-	fp, cacheable := jobFingerprint(job)
-	cacheable = cacheable && p.Cache != nil
-	if cacheable {
-		if v, ok := p.Cache.Get(fp, cfg); ok {
-			if !v.OK {
-				return v, cascades.ErrNoPlan
-			}
-			return v, nil
-		}
+// compile is every compile of an analysis: job under cfg through the cache
+// (CompileCache.compile) and, on a miss, through sess under the harness's
+// retry loop. A trial's compile keeps its plan in the cache and is recorded
+// as the trial's abtest.compile span; span probes and candidates keep the
+// costed verdict only. attempts is 1 on a cache hit: a kept outcome stands
+// for the one clean compile that wrote it. tag names the compile for fault
+// decisions; it is formatted only on a miss, since a warm pass probes the
+// cache far more often than it compiles.
+func (p *Pipeline) compile(ctx context.Context, sess *cascades.Session, job *workload.Job, cfg bitvec.Vector, tag func() string, rec *faults.Record, trial bool) (v CompileValue, attempts int, hit bool, err error) {
+	retry := p.Harness.RetryCompile
+	if trial {
+		retry = p.Harness.CompileCtx
 	}
-	v, err := p.compileFresh(ctx, cfg, tag, rec, sess)
-	if err != nil {
-		// Only the optimizer's own no-plan verdict is negative-cached;
-		// injected failures, timeouts and corruption must not poison the
-		// cache for later (possibly fault-free) lookups.
-		if cacheable && errors.Is(err, cascades.ErrNoPlan) {
-			p.Cache.Put(fp, cfg, v)
-		}
-		return v, err
-	}
-	if cacheable {
-		p.Cache.Put(fp, cfg, v)
-	}
-	return v, nil
-}
-
-// compileFresh runs one cache-free compile of the analysis's job under cfg
-// through its optimizer session, retrying injected faults per the harness
-// policy. On success the returned value carries the compile's decision
-// footprint; a genuine no-plan outcome (cascades.ErrNoPlan) returns OK=false
-// but still carries the footprint, so negatives share across equivalence
-// classes exactly like successes. An injected failure or hang never enters
-// the optimizer, so the session only ever holds completed compiles.
-func (p *Pipeline) compileFresh(ctx context.Context, cfg bitvec.Vector, tag string, rec *faults.Record, sess *cascades.Session) (CompileValue, error) {
-	h := p.Harness
-	pol := faults.PolicyOrDefault(h.Retry, h.Faults)
-	// Candidate resolution keeps only the costed verdict, so skip plan
-	// materialization — the compile's single largest allocation — unless
-	// fault injection is active: corruption and validation target the plan
-	// and must keep seeing one.
-	buildPlan := h.Faults.Active()
-	var res *cascades.Result
-	_, err := pol.Do(ctx, faults.SiteCompile, h.Faults.RetryRand(faults.SiteCompile, tag), rec,
-		func(actx context.Context, attempt int) error {
-			ictx, cancel := par.ItemContext(actx, h.CompileTimeout)
-			defer cancel()
-			r, cerr := h.Faults.CompileAttempt(ictx, tag, attempt, func() (*cascades.Result, error) {
-				return sess.Optimize(cfg, buildPlan)
-			})
-			if r != nil {
-				// Optimize reports a result even for its no-plan verdict;
-				// capture it so the failing footprint survives the error.
-				res = r
-			}
-			return cerr
+	attempts = 1
+	v, hit, err = p.Cache.compile(job, cfg, trial, func() (*cascades.Result, error) {
+		res, n, rerr := retry(ctx, tag(), rec, func(plan bool) (*cascades.Result, error) {
+			return sess.Optimize(cfg, plan || trial)
 		})
-	if err != nil {
-		v := CompileValue{}
-		if res != nil && errors.Is(err, cascades.ErrNoPlan) {
-			v.Footprint = res.Footprint
-		}
-		return v, err
-	}
-	return CompileValue{Cost: res.Cost, Signature: res.Signature, Footprint: res.Footprint, OK: true}, nil
+		attempts = n
+		return res, rerr
+	})
+	return v, attempts, hit, err
 }
 
-// trial is Harness.RunConfigCtx with the compile half memoised through the
-// cache: the plan an earlier trial of cfg's footprint class left there is
+// trial is Harness.RunConfigCtx through the analysis's compile path: the
+// plan an earlier trial of cfg's footprint class left in the cache is
 // executed as is, and a plan compiled here is left for the next trial — a
 // re-analysis of a recurring job executes everything and compiles nothing.
-// Under fault injection the cache is bypassed: corruption targets the plan,
-// and compile-site fault decisions are keyed by tag.
-func (p *Pipeline) trial(ctx context.Context, job *workload.Job, cfg bitvec.Vector, tag string, rec *faults.Record) abtest.Trial {
-	h := p.Harness
-	fp, cacheable := jobFingerprint(job)
-	if !cacheable || p.Cache == nil || h.Faults.Active() {
-		return h.RunConfigCtx(ctx, job.Root, cfg, job.Day, tag, rec)
+func (p *Pipeline) trial(ctx context.Context, sess *cascades.Session, job *workload.Job, cfg bitvec.Vector, tag string, rec *faults.Record) abtest.Trial {
+	v, attempts, _, err := p.compile(ctx, sess, job, cfg, func() string { return tag }, rec, true)
+	if err != nil {
+		return abtest.Trial{Config: cfg, Err: err, Attempts: attempts}
 	}
-	var res *cascades.Result
-	attempts := 1 // a kept plan stands for the one clean compile that built it
-	if v, ok := p.Cache.get(fp, cfg, true); ok {
-		res = &cascades.Result{Plan: v.Plan, Cost: v.Cost, Signature: v.Signature, Footprint: v.Footprint, Config: cfg}
-	} else {
-		var err error
-		if res, attempts, err = h.CompileCtx(ctx, job.Root, cfg, tag, rec); err != nil {
-			return abtest.Trial{Config: cfg, Err: err, Attempts: attempts}
-		}
-		p.Cache.Put(fp, cfg, CompileValue{Cost: res.Cost, Signature: res.Signature, Footprint: res.Footprint, OK: true, Plan: res.Plan})
-	}
-	t := h.ExecCtx(ctx, res, job.Day, tag, rec)
+	res := &cascades.Result{Plan: v.Plan, Cost: v.Cost, Signature: v.Signature, Footprint: v.Footprint, Config: cfg}
+	t := p.Harness.ExecCtx(ctx, res, job.Day, tag, rec)
 	t.Attempts += attempts
 	return t
 }
@@ -459,8 +389,10 @@ func (p *Pipeline) ExecuteCtx(ctx context.Context, a *Analysis) {
 		a.Selected = append(a.Selected, c)
 	}
 	h := p.Harness
+	sess := h.Opt.NewSession(a.Job.Root)
+	defer sess.Close()
 	for i, c := range a.Selected {
-		t := p.trial(ctx, a.Job, c.Config, fmt.Sprintf("%s/alt%d", a.Job.ID, i), &a.Robustness)
+		t := p.trial(ctx, sess, a.Job, c.Config, fmt.Sprintf("%s/alt%d", a.Job.ID, i), &a.Robustness)
 		if t.Err != nil && h.Faults.Active() {
 			fb := a.Default
 			fb.Attempts = t.Attempts

@@ -10,6 +10,7 @@ import (
 
 	"steerq/internal/abtest"
 	"steerq/internal/bitvec"
+	"steerq/internal/cascades"
 	"steerq/internal/faults"
 	"steerq/internal/obs"
 	"steerq/internal/plan"
@@ -154,11 +155,11 @@ func TestTrialFromCachedPlanMatchesFresh(t *testing.T) {
 	ctx := context.Background()
 	checked := 0
 	for _, job := range e.reps(t) {
-		if _, err := e.p.Analyze(job); err != nil {
+		if _, err := e.p.AnalyzeCtx(context.Background(), job); err != nil {
 			t.Fatalf("%s: %v", job.ID, err)
 		}
 		before := compiles(e.reg)
-		a, err := e.p.Analyze(job)
+		a, err := e.p.AnalyzeCtx(context.Background(), job)
 		if err != nil {
 			t.Fatalf("%s: %v", job.ID, err)
 		}
@@ -201,7 +202,7 @@ func TestTrialFromCachedPlanMatchesFresh(t *testing.T) {
 func TestCachedPlanParallelExec(t *testing.T) {
 	e := newFanoutEnv(t, fanoutSetup{workers: 1})
 	job := e.reps(t)[0]
-	base, err := e.p.Analyze(job)
+	base, err := e.p.AnalyzeCtx(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestCachedPlanParallelExec(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			as[i], errs[i] = e.p.Analyze(job)
+			as[i], errs[i] = e.p.AnalyzeCtx(context.Background(), job)
 		}()
 	}
 	wg.Wait()
@@ -231,21 +232,27 @@ func TestCachedPlanParallelExec(t *testing.T) {
 	}
 }
 
-// TestFaultedTrialsKeepNoPlans: with injection active the trial path is
-// RunConfigCtx and nothing else — no plan is stored, by a whole BuildBundle
-// or by the analyses, and every trial, fallback and the execute stage's
-// robustness record are what replaying RunConfigCtx under the same tags
-// gives (fault decisions are keyed by seed, site, tag and attempt).
-func TestFaultedTrialsKeepNoPlans(t *testing.T) {
-	plan := faults.DefaultPlan(1337)
-	setup := fanoutSetup{fault: &plan}
-	built := newFanoutEnv(t, setup)
-	encodedBundle(t, built, built.jobs)
-
+// TestFaultedTrialsKeepPlans pins the one compile path under injection: a
+// cache hit is a compile that did not happen, so it draws no compile-site
+// fault decision, and only validated plans are cached.
+//
+//   - On a fresh cache every trial, fallback and robustness record is what
+//     replaying RunConfigCtx under the same tags gives (fault decisions are
+//     keyed by seed, site, tag and attempt).
+//   - Afterwards the cache holds a valid plan for every trial whose compile
+//     succeeded.
+//   - A warm re-analysis under the same fault plan executes those plans with
+//     no optimizer call for them, and still draws exec-site decisions.
+func TestFaultedTrialsKeepPlans(t *testing.T) {
+	// Harsher than DefaultPlan, so that some trial compiles exhaust their
+	// budget and warm executions retry.
+	fp := faults.Plan{Seed: 1337, Compile: faults.Probs{Fail: 0.3, Hang: 0.05, Corrupt: 0.15}, Exec: faults.Probs{Fail: 0.3}}
+	setup := fanoutSetup{fault: &fp}
 	e := newFanoutEnv(t, setup)
 	h := newFanoutEnv(t, setup).p.Harness // the replay's own injector and registry
 	ctx := context.Background()
-	var total faults.Record
+	var cold, warm faults.Record
+	kept, failed := 0, 0
 	for _, job := range e.reps(t) {
 		a, err := e.p.Recompile(job)
 		if err != nil {
@@ -253,10 +260,12 @@ func TestFaultedTrialsKeepNoPlans(t *testing.T) {
 		}
 		want := a.Robustness
 		e.p.Execute(a)
-		requireSameTrial(t, job.ID+"/default", a.Default,
-			h.RunConfigCtx(ctx, job.Root, h.Opt.Rules.DefaultConfig(), job.Day, job.ID+"/default", nil))
+		cfgs := []bitvec.Vector{h.Opt.Rules.DefaultConfig()}
+		tags := []string{job.ID + "/default"}
+		requireSameTrial(t, tags[0], a.Default, h.RunConfigCtx(ctx, job.Root, cfgs[0], job.Day, tags[0], nil))
 		for i, c := range a.Selected {
 			tag := fmt.Sprintf("%s/alt%d", job.ID, i)
+			cfgs, tags = append(cfgs, c.Config), append(tags, tag)
 			tr := h.RunConfigCtx(ctx, job.Root, c.Config, job.Day, tag, &want)
 			if tr.Err != nil {
 				want.Fallbacks++
@@ -269,12 +278,66 @@ func TestFaultedTrialsKeepNoPlans(t *testing.T) {
 		if a.Robustness != want {
 			t.Fatalf("%s: robustness %+v, replayed %+v", job.ID, a.Robustness, want)
 		}
-		total.Add(a.Robustness)
-		if n := plansKept(e, job, a.Span) + plansKept(built, job, a.Span); n != 0 || len(a.Trials) == 0 {
-			t.Fatalf("%s: %d trials ran under injection, %d plans stored", job.ID, len(a.Trials), n)
+		cold.Add(a.Robustness)
+
+		// Which trial compiles succeeded, replayed through the compile half.
+		var plans []*plan.PhysNode
+		for i, cfg := range cfgs {
+			_, _, err := h.CompileCtx(ctx, tags[i], nil, func(bool) (*cascades.Result, error) {
+				return h.Opt.Optimize(job.Root, cfg)
+			})
+			v, ok := e.p.Cache.Get(fingerprintOf(job), cfg)
+			switch {
+			case err != nil:
+				failed++
+				plans = append(plans, nil)
+			case !ok || v.Plan == nil:
+				t.Fatalf("%s: compile succeeded but no plan is kept", tags[i])
+			default:
+				if verr := cascades.Validate(v.Plan, 0); verr != nil {
+					t.Fatalf("%s: kept plan is invalid: %v", tags[i], verr)
+				}
+				kept++
+				plans = append(plans, v.Plan)
+			}
 		}
+
+		// The warm re-analysis compiles only the trials that kept no plan.
+		before := spans(e.reg, "abtest.compile")
+		b, err := e.p.AnalyzeCtx(ctx, job)
+		if err != nil {
+			t.Fatalf("%s: warm re-analysis: %v", job.ID, err)
+		}
+		recompiled := 0
+		for _, pl := range plans {
+			if pl == nil {
+				recompiled++
+			}
+		}
+		if n := spans(e.reg, "abtest.compile") - before; n != recompiled {
+			t.Fatalf("%s: warm re-analysis compiled %d trials, want %d", job.ID, n, recompiled)
+		}
+		got := append([]abtest.Trial{b.Default}, b.Trials...)
+		for i, pl := range plans {
+			if pl == nil {
+				continue
+			}
+			res := &cascades.Result{Plan: pl, Cost: got[i].EstCost, Signature: got[i].Signature, Footprint: got[i].Footprint, Config: cfgs[i]}
+			tr := h.ExecCtx(ctx, res, job.Day, tags[i], nil)
+			tr.Attempts++ // the kept plan's one clean compile
+			if tr.Err != nil {
+				attempts := tr.Attempts
+				tr = b.Default
+				tr.Attempts, tr.FellBack = attempts, true
+			}
+			requireSameTrial(t, tags[i]+" (warm)", got[i], tr)
+		}
+		warm.Add(b.Robustness)
 	}
-	if total.IsZero() {
-		t.Fatal("fault plan injected nothing; test is vacuous")
+	if cold.IsZero() || kept == 0 || failed == 0 {
+		t.Fatalf("cold %+v, %d plans kept, %d trial compiles failed; test is vacuous", cold, kept, failed)
+	}
+	if warm.ExecRetries == 0 {
+		t.Fatalf("warm re-analyses drew no exec-site retries (%+v); test is vacuous", warm)
 	}
 }

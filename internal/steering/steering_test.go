@@ -1,6 +1,7 @@
 package steering_test
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -259,7 +260,7 @@ func TestPipelineAnalysis(t *testing.T) {
 	p := steering.NewPipeline(h, xrand.New(3))
 	p.MaxCandidates = 60
 	p.ExecutePerJob = 5
-	a, err := p.Analyze(job)
+	a, err := p.AnalyzeCtx(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestPercentChange(t *testing.T) {
 	p := steering.NewPipeline(h, xrand.New(3))
 	p.MaxCandidates = 20
 	p.ExecutePerJob = 3
-	a, err := p.Analyze(job)
+	a, err := p.AnalyzeCtx(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +368,7 @@ func TestLowCostHighRuntimeHeuristic(t *testing.T) {
 	p := steering.NewPipeline(h, xrand.New(3))
 	p.MaxCandidates = 10
 	p.ExecutePerJob = 2
-	a, err := p.Analyze(job)
+	a, err := p.AnalyzeCtx(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
