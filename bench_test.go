@@ -1,12 +1,15 @@
-// Package steerq's root benchmarks regenerate every table and figure of the
-// paper (see DESIGN.md's per-experiment index). Each benchmark runs the
-// corresponding experiment at a laptop-friendly scale and reports the
-// headline quantity the paper's artifact carries as a custom metric, so
-// `go test -bench=. -benchmem` doubles as the reproduction harness.
+// Package steerq's root benchmarks measure the paths every analysis leans
+// on — raw compilation, Algorithm 1's span, the discovery fan-out, a warm
+// re-pass through the compile cache and one optimizer session's candidate
+// sweep — and several fail outright when a budget they pin is exceeded.
 //
-// For the full printed tables/series use:
+// The paper's tables and figures have one regenerator:
 //
-//	go run ./cmd/steerq-bench
+//	go run ./cmd/steerq-bench -exp all
+//
+// (ci.sh diffs its output at a small scale against
+// cmd/steerq-bench/testdata/exp_all.golden.txt); end-to-end throughput is
+// measured by benchmark/.
 package steerq_test
 
 import (
@@ -17,14 +20,13 @@ import (
 	"steerq/internal/bitvec"
 	"steerq/internal/cascades"
 	"steerq/internal/experiments"
-	"steerq/internal/learning"
 	"steerq/internal/steering"
 	"steerq/internal/workload"
 	"steerq/internal/xrand"
 )
 
-// benchConfig is the shared scaled-down configuration. Benchmarks share one
-// runner per b.Run tree via newRunner.
+// benchConfig is the shared scaled-down configuration; every benchmark
+// builds its own runner on it.
 func benchConfig() experiments.Config {
 	cfg := experiments.DefaultConfig()
 	cfg.Scale = 0.002
@@ -33,218 +35,7 @@ func benchConfig() experiments.Config {
 	cfg.SampleFrac = 0.25
 	cfg.LongJobFloor = 60
 	cfg.LongJobCeil = 5400
-	cfg.LearnMinGroup = 20
-	cfg.LearnMinMedianSec = 15
 	return cfg
-}
-
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchConfig())
-		t1, err := r.Table1(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(t1.Total.Jobs), "jobs")
-		b.ReportMetric(float64(t1.Total.UniqueSignatures), "signatures")
-	}
-}
-
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchConfig())
-		t2, err := r.Table2("A", 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		unused := 0
-		for _, row := range t2.Rows {
-			unused += row.Unused
-		}
-		b.ReportMetric(float64(unused), "unused-rules")
-	}
-}
-
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchConfig())
-		t3, err := r.Table3(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range t3.Rows {
-			b.ReportMetric(-row.DeltaPct, "pct-gain-"+row.Workload)
-		}
-	}
-}
-
-func BenchmarkTable4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchConfig())
-		t4, err := r.Table4(0, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(t4.Rows)), "rulediffs")
-	}
-}
-
-func BenchmarkTable5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchConfig())
-		run, err := r.Learning("B", 8, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, g := range run.Groups {
-			def := g.Eval.Summarize(func(o learning.JobOutcome) float64 { return o.Default })
-			lrn := g.Eval.Summarize(func(o learning.JobOutcome) float64 { return o.Learned })
-			if def.Mean > 0 {
-				b.ReportMetric(100*(def.Mean-lrn.Mean)/def.Mean, "learned-gain-pct")
-			}
-		}
-	}
-}
-
-func BenchmarkFigure1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchConfig())
-		f, err := r.Figure1("A", 4, 65)
-		if err != nil {
-			b.Fatal(err)
-		}
-		improved := 0
-		for _, c := range f.Comparisons {
-			if c.PctChange < 0 {
-				improved++
-			}
-		}
-		b.ReportMetric(float64(improved), "improved-jobs")
-		b.ReportMetric(float64(len(f.Comparisons)), "group-jobs")
-	}
-}
-
-func BenchmarkFigure2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchConfig())
-		f, err := r.Figure2("A", 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*f.LongJobFrac, "long-job-pct")
-		b.ReportMetric(100*f.LongJobContainers, "long-job-container-pct")
-	}
-}
-
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchConfig())
-		f, err := r.Figure3("A", 0, 60)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range f.Rows {
-			if row.Category == "total" {
-				b.ReportMetric(row.Mean, "span-rules-mean")
-			}
-		}
-	}
-}
-
-func BenchmarkFigure4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchConfig())
-		f, err := r.Figure4("A", 0, 15)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cheaper := 0
-		for _, row := range f.Rows {
-			if row.MinCost < row.DefaultCost {
-				cheaper++
-			}
-		}
-		b.ReportMetric(float64(cheaper), "jobs-with-cheaper-plans")
-	}
-}
-
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchConfig())
-		f, err := r.Figure5("A", 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Jobs in the low-cost, high-runtime corner (top-left 2x2 block).
-		corner := f.Grid[0][0] + f.Grid[0][1] + f.Grid[1][0] + f.Grid[1][1]
-		b.ReportMetric(float64(corner), "corner-jobs")
-	}
-}
-
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchConfig())
-		var improved, total int
-		var best float64
-		for _, name := range []string{"A", "B", "C"} {
-			f, err := r.Figure6(name, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, c := range f.Changes {
-				total++
-				if c.PctChange < 0 {
-					improved++
-				}
-				if c.PctChange < best {
-					best = c.PctChange
-				}
-			}
-		}
-		b.ReportMetric(float64(improved)/float64(total)*100, "improved-pct")
-		b.ReportMetric(-best, "best-gain-pct")
-	}
-}
-
-func BenchmarkFigure7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchConfig())
-		f, err := r.Figure7("B", 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Tension indicator: CPU regressions when selecting for runtime.
-		reg := 0
-		for _, row := range f.Panels[0] {
-			if row.CPUPct > 1 {
-				reg++
-			}
-		}
-		b.ReportMetric(float64(reg), "cpu-regressions")
-	}
-}
-
-func BenchmarkFigure8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchConfig())
-		run, err := r.Learning("B", 8, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		improved, regressed := 0, 0
-		for _, g := range run.Groups {
-			for _, o := range g.Eval.PerJob {
-				switch {
-				case o.Learned < o.Default*0.99:
-					improved++
-				case o.Learned > o.Default*1.01:
-					regressed++
-				}
-			}
-		}
-		b.ReportMetric(float64(improved), "improved-jobs")
-		b.ReportMetric(float64(regressed), "regressed-jobs")
-	}
 }
 
 // BenchmarkCompileDefault measures raw compilation throughput of the
@@ -430,77 +221,6 @@ func BenchmarkJobSpan(b *testing.B) {
 		j := jobs[i%len(jobs)]
 		if _, err := steering.JobSpan(h.Opt, j.Root); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationRandomVsGuided reports how often cost-guided selection
-// beats uniform-random selection of executed configurations (§6.2).
-func BenchmarkAblationRandomVsGuided(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchConfig())
-		a, err := r.RandomVsGuided("A", 0, 8, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		guided, random := 0, 0
-		for _, row := range a.Rows {
-			if row.GuidedBest < row.RandomBest*0.99 {
-				guided++
-			} else if row.RandomBest < row.GuidedBest*0.99 {
-				random++
-			}
-		}
-		b.ReportMetric(float64(guided), "guided-wins")
-		b.ReportMetric(float64(random), "random-wins")
-	}
-}
-
-// BenchmarkAblationSpanSearch reports the search-efficiency gain of the job
-// span (Definition 5.1) over naive whole-catalog sampling.
-func BenchmarkAblationSpanSearch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchConfig())
-		a, err := r.SpanSearch("A", 0, 15, 30)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(a.SpanDistinct, "span-distinct-per-100")
-		b.ReportMetric(a.NaiveDistinct, "naive-distinct-per-100")
-	}
-}
-
-// BenchmarkAblationGrouping reports the group-size advantage of
-// rule-signature grouping over template grouping (§6.4).
-func BenchmarkAblationGrouping(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchConfig())
-		a, err := r.Grouping("B", 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(a.TemplateGroups), "template-groups")
-		b.ReportMetric(float64(a.SignatureGroups), "signature-groups")
-		b.ReportMetric(float64(a.SignatureMax), "largest-signature-group")
-	}
-}
-
-// BenchmarkExtensionIndependence reports the configuration-space reduction
-// achieved by the §8 rule-independence prober.
-func BenchmarkExtensionIndependence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchConfig())
-		e, err := r.Extensions("A", 0, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var naive, part float64
-		for _, row := range e.Independence {
-			naive += row.NaiveSpace
-			part += row.PartSpace
-		}
-		if part > 0 {
-			b.ReportMetric(naive/part, "space-reduction-x")
 		}
 	}
 }

@@ -63,7 +63,14 @@
 #                                -metrics-out, diffed byte-for-byte against the
 #                                committed snapshot golden — metric drift and
 #                                nondeterminism both fail here
-#  12. serving smoke             the full serving path end to end: build a
+#  12. paper tables golden       the one regenerator of the paper's tables,
+#                                `steerq-bench -exp all` at -scale 0.002 -m 40
+#                                with a pinned fault seed, diffed
+#                                byte-for-byte against the committed
+#                                cmd/steerq-bench/testdata/exp_all.golden.txt
+#                                (its stdout is the same at any -workers and
+#                                with or without the fault seed)
+#  13. serving smoke             the full serving path end to end: build a
 #                                pinned-seed bundle with `steerq bundle`,
 #                                start steerqd on an ephemeral loopback port,
 #                                smoke-query known signatures (hits and a
@@ -71,20 +78,20 @@
 #                                drain the daemon with SIGTERM, and diff its
 #                                frozen-clock metrics snapshot against the
 #                                committed ci_serving.golden.json
-#  13. benchmark module          (cd benchmark && go vet ./... && go test
+#  14. benchmark module          (cd benchmark && go vet ./... && go test
 #                                ./...): the repo benchmark is its own module
 #                                importing this one, so a root change that
 #                                breaks the API it calls fails here; its tests
 #                                pin BENCHMARK.json to `-manifest`, check the
 #                                oracles against tampered outputs and smoke
 #                                all five workloads offline
-#  14. short fuzz pass           60s total over the scopeql parser/binder
+#  15. short fuzz pass           60s total over the scopeql parser/binder
 #                                (including the parse-print-parse round trip),
 #                                the bundle decoder, xrand's generator
 #                                against math/rand's and the column-statistics
 #                                merge against its map reference
 #
-# Set STEERQ_CI_SKIP_FUZZ=1 to skip stage 14 (e.g. on very slow machines).
+# Set STEERQ_CI_SKIP_FUZZ=1 to skip stage 15 (e.g. on very slow machines).
 set -eu
 
 echo "== build =="
@@ -166,6 +173,17 @@ diff -u cmd/steerq/testdata/ci_metrics.golden.json /tmp/steerq-metrics.$$.json |
     exit 1
 }
 rm -f /tmp/steerq-metrics.$$.json
+
+echo "== paper tables golden (steerq-bench -exp all, pinned seed 1337) =="
+go run ./cmd/steerq-bench -scale 0.002 -m 40 -exp all -fault-seed 1337 -workers 4 \
+    > /tmp/steerq-exp.$$.txt 2> /dev/null
+diff -u cmd/steerq-bench/testdata/exp_all.golden.txt /tmp/steerq-exp.$$.txt || {
+    echo "paper tables: steerq-bench -exp all stdout drifted from committed golden" >&2
+    echo "(if the change is intentional, regenerate with the command above)" >&2
+    rm -f /tmp/steerq-exp.$$.txt
+    exit 1
+}
+rm -f /tmp/steerq-exp.$$.txt
 
 echo "== serving smoke (steerqd end to end, frozen clock) =="
 servdir=$(mktemp -d)

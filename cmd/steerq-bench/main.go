@@ -38,7 +38,7 @@ func realMain() int {
 		expName    = flag.String("exp", "all", "experiment to run (all, table1..table5, fig1..fig8)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write an allocation heap profile to this file on exit")
-		faultSeed  = flag.String("fault-seed", "", "arm deterministic fault injection with this seed (empty = $STEERQ_FAULT_SEED or off)")
+		faultSeed  = flag.String("fault-seed", "", "arm deterministic fault injection with this seed (empty = off)")
 		faultRates = flag.String("fault-rates", "", "fault probabilities as site.kind=prob pairs, e.g. compile.fail=0.1,exec.hang=0.05")
 		metricsOut = flag.String("metrics-out", "", "write a metrics snapshot on exit (.prom/.txt = text exposition, else JSON)")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars and /metrics on this address while the run is live")
@@ -46,7 +46,7 @@ func realMain() int {
 	)
 	flag.Parse()
 
-	faultPlan, err := faultPlanFromFlags(*faultSeed, *faultRates)
+	faultPlan, err := faults.ParsePlan(*faultSeed, *faultRates)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "steerq-bench:", err)
 		return 1
@@ -202,15 +202,6 @@ func realMain() int {
 		}
 	}
 	return 0
-}
-
-// faultPlanFromFlags resolves the fault flags, falling back to the
-// STEERQ_FAULT_SEED / STEERQ_FAULT_RATES environment knobs.
-func faultPlanFromFlags(seed, rates string) (*faults.Plan, error) {
-	if seed == "" && rates == "" {
-		return faults.PlanFromEnv()
-	}
-	return faults.ParsePlan(seed, rates)
 }
 
 func render1(r *experiments.Runner, w io.Writer) error {

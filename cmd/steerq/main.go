@@ -112,7 +112,7 @@ func newEnv(cmd string) *env {
 	e.jobRef = e.fs.String("job", "0/0", "job reference day/index")
 	e.script = e.fs.String("script", "", "path to a SCOPE-like script (overrides -job)")
 	e.workers = e.fs.Int("workers", 0, "worker goroutines (0 = $STEERQ_WORKERS or GOMAXPROCS); results are identical at any setting")
-	e.faultSeed = e.fs.String("fault-seed", "", "arm deterministic fault injection with this seed (empty = $STEERQ_FAULT_SEED or off)")
+	e.faultSeed = e.fs.String("fault-seed", "", "arm deterministic fault injection with this seed (empty = off)")
 	e.faultRates = e.fs.String("fault-rates", "", "fault probabilities as site.kind=prob pairs, e.g. compile.fail=0.1,exec.hang=0.05")
 	e.metricsOut = e.fs.String("metrics-out", "", "write a metrics snapshot on exit (.prom/.txt = text exposition, else JSON)")
 	e.debugAddr = e.fs.String("debug-addr", "", "serve /debug/vars and /metrics on this address while the command runs")
@@ -138,7 +138,7 @@ func (e *env) build() error {
 	e.harness = abtest.New(e.wl.Cat, opt, *e.seed+1)
 	e.harness.SetObs(e.reg)
 	e.harness.Workers = *e.workers
-	fp, err := e.faultPlan()
+	fp, err := faults.ParsePlan(*e.faultSeed, *e.faultRates)
 	if err != nil {
 		return err
 	}
@@ -171,15 +171,6 @@ func (e *env) finish() error {
 		return nil
 	}
 	return e.reg.Snapshot().WriteFile(*e.metricsOut)
-}
-
-// faultPlan resolves the fault-injection flags, falling back to the
-// STEERQ_FAULT_SEED / STEERQ_FAULT_RATES environment knobs.
-func (e *env) faultPlan() (*faults.Plan, error) {
-	if *e.faultSeed == "" && *e.faultRates == "" {
-		return faults.PlanFromEnv()
-	}
-	return faults.ParsePlan(*e.faultSeed, *e.faultRates)
 }
 
 // job resolves the -script / -job flags into a compiled job.

@@ -74,7 +74,7 @@ func main() {
 	}
 
 	// 2. Rule-independence discovery.
-	ind, err := steering.ProbeIndependence(p, a, xrand.New(33))
+	ind, err := steering.ProbeIndependence(p, a)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,7 +8,6 @@ package abtest
 import (
 	"context"
 	"errors"
-	"time"
 
 	"steerq/internal/bitvec"
 	"steerq/internal/cascades"
@@ -16,7 +15,6 @@ import (
 	"steerq/internal/exec"
 	"steerq/internal/faults"
 	"steerq/internal/obs"
-	"steerq/internal/par"
 	"steerq/internal/plan"
 )
 
@@ -69,18 +67,10 @@ type Harness struct {
 	Workers int
 
 	// Faults, when non-nil, injects deterministic compile and execution
-	// faults. Assigning it also arms the executor (see SetFaults).
+	// faults and turns on their fixed retry budget (see
+	// faults.Injector.Retry). Assigning it also arms the executor (see
+	// SetFaults).
 	Faults *faults.Injector
-
-	// Retry bounds re-attempts of faulted compiles and executions. The
-	// zero value resolves to faults.DefaultPolicy when Faults is set and
-	// to a single attempt otherwise.
-	Retry faults.Policy
-
-	// CompileTimeout and ExecTimeout bound one attempt each; zero means no
-	// deadline. An injected hang waits out the deadline and surfaces as
-	// faults.ErrTimeout.
-	CompileTimeout, ExecTimeout time.Duration
 
 	// Obs, when non-nil, records an abtest.compile and abtest.exec span per
 	// trial (tagged by jobTag — content, never schedule) plus per-site
@@ -136,11 +126,11 @@ func (h *Harness) RunConfig(root *plan.Node, cfg bitvec.Vector, day int, jobTag 
 	return h.RunConfigCtx(context.Background(), root, cfg, day, jobTag, nil)
 }
 
-// RunConfigCtx is RunConfig with a context bounding the whole trial,
-// per-attempt timeouts, fault injection and bounded retry: CompileCtx over a
-// fresh optimizer call, then ExecCtx on its result. rec, when non-nil,
-// observes retries and timeouts; pass one per pipeline unit and merge
-// serially to keep reports deterministic at any worker count.
+// RunConfigCtx is RunConfig with a context bounding the whole trial, fault
+// injection and bounded retry: CompileCtx over a fresh optimizer call, then
+// ExecCtx on its result. rec, when non-nil, observes retries and timeouts;
+// pass one per pipeline unit and merge serially to keep reports
+// deterministic at any worker count.
 func (h *Harness) RunConfigCtx(ctx context.Context, root *plan.Node, cfg bitvec.Vector, day int, jobTag string, rec *faults.Record) Trial {
 	res, attempts, err := h.CompileCtx(ctx, jobTag, rec, func(bool) (*cascades.Result, error) {
 		return h.Opt.Optimize(root, cfg)
@@ -166,20 +156,17 @@ func (h *Harness) CompileCtx(ctx context.Context, jobTag string, rec *faults.Rec
 
 // RetryCompile is the one retry loop of a compile: it runs compile — one
 // attempt at compiling the job, asked for a plan per faults.CompileAttempt —
-// under the harness's retry policy, per-attempt timeout and fault injection,
-// and returns the attempts consumed next to the result. The result is nil on
-// error except with the optimizer's own no-plan verdict, which carries the
-// decision footprint. An injected failure or hang never calls compile.
+// under the harness's fault injection and its fixed retry budget, and returns
+// the attempts consumed next to the result. The result is nil on error except
+// with the optimizer's own no-plan verdict, which carries the decision
+// footprint. An injected failure or hang never calls compile.
 func (h *Harness) RetryCompile(ctx context.Context, jobTag string, rec *faults.Record, compile func(plan bool) (*cascades.Result, error)) (*cascades.Result, int, error) {
 	var res *cascades.Result
-	attempts, err := faults.PolicyOrDefault(h.Retry, h.Faults).Do(ctx, faults.SiteCompile, h.Faults.RetryRand(faults.SiteCompile, jobTag), rec,
-		func(actx context.Context, attempt int) error {
-			ictx, cancel := par.ItemContext(actx, h.CompileTimeout)
-			defer cancel()
-			var cerr error
-			res, cerr = h.Faults.CompileAttempt(ictx, jobTag, attempt, compile)
-			return cerr
-		})
+	attempts, err := h.Faults.Retry(ctx, faults.SiteCompile, rec, func(attempt int) error {
+		var cerr error
+		res, cerr = h.Faults.CompileAttempt(ctx, jobTag, attempt, compile)
+		return cerr
+	})
 	return res, attempts, err
 }
 
@@ -189,17 +176,14 @@ func (h *Harness) RetryCompile(ctx context.Context, jobTag string, rec *faults.R
 func (h *Harness) ExecCtx(ctx context.Context, res *cascades.Result, day int, jobTag string, rec *faults.Record) Trial {
 	t := Trial{Config: res.Config, Signature: res.Signature, Footprint: res.Footprint, EstCost: res.Cost}
 	ectx, esp := h.Obs.StartSpan(ctx, "abtest.exec", jobTag)
-	t.Attempts, t.Err = faults.PolicyOrDefault(h.Retry, h.Faults).Do(ectx, faults.SiteExec, h.Faults.RetryRand(faults.SiteExec, jobTag), rec,
-		func(actx context.Context, attempt int) error {
-			ictx, cancel := par.ItemContext(actx, h.ExecTimeout)
-			defer cancel()
-			m, xerr := h.Executor.RunCtx(ictx, res.Plan, day, jobTag, attempt)
-			if xerr != nil {
-				return xerr
-			}
-			t.Metrics = m
-			return nil
-		})
+	t.Attempts, t.Err = h.Faults.Retry(ectx, faults.SiteExec, rec, func(attempt int) error {
+		m, xerr := h.Executor.RunCtx(ectx, res.Plan, day, jobTag, attempt)
+		if xerr != nil {
+			return xerr
+		}
+		t.Metrics = m
+		return nil
+	})
 	esp.EndErr(t.Err)
 	h.Obs.Counter("steerq_abtest_attempts_total", "site", "exec").Add(uint64(t.Attempts))
 	return t

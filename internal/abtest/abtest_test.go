@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"steerq/internal/abtest"
 	"steerq/internal/bitvec"
@@ -111,17 +110,18 @@ func TestRunConfigIsCompileThenExec(t *testing.T) {
 	const topScript = `x = SELECT TOP 5 k FROM "s" ORDER BY k; OUTPUT x TO "o";`
 	retrying := &faults.Plan{Seed: 11, Compile: faults.Probs{Fail: 0.4, Corrupt: 0.2}, Exec: faults.Probs{Fail: 0.5}}
 	for _, tc := range []struct {
-		name    string
-		script  string
-		empty   bool // the empty configuration, under which TOP has no plan
-		fault   *faults.Plan
-		timeout time.Duration
+		name   string
+		script string
+		empty  bool // the empty configuration, under which TOP has no plan
+		fault  *faults.Plan
 	}{
 		{name: "clean", script: script},
 		{name: "no-plan", script: topScript, empty: true},
 		{name: "retries", script: script, fault: retrying},
-		{name: "compile-timeout", script: script, fault: &faults.Plan{Seed: 1, Compile: faults.Probs{Hang: 1}}, timeout: time.Millisecond},
-		{name: "exec-timeout", script: script, fault: &faults.Plan{Seed: 1, Exec: faults.Probs{Hang: 1}}, timeout: time.Millisecond},
+		// No deadline on the trial: every injected hang is an immediate
+		// watchdog kill, so each attempt times out at once.
+		{name: "compile-timeout", script: script, fault: &faults.Plan{Seed: 1, Compile: faults.Probs{Hang: 1}}},
+		{name: "exec-timeout", script: script, fault: &faults.Plan{Seed: 1, Exec: faults.Probs{Hang: 1}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			type outcome struct {
@@ -133,7 +133,6 @@ func TestRunConfigIsCompileThenExec(t *testing.T) {
 				h, cat := harness(t)
 				reg := obs.NewWithClock(obs.FrozenClock())
 				h.SetObs(reg)
-				h.CompileTimeout, h.ExecTimeout = tc.timeout, tc.timeout
 				if tc.fault != nil {
 					h.SetFaults(faults.NewInjector(*tc.fault))
 				}

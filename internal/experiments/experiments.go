@@ -57,10 +57,6 @@ type Config struct {
 	Workers int
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
-	// CheckPlans validates every executed plan (cascades.Validate) before
-	// running it. The STEERQ_CHECK_PLANS environment variable also enables
-	// it, via exec.New.
-	CheckPlans bool
 	// Faults, when non-nil, arms deterministic fault injection on every
 	// harness the runner builds: compiles and executions fail, hang or
 	// return corrupted plans at the plan's probabilities, and the pipeline
@@ -155,8 +151,8 @@ func (r *Runner) Workload(name string) *workload.Workload {
 }
 
 // Harness returns the A/B harness for a workload. With STEERQ_CHECK_PLANS
-// set in the environment (or Config.CheckPlans), every plan the experiments
-// execute is first run through cascades.Validate.
+// set in the environment, every plan the experiments execute is first run
+// through cascades.Validate (see exec.New).
 func (r *Runner) Harness(name string) *abtest.Harness {
 	if h, ok := r.harnesses[name]; ok {
 		return h
@@ -166,9 +162,6 @@ func (r *Runner) Harness(name string) *abtest.Harness {
 	opt.SetObs(r.Obs())
 	h := abtest.New(w.Cat, opt, r.Cfg.Seed+1)
 	h.SetObs(r.Obs())
-	if r.Cfg.CheckPlans {
-		h.Executor.CheckPlans = true
-	}
 	if in := r.Faults(); in != nil {
 		h.SetFaults(in)
 	}

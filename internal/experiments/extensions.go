@@ -96,7 +96,7 @@ func (r *Runner) Extensions(name string, day, jobs int) (*ExtensionResults, erro
 			IterativeBest: iterative,
 		}}
 
-		ind, err := steering.ProbeIndependence(p, a, rnd.Derive("ind", job.ID))
+		ind, err := steering.ProbeIndependence(p, a)
 		if err != nil {
 			return s, nil
 		}

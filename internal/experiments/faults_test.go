@@ -8,10 +8,12 @@ import (
 	"steerq/internal/steering"
 )
 
-func faultyRunner(workers int, fp faults.Plan) *Runner {
+// faultyRunner builds a runner armed with fp whose executors validate every
+// plan they run (STEERQ_CHECK_PLANS, read by exec.New).
+func faultyRunner(t *testing.T, workers int, fp faults.Plan) *Runner {
+	t.Setenv("STEERQ_CHECK_PLANS", "1")
 	cfg := tinyConfig()
 	cfg.Workers = workers
-	cfg.CheckPlans = true
 	cfg.Faults = &fp
 	return NewRunner(cfg)
 }
@@ -60,7 +62,7 @@ func requireSameAnalyses(t *testing.T, label string, as, bs []*steering.Analysis
 // also exercises the shared injector and compile cache concurrently.
 func TestRunnerFaultDeterminism(t *testing.T) {
 	fp := faults.DefaultPlan(1337)
-	base := faultyRunner(1, fp)
+	base := faultyRunner(t, 1, fp)
 	baseAnalyses := base.AnalyzedJobs("A", 0)
 	if len(baseAnalyses) == 0 {
 		t.Fatal("no analyses; test is vacuous")
@@ -69,7 +71,7 @@ func TestRunnerFaultDeterminism(t *testing.T) {
 		t.Fatal("fault plan injected nothing the pipeline had to handle; test is vacuous")
 	}
 
-	par := faultyRunner(8, fp)
+	par := faultyRunner(t, 8, fp)
 	parAnalyses := par.AnalyzedJobs("A", 0)
 	requireSameAnalyses(t, "workers=8", baseAnalyses, parAnalyses)
 
@@ -87,10 +89,10 @@ func TestRunnerFaultDeterminism(t *testing.T) {
 // TestRunnerFaultedJobsAllResolve checks graceful degradation end to end:
 // with moderate fault rates every analysis the runner returns has every
 // executed trial either retried into success or marked as a fallback copy of
-// the default — no injected error escapes to experiment code. CheckPlans
+// the default — no injected error escapes to experiment code. Plan checking
 // makes the executor panic on any corrupt plan that slipped through.
 func TestRunnerFaultedJobsAllResolve(t *testing.T) {
-	r := faultyRunner(4, faults.DefaultPlan(2024))
+	r := faultyRunner(t, 4, faults.DefaultPlan(2024))
 	analyses := r.AnalyzedJobs("A", 0)
 	if len(analyses) == 0 {
 		t.Fatal("every job failed analysis")
@@ -131,7 +133,7 @@ func TestRunnerFaultedJobsAllResolve(t *testing.T) {
 func TestRunnerGiveUpCountedOnce(t *testing.T) {
 	// All compiles fail: LongJobs is empty (default trials all error), and
 	// forcing an analysis through the pipeline gives up.
-	r := faultyRunner(2, faults.Plan{Seed: 9, Compile: faults.Probs{Fail: 1}})
+	r := faultyRunner(t, 2, faults.Plan{Seed: 9, Compile: faults.Probs{Fail: 1}})
 	if jobs := r.LongJobs("A", 0); len(jobs) != 0 {
 		t.Fatalf("%d jobs survived an all-fail compile plan", len(jobs))
 	}

@@ -46,8 +46,7 @@ func (rep RobustnessReport) Render(w io.Writer) {
 	fmt.Fprintf(w, "  injected: %d of %d decisions (fail=%d hang=%d corrupt=%d)\n",
 		rep.Stats.Injected(), rep.Stats.Decisions, rep.Stats.Fails, rep.Stats.Hangs, rep.Stats.Corrupts)
 	fmt.Fprintf(w, "  analyses: %d completed, %d given up\n", rep.Analyses, rep.Record.GiveUps)
-	fmt.Fprintf(w, "  retries:  %d compile + %d exec (virtual backoff %v)\n",
-		rep.Record.CompileRetries, rep.Record.ExecRetries, rep.Record.Backoff)
+	fmt.Fprintf(w, "  retries:  %d compile + %d exec\n", rep.Record.CompileRetries, rep.Record.ExecRetries)
 	fmt.Fprintf(w, "  caught:   %d timeouts, %d corrupted plans\n", rep.Record.Timeouts, rep.Record.Corruptions)
 	fmt.Fprintf(w, "  fallbacks to default config: %d\n", rep.Record.Fallbacks)
 }

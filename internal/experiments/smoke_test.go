@@ -263,11 +263,9 @@ func TestExtensionsSmoke(t *testing.T) {
 // real optimizer output.
 func TestCheckedPlansSmoke(t *testing.T) {
 	t.Setenv("STEERQ_CHECK_PLANS", "1")
-	cfg := tinyConfig()
-	cfg.CheckPlans = true
-	r := NewRunner(cfg)
+	r := NewRunner(tinyConfig())
 	if !r.Executor("A").CheckPlans {
-		t.Fatal("harness executor did not pick up CheckPlans")
+		t.Fatal("harness executor did not pick up STEERQ_CHECK_PLANS")
 	}
 	jobs := r.Day("A", 0)
 	if len(jobs) == 0 {

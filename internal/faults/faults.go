@@ -16,8 +16,10 @@
 // net: validation, bounded retry and automatic fallback to the default
 // configuration when a steered compile or execution misbehaves. This
 // package provides both halves of that story for the reproduction — the
-// misbehavior (Injector) and the machinery that survives it (Policy,
-// Record, plan validation against corruption).
+// misbehavior (Injector) and the machinery that survives it (Retry's fixed
+// budget, Record, plan validation against corruption). The Plan — a seed
+// and per-site rates, set by the CLIs' -fault-seed and -fault-rates flags —
+// is the layer's only input.
 package faults
 
 import (
@@ -39,9 +41,9 @@ const (
 	KindNone Kind = iota
 	// KindFail makes the operation return ErrInjected immediately.
 	KindFail
-	// KindHang makes the operation block until its context deadline and
-	// return ErrTimeout — the simulator's stand-in for a compile or vertex
-	// that stops making progress.
+	// KindHang makes the operation block until its context deadline (or,
+	// without one, fail at once) and return ErrTimeout — the simulator's
+	// stand-in for a compile or vertex that stops making progress.
 	KindHang
 	// KindCorrupt lets the operation complete but hands back a structurally
 	// broken result (a plan that fails cascades.Validate). Detection is the
@@ -198,16 +200,6 @@ func (in *Injector) Rand(site Site, tag string, attempt int) *xrand.Source {
 	return in.rand("aux", site, tag, attempt)
 }
 
-// RetryRand returns the stream that jitters retry backoff for one
-// operation. Keyed by content, not by attempt: one stream covers the whole
-// retry loop of the operation.
-func (in *Injector) RetryRand(site Site, tag string) *xrand.Source {
-	if in == nil {
-		return xrand.New(0).Derive("retry", string(site), tag)
-	}
-	return xrand.New(in.plan.Seed).Derive("retry", string(site), tag)
-}
-
 func (in *Injector) rand(kind string, site Site, tag string, attempt int) *xrand.Source {
 	return xrand.New(in.plan.Seed).Derive("fault", kind, string(site), tag, strconv.Itoa(attempt))
 }
@@ -266,11 +258,11 @@ func Injectedf(site Site, tag string, attempt int) error {
 	return fmt.Errorf("%w: %s %s attempt %d", ErrInjected, site, tag, attempt)
 }
 
-// Hang simulates a stuck operation: it blocks until the attempt's deadline
-// fires and returns ErrTimeout (wrapping the context cause). Without a
-// deadline on ctx nothing bounded would ever unblock it, so it times out
-// immediately — the stand-in for a watchdog kill — which keeps runs with
-// timeouts disabled deterministic instead of deadlocked.
+// Hang simulates a stuck operation: it blocks until ctx's deadline fires
+// and returns ErrTimeout (wrapping the context cause). Without a deadline on
+// ctx nothing bounded would ever unblock it, so it times out immediately —
+// the stand-in for a watchdog kill — which keeps unbounded runs
+// deterministic instead of deadlocked.
 func Hang(ctx context.Context, site Site, tag string, attempt int) error {
 	if _, bounded := ctx.Deadline(); bounded {
 		<-ctx.Done()

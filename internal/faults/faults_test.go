@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"steerq/internal/faults"
-	"steerq/internal/xrand"
 )
 
 func testPlan() faults.Plan { return faults.DefaultPlan(99) }
@@ -89,9 +88,6 @@ func TestNilInjectorIsInert(t *testing.T) {
 	}
 	if p := in.Plan(); p != (faults.Plan{}) {
 		t.Fatalf("nil Plan = %+v", p)
-	}
-	if r := in.RetryRand(faults.SiteExec, "x"); r == nil {
-		t.Fatal("nil RetryRand returned nil source")
 	}
 }
 
@@ -210,58 +206,42 @@ func contains(s, sub string) bool {
 	return false
 }
 
-func TestPolicyBackoff(t *testing.T) {
-	p := faults.Policy{MaxAttempts: 5, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 40 * time.Millisecond}
-	r := xrand.New(3).Derive("backoff-test")
-	for retry := 1; retry <= 6; retry++ {
-		d := p.Backoff(r, retry)
-		nominal := p.BaseBackoff << uint(retry-1)
-		if nominal > p.MaxBackoff {
-			nominal = p.MaxBackoff
-		}
-		lo, hi := nominal/2, p.MaxBackoff
-		if d < lo || d > hi {
-			t.Errorf("Backoff(retry=%d) = %v outside [%v, %v]", retry, d, lo, hi)
-		}
-	}
-	if d := (faults.Policy{}).Backoff(r, 1); d != 0 {
-		t.Errorf("zero-policy backoff = %v", d)
-	}
-	if d := p.Backoff(r, 0); d != 0 {
-		t.Errorf("retry 0 backoff = %v", d)
+// alwaysRetryable fails every attempt with an injected (retryable) error.
+func alwaysRetryable(calls *int) func(attempt int) error {
+	return func(attempt int) error {
+		*calls++
+		return faults.Injectedf(faults.SiteCompile, "j", attempt)
 	}
 }
 
-func TestBackoffJitterIsSeedDeterministic(t *testing.T) {
-	p := faults.DefaultPolicy()
-	in := faults.NewInjector(testPlan())
-	a := p.Backoff(in.RetryRand(faults.SiteCompile, "j1"), 1)
-	b := p.Backoff(in.RetryRand(faults.SiteCompile, "j1"), 1)
-	if a != b {
-		t.Fatalf("same stream, same retry: %v vs %v", a, b)
+func TestRetryBudget(t *testing.T) {
+	// Injection off — a nil injector — means one attempt, even when that
+	// attempt's error would be retryable.
+	var off *faults.Injector
+	var rec faults.Record
+	calls := 0
+	attempts, err := off.Retry(context.Background(), faults.SiteCompile, &rec, alwaysRetryable(&calls))
+	if !errors.Is(err, faults.ErrInjected) || attempts != 1 || calls != 1 {
+		t.Fatalf("nil injector: Retry = (%d, %v), calls=%d; want one attempt", attempts, err, calls)
 	}
-}
-
-func TestPolicyOrDefault(t *testing.T) {
-	explicit := faults.Policy{MaxAttempts: 7}
-	if got := faults.PolicyOrDefault(explicit, nil); got.MaxAttempts != 7 {
-		t.Fatalf("explicit policy lost: %+v", got)
+	if !rec.IsZero() {
+		t.Fatalf("nil injector recorded retries: %+v", rec)
 	}
-	in := faults.NewInjector(testPlan())
-	if got := faults.PolicyOrDefault(faults.Policy{}, in); got.MaxAttempts != faults.DefaultPolicy().MaxAttempts {
-		t.Fatalf("active injector should default retries on: %+v", got)
+	// Injection on: four attempts.
+	calls = 0
+	attempts, err = faults.NewInjector(testPlan()).Retry(context.Background(), faults.SiteCompile, &rec, alwaysRetryable(&calls))
+	if !errors.Is(err, faults.ErrInjected) || attempts != 4 || calls != 4 {
+		t.Fatalf("active injector: Retry = (%d, %v), calls=%d; want four attempts", attempts, err, calls)
 	}
-	if got := faults.PolicyOrDefault(faults.Policy{}, nil); got.MaxAttempts != 1 {
-		t.Fatalf("no injection should mean one attempt: %+v", got)
+	if rec.CompileRetries != 3 {
+		t.Fatalf("record %+v, want 3 compile retries", rec)
 	}
 }
 
 func TestDoRetriesThenSucceeds(t *testing.T) {
-	p := faults.Policy{MaxAttempts: 4, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second}
 	var rec faults.Record
-	r := xrand.New(1).Derive("do-test")
 	calls := 0
-	attempts, err := p.Do(context.Background(), faults.SiteCompile, r, &rec, func(ctx context.Context, attempt int) error {
+	attempts, err := faults.NewInjector(testPlan()).Retry(context.Background(), faults.SiteCompile, &rec, func(attempt int) error {
 		if attempt != calls {
 			t.Fatalf("attempt %d on call %d", attempt, calls)
 		}
@@ -272,13 +252,10 @@ func TestDoRetriesThenSucceeds(t *testing.T) {
 		return nil
 	})
 	if err != nil || attempts != 3 || calls != 3 {
-		t.Fatalf("Do = (%d, %v), calls=%d; want (3, nil), 3", attempts, err, calls)
+		t.Fatalf("Retry = (%d, %v), calls=%d; want (3, nil), 3", attempts, err, calls)
 	}
-	if rec.CompileRetries != 2 || rec.ExecRetries != 0 {
-		t.Fatalf("record %+v, want 2 compile retries", rec)
-	}
-	if rec.Backoff <= 0 {
-		t.Fatalf("no virtual backoff recorded: %+v", rec)
+	if want := (faults.Record{CompileRetries: 2}); rec != want {
+		t.Fatalf("record %+v, want %+v", rec, want)
 	}
 }
 
@@ -286,12 +263,12 @@ func TestDoStopsOnNonRetryable(t *testing.T) {
 	genuine := errors.New("cascades: no plan")
 	var rec faults.Record
 	calls := 0
-	attempts, err := faults.DefaultPolicy().Do(context.Background(), faults.SiteExec, xrand.New(2), &rec, func(ctx context.Context, attempt int) error {
+	attempts, err := faults.NewInjector(testPlan()).Retry(context.Background(), faults.SiteExec, &rec, func(attempt int) error {
 		calls++
 		return genuine
 	})
 	if !errors.Is(err, genuine) || attempts != 1 || calls != 1 {
-		t.Fatalf("Do = (%d, %v), calls=%d; want immediate stop", attempts, err, calls)
+		t.Fatalf("Retry = (%d, %v), calls=%d; want immediate stop", attempts, err, calls)
 	}
 	if !rec.IsZero() {
 		t.Fatalf("non-retryable failure recorded retries: %+v", rec)
@@ -301,63 +278,42 @@ func TestDoStopsOnNonRetryable(t *testing.T) {
 func TestDoExhaustsBudget(t *testing.T) {
 	var rec faults.Record
 	calls := 0
-	attempts, err := faults.DefaultPolicy().Do(context.Background(), faults.SiteExec, xrand.New(5), &rec, func(ctx context.Context, attempt int) error {
+	attempts, err := faults.NewInjector(testPlan()).Retry(context.Background(), faults.SiteExec, &rec, func(attempt int) error {
 		calls++
 		return fmt.Errorf("%w: vertex stuck", faults.ErrTimeout)
 	})
 	if err == nil || !errors.Is(err, faults.ErrTimeout) {
-		t.Fatalf("exhausted Do err = %v", err)
+		t.Fatalf("exhausted Retry err = %v", err)
 	}
-	want := faults.DefaultPolicy().MaxAttempts
-	if attempts != want || calls != want {
-		t.Fatalf("attempts = %d, calls = %d, want %d", attempts, calls, want)
+	if attempts != 4 || calls != 4 {
+		t.Fatalf("attempts = %d, calls = %d, want 4", attempts, calls)
 	}
-	if rec.ExecRetries != want-1 || rec.Timeouts != want {
-		t.Fatalf("record %+v, want %d retries and %d timeouts", rec, want-1, want)
+	if want := (faults.Record{ExecRetries: 3, Timeouts: 4}); rec != want {
+		t.Fatalf("record %+v, want %+v", rec, want)
 	}
 }
 
 func TestDoStopsWhenParentContextSpent(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
-	attempts, err := faults.DefaultPolicy().Do(ctx, faults.SiteCompile, xrand.New(6), nil, func(ctx context.Context, attempt int) error {
+	attempts, err := faults.NewInjector(testPlan()).Retry(ctx, faults.SiteCompile, nil, func(attempt int) error {
 		calls++
 		cancel() // parent dies during the first attempt
 		return faults.Injectedf(faults.SiteCompile, "j", attempt)
 	})
 	if attempts != 1 || calls != 1 {
-		t.Fatalf("Do kept retrying after parent cancellation: attempts=%d calls=%d", attempts, calls)
+		t.Fatalf("Retry kept going after parent cancellation: attempts=%d calls=%d", attempts, calls)
 	}
 	if !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("err = %v, want the attempt's error", err)
 	}
 }
 
-func TestDoSleepHook(t *testing.T) {
-	var slept []time.Duration
-	p := faults.Policy{MaxAttempts: 3, BaseBackoff: 8 * time.Millisecond, MaxBackoff: time.Second,
-		Sleep: func(d time.Duration) { slept = append(slept, d) }}
-	var rec faults.Record
-	_, _ = p.Do(context.Background(), faults.SiteCompile, xrand.New(7), &rec, func(ctx context.Context, attempt int) error {
-		return faults.Injectedf(faults.SiteCompile, "j", attempt)
-	})
-	if len(slept) != 2 {
-		t.Fatalf("Sleep called %d times, want 2", len(slept))
-	}
-	var total time.Duration
-	for _, d := range slept {
-		total += d
-	}
-	if total != rec.Backoff {
-		t.Fatalf("slept %v but recorded %v", total, rec.Backoff)
-	}
-}
-
 func TestRecordAddAndRetries(t *testing.T) {
-	a := faults.Record{CompileRetries: 1, ExecRetries: 2, Timeouts: 3, Corruptions: 4, Fallbacks: 5, GiveUps: 6, Backoff: time.Second}
+	a := faults.Record{CompileRetries: 1, ExecRetries: 2, Timeouts: 3, Corruptions: 4, Fallbacks: 5, GiveUps: 6}
 	b := a
 	b.Add(a)
-	want := faults.Record{CompileRetries: 2, ExecRetries: 4, Timeouts: 6, Corruptions: 8, Fallbacks: 10, GiveUps: 12, Backoff: 2 * time.Second}
+	want := faults.Record{CompileRetries: 2, ExecRetries: 4, Timeouts: 6, Corruptions: 8, Fallbacks: 10, GiveUps: 12}
 	if b != want {
 		t.Fatalf("Add = %+v, want %+v", b, want)
 	}
@@ -395,27 +351,5 @@ func TestParsePlanAndRates(t *testing.T) {
 		if _, err := faults.ParsePlan("1", bad); err == nil {
 			t.Errorf("bad rates %q accepted", bad)
 		}
-	}
-}
-
-func TestFromEnv(t *testing.T) {
-	t.Setenv(faults.EnvSeed, "")
-	t.Setenv(faults.EnvRates, "")
-	in, err := faults.FromEnv()
-	if in != nil || err != nil {
-		t.Fatalf("unset env: (%v, %v)", in, err)
-	}
-	t.Setenv(faults.EnvSeed, "1337")
-	t.Setenv(faults.EnvRates, "exec.fail=0.5")
-	in, err = faults.FromEnv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := in.Plan(); got.Seed != 1337 || got.Exec.Fail != 0.5 {
-		t.Fatalf("FromEnv plan = %+v", got)
-	}
-	t.Setenv(faults.EnvSeed, "nope")
-	if _, err := faults.FromEnv(); err == nil {
-		t.Fatal("bad env seed accepted")
 	}
 }

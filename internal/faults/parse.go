@@ -2,45 +2,17 @@ package faults
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 )
 
-// Environment knobs. Setting EnvSeed is what arms fault injection in the
-// CLIs and in ci.sh's smoke stage; EnvRates overrides the default
-// probabilities. A failing run is reproduced by exporting the same seed —
+// ParsePlan builds a plan from the CLIs' -fault-seed and -fault-rates flag
+// values: an empty seed with empty rates means injection off (nil plan, no
+// error); rates without a seed is an error, because rates alone cannot arm
+// injection. Rates are comma-separated site.kind=prob pairs, e.g.
+// "compile.fail=0.05,compile.corrupt=0.02,exec.hang=0.01", applied over
+// DefaultPlan(seed). A failing run is reproduced by passing the same flags —
 // decisions depend on nothing else.
-const (
-	// EnvSeed (STEERQ_FAULT_SEED) roots every fault decision stream.
-	EnvSeed = "STEERQ_FAULT_SEED"
-	// EnvRates (STEERQ_FAULT_RATES) sets per-site probabilities as
-	// comma-separated site.kind=prob pairs, e.g.
-	// "compile.fail=0.05,compile.corrupt=0.02,exec.hang=0.01".
-	EnvRates = "STEERQ_FAULT_RATES"
-)
-
-// FromEnv builds an injector from the environment: nil (injection off) when
-// STEERQ_FAULT_SEED is unset, otherwise DefaultPlan(seed) adjusted by
-// STEERQ_FAULT_RATES.
-func FromEnv() (*Injector, error) {
-	p, err := PlanFromEnv()
-	if err != nil || p == nil {
-		return nil, err
-	}
-	return NewInjector(*p), nil
-}
-
-// PlanFromEnv resolves the environment knobs into a plan, nil when
-// STEERQ_FAULT_SEED is unset.
-func PlanFromEnv() (*Plan, error) {
-	return ParsePlan(os.Getenv(EnvSeed), os.Getenv(EnvRates))
-}
-
-// ParsePlan builds a plan from textual seed and rates (the CLI flag values):
-// an empty seed with empty rates means injection off (nil plan, no error);
-// rates without a seed is an error, because rates alone cannot arm
-// injection.
 func ParsePlan(seedStr, rates string) (*Plan, error) {
 	if seedStr == "" {
 		if rates != "" {
@@ -54,7 +26,7 @@ func ParsePlan(seedStr, rates string) (*Plan, error) {
 	}
 	plan := DefaultPlan(seed)
 	if rates != "" {
-		if err := ApplyRates(&plan, rates); err != nil {
+		if err := applyRates(&plan, rates); err != nil {
 			return nil, err
 		}
 	}
@@ -64,9 +36,9 @@ func ParsePlan(seedStr, rates string) (*Plan, error) {
 	return &plan, nil
 }
 
-// ApplyRates parses a comma-separated list of site.kind=prob pairs into the
+// applyRates parses a comma-separated list of site.kind=prob pairs into the
 // plan. Unmentioned probabilities keep their current values.
-func ApplyRates(plan *Plan, rates string) error {
+func applyRates(plan *Plan, rates string) error {
 	for _, pair := range strings.Split(rates, ",") {
 		pair = strings.TrimSpace(pair)
 		if pair == "" {

@@ -1,102 +1,36 @@
 package faults
 
-import (
-	"context"
-	"time"
+import "context"
 
-	"steerq/internal/xrand"
-)
+// maxAttempts is the retry budget of an operation under active injection,
+// first attempt included. Four attempts push the persistent-failure
+// probability of a site with fault rate p to p^4 (~1e-5 at p=0.06). Without
+// injection nothing transient is thrown, so an operation gets one attempt.
+const maxAttempts = 4
 
-// Policy bounds how a faulted operation is re-attempted: total attempts and
-// an exponential backoff with multiplicative xrand jitter. The zero value
-// means a single attempt (no retry).
-type Policy struct {
-	// MaxAttempts is the total number of attempts including the first;
-	// values below 1 behave as 1.
-	MaxAttempts int
-	// BaseBackoff is the nominal delay before the first retry; each further
-	// retry doubles it, capped at MaxBackoff.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// Sleep, when non-nil, is called with each backoff delay. The default
-	// is nil — no real sleeping: the cluster is simulated and its latency
-	// modeled elsewhere, so tests run at full speed while the computed
-	// delays stay observable through Record.Backoff.
-	Sleep func(time.Duration)
-}
-
-// DefaultPolicy returns the pipeline's standard retry budget: four attempts
-// with 10ms..500ms backoff. Four attempts push the persistent-failure
-// probability of a site with fault rate p to p^4 (~1e-5 at p=0.06).
-func DefaultPolicy() Policy {
-	return Policy{MaxAttempts: 4, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 500 * time.Millisecond}
-}
-
-// PolicyOrDefault resolves the effective policy: an explicitly configured
-// one wins; otherwise active fault injection turns on DefaultPolicy (faults
-// without retry would just be noise), and no injection means one attempt.
-func PolicyOrDefault(p Policy, in *Injector) Policy {
-	if p.MaxAttempts > 0 {
-		return p
-	}
-	if in.Active() {
-		return DefaultPolicy()
-	}
-	return Policy{MaxAttempts: 1}
-}
-
-// attempts returns the effective attempt bound.
-func (p Policy) attempts() int {
-	if p.MaxAttempts < 1 {
-		return 1
-	}
-	return p.MaxAttempts
-}
-
-// Backoff computes the delay before retry number retry (1-based: the delay
-// after the first failed attempt is Backoff(r, 1)): BaseBackoff doubled per
-// retry, scaled by a uniform jitter in [0.5, 1.5) drawn from r, capped at
-// MaxBackoff. Jitter decorrelates retry storms; drawing it from a
-// content-keyed stream keeps it reproducible.
-func (p Policy) Backoff(r *xrand.Source, retry int) time.Duration {
-	if p.BaseBackoff <= 0 || retry < 1 {
-		return 0
-	}
-	d := p.BaseBackoff << uint(retry-1)
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	d = time.Duration(float64(d) * r.Uniform(0.5, 1.5))
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	return d
-}
-
-// Do runs op under the policy: attempts are numbered from 0 and re-run
-// while the error is Retryable and the budget lasts. r jitters the backoff
-// (derive it per operation via Injector.RetryRand); rec, when non-nil,
-// observes retries, timeouts and virtual backoff at the given site. The
-// parent ctx bounds the whole loop — per-attempt deadlines are the op's
-// job (par.ItemContext inside op), so a hang burns one attempt, not the
-// whole budget.
+// Retry runs op with the fixed retry budget: attempts are numbered from 0
+// and re-run while the error is Retryable and the budget lasts — four
+// attempts when injection is active, one when it is not (a nil injector
+// included). rec, when non-nil, observes retries, timeouts and corruptions
+// at the given site. The parent ctx bounds the whole loop: an injected hang
+// waits for its deadline if it has one and is an immediate watchdog kill
+// otherwise (see Hang), so a hang burns one attempt, not the whole budget.
 //
 // Returns the attempt count actually used and the final error (nil on
 // success). A non-retryable error — a genuine compile failure, a parent
-// cancellation — stops the loop immediately.
-func (p Policy) Do(ctx context.Context, site Site, r *xrand.Source, rec *Record, op func(ctx context.Context, attempt int) error) (int, error) {
-	maxA := p.attempts()
+// cancellation — stops the loop immediately, and so does a spent parent
+// context.
+func (in *Injector) Retry(ctx context.Context, site Site, rec *Record, op func(attempt int) error) (int, error) {
+	budget := 1
+	if in.Active() {
+		budget = maxAttempts
+	}
 	var err error
-	for attempt := 0; attempt < maxA; attempt++ {
+	for attempt := 0; attempt < budget; attempt++ {
 		if attempt > 0 {
 			rec.observeRetry(site)
-			d := p.Backoff(r, attempt)
-			rec.observeBackoff(d)
-			if p.Sleep != nil && d > 0 {
-				p.Sleep(d)
-			}
 		}
-		err = op(ctx, attempt)
+		err = op(attempt)
 		if err == nil {
 			return attempt + 1, nil
 		}
@@ -104,13 +38,13 @@ func (p Policy) Do(ctx context.Context, site Site, r *xrand.Source, rec *Record,
 		if !Retryable(err) {
 			return attempt + 1, err
 		}
-		if cerr := ctx.Err(); cerr != nil {
+		if ctx.Err() != nil {
 			// The parent deadline or cancelation is spent: further attempts
 			// would all time out instantly. Surface the attempt error.
 			return attempt + 1, err
 		}
 	}
-	return maxA, err
+	return budget, err
 }
 
 // Record accumulates the robustness events of one pipeline unit (one job
@@ -134,9 +68,6 @@ type Record struct {
 	// GiveUps counts candidate compiles dropped after exhausting their
 	// retry budget.
 	GiveUps int
-	// Backoff is the total virtual backoff delay computed for retries
-	// (not slept by default; see Policy.Sleep).
-	Backoff time.Duration
 }
 
 // Add merges o into r.
@@ -147,7 +78,6 @@ func (r *Record) Add(o Record) {
 	r.Corruptions += o.Corruptions
 	r.Fallbacks += o.Fallbacks
 	r.GiveUps += o.GiveUps
-	r.Backoff += o.Backoff
 }
 
 // Retries returns total re-attempts across both sites.
@@ -165,13 +95,6 @@ func (r *Record) observeRetry(site Site) {
 	} else {
 		r.CompileRetries++
 	}
-}
-
-func (r *Record) observeBackoff(d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.Backoff += d
 }
 
 func (r *Record) observeError(err error) {

@@ -22,7 +22,6 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"time"
 )
 
 // EnvWorkers is the environment variable consulted when no explicit worker
@@ -73,15 +72,4 @@ func Map[T, R any](workers int, items []T, f func(i int, item T) (R, error)) ([]
 		return err
 	})
 	return out, err
-}
-
-// ItemContext bounds one pool item (one compile, one execution) by a
-// per-item timeout: d > 0 derives a deadline context, d <= 0 returns ctx
-// unchanged with a no-op cancel. Callers always `defer cancel()`, so the
-// zero-timeout path must not allocate a cancelable context.
-func ItemContext(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
-	if d <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, d)
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"steerq/internal/par"
 )
@@ -153,7 +152,10 @@ func TestRunCancellationMidRun(t *testing.T) {
 	}
 	// Parallel: timing decides which indices ran, but the invariants hold —
 	// canceled error, and no new items after cancellation had propagated
-	// (checked loosely: at least the canceling item ran).
+	// (checked loosely: at least the canceling item ran). Every other item
+	// holds its worker until index 5 cancels, so no index past 7 can start
+	// first; otherwise fast items could drain the whole range before the
+	// cancellation lands and nothing would be skipped.
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	var ran2 atomic.Int32
@@ -161,6 +163,8 @@ func TestRunCancellationMidRun(t *testing.T) {
 		ran2.Add(1)
 		if i == 5 {
 			cancel2()
+		} else {
+			<-ctx2.Done()
 		}
 		return nil
 	})
@@ -187,28 +191,5 @@ func TestRunItemErrorBeatsLaterCancellation(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the item's own error", err)
-	}
-}
-
-func TestItemContext(t *testing.T) {
-	parent := context.Background()
-	ctx, cancel := par.ItemContext(parent, 0)
-	if ctx != parent {
-		t.Fatal("zero timeout should return the parent context unchanged")
-	}
-	cancel() // must be a safe no-op
-
-	ctx, cancel = par.ItemContext(parent, 10*time.Millisecond)
-	defer cancel()
-	dl, ok := ctx.Deadline()
-	if !ok {
-		t.Fatal("positive timeout did not set a deadline")
-	}
-	if until := time.Until(dl); until <= 0 || until > 10*time.Millisecond {
-		t.Fatalf("deadline %v from now, want (0, 10ms]", until)
-	}
-	<-ctx.Done()
-	if !errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		t.Fatalf("ctx.Err() = %v", ctx.Err())
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"steerq/internal/bitvec"
-	"steerq/internal/xrand"
 )
 
 // IterativeSearch implements the first future-work direction of §8: "use
@@ -171,32 +170,6 @@ func clampWeight(w float64) float64 {
 	return w
 }
 
-// FlipWeights exposes the final per-rule flip probabilities of a search via a
-// fresh run — primarily for tests and diagnostics.
-func (s *IterativeSearch) FlipWeights(a *Analysis) (map[int]float64, error) {
-	// Run reconstructs the weights internally; re-derive them by replaying
-	// the trials' flip statistics.
-	res, err := s.Run(a)
-	if err != nil {
-		return nil, err
-	}
-	def := s.Pipeline.Harness.Opt.Rules.DefaultConfig()
-	w := make(map[int]float64)
-	for _, id := range a.Span.Ones() {
-		w[id] = 1
-	}
-	defaultRT := a.Default.Metrics.RuntimeSec
-	for _, t := range res.Trials {
-		gain := (defaultRT - t.Runtime) / defaultRT
-		for _, id := range a.Span.Ones() {
-			if t.Config.Get(id) != def.Get(id) {
-				w[id] = clampWeight(w[id] * weightUpdate(gain))
-			}
-		}
-	}
-	return w, nil
-}
-
 // Independence implements the second future-work direction of §8:
 // "improvements [to the heuristics] can discover independent subsets of
 // rules, which will make the space of rule configurations smaller".
@@ -220,7 +193,7 @@ type Independence struct {
 }
 
 // ProbeIndependence partitions a job's span rules into interaction groups.
-func ProbeIndependence(p *Pipeline, a *Analysis, r *xrand.Source) (*Independence, error) {
+func ProbeIndependence(p *Pipeline, a *Analysis) (*Independence, error) {
 	h := p.Harness
 	rs := h.Opt.Rules
 	def := rs.DefaultConfig()
@@ -311,7 +284,6 @@ func ProbeIndependence(p *Pipeline, a *Analysis, r *xrand.Source) (*Independence
 		sort.Ints(groups[r])
 		out.Groups = append(out.Groups, groups[r])
 	}
-	_ = r
 	return out, nil
 }
 

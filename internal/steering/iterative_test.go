@@ -108,7 +108,7 @@ func TestProbeIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ind, err := steering.ProbeIndependence(p, a, xrand.New(8))
+	ind, err := steering.ProbeIndependence(p, a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,7 @@ func mirrorRobustness(reg *obs.Registry, d faults.Record) {
 	events("giveup", d.GiveUps)
 }
 
-// recordDelta returns after minus before, field by field. Backoff is a
-// duration total and subtracts like the counts.
+// recordDelta returns after minus before, field by field.
 func recordDelta(after, before faults.Record) faults.Record {
 	return faults.Record{
 		CompileRetries: after.CompileRetries - before.CompileRetries,
@@ -54,6 +53,5 @@ func recordDelta(after, before faults.Record) faults.Record {
 		Corruptions:    after.Corruptions - before.Corruptions,
 		Fallbacks:      after.Fallbacks - before.Fallbacks,
 		GiveUps:        after.GiveUps - before.GiveUps,
-		Backoff:        after.Backoff - before.Backoff,
 	}
 }

@@ -120,9 +120,9 @@ func (s *FootprintStats) Add(o FootprintStats) {
 
 // Pipeline is the offline discovery pipeline of §5–6: span computation,
 // randomized candidate search, recompilation, heuristic selection and
-// selective A/B execution. Fault tolerance — injection, retry policy and
-// per-attempt timeouts — is configured on the Harness and honored at every
-// compile and execution site here.
+// selective A/B execution. Fault tolerance — injection and its fixed retry
+// budget — is configured on the Harness and honored at every compile and
+// execution site here.
 type Pipeline struct {
 	Harness *abtest.Harness
 	Rand    *xrand.Source

@@ -12,7 +12,9 @@ import (
 
 // analysisDigest hashes everything an analysis lets a caller observe: span,
 // default trial, candidates, selection, trials with their fault handling,
-// robustness tallies, footprint and scheduling statistics.
+// robustness tallies, footprint and scheduling statistics. The Record fields
+// are named one by one so the digest does not move when a field is added to
+// or removed from faults.Record.
 func analysisDigest(a *steering.Analysis) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%v|%v|%v|%+v|", a.Job.ID, a.Span, a.Default.Signature, a.Default.EstCost, a.Default.Metrics)
@@ -25,7 +27,9 @@ func analysisDigest(a *steering.Analysis) uint64 {
 	for _, tr := range a.Trials {
 		fmt.Fprintf(h, "t%v|%v|%v|%+v|%v|%d|%v|", tr.Config, tr.Signature, tr.EstCost, tr.Metrics, tr.FellBack, tr.Attempts, tr.Err)
 	}
-	fmt.Fprintf(h, "%+v|%+v|%+v", a.Robustness, a.Footprint, a.Sched)
+	rb := a.Robustness
+	fmt.Fprintf(h, "{CompileRetries:%d ExecRetries:%d Timeouts:%d Corruptions:%d Fallbacks:%d GiveUps:%d}|%+v|%+v",
+		rb.CompileRetries, rb.ExecRetries, rb.Timeouts, rb.Corruptions, rb.Fallbacks, rb.GiveUps, a.Footprint, a.Sched)
 	return h.Sum64()
 }
 
@@ -33,17 +37,19 @@ func analysisDigest(a *steering.Analysis) uint64 {
 // seed 1337) to what the pipeline produced when every span probe and
 // candidate was a compile of its own, before they shared an optimizer session
 // (recorded at commit 3ee16ad): bundle bytes, report, every group's
-// analysis and the summed robustness record, at Workers 1 and 8. Injected
+// analysis and the summed robustness record, at Workers 1 and 8. The
+// analyses fold was re-derived at commit b983202 when analysisDigest began
+// spelling out the Record fields, with nothing else changed. Injected
 // failures and hangs never enter the optimizer, so a session must see — and
 // produce — exactly what per-compile memos did.
 func TestSessionFaultedBuildMatchesPerCompileBaseline(t *testing.T) {
 	t.Setenv(obs.VClockEnv, "1")
 	const (
 		wantBundle   = uint64(0x5aa075f0bfcc99c9)
-		wantAnalyses = uint64(0x5f0c85c3e4c86bc2)
+		wantAnalyses = uint64(0x7ad478b0c504a0e1)
 	)
 	wantReport := steering.BundleReport{Jobs: 24, Groups: 13, Steered: 12, Fallbacks: 1}
-	wantRobustness := faults.Record{CompileRetries: 36, Timeouts: 10, Corruptions: 6, Backoff: 377798319}
+	wantRobustness := faults.Record{CompileRetries: 36, Timeouts: 10, Corruptions: 6}
 	plan := faults.DefaultPlan(1337)
 	for _, w := range []int{1, 8} {
 		setup := fanoutSetup{workers: w, fault: &plan}

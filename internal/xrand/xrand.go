@@ -31,10 +31,9 @@ type Source struct {
 }
 
 // New returns a stream for the given root seed. The underlying generator is
-// allocated on the first draw: its state is ~5KB, and many derived streams
-// (retry jitter on operations that never retry, for one) are constructed
-// eagerly but never drawn from. The sequence is rand.NewSource(seed)'s either
-// way.
+// allocated on the first draw: its state is ~5KB, and a derived stream may be
+// constructed on a path that ends up drawing nothing from it. The sequence is
+// rand.NewSource(seed)'s either way.
 func New(seed uint64) *Source {
 	return &Source{seed: seed}
 }
