@@ -14,11 +14,11 @@ test:
 race:
 	STEERQ_CHECK_PLANS=1 go test -race ./...
 
-# lint mirrors the CI stage: all ten analyzers, findings filtered through the
-# committed baseline (stale entries fail). lint-fix applies the machine
-# fixes (detcheck sort insertions, ctxflow context threading) in place.
+# lint mirrors the CI stage: all ten analyzers, any finding fails. lint-fix
+# applies the machine fixes (detcheck sort insertions, ctxflow context
+# threading) in place.
 lint:
-	go run ./cmd/steerq-lint -baseline lint-baseline.json ./...
+	go run ./cmd/steerq-lint ./...
 
 lint-fix:
 	go run ./cmd/steerq-lint -fix ./...

@@ -1,34 +1,25 @@
-// Command steerq-lint type-checks the whole module and runs the steerq
-// static analyzers (see internal/analysis): rulecheck, exhaustiveswitch,
-// randcheck, panicfree, errwrap, detcheck, lockcheck, obslabels, ctxflow
-// and hotalloc.
+// Command steerq-lint type-checks the module in the working directory and
+// runs every steerq static analyzer over it (see internal/analysis):
+// rulecheck, exhaustiveswitch, randcheck, panicfree, errwrap, detcheck,
+// lockcheck, obslabels, ctxflow and hotalloc.
 //
 // Usage:
 //
-//	steerq-lint [flags] [packages]
+//	steerq-lint [-list] [-fix] [packages]
 //
-//	-format=text|json|sarif   output format (default text)
-//	-fix                      apply suggested fixes to the source tree
-//	-baseline=FILE            filter findings through a committed baseline;
-//	                          stale entries (matching nothing) are an error
-//	-update-baseline          rewrite the -baseline file to grandfather every
-//	                          current finding, and exit clean
-//	-config=FILE              driver configuration (default .steerqlint.json
-//	                          at the module root, when present)
-//	-workers=N                parallel parse fan-out (0 = $STEERQ_WORKERS or
-//	                          GOMAXPROCS)
-//	-list                     list the registered analyzers and exit
+//	-list   list the analyzers and exit
+//	-fix    apply suggested fixes to the source tree
 //
-// The package arguments are accepted for command-line compatibility with
-// go vet style invocations ("steerq-lint ./...") but the tool always
-// analyzes the entire module rooted at -root (default: the current
-// directory). Exit status: 0 clean (warnings only), 1 on error-severity
-// findings or a stale baseline, 2 on load/configuration errors.
+// Each finding prints as file:line:col: analyzer: message. The package
+// arguments are accepted for go vet style invocations ("steerq-lint ./...")
+// and ignored: the whole module is always analyzed. Exit status: 0 clean, 1
+// on any finding, 2 on a usage or load error.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -36,147 +27,56 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(".", os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	var (
-		list           = flag.Bool("list", false, "list the registered analyzers and exit")
-		root           = flag.String("root", ".", "module root directory to analyze")
-		format         = flag.String("format", "text", "output format: text, json or sarif")
-		fix            = flag.Bool("fix", false, "apply suggested fixes to the source tree")
-		baselinePath   = flag.String("baseline", "", "baseline file filtering grandfathered findings")
-		updateBaseline = flag.Bool("update-baseline", false, "rewrite the -baseline file from the current findings")
-		configPath     = flag.String("config", "", "driver configuration file (default: .steerqlint.json at the module root)")
-		workers        = flag.Int("workers", 0, "parallel parse fan-out (0 = $STEERQ_WORKERS or GOMAXPROCS)")
-	)
-	flag.Parse()
-
-	cfg, err := loadConfig(*root, *configPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "steerq-lint: %v\n", err)
+// run lints the module rooted at dir and returns the exit status.
+func run(dir string, args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("steerq-lint", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	list := flags.Bool("list", false, "list the analyzers and exit")
+	fix := flags.Bool("fix", false, "apply suggested fixes to the source tree")
+	if err := flags.Parse(args); err != nil {
 		return 2
 	}
-	all := analysis.Analyzers()
-	analyzers := cfg.Select(all)
-
+	analyzers := analysis.Analyzers()
 	if *list {
-		for _, a := range all {
-			state := cfg.Severity(a.Name)
-			if !cfg.Enabled(a.Name) {
-				state = "disabled"
-			}
-			fmt.Printf("%-18s [%s] %s\n", a.Name, state, a.Doc)
+		for _, a := range analyzers {
+			fmt.Fprintf(stdout, "%-18s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
 
-	rootAbs, err := filepath.Abs(*root)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "steerq-lint: %v\n", err)
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "steerq-lint: %v\n", err)
 		return 2
 	}
-	loader, err := analysis.NewLoader(rootAbs)
+	root, err := filepath.Abs(dir)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "steerq-lint: %v\n", err)
-		return 2
+		return fail(err)
 	}
-	loader.Workers = *workers
+	loader, err := analysis.NewLoader(root)
+	if err != nil {
+		return fail(err)
+	}
 	units, err := loader.LoadAll()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "steerq-lint: %v\n", err)
-		return 2
+		return fail(err)
 	}
-
 	diags := analysis.Run(units, analyzers)
-
-	if *updateBaseline {
-		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "steerq-lint: -update-baseline requires -baseline")
-			return 2
-		}
-		if err := analysis.NewBaseline(rootAbs, diags).Write(*baselinePath); err != nil {
-			fmt.Fprintf(os.Stderr, "steerq-lint: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "steerq-lint: grandfathered %d finding(s) into %s\n", len(diags), *baselinePath)
-		return 0
-	}
-
-	suppressed := 0
-	var stale []analysis.BaselineEntry
-	if *baselinePath != "" {
-		bl, err := analysis.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "steerq-lint: %v\n", err)
-			return 2
-		}
-		diags, suppressed, stale = bl.Apply(rootAbs, diags)
-	}
-
 	if *fix {
 		n, err := analysis.ApplyFixes(diags)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "steerq-lint: %v\n", err)
-			return 2
+			return fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "steerq-lint: applied %d fix(es); re-run to verify\n", n)
+		fmt.Fprintf(stderr, "steerq-lint: applied %d fix(es); re-run to verify\n", n)
 	}
-
-	switch *format {
-	case "text":
-		if err := analysis.WriteText(os.Stdout, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "steerq-lint: %v\n", err)
-			return 2
-		}
-	case "json":
-		rep := analysis.NewReport(rootAbs, diags, cfg)
-		rep.Suppressed = suppressed
-		rep.Stale = stale
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "steerq-lint: %v\n", err)
-			return 2
-		}
-	case "sarif":
-		if err := analysis.WriteSARIF(os.Stdout, rootAbs, diags, cfg, analyzers); err != nil {
-			fmt.Fprintf(os.Stderr, "steerq-lint: %v\n", err)
-			return 2
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "steerq-lint: unknown -format %q (want text, json or sarif)\n", *format)
-		return 2
+	if err := analysis.WriteText(stdout, diags); err != nil {
+		return fail(err)
 	}
-
-	failing := 0
-	for _, d := range diags {
-		if cfg.Severity(d.Analyzer) == analysis.SeverityError {
-			failing++
-		}
-	}
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "steerq-lint: stale baseline entry: %s %s: %s (finding no longer fires; remove the entry)\n",
-			e.Analyzer, e.File, e.Message)
-	}
-	if failing > 0 || len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "steerq-lint: %d finding(s), %d suppressed by baseline, %d stale baseline entr(ies)\n",
-			failing, suppressed, len(stale))
+	if len(diags) > 0 {
+		fmt.Fprintf(stderr, "steerq-lint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
-}
-
-// loadConfig resolves the driver configuration: an explicit -config path
-// must exist; otherwise .steerqlint.json at the module root is used when
-// present, and a nil config (all analyzers enabled at error severity)
-// otherwise.
-func loadConfig(root, explicit string) (*analysis.Config, error) {
-	path := explicit
-	if path == "" {
-		candidate := filepath.Join(root, analysis.ConfigFile)
-		if _, err := os.Stat(candidate); err != nil {
-			return nil, nil // no config: defaults
-		}
-		path = candidate
-	}
-	return analysis.LoadConfig(path)
 }

@@ -1,0 +1,84 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// detSrc has exactly one finding: map iteration order escaping into a
+// returned slice, which detcheck can fix by inserting a sort (and adding
+// "sort" to the import block).
+const detSrc = `package detmod
+
+import (
+	"fmt"
+)
+
+// Keys collects map keys without sorting.
+func Keys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
+	}
+	return out
+}
+
+// Hello anchors the import block.
+func Hello() { fmt.Println("hi") }
+`
+
+// writeModule lays down a one-file module holding detSrc.
+func writeModule(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module detmod\n\ngo 1.22\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "det.go"), []byte(detSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// lint runs the driver over dir and returns its exit status and stdout.
+func lint(t *testing.T, dir string, args ...string) (int, string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	code := run(dir, args, &stdout, &stderr)
+	t.Logf("steerq-lint %s: exit %d, stderr:\n%s", strings.Join(args, " "), code, stderr.String())
+	return code, stdout.String()
+}
+
+var findingRe = regexp.MustCompile(`^\S*det\.go:\d+:\d+: detcheck: .+$`)
+
+func TestFindingFailsAndFixRepairs(t *testing.T) {
+	dir := writeModule(t)
+	code, out := lint(t, dir, "./...")
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if code != 1 || len(lines) != 1 || !findingRe.MatchString(lines[0]) {
+		t.Fatalf("exit %d, stdout %q: want exit 1 and one det.go detcheck line", code, out)
+	}
+	if code, _ := lint(t, dir, "-fix", "./..."); code != 1 {
+		t.Fatalf("-fix run exited %d, want 1 (it still prints the findings it fixed)", code)
+	}
+	if code, out := lint(t, dir, "./..."); code != 0 || out != "" {
+		t.Fatalf("after -fix: exit %d, stdout %q; want exit 0 and no output", code, out)
+	}
+}
+
+func TestList(t *testing.T) {
+	code, out := lint(t, t.TempDir(), "-list")
+	if n := strings.Count(out, "\n"); code != 0 || n != 10 {
+		t.Fatalf("-list: exit %d, %d lines; want exit 0 and one line per analyzer (10):\n%s", code, n, out)
+	}
+}
+
+func TestUnknownFlag(t *testing.T) {
+	if code, _ := lint(t, writeModule(t), "-format=json"); code != 2 {
+		t.Fatalf("unknown flag exited %d, want 2", code)
+	}
+}

@@ -12,9 +12,9 @@
 // smaller scale: a Loader type-checks the whole module from source, each
 // Analyzer runs a single pass over one type-checked unit, and diagnostics
 // carry exact file:line:column positions plus optional machine-applicable
-// fixes. The driver lives in cmd/steerq-lint; output formats (text, JSON,
-// SARIF), the fix applier, the findings baseline and the .steerqlint.json
-// configuration live in this package so they are unit-testable.
+// fixes. The driver lives in cmd/steerq-lint: it runs every analyzer, prints
+// each finding with WriteText and fails on any of them. The fix applier lives
+// in this package so it is unit-testable.
 //
 // # Suppression pragmas
 //
@@ -28,6 +28,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"io"
 	"sort"
 	"strings"
 )
@@ -43,6 +44,16 @@ type Diagnostic struct {
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s: %s", d.Pos, d.Analyzer, d.Message)
+}
+
+// WriteText prints one file:line:col: analyzer: message line per finding.
+func WriteText(w io.Writer, diags []Diagnostic) error {
+	for _, d := range diags {
+		if _, err := fmt.Fprintln(w, d); err != nil {
+			return fmt.Errorf("analysis: write findings: %w", err)
+		}
+	}
+	return nil
 }
 
 // Analyzer is a single-pass check over one type-checked unit.

@@ -10,8 +10,8 @@ import (
 )
 
 // writeFixModule lays down a tiny self-contained module with exactly one
-// finding — a fixable detcheck slice escape — so driver output is pinnable
-// byte-for-byte and -fix has something mechanical to repair.
+// finding — a fixable detcheck slice escape — so -fix has something
+// mechanical to repair.
 func writeFixModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -55,96 +55,6 @@ func loadFixModule(t *testing.T, dir string) []Diagnostic {
 		t.Fatalf("LoadAll: %v", err)
 	}
 	return Run(units, []*Analyzer{DetCheck})
-}
-
-const goldenJSON = `{
-  "tool": "steerq-lint",
-  "findings": [
-    {
-      "analyzer": "detcheck",
-      "severity": "error",
-      "file": "det.go",
-      "line": 11,
-      "column": 3,
-      "message": "map iteration order escapes into a slice without an intervening sort; iterate sorted keys or sort the result",
-      "fixable": true
-    }
-  ]
-}
-`
-
-const goldenSARIF = `{
-  "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-  "version": "2.1.0",
-  "runs": [
-    {
-      "tool": {
-        "driver": {
-          "name": "steerq-lint",
-          "rules": [
-            {
-              "id": "detcheck",
-              "shortDescription": {
-                "text": "no wall-clock reads and no map-iteration order escaping into output, outside approved seams"
-              }
-            }
-          ]
-        }
-      },
-      "results": [
-        {
-          "ruleId": "detcheck",
-          "level": "error",
-          "message": {
-            "text": "map iteration order escapes into a slice without an intervening sort; iterate sorted keys or sort the result"
-          },
-          "locations": [
-            {
-              "physicalLocation": {
-                "artifactLocation": {
-                  "uri": "det.go"
-                },
-                "region": {
-                  "startLine": 11,
-                  "startColumn": 3
-                }
-              }
-            }
-          ]
-        }
-      ]
-    }
-  ]
-}
-`
-
-// TestReportJSONGolden pins the -format=json byte layout the CI archive
-// depends on.
-func TestReportJSONGolden(t *testing.T) {
-	dir := writeFixModule(t)
-	diags := loadFixModule(t, dir)
-	rep := NewReport(dir, diags, nil)
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	if buf.String() != goldenJSON {
-		t.Errorf("JSON report drifted from golden:\n--- got ---\n%s--- want ---\n%s", buf.String(), goldenJSON)
-	}
-}
-
-// TestSARIFGolden pins the -format=sarif byte layout, including the rule
-// catalog emitted for a clean run's coverage documentation.
-func TestSARIFGolden(t *testing.T) {
-	dir := writeFixModule(t)
-	diags := loadFixModule(t, dir)
-	var buf bytes.Buffer
-	if err := WriteSARIF(&buf, dir, diags, nil, []*Analyzer{DetCheck}); err != nil {
-		t.Fatalf("WriteSARIF: %v", err)
-	}
-	if buf.String() != goldenSARIF {
-		t.Errorf("SARIF report drifted from golden:\n--- got ---\n%s--- want ---\n%s", buf.String(), goldenSARIF)
-	}
 }
 
 // TestWriteText pins the human format: file:line:col: analyzer: message.
@@ -253,118 +163,5 @@ func TestApplyFixesDedup(t *testing.T) {
 	}
 	if got := strings.Count(string(after), "var V = 1"); got != 1 {
 		t.Errorf("identical edit applied %d times, want 1:\n%s", got, after)
-	}
-}
-
-// TestBaselineLifecycle covers the whole grandfather flow: build, write,
-// reload, suppress, and staleness when a grandfathered finding disappears.
-func TestBaselineLifecycle(t *testing.T) {
-	root := filepath.FromSlash("/work/mod")
-	diags := []Diagnostic{
-		{Pos: token.Position{Filename: filepath.Join(root, "b.go"), Line: 9}, Analyzer: "lockcheck", Message: "m2"},
-		{Pos: token.Position{Filename: filepath.Join(root, "a.go"), Line: 3}, Analyzer: "detcheck", Message: "m1"},
-	}
-	b := NewBaseline(root, diags)
-	if len(b.Entries) != 2 || b.Entries[0].File != "a.go" || b.Entries[1].File != "b.go" {
-		t.Fatalf("baseline not sorted by file: %+v", b.Entries)
-	}
-
-	path := filepath.Join(t.TempDir(), "lint-baseline.json")
-	if err := b.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	kept, suppressed, stale := loaded.Apply(root, diags)
-	if len(kept) != 0 || suppressed != 2 || len(stale) != 0 {
-		t.Errorf("full match: kept=%d suppressed=%d stale=%d, want 0/2/0", len(kept), suppressed, len(stale))
-	}
-
-	// One finding fixed: its entry is now stale and must be surfaced.
-	kept, suppressed, stale = loaded.Apply(root, diags[:1])
-	if len(kept) != 0 || suppressed != 1 || len(stale) != 1 || stale[0].Analyzer != "detcheck" {
-		t.Errorf("after fix: kept=%d suppressed=%d stale=%+v, want 0/1/[detcheck]", len(kept), suppressed, stale)
-	}
-
-	// A new finding passes through untouched.
-	fresh := Diagnostic{Pos: token.Position{Filename: filepath.Join(root, "c.go"), Line: 1}, Analyzer: "ctxflow", Message: "m3"}
-	kept, suppressed, stale = loaded.Apply(root, append(diags, fresh))
-	if len(kept) != 1 || kept[0].Analyzer != "ctxflow" || suppressed != 2 || len(stale) != 0 {
-		t.Errorf("new finding: kept=%v suppressed=%d stale=%d", kept, suppressed, len(stale))
-	}
-
-	// Nil and empty baselines are pass-through.
-	var nilB *Baseline
-	kept, suppressed, stale = nilB.Apply(root, diags)
-	if len(kept) != 2 || suppressed != 0 || len(stale) != 0 {
-		t.Errorf("nil baseline must pass findings through")
-	}
-}
-
-func TestLoadBaselineStrict(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(path, []byte(`{"entries": [], "extra": 1}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBaseline(path); err == nil {
-		t.Error("unknown field must fail strict decoding")
-	}
-}
-
-// TestConfig exercises .steerqlint.json parsing and the nil-config defaults.
-func TestConfig(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, ConfigFile)
-	body := `{"analyzers": {"hotalloc": {"enabled": false}, "errwrap": {"severity": "warning"}}}`
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cfg, err := LoadConfig(path)
-	if err != nil {
-		t.Fatalf("LoadConfig: %v", err)
-	}
-	if cfg.Enabled("hotalloc") {
-		t.Error("hotalloc must be disabled")
-	}
-	if !cfg.Enabled("detcheck") {
-		t.Error("unlisted analyzers stay enabled")
-	}
-	if got := cfg.Severity("errwrap"); got != SeverityWarning {
-		t.Errorf("errwrap severity = %q, want warning", got)
-	}
-	if got := cfg.Severity("detcheck"); got != SeverityError {
-		t.Errorf("default severity = %q, want error", got)
-	}
-	if got := len(cfg.Select(Analyzers())); got != len(Analyzers())-1 {
-		t.Errorf("Select kept %d analyzers, want %d", got, len(Analyzers())-1)
-	}
-
-	var nilCfg *Config
-	if !nilCfg.Enabled("anything") || nilCfg.Severity("anything") != SeverityError {
-		t.Error("nil config must enable everything at error severity")
-	}
-	if got := len(nilCfg.Select(Analyzers())); got != len(Analyzers()) {
-		t.Errorf("nil Select kept %d, want all", got)
-	}
-}
-
-func TestConfigRejectsUnknowns(t *testing.T) {
-	dir := t.TempDir()
-	cases := map[string]string{
-		"unknown analyzer": `{"analyzers": {"nosuch": {}}}`,
-		"bad severity":     `{"analyzers": {"detcheck": {"severity": "fatal"}}}`,
-		"unknown field":    `{"analysers": {}}`,
-	}
-	for name, body := range cases {
-		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "_")+".json")
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadConfig(path); err == nil {
-			t.Errorf("%s: LoadConfig must fail", name)
-		}
 	}
 }

@@ -13,10 +13,10 @@ import (
 
 // Edit is a single byte-range replacement in one file. Start == End inserts.
 type Edit struct {
-	Filename string `json:"file"`
-	Start    int    `json:"start"`
-	End      int    `json:"end"`
-	NewText  string `json:"new_text"`
+	Filename string
+	Start    int
+	End      int
+	NewText  string
 }
 
 // Fix is one suggested repair: a short description plus the text edits that
@@ -24,8 +24,8 @@ type Edit struct {
 // finding, so applying all fixes twice is a no-op (the idempotency the driver
 // test pins).
 type Fix struct {
-	Message string `json:"message"`
-	Edits   []Edit `json:"edits"`
+	Message string
+	Edits   []Edit
 }
 
 // ApplyFixes applies every fix attached to diags to the files on disk. Edits

@@ -44,17 +44,14 @@ type Unit struct {
 // export data and no external tooling.
 //
 // LoadAll parses every package directory concurrently through internal/par
-// (token.FileSet is safe for concurrent use; scheduling affects only file
-// base offsets, never reported positions) and then type-checks serially in
-// sorted directory order, so the unit list — and therefore every diagnostic —
-// is deterministic at any worker count.
+// on par.Workers(0) goroutines (token.FileSet is safe for concurrent use;
+// scheduling affects only file base offsets, never reported positions) and
+// then type-checks serially in sorted directory order, so the unit list — and
+// therefore every diagnostic — is deterministic at any worker count.
 type Loader struct {
 	Root       string // module root directory (holds go.mod)
 	ModulePath string
 	Fset       *token.FileSet
-	// Workers bounds the parallel parse fan-out in LoadAll (0 resolves via
-	// par.Workers: $STEERQ_WORKERS, then GOMAXPROCS).
-	Workers int
 
 	std  types.Importer
 	base map[string]*Unit // import path -> checked base unit
@@ -286,7 +283,7 @@ func (l *Loader) LoadAll() ([]*Unit, error) {
 
 	// Pre-parse every directory concurrently; the error surfaced is the
 	// lowest-index failure, so even the failure mode is deterministic.
-	if err := par.ForEach(l.Workers, len(dirs), func(i int) error {
+	if err := par.ForEach(0, len(dirs), func(i int) error {
 		_, _, err := l.parseDir(dirs[i])
 		return err
 	}); err != nil {

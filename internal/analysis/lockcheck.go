@@ -22,7 +22,7 @@ import (
 //
 // The scope-local pairing is intentionally conservative: lock helpers that
 // acquire in one function and release in another are rare enough here that
-// they can carry a baseline entry rather than complicating the analysis.
+// they are restructured into one scope rather than complicating the analysis.
 var LockCheck = &Analyzer{
 	Name: "lockcheck",
 	Doc:  "mutexes unlock on every return path, RLock pairs with RUnlock, and no mutex is passed by value",

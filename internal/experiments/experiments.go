@@ -372,13 +372,6 @@ func (r *Runner) UniqueSignatures(name string, jobs []*workload.Job) (int, error
 	return len(groups), nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Histogram is a generic bucketed count used by the figure renderers.
 type Histogram struct {
 	Label   string

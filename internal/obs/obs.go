@@ -145,9 +145,9 @@ func (r *Registry) now() time.Time {
 }
 
 // Clock exposes the registry's clock so callers timing their own phases
-// (e.g. the pipeline's merge-phase histogram) read the same seam spans do:
-// frozen or virtual clocks make those durations deterministic exactly like
-// span durations. A nil registry returns the frozen clock — there is no
+// (e.g. the serving SDK's lookup-latency histogram) read the same seam spans
+// do: frozen or virtual clocks make those durations deterministic exactly
+// like span durations. A nil registry returns the frozen clock — there is no
 // instrument to record into, so the reading must at least be cheap and
 // deterministic.
 func (r *Registry) Clock() Clock {

@@ -51,13 +51,12 @@ func Workers(n int) int {
 // as a reason to stop); the returned error is the one from the lowest failing
 // index, so the error too is independent of scheduling.
 //
-// ForEach schedules through Run; callers that want a context, worker
-// identities or scheduling telemetry use Run directly.
+// ForEach schedules through Run; callers that want a context or worker
+// identities use Run directly.
 func ForEach(workers, n int, f func(i int) error) error {
-	_, err := Run(context.Background(), workers, n, nil, func(_, i int) error {
+	return Run(context.Background(), workers, n, func(_, i int) error {
 		return f(i)
 	})
-	return err
 }
 
 // Map applies f to every item and returns the results slotted by input index.

@@ -8,45 +8,34 @@ import (
 	"testing"
 	"time"
 
-	"steerq/internal/obs"
 	"steerq/internal/par"
 )
 
 func TestRunZeroItems(t *testing.T) {
 	for _, n := range []int{0, -3} {
-		st, err := par.Run(context.Background(), 8, n, nil, func(worker, i int) error {
+		err := par.Run(context.Background(), 8, n, func(worker, i int) error {
 			t.Fatalf("callback ran for n=%d (worker=%d i=%d)", n, worker, i)
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("n=%d: err = %v", n, err)
 		}
-		if st.Items != 0 || len(st.Executed) != 0 {
-			t.Fatalf("n=%d: stats = %+v, want zero value", n, st)
-		}
 	}
 }
 
 func TestRunWorkersExceedItems(t *testing.T) {
-	// 64 workers over 3 items must clamp to 3 workers, run every index exactly
-	// once, and attribute exactly 3 executions across the per-worker tallies.
+	// 64 workers over 3 items must clamp to 3 workers — every worker identity
+	// below 3 — and run every index exactly once.
 	var ran [3]atomic.Int32
-	st, err := par.Run(context.Background(), 64, 3, nil, func(worker, i int) error {
+	err := par.Run(context.Background(), 64, 3, func(worker, i int) error {
+		if worker < 0 || worker >= 3 {
+			return fmt.Errorf("item %d ran on worker %d, want the pool clamped to 3", i, worker)
+		}
 		ran[i].Add(1)
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("err = %v", err)
-	}
-	if st.Workers != 3 || len(st.Executed) != 3 {
-		t.Fatalf("workers = %d (executed %d slots), want clamp to 3", st.Workers, len(st.Executed))
-	}
-	var total uint64
-	for _, n := range st.Executed {
-		total += n
-	}
-	if total != 3 || st.Items != 3 {
-		t.Fatalf("executed %d items across workers, items=%d, want 3", total, st.Items)
 	}
 	for i := range ran {
 		if got := ran[i].Load(); got != 1 {
@@ -57,7 +46,7 @@ func TestRunWorkersExceedItems(t *testing.T) {
 
 func TestRunAllErrorLowestIndexWins(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		_, err := par.Run(context.Background(), workers, 41, nil, func(_, i int) error {
+		err := par.Run(context.Background(), workers, 41, func(_, i int) error {
 			return fmt.Errorf("item %d failed", i)
 		})
 		if err == nil || err.Error() != "item 0 failed" {
@@ -74,7 +63,10 @@ func TestRunWorkerIdentityIsExclusive(t *testing.T) {
 	const workers, n = 4, 256
 	depth := make([]atomic.Int32, workers)
 	counts := make([]int, workers) // unsynchronized on purpose: exclusivity is the lock
-	_, err := par.Run(context.Background(), workers, n, nil, func(worker, i int) error {
+	err := par.Run(context.Background(), workers, n, func(worker, i int) error {
+		if worker < 0 || worker >= workers {
+			return fmt.Errorf("item %d ran on worker %d, outside [0, %d)", i, worker, workers)
+		}
 		if d := depth[worker].Add(1); d != 1 {
 			return fmt.Errorf("worker %d reentered (depth %d)", worker, d)
 		}
@@ -105,7 +97,7 @@ func TestRunParkedWorkerStrandsNoIndex(t *testing.T) {
 	var ran [n]atomic.Int32
 	done := make(chan error, 1)
 	go func() {
-		_, err := par.Run(context.Background(), workers, n, nil, func(_, i int) error {
+		err := par.Run(context.Background(), workers, n, func(_, i int) error {
 			ran[i].Add(1)
 			if i == 0 {
 				<-othersDone
@@ -139,7 +131,7 @@ func TestRunCancelMidSteal(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran atomic.Int32
-	_, err := par.Run(ctx, 8, n, nil, func(_, i int) error {
+	err := par.Run(ctx, 8, n, func(_, i int) error {
 		if ran.Add(1) == 10 {
 			cancel()
 		}
@@ -150,94 +142,5 @@ func TestRunCancelMidSteal(t *testing.T) {
 	}
 	if got := ran.Load(); got == 0 || got > n {
 		t.Fatalf("%d items ran", got)
-	}
-}
-
-func TestStatsAdd(t *testing.T) {
-	var s par.Stats
-	s.Add(par.Stats{Workers: 2, Items: 10, Executed: []uint64{6, 4}})
-	s.Add(par.Stats{Workers: 4, Items: 8, Executed: []uint64{2, 2, 2, 2}})
-	want := par.Stats{Workers: 4, Items: 18, Executed: []uint64{8, 6, 2, 2}}
-	if s.Workers != want.Workers || s.Items != want.Items {
-		t.Fatalf("stats = %+v, want %+v", s, want)
-	}
-	for w := range want.Executed {
-		if s.Executed[w] != want.Executed[w] {
-			t.Fatalf("executed = %v, want %v", s.Executed, want.Executed)
-		}
-	}
-}
-
-// TestSchedObsCanonicalUnderVClock: with the deterministic clock set, the
-// published schedule is the canonical serial one — all items on worker "0"
-// — no matter how many workers actually ran, so frozen-clock metric snapshots
-// cannot depend on scheduling.
-func TestSchedObsCanonicalUnderVClock(t *testing.T) {
-	t.Setenv(obs.VClockEnv, "1")
-	reg := obs.NewWithClock(obs.FrozenClock())
-	so := par.NewSchedObs(reg, "pool", "test")
-	for _, workers := range []int{1, 8} {
-		if _, err := par.Run(context.Background(), workers, 50, so, func(_, i int) error {
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := reg.Snapshot()
-	var items uint64
-	workerSeen := map[string]bool{}
-	for _, c := range snap.Counters {
-		if c.Name != "steerq_par_items_total" {
-			continue
-		}
-		items += c.Value
-		for _, l := range c.Labels {
-			if l.Key == "worker" {
-				workerSeen[l.Value] = true
-			}
-		}
-	}
-	if items != 100 {
-		t.Fatalf("canonical items = %v, want 100", items)
-	}
-	if len(workerSeen) != 1 || !workerSeen["0"] {
-		t.Fatalf("worker labels = %v, want only \"0\" under %s", workerSeen, obs.VClockEnv)
-	}
-	for _, g := range snap.Gauges {
-		if g.Name == "steerq_par_queue_depth" && g.Value != 0 {
-			t.Fatalf("queue depth = %v between runs, want 0", g.Value)
-		}
-	}
-}
-
-// TestSchedObsActualsWithoutVClock: on the wall clock the per-worker split
-// is published as measured (summing to the item count).
-func TestSchedObsActualsWithoutVClock(t *testing.T) {
-	t.Setenv(obs.VClockEnv, "")
-	reg := obs.NewWithClock(obs.FrozenClock())
-	so := par.NewSchedObs(reg, "pool", "test")
-	st, err := par.Run(context.Background(), 4, 40, so, func(_, i int) error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	var items uint64
-	for _, c := range reg.Snapshot().Counters {
-		if c.Name == "steerq_par_items_total" {
-			items += c.Value
-		}
-	}
-	if items != uint64(st.Items) {
-		t.Fatalf("published items = %v, want %d", items, st.Items)
-	}
-}
-
-func TestNewSchedObsNilRegistry(t *testing.T) {
-	so := par.NewSchedObs(nil)
-	if so != nil {
-		t.Fatal("nil registry must yield a nil (no-op) SchedObs")
-	}
-	// The nil SchedObs must be safe to thread through a run.
-	if _, err := par.Run(context.Background(), 2, 8, so, func(_, i int) error { return nil }); err != nil {
-		t.Fatal(err)
 	}
 }

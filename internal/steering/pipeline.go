@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"steerq/internal/abtest"
 	"steerq/internal/bitvec"
@@ -159,11 +158,6 @@ type Pipeline struct {
 	// state is commutative or content-keyed, so snapshots stay bit-identical
 	// at any Workers value.
 	Obs *obs.Registry
-
-	// schedObs is the group fan-out's scheduler telemetry (nil when Obs is),
-	// resolved once against Obs.
-	schedOnce sync.Once
-	schedObs  *par.SchedObs
 }
 
 // NewPipeline returns a pipeline with the paper's parameters (M=1000, 10
@@ -250,13 +244,11 @@ func (p *Pipeline) recompileSpanned(ctx context.Context, job *workload.Job) (*An
 // It returns the lowest-index error; once ctx is done unstarted jobs are
 // skipped (never visited) and count as failing with ctx.Err().
 func (p *Pipeline) AnalyzeEachCtx(ctx context.Context, jobs []*workload.Job, visit func(i int, a *Analysis, err error)) error {
-	p.schedOnce.Do(func() { p.schedObs = par.NewSchedObs(p.Obs) })
-	_, err := par.Run(ctx, p.Workers, len(jobs), p.schedObs, func(_, i int) error {
+	return par.Run(ctx, p.Workers, len(jobs), func(_, i int) error {
 		a, err := p.AnalyzeCtx(ctx, jobs[i])
 		visit(i, a, err)
 		return err
 	})
-	return err
 }
 
 // resolveCandidates resolves every candidate configuration to a compile

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"steerq/internal/faults"
-	"steerq/internal/obs"
 	"steerq/internal/steering"
 )
 
@@ -43,7 +42,6 @@ func analysisDigest(a *steering.Analysis) uint64 {
 // failures and hangs never enter the optimizer, so a session must see — and
 // produce — exactly what per-compile memos did.
 func TestSessionFaultedBuildMatchesPerCompileBaseline(t *testing.T) {
-	t.Setenv(obs.VClockEnv, "1")
 	const (
 		wantBundle   = uint64(0x5aa075f0bfcc99c9)
 		wantAnalyses = uint64(0x7ad478b0c504a0e1)

@@ -317,13 +317,6 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // dimFor returns a dimension stream keyed by one of the fact's key domains;
 // ok is false when none exists.
 func (g *generator) dimFor(r *xrand.Source, f factMeta) (dimMeta, keyDomain, bool) {
