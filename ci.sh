@@ -72,7 +72,9 @@
 #                                with or without the fault seed)
 #  13. serving smoke             the full serving path end to end: build a
 #                                pinned-seed bundle with `steerq bundle`,
-#                                start steerqd on an ephemeral loopback port,
+#                                check that steerqd refuses to boot from a
+#                                missing -bundle (nonzero exit, no address
+#                                file), start it on an ephemeral loopback port,
 #                                smoke-query known signatures (hits and a
 #                                miss) through the `steerq steer` client,
 #                                drain the daemon with SIGTERM, and diff its
@@ -185,6 +187,18 @@ STEERQ_VCLOCK=1 go run ./cmd/steerq bundle -workload B -scale 0.002 -seed 5 -day
     -max-jobs 10 -m 40 -k 3 -bundle-version 3 -created-unix 1700000000 \
     -out "$servdir/active.stqb" > /dev/null
 go build -o "$servdir/steerqd" ./cmd/steerqd
+# A -bundle that cannot be loaded is fatal: nonzero exit, no address file.
+if "$servdir/steerqd" -addr 127.0.0.1:0 -bundle "$servdir/missing.stqb" \
+    -addr-file "$servdir/addr.txt" 2> "$servdir/steerqd.log"; then
+    echo "serving smoke: daemon booted with a missing -bundle" >&2
+    rm -rf "$servdir"
+    exit 1
+fi
+[ ! -e "$servdir/addr.txt" ] || {
+    echo "serving smoke: daemon wrote its address file despite a missing -bundle" >&2
+    rm -rf "$servdir"
+    exit 1
+}
 STEERQ_VCLOCK=1 "$servdir/steerqd" -addr 127.0.0.1:0 -bundle "$servdir/active.stqb" \
     -addr-file "$servdir/addr.txt" -metrics-out "$servdir/serving.json" \
     2> "$servdir/steerqd.log" &

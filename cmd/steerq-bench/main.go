@@ -1,12 +1,14 @@
 // Command steerq-bench regenerates every table and figure of the paper on
-// the simulated stack and prints them in order. Use -exp to run a single
-// experiment and -workers to fan analysis out across goroutines (results are
-// identical at any worker count). Performance is measured by benchmark/ (see
-// README "Benchmark"), not here; -cpuprofile/-memprofile profile a run.
+// the simulated stack and prints them in order. Use -exp to run some of the
+// experiments (an unknown name exits 2 before any work) and -workers to fan
+// analysis out across goroutines (results are identical at any worker
+// count). Performance is measured by benchmark/ (see README "Benchmark"),
+// not here; -cpuprofile/-memprofile profile a run, and -metrics-out writes
+// its JSON metrics snapshot.
 //
 // Usage:
 //
-//	steerq-bench [-scale 0.01] [-seed 2021] [-m 300] [-workers N] [-exp all|table1..table5|fig1..fig8|ablations|extensions] [-v]
+//	steerq-bench [-scale 0.01] [-seed 2021] [-m 300] [-workers N] [-exp all|table1..table5|fig1..fig8|ablations|extensions[,...]] [-metrics-out m.json] [-v]
 package main
 
 import (
@@ -16,6 +18,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -35,16 +38,21 @@ func realMain() int {
 		seed       = flag.Uint64("seed", 2021, "experiment seed")
 		m          = flag.Int("m", 300, "candidate configurations per analyzed job (paper: up to 1000)")
 		workers    = flag.Int("workers", 0, "worker goroutines (0 = $STEERQ_WORKERS or GOMAXPROCS); results are identical at any setting")
-		expName    = flag.String("exp", "all", "experiment to run (all, table1..table5, fig1..fig8)")
+		expName    = flag.String("exp", "all", "comma-separated experiments to run (all, table1..table5, fig1..fig8, ablations, extensions)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write an allocation heap profile to this file on exit")
 		faultSeed  = flag.String("fault-seed", "", "arm deterministic fault injection with this seed (empty = off)")
 		faultRates = flag.String("fault-rates", "", "fault probabilities as site.kind=prob pairs, e.g. compile.fail=0.1,exec.hang=0.05")
-		metricsOut = flag.String("metrics-out", "", "write a metrics snapshot on exit (.prom/.txt = text exposition, else JSON)")
-		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars and /metrics on this address while the run is live")
+		metricsOut = flag.String("metrics-out", "", "write the JSON metrics snapshot to this file on exit")
 		verbose    = flag.Bool("v", false, "log progress")
 	)
 	flag.Parse()
+
+	names := strings.Split(*expName, ",")
+	if err := checkExp(names); err != nil {
+		fmt.Fprintln(os.Stderr, "steerq-bench:", err)
+		return 2
+	}
 
 	faultPlan, err := faults.ParsePlan(*faultSeed, *faultRates)
 	if err != nil {
@@ -96,78 +104,24 @@ func realMain() int {
 	r := experiments.NewRunner(cfg)
 	out := os.Stdout
 
-	if *debugAddr != "" {
-		srv, err := r.Obs().ServeDebug(*debugAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "steerq-bench:", err)
-			return 1
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "steerq-bench: debug endpoint on http://%s (/debug/vars, /metrics)\n", srv.Addr())
-	}
-
-	names := strings.Split(*expName, ",")
-	want := func(n string) bool {
-		for _, x := range names {
-			if x == "all" || x == n {
-				return true
-			}
-		}
-		return false
-	}
-
-	run := func(name string, f func() error) {
-		if !want(name) {
-			return
+	for _, st := range plan(r, out) {
+		if !slices.Contains(names, "all") && !slices.Contains(names, st.name) {
+			continue
 		}
 		// steerq:allow-wallclock — -v progress timing goes to stderr only,
 		// never into report output, so the determinism contract is unaffected.
 		start := time.Now() // steerq:allow-wallclock — see above.
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "steerq-bench: %s: %v\n", name, err)
-			os.Exit(1)
+		if err := st.run(); err != nil {
+			// Return rather than exit, so the deferred profile flushes run.
+			fmt.Fprintf(os.Stderr, "steerq-bench: %s: %v\n", st.name, err)
+			return 1
 		}
 		if *verbose {
 			// steerq:allow-wallclock — same stderr-only progress line as above.
-			fmt.Fprintf(os.Stderr, "[%s done in %s]\n", name, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(os.Stderr, "[%s done in %s]\n", st.name, time.Since(start).Round(time.Millisecond))
 		}
 		fmt.Fprintln(out)
 	}
-
-	run("table1", func() error { return render1(r, out) })
-	run("table2", func() error { return render2(r, out) })
-	run("fig2", func() error { return renderF2(r, out) })
-	run("fig3", func() error { return renderF3(r, out) })
-	run("fig4", func() error { return renderF4(r, out) })
-	run("fig5", func() error { return renderF5(r, out) })
-	run("fig6", func() error { return renderF6(r, out) })
-	run("table3", func() error { return render3(r, out) })
-	run("table4", func() error { return render4(r, out) })
-	run("fig7", func() error { return renderF7(r, out) })
-	run("fig1", func() error { return renderF1(r, out) })
-	run("ablations", func() error { return renderAblations(r, out) })
-	run("extensions", func() error { return renderExtensions(r, out) })
-	var learn *experiments.LearningRun
-	run("table5", func() error {
-		var err error
-		learn, err = r.Learning("B", 14, 3)
-		if err != nil {
-			return err
-		}
-		(&experiments.Table5{Run: learn}).Render(out)
-		return nil
-	})
-	run("fig8", func() error {
-		if learn == nil {
-			var err error
-			learn, err = r.Learning("B", 14, 3)
-			if err != nil {
-				return err
-			}
-		}
-		(&experiments.Figure8{Run: learn}).Render(out)
-		return nil
-	})
 
 	// Surface compile-cache effectiveness for whatever ran above.
 	for _, name := range []string{"A", "B", "C"} {
@@ -188,20 +142,78 @@ func realMain() int {
 			rep.Render(os.Stderr)
 		}
 	}
-	// Observability rollup for everything that ran above: per-stage spans,
-	// compile/exec counters, memo-size histograms.
-	snap := r.Obs().Snapshot()
-	if err := snap.Report(os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "steerq-bench:", err)
-		return 1
-	}
 	if *metricsOut != "" {
-		if err := snap.WriteFile(*metricsOut); err != nil {
+		if err := r.Obs().Snapshot().WriteFile(*metricsOut); err != nil {
 			fmt.Fprintln(os.Stderr, "steerq-bench:", err)
 			return 1
 		}
 	}
 	return 0
+}
+
+// step is one -exp run: its name and what it prints.
+type step struct {
+	name string
+	run  func() error
+}
+
+// plan lists every -exp run in the order an "all" run prints them. table5
+// and fig8 share one learning run. checkExp reads only the names, so r and
+// out may be nil there.
+func plan(r *experiments.Runner, out io.Writer) []step {
+	var learn *experiments.LearningRun
+	learning := func() error {
+		if learn != nil {
+			return nil
+		}
+		var err error
+		learn, err = r.Learning("B", 14, 3)
+		return err
+	}
+	return []step{
+		{"table1", func() error { return render1(r, out) }},
+		{"table2", func() error { return render2(r, out) }},
+		{"fig2", func() error { return renderF2(r, out) }},
+		{"fig3", func() error { return renderF3(r, out) }},
+		{"fig4", func() error { return renderF4(r, out) }},
+		{"fig5", func() error { return renderF5(r, out) }},
+		{"fig6", func() error { return renderF6(r, out) }},
+		{"table3", func() error { return render3(r, out) }},
+		{"table4", func() error { return render4(r, out) }},
+		{"fig7", func() error { return renderF7(r, out) }},
+		{"fig1", func() error { return renderF1(r, out) }},
+		{"ablations", func() error { return renderAblations(r, out) }},
+		{"extensions", func() error { return renderExtensions(r, out) }},
+		{"table5", func() error {
+			if err := learning(); err != nil {
+				return err
+			}
+			(&experiments.Table5{Run: learn}).Render(out)
+			return nil
+		}},
+		{"fig8", func() error {
+			if err := learning(); err != nil {
+				return err
+			}
+			(&experiments.Figure8{Run: learn}).Render(out)
+			return nil
+		}},
+	}
+}
+
+// checkExp accepts -exp names that are "all" or a plan step; otherwise its
+// error lists the valid names.
+func checkExp(names []string) error {
+	valid := []string{"all"}
+	for _, st := range plan(nil, nil) {
+		valid = append(valid, st.name)
+	}
+	for _, n := range names {
+		if !slices.Contains(valid, n) {
+			return fmt.Errorf("unknown -exp %q; valid names: %s", n, strings.Join(valid, ", "))
+		}
+	}
+	return nil
 }
 
 func render1(r *experiments.Runner, w io.Writer) error {

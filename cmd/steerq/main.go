@@ -97,15 +97,16 @@ type env struct {
 	faultSeed  *string
 	faultRates *string
 	metricsOut *string
-	debugAddr  *string
 	wl         *workload.Workload
 	harness    *abtest.Harness
 	reg        *obs.Registry
-	debug      *obs.DebugServer
 }
 
 func newEnv(cmd string) *env {
-	e := &env{fs: flag.NewFlagSet(cmd, flag.ExitOnError)}
+	e := &env{
+		fs:  flag.NewFlagSet(cmd, flag.ExitOnError),
+		reg: obs.NewWithClock(obs.ClockFromEnv()),
+	}
 	e.name = e.fs.String("workload", "A", "workload name (A, B or C)")
 	e.seed = e.fs.Uint64("seed", 2021, "generator seed")
 	e.scale = e.fs.Float64("scale", 0.01, "workload scale (1.0 = paper scale)")
@@ -114,8 +115,7 @@ func newEnv(cmd string) *env {
 	e.workers = e.fs.Int("workers", 0, "worker goroutines (0 = $STEERQ_WORKERS or GOMAXPROCS); results are identical at any setting")
 	e.faultSeed = e.fs.String("fault-seed", "", "arm deterministic fault injection with this seed (empty = off)")
 	e.faultRates = e.fs.String("fault-rates", "", "fault probabilities as site.kind=prob pairs, e.g. compile.fail=0.1,exec.hang=0.05")
-	e.metricsOut = e.fs.String("metrics-out", "", "write a metrics snapshot on exit (.prom/.txt = text exposition, else JSON)")
-	e.debugAddr = e.fs.String("debug-addr", "", "serve /debug/vars and /metrics on this address while the command runs")
+	e.metricsOut = e.fs.String("metrics-out", "", "write the JSON metrics snapshot to this file on exit")
 	return e
 }
 
@@ -132,7 +132,6 @@ func (e *env) build() error {
 		return fmt.Errorf("unknown workload %q", *e.name)
 	}
 	e.wl = workload.Generate(p)
-	e.reg = obs.NewWithClock(obs.ClockFromEnv())
 	opt := rules.NewOptimizer(cost.NewEstimated(e.wl.Cat))
 	opt.SetObs(e.reg)
 	e.harness = abtest.New(e.wl.Cat, opt, *e.seed+1)
@@ -147,26 +146,12 @@ func (e *env) build() error {
 		e.harness.SetFaults(in)
 		in.Publish(e.reg)
 	}
-	if *e.debugAddr != "" {
-		srv, err := e.reg.ServeDebug(*e.debugAddr)
-		if err != nil {
-			return err
-		}
-		e.debug = srv
-		fmt.Fprintf(os.Stderr, "steerq: debug endpoint on http://%s (/debug/vars, /metrics)\n", srv.Addr())
-	}
 	return nil
 }
 
-// finish flushes observability outputs: it writes the -metrics-out snapshot
-// and shuts down the -debug-addr server. Commands call it on their success
+// finish writes the -metrics-out snapshot. Commands call it on their success
 // path so a failed run never leaves a partial snapshot behind.
 func (e *env) finish() error {
-	if e.debug != nil {
-		if err := e.debug.Close(); err != nil {
-			return err
-		}
-	}
 	if *e.metricsOut == "" {
 		return nil
 	}
@@ -618,7 +603,6 @@ func cmdSteer(args []string) error {
 	fmt.Printf("config: %s\n", d.Config.Hex())
 	if built {
 		fmt.Printf("hints:\n%s", steering.HintsFor(d.Config, e.harness.Opt.Rules).String())
-		return e.finish()
 	}
-	return nil
+	return e.finish()
 }

@@ -2,7 +2,7 @@
 // decision-table bundle produced by the offline pipeline (`steerq bundle`)
 // and answers per-job steering lookups over HTTP.
 //
-//	steerqd -addr 127.0.0.1:7311 -bundle active.stqb [-watch 2s] [-metrics-out snap.json]
+//	steerqd -addr 127.0.0.1:7311 [-bundle active.stqb] [-metrics-out snap.json]
 //
 // Surface:
 //
@@ -13,16 +13,15 @@
 //	GET  /healthz             liveness (503 once draining)
 //	GET  /readyz              readiness (200 only with a live bundle)
 //
-// The daemon drains gracefully on SIGTERM/SIGINT: the listener closes,
-// in-flight requests finish (bounded by -drain-timeout), the -metrics-out
-// snapshot is flushed, and the process exits 0. A second signal forces an
-// immediate close and exit 1. With -watch set, the bundle file is polled and
-// hot-reloaded on change; a corrupt file is rejected and the active table
-// stays live.
+// A -bundle that fails to load is fatal. Without -bundle the daemon boots
+// into the no-bundle state (readyz 503); after boot a bundle goes live only
+// through POST /v1/bundles. The daemon drains gracefully on SIGTERM/SIGINT:
+// the listener closes, in-flight requests finish (bounded by -drain-timeout),
+// the -metrics-out JSON snapshot is flushed, and the process exits 0. A
+// second signal forces an immediate close and exit 1.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -44,10 +43,9 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("steerqd", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7311", "listen address (use :0 with -addr-file for an ephemeral port)")
-	bundlePath := fs.String("bundle", "", "bundle file to load at startup (optional with -watch: the daemon waits for it)")
-	watchEvery := fs.Duration("watch", 0, "poll the -bundle file at this interval and hot-reload on change (0 = off)")
+	bundlePath := fs.String("bundle", "", "bundle file to load at startup (a load failure is fatal; without it, POST /v1/bundles makes the daemon ready)")
 	addrFile := fs.String("addr-file", "", "write the bound listen address to this file once serving (written atomically)")
-	metricsOut := fs.String("metrics-out", "", "write a metrics snapshot on exit (.prom/.txt = text exposition, else JSON)")
+	metricsOut := fs.String("metrics-out", "", "write the JSON metrics snapshot to this file on exit")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "bound on the graceful drain (0 = wait forever)")
 	fs.Parse(args)
 
@@ -57,17 +55,11 @@ func run(args []string) error {
 
 	if *bundlePath != "" {
 		if err := sdk.LoadFile(*bundlePath); err != nil {
-			if *watchEvery <= 0 {
-				return err
-			}
-			// With a watcher the daemon can start ahead of its first bundle:
-			// readiness stays 503 until a good file lands.
-			fmt.Fprintln(os.Stderr, "steerqd: initial bundle not loaded, waiting for the watcher:", err)
-		} else {
-			t := sdk.Active()
-			fmt.Fprintf(os.Stderr, "steerqd: bundle v%d (%s, %d entries, %016x) loaded\n",
-				t.Version(), t.Workload(), t.Len(), t.Checksum())
+			return err
 		}
+		t := sdk.Active()
+		fmt.Fprintf(os.Stderr, "steerqd: bundle v%d (%s, %d entries, %016x) loaded\n",
+			t.Version(), t.Workload(), t.Len(), t.Checksum())
 	}
 
 	if err := srv.Start(*addr); err != nil {
@@ -81,24 +73,9 @@ func run(args []string) error {
 		}
 	}
 
-	watchCtx, stopWatch := context.WithCancel(context.Background())
-	defer stopWatch()
-	if *watchEvery > 0 && *bundlePath != "" {
-		go sdk.Watch(watchCtx, *bundlePath, *watchEvery, func(err error) {
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "steerqd: bundle reload rejected:", err)
-				return
-			}
-			t := sdk.Active()
-			fmt.Fprintf(os.Stderr, "steerqd: hot-reloaded bundle v%d (%d entries, %016x)\n",
-				t.Version(), t.Len(), t.Checksum())
-		})
-	}
-
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
 	forced := srv.DrainOnSignal(sig, *drainTimeout)
-	stopWatch()
 	if forced {
 		fmt.Fprintln(os.Stderr, "steerqd: second signal, forced shutdown")
 	} else {

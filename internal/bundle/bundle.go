@@ -72,8 +72,8 @@ const checksumBytes = 8
 const MaxWorkloadLen = 255
 
 // Decode failure classes, wrapped into every decode error so callers (the
-// upload endpoint, the file watcher) can classify rejections without string
-// matching.
+// upload endpoint, a daemon loading its startup file) can classify rejections
+// without string matching.
 var (
 	// ErrFormat marks a structurally invalid bundle: bad magic, unknown
 	// format version, truncation, trailing bytes, unsorted or duplicate

@@ -8,7 +8,7 @@ import (
 
 // WriteFile encodes the bundle and writes it atomically: the bytes land in
 // a temporary file in the destination directory which is then renamed over
-// path. A concurrent reader — the daemon's file watcher — therefore only
+// path. A concurrent reader — a daemon booting from path — therefore only
 // ever observes a complete artifact, never a torn prefix.
 func (b *Bundle) WriteFile(path string) error {
 	data, err := b.Encode()

@@ -3,7 +3,9 @@ package obs_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,10 +15,10 @@ import (
 )
 
 // goldenRegistry builds one registry exercising every metric kind with fixed
-// values, on a manual clock so span durations are pinned.
+// values, on a clock the builder steps itself so span durations are pinned.
 func goldenRegistry() *obs.Registry {
-	mc := obs.NewManualClock()
-	r := obs.NewWithClock(mc.Clock())
+	now := time.Unix(0, 0)
+	r := obs.NewWithClock(func() time.Time { return now })
 	r.Counter("steerq_pipeline_candidates_total", "outcome", "compiled").Add(12)
 	r.Counter("steerq_pipeline_candidates_total", "outcome", "noplan").Add(3)
 	r.Counter("steerq_cache_hits_total", "workload", "A").Add(40)
@@ -28,9 +30,9 @@ func goldenRegistry() *obs.Registry {
 	h.Observe(5)
 	h.Observe(600)
 	ctx, parent := r.StartSpan(context.Background(), "pipeline.recompile", "d0j1")
-	mc.Advance(1500 * time.Microsecond)
+	now = now.Add(1500 * time.Microsecond)
 	_, child := r.StartSpan(ctx, "pipeline.span_search", "d0j1")
-	mc.Advance(500 * time.Microsecond)
+	now = now.Add(500 * time.Microsecond)
 	child.End(obs.OutcomeOK)
 	parent.End(obs.OutcomeOK)
 	_, errSpan := r.StartSpan(context.Background(), "abtest.compile", "d0j2")
@@ -87,10 +89,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if !bytes.HasSuffix(data, []byte("\n")) {
 		t.Fatal("MarshalIndent must end with a newline")
 	}
-	back, err := obs.ParseSnapshot(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := decodeSnapshot(t, data)
 	if !reflect.DeepEqual(snap, back) {
 		t.Fatalf("snapshot round trip lost information:\nbefore %+v\nafter  %+v", snap, back)
 	}
@@ -103,16 +102,17 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseSnapshotRejectsUnknownFields(t *testing.T) {
-	if _, err := obs.ParseSnapshot([]byte(`{"counters": [], "surprise": 1}`)); err == nil {
-		t.Fatal("unknown top-level field must be rejected")
+// decodeSnapshot decodes MarshalIndent output strictly: a field the Snapshot
+// types do not declare fails the test instead of being dropped.
+func decodeSnapshot(t *testing.T, data []byte) obs.Snapshot {
+	t.Helper()
+	var s obs.Snapshot
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		t.Fatalf("decode snapshot: %v", err)
 	}
-	if _, err := obs.ParseSnapshot([]byte(`{"counters": [{"name": "x", "value": 1, "extra": true}]}`)); err == nil {
-		t.Fatal("unknown nested field must be rejected")
-	}
-	if _, err := obs.ParseSnapshot([]byte(`not json`)); err == nil {
-		t.Fatal("malformed input must be rejected")
-	}
+	return s
 }
 
 func TestTextEscapesLabelValues(t *testing.T) {
@@ -128,56 +128,30 @@ func TestTextEscapesLabelValues(t *testing.T) {
 	}
 }
 
+// TestWriteFileFormats pins -metrics-out to one format: the MarshalIndent
+// JSON, whatever the file is called.
 func TestWriteFileFormats(t *testing.T) {
 	snap := goldenRegistry().Snapshot()
+	want, err := snap.MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-
-	jsonPath := dir + "/metrics.json"
-	if err := snap.WriteFile(jsonPath); err != nil {
-		t.Fatal(err)
-	}
-	jdata, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := obs.ParseSnapshot(jdata); err != nil {
-		t.Fatalf("JSON metrics file did not parse back: %v", err)
-	}
-
-	promPath := dir + "/metrics.prom"
-	if err := snap.WriteFile(promPath); err != nil {
-		t.Fatal(err)
-	}
-	pdata, err := os.ReadFile(promPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(pdata) != goldenText {
-		t.Fatalf(".prom file is not the text exposition:\n%s", pdata)
-	}
-}
-
-func TestReportTable(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenRegistry().Snapshot().Report(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"== observability report ==",
-		"-- counters --",
-		`steerq_pipeline_candidates_total{outcome=compiled}`,
-		"-- gauges --",
-		"-- histograms --",
-		"count=4 sum=610.5 mean=152.625",
-		"-- spans (by stage) --",
-		"pipeline.recompile ok",
-		"n=1 total=2ms",
-		"n=1 total=500us",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q:\n%s", want, out)
+	for _, name := range []string{"metrics.json", "metrics.prom", "metrics.txt"} {
+		path := filepath.Join(dir, name)
+		if err := snap.WriteFile(path); err != nil {
+			t.Fatal(err)
 		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s is not the MarshalIndent JSON:\n%s", name, got)
+		}
+	}
+	if err := snap.WriteFile(filepath.Join(dir, "missing", "m.json")); err == nil {
+		t.Fatal("write into a missing directory must fail")
 	}
 }
 
@@ -189,13 +163,6 @@ func TestEmptySnapshotOutputs(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("empty snapshot exposition not empty: %q", buf.String())
-	}
-	buf.Reset()
-	if err := snap.Report(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := buf.String(); got != "== observability report ==\n" {
-		t.Fatalf("empty report = %q", got)
 	}
 	data, err := snap.MarshalIndent()
 	if err != nil {

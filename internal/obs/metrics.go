@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 )
 
@@ -65,44 +64,32 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// histShards is the fixed shard count of one histogram. Shard choice only
-// spreads lock contention; because every shard holds commutative integer
-// state and shards merge serially in index order at snapshot time, the
-// merged result is identical for any assignment of observations to shards.
-const histShards = 8
-
-// histShard is one lock-guarded slice of a histogram.
-type histShard struct {
-	mu sync.Mutex
-	// counts[i] tallies observations in bucket i; the last bucket is +Inf.
-	counts []uint64
-	// sumMicros accumulates observations in fixed-point micro-units.
-	// Integer addition is associative and commutative, which is what keeps
-	// the merged Sum bit-identical at any worker count — a float64 sum
-	// would depend on accumulation order.
-	sumMicros int64
-	count     uint64
-}
-
-// Histogram is a fixed-bucket, lock-sharded distribution. Observations pick
-// a shard from their value bits, update integer state under the shard lock,
-// and the shards are merged serially at snapshot time (the faults.Record
-// pattern). A nil histogram records nothing.
+// Histogram is a fixed-bucket distribution held as atomic integers: one
+// count per bucket and a sum in fixed-point micro-units. Integer addition is
+// associative and commutative, which is what keeps the snapshot bit-identical
+// at any worker count — a float64 sum would depend on accumulation order.
+// Not sharded: measured (EXPERIMENTS.md "One way out for metrics"), the eight
+// lock shards this replaced bought nothing on discover_cold or serve_steady
+// (10 pairs each, every Δ inside the parent's quartile distance). A nil
+// histogram records nothing.
 type Histogram struct {
 	name   string
 	labels []Label
 	// bounds are ascending upper bounds; observations above the last bound
 	// land in the implicit +Inf bucket.
 	bounds []float64
-	shards [histShards]histShard
+	// counts[i] tallies observations in bucket i; the last bucket is +Inf.
+	counts    []atomic.Uint64
+	sumMicros atomic.Int64
 }
 
 func newHistogram(name string, labels []Label, bounds []float64) *Histogram {
-	h := &Histogram{name: name, labels: labels, bounds: append([]float64(nil), bounds...)}
-	for i := range h.shards {
-		h.shards[i].counts = make([]uint64, len(bounds)+1)
+	return &Histogram{
+		name:   name,
+		labels: labels,
+		bounds: append([]float64(nil), bounds...),
+		counts: make([]atomic.Uint64, len(bounds)+1),
 	}
-	return h
 }
 
 // Observe records one value.
@@ -117,23 +104,8 @@ func (h *Histogram) Observe(v float64) {
 			break
 		}
 	}
-	s := &h.shards[shardOf(v)]
-	s.mu.Lock()
-	s.counts[b]++
-	s.count++
-	s.sumMicros += toMicros(v)
-	s.mu.Unlock()
-}
-
-// shardOf spreads observations across shards by mixing the value bits. Any
-// mapping is correct (see histShard); this one keeps identical values from
-// piling onto one lock only when they genuinely repeat.
-func shardOf(v float64) int {
-	x := math.Float64bits(v)
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return int(x % histShards)
+	h.counts[b].Add(1)
+	h.sumMicros.Add(toMicros(v))
 }
 
 // toMicros converts an observation to fixed-point micro-units with
@@ -147,25 +119,20 @@ func toMicros(v float64) int64 {
 	return int64(scaled - 0.5)
 }
 
-// snapshot merges the shards serially in index order.
+// snapshot reads the buckets in order. Count is their total, so Count and
+// the buckets agree by construction; taken while observations are still
+// landing, Sum may already include some that the buckets do not.
 func (h *Histogram) snapshot() HistogramPoint {
 	p := HistogramPoint{
 		Name:   h.name,
 		Labels: h.labels,
 		Bounds: append([]float64(nil), h.bounds...),
-		Counts: make([]uint64, len(h.bounds)+1),
+		Counts: make([]uint64, len(h.counts)),
 	}
-	var micros int64
-	for i := range h.shards {
-		s := &h.shards[i]
-		s.mu.Lock()
-		for b, c := range s.counts {
-			p.Counts[b] += c
-		}
-		p.Count += s.count
-		micros += s.sumMicros
-		s.mu.Unlock()
+	for i := range h.counts {
+		p.Counts[i] = h.counts[i].Load()
+		p.Count += p.Counts[i]
 	}
-	p.Sum = float64(micros) / 1e6
+	p.Sum = float64(h.sumMicros.Load()) / 1e6
 	return p
 }

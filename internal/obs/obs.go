@@ -1,7 +1,9 @@
 // Package obs is steerq's dependency-free observability layer: counters,
 // gauges and fixed-bucket histograms plus lightweight spans, all collected
-// into one Registry and exposed as a Prometheus-style text exposition, a
-// JSON snapshot, an expvar-backed debug endpoint and a human report table.
+// into one Registry and read as a Snapshot. A snapshot has two encodings:
+// the canonical JSON file every CLI writes with -metrics-out (lossless, spans
+// keep their paths), and the Prometheus-style text exposition steerqd serves
+// live at /metrics.
 //
 // The production follow-up to the source paper ("Deploying a Steered Query
 // Optimizer in Production at Microsoft") ships steering only because every
@@ -13,13 +15,12 @@
 // # Determinism
 //
 // Every metric accumulates commutative integer state — counters are atomic
-// uint64 adds, histogram shards hold integer bucket counts and fixed-point
-// micro-unit sums — so the merged totals are a pure function of the *set* of
-// observations, never of goroutine scheduling. Shards are merged serially in
-// fixed shard order at snapshot time, exactly like faults.Record merges in
-// candidate-index order. Snapshots sort metrics by identity and spans by
-// content-keyed path, so a Workers=1 and a Workers=8 run of the same seeded
-// pipeline serialize byte-identically (under a virtual clock; see Clock).
+// uint64 adds, histograms atomic bucket counts plus a fixed-point micro-unit
+// sum — so the totals are a pure function of the *set* of observations,
+// never of goroutine scheduling. Snapshots sort metrics by identity and spans
+// by content-keyed path, so a Workers=1 and a Workers=8 run of the same
+// seeded pipeline serialize byte-identically (under a virtual clock; see
+// Clock).
 //
 // Gauges are last-write-wins and therefore must only be set from serial
 // sections or via GaugeFunc, which is evaluated at snapshot time.
@@ -39,9 +40,10 @@ import (
 	"time"
 )
 
-// Clock supplies span timestamps. Production uses wall time; deterministic
-// tests and CI goldens use a frozen or manual clock so span durations (the
-// only wall-clock-dependent output) serialize identically on every run.
+// Clock supplies span timestamps. Production uses wall time; CI goldens use
+// the frozen clock and tests a closure they step themselves, so span
+// durations (the only wall-clock-dependent output) serialize identically on
+// every run.
 type Clock func() time.Time
 
 // WallClock reads the real time. This is the module's one approved raw
@@ -71,33 +73,6 @@ func ClockFromEnv() Clock {
 	}
 	return WallClock()
 }
-
-// ManualClock is a settable clock for tests: Now returns the current virtual
-// instant, Advance moves it forward. Safe for concurrent use.
-type ManualClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-// NewManualClock starts a manual clock at the zero instant.
-func NewManualClock() *ManualClock { return &ManualClock{now: time.Unix(0, 0)} }
-
-// Now returns the clock's current virtual instant.
-func (c *ManualClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Advance moves the clock forward by d.
-func (c *ManualClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
-}
-
-// Clock adapts the manual clock to the Clock function type.
-func (c *ManualClock) Clock() Clock { return c.Now }
 
 // Registry holds one run's metrics and spans. The zero value is not usable;
 // build one with New or NewWithClock. All methods are safe for concurrent

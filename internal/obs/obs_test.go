@@ -187,17 +187,17 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 }
 
 func TestSpanNestingAndOutcomes(t *testing.T) {
-	mc := obs.NewManualClock()
-	r := obs.NewWithClock(mc.Clock())
+	now := time.Unix(0, 0)
+	r := obs.NewWithClock(func() time.Time { return now })
 	ctx, parent := r.StartSpan(context.Background(), "pipeline.recompile", "job1")
 	if got := obs.SpanFromContext(ctx); got != parent {
 		t.Fatal("SpanFromContext did not return the active span")
 	}
-	mc.Advance(5 * time.Millisecond)
+	now = now.Add(5 * time.Millisecond)
 	_, child := r.StartSpan(ctx, "pipeline.span_search", "job1")
-	mc.Advance(2 * time.Millisecond)
+	now = now.Add(2 * time.Millisecond)
 	child.EndErr(nil)
-	mc.Advance(time.Millisecond)
+	now = now.Add(time.Millisecond)
 	parent.End(obs.OutcomeError)
 	parent.End(obs.OutcomeOK) // second End must not record
 
@@ -300,16 +300,5 @@ func TestStandaloneCounter(t *testing.T) {
 	c.Add(7)
 	if c.Value() != 7 {
 		t.Fatalf("standalone counter = %d, want 7", c.Value())
-	}
-}
-
-func TestManualClockAdvance(t *testing.T) {
-	mc := obs.NewManualClock()
-	if !mc.Now().Equal(time.Unix(0, 0)) {
-		t.Fatal("manual clock must start at the zero instant")
-	}
-	mc.Advance(3 * time.Second)
-	if got := mc.Now(); !got.Equal(time.Unix(3, 0)) {
-		t.Fatalf("after Advance(3s): %v", got)
 	}
 }

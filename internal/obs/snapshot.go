@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -158,23 +157,12 @@ func (s Snapshot) MarshalIndent() ([]byte, error) {
 	return append(b, '\n'), nil
 }
 
-// WriteFile writes the snapshot to path in the format the extension selects:
-// Prometheus text exposition for .prom and .txt, indented JSON otherwise.
-// Both CLIs route -metrics-out through here so the formats cannot drift.
+// WriteFile writes the MarshalIndent JSON to path, whatever its extension.
+// Every CLI routes -metrics-out through here, so the offline format is one.
 func (s Snapshot) WriteFile(path string) error {
-	var data []byte
-	if strings.HasSuffix(path, ".prom") || strings.HasSuffix(path, ".txt") {
-		var buf bytes.Buffer
-		if err := s.Text(&buf); err != nil {
-			return err
-		}
-		data = buf.Bytes()
-	} else {
-		var err error
-		data, err = s.MarshalIndent()
-		if err != nil {
-			return err
-		}
+	data, err := s.MarshalIndent()
+	if err != nil {
+		return err
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return fmt.Errorf("obs: write metrics file: %w", err)
@@ -182,21 +170,9 @@ func (s Snapshot) WriteFile(path string) error {
 	return nil
 }
 
-// ParseSnapshot decodes a snapshot previously serialized with MarshalIndent
-// (or plain encoding/json). Unknown fields are rejected so format drift is
-// caught by the round-trip test instead of silently dropped.
-func ParseSnapshot(data []byte) (Snapshot, error) {
-	var s Snapshot
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return Snapshot{}, fmt.Errorf("obs: parse snapshot: %w", err)
-	}
-	return s, nil
-}
-
-// Text writes the snapshot as a Prometheus-style text exposition: one
-// `# TYPE` line per metric family, then `name{k="v"} value` sample lines.
+// Text writes the snapshot as the Prometheus-style text exposition steerqd
+// serves at /metrics: one `# TYPE` line per metric family, then
+// `name{k="v"} value` sample lines.
 // Histograms expand to `_bucket{le="..."}` (cumulative, ending at le="+Inf"),
 // `_sum` and `_count`. Spans are aggregated per (stage, outcome) into
 // `steerq_span_total` and `steerq_span_duration_ns_total` families so the

@@ -84,8 +84,8 @@ func Steer(base string, sig bitvec.Vector) (Decision, error) {
 }
 
 // WriteFileAtomic writes data via a temp file in path's directory and a
-// rename, so a reader polling the path (an address file, a bundle watcher)
-// never observes a partial write.
+// rename, so a reader polling the path (steerqd's -addr-file) never observes
+// a partial write.
 func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".atomic-*")

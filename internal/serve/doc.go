@@ -13,8 +13,9 @@
 //     bundle load, so every lookup sees exactly one bundle version end to
 //     end (see DESIGN.md, "Immutable tables and the atomic swap");
 //   - Server is the HTTP surface: GET /v1/steer lookups, POST /v1/bundles
-//     hot reload, /metrics, /healthz and /readyz wired to internal/obs,
-//     and graceful drain for SIGTERM handling;
+//     hot reload (the one way a bundle goes live after boot), /metrics (the
+//     live text exposition of internal/obs), /healthz and /readyz, and
+//     graceful drain for SIGTERM handling;
 //   - Steer is the one HTTP client of that surface, decoding a reply into
 //     the same Decision an SDK lookup yields; WaitReady is its boot wait.
 //

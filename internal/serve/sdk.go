@@ -38,13 +38,6 @@ var lookupSecondsBounds = []float64{1e-7, 5e-7, 1e-6, 5e-6, 1e-5, 1e-4, 1e-3}
 // here, and nothing on the read path escapes to the heap.
 type SDK struct {
 	clock obs.Clock
-
-	// NewTicker supplies Watch's poll cadence (nil = obs.NewWallTicker).
-	// Tests inject an obs.ManualTicker here so hot-reload polling is driven
-	// explicitly and stays deterministic under STEERQ_VCLOCK. Set before
-	// Watch starts; not synchronized.
-	NewTicker obs.TickerFunc
-
 	table atomic.Pointer[Table]
 
 	// loadMu serializes swaps so the version/entries gauges (last-write-

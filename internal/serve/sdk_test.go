@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -157,11 +158,17 @@ func TestSDKRejectKeepsOldTable(t *testing.T) {
 			t.Fatalf("after %s: active version %d, old table lost", name, v)
 		}
 	}
-	if err := sdk.LoadFile("/nonexistent/bundle.stqb"); err == nil {
+	if err := sdk.LoadFile(filepath.Join(t.TempDir(), "missing.stqb")); err == nil {
 		t.Fatal("LoadFile on missing path accepted")
 	}
 	if err := sdk.Load(nil); err == nil {
 		t.Fatal("Load(nil) accepted")
+	}
+	if got := counterValue(t, reg, "steerq_serve_bundle_rejected_total"); got != n+2 {
+		t.Fatalf("after missing path and nil: rejected counter %d, want %d", got, n+2)
+	}
+	if v := sdk.Active().Version(); v != 1 {
+		t.Fatalf("after missing path and nil: active version %d, old table lost", v)
 	}
 
 	// A good upload still swaps after all those rejects.
@@ -170,6 +177,17 @@ func TestSDKRejectKeepsOldTable(t *testing.T) {
 	}
 	if v := sdk.Active().Version(); v != 2 {
 		t.Fatalf("good upload after rejects: version %d", v)
+	}
+	// So does a good file, the path a daemon boots through.
+	path := filepath.Join(t.TempDir(), "v3.stqb")
+	if err := testBundle(t, 3, 5).WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := sdk.LoadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if v := sdk.Active().Version(); v != 3 {
+		t.Fatalf("good file after rejects: version %d", v)
 	}
 }
 

@@ -116,7 +116,7 @@ func NewServer(sdk *SDK, reg *obs.Registry) *Server {
 	return s
 }
 
-// SDK returns the server's SDK (the daemon wires watchers through it).
+// SDK returns the server's SDK, the table POST /v1/bundles swaps.
 func (s *Server) SDK() *SDK { return s.sdk }
 
 // State derives the lifecycle state: draining dominates, then
