@@ -153,10 +153,14 @@ func BenchmarkBundleRepass(b *testing.B) {
 // arena. explores/op is the logical explorations the sweep
 // actually ran (the rest shared an explored memo) and must stay at or below a
 // quarter of compiles/op — candidates differ mostly in implementation bits,
-// which exploration never reads. allocs/compile spreads the sweep's
-// allocations — the explorations' rule payloads and one Result per compile;
-// the physical phases allocate nothing — over its compiles, and must stay at
-// or below 16 (it measures 10; 44 when every costed operator built a map).
+// which exploration never reads. implfirings/compile is the implementation
+// rules the sweep consulted per compile (the rest were read by a group state
+// an earlier compile filed), next to what the same compiles consult one-shot,
+// and must stay at or below three quarters of it (it measures 4.7 against
+// 8.8). allocs/compile spreads the sweep's allocations — the explorations'
+// rule payloads and one Result per compile; the physical phases allocate
+// nothing — over its compiles, and must stay at or below 16 (it measures 10;
+// 44 when every costed operator built a map).
 func BenchmarkSessionCandidates(b *testing.B) {
 	r := experiments.NewRunner(benchConfig())
 	opt := r.Harness("A").Opt
@@ -182,7 +186,15 @@ func BenchmarkSessionCandidates(b *testing.B) {
 		}
 	}
 	fresh := r.Obs().Counter("steerq_cascades_explorations_total", "outcome", "fresh")
-	before := fresh.Value()
+	impl := r.Obs().Counter("steerq_cascades_rule_firings_total", "category", cascades.Implementation.String())
+	implBefore := impl.Value()
+	for _, cfg := range cfgs {
+		if _, err := opt.OptimizeCost(job.Root, cfg); err != nil && !errors.Is(err, cascades.ErrNoPlan) {
+			b.Fatal(err)
+		}
+	}
+	oneShotImpl := float64(impl.Value()-implBefore) / float64(len(cfgs))
+	before, implBefore := fresh.Value(), impl.Value()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	mallocs := ms.Mallocs
@@ -200,11 +212,17 @@ func BenchmarkSessionCandidates(b *testing.B) {
 	runtime.ReadMemStats(&ms)
 	explores := float64(fresh.Value()-before) / float64(b.N)
 	perCompile := float64(ms.Mallocs-mallocs) / float64(b.N*len(cfgs))
+	implPerCompile := float64(impl.Value()-implBefore) / float64(b.N*len(cfgs))
 	b.ReportMetric(explores, "explores/op")
 	b.ReportMetric(float64(len(cfgs)), "compiles/op")
 	b.ReportMetric(perCompile, "allocs/compile")
+	b.ReportMetric(implPerCompile, "implfirings/compile")
+	b.ReportMetric(oneShotImpl, "oneshot-implfirings/compile")
 	if explores > float64(len(cfgs))/4 {
 		b.Fatalf("%v explorations for %d compiles: the session shares too little", explores, len(cfgs))
+	}
+	if implPerCompile > 0.75*oneShotImpl {
+		b.Fatalf("%.2f implementation firings per compile against %.2f one-shot: the session reuses too few group states", implPerCompile, oneShotImpl)
 	}
 	if perCompile > 16 {
 		b.Fatalf("%.1f allocations per compile, budget 16: the physical phase allocates again", perCompile)

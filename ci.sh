@@ -19,9 +19,14 @@
 #                                batteries, the warm re-pass (no compile, kept
 #                                plans executed concurrently), the experiment
 #                                runner's, the faulted build held to its
-#                                pre-session baseline, the one compile path
-#                                under injection (TestFaultedTrialsKeepPlans)
-#                                and the plan-under-injection rule it rests on
+#                                pre-session baseline, one session per
+#                                analysis (TestAnalyzeSharesOneSession),
+#                                re-execution (TestExecuteIsReentrant), the
+#                                optimizer session's oracles (memos and group
+#                                states shared, frozen memos untouched), the
+#                                one compile path under injection
+#                                (TestFaultedTrialsKeepPlans) and the
+#                                plan-under-injection rule it rests on
 #                                (faults' TestCompileAttemptBuildsPlanUnder-
 #                                Injection) — re-run with STEERQ_WORKERS=4 so
 #                                the race detector covers the worker pool on
@@ -35,14 +40,20 @@
 #                                allocation budgets and xrand's
 #                                allocation-free reseed-and-draw re-checked
 #                                under -race (testing.AllocsPerRun)
-#   8. bench smoke               the serial and 4-worker pipeline benchmarks
+#   8. bench smoke               the one-shot compile (a one-compile
+#                                session; at -benchtime=20000x it reads 396
+#                                allocs/op, here the first compile also
+#                                builds the pooled arena), the
+#                                serial and 4-worker pipeline benchmarks
 #                                (one BuildBundle over a fixed job set each),
 #                                the warm re-pass over the same set (fails
 #                                unless it reads 0 compiles/op), one job's
 #                                span probes + 300 candidates through one
 #                                optimizer session (fails unless explores/op
-#                                stays within a quarter of compiles/op and
-#                                allocs/compile within 16),
+#                                stays within a quarter of compiles/op,
+#                                implfirings/compile within three quarters of
+#                                the one-shot rate and allocs/compile within
+#                                16),
 #                                the nn train/forward kernels at the
 #                                learn_groups shape, the exec simulator's
 #                                Run/Explain over the discover_* plan shapes
@@ -117,7 +128,8 @@ echo "== test (race) =="
 STEERQ_CHECK_PLANS=1 go test -race ./...
 
 echo "== parallel pipeline smoke (race, 4 workers) =="
-STEERQ_WORKERS=4 STEERQ_CHECK_PLANS=1 go test -race ./internal/steering/ ./internal/experiments/ -run 'Parallel|Determinism|Fault|Repass|Session'
+STEERQ_WORKERS=4 STEERQ_CHECK_PLANS=1 go test -race ./internal/cascades/ ./internal/steering/ ./internal/experiments/ \
+    -run 'Parallel|Determinism|Fault|Repass|Session|GroupState|Frozen|Reentrant'
 STEERQ_WORKERS=4 STEERQ_CHECK_PLANS=1 go test -race ./internal/faults/ -run 'TestCompileAttemptBuildsPlanUnderInjection'
 
 echo "== alloc regression (race) =="
@@ -129,7 +141,7 @@ go test -race ./internal/exec/ -run 'TestRunCostsEachNodeOnce|TestRunAllocationB
 go test -race ./internal/xrand/ -run TestReseedDrawAllocationFree -count=1
 
 echo "== bench smoke (1x, serial + 4 workers) =="
-go test -run '^$' -bench 'Benchmark(PipelineWorkers(1|4)|BundleRepass|SessionCandidates)$' -benchtime=1x -benchmem .
+go test -run '^$' -bench 'Benchmark(CompileDefault|PipelineWorkers(1|4)|BundleRepass|SessionCandidates)$' -benchtime=1x -benchmem .
 go test -run '^$' -bench 'Benchmark(Train|Forward)$' -benchtime=1x ./internal/nn/
 go test -run '^$' -bench 'Benchmark(Run|Explain)$' -benchtime=1x ./internal/exec/
 go test -run '^$' -bench 'Benchmark(ReseedDraw3|SeedFill)$' -benchtime=1x ./internal/xrand/

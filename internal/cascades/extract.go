@@ -11,11 +11,13 @@ import (
 // derivation chain of the logical expressions those operators implement.
 func (s *search) extract(w *winner) (*plan.PhysNode, bitvec.Vector) {
 	var sig bitvec.Vector
+	epoch := s.walk()
 	var rec func(p *pexpr) *plan.PhysNode
 	rec = func(p *pexpr) *plan.PhysNode {
-		if p.built != nil {
+		if p.mark == epoch {
 			return p.built
 		}
+		p.mark = epoch
 		if p.ruleID >= 0 {
 			sig.Set(p.ruleID)
 		}
@@ -66,17 +68,18 @@ func (s *search) extract(w *winner) (*plan.PhysNode, bitvec.Vector) {
 
 // signature collects the rule signature of the winning pexpr tree without
 // materializing any plan nodes — the plan-less sibling of extract, used by
-// OptimizeCost. It visits each distinct pexpr exactly once, like extract's
-// built mark, so the resulting bit vector is identical to the Signature an
-// extract of the same winner would report.
+// OptimizeCost. It visits each distinct pexpr exactly once, like extract, so
+// the resulting bit vector is identical to the Signature an extract of the
+// same winner would report.
 func (s *search) signature(w *winner) bitvec.Vector {
 	var sig bitvec.Vector
+	epoch := s.walk()
 	var rec func(p *pexpr)
 	rec = func(p *pexpr) {
-		if p.seen {
+		if p.mark == epoch {
 			return
 		}
-		p.seen = true
+		p.mark = epoch
 		if p.ruleID >= 0 {
 			sig.Set(p.ruleID)
 		}
@@ -89,6 +92,13 @@ func (s *search) signature(w *winner) bitvec.Vector {
 	}
 	rec(w)
 	return sig
+}
+
+// walk opens a new visit epoch: every pexpr whose mark differs from the
+// returned stamp is unvisited, whichever walk of the session marked it last.
+func (s *search) walk() uint32 {
+	s.scratch.epoch++
+	return s.scratch.epoch
 }
 
 func copyPayload(dst *plan.PhysNode, src *plan.Node) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"steerq/internal/bitvec"
 	"steerq/internal/cost"
 	"steerq/internal/plan"
 )
@@ -30,33 +31,46 @@ type pexpr struct {
 	exchange plan.ExchangeKind
 	buildIdx int
 
-	// seen and built are the visit marks of the one signature or extract
-	// walk that ends the compile (a pexpr is shared wherever its group's
-	// winner is reused).
-	seen  bool
+	// mark and built are the visit marks of the signature or extract walk
+	// that ends a compile. A pexpr is shared wherever its group's winner is
+	// reused — within a compile and across the session's compiles — so each
+	// walk stamps its own epoch (searchScratch.epoch) instead of clearing the
+	// last walk's marks.
+	mark  uint32
 	built *plan.PhysNode
 }
 
 // winner is the cached best plan of a group for one requirement.
 type winner = pexpr
 
-// groupSearch is one compile's physical-search state of one memo group. The
-// memo is shared between the compiles of a Session, so this lives with the
-// search — in the arena's physical side, indexed by GroupID — not on the
-// Group.
+// groupSearch is the physical-search state of one memo group under one class
+// of configurations: its costed candidates and its winner per requirement.
+// The session files it per memo and GroupID (Session.Optimize), never on the
+// Group, which a frozen memo shares read-only. foot is the exact set of
+// configuration bits its enumeration read — its own implementation rules'
+// and, through every child it visited, the children's feet — and proj is
+// cfg ∧ foot under the compile that enumerated it. A later compile with
+// cfg ∧ foot == proj reads the same bits, takes the same branches and builds
+// the same candidates, so it reuses the state as is (DESIGN.md, "Two phases,
+// two key sets").
 type groupSearch struct {
-	// winners holds the best plan found per required distribution. A group
-	// sees a handful of distinct requirements, so a scan beats hashing.
-	winners []groupWinner
+	foot, proj bitvec.Vector
+	// winners holds the best plan found per required distribution, one
+	// arena-carved node per requirement. A group sees a handful of distinct
+	// requirements, so a scan beats hashing.
+	winners *groupWinner
 	// candidates are the group's costed implementation alternatives once
 	// enumerated is set.
 	candidates []*pexpr
 	enumerated bool
+	// next is the state filed after this one for the same group.
+	next *groupSearch
 }
 
 type groupWinner struct {
 	dist distKey
 	w    *winner
+	next *groupWinner
 }
 
 // implAlt is what one implementation rule returned for one expression.
@@ -111,8 +125,8 @@ func makeDistKey(d plan.Distribution) distKey {
 // which outlives every pexpr pointer the search hands out.
 func (s *search) newPexpr() *pexpr { return s.scratch.pexprs.one(pexprChunkLen) }
 
-// childSlice carves an n-element child slice, before any recursive
-// optimizeGroup call fills it.
+// childSlice carves an n-element pexpr slice: a candidate's children, before
+// any recursive optimizeGroup call fills them, or a group's candidates.
 func (s *search) childSlice(n int) []*pexpr { return s.scratch.children.take(n, childChunkLen) }
 
 func (s *search) oneChild(p *pexpr) []*pexpr {
@@ -123,7 +137,7 @@ func (s *search) oneChild(p *pexpr) []*pexpr {
 
 // placeholderNode carves an enforcer payload placeholder (an OpSelect node
 // carrying only a schema) from the arena. Like every arena node it never
-// escapes the compile: extraction copies its (empty) payload slice headers,
+// escapes the session: extraction copies its (empty) payload slice headers,
 // never the struct.
 func (s *search) placeholderNode(schema []plan.Column) *plan.Node {
 	n := s.scratch.enforcers.one(nodeChunkLen)
@@ -132,21 +146,47 @@ func (s *search) placeholderNode(schema []plan.Column) *plan.Node {
 	return n
 }
 
+// state returns g's physical state for this compile: the one it already
+// resolved to, else the first the session filed whose foot this compile's
+// configuration projects onto its proj, else a new, empty one filed after
+// the others.
+func (s *search) state(g *Group) *groupSearch {
+	if gs := s.cur[g.ID]; gs != nil {
+		return gs
+	}
+	slot := &s.filed[g.ID]
+	for gs := *slot; gs != nil; gs = gs.next {
+		if s.cfg.And(gs.foot).Equal(gs.proj) {
+			s.cur[g.ID] = gs
+			return gs
+		}
+		slot = &gs.next
+	}
+	gs := s.scratch.states.one(stateChunkLen)
+	*slot = gs
+	s.cur[g.ID] = gs
+	return gs
+}
+
 // optimizeGroup returns the cheapest physical plan for g delivering a
-// distribution satisfying req, or nil when none exists.
-func (s *search) optimizeGroup(g *Group, req plan.Distribution) *winner {
+// distribution satisfying req, or nil when none exists, together with the
+// state of g it came from, whose foot is complete by then.
+func (s *search) optimizeGroup(g *Group, req plan.Distribution) (*winner, *groupSearch) {
+	gs := s.state(g)
 	key := makeDistKey(req)
-	gs := &s.groups[g.ID]
-	for i := range gs.winners {
-		if gs.winners[i].dist == key {
-			return gs.winners[i].w
+	for gw := gs.winners; gw != nil; gw = gw.next {
+		if gw.dist == key {
+			return gw.w, gs
 		}
 	}
 	// Mark in-progress (a nil winner) to make accidental cycles fail loudly
 	// rather than recurse forever (logical DAGs are acyclic, so this never
-	// triggers on well-formed input).
-	slot := len(gs.winners)
-	gs.winners = append(gs.winners, groupWinner{dist: key})
+	// triggers on well-formed input). A winner reads no configuration bit —
+	// only the candidates and enforce — so one found for a new requirement
+	// belongs to the state like the candidates do.
+	gw := s.scratch.winners.one(winnerChunkLen)
+	gw.dist, gw.next = key, gs.winners
+	gs.winners = gw
 
 	var best *pexpr
 	consider := func(p *pexpr) {
@@ -157,26 +197,28 @@ func (s *search) optimizeGroup(g *Group, req plan.Distribution) *winner {
 			best = p
 		}
 	}
-	for _, cand := range s.groupCandidates(g) {
+	for _, cand := range s.groupCandidates(gs, g) {
 		if cand.outDist.Satisfies(req) {
 			consider(cand)
 		} else {
 			consider(s.enforce(cand, req))
 		}
 	}
-	gs.winners[slot].w = best
-	return best
+	gw.w = best
+	return best, gs
 }
 
-// groupCandidates enumerates (and caches) all physical implementation
-// candidates of a group, each fully costed with child winners resolved.
-func (s *search) groupCandidates(g *Group) []*pexpr {
-	gs := &s.groups[g.ID]
+// groupCandidates enumerates (and caches in gs) all physical implementation
+// candidates of a group, each fully costed with child winners resolved, and
+// closes gs's foot and proj. The candidates collect on top of the search's
+// candidate stack — nested enumerations of child groups push and pop above
+// them — and move to an exactly sized arena slice at the end.
+func (s *search) groupCandidates(gs *groupSearch, g *Group) []*pexpr {
 	if gs.enumerated {
 		return gs.candidates
 	}
 	gs.enumerated = true // cycle guard: no candidates until the loop is done
-	out := gs.candidates[:0]
+	base := len(s.candBuf)
 	for _, e := range g.Exprs {
 		rules := s.o.Rules.implementsFor(e.Node.Op)
 		if e.impls == nil {
@@ -184,7 +226,7 @@ func (s *search) groupCandidates(g *Group) []*pexpr {
 		}
 		for i, r := range rules {
 			ri := r.Info()
-			if !s.ruleEnabled(ri) {
+			if !s.ruleEnabled(ri, &gs.foot) {
 				continue
 			}
 			// Implement reads no configuration, so on the frozen memo its
@@ -195,22 +237,26 @@ func (s *search) groupCandidates(g *Group) []*pexpr {
 				alt.protos, alt.done = r.Implement(e, s.m), true
 			}
 			if len(alt.protos) > 0 {
-				s.o.om.firings[ri.Category].Inc()
+				s.firings[ri.Category]++
 			}
 			for _, proto := range alt.protos {
-				if p := s.buildCandidate(e, proto, ri.ID); p != nil {
-					out = append(out, p)
+				if p := s.buildCandidate(gs, e, proto, ri.ID); p != nil {
+					s.candBuf = append(s.candBuf, p)
 				}
 			}
 		}
 	}
-	gs.candidates = out
-	return out
+	gs.candidates = s.childSlice(len(s.candBuf) - base)
+	copy(gs.candidates, s.candBuf[base:])
+	s.candBuf = s.candBuf[:base]
+	gs.proj = s.cfg.And(gs.foot)
+	return gs.candidates
 }
 
 // buildCandidate resolves child requirements and costs one implementation
-// candidate. Returns nil when a child has no feasible plan.
-func (s *search) buildCandidate(e *MExpr, proto *PhysProto, ruleID int) *pexpr {
+// candidate of the group gs is enumerating, ORing into gs.foot the foot of
+// every child it visits. Returns nil when a child has no feasible plan.
+func (s *search) buildCandidate(gs *groupSearch, e *MExpr, proto *PhysProto, ruleID int) *pexpr {
 	g := e.Group
 	children := s.childSlice(len(e.Children))
 	var childTotal float64
@@ -225,21 +271,24 @@ func (s *search) buildCandidate(e *MExpr, proto *PhysProto, ruleID int) *pexpr {
 			req.DOP = children[0].dop
 		}
 		var w *pexpr
+		var cs *groupSearch
 		if i == 0 && proto.LocalPre != 0 {
 			// Two-phase implementation: run a local pre-operator on the
 			// child's unconstrained plan, then enforce the requirement on
 			// the (much smaller) pre-aggregated stream.
-			base := s.optimizeGroup(cg, plan.Distribution{Kind: plan.DistAny})
-			if base == nil {
-				return nil
-			}
-			w = s.wrapLocalPre(base, proto, e, ruleID)
-			if !w.outDist.Satisfies(req) {
-				w = s.enforce(w, req)
+			w, cs = s.optimizeGroup(cg, plan.Distribution{Kind: plan.DistAny})
+			if w != nil {
+				w = s.wrapLocalPre(w, proto, e, ruleID)
+				if !w.outDist.Satisfies(req) {
+					w = s.enforce(w, req)
+				}
 			}
 		} else {
-			w = s.optimizeGroup(cg, req)
+			w, cs = s.optimizeGroup(cg, req)
 		}
+		// The child's reads are this group's too, whether or not the child
+		// had a plan: they decided this branch.
+		gs.foot = gs.foot.Or(cs.foot)
 		if w == nil {
 			return nil
 		}

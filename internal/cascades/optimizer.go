@@ -42,7 +42,9 @@ type Optimizer struct {
 // state, so concurrent Optimize calls stay deterministic at snapshot time.
 type optObs struct {
 	// firings counts rule applications actually performed, per rule
-	// category: a transformation shared through a Session's memo fired once.
+	// category: a transformation shared through a Session's memo fired once,
+	// and so did an implementation rule consulted by a shared group state.
+	// Each compile adds its tallies once, when it ends.
 	firings [len(categoryNames)]*obs.Counter
 	// explored counts compiles by where their explored memo came from:
 	// built for the compile (fresh) or shared from an earlier compile of
@@ -140,9 +142,14 @@ func (o *Optimizer) OptimizeCost(root *plan.Node, cfg bitvec.Vector) (*Result, e
 // therefore keeps every explored memo, frozen, under cfg ∧ transformMask; a
 // later compile agreeing on those bits runs its physical phase on the same
 // memo — footprint induction applied to the explore prefix (DESIGN.md, "Two
-// phases, two key sets"), so every Result is what a fresh Optimize returns.
-// The candidate sweep of one job is the intended caller: its few hundred
-// configurations differ mostly in implementation bits.
+// phases, two key sets"). The physical phase applies the same induction per
+// group: each group's candidates and winners are filed with the bits their
+// enumeration read, and a later compile agreeing on those bits reuses them,
+// so a configuration one implementation bit away from an earlier one
+// re-enumerates only the groups between the readers of that bit and the
+// root. Every Result is what a fresh Optimize returns. One job's analysis —
+// default trial, span probes, a few hundred candidates differing mostly in
+// implementation bits, the selected trials — is the intended caller.
 //
 // A Session holds its arena until Close and is for one goroutine; the
 // Optimizer stays safe for concurrent sessions.
@@ -174,17 +181,25 @@ func (se *Session) Optimize(cfg bitvec.Vector, withPlan bool) (*Result, error) {
 	if se.root == nil {
 		return nil, errors.New("cascades: nil plan")
 	}
-	s := &search{o: o, cfg: cfg, scratch: sc, propsBuf: sc.propsBuf, schemaBuf: sc.schemaBuf}
-	// Recycle the physical side once the winner (if any) has been
+	s := &search{o: o, cfg: cfg, scratch: sc, candBuf: sc.candBuf, propsBuf: sc.propsBuf, schemaBuf: sc.schemaBuf}
+	// Hand the compile side back once the winner (if any) has been
 	// extracted; the Result only references rule-owned payloads, never slab
 	// memory.
 	defer s.release()
 	m := se.explored(s)
-	for len(sc.perGroup) < len(m.Groups) {
-		sc.perGroup = append(sc.perGroup, groupSearch{})
+	s.filed = sc.filed[m]
+	if s.filed == nil {
+		s.filed = sc.heads.take(len(m.Groups), headChunkLen)
+		sc.filed[m] = s.filed
 	}
-	s.groups = sc.perGroup[:len(m.Groups)]
-	w := s.optimizeGroup(m.Root, plan.Distribution{Kind: plan.DistAny})
+	if cap(sc.cur) < len(m.Groups) {
+		sc.cur = make([]*groupSearch, len(m.Groups))
+	}
+	s.cur = sc.cur[:len(m.Groups)]
+	// The physical phase reads exactly the root state's foot, whether this
+	// compile enumerated it or found it filed.
+	w, root := s.optimizeGroup(m.Root, plan.Distribution{Kind: plan.DistAny})
+	s.footprint = s.footprint.Or(root.foot)
 	o.om.groups.Observe(float64(len(m.Groups)))
 	o.om.exprs.Observe(float64(m.TotalExprs()))
 	if w == nil {
@@ -260,12 +275,20 @@ type search struct {
 	// explore/optimizeGroup and so produce identical plans.
 	footprint bitvec.Vector
 
-	// groups is the per-group search state, one slot per memo group; it,
-	// propsBuf and schemaBuf — reusable scratch for DerivePropsFrom inputs,
-	// never retained by the estimator — are on loan from the arena.
-	groups    []groupSearch
+	// filed heads the session's states of each group of m, by GroupID; cur
+	// is the state each group resolved to in this compile. cur, the
+	// candidate stack candBuf, and propsBuf and schemaBuf — reusable scratch
+	// for DerivePropsFrom inputs, never retained by the estimator — are on
+	// loan from the arena.
+	filed     []*groupSearch
+	cur       []*groupSearch
+	candBuf   []*pexpr
 	propsBuf  []cost.Props
 	schemaBuf [][]plan.Column
+
+	// firings counts the rule applications of this compile per category;
+	// release adds them to the shared counters once.
+	firings [len(categoryNames)]uint64
 }
 
 // explore runs transformation rules to a bounded fixpoint. Each
@@ -284,7 +307,7 @@ func (s *search) explore() {
 				e := g.Exprs[ei]
 				for _, r := range s.o.Rules.transformsFor(e.Node.Op) {
 					ri := r.Info()
-					if !s.ruleEnabled(ri) {
+					if !s.ruleEnabled(ri, &s.footprint) {
 						continue
 					}
 					if e.firedRule(ri.ID) {
@@ -294,7 +317,7 @@ func (s *search) explore() {
 					if results == nil {
 						continue // did not match; may match later passes
 					}
-					s.o.om.firings[ri.Category].Inc()
+					s.firings[ri.Category]++
 					e.markFired(ri.ID)
 					for _, rn := range results {
 						if s.m.Intern(rn, g, e, ri.ID) {
@@ -314,14 +337,15 @@ func (s *search) explore() {
 }
 
 // ruleEnabled reports whether a rule may fire under the search's
-// configuration, recording every configuration-bit read in the decision
-// footprint. Required rules ignore the configuration and leave no
+// configuration, recording every configuration-bit read in foot: the
+// search's footprint during exploration, the enumerating group state's in
+// the physical phase. Required rules ignore the configuration and leave no
 // footprint: they behave identically under every configuration, so they
 // cannot distinguish equivalence classes.
-func (s *search) ruleEnabled(ri RuleInfo) bool {
+func (s *search) ruleEnabled(ri RuleInfo, foot *bitvec.Vector) bool {
 	if ri.Category == Required {
 		return true
 	}
-	s.footprint.Set(ri.ID)
+	foot.Set(ri.ID)
 	return s.cfg.Get(ri.ID)
 }

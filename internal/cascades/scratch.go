@@ -21,6 +21,9 @@ const (
 	exprsSeedCap   = 4
 	nodeChunkLen   = 64
 	implChunkLen   = 128
+	stateChunkLen  = 64
+	winnerChunkLen = 64
+	headChunkLen   = 256
 )
 
 // slab is a chunked bump allocator: elements are carved front to back from
@@ -84,20 +87,25 @@ func (s *slab[T]) reset() {
 
 // searchScratch is the recyclable allocation arena of one Session: every slab
 // the memos and the physical searches carve from, plus the interning maps,
-// the per-group search state and the property scratch buffers. Compilation
+// the filed group states and the per-compile scratch buffers. Compilation
 // allocates the same few hundred kilobytes of short-lived memory for every
 // candidate configuration; recycling the arena turns that from GC churn into
 // a handful of memclears and map clears.
 //
 // The arena has three lifetimes (DESIGN.md, "Two phases, two key sets"):
 //
-//   - the physical side — candidates and their statistics — lives for one
-//     compile and is recycled by search.release;
+//   - the compile side — which state each group resolved to, the property
+//     and candidate stacks — lives for one compile and is handed back by
+//     search.release;
 //   - the build side is what a memo needs only while it is interned and
 //     explored; Memo.freeze hands it back for the session's next memo;
-//   - the memo side — expressions, groups and their statistics, child
-//     slices, payload copies, cached implementation alternatives — is carved
-//     by every memo of the session and stays put until Session.Close.
+//   - everything else lives until Session.Close: the memo side —
+//     expressions, groups and their statistics, child slices, payload
+//     copies, cached implementation alternatives — carved by every memo of
+//     the session, and the physical side — the filed group states with
+//     their candidates, winners and statistics — carved by every compile,
+//     since a later compile reuses any state its configuration cannot tell
+//     apart.
 //
 // Safety rests on an ownership argument, not on luck: extract materializes
 // the winning plan into fresh plan.PhysNodes whose payload slices belong to
@@ -106,12 +114,21 @@ func (s *slab[T]) reset() {
 // in a Result, so once the session is closed the arena can be zeroed and
 // handed to the next one.
 type searchScratch struct {
-	// Physical side.
+	// Physical side. filed heads each memo's state lists, by GroupID, in
+	// slices carved from heads; epoch is the last visit stamp (extract.go).
 	pexprs    slab[pexpr]
-	children  slab[*pexpr]
+	children  slab[*pexpr]    // candidate children and group candidate lists
 	enforcers slab[plan.Node] // enforcer payload placeholders
-	perGroup  []groupSearch   // indexed by GroupID; buffers kept across compiles
-	physStats cost.Arena      // pexpr.props column statistics
+	states    slab[groupSearch]
+	winners   slab[groupWinner]
+	heads     slab[*groupSearch]
+	filed     map[*Memo][]*groupSearch
+	physStats cost.Arena // pexpr.props column statistics
+	epoch     uint32
+
+	// Compile side.
+	cur       []*groupSearch // indexed by GroupID
+	candBuf   []*pexpr
 	propsBuf  []cost.Props
 	schemaBuf [][]plan.Column
 
@@ -144,6 +161,7 @@ func newSearchScratch() *searchScratch {
 		buckets: make(map[uint64]*MExpr, 64),
 		byNode:  make(map[*plan.Node]*Group),
 		memos:   make(map[bitvec.Key]*Memo),
+		filed:   make(map[*Memo][]*groupSearch),
 	}
 }
 
@@ -164,21 +182,19 @@ func recycled[T any](buf []T) []T {
 	return buf[:0]
 }
 
-// release recycles the physical side once the winner (if any) has been
-// extracted. The buffers may have grown (or been reallocated) during the
-// search; the arena takes them back.
+// release ends a compile: its rule firings go to the shared counters in one
+// add per category, and the arena takes back the compile side, whose buffers
+// may have grown (or been reallocated) during the search. The group states
+// stay filed for the session's later compiles.
 func (s *search) release() {
-	sc := s.scratch
-	sc.pexprs.reset()
-	sc.children.reset()
-	sc.enforcers.reset()
-	sc.physStats.Reset()
-	for i := range s.groups {
-		gs := &s.groups[i]
-		clear(gs.winners)
-		clear(gs.candidates)
-		*gs = groupSearch{winners: gs.winners[:0], candidates: gs.candidates[:0]}
+	for c, n := range s.firings {
+		if n != 0 {
+			s.o.om.firings[c].Add(n)
+		}
 	}
+	sc := s.scratch
+	clear(s.cur)
+	sc.candBuf = recycled(s.candBuf)
 	sc.propsBuf = recycled(s.propsBuf)
 	sc.schemaBuf = recycled(s.schemaBuf)
 }
@@ -201,10 +217,19 @@ func (m *Memo) freeze() {
 	sc.memoSchema, m.schemaBuf = recycled(m.schemaBuf), nil
 }
 
-// retire recycles the memo side, leaving the arena as empty as a new one for
-// the next session. Must run only after every compile of the session has
-// extracted its plan.
+// retire recycles the physical and memo sides, leaving the arena as empty as
+// a new one for the next session. Must run only after every compile of the
+// session has extracted its plan.
 func (sc *searchScratch) retire() {
+	sc.pexprs.reset()
+	sc.children.reset()
+	sc.enforcers.reset()
+	sc.states.reset()
+	sc.winners.reset()
+	sc.heads.reset()
+	clear(sc.filed)
+	sc.physStats.Reset()
+	sc.epoch = 0
 	sc.mexprs.reset()
 	sc.groups.reset()
 	sc.gslices.reset()

@@ -266,6 +266,76 @@ func TestFrozenMeansFrozen(t *testing.T) {
 	}
 }
 
+// TestGroupStateReuse: after a compile under the default configuration, a
+// compile of the same session with one implementation rule flipped
+// re-enumerates exactly the groups that read the rule's bit and every group
+// above them, and reuses every other group's filed state — the scan under
+// the filter when the filter rule (read by the lowest group that reads any
+// bit) flips, the filter and the scan when the aggregation rule flips —
+// while returning what a fresh Optimize does.
+func TestGroupStateReuse(t *testing.T) {
+	o := toyOptimizer(t)
+	root := toyPlans()[1] // an aggregation over a filtered scan
+	base := o.Rules.DefaultConfig()
+	for _, flip := range []int{toyFilter, toyHashAgg} {
+		sc := newSearchScratch()
+		sess := sessionOn(o, sc, root)
+		cfg := base
+		cfg.Clear(flip)
+		for _, c := range []bitvec.Vector{base, cfg} {
+			got, gerr := sess.Optimize(c, true)
+			want, werr := o.Optimize(root, c)
+			if err := sameResult(got, gerr, want, werr); err != nil || gerr != nil {
+				t.Fatalf("rule %d: session diverges from one-shot (%v) or has no plan (%v)", flip, err, gerr)
+			}
+		}
+		m := sc.memos[base.And(o.Rules.transformMask).Key()]
+		// The groups that must re-enumerate: those with an expression the
+		// flipped rule implements, then, to a fixpoint, every group with an
+		// expression over one of them.
+		stale := map[*Group]bool{}
+		for _, g := range m.Groups {
+			for _, e := range g.Exprs {
+				for _, r := range o.Rules.implementsFor(e.Node.Op) {
+					stale[g] = stale[g] || r.Info().ID == flip
+				}
+			}
+		}
+		for grew := true; grew; {
+			grew = false
+			for _, g := range m.Groups {
+				for _, e := range g.Exprs {
+					for _, c := range e.Children {
+						if stale[c] && !stale[g] {
+							stale[g], grew = true, true
+						}
+					}
+				}
+			}
+		}
+		reused := 0
+		for _, g := range m.Groups {
+			n := 0
+			for gs := sc.filed[m][g.ID]; gs != nil; gs = gs.next {
+				n++
+			}
+			want := 1
+			if stale[g] {
+				want = 2
+			} else {
+				reused++
+			}
+			if n != want {
+				t.Errorf("rule %d: group %d (%v) has %d filed states, want %d", flip, g.ID, g.Exprs[0].Node.Op, n, want)
+			}
+		}
+		if reused == 0 || !stale[m.Root] {
+			t.Fatalf("rule %d: %d groups reused, root stale %v; the test is vacuous", flip, reused, stale[m.Root])
+		}
+		sc.retire()
+	}
+}
+
 func fill[T any](s *slab[T], v T) {
 	for _, c := range s.chunks {
 		for i := range c {
@@ -283,8 +353,10 @@ func poison(sc *searchScratch, clean bool) {
 	je := &MExpr{Node: junk, Group: jg, RuleID: 255}
 	jp := &pexpr{op: plan.PhysMultiImpl, node: junk, lexpr: je, ruleID: 255, dop: -1, total: math.NaN()}
 	ja := &implAlt{protos: []*PhysProto{{Op: plan.PhysMultiImpl, Node: junk}}, done: true}
+	jw := &groupWinner{w: jp}
+	js := &groupSearch{foot: bitvec.AllSet(bitvec.Width), winners: jw, candidates: []*pexpr{jp}, enumerated: true}
 	if clean {
-		junk, jg, je, jp, ja = &plan.Node{}, &Group{}, &MExpr{}, &pexpr{}, &implAlt{}
+		junk, jg, je, jp, ja, jw, js = &plan.Node{}, &Group{}, &MExpr{}, &pexpr{}, &implAlt{}, &groupWinner{}, &groupSearch{}
 	}
 	fill(&sc.pexprs, *jp)
 	fill(&sc.enforcers, *junk)
@@ -292,12 +364,15 @@ func poison(sc *searchScratch, clean bool) {
 	fill(&sc.groups, *jg)
 	fill(&sc.nodes, *junk)
 	fill(&sc.impls, *ja)
+	fill(&sc.winners, *jw)
+	fill(&sc.states, *js)
 	if clean {
-		jg, je, jp = nil, nil, nil
+		jg, je, jp, js = nil, nil, nil, nil
 	}
 	fill(&sc.children, jp)
 	fill(&sc.gslices, jg)
 	fill(&sc.exprs, je)
+	fill(&sc.heads, js)
 }
 
 // TestCloseRetiresEverything: nothing a closed session produced or held
@@ -325,7 +400,7 @@ func TestCloseRetiresEverything(t *testing.T) {
 				}
 			}
 			sc.retire()
-			if len(sc.memos)+len(sc.buckets)+len(sc.byNode) != 0 {
+			if len(sc.memos)+len(sc.filed)+len(sc.buckets)+len(sc.byNode) != 0 {
 				t.Fatalf("plan %d: a closed session left map entries behind", pi)
 			}
 			poison(sc, false)

@@ -42,15 +42,17 @@ func flatten(t *testing.T, res *cascades.Result, err error) oneShot {
 
 // sweep is one job's span probes followed by its candidate configurations —
 // the compiles one pipeline analysis sends through one session — with the
-// fresh one-shot outcome of each.
+// fresh one-shot outcome of each and the implementation-rule firings those
+// one-shot compiles took together.
 type sweep struct {
-	span   bitvec.Vector
-	probes int
-	cfgs   []bitvec.Vector
-	want   []oneShot // with plan
+	span     bitvec.Vector
+	probes   int
+	cfgs     []bitvec.Vector
+	want     []oneShot // with plan
+	implFire uint64
 }
 
-func newSweep(t *testing.T, opt *cascades.Optimizer, job *workload.Job, m int) sweep {
+func newSweep(t *testing.T, opt *cascades.Optimizer, impl *obs.Counter, job *workload.Job, m int) sweep {
 	t.Helper()
 	var sw sweep
 	span, err := steering.JobSpanFunc(opt.Rules, func(cfg bitvec.Vector) (bitvec.Vector, error) {
@@ -66,10 +68,12 @@ func newSweep(t *testing.T, opt *cascades.Optimizer, job *workload.Job, m int) s
 	}
 	sw.span, sw.probes = span, len(sw.cfgs)
 	sw.cfgs = append(sw.cfgs, steering.CandidateConfigs(span, opt.Rules, m, xrand.New(5).Derive("sweep", job.ID))...)
+	impl0 := impl.Value()
 	for _, cfg := range sw.cfgs {
 		res, err := opt.Optimize(job.Root, cfg)
 		sw.want = append(sw.want, flatten(t, res, err))
 	}
+	sw.implFire = impl.Value() - impl0
 	return sw
 }
 
@@ -108,17 +112,21 @@ func transformMask(rs *cascades.RuleSet) bitvec.Vector {
 // fresh Optimize's — error class, cost by IEEE bits, signature, footprint,
 // memo size, and plan text when asked for. The sweep must explore exactly one
 // memo per transform-bit class of its configurations, which is at most
-// 2^(transform rules in the span) beyond its span probes. (The frozen-memo
-// census, arena retirement and buffer growth on a fresh arena need package
+// 2^(transform rules in the span) beyond its span probes, and must reuse group
+// states: its implementation-rule firings stay strictly below what the same
+// compiles fire one-shot. (The frozen-memo census, group-state reuse on a
+// known plan, arena retirement and buffer growth on a fresh arena need package
 // internals: session_internal_test.go.)
 func TestSessionMatchesOneShot(t *testing.T) {
 	opt, reg, jobs := sessionJobs(t)
 	mask := transformMask(opt.Rules)
 	fresh := reg.Counter("steerq_cascades_explorations_total", "outcome", "fresh")
 	shared := reg.Counter("steerq_cascades_explorations_total", "outcome", "shared")
+	impl := reg.Counter("steerq_cascades_rule_firings_total", "category", cascades.Implementation.String())
 	sharedTotal, multiMemo := uint64(0), 0
+	var implSweeps, implOneShot uint64
 	for ji, job := range jobs {
-		sw := newSweep(t, opt, job, 300)
+		sw := newSweep(t, opt, impl, job, 300)
 		n := len(sw.cfgs)
 		classes := map[bitvec.Key]bool{}
 		for _, cfg := range sw.cfgs {
@@ -138,7 +146,7 @@ func TestSessionMatchesOneShot(t *testing.T) {
 		reversed := slices.Clone(forward)
 		slices.Reverse(reversed)
 		for oi, order := range [][]int{forward, reversed, xrand.New(uint64(ji)).Perm(n)} {
-			fresh0, shared0 := fresh.Value(), shared.Value()
+			fresh0, shared0, impl0 := fresh.Value(), shared.Value(), impl.Value()
 			sess := opt.NewSession(job.Root)
 			for step, i := range order {
 				withPlan := (step+ji)%2 == 0
@@ -158,12 +166,19 @@ func TestSessionMatchesOneShot(t *testing.T) {
 				t.Fatalf("%s order %d: %d fresh + %d shared explorations for %d compiles in %d transform-bit classes",
 					job.ID, oi, explored, reused, n, len(classes))
 			}
+			if fired := impl.Value() - impl0; fired >= sw.implFire {
+				t.Fatalf("%s order %d: the sweep fired %d implementation rules, its one-shot compiles %d: no group state was reused",
+					job.ID, oi, fired, sw.implFire)
+			}
 			sharedTotal += reused
+			implSweeps += impl.Value() - impl0
+			implOneShot += sw.implFire
 		}
 	}
 	if sharedTotal == 0 || multiMemo == 0 {
 		t.Fatalf("%d shared explorations, %d multi-memo jobs; the oracle is vacuous", sharedTotal, multiMemo)
 	}
+	t.Logf("implementation firings: %d through sessions, %d one-shot", implSweeps, implOneShot)
 }
 
 // TestSessionNoPlanSharesMemo: configurations that fail to compile share

@@ -170,12 +170,18 @@ func NewPipeline(h *abtest.Harness, r *xrand.Source) *Pipeline {
 // candidate generation, recompilation, selection of the cheapest plans and
 // their execution. Cancellation surfaces as the returned error once in-flight
 // compile attempts notice it.
+//
+// Both halves compile through one optimizer session, so a selected trial
+// finds the explored memo and every group state — root included — that its
+// candidate's compile left, and only extracts the plan.
 func (p *Pipeline) AnalyzeCtx(ctx context.Context, job *workload.Job) (*Analysis, error) {
-	a, err := p.RecompileCtx(ctx, job)
+	sess := p.Harness.Opt.NewSession(job.Root)
+	defer sess.Close()
+	a, err := p.recompile(ctx, sess, job)
 	if err != nil {
 		return nil, err
 	}
-	p.ExecuteCtx(ctx, a)
+	p.execute(ctx, sess, a)
 	return a, nil
 }
 
@@ -186,26 +192,27 @@ func (p *Pipeline) Recompile(job *workload.Job) (*Analysis, error) {
 	return p.RecompileCtx(context.Background(), job)
 }
 
-// RecompileCtx is Recompile bounded by a context.
+// RecompileCtx is Recompile bounded by a context, on an optimizer session of
+// its own.
 func (p *Pipeline) RecompileCtx(ctx context.Context, job *workload.Job) (*Analysis, error) {
-	ctx, sp := p.Obs.StartSpan(ctx, "pipeline.recompile", job.ID)
-	a, err := p.recompileSpanned(ctx, job)
-	sp.EndErr(err)
-	if a != nil {
-		mirrorRobustness(p.Obs, a.Robustness)
-	}
-	return a, err
+	sess := p.Harness.Opt.NewSession(job.Root)
+	defer sess.Close()
+	return p.recompile(ctx, sess, job)
 }
 
-func (p *Pipeline) recompileSpanned(ctx context.Context, job *workload.Job) (*Analysis, error) {
+// recompile is the cheap half of an analysis through sess: the default
+// trial, span probes and candidates differ mostly in implementation bits, so
+// they share explored memos and group states.
+func (p *Pipeline) recompile(ctx context.Context, sess *cascades.Session, job *workload.Job) (a *Analysis, err error) {
+	ctx, sp := p.Obs.StartSpan(ctx, "pipeline.recompile", job.ID)
+	defer func() {
+		sp.EndErr(err)
+		if a != nil {
+			mirrorRobustness(p.Obs, a.Robustness)
+		}
+	}()
 	h := p.Harness
-	a := &Analysis{Job: job}
-	// One optimizer session for this half of the analysis: the default
-	// trial, span probes and candidates differ mostly in implementation
-	// bits, so they share explored memos and one pooled arena: one pool
-	// round trip per job.
-	sess := h.Opt.NewSession(job.Root)
-	defer sess.Close()
+	a = &Analysis{Job: job}
 	def := p.trial(ctx, sess, job, h.Opt.Rules.DefaultConfig(), job.ID+"/default", &a.Robustness)
 	if def.Err != nil {
 		return nil, fmt.Errorf("steering: default compile of %s: %w", job.ID, def.Err)
@@ -354,18 +361,26 @@ func (p *Pipeline) Execute(a *Analysis) {
 	p.ExecuteCtx(context.Background(), a)
 }
 
-// ExecuteCtx is Execute bounded by a context. Under fault injection, a
-// selected trial that still fails after the retry budget degrades gracefully:
-// the pipeline falls back to the already-executed default trial (marked
-// FellBack) and counts the fallback in a.Robustness — the steered job runs,
-// just without its steering.
+// ExecuteCtx is Execute bounded by a context, on an optimizer session of its
+// own. Under fault injection, a selected trial that still fails after the
+// retry budget degrades gracefully: the pipeline falls back to the
+// already-executed default trial (marked FellBack) and counts the fallback in
+// a.Robustness — the steered job runs, just without its steering. Executing
+// an analysis again replaces its Selected and Trials.
 func (p *Pipeline) ExecuteCtx(ctx context.Context, a *Analysis) {
+	sess := p.Harness.Opt.NewSession(a.Job.Root)
+	defer sess.Close()
+	p.execute(ctx, sess, a)
+}
+
+func (p *Pipeline) execute(ctx context.Context, sess *cascades.Session, a *Analysis) {
 	ctx, sp := p.Obs.StartSpan(ctx, "pipeline.execute", a.Job.ID)
 	before := a.Robustness
 	defer func() {
 		sp.End(obs.OutcomeOK)
 		mirrorRobustness(p.Obs, recordDelta(a.Robustness, before))
 	}()
+	a.Selected, a.Trials = nil, nil
 	cands := append([]Candidate(nil), a.Candidates...)
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].EstCost < cands[j].EstCost })
 	seen := map[bitvec.Key]bool{a.Default.Signature.Key(): true}
@@ -380,15 +395,11 @@ func (p *Pipeline) ExecuteCtx(ctx context.Context, a *Analysis) {
 		seen[k] = true
 		a.Selected = append(a.Selected, c)
 	}
-	h := p.Harness
-	sess := h.Opt.NewSession(a.Job.Root)
-	defer sess.Close()
 	for i, c := range a.Selected {
 		t := p.trial(ctx, sess, a.Job, c.Config, fmt.Sprintf("%s/alt%d", a.Job.ID, i), &a.Robustness)
-		if t.Err != nil && h.Faults.Active() {
+		if t.Err != nil && p.Harness.Faults.Active() {
 			fb := a.Default
-			fb.Attempts = t.Attempts
-			fb.FellBack = true
+			fb.Attempts, fb.FellBack = t.Attempts, true
 			a.Robustness.Fallbacks++
 			t = fb
 		}
@@ -460,18 +471,6 @@ func (a *Analysis) PercentChange(t *abtest.Trial, m Metric) float64 {
 		return 0
 	}
 	return 100 * (m.value(t) - d) / d
-}
-
-// CheaperCandidates reports candidates whose estimated cost undercuts the
-// default by at least frac (e.g. 0.1 = 10% cheaper) — heuristic (1) of §6.1.
-func (a *Analysis) CheaperCandidates(frac float64) []Candidate {
-	var out []Candidate
-	for _, c := range a.Candidates {
-		if c.EstCost < a.Default.EstCost*(1-frac) {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // LowCostHighRuntime reports whether the job sits in Figure 5's top-left

@@ -1,11 +1,13 @@
 package steering_test
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"testing"
 
 	"steerq/internal/faults"
+	"steerq/internal/obs"
 	"steerq/internal/steering"
 )
 
@@ -71,5 +73,75 @@ func TestSessionFaultedBuildMatchesPerCompileBaseline(t *testing.T) {
 		if fold.Sum64() != wantAnalyses || rb != wantRobustness {
 			t.Errorf("workers=%d: analyses %#x robustness %#v, baseline %#x %#v", w, fold.Sum64(), rb, wantAnalyses, wantRobustness)
 		}
+	}
+}
+
+// TestAnalyzeSharesOneSession: AnalyzeCtx — both halves of an analysis
+// through one optimizer session — equals RecompileCtx followed by
+// ExecuteCtx, each on a session of its own, field for field (trials,
+// robustness, footprint), clean and under fault seed 1337; and its trials
+// explore no memo fresh: every one they compile on was explored by the
+// analysis's first half.
+func TestAnalyzeSharesOneSession(t *testing.T) {
+	plan := faults.DefaultPlan(1337)
+	for _, fault := range []*faults.Plan{nil, &plan} {
+		setup := fanoutSetup{workers: 1, fault: fault}
+		split, whole := newFanoutEnv(t, setup), newFanoutEnv(t, setup)
+		explored := func(e *fanoutEnv) *obs.Counter {
+			return e.reg.Counter("steerq_cascades_explorations_total", "outcome", "fresh")
+		}
+		splitReps, wholeReps := split.reps(t), whole.reps(t)
+		trials, injected := 0, false
+		for i := range splitReps {
+			label := fmt.Sprintf("fault %v group %d", fault != nil, i)
+			before := explored(split).Value()
+			want, werr := split.p.RecompileCtx(context.Background(), splitReps[i])
+			recompiled := explored(split).Value() - before
+			if werr == nil {
+				split.p.ExecuteCtx(context.Background(), want)
+			}
+			before = explored(whole).Value()
+			got, gerr := whole.p.AnalyzeCtx(context.Background(), wholeReps[i])
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("%s: AnalyzeCtx err %v, RecompileCtx err %v", label, gerr, werr)
+			}
+			if gerr != nil {
+				continue
+			}
+			requireSameFaultyAnalysis(t, label, want, got)
+			if got.Footprint != want.Footprint {
+				t.Fatalf("%s: footprint %+v, want %+v", label, got.Footprint, want.Footprint)
+			}
+			if n := explored(whole).Value() - before; n != recompiled {
+				t.Fatalf("%s: the analysis explored %d memos, its first half alone %d", label, n, recompiled)
+			}
+			trials += len(got.Trials)
+			injected = injected || !got.Robustness.IsZero()
+		}
+		if trials == 0 || (fault != nil && !injected) {
+			t.Fatalf("fault %v: %d trials, injected %v; the test is vacuous", fault != nil, trials, injected)
+		}
+	}
+}
+
+// TestExecuteIsReentrant: executing an analysis a second time replaces its
+// selection and trials with what the first execution produced, instead of
+// appending trials that no longer line up with Selected.
+func TestExecuteIsReentrant(t *testing.T) {
+	e := newFanoutEnv(t, fanoutSetup{workers: 1})
+	for i, job := range e.reps(t) {
+		label := fmt.Sprintf("group %d", i)
+		once, err := e.p.RecompileCtx(context.Background(), job)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		twice := *once
+		e.p.ExecuteCtx(context.Background(), once)
+		e.p.ExecuteCtx(context.Background(), &twice)
+		e.p.ExecuteCtx(context.Background(), &twice)
+		if len(once.Trials) == 0 || len(once.Trials) != len(once.Selected) {
+			t.Fatalf("%s: %d trials for %d selected", label, len(once.Trials), len(once.Selected))
+		}
+		requireSameFaultyAnalysis(t, label, once, &twice)
 	}
 }
