@@ -1,7 +1,7 @@
 # steerq development targets. `make ci` is the authoritative gate; the
 # other targets are the individual stages for quick local iteration.
 
-.PHONY: all build test race lint lint-fix vet fmt fuzz bench ci
+.PHONY: all build test race lint vet fmt fuzz bench ci
 
 all: build
 
@@ -14,14 +14,9 @@ test:
 race:
 	STEERQ_CHECK_PLANS=1 go test -race ./...
 
-# lint mirrors the CI stage: all ten analyzers, any finding fails. lint-fix
-# applies the machine fixes (detcheck sort insertions, ctxflow context
-# threading) in place.
+# lint mirrors the CI stage: all eight analyzers, any finding fails.
 lint:
 	go run ./cmd/steerq-lint ./...
-
-lint-fix:
-	go run ./cmd/steerq-lint -fix ./...
 
 vet:
 	go vet ./...

@@ -5,7 +5,7 @@
 #   1. go build ./...            everything compiles
 #   2. gofmt -l                  no unformatted files
 #   3. go vet ./...              stdlib vet findings
-#   4. go run ./cmd/steerq-lint  all ten project analyzers (see README); each
+#   4. go run ./cmd/steerq-lint  all eight project analyzers (see README); each
 #                                finding prints to the log as
 #                                file:line:col: analyzer: message and any
 #                                finding fails the stage

@@ -1,14 +1,13 @@
 // Command steerq-lint type-checks the module in the working directory and
 // runs every steerq static analyzer over it (see internal/analysis):
-// rulecheck, exhaustiveswitch, randcheck, panicfree, errwrap, detcheck,
-// lockcheck, obslabels, ctxflow and hotalloc.
+// exhaustiveswitch, randcheck, panicfree, errwrap, detcheck, lockcheck,
+// obslabels and ctxflow.
 //
 // Usage:
 //
-//	steerq-lint [-list] [-fix] [packages]
+//	steerq-lint [-list] [packages]
 //
 //	-list   list the analyzers and exit
-//	-fix    apply suggested fixes to the source tree
 //
 // Each finding prints as file:line:col: analyzer: message. The package
 // arguments are accepted for go vet style invocations ("steerq-lint ./...")
@@ -35,7 +34,6 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("steerq-lint", flag.ContinueOnError)
 	flags.SetOutput(stderr)
 	list := flags.Bool("list", false, "list the analyzers and exit")
-	fix := flags.Bool("fix", false, "apply suggested fixes to the source tree")
 	if err := flags.Parse(args); err != nil {
 		return 2
 	}
@@ -64,13 +62,6 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	diags := analysis.Run(units, analyzers)
-	if *fix {
-		n, err := analysis.ApplyFixes(diags)
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "steerq-lint: applied %d fix(es); re-run to verify\n", n)
-	}
 	if err := analysis.WriteText(stdout, diags); err != nil {
 		return fail(err)
 	}

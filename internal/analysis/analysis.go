@@ -1,26 +1,24 @@
 // Package analysis is a stdlib-only static-analysis engine (go/ast +
 // go/types, no external dependencies) enforcing steerq's project invariants:
-// the 256-rule catalog census, exhaustive handling of plan enumerations,
-// deterministic randomness, panic-free library code, wrapped errors at
-// package boundaries, and — because the repo's core claim is byte-identical
-// pipeline output at any worker count — determinism itself: no stray
-// wall-clock reads, no map-iteration order escaping into output, paired
-// mutexes, bounded metric labels, threaded contexts and allocation-lean hot
-// paths.
+// exhaustive handling of plan enumerations, deterministic randomness,
+// panic-free library code, wrapped errors at package boundaries, and —
+// because the repo's core claim is byte-identical pipeline output at any
+// worker count — determinism itself: no stray wall-clock reads, no
+// map-iteration order escaping into output, paired mutexes, bounded metric
+// labels and threaded contexts.
 //
 // The engine mirrors the shape of golang.org/x/tools/go/analysis at a much
 // smaller scale: a Loader type-checks the whole module from source, each
 // Analyzer runs a single pass over one type-checked unit, and diagnostics
-// carry exact file:line:column positions plus optional machine-applicable
-// fixes. The driver lives in cmd/steerq-lint: it runs every analyzer, prints
-// each finding with WriteText and fails on any of them. The fix applier lives
-// in this package so it is unit-testable.
+// carry exact file:line:column positions. The driver lives in
+// cmd/steerq-lint: it runs every analyzer, prints each finding with
+// WriteText and fails on any of them.
 //
 // # Suppression pragmas
 //
-// See pragma.go for the full vocabulary (steerq:allow-panic,
-// steerq:allow-wallclock, steerq:hotpath). Line pragmas cover the comment's
-// line and the line directly below and should carry a justification.
+// See pragma.go for the vocabulary (steerq:allow-panic,
+// steerq:allow-wallclock). A pragma covers the comment's line and the line
+// directly below and should carry a justification.
 package analysis
 
 import (
@@ -33,13 +31,11 @@ import (
 	"strings"
 )
 
-// Diagnostic is one finding, positioned at a concrete file location. A
-// diagnostic may carry suggested fixes that -fix can apply mechanically.
+// Diagnostic is one finding, positioned at a concrete file location.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	Fixes    []Fix
 }
 
 func (d Diagnostic) String() string {
@@ -83,33 +79,11 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportFix(pos, nil, format, args...)
-}
-
-// ReportFix records a diagnostic at pos carrying an optional suggested fix.
-func (p *Pass) ReportFix(pos token.Pos, fix *Fix, format string, args ...any) {
-	d := Diagnostic{
+	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-	}
-	if fix != nil && len(fix.Edits) > 0 {
-		d.Fixes = []Fix{*fix}
-	}
-	*p.diags = append(*p.diags, d)
-}
-
-// Edit converts a token.Pos range plus replacement text into a byte-offset
-// Edit against the position's file.
-func (p *Pass) Edit(pos, end token.Pos, newText string) Edit {
-	from := p.Fset.Position(pos)
-	to := p.Fset.Position(end)
-	return Edit{
-		Filename: from.Filename,
-		Start:    from.Offset,
-		End:      to.Offset,
-		NewText:  newText,
-	}
+	})
 }
 
 // LibraryPackage reports whether the pass's package is library code: inside
@@ -122,7 +96,6 @@ func (p *Pass) LibraryPackage() bool {
 // Analyzers returns every registered analyzer in a stable order.
 func Analyzers() []*Analyzer {
 	all := []*Analyzer{
-		RuleCheck,
 		ExhaustiveSwitch,
 		RandCheck,
 		PanicFree,
@@ -131,7 +104,6 @@ func Analyzers() []*Analyzer {
 		LockCheck,
 		ObsLabels,
 		CtxFlow,
-		HotAlloc,
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Name < all[j].Name })
 	return all

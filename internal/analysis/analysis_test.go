@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"go/token"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -91,10 +90,6 @@ func TestErrWrapFixture(t *testing.T) {
 	fixtureTest(t, ErrWrap, "steerq/internal/fixture/errbad", "errbad")
 }
 
-func TestRuleCheckFixture(t *testing.T) {
-	fixtureTest(t, RuleCheck, "steerq/internal/fixture/rulesbad", "rulesbad")
-}
-
 func TestDetCheckFixture(t *testing.T) {
 	fixtureTest(t, DetCheck, "steerq/internal/fixture/detbad", "detbad")
 }
@@ -109,14 +104,6 @@ func TestObsLabelsFixture(t *testing.T) {
 
 func TestCtxFlowFixture(t *testing.T) {
 	fixtureTest(t, CtxFlow, "steerq/internal/fixture/ctxbad", "ctxbad")
-}
-
-func TestHotAllocFixture(t *testing.T) {
-	fixtureTest(t, HotAlloc, "steerq/internal/fixture/hotbad", "hotbad")
-}
-
-func TestHotAllocNotOptedIn(t *testing.T) {
-	fixtureTest(t, HotAlloc, "steerq/internal/fixture/hotclean", "hotclean")
 }
 
 // TestRepoIsClean runs every analyzer over the whole module and expects zero
@@ -138,31 +125,5 @@ func TestRepoIsClean(t *testing.T) {
 	}
 	for _, d := range Run(units, Analyzers()) {
 		t.Errorf("finding: %s", d)
-	}
-}
-
-// TestAllowedLines pins the pragma window: the pragma line and the one below.
-func TestAllowedLines(t *testing.T) {
-	loader, err := NewLoader(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	files, err := filepath.Glob(filepath.Join("testdata", "src", "panicbad", "*.go"))
-	if err != nil || len(files) == 0 {
-		t.Fatalf("fixture files: %v", err)
-	}
-	unit, err := loader.CheckFiles("steerq/internal/fixture/panicbad2", files, false)
-	if err != nil {
-		t.Fatalf("CheckFiles: %v", err)
-	}
-	var fset *token.FileSet = unit.Fset
-	lines := pragmaLines(fset, unit.Files[0], AllowPanicPragma)
-	if len(lines) == 0 {
-		t.Fatal("no allowed lines found in fixture with two pragmas")
-	}
-	for line := range lines {
-		if line <= 0 {
-			t.Errorf("nonsensical allowed line %d", line)
-		}
 	}
 }

@@ -14,8 +14,7 @@ import (
 //   - a function that already has a context in scope never manufactures a
 //     fresh root with context.Background() or context.TODO(); the in-scope
 //     context is threaded instead (this is the bug that silently detaches a
-//     subtree from pipeline cancellation). These findings carry a fix that
-//     substitutes the in-scope identifier;
+//     subtree from pipeline cancellation);
 //   - no struct stores a context.Context field — contexts flow through call
 //     chains, never through state (the contextcheck rule from the stdlib's
 //     own documentation).
@@ -79,11 +78,7 @@ func checkCtxPropagation(pass *Pass, body *ast.BlockStmt, ctxName string) {
 			}
 			for _, arg := range e.Args {
 				if isCtxRoot(pass, arg) {
-					fix := &Fix{
-						Message: "thread the in-scope context " + ctxName,
-						Edits:   []Edit{pass.Edit(arg.Pos(), arg.End(), ctxName)},
-					}
-					pass.ReportFix(arg.Pos(), fix,
+					pass.Reportf(arg.Pos(),
 						"context root minted with a context parameter %s in scope; propagate %s instead of detaching from cancellation",
 						ctxName, ctxName)
 				}

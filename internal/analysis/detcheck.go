@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strconv"
 )
 
 // DetCheck enforces the repo's determinism contract at compile time: the
@@ -24,10 +23,8 @@ import (
 // values escape into an outer slice (via append), an outer string (via
 // concatenation), a metric label (an obs.Registry instrument call) or a
 // return value. Slice escapes are suppressed when a sort call follows the
-// loop in the same function — the canonical collect-then-sort idiom — and
-// carry a suggested fix inserting sort.Strings/sort.Ints after the loop when
-// the element type allows it. String, label and return escapes have no
-// sorting repair and are always flagged.
+// loop in the same function — the canonical collect-then-sort idiom. String,
+// label and return escapes have no sorting repair and are always flagged.
 var DetCheck = &Analyzer{
 	Name:      "detcheck",
 	Doc:       "no wall-clock reads and no map-iteration order escaping into output, outside approved seams",
@@ -54,7 +51,7 @@ func runDetCheck(pass *Pass) {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if ok && fd.Body != nil {
-				checkMapRanges(pass, f, fd.Body)
+				checkMapRanges(pass, fd.Body)
 			}
 		}
 	}
@@ -90,17 +87,11 @@ func checkWallClock(pass *Pass, f *ast.File, allowed map[int]bool) {
 type mapEscape struct {
 	pos  token.Pos
 	kind string // "slice", "string", "label", "return"
-	// dest is the append destination object for slice escapes (nil when the
-	// destination is not a plain identifier, e.g. a struct field).
-	dest types.Object
-	// destName/destElem drive the suggested sort-insertion fix.
-	destName string
-	destElem types.Type
 }
 
 // checkMapRanges walks one function body looking for map-range statements
 // whose loop variables escape, applying the collect-then-sort suppression.
-func checkMapRanges(pass *Pass, f *ast.File, body *ast.BlockStmt) {
+func checkMapRanges(pass *Pass, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)
 		if !ok {
@@ -126,11 +117,7 @@ func checkMapRanges(pass *Pass, f *ast.File, body *ast.BlockStmt) {
 			if esc.kind == "slice" && sorted {
 				continue // collect-then-sort idiom: order is re-established
 			}
-			var fix *Fix
-			if esc.kind == "slice" {
-				fix = sortInsertionFix(pass, f, rs, esc)
-			}
-			pass.ReportFix(esc.pos, fix,
+			pass.Reportf(esc.pos,
 				"map iteration order escapes into a %s without an intervening sort; iterate sorted keys or sort the result",
 				esc.kind)
 		}
@@ -190,14 +177,13 @@ func findEscapes(pass *Pass, rs *ast.RangeStmt, vars map[types.Object]bool) []ma
 				}
 			}
 		case *ast.CallExpr:
-			if name, ok := obsInstrumentCall(pass, st); ok {
+			if _, ok := obsInstrumentCall(pass, st); ok {
 				for _, arg := range st.Args {
 					if usesAny(pass, arg, vars) {
 						escapes = append(escapes, mapEscape{pos: st.Pos(), kind: "label"})
 						break
 					}
 				}
-				_ = name
 			}
 		}
 		return true
@@ -239,17 +225,7 @@ func assignEscapes(pass *Pass, rs *ast.RangeStmt, st *ast.AssignStmt, vars map[t
 		if !escaping || !declaredOutside(pass, lhs, rs) {
 			continue
 		}
-		esc := mapEscape{pos: st.Pos(), kind: "slice"}
-		if id, ok := lhs.(*ast.Ident); ok {
-			esc.dest = pass.Info.ObjectOf(id)
-			esc.destName = id.Name
-			if t := pass.Info.Types[lhs].Type; t != nil {
-				if sl, ok := t.Underlying().(*types.Slice); ok {
-					esc.destElem = sl.Elem()
-				}
-			}
-		}
-		escapes = append(escapes, esc)
+		escapes = append(escapes, mapEscape{pos: st.Pos(), kind: "slice"})
 	}
 	return escapes
 }
@@ -284,66 +260,6 @@ func sortFollows(pass *Pass, body *ast.BlockStmt, pos token.Pos) bool {
 		return !found
 	})
 	return found
-}
-
-// sortInsertionFix builds the suggested repair for a slice escape: insert
-// sort.Strings/sort.Ints on the destination directly after the loop, adding
-// the "sort" import when the file has a parenthesized import block to put it
-// in. Returns nil when the element type has no one-call sort.
-func sortInsertionFix(pass *Pass, f *ast.File, rs *ast.RangeStmt, esc mapEscape) *Fix {
-	if esc.destName == "" || esc.destElem == nil {
-		return nil
-	}
-	basic, ok := esc.destElem.Underlying().(*types.Basic)
-	if !ok {
-		return nil
-	}
-	var call string
-	switch basic.Kind() {
-	case types.String:
-		call = "sort.Strings"
-	case types.Int:
-		call = "sort.Ints"
-	default:
-		return nil
-	}
-	fix := &Fix{
-		Message: "insert " + call + "(" + esc.destName + ") after the loop",
-		Edits:   []Edit{pass.Edit(rs.End(), rs.End(), "\n"+call+"("+esc.destName+")")},
-	}
-	if imp := importInsertionEdit(pass, f, "sort"); imp != nil {
-		fix.Edits = append(fix.Edits, *imp)
-	} else if !importsPackage(f, "sort") {
-		return nil // nowhere safe to add the import; report without a fix
-	}
-	return fix
-}
-
-// importsPackage reports whether f already imports the given path.
-func importsPackage(f *ast.File, path string) bool {
-	for _, imp := range f.Imports {
-		if p, err := strconv.Unquote(imp.Path.Value); err == nil && p == path {
-			return true
-		}
-	}
-	return false
-}
-
-// importInsertionEdit returns an edit adding path to f's first parenthesized
-// import block, or nil when the import already exists or there is no block.
-func importInsertionEdit(pass *Pass, f *ast.File, path string) *Edit {
-	if importsPackage(f, path) {
-		return nil
-	}
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT || !gd.Lparen.IsValid() {
-			continue
-		}
-		e := pass.Edit(gd.Lparen+1, gd.Lparen+1, "\n\t"+strconv.Quote(path))
-		return &e
-	}
-	return nil
 }
 
 // usesAny reports whether the expression references any of the given objects.

@@ -16,16 +16,16 @@ import (
 //     faults on RWMutex;
 //   - a return statement between an inline Lock and its inline Unlock — the
 //     classic leaked-lock bug that defer exists to prevent (scopes that defer
-//     the unlock are exempt);
-//   - mutex-containing values (structs holding a mutex at any depth) passed
-//     by value as a parameter or receiver, which copies the lock state.
+//     the unlock are exempt).
+//
+// Mutexes copied by value are go vet's copylocks check, which ci.sh runs.
 //
 // The scope-local pairing is intentionally conservative: lock helpers that
 // acquire in one function and release in another are rare enough here that
 // they are restructured into one scope rather than complicating the analysis.
 var LockCheck = &Analyzer{
 	Name: "lockcheck",
-	Doc:  "mutexes unlock on every return path, RLock pairs with RUnlock, and no mutex is passed by value",
+	Doc:  "mutexes unlock on every return path and RLock pairs with RUnlock",
 	Run:  runLockCheck,
 }
 
@@ -42,7 +42,6 @@ func runLockCheck(pass *Pass) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
-				checkMutexByValue(pass, fn)
 				if fn.Body != nil {
 					checkLockScope(pass, fn.Body)
 				}
@@ -187,52 +186,4 @@ func mutexOp(pass *Pass, call *ast.CallExpr) (lockOp, bool) {
 		return lockOp{}, false
 	}
 	return lockOp{key: types.ExprString(sel.X), name: name, pos: call.Pos()}, true
-}
-
-// checkMutexByValue flags parameters and receivers whose type contains a
-// mutex without pointer indirection: the copy duplicates lock state, so
-// locking the copy synchronizes nothing.
-func checkMutexByValue(pass *Pass, fn *ast.FuncDecl) {
-	check := func(fields *ast.FieldList, what string) {
-		if fields == nil {
-			return
-		}
-		for _, field := range fields.List {
-			t := pass.Info.Types[field.Type].Type
-			if t == nil {
-				continue
-			}
-			if containsMutex(t, make(map[types.Type]bool)) {
-				pass.Reportf(field.Pos(), "%s passes a %s by value, copying its mutex; use a pointer", fn.Name.Name, what)
-			}
-		}
-	}
-	check(fn.Recv, "receiver")
-	check(fn.Type.Params, "parameter")
-}
-
-// containsMutex reports whether t holds a sync.Mutex or sync.RWMutex without
-// pointer indirection, at any struct-field depth.
-func containsMutex(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" && (obj.Name() == "Mutex" || obj.Name() == "RWMutex") {
-			return true
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsMutex(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsMutex(u.Elem(), seen)
-	}
-	return false
 }

@@ -6,23 +6,15 @@ import (
 	"strings"
 )
 
-// The pragma vocabulary. Every suppression or opt-in comment the analyzers
-// honor is declared here and parsed by the two helpers below, so the pragma
-// grammar cannot drift between analyzers.
+// The pragma vocabulary. Every suppression comment the analyzers honor is
+// declared here and parsed by the helpers below, so the pragma grammar cannot
+// drift between analyzers.
 //
-// Line pragmas (AllowPanicPragma, AllowWallclockPragma) exempt the statement
-// on the same line or the line directly below the comment and should carry a
-// justification after the token:
+// A pragma exempts the statement on the same line or the line directly below
+// the comment and should carry a justification after the token:
 //
 //	// steerq:allow-panic — mirrors slice indexing semantics.
 //	panic(fmt.Sprintf("bitvec: bit %d out of range", i))
-//
-// File pragmas (HotPathPragma) opt a whole file — and through it, its package
-// — into an analyzer. They conventionally sit in the package or file doc
-// comment:
-//
-//	// Package cascades ... (steerq:hotpath — guarded by the hotalloc
-//	// analyzer against allocation regressions.)
 const (
 	// AllowPanicPragma exempts the next (or same) line from the panicfree
 	// analyzer.
@@ -30,11 +22,9 @@ const (
 	// AllowWallclockPragma exempts the next (or same) line from detcheck's
 	// wall-clock rule. Reserved for approved seams such as obs.WallClock.
 	AllowWallclockPragma = "steerq:allow-wallclock"
-	// HotPathPragma opts a file's package into the hotalloc analyzer.
-	HotPathPragma = "steerq:hotpath"
 )
 
-// pragmaLines returns the set of file lines covered by the given line pragma:
+// pragmaLines returns the set of file lines covered by the given pragma:
 // the pragma's own line and the line below it, so the comment may sit on the
 // flagged line or directly above it.
 func pragmaLines(fset *token.FileSet, f *ast.File, pragma string) map[int]bool {
@@ -50,20 +40,6 @@ func pragmaLines(fset *token.FileSet, f *ast.File, pragma string) map[int]bool {
 		}
 	}
 	return lines
-}
-
-// hasFilePragma reports whether any comment in f carries the given file
-// pragma token. Used for package-scoped opt-ins: a package is opted in when
-// any of its files carries the pragma.
-func hasFilePragma(f *ast.File, pragma string) bool {
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if isPragmaComment(c.Text, pragma) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // isPragmaComment reports whether a comment is a pragma directive: the token

@@ -51,29 +51,3 @@ func f() {
 		t.Errorf("line 6 must not be covered, got %v", lines)
 	}
 }
-
-func TestHasFilePragma(t *testing.T) {
-	const withPragma = `// Package p is hot.
-//
-// steerq:hotpath — opted in.
-package p
-`
-	const mentionOnly = `// Package p documents the steerq:hotpath pragma without carrying it.
-package p
-`
-	fset := token.NewFileSet()
-	fp, err := parser.ParseFile(fset, "a.go", withPragma, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fm, err := parser.ParseFile(fset, "b.go", mentionOnly, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hasFilePragma(fp, HotPathPragma) {
-		t.Error("leading-token pragma comment not detected")
-	}
-	if hasFilePragma(fm, HotPathPragma) {
-		t.Error("mid-sentence mention must not count as a file pragma")
-	}
-}

@@ -70,28 +70,3 @@ func (s *Store) ClosureScope() func() {
 		s.mu.Lock() // want "s.mu.Lock() is never unlocked"
 	}
 }
-
-// ByValue copies the store, and with it the mutex state.
-func ByValue(s Store) int { // want "ByValue passes a parameter by value"
-	return len(s.m)
-}
-
-// Snapshot has a value receiver carrying the mutex.
-func (s Store) Snapshot() int { // want "Snapshot passes a receiver by value"
-	return len(s.m)
-}
-
-// wrapped embeds a mutex-bearing struct one level down.
-type wrapped struct {
-	inner Store
-}
-
-// ByValueNested copies a struct holding a mutex at depth.
-func ByValueNested(w wrapped) int { // want "ByValueNested passes a parameter by value"
-	return len(w.inner.m)
-}
-
-// ByPointer is clean.
-func ByPointer(s *Store) int {
-	return len(s.m)
-}

@@ -10,8 +10,7 @@
 // as map keys after conversion with Key, hashed cheaply, and copied without
 // aliasing bugs.
 //
-// steerq:hotpath — signatures are hashed and compared per candidate; the
-// hotalloc analyzer guards this package against allocation regressions.
+// Signatures are hashed and compared once per candidate configuration.
 package bitvec
 
 import (

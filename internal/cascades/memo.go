@@ -10,8 +10,9 @@
 // final plan is the job's rule signature (Definition 3.2 of the paper), the
 // central abstraction of steerq.
 //
-// steerq:hotpath — compilation dominates the pipeline's cost; the hotalloc
-// analyzer guards this package against allocation regressions.
+// Compilation dominates the pipeline's cost; TestSessionWarmCompileAllocations,
+// TestCompileAllocationBudget (internal/rules) and the root
+// BenchmarkSessionCandidates guard its allocations.
 package cascades
 
 import (

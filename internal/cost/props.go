@@ -17,9 +17,10 @@
 // whose inputs and independence assumptions are wrong (§1, §5.3 of the
 // paper).
 //
-// steerq:hotpath — every costed operator of every candidate derives its
-// statistics here; derivations carve from a caller-owned Arena, whose growth
-// make is the package's one allocation on that path.
+// Every costed operator of every candidate derives its statistics here;
+// derivations carve from a caller-owned Arena, whose growth make is the
+// package's one allocation on that path (TestArenaKeepsEarlierSetsValid pins
+// a warm arena at zero).
 package cost
 
 import (

@@ -19,9 +19,9 @@
 // A/B comparisons (internal/abtest) are reproducible while still showing the
 // runtime variance the paper reports for short jobs (§3.1.1).
 //
-// steerq:hotpath — A/B executions are most of a discovery re-pass; the
-// hotalloc analyzer, TestRunCostsEachNodeOnce and TestRunAllocationBudget keep
-// an execution at one costing and a few allocations per node. DESIGN.md
+// A/B executions are most of a discovery re-pass; TestRunCostsEachNodeOnce
+// and TestRunAllocationBudget keep an execution at one costing and a few
+// allocations per node. DESIGN.md
 // ("Execution simulator") states the noise-seed and summation-order contracts
 // that any change here has to keep for the metrics to keep their bits.
 package exec

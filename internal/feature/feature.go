@@ -13,8 +13,7 @@
 // categoricals are one-hot encoded; large-alphabet categoricals (input and
 // template hashes) are deterministically hashed into 50 bins.
 //
-// steerq:hotpath — Encode runs once per example per training run and once per
-// served choice; the hotalloc analyzer guards it.
+// Encode runs once per example per training run and once per served choice.
 package feature
 
 import (

@@ -6,9 +6,8 @@
 //
 // Only the standard library is used; the math is plain float64 slices.
 //
-// steerq:hotpath — one model is trained per job group and retrained on a
-// schedule; the hotalloc analyzer and TestTrainAllocationBudget keep the epoch
-// loop free of allocation. DESIGN.md ("Training kernel") states what may and
+// One model is trained per job group and retrained on a schedule;
+// TestTrainAllocationBudget keeps the epoch loop free of allocation. DESIGN.md ("Training kernel") states what may and
 // may not be reordered here without changing the trained bits.
 package nn
 

@@ -12,9 +12,8 @@
 // Worker counts resolve in precedence order: an explicit positive value, the
 // STEERQ_WORKERS environment variable, then runtime.GOMAXPROCS(0).
 //
-// steerq:hotpath — every job-group analysis and experiment item is
-// dispatched through this package; the hotalloc analyzer guards the scheduler
-// against allocation regressions.
+// Every job-group analysis and experiment item is dispatched through this
+// package.
 package par
 
 import (

@@ -8,8 +8,10 @@
 // an intermediate result bound to a script variable and consumed twice is
 // represented by a shared node.
 //
-// steerq:hotpath — plans are built and walked inside every compilation; the
-// hotalloc analyzer guards this package against allocation regressions.
+// Plans are built and walked inside every compilation, so the compile
+// allocation budgets (TestCompileAllocationBudget in internal/rules,
+// TestSessionWarmCompileAllocations in internal/cascades) count this
+// package's allocations too.
 package plan
 
 import (

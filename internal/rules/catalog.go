@@ -14,7 +14,7 @@ func Catalog() *cascades.RuleSet {
 	rs, err := buildCatalog()
 	if err != nil {
 		// The catalog is static data; buildCatalog only fails on a
-		// programming error, which lint and the golden test catch.
+		// programming error, which the tests of this package catch.
 		// steerq:allow-panic
 		panic(err)
 	}

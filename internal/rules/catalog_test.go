@@ -1,6 +1,11 @@
 package rules
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strconv"
+	"strings"
 	"testing"
 
 	"steerq/internal/cascades"
@@ -9,8 +14,9 @@ import (
 // TestCatalogGolden pins the catalog census to the paper's Table 2: 256
 // rules, every ID in [0, 256) registered exactly once, unique names, and
 // category bands of exactly 37/46/141/32 laid out contiguously. It also
-// cross-references the named ID constants in ids.go against the
-// registration order Catalog() actually produced.
+// takes a census of the ID constants in ids.go: distinct values, one per
+// explicit registration, none inside a declared block's range — so an ID
+// constant nothing registers fails here.
 func TestCatalogGolden(t *testing.T) {
 	rs := Catalog()
 	infos := rs.Infos()
@@ -61,25 +67,24 @@ func TestCatalogGolden(t *testing.T) {
 		}
 	}
 
-	// Spot-check named constants against their registrations.
-	for name, id := range map[string]int{
-		"EnforceExchange":           IDEnforceExchange,
-		"BuildOutput":               IDBuildOutput,
-		"CorrelatedJoinOnUnionAll1": IDCorrelatedJoinOnUnionAll1,
-		"GroupbyOnJoin":             IDGroupbyOnJoin,
-		"CollapseSelects":           IDCollapseSelects,
-		"UdoPredicateTransfer":      IDUdoPredicateTransfer,
-		"HashJoinImpl1":             IDHashJoinImpl1,
-		"UnionAllToVirtualDataset":  IDUnionAllToVirtualDS,
-		"TopImplTwoPhase":           IDTopImplTwoPhase,
-	} {
-		ri, ok := rs.Info(id)
-		if !ok {
-			t.Errorf("ID constant %s (=%d) has no registration", name, id)
-			continue
+	// Every ID constant names one explicit registration: the transforms,
+	// the implements and the two extra infos (EnforceExchange,
+	// EnforceSortOrder) in buildCatalog.
+	consts := idConstants(t)
+	if explicit := len(rs.Transforms) + len(rs.Implements) + 2; len(consts) != explicit {
+		t.Errorf("ids.go declares %d ID constants, buildCatalog registers %d rules explicitly", len(consts), explicit)
+	}
+	byValue := make(map[int]string, len(consts))
+	for name, id := range consts {
+		if prev, dup := byValue[id]; dup {
+			t.Errorf("ID constants %s and %s share the value %d", prev, name, id)
 		}
-		if ri.Name != name {
-			t.Errorf("ID %d registered as %q, ids.go names it %s", id, ri.Name, name)
+		byValue[id] = name
+		for _, b := range declaredBlocks {
+			if id >= b.first && id < b.first+len(b.names) {
+				t.Errorf("ID constant %s = %d lies in the declared %v block [%d, %d)",
+					name, id, b.cat, b.first, b.first+len(b.names))
+			}
 		}
 	}
 
@@ -112,4 +117,44 @@ func TestBuildCatalogReportsCensusDefects(t *testing.T) {
 	if _, err := buildCatalog(); err == nil {
 		t.Fatal("buildCatalog accepted a truncated on-by-default block")
 	}
+}
+
+// idConstants parses ids.go and returns its ID* constants by name. Each must
+// be an integer literal.
+func idConstants(t *testing.T) map[string]int {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "ids.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consts := make(map[string]int)
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			for i, name := range vs.Names {
+				if !strings.HasPrefix(name.Name, "ID") {
+					continue
+				}
+				var lit *ast.BasicLit
+				if i < len(vs.Values) {
+					lit, _ = vs.Values[i].(*ast.BasicLit)
+				}
+				if lit == nil || lit.Kind != token.INT {
+					t.Errorf("ID constant %s is not an integer literal", name.Name)
+					continue
+				}
+				id, err := strconv.Atoi(lit.Value)
+				if err != nil {
+					t.Errorf("ID constant %s: %v", name.Name, err)
+					continue
+				}
+				consts[name.Name] = id
+			}
+		}
+	}
+	return consts
 }

@@ -195,9 +195,8 @@ type declaredBlock struct {
 
 // declaredBlocks places the declared-only name lists in the catalog. Together
 // with the explicit registrations in catalog.go they must tile [0, catalogEnd)
-// exactly once; buildCatalog verifies the census at runtime and the rulecheck
-// analyzer verifies it statically. Keep the literal shape — constant first,
-// package-level names slice, constant cat — or rulecheck cannot see the range.
+// exactly once; buildCatalog verifies the census at runtime and
+// TestCatalogGolden checks that no ID constant falls inside a block.
 var declaredBlocks = []declaredBlock{
 	{first: IDBuildMulti + 1, names: declaredRequired, cat: cascades.Required},
 	{first: IDSelectSplitDisjunction + 1, names: declaredOffByDefault, cat: cascades.OffByDefault},

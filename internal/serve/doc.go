@@ -21,7 +21,6 @@
 //
 // The lookup read path is allocation-free after warmup: instruments are
 // resolved once at SDK construction, the table is a plain map keyed by the
-// comparable bitvec.Key, and decisions are returned by value.
-// (steerq:hotpath — the hotalloc analyzer guards this package against
-// allocation regressions.)
+// comparable bitvec.Key, and decisions are returned by value;
+// TestLookupAllocationFree holds it there.
 package serve

@@ -3,9 +3,8 @@
 // configuration search, the offline discovery pipeline, RuleDiff, rule-
 // signature job groups and cross-day extrapolation.
 //
-// steerq:hotpath — the candidate stage touches the cache, the footprint
-// classifier and the selection loops once per candidate configuration; the
-// hotalloc analyzer guards the package against allocation regressions.
+// The candidate stage touches the cache, the footprint classifier and the
+// selection loops once per candidate configuration.
 package steering
 
 import (

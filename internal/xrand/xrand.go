@@ -7,10 +7,9 @@
 // reproducible and independent components do not perturb each other's
 // randomness when code paths change.
 //
-// steerq:hotpath — the execution simulator repositions a stream and draws
-// from it once per plan node; the hotalloc analyzer,
-// TestReseedDrawAllocationFree and BenchmarkReseedDraw3 keep that at no
-// allocation and a few dozen nanoseconds. Every bit drawn is
+// The execution simulator repositions a stream and draws from it once per
+// plan node; TestReseedDrawAllocationFree and BenchmarkReseedDraw3 keep that
+// at no allocation and a few dozen nanoseconds. Every bit drawn is
 // rand.NewSource's (source.go, DESIGN.md "Determinism"); the equivalence
 // tests in source_test.go are what allow touching the generator at all.
 package xrand
