@@ -7,7 +7,7 @@
 //
 //	go run ./cmd/steerq-bench -exp all
 //
-// (ci.sh diffs its output at a small scale against
+// (ci.sh diffs its output at the documented -scale 0.01 -m 300 against
 // cmd/steerq-bench/testdata/exp_all.golden.txt); end-to-end throughput is
 // measured by benchmark/.
 package steerq_test

@@ -75,9 +75,9 @@
 #                                committed snapshot golden — metric drift and
 #                                nondeterminism both fail here
 #  12. paper tables golden       the one regenerator of the paper's tables,
-#                                `steerq-bench -exp all` at -scale 0.002 -m 40
-#                                with a pinned fault seed, diffed
-#                                byte-for-byte against the committed
+#                                `steerq-bench -exp all` at -scale 0.01 -m 300
+#                                (the run EXPERIMENTS.md cites) with a pinned
+#                                fault seed, diffed byte-for-byte against
 #                                cmd/steerq-bench/testdata/exp_all.golden.txt
 #                                (its stdout is the same at any -workers and
 #                                with or without the fault seed)
@@ -183,7 +183,7 @@ diff -u cmd/steerq/testdata/ci_metrics.golden.json /tmp/steerq-metrics.$$.json |
 rm -f /tmp/steerq-metrics.$$.json
 
 echo "== paper tables golden (steerq-bench -exp all, pinned seed 1337) =="
-go run ./cmd/steerq-bench -scale 0.002 -m 40 -exp all -fault-seed 1337 -workers 4 \
+go run ./cmd/steerq-bench -scale 0.01 -m 300 -exp all -fault-seed 1337 -workers 4 \
     > /tmp/steerq-exp.$$.txt 2> /dev/null
 diff -u cmd/steerq-bench/testdata/exp_all.golden.txt /tmp/steerq-exp.$$.txt || {
     echo "paper tables: steerq-bench -exp all stdout drifted from committed golden" >&2

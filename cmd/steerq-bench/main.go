@@ -162,42 +162,70 @@ type step struct {
 // out may be nil there.
 func plan(r *experiments.Runner, out io.Writer) []step {
 	var learn *experiments.LearningRun
-	learning := func() error {
+	learning := func() (*experiments.LearningRun, error) {
 		if learn != nil {
-			return nil
+			return learn, nil
 		}
 		var err error
 		learn, err = r.Learning("B", 14, 3)
-		return err
+		return learn, err
+	}
+	fig6 := func(name string) func() error {
+		return show(out, func() (*experiments.Figure6, error) { return r.Figure6(name, 0) })
 	}
 	return []step{
-		{"table1", func() error { return render1(r, out) }},
-		{"table2", func() error { return render2(r, out) }},
-		{"fig2", func() error { return renderF2(r, out) }},
-		{"fig3", func() error { return renderF3(r, out) }},
-		{"fig4", func() error { return renderF4(r, out) }},
-		{"fig5", func() error { return renderF5(r, out) }},
-		{"fig6", func() error { return renderF6(r, out) }},
-		{"table3", func() error { return render3(r, out) }},
-		{"table4", func() error { return render4(r, out) }},
-		{"fig7", func() error { return renderF7(r, out) }},
-		{"fig1", func() error { return renderF1(r, out) }},
-		{"ablations", func() error { return renderAblations(r, out) }},
-		{"extensions", func() error { return renderExtensions(r, out) }},
-		{"table5", func() error {
-			if err := learning(); err != nil {
+		{"table1", show(out, func() (*experiments.Table1, error) { return r.Table1(0) })},
+		{"table2", show(out, func() (*experiments.Table2, error) { return r.Table2("A", 0) })},
+		{"fig2", show(out, func() (*experiments.Figure2, error) { return r.Figure2("A", 0) })},
+		{"fig3", show(out, func() (*experiments.Figure3, error) { return r.Figure3("A", 0, 150) })},
+		{"fig4", show(out, func() (*experiments.Figure4, error) { return r.Figure4("A", 0, 15) })},
+		{"fig5", show(out, func() (*experiments.Figure5, error) { return r.Figure5("A", 0) })},
+		{"fig6", seq(out, "", fig6("A"), fig6("B"), fig6("C"))},
+		{"table3", show(out, func() (*experiments.Table3, error) { return r.Table3(0) })},
+		{"table4", show(out, func() (*experiments.Table4, error) { return r.Table4(0, 3) })},
+		{"fig7", show(out, func() (*experiments.Figure7, error) { return r.Figure7("B", 2) })},
+		{"fig1", show(out, func() (*experiments.Figure1, error) { return r.Figure1("A", 7, 65) })},
+		{"ablations", seq(out, "\n",
+			show(out, func() (*experiments.AblationRandomVsGuided, error) { return r.RandomVsGuided("A", 0, 12, 8) }),
+			show(out, func() (*experiments.AblationSpanSearch, error) { return r.SpanSearch("A", 0, 25, 40) }),
+			show(out, func() (*experiments.AblationGrouping, error) { return r.Grouping("B", 7) }))},
+		{"extensions", show(out, func() (*experiments.ExtensionResults, error) { return r.Extensions("A", 0, 8) })},
+		{"table5", show(out, func() (*experiments.Table5, error) {
+			run, err := learning()
+			return &experiments.Table5{Run: run}, err
+		})},
+		{"fig8", show(out, func() (*experiments.Figure8, error) {
+			run, err := learning()
+			return &experiments.Figure8{Run: run}, err
+		})},
+	}
+}
+
+// show is the step body of one experiment: run it, then render its result
+// to out.
+func show[T interface{ Render(io.Writer) }](out io.Writer, exp func() (T, error)) func() error {
+	return func() error {
+		v, err := exp()
+		if err != nil {
+			return err
+		}
+		v.Render(out)
+		return nil
+	}
+}
+
+// seq runs step bodies in order, writing sep to out between consecutive ones.
+func seq(out io.Writer, sep string, bodies ...func() error) func() error {
+	return func() error {
+		for i, body := range bodies {
+			if i > 0 {
+				io.WriteString(out, sep)
+			}
+			if err := body(); err != nil {
 				return err
 			}
-			(&experiments.Table5{Run: learn}).Render(out)
-			return nil
-		}},
-		{"fig8", func() error {
-			if err := learning(); err != nil {
-				return err
-			}
-			(&experiments.Figure8{Run: learn}).Render(out)
-			return nil
-		}},
+		}
+		return nil
 	}
 }
 
@@ -213,136 +241,5 @@ func checkExp(names []string) error {
 			return fmt.Errorf("unknown -exp %q; valid names: %s", n, strings.Join(valid, ", "))
 		}
 	}
-	return nil
-}
-
-func render1(r *experiments.Runner, w io.Writer) error {
-	t, err := r.Table1(0)
-	if err != nil {
-		return err
-	}
-	t.Render(w)
-	return nil
-}
-
-func render2(r *experiments.Runner, w io.Writer) error {
-	t, err := r.Table2("A", 0)
-	if err != nil {
-		return err
-	}
-	t.Render(w)
-	return nil
-}
-
-func render3(r *experiments.Runner, w io.Writer) error {
-	t, err := r.Table3(0)
-	if err != nil {
-		return err
-	}
-	t.Render(w)
-	return nil
-}
-
-func render4(r *experiments.Runner, w io.Writer) error {
-	t, err := r.Table4(0, 3)
-	if err != nil {
-		return err
-	}
-	t.Render(w)
-	return nil
-}
-
-func renderF1(r *experiments.Runner, w io.Writer) error {
-	f, err := r.Figure1("A", 7, 65)
-	if err != nil {
-		return err
-	}
-	f.Render(w)
-	return nil
-}
-
-func renderF2(r *experiments.Runner, w io.Writer) error {
-	f, err := r.Figure2("A", 0)
-	if err != nil {
-		return err
-	}
-	f.Render(w)
-	return nil
-}
-
-func renderF3(r *experiments.Runner, w io.Writer) error {
-	f, err := r.Figure3("A", 0, 150)
-	if err != nil {
-		return err
-	}
-	f.Render(w)
-	return nil
-}
-
-func renderF4(r *experiments.Runner, w io.Writer) error {
-	f, err := r.Figure4("A", 0, 15)
-	if err != nil {
-		return err
-	}
-	f.Render(w)
-	return nil
-}
-
-func renderF5(r *experiments.Runner, w io.Writer) error {
-	f, err := r.Figure5("A", 0)
-	if err != nil {
-		return err
-	}
-	f.Render(w)
-	return nil
-}
-
-func renderF6(r *experiments.Runner, w io.Writer) error {
-	for _, name := range []string{"A", "B", "C"} {
-		f, err := r.Figure6(name, 0)
-		if err != nil {
-			return err
-		}
-		f.Render(w)
-	}
-	return nil
-}
-
-func renderF7(r *experiments.Runner, w io.Writer) error {
-	f, err := r.Figure7("B", 2)
-	if err != nil {
-		return err
-	}
-	f.Render(w)
-	return nil
-}
-
-func renderAblations(r *experiments.Runner, w io.Writer) error {
-	rvg, err := r.RandomVsGuided("A", 0, 12, 8)
-	if err != nil {
-		return err
-	}
-	rvg.Render(w)
-	fmt.Fprintln(w)
-	ss, err := r.SpanSearch("A", 0, 25, 40)
-	if err != nil {
-		return err
-	}
-	ss.Render(w)
-	fmt.Fprintln(w)
-	gr, err := r.Grouping("B", 7)
-	if err != nil {
-		return err
-	}
-	gr.Render(w)
-	return nil
-}
-
-func renderExtensions(r *experiments.Runner, w io.Writer) error {
-	e, err := r.Extensions("A", 0, 8)
-	if err != nil {
-		return err
-	}
-	e.Render(w)
 	return nil
 }

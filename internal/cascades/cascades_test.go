@@ -336,20 +336,6 @@ func TestEstimatesVaryAcrossConfigs(t *testing.T) {
 	}
 }
 
-func TestMemoBudgetRespected(t *testing.T) {
-	cat := testCatalog()
-	opt := newOpt(cat)
-	opt.TotalLimit = 64
-	root := compile(t, cat, unionScript)
-	res, err := opt.Optimize(root, opt.Rules.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Exprs > 64 {
-		t.Fatalf("memo grew to %d expressions past the %d budget", res.Exprs, 64)
-	}
-}
-
 func TestSignatureContainsRequiredMachinery(t *testing.T) {
 	cat := testCatalog()
 	opt := newOpt(cat)

@@ -342,7 +342,7 @@ func (s *search) chooseOpDOP(p *pexpr) int {
 		// Scan parallelism follows the stored stream's partitioning, not
 		// the (possibly tiny) filtered output.
 		rows, bytes := s.scanInput(p)
-		return cost.ChooseDOP(rows, bytes, s.maxDOP())
+		return cost.ChooseDOP(rows, bytes, maxDOP)
 	case plan.PhysGlobalTop, plan.PhysMultiImpl:
 		return 1
 	case plan.PhysVirtualDataset:
@@ -356,7 +356,7 @@ func (s *search) chooseOpDOP(p *pexpr) int {
 		}
 		return d
 	case plan.PhysUnionMerge:
-		return cost.ChooseDOP(p.rows, p.rowBytes, s.maxDOP())
+		return cost.ChooseDOP(p.rows, p.rowBytes, maxDOP)
 	case plan.PhysHashJoin, plan.PhysMergeJoin:
 		// Both sides were re-partitioned to matching hash layouts.
 		d := 1
@@ -379,13 +379,6 @@ func (s *search) chooseOpDOP(p *pexpr) int {
 		}
 		return 1
 	}
-}
-
-func (s *search) maxDOP() int {
-	if s.o.MaxDOP > 0 {
-		return s.o.MaxDOP
-	}
-	return 50
 }
 
 // deliveredDist resolves the candidate's output distribution; a proto OutDist
@@ -455,7 +448,7 @@ func (s *search) enforce(inner *pexpr, req plan.Distribution) *pexpr {
 	switch req.Kind {
 	case plan.DistHash, plan.DistRandom:
 		kind = plan.ExchangeShuffle
-		dop = cost.ChooseDOP(inner.rows, inner.rowBytes, s.maxDOP())
+		dop = cost.ChooseDOP(inner.rows, inner.rowBytes, maxDOP)
 	case plan.DistSingleton:
 		kind = plan.ExchangeGather
 		dop = 1
@@ -464,7 +457,7 @@ func (s *search) enforce(inner *pexpr, req plan.Distribution) *pexpr {
 		if req.DOP > 0 {
 			dop = req.DOP
 		} else {
-			dop = cost.ChooseDOP(inner.rows, inner.rowBytes, s.maxDOP())
+			dop = cost.ChooseDOP(inner.rows, inner.rowBytes, maxDOP)
 		}
 	default:
 		return inner

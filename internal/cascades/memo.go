@@ -117,11 +117,12 @@ type Memo struct {
 	// transformMask). Every compile sharing the memo starts from it.
 	footprint bitvec.Vector
 
-	// ExprLimit bounds expressions per group; TotalLimit bounds the whole
+	// exprLimit bounds expressions per group; totalLimit bounds the whole
 	// memo. Exceeding either stops further exploration (big-data jobs have
-	// hundreds of operators; SCOPE bounds its search the same way).
-	ExprLimit  int
-	TotalLimit int
+	// hundreds of operators; SCOPE bounds its search the same way). They are
+	// memoExprLimit and memoTotalLimit; only tests lower them.
+	exprLimit  int
+	totalLimit int
 	totalExprs int
 }
 
@@ -145,8 +146,8 @@ func newMemoArena(root *plan.Node, est *cost.Estimator, sc *searchScratch) *Memo
 		arena:      sc,
 		propsBuf:   sc.memoProps,
 		schemaBuf:  sc.memoSchema,
-		ExprLimit:  10,
-		TotalLimit: 2048,
+		exprLimit:  memoExprLimit,
+		totalLimit: memoTotalLimit,
 	}
 	maxID := plan.ColumnID(0)
 	root.Walk(func(n *plan.Node) {
@@ -262,7 +263,7 @@ func (m *Memo) shallow(n *plan.Node) *plan.Node {
 }
 
 // Full reports whether the memo's exploration budget is exhausted.
-func (m *Memo) Full() bool { return m.totalExprs >= m.TotalLimit }
+func (m *Memo) Full() bool { return m.totalExprs >= m.totalLimit }
 
 // TotalExprs returns the number of expressions interned so far. It is
 // maintained incrementally by groupForNode and intern, so reading it never
@@ -333,7 +334,7 @@ func (m *Memo) intern(rn *RNode, target *Group, prov bitvec.Vector, ruleID int) 
 		g.Exprs = m.exprsSeed()
 		m.Groups = append(m.Groups, g)
 	}
-	if len(g.Exprs) >= m.ExprLimit && target != nil {
+	if len(g.Exprs) >= m.exprLimit && target != nil {
 		return g, added
 	}
 	e := m.newMExpr()

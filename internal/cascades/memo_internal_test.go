@@ -154,7 +154,7 @@ func TestInternProvenanceChains(t *testing.T) {
 
 func TestExprLimitBoundsGroup(t *testing.T) {
 	m := NewMemo(scanSelect(), cost.NewEstimated(memoCatalog()))
-	m.ExprLimit = 3
+	m.exprLimit = 3
 	var selExpr *MExpr
 	for _, g := range m.Groups {
 		for _, e := range g.Exprs {
@@ -177,6 +177,25 @@ func TestExprLimitBoundsGroup(t *testing.T) {
 	}
 	if got := len(selExpr.Group.Exprs); got > 3 {
 		t.Fatalf("group grew to %d exprs past limit 3", got)
+	}
+}
+
+// TestMemoBudgetRespected: a fresh memo carries the search's fixed budget,
+// and once it holds totalLimit expressions Intern adds nothing more — the
+// check exploration stops on.
+func TestMemoBudgetRespected(t *testing.T) {
+	m := NewMemo(scanSelect(), cost.NewEstimated(memoCatalog()))
+	if m.exprLimit != memoExprLimit || m.totalLimit != memoTotalLimit {
+		t.Fatalf("memo limits %d/%d, want %d/%d", m.exprLimit, m.totalLimit, memoExprLimit, memoTotalLimit)
+	}
+	budget := m.TotalExprs() + 2
+	m.totalLimit = budget
+	sel := findSelect(m)
+	for i := 0; i < 8; i++ {
+		m.Intern(selectVariant(sel, float64(100+i)), sel.Group, sel, 50)
+	}
+	if !m.Full() || m.TotalExprs() != budget {
+		t.Fatalf("memo holds %d expressions (full=%v), budget %d", m.TotalExprs(), m.Full(), budget)
 	}
 }
 

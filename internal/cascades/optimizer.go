@@ -17,14 +17,6 @@ type Optimizer struct {
 	Est    *cost.Estimator
 	Coster *cost.Coster
 
-	// MaxDOP caps the degree of parallelism per operator.
-	MaxDOP int
-	// MaxPasses bounds exploration rounds.
-	MaxPasses int
-	// ExprLimit / TotalLimit bound the memo (see Memo).
-	ExprLimit  int
-	TotalLimit int
-
 	// EnforceExchangeID and EnforceSortID are the rule IDs attributed to
 	// enforcer-inserted Exchange and Sort operators. Both must name
 	// Required rules in the rule set.
@@ -58,8 +50,19 @@ type optObs struct {
 	groups, exprs *obs.Histogram
 }
 
-// memoSizeBounds bucket final memo sizes; TotalLimit defaults to 2048, so
-// the finite bounds cover the whole default range.
+// The search's fixed limits: maxDOP caps the degree of parallelism per
+// operator (SCOPE's 50-token cap, §3.1.3), maxPasses bounds exploration
+// rounds, and memoExprLimit and memoTotalLimit bound the memo's expressions
+// per group and in total (see Memo).
+const (
+	maxDOP         = 50
+	maxPasses      = 4
+	memoExprLimit  = 10
+	memoTotalLimit = 2048
+)
+
+// memoSizeBounds bucket final memo sizes; the finite bounds cover every size
+// up to memoTotalLimit.
 var memoSizeBounds = []float64{8, 16, 32, 64, 128, 256, 512, 1024, 2048}
 
 // SetObs wires the optimizer's compile-time metrics into reg: rule firings
@@ -114,7 +117,7 @@ var ErrNoPlan = errors.New("cascades: no physical plan under this rule configura
 // of one compile.
 //
 // Optimize is safe for concurrent use: every call opens its own Session, and
-// the Optimizer's own fields (Rules, Est, Coster, limits) are read-only after
+// the Optimizer's own fields (Rules, Est, Coster) are read-only after
 // construction. The discovery pipeline relies on this to fan job analyses out
 // across workers.
 func (o *Optimizer) Optimize(root *plan.Node, cfg bitvec.Vector) (*Result, error) {
@@ -247,12 +250,6 @@ func (se *Session) explored(s *search) *Memo {
 	}
 	o.om.exploredFresh.Inc()
 	m := newMemoArena(se.root, o.Est, sc)
-	if o.ExprLimit > 0 {
-		m.ExprLimit = o.ExprLimit
-	}
-	if o.TotalLimit > 0 {
-		m.TotalLimit = o.TotalLimit
-	}
 	s.m = m
 	s.explore()
 	m.footprint = s.footprint
@@ -295,11 +292,7 @@ type search struct {
 // (expression, rule) pair fires at most once; passes repeat so expressions
 // created late still receive every rule.
 func (s *search) explore() {
-	passes := s.o.MaxPasses
-	if passes <= 0 {
-		passes = 4
-	}
-	for pass := 0; pass < passes; pass++ {
+	for pass := 0; pass < maxPasses; pass++ {
 		changed := false
 		for gi := 0; gi < len(s.m.Groups); gi++ {
 			g := s.m.Groups[gi]

@@ -19,13 +19,6 @@ type OpUsage struct {
 	LatencySeconds float64
 }
 
-// Add accumulates o into u.
-func (u *OpUsage) Add(o OpUsage) {
-	u.CPUSeconds += o.CPUSeconds
-	u.IOBytes += o.IOBytes
-	u.LatencySeconds += o.LatencySeconds
-}
-
 // OpCostParams carries everything needed to cost one physical operator.
 type OpCostParams struct {
 	Op       plan.PhysOp

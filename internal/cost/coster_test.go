@@ -111,12 +111,3 @@ func TestVirtualDatasetCheaperThanMerge(t *testing.T) {
 		t.Fatal("virtual dataset should be locally cheaper than a materializing union")
 	}
 }
-
-func TestUsageAdd(t *testing.T) {
-	var u OpUsage
-	u.Add(OpUsage{CPUSeconds: 1, IOBytes: 2, LatencySeconds: 3})
-	u.Add(OpUsage{CPUSeconds: 10, IOBytes: 20, LatencySeconds: 30})
-	if u.CPUSeconds != 11 || u.IOBytes != 22 || u.LatencySeconds != 33 {
-		t.Fatalf("Add wrong: %+v", u)
-	}
-}

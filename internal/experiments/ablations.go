@@ -151,37 +151,23 @@ func (r *Runner) SpanSearch(name string, day, jobs, m int) (*AblationSpanSearch,
 		spanTried, spanOK, spanChanged, spanDistinct     int
 		naiveTried, naiveOK, naiveChanged, naiveDistinct int
 	}
-	// Candidates resolve through footprint equivalence classes: one compile
-	// per class, every other member shares its outcome (value-identical by
-	// the footprint soundness argument, so the tallies match a compile-all
-	// run bit for bit — only faster).
-	policy := func(job *workload.Job, def bitvec.Vector, span bitvec.Vector, r *xrand.Source) (tried, ok, changed, distinct int) {
+	// Each job compiles on one optimizer session: the default, the span
+	// probes and both policies' candidates share explored memos and group
+	// states, and every Result is what a one-shot compile returns.
+	policy := func(signature func(bitvec.Vector) (bitvec.Vector, error), def, span bitvec.Vector, r *xrand.Source) (tried, ok, changed, distinct int) {
 		sigs := map[bitvec.Key]bool{def.Key(): true}
-		var classes steering.FootprintClasses
 		for _, cfg := range steering.CandidateConfigs(span, h.Opt.Rules, m, r) {
 			tried++
-			v, hit := classes.Lookup(cfg)
-			if !hit {
-				res, err := h.Opt.Optimize(job.Root, cfg)
-				if err != nil {
-					if res != nil {
-						// No-plan verdicts carry footprints too; share them.
-						classes.Admit(cfg, steering.CompileValue{Footprint: res.Footprint})
-					}
-					continue
-				}
-				v = steering.CompileValue{Cost: res.Cost, Signature: res.Signature, Footprint: res.Footprint, OK: true}
-				classes.Admit(cfg, v)
-			}
-			if !v.OK {
+			sig, err := signature(cfg)
+			if err != nil {
 				continue
 			}
 			ok++
-			if !v.Signature.Equal(def) {
+			if !sig.Equal(def) {
 				changed++
 			}
-			if !sigs[v.Signature.Key()] {
-				sigs[v.Signature.Key()] = true
+			if !sigs[sig.Key()] {
+				sigs[sig.Key()] = true
 				distinct++
 			}
 		}
@@ -189,20 +175,29 @@ func (r *Runner) SpanSearch(name string, day, jobs, m int) (*AblationSpanSearch,
 	}
 	slots, _ := par.Map(r.Cfg.Workers, idx, func(_, i int) (tally, error) {
 		job := all[i]
-		def, err := h.Opt.Optimize(job.Root, h.Opt.Rules.DefaultConfig())
+		sess := h.Opt.NewSession(job.Root)
+		defer sess.Close()
+		signature := func(cfg bitvec.Vector) (bitvec.Vector, error) {
+			res, err := sess.Optimize(cfg, false)
+			if err != nil {
+				return bitvec.Vector{}, err
+			}
+			return res.Signature, nil
+		}
+		def, err := signature(h.Opt.Rules.DefaultConfig())
 		if err != nil {
 			return tally{}, nil
 		}
 		t := tally{counted: true}
-		span, err := steering.JobSpan(h.Opt, job.Root)
+		span, err := steering.JobSpanFunc(h.Opt.Rules, signature)
 		if err != nil {
 			return t, nil
 		}
 		t.spanTried, t.spanOK, t.spanChanged, t.spanDistinct =
-			policy(job, def.Signature, span, rnd.Derive("span", job.ID))
+			policy(signature, def, span, rnd.Derive("span", job.ID))
 		// Naive policy: the "span" is every non-required rule.
 		t.naiveTried, t.naiveOK, t.naiveChanged, t.naiveDistinct =
-			policy(job, def.Signature, nonRequired, rnd.Derive("naive", job.ID))
+			policy(signature, def, nonRequired, rnd.Derive("naive", job.ID))
 		return t, nil
 	})
 	var spanTried, spanOK, spanChanged, spanDistinct int

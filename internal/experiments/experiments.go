@@ -15,9 +15,7 @@ import (
 	"sort"
 
 	"steerq/internal/abtest"
-	"steerq/internal/bitvec"
 	"steerq/internal/cost"
-	"steerq/internal/exec"
 	"steerq/internal/faults"
 	"steerq/internal/obs"
 	"steerq/internal/par"
@@ -104,11 +102,9 @@ type Runner struct {
 	obs       *obs.Registry                     // shared registry; built lazily by Obs()
 }
 
-// NewRunner builds a Runner for the configuration.
+// NewRunner builds a Runner for the configuration; start it from
+// DefaultConfig.
 func NewRunner(cfg Config) *Runner {
-	if cfg.Scale == 0 {
-		cfg = DefaultConfig()
-	}
 	return &Runner{
 		Cfg:       cfg,
 		workloads: make(map[string]*workload.Workload),
@@ -209,9 +205,6 @@ func (r *Runner) Robustness(name string) *faults.Record {
 	}
 	return rec
 }
-
-// Executor exposes the harness executor (for distribution experiments).
-func (r *Runner) Executor(name string) *exec.Executor { return r.Harness(name).Executor }
 
 // Day returns (generating once) the jobs of one day.
 func (r *Runner) Day(name string, day int) []*workload.Job {
@@ -374,11 +367,10 @@ func (r *Runner) UniqueSignatures(name string, jobs []*workload.Job) (int, error
 
 // Histogram is a generic bucketed count used by the figure renderers.
 type Histogram struct {
-	Label   string
-	Edges   []float64 // len = buckets+1
-	Counts  []int
-	Total   int
-	LogEdge bool
+	Label  string
+	Edges  []float64 // len = buckets+1
+	Counts []int
+	Total  int
 }
 
 // NewHistogram buckets values into the given edges.
@@ -421,6 +413,3 @@ func barString(n, maxN, width int) string {
 	}
 	return string(out)
 }
-
-// signatureKey formats a signature for map keys in experiment code.
-func signatureKey(v bitvec.Vector) bitvec.Key { return v.Key() }

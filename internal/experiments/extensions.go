@@ -72,16 +72,13 @@ func (r *Runner) Extensions(name string, day, jobs int) (*ExtensionResults, erro
 			oneShot = alt.Metrics.RuntimeSec
 		}
 
-		// Iterative: the same 12 executions split into 3 feedback rounds.
-		fresh, err := p.Recompile(job)
-		if err != nil {
-			return slot{}, nil
-		}
+		// Iterative: the same 12 executions split into 3 feedback rounds. Run
+		// reads only the analysis's job, span and default trial.
 		it := steering.NewIterativeSearch(p)
 		it.Rounds = 3
 		it.PerRound = p.MaxCandidates / 3
 		it.ExecutePerRound = 4
-		res, err := it.Run(fresh)
+		res, err := it.Run(a)
 		if err != nil {
 			return slot{}, nil
 		}

@@ -44,14 +44,7 @@ func (r *Runner) Learning(name string, days, nGroups int) (*LearningRun, error) 
 	// Keep groups whose jobs are worth optimizing (the paper's groups run
 	// thousands of seconds): median default runtime above a floor, enough
 	// members for a 40/20/40 split to mean something.
-	minGroup := r.Cfg.LearnMinGroup
-	if minGroup == 0 {
-		minGroup = 30
-	}
-	minMedian := r.Cfg.LearnMinMedianSec
-	if minMedian == 0 {
-		minMedian = 60
-	}
+	minGroup, minMedian := r.Cfg.LearnMinGroup, r.Cfg.LearnMinMedianSec
 	var selected []*steering.JobGroup
 	for _, g := range groups {
 		if len(selected) == nGroups {

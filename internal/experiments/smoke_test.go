@@ -264,7 +264,7 @@ func TestExtensionsSmoke(t *testing.T) {
 func TestCheckedPlansSmoke(t *testing.T) {
 	t.Setenv("STEERQ_CHECK_PLANS", "1")
 	r := NewRunner(tinyConfig())
-	if !r.Executor("A").CheckPlans {
+	if !r.Harness("A").Executor.CheckPlans {
 		t.Fatal("harness executor did not pick up STEERQ_CHECK_PLANS")
 	}
 	jobs := r.Day("A", 0)

@@ -31,7 +31,7 @@ func synthSamples(n, in, out int, seed uint64) []nn.Sample {
 			}
 			y[o] = 1 / (1 + math.Exp(-v)) // separable-ish smooth target in (0, 1)
 		}
-		samples[s] = nn.Sample{X: x, Y: y, Weight: 1}
+		samples[s] = nn.Sample{X: x, Y: y}
 	}
 	return samples
 }
@@ -125,7 +125,7 @@ func TestLossDecreasesOnSeparableSet(t *testing.T) {
 				y[o] = 1
 			}
 		}
-		samples[s] = nn.Sample{X: x, Y: y, Weight: 1}
+		samples[s] = nn.Sample{X: x, Y: y}
 	}
 
 	train := func(epochs int) float64 {
@@ -150,26 +150,26 @@ func TestLossDecreasesOnSeparableSet(t *testing.T) {
 }
 
 // TestTrainingReseedDerivedBitIdentical: repositioning a scratch source with
-// ReseedDerived must train the exact same model, bit for bit, as a source
-// built with Derive — training is a pure function of (samples, config, RNG
-// stream), not of how the stream object was obtained.
+// ReseedDerivedBytes must train the exact same model, bit for bit, as a
+// source built with Derive — training is a pure function of (samples, config,
+// RNG stream), not of how the stream object was obtained.
 func TestTrainingReseedDerivedBitIdentical(t *testing.T) {
 	const in, hidden, out = 5, 6, 3
 	samples := synthSamples(24, in, out, 77)
 	cfg := nn.TrainConfig{Epochs: 30, BatchSize: 8, LR: 1e-3, L2: 1e-5}
 
 	root := xrand.New(42)
-	a := nn.New(in, hidden, out, root.Derive("init"))
+	a := nn.New(in, hidden, out, root.Derive("init", ""))
 	lossA := a.Train(samples, cfg, root.Derive("train", "epochs"))
 
 	scratch := xrand.New(0)
-	root.ReseedDerived(scratch, "init")
+	root.ReseedDerivedBytes(scratch, "init", nil)
 	b := nn.New(in, hidden, out, scratch)
-	root.ReseedDerived(scratch, "train", "epochs")
+	root.ReseedDerivedBytes(scratch, "train", []byte("epochs"))
 	lossB := b.Train(samples, cfg, scratch)
 
 	if lossA != lossB {
-		t.Fatalf("training loss differs: Derive %v, ReseedDerived %v", lossA, lossB)
+		t.Fatalf("training loss differs: Derive %v, ReseedDerivedBytes %v", lossA, lossB)
 	}
 	ab, err := a.Marshal()
 	if err != nil {
@@ -180,7 +180,7 @@ func TestTrainingReseedDerivedBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(ab) != string(bb) {
-		t.Fatalf("trained models differ bit-for-bit between Derive and ReseedDerived streams")
+		t.Fatalf("trained models differ bit-for-bit between Derive and ReseedDerivedBytes streams")
 	}
 }
 

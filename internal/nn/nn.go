@@ -260,10 +260,9 @@ func (n *Network) ForwardInto(e *Eval, x []float64) []float64 {
 // targets in [0, 1] with a mask of valid outputs (a job group may have fewer
 // valid configurations for some jobs, e.g. compile failures).
 type Sample struct {
-	X      []float64
-	Y      []float64
-	Mask   []bool
-	Weight float64
+	X    []float64
+	Y    []float64
+	Mask []bool
 }
 
 // BCELoss is the continuous binary cross entropy over masked outputs:

@@ -190,9 +190,6 @@ func TestSpanNestingAndOutcomes(t *testing.T) {
 	now := time.Unix(0, 0)
 	r := obs.NewWithClock(func() time.Time { return now })
 	ctx, parent := r.StartSpan(context.Background(), "pipeline.recompile", "job1")
-	if got := obs.SpanFromContext(ctx); got != parent {
-		t.Fatal("SpanFromContext did not return the active span")
-	}
 	now = now.Add(5 * time.Millisecond)
 	_, child := r.StartSpan(ctx, "pipeline.span_search", "job1")
 	now = now.Add(2 * time.Millisecond)

@@ -61,15 +61,6 @@ func (r *Registry) StartSpan(ctx context.Context, stage, tag string) (context.Co
 	return context.WithValue(ctx, ctxKey{}, s), s
 }
 
-// SpanFromContext returns the active span, or nil.
-func SpanFromContext(ctx context.Context) *Span {
-	if ctx == nil {
-		return nil
-	}
-	s, _ := ctx.Value(ctxKey{}).(*Span)
-	return s
-}
-
 // End completes the span with the given outcome and records it. Safe on a
 // nil span; only the first End records.
 func (s *Span) End(outcome string) {

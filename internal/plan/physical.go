@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -148,7 +147,6 @@ type PhysNode struct {
 
 	// Exchange payload.
 	Exchange ExchangeKind
-	HashKeys []Column
 
 	// Dist is the output distribution of this operator.
 	Dist Distribution
@@ -162,8 +160,8 @@ type PhysNode struct {
 	TotalCost float64
 
 	// RuleID identifies the optimizer rule whose application produced this
-	// operator; the union of RuleIDs over a final plan is the job's rule
-	// signature (Definition 3.2).
+	// operator; the union of RuleID over a final plan's operators is the
+	// job's rule signature (Definition 3.2).
 	RuleID int
 }
 
@@ -189,23 +187,6 @@ func (n *PhysNode) Count() int {
 	c := 0
 	n.Walk(func(*PhysNode) { c++ })
 	return c
-}
-
-// RuleIDs returns the sorted distinct rule IDs that contributed operators to
-// the plan.
-func (n *PhysNode) RuleIDs() []int {
-	set := make(map[int]bool)
-	n.Walk(func(m *PhysNode) {
-		if m.RuleID >= 0 {
-			set[m.RuleID] = true
-		}
-	})
-	out := make([]int, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // String renders the physical DAG with distributions, estimated rows and

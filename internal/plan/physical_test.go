@@ -22,19 +22,6 @@ func physChain() *PhysNode {
 	return out
 }
 
-func TestPhysRuleIDs(t *testing.T) {
-	got := physChain().RuleIDs()
-	want := []int{0, 2, 3, 228}
-	if len(got) != len(want) {
-		t.Fatalf("RuleIDs = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("RuleIDs = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestPhysCountAndWalk(t *testing.T) {
 	p := physChain()
 	if p.Count() != 4 {
@@ -80,25 +67,5 @@ func TestPhysOpStringsDistinct(t *testing.T) {
 			t.Fatalf("physical op %d has empty or duplicate name %q", op, s)
 		}
 		seen[s] = true
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	var b strings.Builder
-	if err := WriteDOT(&b, "plan", physChain()); err != nil {
-		t.Fatal(err)
-	}
-	s := b.String()
-	for _, want := range []string{"digraph", "Extract", "HashAgg", "->", "style=dashed"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, s)
-		}
-	}
-	// Shared nodes render once: node count equals distinct operators.
-	if got := strings.Count(s, "label="); got != 4 {
-		t.Fatalf("%d labeled nodes, want 4", got)
-	}
-	if err := WriteDOT(&b, "x", nil); err == nil {
-		t.Fatal("nil plan accepted")
 	}
 }

@@ -5,15 +5,13 @@ import (
 	"steerq/internal/cost"
 )
 
-// NewOptimizer wires a Cascades optimizer with the full rule catalog, the
-// default coster, and the SCOPE-like defaults (50-token parallelism cap per
-// §3.1.3).
+// NewOptimizer wires a Cascades optimizer with the full rule catalog and the
+// default coster.
 func NewOptimizer(est *cost.Estimator) *cascades.Optimizer {
 	return &cascades.Optimizer{
 		Rules:             Catalog(),
 		Est:               est,
 		Coster:            cost.NewCoster(),
-		MaxDOP:            50,
 		EnforceExchangeID: IDEnforceExchange,
 		EnforceSortID:     IDEnforceSortOrder,
 	}

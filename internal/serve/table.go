@@ -113,6 +113,3 @@ func (t *Table) Workload() string { return t.workload }
 
 // Len reports the number of explicit entries (hits plus fallbacks).
 func (t *Table) Len() int { return len(t.entries) }
-
-// Default reports the table's default configuration.
-func (t *Table) Default() bitvec.Vector { return t.def }

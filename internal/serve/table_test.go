@@ -17,9 +17,6 @@ func TestTableLookupKinds(t *testing.T) {
 	if tab.Checksum() != b.Checksum() {
 		t.Fatalf("table checksum %x != bundle checksum %x", tab.Checksum(), b.Checksum())
 	}
-	if !tab.Default().Equal(b.Default) {
-		t.Fatal("table default differs from bundle default")
-	}
 
 	for i, e := range b.Entries {
 		d := tab.Lookup(e.Signature)

@@ -52,7 +52,7 @@ type CompileValue struct {
 	// re-executing the configuration needs no compile: extraction is as
 	// deterministic per footprint class as cost and signature are, and a
 	// Result.Plan never points into a compile arena (cascades/scratch.go).
-	// Executions only read it. It leaves the cache with its slot.
+	// Executions only read it. It leaves the cache with its entry.
 	Plan *plan.PhysNode
 }
 
@@ -68,16 +68,7 @@ const cacheShards = 64
 // keyed by the writer configuration projected onto that footprint.
 type footprintEntry struct {
 	foot bitvec.Vector
-	vals map[bitvec.Key]*cacheSlot
-}
-
-// cacheSlot is one cached outcome.
-type cacheSlot struct {
-	val CompileValue
-	// writer is the full (unprojected) key of the configuration that wrote
-	// the entry; a lookup whose full key differs found the entry through
-	// footprint projection alone (counted as a projected hit).
-	writer bitvec.Key
+	vals map[bitvec.Key]CompileValue
 }
 
 // jobEntry indexes one job's footprint entries in insertion order. Lookups
@@ -87,15 +78,15 @@ type jobEntry struct {
 	foots []*footprintEntry
 }
 
-// lookup returns the slot of the first footprint entry, in insertion order,
-// that holds cfg's projection onto its footprint, or nil.
-func (je *jobEntry) lookup(cfg bitvec.Vector) *cacheSlot {
+// lookup returns the outcome in the first footprint entry, in insertion
+// order, that holds cfg's projection onto its footprint.
+func (je *jobEntry) lookup(cfg bitvec.Vector) (CompileValue, bool) {
 	for _, fe := range je.foots {
-		if slot, ok := fe.vals[cfg.And(fe.foot).Key()]; ok {
-			return slot
+		if v, ok := fe.vals[cfg.And(fe.foot).Key()]; ok {
+			return v, true
 		}
 	}
-	return nil
+	return CompileValue{}, false
 }
 
 // entry returns the job's entry for foot, appending an empty one if needed.
@@ -105,7 +96,7 @@ func (je *jobEntry) entry(foot bitvec.Vector) *footprintEntry {
 			return fe
 		}
 	}
-	fe := &footprintEntry{foot: foot, vals: make(map[bitvec.Key]*cacheSlot)}
+	fe := &footprintEntry{foot: foot, vals: make(map[bitvec.Key]CompileValue)}
 	je.foots = append(je.foots, fe)
 	return fe
 }
@@ -120,10 +111,9 @@ type cacheShard struct {
 // are atomic everywhere and wiring observability re-points rather than
 // duplicates.
 const (
-	cacheHitsMetric     = "steerq_cache_hits_total"
-	cacheMissesMetric   = "steerq_cache_misses_total"
-	cacheEntriesMetric  = "steerq_cache_entries"
-	cacheProjHitsMetric = "steerq_cache_projected_hits_total"
+	cacheHitsMetric    = "steerq_cache_hits_total"
+	cacheMissesMetric  = "steerq_cache_misses_total"
+	cacheEntriesMetric = "steerq_cache_entries"
 )
 
 // CompileCache is a sharded, concurrency-safe memo of compilation outcomes
@@ -134,24 +124,23 @@ const (
 //
 // Lookups project the probing configuration onto each stored footprint of
 // the job, so recurring templates hit even when the probing configuration
-// differs from the writer's on rules the compile never consulted. A hit
-// whose full configuration differs from the writer's is additionally
-// counted as a projected hit. A trial's probe needs the plan: finding the
-// class without one is counted as a miss, since the caller compiles anyway.
+// differs from the writer's on rules the compile never consulted. That makes
+// the cache the one footprint index of the steering layer: a candidate whose
+// class an earlier compile of the job decided is a hit. A trial's probe needs
+// the plan: finding the class without one is counted as a miss, since the
+// caller compiles anyway.
 type CompileCache struct {
-	shards    [cacheShards]cacheShard
-	entries   atomic.Int64
-	hits      *obs.Counter
-	misses    *obs.Counter
-	projected *obs.Counter
+	shards  [cacheShards]cacheShard
+	entries atomic.Int64
+	hits    *obs.Counter
+	misses  *obs.Counter
 }
 
 // NewCompileCache returns an empty cache.
 func NewCompileCache() *CompileCache {
 	c := &CompileCache{
-		hits:      obs.NewCounter(cacheHitsMetric),
-		misses:    obs.NewCounter(cacheMissesMetric),
-		projected: obs.NewCounter(cacheProjHitsMetric),
+		hits:   obs.NewCounter(cacheHitsMetric),
+		misses: obs.NewCounter(cacheMissesMetric),
 	}
 	for i := range c.shards {
 		c.shards[i].jobs = make(map[JobFingerprint]*jobEntry)
@@ -170,11 +159,9 @@ func (c *CompileCache) SetObs(reg *obs.Registry, labels ...string) {
 	}
 	hits := reg.Counter(cacheHitsMetric, labels...)
 	misses := reg.Counter(cacheMissesMetric, labels...)
-	projected := reg.Counter(cacheProjHitsMetric, labels...)
 	hits.Add(c.hits.Value())
 	misses.Add(c.misses.Value())
-	projected.Add(c.projected.Value())
-	c.hits, c.misses, c.projected = hits, misses, projected
+	c.hits, c.misses = hits, misses
 	reg.GaugeFunc(cacheEntriesMetric, func() float64 {
 		return float64(c.entries.Load())
 	}, labels...)
@@ -187,24 +174,18 @@ func (c *CompileCache) shard(fp JobFingerprint) *cacheShard {
 }
 
 // lookup scans the job's footprint entries in insertion order for one whose
-// projection of cfg is present; projected reports a hit whose writer was a
-// different full configuration.
-func (s *cacheShard) lookup(fp JobFingerprint, cfg bitvec.Vector) (v CompileValue, ok, projected bool) {
+// projection of cfg is present.
+func (s *cacheShard) lookup(fp JobFingerprint, cfg bitvec.Vector) (CompileValue, bool) {
 	je := s.jobs[fp]
 	if je == nil {
-		return CompileValue{}, false, false
+		return CompileValue{}, false
 	}
-	slot := je.lookup(cfg)
-	if slot == nil {
-		return CompileValue{}, false, false
-	}
-	return slot.val, true, slot.writer != cfg.Key()
+	return je.lookup(cfg)
 }
 
 // Get returns the cached value for compiling the fingerprinted job under
-// cfg, matching by footprint projection. The hit/miss (and projected-hit)
-// counters are updated; a nil receiver reports a miss, so call sites need
-// no nil guards.
+// cfg, matching by footprint projection. The hit/miss counters are updated;
+// a nil receiver reports a miss, so call sites need no nil guards.
 func (c *CompileCache) Get(fp JobFingerprint, cfg bitvec.Vector) (CompileValue, bool) {
 	return c.get(fp, cfg, false)
 }
@@ -216,14 +197,11 @@ func (c *CompileCache) get(fp JobFingerprint, cfg bitvec.Vector, needPlan bool) 
 	}
 	s := c.shard(fp)
 	s.mu.RLock()
-	v, ok, projected := s.lookup(fp, cfg)
+	v, ok := s.lookup(fp, cfg)
 	s.mu.RUnlock()
 	ok = ok && (!needPlan || v.Plan != nil)
 	if ok {
 		c.hits.Inc()
-		if projected {
-			c.projected.Inc()
-		}
 	} else {
 		c.misses.Inc()
 	}
@@ -286,20 +264,17 @@ func (c *CompileCache) Put(fp JobFingerprint, cfg bitvec.Vector, v CompileValue)
 	}
 	fe := je.entry(v.Footprint)
 	k := cfg.And(v.Footprint).Key()
-	if slot, ok := fe.vals[k]; ok {
-		slot.val = v // deterministic recompile of the same class; refresh
-		return
+	if _, ok := fe.vals[k]; !ok {
+		c.entries.Add(1)
 	}
-	fe.vals[k] = &cacheSlot{val: v, writer: cfg.Key()}
-	c.entries.Add(1)
+	fe.vals[k] = v // a deterministic recompile of a known class refreshes it
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.
 type CacheStats struct {
-	Hits      uint64
-	Misses    uint64
-	Projected uint64
-	Entries   int
+	Hits    uint64
+	Misses  uint64
+	Entries int
 }
 
 // HitRate returns hits / (hits + misses), or 0 before any lookup.
@@ -317,10 +292,9 @@ func (c *CompileCache) Stats() CacheStats {
 		return CacheStats{}
 	}
 	return CacheStats{
-		Hits:      c.hits.Value(),
-		Misses:    c.misses.Value(),
-		Projected: c.projected.Value(),
-		Entries:   int(c.entries.Load()),
+		Hits:    c.hits.Value(),
+		Misses:  c.misses.Value(),
+		Entries: int(c.entries.Load()),
 	}
 }
 

@@ -97,8 +97,9 @@ func TestCompileCacheEntriesGaugeConsistency(t *testing.T) {
 }
 
 // TestCompileCacheProjectedHits: a configuration that differs from the
-// writer's only outside the footprint must hit, and the hit must be counted
-// as projected; agreeing configurations hit without the projected count.
+// writer's only outside the footprint must hit and count as a hit, one that
+// disagrees on a footprint bit must miss, an empty footprint matches every
+// configuration, and footprints are scanned in insertion order.
 func TestCompileCacheProjectedHits(t *testing.T) {
 	c := steering.NewCompileCache()
 	fp := cfp(9)
@@ -107,19 +108,25 @@ func TestCompileCacheProjectedHits(t *testing.T) {
 	if _, ok := c.Get(fp, writer); !ok { // exact writer config
 		t.Fatal("writer config missed")
 	}
-	if st := c.Stats(); st.Projected != 0 {
-		t.Fatalf("exact hit counted as projected: %+v", st)
-	}
 	probe := bitvec.New(3, 99, 200) // agrees on bit 3, differs elsewhere
 	v, ok := c.Get(fp, probe)
 	if !ok || v.Cost != 7 {
 		t.Fatalf("projected probe missed: ok=%v v=%+v", ok, v)
 	}
-	if st := c.Stats(); st.Projected != 1 {
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 0 {
 		t.Fatalf("projected hit not counted: %+v", st)
 	}
 	if _, ok := c.Get(fp, bitvec.New(99)); ok { // disagrees on footprint bit 3
 		t.Fatal("footprint-bit disagreement hit anyway")
+	}
+
+	// An empty footprint matches whatever the earlier footprint {3} does not.
+	c.Put(fp, bitvec.New(100), steering.CompileValue{Cost: 2})
+	if v, ok := c.Get(fp, bitvec.New(1)); !ok || v.Cost != 2 {
+		t.Fatalf("empty footprint should match any config, got ok=%v v=%+v", ok, v)
+	}
+	if v, ok := c.Get(fp, bitvec.New(3)); !ok || v.Cost != 7 {
+		t.Fatalf("insertion order violated: got %+v", v)
 	}
 }
 

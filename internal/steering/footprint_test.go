@@ -6,7 +6,6 @@ import (
 
 	"steerq/internal/bitvec"
 	"steerq/internal/cascades"
-	"steerq/internal/steering"
 	"steerq/internal/xrand"
 )
 
@@ -112,49 +111,5 @@ func TestFootprintExcludesRequired(t *testing.T) {
 	}
 	if fired := res.Signature.AndNot(required); !res.Footprint.Contains(fired) {
 		t.Fatalf("signature bits %v fired without being read", fired.AndNot(res.Footprint).Ones())
-	}
-}
-
-// TestFootprintClasses exercises the classifier's semantics directly:
-// admission order wins, admitting an existing class is a no-op, and an empty
-// footprint matches every configuration.
-func TestFootprintClasses(t *testing.T) {
-	var fc steering.FootprintClasses
-	if _, ok := fc.Lookup(bitvec.New(1, 2)); ok {
-		t.Fatal("empty classifier claimed a hit")
-	}
-
-	// Class A: footprint {0,1}, representative has bit 0 set, bit 1 clear.
-	vA := steering.CompileValue{Cost: 1, Footprint: bitvec.New(0, 1), OK: true}
-	if !fc.Admit(bitvec.New(0, 7), vA) {
-		t.Fatal("first admission did not create a class")
-	}
-	if fc.Admit(bitvec.New(0, 9), vA) {
-		t.Fatal("same projection admitted twice")
-	}
-	if fc.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", fc.Len())
-	}
-	// Any config with bit 0 set and bit 1 clear resolves to A, whatever the
-	// other bits say.
-	if v, ok := fc.Lookup(bitvec.New(0, 42, 200)); !ok || v.Cost != 1 {
-		t.Fatalf("projected lookup failed: ok=%v v=%+v", ok, v)
-	}
-	// Disagreeing on a footprint bit must miss.
-	if _, ok := fc.Lookup(bitvec.New(1, 0)); ok {
-		t.Fatal("lookup matched despite footprint-bit disagreement")
-	}
-
-	// Class B: empty footprint — matches everything not already claimed, in
-	// admission order (A first).
-	vB := steering.CompileValue{Cost: 2, OK: false}
-	if !fc.Admit(bitvec.New(100), vB) {
-		t.Fatal("empty-footprint class not created")
-	}
-	if v, ok := fc.Lookup(bitvec.New(1)); !ok || v.Cost != 2 {
-		t.Fatalf("empty footprint should match any config, got ok=%v v=%+v", ok, v)
-	}
-	if v, ok := fc.Lookup(bitvec.New(0)); !ok || v.Cost != 1 {
-		t.Fatalf("admission order violated: got %+v", v)
 	}
 }

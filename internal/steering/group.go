@@ -21,9 +21,6 @@ type JobGroup struct {
 	Jobs      []*workload.Job
 }
 
-// GroupKey identifies a job group.
-func (g *JobGroup) GroupKey() bitvec.Key { return g.Signature.Key() }
-
 // Grouper assigns jobs to rule-signature job groups by compiling them under
 // the default configuration.
 type Grouper struct {

@@ -54,9 +54,8 @@ type Analysis struct {
 
 	// Footprint reports how far footprint memoization collapsed the
 	// candidate stage: of Candidates generated configurations, only
-	// Compiled went through the optimizer; the rest resolved against an
-	// equivalence class (Avoided), seeded either by a compile in this
-	// analysis or by a compile-cache hit (CacheSeeded).
+	// Compiled went through the optimizer; the rest hit an outcome the
+	// compile cache holds for their footprint class (Avoided).
 	Footprint FootprintStats
 
 	// Sched counts the candidate stage's compiles in the shape the
@@ -92,28 +91,21 @@ func (s *SchedStats) Add(o SchedStats) {
 }
 
 // FootprintStats summarizes the equivalence-class collapse of one candidate
-// stage (see FootprintClasses).
+// stage (see resolveCandidates).
 type FootprintStats struct {
 	// Candidates is the number of candidate configurations generated.
 	Candidates int
-	// Classes is the number of distinct equivalence classes discovered.
-	Classes int
 	// Compiled is the number of candidates actually sent through the
 	// optimizer (including faulted attempts).
 	Compiled int
-	// CacheSeeded counts classes whose representative came from the
-	// compile cache rather than a fresh compile.
-	CacheSeeded int
-	// Avoided counts candidates resolved without compiling: class or cache.
+	// Avoided counts candidates resolved without compiling: cache hits.
 	Avoided int
 }
 
 // Add accumulates o into s (for workload-level reporting).
 func (s *FootprintStats) Add(o FootprintStats) {
 	s.Candidates += o.Candidates
-	s.Classes += o.Classes
 	s.Compiled += o.Compiled
-	s.CacheSeeded += o.CacheSeeded
 	s.Avoided += o.Avoided
 }
 
@@ -239,7 +231,6 @@ func (p *Pipeline) recompile(ctx context.Context, sess *cascades.Session, job *w
 	r := p.Rand.Derive("job", job.ID)
 	cfgs := CandidateConfigs(span, h.Opt.Rules, p.MaxCandidates, r)
 	p.resolveCandidates(ctx, job, cfgs, a, sess)
-	p.Obs.Counter("steerq_pipeline_footprint_classes_total").Add(uint64(a.Footprint.Classes))
 	p.Obs.Counter("steerq_pipeline_compiles_avoided_total").Add(uint64(a.Footprint.Avoided))
 	return a, nil
 }
@@ -259,15 +250,15 @@ func (p *Pipeline) AnalyzeEachCtx(ctx context.Context, jobs []*workload.Job, vis
 }
 
 // resolveCandidates resolves every candidate configuration to a compile
-// outcome in one serial in-order loop, compiling only one representative per
-// footprint equivalence class (see FootprintClasses): a candidate agreeing
-// with a discovered class on that class's footprint bits takes its outcome,
-// one the compile cache knows seeds a class from the cached value, and only
-// the rest go through the optimizer — each fresh outcome is admitted as a
-// class and written to the cache before the next candidate is looked at, so
-// no compile is ever wasted on a configuration an earlier one decides.
-// Agreement on footprint bits implies a byte-identical compile, so
-// a.Candidates is exactly what compiling every configuration would give.
+// outcome in one serial in-order loop through the analysis's compile path.
+// The compile cache indexes a job's outcomes by footprint, so only one
+// representative per footprint equivalence class goes through the optimizer:
+// each fresh outcome is written back before the next candidate is looked at,
+// and every later candidate agreeing with it on its footprint bits hits. No
+// compile is wasted on a configuration an earlier one decides. Agreement on
+// footprint bits implies a byte-identical compile, so a.Candidates is exactly
+// what compiling every configuration would give. Without a cache every
+// candidate compiles on sess.
 //
 // Successes append to a.Candidates in candidate order (no-plan verdicts and
 // faulted compiles are dropped — §4 expects them). Candidate outcomes are
@@ -278,32 +269,18 @@ func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, cfg
 	compiled := p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "compiled")
 	noplan := p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "noplan")
 	faulted := p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "faulted")
-	var classes FootprintClasses
 	a.Candidates = make([]Candidate, 0, len(cfgs))
 	for i, cfg := range cfgs {
-		v, ok := classes.Lookup(cfg)
-		if ok {
+		v, _, hit, err := p.compile(ctx, sess, job, cfg, func() string { return fmt.Sprintf("%s/cand%d", job.ID, i) }, &a.Robustness, false)
+		if hit {
 			a.Footprint.Avoided++
 		} else {
-			var hit bool
-			var err error
-			v, _, hit, err = p.compile(ctx, sess, job, cfg, func() string { return fmt.Sprintf("%s/cand%d", job.ID, i) }, &a.Robustness, false)
-			if hit {
-				a.Footprint.Avoided++
-			} else {
-				a.Footprint.Compiled++
-			}
-			if err != nil && !errors.Is(err, cascades.ErrNoPlan) {
-				// Faulted compile: no footprint to trust, nothing shared.
-				faulted.Inc()
-				continue
-			}
-			if classes.Admit(cfg, v) {
-				a.Footprint.Classes++
-				if hit {
-					a.Footprint.CacheSeeded++
-				}
-			}
+			a.Footprint.Compiled++
+		}
+		if err != nil && !errors.Is(err, cascades.ErrNoPlan) {
+			// Faulted compile: no footprint to trust, nothing written back.
+			faulted.Inc()
+			continue
 		}
 		if !v.OK {
 			noplan.Inc()
@@ -471,12 +448,4 @@ func (a *Analysis) PercentChange(t *abtest.Trial, m Metric) float64 {
 		return 0
 	}
 	return 100 * (m.value(t) - d) / d
-}
-
-// LowCostHighRuntime reports whether the job sits in Figure 5's top-left
-// corner: the optimizer expected it to be fast (estimated cost below
-// costCeil) but it ran long (runtime above runtimeFloor seconds) — heuristic
-// (2) of §6.1.
-func (a *Analysis) LowCostHighRuntime(costCeil, runtimeFloor float64) bool {
-	return a.Default.EstCost < costCeil && a.Default.Metrics.RuntimeSec > runtimeFloor
 }

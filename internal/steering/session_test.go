@@ -13,9 +13,9 @@ import (
 
 // analysisDigest hashes everything an analysis lets a caller observe: span,
 // default trial, candidates, selection, trials with their fault handling,
-// robustness tallies, footprint and scheduling statistics. The Record fields
-// are named one by one so the digest does not move when a field is added to
-// or removed from faults.Record.
+// robustness tallies, footprint and scheduling statistics. The Record and
+// FootprintStats fields are named one by one so the digest does not move when
+// a field is added to or removed from either.
 func analysisDigest(a *steering.Analysis) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%v|%v|%v|%+v|", a.Job.ID, a.Span, a.Default.Signature, a.Default.EstCost, a.Default.Metrics)
@@ -29,8 +29,9 @@ func analysisDigest(a *steering.Analysis) uint64 {
 		fmt.Fprintf(h, "t%v|%v|%v|%+v|%v|%d|%v|", tr.Config, tr.Signature, tr.EstCost, tr.Metrics, tr.FellBack, tr.Attempts, tr.Err)
 	}
 	rb := a.Robustness
-	fmt.Fprintf(h, "{CompileRetries:%d ExecRetries:%d Timeouts:%d Corruptions:%d Fallbacks:%d GiveUps:%d}|%+v|%+v",
-		rb.CompileRetries, rb.ExecRetries, rb.Timeouts, rb.Corruptions, rb.Fallbacks, rb.GiveUps, a.Footprint, a.Sched)
+	fp := a.Footprint
+	fmt.Fprintf(h, "{CompileRetries:%d ExecRetries:%d Timeouts:%d Corruptions:%d Fallbacks:%d GiveUps:%d}|{Candidates:%d Compiled:%d Avoided:%d}|%+v",
+		rb.CompileRetries, rb.ExecRetries, rb.Timeouts, rb.Corruptions, rb.Fallbacks, rb.GiveUps, fp.Candidates, fp.Compiled, fp.Avoided, a.Sched)
 	return h.Sum64()
 }
 
@@ -40,13 +41,14 @@ func analysisDigest(a *steering.Analysis) uint64 {
 // (recorded at commit 3ee16ad): bundle bytes, report, every group's
 // analysis and the summed robustness record, at Workers 1 and 8. The
 // analyses fold was re-derived at commit b983202 when analysisDigest began
-// spelling out the Record fields, with nothing else changed. Injected
+// spelling out the Record fields, and at commit 4534548 when it began
+// spelling out the footprint counts, with nothing else changed. Injected
 // failures and hangs never enter the optimizer, so a session must see — and
 // produce — exactly what per-compile memos did.
 func TestSessionFaultedBuildMatchesPerCompileBaseline(t *testing.T) {
 	const (
 		wantBundle   = uint64(0x5aa075f0bfcc99c9)
-		wantAnalyses = uint64(0x7ad478b0c504a0e1)
+		wantAnalyses = uint64(0xfb16fa2eb00d9b20)
 	)
 	wantReport := steering.BundleReport{Jobs: 24, Groups: 13, Steered: 12, Fallbacks: 1}
 	wantRobustness := faults.Record{CompileRetries: 36, Timeouts: 10, Corruptions: 6}

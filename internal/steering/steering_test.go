@@ -360,22 +360,3 @@ func TestExtrapolateSkipsUncompilable(t *testing.T) {
 		t.Fatalf("uncompilable extrapolation produced %d comparisons", len(out))
 	}
 }
-
-func TestLowCostHighRuntimeHeuristic(t *testing.T) {
-	cat := steerCatalog()
-	h := steerHarness(cat)
-	job := steerJob(t, cat)
-	p := steering.NewPipeline(h, xrand.New(3))
-	p.MaxCandidates = 10
-	p.ExecutePerJob = 2
-	a, err := p.AnalyzeCtx(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.LowCostHighRuntime(a.Default.EstCost+1, a.Default.Metrics.RuntimeSec-1) {
-		t.Fatal("heuristic false for a point inside its own thresholds")
-	}
-	if a.LowCostHighRuntime(a.Default.EstCost-1, a.Default.Metrics.RuntimeSec-1) {
-		t.Fatal("heuristic true for cost above ceiling")
-	}
-}

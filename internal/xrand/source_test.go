@@ -89,9 +89,6 @@ func TestSourceDistributionsMatchMathRand(t *testing.T) {
 			if got, want := s.Intn(1000), ref.Intn(1000); got != want {
 				t.Fatalf("seed %d round %d: Intn %d, math/rand %d", seed, i, got, want)
 			}
-			if got, want := s.Exp(4), ref.ExpFloat64()/4; got != want {
-				t.Fatalf("seed %d round %d: Exp %v, math/rand %v", seed, i, got, want)
-			}
 			if i%50 == 0 {
 				perm = s.PermInto(perm, 9)
 				for k, want := range ref.Perm(9) {

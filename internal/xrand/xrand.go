@@ -15,7 +15,6 @@
 package xrand
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -64,22 +63,12 @@ func (s *Source) Derive(path ...string) *Source {
 	return New(h.Sum64())
 }
 
-// ReseedDerived repositions dst onto the stream that s.Derive(path...) would
-// return, reusing dst's internal generator state instead of allocating a new
-// one (~5KB). Seeding a drawn generator repositions it exactly where a new
-// one would start, so the resulting sequence is identical to a freshly
-// derived stream. dst must not be shared across goroutines.
-func (s *Source) ReseedDerived(dst *Source, path ...string) {
-	h := s.fnvSeed()
-	for _, p := range path {
-		h = fnvPart(h, p)
-	}
-	dst.reseed(h)
-}
-
-// ReseedDerivedBytes is ReseedDerived(dst, label, string(tag)) for a tag the
-// caller assembled in a reusable buffer: the same bytes are hashed, so the
-// same stream results, without the string.
+// ReseedDerivedBytes repositions dst onto the stream that
+// s.Derive(label, string(tag)) would return, for a tag the caller assembled
+// in a reusable buffer, reusing dst's internal generator state instead of
+// allocating a new one (~5KB). Seeding a drawn generator repositions it
+// exactly where a new one would start, so the resulting sequence is identical
+// to a freshly derived stream. dst must not be shared across goroutines.
 func (s *Source) ReseedDerivedBytes(dst *Source, label string, tag []byte) {
 	dst.reseed(fnvPart(fnvPart(s.fnvSeed(), label), tag))
 }
@@ -150,18 +139,6 @@ func (s *Source) Norm(mean, stddev float64) float64 {
 // and the noise model both use this distribution.
 func (s *Source) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(s.Norm(mu, sigma))
-}
-
-// Exp returns an exponentially distributed float64 with the given rate
-// (mean 1/rate). Inter-arrival gaps of a Poisson process are exponential,
-// which is what the open-loop load generator schedules arrivals with. It
-// panics if rate <= 0.
-func (s *Source) Exp(rate float64) float64 {
-	if rate <= 0 {
-		// steerq:allow-panic — programmer error, exactly like Intn(0).
-		panic(fmt.Sprintf("xrand: Exp rate %g <= 0", rate))
-	}
-	return s.gen().ExpFloat64() / rate
 }
 
 // Bool returns true with probability p.
