@@ -6,6 +6,7 @@ import (
 
 	"steerq/internal/bitvec"
 	"steerq/internal/cascades"
+	"steerq/internal/steering"
 	"steerq/internal/xrand"
 )
 
@@ -111,5 +112,48 @@ func TestFootprintExcludesRequired(t *testing.T) {
 	}
 	if fired := res.Signature.AndNot(required); !res.Footprint.Contains(fired) {
 		t.Fatalf("signature bits %v fired without being read", fired.AndNot(res.Footprint).Ones())
+	}
+}
+
+// TestFootprintClasses exercises the compile cache as the index of a job's
+// footprint classes: re-putting an existing projection is a no-op, any
+// configuration agreeing on the footprint bits resolves to the class, classes
+// are scanned in insertion order, and an empty footprint matches every
+// configuration.
+func TestFootprintClasses(t *testing.T) {
+	c := steering.NewCompileCache()
+	fp := cfp(4)
+	if _, ok := c.Get(fp, bitvec.New(1, 2)); ok {
+		t.Fatal("empty cache claimed a hit")
+	}
+
+	// Class A: footprint {0,1}, representative has bit 0 set, bit 1 clear.
+	vA := steering.CompileValue{Cost: 1, Footprint: bitvec.New(0, 1), OK: true}
+	c.Put(fp, bitvec.New(0, 7), vA)
+	c.Put(fp, bitvec.New(0, 9), vA) // same projection onto {0,1}
+	if st := c.Stats(); st.Entries != 1 {
+		t.Fatalf("same projection stored twice: %+v", st)
+	}
+	// Any config with bit 0 set and bit 1 clear resolves to A, whatever the
+	// other bits say.
+	if v, ok := c.Get(fp, bitvec.New(0, 42, 200)); !ok || v.Cost != 1 {
+		t.Fatalf("projected lookup failed: ok=%v v=%+v", ok, v)
+	}
+	// Disagreeing on a footprint bit must miss.
+	if _, ok := c.Get(fp, bitvec.New(1, 0)); ok {
+		t.Fatal("lookup matched despite footprint-bit disagreement")
+	}
+
+	// Class B: empty footprint — matches everything A does not claim, in
+	// insertion order (A first).
+	c.Put(fp, bitvec.New(100), steering.CompileValue{Cost: 2, OK: false})
+	if st := c.Stats(); st.Entries != 2 {
+		t.Fatalf("empty-footprint class not stored: %+v", st)
+	}
+	if v, ok := c.Get(fp, bitvec.New(1)); !ok || v.Cost != 2 {
+		t.Fatalf("empty footprint should match any config, got ok=%v v=%+v", ok, v)
+	}
+	if v, ok := c.Get(fp, bitvec.New(0)); !ok || v.Cost != 1 {
+		t.Fatalf("insertion order violated: got %+v", v)
 	}
 }

@@ -43,6 +43,40 @@ func TestDeriveOrderInsensitive(t *testing.T) {
 	}
 }
 
+func TestReseedDerivedMatchesDerive(t *testing.T) {
+	// Reseeding must land dst on exactly the stream Derive returns: same
+	// derived seed, same draw sequence, for every label and tag shape.
+	paths := [][2]string{
+		{"", ""},
+		{"node", ""},
+		{"node", "tag17"},
+		{"exec", "wlA/j3|5"},
+		{"", "\x00"},
+	}
+	root := New(99)
+	scratch := New(0)
+	for _, p := range paths {
+		fresh := root.Derive(p[0], p[1])
+		root.ReseedDerivedBytes(scratch, p[0], []byte(p[1]))
+		if scratch.Seed() != fresh.Seed() {
+			t.Fatalf("ReseedDerivedBytes(%q) seed %d, Derive seed %d", p, scratch.Seed(), fresh.Seed())
+		}
+		for i := 0; i < 50; i++ {
+			if a, b := scratch.Int63(), fresh.Int63(); a != b {
+				t.Fatalf("ReseedDerivedBytes(%q) draw %d = %d, Derive = %d", p, i, a, b)
+			}
+		}
+	}
+	// Reuse of the same scratch for a new tag must fully reset the state.
+	root.ReseedDerivedBytes(scratch, "other", nil)
+	fresh := root.Derive("other", "")
+	for i := 0; i < 50; i++ {
+		if a, b := scratch.Int63(), fresh.Int63(); a != b {
+			t.Fatalf("reused scratch draw %d = %d, want %d", i, a, b)
+		}
+	}
+}
+
 // TestReseedDerivedBytesMatchesDerive: ReseedDerivedBytes must land dst on
 // exactly the stream Derive returns — same derived seed, same draw sequence —
 // and every reseed after the first repositions a scratch that has already
