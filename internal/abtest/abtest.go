@@ -51,7 +51,8 @@ type Steerer interface {
 	Decide(sig bitvec.Vector) (cfg bitvec.Vector, ok bool)
 }
 
-// Harness re-executes plans with pinned resources. Its methods are safe for
+// Harness re-executes plans with pinned resources: exec.New's token budget
+// (50, §3.1.3) is the one statement of the pin. Its methods are safe for
 // concurrent use: the optimizer and executor keep no cross-call state,
 // execution noise is derived from (seed, jobTag, day), and fault decisions
 // are derived from (fault seed, site, jobTag, attempt) — never from shared
@@ -84,12 +85,10 @@ type Harness struct {
 	Steer Steerer
 }
 
-// New builds a harness; the executor is configured with the standard
-// 50-token budget.
+// New builds a harness around exec.New's executor, which carries the
+// standard 50-token budget.
 func New(cat *catalog.Catalog, opt *cascades.Optimizer, seed uint64) *Harness {
-	ex := exec.New(cat, seed)
-	ex.Tokens = 50
-	return &Harness{Cat: cat, Opt: opt, Executor: ex}
+	return &Harness{Cat: cat, Opt: opt, Executor: exec.New(cat, seed)}
 }
 
 // SetFaults arms fault injection on the harness and its executor together,

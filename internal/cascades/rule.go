@@ -2,7 +2,6 @@ package cascades
 
 import (
 	"fmt"
-	"sort"
 
 	"steerq/internal/bitvec"
 	"steerq/internal/plan"
@@ -48,9 +47,13 @@ func (ri RuleInfo) String() string { return fmt.Sprintf("%s#%d(%s)", ri.Name, ri
 // expressions.
 type TransformRule interface {
 	Info() RuleInfo
-	// Apply returns zero or more equivalent expressions for e. Returned
-	// RNodes join e's group. Apply must not mutate e or the memo besides
-	// allocating column IDs via m.NewColID.
+	// MatchOp is the one logical operator the rule rewrites. The optimizer
+	// consults the rule only on expressions of that operator (see
+	// RuleSet.indexByOp), so Apply need not check it.
+	MatchOp() plan.Op
+	// Apply returns zero or more equivalent expressions for e, whose
+	// operator is MatchOp(). Returned RNodes join e's group. Apply must not
+	// mutate e or the memo besides allocating column IDs via m.NewColID.
 	Apply(e *MExpr, m *Memo) []*RNode
 }
 
@@ -83,8 +86,11 @@ type PhysProto struct {
 // expression.
 type ImplementRule interface {
 	Info() RuleInfo
-	// Implement returns candidates for e, or nil when the rule does not
-	// apply to e's operator.
+	// MatchOp is the one logical operator the rule implements; the
+	// optimizer consults the rule only on expressions of that operator.
+	MatchOp() plan.Op
+	// Implement returns candidates for e, whose operator is MatchOp(), or
+	// nil when the rule does not apply to e.
 	//
 	// Implement takes no configuration and runs on a frozen memo (see
 	// Session): it must not Intern, must not call NewColID, and must be a
@@ -95,23 +101,6 @@ type ImplementRule interface {
 	Implement(e *MExpr, m *Memo) []*PhysProto
 }
 
-// OpMatcher is an optional interface on rules that only ever match one
-// logical operator (every catalog rule opens with `if e.Node.Op != plan.OpX
-// { return nil }`). Declaring the operator lets the optimizer consult the
-// rule only on expressions it could match, which both skips the dead
-// Apply/Implement calls and keeps the decision footprint (the set of
-// enabled-bits actually read — see search.ruleEnabled) tight: a rule whose
-// operator never appears in the memo leaves no footprint bit, so more
-// configurations fall into the same equivalence class.
-//
-// The contract is strict: for any expression whose operator differs from
-// MatchOp(), Apply/Implement must return nil without side effects. Rules
-// that omit the interface are consulted on every expression, exactly as
-// before.
-type OpMatcher interface {
-	MatchOp() plan.Op
-}
-
 // RuleSet is the rule catalog handed to the optimizer.
 type RuleSet struct {
 	Transforms []TransformRule
@@ -119,15 +108,15 @@ type RuleSet struct {
 
 	infos map[int]RuleInfo
 
-	// Per-operator projections of Transforms/Implements, built by
-	// NewRuleSet from the OpMatcher declarations. Each list preserves the
-	// catalog order and includes every rule that omits OpMatcher, so
-	// iterating a projection is behaviorally identical to iterating the
-	// full slice. The *Any lists serve operators no pinned rule matches.
-	transformsByOp map[plan.Op][]TransformRule
-	transformsAny  []TransformRule
-	implementsByOp map[plan.Op][]ImplementRule
-	implementsAny  []ImplementRule
+	// The rules of each operator, indexed by MatchOp and in catalog order:
+	// the only operator filter of the explore and implement loops. Consulting
+	// a rule only on its operator skips dead Apply/Implement calls and keeps
+	// the decision footprint (the enabled-bits a compile reads — see
+	// search.ruleEnabled) tight: a rule whose operator never appears in the
+	// memo leaves no footprint bit, so more configurations fall into one
+	// equivalence class.
+	transformsByOp [][]TransformRule
+	implementsByOp [][]ImplementRule
 
 	// transformMask holds the IDs of the non-required rules in Transforms:
 	// every configuration bit logical exploration can read, hence the bits
@@ -168,99 +157,45 @@ func NewRuleSet(transforms []TransformRule, implements []ImplementRule, extra []
 	return rs, nil
 }
 
-// ruleOps collects the sorted set of operators pinned by OpMatcher rules in
-// a slice (sorted so the projection maps are built in a deterministic
-// order, though their content is order-independent either way).
-func ruleOps(match func(i int) (plan.Op, bool), n int) []plan.Op {
-	seen := make(map[plan.Op]bool, n)
-	ops := make([]plan.Op, 0, n)
-	for i := 0; i < n; i++ {
-		if op, ok := match(i); ok && !seen[op] {
-			seen[op] = true
-			ops = append(ops, op)
-		}
-	}
-	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
-	return ops
-}
-
-// indexByOp builds the per-operator rule projections and the transform mask.
+// indexByOp builds the per-operator rule lists and the transform mask.
 func (rs *RuleSet) indexByOp() {
 	for _, r := range rs.Transforms {
 		if ri := r.Info(); ri.Category != Required {
 			rs.transformMask.Set(ri.ID)
 		}
 	}
-	tOps := ruleOps(func(i int) (plan.Op, bool) {
-		m, ok := rs.Transforms[i].(OpMatcher)
-		if !ok {
-			return 0, false
-		}
-		return m.MatchOp(), true
-	}, len(rs.Transforms))
-	rs.transformsByOp = make(map[plan.Op][]TransformRule, len(tOps))
-	rs.transformsAny = make([]TransformRule, 0, len(rs.Transforms))
-	for _, r := range rs.Transforms {
-		if _, ok := r.(OpMatcher); !ok {
-			rs.transformsAny = append(rs.transformsAny, r)
-		}
-	}
-	for _, op := range tOps {
-		l := make([]TransformRule, 0, len(rs.Transforms))
-		for _, r := range rs.Transforms {
-			if m, ok := r.(OpMatcher); !ok || m.MatchOp() == op {
-				l = append(l, r)
-			}
-		}
-		rs.transformsByOp[op] = l
-	}
-	iOps := ruleOps(func(i int) (plan.Op, bool) {
-		m, ok := rs.Implements[i].(OpMatcher)
-		if !ok {
-			return 0, false
-		}
-		return m.MatchOp(), true
-	}, len(rs.Implements))
-	rs.implementsByOp = make(map[plan.Op][]ImplementRule, len(iOps))
-	rs.implementsAny = make([]ImplementRule, 0, len(rs.Implements))
-	for _, r := range rs.Implements {
-		if _, ok := r.(OpMatcher); !ok {
-			rs.implementsAny = append(rs.implementsAny, r)
-		}
-	}
-	for _, op := range iOps {
-		l := make([]ImplementRule, 0, len(rs.Implements))
-		for _, r := range rs.Implements {
-			if m, ok := r.(OpMatcher); !ok || m.MatchOp() == op {
-				l = append(l, r)
-			}
-		}
-		rs.implementsByOp[op] = l
-	}
+	rs.transformsByOp = byOp(rs.Transforms)
+	rs.implementsByOp = byOp(rs.Implements)
 }
 
-// transformsFor returns the transforms worth consulting on an expression
-// with the given operator. Falls back to the full slice on rule sets built
-// as raw literals (tests) that never ran indexByOp.
+// byOp groups rules by MatchOp, keeping catalog order within each operator.
+func byOp[R interface{ MatchOp() plan.Op }](rules []R) [][]R {
+	var out [][]R
+	for _, r := range rules {
+		op := int(r.MatchOp())
+		for len(out) <= op {
+			out = append(out, nil)
+		}
+		out[op] = append(out[op], r)
+	}
+	return out
+}
+
+// transformsFor returns the transforms to consult on an expression with the
+// given operator.
 func (rs *RuleSet) transformsFor(op plan.Op) []TransformRule {
-	if rs.transformsByOp == nil {
-		return rs.Transforms
+	if int(op) < len(rs.transformsByOp) {
+		return rs.transformsByOp[op]
 	}
-	if l, ok := rs.transformsByOp[op]; ok {
-		return l
-	}
-	return rs.transformsAny
+	return nil
 }
 
 // implementsFor is transformsFor for implementation rules.
 func (rs *RuleSet) implementsFor(op plan.Op) []ImplementRule {
-	if rs.implementsByOp == nil {
-		return rs.Implements
+	if int(op) < len(rs.implementsByOp) {
+		return rs.implementsByOp[op]
 	}
-	if l, ok := rs.implementsByOp[op]; ok {
-		return l
-	}
-	return rs.implementsAny
+	return nil
 }
 
 // Info returns the metadata of a rule ID; ok is false for unknown IDs.

@@ -26,14 +26,9 @@ type toyTransform struct {
 	apply func(e *MExpr, m *Memo) []*RNode
 }
 
-func (r toyTransform) Info() RuleInfo   { return r.info }
-func (r toyTransform) MatchOp() plan.Op { return r.op }
-func (r toyTransform) Apply(e *MExpr, m *Memo) []*RNode {
-	if e.Node.Op != r.op {
-		return nil
-	}
-	return r.apply(e, m)
-}
+func (r toyTransform) Info() RuleInfo                   { return r.info }
+func (r toyTransform) MatchOp() plan.Op                 { return r.op }
+func (r toyTransform) Apply(e *MExpr, m *Memo) []*RNode { return r.apply(e, m) }
 
 type toyImpl struct {
 	info RuleInfo
@@ -41,14 +36,9 @@ type toyImpl struct {
 	impl func(e *MExpr) *PhysProto
 }
 
-func (r toyImpl) Info() RuleInfo   { return r.info }
-func (r toyImpl) MatchOp() plan.Op { return r.op }
-func (r toyImpl) Implement(e *MExpr, m *Memo) []*PhysProto {
-	if e.Node.Op != r.op {
-		return nil
-	}
-	return []*PhysProto{r.impl(e)}
-}
+func (r toyImpl) Info() RuleInfo                           { return r.info }
+func (r toyImpl) MatchOp() plan.Op                         { return r.op }
+func (r toyImpl) Implement(e *MExpr, m *Memo) []*PhysProto { return []*PhysProto{r.impl(e)} }
 
 const (
 	toyMergeSelect = 10 // on-by-default transform

@@ -19,7 +19,8 @@ import (
 // Checked invariants:
 //
 //   - every operator has the child count its kind requires;
-//   - degrees of parallelism are in [1, maxDOP] (singleton operators exactly 1);
+//   - degrees of parallelism are at least 1, and at most maxDOP when maxDOP
+//     is positive (singleton operators exactly 1);
 //   - exchange kinds cohere with the distribution they deliver: a shuffle
 //     delivers hash/random partitions, a gather a singleton at DOP 1, a
 //     broadcast a broadcast distribution; hash distributions carry keys, and
@@ -33,6 +34,14 @@ import (
 //     key plus aggregate columns; joins only reference columns their
 //     children produce;
 //   - every operator carries a rule attribution (RuleID >= 0).
+//
+// maxDOP 0 turns the upper bound off, and production callers (the
+// executor's plan check, faults.CompileAttempt) pass 0: the optimizer's
+// per-operator cap does not bound every operator, because a virtual dataset
+// keeps each branch's partitions in place and runs at the sum of its
+// branches' DOPs (above 50 on real corpus plans). Only plans known to lack
+// that shape — the optimizer's own test fixtures — can be checked against a
+// cap.
 func Validate(p *plan.PhysNode, maxDOP int) error {
 	var errs []error
 	report := func(n *plan.PhysNode, format string, args ...any) {

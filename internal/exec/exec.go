@@ -166,6 +166,8 @@ type sim struct {
 
 func (x *Executor) simulate(p *plan.PhysNode, day int, tag string) *sim {
 	if x.CheckPlans {
+		// maxDOP 0: a virtual dataset legitimately runs above the
+		// optimizer's per-operator cap (see cascades.Validate).
 		if err := cascades.Validate(p, 0); err != nil {
 			// Executing a structurally broken plan would produce garbage
 			// metrics silently; when checking is on, stop the experiment.

@@ -56,6 +56,9 @@ func (in *Injector) validated(res *cascades.Result, tag string, attempt int) (*c
 	if !in.Active() {
 		return res, nil
 	}
+	// maxDOP 0: a virtual dataset legitimately runs above the optimizer's
+	// per-operator cap, so a bound here would reject valid plans as corrupt
+	// (see cascades.Validate).
 	if err := cascades.Validate(res.Plan, 0); err != nil {
 		return nil, fmt.Errorf("%w: compile %s attempt %d: %v", ErrCorrupt, tag, attempt, err)
 	}
@@ -64,8 +67,8 @@ func (in *Injector) validated(res *cascades.Result, tag string, attempt int) (*c
 
 // CorruptPlan returns a structurally broken deep copy of p: one node,
 // picked by r, gets one of a few mutations every one of which violates a
-// cascades.Validate invariant (a degree of parallelism outside [1, maxDOP],
-// a missing rule attribution). The original plan is untouched.
+// cascades.Validate invariant (a degree of parallelism below 1, a missing
+// rule attribution). The original plan is untouched.
 func CorruptPlan(p *plan.PhysNode, r *xrand.Source) *plan.PhysNode {
 	cp := plan.ClonePhys(p)
 	var nodes []*plan.PhysNode

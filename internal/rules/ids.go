@@ -11,6 +11,9 @@
 // entries for operator classes outside the dialect; they never fire, exactly
 // like the dozens of registered-but-unused rules the paper observes in
 // production (Table 2 reports 86 unused rules on Workload A).
+//
+// Each behavioural rule states its operator once, in matchops.go; its Apply
+// or Implement body is only ever handed expressions of that operator.
 package rules
 
 import "steerq/internal/cascades"

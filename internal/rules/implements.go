@@ -19,9 +19,6 @@ func hashDist(cols []plan.Column) plan.Distribution {
 type getToRange struct{ info }
 
 func (r getToRange) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	if e.Node.Op != plan.OpGet {
-		return nil
-	}
 	op := plan.PhysExtract
 	if e.Node.Pred != nil {
 		op = plan.PhysRangeScan
@@ -38,9 +35,6 @@ func (r getToRange) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.P
 type selectToFilter struct{ info }
 
 func (r selectToFilter) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	if e.Node.Op != plan.OpSelect {
-		return nil
-	}
 	return []*cascades.PhysProto{{
 		Op:       plan.PhysFilter,
 		Node:     e.Node,
@@ -54,9 +48,6 @@ func (r selectToFilter) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascad
 type projectToCompute struct{ info }
 
 func (r projectToCompute) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	if e.Node.Op != plan.OpProject {
-		return nil
-	}
 	return []*cascades.PhysProto{{
 		Op:       plan.PhysCompute,
 		Node:     e.Node,
@@ -70,9 +61,6 @@ func (r projectToCompute) Implement(e *cascades.MExpr, m *cascades.Memo) []*casc
 type buildOutput struct{ info }
 
 func (r buildOutput) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	if e.Node.Op != plan.OpOutput {
-		return nil
-	}
 	return []*cascades.PhysProto{{
 		Op:       plan.PhysOutputImpl,
 		Node:     e.Node,
@@ -86,9 +74,6 @@ func (r buildOutput) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.
 type buildMulti struct{ info }
 
 func (r buildMulti) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	if e.Node.Op != plan.OpMulti {
-		return nil
-	}
 	reqs := make([]plan.Distribution, len(e.Children))
 	for i := range reqs {
 		reqs[i] = anyDist()
@@ -114,9 +99,6 @@ type joinImpl struct {
 }
 
 func (r joinImpl) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	if e.Node.Op != plan.OpJoin {
-		return nil
-	}
 	l, rg := e.Children[0], e.Children[1]
 	lk, rk := equiKeys(e.Node.Pred, schemaSet(l), schemaSet(rg))
 	switch r.flavor {
@@ -180,9 +162,6 @@ type aggImpl struct {
 }
 
 func (r aggImpl) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	if e.Node.Op != plan.OpGroupBy {
-		return nil
-	}
 	var req, out plan.Distribution
 	if len(e.Node.GroupKeys) == 0 {
 		req, out = singletonDist(), singletonDist()
@@ -231,9 +210,6 @@ type unionImpl struct {
 }
 
 func (r unionImpl) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	if e.Node.Op != plan.OpUnionAll {
-		return nil
-	}
 	reqs := make([]plan.Distribution, len(e.Children))
 	for i := range reqs {
 		reqs[i] = anyDist()
@@ -251,9 +227,6 @@ func (r unionImpl) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.Ph
 type processImpl struct{ info }
 
 func (r processImpl) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	if e.Node.Op != plan.OpProcess {
-		return nil
-	}
 	return []*cascades.PhysProto{{
 		Op:       plan.PhysProcessImpl,
 		Node:     e.Node,
@@ -268,9 +241,6 @@ func (r processImpl) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.
 type reduceImpl struct{ info }
 
 func (r reduceImpl) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	if e.Node.Op != plan.OpReduce {
-		return nil
-	}
 	req := hashDist(e.Node.ReduceKeys)
 	return []*cascades.PhysProto{{
 		Op:        plan.PhysReduceImpl,
@@ -290,9 +260,6 @@ type topImpl struct {
 }
 
 func (r topImpl) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	if e.Node.Op != plan.OpTop {
-		return nil
-	}
 	p := &cascades.PhysProto{
 		Op:       plan.PhysGlobalTop,
 		Node:     e.Node,

@@ -2,18 +2,13 @@ package rules
 
 import "steerq/internal/plan"
 
-// Every catalog rule opens with a single-operator guard (`if e.Node.Op !=
-// plan.OpX { return nil }`). The cascades.OpMatcher declarations below
-// surface that guard to the optimizer, which then consults each rule only on
-// expressions whose operator it could match. That prunes the dead
-// Apply/Implement calls from the explore/implement loops and — because a
-// skipped rule never has its enabled-bit read — keeps the compile's decision
-// footprint tight, so more configurations collapse into one equivalence
-// class in the steering layer.
-//
-// Each declaration must name exactly the operator its rule's guard checks;
-// TestMatchOpHonorsGuards probes every rule against every other operator to
-// keep the two in sync.
+// Each catalog rule rewrites or implements exactly one logical operator, and
+// this file is the one place that operator is stated: MatchOp is part of
+// cascades.TransformRule and cascades.ImplementRule. The optimizer indexes
+// the rules by MatchOp and hands each rule only expressions of its operator,
+// so rule bodies trust it and check only their other preconditions. The
+// transform tests find the expression to rewrite by MatchOp, so a transform
+// declared under the wrong operator fails its own behaviour test.
 
 func (r collapseSelects) MatchOp() plan.Op          { return plan.OpSelect }
 func (r selectOnProject) MatchOp() plan.Op          { return plan.OpSelect }

@@ -25,9 +25,6 @@ func joinPayload(pred *plan.Expr, schema []plan.Column) *plan.Node {
 type collapseSelects struct{ info }
 
 func (r collapseSelects) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpSelect {
-		return nil
-	}
 	var out []*cascades.RNode
 	for _, c := range exprsWithOp(e.Children[0], plan.OpSelect) {
 		merged := plan.And(c.Node.Pred, e.Node.Pred)
@@ -44,9 +41,6 @@ func (r collapseSelects) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.
 type selectOnProject struct{ info }
 
 func (r selectOnProject) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpSelect {
-		return nil
-	}
 	var out []*cascades.RNode
 	for _, c := range exprsWithOp(e.Children[0], plan.OpProject) {
 		below := c.Children[0]
@@ -73,9 +67,6 @@ type selectOnJoin struct {
 }
 
 func (r selectOnJoin) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpSelect {
-		return nil
-	}
 	var out []*cascades.RNode
 	for _, j := range exprsWithOp(e.Children[0], plan.OpJoin) {
 		target := j.Children[r.side]
@@ -119,9 +110,6 @@ func (r selectOnJoin) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNo
 type selectOnUnionAll struct{ info }
 
 func (r selectOnUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpSelect {
-		return nil
-	}
 	var out []*cascades.RNode
 	for _, u := range exprsWithOp(e.Children[0], plan.OpUnionAll) {
 		branches, ok := alignedUnionBranches(u)
@@ -159,9 +147,6 @@ func (r selectOnUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades
 type selectOnGroupBy struct{ info }
 
 func (r selectOnGroupBy) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpSelect {
-		return nil
-	}
 	var out []*cascades.RNode
 	for _, gb := range exprsWithOp(e.Children[0], plan.OpGroupBy) {
 		keySet := make(map[plan.ColumnID]bool, len(gb.Node.GroupKeys))
@@ -206,7 +191,7 @@ func (r selectOnGroupBy) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.
 type selectPredNormalized struct{ info }
 
 func (r selectPredNormalized) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpSelect || e.Node.Pred == nil || e.Node.Pred.Kind != plan.ExprAnd {
+	if e.Node.Pred == nil || e.Node.Pred.Kind != plan.ExprAnd {
 		return nil
 	}
 	conj := append([]*plan.Expr(nil), e.Node.Pred.Args...)
@@ -254,7 +239,7 @@ func trivialConjunct(c *plan.Expr) bool {
 }
 
 func (r selectOnTrue) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpSelect || e.Node.Pred == nil {
+	if e.Node.Pred == nil {
 		return nil
 	}
 	conj := plan.Conjuncts(e.Node.Pred)
@@ -278,9 +263,6 @@ func (r selectOnTrue) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNo
 type selectIntoGet struct{ info }
 
 func (r selectIntoGet) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpSelect {
-		return nil
-	}
 	var out []*cascades.RNode
 	for _, g := range exprsWithOp(e.Children[0], plan.OpGet) {
 		n := *g.Node
@@ -295,9 +277,6 @@ func (r selectIntoGet) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RN
 type joinCommute struct{ info }
 
 func (r joinCommute) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpJoin {
-		return nil
-	}
 	return []*cascades.RNode{{
 		Node: joinPayload(e.Node.Pred, e.Group.Schema),
 		Children: []cascades.RChild{
@@ -315,9 +294,6 @@ type joinAssoc struct {
 }
 
 func (r joinAssoc) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpJoin {
-		return nil
-	}
 	var out []*cascades.RNode
 	for _, j := range exprsWithOp(e.Children[r.side], plan.OpJoin) {
 		var a, b, c *cascades.Group
@@ -394,9 +370,6 @@ func concatSchema(a, b *cascades.Group) []plan.Column {
 type projectOnProject struct{ info }
 
 func (r projectOnProject) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpProject {
-		return nil
-	}
 	var out []*cascades.RNode
 	for _, c := range exprsWithOp(e.Children[0], plan.OpProject) {
 		subst := make(map[plan.ColumnID]*plan.Expr, len(c.Node.Projs))
@@ -453,9 +426,6 @@ func substExpr(e *plan.Expr, subst map[plan.ColumnID]*plan.Expr) (*plan.Expr, bo
 type unionAllFlatten struct{ info }
 
 func (r unionAllFlatten) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpUnionAll {
-		return nil
-	}
 	var out []*cascades.RNode
 	for i, ch := range e.Children {
 		for _, u := range exprsWithOp(ch, plan.OpUnionAll) {
@@ -488,9 +458,6 @@ func (r unionAllFlatten) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.
 type processOnUnionAll struct{ info }
 
 func (r processOnUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpProcess {
-		return nil
-	}
 	var out []*cascades.RNode
 	for _, u := range exprsWithOp(e.Children[0], plan.OpUnionAll) {
 		branches, ok := alignedUnionBranches(u)
@@ -515,7 +482,7 @@ func (r processOnUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascade
 type groupbyBelowUnionAll struct{ info }
 
 func (r groupbyBelowUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpGroupBy || len(e.Node.GroupKeys) == 0 {
+	if len(e.Node.GroupKeys) == 0 {
 		return nil
 	}
 	var out []*cascades.RNode
@@ -598,9 +565,6 @@ type correlatedJoinOnUnionAll struct {
 }
 
 func (r correlatedJoinOnUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpJoin {
-		return nil
-	}
 	other := e.Children[1-r.side]
 	keep := schemaSet(other)
 	var out []*cascades.RNode
@@ -657,7 +621,7 @@ type groupbyOnJoin struct {
 }
 
 func (r groupbyOnJoin) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpGroupBy || len(e.Node.GroupKeys) == 0 {
+	if len(e.Node.GroupKeys) == 0 {
 		return nil
 	}
 	var out []*cascades.RNode
@@ -758,9 +722,6 @@ func sideEquiKeys(pred *plan.Expr, tset, oset map[plan.ColumnID]bool) ([]plan.Co
 type topOnUnionAll struct{ info }
 
 func (r topOnUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpTop {
-		return nil
-	}
 	var out []*cascades.RNode
 	for _, u := range exprsWithOp(e.Children[0], plan.OpUnionAll) {
 		branches, ok := alignedUnionBranches(u)
@@ -811,7 +772,7 @@ func (r topOnUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RN
 type selectSplitDisjunction struct{ info }
 
 func (r selectSplitDisjunction) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpSelect || e.Node.Pred == nil || e.Node.Pred.Kind != plan.ExprOr || len(e.Node.Pred.Args) != 2 {
+	if e.Node.Pred == nil || e.Node.Pred.Kind != plan.ExprOr || len(e.Node.Pred.Args) != 2 {
 		return nil
 	}
 	child := e.Children[0]
@@ -832,9 +793,6 @@ func (r selectSplitDisjunction) Apply(e *cascades.MExpr, m *cascades.Memo) []*ca
 type topOnProject struct{ info }
 
 func (r topOnProject) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpTop {
-		return nil
-	}
 	var out []*cascades.RNode
 	for _, c := range exprsWithOp(e.Children[0], plan.OpProject) {
 		below := c.Children[0]
@@ -867,9 +825,6 @@ func (r topOnProject) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNo
 type groupbyOnProject struct{ info }
 
 func (r groupbyOnProject) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpGroupBy {
-		return nil
-	}
 	var out []*cascades.RNode
 	for _, c := range exprsWithOp(e.Children[0], plan.OpProject) {
 		below := c.Children[0]
@@ -908,9 +863,6 @@ func (r groupbyOnProject) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades
 type transitivePredicate struct{ info }
 
 func (r transitivePredicate) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpSelect {
-		return nil
-	}
 	var out []*cascades.RNode
 	for _, j := range exprsWithOp(e.Children[0], plan.OpJoin) {
 		// Map each equi key to its counterpart on the other side.
@@ -1005,9 +957,6 @@ func substituteColumn(e *plan.Expr, id plan.ColumnID, col plan.Column) {
 type udoPredicateTransfer struct{ info }
 
 func (r udoPredicateTransfer) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Op != plan.OpSelect {
-		return nil
-	}
 	var out []*cascades.RNode
 	for _, red := range exprsWithOp(e.Children[0], plan.OpReduce) {
 		keySet := make(map[plan.ColumnID]bool, len(red.Node.ReduceKeys))

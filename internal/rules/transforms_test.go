@@ -20,31 +20,43 @@ func buildMemo(t *testing.T, src string) *cascades.Memo {
 	return cascades.NewMemo(root, cost.NewEstimated(cat))
 }
 
-// findExpr locates the first memo expression with the given operator.
-func findExpr(m *cascades.Memo, op plan.Op) *cascades.MExpr {
+// ruleExprs returns the memo's expressions of the rule's operator, in memo
+// order: the expressions the optimizer would hand the rule. Tests find what
+// to rewrite through MatchOp, so a rule declared under the wrong operator
+// fails its own behaviour test.
+func ruleExprs(m *cascades.Memo, r cascades.TransformRule) []*cascades.MExpr {
+	var out []*cascades.MExpr
 	for _, g := range m.Groups {
 		for _, e := range g.Exprs {
-			if e.Node.Op == op {
-				return e
+			if e.Node.Op == r.MatchOp() {
+				out = append(out, e)
 			}
 		}
 	}
-	return nil
+	return out
 }
 
-// applyAndIntern applies a transform to the first matching expression and
-// interns the results, returning how many were produced.
-func applyAndIntern(t *testing.T, m *cascades.Memo, r cascades.TransformRule, op plan.Op) int {
+// ruleExpr returns the first memo expression of the rule's operator.
+func ruleExpr(t *testing.T, m *cascades.Memo, r cascades.TransformRule) *cascades.MExpr {
 	t.Helper()
-	e := findExpr(m, op)
-	if e == nil {
-		t.Fatalf("no %v expression in memo", op)
+	es := ruleExprs(m, r)
+	if len(es) == 0 {
+		t.Fatalf("no %v expression in memo", r.MatchOp())
 	}
-	results := r.Apply(e, m)
-	for _, rn := range results {
-		m.Intern(rn, e.Group, e, r.Info().ID)
+	return es[0]
+}
+
+// applyAndIntern applies a transform to every expression of its operator
+// and interns the results, returning how many were produced.
+func applyAndIntern(m *cascades.Memo, r cascades.TransformRule) int {
+	n := 0
+	for _, e := range ruleExprs(m, r) {
+		for _, rn := range r.Apply(e, m) {
+			m.Intern(rn, e.Group, e, r.Info().ID)
+			n++
+		}
 	}
-	return len(results)
+	return n
 }
 
 const filterJoinScript = `
@@ -70,45 +82,18 @@ OUTPUT b TO "o";
 	// collapse applies to adjacent selects only, so first push the outer
 	// select through the project.
 	sop := selectOnProject{info: info(cascades.RuleInfo{ID: IDSelectOnProject, Name: "t", Category: cascades.OnByDefault})}
-	pushed := 0
-	for _, g := range m.Groups {
-		for _, e := range g.Exprs {
-			if e.Node.Op != plan.OpSelect {
-				continue
-			}
-			for _, rn := range sop.Apply(e, m) {
-				m.Intern(rn, e.Group, e, IDSelectOnProject)
-				pushed++
-			}
-		}
-	}
-	if pushed == 0 {
+	if applyAndIntern(m, sop) == 0 {
 		t.Fatal("SelectOnProject produced nothing")
 	}
 	cs := collapseSelects{info: info(cascades.RuleInfo{ID: IDCollapseSelects, Name: "t", Category: cascades.OnByDefault})}
-	applied := 0
-	for _, g := range m.Groups {
-		for _, e := range g.Exprs {
-			if e.Node.Op != plan.OpSelect {
-				continue
-			}
-			res := cs.Apply(e, m)
-			applied += len(res)
-			for _, rn := range res {
-				m.Intern(rn, e.Group, e, IDCollapseSelects)
-			}
-		}
-	}
-	if applied == 0 {
+	if applyAndIntern(m, cs) == 0 {
 		t.Fatal("CollapseSelects never applied")
 	}
 	// A merged select must exist whose predicate has both conjuncts.
 	found := false
-	for _, g := range m.Groups {
-		for _, e := range g.Exprs {
-			if e.Node.Op == plan.OpSelect && len(plan.Conjuncts(e.Node.Pred)) >= 2 && e.RuleID == IDCollapseSelects {
-				found = true
-			}
+	for _, e := range ruleExprs(m, cs) {
+		if len(plan.Conjuncts(e.Node.Pred)) >= 2 && e.RuleID == IDCollapseSelects {
+			found = true
 		}
 	}
 	if !found {
@@ -123,19 +108,8 @@ func TestSelectOnJoinPushesOneSide(t *testing.T) {
 	// pushing the project-level select, the join-level select can move.
 	sop := selectOnProject{info: info(cascades.RuleInfo{ID: IDSelectOnProject, Name: "t2", Category: cascades.OnByDefault})}
 	for pass := 0; pass < 3; pass++ {
-		for _, g := range m.Groups {
-			for _, e := range g.Exprs {
-				if e.Node.Op != plan.OpSelect {
-					continue
-				}
-				for _, rn := range sop.Apply(e, m) {
-					m.Intern(rn, e.Group, e, IDSelectOnProject)
-				}
-				for _, rn := range r.Apply(e, m) {
-					m.Intern(rn, e.Group, e, IDSelectOnJoinLeft)
-				}
-			}
-		}
+		applyAndIntern(m, sop)
+		applyAndIntern(m, r)
 	}
 	// Some join expression must now have a Select group as its left child
 	// that was produced by the pushdown.
@@ -158,7 +132,7 @@ a = SELECT user_id, amount FROM "shop/orders" WHERE amount > 10 AND region == 3;
 OUTPUT a TO "o";
 `)
 	r := selectPredNormalized{info: info(cascades.RuleInfo{ID: IDSelectPredNormalized, Name: "t", Category: cascades.OnByDefault})}
-	e := findExpr(m, plan.OpSelect)
+	e := ruleExpr(t, m, r)
 	res := r.Apply(e, m)
 	if len(res) != 1 {
 		t.Fatalf("normalization produced %d results", len(res))
@@ -179,7 +153,7 @@ a = SELECT user_id, amount FROM "shop/orders" WHERE amount > 10;
 OUTPUT a TO "o";
 `)
 	r := selectIntoGet{info: info(cascades.RuleInfo{ID: IDSelectIntoGet, Name: "t", Category: cascades.OnByDefault})}
-	e := findExpr(m, plan.OpSelect)
+	e := ruleExpr(t, m, r)
 	res := r.Apply(e, m)
 	if len(res) != 1 {
 		t.Fatalf("got %d results", len(res))
@@ -192,7 +166,7 @@ OUTPUT a TO "o";
 func TestJoinCommuteSwapsChildren(t *testing.T) {
 	m := buildMemo(t, filterJoinScript)
 	r := joinCommute{info: info(cascades.RuleInfo{ID: IDJoinCommute, Name: "t", Category: cascades.OnByDefault})}
-	e := findExpr(m, plan.OpJoin)
+	e := ruleExpr(t, m, r)
 	res := r.Apply(e, m)
 	if len(res) != 1 {
 		t.Fatalf("commute produced %d results", len(res))
@@ -249,11 +223,9 @@ func TestJoinAssocCreatesAlternative(t *testing.T) {
 
 	r := joinAssoc{info: info(cascades.RuleInfo{ID: IDJoinAssocLeft, Name: "t", Category: cascades.OnByDefault}), side: 0}
 	var oe *cascades.MExpr
-	for _, g := range mm.Groups {
-		for _, e := range g.Exprs {
-			if e.Node.Op == plan.OpJoin && len(g.Schema) == 3 {
-				oe = e
-			}
+	for _, e := range ruleExprs(mm, r) {
+		if len(e.Group.Schema) == 3 {
+			oe = e
 		}
 	}
 	if oe == nil {
@@ -282,45 +254,31 @@ OUTPUT a TO "o";
 `)
 	// Push the aggregation below the binder's Project first.
 	gop := groupbyOnProject{info: info(cascades.RuleInfo{ID: IDGroupbyOnProject, Name: "t0", Category: cascades.OnByDefault})}
-	for _, g := range m.Groups {
-		for _, e := range g.Exprs {
-			if e.Node.Op == plan.OpGroupBy {
-				for _, rn := range gop.Apply(e, m) {
-					m.Intern(rn, e.Group, e, IDGroupbyOnProject)
-				}
-			}
-		}
-	}
+	applyAndIntern(m, gop)
 	r := groupbyBelowUnionAll{info: info(cascades.RuleInfo{ID: IDGroupbyBelowUnionAll, Name: "t", Category: cascades.OnByDefault})}
 	produced := 0
-	for _, g := range m.Groups {
-		for _, e := range g.Exprs {
-			if e.Node.Op != plan.OpGroupBy {
-				continue
+	for _, e := range ruleExprs(m, r) {
+		for _, rn := range r.Apply(e, m) {
+			// Shape: GroupBy(UnionAll(GroupBy(b1), GroupBy(b2))).
+			if rn.Node.Op != plan.OpGroupBy {
+				t.Fatalf("root of rewrite is %v", rn.Node.Op)
 			}
-			res := r.Apply(e, m)
-			for _, rn := range res {
-				// Shape: GroupBy(UnionAll(GroupBy(b1), GroupBy(b2))).
-				if rn.Node.Op != plan.OpGroupBy {
-					t.Fatalf("root of rewrite is %v", rn.Node.Op)
-				}
-				un := rn.Children[0].Sub
-				if un == nil || un.Node.Op != plan.OpUnionAll {
-					t.Fatal("rewrite lacks inner union")
-				}
-				for _, b := range un.Children {
-					if b.Sub == nil || b.Sub.Node.Op != plan.OpGroupBy {
-						t.Fatal("union branch is not a local aggregation")
-					}
-				}
-				// Final aggregates merge partials: COUNT becomes SUM.
-				for _, agg := range rn.Node.Aggs {
-					if agg.Fn == "COUNT" {
-						t.Fatal("final aggregation kept COUNT; partial counts must be summed")
-					}
-				}
-				produced++
+			un := rn.Children[0].Sub
+			if un == nil || un.Node.Op != plan.OpUnionAll {
+				t.Fatal("rewrite lacks inner union")
 			}
+			for _, b := range un.Children {
+				if b.Sub == nil || b.Sub.Node.Op != plan.OpGroupBy {
+					t.Fatal("union branch is not a local aggregation")
+				}
+			}
+			// Final aggregates merge partials: COUNT becomes SUM.
+			for _, agg := range rn.Node.Aggs {
+				if agg.Fn == "COUNT" {
+					t.Fatal("final aggregation kept COUNT; partial counts must be summed")
+				}
+			}
+			produced++
 		}
 	}
 	if produced == 0 {
@@ -341,7 +299,7 @@ OUTPUT j TO "o";
 		side:        0,
 		minBranches: 2, maxBranches: 2,
 	}
-	e := findExpr(m, plan.OpJoin)
+	e := ruleExpr(t, m, r)
 	res := r.Apply(e, m)
 	if len(res) != 1 {
 		t.Fatalf("correlated join produced %d results", len(res))
@@ -368,7 +326,7 @@ u = b1 UNION ALL b2 UNION ALL b3;
 j = SELECT u.user_id AS user_id, d.segment AS segment FROM u INNER JOIN "shop/users" AS d ON u.user_id == d.user_id;
 OUTPUT j TO "o";
 `)
-	e3 := findExpr(m3, plan.OpJoin)
+	e3 := ruleExpr(t, m3, r)
 	if got := r.Apply(e3, m3); len(got) != 0 {
 		t.Fatalf("variant 1 (<=2 branches) matched a 3-branch union: %d results", len(got))
 	}
@@ -383,27 +341,15 @@ a = SELECT user_id, SUM(amount) AS total FROM j GROUP BY user_id;
 OUTPUT a TO "o";
 `)
 	gop := groupbyOnProject{info: info(cascades.RuleInfo{ID: IDGroupbyOnProject, Name: "t0", Category: cascades.OnByDefault})}
-	for _, g := range mOK.Groups {
-		for _, e := range g.Exprs {
-			if e.Node.Op == plan.OpGroupBy {
-				for _, rn := range gop.Apply(e, mOK) {
-					mOK.Intern(rn, e.Group, e, IDGroupbyOnProject)
-				}
-			}
-		}
-	}
+	applyAndIntern(mOK, gop)
 	r := groupbyOnJoin{info: info(cascades.RuleInfo{ID: IDGroupbyOnJoin, Name: "t", Category: cascades.OffByDefault}), side: 0}
 	fired := 0
-	for _, g := range mOK.Groups {
-		for _, e := range g.Exprs {
-			if e.Node.Op == plan.OpGroupBy {
-				res := r.Apply(e, mOK)
-				fired += len(res)
-				for _, rn := range res {
-					if rn.Node.Op != plan.OpGroupBy {
-						t.Fatal("eager aggregation root must be a final GroupBy")
-					}
-				}
+	for _, e := range ruleExprs(mOK, r) {
+		res := r.Apply(e, mOK)
+		fired += len(res)
+		for _, rn := range res {
+			if rn.Node.Op != plan.OpGroupBy {
+				t.Fatal("eager aggregation root must be a final GroupBy")
 			}
 		}
 	}
@@ -419,22 +365,10 @@ j = SELECT f.user_id AS user_id, f.amount AS amount, d.segment AS segment FROM f
 a = SELECT segment, SUM(amount) AS total FROM j GROUP BY segment;
 OUTPUT a TO "o";
 `)
-	for _, g := range mNo.Groups {
-		for _, e := range g.Exprs {
-			if e.Node.Op == plan.OpGroupBy {
-				for _, rn := range gop.Apply(e, mNo) {
-					mNo.Intern(rn, e.Group, e, IDGroupbyOnProject)
-				}
-			}
-		}
-	}
-	for _, g := range mNo.Groups {
-		for _, e := range g.Exprs {
-			if e.Node.Op == plan.OpGroupBy {
-				if res := r.Apply(e, mNo); len(res) != 0 {
-					t.Fatal("GroupbyOnJoin fired with keys and args split across sides")
-				}
-			}
+	applyAndIntern(mNo, gop)
+	for _, e := range ruleExprs(mNo, r) {
+		if res := r.Apply(e, mNo); len(res) != 0 {
+			t.Fatal("GroupbyOnJoin fired with keys and args split across sides")
 		}
 	}
 }
@@ -450,17 +384,12 @@ OUTPUT u2 TO "o";
 `)
 	r := unionAllFlatten{info: info(cascades.RuleInfo{ID: IDUnionAllFlatten, Name: "t", Category: cascades.OnByDefault})}
 	fired := false
-	for _, g := range m.Groups {
-		for _, e := range g.Exprs {
-			if e.Node.Op != plan.OpUnionAll {
-				continue
+	for _, e := range ruleExprs(m, r) {
+		for _, rn := range r.Apply(e, m) {
+			if len(rn.Children) != 3 {
+				t.Fatalf("flattened union has %d children, want 3", len(rn.Children))
 			}
-			for _, rn := range r.Apply(e, m) {
-				if len(rn.Children) != 3 {
-					t.Fatalf("flattened union has %d children, want 3", len(rn.Children))
-				}
-				fired = true
-			}
+			fired = true
 		}
 	}
 	if !fired {
@@ -474,7 +403,7 @@ a = SELECT user_id, amount FROM "shop/orders" WHERE amount > 900 OR region == 2;
 OUTPUT a TO "o";
 `)
 	r := selectSplitDisjunction{info: info(cascades.RuleInfo{ID: IDSelectSplitDisjunction, Name: "t", Category: cascades.OffByDefault})}
-	e := findExpr(m, plan.OpSelect)
+	e := ruleExpr(t, m, r)
 	res := r.Apply(e, m)
 	if len(res) != 1 {
 		t.Fatalf("split produced %d results", len(res))
@@ -495,7 +424,7 @@ func TestSelectOnTrueDropsTrivial(t *testing.T) {
 	root := plan.NewOutput(plan.NewSelect(get, pred), "o")
 	m := cascades.NewMemo(root, cost.NewEstimated(cat))
 	r := selectOnTrue{info: info(cascades.RuleInfo{ID: IDSelectOnTrue, Name: "t", Category: cascades.OnByDefault})}
-	e := findExpr(m, plan.OpSelect)
+	e := ruleExpr(t, m, r)
 	res := r.Apply(e, m)
 	if len(res) != 1 {
 		t.Fatalf("got %d results", len(res))
@@ -536,18 +465,16 @@ OUTPUT j TO "o";
 	}
 	// Intern the select as a root over the join group (fresh group).
 	m.Intern(sel, nil, join, -1)
+	r := transitivePredicate{info: info(cascades.RuleInfo{ID: IDTransitivePredicate, Name: "t", Category: cascades.OnByDefault})}
 	var selExpr *cascades.MExpr
-	for _, g := range m.Groups {
-		for _, e := range g.Exprs {
-			if e.Node.Op == plan.OpSelect && e.Children[0] == join.Group {
-				selExpr = e
-			}
+	for _, e := range ruleExprs(m, r) {
+		if e.Children[0] == join.Group {
+			selExpr = e
 		}
 	}
 	if selExpr == nil {
 		t.Fatal("select expr not interned")
 	}
-	r := transitivePredicate{info: info(cascades.RuleInfo{ID: IDTransitivePredicate, Name: "t", Category: cascades.OnByDefault})}
 	res := r.Apply(selExpr, m)
 	if len(res) != 1 {
 		t.Fatalf("transitive predicate produced %d results", len(res))
@@ -587,32 +514,18 @@ OUTPUT fl TO "o";
 	sop := selectOnProject{info: info(cascades.RuleInfo{ID: IDSelectOnProject, Name: "t2", Category: cascades.OnByDefault})}
 	// Push the select through the binder's Project first, then apply.
 	for pass := 0; pass < 2; pass++ {
-		for _, g := range m.Groups {
-			for _, e := range g.Exprs {
-				if e.Node.Op != plan.OpSelect {
-					continue
-				}
-				for _, rn := range sop.Apply(e, m) {
-					m.Intern(rn, e.Group, e, IDSelectOnProject)
-				}
-			}
-		}
+		applyAndIntern(m, sop)
 	}
 	fired := 0
-	for _, g := range m.Groups {
-		for _, e := range g.Exprs {
-			if e.Node.Op != plan.OpSelect {
-				continue
+	for _, e := range ruleExprs(m, r) {
+		for _, rn := range r.Apply(e, m) {
+			fired++
+			// Root must keep the non-key conjunct above the reduce.
+			if rn.Node.Op != plan.OpSelect {
+				t.Fatalf("rewrite root %v; the amount conjunct cannot cross the UDO", rn.Node.Op)
 			}
-			for _, rn := range r.Apply(e, m) {
-				fired++
-				// Root must keep the non-key conjunct above the reduce.
-				if rn.Node.Op != plan.OpSelect {
-					t.Fatalf("rewrite root %v; the amount conjunct cannot cross the UDO", rn.Node.Op)
-				}
-				if got := len(plan.Conjuncts(rn.Node.Pred)); got != 1 {
-					t.Fatalf("%d conjuncts stayed above the reduce, want 1", got)
-				}
+			if got := len(plan.Conjuncts(rn.Node.Pred)); got != 1 {
+				t.Fatalf("%d conjuncts stayed above the reduce, want 1", got)
 			}
 		}
 	}
