@@ -42,7 +42,6 @@ func realMain() int {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write an allocation heap profile to this file on exit")
 		faultSeed  = flag.String("fault-seed", "", "arm deterministic fault injection with this seed (empty = off)")
-		faultRates = flag.String("fault-rates", "", "fault probabilities as site.kind=prob pairs, e.g. compile.fail=0.1,exec.hang=0.05")
 		metricsOut = flag.String("metrics-out", "", "write the JSON metrics snapshot to this file on exit")
 		verbose    = flag.Bool("v", false, "log progress")
 	)
@@ -54,7 +53,7 @@ func realMain() int {
 		return 2
 	}
 
-	faultPlan, err := faults.ParsePlan(*faultSeed, *faultRates)
+	faultPlan, err := faults.ParsePlan(*faultSeed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "steerq-bench:", err)
 		return 1

@@ -8,7 +8,7 @@
 //	steerq compile  [-workload A] [-seed N] [-script file | -job day/idx] [-show-plan]
 //	steerq span     [-workload A] [-job day/idx]
 //	steerq search   [-workload A] [-job day/idx] [-m 200] [-workers N]
-//	steerq pipeline [-workload A] [-job day/idx] [-m 300] [-k 10] [-workers N] [-fault-seed N] [-fault-rates site.kind=p,...]
+//	steerq pipeline [-workload A] [-job day/idx] [-m 300] [-k 10] [-workers N] [-fault-seed N]
 //	steerq groups   [-workload A] [-day 0] [-top 15]
 //	steerq workload [-workload A] [-day 0]
 //	steerq bundle   [-workload A] [-day 0] [-max-jobs N] [-m 300] [-k 10] -out file.stqb
@@ -95,7 +95,6 @@ type env struct {
 	script     *string
 	workers    *int
 	faultSeed  *string
-	faultRates *string
 	metricsOut *string
 	wl         *workload.Workload
 	harness    *abtest.Harness
@@ -114,7 +113,6 @@ func newEnv(cmd string) *env {
 	e.script = e.fs.String("script", "", "path to a SCOPE-like script (overrides -job)")
 	e.workers = e.fs.Int("workers", 0, "worker goroutines (0 = $STEERQ_WORKERS or GOMAXPROCS); results are identical at any setting")
 	e.faultSeed = e.fs.String("fault-seed", "", "arm deterministic fault injection with this seed (empty = off)")
-	e.faultRates = e.fs.String("fault-rates", "", "fault probabilities as site.kind=prob pairs, e.g. compile.fail=0.1,exec.hang=0.05")
 	e.metricsOut = e.fs.String("metrics-out", "", "write the JSON metrics snapshot to this file on exit")
 	return e
 }
@@ -137,7 +135,7 @@ func (e *env) build() error {
 	e.harness = abtest.New(e.wl.Cat, opt, *e.seed+1)
 	e.harness.SetObs(e.reg)
 	e.harness.Workers = *e.workers
-	fp, err := faults.ParsePlan(*e.faultSeed, *e.faultRates)
+	fp, err := faults.ParsePlan(*e.faultSeed)
 	if err != nil {
 		return err
 	}

@@ -1,9 +1,6 @@
 package cascades
 
 import (
-	"fmt"
-	"strings"
-
 	"steerq/internal/bitvec"
 	"steerq/internal/cost"
 	"steerq/internal/plan"
@@ -57,7 +54,7 @@ type groupSearch struct {
 	foot, proj bitvec.Vector
 	// winners holds the best plan found per required distribution, one
 	// arena-carved node per requirement. A group sees a handful of distinct
-	// requirements, so a scan beats hashing.
+	// requirements, so a scan comparing them with sameDist beats hashing.
 	winners *groupWinner
 	// candidates are the group's costed implementation alternatives once
 	// enumerated is set.
@@ -67,8 +64,13 @@ type groupSearch struct {
 	next *groupSearch
 }
 
+// groupWinner is one entry of a state's winner list: the requirement as the
+// caller passed it and the best plan for it. dist.Keys aliases the requiring
+// rule's PhysProto.ChildReq, which nothing mutates once returned — enforcers
+// alias the same slices into their outDist, and through it into extracted
+// plans — so holding the requirement itself costs no copy.
 type groupWinner struct {
-	dist distKey
+	dist plan.Distribution
 	w    *winner
 	next *groupWinner
 }
@@ -79,46 +81,18 @@ type implAlt struct {
 	done   bool
 }
 
-// distKey is a small comparable form of a distribution requirement, used as
-// the winner-cache key so probing the cache never builds a string. The common
-// case (at most four hash keys, everything int32-sized) packs into 40 bytes;
-// anything wider (absent from the workloads, but kept exact for safety)
-// spills the whole requirement into an injectively encoded string, and the
-// two shapes can never collide because extra is non-empty exactly on the
-// spill path.
-type distKey struct {
-	kind  uint8
-	nkeys uint8
-	dop   int32
-	keys  [4]int32
-	extra string
-}
-
-func makeDistKey(d plan.Distribution) distKey {
-	fits := int(d.Kind) >= 0 && int(d.Kind) <= 255 &&
-		len(d.Keys) <= 4 &&
-		int64(d.DOP) == int64(int32(d.DOP))
-	if fits {
-		for _, id := range d.Keys {
-			if int64(id) != int64(int32(id)) {
-				fits = false
-				break
-			}
+// sameDist reports whether two requirements are the same: kind, degree of
+// parallelism and hash keys in order.
+func sameDist(a, b plan.Distribution) bool {
+	if a.Kind != b.Kind || a.DOP != b.DOP || len(a.Keys) != len(b.Keys) {
+		return false
+	}
+	for i := range a.Keys {
+		if a.Keys[i] != b.Keys[i] {
+			return false
 		}
 	}
-	if fits {
-		k := distKey{kind: uint8(d.Kind), nkeys: uint8(len(d.Keys)), dop: int32(d.DOP)}
-		for i, id := range d.Keys {
-			k.keys[i] = int32(id)
-		}
-		return k
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%d|", d.Kind, d.DOP)
-	for _, id := range d.Keys {
-		fmt.Fprintf(&b, "%d,", id)
-	}
-	return distKey{extra: b.String()}
+	return true
 }
 
 // newPexpr returns a zeroed candidate carved from the arena's physical side,
@@ -173,9 +147,8 @@ func (s *search) state(g *Group) *groupSearch {
 // state of g it came from, whose foot is complete by then.
 func (s *search) optimizeGroup(g *Group, req plan.Distribution) (*winner, *groupSearch) {
 	gs := s.state(g)
-	key := makeDistKey(req)
 	for gw := gs.winners; gw != nil; gw = gw.next {
-		if gw.dist == key {
+		if sameDist(gw.dist, req) {
 			return gw.w, gs
 		}
 	}
@@ -185,7 +158,7 @@ func (s *search) optimizeGroup(g *Group, req plan.Distribution) (*winner, *group
 	// only the candidates and enforce — so one found for a new requirement
 	// belongs to the state like the candidates do.
 	gw := s.scratch.winners.one(winnerChunkLen)
-	gw.dist, gw.next = key, gs.winners
+	gw.dist, gw.next = req, gs.winners
 	gs.winners = gw
 
 	var best *pexpr

@@ -16,6 +16,7 @@
 package cascades
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 
@@ -55,6 +56,9 @@ type MExpr struct {
 	// phases of the memo's compiles consult them (search.groupCandidates).
 	impls []implAlt
 
+	// key is the expression's interning key (appendExprKey), carved from
+	// the arena's memo side. Interning compares a probe against it.
+	key []byte
 	// bucketNext chains expressions sharing an interning hash bucket
 	// (see Memo.buckets). Intrusive so inserting an expression into the
 	// index never allocates.
@@ -81,21 +85,21 @@ type Memo struct {
 	Root *Group
 
 	est *cost.Estimator
-	// buckets is the structural interning index: expressions keyed by a
-	// 64-bit FNV-1a hash of their structural key, with collisions resolved
-	// by exact structural equality (exprEqual) along the intrusive
-	// MExpr.bucketNext chain. Interning therefore never materializes a key
-	// string; the serialized key lives only in scratch.
+	// buckets is the interning index: expressions bucketed by a 64-bit
+	// FNV-1a hash of their key (appendExprKey), chained through the
+	// intrusive MExpr.bucketNext. The key is the identity; the hash only
+	// picks the bucket, and a probe is told apart from the expressions it
+	// shares a bucket with by comparing keys (MExpr.key).
 	buckets map[uint64]*MExpr
-	// scratch is the reusable key-serialization buffer behind exprHash.
+	// scratch is the reusable buffer a probe's key is serialized into.
 	// Once grown to the largest key it is never reallocated.
 	scratch []byte
 	// hashMask degrades hashes for tests: all-ones in production, 0 forces
-	// every expression into one collision bucket so the structural-equality
-	// fallback is exercised end to end.
+	// every expression into one bucket so the key comparison along the
+	// chain is exercised end to end.
 	hashMask uint64
-	// collisions counts interning probes that walked past a structurally
-	// unequal expression sharing their hash bucket. A healthy 64-bit hash
+	// collisions counts interning probes that walked past an expression
+	// with a different key sharing their hash bucket. A healthy 64-bit hash
 	// keeps this at (or very near) zero; the observability layer surfaces it
 	// so a degraded hash shows up as a counter, not as silent slowdown.
 	collisions uint64
@@ -174,13 +178,14 @@ func (m *Memo) NewColID() plan.ColumnID {
 	return m.nextCol
 }
 
-// lookupExpr finds the group already holding a structurally identical
-// expression. The returned hash is the expression's interning hash and must
-// be passed unchanged to insertExpr when the caller interns a new expression.
+// lookupExpr finds the group already holding an expression with the same
+// key. The returned hash is the expression's interning hash and must be
+// passed unchanged to insertExpr when the caller interns a new expression;
+// the key stays in m.scratch until then.
 func (m *Memo) lookupExpr(n *plan.Node, children []*Group) (*Group, uint64, bool) {
 	h := m.exprHash(n, children)
 	for e := m.buckets[h]; e != nil; e = e.bucketNext {
-		if exprEqual(n, children, e.Node, e.Children) {
+		if bytes.Equal(m.scratch, e.key) {
 			return e.Group, h, true
 		}
 		m.collisions++
@@ -189,14 +194,17 @@ func (m *Memo) lookupExpr(n *plan.Node, children []*Group) (*Group, uint64, bool
 }
 
 // Collisions returns the number of interning hash collisions this memo
-// resolved by structural equality.
+// resolved by comparing keys.
 func (m *Memo) Collisions() uint64 { return m.collisions }
 
-// insertExpr records a newly interned expression in the structural index
-// under the hash returned by the matching lookupExpr call. The expression is
-// prepended to its bucket chain; chain order is irrelevant because at most
-// one chained expression can be structurally equal to any probe.
+// insertExpr records a newly interned expression in the index under the hash
+// returned by the matching lookupExpr call, keeping a copy of the key that
+// call left in m.scratch (nothing interns in between). The expression is
+// prepended to its bucket chain; chain order is irrelevant because keys are
+// unique among the memo's expressions.
 func (m *Memo) insertExpr(e *MExpr, hash uint64) {
+	e.key = m.arena.keys.take(len(m.scratch), keysChunkLen)
+	copy(e.key, m.scratch)
 	e.bucketNext = m.buckets[hash]
 	m.buckets[hash] = e
 }
@@ -291,9 +299,9 @@ func SubChild(r *RNode) RChild { return RChild{Sub: r} }
 
 // Intern inserts a rule result into the memo. The root expression joins
 // target (the group of the matched expression); sub-expressions are interned
-// into existing structurally identical groups or fresh ones. from is the
-// matched expression (for provenance); ruleID identifies the applying rule.
-// It returns true if any new expression was added.
+// into the groups already holding them or fresh ones. from is the matched
+// expression (for provenance); ruleID identifies the applying rule. It
+// returns true if any new expression was added.
 func (m *Memo) Intern(rn *RNode, target *Group, from *MExpr, ruleID int) bool {
 	if m.Full() {
 		return false
@@ -355,10 +363,9 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// exprHash serializes the structural key of an expression into the memo's
-// reusable scratch buffer and returns its FNV-1a hash. The serialized fields
-// are exactly those exprEqual compares: operator, payload, schema column IDs
-// and child group IDs.
+// exprHash serializes the identity key of an expression into the memo's
+// reusable scratch buffer and returns its FNV-1a hash, which only picks the
+// expression's bucket.
 func (m *Memo) exprHash(n *plan.Node, children []*Group) uint64 {
 	b := appendExprKey(m.scratch[:0], n, children)
 	m.scratch = b
@@ -370,11 +377,13 @@ func (m *Memo) exprHash(n *plan.Node, children []*Group) uint64 {
 	return h & m.hashMask
 }
 
-// appendExprKey appends the structural interning key of an expression:
-// operator, payload (with column IDs and literal values), schema column IDs
-// and child group IDs. The encoding only needs to be deterministic — equal
-// expressions serialize identically; collisions between unequal expressions
-// are resolved by exprEqual.
+// appendExprKey appends the interning key of an expression: operator,
+// payload (with column IDs and literal values), schema column IDs and child
+// group IDs. It is the memo's only statement of expression identity — two
+// expressions are the same exactly when their keys are equal — so the
+// encoding is injective: every list carries its length, every string its
+// byte count, and a nil expression its own marker (TestExprKeyInjective).
+// A payload field the memo should tell apart is added here and nowhere else.
 func appendExprKey(b []byte, n *plan.Node, children []*Group) []byte {
 	b = binary.AppendUvarint(b, uint64(n.Op))
 	switch n.Op {
@@ -384,15 +393,17 @@ func appendExprKey(b []byte, n *plan.Node, children []*Group) []byte {
 	case plan.OpSelect, plan.OpJoin:
 		b = appendKeyExpr(b, n.Pred)
 	case plan.OpProject:
+		b = binary.AppendUvarint(b, uint64(len(n.Projs)))
 		for _, p := range n.Projs {
 			b = binary.AppendUvarint(b, uint64(p.Out.ID))
 			b = appendKeyExpr(b, p.Expr)
 		}
 	case plan.OpGroupBy:
+		b = binary.AppendUvarint(b, uint64(len(n.GroupKeys)))
 		for _, k := range n.GroupKeys {
 			b = binary.AppendUvarint(b, uint64(k.ID))
 		}
-		b = append(b, 0xfe) // keys/aggs separator
+		b = binary.AppendUvarint(b, uint64(len(n.Aggs)))
 		for _, a := range n.Aggs {
 			b = appendKeyStr(b, a.Fn)
 			b = binary.AppendUvarint(b, uint64(a.Out.ID))
@@ -402,18 +413,16 @@ func appendExprKey(b []byte, n *plan.Node, children []*Group) []byte {
 		b = appendKeyStr(b, n.Processor)
 	case plan.OpReduce:
 		b = appendKeyStr(b, n.Processor)
+		b = binary.AppendUvarint(b, uint64(len(n.ReduceKeys)))
 		for _, k := range n.ReduceKeys {
 			b = binary.AppendUvarint(b, uint64(k.ID))
 		}
 	case plan.OpTop:
 		b = binary.AppendUvarint(b, uint64(n.TopN))
+		b = binary.AppendUvarint(b, uint64(len(n.SortKeys)))
 		for _, k := range n.SortKeys {
 			b = binary.AppendUvarint(b, uint64(k.Col.ID))
-			if k.Desc {
-				b = append(b, 1)
-			} else {
-				b = append(b, 0)
-			}
+			b = appendKeyBool(b, k.Desc)
 		}
 	case plan.OpOutput:
 		b = appendKeyStr(b, n.OutputPath)
@@ -422,11 +431,11 @@ func appendExprKey(b []byte, n *plan.Node, children []*Group) []byte {
 	}
 	// Schema IDs distinguish otherwise identical payloads over different
 	// column identities (e.g. two scans of the same stream bound twice).
-	b = append(b, 0xfd)
+	b = binary.AppendUvarint(b, uint64(len(n.Schema)))
 	for _, c := range n.Schema {
 		b = binary.AppendUvarint(b, uint64(c.ID))
 	}
-	b = append(b, 0xfd)
+	b = binary.AppendUvarint(b, uint64(len(children)))
 	for _, g := range children {
 		b = binary.AppendUvarint(b, uint64(g.ID))
 	}
@@ -438,11 +447,18 @@ func appendKeyStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendKeyExpr(b []byte, e *plan.Expr) []byte {
-	if e == nil {
-		return append(b, 0xff)
+func appendKeyBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
 	}
-	b = append(b, '(')
+	return append(b, 0)
+}
+
+func appendKeyExpr(b []byte, e *plan.Expr) []byte {
+	b = appendKeyBool(b, e != nil)
+	if e == nil {
+		return b
+	}
 	b = binary.AppendUvarint(b, uint64(e.Kind))
 	switch e.Kind {
 	case plan.ExprColumn:
@@ -454,153 +470,25 @@ func appendKeyExpr(b []byte, e *plan.Expr) []byte {
 	case plan.ExprFunc:
 		b = appendKeyStr(b, e.Fn)
 	}
+	b = binary.AppendUvarint(b, uint64(len(e.Args)))
 	for _, a := range e.Args {
 		b = appendKeyExpr(b, a)
 	}
-	return append(b, ')')
+	return b
 }
 
+// appendKeyLiteral keys a number by its exact bits, so +0 and -0 stay
+// distinct, except that every NaN payload keys as the one canonical NaN.
 func appendKeyLiteral(b []byte, l plan.Literal) []byte {
+	b = appendKeyBool(b, l.IsString)
 	if l.IsString {
-		b = append(b, 's')
 		return appendKeyStr(b, l.S)
 	}
-	b = append(b, 'f')
-	if math.IsNaN(l.F) {
-		// Canonicalize NaN payloads so literals that compare equal under
-		// literalEqual always hash identically.
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(math.NaN()))
+	f := l.F
+	if math.IsNaN(f) {
+		f = math.NaN()
 	}
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(l.F))
-}
-
-// exprEqual reports structural equality of an interning probe against a
-// stored expression. It compares exactly the fields appendExprKey hashes, so
-// the (hash, equality) pair behaves like the former string key: equal
-// expressions always collide, and colliding unequal expressions are told
-// apart here.
-func exprEqual(n1 *plan.Node, ch1 []*Group, n2 *plan.Node, ch2 []*Group) bool {
-	if n1.Op != n2.Op || len(ch1) != len(ch2) || len(n1.Schema) != len(n2.Schema) {
-		return false
-	}
-	for i := range ch1 {
-		if ch1[i] != ch2[i] {
-			return false
-		}
-	}
-	for i := range n1.Schema {
-		if n1.Schema[i].ID != n2.Schema[i].ID {
-			return false
-		}
-	}
-	switch n1.Op {
-	case plan.OpGet:
-		return n1.Table == n2.Table && keyExprEqual(n1.Pred, n2.Pred)
-	case plan.OpSelect, plan.OpJoin:
-		return keyExprEqual(n1.Pred, n2.Pred)
-	case plan.OpProject:
-		if len(n1.Projs) != len(n2.Projs) {
-			return false
-		}
-		for i := range n1.Projs {
-			if n1.Projs[i].Out.ID != n2.Projs[i].Out.ID || !keyExprEqual(n1.Projs[i].Expr, n2.Projs[i].Expr) {
-				return false
-			}
-		}
-		return true
-	case plan.OpGroupBy:
-		if len(n1.GroupKeys) != len(n2.GroupKeys) || len(n1.Aggs) != len(n2.Aggs) {
-			return false
-		}
-		for i := range n1.GroupKeys {
-			if n1.GroupKeys[i].ID != n2.GroupKeys[i].ID {
-				return false
-			}
-		}
-		for i := range n1.Aggs {
-			a1, a2 := &n1.Aggs[i], &n2.Aggs[i]
-			if a1.Fn != a2.Fn || a1.Out.ID != a2.Out.ID || !keyExprEqual(a1.Arg, a2.Arg) {
-				return false
-			}
-		}
-		return true
-	case plan.OpProcess:
-		return n1.Processor == n2.Processor
-	case plan.OpReduce:
-		if n1.Processor != n2.Processor || len(n1.ReduceKeys) != len(n2.ReduceKeys) {
-			return false
-		}
-		for i := range n1.ReduceKeys {
-			if n1.ReduceKeys[i].ID != n2.ReduceKeys[i].ID {
-				return false
-			}
-		}
-		return true
-	case plan.OpTop:
-		if n1.TopN != n2.TopN || len(n1.SortKeys) != len(n2.SortKeys) {
-			return false
-		}
-		for i := range n1.SortKeys {
-			if n1.SortKeys[i].Col.ID != n2.SortKeys[i].Col.ID || n1.SortKeys[i].Desc != n2.SortKeys[i].Desc {
-				return false
-			}
-		}
-		return true
-	case plan.OpOutput:
-		return n1.OutputPath == n2.OutputPath
-	default:
-		// OpUnionAll, OpMulti: structure alone (children above) is the key.
-		return true
-	}
-}
-
-func keyExprEqual(a, b *plan.Expr) bool {
-	if a == nil || b == nil {
-		return a == b
-	}
-	if a.Kind != b.Kind || len(a.Args) != len(b.Args) {
-		return false
-	}
-	switch a.Kind {
-	case plan.ExprColumn:
-		if a.Col.ID != b.Col.ID {
-			return false
-		}
-	case plan.ExprConst:
-		if !literalEqual(a.Lit, b.Lit) {
-			return false
-		}
-	case plan.ExprCmp, plan.ExprArith:
-		if a.Op != b.Op {
-			return false
-		}
-	case plan.ExprFunc:
-		if a.Fn != b.Fn {
-			return false
-		}
-	}
-	for i := range a.Args {
-		if !keyExprEqual(a.Args[i], b.Args[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// literalEqual matches the equality the former string keys induced: exact
-// bit equality for numbers (so +0 and -0 stay distinct, as their decimal
-// renderings were), with all NaNs equal (they all rendered "NaN").
-func literalEqual(a, b plan.Literal) bool {
-	if a.IsString != b.IsString {
-		return false
-	}
-	if a.IsString {
-		return a.S == b.S
-	}
-	if math.IsNaN(a.F) || math.IsNaN(b.F) {
-		return math.IsNaN(a.F) && math.IsNaN(b.F)
-	}
-	return math.Float64bits(a.F) == math.Float64bits(b.F)
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 }
 
 // deriveProps computes a group's estimated statistics from one expression,

@@ -1,7 +1,9 @@
 package cascades
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"steerq/internal/bitvec"
@@ -225,8 +227,8 @@ func findSelect(m *Memo) *MExpr {
 }
 
 // TestHashCollisionFallback degrades the interning hash to a constant so
-// every new expression lands in one bucket, and verifies the
-// structural-equality fallback still deduplicates exactly.
+// every new expression lands in one bucket, and verifies the key comparison
+// along the chain still deduplicates exactly.
 func TestHashCollisionFallback(t *testing.T) {
 	m := NewMemo(scanSelect(), cost.NewEstimated(memoCatalog()))
 	m.hashMask = 0 // all expressions interned from here on collide
@@ -236,7 +238,7 @@ func TestHashCollisionFallback(t *testing.T) {
 	if !m.Intern(va, selExpr.Group, selExpr, 50) {
 		t.Fatal("variant A not interned")
 	}
-	// A structurally identical copy must be caught by the equality scan of
+	// A structurally identical copy must be caught by the key comparison of
 	// the shared bucket, not re-interned.
 	dup := selectVariant(selExpr, 1000)
 	if m.Intern(dup, selExpr.Group, selExpr, 51) {
@@ -257,6 +259,97 @@ func TestHashCollisionFallback(t *testing.T) {
 	}
 	if chain != 2 {
 		t.Fatalf("collision bucket holds %d exprs, want 2", chain)
+	}
+}
+
+// TestExprKeyInjective pins appendExprKey as the memo's statement of
+// expression identity: each pair below keys apart only through one length
+// prefix (or the nil-expression marker) — the comment gives the bytes both
+// share once it is dropped — and the literal cases pin the number identity:
+// +0 and −0 apart, every NaN payload alike. The child count is the key's
+// last field, so a key stays injective without it; it is kept so that a
+// field appended later cannot run into the children.
+func TestExprKeyInjective(t *testing.T) {
+	groups := func(ids ...int) []*Group {
+		out := make([]*Group, len(ids))
+		for i, id := range ids {
+			out[i] = &Group{ID: GroupID(id)}
+		}
+		return out
+	}
+	cols := func(ids ...int) []plan.Column {
+		out := make([]plan.Column, len(ids))
+		for i, id := range ids {
+			out[i] = plan.Column{ID: plan.ColumnID(id)}
+		}
+		return out
+	}
+	col := func(id int) *plan.Expr { return plan.ColExpr(plan.Column{ID: plan.ColumnID(id)}) }
+	and := func(args ...*plan.Expr) *plan.Expr { return &plan.Expr{Kind: plan.ExprAnd, Args: args} }
+	type side struct {
+		n        *plan.Node
+		children []*Group
+	}
+	key := func(s side) []byte { return appendExprKey(nil, s.n, s.children) }
+	distinct := []struct {
+		name string
+		a, b side
+	}{
+		{ // 02 02 01 00 05 00 01 01 01 00
+			"projection count",
+			side{&plan.Node{Op: plan.OpProject, Projs: []plan.Projection{{Out: plan.Column{ID: 2}, Expr: col(5)}}, Schema: cols(1)}, groups(0)},
+			side{&plan.Node{Op: plan.OpProject, Schema: cols(1, 0)}, groups(0, 1, 1, 1, 0)},
+		},
+		{ // 04 01 00 02 00 00 01 00
+			"group key count",
+			side{&plan.Node{Op: plan.OpGroupBy, GroupKeys: cols(1), Schema: cols(0, 0)}, groups(0)},
+			side{&plan.Node{Op: plan.OpGroupBy, Aggs: []plan.Agg{{Out: plan.Column{ID: 2}}}}, groups(0)},
+		},
+		{ // 04 00 00 03 00 00 00
+			"aggregate count",
+			side{&plan.Node{Op: plan.OpGroupBy, Aggs: []plan.Agg{{Out: plan.Column{ID: 3}}}}, nil},
+			side{&plan.Node{Op: plan.OpGroupBy}, groups(0, 0, 0)},
+		},
+		{ // 07 00 01 00 01 00
+			"reduce key count",
+			side{&plan.Node{Op: plan.OpReduce, ReduceKeys: cols(1)}, groups(0)},
+			side{&plan.Node{Op: plan.OpReduce, Schema: cols(0)}, groups(0)},
+		},
+		{ // 08 00 02 00 00 01 00
+			"sort key count",
+			side{&plan.Node{Op: plan.OpTop, SortKeys: []plan.SortKey{{Col: plan.Column{ID: 2}}}}, groups(0)},
+			side{&plan.Node{Op: plan.OpTop, Schema: cols(0, 0)}, groups(0)},
+		},
+		{ // 01 00 01 00
+			"schema count",
+			side{&plan.Node{Op: plan.OpSelect, Schema: cols(1)}, nil},
+			side{&plan.Node{Op: plan.OpSelect}, groups(0)},
+		},
+		{ // 01 01 03 01 00 02 00 00
+			"argument count",
+			side{&plan.Node{Op: plan.OpSelect, Pred: and(col(2))}, nil},
+			side{&plan.Node{Op: plan.OpSelect, Pred: and(), Schema: cols(0)}, groups(0, 0)},
+		},
+		{ // 01 00 03 00 00 00
+			"nil expression marker",
+			side{&plan.Node{Op: plan.OpSelect}, groups(0, 0, 0)},
+			side{&plan.Node{Op: plan.OpSelect, Pred: col(3)}, nil},
+		},
+		{
+			"signed zero",
+			side{&plan.Node{Op: plan.OpSelect, Pred: plan.NumExpr(0)}, nil},
+			side{&plan.Node{Op: plan.OpSelect, Pred: plan.NumExpr(math.Copysign(0, -1))}, nil},
+		},
+	}
+	for _, c := range distinct {
+		if ka, kb := key(c.a), key(c.b); bytes.Equal(ka, kb) {
+			t.Errorf("%s: distinct expressions share the key %x", c.name, ka)
+		}
+	}
+	nan1 := side{&plan.Node{Op: plan.OpSelect, Pred: plan.NumExpr(math.NaN())}, nil}
+	nan2 := side{&plan.Node{Op: plan.OpSelect, Pred: plan.NumExpr(math.Float64frombits(0x7ff8000000000000))}, nil}
+	if ka, kb := key(nan1), key(nan2); !bytes.Equal(ka, kb) {
+		t.Errorf("NaN payloads key apart: %x vs %x", ka, kb)
 	}
 }
 

@@ -24,6 +24,7 @@ const (
 	stateChunkLen  = 64
 	winnerChunkLen = 64
 	headChunkLen   = 256
+	keysChunkLen   = 4096
 )
 
 // slab is a chunked bump allocator: elements are carved front to back from
@@ -100,12 +101,12 @@ func (s *slab[T]) reset() {
 //   - the build side is what a memo needs only while it is interned and
 //     explored; Memo.freeze hands it back for the session's next memo;
 //   - everything else lives until Session.Close: the memo side —
-//     expressions, groups and their statistics, child slices, payload
-//     copies, cached implementation alternatives — carved by every memo of
-//     the session, and the physical side — the filed group states with
-//     their candidates, winners and statistics — carved by every compile,
-//     since a later compile reuses any state its configuration cannot tell
-//     apart.
+//     expressions and their keys, groups and their statistics, child
+//     slices, payload copies, cached implementation alternatives — carved
+//     by every memo of the session, and the physical side — the filed
+//     group states with their candidates, winners and statistics — carved
+//     by every compile, since a later compile reuses any state its
+//     configuration cannot tell apart.
 //
 // Safety rests on an ownership argument, not on luck: extract materializes
 // the winning plan into fresh plan.PhysNodes whose payload slices belong to
@@ -142,13 +143,14 @@ type searchScratch struct {
 
 	// Memo side. nodes back the memos' shallow payload copies: plan
 	// extraction copies payload slice headers out of them but never retains
-	// the structs, so they recycle with the rest.
+	// the structs, so they recycle with the rest. keys back MExpr.key.
 	mexprs  slab[MExpr]
 	groups  slab[Group]
 	gslices slab[*Group]
 	exprs   slab[*MExpr]
 	nodes   slab[plan.Node]
 	impls   slab[implAlt]
+	keys    slab[byte]
 	// memoStats backs Group.Props column statistics.
 	memoStats cost.Arena
 	// memos are the session's explored memos by cfg ∧ transformMask.
@@ -236,6 +238,7 @@ func (sc *searchScratch) retire() {
 	sc.exprs.reset()
 	sc.nodes.reset()
 	sc.impls.reset()
+	sc.keys.reset()
 	sc.memoStats.Reset()
 	clear(sc.memos)
 }

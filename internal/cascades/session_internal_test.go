@@ -340,7 +340,7 @@ func fill[T any](s *slab[T], v T) {
 func poison(sc *searchScratch, clean bool) {
 	junk := &plan.Node{Op: plan.OpMulti, Table: "poison", OutputPath: "poison"}
 	jg := &Group{ID: -1}
-	je := &MExpr{Node: junk, Group: jg, RuleID: 255}
+	je := &MExpr{Node: junk, Group: jg, RuleID: 255, key: []byte("poison")}
 	jp := &pexpr{op: plan.PhysMultiImpl, node: junk, lexpr: je, ruleID: 255, dop: -1, total: math.NaN()}
 	ja := &implAlt{protos: []*PhysProto{{Op: plan.PhysMultiImpl, Node: junk}}, done: true}
 	jw := &groupWinner{w: jp}
@@ -356,9 +356,11 @@ func poison(sc *searchScratch, clean bool) {
 	fill(&sc.impls, *ja)
 	fill(&sc.winners, *jw)
 	fill(&sc.states, *js)
+	jk := byte(0xa5)
 	if clean {
-		jg, je, jp, js = nil, nil, nil, nil
+		jg, je, jp, js, jk = nil, nil, nil, nil, 0
 	}
+	fill(&sc.keys, jk)
 	fill(&sc.children, jp)
 	fill(&sc.gslices, jg)
 	fill(&sc.exprs, je)

@@ -18,8 +18,8 @@
 // package provides both halves of that story for the reproduction — the
 // misbehavior (Injector) and the machinery that survives it (Retry's fixed
 // budget, Record, plan validation against corruption). The Plan — a seed
-// and per-site rates, set by the CLIs' -fault-seed and -fault-rates flags —
-// is the layer's only input.
+// and per-site rates, set by the CLIs' -fault-seed flag (ParsePlan) or built
+// directly by tests — is the layer's only input.
 package faults
 
 import (
@@ -104,24 +104,6 @@ func (p Plan) probs(site Site) Probs {
 		return p.Exec
 	}
 	return p.Compile
-}
-
-// Validate checks the plan's probabilities are sane.
-func (p Plan) Validate() error {
-	for _, s := range []struct {
-		site Site
-		pr   Probs
-	}{{SiteCompile, p.Compile}, {SiteExec, p.Exec}} {
-		for _, v := range []float64{s.pr.Fail, s.pr.Hang, s.pr.Corrupt} {
-			if v < 0 || v > 1 {
-				return fmt.Errorf("faults: %s probability %v outside [0, 1]", s.site, v)
-			}
-		}
-		if s.pr.sum() > 1 {
-			return fmt.Errorf("faults: %s probabilities sum to %v > 1", s.site, s.pr.sum())
-		}
-	}
-	return nil
 }
 
 // Stats counts injected faults. All fields are monotone totals since the

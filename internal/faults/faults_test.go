@@ -114,23 +114,6 @@ func TestRetriesRedrawPerAttempt(t *testing.T) {
 	}
 }
 
-func TestPlanValidate(t *testing.T) {
-	ok := testPlan()
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("default plan invalid: %v", err)
-	}
-	bad := []faults.Plan{
-		{Compile: faults.Probs{Fail: -0.1}},
-		{Exec: faults.Probs{Hang: 1.5}},
-		{Compile: faults.Probs{Fail: 0.5, Hang: 0.4, Corrupt: 0.2}},
-	}
-	for i, p := range bad {
-		if err := p.Validate(); err == nil {
-			t.Errorf("bad plan %d validated", i)
-		}
-	}
-}
-
 func TestKindString(t *testing.T) {
 	want := map[faults.Kind]string{
 		faults.KindNone:    "none",
@@ -326,30 +309,18 @@ func TestRecordAddAndRetries(t *testing.T) {
 }
 
 func TestParsePlanAndRates(t *testing.T) {
-	p, err := faults.ParsePlan("", "")
+	p, err := faults.ParsePlan("")
 	if p != nil || err != nil {
 		t.Fatalf("empty ParsePlan = (%v, %v)", p, err)
 	}
-	if _, err := faults.ParsePlan("", "compile.fail=0.5"); err == nil {
-		t.Fatal("rates without seed accepted")
-	}
-	if _, err := faults.ParsePlan("not-a-number", ""); err == nil {
+	if _, err := faults.ParsePlan("not-a-number"); err == nil {
 		t.Fatal("bad seed accepted")
 	}
-	p, err = faults.ParsePlan("42", "compile.fail=0.5, exec.hang=0.25,compile.corrupt=0")
+	p, err = faults.ParsePlan("42")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Seed != 42 || p.Compile.Fail != 0.5 || p.Exec.Hang != 0.25 || p.Compile.Corrupt != 0 {
-		t.Fatalf("ParsePlan = %+v", p)
-	}
-	// Unmentioned rates keep the defaults.
-	if p.Compile.Hang != faults.DefaultPlan(42).Compile.Hang {
-		t.Fatalf("unmentioned rate changed: %+v", p)
-	}
-	for _, bad := range []string{"compile=0.5", "disk.fail=0.5", "compile.melt=0.5", "compile.fail=lots", "compile.fail=2"} {
-		if _, err := faults.ParsePlan("1", bad); err == nil {
-			t.Errorf("bad rates %q accepted", bad)
-		}
+	if *p != faults.DefaultPlan(42) {
+		t.Fatalf("ParsePlan = %+v, want DefaultPlan(42)", p)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"steerq/internal/catalog"
 	"steerq/internal/cost"
+	"steerq/internal/plan"
 	"steerq/internal/scopeql"
 )
 
@@ -94,5 +95,48 @@ func TestOptimizeSmoke(t *testing.T) {
 			continue
 		}
 		t.Logf("used rule: %s", ri)
+	}
+}
+
+// TestWinnerKeyedByHashKeys aggregates one shared scan on two different
+// keys. With two-phase aggregation off, both aggregations ask the scan's
+// group for hash distributions that differ only in their keys, so each must
+// get the winner of its own requirement back — a winner cache that ignored
+// the keys would hand the second aggregation the first one's exchange.
+func TestWinnerKeyedByHashKeys(t *testing.T) {
+	cat := testCatalog()
+	col := func(id int, name string) plan.Column {
+		return plan.Column{ID: plan.ColumnID(id), Name: name, Source: "shop/orders." + name}
+	}
+	user, amount, region, dayPart := col(1, "user_id"), col(2, "amount"), col(3, "region"), col(4, "day_part")
+	get := plan.NewGet("shop/orders", []plan.Column{user, amount, region, dayPart})
+	root := plan.NewMulti(
+		plan.NewOutput(plan.NewGroupBy(get, []plan.Column{user}, nil), "out/by_user"),
+		plan.NewOutput(plan.NewGroupBy(get, []plan.Column{region}, nil), "out/by_region"),
+	)
+	opt := NewOptimizer(cost.NewEstimated(cat))
+	cfg := opt.Rules.DefaultConfig()
+	cfg.Clear(IDLocalGlobalAggImpl)
+	res, err := opt.Optimize(root, cfg)
+	if err != nil {
+		t.Fatalf("optimize: %v", err)
+	}
+	aggs := 0
+	var walk func(n *plan.PhysNode)
+	walk = func(n *plan.PhysNode) {
+		if n.Op == plan.PhysHashAgg {
+			aggs++
+			key := n.GroupKeys[0].ID
+			if d := n.Children[0].Dist; d.Kind != plan.DistHash || len(d.Keys) != 1 || d.Keys[0] != key {
+				t.Errorf("HashAgg on %d over child delivering %v", key, d)
+			}
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	walk(res.Plan)
+	if aggs != 2 {
+		t.Fatalf("plan has %d HashAggs, want 2:\n%s", aggs, res.Plan)
 	}
 }
