@@ -81,7 +81,11 @@
 #                                cmd/steerq-bench/testdata/exp_all.golden.txt
 #                                (its stdout is the same at any -workers and
 #                                with or without the fault seed)
-#  13. serving smoke             the full serving path end to end: build a
+#  13. quickstart vs README      `go run ./examples/quickstart` (README's first
+#                                run): every line of README's quoted
+#                                quickstart output must be a line of the
+#                                program's stdout
+#  14. serving smoke             the full serving path end to end: build a
 #                                pinned-seed bundle with `steerq bundle`,
 #                                check that steerqd refuses to boot from a
 #                                missing -bundle (nonzero exit, no address
@@ -91,20 +95,20 @@
 #                                drain the daemon with SIGTERM, and diff its
 #                                frozen-clock metrics snapshot against the
 #                                committed ci_serving.golden.json
-#  14. benchmark module          (cd benchmark && go vet ./... && go test
+#  15. benchmark module          (cd benchmark && go vet ./... && go test
 #                                ./...): the repo benchmark is its own module
 #                                importing this one, so a root change that
 #                                breaks the API it calls fails here; its tests
 #                                pin BENCHMARK.json to `-manifest`, check the
 #                                oracles against tampered outputs and smoke
 #                                all five workloads offline
-#  15. short fuzz pass           60s total over the scopeql parser/binder
+#  16. short fuzz pass           60s total over the scopeql parser/binder
 #                                (including the parse-print-parse round trip),
 #                                the bundle decoder, xrand's generator
 #                                against math/rand's and the column-statistics
 #                                merge against its map reference
 #
-# Set STEERQ_CI_SKIP_FUZZ=1 to skip stage 15 (e.g. on very slow machines).
+# Set STEERQ_CI_SKIP_FUZZ=1 to skip stage 16 (e.g. on very slow machines).
 set -eu
 
 echo "== build =="
@@ -192,6 +196,36 @@ diff -u cmd/steerq-bench/testdata/exp_all.golden.txt /tmp/steerq-exp.$$.txt || {
     exit 1
 }
 rm -f /tmp/steerq-exp.$$.txt
+
+echo "== quickstart vs README (go run ./examples/quickstart) =="
+go run ./examples/quickstart > /tmp/steerq-qs.$$.txt
+# The quoted output is the first bare ``` block of README's Quickstart
+# section; fenced blocks with a language tag (the command) are skipped.
+awk '
+    /^## Quickstart/ { q = 1; next }
+    q && /^```/ {
+        if (inb) exit
+        if (open) { open = 0; next }
+        if ($0 == "```") { inb = 1; next }
+        open = 1; next
+    }
+    inb { print }
+' README.md > /tmp/steerq-qs-readme.$$.txt
+[ -s /tmp/steerq-qs-readme.$$.txt ] || {
+    echo "quickstart: no quoted output block found in README's Quickstart section" >&2
+    rm -f /tmp/steerq-qs.$$.txt /tmp/steerq-qs-readme.$$.txt
+    exit 1
+}
+awk '
+    NR == FNR { out[$0] = 1; next }
+    !($0 in out) { printf "quickstart: README line not printed by the program: %s\n", $0; bad = 1 }
+    END { exit bad }
+' /tmp/steerq-qs.$$.txt /tmp/steerq-qs-readme.$$.txt || {
+    echo "(refresh README's quickstart output from go run ./examples/quickstart)" >&2
+    rm -f /tmp/steerq-qs.$$.txt /tmp/steerq-qs-readme.$$.txt
+    exit 1
+}
+rm -f /tmp/steerq-qs.$$.txt /tmp/steerq-qs-readme.$$.txt
 
 echo "== serving smoke (steerqd end to end, frozen clock) =="
 servdir=$(mktemp -d)

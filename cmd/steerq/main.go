@@ -7,7 +7,7 @@
 //
 //	steerq compile  [-workload A] [-seed N] [-script file | -job day/idx] [-show-plan]
 //	steerq span     [-workload A] [-job day/idx]
-//	steerq search   [-workload A] [-job day/idx] [-m 200] [-workers N]
+//	steerq search   [-workload A] [-job day/idx] [-m 200] [-fault-seed N]
 //	steerq pipeline [-workload A] [-job day/idx] [-m 300] [-k 10] [-workers N] [-fault-seed N]
 //	steerq groups   [-workload A] [-day 0] [-top 15]
 //	steerq workload [-workload A] [-day 0]
@@ -35,7 +35,6 @@ import (
 	"steerq/internal/cost"
 	"steerq/internal/faults"
 	"steerq/internal/obs"
-	"steerq/internal/par"
 	"steerq/internal/rules"
 	"steerq/internal/scopeql"
 	"steerq/internal/serve"
@@ -156,6 +155,19 @@ func (e *env) finish() error {
 	return e.reg.Snapshot().WriteFile(*e.metricsOut)
 }
 
+// pipeline is the discovery pipeline search and pipeline run a job through:
+// M candidates drawn from the "cli-pipeline" stream, a compile cache and the
+// command's registry.
+func (e *env) pipeline(m int) *steering.Pipeline {
+	p := steering.NewPipeline(e.harness, xrand.New(*e.seed).Derive("cli-pipeline"))
+	p.MaxCandidates = m
+	p.Workers = *e.workers
+	p.Cache = steering.NewCompileCache()
+	p.Cache.SetObs(e.reg, "workload", *e.name)
+	p.Obs = e.reg
+	return p
+}
+
 // job resolves the -script / -job flags into a compiled job.
 func (e *env) job() (*workload.Job, error) {
 	if *e.script != "" {
@@ -258,44 +270,19 @@ func cmdSearch(args []string) error {
 	if err != nil {
 		return err
 	}
-	span, err := steering.JobSpan(e.harness.Opt, j.Root)
-	if err != nil {
-		return err
-	}
-	rs := e.harness.Opt.Rules
-	cfgs := steering.CandidateConfigs(span, rs, *m, xrand.New(*e.seed).Derive("cli-search"))
-	def, err := e.harness.Opt.Optimize(j.Root, rs.DefaultConfig())
+	a, err := e.pipeline(*m).RecompileCtx(context.Background(), j)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("span=%d rules, %d unique candidate configurations; default cost %.2f\n",
-		span.Count(), len(cfgs), def.Cost)
-	type row struct {
-		cost float64
-		diff steering.RuleDiff
-		ok   bool
-	}
-	slots, _ := par.Map(*e.workers, cfgs, func(_ int, cfg bitvec.Vector) (row, error) {
-		res, err := e.harness.Opt.Optimize(j.Root, cfg)
-		if err != nil {
-			return row{}, nil
-		}
-		return row{res.Cost, steering.Diff(def.Signature, res.Signature), true}, nil
-	})
-	rows := make([]row, 0, len(slots))
-	failed := 0
-	for _, s := range slots {
-		if !s.ok {
-			failed++
-			continue
-		}
-		rows = append(rows, s)
-	}
-	sort.Slice(rows, func(i, k int) bool { return rows[i].cost < rows[k].cost })
-	fmt.Printf("%d compiled, %d failed; 10 cheapest:\n", len(rows), failed)
-	for i := 0; i < 10 && i < len(rows); i++ {
-		r := rows[i]
-		fmt.Printf("  cost=%.2f  -%v +%v\n", r.cost, names(rs, r.diff.OnlyDefault), names(rs, r.diff.OnlyNew))
+		a.Span.Count(), a.Footprint.Candidates, a.Default.EstCost)
+	cands := append([]steering.Candidate(nil), a.Candidates...)
+	sort.SliceStable(cands, func(i, k int) bool { return cands[i].EstCost < cands[k].EstCost })
+	fmt.Printf("%d compiled, %d failed; 10 cheapest:\n", len(cands), a.Footprint.Candidates-len(cands))
+	rs := e.harness.Opt.Rules
+	for _, c := range cands[:min(10, len(cands))] {
+		d := steering.Diff(a.Default.Signature, c.Signature)
+		fmt.Printf("  cost=%.2f  -%v +%v\n", c.EstCost, names(rs, d.OnlyDefault), names(rs, d.OnlyNew))
 	}
 	return e.finish()
 }
@@ -312,13 +299,8 @@ func cmdPipeline(args []string) error {
 	if err != nil {
 		return err
 	}
-	p := steering.NewPipeline(e.harness, xrand.New(*e.seed).Derive("cli-pipeline"))
-	p.MaxCandidates = *m
+	p := e.pipeline(*m)
 	p.ExecutePerJob = *k
-	p.Workers = *e.workers
-	p.Cache = steering.NewCompileCache()
-	p.Cache.SetObs(e.reg, "workload", *e.name)
-	p.Obs = e.reg
 	a, err := p.AnalyzeCtx(context.Background(), j)
 	if err != nil {
 		return err

@@ -92,18 +92,17 @@ func main() {
 // generated fact and dimension streams share a key domain, so the example
 // works for any generator seed.
 func buildScript(cat *catalog.Catalog) string {
-	fact, dim, key, measure, filterCol := pickStreams(cat)
+	fact, dim, key, measure := pickStreams(cat)
 	var b strings.Builder
 	fmt.Fprintf(&b, "f = SELECT %s, %s FROM \"%s\" WHERE %s > 10;\n", key, measure, fact, measure)
 	fmt.Fprintf(&b, "j = SELECT f.%s AS %s, f.%s AS %s FROM f INNER JOIN \"%s\" AS d ON f.%s == d.%s;\n",
 		key, key, measure, measure, dim, key, key)
 	fmt.Fprintf(&b, "a = SELECT %s, SUM(%s) AS total, COUNT(*) AS cnt FROM j GROUP BY %s;\n", key, measure, key)
 	fmt.Fprintf(&b, "OUTPUT a TO \"out/quickstart\";\n")
-	_ = filterCol
 	return b.String()
 }
 
-func pickStreams(cat *catalog.Catalog) (fact, dim, key, measure, filterCol string) {
+func pickStreams(cat *catalog.Catalog) (fact, dim, key, measure string) {
 	names := cat.StreamNames()
 	// Find a dimension stream first: its first column is its key domain.
 	for _, dn := range names {
@@ -122,7 +121,7 @@ func pickStreams(cat *catalog.Catalog) (fact, dim, key, measure, filterCol strin
 			// Need a numeric measure column distinct from the key.
 			for _, c := range st.Columns {
 				if c.Name != dkey && c.Max > 100 && c.TrueDistinct > 1000 {
-					return fn, dn, dkey, c.Name, ""
+					return fn, dn, dkey, c.Name
 				}
 			}
 		}

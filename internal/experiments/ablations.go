@@ -58,7 +58,7 @@ func (r *Runner) RandomVsGuided(name string, day, jobs, k int) (*AblationRandomV
 		}
 		// Guided: the pipeline's standard selection.
 		p.Execute(a)
-		guided := bestRuntime(a)
+		guided := a.BestConfig(steering.MetricRuntime).Metrics.RuntimeSec
 
 		// Random: K uniform draws from the same candidate pool.
 		randomBest := a.Default.Metrics.RuntimeSec
@@ -92,14 +92,6 @@ func (r *Runner) RandomVsGuided(name string, day, jobs, k int) (*AblationRandomV
 		}
 	}
 	return out, nil
-}
-
-func bestRuntime(a *steering.Analysis) float64 {
-	best := a.Default.Metrics.RuntimeSec
-	if alt := a.BestAlternative(steering.MetricRuntime); alt != nil && alt.Metrics.RuntimeSec < best {
-		best = alt.Metrics.RuntimeSec
-	}
-	return best
 }
 
 // Render prints the comparison.

@@ -67,18 +67,10 @@ func (r *Runner) Extensions(name string, day, jobs int) (*ExtensionResults, erro
 		}
 
 		p.Execute(a)
-		oneShot := a.Default.Metrics.RuntimeSec
-		if alt := a.BestAlternative(steering.MetricRuntime); alt != nil && alt.Metrics.RuntimeSec < oneShot {
-			oneShot = alt.Metrics.RuntimeSec
-		}
+		oneShot := a.BestConfig(steering.MetricRuntime).Metrics.RuntimeSec
 
-		// Iterative: the same 12 executions split into 3 feedback rounds. Run
-		// reads only the analysis's job, span and default trial.
-		it := steering.NewIterativeSearch(p)
-		it.Rounds = 3
-		it.PerRound = p.MaxCandidates / 3
-		it.ExecutePerRound = 4
-		res, err := it.Run(a)
+		// Iterative: the same 12 executions split into 3 feedback rounds.
+		res, err := steering.IterativeSearch(p, a)
 		if err != nil {
 			return slot{}, nil
 		}

@@ -50,12 +50,9 @@ func Workers(n int) int {
 // as a reason to stop); the returned error is the one from the lowest failing
 // index, so the error too is independent of scheduling.
 //
-// ForEach schedules through Run; callers that want a context or worker
-// identities use Run directly.
+// ForEach is Run without a context; callers that want one use Run directly.
 func ForEach(workers, n int, f func(i int) error) error {
-	return Run(context.Background(), workers, n, func(_, i int) error {
-		return f(i)
-	})
+	return Run(context.Background(), workers, n, f)
 }
 
 // Map applies f to every item and returns the results slotted by input index.

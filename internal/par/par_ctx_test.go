@@ -87,7 +87,7 @@ func TestRunPassesLiveContext(t *testing.T) {
 	type ctxKey struct{}
 	ctx := context.WithValue(context.Background(), ctxKey{}, "payload")
 	var ran atomic.Int32
-	err := par.Run(ctx, 4, 16, func(_, i int) error {
+	err := par.Run(ctx, 4, 16, func(i int) error {
 		if ctx.Value(ctxKey{}) != "payload" {
 			return errors.New("wrong context")
 		}
@@ -104,7 +104,7 @@ func TestRunPreCanceledSkipsEverything(t *testing.T) {
 	cancel()
 	for _, workers := range []int{1, 8} {
 		var ran atomic.Int32
-		err := par.Run(ctx, workers, 32, func(_, _ int) error {
+		err := par.Run(ctx, workers, 32, func(int) error {
 			ran.Add(1)
 			return nil
 		})
@@ -127,7 +127,7 @@ func TestRunCancellationMidRun(t *testing.T) {
 	defer cancel()
 	var ran atomic.Int32
 	out := make([]int, n)
-	err := par.Run(ctx, 1, n, func(_, i int) error {
+	err := par.Run(ctx, 1, n, func(i int) error {
 		ran.Add(1)
 		if i == 5 {
 			cancel()
@@ -159,7 +159,7 @@ func TestRunCancellationMidRun(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	var ran2 atomic.Int32
-	err = par.Run(ctx2, 8, n, func(_, i int) error {
+	err = par.Run(ctx2, 8, n, func(i int) error {
 		ran2.Add(1)
 		if i == 5 {
 			cancel2()
@@ -182,7 +182,7 @@ func TestRunItemErrorBeatsLaterCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	boom := errors.New("boom")
-	err := par.Run(ctx, 1, 10, func(_, i int) error {
+	err := par.Run(ctx, 1, 10, func(i int) error {
 		if i == 2 {
 			cancel()
 			return boom

@@ -17,11 +17,9 @@ import (
 	"sync/atomic"
 )
 
-// Run executes f(worker, i) for every i in [0, n) on at most
+// Run executes f(i) for every i in [0, n) on at most
 // min(Workers(workers), n) goroutines, each taking the next unstarted index
-// when it is free, and waits for all of them. The worker argument is a stable
-// identity below that count: at most one item runs under a given worker at a
-// time, so callers may key worker-local state by it without locking.
+// when it is free, and waits for all of them.
 //
 // Every index runs regardless of other indices' failures and the returned
 // error is the one from the lowest failing index, exactly as in ForEach.
@@ -33,7 +31,7 @@ import (
 // count; after a cancellation the set of indices that ran depends on timing,
 // but the returned error is still the lowest-index failure, and a context
 // canceled before the call starts skips every index deterministically.
-func Run(ctx context.Context, workers, n int, f func(worker, i int) error) error {
+func Run(ctx context.Context, workers, n int, f func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -43,7 +41,7 @@ func Run(ctx context.Context, workers, n int, f func(worker, i int) error) error
 	var mu sync.Mutex
 	firstIdx := -1
 	var firstErr error
-	drain := func(self int) {
+	drain := func() {
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
@@ -51,7 +49,7 @@ func Run(ctx context.Context, workers, n int, f func(worker, i int) error) error
 			}
 			err := ctx.Err()
 			if err == nil {
-				err = f(self, i)
+				err = f(i)
 			}
 			if err != nil {
 				mu.Lock()
@@ -65,15 +63,15 @@ func Run(ctx context.Context, workers, n int, f func(worker, i int) error) error
 	if w == 1 {
 		// Serial fast path: the caller's goroutine walks the range in
 		// ascending order.
-		drain(0)
+		drain()
 	} else {
 		var wg sync.WaitGroup
-		for g := 0; g < w; g++ {
+		for range w {
 			wg.Add(1)
-			go func(self int) {
+			go func() {
 				defer wg.Done()
-				drain(self)
-			}(g)
+				drain()
+			}()
 		}
 		wg.Wait()
 	}

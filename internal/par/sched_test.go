@@ -13,8 +13,8 @@ import (
 
 func TestRunZeroItems(t *testing.T) {
 	for _, n := range []int{0, -3} {
-		err := par.Run(context.Background(), 8, n, func(worker, i int) error {
-			t.Fatalf("callback ran for n=%d (worker=%d i=%d)", n, worker, i)
+		err := par.Run(context.Background(), 8, n, func(i int) error {
+			t.Fatalf("callback ran for n=%d (i=%d)", n, i)
 			return nil
 		})
 		if err != nil {
@@ -24,13 +24,9 @@ func TestRunZeroItems(t *testing.T) {
 }
 
 func TestRunWorkersExceedItems(t *testing.T) {
-	// 64 workers over 3 items must clamp to 3 workers — every worker identity
-	// below 3 — and run every index exactly once.
+	// 64 workers over 3 items must run every index exactly once.
 	var ran [3]atomic.Int32
-	err := par.Run(context.Background(), 64, 3, func(worker, i int) error {
-		if worker < 0 || worker >= 3 {
-			return fmt.Errorf("item %d ran on worker %d, want the pool clamped to 3", i, worker)
-		}
+	err := par.Run(context.Background(), 64, 3, func(i int) error {
 		ran[i].Add(1)
 		return nil
 	})
@@ -46,43 +42,12 @@ func TestRunWorkersExceedItems(t *testing.T) {
 
 func TestRunAllErrorLowestIndexWins(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		err := par.Run(context.Background(), workers, 41, func(_, i int) error {
+		err := par.Run(context.Background(), workers, 41, func(i int) error {
 			return fmt.Errorf("item %d failed", i)
 		})
 		if err == nil || err.Error() != "item 0 failed" {
 			t.Fatalf("workers=%d: err = %v, want the lowest failing index", workers, err)
 		}
-	}
-}
-
-// TestRunWorkerIdentityIsExclusive verifies the worker-local-state contract:
-// at most one item runs under a given worker identity at a time, so
-// unsynchronized per-worker slots must never race (the -race runs of this
-// test would catch a violation) nor observe interleaved writes.
-func TestRunWorkerIdentityIsExclusive(t *testing.T) {
-	const workers, n = 4, 256
-	depth := make([]atomic.Int32, workers)
-	counts := make([]int, workers) // unsynchronized on purpose: exclusivity is the lock
-	err := par.Run(context.Background(), workers, n, func(worker, i int) error {
-		if worker < 0 || worker >= workers {
-			return fmt.Errorf("item %d ran on worker %d, outside [0, %d)", i, worker, workers)
-		}
-		if d := depth[worker].Add(1); d != 1 {
-			return fmt.Errorf("worker %d reentered (depth %d)", worker, d)
-		}
-		counts[worker]++
-		depth[worker].Add(-1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != n {
-		t.Fatalf("per-worker counts sum to %d, want %d", total, n)
 	}
 }
 
@@ -97,7 +62,7 @@ func TestRunParkedWorkerStrandsNoIndex(t *testing.T) {
 	var ran [n]atomic.Int32
 	done := make(chan error, 1)
 	go func() {
-		err := par.Run(context.Background(), workers, n, func(_, i int) error {
+		err := par.Run(context.Background(), workers, n, func(i int) error {
 			ran[i].Add(1)
 			if i == 0 {
 				<-othersDone
@@ -131,7 +96,7 @@ func TestRunCancelMidSteal(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran atomic.Int32
-	err := par.Run(ctx, 8, n, func(_, i int) error {
+	err := par.Run(ctx, 8, n, func(i int) error {
 		if ran.Add(1) == 10 {
 			cancel()
 		}

@@ -26,7 +26,7 @@ type JobGroup struct {
 type Grouper struct {
 	Harness *abtest.Harness
 	// cache maps instance hashes to signatures so recurring instances skip
-	// recompilation.
+	// recompilation. Only fingerprinted jobs are memoized (see memoized).
 	cache map[uint64]bitvec.Vector
 	// compiles, when non-nil (BuildBundle hands over its pipeline's cache),
 	// is probed before and filled after every default compile, so a warm pass
@@ -39,13 +39,21 @@ func NewGrouper(h *abtest.Harness) *Grouper {
 	return &Grouper{Harness: h, cache: make(map[uint64]bitvec.Vector)}
 }
 
+// memoized reports whether the Grouper memoizes job's default signature by
+// its instance hash: only a job the compile cache fingerprints does, since a
+// hand-built or scripted job carries all-zero hashes.
+func memoized(job *workload.Job) bool {
+	_, ok := jobFingerprint(job)
+	return ok
+}
+
 // DefaultSignature compiles (or recalls) the job's default rule signature.
 func (g *Grouper) DefaultSignature(job *workload.Job) (bitvec.Vector, error) {
-	if sig, ok := g.cache[job.InstanceHash]; ok {
+	if sig, ok := g.cache[job.InstanceHash]; ok && memoized(job) {
 		return sig, nil
 	}
 	sig, err := g.compileSignature(job, g.Harness.Opt.Rules.DefaultConfig())
-	if err == nil {
+	if err == nil && memoized(job) {
 		g.cache[job.InstanceHash] = sig
 	}
 	return sig, err
@@ -70,12 +78,15 @@ func (g *Grouper) compileSignature(job *workload.Job, cfg bitvec.Vector) (bitvec
 // signature hex for determinism). The instances the Grouper has not seen are
 // deduplicated serially, compiled concurrently on up to Harness.Workers
 // workers and grouped serially, so the groups — and the error, the first
-// failing job's in input order — are the same at any worker count.
+// failing job's in input order — are the same at any worker count. A job
+// without a fingerprint is never deduplicated: each compiles on its own.
 func (g *Grouper) Group(jobs []*workload.Job) ([]*JobGroup, error) {
 	fresh := make([]*workload.Job, 0, len(jobs))
 	seen := make(map[uint64]bool, len(jobs))
 	for _, j := range jobs {
-		if _, ok := g.cache[j.InstanceHash]; !ok && !seen[j.InstanceHash] {
+		if !memoized(j) {
+			fresh = append(fresh, j)
+		} else if _, ok := g.cache[j.InstanceHash]; !ok && !seen[j.InstanceHash] {
 			seen[j.InstanceHash] = true
 			fresh = append(fresh, j)
 		}
@@ -87,12 +98,20 @@ func (g *Grouper) Group(jobs []*workload.Job) ([]*JobGroup, error) {
 	if err != nil {
 		return nil, err
 	}
+	unmemoized := make(map[*workload.Job]bitvec.Vector)
 	for i, j := range fresh {
-		g.cache[j.InstanceHash] = sigs[i]
+		if memoized(j) {
+			g.cache[j.InstanceHash] = sigs[i]
+		} else {
+			unmemoized[j] = sigs[i]
+		}
 	}
 	byKey := make(map[bitvec.Key]*JobGroup)
 	for _, j := range jobs {
-		sig := g.cache[j.InstanceHash]
+		sig, ok := unmemoized[j]
+		if !ok {
+			sig = g.cache[j.InstanceHash]
+		}
 		k := sig.Key()
 		grp, ok := byKey[k]
 		if !ok {

@@ -7,33 +7,12 @@ import (
 	"steerq/internal/bitvec"
 )
 
-// IterativeSearch implements the first future-work direction of §8: "use
-// feedback from the execution results to guide future iterations of the
-// configuration search". Instead of one round of M random candidates and one
-// batch of executions, the search runs in rounds; after each round the
-// per-rule toggle statistics of the *executed* trials reweight the sampling —
-// rules whose flips correlated with runtime improvements are flipped more
-// often, rules that correlated with regressions revert toward the default.
-type IterativeSearch struct {
-	Pipeline *Pipeline
-
-	// Rounds is the number of feedback rounds (>= 1).
-	Rounds int
-	// PerRound is how many candidates are recompiled per round, and
-	// ExecutePerRound how many of them are executed.
-	PerRound        int
-	ExecutePerRound int
-}
-
-// NewIterativeSearch wraps a pipeline with feedback-guided rounds.
-func NewIterativeSearch(p *Pipeline) *IterativeSearch {
-	return &IterativeSearch{Pipeline: p, Rounds: 3, PerRound: 100, ExecutePerRound: 4}
-}
+// iterativeRounds is how many feedback rounds IterativeSearch splits the
+// pipeline's budgets into.
+const iterativeRounds = 3
 
 // IterativeResult is the outcome of an iterative search.
 type IterativeResult struct {
-	// Analysis holds the default trial and span (shared machinery).
-	Analysis *Analysis
 	// Trials are all executed trials across rounds, in execution order.
 	Trials []RoundTrial
 	// Best is the best-runtime trial found (nil if none improved).
@@ -49,19 +28,36 @@ type RoundTrial struct {
 	Runtime   float64
 }
 
-// Run performs the feedback-guided search for one job.
-func (s *IterativeSearch) Run(a *Analysis) (*IterativeResult, error) {
-	p := s.Pipeline
+// IterativeSearch implements the first future-work direction of §8: "use
+// feedback from the execution results to guide future iterations of the
+// configuration search". Instead of one round of M random candidates and one
+// batch of executions, the search spends the pipeline's budgets in three
+// rounds of at most MaxCandidates/3 compiles and ExecutePerJob/3 executions;
+// after each round the per-rule toggle statistics of the *executed* trials
+// reweight the sampling — rules whose flips correlated with runtime
+// improvements are flipped more often, rules that correlated with
+// regressions revert toward the default. It reads only a's job, span and
+// default trial, and compiles the candidates on one plan-less optimizer
+// session.
+func IterativeSearch(p *Pipeline, a *Analysis) (*IterativeResult, error) {
 	h := p.Harness
 	rs := h.Opt.Rules
 	job := a.Job
 	def := rs.DefaultConfig()
+	perRound := p.MaxCandidates / iterativeRounds
+	executePerRound := p.ExecutePerJob / iterativeRounds
+	// Every trial compiles the plan it executes, so a round samples its
+	// compile budget minus its executions' worth of candidates, no-plan
+	// ones included.
+	samplePerRound := perRound - executePerRound
 
-	res := &IterativeResult{Analysis: a}
+	res := &IterativeResult{}
 	spanBits := a.Span.Ones()
 	if len(spanBits) == 0 {
 		return res, nil
 	}
+	sess := h.Opt.NewSession(job.Root)
+	defer sess.Close()
 
 	// flipWeight[i] is the sampling weight for flipping span rule i away
 	// from its default state; starts uniform and is reweighted by feedback.
@@ -75,18 +71,18 @@ func (s *IterativeSearch) Run(a *Analysis) (*IterativeResult, error) {
 	rnd := p.Rand.Derive("iterative", job.ID)
 	defaultRT := a.Default.Metrics.RuntimeSec
 
-	for round := 0; round < s.Rounds; round++ {
+	for round := 0; round < iterativeRounds; round++ {
 		// Sample candidates: flip each span rule independently with a
 		// probability proportional to its weight.
 		var cands []Candidate
-		attempts := 0
+		attempts, compiled := 0, 0
 		r := rnd.Derive("round", fmt.Sprint(round))
-		for len(cands) < s.PerRound && attempts < 20*s.PerRound {
+		for compiled < samplePerRound && attempts < 20*perRound {
 			attempts++
 			cfg := bitvec.AllSet(bitvec.Width)
 			for _, id := range spanBits {
-				p := flipWeight[id] / (flipWeight[id] + 1)
-				if r.Bool(p) {
+				prob := flipWeight[id] / (flipWeight[id] + 1)
+				if r.Bool(prob) {
 					cfg.Assign(id, !def.Get(id))
 				} else {
 					cfg.Assign(id, def.Get(id))
@@ -96,7 +92,8 @@ func (s *IterativeSearch) Run(a *Analysis) (*IterativeResult, error) {
 				continue
 			}
 			seen[cfg.Key()] = true
-			c, err := h.Opt.Optimize(job.Root, cfg)
+			compiled++
+			c, err := sess.Optimize(cfg, false)
 			if err != nil {
 				continue
 			}
@@ -106,7 +103,7 @@ func (s *IterativeSearch) Run(a *Analysis) (*IterativeResult, error) {
 		sort.SliceStable(cands, func(i, j int) bool { return cands[i].EstCost < cands[j].EstCost })
 		executed := 0
 		for _, c := range cands {
-			if executed >= s.ExecutePerRound {
+			if executed >= executePerRound {
 				break
 			}
 			if seenSig[c.Signature.Key()] {
@@ -192,7 +189,8 @@ type Independence struct {
 	Compilations int
 }
 
-// ProbeIndependence partitions a job's span rules into interaction groups.
+// ProbeIndependence partitions a job's span rules into interaction groups,
+// compiling every probe on one plan-less optimizer session.
 func ProbeIndependence(p *Pipeline, a *Analysis) (*Independence, error) {
 	h := p.Harness
 	rs := h.Opt.Rules
@@ -204,9 +202,11 @@ func ProbeIndependence(p *Pipeline, a *Analysis) (*Independence, error) {
 		return out, nil
 	}
 
+	sess := h.Opt.NewSession(job.Root)
+	defer sess.Close()
 	sig := func(cfg bitvec.Vector) (bitvec.Vector, bool) {
 		out.Compilations++
-		res, err := h.Opt.Optimize(job.Root, cfg)
+		res, err := sess.Optimize(cfg, false)
 		if err != nil {
 			return bitvec.Vector{}, false
 		}

@@ -3,6 +3,7 @@ package steering_test
 import (
 	"testing"
 
+	"steerq/internal/obs"
 	"steerq/internal/steering"
 	"steerq/internal/xrand"
 )
@@ -12,17 +13,13 @@ func TestIterativeSearchFindsImprovements(t *testing.T) {
 	h := steerHarness(cat)
 	job := steerJob(t, cat)
 	p := steering.NewPipeline(h, xrand.New(21))
-	p.MaxCandidates = 40
-	p.ExecutePerJob = 3
+	p.MaxCandidates = 120
+	p.ExecutePerJob = 9
 	a, err := p.Recompile(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := steering.NewIterativeSearch(p)
-	it.Rounds = 3
-	it.PerRound = 40
-	it.ExecutePerRound = 3
-	res, err := it.Run(a)
+	res, err := steering.IterativeSearch(p, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,16 +48,13 @@ func TestIterativeSearchDeterministic(t *testing.T) {
 	job := steerJob(t, cat)
 	run := func() []steering.RoundTrial {
 		p := steering.NewPipeline(h, xrand.New(21))
-		p.MaxCandidates = 30
+		p.MaxCandidates = 90
+		p.ExecutePerJob = 6
 		a, err := p.Recompile(job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		it := steering.NewIterativeSearch(p)
-		it.Rounds = 2
-		it.PerRound = 30
-		it.ExecutePerRound = 2
-		res, err := it.Run(a)
+		res, err := steering.IterativeSearch(p, a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,14 +82,57 @@ func TestIterativeSearchEmptySpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Span = a.Span.AndNot(a.Span) // clear
-	it := steering.NewIterativeSearch(p)
-	res, err := it.Run(a)
+	res, err := steering.IterativeSearch(p, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Trials) != 0 || res.Best != nil {
 		t.Fatal("empty span should yield no trials")
 	}
+}
+
+// TestIterativeSearchSpendsPipelineBudgets: the search splits the
+// pipeline's M compiles and K executions into three rounds, so it labels
+// trials 0..2, executes at most K/3 per round and compiles at most M
+// configurations in all.
+func TestIterativeSearchSpendsPipelineBudgets(t *testing.T) {
+	cat := steerCatalog()
+	h := steerHarness(cat)
+	reg := obs.New()
+	h.Opt.SetObs(reg)
+	job := steerJob(t, cat)
+	p := steering.NewPipeline(h, xrand.New(21))
+	p.MaxCandidates = 90
+	p.ExecutePerJob = 6
+	a, err := p.Recompile(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := compiles(reg)
+	res, err := steering.IterativeSearch(p, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spent := compiles(reg) - before
+	if len(res.Trials) == 0 {
+		t.Fatal("iterative search executed nothing")
+	}
+	perRound := map[int]int{}
+	for _, tr := range res.Trials {
+		if tr.Round < 0 || tr.Round > 2 {
+			t.Fatalf("trial labeled round %d, want one of 0..2", tr.Round)
+		}
+		perRound[tr.Round]++
+	}
+	for r, n := range perRound {
+		if n > 2 {
+			t.Fatalf("round %d executed %d trials, want at most K/3 = 2", r, n)
+		}
+	}
+	if spent > 90 {
+		t.Fatalf("search compiled %d times, want at most M = 90", spent)
+	}
+	t.Logf("%d trials over %d rounds, %d compiles", len(res.Trials), len(perRound), spent)
 }
 
 func TestProbeIndependence(t *testing.T) {

@@ -242,7 +242,7 @@ func (p *Pipeline) recompile(ctx context.Context, sess *cascades.Session, job *w
 // It returns the lowest-index error; once ctx is done unstarted jobs are
 // skipped (never visited) and count as failing with ctx.Err().
 func (p *Pipeline) AnalyzeEachCtx(ctx context.Context, jobs []*workload.Job, visit func(i int, a *Analysis, err error)) error {
-	return par.Run(ctx, p.Workers, len(jobs), func(_, i int) error {
+	return par.Run(ctx, p.Workers, len(jobs), func(i int) error {
 		a, err := p.AnalyzeCtx(ctx, jobs[i])
 		visit(i, a, err)
 		return err

@@ -23,9 +23,12 @@ import (
 // iterating until no new rules appear or the job no longer compiles. As the
 // paper notes (§5.1), this misses rules hidden behind complex dependency
 // chains, but finds enough of the span for the configuration search to work.
+// The probes compile on one plan-less optimizer session.
 func JobSpan(opt *cascades.Optimizer, root *plan.Node) (bitvec.Vector, error) {
+	sess := opt.NewSession(root)
+	defer sess.Close()
 	return JobSpanFunc(opt.Rules, func(cfg bitvec.Vector) (bitvec.Vector, error) {
-		res, err := opt.Optimize(root, cfg)
+		res, err := sess.Optimize(cfg, false)
 		if err != nil {
 			return bitvec.Vector{}, err
 		}

@@ -346,6 +346,65 @@ func TestGrouperGroupsConsistently(t *testing.T) {
 	}
 }
 
+// TestGrouperKeepsUnfingerprintedJobsApart: hand-built and scripted jobs
+// carry all-zero hashes, so the Grouper must not memoize their signatures by
+// instance hash — two different scripts keep two signatures, through Group
+// and through DefaultSignature on one Grouper.
+func TestGrouperKeepsUnfingerprintedJobsApart(t *testing.T) {
+	cat := steerCatalog()
+	h := steerHarness(cat)
+	a := steerJob(t, cat)
+	const scanScript = `x = SELECT k, v FROM "f"; OUTPUT x TO "out/t";`
+	root, err := scopeql.Compile(scanScript, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &workload.Job{ID: "test/j1", Root: root, Script: scanScript}
+	sigOf := func(j *workload.Job) bitvec.Vector {
+		t.Helper()
+		sig, err := steering.NewGrouper(h).DefaultSignature(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sig
+	}
+	sa, sb := sigOf(a), sigOf(b)
+	if sa.Equal(sb) {
+		t.Fatal("the two scripts share a default signature; the test needs distinct ones")
+	}
+
+	groups, err := steering.NewGrouper(h).Group([]*workload.Job{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(groups) != 2 {
+		t.Fatalf("Group returned %d groups, want 2", len(groups))
+	}
+	for _, grp := range groups {
+		want := sa
+		if grp.Jobs[0] == b {
+			want = sb
+		}
+		if len(grp.Jobs) != 1 || !grp.Signature.Equal(want) {
+			t.Fatalf("group of %s has %d jobs and another job's signature", grp.Jobs[0].ID, len(grp.Jobs))
+		}
+	}
+
+	g := steering.NewGrouper(h)
+	for _, tc := range []struct {
+		job  *workload.Job
+		want bitvec.Vector
+	}{{a, sa}, {b, sb}} {
+		sig, err := g.DefaultSignature(tc.job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sig.Equal(tc.want) {
+			t.Fatalf("DefaultSignature(%s) on a shared Grouper returned another job's signature", tc.job.ID)
+		}
+	}
+}
+
 func TestExtrapolateSkipsUncompilable(t *testing.T) {
 	cat := steerCatalog()
 	h := steerHarness(cat)
