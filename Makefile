@@ -24,8 +24,9 @@ vet:
 fmt:
 	gofmt -w .
 
-# fuzz is ci.sh's short fuzz stage: the same five targets and budgets.
+# fuzz is ci.sh's short fuzz stage: the same six targets and budgets.
 fuzz:
+	go test -fuzz=FuzzLex -fuzztime=5s ./internal/scopeql/
 	go test -fuzz=FuzzParse -fuzztime=15s ./internal/scopeql/
 	go test -fuzz=FuzzCompile -fuzztime=15s ./internal/scopeql/
 	go test -fuzz=FuzzBundleDecode -fuzztime=15s ./internal/bundle/

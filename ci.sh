@@ -31,7 +31,10 @@
 #                                Injection) — re-run with STEERQ_WORKERS=4 so
 #                                the race detector covers the worker pool on
 #                                every run
-#   7. alloc regression          the compile allocation budget, the warm
+#   7. alloc regression          the front end's allocation budget (Lex
+#                                allocates only its token slice, Compile's
+#                                count is pinned), the compile allocation
+#                                budget, the warm
 #                                session compile's (its Result and nothing
 #                                else), the column-statistics sets against
 #                                their map reference, the nn
@@ -102,7 +105,9 @@
 #                                pin BENCHMARK.json to `-manifest`, check the
 #                                oracles against tampered outputs and smoke
 #                                all five workloads offline
-#  16. short fuzz pass           60s total over the scopeql parser/binder
+#  16. short fuzz pass           65s total over the scopeql lexer (token
+#                                texts and positions against the source),
+#                                parser and binder
 #                                (including the parse-print-parse round trip),
 #                                the bundle decoder, xrand's generator
 #                                against math/rand's and the column-statistics
@@ -137,6 +142,7 @@ STEERQ_WORKERS=4 STEERQ_CHECK_PLANS=1 go test -race ./internal/cascades/ ./inter
 STEERQ_WORKERS=4 STEERQ_CHECK_PLANS=1 go test -race ./internal/faults/ -run 'TestCompileAttemptBuildsPlanUnderInjection'
 
 echo "== alloc regression (race) =="
+go test -race ./internal/scopeql/ -run TestFrontEndAllocationBudget -count=1
 go test -race ./internal/rules/ -run TestCompileAllocationBudget -count=1
 go test -race ./internal/cascades/ -run TestSessionWarmCompileAllocations -count=1
 go test -race ./internal/cost/ -run TestNDVsMatchMapReference -count=1
@@ -292,6 +298,7 @@ echo "== benchmark module (vet + tests) =="
 
 if [ "${STEERQ_CI_SKIP_FUZZ:-0}" != "1" ]; then
     echo "== fuzz (short) =="
+    go test -fuzz=FuzzLex -fuzztime=5s ./internal/scopeql/
     go test -fuzz=FuzzParse -fuzztime=15s ./internal/scopeql/
     go test -fuzz=FuzzCompile -fuzztime=15s ./internal/scopeql/
     go test -fuzz=FuzzBundleDecode -fuzztime=15s ./internal/bundle/

@@ -96,6 +96,10 @@ type Stream struct {
 
 	// skew has one slot per column, sized by AddStream (see ColumnSkew).
 	skew []skewSlot
+
+	// sources holds each column's lineage source "stream.col", built once
+	// by AddStream (see ColumnSource).
+	sources []string
 }
 
 // ColumnSkew is what the true oracle derives from a column's (TrueDistinct,
@@ -165,6 +169,10 @@ func (c *Catalog) AddStream(s *Stream) {
 		panic(fmt.Sprintf("catalog: duplicate stream %q", s.Name))
 	}
 	s.skew = make([]skewSlot, len(s.Columns))
+	s.sources = make([]string, len(s.Columns))
+	for i, col := range s.Columns {
+		s.sources[i] = s.Name + "." + col.Name
+	}
 	c.streams[s.Name] = s
 	c.names = append(c.names, s.Name)
 	sort.Strings(c.names)
@@ -197,6 +205,11 @@ func (s *Stream) Column(name string) *Column {
 	}
 	return nil
 }
+
+// ColumnSource returns the lineage source "stream.col" of the stream's i-th
+// column, the string SplitSource takes apart. The stream must have been
+// registered with AddStream.
+func (s *Stream) ColumnSource(i int) string { return s.sources[i] }
 
 // SplitSource splits a column's lineage source "stream.col" at its last dot.
 // ok is false for a source without one (a computed column).

@@ -70,9 +70,11 @@ func TestRunCtxInjectedHangHitsDeadline(t *testing.T) {
 	x := New(execCatalog(), 42)
 	x.Faults = faults.NewInjector(faults.Plan{Seed: 2, Exec: faults.Probs{Hang: 0.3}})
 	tag := execTagDeciding(t, x.Faults, faults.KindHang)
+	// The deadline runs from WithTimeout, so the clock starts before it: a
+	// start taken after could read less than 2 ms at a deadline that passed.
+	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	start := time.Now()
 	_, err := x.RunCtx(ctx, scanPlan(10), 0, tag, 0)
 	if !errors.Is(err, faults.ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)

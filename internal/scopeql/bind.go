@@ -134,11 +134,11 @@ func (b *binder) bindStream(name string, pos Pos) (*plan.Node, error) {
 		return nil, errf(pos, "unknown input stream %q", name)
 	}
 	schema := make([]plan.Column, 0, len(st.Columns))
-	for _, col := range st.Columns {
+	for i, col := range st.Columns {
 		schema = append(schema, plan.Column{
 			ID:     b.newID(),
 			Name:   col.Name,
-			Source: name + "." + col.Name,
+			Source: st.ColumnSource(i),
 		})
 	}
 	return plan.NewGet(name, schema), nil
@@ -203,22 +203,26 @@ type scopeEntry struct {
 }
 
 func (s scope) resolve(c ColName) (plan.Column, error) {
-	var found []plan.Column
+	var (
+		found plan.Column
+		n     int
+	)
 	for _, e := range s {
 		if c.Qualifier != "" && c.Qualifier != e.alias {
 			continue
 		}
 		for _, col := range e.node.Schema {
 			if col.Name == c.Name {
-				found = append(found, col)
+				found = col
+				n++
 			}
 		}
 	}
-	switch len(found) {
+	switch n {
 	case 0:
 		return plan.Column{}, errf(c.Pos, "unknown column %q", c.String())
 	case 1:
-		return found[0], nil
+		return found, nil
 	}
 	return plan.Column{}, errf(c.Pos, "ambiguous column %q (qualify it)", c.String())
 }

@@ -3,6 +3,7 @@ package scopeql
 import (
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // fuzzSeeds covers every statement form the grammar accepts plus a few
@@ -82,4 +83,89 @@ func FuzzCompile(f *testing.F) {
 			t.Fatal("Compile returned nil plan and nil error")
 		}
 	})
+}
+
+// FuzzLex checks the lexer's tokens against the source they came from. Each
+// identifier, number and string token's Text is what the source holds at its
+// Pos (a string literal decoded to valid UTF-8, one U+FFFD per invalid
+// byte), a keyword's Text is the source word upper-cased and no identifier
+// is a keyword, positions strictly increase, and EOF comes last.
+func FuzzLex(f *testing.F) {
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
+	for _, seed := range []string{"ſelect joın 日本 é9 ٣", "\"a\xffb\" 1.2.3 a.1 1.", "a\r\n-- c", "x // 日本"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		toks, err := Lex(src)
+		if err != nil {
+			return
+		}
+		// offsets maps each rune's line:column, counted as the lexer counts
+		// them, to its byte offset; EOF maps to len(src).
+		offsets := make(map[Pos]int)
+		line, col := 1, 1
+		for off, r := range src {
+			offsets[Pos{line, col}] = off
+			if r == '\n' {
+				line, col = line+1, 1
+			} else {
+				col++
+			}
+		}
+		offsets[Pos{line, col}] = len(src)
+		for k, tok := range toks {
+			off, ok := offsets[tok.Pos]
+			if !ok {
+				t.Fatalf("token %d %v %q at %v: no rune starts there", k, tok.Kind, tok.Text, tok.Pos)
+			}
+			if k > 0 {
+				prev := toks[k-1].Pos
+				if tok.Pos.Line < prev.Line || tok.Pos.Line == prev.Line && tok.Pos.Col <= prev.Col {
+					t.Fatalf("token %d at %v does not follow token %d at %v", k, tok.Pos, k-1, prev)
+				}
+			}
+			if (tok.Kind == TokEOF) != (k == len(toks)-1) {
+				t.Fatalf("token %d of %d is %v", k, len(toks), tok.Kind)
+			}
+			switch tok.Kind {
+			case TokIdent:
+				if w := wordAt(src[off:]); w != tok.Text {
+					t.Fatalf("identifier %q at %v: source word is %q", tok.Text, tok.Pos, w)
+				}
+				if _, kw := keywords[strings.ToUpper(tok.Text)]; kw {
+					t.Fatalf("identifier %q at %v is a keyword", tok.Text, tok.Pos)
+				}
+			case TokNumber:
+				if !strings.HasPrefix(src[off:], tok.Text) || tok.Text == "" {
+					t.Fatalf("%v %q at %v: source holds %q", tok.Kind, tok.Text, tok.Pos, src[off:])
+				}
+			case TokKeyword:
+				if w := wordAt(src[off:]); strings.ToUpper(w) != tok.Text {
+					t.Fatalf("keyword %q at %v: source word is %q", tok.Text, tok.Pos, w)
+				}
+			case TokString:
+				lit := src[off+1:]
+				lit = lit[:strings.IndexByte(lit, '"')]
+				if src[off] != '"' || string([]rune(lit)) != tok.Text {
+					t.Fatalf("string %q at %v: source holds %q", tok.Text, tok.Pos, src[off:])
+				}
+			case TokEOF:
+				if off != len(src) {
+					t.Fatalf("EOF at %v is byte %d of %d", tok.Pos, off, len(src))
+				}
+			}
+		}
+	})
+}
+
+// wordAt returns the run of letters, digits and underscores s starts with.
+func wordAt(s string) string {
+	for i, r := range s {
+		if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' {
+			return s[:i]
+		}
+	}
+	return s
 }

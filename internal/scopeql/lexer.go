@@ -3,10 +3,24 @@ package scopeql
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
+
+// symbols holds every one-character symbol; a symbol token's Text is a
+// one-byte slice of it, so symbols share their text with no allocation.
+const symbols = "=<>+-*/(),;."
+
+// maxKeywordLen is the byte length of the longest keyword (EXTRACT,
+// PROCESS): an ASCII word longer than this is never looked up.
+const maxKeywordLen = 7
 
 // Lex splits src into tokens. It returns a front-end error with position on
 // malformed input (unterminated string, stray character).
+//
+// It scans bytes and allocates only the token slice: identifier, number and
+// string texts are substrings of src, and keyword and symbol texts are shared
+// constants. Columns count runes; each byte of invalid UTF-8 is one rune
+// (U+FFFD), as a []rune conversion decodes it.
 func Lex(src string) ([]Token, error) {
 	// The generated workloads' scripts average one token per 4.8 source bytes
 	// and none is denser than one per 4.1 (Workloads A and B, scale 0.01), so
@@ -15,94 +29,157 @@ func Lex(src string) ([]Token, error) {
 		toks = make([]Token, 0, len(src)/4+1)
 		line = 1
 		col  = 1
+		i    = 0
 	)
-	runes := []rune(src)
-	i := 0
-	advance := func(n int) {
-		for k := 0; k < n; k++ {
-			if runes[i+k] == '\n' {
-				line++
-				col = 1
-			} else {
-				col++
-			}
-		}
-		i += n
-	}
-	for i < len(runes) {
-		r := runes[i]
+	for i < len(src) {
+		r, size := runeAt(src[i:])
+		pos := Pos{line, col}
 		switch {
-		case r == ' ' || r == '\t' || r == '\r' || r == '\n':
-			advance(1)
-		case r == '-' && i+1 < len(runes) && runes[i+1] == '-':
-			// line comment
-			for i < len(runes) && runes[i] != '\n' {
-				advance(1)
+		case r == '\n':
+			i++
+			line++
+			col = 1
+		case r == ' ' || r == '\t' || r == '\r':
+			i++
+			col++
+		case (r == '-' || r == '/') && i+1 < len(src) && src[i+1] == src[i]:
+			// line comment, up to (not including) the newline
+			end := strings.IndexByte(src[i:], '\n')
+			if end < 0 {
+				end = len(src) - i
 			}
-		case r == '/' && i+1 < len(runes) && runes[i+1] == '/':
-			for i < len(runes) && runes[i] != '\n' {
-				advance(1)
-			}
+			col += utf8.RuneCountInString(src[i : i+end])
+			i += end
 		case unicode.IsLetter(r) || r == '_':
 			start := i
-			pos := Pos{line, col}
-			for i < len(runes) && (unicode.IsLetter(runes[i]) || unicode.IsDigit(runes[i]) || runes[i] == '_') {
-				advance(1)
+			ascii := true
+			for i < len(src) {
+				r, size := runeAt(src[i:])
+				if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' {
+					break
+				}
+				ascii = ascii && size == 1
+				i += size
+				col++
 			}
-			word := string(runes[start:i])
-			if up := strings.ToUpper(word); keywords[up] {
-				toks = append(toks, Token{Kind: TokKeyword, Text: up, Pos: pos})
+			word := src[start:i]
+			if kw, ok := keyword(word, ascii); ok {
+				toks = append(toks, Token{Kind: TokKeyword, Text: kw, Pos: pos})
 			} else {
 				toks = append(toks, Token{Kind: TokIdent, Text: word, Pos: pos})
 			}
 		case unicode.IsDigit(r):
 			start := i
-			pos := Pos{line, col}
 			seenDot := false
-			for i < len(runes) && (unicode.IsDigit(runes[i]) || (!seenDot && runes[i] == '.' && i+1 < len(runes) && unicode.IsDigit(runes[i+1]))) {
-				if runes[i] == '.' {
+			for i < len(src) {
+				r, size := runeAt(src[i:])
+				if r == '.' && !seenDot && i+1 < len(src) && isDigitAt(src, i+1) {
 					seenDot = true
+				} else if !unicode.IsDigit(r) {
+					break
 				}
-				advance(1)
+				i += size
+				col++
 			}
-			toks = append(toks, Token{Kind: TokNumber, Text: string(runes[start:i]), Pos: pos})
+			toks = append(toks, Token{Kind: TokNumber, Text: src[start:i], Pos: pos})
 		case r == '"':
-			pos := Pos{line, col}
-			advance(1)
+			i++
+			col++
 			start := i
-			for i < len(runes) && runes[i] != '"' {
-				if runes[i] == '\n' {
+			for i < len(src) && src[i] != '"' {
+				if src[i] == '\n' {
 					return nil, errf(pos, "unterminated string literal")
 				}
-				advance(1)
+				_, size := runeAt(src[i:])
+				i += size
+				col++
 			}
-			if i >= len(runes) {
+			if i >= len(src) {
 				return nil, errf(pos, "unterminated string literal")
 			}
-			text := string(runes[start:i])
-			advance(1) // closing quote
+			text := src[start:i]
+			if !utf8.ValidString(text) {
+				text = string([]rune(text)) // one U+FFFD per invalid byte
+			}
+			i++ // closing quote
+			col++
 			toks = append(toks, Token{Kind: TokString, Text: text, Pos: pos})
 		default:
-			pos := Pos{line, col}
-			two := ""
-			if i+1 < len(runes) {
-				two = string(runes[i : i+2])
+			if i+1 < len(src) && src[i+1] == '=' {
+				if two := twoCharSymbol(r); two != "" {
+					toks = append(toks, Token{Kind: TokSymbol, Text: two, Pos: pos})
+					i += 2
+					col += 2
+					continue
+				}
 			}
-			switch two {
-			case "==", "!=", "<=", ">=":
-				toks = append(toks, Token{Kind: TokSymbol, Text: two, Pos: pos})
-				advance(2)
-				continue
+			k := -1
+			if size == 1 {
+				k = strings.IndexByte(symbols, src[i])
 			}
-			switch r {
-			case '=', '<', '>', '+', '-', '*', '/', '(', ')', ',', ';', '.':
-				toks = append(toks, Token{Kind: TokSymbol, Text: string(r), Pos: pos})
-				advance(1)
-			default:
+			if k < 0 {
 				return nil, errf(pos, "unexpected character %q", string(r))
 			}
+			toks = append(toks, Token{Kind: TokSymbol, Text: symbols[k : k+1], Pos: pos})
+			i += size
+			col++
 		}
 	}
 	toks = append(toks, Token{Kind: TokEOF, Pos: Pos{line, col}})
 	return toks, nil
+}
+
+// runeAt decodes the first rune of s, which is not empty, and its byte
+// width; ASCII takes one byte without a call into the decoder.
+func runeAt(s string) (rune, int) {
+	if s[0] < utf8.RuneSelf {
+		return rune(s[0]), 1
+	}
+	return utf8.DecodeRuneInString(s)
+}
+
+// isDigitAt reports whether the rune starting at src[i] is a digit.
+func isDigitAt(src string, i int) bool {
+	r, _ := runeAt(src[i:])
+	return unicode.IsDigit(r)
+}
+
+// twoCharSymbol returns the two-character symbol r starts when '=' follows
+// it, or "" if there is none.
+func twoCharSymbol(r rune) string {
+	switch r {
+	case '=':
+		return "=="
+	case '!':
+		return "!="
+	case '<':
+		return "<="
+	case '>':
+		return ">="
+	}
+	return ""
+}
+
+// keyword returns the keyword word spells case-insensitively, as the
+// keywords table's shared text. An ASCII word is upper-cased into a stack
+// buffer; any other goes through strings.ToUpper, whose Unicode folding
+// makes "ſelect" SELECT and "joın" JOIN.
+func keyword(word string, ascii bool) (string, bool) {
+	if !ascii {
+		kw, ok := keywords[strings.ToUpper(word)]
+		return kw, ok
+	}
+	if len(word) > maxKeywordLen {
+		return "", false
+	}
+	var buf [maxKeywordLen]byte
+	for k := 0; k < len(word); k++ {
+		c := word[k]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[k] = c
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
 }

@@ -1,6 +1,10 @@
 package scopeql
 
-import "testing"
+import (
+	"reflect"
+	"strings"
+	"testing"
+)
 
 func kinds(toks []Token) []TokenKind {
 	out := make([]TokenKind, len(toks))
@@ -43,6 +47,13 @@ func TestLexKeywordsCaseInsensitive(t *testing.T) {
 	for _, tok := range toks[:3] {
 		if tok.Kind != TokKeyword || tok.Text != "SELECT" {
 			t.Fatalf("keyword normalization failed: %+v", tok)
+		}
+	}
+	// Every keyword, whatever its length, is found from its lower case.
+	for kw := range keywords {
+		toks, err := Lex(strings.ToLower(kw))
+		if err != nil || toks[0].Kind != TokKeyword || toks[0].Text != kw {
+			t.Errorf("Lex(%q) = %v, %v; want keyword %s", strings.ToLower(kw), toks, err, kw)
 		}
 	}
 }
@@ -108,4 +119,83 @@ func TestLexNumberForms(t *testing.T) {
 		}
 	}
 	_ = kinds
+}
+
+// TestLexEdgeCases pins the lexer's behaviour on inputs the generated
+// workloads never produce: non-ASCII words and digits, Unicode case folding
+// onto keywords, invalid UTF-8, number/dot boundaries, comments at EOF and
+// CRLF line ends. Columns count runes, not bytes.
+func TestLexEdgeCases(t *testing.T) {
+	type tok struct {
+		kind TokenKind
+		text string
+		pos  Pos
+	}
+	cases := []struct {
+		name string
+		src  string
+		want []tok
+		err  string
+	}{
+		{"cjk identifier", "日本 x", []tok{
+			{TokIdent, "日本", Pos{1, 1}}, {TokIdent, "x", Pos{1, 4}}, {TokEOF, "", Pos{1, 5}}}, ""},
+		{"letter then digit", "é9", []tok{
+			{TokIdent, "é9", Pos{1, 1}}, {TokEOF, "", Pos{1, 3}}}, ""},
+		{"arabic-indic digit", "٣ 4", []tok{
+			{TokNumber, "٣", Pos{1, 1}}, {TokNumber, "4", Pos{1, 3}}, {TokEOF, "", Pos{1, 4}}}, ""},
+		{"long s folds to SELECT", "ſelect", []tok{
+			{TokKeyword, "SELECT", Pos{1, 1}}, {TokEOF, "", Pos{1, 7}}}, ""},
+		{"dotless i folds to JOIN", "joın x", []tok{
+			{TokKeyword, "JOIN", Pos{1, 1}}, {TokIdent, "x", Pos{1, 6}}, {TokEOF, "", Pos{1, 7}}}, ""},
+		{"non-ASCII word that is no keyword", "sélect", []tok{
+			{TokIdent, "sélect", Pos{1, 1}}, {TokEOF, "", Pos{1, 7}}}, ""},
+		{"ASCII word longer than any keyword", "selectfrom", []tok{
+			{TokIdent, "selectfrom", Pos{1, 1}}, {TokEOF, "", Pos{1, 11}}}, ""},
+		{"invalid UTF-8 in a string", "\"a\xffb\xfe\xfd\" x", []tok{
+			{TokString, "a�b��", Pos{1, 1}}, {TokIdent, "x", Pos{1, 9}}, {TokEOF, "", Pos{1, 10}}}, ""},
+		{"multi-byte string", "\"日本\" x", []tok{
+			{TokString, "日本", Pos{1, 1}}, {TokIdent, "x", Pos{1, 6}}, {TokEOF, "", Pos{1, 7}}}, ""},
+		{"stray character after a multi-byte string", "\"é\" @", nil,
+			`scopeql: 1:5: unexpected character "@"`},
+		{"stray multi-byte character", "\"日本\" €", nil,
+			`scopeql: 1:6: unexpected character "€"`},
+		{"stray invalid byte", "a \xff", nil,
+			`scopeql: 1:3: unexpected character "�"`},
+		{"two dots", "1.2.3", []tok{
+			{TokNumber, "1.2", Pos{1, 1}}, {TokSymbol, ".", Pos{1, 4}}, {TokNumber, "3", Pos{1, 5}}, {TokEOF, "", Pos{1, 6}}}, ""},
+		{"qualifier then digit", "a.1", []tok{
+			{TokIdent, "a", Pos{1, 1}}, {TokSymbol, ".", Pos{1, 2}}, {TokNumber, "1", Pos{1, 3}}, {TokEOF, "", Pos{1, 4}}}, ""},
+		{"trailing dot", "1.", []tok{
+			{TokNumber, "1", Pos{1, 1}}, {TokSymbol, ".", Pos{1, 2}}, {TokEOF, "", Pos{1, 3}}}, ""},
+		{"comment runs to EOF", "a -- é no newline", []tok{
+			{TokIdent, "a", Pos{1, 1}}, {TokEOF, "", Pos{1, 18}}}, ""},
+		{"slash comment runs to EOF", "a //日本", []tok{
+			{TokIdent, "a", Pos{1, 1}}, {TokEOF, "", Pos{1, 7}}}, ""},
+		{"CRLF line ends", "a\r\n b\r\n", []tok{
+			{TokIdent, "a", Pos{1, 1}}, {TokIdent, "b", Pos{2, 2}}, {TokEOF, "", Pos{3, 1}}}, ""},
+		{"unterminated string at CRLF", "x = \"ab\r\n\"", nil,
+			`scopeql: 1:5: unterminated string literal`},
+		{"bang alone", "a ! b", nil,
+			`scopeql: 1:3: unexpected character "!"`},
+	}
+	for _, c := range cases {
+		toks, err := Lex(c.src)
+		if c.err != "" {
+			if err == nil || err.Error() != c.err {
+				t.Errorf("%s: Lex(%q) error = %v, want %s", c.name, c.src, err, c.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: Lex(%q): %v", c.name, c.src, err)
+			continue
+		}
+		got := make([]tok, len(toks))
+		for i, tk := range toks {
+			got[i] = tok{tk.Kind, tk.Text, tk.Pos}
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: Lex(%q) =\n%v\nwant\n%v", c.name, c.src, got, c.want)
+		}
+	}
 }

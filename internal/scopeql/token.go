@@ -51,16 +51,25 @@ type Pos struct {
 
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
-// keywords of the dialect. The lexer upper-cases candidate identifiers and
-// checks membership, so keywords are case-insensitive as in SCOPE.
-var keywords = map[string]bool{
-	"SELECT": true, "TOP": true, "FROM": true, "AS": true,
-	"INNER": true, "JOIN": true, "ON": true, "WHERE": true,
-	"GROUP": true, "BY": true, "HAVING": true, "ORDER": true,
-	"UNION": true, "ALL": true, "EXTRACT": true, "OUTPUT": true,
-	"TO": true, "PROCESS": true, "REDUCE": true, "USING": true,
-	"DESC": true, "ASC": true, "AND": true, "OR": true,
-	"COUNT": true, "SUM": true, "MIN": true, "MAX": true, "AVG": true,
+// keywords of the dialect, each mapped to itself: the lexer upper-cases
+// candidate identifiers and looks them up, so keywords are case-insensitive
+// as in SCOPE and every keyword token shares the table's text.
+var keywords = selfMap(
+	"SELECT", "TOP", "FROM", "AS",
+	"INNER", "JOIN", "ON", "WHERE",
+	"GROUP", "BY", "HAVING", "ORDER",
+	"UNION", "ALL", "EXTRACT", "OUTPUT",
+	"TO", "PROCESS", "REDUCE", "USING",
+	"DESC", "ASC", "AND", "OR",
+	"COUNT", "SUM", "MIN", "MAX", "AVG",
+)
+
+func selfMap(words ...string) map[string]string {
+	m := make(map[string]string, len(words))
+	for _, w := range words {
+		m[w] = w
+	}
+	return m
 }
 
 // aggregates are the keyword-functions treated as aggregate calls.
