@@ -21,10 +21,12 @@ import (
 // Map-iteration escapes: ranging over a map is fine as long as the visit
 // order cannot be observed. The analyzer flags loops whose yielded keys or
 // values escape into an outer slice (via append), an outer string (via
-// concatenation), a metric label (an obs.Registry instrument call) or a
-// return value. Slice escapes are suppressed when a sort call follows the
-// loop in the same function — the canonical collect-then-sort idiom. String,
-// label and return escapes have no sorting repair and are always flagged.
+// concatenation), a metric label (an obs.Registry instrument call), a return
+// value or a write (an fmt.Print*/Fprint* argument, or a Write/WriteString
+// call on a writer declared outside the loop). Slice escapes are suppressed
+// when a sort call follows the loop in the same function — the canonical
+// collect-then-sort idiom. String, label, return and write escapes have no
+// sorting repair and are always flagged.
 var DetCheck = &Analyzer{
 	Name:      "detcheck",
 	Doc:       "no wall-clock reads and no map-iteration order escaping into output, outside approved seams",
@@ -86,7 +88,7 @@ func checkWallClock(pass *Pass, f *ast.File, allowed map[int]bool) {
 // mapEscape is one observed escape of a map-range variable out of the loop.
 type mapEscape struct {
 	pos  token.Pos
-	kind string // "slice", "string", "label", "return"
+	kind string // "slice", "string", "label", "return", "write"
 }
 
 // checkMapRanges walks one function body looking for map-range statements
@@ -142,7 +144,7 @@ func rangeVars(pass *Pass, rs *ast.RangeStmt) map[types.Object]bool {
 	return vars
 }
 
-// findEscapes scans a map-range body for the four escape shapes.
+// findEscapes scans a map-range body for the five escape shapes.
 func findEscapes(pass *Pass, rs *ast.RangeStmt, vars map[types.Object]bool) []mapEscape {
 	var escapes []mapEscape
 	var closures []*ast.FuncLit
@@ -177,12 +179,14 @@ func findEscapes(pass *Pass, rs *ast.RangeStmt, vars map[types.Object]bool) []ma
 				}
 			}
 		case *ast.CallExpr:
+			args, kind := outputArgs(pass, rs, st), "write"
 			if _, ok := obsInstrumentCall(pass, st); ok {
-				for _, arg := range st.Args {
-					if usesAny(pass, arg, vars) {
-						escapes = append(escapes, mapEscape{pos: st.Pos(), kind: "label"})
-						break
-					}
+				args, kind = st.Args, "label"
+			}
+			for _, arg := range args {
+				if usesAny(pass, arg, vars) {
+					escapes = append(escapes, mapEscape{pos: st.Pos(), kind: kind})
+					break
 				}
 			}
 		}
@@ -310,6 +314,37 @@ func isBuiltinAppend(pass *Pass, call *ast.CallExpr) bool {
 	obj := pass.Info.Uses[id]
 	_, isBuiltin := obj.(*types.Builtin)
 	return isBuiltin
+}
+
+// outputArgs returns the arguments a call writes as output: every argument
+// of fmt.Print/Printf/Println, those after the writer of
+// fmt.Fprint/Fprintf/Fprintln, and those of a Write or WriteString method
+// call on a receiver declared outside rs. Any other call writes none.
+func outputArgs(pass *Pass, rs *ast.RangeStmt, call *ast.CallExpr) []ast.Expr {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if id, ok := sel.X.(*ast.Ident); ok {
+		if pn, ok := pass.Info.Uses[id].(*types.PkgName); ok {
+			if pn.Imported().Path() != "fmt" {
+				return nil
+			}
+			switch sel.Sel.Name {
+			case "Print", "Printf", "Println":
+				return call.Args
+			case "Fprint", "Fprintf", "Fprintln":
+				if len(call.Args) > 0 {
+					return call.Args[1:]
+				}
+			}
+			return nil
+		}
+	}
+	if (sel.Sel.Name == "Write" || sel.Sel.Name == "WriteString") && declaredOutside(pass, sel.X, rs) {
+		return call.Args
+	}
+	return nil
 }
 
 // obsInstrumentCall reports whether the call registers an obs instrument

@@ -3,7 +3,10 @@
 package detbad
 
 import (
+	"fmt"
+	"io"
 	"sort"
+	"strings"
 	"time"
 
 	"steerq/internal/obs"
@@ -70,5 +73,27 @@ func LabelEscape(reg *obs.Registry, m map[string]int) {
 func ComparatorReturn(m map[string][]int) {
 	for _, vs := range m {
 		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+	}
+}
+
+// WriteEscape prints map-range entries in visit order, three ways.
+func WriteEscape(w io.Writer, m map[string][]int) string {
+	var sb strings.Builder
+	for k, v := range m {
+		fmt.Printf("%s:\n", k)   // want "escapes into a write"
+		fmt.Fprintln(w, len(v))  // want "escapes into a write"
+		sb.WriteString(k + "\n") // want "escapes into a write"
+		var line strings.Builder // a builder local to one visit escapes nothing
+		line.WriteString(k)
+		_ = line.Len()
+	}
+	return sb.String()
+}
+
+// WriteToEachWriter fans a line out to every writer of a map: each writer's
+// bytes are the same whatever the visit order.
+func WriteToEachWriter(ws map[string]io.Writer) {
+	for _, w := range ws {
+		fmt.Fprintln(w, "ready")
 	}
 }

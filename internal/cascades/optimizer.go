@@ -37,7 +37,7 @@ type optObs struct {
 	// category: a transformation shared through a Session's memo fired once,
 	// and so did an implementation rule consulted by a shared group state.
 	// Each compile adds its tallies once, when it ends.
-	firings [len(categoryNames)]*obs.Counter
+	firings [NumCategories]*obs.Counter
 	// explored counts compiles by where their explored memo came from:
 	// built for the compile (fresh) or shared from an earlier compile of
 	// the same Session.
@@ -285,7 +285,7 @@ type search struct {
 
 	// firings counts the rule applications of this compile per category;
 	// release adds them to the shared counters once.
-	firings [len(categoryNames)]uint64
+	firings [NumCategories]uint64
 }
 
 // explore runs transformation rules to a bounded fixpoint. Each

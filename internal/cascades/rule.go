@@ -26,9 +26,12 @@ const (
 	// operators; at least one per operator type must stay enabled for a
 	// job to compile.
 	Implementation
+	// NumCategories is the number of categories: the length of an array
+	// indexed by Category.
+	NumCategories
 )
 
-var categoryNames = [...]string{"required", "off-by-default", "on-by-default", "implementation"}
+var categoryNames = [NumCategories]string{"required", "off-by-default", "on-by-default", "implementation"}
 
 func (c Category) String() string { return categoryNames[c] }
 

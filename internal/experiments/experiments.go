@@ -229,7 +229,7 @@ func (r *Runner) DefaultTrial(name string, j *workload.Job) abtest.Trial {
 		return t
 	}
 	h := r.Harness(name)
-	t := h.RunConfigCtx(context.Background(), j.Root, h.Opt.Rules.DefaultConfig(), j.Day, j.ID+"/default", r.Robustness(name))
+	t := h.RunConfigCtx(context.Background(), j.Root, h.Opt.Rules.DefaultConfig(), j.Day, steering.DefaultTag(j.ID), r.Robustness(name))
 	r.defaults[name][j.ID] = t
 	return t
 }

@@ -225,8 +225,8 @@ func (r *Runner) Figure3(name string, day, sample int) (*Figure3, error) {
 	rnd := r.sampleRand(name, "fig3")
 	idx := rnd.Sample(len(jobs), sample)
 
-	cats := []string{"off-by-default", "on-by-default", "implementation", "total"}
-	vals := make(map[string][]float64, len(cats))
+	var vals [cascades.NumCategories][]float64
+	var totals []float64
 	n := 0
 	for _, i := range idx {
 		span, err := steering.JobSpan(h.Opt, jobs[i].Root)
@@ -234,26 +234,23 @@ func (r *Runner) Figure3(name string, day, sample int) (*Figure3, error) {
 			continue
 		}
 		n++
-		byCat := steering.SpanByCategory(span, h.Opt.Rules)
 		total := 0
-		for _, cat := range []cascades.Category{
-			cascades.Required, cascades.OffByDefault, cascades.OnByDefault, cascades.Implementation,
-		} {
-			v, ok := byCat[cat]
-			if !ok {
-				continue
+		for cat, v := range steering.SpanByCategory(span, h.Opt.Rules) {
+			if !v.IsEmpty() { // meanStd counts a job missing from vals as 0
+				vals[cat] = append(vals[cat], float64(v.Count()))
+				total += v.Count()
 			}
-			c := cat.String()
-			vals[c] = append(vals[c], float64(v.Count()))
-			total += v.Count()
 		}
-		vals["total"] = append(vals["total"], float64(total))
+		totals = append(totals, float64(total))
 	}
 	out := &Figure3{Workload: name, Jobs: n}
-	for _, c := range cats {
-		m, s := meanStd(vals[c], n)
-		out.Rows = append(out.Rows, Figure3Row{Category: c, Mean: m, Std: s})
+	// Spans hold no required rule (they ignore the configuration).
+	for cat := cascades.OffByDefault; cat < cascades.NumCategories; cat++ {
+		m, s := meanStd(vals[cat], n)
+		out.Rows = append(out.Rows, Figure3Row{Category: cat.String(), Mean: m, Std: s})
 	}
+	m, s := meanStd(totals, n)
+	out.Rows = append(out.Rows, Figure3Row{Category: "total", Mean: m, Std: s})
 	return out, nil
 }
 

@@ -150,7 +150,7 @@ type Comparison struct {
 func Extrapolate(h *abtest.Harness, cfg bitvec.Vector, jobs []*workload.Job) []Comparison {
 	out := make([]Comparison, 0, len(jobs))
 	for _, j := range jobs {
-		def := h.RunConfig(j.Root, h.Opt.Rules.DefaultConfig(), j.Day, j.ID+"/default")
+		def := h.RunConfig(j.Root, h.Opt.Rules.DefaultConfig(), j.Day, DefaultTag(j.ID))
 		if def.Err != nil {
 			continue
 		}

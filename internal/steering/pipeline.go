@@ -192,6 +192,11 @@ func (p *Pipeline) RecompileCtx(ctx context.Context, job *workload.Job) (*Analys
 	return p.recompile(ctx, sess, job)
 }
 
+// DefaultTag is the exec noise tag of a job's default run. The pipeline's
+// default trial, Extrapolate's baseline and `steerq explain` all execute a
+// job's default plan under it, so a job has one default runtime.
+func DefaultTag(jobID string) string { return jobID + "/default" }
+
 // recompile is the cheap half of an analysis through sess: the default
 // trial, span probes and candidates differ mostly in implementation bits, so
 // they share explored memos and group states.
@@ -205,7 +210,7 @@ func (p *Pipeline) recompile(ctx context.Context, sess *cascades.Session, job *w
 	}()
 	h := p.Harness
 	a = &Analysis{Job: job}
-	def := p.trial(ctx, sess, job, h.Opt.Rules.DefaultConfig(), job.ID+"/default", &a.Robustness)
+	def := p.trial(ctx, sess, job, h.Opt.Rules.DefaultConfig(), DefaultTag(job.ID), &a.Robustness)
 	if def.Err != nil {
 		return nil, fmt.Errorf("steering: default compile of %s: %w", job.ID, def.Err)
 	}

@@ -22,11 +22,11 @@ import (
 // How many values are drawn from r depends on where sampling stops, so r
 // should be a stream derived for this call.
 func CandidateConfigs(span bitvec.Vector, rs *cascades.RuleSet, m int, r *xrand.Source) []bitvec.Vector {
-	byCat := SpanByCategory(span, rs)
 	var catBits [][]int
 	spanRules := 0
-	for _, cat := range []cascades.Category{cascades.OffByDefault, cascades.OnByDefault, cascades.Implementation} {
-		if v, ok := byCat[cat]; ok && !v.IsEmpty() {
+	for cat, v := range SpanByCategory(span, rs) {
+		// Required rules ignore the configuration: nothing to sample.
+		if cascades.Category(cat) != cascades.Required && !v.IsEmpty() {
 			catBits = append(catBits, v.Ones())
 			spanRules += v.Count()
 		}

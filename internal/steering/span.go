@@ -64,18 +64,15 @@ func JobSpanFunc(rs *cascades.RuleSet, compile func(cfg bitvec.Vector) (bitvec.V
 	}
 }
 
-// SpanByCategory splits a span into per-category bit vectors, the granularity
-// at which the configuration search assumes independence (§5.2).
-func SpanByCategory(span bitvec.Vector, rs *cascades.RuleSet) map[cascades.Category]bitvec.Vector {
-	out := make(map[cascades.Category]bitvec.Vector)
+// SpanByCategory splits a span into per-category bit vectors indexed by
+// cascades.Category, the granularity at which the configuration search
+// assumes independence (§5.2).
+func SpanByCategory(span bitvec.Vector, rs *cascades.RuleSet) [cascades.NumCategories]bitvec.Vector {
+	var out [cascades.NumCategories]bitvec.Vector
 	for _, id := range span.Ones() {
-		ri, ok := rs.Info(id)
-		if !ok {
-			continue
+		if ri, ok := rs.Info(id); ok {
+			out[ri.Category].Set(id)
 		}
-		v := out[ri.Category]
-		v.Set(id)
-		out[ri.Category] = v
 	}
 	return out
 }

@@ -157,10 +157,9 @@ func TestCandidateConfigsCapBydistinct(t *testing.T) {
 // out or the whole attempt budget is spent. Kept as the reference the
 // short-circuit is held to.
 func candidateConfigsFullBudget(span bitvec.Vector, rs *cascades.RuleSet, m int, r *xrand.Source) []bitvec.Vector {
-	byCat := steering.SpanByCategory(span, rs)
 	var catBits [][]int
-	for _, cat := range []cascades.Category{cascades.OffByDefault, cascades.OnByDefault, cascades.Implementation} {
-		if v, ok := byCat[cat]; ok && !v.IsEmpty() {
+	for cat, v := range steering.SpanByCategory(span, rs) {
+		if cascades.Category(cat) != cascades.Required && !v.IsEmpty() {
 			catBits = append(catBits, v.Ones())
 		}
 	}
