@@ -32,15 +32,16 @@
 #                                the race detector covers the worker pool on
 #                                every run
 #   7. alloc regression          the front end's allocation budget (Lex
-#                                allocates only its token slice, Compile's
-#                                count is pinned), the compile allocation
+#                                allocates only its token slice, a warm
+#                                Compile only its plan, pinned exactly), the
+#                                compile allocation
 #                                budget, the warm
 #                                session compile's (its Result and nothing
 #                                else), the column-statistics sets against
 #                                their map reference, the nn
 #                                training/inference allocation budgets, the
 #                                exec simulator's once-per-node work and
-#                                allocation budgets and xrand's
+#                                allocation-free warm execution and xrand's
 #                                allocation-free reseed-and-draw re-checked
 #                                under -race (testing.AllocsPerRun)
 #   8. bench smoke               the one-shot compile (a one-compile
@@ -56,7 +57,8 @@
 #                                stays within a quarter of compiles/op,
 #                                implfirings/compile within three quarters of
 #                                the one-shot rate and allocs/compile within
-#                                16),
+#                                16), one generated day through
+#                                scopeql.Compile,
 #                                the nn train/forward kernels at the
 #                                learn_groups shape, the exec simulator's
 #                                Run/Explain over the discover_* plan shapes
@@ -151,7 +153,7 @@ go test -race ./internal/exec/ -run 'TestRunCostsEachNodeOnce|TestRunAllocationB
 go test -race ./internal/xrand/ -run TestReseedDrawAllocationFree -count=1
 
 echo "== bench smoke (1x, serial + 4 workers) =="
-go test -run '^$' -bench 'Benchmark(CompileDefault|PipelineWorkers(1|4)|BundleRepass|SessionCandidates)$' -benchtime=1x -benchmem .
+go test -run '^$' -bench 'Benchmark(CompileDefault|PipelineWorkers(1|4)|BundleRepass|SessionCandidates|FrontEndDay)$' -benchtime=1x -benchmem .
 go test -run '^$' -bench 'Benchmark(Train|Forward)$' -benchtime=1x ./internal/nn/
 go test -run '^$' -bench 'Benchmark(Run|Explain)$' -benchtime=1x ./internal/exec/
 go test -run '^$' -bench 'Benchmark(ReseedDraw3|SeedFill)$' -benchtime=1x ./internal/xrand/

@@ -143,7 +143,8 @@ func (e *Estimator) correlationBoost(conjuncts []*plan.Expr) float64 {
 	type ref struct {
 		stream, col string
 	}
-	var refs []ref
+	var buf [8]ref // on the stack unless a predicate has more conjuncts
+	refs := buf[:0]
 	for _, c := range conjuncts {
 		if col, ok := singleColumn(c); ok {
 			if s, base, ok := catalog.SplitSource(col.Source); ok && s != "" {

@@ -20,8 +20,8 @@
 // runtime variance the paper reports for short jobs (§3.1.1).
 //
 // A/B executions are most of a discovery re-pass; TestRunCostsEachNodeOnce
-// and TestRunAllocationBudget keep an execution at one costing and a few
-// allocations per node. DESIGN.md
+// and TestRunAllocationBudget keep an execution at one costing per node and,
+// on a pooled sim, no allocation at all. DESIGN.md
 // ("Execution simulator") states the noise-seed and summation-order contracts
 // that any change here has to keep for the metrics to keep their bits.
 package exec
@@ -32,6 +32,7 @@ import (
 	"math"
 	"os"
 	"strconv"
+	"sync"
 
 	"steerq/internal/cascades"
 	"steerq/internal/catalog"
@@ -128,7 +129,12 @@ func New(cat *catalog.Catalog, seed uint64) *Executor {
 // the same plan (job instance ID, attempt number): different tags see
 // different noise, identical tags reproduce identical metrics.
 func (x *Executor) Run(p *plan.PhysNode, day int, tag string) Metrics {
-	return x.simulate(p, day, tag).metrics
+	s := simPool.Get().(*sim)
+	s.simulate(x, p, day, tag)
+	m := s.metrics
+	s.release()
+	simPool.Put(s)
+	return m
 }
 
 // simNode is one distinct plan node of a simulated execution.
@@ -143,12 +149,21 @@ type simNode struct {
 // distinct node costed exactly once, and the metrics folded from the stored
 // usages. Run and Explain are both views of it. It is confined to one call,
 // so the shared Executor stays safe for concurrent use.
+//
+// Between calls a sim waits in simPool with its buffers, its stats arena and
+// scratch's generator (~4.9 KB) kept, so a warm Run allocates nothing.
+// Recycling is safe because nothing a call returns points into the sim:
+// Metrics is a value, and Explain copies each node's rows and usage into its
+// report before the sim goes back. Reusing scratch's generator changes no
+// draw: a reseeded generator draws exactly like a freshly derived one
+// (TestSourceReseedMatchesMathRand), which is already what every node but
+// the first of one execution relies on.
 type sim struct {
 	x      *Executor
-	oracle *cost.Estimator // the true oracle of the execution's day
+	oracle cost.Estimator // the true oracle of the execution's day
 	// noise is the execution's stream; scratch is re-seeded from it per node,
 	// and tag holds the node-content bytes that pick the node's seed.
-	noise, scratch *xrand.Source
+	noise, scratch xrand.Source
 	tag            []byte
 
 	nodes   []simNode // post-order: children before parents, root last
@@ -164,7 +179,13 @@ type sim struct {
 	stats cost.Arena
 }
 
-func (x *Executor) simulate(p *plan.PhysNode, day int, tag string) *sim {
+// simPool holds the idle sims of Run and Explain.
+var simPool = sync.Pool{
+	New: func() any { return new(sim) },
+}
+
+// simulate runs one execution of p on s, which is new or released.
+func (s *sim) simulate(x *Executor, p *plan.PhysNode, day int, tag string) {
 	if x.CheckPlans {
 		// maxDOP 0: a virtual dataset legitimately runs above the
 		// optimizer's per-operator cap (see cascades.Validate).
@@ -175,11 +196,8 @@ func (x *Executor) simulate(p *plan.PhysNode, day int, tag string) *sim {
 			panic(fmt.Sprintf("exec: STEERQ_CHECK_PLANS: job %q day %d: %v", tag, day, err))
 		}
 	}
-	s := &sim{
-		x: x, oracle: cost.NewTrue(x.Cat, day),
-		noise: newNoise(x.Seed, tag, day), scratch: xrand.New(0),
-		nodes: make([]simNode, 0, 16),
-	}
+	s.x, s.oracle = x, *cost.NewTrue(x.Cat, day)
+	xrand.New(x.Seed).ReseedDerived(&s.noise, "exec", tag, strconv.Itoa(day))
 	root := s.visit(p)
 
 	// Totals in post-order, each node once — the order fixes the bits of the
@@ -200,7 +218,24 @@ func (x *Executor) simulate(p *plan.PhysNode, day int, tag string) *sim {
 	m.IOTimeSec = m.IOBytes / x.Coster.BytesPerIOSecond
 	m.RuntimeSec = s.nodes[root].path
 	x.runtimeHist.Observe(m.RuntimeSec)
-	return s
+}
+
+// release drops what the execution filed — its references into the plan and
+// the catalog — and rewinds, keeping every buffer's capacity, the stats
+// arena and scratch's generator for the next execution.
+func (s *sim) release() {
+	s.x, s.oracle = nil, cost.Estimator{}
+	s.tag = s.tag[:0]
+	clear(s.nodes)
+	s.nodes = s.nodes[:0]
+	s.metrics, s.reseeds = Metrics{}, 0
+	s.kids = s.kids[:0]
+	// The union buffers are truncated per node, so references may sit past
+	// their length.
+	clear(s.inProps[:cap(s.inProps)])
+	clear(s.inSchemas[:cap(s.inSchemas)])
+	s.inProps, s.inSchemas = s.inProps[:0], s.inSchemas[:0]
+	s.stats.Reset()
 }
 
 // index returns n's index in s.nodes, or -1 if n has not been simulated.
@@ -258,11 +293,6 @@ func (x *Executor) RunCtx(ctx context.Context, p *plan.PhysNode, day int, tag st
 		return Metrics{}, fmt.Errorf("%w: exec %s attempt %d: %v", faults.ErrTimeout, tag, attempt, err)
 	}
 	return x.Run(p, day, tag), nil
-}
-
-// newNoise builds the deterministic noise stream of one execution.
-func newNoise(seed uint64, tag string, day int) *xrand.Source {
-	return xrand.New(seed).Derive("exec", tag, fmt.Sprint(day))
 }
 
 func isStageHead(op plan.PhysOp) bool {
@@ -337,7 +367,7 @@ func (s *sim) nodeUsage(n *plan.PhysNode, props cost.Props, kids []int) cost.OpU
 	// Execution noise, deterministic per node content. Re-seeding the
 	// per-execution scratch stream draws exactly like a freshly derived one,
 	// and xrand seeds only the words these two or three draws read.
-	r := s.scratch
+	r := &s.scratch
 	s.tag = appendNodeTag(s.tag[:0], n)
 	s.noise.ReseedDerivedBytes(r, "node", s.tag)
 	s.reseeds++
@@ -414,7 +444,7 @@ func appendNodeTag(b []byte, n *plan.PhysNode) []byte {
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(len(n.Children)), 10)
 	if n.Pred != nil {
-		b = append(b, n.Pred.String()...)
+		b = n.Pred.AppendString(b)
 	}
 	for _, c := range n.Schema {
 		b = append(b, ',')
@@ -426,7 +456,7 @@ func appendNodeTag(b []byte, n *plan.PhysNode) []byte {
 // trueProps derives the ground-truth statistics of n's output from those of
 // its children, which s.nodes already holds at indexes kids.
 func (s *sim) trueProps(n *plan.PhysNode, kids []int) cost.Props {
-	oracle, a := s.oracle, &s.stats
+	oracle, a := &s.oracle, &s.stats
 	in := func(i int) cost.Props { return s.nodes[kids[i]].props }
 	switch n.Op {
 	case plan.PhysExtract, plan.PhysRangeScan:

@@ -34,7 +34,10 @@ type Report struct {
 // per-operator breakdown — the same simulated execution, so Metrics is Run's
 // bit for bit and the nodes' usages are the ones it was folded from.
 func (x *Executor) Explain(p *plan.PhysNode, day int, tag string) Report {
-	s := x.simulate(p, day, tag)
+	s := simPool.Get().(*sim)
+	defer simPool.Put(s)
+	defer s.release()
+	s.simulate(x, p, day, tag)
 	rep := Report{Metrics: s.metrics, Nodes: make([]NodeReport, 0, len(s.nodes))}
 	reported := make([]bool, len(s.nodes))
 	var rec func(n *plan.PhysNode)

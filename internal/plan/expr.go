@@ -17,7 +17,6 @@ package plan
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // ColumnID uniquely identifies a column within one job's plan. The binder
@@ -119,7 +118,7 @@ func Cmp(op CmpOp, l, r *Expr) *Expr { return &Expr{Kind: ExprCmp, Op: op, Args:
 // And returns the conjunction of the given predicates. It flattens nested
 // conjunctions and returns nil for no arguments, the sole argument for one.
 func And(preds ...*Expr) *Expr {
-	var flat []*Expr
+	flat := make([]*Expr, 0, len(preds))
 	for _, p := range preds {
 		if p == nil {
 			continue
@@ -141,7 +140,7 @@ func And(preds ...*Expr) *Expr {
 
 // Or returns the disjunction of the given predicates.
 func Or(preds ...*Expr) *Expr {
-	var flat []*Expr
+	flat := make([]*Expr, 0, len(preds))
 	for _, p := range preds {
 		if p == nil {
 			continue
@@ -220,36 +219,55 @@ func (e *Expr) EquiJoinSides() (a, b Column, ok bool) {
 
 // String renders the expression in SCOPE-like syntax.
 func (e *Expr) String() string {
+	if e != nil && e.Kind == ExprColumn {
+		return e.Col.Name
+	}
+	return string(e.AppendString(nil))
+}
+
+// AppendString appends String's rendering of e to b and returns the extended
+// buffer. It builds no intermediate strings, so a caller that renders into a
+// reused buffer allocates nothing.
+func (e *Expr) AppendString(b []byte) []byte {
 	if e == nil {
-		return "<nil>"
+		return append(b, "<nil>"...)
 	}
 	switch e.Kind {
 	case ExprColumn:
-		return e.Col.Name
+		return append(b, e.Col.Name...)
 	case ExprConst:
-		return e.Lit.String()
-	case ExprCmp, ExprArith:
-		return fmt.Sprintf("(%s %s %s)", e.Args[0], e.Op, e.Args[1])
-	case ExprAnd:
-		return joinExprs(e.Args, " AND ")
-	case ExprOr:
-		return joinExprs(e.Args, " OR ")
-	case ExprFunc:
-		parts := make([]string, len(e.Args))
-		for i, a := range e.Args {
-			parts[i] = a.String()
+		if e.Lit.IsString {
+			return strconv.AppendQuote(b, e.Lit.S)
 		}
-		return fmt.Sprintf("%s(%s)", e.Fn, strings.Join(parts, ", "))
+		return strconv.AppendFloat(b, e.Lit.F, 'g', -1, 64)
+	case ExprCmp, ExprArith:
+		b = append(b, '(')
+		b = e.Args[0].AppendString(b)
+		b = append(b, ' ')
+		b = append(b, e.Op.String()...)
+		b = append(b, ' ')
+		b = e.Args[1].AppendString(b)
+		return append(b, ')')
+	case ExprAnd:
+		return appendArgs(b, e.Args, " AND ")
+	case ExprOr:
+		return appendArgs(b, e.Args, " OR ")
+	case ExprFunc:
+		return appendArgs(append(b, e.Fn...), e.Args, ", ")
 	}
-	return "<expr?>"
+	return append(b, "<expr?>"...)
 }
 
-func joinExprs(args []*Expr, sep string) string {
-	parts := make([]string, len(args))
+// appendArgs appends args rendered, joined by sep, in parentheses.
+func appendArgs(b []byte, args []*Expr, sep string) []byte {
+	b = append(b, '(')
 	for i, a := range args {
-		parts[i] = a.String()
+		if i > 0 {
+			b = append(b, sep...)
+		}
+		b = a.AppendString(b)
 	}
-	return "(" + strings.Join(parts, sep) + ")"
+	return append(b, ')')
 }
 
 // Clone returns a deep copy of the expression. Rewrite rules clone before

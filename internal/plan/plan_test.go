@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -214,6 +216,69 @@ func TestExprString(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("expr string %q missing %q", s, want)
 		}
+	}
+}
+
+// fmtExprString is the fmt-built rendering String had before AppendString,
+// kept as the reference the append path must reproduce byte for byte: the
+// execution simulator hashes predicate renderings into its noise seeds.
+func fmtExprString(e *Expr) string {
+	if e == nil {
+		return "<nil>"
+	}
+	join := func(args []*Expr, sep string) string {
+		parts := make([]string, len(args))
+		for i, a := range args {
+			parts[i] = fmtExprString(a)
+		}
+		return strings.Join(parts, sep)
+	}
+	switch e.Kind {
+	case ExprColumn:
+		return e.Col.Name
+	case ExprConst:
+		return e.Lit.String()
+	case ExprCmp, ExprArith:
+		return fmt.Sprintf("(%s %s %s)", fmtExprString(e.Args[0]), e.Op, fmtExprString(e.Args[1]))
+	case ExprAnd:
+		return "(" + join(e.Args, " AND ") + ")"
+	case ExprOr:
+		return "(" + join(e.Args, " OR ") + ")"
+	case ExprFunc:
+		return fmt.Sprintf("%s(%s)", e.Fn, join(e.Args, ", "))
+	}
+	return "<expr?>"
+}
+
+func TestExprAppendStringMatchesFmt(t *testing.T) {
+	a, b := ColExpr(col(1, "a", "")), ColExpr(col(2, "é", ""))
+	exprs := []*Expr{
+		nil, a,
+		NumExpr(1.5), NumExpr(-0.0), NumExpr(1e21), NumExpr(math.Inf(-1)), NumExpr(math.NaN()),
+		StrExpr(""), StrExpr("q\"uo\\te\n"), StrExpr("日本\xff"),
+		&Expr{Kind: ExprArith, Op: OpDiv, Args: []*Expr{a, NumExpr(3)}},
+		&Expr{Kind: ExprFunc, Fn: "ABS", Args: []*Expr{a, b}},
+		&Expr{Kind: ExprFunc, Fn: "NOW"},
+		&Expr{Kind: ExprCmp, Op: OpLE, Args: []*Expr{nil, b}},
+		&Expr{Kind: ExprKind(99)},
+		And(Cmp(OpGT, a, NumExpr(1.5)), Or(Cmp(OpEQ, b, StrExpr("x")), Cmp(OpNE, a, b)), Cmp(OpGE, a, b)),
+	}
+	for _, op := range []CmpOp{OpEQ, OpNE, OpLT, OpLE, OpGT, OpGE, OpAdd, OpSub, OpMul, OpDiv} {
+		exprs = append(exprs, &Expr{Kind: ExprCmp, Op: op, Args: []*Expr{a, b}})
+	}
+	buf := make([]byte, 0, 256)
+	for _, e := range exprs {
+		want := fmtExprString(e)
+		if got := e.String(); got != want {
+			t.Errorf("String() = %q, fmt reference %q", got, want)
+		}
+		if got := string(e.AppendString(buf[:0])); got != want {
+			t.Errorf("AppendString = %q, fmt reference %q", got, want)
+		}
+	}
+	last := exprs[len(exprs)-1]
+	if n := testing.AllocsPerRun(10, func() { buf = last.AppendString(buf[:0]) }); n != 0 {
+		t.Errorf("AppendString into a warm buffer allocates %.0f times", n)
 	}
 }
 

@@ -155,9 +155,9 @@ type CallExpr struct {
 	Pos  Pos
 }
 
-func (ColName) scalar()   {}
-func (NumLit) scalar()    {}
-func (StrLit) scalar()    {}
+func (*ColName) scalar()  {}
+func (*NumLit) scalar()   {}
+func (*StrLit) scalar()   {}
 func (*BinExpr) scalar()  {}
 func (*CallExpr) scalar() {}
 

@@ -2,6 +2,7 @@ package scopeql
 
 import (
 	"fmt"
+	"slices"
 
 	"steerq/internal/catalog"
 	"steerq/internal/plan"
@@ -11,17 +12,17 @@ import (
 // plan DAG of the job. Jobs with multiple OUTPUT statements get an OpMulti
 // virtual root; jobs with a single output return the Output node itself.
 func Bind(s *Script, cat *catalog.Catalog) (*plan.Node, error) {
-	b := &binder{cat: cat, vars: make(map[string]*boundVar)}
-	return b.bindScript(s)
+	return new(scratch).bind(s, cat)
 }
 
-// Compile is the convenience path: parse then bind.
+// Compile parses then binds, as Bind(Parse(src)) does, on a pooled scratch it
+// hands back before returning: the plan is all it allocates once warm.
 func Compile(src string, cat *catalog.Catalog) (*plan.Node, error) {
-	script, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return Bind(script, cat)
+	sc := scratchPool.Get().(*scratch)
+	root, err := sc.compile(src, cat)
+	sc.release()
+	scratchPool.Put(sc)
+	return root, err
 }
 
 type boundVar struct {
@@ -31,8 +32,17 @@ type boundVar struct {
 
 type binder struct {
 	cat    *catalog.Catalog
-	vars   map[string]*boundVar
+	sc     *scratch
 	nextID plan.ColumnID
+}
+
+// bind binds s with sc's variable table and output list.
+func (sc *scratch) bind(s *Script, cat *catalog.Catalog) (*plan.Node, error) {
+	if sc.vars == nil {
+		sc.vars = make(map[string]*boundVar)
+	}
+	b := binder{cat: cat, sc: sc}
+	return b.bindScript(s)
 }
 
 func (b *binder) newID() plan.ColumnID {
@@ -41,35 +51,35 @@ func (b *binder) newID() plan.ColumnID {
 }
 
 func (b *binder) bindScript(s *Script) (*plan.Node, error) {
-	var outputs []*plan.Node
+	sc := b.sc
 	for _, st := range s.Stmts {
 		switch st := st.(type) {
 		case *AssignStmt:
-			if _, dup := b.vars[st.Name]; dup {
+			if _, dup := sc.vars[st.Name]; dup {
 				return nil, errf(st.Pos, "variable %q reassigned", st.Name)
 			}
 			n, err := b.bindRel(st.Rel)
 			if err != nil {
 				return nil, err
 			}
-			b.vars[st.Name] = &boundVar{node: n}
+			sc.vars[st.Name] = sc.bound.add(boundVar{node: n})
 		case *OutputStmt:
-			v, ok := b.vars[st.Name]
+			v, ok := sc.vars[st.Name]
 			if !ok {
 				return nil, errf(st.Pos, "output of unbound variable %q", st.Name)
 			}
 			// Outputs share the bound node directly: two outputs of one
 			// intermediate form a DAG, and their schemas never merge.
-			outputs = append(outputs, plan.NewOutput(v.node, st.Path))
+			sc.outs = append(sc.outs, plan.NewOutput(v.node, st.Path))
 		}
 	}
-	if len(outputs) == 0 {
+	switch len(sc.outs) {
+	case 0:
 		return nil, errf(Pos{1, 1}, "script has no OUTPUT statement")
+	case 1:
+		return sc.outs[0], nil
 	}
-	if len(outputs) == 1 {
-		return outputs[0], nil
-	}
-	return plan.NewMulti(outputs...), nil
+	return plan.NewMulti(slices.Clone(sc.outs)...), nil
 }
 
 // useVar returns the node bound to a variable. The first relational use
@@ -77,7 +87,7 @@ func (b *binder) bindScript(s *Script) (*plan.Node, error) {
 // with fresh column IDs so self-joins and self-unions keep distinct column
 // identities.
 func (b *binder) useVar(name string, pos Pos) (*plan.Node, error) {
-	v, ok := b.vars[name]
+	v, ok := b.sc.vars[name]
 	if !ok {
 		return nil, errf(pos, "reference to unbound variable %q", name)
 	}
@@ -255,7 +265,8 @@ func (b *binder) bindSelect(sel *SelectExpr) (*plan.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	env := scope{fromEntry}
+	var envBuf [4]scopeEntry // a SELECT's sources, on the stack unless it joins more
+	env := append(scope(envBuf[:0]), fromEntry)
 	cur := fromEntry.node
 
 	// Joins: left-deep over the FROM chain. The optimizer's join-order
@@ -314,14 +325,12 @@ func (b *binder) bindGrouped(sel *SelectExpr, child *plan.Node, env scope) (*pla
 		return nil, errf(sel.Pos, "SELECT * cannot be combined with GROUP BY or aggregates")
 	}
 	keys := make([]plan.Column, 0, len(sel.GroupBy))
-	keySet := make(map[plan.ColumnID]bool)
 	for _, k := range sel.GroupBy {
 		col, err := env.resolve(k)
 		if err != nil {
 			return nil, err
 		}
 		keys = append(keys, col)
-		keySet[col.ID] = true
 	}
 
 	var (
@@ -346,12 +355,12 @@ func (b *binder) bindGrouped(sel *SelectExpr, child *plan.Node, env scope) (*pla
 			out := plan.Column{ID: b.newID(), Name: name}
 			aggs = append(aggs, plan.Agg{Fn: e.Fn, Arg: arg, Out: out})
 			projs = append(projs, plan.Projection{Expr: plan.ColExpr(out), Out: out})
-		case ColName:
-			col, err := env.resolve(e)
+		case *ColName:
+			col, err := env.resolve(*e)
 			if err != nil {
 				return nil, err
 			}
-			if !keySet[col.ID] {
+			if !slices.ContainsFunc(keys, func(k plan.Column) bool { return k.ID == col.ID }) {
 				return nil, errf(e.Pos, "column %q must appear in GROUP BY or inside an aggregate", e.String())
 			}
 			out := col
@@ -433,15 +442,15 @@ var binOps = map[string]plan.CmpOp{
 
 func (b *binder) bindScalar(e ScalarExpr, env scope) (*plan.Expr, error) {
 	switch e := e.(type) {
-	case ColName:
-		col, err := env.resolve(e)
+	case *ColName:
+		col, err := env.resolve(*e)
 		if err != nil {
 			return nil, err
 		}
 		return plan.ColExpr(col), nil
-	case NumLit:
+	case *NumLit:
 		return plan.NumExpr(e.Value), nil
-	case StrLit:
+	case *StrLit:
 		return plan.StrExpr(e.Value), nil
 	case *BinExpr:
 		l, err := b.bindScalar(e.L, env)

@@ -1,9 +1,14 @@
 package scopeql
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"unicode"
+
+	"steerq/internal/catalog"
+	"steerq/internal/plan"
 )
 
 // fuzzSeeds covers every statement form the grammar accepts plus a few
@@ -71,18 +76,75 @@ func FuzzParse(f *testing.F) {
 
 // FuzzCompile drives the full parse+bind pipeline against a fixed catalog.
 // Binding is where name resolution and schema bookkeeping live, so this
-// exercises far more invariants than parsing alone.
+// exercises far more invariants than parsing alone. Compile runs on a
+// recycled scratch and must agree with Bind(Parse(src)), which runs on fresh
+// ones (compileDiff); each iteration also compiles the previous input again,
+// on a scratch the current one has just been through.
 func FuzzCompile(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(strings.ReplaceAll(seed, "lake/t", "lake/orders"))
 	}
+	for _, seed := range compileCorpus {
+		f.Add(seed)
+	}
 	cat := bindCatalog()
+	prev := frontEndScript
 	f.Fuzz(func(t *testing.T, src string) {
 		root, err := Compile(src, cat)
 		if err == nil && root == nil {
 			t.Fatal("Compile returned nil plan and nil error")
 		}
+		if d := compileDiff(src, root, err, cat); d != "" {
+			t.Fatalf("%s\ninput:\n%s", d, src)
+		}
+		root, err = Compile(prev, cat)
+		if d := compileDiff(prev, root, err, cat); d != "" {
+			t.Fatalf("recompiling the previous input: %s\nprevious:\n%s\ninput:\n%s", d, prev, src)
+		}
+		prev = src
 	})
+}
+
+// compileDiff describes how Compile's result for src differs from
+// Bind(Parse(src)), the fresh path: the error texts must match, or both plans
+// must have the same template and instance hashes and the same column IDs in
+// walk order. It returns "" when they agree.
+func compileDiff(src string, root *plan.Node, err error, cat *catalog.Catalog) string {
+	var want *plan.Node
+	s, werr := Parse(src)
+	if werr == nil {
+		want, werr = Bind(s, cat)
+	}
+	switch {
+	case (err == nil) != (werr == nil):
+		return fmt.Sprintf("Compile error %v, fresh path error %v", err, werr)
+	case err != nil:
+		if err.Error() != werr.Error() {
+			return fmt.Sprintf("Compile error %q, fresh path error %q", err, werr)
+		}
+		return ""
+	}
+	if a, b := plan.TemplateHash(root), plan.TemplateHash(want); a != b {
+		return fmt.Sprintf("template hash %x, fresh path %x", a, b)
+	}
+	if a, b := plan.InstanceHash(root), plan.InstanceHash(want); a != b {
+		return fmt.Sprintf("instance hash %x, fresh path %x", a, b)
+	}
+	if a, b := columnIDs(root), columnIDs(want); !slices.Equal(a, b) {
+		return fmt.Sprintf("column IDs %v, fresh path %v", a, b)
+	}
+	return ""
+}
+
+// columnIDs lists the IDs of every node's schema, in walk order.
+func columnIDs(root *plan.Node) []plan.ColumnID {
+	var ids []plan.ColumnID
+	root.Walk(func(n *plan.Node) {
+		for _, c := range n.Schema {
+			ids = append(ids, c.ID)
+		}
+	})
+	return ids
 }
 
 // FuzzLex checks the lexer's tokens against the source they came from. Each

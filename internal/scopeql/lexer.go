@@ -22,11 +22,24 @@ const maxKeywordLen = 7
 // constants. Columns count runes; each byte of invalid UTF-8 is one rune
 // (U+FFFD), as a []rune conversion decodes it.
 func Lex(src string) ([]Token, error) {
+	toks, err := lexInto(nil, src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// lexInto is Lex appending to dst[:0], which it returns (grown, if it was
+// short) on error too, so a caller that recycles the buffer keeps it.
+func lexInto(dst []Token, src string) ([]Token, error) {
 	// The generated workloads' scripts average one token per 4.8 source bytes
 	// and none is denser than one per 4.1 (Workloads A and B, scale 0.01), so
 	// a quarter of the bytes holds every token without append regrowth.
+	toks := dst[:0]
+	if want := len(src)/4 + 1; cap(toks) < want {
+		toks = make([]Token, 0, want)
+	}
 	var (
-		toks = make([]Token, 0, len(src)/4+1)
 		line = 1
 		col  = 1
 		i    = 0
@@ -88,14 +101,14 @@ func Lex(src string) ([]Token, error) {
 			start := i
 			for i < len(src) && src[i] != '"' {
 				if src[i] == '\n' {
-					return nil, errf(pos, "unterminated string literal")
+					return toks, errf(pos, "unterminated string literal")
 				}
 				_, size := runeAt(src[i:])
 				i += size
 				col++
 			}
 			if i >= len(src) {
-				return nil, errf(pos, "unterminated string literal")
+				return toks, errf(pos, "unterminated string literal")
 			}
 			text := src[start:i]
 			if !utf8.ValidString(text) {
@@ -118,7 +131,7 @@ func Lex(src string) ([]Token, error) {
 				k = strings.IndexByte(symbols, src[i])
 			}
 			if k < 0 {
-				return nil, errf(pos, "unexpected character %q", string(r))
+				return toks, errf(pos, "unexpected character %q", string(r))
 			}
 			toks = append(toks, Token{Kind: TokSymbol, Text: symbols[k : k+1], Pos: pos})
 			i += size

@@ -2,19 +2,31 @@ package scopeql
 
 import "strconv"
 
-// Parse lexes and parses a SCOPE-like script.
+// Parse lexes and parses a SCOPE-like script. The AST is carved from a
+// scratch of its own that nothing recycles, so the caller may keep it.
 func Parse(src string) (*Script, error) {
-	toks, err := Lex(src)
+	return new(scratch).parse(src)
+}
+
+// parse lexes src into sc's token buffer and parses it, carving the AST from
+// sc's piles.
+func (sc *scratch) parse(src string) (*Script, error) {
+	toks, err := lexInto(sc.toks, src)
+	sc.toks = toks
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := parser{toks: toks, sc: sc}
 	return p.script()
 }
 
+// parser is a recursive-descent parser over one token slice. A list is
+// collected in a stack buffer of its production's frame and kept in sc once
+// it is complete; a longer list spills to the heap until it is kept.
 type parser struct {
 	toks []Token
 	i    int
+	sc   *scratch
 }
 
 func (p *parser) cur() Token  { return p.toks[p.i] }
@@ -52,18 +64,19 @@ func (p *parser) expectIdent() (Token, error) {
 }
 
 func (p *parser) script() (*Script, error) {
-	s := &Script{}
+	var buf [16]Stmt
+	stmts := buf[:0]
 	for p.cur().Kind != TokEOF {
 		st, err := p.statement()
 		if err != nil {
 			return nil, err
 		}
-		s.Stmts = append(s.Stmts, st)
+		stmts = append(stmts, st)
 	}
-	if len(s.Stmts) == 0 {
+	if len(stmts) == 0 {
 		return nil, errf(p.cur().Pos, "empty script")
 	}
-	return s, nil
+	return p.sc.scripts.add(Script{Stmts: p.sc.stmts.keep(stmts)}), nil
 }
 
 func (p *parser) statement() (Stmt, error) {
@@ -83,7 +96,7 @@ func (p *parser) statement() (Stmt, error) {
 		if _, err := p.expectSymbol(";"); err != nil {
 			return nil, err
 		}
-		return &OutputStmt{Name: name.Text, Path: path, Pos: pos}, nil
+		return p.sc.outputs.add(OutputStmt{Name: name.Text, Path: path, Pos: pos}), nil
 	}
 	name, err := p.expectIdent()
 	if err != nil {
@@ -99,7 +112,7 @@ func (p *parser) statement() (Stmt, error) {
 	if _, err := p.expectSymbol(";"); err != nil {
 		return nil, err
 	}
-	return &AssignStmt{Name: name.Text, Rel: rel, Pos: name.Pos}, nil
+	return p.sc.assigns.add(AssignStmt{Name: name.Text, Rel: rel, Pos: name.Pos}), nil
 }
 
 // relExpr parses a relational expression, handling UNION ALL at the top
@@ -112,7 +125,9 @@ func (p *parser) relExpr() (RelExpr, error) {
 	if !p.atKeyword("UNION") {
 		return first, nil
 	}
-	u := &UnionExpr{Terms: []RelExpr{first}, Pos: p.cur().Pos}
+	pos := p.cur().Pos
+	var buf [8]RelExpr
+	terms := append(buf[:0], first)
 	for p.atKeyword("UNION") {
 		p.next()
 		if _, err := p.expectKeyword("ALL"); err != nil {
@@ -122,9 +137,9 @@ func (p *parser) relExpr() (RelExpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		u.Terms = append(u.Terms, t)
+		terms = append(terms, t)
 	}
-	return u, nil
+	return p.sc.unions.add(UnionExpr{Terms: p.sc.rels.keep(terms), Pos: pos}), nil
 }
 
 func (p *parser) relTerm() (RelExpr, error) {
@@ -150,14 +165,15 @@ func (p *parser) relTerm() (RelExpr, error) {
 		return p.reduceExpr()
 	case t.Kind == TokIdent:
 		p.next()
-		return &VarRef{Name: t.Text, Pos: t.Pos}, nil
+		return p.varRef(t), nil
 	}
 	return nil, errf(t.Pos, "expected relational expression, found %q", t.Text)
 }
 
 func (p *parser) extractExpr() (RelExpr, error) {
 	pos := p.next().Pos // EXTRACT
-	var cols []string
+	var buf [16]string
+	cols := buf[:0]
 	for {
 		c, err := p.expectIdent()
 		if err != nil {
@@ -176,7 +192,7 @@ func (p *parser) extractExpr() (RelExpr, error) {
 		return nil, errf(p.cur().Pos, "expected stream path string, found %q", p.cur().Text)
 	}
 	stream := p.next().Text
-	return &ExtractExpr{Columns: cols, Stream: stream, Pos: pos}, nil
+	return p.sc.extracts.add(ExtractExpr{Columns: p.sc.names.keep(cols), Stream: stream, Pos: pos}), nil
 }
 
 func (p *parser) processExpr() (RelExpr, error) {
@@ -192,7 +208,7 @@ func (p *parser) processExpr() (RelExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ProcessExpr{Source: src, UDO: udo.Text, Pos: pos}, nil
+	return p.sc.procs.add(ProcessExpr{Source: src, UDO: udo.Text, Pos: pos}), nil
 }
 
 func (p *parser) reduceExpr() (RelExpr, error) {
@@ -204,7 +220,8 @@ func (p *parser) reduceExpr() (RelExpr, error) {
 	if _, err := p.expectKeyword("ON"); err != nil {
 		return nil, err
 	}
-	var keys []ColName
+	var buf [8]ColName
+	keys := buf[:0]
 	for {
 		c, err := p.colName()
 		if err != nil {
@@ -223,7 +240,7 @@ func (p *parser) reduceExpr() (RelExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ReduceExpr{Source: src, Keys: keys, UDO: udo.Text, Pos: pos}, nil
+	return p.sc.reduces.add(ReduceExpr{Source: src, Keys: p.sc.cols.keep(keys), UDO: udo.Text, Pos: pos}), nil
 }
 
 // relSource parses the source of PROCESS/REDUCE: a variable or a
@@ -244,12 +261,26 @@ func (p *parser) relSource() (RelExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &VarRef{Name: id.Text, Pos: id.Pos}, nil
+	return p.varRef(id), nil
+}
+
+func (p *parser) varRef(id Token) *VarRef {
+	return p.sc.varRefs.add(VarRef{Name: id.Text, Pos: id.Pos})
 }
 
 func (p *parser) selectExpr() (RelExpr, error) {
 	pos := p.next().Pos // SELECT
-	sel := &SelectExpr{Pos: pos}
+	var (
+		sel      = SelectExpr{Pos: pos}
+		itemBuf  [16]SelectItem
+		joinBuf  [4]JoinClause
+		groupBuf [8]ColName
+		orderBuf [4]OrderKey
+		items    = itemBuf[:0]
+		joins    = joinBuf[:0]
+		groupBy  = groupBuf[:0]
+		orderBy  = orderBuf[:0]
+	)
 	if p.atKeyword("TOP") {
 		p.next()
 		if p.cur().Kind != TokNumber {
@@ -270,7 +301,7 @@ func (p *parser) selectExpr() (RelExpr, error) {
 			if err != nil {
 				return nil, err
 			}
-			sel.Items = append(sel.Items, item)
+			items = append(items, item)
 			if !p.atSymbol(",") {
 				break
 			}
@@ -304,7 +335,7 @@ func (p *parser) selectExpr() (RelExpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		sel.Joins = append(sel.Joins, JoinClause{Right: right, On: on, Pos: jpos})
+		joins = append(joins, JoinClause{Right: right, On: on, Pos: jpos})
 	}
 	if p.atKeyword("WHERE") {
 		p.next()
@@ -324,7 +355,7 @@ func (p *parser) selectExpr() (RelExpr, error) {
 			if err != nil {
 				return nil, err
 			}
-			sel.GroupBy = append(sel.GroupBy, c)
+			groupBy = append(groupBy, c)
 			if !p.atSymbol(",") {
 				break
 			}
@@ -356,14 +387,18 @@ func (p *parser) selectExpr() (RelExpr, error) {
 			} else if p.atKeyword("ASC") {
 				p.next()
 			}
-			sel.OrderBy = append(sel.OrderBy, key)
+			orderBy = append(orderBy, key)
 			if !p.atSymbol(",") {
 				break
 			}
 			p.next()
 		}
 	}
-	return sel, nil
+	sel.Items = p.sc.items.keep(items)
+	sel.Joins = p.sc.joins.keep(joins)
+	sel.GroupBy = p.sc.cols.keep(groupBy)
+	sel.OrderBy = p.sc.orders.keep(orderBy)
+	return p.sc.selects.add(sel), nil
 }
 
 func (p *parser) selectItem() (SelectItem, error) {
@@ -437,7 +472,7 @@ func (p *parser) orExpr() (ScalarExpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{Op: "OR", L: l, R: r, Pos: pos}
+		l = p.bin("OR", l, r, pos)
 	}
 	return l, nil
 }
@@ -453,7 +488,7 @@ func (p *parser) andExpr() (ScalarExpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{Op: "AND", L: l, R: r, Pos: pos}
+		l = p.bin("AND", l, r, pos)
 	}
 	return l, nil
 }
@@ -472,7 +507,7 @@ func (p *parser) cmpExpr() (ScalarExpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &BinExpr{Op: t.Text, L: l, R: r, Pos: t.Pos}, nil
+		return p.bin(t.Text, l, r, t.Pos), nil
 	}
 	return l, nil
 }
@@ -488,7 +523,7 @@ func (p *parser) addExpr() (ScalarExpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{Op: t.Text, L: l, R: r, Pos: t.Pos}
+		l = p.bin(t.Text, l, r, t.Pos)
 	}
 	return l, nil
 }
@@ -504,7 +539,7 @@ func (p *parser) mulExpr() (ScalarExpr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{Op: t.Text, L: l, R: r, Pos: t.Pos}
+		l = p.bin(t.Text, l, r, t.Pos)
 	}
 	return l, nil
 }
@@ -518,16 +553,16 @@ func (p *parser) unary() (ScalarExpr, error) {
 		if err != nil {
 			return nil, errf(t.Pos, "invalid number %q", t.Text)
 		}
-		return NumLit{Value: v, Pos: t.Pos}, nil
+		return p.sc.nums.add(NumLit{Value: v, Pos: t.Pos}), nil
 	case t.Kind == TokString:
 		p.next()
-		return StrLit{Value: t.Text, Pos: t.Pos}, nil
+		return p.sc.strs.add(StrLit{Value: t.Text, Pos: t.Pos}), nil
 	case t.Kind == TokKeyword && aggregates[t.Text]:
 		p.next()
 		if _, err := p.expectSymbol("("); err != nil {
 			return nil, err
 		}
-		call := &CallExpr{Fn: t.Text, Pos: t.Pos}
+		call := CallExpr{Fn: t.Text, Pos: t.Pos}
 		if p.atSymbol("*") {
 			p.next()
 			call.Star = true
@@ -536,12 +571,12 @@ func (p *parser) unary() (ScalarExpr, error) {
 			if err != nil {
 				return nil, err
 			}
-			call.Args = append(call.Args, arg)
+			call.Args = p.sc.scalars.keep([]ScalarExpr{arg})
 		}
 		if _, err := p.expectSymbol(")"); err != nil {
 			return nil, err
 		}
-		return call, nil
+		return p.sc.calls.add(call), nil
 	case t.Kind == TokIdent:
 		return p.colNameExpr()
 	case p.atSymbol("("):
@@ -578,5 +613,12 @@ func (p *parser) colName() (ColName, error) {
 
 func (p *parser) colNameExpr() (ScalarExpr, error) {
 	c, err := p.colName()
-	return c, err
+	if err != nil {
+		return nil, err
+	}
+	return p.sc.cols.add(c), nil
+}
+
+func (p *parser) bin(op string, l, r ScalarExpr, pos Pos) *BinExpr {
+	return p.sc.bins.add(BinExpr{Op: op, L: l, R: r, Pos: pos})
 }

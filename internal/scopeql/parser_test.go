@@ -75,7 +75,7 @@ func TestParseQualifiedColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := s.Stmts[0].(*AssignStmt).Rel.(*SelectExpr).Items[0].Expr.(ColName)
+	col := s.Stmts[0].(*AssignStmt).Rel.(*SelectExpr).Items[0].Expr.(*ColName)
 	if col.Qualifier != "t" || col.Name != "a" {
 		t.Fatalf("qualified column parsed as %+v", col)
 	}

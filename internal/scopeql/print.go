@@ -218,13 +218,13 @@ func printScalar(b *strings.Builder, e ScalarExpr, min int) {
 		return
 	}
 	switch e := e.(type) {
-	case ColName:
+	case *ColName:
 		b.WriteString(e.String())
-	case NumLit:
+	case *NumLit:
 		// 'f' with minimal digits stays inside the lexer's number syntax
 		// (no exponent) and reparses to the identical float64.
 		b.WriteString(strconv.FormatFloat(e.Value, 'f', -1, 64))
-	case StrLit:
+	case *StrLit:
 		printString(b, e.Value)
 	case *CallExpr:
 		b.WriteString(e.Fn)

@@ -186,18 +186,18 @@ func equalOptScalar(a, b scopeql.ScalarExpr) error {
 
 func equalScalar(a, b scopeql.ScalarExpr) error {
 	switch a := a.(type) {
-	case scopeql.ColName:
-		bb, ok := b.(scopeql.ColName)
+	case *scopeql.ColName:
+		bb, ok := b.(*scopeql.ColName)
 		if !ok || a.String() != bb.String() {
 			return fmt.Errorf("col %v vs %#v", a, b)
 		}
-	case scopeql.NumLit:
-		bb, ok := b.(scopeql.NumLit)
+	case *scopeql.NumLit:
+		bb, ok := b.(*scopeql.NumLit)
 		if !ok || a.Value != bb.Value {
 			return fmt.Errorf("num %v vs %#v", a.Value, b)
 		}
-	case scopeql.StrLit:
-		bb, ok := b.(scopeql.StrLit)
+	case *scopeql.StrLit:
+		bb, ok := b.(*scopeql.StrLit)
 		if !ok || a.Value != bb.Value {
 			return fmt.Errorf("str %q vs %#v", a.Value, b)
 		}

@@ -1,0 +1,63 @@
+package scopeql
+
+import (
+	"sync"
+	"testing"
+)
+
+// compileCorpus interleaves scripts that bind against bindCatalog with ones
+// that fail in the lexer, the parser and the binder (early and after a
+// subquery, a join and a grouped SELECT have been carved), so a recycled
+// scratch meets every exit path.
+var compileCorpus = []string{
+	frontEndScript,
+	`x = SELECT user_id FROM "lake/orders" WHERE amount > 1.5 OR region != "EU"; OUTPUT x TO "o";`,
+	`x = SELECT a FROM "lake/orders" ; OUTPUT x TO "o";`,
+	`e = EXTRACT user_id, region FROM "lake/orders"; r = REDUCE e ON user_id USING Cook; OUTPUT r TO "o";`,
+	`x = SELECT user_id FROM "lake/orders"`,
+	`o = SELECT user_id, amount FROM "lake/orders";
+j = SELECT a.user_id AS uid, b.amount AS amt FROM o AS a INNER JOIN o AS b ON a.user_id == b.user_id;
+u = j UNION ALL (SELECT uid, amt FROM j);
+OUTPUT u TO "u"; OUTPUT o TO "o";`,
+	"x = SELECT \"unterminated FROM t;",
+	`s = SELECT s.user_id AS k FROM (SELECT user_id FROM "lake/orders" WHERE amount * 2 > region + 1) AS s INNER JOIN "lake/users" AS u ON s.user_id == u.user_id; g = SELECT k, COUNT(*) AS c FROM s GROUP BY k HAVING c > 2; t = SELECT TOP 3 k FROM g ORDER BY k DESC; OUTPUT t TO "t"; OUTPUT bogus TO "b";`,
+	`f = SELECT user_id, SUM(amount) AS total FROM "lake/orders" GROUP BY user_id; p = PROCESS (SELECT * FROM f) USING Cook; OUTPUT p TO "p"; OUTPUT f TO "f";`,
+	`x = SELECT region, amount FROM "lake/orders" GROUP BY region; OUTPUT x TO "o";`,
+	"x = SELECT user_id FROM \"lake/orders\" WHERE amount ≠ 1;",
+	`x = SELECT user_id FROM "lake/orders"; x = SELECT user_id FROM "lake/orders"; OUTPUT x TO "o";`,
+}
+
+// TestCompileScratchReuse: eight goroutines compile the interleaved corpus
+// twenty times over on the pooled scratches at once, each from its own
+// offset, and every result must match the fresh path's (compileDiff). Run
+// with -race.
+func TestCompileScratchReuse(t *testing.T) {
+	cat := bindCatalog()
+	ok := 0
+	for _, src := range compileCorpus {
+		if s, err := Parse(src); err == nil {
+			if _, err := Bind(s, cat); err == nil {
+				ok++
+			}
+		}
+	}
+	if ok == 0 || ok == len(compileCorpus) {
+		t.Fatalf("%d of %d corpus scripts bind; the corpus must mix good and failing ones", ok, len(compileCorpus))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20*len(compileCorpus); i++ {
+				src := compileCorpus[(g+i)%len(compileCorpus)]
+				root, err := Compile(src, cat)
+				if d := compileDiff(src, root, err, cat); d != "" {
+					t.Errorf("goroutine %d: %s\ninput:\n%s", g, d, src)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

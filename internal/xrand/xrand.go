@@ -15,7 +15,6 @@
 package xrand
 
 import (
-	"hash/fnv"
 	"math"
 	"math/rand"
 )
@@ -50,17 +49,20 @@ func (s *Source) gen() *rand.Rand {
 // seed and the path components. Deriving the same path twice yields streams
 // that produce identical sequences.
 func (s *Source) Derive(path ...string) *Source {
-	h := fnv.New64a()
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(s.seed >> (8 * uint(i)))
-	}
-	h.Write(buf[:])
+	d := New(0)
+	s.ReseedDerived(d, path...)
+	return d
+}
+
+// ReseedDerived repositions dst onto the stream s.Derive(path...) would
+// return, reusing dst's generator state (~5KB) if it has drawn before, as
+// ReseedDerivedBytes does. dst must not be shared across goroutines.
+func (s *Source) ReseedDerived(dst *Source, path ...string) {
+	h := s.fnvSeed()
 	for _, p := range path {
-		h.Write([]byte{0})
-		h.Write([]byte(p))
+		h = fnvPart(h, p)
 	}
-	return New(h.Sum64())
+	dst.reseed(h)
 }
 
 // ReseedDerivedBytes repositions dst onto the stream that
@@ -73,7 +75,7 @@ func (s *Source) ReseedDerivedBytes(dst *Source, label string, tag []byte) {
 	dst.reseed(fnvPart(fnvPart(s.fnvSeed(), label), tag))
 }
 
-// FNV-1a 64, as hash/fnv computes it in Derive.
+// FNV-1a 64, as hash/fnv computes it.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211

@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -40,6 +41,46 @@ func TestDeriveOrderInsensitive(t *testing.T) {
 	b2 := New(7).Derive("child").Float64()
 	if b1 != b2 {
 		t.Fatal("derived stream depends on parent consumption")
+	}
+}
+
+// fnvDeriveSeed is the derived seed as hash/fnv computes it: FNV-1a 64 over
+// the parent seed's eight little-endian bytes, then a 0 byte and the bytes of
+// each path component. Every stream of every experiment hangs off it.
+func fnvDeriveSeed(seed uint64, path ...string) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for i := range buf {
+		buf[i] = byte(seed >> (8 * i))
+	}
+	h.Write(buf[:])
+	for _, p := range path {
+		h.Write([]byte{0})
+		h.Write([]byte(p))
+	}
+	return h.Sum64()
+}
+
+// TestDeriveSeedIsFNV: Derive and ReseedDerived land on the seed hash/fnv
+// computes, for any number of path components.
+func TestDeriveSeedIsFNV(t *testing.T) {
+	paths := [][]string{nil, {""}, {"exec", "A/d0/j3", "0"}, {"day", "12"}, {"\x00", "日本", ""}}
+	scratch := New(0)
+	scratch.Int63() // a drawn generator must be repositioned too
+	for _, root := range []uint64{0, 7, 1 << 63, math.MaxUint64} {
+		for _, p := range paths {
+			want := fnvDeriveSeed(root, p...)
+			if got := New(root).Derive(p...).Seed(); got != want {
+				t.Errorf("New(%d).Derive(%q) seed %d, hash/fnv %d", root, p, got, want)
+			}
+			New(root).ReseedDerived(scratch, p...)
+			if got := scratch.Seed(); got != want {
+				t.Errorf("ReseedDerived(%q) from %d: seed %d, hash/fnv %d", p, root, got, want)
+			}
+			if a, b := scratch.Int63(), New(want).Int63(); a != b {
+				t.Errorf("ReseedDerived(%q) from %d: first draw %d, want %d", p, root, a, b)
+			}
+		}
 	}
 }
 
