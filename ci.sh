@@ -60,7 +60,8 @@
 #                                16), one generated day through
 #                                scopeql.Compile,
 #                                the nn train/forward kernels at the
-#                                learn_groups shape, the exec simulator's
+#                                learn_groups shape, one learn_groups
+#                                group's Train and Save+Load, the exec simulator's
 #                                Run/Explain over the discover_* plan shapes
 #                                and xrand's short-stream (reseed + 3 draws)
 #                                and long-stream (seed + 1,000 draws) paths,
@@ -155,6 +156,7 @@ go test -race ./internal/xrand/ -run TestReseedDrawAllocationFree -count=1
 echo "== bench smoke (1x, serial + 4 workers) =="
 go test -run '^$' -bench 'Benchmark(CompileDefault|PipelineWorkers(1|4)|BundleRepass|SessionCandidates|FrontEndDay)$' -benchtime=1x -benchmem .
 go test -run '^$' -bench 'Benchmark(Train|Forward)$' -benchtime=1x ./internal/nn/
+go test -run '^$' -bench 'Benchmark(TrainModel|SaveLoad)$' -benchtime=1x ./internal/learning/
 go test -run '^$' -bench 'Benchmark(Run|Explain)$' -benchtime=1x ./internal/exec/
 go test -run '^$' -bench 'Benchmark(ReseedDraw3|SeedFill)$' -benchtime=1x ./internal/xrand/
 

@@ -24,6 +24,7 @@ import (
 	"steerq/internal/cascades"
 	"steerq/internal/feature"
 	"steerq/internal/nn"
+	"steerq/internal/par"
 	"steerq/internal/steering"
 	"steerq/internal/workload"
 	"steerq/internal/xrand"
@@ -59,25 +60,11 @@ func CandidateArms(p *steering.Pipeline, group []*workload.Job, nBase, maxArms i
 		if err != nil {
 			return nil, fmt.Errorf("learning: base job %s: %w", group[bi].ID, err)
 		}
-		type scored struct {
-			cfg bitvec.Vector
-			rt  float64
-		}
-		var ok []scored
-		for _, t := range a.Trials {
-			if t.Err != nil {
-				continue
+		for _, cfg := range fastestConfigs(a.Trials, 3) {
+			if k := cfg.Key(); !seen[k] {
+				seen[k] = true
+				arms = append(arms, cfg)
 			}
-			ok = append(ok, scored{t.Config, t.Metrics.RuntimeSec})
-		}
-		sort.Slice(ok, func(i, j int) bool { return ok[i].rt < ok[j].rt })
-		for i := 0; i < 3 && i < len(ok); i++ {
-			k := ok[i].cfg.Key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			arms = append(arms, ok[i].cfg)
 		}
 	}
 	if len(arms) > maxArms {
@@ -86,7 +73,31 @@ func CandidateArms(p *steering.Pipeline, group []*workload.Job, nBase, maxArms i
 	return arms, nil
 }
 
-// Collect executes every arm for every job and assembles the dataset.
+// fastestConfigs returns the configurations of the n fastest successful
+// trials, fastest first; equal runtimes keep trial order at any trial count.
+func fastestConfigs(trials []abtest.Trial, n int) []bitvec.Vector {
+	type scored struct {
+		cfg bitvec.Vector
+		rt  float64
+	}
+	var ok []scored
+	for _, t := range trials {
+		if t.Err == nil {
+			ok = append(ok, scored{t.Config, t.Metrics.RuntimeSec})
+		}
+	}
+	sort.SliceStable(ok, func(i, j int) bool { return ok[i].rt < ok[j].rt })
+	out := make([]bitvec.Vector, 0, n)
+	for _, s := range ok[:min(n, len(ok))] {
+		out = append(out, s.cfg)
+	}
+	return out
+}
+
+// Collect executes every arm for every job and assembles the dataset. A
+// job's arms compile on one cascades.Session, which shares explored memos
+// between arms that agree on their transformation bits; every Result is what
+// a fresh Optimize returns.
 func Collect(h *abtest.Harness, sig bitvec.Vector, jobs []*workload.Job, arms []bitvec.Vector) *Dataset {
 	ds := &Dataset{Signature: sig, Configs: arms}
 	ctx := context.Background()
@@ -105,12 +116,13 @@ func Collect(h *abtest.Harness, sig bitvec.Vector, jobs []*workload.Job, arms []
 			}
 		}
 		var defaultSig bitvec.Vector
+		sess := h.Opt.NewSession(j.Root)
 		for k, cfg := range arms {
 			tag := fmt.Sprintf("%s/arm%d", j.ID, k)
 			// The trial in its two halves: arm 0 also reads the compiled plan.
 			var t abtest.Trial
 			res, _, err := h.CompileCtx(ctx, tag, nil, func(bool) (*cascades.Result, error) {
-				return h.Opt.Optimize(j.Root, cfg)
+				return sess.Optimize(cfg, true)
 			})
 			if err == nil {
 				t = h.ExecCtx(ctx, res, j.Day, tag, nil)
@@ -130,6 +142,7 @@ func Collect(h *abtest.Harness, sig bitvec.Vector, jobs []*workload.Job, arms []
 			ex.Feats.Diffs[k] = steering.DiffVector(defaultSig, t.Signature)
 			ex.Runtimes[k] = t.Metrics.RuntimeSec
 		}
+		sess.Close()
 		if ex.Runtimes[0] < 0 {
 			continue // job group membership requires a default plan
 		}
@@ -166,9 +179,10 @@ type Model struct {
 // TrainOptions parameterize Train.
 type TrainOptions struct {
 	// Hidden is the hidden-layer width. The paper uses 1024; the simulator
-	// defaults to 64, which at ~200 encoded features and a 16-example train
-	// split costs tens of milliseconds per group (BenchmarkTrain in
-	// internal/nn is one of the two budgets at that shape).
+	// defaults to 64, which at the 184–208 encoded features and 16-example
+	// train split of a learn_groups group costs tens of milliseconds per
+	// group (BenchmarkTrainModel; BenchmarkTrain in internal/nn is one of
+	// the two budgets at that shape).
 	Hidden int
 	// NN configures each training run; its Epochs is the larger of the two
 	// candidate budgets (non-positive means the nn default).
@@ -211,7 +225,7 @@ func samples(enc *feature.Encoder, ds *Dataset, idx []int) []nn.Sample {
 
 // Train fits a model on the dataset's train split. The validation split
 // selects between candidate epoch budgets (light hyperparameter tuning, as
-// §7.4 describes).
+// §7.4 describes), which are fitted on par.Workers(0) goroutines.
 func Train(ds *Dataset, split Split, opts TrainOptions, r *xrand.Source) *Model {
 	k := len(ds.Configs)
 	trainFeats := make([]feature.JobFeatures, 0, len(split.Train))
@@ -226,16 +240,26 @@ func Train(ds *Dataset, split Split, opts TrainOptions, r *xrand.Source) *Model 
 		selectOn = trainSamples
 	}
 
-	var best *nn.Network
-	bestLoss := math.Inf(1)
-	for _, epochs := range epochBudgets(opts.NN.Epochs) {
+	// The budgets fit concurrently: each draws only from its own derived
+	// streams and only reads the samples. The pick walks them in budget
+	// order, so the model is the one a serial loop keeps.
+	type fit struct {
+		net  *nn.Network
+		loss float64
+	}
+	fits, _ := par.Map(0, epochBudgets(opts.NN.Epochs), func(_ int, epochs int) (fit, error) {
 		cfg := opts.NN
 		cfg.Epochs = epochs
 		net := nn.New(enc.Width(), opts.Hidden, k, r.Derive("init", fmt.Sprint(epochs)))
 		net.Train(trainSamples, cfg, r.Derive("train", fmt.Sprint(epochs)))
-		if loss := net.BCELoss(selectOn); loss < bestLoss {
-			bestLoss = loss
-			best = net
+		return fit{net, net.BCELoss(selectOn)}, nil
+	})
+	var best *nn.Network
+	bestLoss := math.Inf(1)
+	for _, f := range fits {
+		if f.loss < bestLoss {
+			bestLoss = f.loss
+			best = f.net
 		}
 	}
 	return &Model{Enc: enc, Net: best, Configs: ds.Configs}
@@ -371,18 +395,14 @@ func (ev Evaluation) Summarize(get func(JobOutcome) float64) Summary {
 // compiler front end can load and apply it without retraining (the paper's
 // models are trained offline and used "in an online scenario", §4).
 type SavedModel struct {
-	Net     json.RawMessage  `json:"net"`
+	Net     *nn.Network      `json:"net"`
 	Enc     *feature.Encoder `json:"encoder"`
 	Configs []string         `json:"configs"` // hex-encoded arms
 }
 
 // Save serializes the model to JSON.
 func (m *Model) Save() ([]byte, error) {
-	netData, err := m.Net.Marshal()
-	if err != nil {
-		return nil, err
-	}
-	sm := SavedModel{Net: netData, Enc: m.Enc}
+	sm := SavedModel{Net: m.Net, Enc: m.Enc}
 	for _, c := range m.Configs {
 		sm.Configs = append(sm.Configs, c.Hex())
 	}
@@ -393,15 +413,19 @@ func (m *Model) Save() ([]byte, error) {
 // together (a network that is itself inconsistent wraps nn.ErrShape).
 var ErrMalformed = errors.New("learning: malformed saved model")
 
-// Load restores a model serialized with Save. A model that loads is safe to
-// apply: the encoder, the network and the arms agree on every dimension.
+// Load restores a model serialized with Save, decoding it in one pass. A
+// model that loads is safe to apply: the encoder, the network and the arms
+// agree on every dimension.
 func Load(data []byte) (*Model, error) {
 	var sm SavedModel
 	if err := json.Unmarshal(data, &sm); err != nil {
 		return nil, fmt.Errorf("learning: load model: %w", err)
 	}
-	net, err := nn.Unmarshal(sm.Net)
-	if err != nil {
+	if sm.Net == nil {
+		return nil, fmt.Errorf("learning: load model: no network: %w", ErrMalformed)
+	}
+	net := sm.Net
+	if err := net.Validate(); err != nil {
 		return nil, fmt.Errorf("learning: load model: %w", err)
 	}
 	switch {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"steerq/internal/abtest"
+	"steerq/internal/bitvec"
 	"steerq/internal/cost"
 	"steerq/internal/nn"
 	"steerq/internal/rules"
@@ -242,11 +243,11 @@ func TestTrainOneEpochBudget(t *testing.T) {
 	r := xrand.New(6)
 	want := nn.New(model.Enc.Width(), opts.Hidden, len(ds.Configs), r.Derive("init", "1"))
 	want.Train(samples(model.Enc, ds, split.Train), opts.NN, r.Derive("train", "1"))
-	got, err := model.Net.Marshal()
+	got, err := json.Marshal(model.Net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantData, err := want.Marshal()
+	wantData, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,6 +285,8 @@ func TestLoadRejectsTampered(t *testing.T) {
 		data []byte
 		is   error // nil: any error will do
 	}{
+		{"no network", tamper(func(m map[string]any) { delete(m, "net") }), ErrMalformed},
+		{"null network", tamper(func(m map[string]any) { m["net"] = nil }), ErrMalformed},
 		{"no encoder", tamper(func(m map[string]any) { delete(m, "encoder") }), ErrMalformed},
 		{"null encoder", tamper(func(m map[string]any) { m["encoder"] = nil }), ErrMalformed},
 		{"arm dropped", tamper(func(m map[string]any) { m["configs"] = m["configs"].([]any)[1:] }), ErrMalformed},
@@ -313,5 +316,27 @@ func TestLoadRejectsTampered(t *testing.T) {
 	}
 	if m, err := Load(good); err != nil || m.Choose(ds.Examples[0].Feats) < 0 {
 		t.Fatalf("untampered model: %v", err)
+	}
+}
+
+// TestFastestConfigsKeepsTrialOrderOnTies: trials with equal runtimes rank
+// in trial order. With more than 12 trials an unstable sort may reorder
+// them.
+func TestFastestConfigsKeepsTrialOrderOnTies(t *testing.T) {
+	var trials []abtest.Trial
+	for i := range 40 {
+		tr := abtest.Trial{Config: bitvec.New(i)}
+		tr.Metrics.RuntimeSec = float64(10 - i%3) // 10, 9, 8, 10, 9, 8, ...
+		if i == 2 {
+			tr.Err = errors.New("no plan")
+		}
+		trials = append(trials, tr)
+	}
+	want := []bitvec.Vector{bitvec.New(5), bitvec.New(8), bitvec.New(11), bitvec.New(14)}
+	if got := fastestConfigs(trials, 4); !slices.EqualFunc(got, want, bitvec.Vector.Equal) {
+		t.Fatalf("fastest 4 = %v, want %v", got, want)
+	}
+	if got := fastestConfigs(trials[:2], 3); len(got) != 2 || !got[0].Equal(bitvec.New(1)) {
+		t.Fatalf("fastest 3 of 2 = %v, want trial 1 then trial 0", got)
 	}
 }

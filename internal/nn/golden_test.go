@@ -1,6 +1,7 @@
 package nn_test
 
 import (
+	"encoding/json"
 	"hash/fnv"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 // The training kernel's contract is bit identity with the loop it replaced
 // (DESIGN.md, "Training kernel"): same floating-point operations, same order.
-// These are the FNV-1a 64 hashes of Network.Marshal() after Train, recorded
+// These are the FNV-1a 64 hashes of the network's JSON after Train, recorded
 // on the commit before the kernel rewrite (89ab94a, linux/amd64, where the Go
 // compiler fuses no multiply-adds). A kernel change that moves one of them
 // has changed the trained bits of every model in the repo.
@@ -55,7 +56,7 @@ func trainedHash(t *testing.T, in, hidden, out int, samples []nn.Sample, cfg nn.
 	root := xrand.New(seed)
 	net := nn.New(in, hidden, out, root.Derive("init"))
 	net.Train(samples, cfg, root.Derive("train"))
-	data, err := net.Marshal()
+	data, err := json.Marshal(net)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package nn_test
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -171,11 +172,11 @@ func TestTrainingReseedDerivedBitIdentical(t *testing.T) {
 	if lossA != lossB {
 		t.Fatalf("training loss differs: Derive %v, ReseedDerivedBytes %v", lossA, lossB)
 	}
-	ab, err := a.Marshal()
+	ab, err := json.Marshal(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := b.Marshal()
+	bb, err := json.Marshal(b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@
 package nn
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -455,47 +454,36 @@ func (n *Network) Gradients(samples []Sample) (gw1 [][]float64, gb1 []float64, g
 	return g.w1, g.b1, g.w2, g.b2
 }
 
-// Marshal serializes the network to JSON (the models are ~small at simulator
-// scale; the paper's are ~30 MB).
-func (n *Network) Marshal() ([]byte, error) { return json.Marshal(n) }
-
-// ErrShape is wrapped by Unmarshal when a serialized network's dimensions
-// disagree with each other.
+// ErrShape is wrapped by Validate when a network's dimensions disagree with
+// each other.
 var ErrShape = errors.New("nn: inconsistent model shape")
 
-// Unmarshal restores a network serialized by Marshal. Every dimension is
-// checked here, so a network that loads cannot index out of range at
-// inference. (Non-finite weights need no check of their own: JSON has no
-// spelling for them, so the decoder has already refused the file.)
-func Unmarshal(data []byte) (*Network, error) {
-	var n Network
-	if err := json.Unmarshal(data, &n); err != nil {
-		return nil, fmt.Errorf("nn: unmarshal: %w", err)
-	}
+// Validate checks every dimension of a network decoded from JSON, so a
+// network that passes cannot index out of range at inference. Non-finite
+// weights need no check of their own: JSON has no spelling for them, so the
+// decoder has already refused the file.
+func (n *Network) Validate() error {
 	if n.In <= 0 || n.Hidden <= 0 || n.Out <= 0 {
-		return nil, fmt.Errorf("nn: unmarshal: dimensions %dx%dx%d: %w", n.In, n.Hidden, n.Out, ErrShape)
+		return fmt.Errorf("nn: dimensions %dx%dx%d: %w", n.In, n.Hidden, n.Out, ErrShape)
 	}
 	if err := checkLayer(1, n.W1, n.B1, n.Hidden, n.In); err != nil {
-		return nil, err
+		return err
 	}
-	if err := checkLayer(2, n.W2, n.B2, n.Out, n.Hidden); err != nil {
-		return nil, err
-	}
-	return &n, nil
+	return checkLayer(2, n.W2, n.B2, n.Out, n.Hidden)
 }
 
 // checkLayer verifies layer l (w<l>, b<l>) is rows x cols with a bias per row.
 func checkLayer(l int, w [][]float64, b []float64, rows, cols int) error {
 	if len(w) != rows {
-		return fmt.Errorf("nn: unmarshal: w%d has %d rows, want %d: %w", l, len(w), rows, ErrShape)
+		return fmt.Errorf("nn: w%d has %d rows, want %d: %w", l, len(w), rows, ErrShape)
 	}
 	for i, row := range w {
 		if len(row) != cols {
-			return fmt.Errorf("nn: unmarshal: w%d row %d has %d weights, want %d: %w", l, i, len(row), cols, ErrShape)
+			return fmt.Errorf("nn: w%d row %d has %d weights, want %d: %w", l, i, len(row), cols, ErrShape)
 		}
 	}
 	if len(b) != rows {
-		return fmt.Errorf("nn: unmarshal: b%d has %d biases, want %d: %w", l, len(b), rows, ErrShape)
+		return fmt.Errorf("nn: b%d has %d biases, want %d: %w", l, len(b), rows, ErrShape)
 	}
 	return nil
 }

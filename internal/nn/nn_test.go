@@ -151,14 +151,26 @@ func TestEmptyTraining(t *testing.T) {
 	}
 }
 
+// decode is how a network is loaded: encoding/json, then Validate.
+func decode(data []byte) (*Network, error) {
+	var n Network
+	if err := json.Unmarshal(data, &n); err != nil {
+		return nil, err
+	}
+	if err := n.Validate(); err != nil {
+		return nil, err
+	}
+	return &n, nil
+}
+
 func TestSerializationRoundTrip(t *testing.T) {
 	r := xrand.New(19)
 	net := New(3, 8, 2, r)
-	data, err := net.Marshal()
+	data, err := json.Marshal(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Unmarshal(data)
+	got, err := decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +181,8 @@ func TestSerializationRoundTrip(t *testing.T) {
 			t.Fatal("round-tripped network differs")
 		}
 	}
-	if _, err := Unmarshal([]byte("{bad")); err == nil {
-		t.Fatal("Unmarshal accepted garbage")
+	if _, err := decode([]byte("{bad")); err == nil {
+		t.Fatal("decode accepted garbage")
 	}
 }
 
@@ -183,7 +195,7 @@ func TestTrainPartialConfig(t *testing.T) {
 		r := xrand.New(23)
 		net := New(2, 8, 2, r.Derive("init"))
 		net.Train(rankingTask(40, r.Derive("data")), cfg, r.Derive("sgd"))
-		data, err := net.Marshal()
+		data, err := json.Marshal(net)
 		if err != nil {
 			t.Error(err)
 		}
@@ -208,11 +220,11 @@ func TestTrainPartialConfig(t *testing.T) {
 func TestTrainDecodedNetwork(t *testing.T) {
 	r := xrand.New(29)
 	orig := New(3, 6, 2, r.Derive("init"))
-	data, err := orig.Marshal()
+	data, err := json.Marshal(orig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := Unmarshal(data)
+	decoded, err := decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +236,8 @@ func TestTrainDecodedNetwork(t *testing.T) {
 	cfg := TrainConfig{Epochs: 25, BatchSize: 2, LR: 1e-2, L2: 1e-4}
 	orig.Train(samples, cfg, r.Derive("sgd"))
 	decoded.Train(samples, cfg, r.Derive("sgd"))
-	a, _ := orig.Marshal()
-	b, _ := decoded.Marshal()
+	a, _ := json.Marshal(orig)
+	b, _ := json.Marshal(decoded)
 	if string(a) != string(b) {
 		t.Fatal("decoded network trained to different weights than the original")
 	}
@@ -242,8 +254,11 @@ func TestTrainDecodedNetwork(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsMalformed: a decoded network with inconsistent
+// dimensions fails Validate with ErrShape; a non-finite weight fails the
+// decoder itself.
 func TestUnmarshalRejectsMalformed(t *testing.T) {
-	good, err := New(3, 2, 2, xrand.New(31)).Marshal()
+	good, err := json.Marshal(New(3, 2, 2, xrand.New(31)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +295,7 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 		if bytes.Equal(c.data, good) {
 			t.Fatalf("%s: tampering left the file unchanged", c.name)
 		}
-		_, err := Unmarshal(c.data)
+		_, err := decode(c.data)
 		if err == nil {
 			t.Errorf("%s: loaded without error", c.name)
 		} else if errors.Is(err, ErrShape) != c.shape {
