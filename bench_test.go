@@ -184,10 +184,11 @@ func BenchmarkBundleRepass(b *testing.B) {
 // rules the sweep consulted per compile (the rest were read by a group state
 // an earlier compile filed), next to what the same compiles consult one-shot,
 // and must stay at or below three quarters of it (it measures 4.7 against
-// 8.8). allocs/compile spreads the sweep's allocations — the explorations'
-// rule payloads and one Result per compile; the physical phases allocate
-// nothing — over its compiles, and must stay at or below 16 (it measures 10;
-// 44 when every costed operator built a map).
+// 8.8). allocs/compile spreads the sweep's allocations — one Result per
+// compile and the explorations' few rule leftovers (column-set maps); rules
+// carve their output from the arena and the physical phases allocate
+// nothing — over its compiles, and must stay at or below 16 (it measures
+// 2.5).
 func BenchmarkSessionCandidates(b *testing.B) {
 	r := experiments.NewRunner(benchConfig())
 	opt := r.Harness("A").Opt

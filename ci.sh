@@ -35,7 +35,9 @@
 #                                allocates only its token slice, a warm
 #                                Compile only its plan, pinned exactly), the
 #                                compile allocation
-#                                budget, the warm
+#                                budget, the one-shot compile's byte bound
+#                                (rules carve their output from the arena),
+#                                the warm
 #                                session compile's (its Result and nothing
 #                                else), the column-statistics sets against
 #                                their map reference, the nn
@@ -45,7 +47,7 @@
 #                                allocation-free reseed-and-draw re-checked
 #                                under -race (testing.AllocsPerRun)
 #   8. bench smoke               the one-shot compile (a one-compile
-#                                session; at -benchtime=20000x it reads 396
+#                                session; at -benchtime=20000x it reads 14
 #                                allocs/op, here the first compile also
 #                                builds the pooled arena), the
 #                                serial and 4-worker pipeline benchmarks
@@ -147,7 +149,7 @@ STEERQ_WORKERS=4 STEERQ_CHECK_PLANS=1 go test -race ./internal/faults/ -run 'Tes
 echo "== alloc regression (race) =="
 go test -race ./internal/scopeql/ -run TestFrontEndAllocationBudget -count=1
 go test -race ./internal/rules/ -run TestCompileAllocationBudget -count=1
-go test -race ./internal/cascades/ -run TestSessionWarmCompileAllocations -count=1
+go test -race ./internal/cascades/ -run 'TestSessionWarmCompileAllocations|TestOneShotCompileBytes' -count=1
 go test -race ./internal/cost/ -run TestNDVsMatchMapReference -count=1
 go test -race ./internal/nn/ -run 'TestTrainAllocationBudget|TestForwardAllocationFree' -count=1
 go test -race ./internal/exec/ -run 'TestRunCostsEachNodeOnce|TestRunAllocationBudget' -count=1

@@ -10,8 +10,27 @@ import (
 // produced an operator in the plan plus every transformation rule on the
 // derivation chain of the logical expressions those operators implement.
 func (s *search) extract(w *winner) (*plan.PhysNode, bitvec.Vector) {
-	var sig bitvec.Vector
+	// Size the plan first: its nodes and its child lists each come out of
+	// one allocation.
+	nodes, edges := 0, 0
 	epoch := s.walk()
+	var size func(p *pexpr)
+	size = func(p *pexpr) {
+		if p.mark == epoch {
+			return
+		}
+		p.mark = epoch
+		nodes, edges = nodes+1, edges+len(p.children)
+		for _, c := range p.children {
+			size(c)
+		}
+	}
+	size(w)
+	nodeBuf := make([]plan.PhysNode, nodes)
+	childBuf := make([]*plan.PhysNode, edges)
+
+	var sig bitvec.Vector
+	epoch = s.walk()
 	var rec func(p *pexpr) *plan.PhysNode
 	rec = func(p *pexpr) *plan.PhysNode {
 		if p.mark == epoch {
@@ -24,7 +43,9 @@ func (s *search) extract(w *winner) (*plan.PhysNode, bitvec.Vector) {
 		if p.lexpr != nil {
 			sig = sig.Or(p.lexpr.Provenance)
 		}
-		n := &plan.PhysNode{
+		n := &nodeBuf[0]
+		nodeBuf = nodeBuf[1:]
+		*n = plan.PhysNode{
 			Op:       p.op,
 			Schema:   p.node.Schema,
 			Dist:     p.outDist,
@@ -38,9 +59,10 @@ func (s *search) extract(w *winner) (*plan.PhysNode, bitvec.Vector) {
 			// payload's (join commutes may reorder payload columns).
 			n.Schema = p.lexpr.Group.Schema
 		}
-		copyPayload(n, p.node)
+		s.scratch.copyPayload(n, p.node)
 		p.built = n
-		n.Children = make([]*plan.PhysNode, len(p.children))
+		k := len(p.children)
+		n.Children, childBuf = childBuf[:k:k], childBuf[k:]
 		for i, c := range p.children {
 			n.Children[i] = rec(c)
 		}
@@ -101,15 +123,37 @@ func (s *search) walk() uint32 {
 	return s.scratch.epoch
 }
 
-func copyPayload(dst *plan.PhysNode, src *plan.Node) {
+// copyPayload fills dst's schema, distribution and payload fields from src,
+// the operator's arena payload: what the arena owns is copied out (kept,
+// keptExpr) and the rest — strings, the input plan's slices and expressions —
+// is shared.
+func (sc *searchScratch) copyPayload(dst *plan.PhysNode, src *plan.Node) {
+	dst.Schema = kept(&sc.cols, dst.Schema)
+	dst.Dist.Keys = kept(&sc.ids, dst.Dist.Keys)
 	dst.Table = src.Table
-	dst.Pred = src.Pred
-	dst.Projs = src.Projs
-	dst.GroupKeys = src.GroupKeys
-	dst.Aggs = src.Aggs
+	dst.Pred = sc.keptExpr(src.Pred)
+	dst.Projs = kept(&sc.projs, src.Projs)
+	for i, p := range dst.Projs {
+		if e := sc.keptExpr(p.Expr); e != p.Expr {
+			if &dst.Projs[0] == &src.Projs[0] { // still the payload's list
+				dst.Projs = append([]plan.Projection(nil), src.Projs...)
+			}
+			dst.Projs[i].Expr = e
+		}
+	}
+	dst.GroupKeys = kept(&sc.cols, src.GroupKeys)
+	dst.Aggs = kept(&sc.aggs, src.Aggs)
+	for i, a := range dst.Aggs {
+		if e := sc.keptExpr(a.Arg); e != a.Arg {
+			if &dst.Aggs[0] == &src.Aggs[0] { // still the payload's list
+				dst.Aggs = append([]plan.Agg(nil), src.Aggs...)
+			}
+			dst.Aggs[i].Arg = e
+		}
+	}
 	dst.Processor = src.Processor
-	dst.ReduceKeys = src.ReduceKeys
+	dst.ReduceKeys = kept(&sc.cols, src.ReduceKeys)
 	dst.TopN = src.TopN
-	dst.SortKeys = src.SortKeys
+	dst.SortKeys = kept(&sc.sortKeys, src.SortKeys)
 	dst.OutputPath = src.OutputPath
 }

@@ -66,9 +66,10 @@ type groupSearch struct {
 
 // groupWinner is one entry of a state's winner list: the requirement as the
 // caller passed it and the best plan for it. dist.Keys aliases the requiring
-// rule's PhysProto.ChildReq, which nothing mutates once returned — enforcers
-// alias the same slices into their outDist, and through it into extracted
-// plans — so holding the requirement itself costs no copy.
+// rule's PhysProto.ChildReq, carved from the memo and never mutated once
+// returned — enforcers alias the same keys into their outDist, and
+// extraction copies them out of the arena — so holding the requirement
+// itself costs no copy.
 type groupWinner struct {
 	dist plan.Distribution
 	w    *winner
@@ -530,20 +531,4 @@ func (s *search) wrapSort(inner *pexpr, g *Group) *pexpr {
 	srt.usage = s.localUsage(srt)
 	srt.total = inner.total + srt.usage.LatencySeconds
 	return srt
-}
-
-// SortedKeys returns column IDs sorted ascending (canonical form for hash
-// distribution requirements). Key lists are tiny, so insertion sort beats
-// sort.Slice and avoids its closure allocation on a per-candidate path.
-func SortedKeys(cols []plan.Column) []plan.ColumnID {
-	ids := make([]plan.ColumnID, len(cols))
-	for i, c := range cols {
-		ids[i] = c.ID
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	return ids
 }

@@ -307,7 +307,8 @@ func (s *search) explore() {
 						continue
 					}
 					results := r.Apply(e, s.m)
-					if results == nil {
+					if len(results) == 0 {
+						s.scratch.applied()
 						continue // did not match; may match later passes
 					}
 					s.firings[ri.Category]++
@@ -317,6 +318,7 @@ func (s *search) explore() {
 							changed = true
 						}
 					}
+					s.scratch.applied()
 					if s.m.Full() {
 						return
 					}

@@ -55,8 +55,12 @@ type TransformRule interface {
 	// RuleSet.indexByOp), so Apply need not check it.
 	MatchOp() plan.Op
 	// Apply returns zero or more equivalent expressions for e, whose
-	// operator is MatchOp(). Returned RNodes join e's group. Apply must not
-	// mutate e or the memo besides allocating column IDs via m.NewColID.
+	// operator is MatchOp(); none means the rule did not match. Returned
+	// RNodes join e's group. Apply must not mutate e or the memo besides
+	// allocating column IDs via m.NewColID and carving through the memo
+	// (Node, Columns, RNode, Results, ...): everything it builds comes from
+	// the carve methods, and the memo owns it. The returned list and RNodes
+	// live until Intern has read them; the payloads live as long as the memo.
 	Apply(e *MExpr, m *Memo) []*RNode
 }
 
@@ -101,6 +105,11 @@ type ImplementRule interface {
 	// statistics. The optimizer calls it at most once per expression and
 	// hands the returned protos, unmodified, to every compile sharing the
 	// memo, so a rule must not retain or later mutate what it returned.
+	//
+	// The protos, their list, child requirements and hash keys are carved
+	// through the memo (Protos, Dists, HashDist) and the memo owns them:
+	// they live until the session closes, and extraction copies out what a
+	// returned plan keeps. Payload nodes are e's own or carved too.
 	Implement(e *MExpr, m *Memo) []*PhysProto
 }
 

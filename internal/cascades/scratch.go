@@ -25,6 +25,21 @@ const (
 	winnerChunkLen = 64
 	headChunkLen   = 256
 	keysChunkLen   = 4096
+
+	colsChunkLen       = 512
+	aggsChunkLen       = 128
+	projsChunkLen      = 64
+	sortKeysChunkLen   = 64
+	idsChunkLen        = 1024
+	distsChunkLen      = 256
+	protosChunkLen     = 128
+	protoListsChunkLen = 256
+	rnodesChunkLen     = 64
+	rchildrenChunkLen  = 128
+	resultsChunkLen    = 64
+	predsChunkLen      = 128
+	exprNodesChunkLen  = 128
+	exprArgsChunkLen   = 256
 )
 
 // slab is a chunked bump allocator: elements are carved front to back from
@@ -93,8 +108,10 @@ func (s *slab[T]) reset() {
 // candidate configuration; recycling the arena turns that from GC churn into
 // a handful of memclears and map clears.
 //
-// The arena has three lifetimes (DESIGN.md, "Two phases, two key sets"):
+// The arena has four lifetimes (DESIGN.md, "Two phases, two key sets"):
 //
+//   - the apply side — the wrappers that carry one rule application's
+//     output to Intern (carve.go) — is rewound after every application;
 //   - the compile side — which state each group resolved to, the property
 //     and candidate stacks — lives for one compile and is handed back by
 //     search.release;
@@ -102,18 +119,20 @@ func (s *slab[T]) reset() {
 //     explored; Memo.freeze hands it back for the session's next memo;
 //   - everything else lives until Session.Close: the memo side —
 //     expressions and their keys, groups and their statistics, child
-//     slices, payload copies, cached implementation alternatives — carved
-//     by every memo of the session, and the physical side — the filed
-//     group states with their candidates, winners and statistics — carved
-//     by every compile, since a later compile reuses any state its
-//     configuration cannot tell apart.
+//     slices, payload copies, everything a rule carves for its output
+//     (carve.go), cached implementation alternatives — carved by every memo
+//     of the session, and the physical side — the filed group states with
+//     their candidates, winners and statistics — carved by every compile,
+//     since a later compile reuses any state its configuration cannot tell
+//     apart.
 //
 // Safety rests on an ownership argument, not on luck: extract materializes
-// the winning plan into fresh plan.PhysNodes whose payload slices belong to
-// the plan.Nodes and schema arrays the rules allocated — never to a pexpr,
-// an MExpr, a Group struct or any chunk. No pointer into the arena survives
-// in a Result, so once the session is closed the arena can be zeroed and
-// handed to the next one.
+// the winning plan into fresh plan.PhysNodes and copies out every payload
+// slice, hash-key list and expression node the arena owns (kept, keptExpr),
+// sharing only what the input plan or the heap owns — strings, the logical
+// plan's own slices and expressions. No pointer into the arena survives in
+// a Result, so once the session is closed the arena can be zeroed and handed
+// to the next one.
 type searchScratch struct {
 	// Physical side. filed heads each memo's state lists, by GroupID, in
 	// slices carved from heads; epoch is the last visit stamp (extract.go).
@@ -141,20 +160,41 @@ type searchScratch struct {
 	memoProps  []cost.Props
 	memoSchema [][]plan.Column
 
-	// Memo side. nodes back the memos' shallow payload copies: plan
-	// extraction copies payload slice headers out of them but never retains
-	// the structs, so they recycle with the rest. keys back MExpr.key.
-	mexprs  slab[MExpr]
-	groups  slab[Group]
-	gslices slab[*Group]
-	exprs   slab[*MExpr]
-	nodes   slab[plan.Node]
-	impls   slab[implAlt]
-	keys    slab[byte]
+	// Memo side. nodes back the memos' shallow payload copies and the
+	// rules' payloads: plan extraction copies payload fields out of them but
+	// never retains the structs. cols, aggs, projs and sortKeys back the
+	// rules' payload slices, exprNodes and exprArgs their predicate trees,
+	// protos, protoLists, dists and ids their implementation prototypes,
+	// child requirements and hash keys, and names their column names
+	// (Memo.Name). keys back MExpr.key.
+	mexprs     slab[MExpr]
+	groups     slab[Group]
+	gslices    slab[*Group]
+	exprs      slab[*MExpr]
+	nodes      slab[plan.Node]
+	impls      slab[implAlt]
+	keys       slab[byte]
+	cols       slab[plan.Column]
+	aggs       slab[plan.Agg]
+	projs      slab[plan.Projection]
+	sortKeys   slab[plan.SortKey]
+	ids        slab[plan.ColumnID]
+	dists      slab[plan.Distribution]
+	protos     slab[PhysProto]
+	protoLists slab[*PhysProto]
+	exprNodes  slab[plan.Expr]
+	exprArgs   slab[*plan.Expr]
+	names      map[nameKey]string
 	// memoStats backs Group.Props column statistics.
 	memoStats cost.Arena
 	// memos are the session's explored memos by cfg ∧ transformMask.
 	memos map[bitvec.Key]*Memo
+
+	// Apply side.
+	rnodes    slab[RNode]
+	rchildren slab[RChild]
+	results   slab[*RNode]
+	preds     slab[*plan.Expr]
 }
 
 // newSearchScratch builds an empty arena; the slabs grow lazily on first use.
@@ -164,6 +204,7 @@ func newSearchScratch() *searchScratch {
 		byNode:  make(map[*plan.Node]*Group),
 		memos:   make(map[bitvec.Key]*Memo),
 		filed:   make(map[*Memo][]*groupSearch),
+		names:   make(map[nameKey]string),
 	}
 }
 
@@ -239,6 +280,18 @@ func (sc *searchScratch) retire() {
 	sc.nodes.reset()
 	sc.impls.reset()
 	sc.keys.reset()
+	sc.cols.reset()
+	sc.aggs.reset()
+	sc.projs.reset()
+	sc.sortKeys.reset()
+	sc.ids.reset()
+	sc.dists.reset()
+	sc.protos.reset()
+	sc.protoLists.reset()
+	sc.exprNodes.reset()
+	sc.exprArgs.reset()
+	clear(sc.names)
+	sc.applied()
 	sc.memoStats.Reset()
 	clear(sc.memos)
 }

@@ -2,9 +2,11 @@ package cascades_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"steerq/internal/cascades"
+	"steerq/internal/plan"
 	"steerq/internal/rules"
 )
 
@@ -58,4 +60,43 @@ func TestSessionOnScratchMatchesOptimize(t *testing.T) {
 		}
 		sess.Close()
 	}
+}
+
+// TestMemoAndMatchesPlanAnd: Memo.And builds the very conjunction plan.And
+// builds — same shape, same argument pointers, nested conjunctions flattened,
+// nils dropped, a lone conjunct returned as itself — for every combination
+// of up to three arguments drawn from nil, leaves and conjunctions (empty,
+// one-armed and two-armed).
+func TestMemoAndMatchesPlanAnd(t *testing.T) {
+	cat := testCatalog()
+	m := cascades.NewMemo(compile(t, cat, joinAggScript), newOpt(cat).Est)
+	x, y, z := plan.NumExpr(1), plan.NumExpr(2), plan.NumExpr(3)
+	pool := []*plan.Expr{
+		nil, x, y,
+		{Kind: plan.ExprAnd},
+		{Kind: plan.ExprAnd, Args: []*plan.Expr{z}},
+		plan.And(y, z),
+	}
+	same := func(a, b *plan.Expr) bool {
+		if a == nil || b == nil || a.Kind != plan.ExprAnd {
+			return a == b
+		}
+		return b.Kind == plan.ExprAnd && slices.Equal(a.Args, b.Args)
+	}
+	var args []*plan.Expr
+	var rec func(depth int)
+	rec = func(depth int) {
+		if want, got := plan.And(args...), m.And(args...); !same(want, got) {
+			t.Fatalf("And(%v) = %v, plan.And gives %v", args, got, want)
+		}
+		if depth == 3 {
+			return
+		}
+		for _, p := range pool {
+			args = append(args, p)
+			rec(depth + 1)
+			args = args[:len(args)-1]
+		}
+	}
+	rec(0)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -33,12 +34,32 @@ func (r toyTransform) Apply(e *MExpr, m *Memo) []*RNode { return r.apply(e, m) }
 type toyImpl struct {
 	info RuleInfo
 	op   plan.Op
-	impl func(e *MExpr) *PhysProto
+	impl func(e *MExpr, m *Memo, p *PhysProto)
 }
 
-func (r toyImpl) Info() RuleInfo                           { return r.info }
-func (r toyImpl) MatchOp() plan.Op                         { return r.op }
-func (r toyImpl) Implement(e *MExpr, m *Memo) []*PhysProto { return []*PhysProto{r.impl(e)} }
+func (r toyImpl) Info() RuleInfo   { return r.info }
+func (r toyImpl) MatchOp() plan.Op { return r.op }
+
+// Implement carves the rule's one prototype and lets impl fill it. Its
+// payload is a carved copy of e's with carved schema, key, aggregate,
+// projection and sort-key slices — what a real rule may return — so the
+// retirement tests see those slices reach extracted plans.
+func (r toyImpl) Implement(e *MExpr, m *Memo) []*PhysProto {
+	n := m.Node()
+	*n = *e.Node
+	n.Schema = m.Concat(e.Node.Schema, nil)
+	n.GroupKeys = m.Concat(e.Node.GroupKeys, nil)
+	n.Aggs = m.Aggs(len(e.Node.Aggs))
+	copy(n.Aggs, e.Node.Aggs)
+	n.Projs = m.Projections(len(e.Node.Projs))
+	copy(n.Projs, e.Node.Projs)
+	n.SortKeys = m.SortKeys(len(e.Node.SortKeys))
+	copy(n.SortKeys, e.Node.SortKeys)
+	ps := m.Protos(1)
+	ps[0].Node, ps[0].BuildIdx = n, -1
+	r.impl(e, m, ps[0])
+	return ps
+}
 
 const (
 	toyMergeSelect = 10 // on-by-default transform
@@ -53,43 +74,61 @@ const (
 func toyOptimizer(t *testing.T) *Optimizer {
 	t.Helper()
 	anyDist := plan.Distribution{Kind: plan.DistAny}
-	child := func(op plan.PhysOp, req plan.Distribution) func(e *MExpr) *PhysProto {
-		return func(e *MExpr) *PhysProto {
-			return &PhysProto{Op: op, Node: e.Node, ChildReq: []plan.Distribution{req}, OutDist: anyDist, BuildIdx: -1}
+	child := func(op plan.PhysOp, req plan.Distribution) func(e *MExpr, m *Memo, p *PhysProto) {
+		return func(e *MExpr, m *Memo, p *PhysProto) {
+			p.Op, p.OutDist = op, anyDist
+			p.ChildReq = m.Dists(1)
+			p.ChildReq[0] = req
 		}
 	}
-	agg := func(op plan.PhysOp, sorted bool, pre plan.PhysOp) func(e *MExpr) *PhysProto {
-		return func(e *MExpr) *PhysProto {
-			req := plan.Distribution{Kind: plan.DistHash, Keys: SortedKeys(e.Node.GroupKeys)}
-			return &PhysProto{Op: op, Node: e.Node, ChildReq: []plan.Distribution{req}, OutDist: req, BuildIdx: -1, NeedsSort: sorted, LocalPre: pre}
+	agg := func(op plan.PhysOp, sorted bool, pre plan.PhysOp) func(e *MExpr, m *Memo, p *PhysProto) {
+		return func(e *MExpr, m *Memo, p *PhysProto) {
+			req := m.HashDist(e.Node.GroupKeys)
+			p.Op, p.OutDist, p.NeedsSort, p.LocalPre = op, req, sorted, pre
+			p.ChildReq = m.Dists(1)
+			p.ChildReq[0] = req
 		}
 	}
+	// Both transforms carve their payloads, and WidenSelect a copy of the
+	// schema and a predicate mixing carved and heap nodes too, so the
+	// retirement tests see rule-owned arena memory reach extraction.
 	transforms := []TransformRule{
 		toyTransform{RuleInfo{toyMergeSelect, "MergeSelect", OnByDefault}, plan.OpSelect, func(e *MExpr, m *Memo) []*RNode {
 			get := e.Children[0].Exprs[0].Node
 			if get.Op != plan.OpGet || get.Pred != nil {
 				return nil
 			}
-			return []*RNode{{Node: &plan.Node{Op: plan.OpGet, Table: get.Table, Pred: e.Node.Pred, Schema: get.Schema}}}
+			n := m.Node()
+			n.Op, n.Table, n.Pred, n.Schema = plan.OpGet, get.Table, e.Node.Pred, get.Schema
+			return append(m.Results(1), m.RNode(n))
 		}},
 		toyTransform{RuleInfo{toyWidenSelect, "WidenSelect", OffByDefault}, plan.OpSelect, func(e *MExpr, m *Memo) []*RNode {
 			if e.Node.Pred.Kind != plan.ExprCmp {
 				return nil
 			}
 			m.NewColID()
-			wide := plan.And(e.Node.Pred, plan.Cmp(plan.OpGT, plan.ColExpr(e.Group.Schema[0]), plan.NumExpr(-1)))
-			return []*RNode{{Node: &plan.Node{Op: plan.OpSelect, Pred: wide, Schema: e.Node.Schema}, Children: []RChild{GroupChild(e.Children[0])}}}
+			wide := m.And(e.Node.Pred, plan.Cmp(plan.OpGT, m.ColExpr(e.Group.Schema[0]), plan.NumExpr(-1)))
+			n := m.Node()
+			n.Op, n.Pred, n.Schema = plan.OpSelect, wide, m.Concat(e.Node.Schema, nil)
+			return append(m.Results(1), m.RNode(n, GroupChild(e.Children[0])))
 		}},
 	}
 	implements := []ImplementRule{
-		toyImpl{RuleInfo{1, "Scan", Required}, plan.OpGet, func(e *MExpr) *PhysProto {
-			op := plan.PhysExtract
+		toyImpl{RuleInfo{1, "Scan", Required}, plan.OpGet, func(e *MExpr, m *Memo, p *PhysProto) {
+			p.Op = plan.PhysExtract
 			if e.Node.Pred != nil {
-				op = plan.PhysRangeScan
+				p.Op = plan.PhysRangeScan
 			}
-			return &PhysProto{Op: op, Node: e.Node, OutDist: plan.Distribution{Kind: plan.DistRandom}, BuildIdx: -1}
+			p.OutDist = plan.Distribution{Kind: plan.DistRandom}
 		}},
 		toyImpl{RuleInfo{2, "Output", Required}, plan.OpOutput, child(plan.PhysOutputImpl, anyDist)},
+		toyImpl{RuleInfo{5, "Compute", Required}, plan.OpProject, child(plan.PhysCompute, anyDist)},
+		toyImpl{RuleInfo{6, "Top", Required}, plan.OpTop, func(e *MExpr, m *Memo, p *PhysProto) {
+			single := plan.Distribution{Kind: plan.DistSingleton}
+			p.Op, p.OutDist = plan.PhysGlobalTop, single
+			p.ChildReq = m.Dists(1)
+			p.ChildReq[0] = single
+		}},
 		toyImpl{RuleInfo{toyFilter, "Filter", Implementation}, plan.OpSelect, child(plan.PhysFilter, anyDist)},
 		toyImpl{RuleInfo{toyFilterAlt, "FilterAlt", Implementation}, plan.OpSelect, child(plan.PhysFilter, plan.Distribution{Kind: plan.DistRandom})},
 		toyImpl{RuleInfo{toyHashAgg, "HashAgg", Implementation}, plan.OpGroupBy, agg(plan.PhysHashAgg, false, 0)},
@@ -104,13 +143,14 @@ func toyOptimizer(t *testing.T) *Optimizer {
 }
 
 // toyPlans are small jobs over the toy catalog: a filtered aggregation over
-// the wide stream, a filtered aggregation, and two outputs sharing one
-// filtered scan. The wide job comes first: on a fresh arena its first memo
+// the wide stream, a filtered aggregation, two outputs sharing one filtered
+// scan, and the top rows of a projection of a filtered scan. The wide job
+// comes first: on a fresh arena its first memo
 // build and its first physical phase each carve several times what a
 // statistics arena starts with, so both arenas replace their buffers under
 // statistics that are still being read.
 func toyPlans() []*plan.Node {
-	a, b, n := tcol(1, "a"), tcol(2, "b"), plan.Column{ID: 3, Name: "n"}
+	a, b, n, x := tcol(1, "a"), tcol(2, "b"), plan.Column{ID: 3, Name: "n"}, plan.Column{ID: 4, Name: "x"}
 	w := wideSchema()
 	wideAgg := plan.NewGroupBy(
 		plan.NewSelect(plan.NewGet("w", w), plan.Cmp(plan.OpGT, plan.ColExpr(w[7]), plan.NumExpr(5))),
@@ -124,6 +164,8 @@ func toyPlans() []*plan.Node {
 		plan.NewOutput(wideAgg, "wide"),
 		plan.NewOutput(plan.NewGroupBy(filtered(), []plan.Column{a}, count), "agg"),
 		plan.NewMulti(plan.NewOutput(shared, "raw"), plan.NewOutput(plan.NewGroupBy(shared, []plan.Column{b}, count), "byb")),
+		plan.NewOutput(plan.NewTop(plan.NewProject(filtered(), []plan.Projection{{Expr: plan.ColExpr(a), Out: x}}),
+			5, []plan.SortKey{{Col: x, Desc: true}}), "top"),
 	}
 }
 
@@ -150,6 +192,27 @@ func toyConfigs() []bitvec.Vector {
 // arena and inspect it in between.
 func sessionOn(o *Optimizer, sc *searchScratch, root *plan.Node) *Session {
 	return &Session{o: o, root: root, sc: sc}
+}
+
+// dump renders a plan with every field String leaves out — schemas,
+// distributions, payload lists and expressions — so a plan reading retired
+// arena memory anywhere renders differently.
+func dump(p *plan.PhysNode) string {
+	var b strings.Builder
+	seen := map[*plan.PhysNode]bool{}
+	var rec func(n *plan.PhysNode)
+	rec = func(n *plan.PhysNode) {
+		if seen[n] {
+			return
+		}
+		seen[n] = true
+		fmt.Fprintf(&b, "%v %v %v %v %v %v %v %v %v\n", n.Op, n.Schema, n.Dist, n.Pred, n.Projs, n.GroupKeys, n.Aggs, n.ReduceKeys, n.SortKeys)
+		for _, c := range n.Children {
+			rec(c)
+		}
+	}
+	rec(p)
+	return p.String() + b.String()
 }
 
 func sameResult(got *Result, gerr error, want *Result, werr error) error {
@@ -345,8 +408,20 @@ func poison(sc *searchScratch, clean bool) {
 	ja := &implAlt{protos: []*PhysProto{{Op: plan.PhysMultiImpl, Node: junk}}, done: true}
 	jw := &groupWinner{w: jp}
 	js := &groupSearch{foot: bitvec.AllSet(bitvec.Width), winners: jw, candidates: []*pexpr{jp}, enumerated: true}
+	jcol := plan.Column{ID: 1 << 30, Name: "poison"}
+	jagg := plan.Agg{Fn: "POISON", Arg: plan.ColExpr(jcol), Out: jcol}
+	jproj := plan.Projection{Expr: plan.ColExpr(jcol), Out: jcol}
+	jsort := plan.SortKey{Col: jcol, Desc: true}
+	jdist := plan.Distribution{Kind: plan.DistBroadcast, Keys: []plan.ColumnID{jcol.ID}, DOP: -1}
+	jproto := &PhysProto{Op: plan.PhysMultiImpl, Node: junk, ChildReq: []plan.Distribution{jdist}, OutDist: jdist}
+	jrn := &RNode{Node: junk, Children: []RChild{{Group: jg}}}
+	jrc := RChild{Group: jg, Sub: jrn}
+	jid := jcol.ID
+	jexpr := plan.Expr{Kind: plan.ExprFunc, Fn: "POISON", Col: jcol, Args: []*plan.Expr{jagg.Arg}}
 	if clean {
 		junk, jg, je, jp, ja, jw, js = &plan.Node{}, &Group{}, &MExpr{}, &pexpr{}, &implAlt{}, &groupWinner{}, &groupSearch{}
+		jcol, jagg, jproj, jsort, jdist, jproto, jrn, jrc, jid = plan.Column{}, plan.Agg{}, plan.Projection{}, plan.SortKey{}, plan.Distribution{}, &PhysProto{}, &RNode{}, RChild{}, 0
+		jexpr = plan.Expr{}
 	}
 	fill(&sc.pexprs, *jp)
 	fill(&sc.enforcers, *junk)
@@ -356,15 +431,29 @@ func poison(sc *searchScratch, clean bool) {
 	fill(&sc.impls, *ja)
 	fill(&sc.winners, *jw)
 	fill(&sc.states, *js)
+	fill(&sc.cols, jcol)
+	fill(&sc.aggs, jagg)
+	fill(&sc.projs, jproj)
+	fill(&sc.sortKeys, jsort)
+	fill(&sc.ids, jid)
+	fill(&sc.dists, jdist)
+	fill(&sc.protos, *jproto)
+	fill(&sc.rnodes, *jrn)
+	fill(&sc.rchildren, jrc)
+	fill(&sc.exprNodes, jexpr)
 	jk := byte(0xa5)
 	if clean {
-		jg, je, jp, js, jk = nil, nil, nil, nil, 0
+		jg, je, jp, js, jk, jproto, jrn = nil, nil, nil, nil, 0, nil, nil
 	}
 	fill(&sc.keys, jk)
 	fill(&sc.children, jp)
 	fill(&sc.gslices, jg)
 	fill(&sc.exprs, je)
 	fill(&sc.heads, js)
+	fill(&sc.protoLists, jproto)
+	fill(&sc.results, jrn)
+	fill(&sc.preds, jagg.Arg)
+	fill(&sc.exprArgs, jagg.Arg)
 }
 
 // TestCloseRetiresEverything: nothing a closed session produced or held
@@ -388,7 +477,7 @@ func TestCloseRetiresEverything(t *testing.T) {
 					t.Fatalf("round %d plan %d cfg %d: session on a reused arena diverges from one-shot: %v", round, pi, i, err)
 				}
 				if gerr == nil {
-					kept, text = append(kept, got), append(text, got.Plan.String())
+					kept, text = append(kept, got), append(text, dump(got.Plan))
 				}
 			}
 			sc.retire()
@@ -400,7 +489,7 @@ func TestCloseRetiresEverything(t *testing.T) {
 				if err := Validate(res.Plan, 0); err != nil {
 					t.Fatalf("plan %d: result %d broke once its arena was retired: %v", pi, i, err)
 				}
-				if res.Plan.String() != text[i] {
+				if dump(res.Plan) != text[i] {
 					t.Fatalf("plan %d: result %d renders differently once its arena was retired", pi, i)
 				}
 			}

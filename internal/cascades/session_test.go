@@ -3,6 +3,7 @@ package cascades_test
 import (
 	"errors"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -250,6 +251,47 @@ func TestSessionWarmCompileAllocations(t *testing.T) {
 		sess.Close()
 	}
 	t.Logf("warm plan-less compile: at most %v allocations over %d jobs", worst, len(jobs))
+}
+
+// TestOneShotCompileBytes bounds what a one-shot default compile of the
+// widest Workload A job allocates — session, memo build, exploration,
+// physical phase and extracted plan — in bytes: rules carve their payloads,
+// prototypes and keys from the session's pooled arena, so a warm compile
+// allocates little beyond the plan it returns. A rule that builds on the heap
+// again multiplies by every compile of a discovery pass and trips the bound,
+// which is about twice the measured steady state (≈7 KB).
+func TestOneShotCompileBytes(t *testing.T) {
+	opt, _, jobs := sessionJobs(t)
+	cfg := opt.Rules.DefaultConfig()
+	var job *workload.Job
+	widest := 0
+	for _, j := range jobs {
+		res, err := opt.Optimize(j.Root, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", j.ID, err)
+		}
+		if res.Exprs > widest {
+			job, widest = j, res.Exprs
+		}
+	}
+	// The least of 30 compiles: one whose pooled arena was dropped — by a
+	// collection, or at random under the race detector — pays for carving a
+	// new one.
+	perCompile := uint64(math.MaxUint64)
+	for i := 0; i < 30; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := opt.Optimize(job.Root, cfg); err != nil {
+			t.Fatalf("%s: %v", job.ID, err)
+		}
+		runtime.ReadMemStats(&after)
+		perCompile = min(perCompile, after.TotalAlloc-before.TotalAlloc)
+	}
+	const budget = 16 << 10
+	t.Logf("%s (%d expressions): %d bytes per one-shot compile (budget %d)", job.ID, widest, perCompile, budget)
+	if perCompile > budget {
+		t.Fatalf("a one-shot compile of %s allocates %d bytes, over the %d budget — a rule or the extraction builds on the heap again", job.ID, perCompile, budget)
+	}
 }
 
 // TestConcurrentSessionsShareEstimator: eight goroutines sweep every job

@@ -19,17 +19,6 @@ func schemaSet(g *cascades.Group) map[plan.ColumnID]bool {
 	return set
 }
 
-// exprsWithOp returns the expressions of g whose operator is op.
-func exprsWithOp(g *cascades.Group, op plan.Op) []*cascades.MExpr {
-	var out []*cascades.MExpr
-	for _, e := range g.Exprs {
-		if e.Node.Op == op {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // positionalMap maps column IDs of `from` to the same-position columns of
 // `to`; ok is false on arity mismatch.
 func positionalMap(from, to []plan.Column) (map[plan.ColumnID]plan.Column, bool) {
@@ -43,41 +32,42 @@ func positionalMap(from, to []plan.Column) (map[plan.ColumnID]plan.Column, bool)
 	return m, true
 }
 
-// remapExpr rewrites column references of e through m. ok is false when a
-// referenced column is missing from m and from keep (columns allowed to pass
-// unmapped).
-func remapExpr(e *plan.Expr, m map[plan.ColumnID]plan.Column, keep map[plan.ColumnID]bool) (*plan.Expr, bool) {
+// remapExpr carves e with its column references rewritten through mp. ok is
+// false when a referenced column is missing from mp and from keep (columns
+// allowed to pass unmapped).
+func remapExpr(m *cascades.Memo, e *plan.Expr, mp map[plan.ColumnID]plan.Column, keep map[plan.ColumnID]bool) (*plan.Expr, bool) {
 	if e == nil {
 		return nil, true
 	}
 	if e.Kind == plan.ExprColumn {
-		if c, ok := m[e.Col.ID]; ok {
-			return plan.ColExpr(c), true
+		if c, ok := mp[e.Col.ID]; ok {
+			return m.ColExpr(c), true
 		}
 		if keep != nil && keep[e.Col.ID] {
 			return e, true
 		}
 		return nil, false
 	}
-	cp := *e
+	cp := m.Expr()
+	*cp = *e
 	if len(e.Args) > 0 {
-		cp.Args = make([]*plan.Expr, len(e.Args))
+		cp.Args = m.ExprArgs(len(e.Args))
 		for i, a := range e.Args {
-			na, ok := remapExpr(a, m, keep)
+			na, ok := remapExpr(m, a, mp, keep)
 			if !ok {
 				return nil, false
 			}
 			cp.Args[i] = na
 		}
 	}
-	return &cp, true
+	return cp, true
 }
 
-// remapCols rewrites a column list through m; ok is false on a miss.
-func remapCols(cols []plan.Column, m map[plan.ColumnID]plan.Column) ([]plan.Column, bool) {
-	out := make([]plan.Column, len(cols))
+// remapCols carves cols rewritten through mp; ok is false on a miss.
+func remapCols(m *cascades.Memo, cols []plan.Column, mp map[plan.ColumnID]plan.Column) ([]plan.Column, bool) {
+	out := m.Columns(len(cols))
 	for i, c := range cols {
-		nc, ok := m[c.ID]
+		nc, ok := mp[c.ID]
 		if !ok {
 			return nil, false
 		}
@@ -86,9 +76,48 @@ func remapCols(cols []plan.Column, m map[plan.ColumnID]plan.Column) ([]plan.Colu
 	return out, true
 }
 
-// selNode builds a Select payload over the given schema.
-func selNode(pred *plan.Expr, schema []plan.Column) *plan.Node {
-	return &plan.Node{Op: plan.OpSelect, Pred: pred, Schema: schema}
+// selNode carves a Select payload over the given schema.
+func selNode(m *cascades.Memo, pred *plan.Expr, schema []plan.Column) *plan.Node {
+	n := m.Node()
+	n.Op, n.Pred, n.Schema = plan.OpSelect, pred, schema
+	return n
+}
+
+// unionPayload carves a UnionAll payload with the given output schema.
+func unionPayload(m *cascades.Memo, schema []plan.Column) *plan.Node {
+	n := m.Node()
+	n.Op, n.Schema = plan.OpUnionAll, schema
+	return n
+}
+
+// joinPayload carves a join payload with the given output schema.
+func joinPayload(m *cascades.Memo, pred *plan.Expr, schema []plan.Column) *plan.Node {
+	n := m.Node()
+	n.Op, n.Pred, n.Schema = plan.OpJoin, pred, schema
+	return n
+}
+
+// copyNode carves a copy of payload src with the given schema.
+func copyNode(m *cascades.Memo, src *plan.Node, schema []plan.Column) *plan.Node {
+	n := m.Node()
+	*n = *src
+	n.Schema = schema
+	return n
+}
+
+// splitConjuncts carves the conjuncts of pred that refer only to set (push)
+// and the others (rest): scratch lists for Memo.And.
+func splitConjuncts(m *cascades.Memo, pred *plan.Expr, set map[plan.ColumnID]bool) (push, rest []*plan.Expr) {
+	conj := plan.Conjuncts(pred)
+	push, rest = m.Preds(len(conj)), m.Preds(len(conj))
+	for _, cj := range conj {
+		if cj.RefersOnly(set) {
+			push = append(push, cj)
+		} else {
+			rest = append(rest, cj)
+		}
+	}
+	return push, rest
 }
 
 // alignedUnionBranches returns the child groups of a union expression when
@@ -129,22 +158,61 @@ func mergeAggFn(fn string) string {
 	return fn
 }
 
-// equiKeys splits the equi-join key columns of pred by side membership.
-// Conjuncts that are not two-sided equi comparisons are ignored.
-func equiKeys(pred *plan.Expr, left, right map[plan.ColumnID]bool) (lk, rk []plan.Column) {
+// equiKeys splits the equi-join key columns of pred by side: lk[i] of left
+// is compared with rk[i] of right. Conjuncts that are not two-sided equi
+// comparisons are ignored. The keys are carved from m.
+func equiKeys(m *cascades.Memo, pred *plan.Expr, left, right []plan.Column) (lk, rk []plan.Column) {
+	n := 0
 	for _, c := range plan.Conjuncts(pred) {
-		a, b, ok := c.EquiJoinSides()
-		if !ok {
-			continue
+		if _, _, ok := equiSides(c, left, right); ok {
+			n++
 		}
-		switch {
-		case left[a.ID] && right[b.ID]:
-			lk = append(lk, a)
-			rk = append(rk, b)
-		case left[b.ID] && right[a.ID]:
-			lk = append(lk, b)
-			rk = append(rk, a)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	lk, rk = m.Columns(n), m.Columns(n)
+	n = 0
+	for _, c := range plan.Conjuncts(pred) {
+		if a, b, ok := equiSides(c, left, right); ok {
+			lk[n], rk[n] = a, b
+			n++
 		}
 	}
 	return lk, rk
+}
+
+// hasEquiKey reports whether pred has a two-sided equi conjunct between left
+// and right.
+func hasEquiKey(pred *plan.Expr, left, right []plan.Column) bool {
+	for _, c := range plan.Conjuncts(pred) {
+		if _, _, ok := equiSides(c, left, right); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// equiSides returns the left and right column of c when c compares a column
+// of left with a column of right for equality.
+func equiSides(c *plan.Expr, left, right []plan.Column) (l, r plan.Column, ok bool) {
+	a, b, ok := c.EquiJoinSides()
+	switch {
+	case !ok:
+	case hasCol(left, a.ID) && hasCol(right, b.ID):
+		return a, b, true
+	case hasCol(left, b.ID) && hasCol(right, a.ID):
+		return b, a, true
+	}
+	return plan.Column{}, plan.Column{}, false
+}
+
+// hasCol reports whether cols holds the column id.
+func hasCol(cols []plan.Column, id plan.ColumnID) bool {
+	for _, c := range cols {
+		if c.ID == id {
+			return true
+		}
+	}
+	return false
 }

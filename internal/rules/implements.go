@@ -10,8 +10,16 @@ func randomDist() plan.Distribution    { return plan.Distribution{Kind: plan.Dis
 func singletonDist() plan.Distribution { return plan.Distribution{Kind: plan.DistSingleton} }
 func broadcastDist() plan.Distribution { return plan.Distribution{Kind: plan.DistBroadcast} }
 
-func hashDist(cols []plan.Column) plan.Distribution {
-	return plan.Distribution{Kind: plan.DistHash, Keys: cascades.SortedKeys(cols)}
+// proto carves the one candidate of an implementation rule: operator op over
+// e's payload, delivering out, with one child requirement per entry of reqs.
+// The caller fills any further field.
+func proto(m *cascades.Memo, e *cascades.MExpr, op plan.PhysOp, out plan.Distribution, reqs ...plan.Distribution) []*cascades.PhysProto {
+	ps := m.Protos(1)
+	p := ps[0]
+	p.Op, p.Node, p.OutDist, p.BuildIdx = op, e.Node, out, -1
+	p.ChildReq = m.Dists(len(reqs))
+	copy(p.ChildReq, reqs)
+	return ps
 }
 
 // getToRange implements scans: Extract for a bare scan, RangeScan when a
@@ -23,68 +31,46 @@ func (r getToRange) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.P
 	if e.Node.Pred != nil {
 		op = plan.PhysRangeScan
 	}
-	return []*cascades.PhysProto{{
-		Op:       op,
-		Node:     e.Node,
-		OutDist:  randomDist(),
-		BuildIdx: -1,
-	}}
+	return proto(m, e, op, randomDist())
 }
 
 // selectToFilter implements filters. Required rule.
 type selectToFilter struct{ info }
 
 func (r selectToFilter) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	return []*cascades.PhysProto{{
-		Op:       plan.PhysFilter,
-		Node:     e.Node,
-		ChildReq: []plan.Distribution{anyDist()},
-		OutDist:  anyDist(), // inherit
-		BuildIdx: -1,
-	}}
+	return proto(m, e, plan.PhysFilter, anyDist(), anyDist()) // inherit
 }
 
 // projectToCompute implements projections. Required rule.
 type projectToCompute struct{ info }
 
 func (r projectToCompute) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	return []*cascades.PhysProto{{
-		Op:       plan.PhysCompute,
-		Node:     e.Node,
-		ChildReq: []plan.Distribution{anyDist()},
-		OutDist:  anyDist(),
-		BuildIdx: -1,
-	}}
+	return proto(m, e, plan.PhysCompute, anyDist(), anyDist())
 }
 
 // buildOutput implements the writer. Required rule.
 type buildOutput struct{ info }
 
 func (r buildOutput) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	return []*cascades.PhysProto{{
-		Op:       plan.PhysOutputImpl,
-		Node:     e.Node,
-		ChildReq: []plan.Distribution{anyDist()},
-		OutDist:  anyDist(),
-		BuildIdx: -1,
-	}}
+	return proto(m, e, plan.PhysOutputImpl, anyDist(), anyDist())
+}
+
+// anyChildren carves e's candidate of operator op over children that may
+// arrive in any distribution.
+func anyChildren(m *cascades.Memo, e *cascades.MExpr, op plan.PhysOp, out plan.Distribution) []*cascades.PhysProto {
+	ps := proto(m, e, op, out)
+	ps[0].ChildReq = m.Dists(len(e.Children))
+	for i := range ps[0].ChildReq {
+		ps[0].ChildReq[i] = anyDist()
+	}
+	return ps
 }
 
 // buildMulti implements the virtual multi-output root. Required rule.
 type buildMulti struct{ info }
 
 func (r buildMulti) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	reqs := make([]plan.Distribution, len(e.Children))
-	for i := range reqs {
-		reqs[i] = anyDist()
-	}
-	return []*cascades.PhysProto{{
-		Op:       plan.PhysMultiImpl,
-		Node:     e.Node,
-		ChildReq: reqs,
-		OutDist:  singletonDist(),
-		BuildIdx: -1,
-	}}
+	return anyChildren(m, e, plan.PhysMultiImpl, singletonDist())
 }
 
 // joinImpl produces one physical join flavor. The four registered instances
@@ -100,54 +86,32 @@ type joinImpl struct {
 
 func (r joinImpl) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
 	l, rg := e.Children[0], e.Children[1]
-	lk, rk := equiKeys(e.Node.Pred, schemaSet(l), schemaSet(rg))
 	switch r.flavor {
-	case plan.PhysHashJoin:
+	case plan.PhysHashJoin, plan.PhysMergeJoin:
+		lk, rk := equiKeys(m, e.Node.Pred, l.Schema, rg.Schema)
 		if len(lk) == 0 {
 			return nil
 		}
-		build := 0
-		if rg.Props.Rows < l.Props.Rows {
-			build = 1
+		out := m.HashDist(lk)
+		ps := proto(m, e, r.flavor, out, out, m.HashDist(rk))
+		ps[0].BuildIdx = 1
+		if r.flavor == plan.PhysMergeJoin {
+			ps[0].NeedsSort = true
+		} else if !(rg.Props.Rows < l.Props.Rows) {
+			ps[0].BuildIdx = 0 // build the smaller side
 		}
-		return []*cascades.PhysProto{{
-			Op:       plan.PhysHashJoin,
-			Node:     e.Node,
-			ChildReq: []plan.Distribution{hashDist(lk), hashDist(rk)},
-			OutDist:  hashDist(lk),
-			BuildIdx: build,
-		}}
+		return ps
 	case plan.PhysHashJoinAlt:
-		if len(lk) == 0 {
+		if !hasEquiKey(e.Node.Pred, l.Schema, rg.Schema) {
 			return nil
 		}
-		return []*cascades.PhysProto{{
-			Op:       plan.PhysHashJoinAlt,
-			Node:     e.Node,
-			ChildReq: []plan.Distribution{anyDist(), broadcastDist()},
-			OutDist:  anyDist(), // probe side layout preserved
-			BuildIdx: 1,
-		}}
-	case plan.PhysMergeJoin:
-		if len(lk) == 0 {
-			return nil
-		}
-		return []*cascades.PhysProto{{
-			Op:        plan.PhysMergeJoin,
-			Node:      e.Node,
-			ChildReq:  []plan.Distribution{hashDist(lk), hashDist(rk)},
-			OutDist:   hashDist(lk),
-			BuildIdx:  1,
-			NeedsSort: true,
-		}}
+		ps := proto(m, e, plan.PhysHashJoinAlt, anyDist(), anyDist(), broadcastDist()) // probe side layout preserved
+		ps[0].BuildIdx = 1
+		return ps
 	case plan.PhysLoopJoin:
-		return []*cascades.PhysProto{{
-			Op:       plan.PhysLoopJoin,
-			Node:     e.Node,
-			ChildReq: []plan.Distribution{anyDist(), broadcastDist()},
-			OutDist:  anyDist(),
-			BuildIdx: 1,
-		}}
+		ps := proto(m, e, plan.PhysLoopJoin, anyDist(), anyDist(), broadcastDist())
+		ps[0].BuildIdx = 1
+		return ps
 	default:
 		return nil // not a join flavor this rule produces
 	}
@@ -162,43 +126,25 @@ type aggImpl struct {
 }
 
 func (r aggImpl) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	var req, out plan.Distribution
-	if len(e.Node.GroupKeys) == 0 {
-		req, out = singletonDist(), singletonDist()
-	} else {
-		req = hashDist(e.Node.GroupKeys)
-		out = req
-	}
 	switch r.flavor {
-	case plan.PhysHashAgg:
-		return []*cascades.PhysProto{{
-			Op:       plan.PhysHashAgg,
-			Node:     e.Node,
-			ChildReq: []plan.Distribution{req},
-			OutDist:  out,
-			BuildIdx: -1,
-		}}
-	case plan.PhysStreamAgg:
-		return []*cascades.PhysProto{{
-			Op:        plan.PhysStreamAgg,
-			Node:      e.Node,
-			ChildReq:  []plan.Distribution{req},
-			OutDist:   out,
-			BuildIdx:  -1,
-			NeedsSort: true,
-		}}
-	case plan.PhysFinalHashAgg:
-		return []*cascades.PhysProto{{
-			Op:       plan.PhysFinalHashAgg,
-			Node:     e.Node,
-			ChildReq: []plan.Distribution{req},
-			OutDist:  out,
-			BuildIdx: -1,
-			LocalPre: plan.PhysPartialHashAgg,
-		}}
+	case plan.PhysHashAgg, plan.PhysStreamAgg, plan.PhysFinalHashAgg:
 	default:
 		return nil // not an aggregation flavor this rule produces
 	}
+	req := singletonDist()
+	if len(e.Node.GroupKeys) > 0 {
+		req = m.HashDist(e.Node.GroupKeys)
+	}
+	ps := proto(m, e, r.flavor, req, req)
+	switch r.flavor {
+	case plan.PhysStreamAgg:
+		ps[0].NeedsSort = true
+	case plan.PhysFinalHashAgg:
+		ps[0].LocalPre = plan.PhysPartialHashAgg
+	default:
+		// Single-phase hash aggregation needs nothing more.
+	}
+	return ps
 }
 
 // unionImpl produces one physical union flavor: the materializing
@@ -210,30 +156,14 @@ type unionImpl struct {
 }
 
 func (r unionImpl) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	reqs := make([]plan.Distribution, len(e.Children))
-	for i := range reqs {
-		reqs[i] = anyDist()
-	}
-	return []*cascades.PhysProto{{
-		Op:       r.flavor,
-		Node:     e.Node,
-		ChildReq: reqs,
-		OutDist:  randomDist(),
-		BuildIdx: -1,
-	}}
+	return anyChildren(m, e, r.flavor, randomDist())
 }
 
 // processImpl implements user-defined row processors.
 type processImpl struct{ info }
 
 func (r processImpl) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	return []*cascades.PhysProto{{
-		Op:       plan.PhysProcessImpl,
-		Node:     e.Node,
-		ChildReq: []plan.Distribution{anyDist()},
-		OutDist:  anyDist(),
-		BuildIdx: -1,
-	}}
+	return proto(m, e, plan.PhysProcessImpl, anyDist(), anyDist())
 }
 
 // reduceImpl implements user-defined reducers: co-locate and sort each key
@@ -241,15 +171,10 @@ func (r processImpl) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.
 type reduceImpl struct{ info }
 
 func (r reduceImpl) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	req := hashDist(e.Node.ReduceKeys)
-	return []*cascades.PhysProto{{
-		Op:        plan.PhysReduceImpl,
-		Node:      e.Node,
-		ChildReq:  []plan.Distribution{req},
-		OutDist:   req,
-		BuildIdx:  -1,
-		NeedsSort: true,
-	}}
+	req := m.HashDist(e.Node.ReduceKeys)
+	ps := proto(m, e, plan.PhysReduceImpl, req, req)
+	ps[0].NeedsSort = true
+	return ps
 }
 
 // topImpl produces top-N implementations: a simple gather-then-select, or the
@@ -260,15 +185,9 @@ type topImpl struct {
 }
 
 func (r topImpl) Implement(e *cascades.MExpr, m *cascades.Memo) []*cascades.PhysProto {
-	p := &cascades.PhysProto{
-		Op:       plan.PhysGlobalTop,
-		Node:     e.Node,
-		ChildReq: []plan.Distribution{singletonDist()},
-		OutDist:  singletonDist(),
-		BuildIdx: -1,
-	}
+	ps := proto(m, e, plan.PhysGlobalTop, singletonDist(), singletonDist())
 	if r.twoPhase {
-		p.LocalPre = plan.PhysLocalTop
+		ps[0].LocalPre = plan.PhysLocalTop
 	}
-	return []*cascades.PhysProto{p}
+	return ps
 }

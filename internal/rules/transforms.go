@@ -1,21 +1,36 @@
 package rules
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
 	"steerq/internal/cascades"
 	"steerq/internal/plan"
 )
 
-// unionPayload builds a UnionAll payload node with the given output schema.
-func unionPayload(schema []plan.Column) *plan.Node {
-	return &plan.Node{Op: plan.OpUnionAll, Schema: schema}
+// one carves the result list of a rule with a single rewrite.
+func one(m *cascades.Memo, rn *cascades.RNode) []*cascades.RNode {
+	return append(m.Results(1), rn)
 }
 
-// joinPayload copies a join payload with the given output schema.
-func joinPayload(pred *plan.Expr, schema []plan.Column) *plan.Node {
-	return &plan.Node{Op: plan.OpJoin, Pred: pred, Schema: schema}
+// union carves a UnionAll rewrite over kids with the given output schema.
+func union(m *cascades.Memo, schema []plan.Column, kids []cascades.RChild) *cascades.RNode {
+	rn := m.RNode(unionPayload(m, schema))
+	rn.Children = kids
+	return rn
+}
+
+// groupByNode carves a GroupBy payload.
+func groupByNode(m *cascades.Memo, keys []plan.Column, aggs []plan.Agg, schema []plan.Column) *plan.Node {
+	n := m.Node()
+	n.Op, n.GroupKeys, n.Aggs, n.Schema = plan.OpGroupBy, keys, aggs, schema
+	return n
+}
+
+// topNode carves a Top payload.
+func topNode(m *cascades.Memo, topN int, keys []plan.SortKey, schema []plan.Column) *plan.Node {
+	n := m.Node()
+	n.Op, n.TopN, n.SortKeys, n.Schema = plan.OpTop, topN, keys, schema
+	return n
 }
 
 // collapseSelects merges Select(Select(X, p2), p1) into Select(X, p1 AND p2).
@@ -25,13 +40,14 @@ func joinPayload(pred *plan.Expr, schema []plan.Column) *plan.Node {
 type collapseSelects struct{ info }
 
 func (r collapseSelects) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	var out []*cascades.RNode
-	for _, c := range exprsWithOp(e.Children[0], plan.OpSelect) {
-		merged := plan.And(c.Node.Pred, e.Node.Pred)
-		out = append(out, &cascades.RNode{
-			Node:     selNode(merged, e.Group.Schema),
-			Children: []cascades.RChild{cascades.GroupChild(c.Children[0])},
-		})
+	in := e.Children[0]
+	out := m.Results(len(in.Exprs))
+	for _, c := range in.Exprs {
+		if c.Node.Op != plan.OpSelect {
+			continue
+		}
+		merged := m.And(c.Node.Pred, e.Node.Pred)
+		out = append(out, m.RNode(selNode(m, merged, e.Group.Schema), cascades.GroupChild(c.Children[0])))
 	}
 	return out
 }
@@ -41,20 +57,18 @@ func (r collapseSelects) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.
 type selectOnProject struct{ info }
 
 func (r selectOnProject) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	var out []*cascades.RNode
-	for _, c := range exprsWithOp(e.Children[0], plan.OpProject) {
+	in := e.Children[0]
+	out := m.Results(len(in.Exprs))
+	for _, c := range in.Exprs {
+		if c.Node.Op != plan.OpProject {
+			continue
+		}
 		below := c.Children[0]
 		if !e.Node.Pred.RefersOnly(schemaSet(below)) {
 			continue
 		}
-		sub := &cascades.RNode{
-			Node:     selNode(e.Node.Pred, below.Schema),
-			Children: []cascades.RChild{cascades.GroupChild(below)},
-		}
-		out = append(out, &cascades.RNode{
-			Node:     c.Node,
-			Children: []cascades.RChild{cascades.SubChild(sub)},
-		})
+		sub := m.RNode(selNode(m, e.Node.Pred, below.Schema), cascades.GroupChild(below))
+		out = append(out, m.RNode(c.Node, cascades.SubChild(sub)))
 	}
 	return out
 }
@@ -67,41 +81,31 @@ type selectOnJoin struct {
 }
 
 func (r selectOnJoin) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	var out []*cascades.RNode
-	for _, j := range exprsWithOp(e.Children[0], plan.OpJoin) {
+	in := e.Children[0]
+	out := m.Results(len(in.Exprs))
+	for _, j := range in.Exprs {
+		if j.Node.Op != plan.OpJoin {
+			continue
+		}
 		target := j.Children[r.side]
 		other := j.Children[1-r.side]
-		tset := schemaSet(target)
-		var push, rest []*plan.Expr
-		for _, cj := range plan.Conjuncts(e.Node.Pred) {
-			if cj.RefersOnly(tset) {
-				push = append(push, cj)
-			} else {
-				rest = append(rest, cj)
-			}
-		}
+		push, rest := splitConjuncts(m, e.Node.Pred, schemaSet(target))
 		if len(push) == 0 {
 			continue
 		}
-		sub := &cascades.RNode{
-			Node:     selNode(plan.And(push...), target.Schema),
-			Children: []cascades.RChild{cascades.GroupChild(target)},
-		}
-		kids := make([]cascades.RChild, 2)
-		kids[r.side] = cascades.SubChild(sub)
-		kids[1-r.side] = cascades.GroupChild(other)
-		join := &cascades.RNode{
-			Node:     joinPayload(j.Node.Pred, j.Group.Schema),
-			Children: kids,
+		sub := cascades.SubChild(m.RNode(selNode(m, m.And(push...), target.Schema), cascades.GroupChild(target)))
+		payload := joinPayload(m, j.Node.Pred, j.Group.Schema)
+		var join *cascades.RNode
+		if r.side == 0 {
+			join = m.RNode(payload, sub, cascades.GroupChild(other))
+		} else {
+			join = m.RNode(payload, cascades.GroupChild(other), sub)
 		}
 		if len(rest) == 0 {
 			out = append(out, join)
 			continue
 		}
-		out = append(out, &cascades.RNode{
-			Node:     selNode(plan.And(rest...), e.Group.Schema),
-			Children: []cascades.RChild{cascades.SubChild(join)},
-		})
+		out = append(out, m.RNode(selNode(m, m.And(rest...), e.Group.Schema), cascades.SubChild(join)))
 	}
 	return out
 }
@@ -110,34 +114,35 @@ func (r selectOnJoin) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNo
 type selectOnUnionAll struct{ info }
 
 func (r selectOnUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	var out []*cascades.RNode
-	for _, u := range exprsWithOp(e.Children[0], plan.OpUnionAll) {
+	in := e.Children[0]
+	out := m.Results(len(in.Exprs))
+	for _, u := range in.Exprs {
+		if u.Node.Op != plan.OpUnionAll {
+			continue
+		}
 		branches, ok := alignedUnionBranches(u)
 		if !ok {
 			continue
 		}
-		kids := make([]cascades.RChild, 0, len(branches))
+		kids := m.RChildren(len(branches))
 		okAll := true
-		for _, b := range branches {
+		for i, b := range branches {
 			mp, ok := positionalMap(u.Group.Schema, b.Schema)
 			if !ok {
 				okAll = false
 				break
 			}
-			pred, ok := remapExpr(e.Node.Pred, mp, nil)
+			pred, ok := remapExpr(m, e.Node.Pred, mp, nil)
 			if !ok {
 				okAll = false
 				break
 			}
-			kids = append(kids, cascades.SubChild(&cascades.RNode{
-				Node:     selNode(pred, b.Schema),
-				Children: []cascades.RChild{cascades.GroupChild(b)},
-			}))
+			kids[i] = cascades.SubChild(m.RNode(selNode(m, pred, b.Schema), cascades.GroupChild(b)))
 		}
 		if !okAll {
 			continue
 		}
-		out = append(out, &cascades.RNode{Node: unionPayload(e.Group.Schema), Children: kids})
+		out = append(out, union(m, e.Group.Schema, kids))
 	}
 	return out
 }
@@ -147,39 +152,28 @@ func (r selectOnUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades
 type selectOnGroupBy struct{ info }
 
 func (r selectOnGroupBy) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	var out []*cascades.RNode
-	for _, gb := range exprsWithOp(e.Children[0], plan.OpGroupBy) {
+	in := e.Children[0]
+	out := m.Results(len(in.Exprs))
+	for _, gb := range in.Exprs {
+		if gb.Node.Op != plan.OpGroupBy {
+			continue
+		}
 		keySet := make(map[plan.ColumnID]bool, len(gb.Node.GroupKeys))
 		for _, k := range gb.Node.GroupKeys {
 			keySet[k.ID] = true
 		}
-		var push, rest []*plan.Expr
-		for _, cj := range plan.Conjuncts(e.Node.Pred) {
-			if cj.RefersOnly(keySet) {
-				push = append(push, cj)
-			} else {
-				rest = append(rest, cj)
-			}
-		}
+		push, rest := splitConjuncts(m, e.Node.Pred, keySet)
 		if len(push) == 0 {
 			continue
 		}
 		below := gb.Children[0]
-		sub := &cascades.RNode{
-			Node:     selNode(plan.And(push...), below.Schema),
-			Children: []cascades.RChild{cascades.GroupChild(below)},
-		}
-		gbNode := *gb.Node
-		gbNode.Schema = gb.Group.Schema
-		inner := &cascades.RNode{Node: &gbNode, Children: []cascades.RChild{cascades.SubChild(sub)}}
+		sub := m.RNode(selNode(m, m.And(push...), below.Schema), cascades.GroupChild(below))
+		inner := m.RNode(copyNode(m, gb.Node, gb.Group.Schema), cascades.SubChild(sub))
 		if len(rest) == 0 {
 			out = append(out, inner)
 			continue
 		}
-		out = append(out, &cascades.RNode{
-			Node:     selNode(plan.And(rest...), e.Group.Schema),
-			Children: []cascades.RChild{cascades.SubChild(inner)},
-		})
+		out = append(out, m.RNode(selNode(m, m.And(rest...), e.Group.Schema), cascades.SubChild(inner)))
 	}
 	return out
 }
@@ -194,19 +188,23 @@ func (r selectPredNormalized) Apply(e *cascades.MExpr, m *cascades.Memo) []*casc
 	if e.Node.Pred == nil || e.Node.Pred.Kind != plan.ExprAnd {
 		return nil
 	}
-	conj := append([]*plan.Expr(nil), e.Node.Pred.Args...)
+	conj := append(m.Preds(len(e.Node.Pred.Args)), e.Node.Pred.Args...)
 	if len(conj) < 2 {
 		return nil
 	}
 	est := m.Estimator()
 	props := e.Children[0].Props
-	sort.SliceStable(conj, func(i, j int) bool {
-		return est.Selectivity(conj[i], props) < est.Selectivity(conj[j], props)
+	slices.SortStableFunc(conj, func(a, b *plan.Expr) int {
+		sa, sb := est.Selectivity(a, props), est.Selectivity(b, props)
+		switch {
+		case sa < sb:
+			return -1
+		case sb < sa:
+			return 1
+		}
+		return 0
 	})
-	return []*cascades.RNode{{
-		Node:     selNode(plan.And(conj...), e.Group.Schema),
-		Children: []cascades.RChild{cascades.GroupChild(e.Children[0])},
-	}}
+	return one(m, m.RNode(selNode(m, m.And(conj...), e.Group.Schema), cascades.GroupChild(e.Children[0])))
 }
 
 // selectOnTrue removes trivially true conjuncts (const == const, col == same
@@ -243,7 +241,7 @@ func (r selectOnTrue) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNo
 		return nil
 	}
 	conj := plan.Conjuncts(e.Node.Pred)
-	kept := make([]*plan.Expr, 0, len(conj))
+	kept := m.Preds(len(conj))
 	for _, c := range conj {
 		if !trivialConjunct(c) {
 			kept = append(kept, c)
@@ -252,10 +250,7 @@ func (r selectOnTrue) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNo
 	if len(kept) == len(conj) || len(kept) == 0 {
 		return nil
 	}
-	return []*cascades.RNode{{
-		Node:     selNode(plan.And(kept...), e.Group.Schema),
-		Children: []cascades.RChild{cascades.GroupChild(e.Children[0])},
-	}}
+	return one(m, m.RNode(selNode(m, m.And(kept...), e.Group.Schema), cascades.GroupChild(e.Children[0])))
 }
 
 // selectIntoGet merges a filter into the scan beneath it, enabling the
@@ -263,11 +258,15 @@ func (r selectOnTrue) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNo
 type selectIntoGet struct{ info }
 
 func (r selectIntoGet) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	var out []*cascades.RNode
-	for _, g := range exprsWithOp(e.Children[0], plan.OpGet) {
-		n := *g.Node
-		n.Pred = plan.And(g.Node.Pred, e.Node.Pred)
-		out = append(out, &cascades.RNode{Node: &n})
+	in := e.Children[0]
+	out := m.Results(len(in.Exprs))
+	for _, g := range in.Exprs {
+		if g.Node.Op != plan.OpGet {
+			continue
+		}
+		n := copyNode(m, g.Node, g.Node.Schema)
+		n.Pred = m.And(g.Node.Pred, e.Node.Pred)
+		out = append(out, m.RNode(n))
 	}
 	return out
 }
@@ -277,13 +276,9 @@ func (r selectIntoGet) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RN
 type joinCommute struct{ info }
 
 func (r joinCommute) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	return []*cascades.RNode{{
-		Node: joinPayload(e.Node.Pred, e.Group.Schema),
-		Children: []cascades.RChild{
-			cascades.GroupChild(e.Children[1]),
-			cascades.GroupChild(e.Children[0]),
-		},
-	}}
+	return one(m, m.RNode(joinPayload(m, e.Node.Pred, e.Group.Schema),
+		cascades.GroupChild(e.Children[1]),
+		cascades.GroupChild(e.Children[0])))
 }
 
 // joinAssoc reassociates (A ⋈ B) ⋈ C into A ⋈ (B ⋈ C) (side 0) and
@@ -294,8 +289,12 @@ type joinAssoc struct {
 }
 
 func (r joinAssoc) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	var out []*cascades.RNode
-	for _, j := range exprsWithOp(e.Children[r.side], plan.OpJoin) {
+	in := e.Children[r.side]
+	out := m.Results(len(in.Exprs))
+	for _, j := range in.Exprs {
+		if j.Node.Op != plan.OpJoin {
+			continue
+		}
 		var a, b, c *cascades.Group
 		if r.side == 0 {
 			a, b = j.Children[0], j.Children[1]
@@ -312,8 +311,9 @@ func (r joinAssoc) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode 
 		} else {
 			innerSet = unionSet(schemaSet(a), schemaSet(b))
 		}
-		var inner, outer []*plan.Expr
-		for _, cj := range plan.Conjuncts(e.Node.Pred) {
+		conj, below := plan.Conjuncts(e.Node.Pred), plan.Conjuncts(j.Node.Pred)
+		inner, outer := m.Preds(len(conj)), m.Preds(len(conj)+len(below))
+		for _, cj := range conj {
 			if cj.RefersOnly(innerSet) {
 				inner = append(inner, cj)
 			} else {
@@ -323,25 +323,17 @@ func (r joinAssoc) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode 
 		if len(inner) == 0 {
 			continue // would create a cross join inside
 		}
-		outer = append(outer, plan.Conjuncts(j.Node.Pred)...)
+		outer = append(outer, below...)
 		if r.side == 0 {
-			innerJoin := &cascades.RNode{
-				Node:     joinPayload(plan.And(inner...), concatSchema(b, c)),
-				Children: []cascades.RChild{cascades.GroupChild(b), cascades.GroupChild(c)},
-			}
-			out = append(out, &cascades.RNode{
-				Node:     joinPayload(plan.And(outer...), e.Group.Schema),
-				Children: []cascades.RChild{cascades.GroupChild(a), cascades.SubChild(innerJoin)},
-			})
+			innerJoin := m.RNode(joinPayload(m, m.And(inner...), m.Concat(b.Schema, c.Schema)),
+				cascades.GroupChild(b), cascades.GroupChild(c))
+			out = append(out, m.RNode(joinPayload(m, m.And(outer...), e.Group.Schema),
+				cascades.GroupChild(a), cascades.SubChild(innerJoin)))
 		} else {
-			innerJoin := &cascades.RNode{
-				Node:     joinPayload(plan.And(inner...), concatSchema(a, b)),
-				Children: []cascades.RChild{cascades.GroupChild(a), cascades.GroupChild(b)},
-			}
-			out = append(out, &cascades.RNode{
-				Node:     joinPayload(plan.And(outer...), e.Group.Schema),
-				Children: []cascades.RChild{cascades.SubChild(innerJoin), cascades.GroupChild(c)},
-			})
+			innerJoin := m.RNode(joinPayload(m, m.And(inner...), m.Concat(a.Schema, b.Schema)),
+				cascades.GroupChild(a), cascades.GroupChild(b))
+			out = append(out, m.RNode(joinPayload(m, m.And(outer...), e.Group.Schema),
+				cascades.SubChild(innerJoin), cascades.GroupChild(c)))
 		}
 	}
 	return out
@@ -358,28 +350,25 @@ func unionSet(a, b map[plan.ColumnID]bool) map[plan.ColumnID]bool {
 	return out
 }
 
-func concatSchema(a, b *cascades.Group) []plan.Column {
-	out := make([]plan.Column, 0, len(a.Schema)+len(b.Schema))
-	out = append(out, a.Schema...)
-	out = append(out, b.Schema...)
-	return out
-}
-
 // projectOnProject composes adjacent projections by inlining the lower
 // projection's expressions into the upper one.
 type projectOnProject struct{ info }
 
 func (r projectOnProject) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	var out []*cascades.RNode
-	for _, c := range exprsWithOp(e.Children[0], plan.OpProject) {
+	in := e.Children[0]
+	out := m.Results(len(in.Exprs))
+	for _, c := range in.Exprs {
+		if c.Node.Op != plan.OpProject {
+			continue
+		}
 		subst := make(map[plan.ColumnID]*plan.Expr, len(c.Node.Projs))
 		for _, p := range c.Node.Projs {
 			subst[p.Out.ID] = p.Expr
 		}
-		projs := make([]plan.Projection, len(e.Node.Projs))
+		projs := m.Projections(len(e.Node.Projs))
 		okAll := true
 		for i, p := range e.Node.Projs {
-			ne, ok := substExpr(p.Expr, subst)
+			ne, ok := substExpr(m, p.Expr, subst)
 			if !ok {
 				okAll = false
 				break
@@ -389,16 +378,16 @@ func (r projectOnProject) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades
 		if !okAll {
 			continue
 		}
-		out = append(out, &cascades.RNode{
-			Node:     &plan.Node{Op: plan.OpProject, Projs: projs, Schema: e.Group.Schema},
-			Children: []cascades.RChild{cascades.GroupChild(c.Children[0])},
-		})
+		n := m.Node()
+		n.Op, n.Projs, n.Schema = plan.OpProject, projs, e.Group.Schema
+		out = append(out, m.RNode(n, cascades.GroupChild(c.Children[0])))
 	}
 	return out
 }
 
-// substExpr replaces column references through subst; ok is false on a miss.
-func substExpr(e *plan.Expr, subst map[plan.ColumnID]*plan.Expr) (*plan.Expr, bool) {
+// substExpr carves e with its column references replaced through subst; ok
+// is false on a miss.
+func substExpr(m *cascades.Memo, e *plan.Expr, subst map[plan.ColumnID]*plan.Expr) (*plan.Expr, bool) {
 	if e == nil {
 		return nil, true
 	}
@@ -408,35 +397,36 @@ func substExpr(e *plan.Expr, subst map[plan.ColumnID]*plan.Expr) (*plan.Expr, bo
 		}
 		return nil, false
 	}
-	cp := *e
+	cp := m.Expr()
+	*cp = *e
 	if len(e.Args) > 0 {
-		cp.Args = make([]*plan.Expr, len(e.Args))
+		cp.Args = m.ExprArgs(len(e.Args))
 		for i, a := range e.Args {
-			na, ok := substExpr(a, subst)
+			na, ok := substExpr(m, a, subst)
 			if !ok {
 				return nil, false
 			}
 			cp.Args[i] = na
 		}
 	}
-	return &cp, true
+	return cp, true
 }
 
 // unionAllFlatten splices a nested union's branches into its parent.
 type unionAllFlatten struct{ info }
 
 func (r unionAllFlatten) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	var out []*cascades.RNode
+	out := m.Results(len(e.Children))
 	for i, ch := range e.Children {
-		for _, u := range exprsWithOp(ch, plan.OpUnionAll) {
-			if u.Group == e.Group {
+		for _, u := range ch.Exprs {
+			if u.Node.Op != plan.OpUnionAll || u.Group == e.Group {
 				continue
 			}
 			branches, ok := alignedUnionBranches(u)
 			if !ok {
 				continue
 			}
-			kids := make([]cascades.RChild, 0, len(e.Children)+len(branches)-1)
+			kids := m.RChildren(len(e.Children) + len(branches) - 1)[:0]
 			for k, other := range e.Children {
 				if k == i {
 					for _, b := range branches {
@@ -446,7 +436,7 @@ func (r unionAllFlatten) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.
 					kids = append(kids, cascades.GroupChild(other))
 				}
 			}
-			out = append(out, &cascades.RNode{Node: unionPayload(e.Group.Schema), Children: kids})
+			out = append(out, union(m, e.Group.Schema, kids))
 			break // one splice per child per application
 		}
 	}
@@ -458,20 +448,23 @@ func (r unionAllFlatten) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.
 type processOnUnionAll struct{ info }
 
 func (r processOnUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	var out []*cascades.RNode
-	for _, u := range exprsWithOp(e.Children[0], plan.OpUnionAll) {
+	in := e.Children[0]
+	out := m.Results(len(in.Exprs))
+	for _, u := range in.Exprs {
+		if u.Node.Op != plan.OpUnionAll {
+			continue
+		}
 		branches, ok := alignedUnionBranches(u)
 		if !ok {
 			continue
 		}
-		kids := make([]cascades.RChild, 0, len(branches))
-		for _, b := range branches {
-			kids = append(kids, cascades.SubChild(&cascades.RNode{
-				Node:     &plan.Node{Op: plan.OpProcess, Processor: e.Node.Processor, Schema: b.Schema},
-				Children: []cascades.RChild{cascades.GroupChild(b)},
-			}))
+		kids := m.RChildren(len(branches))
+		for i, b := range branches {
+			n := m.Node()
+			n.Op, n.Processor, n.Schema = plan.OpProcess, e.Node.Processor, b.Schema
+			kids[i] = cascades.SubChild(m.RNode(n, cascades.GroupChild(b)))
 		}
-		out = append(out, &cascades.RNode{Node: unionPayload(e.Group.Schema), Children: kids})
+		out = append(out, union(m, e.Group.Schema, kids))
 	}
 	return out
 }
@@ -485,13 +478,17 @@ func (r groupbyBelowUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*casc
 	if len(e.Node.GroupKeys) == 0 {
 		return nil
 	}
-	var out []*cascades.RNode
-	for _, u := range exprsWithOp(e.Children[0], plan.OpUnionAll) {
+	in := e.Children[0]
+	out := m.Results(len(in.Exprs))
+	for _, u := range in.Exprs {
+		if u.Node.Op != plan.OpUnionAll {
+			continue
+		}
 		branches, ok := alignedUnionBranches(u)
 		if !ok {
 			continue
 		}
-		kids := make([]cascades.RChild, 0, len(branches))
+		kids := m.RChildren(len(branches))
 		var firstLocalSchema []plan.Column
 		var firstAggOuts []plan.Column
 		okAll := true
@@ -501,52 +498,43 @@ func (r groupbyBelowUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*casc
 				okAll = false
 				break
 			}
-			keys, ok := remapCols(e.Node.GroupKeys, mp)
+			keys, ok := remapCols(m, e.Node.GroupKeys, mp)
 			if !ok {
 				okAll = false
 				break
 			}
-			aggs := make([]plan.Agg, len(e.Node.Aggs))
-			outs := make([]plan.Column, len(e.Node.Aggs))
+			// The local schema is the keys followed by the partial
+			// aggregates' outputs, which are carved in place.
+			schema := m.Columns(len(keys) + len(e.Node.Aggs))
+			outs := schema[copy(schema, keys):]
+			aggs := m.Aggs(len(e.Node.Aggs))
 			for ai, a := range e.Node.Aggs {
-				arg, ok := remapExpr(a.Arg, mp, nil)
+				arg, ok := remapExpr(m, a.Arg, mp, nil)
 				if !ok {
 					okAll = false
 					break
 				}
-				outs[ai] = plan.Column{ID: m.NewColID(), Name: a.Out.Name + "_partial"}
+				outs[ai] = plan.Column{ID: m.NewColID(), Name: m.Name(a.Out.Name, "_partial")}
 				aggs[ai] = plan.Agg{Fn: a.Fn, Arg: arg, Out: outs[ai]}
 			}
 			if !okAll {
 				break
 			}
-			schema := append(append([]plan.Column(nil), keys...), outs...)
 			if bi == 0 {
 				firstLocalSchema = schema
 				firstAggOuts = outs
 			}
-			kids = append(kids, cascades.SubChild(&cascades.RNode{
-				Node:     &plan.Node{Op: plan.OpGroupBy, GroupKeys: keys, Aggs: aggs, Schema: schema},
-				Children: []cascades.RChild{cascades.GroupChild(b)},
-			}))
+			kids[bi] = cascades.SubChild(m.RNode(groupByNode(m, keys, aggs, schema), cascades.GroupChild(b)))
 		}
 		if !okAll {
 			continue
 		}
-		union := &cascades.RNode{Node: unionPayload(firstLocalSchema), Children: kids}
-		finalAggs := make([]plan.Agg, len(e.Node.Aggs))
+		finalAggs := m.Aggs(len(e.Node.Aggs))
 		for ai, a := range e.Node.Aggs {
-			finalAggs[ai] = plan.Agg{Fn: mergeAggFn(a.Fn), Arg: plan.ColExpr(firstAggOuts[ai]), Out: a.Out}
+			finalAggs[ai] = plan.Agg{Fn: mergeAggFn(a.Fn), Arg: m.ColExpr(firstAggOuts[ai]), Out: a.Out}
 		}
-		out = append(out, &cascades.RNode{
-			Node: &plan.Node{
-				Op:        plan.OpGroupBy,
-				GroupKeys: e.Node.GroupKeys,
-				Aggs:      finalAggs,
-				Schema:    e.Group.Schema,
-			},
-			Children: []cascades.RChild{cascades.SubChild(union)},
-		})
+		out = append(out, m.RNode(groupByNode(m, e.Node.GroupKeys, finalAggs, e.Group.Schema),
+			cascades.SubChild(union(m, firstLocalSchema, kids))))
 	}
 	return out
 }
@@ -567,8 +555,12 @@ type correlatedJoinOnUnionAll struct {
 func (r correlatedJoinOnUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
 	other := e.Children[1-r.side]
 	keep := schemaSet(other)
-	var out []*cascades.RNode
-	for _, u := range exprsWithOp(e.Children[r.side], plan.OpUnionAll) {
+	in := e.Children[r.side]
+	out := m.Results(len(in.Exprs))
+	for _, u := range in.Exprs {
+		if u.Node.Op != plan.OpUnionAll {
+			continue
+		}
 		branches, ok := alignedUnionBranches(u)
 		if !ok {
 			continue
@@ -576,37 +568,33 @@ func (r correlatedJoinOnUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*
 		if len(branches) < r.minBranches || (r.maxBranches > 0 && len(branches) > r.maxBranches) {
 			continue
 		}
-		kids := make([]cascades.RChild, 0, len(branches))
+		kids := m.RChildren(len(branches))
 		okAll := true
-		for _, b := range branches {
+		for i, b := range branches {
 			mp, ok := positionalMap(u.Group.Schema, b.Schema)
 			if !ok {
 				okAll = false
 				break
 			}
-			pred, ok := remapExpr(e.Node.Pred, mp, keep)
+			pred, ok := remapExpr(m, e.Node.Pred, mp, keep)
 			if !ok {
 				okAll = false
 				break
 			}
-			var schema []plan.Column
-			var jk []cascades.RChild
+			var join *cascades.RNode
 			if r.side == 0 {
-				schema = append(append([]plan.Column(nil), b.Schema...), other.Schema...)
-				jk = []cascades.RChild{cascades.GroupChild(b), cascades.GroupChild(other)}
+				join = m.RNode(joinPayload(m, pred, m.Concat(b.Schema, other.Schema)),
+					cascades.GroupChild(b), cascades.GroupChild(other))
 			} else {
-				schema = append(append([]plan.Column(nil), other.Schema...), b.Schema...)
-				jk = []cascades.RChild{cascades.GroupChild(other), cascades.GroupChild(b)}
+				join = m.RNode(joinPayload(m, pred, m.Concat(other.Schema, b.Schema)),
+					cascades.GroupChild(other), cascades.GroupChild(b))
 			}
-			kids = append(kids, cascades.SubChild(&cascades.RNode{
-				Node:     joinPayload(pred, schema),
-				Children: jk,
-			}))
+			kids[i] = cascades.SubChild(join)
 		}
 		if !okAll {
 			continue
 		}
-		out = append(out, &cascades.RNode{Node: unionPayload(e.Group.Schema), Children: kids})
+		out = append(out, union(m, e.Group.Schema, kids))
 	}
 	return out
 }
@@ -624,8 +612,12 @@ func (r groupbyOnJoin) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RN
 	if len(e.Node.GroupKeys) == 0 {
 		return nil
 	}
-	var out []*cascades.RNode
-	for _, j := range exprsWithOp(e.Children[0], plan.OpJoin) {
+	in := e.Children[0]
+	out := m.Results(len(in.Exprs))
+	for _, j := range in.Exprs {
+		if j.Node.Op != plan.OpJoin {
+			continue
+		}
 		target := j.Children[r.side]
 		other := j.Children[1-r.side]
 		tset := schemaSet(target)
@@ -647,11 +639,11 @@ func (r groupbyOnJoin) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RN
 		if !okSide {
 			continue
 		}
-		tk, ok2 := sideEquiKeys(j.Node.Pred, tset, oset)
-		if !ok2 || len(tk) == 0 {
+		tk, _ := equiKeys(m, j.Node.Pred, target.Schema, other.Schema)
+		if len(tk) == 0 {
 			continue
 		}
-		innerKeys := append([]plan.Column(nil), e.Node.GroupKeys...)
+		innerKeys := append(m.Columns(len(e.Node.GroupKeys) + len(tk))[:0], e.Node.GroupKeys...)
 		have := make(map[plan.ColumnID]bool)
 		for _, k := range innerKeys {
 			have[k.ID] = true
@@ -668,53 +660,29 @@ func (r groupbyOnJoin) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RN
 		if !predOK {
 			continue
 		}
-		outs := make([]plan.Column, len(e.Node.Aggs))
-		localAggs := make([]plan.Agg, len(e.Node.Aggs))
+		// The local schema is the keys followed by the eager aggregates'
+		// outputs, which are carved in place.
+		localSchema := m.Columns(len(innerKeys) + len(e.Node.Aggs))
+		outs := localSchema[copy(localSchema, innerKeys):]
+		localAggs := m.Aggs(len(e.Node.Aggs))
 		for ai, a := range e.Node.Aggs {
-			outs[ai] = plan.Column{ID: m.NewColID(), Name: a.Out.Name + "_eager"}
+			outs[ai] = plan.Column{ID: m.NewColID(), Name: m.Name(a.Out.Name, "_eager")}
 			localAggs[ai] = plan.Agg{Fn: a.Fn, Arg: a.Arg, Out: outs[ai]}
 		}
-		localSchema := append(append([]plan.Column(nil), innerKeys...), outs...)
-		local := &cascades.RNode{
-			Node:     &plan.Node{Op: plan.OpGroupBy, GroupKeys: innerKeys, Aggs: localAggs, Schema: localSchema},
-			Children: []cascades.RChild{cascades.GroupChild(target)},
-		}
-		var joinSchema []plan.Column
-		var jk []cascades.RChild
+		local := cascades.SubChild(m.RNode(groupByNode(m, innerKeys, localAggs, localSchema), cascades.GroupChild(target)))
+		var join *cascades.RNode
 		if r.side == 0 {
-			joinSchema = append(append([]plan.Column(nil), localSchema...), other.Schema...)
-			jk = []cascades.RChild{cascades.SubChild(local), cascades.GroupChild(other)}
+			join = m.RNode(joinPayload(m, j.Node.Pred, m.Concat(localSchema, other.Schema)), local, cascades.GroupChild(other))
 		} else {
-			joinSchema = append(append([]plan.Column(nil), other.Schema...), localSchema...)
-			jk = []cascades.RChild{cascades.GroupChild(other), cascades.SubChild(local)}
+			join = m.RNode(joinPayload(m, j.Node.Pred, m.Concat(other.Schema, localSchema)), cascades.GroupChild(other), local)
 		}
-		join := &cascades.RNode{Node: joinPayload(j.Node.Pred, joinSchema), Children: jk}
-		finalAggs := make([]plan.Agg, len(e.Node.Aggs))
+		finalAggs := m.Aggs(len(e.Node.Aggs))
 		for ai, a := range e.Node.Aggs {
-			finalAggs[ai] = plan.Agg{Fn: mergeAggFn(a.Fn), Arg: plan.ColExpr(outs[ai]), Out: a.Out}
+			finalAggs[ai] = plan.Agg{Fn: mergeAggFn(a.Fn), Arg: m.ColExpr(outs[ai]), Out: a.Out}
 		}
-		out = append(out, &cascades.RNode{
-			Node: &plan.Node{
-				Op:        plan.OpGroupBy,
-				GroupKeys: e.Node.GroupKeys,
-				Aggs:      finalAggs,
-				Schema:    e.Group.Schema,
-			},
-			Children: []cascades.RChild{cascades.SubChild(join)},
-		})
+		out = append(out, m.RNode(groupByNode(m, e.Node.GroupKeys, finalAggs, e.Group.Schema), cascades.SubChild(join)))
 	}
 	return out
-}
-
-// sideEquiKeys returns the equi-join key columns belonging to the side
-// described by tset; ok is false when the predicate has no two-sided equi
-// conjunct.
-func sideEquiKeys(pred *plan.Expr, tset, oset map[plan.ColumnID]bool) ([]plan.Column, bool) {
-	lk, rk := equiKeys(pred, tset, oset)
-	if len(lk) == 0 && len(rk) == 0 {
-		return nil, false
-	}
-	return lk, true
 }
 
 // topOnUnionAll pushes a branch-local top-N into every union branch while
@@ -722,21 +690,25 @@ func sideEquiKeys(pred *plan.Expr, tset, oset map[plan.ColumnID]bool) ([]plan.Co
 type topOnUnionAll struct{ info }
 
 func (r topOnUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	var out []*cascades.RNode
-	for _, u := range exprsWithOp(e.Children[0], plan.OpUnionAll) {
+	in := e.Children[0]
+	out := m.Results(len(in.Exprs))
+	for _, u := range in.Exprs {
+		if u.Node.Op != plan.OpUnionAll {
+			continue
+		}
 		branches, ok := alignedUnionBranches(u)
 		if !ok {
 			continue
 		}
-		kids := make([]cascades.RChild, 0, len(branches))
+		kids := m.RChildren(len(branches))
 		okAll := true
-		for _, b := range branches {
+		for i, b := range branches {
 			mp, ok := positionalMap(u.Group.Schema, b.Schema)
 			if !ok {
 				okAll = false
 				break
 			}
-			keys := make([]plan.SortKey, len(e.Node.SortKeys))
+			keys := m.SortKeys(len(e.Node.SortKeys))
 			for ki, k := range e.Node.SortKeys {
 				nc, ok := mp[k.Col.ID]
 				if !ok {
@@ -748,19 +720,13 @@ func (r topOnUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RN
 			if !okAll {
 				break
 			}
-			kids = append(kids, cascades.SubChild(&cascades.RNode{
-				Node:     &plan.Node{Op: plan.OpTop, TopN: e.Node.TopN, SortKeys: keys, Schema: b.Schema},
-				Children: []cascades.RChild{cascades.GroupChild(b)},
-			}))
+			kids[i] = cascades.SubChild(m.RNode(topNode(m, e.Node.TopN, keys, b.Schema), cascades.GroupChild(b)))
 		}
 		if !okAll {
 			continue
 		}
-		union := &cascades.RNode{Node: unionPayload(u.Group.Schema), Children: kids}
-		out = append(out, &cascades.RNode{
-			Node:     &plan.Node{Op: plan.OpTop, TopN: e.Node.TopN, SortKeys: e.Node.SortKeys, Schema: e.Group.Schema},
-			Children: []cascades.RChild{cascades.SubChild(union)},
-		})
+		out = append(out, m.RNode(topNode(m, e.Node.TopN, e.Node.SortKeys, e.Group.Schema),
+			cascades.SubChild(union(m, u.Group.Schema, kids))))
 	}
 	return out
 }
@@ -776,16 +742,10 @@ func (r selectSplitDisjunction) Apply(e *cascades.MExpr, m *cascades.Memo) []*ca
 		return nil
 	}
 	child := e.Children[0]
-	mk := func(p *plan.Expr) cascades.RChild {
-		return cascades.SubChild(&cascades.RNode{
-			Node:     selNode(p, child.Schema),
-			Children: []cascades.RChild{cascades.GroupChild(child)},
-		})
+	branch := func(p *plan.Expr) cascades.RChild {
+		return cascades.SubChild(m.RNode(selNode(m, p, child.Schema), cascades.GroupChild(child)))
 	}
-	return []*cascades.RNode{{
-		Node:     unionPayload(e.Group.Schema),
-		Children: []cascades.RChild{mk(e.Node.Pred.Args[0]), mk(e.Node.Pred.Args[1])},
-	}}
+	return one(m, m.RNode(unionPayload(m, e.Group.Schema), branch(e.Node.Pred.Args[0]), branch(e.Node.Pred.Args[1])))
 }
 
 // topOnProject pushes a top-N below a projection when every sort key passes
@@ -793,8 +753,12 @@ func (r selectSplitDisjunction) Apply(e *cascades.MExpr, m *cascades.Memo) []*ca
 type topOnProject struct{ info }
 
 func (r topOnProject) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	var out []*cascades.RNode
-	for _, c := range exprsWithOp(e.Children[0], plan.OpProject) {
+	in := e.Children[0]
+	out := m.Results(len(in.Exprs))
+	for _, c := range in.Exprs {
+		if c.Node.Op != plan.OpProject {
+			continue
+		}
 		below := c.Children[0]
 		bset := schemaSet(below)
 		okAll := true
@@ -807,14 +771,8 @@ func (r topOnProject) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNo
 		if !okAll {
 			continue
 		}
-		top := &cascades.RNode{
-			Node:     &plan.Node{Op: plan.OpTop, TopN: e.Node.TopN, SortKeys: e.Node.SortKeys, Schema: below.Schema},
-			Children: []cascades.RChild{cascades.GroupChild(below)},
-		}
-		out = append(out, &cascades.RNode{
-			Node:     c.Node,
-			Children: []cascades.RChild{cascades.SubChild(top)},
-		})
+		top := m.RNode(topNode(m, e.Node.TopN, e.Node.SortKeys, below.Schema), cascades.GroupChild(below))
+		out = append(out, m.RNode(c.Node, cascades.SubChild(top)))
 	}
 	return out
 }
@@ -825,8 +783,12 @@ func (r topOnProject) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNo
 type groupbyOnProject struct{ info }
 
 func (r groupbyOnProject) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	var out []*cascades.RNode
-	for _, c := range exprsWithOp(e.Children[0], plan.OpProject) {
+	in := e.Children[0]
+	out := m.Results(len(in.Exprs))
+	for _, c := range in.Exprs {
+		if c.Node.Op != plan.OpProject {
+			continue
+		}
 		below := c.Children[0]
 		bset := schemaSet(below)
 		ok := true
@@ -845,12 +807,7 @@ func (r groupbyOnProject) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades
 		if !ok {
 			continue
 		}
-		gbNode := *e.Node
-		gbNode.Schema = e.Group.Schema
-		out = append(out, &cascades.RNode{
-			Node:     &gbNode,
-			Children: []cascades.RChild{cascades.GroupChild(below)},
-		})
+		out = append(out, m.RNode(copyNode(m, e.Node, e.Group.Schema), cascades.GroupChild(below)))
 	}
 	return out
 }
@@ -862,9 +819,22 @@ func (r groupbyOnProject) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades
 // pushdown into both join sides and tightens estimates.
 type transitivePredicate struct{ info }
 
+// constraint identifies a col-op-const conjunct by column ID, operator and
+// literal: two columns can share a name across join sides, so the display
+// string is not a key.
+type constraint struct {
+	col plan.ColumnID
+	op  plan.CmpOp
+	lit string
+}
+
 func (r transitivePredicate) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	var out []*cascades.RNode
-	for _, j := range exprsWithOp(e.Children[0], plan.OpJoin) {
+	in := e.Children[0]
+	out := m.Results(len(in.Exprs))
+	for _, j := range in.Exprs {
+		if j.Node.Op != plan.OpJoin {
+			continue
+		}
 		// Map each equi key to its counterpart on the other side.
 		mirror := make(map[plan.ColumnID]plan.Column)
 		for _, cj := range plan.Conjuncts(j.Node.Pred) {
@@ -877,22 +847,20 @@ func (r transitivePredicate) Apply(e *cascades.MExpr, m *cascades.Memo) []*casca
 			continue
 		}
 		conj := plan.Conjuncts(e.Node.Pred)
-		// Dedup by (column ID, operator, literal): two columns can share a
-		// name across join sides, so the display string is not a key.
-		key := func(c *plan.Expr) (string, bool) {
+		key := func(c *plan.Expr) (constraint, bool) {
 			col, ok := singleColumnConst(c)
 			if !ok {
-				return "", false
+				return constraint{}, false
 			}
-			return fmt.Sprintf("%d|%d|%s", col.ID, c.Op, c.Args[1].String()+c.Args[0].String()), true
+			return constraint{col.ID, c.Op, c.Args[1].String() + c.Args[0].String()}, true
 		}
-		have := make(map[string]bool, len(conj))
+		have := make(map[constraint]bool, len(conj))
 		for _, c := range conj {
 			if k, ok := key(c); ok {
 				have[k] = true
 			}
 		}
-		var derived []*plan.Expr
+		derived := m.Preds(len(conj))
 		for _, c := range conj {
 			col, ok := singleColumnConst(c)
 			if !ok {
@@ -912,11 +880,8 @@ func (r transitivePredicate) Apply(e *cascades.MExpr, m *cascades.Memo) []*casca
 		if len(derived) == 0 {
 			continue
 		}
-		merged := plan.And(append(append([]*plan.Expr(nil), conj...), derived...)...)
-		out = append(out, &cascades.RNode{
-			Node:     selNode(merged, e.Group.Schema),
-			Children: []cascades.RChild{cascades.GroupChild(e.Children[0])},
-		})
+		merged := m.And(append(append(m.Preds(len(conj)+len(derived)), conj...), derived...)...)
+		out = append(out, m.RNode(selNode(m, merged, e.Group.Schema), cascades.GroupChild(e.Children[0])))
 	}
 	return out
 }
@@ -957,39 +922,28 @@ func substituteColumn(e *plan.Expr, id plan.ColumnID, col plan.Column) {
 type udoPredicateTransfer struct{ info }
 
 func (r udoPredicateTransfer) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	var out []*cascades.RNode
-	for _, red := range exprsWithOp(e.Children[0], plan.OpReduce) {
+	in := e.Children[0]
+	out := m.Results(len(in.Exprs))
+	for _, red := range in.Exprs {
+		if red.Node.Op != plan.OpReduce {
+			continue
+		}
 		keySet := make(map[plan.ColumnID]bool, len(red.Node.ReduceKeys))
 		for _, k := range red.Node.ReduceKeys {
 			keySet[k.ID] = true
 		}
-		var push, rest []*plan.Expr
-		for _, cj := range plan.Conjuncts(e.Node.Pred) {
-			if cj.RefersOnly(keySet) {
-				push = append(push, cj)
-			} else {
-				rest = append(rest, cj)
-			}
-		}
+		push, rest := splitConjuncts(m, e.Node.Pred, keySet)
 		if len(push) == 0 {
 			continue
 		}
 		below := red.Children[0]
-		sub := &cascades.RNode{
-			Node:     selNode(plan.And(push...), below.Schema),
-			Children: []cascades.RChild{cascades.GroupChild(below)},
-		}
-		redNode := *red.Node
-		redNode.Schema = red.Group.Schema
-		inner := &cascades.RNode{Node: &redNode, Children: []cascades.RChild{cascades.SubChild(sub)}}
+		sub := m.RNode(selNode(m, m.And(push...), below.Schema), cascades.GroupChild(below))
+		inner := m.RNode(copyNode(m, red.Node, red.Group.Schema), cascades.SubChild(sub))
 		if len(rest) == 0 {
 			out = append(out, inner)
 			continue
 		}
-		out = append(out, &cascades.RNode{
-			Node:     selNode(plan.And(rest...), e.Group.Schema),
-			Children: []cascades.RChild{cascades.SubChild(inner)},
-		})
+		out = append(out, m.RNode(selNode(m, m.And(rest...), e.Group.Schema), cascades.SubChild(inner)))
 	}
 	return out
 }

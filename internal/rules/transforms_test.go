@@ -460,7 +460,7 @@ OUTPUT j TO "o";
 	leftKey = a
 	pred := plan.Cmp(plan.OpGT, plan.ColExpr(leftKey), plan.NumExpr(100))
 	sel := &cascades.RNode{
-		Node:     selNode(pred, join.Group.Schema),
+		Node:     selNode(m, pred, join.Group.Schema),
 		Children: []cascades.RChild{cascades.GroupChild(join.Group)},
 	}
 	// Intern the select as a root over the join group (fresh group).

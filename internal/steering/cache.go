@@ -64,41 +64,43 @@ type CompileValue struct {
 // group analyses waiting on each other, not working.
 const cacheShards = 64
 
-// footprintEntry holds every cached outcome sharing one decision footprint,
-// keyed by the writer configuration projected onto that footprint.
-type footprintEntry struct {
-	foot bitvec.Vector
-	vals map[bitvec.Key]CompileValue
+// classKey indexes one of a job's cached outcomes: the position of its
+// footprint in the job's footprint list and the writer configuration
+// projected onto that footprint.
+type classKey struct {
+	class int
+	proj  bitvec.Key
 }
 
-// jobEntry indexes one job's footprint entries in insertion order. Lookups
-// scan the footprints oldest-first; compiles of one job read overlapping
-// rule sets, so the list stays short (often length one).
+// outcome is a cached CompileValue without its footprint, which the key's
+// class already names.
+type outcome struct {
+	cost float64
+	sig  bitvec.Vector
+	ok   bool
+	plan *plan.PhysNode
+}
+
+// jobEntry holds one job's cached outcomes: its distinct footprints in
+// insertion order and one map over all of them, so a new footprint class
+// costs a list entry, not a map of its own, while a job's lookups stay in
+// one small table. Lookups scan the footprints oldest-first; compiles of one
+// job read overlapping rule sets, so the list stays short (often length
+// one).
 type jobEntry struct {
-	foots []*footprintEntry
+	foots []bitvec.Vector
+	vals  map[classKey]outcome
 }
 
-// lookup returns the outcome in the first footprint entry, in insertion
-// order, that holds cfg's projection onto its footprint.
+// lookup returns the outcome of the first of the job's footprints, in
+// insertion order, under which cfg's projection is present.
 func (je *jobEntry) lookup(cfg bitvec.Vector) (CompileValue, bool) {
-	for _, fe := range je.foots {
-		if v, ok := fe.vals[cfg.And(fe.foot).Key()]; ok {
-			return v, true
+	for i, foot := range je.foots {
+		if o, ok := je.vals[classKey{i, cfg.And(foot).Key()}]; ok {
+			return CompileValue{Cost: o.cost, Signature: o.sig, Footprint: foot, OK: o.ok, Plan: o.plan}, true
 		}
 	}
 	return CompileValue{}, false
-}
-
-// entry returns the job's entry for foot, appending an empty one if needed.
-func (je *jobEntry) entry(foot bitvec.Vector) *footprintEntry {
-	for _, fe := range je.foots {
-		if fe.foot.Equal(foot) {
-			return fe
-		}
-	}
-	fe := &footprintEntry{foot: foot, vals: make(map[bitvec.Key]CompileValue)}
-	je.foots = append(je.foots, fe)
-	return fe
 }
 
 type cacheShard struct {
@@ -173,8 +175,7 @@ func (c *CompileCache) shard(fp JobFingerprint) *cacheShard {
 	return &c.shards[h%cacheShards]
 }
 
-// lookup scans the job's footprint entries in insertion order for one whose
-// projection of cfg is present.
+// lookup returns the fingerprinted job's outcome under cfg.
 func (s *cacheShard) lookup(fp JobFingerprint, cfg bitvec.Vector) (CompileValue, bool) {
 	je := s.jobs[fp]
 	if je == nil {
@@ -259,15 +260,22 @@ func (c *CompileCache) Put(fp JobFingerprint, cfg bitvec.Vector, v CompileValue)
 	defer s.mu.Unlock()
 	je := s.jobs[fp]
 	if je == nil {
-		je = &jobEntry{}
+		je = &jobEntry{vals: make(map[classKey]outcome)}
 		s.jobs[fp] = je
 	}
-	fe := je.entry(v.Footprint)
-	k := cfg.And(v.Footprint).Key()
-	if _, ok := fe.vals[k]; !ok {
+	class := 0
+	for class < len(je.foots) && !je.foots[class].Equal(v.Footprint) {
+		class++
+	}
+	if class == len(je.foots) {
+		je.foots = append(je.foots, v.Footprint)
+	}
+	k := classKey{class, cfg.And(v.Footprint).Key()}
+	if _, ok := je.vals[k]; !ok {
 		c.entries.Add(1)
 	}
-	fe.vals[k] = v // a deterministic recompile of a known class refreshes it
+	// A deterministic recompile of a known class refreshes it.
+	je.vals[k] = outcome{cost: v.Cost, sig: v.Signature, ok: v.OK, plan: v.Plan}
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"steerq/internal/abtest"
 	"steerq/internal/bitvec"
@@ -364,7 +364,17 @@ func (p *Pipeline) execute(ctx context.Context, sess *cascades.Session, a *Analy
 	}()
 	a.Selected, a.Trials = nil, nil
 	cands := append([]Candidate(nil), a.Candidates...)
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].EstCost < cands[j].EstCost })
+	// Stable on EstCost alone: ties, NaN costs included, keep candidate
+	// order.
+	slices.SortStableFunc(cands, func(x, y Candidate) int {
+		switch {
+		case x.EstCost < y.EstCost:
+			return -1
+		case y.EstCost < x.EstCost:
+			return 1
+		}
+		return 0
+	})
 	seen := map[bitvec.Key]bool{a.Default.Signature.Key(): true}
 	for _, c := range cands {
 		if len(a.Selected) >= p.ExecutePerJob {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -193,6 +194,75 @@ func TestTrialFromCachedPlanMatchesFresh(t *testing.T) {
 	}
 	if checked < 8 {
 		t.Fatalf("%d trials checked; test is vacuous", checked)
+	}
+}
+
+// dump renders a plan with every field String leaves out — schemas,
+// distributions, payload lists and expressions — so a plan reading retired
+// arena memory anywhere renders differently.
+func dump(p *plan.PhysNode) string {
+	var b strings.Builder
+	seen := map[*plan.PhysNode]bool{}
+	var rec func(n *plan.PhysNode)
+	rec = func(n *plan.PhysNode) {
+		if seen[n] {
+			return
+		}
+		seen[n] = true
+		fmt.Fprintf(&b, "%v %v %v %v %v %v %v %v %v\n", n.Op, n.Schema, n.Dist, n.Pred, n.Projs, n.GroupKeys, n.Aggs, n.ReduceKeys, n.SortKeys)
+		for _, c := range n.Children {
+			rec(c)
+		}
+	}
+	rec(p)
+	return p.String() + b.String()
+}
+
+// TestCachedPlanOutlivesItsArena: the trial plans the cache keeps from one
+// job's analysis stay what they were after other jobs' analyses have run
+// their sessions on the recycled arena — at Workers 1 every session of the
+// test takes the arena the previous one handed back — so they validate and
+// render the same. A kept plan that still pointed at a rule's carved
+// payload, schema or hash keys would read the later sessions' writes.
+func TestCachedPlanOutlivesItsArena(t *testing.T) {
+	e := newFanoutEnv(t, fanoutSetup{workers: 1})
+	reps := e.reps(t)
+	if len(reps) < 3 {
+		t.Fatalf("%d job groups; test is vacuous", len(reps))
+	}
+	first := reps[0]
+	a, err := e.p.AnalyzeCtx(context.Background(), first)
+	if err != nil {
+		t.Fatalf("%s: %v", first.ID, err)
+	}
+	cfgs := []bitvec.Vector{e.p.Harness.Opt.Rules.DefaultConfig()}
+	for _, c := range a.Selected {
+		cfgs = append(cfgs, c.Config)
+	}
+	var kept []*plan.PhysNode
+	var text []string
+	for i, cfg := range cfgs {
+		v, ok := e.p.Cache.Get(fingerprintOf(first), cfg)
+		if !ok || v.Plan == nil {
+			t.Fatalf("%s: trial %d kept no plan", first.ID, i)
+		}
+		kept, text = append(kept, v.Plan), append(text, dump(v.Plan))
+	}
+	for _, job := range reps[1:] {
+		if _, err := e.p.AnalyzeCtx(context.Background(), job); err != nil {
+			t.Fatalf("%s: %v", job.ID, err)
+		}
+	}
+	for i, p := range kept {
+		if err := cascades.Validate(p, 0); err != nil {
+			t.Fatalf("%s: trial %d's kept plan broke once later sessions reused its arena: %v", first.ID, i, err)
+		}
+		if dump(p) != text[i] {
+			t.Fatalf("%s: trial %d's kept plan renders differently once later sessions reused its arena:\n%s--- was ---\n%s", first.ID, i, p, text[i])
+		}
+	}
+	if len(kept) < 2 {
+		t.Fatalf("%d trial plans kept; test is vacuous", len(kept))
 	}
 }
 

@@ -15,9 +15,12 @@ import (
 //     heuristic can still help — footnote 2 of the paper);
 //  2. per category, an independently sampled subset of the span rules is
 //     disabled;
-//  3. duplicates are discarded until m unique configurations exist, the span
-//     is exhausted (n span rules admit exactly 2^n configurations, and the
-//     sampler reaches every one) or the attempt budget runs out.
+//  3. duplicates are discarded until m unique configurations exist, all
+//     2^n configurations of n span rules are out, or the attempt budget of
+//     20m+100 draws runs out. The budget can run out first: the sampler
+//     draws a small span's configurations unevenly, so the last few take
+//     many draws to hit (on Workload A days 0–1, seed 2021, M = 300, an
+//     8-rule span stopped at 255 of its 256 configurations).
 //
 // How many values are drawn from r depends on where sampling stops, so r
 // should be a stream derived for this call.
