@@ -145,7 +145,8 @@ func BenchmarkPipelineCached(b *testing.B) {
 // BuildBundle over the pipeline benchmarks' job set on a pipeline whose
 // compile cache an earlier pass filled. compiles/op is the optimizer calls per
 // pass and must read 0 — grouping, span, candidates and trials all resolve
-// from the cache, and only the executions are repeated.
+// from the cache, and so does each analysis's candidate list, so nothing is
+// sampled either; only the executions are repeated.
 func BenchmarkBundleRepass(b *testing.B) {
 	r := experiments.NewRunner(benchConfig())
 	long := benchLongJobs(b, r, 8)

@@ -16,8 +16,10 @@
 #                                and WaitReady's budget bound among them
 #   6. parallel smoke            the pipeline determinism tests — the
 #                                BuildBundle/Group fan-out battery, the fault
-#                                batteries, the warm re-pass (no compile, kept
-#                                plans executed concurrently), the experiment
+#                                batteries, the warm re-pass (no compile, no
+#                                candidate sampling, kept plans executed
+#                                concurrently, candidate lists kept per stream
+#                                seed and M under a shared cache), the experiment
 #                                runner's, the faulted build held to its
 #                                pre-session baseline, one session per
 #                                analysis (TestAnalyzeSharesOneSession),
@@ -52,8 +54,10 @@
 #                                builds the pooled arena), the
 #                                serial and 4-worker pipeline benchmarks
 #                                (one BuildBundle over a fixed job set each),
-#                                the warm re-pass over the same set (fails
-#                                unless it reads 0 compiles/op), one job's
+#                                the warm re-pass over the same set, whose
+#                                compiles and candidate lists all resolve
+#                                from the cache (fails unless it reads 0
+#                                compiles/op), one job's
 #                                span probes + 300 candidates through one
 #                                optimizer session (fails unless explores/op
 #                                stays within a quarter of compiles/op,

@@ -10,6 +10,7 @@ import (
 	"steerq/internal/obs"
 	"steerq/internal/plan"
 	"steerq/internal/workload"
+	"steerq/internal/xrand"
 )
 
 // JobFingerprint identifies one recurring job instance for caching.
@@ -81,15 +82,33 @@ type outcome struct {
 	plan *plan.PhysNode
 }
 
+// listKey names one candidate list of a job: the seed of the stream it was
+// drawn from, M and the span. CandidateConfigs draws from a stream derived
+// for the call, so the seed names the whole draw sequence, and with M and
+// the span it pins the list.
+type listKey struct {
+	seed uint64
+	m    int
+	span bitvec.Vector
+}
+
+// candList is a job's candidate configurations under one listKey.
+type candList struct {
+	key  listKey
+	cfgs []bitvec.Vector
+}
+
 // jobEntry holds one job's cached outcomes: its distinct footprints in
 // insertion order and one map over all of them, so a new footprint class
 // costs a list entry, not a map of its own, while a job's lookups stay in
 // one small table. Lookups scan the footprints oldest-first; compiles of one
 // job read overlapping rule sets, so the list stays short (often length
-// one).
+// one). lists holds the job's candidate lists, one per listKey it was
+// analysed under (one per pipeline seed, M and span; usually one).
 type jobEntry struct {
 	foots []bitvec.Vector
 	vals  map[classKey]outcome
+	lists []candList
 }
 
 // lookup returns the outcome of the first of the job's footprints, in
@@ -123,6 +142,9 @@ const (
 // cache is shared across days and experiments of one workload and never
 // evicts; one job's cache traffic is serial (an analysis runs on one
 // goroutine), so its contents and counters are the same at any worker count.
+// Next to a job's outcomes it keeps each analysed job's candidate list (see
+// candidates), so a re-analysis neither compiles nor samples; the lists are
+// not counted as hits, misses or entries.
 //
 // Lookups project the probing configuration onto each stored footprint of
 // the job, so recurring templates hit even when the probing configuration
@@ -173,6 +195,29 @@ func (c *CompileCache) SetObs(reg *obs.Registry, labels ...string) {
 func (c *CompileCache) shard(fp JobFingerprint) *cacheShard {
 	h := fp.Template ^ fp.Instance*0x9e3779b97f4a7c15 ^ fp.Inputs*0x85ebca6b
 	return &c.shards[h%cacheShards]
+}
+
+// entry returns the fingerprinted job's entry, adding an empty one if the
+// shard has none. The caller holds the write lock.
+func (s *cacheShard) entry(fp JobFingerprint) *jobEntry {
+	je := s.jobs[fp]
+	if je == nil {
+		je = &jobEntry{vals: make(map[classKey]outcome)}
+		s.jobs[fp] = je
+	}
+	return je
+}
+
+// list returns the fingerprinted job's candidate list under key.
+func (s *cacheShard) list(fp JobFingerprint, key listKey) ([]bitvec.Vector, bool) {
+	if je := s.jobs[fp]; je != nil {
+		for _, l := range je.lists {
+			if l.key == key {
+				return l.cfgs, true
+			}
+		}
+	}
+	return nil, false
 }
 
 // lookup returns the fingerprinted job's outcome under cfg.
@@ -258,11 +303,7 @@ func (c *CompileCache) Put(fp JobFingerprint, cfg bitvec.Vector, v CompileValue)
 	s := c.shard(fp)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	je := s.jobs[fp]
-	if je == nil {
-		je = &jobEntry{vals: make(map[classKey]outcome)}
-		s.jobs[fp] = je
-	}
+	je := s.entry(fp)
 	class := 0
 	for class < len(je.foots) && !je.foots[class].Equal(v.Footprint) {
 		class++
@@ -276,6 +317,46 @@ func (c *CompileCache) Put(fp JobFingerprint, cfg bitvec.Vector, v CompileValue)
 	}
 	// A deterministic recompile of a known class refreshes it.
 	je.vals[k] = outcome{cost: v.Cost, sig: v.Signature, ok: v.OK, plan: v.Plan}
+}
+
+// sampleCandidates is the sampler candidates runs on a miss: CandidateConfigs,
+// which tests wrap to count its runs.
+var sampleCandidates = CandidateConfigs
+
+// candidates returns the job's candidate configurations for span, m and the
+// stream r — CandidateConfigs(span, rs, m, r) — sampling only when the cache
+// holds no list of the job under (r's seed, m, span). The key is sound because
+// r is derived afresh for the call, so its seed names its whole draw
+// sequence; rs is the optimizer's, which every outcome of the cache already
+// assumes. A kept list is exactly sized and shared: callers only read it. A
+// nil cache, or a job without a fingerprint, samples on every call and keeps
+// nothing. Lists are never counted as hits, misses or entries.
+func (c *CompileCache) candidates(job *workload.Job, span bitvec.Vector, rs *cascades.RuleSet, m int, r *xrand.Source) []bitvec.Vector {
+	fp, cacheable := jobFingerprint(job)
+	if c == nil || !cacheable {
+		return sampleCandidates(span, rs, m, r)
+	}
+	key := listKey{seed: r.Seed(), m: m, span: span}
+	s := c.shard(fp)
+	s.mu.RLock()
+	cfgs, ok := s.list(fp, key)
+	s.mu.RUnlock()
+	if ok {
+		return cfgs
+	}
+	cfgs = sampleCandidates(span, rs, m, r)
+	if len(cfgs) < cap(cfgs) {
+		cfgs = append(make([]bitvec.Vector, 0, len(cfgs)), cfgs...)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if kept, ok := s.list(fp, key); ok {
+		// A concurrent analysis of the same job kept an identical list first.
+		return kept
+	}
+	je := s.entry(fp)
+	je.lists = append(je.lists, candList{key: key, cfgs: cfgs})
+	return cfgs
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.

@@ -137,10 +137,12 @@ type Pipeline struct {
 	// Cache, when non-nil, memoizes every compile outcome — BuildBundle's
 	// grouping, span probes, candidates, and the plans of executed trials —
 	// per (job fingerprint, config), so recurring jobs skip identical
-	// recompilations. Safe to share across goroutines and across pipelines of
-	// one workload. Faulted compilations — injected failures, timeouts,
-	// corrupted plans — are never cached; only validated successes and
-	// genuine no-plan outcomes are.
+	// recompilations, and each analysed job's candidate configurations per
+	// (job fingerprint, the seed of its Rand-derived stream, MaxCandidates,
+	// span), so a re-analysis samples nothing either. Safe to share across
+	// goroutines and across pipelines of one workload. Faulted compilations —
+	// injected failures, timeouts, corrupted plans — are never cached; only
+	// validated successes and genuine no-plan outcomes are.
 	Cache *CompileCache
 
 	// Obs, when non-nil, records per-stage spans (pipeline.recompile,
@@ -234,7 +236,7 @@ func (p *Pipeline) recompile(ctx context.Context, sess *cascades.Session, job *w
 	}
 	a.Span = span
 	r := p.Rand.Derive("job", job.ID)
-	cfgs := CandidateConfigs(span, h.Opt.Rules, p.MaxCandidates, r)
+	cfgs := p.Cache.candidates(job, span, h.Opt.Rules, p.MaxCandidates, r)
 	p.resolveCandidates(ctx, job, cfgs, a, sess)
 	p.Obs.Counter("steerq_pipeline_compiles_avoided_total").Add(uint64(a.Footprint.Avoided))
 	return a, nil
@@ -362,31 +364,7 @@ func (p *Pipeline) execute(ctx context.Context, sess *cascades.Session, a *Analy
 		sp.End(obs.OutcomeOK)
 		mirrorRobustness(p.Obs, recordDelta(a.Robustness, before))
 	}()
-	a.Selected, a.Trials = nil, nil
-	cands := append([]Candidate(nil), a.Candidates...)
-	// Stable on EstCost alone: ties, NaN costs included, keep candidate
-	// order.
-	slices.SortStableFunc(cands, func(x, y Candidate) int {
-		switch {
-		case x.EstCost < y.EstCost:
-			return -1
-		case y.EstCost < x.EstCost:
-			return 1
-		}
-		return 0
-	})
-	seen := map[bitvec.Key]bool{a.Default.Signature.Key(): true}
-	for _, c := range cands {
-		if len(a.Selected) >= p.ExecutePerJob {
-			break
-		}
-		k := c.Signature.Key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		a.Selected = append(a.Selected, c)
-	}
+	a.Selected, a.Trials = selectCheapest(a.Candidates, a.Default.Signature, p.ExecutePerJob), nil
 	for i, c := range a.Selected {
 		t := p.trial(ctx, sess, a.Job, c.Config, fmt.Sprintf("%s/alt%d", a.Job.ID, i), &a.Robustness)
 		if t.Err != nil && p.Harness.Faults.Active() {
@@ -398,6 +376,47 @@ func (p *Pipeline) execute(ctx context.Context, sess *cascades.Session, a *Analy
 		p.Obs.Counter("steerq_pipeline_trials_total", "outcome", trialOutcome(t.Err, t.FellBack)).Inc()
 		a.Trials = append(a.Trials, t)
 	}
+}
+
+// selectCheapest returns up to k candidates, cheapest estimated cost first,
+// at most one per rule signature and none with the default plan's signature
+// def. The order is a stable sort on EstCost alone: ties, NaN costs
+// included, keep candidate order. It sorts (cost, index) keys rather than
+// the candidates themselves; a stable sort's output depends only on its
+// comparisons, so the order is the one sorting the candidates would give.
+func selectCheapest(cands []Candidate, def bitvec.Vector, k int) []Candidate {
+	type costKey struct {
+		cost float64
+		i    int
+	}
+	keys := make([]costKey, len(cands))
+	for i, c := range cands {
+		keys[i] = costKey{c.EstCost, i}
+	}
+	slices.SortStableFunc(keys, func(x, y costKey) int {
+		switch {
+		case x.cost < y.cost:
+			return -1
+		case y.cost < x.cost:
+			return 1
+		}
+		return 0
+	})
+	var sel []Candidate
+	seen := map[bitvec.Key]bool{def.Key(): true}
+	for _, key := range keys {
+		if len(sel) >= k {
+			break
+		}
+		c := cands[key.i]
+		sk := c.Signature.Key()
+		if seen[sk] {
+			continue
+		}
+		seen[sk] = true
+		sel = append(sel, c)
+	}
+	return sel
 }
 
 // Metric selects which §3.1.2 metric a comparison optimizes.

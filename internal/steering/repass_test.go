@@ -18,6 +18,7 @@ import (
 	"steerq/internal/scopeql"
 	"steerq/internal/steering"
 	"steerq/internal/workload"
+	"steerq/internal/xrand"
 )
 
 // compiles is the number of optimizer calls the registry has seen.
@@ -143,6 +144,50 @@ func TestRepassCompilesNothing(t *testing.T) {
 	}
 	if steered == 0 {
 		t.Fatal("no job keeps an alternative's plan; test is vacuous")
+	}
+}
+
+// TestRepassSharedCacheKeysListsBySeedAndM: pipelines sharing one compile
+// cache — one differing from the base only in its Rand seed, one only in
+// MaxCandidates — each build the bundle they build on a private cache, in
+// either build order, so a kept candidate list is served only to an analysis
+// that would have sampled it.
+func TestRepassSharedCacheKeysListsBySeedAndM(t *testing.T) {
+	e := newFanoutEnv(t, fanoutSetup{})
+	base := *e.p
+	seed, fewer := base, base
+	seed.Rand = xrand.New(4).Derive("fanout-test")
+	fewer.MaxCandidates = 12
+	names := []string{"base", "seed", "M"}
+	pipes := []steering.Pipeline{base, seed, fewer}
+	build := func(p steering.Pipeline, cache *steering.CompileCache) []byte {
+		p.Cache = cache
+		b, _, err := p.BuildBundle(e.jobs, 4, 1700000000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := b.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	private := make([][]byte, len(pipes))
+	for i, p := range pipes {
+		private[i] = build(p, steering.NewCompileCache())
+	}
+	for i := 1; i < len(pipes); i++ {
+		if bytes.Equal(private[i], private[0]) {
+			t.Fatalf("the %s variant builds the base's bundle; test is vacuous", names[i])
+		}
+	}
+	for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}} {
+		shared := steering.NewCompileCache()
+		for _, i := range order {
+			if !bytes.Equal(build(pipes[i], shared), private[i]) {
+				t.Errorf("order %v: the %s pipeline's bundle over the shared cache differs from its private one", order, names[i])
+			}
+		}
 	}
 }
 

@@ -23,7 +23,11 @@ import (
 //     8-rule span stopped at 255 of its 256 configurations).
 //
 // How many values are drawn from r depends on where sampling stops, so r
-// should be a stream derived for this call.
+// should be a stream derived for this call. Pipeline.recompile's memo
+// depends on it: the compile cache keeps the returned list under r's seed,
+// m and the span, and serves it to every later analysis of the job that
+// derives the same stream — sound only because a fresh stream's seed names
+// its whole draw sequence.
 func CandidateConfigs(span bitvec.Vector, rs *cascades.RuleSet, m int, r *xrand.Source) []bitvec.Vector {
 	var catBits [][]int
 	spanRules := 0
