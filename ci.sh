@@ -12,8 +12,10 @@
 #   5. go test -race ./...       unit + property + golden tests under the
 #                                race detector, with plan validation forced
 #                                on via STEERQ_CHECK_PLANS — the serving
-#                                client's drain battery (TestSteerMidDrain)
-#                                and WaitReady's budget bound among them
+#                                client's drain battery (TestSteerMidDrain),
+#                                WaitReady's budget bound and the rules'
+#                                prove-or-delete census
+#                                (TestBehaviourRulesChangeOutcomes) among them
 #   6. parallel smoke            the pipeline determinism tests — the
 #                                BuildBundle/Group fan-out battery, the fault
 #                                batteries, the warm re-pass (no compile, no
@@ -92,7 +94,10 @@
 #                                fault seed, diffed byte-for-byte against
 #                                cmd/steerq-bench/testdata/exp_all.golden.txt
 #                                (its stdout is the same at any -workers and
-#                                with or without the fault seed)
+#                                with or without the fault seed); besides the
+#                                paper's tables and figures it holds, under
+#                                Figure 1, what each workload's day-0 bundle
+#                                does to the day-1 jobs it is served to
 #  13. quickstart vs README      `go run ./examples/quickstart` (README's first
 #                                run): every line of README's quoted
 #                                quickstart output must be a line of the

@@ -183,7 +183,9 @@ func plan(r *experiments.Runner, out io.Writer) []step {
 		{"table3", show(out, func() (*experiments.Table3, error) { return r.Table3(0) })},
 		{"table4", show(out, func() (*experiments.Table4, error) { return r.Table4(0, 3) })},
 		{"fig7", show(out, func() (*experiments.Figure7, error) { return r.Figure7("B", 2) })},
-		{"fig1", show(out, func() (*experiments.Figure1, error) { return r.Figure1("A", 7, 65) })},
+		{"fig1", seq(out, "",
+			show(out, func() (*experiments.Figure1, error) { return r.Figure1("A", 7, 65) }),
+			show(out, func() (*experiments.Served, error) { return r.Served(0, "A", "B", "C") }))},
 		{"ablations", seq(out, "\n",
 			show(out, func() (*experiments.AblationRandomVsGuided, error) { return r.RandomVsGuided("A", 0, 12, 8) }),
 			show(out, func() (*experiments.AblationSpanSearch, error) { return r.SpanSearch("A", 0, 25, 40) }),

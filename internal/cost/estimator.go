@@ -86,10 +86,10 @@ func (e *Estimator) Filter(a *Arena, p Props, pred *plan.Expr) Props {
 //
 // In estimated mode, conjunctions use exponential backoff in the order the
 // conjuncts appear: sel = s1 * s2^(1/2) * s3^(1/4) * ... — so rules that
-// reorder or split predicates (SelectPredNormalized, CollapseSelects, filter
-// pushdown) genuinely change the estimate, which is one of the mechanisms by
-// which different rule configurations yield different estimated costs (§5.3,
-// "changing node properties").
+// reorder or merge predicates (SelectPredNormalized, SelectIntoGet) genuinely
+// change the estimate, which is one of the mechanisms by which different rule
+// configurations yield different estimated costs (§5.3, "changing node
+// properties").
 //
 // In true mode, conjunctions multiply exactly and are corrected by the
 // catalog's hidden cross-column correlation factors.

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"steerq/internal/bitvec"
 	"steerq/internal/par"
@@ -276,25 +276,21 @@ func (r *Runner) Grouping(name string, days int) (*AblationGrouping, error) {
 	for _, n := range byTemplate {
 		tSizes = append(tSizes, n)
 	}
-	sort.Ints(tSizes)
+	slices.Sort(tSizes)
 	out.TemplateMedian, out.TemplateMax = medianMax(tSizes)
-	var sSizes []int
-	for _, g := range groups {
-		sSizes = append(sSizes, len(g.Jobs))
+	// Group orders the groups by descending size.
+	sSizes := make([]int, len(groups))
+	for i, g := range groups {
+		sSizes[len(groups)-1-i] = len(g.Jobs)
 	}
 	out.SignatureMedian, out.SignatureMax = medianMax(sSizes)
 	return out, nil
 }
 
+// medianMax returns the median and maximum of sizes, sorted ascending.
 func medianMax(sizes []int) (med, max int) {
 	if len(sizes) == 0 {
 		return 0, 0
-	}
-	// insertion sort; group-size lists are small
-	for i := 1; i < len(sizes); i++ {
-		for j := i; j > 0 && sizes[j] < sizes[j-1]; j-- {
-			sizes[j], sizes[j-1] = sizes[j-1], sizes[j]
-		}
 	}
 	return sizes[len(sizes)/2], sizes[len(sizes)-1]
 }

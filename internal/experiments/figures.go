@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -108,6 +109,88 @@ func (f *Figure1) Render(w io.Writer) {
 	fmt.Fprintf(w, "  summary: %d/%d jobs improved\n", improved, len(f.Comparisons))
 }
 
+// Served measures Figure 1's extrapolation over every steered entry of a
+// bundle instead of the best group only: one day's bundle served to the jobs
+// of the next day, one row per workload.
+type Served struct {
+	Day  int
+	Rows []ServedRow
+}
+
+// ServedRow is one workload: its bundle's census and what the steered
+// entries did to the next day's jobs they were served to.
+type ServedRow struct {
+	Workload        string
+	Steered, Groups int
+	// Jobs counts the next day's jobs whose default signature hits a
+	// steered entry and which ran under both configurations.
+	Jobs int
+	// DefaultSec and ServedSec sum those jobs' runtimes under the default
+	// and the served configuration.
+	DefaultSec, ServedSec float64
+	// Worse and Better count the jobs more than 10 % slower or faster.
+	Worse, Better int
+}
+
+// Served builds each workload's bundle from every job of day through the
+// runner's pipeline, serves it to the jobs of day+1 by default signature and
+// compares each served job with its default run (steering.Extrapolate).
+func (r *Runner) Served(day int, names ...string) (*Served, error) {
+	out := &Served{Day: day}
+	for _, name := range names {
+		b, rep, err := r.Pipeline(name).BuildBundleCtx(context.Background(), r.Day(name, day), 0, 0)
+		if err != nil {
+			return nil, err
+		}
+		steered := make(map[bitvec.Key]bitvec.Vector, rep.Steered)
+		for _, e := range b.Entries {
+			if !e.Fallback {
+				steered[e.Signature.Key()] = e.Config
+			}
+		}
+		row := ServedRow{Workload: name, Steered: rep.Steered, Groups: rep.Groups}
+		h := r.Harness(name)
+		g := steering.NewGrouper(h)
+		for _, j := range r.Day(name, day+1) {
+			sig, err := g.DefaultSignature(j)
+			if err != nil {
+				continue
+			}
+			cfg, ok := steered[sig.Key()]
+			if !ok {
+				continue
+			}
+			for _, c := range steering.Extrapolate(h, cfg, []*workload.Job{j}) {
+				row.Jobs++
+				row.DefaultSec += c.Default.Metrics.RuntimeSec
+				row.ServedSec += c.New.Metrics.RuntimeSec
+				switch {
+				case c.PctChange > 10:
+					row.Worse++
+				case c.PctChange < -10:
+					row.Better++
+				}
+			}
+		}
+		out.Rows = append(out.Rows, row)
+	}
+	return out, nil
+}
+
+// Render prints one row per workload.
+func (s *Served) Render(w io.Writer) {
+	fmt.Fprintf(w, "  day-%d bundle served to day-%d jobs (every steered entry vs default):\n", s.Day, s.Day+1)
+	fmt.Fprintf(w, "  workload  steered/groups  jobs served  Σ runtime  jobs >10%% worse/better\n")
+	for _, row := range s.Rows {
+		pct := 0.0
+		if row.DefaultSec > 0 {
+			pct = 100 * (row.ServedSec - row.DefaultSec) / row.DefaultSec
+		}
+		fmt.Fprintf(w, "  %-8s  %14s  %11d  %+8.1f%%  %22s\n", row.Workload,
+			fmt.Sprintf("%d/%d", row.Steered, row.Groups), row.Jobs, pct, fmt.Sprintf("%d/%d", row.Worse, row.Better))
+	}
+}
+
 // Figure2 reproduces Figure 2's four panels over one day of a workload:
 // (a) the runtime distribution, (b) how many jobs use each rule, (c) how many
 // distinct rules each job uses, (d) the rule-signature group-size
@@ -132,7 +215,6 @@ type Figure2 struct {
 
 // Figure2 computes the four distributions.
 func (r *Runner) Figure2(name string, day int) (*Figure2, error) {
-	h := r.Harness(name)
 	jobs := r.Day(name, day)
 
 	var runtimes, perJob []float64
@@ -160,7 +242,6 @@ func (r *Runner) Figure2(name string, day int) (*Figure2, error) {
 		}
 		groupSizes[t.Signature.Key()]++
 	}
-	_ = h
 
 	f := &Figure2{Workload: name}
 	f.RuntimeHist = NewHistogram("runtime (s)",

@@ -149,6 +149,20 @@ func TestFiguresSmoke(t *testing.T) {
 	}
 	f1.Render(&buf)
 
+	served, err := r.Served(0, "A", "B", "C")
+	if err != nil {
+		t.Fatalf("served: %v", err)
+	}
+	served.Render(&buf)
+	for _, row := range served.Rows {
+		if row.Steered > row.Groups || row.Worse+row.Better > row.Jobs {
+			t.Errorf("served: workload %s row out of range: %+v", row.Workload, row)
+		}
+	}
+	if served.Rows[0].Jobs == 0 {
+		t.Error("served: workload A served its bundle to no day-1 job")
+	}
+
 	t.Logf("\n%s", buf.String())
 }
 

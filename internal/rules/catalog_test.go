@@ -15,8 +15,9 @@ import (
 // rules, every ID in [0, 256) registered exactly once, unique names, and
 // category bands of exactly 37/46/141/32 laid out contiguously. It also
 // takes a census of the ID constants in ids.go: distinct values, one per
-// explicit registration, none inside a declared block's range — so an ID
-// constant nothing registers fails here.
+// explicit registration (transforms, implements and the info-only entries
+// outside the declared blocks), none inside a declared block's range — so
+// an ID constant nothing registers fails here.
 func TestCatalogGolden(t *testing.T) {
 	rs := Catalog()
 	infos := rs.Infos()
@@ -67,25 +68,42 @@ func TestCatalogGolden(t *testing.T) {
 		}
 	}
 
-	// Every ID constant names one explicit registration: the transforms,
-	// the implements and the two extra infos (EnforceExchange,
-	// EnforceSortOrder) in buildCatalog.
-	consts := idConstants(t)
-	if explicit := len(rs.Transforms) + len(rs.Implements) + 2; len(consts) != explicit {
-		t.Errorf("ids.go declares %d ID constants, buildCatalog registers %d rules explicitly", len(consts), explicit)
+	// Every ID constant names one explicit registration: a transform, an
+	// implement, or an info-only entry of buildCatalog's extra list
+	// (EnforceExchange, EnforceSortOrder and the rules whose code was
+	// deleted) — every registered ID outside the declared blocks.
+	inBlock := func(id int) (declaredBlock, bool) {
+		for _, b := range declaredBlocks {
+			if id >= b.first && id < b.first+len(b.names) {
+				return b, true
+			}
+		}
+		return declaredBlock{}, false
 	}
+	consts := idConstants(t)
 	byValue := make(map[int]string, len(consts))
 	for name, id := range consts {
 		if prev, dup := byValue[id]; dup {
 			t.Errorf("ID constants %s and %s share the value %d", prev, name, id)
 		}
 		byValue[id] = name
-		for _, b := range declaredBlocks {
-			if id >= b.first && id < b.first+len(b.names) {
-				t.Errorf("ID constant %s = %d lies in the declared %v block [%d, %d)",
-					name, id, b.cat, b.first, b.first+len(b.names))
-			}
+		if b, ok := inBlock(id); ok {
+			t.Errorf("ID constant %s = %d lies in the declared %v block [%d, %d)",
+				name, id, b.cat, b.first, b.first+len(b.names))
 		}
+	}
+	explicit := 0
+	for _, ri := range infos {
+		if _, ok := inBlock(ri.ID); ok {
+			continue
+		}
+		explicit++
+		if _, ok := byValue[ri.ID]; !ok {
+			t.Errorf("rule %d (%s) is registered explicitly but has no ID constant", ri.ID, ri.Name)
+		}
+	}
+	if len(consts) != explicit {
+		t.Errorf("ids.go declares %d ID constants, buildCatalog registers %d rules explicitly", len(consts), explicit)
 	}
 
 	// The declared-only blocks land where ids.go says they do.

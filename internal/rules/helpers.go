@@ -105,21 +105,6 @@ func copyNode(m *cascades.Memo, src *plan.Node, schema []plan.Column) *plan.Node
 	return n
 }
 
-// splitConjuncts carves the conjuncts of pred that refer only to set (push)
-// and the others (rest): scratch lists for Memo.And.
-func splitConjuncts(m *cascades.Memo, pred *plan.Expr, set map[plan.ColumnID]bool) (push, rest []*plan.Expr) {
-	conj := plan.Conjuncts(pred)
-	push, rest = m.Preds(len(conj)), m.Preds(len(conj))
-	for _, cj := range conj {
-		if cj.RefersOnly(set) {
-			push = append(push, cj)
-		} else {
-			rest = append(rest, cj)
-		}
-	}
-	return push, rest
-}
-
 // alignedUnionBranches returns the child groups of a union expression when
 // the union group's canonical schema positionally matches its first branch
 // (the invariant established by the binder); ok is false otherwise, and the

@@ -2,15 +2,15 @@
 // 256 rules in the four categories of Table 2 of the paper — 37 required,
 // 46 off-by-default, 141 on-by-default and 32 implementation rules.
 //
-// A few dozen rules carry real transformation/implementation behaviour over
-// the operators of the scopeql dialect; they include every rule the paper
-// names in its examples and RuleDiffs (CorrelatedJoinOnUnionAll,
-// GroupbyOnJoin, GroupbyBelowUnionAll, CollapseSelects, SelectOnProject,
-// SelectOnTrue, UnionAllToVirtualDataset, UnionAllToUnionAll, HashJoinImpl1,
-// JoinImpl2, JoinToApplyIndex1, ...). The remaining IDs are declared catalog
-// entries for operator classes outside the dialect; they never fire, exactly
-// like the dozens of registered-but-unused rules the paper observes in
-// production (Table 2 reports 86 unused rules on Workload A).
+// 33 rules carry real transformation/implementation behaviour over the
+// operators of the scopeql dialect, among them the paper's examples and
+// RuleDiffs (CorrelatedJoinOnUnionAll, GroupbyOnJoin, GroupbyBelowUnionAll,
+// UnionAllToVirtualDataset, UnionAllToUnionAll, HashJoinImpl1, JoinImpl2,
+// JoinToApplyIndex1, ...). The other IDs are declared entries that never
+// fire, like the dozens of registered-but-unused rules the paper observes in
+// production (Table 2 reports 86 unused rules on Workload A): operator
+// classes outside the dialect, and rewrites such as CollapseSelects and
+// SelectOnTrue whose code never fired on a generated workload.
 //
 // Each behavioural rule states its operator once, in matchops.go; its Apply
 // or Implement body is only ever handed expressions of that operator.

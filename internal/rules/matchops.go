@@ -10,22 +10,12 @@ import "steerq/internal/plan"
 // transform tests find the expression to rewrite by MatchOp, so a transform
 // declared under the wrong operator fails its own behaviour test.
 
-func (r collapseSelects) MatchOp() plan.Op          { return plan.OpSelect }
-func (r selectOnProject) MatchOp() plan.Op          { return plan.OpSelect }
-func (r selectOnJoin) MatchOp() plan.Op             { return plan.OpSelect }
-func (r selectOnUnionAll) MatchOp() plan.Op         { return plan.OpSelect }
-func (r selectOnGroupBy) MatchOp() plan.Op          { return plan.OpSelect }
 func (r selectPredNormalized) MatchOp() plan.Op     { return plan.OpSelect }
-func (r selectOnTrue) MatchOp() plan.Op             { return plan.OpSelect }
 func (r selectIntoGet) MatchOp() plan.Op            { return plan.OpSelect }
 func (r selectSplitDisjunction) MatchOp() plan.Op   { return plan.OpSelect }
-func (r transitivePredicate) MatchOp() plan.Op      { return plan.OpSelect }
-func (r udoPredicateTransfer) MatchOp() plan.Op     { return plan.OpSelect }
 func (r joinCommute) MatchOp() plan.Op              { return plan.OpJoin }
-func (r joinAssoc) MatchOp() plan.Op                { return plan.OpJoin }
 func (r correlatedJoinOnUnionAll) MatchOp() plan.Op { return plan.OpJoin }
 func (r projectOnProject) MatchOp() plan.Op         { return plan.OpProject }
-func (r unionAllFlatten) MatchOp() plan.Op          { return plan.OpUnionAll }
 func (r processOnUnionAll) MatchOp() plan.Op        { return plan.OpProcess }
 func (r groupbyBelowUnionAll) MatchOp() plan.Op     { return plan.OpGroupBy }
 func (r groupbyOnJoin) MatchOp() plan.Op            { return plan.OpGroupBy }

@@ -33,151 +33,6 @@ func topNode(m *cascades.Memo, topN int, keys []plan.SortKey, schema []plan.Colu
 	return n
 }
 
-// collapseSelects merges Select(Select(X, p2), p1) into Select(X, p1 AND p2).
-// The merged conjunction changes the estimator's backoff order, so this rule
-// shows up in RuleDiffs of faster plans (the paper's Q_B1 gained -96% with
-// CollapseSelects only in the best plan).
-type collapseSelects struct{ info }
-
-func (r collapseSelects) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	in := e.Children[0]
-	out := m.Results(len(in.Exprs))
-	for _, c := range in.Exprs {
-		if c.Node.Op != plan.OpSelect {
-			continue
-		}
-		merged := m.And(c.Node.Pred, e.Node.Pred)
-		out = append(out, m.RNode(selNode(m, merged, e.Group.Schema), cascades.GroupChild(c.Children[0])))
-	}
-	return out
-}
-
-// selectOnProject pushes a filter below a projection when the predicate only
-// references pass-through columns.
-type selectOnProject struct{ info }
-
-func (r selectOnProject) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	in := e.Children[0]
-	out := m.Results(len(in.Exprs))
-	for _, c := range in.Exprs {
-		if c.Node.Op != plan.OpProject {
-			continue
-		}
-		below := c.Children[0]
-		if !e.Node.Pred.RefersOnly(schemaSet(below)) {
-			continue
-		}
-		sub := m.RNode(selNode(m, e.Node.Pred, below.Schema), cascades.GroupChild(below))
-		out = append(out, m.RNode(c.Node, cascades.SubChild(sub)))
-	}
-	return out
-}
-
-// selectOnJoin pushes the conjuncts referring to one join side below the
-// join. side 0 pushes into the left child, side 1 into the right.
-type selectOnJoin struct {
-	info
-	side int
-}
-
-func (r selectOnJoin) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	in := e.Children[0]
-	out := m.Results(len(in.Exprs))
-	for _, j := range in.Exprs {
-		if j.Node.Op != plan.OpJoin {
-			continue
-		}
-		target := j.Children[r.side]
-		other := j.Children[1-r.side]
-		push, rest := splitConjuncts(m, e.Node.Pred, schemaSet(target))
-		if len(push) == 0 {
-			continue
-		}
-		sub := cascades.SubChild(m.RNode(selNode(m, m.And(push...), target.Schema), cascades.GroupChild(target)))
-		payload := joinPayload(m, j.Node.Pred, j.Group.Schema)
-		var join *cascades.RNode
-		if r.side == 0 {
-			join = m.RNode(payload, sub, cascades.GroupChild(other))
-		} else {
-			join = m.RNode(payload, cascades.GroupChild(other), sub)
-		}
-		if len(rest) == 0 {
-			out = append(out, join)
-			continue
-		}
-		out = append(out, m.RNode(selNode(m, m.And(rest...), e.Group.Schema), cascades.SubChild(join)))
-	}
-	return out
-}
-
-// selectOnUnionAll pushes a filter into every union branch.
-type selectOnUnionAll struct{ info }
-
-func (r selectOnUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	in := e.Children[0]
-	out := m.Results(len(in.Exprs))
-	for _, u := range in.Exprs {
-		if u.Node.Op != plan.OpUnionAll {
-			continue
-		}
-		branches, ok := alignedUnionBranches(u)
-		if !ok {
-			continue
-		}
-		kids := m.RChildren(len(branches))
-		okAll := true
-		for i, b := range branches {
-			mp, ok := positionalMap(u.Group.Schema, b.Schema)
-			if !ok {
-				okAll = false
-				break
-			}
-			pred, ok := remapExpr(m, e.Node.Pred, mp, nil)
-			if !ok {
-				okAll = false
-				break
-			}
-			kids[i] = cascades.SubChild(m.RNode(selNode(m, pred, b.Schema), cascades.GroupChild(b)))
-		}
-		if !okAll {
-			continue
-		}
-		out = append(out, union(m, e.Group.Schema, kids))
-	}
-	return out
-}
-
-// selectOnGroupBy pushes conjuncts that reference only grouping keys below
-// the aggregation.
-type selectOnGroupBy struct{ info }
-
-func (r selectOnGroupBy) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	in := e.Children[0]
-	out := m.Results(len(in.Exprs))
-	for _, gb := range in.Exprs {
-		if gb.Node.Op != plan.OpGroupBy {
-			continue
-		}
-		keySet := make(map[plan.ColumnID]bool, len(gb.Node.GroupKeys))
-		for _, k := range gb.Node.GroupKeys {
-			keySet[k.ID] = true
-		}
-		push, rest := splitConjuncts(m, e.Node.Pred, keySet)
-		if len(push) == 0 {
-			continue
-		}
-		below := gb.Children[0]
-		sub := m.RNode(selNode(m, m.And(push...), below.Schema), cascades.GroupChild(below))
-		inner := m.RNode(copyNode(m, gb.Node, gb.Group.Schema), cascades.SubChild(sub))
-		if len(rest) == 0 {
-			out = append(out, inner)
-			continue
-		}
-		out = append(out, m.RNode(selNode(m, m.And(rest...), e.Group.Schema), cascades.SubChild(inner)))
-	}
-	return out
-}
-
 // selectPredNormalized reorders the conjuncts of a filter by estimated
 // selectivity, most selective first. Under the estimator's exponential
 // backoff this produces the *lowest* combined estimate for the same
@@ -207,52 +62,6 @@ func (r selectPredNormalized) Apply(e *cascades.MExpr, m *cascades.Memo) []*casc
 	return one(m, m.RNode(selNode(m, m.And(conj...), e.Group.Schema), cascades.GroupChild(e.Children[0])))
 }
 
-// selectOnTrue removes trivially true conjuncts (const == const, col == same
-// col).
-type selectOnTrue struct{ info }
-
-func trivialConjunct(c *plan.Expr) bool {
-	if c.Kind != plan.ExprCmp || len(c.Args) != 2 {
-		return false
-	}
-	l, rr := c.Args[0], c.Args[1]
-	if l.Kind == plan.ExprConst && rr.Kind == plan.ExprConst {
-		if l.Lit.IsString != rr.Lit.IsString {
-			return false
-		}
-		eq := l.Lit.S == rr.Lit.S && l.Lit.F == rr.Lit.F
-		switch c.Op {
-		case plan.OpEQ, plan.OpLE, plan.OpGE:
-			return eq
-		}
-		return false
-	}
-	if l.Kind == plan.ExprColumn && rr.Kind == plan.ExprColumn && l.Col.ID == rr.Col.ID {
-		switch c.Op {
-		case plan.OpEQ, plan.OpLE, plan.OpGE:
-			return true
-		}
-	}
-	return false
-}
-
-func (r selectOnTrue) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	if e.Node.Pred == nil {
-		return nil
-	}
-	conj := plan.Conjuncts(e.Node.Pred)
-	kept := m.Preds(len(conj))
-	for _, c := range conj {
-		if !trivialConjunct(c) {
-			kept = append(kept, c)
-		}
-	}
-	if len(kept) == len(conj) || len(kept) == 0 {
-		return nil
-	}
-	return one(m, m.RNode(selNode(m, m.And(kept...), e.Group.Schema), cascades.GroupChild(e.Children[0])))
-}
-
 // selectIntoGet merges a filter into the scan beneath it, enabling the
 // RangeScan implementation.
 type selectIntoGet struct{ info }
@@ -279,64 +88,6 @@ func (r joinCommute) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNod
 	return one(m, m.RNode(joinPayload(m, e.Node.Pred, e.Group.Schema),
 		cascades.GroupChild(e.Children[1]),
 		cascades.GroupChild(e.Children[0])))
-}
-
-// joinAssoc reassociates (A ⋈ B) ⋈ C into A ⋈ (B ⋈ C) (side 0) and
-// A ⋈ (B ⋈ C) into (A ⋈ B) ⋈ C (side 1).
-type joinAssoc struct {
-	info
-	side int // which child contains the nested join
-}
-
-func (r joinAssoc) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	in := e.Children[r.side]
-	out := m.Results(len(in.Exprs))
-	for _, j := range in.Exprs {
-		if j.Node.Op != plan.OpJoin {
-			continue
-		}
-		var a, b, c *cascades.Group
-		if r.side == 0 {
-			a, b = j.Children[0], j.Children[1]
-			c = e.Children[1]
-		} else {
-			a = e.Children[0]
-			b, c = j.Children[0], j.Children[1]
-		}
-		// Split the outer predicate: conjuncts over the two groups that
-		// form the new inner join move inside.
-		var innerSet map[plan.ColumnID]bool
-		if r.side == 0 {
-			innerSet = unionSet(schemaSet(b), schemaSet(c))
-		} else {
-			innerSet = unionSet(schemaSet(a), schemaSet(b))
-		}
-		conj, below := plan.Conjuncts(e.Node.Pred), plan.Conjuncts(j.Node.Pred)
-		inner, outer := m.Preds(len(conj)), m.Preds(len(conj)+len(below))
-		for _, cj := range conj {
-			if cj.RefersOnly(innerSet) {
-				inner = append(inner, cj)
-			} else {
-				outer = append(outer, cj)
-			}
-		}
-		if len(inner) == 0 {
-			continue // would create a cross join inside
-		}
-		outer = append(outer, below...)
-		if r.side == 0 {
-			innerJoin := m.RNode(joinPayload(m, m.And(inner...), m.Concat(b.Schema, c.Schema)),
-				cascades.GroupChild(b), cascades.GroupChild(c))
-			out = append(out, m.RNode(joinPayload(m, m.And(outer...), e.Group.Schema),
-				cascades.GroupChild(a), cascades.SubChild(innerJoin)))
-		} else {
-			innerJoin := m.RNode(joinPayload(m, m.And(inner...), m.Concat(a.Schema, b.Schema)),
-				cascades.GroupChild(a), cascades.GroupChild(b))
-			out = append(out, m.RNode(joinPayload(m, m.And(outer...), e.Group.Schema),
-				cascades.SubChild(innerJoin), cascades.GroupChild(c)))
-		}
-	}
-	return out
 }
 
 func unionSet(a, b map[plan.ColumnID]bool) map[plan.ColumnID]bool {
@@ -410,37 +161,6 @@ func substExpr(m *cascades.Memo, e *plan.Expr, subst map[plan.ColumnID]*plan.Exp
 		}
 	}
 	return cp, true
-}
-
-// unionAllFlatten splices a nested union's branches into its parent.
-type unionAllFlatten struct{ info }
-
-func (r unionAllFlatten) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	out := m.Results(len(e.Children))
-	for i, ch := range e.Children {
-		for _, u := range ch.Exprs {
-			if u.Node.Op != plan.OpUnionAll || u.Group == e.Group {
-				continue
-			}
-			branches, ok := alignedUnionBranches(u)
-			if !ok {
-				continue
-			}
-			kids := m.RChildren(len(e.Children) + len(branches) - 1)[:0]
-			for k, other := range e.Children {
-				if k == i {
-					for _, b := range branches {
-						kids = append(kids, cascades.GroupChild(b))
-					}
-				} else {
-					kids = append(kids, cascades.GroupChild(other))
-				}
-			}
-			out = append(out, union(m, e.Group.Schema, kids))
-			break // one splice per child per application
-		}
-	}
-	return out
 }
 
 // processOnUnionAll pushes a user-defined row processor into every union
@@ -808,142 +528,6 @@ func (r groupbyOnProject) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades
 			continue
 		}
 		out = append(out, m.RNode(copyNode(m, e.Node, e.Group.Schema), cascades.GroupChild(below)))
-	}
-	return out
-}
-
-// transitivePredicate derives predicates across equi-join keys: with
-// Select(Join(L, R, lk == rk), pred) and a conjunct of pred constraining lk
-// against a constant, the same constraint holds for rk (and vice versa), so
-// the rewrite adds the mirrored conjunct. The enriched predicate unlocks
-// pushdown into both join sides and tightens estimates.
-type transitivePredicate struct{ info }
-
-// constraint identifies a col-op-const conjunct by column ID, operator and
-// literal: two columns can share a name across join sides, so the display
-// string is not a key.
-type constraint struct {
-	col plan.ColumnID
-	op  plan.CmpOp
-	lit string
-}
-
-func (r transitivePredicate) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	in := e.Children[0]
-	out := m.Results(len(in.Exprs))
-	for _, j := range in.Exprs {
-		if j.Node.Op != plan.OpJoin {
-			continue
-		}
-		// Map each equi key to its counterpart on the other side.
-		mirror := make(map[plan.ColumnID]plan.Column)
-		for _, cj := range plan.Conjuncts(j.Node.Pred) {
-			if a, b, ok := cj.EquiJoinSides(); ok {
-				mirror[a.ID] = b
-				mirror[b.ID] = a
-			}
-		}
-		if len(mirror) == 0 {
-			continue
-		}
-		conj := plan.Conjuncts(e.Node.Pred)
-		key := func(c *plan.Expr) (constraint, bool) {
-			col, ok := singleColumnConst(c)
-			if !ok {
-				return constraint{}, false
-			}
-			return constraint{col.ID, c.Op, c.Args[1].String() + c.Args[0].String()}, true
-		}
-		have := make(map[constraint]bool, len(conj))
-		for _, c := range conj {
-			if k, ok := key(c); ok {
-				have[k] = true
-			}
-		}
-		derived := m.Preds(len(conj))
-		for _, c := range conj {
-			col, ok := singleColumnConst(c)
-			if !ok {
-				continue
-			}
-			other, ok := mirror[col.ID]
-			if !ok {
-				continue
-			}
-			d := c.Clone()
-			substituteColumn(d, col.ID, other)
-			if k, ok := key(d); ok && !have[k] {
-				have[k] = true
-				derived = append(derived, d)
-			}
-		}
-		if len(derived) == 0 {
-			continue
-		}
-		merged := m.And(append(append(m.Preds(len(conj)+len(derived)), conj...), derived...)...)
-		out = append(out, m.RNode(selNode(m, merged, e.Group.Schema), cascades.GroupChild(e.Children[0])))
-	}
-	return out
-}
-
-// singleColumnConst matches a col-op-const comparison and returns its column.
-func singleColumnConst(c *plan.Expr) (plan.Column, bool) {
-	if c.Kind != plan.ExprCmp || len(c.Args) != 2 {
-		return plan.Column{}, false
-	}
-	l, r := c.Args[0], c.Args[1]
-	if l.Kind == plan.ExprColumn && r.Kind == plan.ExprConst {
-		return l.Col, true
-	}
-	if r.Kind == plan.ExprColumn && l.Kind == plan.ExprConst {
-		return r.Col, true
-	}
-	return plan.Column{}, false
-}
-
-// substituteColumn rewrites references to id with col, in place on a clone.
-func substituteColumn(e *plan.Expr, id plan.ColumnID, col plan.Column) {
-	if e == nil {
-		return
-	}
-	if e.Kind == plan.ExprColumn && e.Col.ID == id {
-		e.Col = col
-		return
-	}
-	for _, a := range e.Args {
-		substituteColumn(a, id, col)
-	}
-}
-
-// udoPredicateTransfer pushes filter conjuncts that reference only a
-// reducer's key columns below the REDUCE: a per-key user-defined reducer
-// emits rows only for key groups that exist in its input, so key predicates
-// commute with it. Non-key conjuncts must stay above the opaque UDO.
-type udoPredicateTransfer struct{ info }
-
-func (r udoPredicateTransfer) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RNode {
-	in := e.Children[0]
-	out := m.Results(len(in.Exprs))
-	for _, red := range in.Exprs {
-		if red.Node.Op != plan.OpReduce {
-			continue
-		}
-		keySet := make(map[plan.ColumnID]bool, len(red.Node.ReduceKeys))
-		for _, k := range red.Node.ReduceKeys {
-			keySet[k.ID] = true
-		}
-		push, rest := splitConjuncts(m, e.Node.Pred, keySet)
-		if len(push) == 0 {
-			continue
-		}
-		below := red.Children[0]
-		sub := m.RNode(selNode(m, m.And(push...), below.Schema), cascades.GroupChild(below))
-		inner := m.RNode(copyNode(m, red.Node, red.Group.Schema), cascades.SubChild(sub))
-		if len(rest) == 0 {
-			out = append(out, inner)
-			continue
-		}
-		out = append(out, m.RNode(selNode(m, m.And(rest...), e.Group.Schema), cascades.SubChild(inner)))
 	}
 	return out
 }

@@ -68,64 +68,6 @@ jf = SELECT user_id, segment, amount FROM j WHERE amount > 500;
 OUTPUT jf TO "out/x";
 `
 
-func mkRule[T any](ctor func(info) T, id int, name string, cat cascades.Category) T {
-	return ctor(info(cascades.RuleInfo{ID: id, Name: name, Category: cat}))
-}
-
-func TestCollapseSelectsApply(t *testing.T) {
-	m := buildMemo(t, `
-a = SELECT user_id, amount FROM "shop/orders" WHERE amount > 10;
-b = SELECT user_id, amount FROM a WHERE amount < 500;
-OUTPUT b TO "o";
-`)
-	// The memo holds Select(Project(Select(...))) from the two statements;
-	// collapse applies to adjacent selects only, so first push the outer
-	// select through the project.
-	sop := selectOnProject{info: info(cascades.RuleInfo{ID: IDSelectOnProject, Name: "t", Category: cascades.OnByDefault})}
-	if applyAndIntern(m, sop) == 0 {
-		t.Fatal("SelectOnProject produced nothing")
-	}
-	cs := collapseSelects{info: info(cascades.RuleInfo{ID: IDCollapseSelects, Name: "t", Category: cascades.OnByDefault})}
-	if applyAndIntern(m, cs) == 0 {
-		t.Fatal("CollapseSelects never applied")
-	}
-	// A merged select must exist whose predicate has both conjuncts.
-	found := false
-	for _, e := range ruleExprs(m, cs) {
-		if len(plan.Conjuncts(e.Node.Pred)) >= 2 && e.RuleID == IDCollapseSelects {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no merged-predicate select interned")
-	}
-}
-
-func TestSelectOnJoinPushesOneSide(t *testing.T) {
-	m := buildMemo(t, filterJoinScript)
-	r := selectOnJoin{info: info(cascades.RuleInfo{ID: IDSelectOnJoinLeft, Name: "t", Category: cascades.OnByDefault}), side: 0}
-	// The select above the join filters on amount (left side): after
-	// pushing the project-level select, the join-level select can move.
-	sop := selectOnProject{info: info(cascades.RuleInfo{ID: IDSelectOnProject, Name: "t2", Category: cascades.OnByDefault})}
-	for pass := 0; pass < 3; pass++ {
-		applyAndIntern(m, sop)
-		applyAndIntern(m, r)
-	}
-	// Some join expression must now have a Select group as its left child
-	// that was produced by the pushdown.
-	found := false
-	for _, g := range m.Groups {
-		for _, e := range g.Exprs {
-			if e.RuleID == IDSelectOnJoinLeft {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Fatal("filter pushdown through join never fired")
-	}
-}
-
 func TestSelectPredNormalizedOrdersBySelectivity(t *testing.T) {
 	m := buildMemo(t, `
 a = SELECT user_id, amount FROM "shop/orders" WHERE amount > 10 AND region == 3;
@@ -182,65 +124,6 @@ func TestJoinCommuteSwapsChildren(t *testing.T) {
 	m.Intern(res2[0], e.Group, commuted, IDJoinCommute)
 	if len(e.Group.Exprs) != before+1 {
 		t.Fatalf("double commute grew the group: %d -> %d", before, len(e.Group.Exprs))
-	}
-}
-
-const threeWayJoinScript = `
-f = SELECT user_id, amount FROM "shop/orders" WHERE amount > 50;
-j1 = SELECT f.user_id AS user_id, f.amount AS amount, u.segment AS segment
-     FROM f INNER JOIN "shop/users" AS u ON f.user_id == u.user_id;
-j2 = SELECT j1.amount AS amount, j1.segment AS segment, c.page AS page
-     FROM j1 INNER JOIN "shop/clicks" AS c ON j1.user_id == c.user_id;
-OUTPUT j2 TO "out/3way";
-`
-
-func TestJoinAssocCreatesAlternative(t *testing.T) {
-	m := buildMemo(t, threeWayJoinScript)
-	// Find the upper join: a Join expression whose left child group holds a
-	// Project; push that first so the assoc rule can see Join(Join...).
-	// Rather than orchestrate passes by hand, run the full optimizer and
-	// assert the rule can fire via provenance in at least one memo... here
-	// we instead check the rule's structural contract on a hand-built
-	// Join(Join(A,B),C).
-	cat := testCatalog()
-	a, _ := scopeql.Compile(`x = SELECT user_id, amount FROM "shop/orders"; OUTPUT x TO "o";`, cat)
-	_ = a
-	_ = m
-	// Build Join(Join(A,B),C) directly.
-	mkCol := func(id int, name, src string) plan.Column {
-		return plan.Column{ID: plan.ColumnID(id), Name: name, Source: src}
-	}
-	ka := mkCol(1, "user_id", "shop/orders.user_id")
-	kb := mkCol(2, "user_id", "shop/users.user_id")
-	kc := mkCol(3, "user_id", "shop/clicks.user_id")
-	A := plan.NewGet("shop/orders", []plan.Column{ka})
-	B := plan.NewGet("shop/users", []plan.Column{kb})
-	C := plan.NewGet("shop/clicks", []plan.Column{kc})
-	inner := plan.NewJoin(A, B, plan.Cmp(plan.OpEQ, plan.ColExpr(ka), plan.ColExpr(kb)))
-	outer := plan.NewJoin(inner, C, plan.Cmp(plan.OpEQ, plan.ColExpr(kb), plan.ColExpr(kc)))
-	root := plan.NewOutput(outer, "o")
-	mm := cascades.NewMemo(root, cost.NewEstimated(cat))
-
-	r := joinAssoc{info: info(cascades.RuleInfo{ID: IDJoinAssocLeft, Name: "t", Category: cascades.OnByDefault}), side: 0}
-	var oe *cascades.MExpr
-	for _, e := range ruleExprs(mm, r) {
-		if len(e.Group.Schema) == 3 {
-			oe = e
-		}
-	}
-	if oe == nil {
-		t.Fatal("outer join expression not found")
-	}
-	res := r.Apply(oe, mm)
-	if len(res) != 1 {
-		t.Fatalf("assoc produced %d results", len(res))
-	}
-	// New shape: Join(A, Join(B, C)).
-	if res[0].Children[0].Group == nil {
-		t.Fatal("left child of reassociated join should be group A")
-	}
-	if res[0].Children[1].Sub == nil || res[0].Children[1].Sub.Node.Op != plan.OpJoin {
-		t.Fatal("right child should be a fresh inner join")
 	}
 }
 
@@ -373,30 +256,6 @@ OUTPUT a TO "o";
 	}
 }
 
-func TestUnionAllFlatten(t *testing.T) {
-	m := buildMemo(t, `
-b1 = SELECT user_id FROM "shop/orders";
-b2 = SELECT user_id FROM "shop/orders" WHERE amount > 1;
-b3 = SELECT user_id FROM "shop/orders" WHERE amount > 2;
-u1 = b1 UNION ALL b2;
-u2 = u1 UNION ALL b3;
-OUTPUT u2 TO "o";
-`)
-	r := unionAllFlatten{info: info(cascades.RuleInfo{ID: IDUnionAllFlatten, Name: "t", Category: cascades.OnByDefault})}
-	fired := false
-	for _, e := range ruleExprs(m, r) {
-		for _, rn := range r.Apply(e, m) {
-			if len(rn.Children) != 3 {
-				t.Fatalf("flattened union has %d children, want 3", len(rn.Children))
-			}
-			fired = true
-		}
-	}
-	if !fired {
-		t.Fatal("UnionAllFlatten never fired on a nested union")
-	}
-}
-
 func TestSelectSplitDisjunction(t *testing.T) {
 	m := buildMemo(t, `
 a = SELECT user_id, amount FROM "shop/orders" WHERE amount > 900 OR region == 2;
@@ -410,126 +269,5 @@ OUTPUT a TO "o";
 	}
 	if res[0].Node.Op != plan.OpUnionAll || len(res[0].Children) != 2 {
 		t.Fatal("split did not produce a two-branch union")
-	}
-}
-
-func TestSelectOnTrueDropsTrivial(t *testing.T) {
-	cat := testCatalog()
-	c := plan.Column{ID: 1, Name: "a", Source: "shop/orders.amount"}
-	get := plan.NewGet("shop/orders", []plan.Column{c})
-	pred := plan.And(
-		plan.Cmp(plan.OpEQ, plan.NumExpr(1), plan.NumExpr(1)), // trivially true
-		plan.Cmp(plan.OpGT, plan.ColExpr(c), plan.NumExpr(5)),
-	)
-	root := plan.NewOutput(plan.NewSelect(get, pred), "o")
-	m := cascades.NewMemo(root, cost.NewEstimated(cat))
-	r := selectOnTrue{info: info(cascades.RuleInfo{ID: IDSelectOnTrue, Name: "t", Category: cascades.OnByDefault})}
-	e := ruleExpr(t, m, r)
-	res := r.Apply(e, m)
-	if len(res) != 1 {
-		t.Fatalf("got %d results", len(res))
-	}
-	if got := len(plan.Conjuncts(res[0].Node.Pred)); got != 1 {
-		t.Fatalf("trivial conjunct survived: %d conjuncts", got)
-	}
-}
-
-func TestTransitivePredicateDerivesMirror(t *testing.T) {
-	m := buildMemo(t, `
-f = SELECT user_id, amount FROM "shop/orders";
-j = SELECT f.user_id AS uid, u.segment AS segment FROM f INNER JOIN "shop/users" AS u ON f.user_id == u.user_id;
-OUTPUT j TO "o";
-`)
-	// Build a Select above the Join manually: pred on the left key.
-	var join *cascades.MExpr
-	for _, g := range m.Groups {
-		for _, e := range g.Exprs {
-			if e.Node.Op == plan.OpJoin {
-				join = e
-			}
-		}
-	}
-	if join == nil {
-		t.Fatal("no join in memo")
-	}
-	var leftKey plan.Column
-	a, b, ok := join.Node.Pred.EquiJoinSides()
-	if !ok {
-		t.Fatal("join is not equi")
-	}
-	leftKey = a
-	pred := plan.Cmp(plan.OpGT, plan.ColExpr(leftKey), plan.NumExpr(100))
-	sel := &cascades.RNode{
-		Node:     selNode(m, pred, join.Group.Schema),
-		Children: []cascades.RChild{cascades.GroupChild(join.Group)},
-	}
-	// Intern the select as a root over the join group (fresh group).
-	m.Intern(sel, nil, join, -1)
-	r := transitivePredicate{info: info(cascades.RuleInfo{ID: IDTransitivePredicate, Name: "t", Category: cascades.OnByDefault})}
-	var selExpr *cascades.MExpr
-	for _, e := range ruleExprs(m, r) {
-		if e.Children[0] == join.Group {
-			selExpr = e
-		}
-	}
-	if selExpr == nil {
-		t.Fatal("select expr not interned")
-	}
-	res := r.Apply(selExpr, m)
-	if len(res) != 1 {
-		t.Fatalf("transitive predicate produced %d results", len(res))
-	}
-	conj := plan.Conjuncts(res[0].Node.Pred)
-	if len(conj) != 2 {
-		t.Fatalf("derived predicate has %d conjuncts, want 2", len(conj))
-	}
-	// The derived conjunct references the right key.
-	found := false
-	for _, c := range conj {
-		col, ok := singleColumnConst(c)
-		if ok && col.ID == b.ID {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("mirror conjunct on %v missing: %v", b, res[0].Node.Pred)
-	}
-	// Re-application adds nothing new (idempotent modulo dedup).
-	selNode2 := &cascades.RNode{Node: res[0].Node, Children: res[0].Children}
-	m.Intern(selNode2, selExpr.Group, selExpr, IDTransitivePredicate)
-	enriched := selExpr.Group.Exprs[len(selExpr.Group.Exprs)-1]
-	if again := r.Apply(enriched, m); len(again) != 0 {
-		t.Fatalf("rule re-derived existing conjuncts: %v", again[0].Node.Pred)
-	}
-}
-
-func TestUdoPredicateTransfer(t *testing.T) {
-	m := buildMemo(t, `
-f = SELECT user_id, amount FROM "shop/orders";
-rj = REDUCE f ON user_id USING Cooker;
-fl = SELECT user_id, amount FROM rj WHERE user_id > 100 AND amount > 5;
-OUTPUT fl TO "o";
-`)
-	r := udoPredicateTransfer{info: info(cascades.RuleInfo{ID: IDUdoPredicateTransfer, Name: "t", Category: cascades.OnByDefault})}
-	sop := selectOnProject{info: info(cascades.RuleInfo{ID: IDSelectOnProject, Name: "t2", Category: cascades.OnByDefault})}
-	// Push the select through the binder's Project first, then apply.
-	for pass := 0; pass < 2; pass++ {
-		applyAndIntern(m, sop)
-	}
-	fired := 0
-	for _, e := range ruleExprs(m, r) {
-		for _, rn := range r.Apply(e, m) {
-			fired++
-			// Root must keep the non-key conjunct above the reduce.
-			if rn.Node.Op != plan.OpSelect {
-				t.Fatalf("rewrite root %v; the amount conjunct cannot cross the UDO", rn.Node.Op)
-			}
-			if got := len(plan.Conjuncts(rn.Node.Pred)); got != 1 {
-				t.Fatalf("%d conjuncts stayed above the reduce, want 1", got)
-			}
-		}
-	}
-	if fired == 0 {
-		t.Fatal("UdoPredicateTransfer never fired")
 	}
 }

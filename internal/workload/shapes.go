@@ -183,8 +183,8 @@ func (g *generator) multiJoin(r *xrand.Source) func(*xrand.Source) string {
 
 // unionCook: union several filtered facts sharing a key, then either join a
 // dimension and aggregate, or aggregate directly on the key. Exercises the
-// union-all rule families (SelectOnUnionAll, GroupbyBelowUnionAll,
-// CorrelatedJoinOnUnionAll, UnionAllToVirtualDataset vs UnionAllToUnionAll).
+// union-all rule families (GroupbyBelowUnionAll, CorrelatedJoinOnUnionAll,
+// UnionAllToVirtualDataset vs UnionAllToUnionAll).
 func (g *generator) unionCook(r *xrand.Source) func(*xrand.Source) string {
 	f := g.pickFact(r)
 	key := f.keys[r.Intn(len(f.keys))]
