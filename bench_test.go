@@ -189,7 +189,9 @@ func BenchmarkBundleRepass(b *testing.B) {
 // compile and the explorations' few rule leftovers (column-set maps); rules
 // carve their output from the arena and the physical phases allocate
 // nothing — over its compiles, and must stay at or below 16 (it measures
-// 2.5).
+// 2.5). candidates/compile is the implementation candidates the sweep's
+// compiles resolved, costed/compile those of them the session built and
+// costed rather than reused (Session.Candidates).
 func BenchmarkSessionCandidates(b *testing.B) {
 	r := experiments.NewRunner(benchConfig())
 	opt := r.Harness("A").Opt
@@ -227,6 +229,7 @@ func BenchmarkSessionCandidates(b *testing.B) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	mallocs := ms.Mallocs
+	var resolved, costed int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sess := opt.NewSession(job.Root)
@@ -235,6 +238,8 @@ func BenchmarkSessionCandidates(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		n, c := sess.Candidates()
+		resolved, costed = resolved+n, costed+c
 		sess.Close()
 	}
 	b.StopTimer()
@@ -247,6 +252,8 @@ func BenchmarkSessionCandidates(b *testing.B) {
 	b.ReportMetric(perCompile, "allocs/compile")
 	b.ReportMetric(implPerCompile, "implfirings/compile")
 	b.ReportMetric(oneShotImpl, "oneshot-implfirings/compile")
+	b.ReportMetric(float64(resolved)/float64(b.N*len(cfgs)), "candidates/compile")
+	b.ReportMetric(float64(costed)/float64(b.N*len(cfgs)), "costed/compile")
 	if explores > float64(len(cfgs))/4 {
 		b.Fatalf("%v explorations for %d compiles: the session shares too little", explores, len(cfgs))
 	}

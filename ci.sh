@@ -27,7 +27,10 @@
 #                                analysis (TestAnalyzeSharesOneSession),
 #                                re-execution (TestExecuteIsReentrant), the
 #                                optimizer session's oracles (memos and group
-#                                states shared, frozen memos untouched), the
+#                                states shared, frozen memos untouched, and
+#                                TestSessionReusesCandidates: candidates and
+#                                enforcers reused across compiles, each plan
+#                                the one-shot DAG node for node), the
 #                                one compile path under injection
 #                                (TestFaultedTrialsKeepPlans) and the
 #                                plan-under-injection rule it rests on

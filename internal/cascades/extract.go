@@ -49,7 +49,7 @@ func (s *search) extract(w *winner) (*plan.PhysNode, bitvec.Vector) {
 			Op:       p.op,
 			Schema:   p.node.Schema,
 			Dist:     p.outDist,
-			EstRows:  p.rows,
+			EstRows:  p.props.Rows,
 			EstCost:  p.usage.LatencySeconds,
 			RuleID:   p.ruleID,
 			Exchange: p.exchange,

@@ -19,14 +19,19 @@ type pexpr struct {
 	dop      int
 	// props are the candidate's own estimated statistics, derived from its
 	// expression tree (not the group's canonical statistics) — see
-	// Memo.DerivePropsFrom.
+	// Memo.DerivePropsFrom. props.Rows and props.RowBytes are its output
+	// cardinality and row width.
 	props    cost.Props
-	rows     float64
-	rowBytes float64
 	usage    cost.OpUsage // local usage
 	total    float64      // cumulative estimated latency cost
 	exchange plan.ExchangeKind
 	buildIdx int
+
+	// next and enforced are the session's reuse links. next is the pexpr
+	// after this one on the list it is filed on: its prototype's candidates
+	// (implAlt.built) or its inner pexpr's enforcers. enforced heads the
+	// enforcers built over this pexpr, one per requirement (enforce).
+	next, enforced *pexpr
 
 	// mark and built are the visit marks of the signature or extract walk
 	// that ends a compile. A pexpr is shared wherever its group's winner is
@@ -76,9 +81,12 @@ type groupWinner struct {
 	next *groupWinner
 }
 
-// implAlt is what one implementation rule returned for one expression.
+// implAlt is what one implementation rule returned for one expression and,
+// per prototype, the head of the candidates the session built from it over
+// distinct child winners (buildCandidate).
 type implAlt struct {
 	protos []*PhysProto
+	built  []*pexpr
 	done   bool
 }
 
@@ -209,12 +217,13 @@ func (s *search) groupCandidates(gs *groupSearch, g *Group) []*pexpr {
 			alt := &e.impls[i]
 			if !alt.done {
 				alt.protos, alt.done = r.Implement(e, s.m), true
+				alt.built = s.childSlice(len(alt.protos))
 			}
 			if len(alt.protos) > 0 {
 				s.firings[ri.Category]++
 			}
-			for _, proto := range alt.protos {
-				if p := s.buildCandidate(gs, e, proto, ri.ID); p != nil {
+			for j, proto := range alt.protos {
+				if p := s.buildCandidate(gs, e, proto, ri.ID, &alt.built[j]); p != nil {
 					s.candBuf = append(s.candBuf, p)
 				}
 			}
@@ -230,48 +239,64 @@ func (s *search) groupCandidates(gs *groupSearch, g *Group) []*pexpr {
 // buildCandidate resolves child requirements and costs one implementation
 // candidate of the group gs is enumerating, ORing into gs.foot the foot of
 // every child it visits. Returns nil when a child has no feasible plan.
-func (s *search) buildCandidate(gs *groupSearch, e *MExpr, proto *PhysProto, ruleID int) *pexpr {
-	g := e.Group
-	children := s.childSlice(len(e.Children))
-	var childTotal float64
+//
+// The child winners are resolved first, in child order. A candidate is a
+// function of its prototype and those winners alone, so one built earlier in
+// the session from proto over the same winners — on the list *built heads —
+// is returned as is instead of being built and costed again (DESIGN.md,
+// "Candidate reuse").
+func (s *search) buildCandidate(gs *groupSearch, e *MExpr, proto *PhysProto, ruleID int, built **pexpr) *pexpr {
+	// The winners go on the candidate stack: nested enumerations push and
+	// pop above them, and they are popped before the caller pushes the
+	// candidate.
+	base := len(s.candBuf)
+	var first *pexpr // child 0 as consumed, once a broadcast requirement reads its DOP
 	for i, cg := range e.Children {
-		req := plan.Distribution{Kind: plan.DistAny}
-		if i < len(proto.ChildReq) {
-			req = proto.ChildReq[i]
-		}
-		if req.Kind == plan.DistBroadcast && i > 0 && children[0] != nil {
+		req := childReq(proto, i)
+		if req.Kind == plan.DistBroadcast && i > 0 {
 			// Broadcast replicates to every consumer partition: the
 			// replication factor is the probe side's parallelism.
-			req.DOP = children[0].dop
-		}
-		var w *pexpr
-		var cs *groupSearch
-		if i == 0 && proto.LocalPre != 0 {
-			// Two-phase implementation: run a local pre-operator on the
-			// child's unconstrained plan, then enforce the requirement on
-			// the (much smaller) pre-aggregated stream.
-			w, cs = s.optimizeGroup(cg, plan.Distribution{Kind: plan.DistAny})
-			if w != nil {
-				w = s.wrapLocalPre(w, proto, e, ruleID)
-				if !w.outDist.Satisfies(req) {
-					w = s.enforce(w, req)
-				}
+			if first == nil {
+				first = s.consume(e, proto, ruleID, 0, s.candBuf[base])
 			}
-		} else {
-			w, cs = s.optimizeGroup(cg, req)
+			req.DOP = first.dop
 		}
+		if i == 0 && proto.LocalPre != 0 {
+			// Two-phase implementation: the local pre-operator runs on the
+			// child's unconstrained plan (see consume).
+			req = plan.Distribution{Kind: plan.DistAny}
+		}
+		w, cs := s.optimizeGroup(cg, req)
 		// The child's reads are this group's too, whether or not the child
 		// had a plan: they decided this branch.
 		gs.foot = gs.foot.Or(cs.foot)
 		if w == nil {
+			s.candBuf = s.candBuf[:base]
 			return nil
 		}
-		if proto.NeedsSort {
-			w = s.wrapSort(w, cg)
-		}
-		children[i] = w
-		childTotal += w.total
+		s.candBuf = append(s.candBuf, w)
 	}
+	winners := s.candBuf[base:]
+	s.resolved++
+	for p := *built; p != nil; p = p.next {
+		if builtOver(p, proto, winners) {
+			s.candBuf = s.candBuf[:base]
+			return p
+		}
+	}
+	s.costed++
+
+	children := s.childSlice(len(winners))
+	var childTotal float64
+	for i, w := range winners {
+		c := first
+		if i > 0 || c == nil {
+			c = s.consume(e, proto, ruleID, i, w)
+		}
+		children[i] = c
+		childTotal += c.total
+	}
+	s.candBuf = s.candBuf[:base]
 
 	// Scratch slices: DerivePropsFrom and the estimator only read them, so
 	// the backing arrays are reused across every candidate of the search.
@@ -284,7 +309,7 @@ func (s *search) buildCandidate(gs *groupSearch, e *MExpr, proto *PhysProto, rul
 		childSchemas = append(childSchemas, e.Children[i].Schema)
 	}
 	s.propsBuf, s.schemaBuf = childProps, childSchemas
-	props := s.m.DerivePropsFrom(&s.scratch.physStats, proto.Node, childProps, childSchemas, g.Schema)
+	props := s.m.DerivePropsFrom(&s.scratch.physStats, proto.Node, childProps, childSchemas, e.Group.Schema)
 	p := s.newPexpr()
 	*p = pexpr{
 		op:       proto.Op,
@@ -293,15 +318,63 @@ func (s *search) buildCandidate(gs *groupSearch, e *MExpr, proto *PhysProto, rul
 		lexpr:    e,
 		ruleID:   ruleID,
 		props:    props,
-		rows:     props.Rows,
-		rowBytes: props.RowBytes,
 		buildIdx: proto.BuildIdx,
+		next:     *built,
 	}
+	*built = p
 	p.dop = s.chooseOpDOP(p)
 	p.outDist = s.deliveredDist(proto, p)
 	p.usage = s.localUsage(p)
 	p.total = childTotal + p.usage.LatencySeconds
 	return p
+}
+
+// childReq is the distribution proto requires of child i, before a
+// broadcast requirement learns its DOP.
+func childReq(proto *PhysProto, i int) plan.Distribution {
+	if i < len(proto.ChildReq) {
+		return proto.ChildReq[i]
+	}
+	return plan.Distribution{Kind: plan.DistAny}
+}
+
+// consume returns child i's winner w as a candidate built from proto
+// consumes it. For a two-phase implementation child 0 gets the local
+// pre-operator, then an enforcer for the child requirement on the (much
+// smaller) pre-aggregated stream; a prototype that needs sorted input gets a
+// Sort on every child.
+func (s *search) consume(e *MExpr, proto *PhysProto, ruleID, i int, w *pexpr) *pexpr {
+	if i == 0 && proto.LocalPre != 0 {
+		w = s.wrapLocalPre(w, proto, e, ruleID)
+		if req := childReq(proto, 0); !w.outDist.Satisfies(req) {
+			w = s.enforce(w, req)
+		}
+	}
+	if proto.NeedsSort {
+		w = s.wrapSort(w, e.Children[i])
+	}
+	return w
+}
+
+// builtOver reports whether candidate p, built from proto, was built over
+// winners: consume undone, child by child.
+func builtOver(p *pexpr, proto *PhysProto, winners []*pexpr) bool {
+	for i, w := range winners {
+		c := p.children[i]
+		if proto.NeedsSort {
+			c = c.children[0]
+		}
+		if i == 0 && proto.LocalPre != 0 {
+			if c.op != proto.LocalPre {
+				c = c.children[0] // the enforcer over the pre-operator
+			}
+			c = c.children[0]
+		}
+		if c != w {
+			return false
+		}
+	}
+	return true
 }
 
 // chooseOpDOP derives the operator's degree of parallelism. Parallelism is
@@ -330,7 +403,7 @@ func (s *search) chooseOpDOP(p *pexpr) int {
 		}
 		return d
 	case plan.PhysUnionMerge:
-		return cost.ChooseDOP(p.rows, p.rowBytes, maxDOP)
+		return cost.ChooseDOP(p.props.Rows, p.props.RowBytes, maxDOP)
 	case plan.PhysHashJoin, plan.PhysMergeJoin:
 		// Both sides were re-partitioned to matching hash layouts.
 		d := 1
@@ -375,15 +448,15 @@ func (s *search) scanInput(p *pexpr) (rows, bytes float64) {
 	if st := s.o.Est.Cat.Stream(p.node.Table); st != nil {
 		return st.BaseRows, st.BaseRows * st.BytesPerRow
 	}
-	return p.rows, p.rows * p.rowBytes
+	return p.props.Rows, p.props.Rows * p.props.RowBytes
 }
 
 // localUsage costs the candidate's own operator.
 func (s *search) localUsage(p *pexpr) cost.OpUsage {
 	var inRows, inBytes float64
 	for _, c := range p.children {
-		inRows += c.rows
-		inBytes += c.rows * c.rowBytes
+		inRows += c.props.Rows
+		inBytes += c.props.Rows * c.props.RowBytes
 	}
 	if p.op == plan.PhysExtract || p.op == plan.PhysRangeScan {
 		inRows, inBytes = s.scanInput(p)
@@ -393,8 +466,8 @@ func (s *search) localUsage(p *pexpr) cost.OpUsage {
 		Exchange: p.exchange,
 		InRows:   inRows,
 		InBytes:  inBytes,
-		OutRows:  p.rows,
-		OutBytes: p.rows * p.rowBytes,
+		OutRows:  p.props.Rows,
+		OutBytes: p.props.Rows * p.props.RowBytes,
 		DOP:      p.dop,
 		Branches: len(p.children),
 	}
@@ -409,20 +482,22 @@ func (s *search) localUsage(p *pexpr) cost.OpUsage {
 		if b < 0 || b > 1 {
 			b = 1
 		}
-		params.BuildRows = p.children[b].rows
-		params.ProbeRows = p.children[1-b].rows
+		params.BuildRows = p.children[b].props.Rows
+		params.ProbeRows = p.children[1-b].props.Rows
 	}
 	return s.o.Coster.Cost(params)
 }
 
 // enforce wraps a candidate with an Exchange enforcer so it satisfies req.
+// The enforcer is a function of inner and req alone, so one the session
+// already built over inner for req is returned as is.
 func (s *search) enforce(inner *pexpr, req plan.Distribution) *pexpr {
 	var kind plan.ExchangeKind
 	dop := 0
 	switch req.Kind {
 	case plan.DistHash, plan.DistRandom:
 		kind = plan.ExchangeShuffle
-		dop = cost.ChooseDOP(inner.rows, inner.rowBytes, maxDOP)
+		dop = cost.ChooseDOP(inner.props.Rows, inner.props.RowBytes, maxDOP)
 	case plan.DistSingleton:
 		kind = plan.ExchangeGather
 		dop = 1
@@ -431,10 +506,16 @@ func (s *search) enforce(inner *pexpr, req plan.Distribution) *pexpr {
 		if req.DOP > 0 {
 			dop = req.DOP
 		} else {
-			dop = cost.ChooseDOP(inner.rows, inner.rowBytes, maxDOP)
+			dop = cost.ChooseDOP(inner.props.Rows, inner.props.RowBytes, maxDOP)
 		}
 	default:
 		return inner
+	}
+	out := plan.Distribution{Kind: req.Kind, Keys: req.Keys, DOP: dop}
+	for ex := inner.enforced; ex != nil; ex = ex.next {
+		if sameDist(ex.outDist, out) {
+			return ex
+		}
 	}
 	ex := s.newPexpr()
 	*ex = pexpr{
@@ -443,13 +524,13 @@ func (s *search) enforce(inner *pexpr, req plan.Distribution) *pexpr {
 		children: s.oneChild(inner),
 		ruleID:   s.o.EnforceExchangeID,
 		props:    inner.props,
-		rows:     inner.rows,
-		rowBytes: inner.rowBytes,
+		outDist:  out,
 		exchange: kind,
 		dop:      dop,
 		buildIdx: -1,
+		next:     inner.enforced,
 	}
-	ex.outDist = plan.Distribution{Kind: req.Kind, Keys: req.Keys, DOP: dop}
+	inner.enforced = ex
 	ex.usage = s.localUsage(ex)
 	ex.total = inner.total + ex.usage.LatencySeconds
 	return ex
@@ -458,7 +539,7 @@ func (s *search) enforce(inner *pexpr, req plan.Distribution) *pexpr {
 // wrapLocalPre inserts the local phase of a two-phase operator above a child
 // plan: per-partition pre-aggregation or per-partition top-N.
 func (s *search) wrapLocalPre(inner *pexpr, proto *PhysProto, e *MExpr, ruleID int) *pexpr {
-	outRows := inner.rows
+	outRows := inner.props.Rows
 	switch proto.LocalPre {
 	case plan.PhysPartialHashAgg:
 		// Each partition holds at most one row per output group, estimated
@@ -469,9 +550,9 @@ func (s *search) wrapLocalPre(inner *pexpr, proto *PhysProto, e *MExpr, ruleID i
 		cs := append(s.schemaBuf[:0], e.Children[0].Schema)
 		s.propsBuf, s.schemaBuf = cp, cs
 		final := s.m.DerivePropsFrom(&s.scratch.physStats, proto.Node, cp, cs, e.Group.Schema)
-		outRows = minFloat(inner.rows, final.Rows*float64(maxInt(inner.dop, 1)))
+		outRows = minFloat(inner.props.Rows, final.Rows*float64(maxInt(inner.dop, 1)))
 	case plan.PhysLocalTop:
-		outRows = minFloat(inner.rows, float64(proto.Node.TopN*maxInt(inner.dop, 1)))
+		outRows = minFloat(inner.props.Rows, float64(proto.Node.TopN*maxInt(inner.dop, 1)))
 	default:
 		// No other operator is used as a local pre-phase.
 	}
@@ -487,8 +568,6 @@ func (s *search) wrapLocalPre(inner *pexpr, proto *PhysProto, e *MExpr, ruleID i
 		lexpr:    e,
 		ruleID:   ruleID,
 		props:    preProps,
-		rows:     preProps.Rows,
-		rowBytes: inner.rowBytes,
 		outDist:  inner.outDist,
 		dop:      inner.dop,
 		buildIdx: -1,
@@ -522,8 +601,6 @@ func (s *search) wrapSort(inner *pexpr, g *Group) *pexpr {
 		children: s.oneChild(inner),
 		ruleID:   s.o.EnforceSortID,
 		props:    inner.props,
-		rows:     inner.rows,
-		rowBytes: inner.rowBytes,
 		outDist:  inner.outDist,
 		dop:      inner.dop,
 		buildIdx: -1,

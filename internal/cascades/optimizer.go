@@ -160,6 +160,8 @@ type Session struct {
 	o    *Optimizer
 	root *plan.Node
 	sc   *searchScratch
+	// resolved and costed sum the compiles' candidate counts (search).
+	resolved, costed int
 }
 
 // NewSession opens a session compiling root through an arena from the shared
@@ -175,6 +177,12 @@ func (se *Session) Close() {
 	scratchPool.Put(se.sc)
 	se.sc = nil
 }
+
+// Candidates reports how many implementation candidates the session's
+// compiles resolved and how many of those were built and costed anew; the
+// rest were candidates an earlier compile had built from the same prototype
+// over the same child winners.
+func (se *Session) Candidates() (resolved, costed int) { return se.resolved, se.costed }
 
 // Optimize compiles the session's plan under cfg. With withPlan false the
 // Result carries no Plan (see OptimizeCost); plan-less and with-plan compiles
@@ -203,6 +211,8 @@ func (se *Session) Optimize(cfg bitvec.Vector, withPlan bool) (*Result, error) {
 	// compile enumerated it or found it filed.
 	w, root := s.optimizeGroup(m.Root, plan.Distribution{Kind: plan.DistAny})
 	s.footprint = s.footprint.Or(root.foot)
+	se.resolved += s.resolved
+	se.costed += s.costed
 	o.om.groups.Observe(float64(len(m.Groups)))
 	o.om.exprs.Observe(float64(m.TotalExprs()))
 	if w == nil {
@@ -274,9 +284,10 @@ type search struct {
 
 	// filed heads the session's states of each group of m, by GroupID; cur
 	// is the state each group resolved to in this compile. cur, the
-	// candidate stack candBuf, and propsBuf and schemaBuf — reusable scratch
-	// for DerivePropsFrom inputs, never retained by the estimator — are on
-	// loan from the arena.
+	// candidate stack candBuf — a group's candidates while it enumerates, a
+	// candidate's child winners while they resolve — and propsBuf and
+	// schemaBuf — reusable scratch for DerivePropsFrom inputs, never
+	// retained by the estimator — are on loan from the arena.
 	filed     []*groupSearch
 	cur       []*groupSearch
 	candBuf   []*pexpr
@@ -286,6 +297,9 @@ type search struct {
 	// firings counts the rule applications of this compile per category;
 	// release adds them to the shared counters once.
 	firings [NumCategories]uint64
+	// resolved counts the candidates buildCandidate returned, costed those
+	// it built and costed rather than reused.
+	resolved, costed int
 }
 
 // explore runs transformation rules to a bounded fixpoint. Each

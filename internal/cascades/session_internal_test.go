@@ -123,6 +123,13 @@ func toyOptimizer(t *testing.T) *Optimizer {
 		}},
 		toyImpl{RuleInfo{2, "Output", Required}, plan.OpOutput, child(plan.PhysOutputImpl, anyDist)},
 		toyImpl{RuleInfo{5, "Compute", Required}, plan.OpProject, child(plan.PhysCompute, anyDist)},
+		toyImpl{RuleInfo{7, "Multi", Required}, plan.OpMulti, func(e *MExpr, m *Memo, p *PhysProto) {
+			p.Op, p.OutDist = plan.PhysMultiImpl, plan.Distribution{Kind: plan.DistSingleton}
+			p.ChildReq = m.Dists(len(e.Children))
+			for i := range p.ChildReq {
+				p.ChildReq[i] = anyDist
+			}
+		}},
 		toyImpl{RuleInfo{6, "Top", Required}, plan.OpTop, func(e *MExpr, m *Memo, p *PhysProto) {
 			single := plan.Distribution{Kind: plan.DistSingleton}
 			p.Op, p.OutDist = plan.PhysGlobalTop, single
@@ -144,7 +151,9 @@ func toyOptimizer(t *testing.T) *Optimizer {
 
 // toyPlans are small jobs over the toy catalog: a filtered aggregation over
 // the wide stream, a filtered aggregation, two outputs sharing one filtered
-// scan, and the top rows of a projection of a filtered scan. The wide job
+// scan, the top rows of a projection of a filtered scan, and aggregations on
+// two different keys over one filtered scan, whose candidates are enforced
+// to both hash layouts in one compile. The wide job
 // comes first: on a fresh arena its first memo
 // build and its first physical phase each carve several times what a
 // statistics arena starts with, so both arenas replace their buffers under
@@ -159,13 +168,15 @@ func toyPlans() []*plan.Node {
 		return plan.NewSelect(plan.NewGet("t", []plan.Column{a, b}), plan.Cmp(plan.OpGT, plan.ColExpr(b), plan.NumExpr(5)))
 	}
 	count := []plan.Agg{{Fn: "COUNT", Out: n}}
-	shared := filtered()
+	shared, twice := filtered(), filtered()
 	return []*plan.Node{
 		plan.NewOutput(wideAgg, "wide"),
 		plan.NewOutput(plan.NewGroupBy(filtered(), []plan.Column{a}, count), "agg"),
 		plan.NewMulti(plan.NewOutput(shared, "raw"), plan.NewOutput(plan.NewGroupBy(shared, []plan.Column{b}, count), "byb")),
 		plan.NewOutput(plan.NewTop(plan.NewProject(filtered(), []plan.Projection{{Expr: plan.ColExpr(a), Out: x}}),
 			5, []plan.SortKey{{Col: x, Desc: true}}), "top"),
+		plan.NewMulti(plan.NewOutput(plan.NewGroupBy(twice, []plan.Column{a}, count), "bya"),
+			plan.NewOutput(plan.NewGroupBy(twice, []plan.Column{b}, count), "byb")),
 	}
 }
 
@@ -389,6 +400,52 @@ func TestGroupStateReuse(t *testing.T) {
 	}
 }
 
+// TestEnforcerPerRequirement: aggregations on two different keys over one
+// filtered scan ask the scan's group for both hash layouts in every compile,
+// and under every configuration, one-shot and through one session, each
+// aggregation's input is partitioned on its own group keys — an enforcer is
+// shared only for the requirement it was built for. The session oracles
+// cannot see an enforcer reused for the wrong keys: a one-shot compile would
+// reuse it the same way.
+func TestEnforcerPerRequirement(t *testing.T) {
+	o := toyOptimizer(t)
+	root := toyPlans()[4]
+	sess := sessionOn(o, newSearchScratch(), root)
+	checked := 0
+	for i, cfg := range toyConfigs() {
+		for _, withSession := range []bool{false, true} {
+			var res *Result
+			var err error
+			if withSession {
+				res, err = sess.Optimize(cfg, true)
+			} else {
+				res, err = o.Optimize(root, cfg)
+			}
+			if err != nil {
+				continue
+			}
+			res.Plan.Walk(func(n *plan.PhysNode) {
+				switch n.Op {
+				case plan.PhysHashAgg, plan.PhysStreamAgg, plan.PhysFinalHashAgg:
+				default:
+					return
+				}
+				want := make([]plan.ColumnID, len(n.GroupKeys))
+				for k, c := range n.GroupKeys {
+					want[k] = c.ID
+				}
+				if d := n.Children[0].Dist; d.Kind != plan.DistHash || !slices.Equal(d.Keys, want) {
+					t.Fatalf("cfg %d (session %v): %v on %v reads a %v input\n%s", i, withSession, n.Op, want, d, res.Plan)
+				}
+				checked++
+			})
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no configuration compiled an aggregation; the test is vacuous")
+	}
+}
+
 func fill[T any](s *slab[T], v T) {
 	for _, c := range s.chunks {
 		for i := range c {
@@ -405,7 +462,8 @@ func poison(sc *searchScratch, clean bool) {
 	jg := &Group{ID: -1}
 	je := &MExpr{Node: junk, Group: jg, RuleID: 255, key: []byte("poison")}
 	jp := &pexpr{op: plan.PhysMultiImpl, node: junk, lexpr: je, ruleID: 255, dop: -1, total: math.NaN()}
-	ja := &implAlt{protos: []*PhysProto{{Op: plan.PhysMultiImpl, Node: junk}}, done: true}
+	jp.next, jp.enforced = jp, jp
+	ja := &implAlt{protos: []*PhysProto{{Op: plan.PhysMultiImpl, Node: junk}}, built: []*pexpr{jp}, done: true}
 	jw := &groupWinner{w: jp}
 	js := &groupSearch{foot: bitvec.AllSet(bitvec.Width), winners: jw, candidates: []*pexpr{jp}, enumerated: true}
 	jcol := plan.Column{ID: 1 << 30, Name: "poison"}
@@ -495,5 +553,15 @@ func TestCloseRetiresEverything(t *testing.T) {
 			}
 			poison(sc, true)
 		}
+	}
+}
+
+// TestPexprSize: a session carves a pexpr for every candidate and enforcer it
+// costs and keeps it until Close, so the struct must not grow. The reuse
+// links took the bytes of the rows and rowBytes fields, which only ever
+// copied props.Rows and props.RowBytes.
+func TestPexprSize(t *testing.T) {
+	if n := unsafe.Sizeof(pexpr{}); n > 224 {
+		t.Fatalf("pexpr is %d bytes, budget 224", n)
 	}
 }

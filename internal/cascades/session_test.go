@@ -2,9 +2,11 @@ package cascades_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"steerq/internal/cascades"
 	"steerq/internal/cost"
 	"steerq/internal/obs"
+	"steerq/internal/plan"
 	"steerq/internal/rules"
 	"steerq/internal/steering"
 	"steerq/internal/workload"
@@ -180,6 +183,129 @@ func TestSessionMatchesOneShot(t *testing.T) {
 		t.Fatalf("%d shared explorations, %d multi-memo jobs; the oracle is vacuous", sharedTotal, multiMemo)
 	}
 	t.Logf("implementation firings: %d through sessions, %d one-shot", implSweeps, implOneShot)
+}
+
+// dag renders a plan as the DAG it is: each distinct node once, in pre-order,
+// with every field the executor reads down to IEEE bits, and its children as
+// the indices of their first rendering — so two plans render alike only if
+// they hold the same operators and share the same subplans. It also returns
+// the number of distinct nodes and of nodes with more than one parent edge.
+func dag(p *plan.PhysNode) (text string, nodes, shared int) {
+	var b strings.Builder
+	index := map[*plan.PhysNode]int{}
+	parents := map[*plan.PhysNode]int{}
+	var rec func(n *plan.PhysNode) int
+	rec = func(n *plan.PhysNode) int {
+		if i, ok := index[n]; ok {
+			return i
+		}
+		i := len(index)
+		index[n] = i
+		kids := make([]int, len(n.Children))
+		for k, c := range n.Children {
+			parents[c]++
+			kids[k] = rec(c)
+		}
+		fmt.Fprintf(&b, "#%d %v %v %v %q %v %v %v %v %q %v %d %v %q %v %x %x %x %d <- %v\n", i, n.Op, n.Exchange, n.Schema,
+			n.Table, n.Pred, n.Projs, n.GroupKeys, n.Aggs, n.Processor, n.ReduceKeys, n.TopN, n.SortKeys, n.OutputPath, n.Dist,
+			math.Float64bits(n.EstRows), math.Float64bits(n.EstCost), math.Float64bits(n.TotalCost), n.RuleID, kids)
+		return i
+	}
+	rec(p)
+	for _, k := range parents {
+		if k > 1 {
+			shared++
+		}
+	}
+	return b.String(), len(index), shared
+}
+
+// TestSessionReusesCandidates: the widest-span job of the sweep jobs, and
+// the widest-span one whose default plan shares a subplan, each have their
+// span probes and 300 candidates compiled, with a plan, on one session, and
+// every compile equals a one-shot Optimize — cost bits, signature, footprint,
+// and the full plan as a DAG (same nodes, same shared subplans) — although
+// the session builds and costs strictly fewer candidates than its compiles
+// resolve: a candidate whose prototype and child winners an earlier compile
+// already saw is reused, and so is an enforcer over a candidate for a
+// requirement it was already enforced for. Compiling every configuration
+// again on the session resolves every group to a filed state and costs
+// nothing.
+func TestSessionReusesCandidates(t *testing.T) {
+	opt, _, jobs := sessionJobs(t)
+	type sweep struct {
+		job   *workload.Job
+		width int
+		cfgs  []bitvec.Vector
+	}
+	widest, sharing := sweep{width: -1}, sweep{width: -1}
+	for _, j := range jobs {
+		var probes []bitvec.Vector
+		span, err := steering.JobSpanFunc(opt.Rules, func(cfg bitvec.Vector) (bitvec.Vector, error) {
+			probes = append(probes, cfg)
+			res, err := opt.OptimizeCost(j.Root, cfg)
+			if err != nil {
+				return bitvec.Vector{}, err
+			}
+			return res.Signature, nil
+		})
+		if err != nil {
+			t.Fatalf("%s: span: %v", j.ID, err)
+		}
+		sw := sweep{j, span.Count(), append(probes, steering.CandidateConfigs(span, opt.Rules, 300, xrand.New(5).Derive("reuse", j.ID))...)}
+		if sw.width > widest.width {
+			widest = sw
+		}
+		def, err := opt.Optimize(j.Root, opt.Rules.DefaultConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", j.ID, err)
+		}
+		if _, _, shared := dag(def.Plan); shared > 0 && sw.width > sharing.width {
+			sharing = sw
+		}
+	}
+	if sharing.job == nil {
+		t.Fatal("no sweep job's default plan shares a subplan; the DAG comparison is vacuous")
+	}
+	type outcome struct {
+		oneShot
+		dag           string
+		nodes, shared int
+	}
+	compile := func(res *cascades.Result, err error) outcome {
+		o := outcome{oneShot: flatten(t, res, err)}
+		if res.Plan != nil {
+			o.dag, o.nodes, o.shared = dag(res.Plan)
+		}
+		return o
+	}
+	for _, sw := range []sweep{widest, sharing} {
+		want := make([]outcome, len(sw.cfgs))
+		for i, cfg := range sw.cfgs {
+			want[i] = compile(opt.Optimize(sw.job.Root, cfg))
+		}
+		sess := opt.NewSession(sw.job.Root)
+		for pass := 0; pass < 2; pass++ {
+			resolved0, costed0 := sess.Candidates()
+			for i, cfg := range sw.cfgs {
+				if got := compile(sess.Optimize(cfg, true)); got != want[i] {
+					t.Fatalf("%s pass %d cfg %d: session compile diverges from a fresh Optimize\ngot:  %+v\nwant: %+v", sw.job.ID, pass, i, got, want[i])
+				}
+			}
+			resolved, costed := sess.Candidates()
+			resolved, costed = resolved-resolved0, costed-costed0
+			switch {
+			case pass == 0 && (costed == 0 || costed >= resolved):
+				t.Fatalf("%s: %d compiles costed %d of the %d candidates they resolved: nothing was reused", sw.job.ID, len(sw.cfgs), costed, resolved)
+			case pass == 1 && resolved != 0:
+				t.Fatalf("%s: compiling %d configurations again resolved %d candidates and costed %d, want none", sw.job.ID, len(sw.cfgs), resolved, costed)
+			case pass == 0:
+				t.Logf("%s (span %d): %d compiles resolved %d candidates and costed %d (%.1f %% reused)",
+					sw.job.ID, sw.width, len(sw.cfgs), resolved, costed, 100*float64(resolved-costed)/float64(resolved))
+			}
+		}
+		sess.Close()
+	}
 }
 
 // TestSessionNoPlanSharesMemo: configurations that fail to compile share

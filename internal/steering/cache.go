@@ -92,10 +92,12 @@ type listKey struct {
 	span bitvec.Vector
 }
 
-// candList is a job's candidate configurations under one listKey.
+// candList is a job's candidate configurations under one listKey, and the
+// job's next list.
 type candList struct {
 	key  listKey
 	cfgs []bitvec.Vector
+	next *candList
 }
 
 // jobEntry holds one job's cached outcomes: its distinct footprints in
@@ -103,12 +105,14 @@ type candList struct {
 // costs a list entry, not a map of its own, while a job's lookups stay in
 // one small table. Lookups scan the footprints oldest-first; compiles of one
 // job read overlapping rule sets, so the list stays short (often length
-// one). lists holds the job's candidate lists, one per listKey it was
-// analysed under (one per pipeline seed, M and span; usually one).
+// one). lists heads the job's candidate lists, one per listKey it was
+// analysed under (one per pipeline seed, M and span; usually one). Most
+// entries are never analysed — the Grouper caches every job's default
+// compile — so the lists hang off a pointer that stays nil for them.
 type jobEntry struct {
 	foots []bitvec.Vector
 	vals  map[classKey]outcome
-	lists []candList
+	lists *candList
 }
 
 // lookup returns the outcome of the first of the job's footprints, in
@@ -211,7 +215,7 @@ func (s *cacheShard) entry(fp JobFingerprint) *jobEntry {
 // list returns the fingerprinted job's candidate list under key.
 func (s *cacheShard) list(fp JobFingerprint, key listKey) ([]bitvec.Vector, bool) {
 	if je := s.jobs[fp]; je != nil {
-		for _, l := range je.lists {
+		for l := je.lists; l != nil; l = l.next {
 			if l.key == key {
 				return l.cfgs, true
 			}
@@ -355,7 +359,11 @@ func (c *CompileCache) candidates(job *workload.Job, span bitvec.Vector, rs *cas
 		return kept
 	}
 	je := s.entry(fp)
-	je.lists = append(je.lists, candList{key: key, cfgs: cfgs})
+	last := &je.lists
+	for *last != nil {
+		last = &(*last).next
+	}
+	*last = &candList{key: key, cfgs: cfgs}
 	return cfgs
 }
 

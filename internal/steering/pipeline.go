@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 
 	"steerq/internal/abtest"
 	"steerq/internal/bitvec"
@@ -224,7 +225,7 @@ func (p *Pipeline) recompile(ctx context.Context, sess *cascades.Session, job *w
 	span, err := JobSpanFunc(h.Opt.Rules, func(cfg bitvec.Vector) (bitvec.Vector, error) {
 		n := probe
 		probe++
-		v, _, _, cerr := p.compile(ctx, sess, job, cfg, func() string { return fmt.Sprintf("%s/span%d", job.ID, n) }, &a.Robustness, false)
+		v, _, _, cerr := p.compile(ctx, sess, job, cfg, compileTag{kind: "span", n: n}, &a.Robustness, false)
 		if cerr != nil {
 			return bitvec.Vector{}, cerr
 		}
@@ -278,7 +279,7 @@ func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, cfg
 	faulted := p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "faulted")
 	a.Candidates = make([]Candidate, 0, len(cfgs))
 	for i, cfg := range cfgs {
-		v, _, hit, err := p.compile(ctx, sess, job, cfg, func() string { return fmt.Sprintf("%s/cand%d", job.ID, i) }, &a.Robustness, false)
+		v, _, hit, err := p.compile(ctx, sess, job, cfg, compileTag{kind: "cand", n: i}, &a.Robustness, false)
 		if hit {
 			a.Footprint.Avoided++
 		} else {
@@ -305,16 +306,22 @@ func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, cfg
 // as the trial's abtest.compile span; span probes and candidates keep the
 // costed verdict only. attempts is 1 on a cache hit: a kept outcome stands
 // for the one clean compile that wrote it. tag names the compile for fault
-// decisions; it is formatted only on a miss, since a warm pass probes the
-// cache far more often than it compiles.
-func (p *Pipeline) compile(ctx context.Context, sess *cascades.Session, job *workload.Job, cfg bitvec.Vector, tag func() string, rec *faults.Record, trial bool) (v CompileValue, attempts int, hit bool, err error) {
+// decisions and a trial's compile span; it is formatted only on a miss that
+// something reads it on — a trial, or any compile under fault injection —
+// since a warm pass probes the cache far more often than it compiles and a
+// cold pass without injection never reads a probe's or candidate's name.
+func (p *Pipeline) compile(ctx context.Context, sess *cascades.Session, job *workload.Job, cfg bitvec.Vector, tag compileTag, rec *faults.Record, trial bool) (v CompileValue, attempts int, hit bool, err error) {
 	retry := p.Harness.RetryCompile
 	if trial {
 		retry = p.Harness.CompileCtx
 	}
 	attempts = 1
 	v, hit, err = p.Cache.compile(job, cfg, trial, func() (*cascades.Result, error) {
-		res, n, rerr := retry(ctx, tag(), rec, func(plan bool) (*cascades.Result, error) {
+		name := ""
+		if trial || p.Harness.Faults.Active() {
+			name = tag.name(job.ID)
+		}
+		res, n, rerr := retry(ctx, name, rec, func(plan bool) (*cascades.Result, error) {
 			return sess.Optimize(cfg, plan || trial)
 		})
 		attempts = n
@@ -323,12 +330,29 @@ func (p *Pipeline) compile(ctx context.Context, sess *cascades.Session, job *wor
 	return v, attempts, hit, err
 }
 
+// compileTag names one compile of an analysis: a trial's full tag, or the
+// kind and index of a span probe ("span") or candidate ("cand").
+type compileTag struct {
+	full string
+	kind string
+	n    int
+}
+
+// name is the tag as fault decisions and spans read it: full, else
+// "<job>/<kind><n>".
+func (t compileTag) name(jobID string) string {
+	if t.full != "" {
+		return t.full
+	}
+	return jobID + "/" + t.kind + strconv.Itoa(t.n)
+}
+
 // trial is Harness.RunConfigCtx through the analysis's compile path: the
 // plan an earlier trial of cfg's footprint class left in the cache is
 // executed as is, and a plan compiled here is left for the next trial — a
 // re-analysis of a recurring job executes everything and compiles nothing.
 func (p *Pipeline) trial(ctx context.Context, sess *cascades.Session, job *workload.Job, cfg bitvec.Vector, tag string, rec *faults.Record) abtest.Trial {
-	v, attempts, _, err := p.compile(ctx, sess, job, cfg, func() string { return tag }, rec, true)
+	v, attempts, _, err := p.compile(ctx, sess, job, cfg, compileTag{full: tag}, rec, true)
 	if err != nil {
 		return abtest.Trial{Config: cfg, Err: err, Attempts: attempts}
 	}

@@ -37,7 +37,7 @@ func candidateLists(c *CompileCache) map[JobFingerprint][][]bitvec.Vector {
 		s := &c.shards[i]
 		s.mu.RLock()
 		for fp, je := range s.jobs {
-			for _, l := range je.lists {
+			for l := je.lists; l != nil; l = l.next {
 				out[fp] = append(out[fp], l.cfgs)
 			}
 		}
