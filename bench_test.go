@@ -57,29 +57,42 @@ func BenchmarkCompileDefault(b *testing.B) {
 }
 
 // BenchmarkFrontEndDay measures the front end a discovery re-pass runs
-// first: one op is scopeql.Compile over every script of one generated
-// Workload A day (scale 0.01), reported per script as µs/script,
-// allocs/script and B/script.
+// first, over every script of one generated Workload A day (scale 0.01): one
+// op of Compile is scopeql.Compile over the day, reported per script as
+// µs/script, allocs/script and B/script; one op of Lex is scopeql.Lex over
+// the day, reported as µs/script.
 func BenchmarkFrontEndDay(b *testing.B) {
 	w := workload.Generate(workload.ProfileA(0.01, 7))
 	jobs := w.Day(0)
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mallocs, bytes := ms.Mallocs, ms.TotalAlloc
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, j := range jobs {
-			if _, err := scopeql.Compile(j.Script, w.Cat); err != nil {
-				b.Fatal(err)
+	b.Run("Compile", func(b *testing.B) {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		mallocs, bytes := ms.Mallocs, ms.TotalAlloc
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, j := range jobs {
+				if _, err := scopeql.Compile(j.Script, w.Cat); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&ms)
-	scripts := float64(b.N * len(jobs))
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/scripts, "µs/script")
-	b.ReportMetric(float64(ms.Mallocs-mallocs)/scripts, "allocs/script")
-	b.ReportMetric(float64(ms.TotalAlloc-bytes)/scripts, "B/script")
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		scripts := float64(b.N * len(jobs))
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/scripts, "µs/script")
+		b.ReportMetric(float64(ms.Mallocs-mallocs)/scripts, "allocs/script")
+		b.ReportMetric(float64(ms.TotalAlloc-bytes)/scripts, "B/script")
+	})
+	b.Run("Lex", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, j := range jobs {
+				if _, err := scopeql.Lex(j.Script); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(jobs)), "µs/script")
+	})
 }
 
 // benchLongJobs is the fixed job set of the pipeline benchmarks.

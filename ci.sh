@@ -40,7 +40,9 @@
 #                                every run
 #   7. alloc regression          the front end's allocation budget (Lex
 #                                allocates only its token slice, a warm
-#                                Compile only its plan, pinned exactly), the
+#                                Compile only its plan — one array per plan
+#                                pile, whose sizes the binder counts from
+#                                the AST — pinned exactly), the
 #                                compile allocation
 #                                budget, the one-shot compile's byte bound
 #                                (rules carve their output from the arena),
@@ -69,7 +71,8 @@
 #                                implfirings/compile within three quarters of
 #                                the one-shot rate and allocs/compile within
 #                                16), one generated day through
-#                                scopeql.Compile,
+#                                scopeql.Compile and through scopeql.Lex
+#                                (µs/script each),
 #                                the nn train/forward kernels at the
 #                                learn_groups shape, one learn_groups
 #                                group's Train and Save+Load, the exec simulator's
@@ -123,9 +126,12 @@
 #                                oracles against tampered outputs and smoke
 #                                all five workloads offline
 #  16. short fuzz pass           65s total over the scopeql lexer (token
-#                                texts and positions against the source),
-#                                parser and binder
-#                                (including the parse-print-parse round trip),
+#                                texts and positions against the source,
+#                                seeded where its ASCII fast path ends or
+#                                hands over to the Unicode path), parser and
+#                                binder (including the parse-print-parse
+#                                round trip, and the binder's plan piles
+#                                against the sizes counted for them),
 #                                the bundle decoder, xrand's generator
 #                                against math/rand's and the column-statistics
 #                                merge against its map reference
@@ -168,7 +174,8 @@ go test -race ./internal/exec/ -run 'TestRunCostsEachNodeOnce|TestRunAllocationB
 go test -race ./internal/xrand/ -run TestReseedDrawAllocationFree -count=1
 
 echo "== bench smoke (1x, serial + 4 workers) =="
-go test -run '^$' -bench 'Benchmark(CompileDefault|PipelineWorkers(1|4)|BundleRepass|SessionCandidates|FrontEndDay)$' -benchtime=1x -benchmem .
+go test -run '^$' -bench 'Benchmark(CompileDefault|PipelineWorkers(1|4)|BundleRepass|SessionCandidates)$' -benchtime=1x -benchmem .
+go test -run '^$' -bench 'BenchmarkFrontEndDay$/^(Compile|Lex)$' -benchtime=1x -benchmem .
 go test -run '^$' -bench 'Benchmark(Train|Forward)$' -benchtime=1x ./internal/nn/
 go test -run '^$' -bench 'Benchmark(TrainModel|SaveLoad)$' -benchtime=1x ./internal/learning/
 go test -run '^$' -bench 'Benchmark(Run|Explain)$' -benchtime=1x ./internal/exec/

@@ -424,6 +424,12 @@ func TestValidateCatchesBrokenPlans(t *testing.T) {
 	schema := []plan.Column{k}
 	good := &plan.PhysNode{Op: plan.PhysExtract, Table: "f1", Schema: schema, RuleID: 3,
 		Dist: plan.Distribution{Kind: plan.DistRandom, DOP: 4}}
+	// A scan of (a, b) hashed on a: good input for a HashAgg on a, not on b.
+	a := plan.Column{ID: 1, Name: "a", Source: "f2.a"}
+	b := plan.Column{ID: 2, Name: "b", Source: "f2.b"}
+	ab := []plan.Column{a, b}
+	hashedOnA := &plan.PhysNode{Op: plan.PhysExtract, Table: "f2", Schema: ab, RuleID: 3,
+		Dist: plan.Distribution{Kind: plan.DistHash, Keys: []plan.ColumnID{1}, DOP: 4}}
 	cases := map[string]*plan.PhysNode{
 		"zero DOP": {Op: plan.PhysFilter, Schema: schema, RuleID: 4,
 			Children: []*plan.PhysNode{good},
@@ -438,6 +444,14 @@ func TestValidateCatchesBrokenPlans(t *testing.T) {
 			GroupKeys: schema,
 			Children:  []*plan.PhysNode{good},
 			Dist:      plan.Distribution{Kind: plan.DistHash, Keys: []plan.ColumnID{1}, DOP: 4}},
+		"keyed agg over input hashed on another column": {Op: plan.PhysHashAgg, Schema: []plan.Column{b}, RuleID: 228,
+			GroupKeys: []plan.Column{b},
+			Children:  []*plan.PhysNode{hashedOnA},
+			Dist:      plan.Distribution{Kind: plan.DistHash, Keys: []plan.ColumnID{2}, DOP: 4}},
+		"reducer over input hashed on another column": {Op: plan.PhysReduceImpl, Schema: ab, RuleID: 234,
+			ReduceKeys: []plan.Column{b},
+			Children:   []*plan.PhysNode{hashedOnA},
+			Dist:       plan.Distribution{Kind: plan.DistHash, Keys: []plan.ColumnID{1}, DOP: 4}},
 		"join arity": {Op: plan.PhysHashJoin, Schema: schema, RuleID: 224,
 			Children: []*plan.PhysNode{good},
 			Dist:     plan.Distribution{Kind: plan.DistHash, Keys: []plan.ColumnID{1}, DOP: 4}},
@@ -449,6 +463,13 @@ func TestValidateCatchesBrokenPlans(t *testing.T) {
 	}
 	if err := cascades.Validate(good, 50); err != nil {
 		t.Errorf("validator rejected a good plan: %v", err)
+	}
+	aggOnA := &plan.PhysNode{Op: plan.PhysHashAgg, Schema: []plan.Column{a}, RuleID: 228,
+		GroupKeys: []plan.Column{a},
+		Children:  []*plan.PhysNode{hashedOnA},
+		Dist:      plan.Distribution{Kind: plan.DistHash, Keys: []plan.ColumnID{1}, DOP: 4}}
+	if err := cascades.Validate(aggOnA, 50); err != nil {
+		t.Errorf("validator rejected a HashAgg on a over input hashed on a: %v", err)
 	}
 }
 

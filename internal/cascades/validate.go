@@ -3,6 +3,7 @@ package cascades
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"steerq/internal/plan"
 )
@@ -27,7 +28,9 @@ import (
 //     an exchange's hash keys resolve within its schema;
 //   - operators that consume co-partitioned inputs (hash join, merge join,
 //     hash aggregation, reducers) actually receive hash- or
-//     singleton-distributed children;
+//     singleton-distributed children, and a keyed aggregation's or
+//     reducer's hash-distributed input is hashed only on its group or
+//     reduce keys;
 //   - schema-preserving operators (filters, sorts, exchanges, tops, UDO
 //     processors/reducers, outputs) carry exactly their child's column-ID
 //     set; computes produce their projection outputs; aggregations produce
@@ -112,6 +115,9 @@ func validateDist(n *plan.PhysNode, report reportFn) {
 			if c.Dist.Kind != plan.DistHash && c.Dist.Kind != plan.DistSingleton {
 				report(n, "keyed aggregation over %v input", c.Dist)
 			}
+			if k, ok := keyOutside(c.Dist, n.GroupKeys); !ok {
+				report(n, "keyed aggregation over input hashed on column %d, not a group key", k)
+			}
 		} else if c.Dist.Kind != plan.DistSingleton {
 			report(n, "global aggregation over %v input", c.Dist)
 		}
@@ -120,12 +126,30 @@ func validateDist(n *plan.PhysNode, report reportFn) {
 		if c.Dist.Kind != plan.DistHash && c.Dist.Kind != plan.DistSingleton {
 			report(n, "reducer over %v input", c.Dist)
 		}
+		if k, ok := keyOutside(c.Dist, n.ReduceKeys); !ok {
+			report(n, "reducer over input hashed on column %d, not a reduce key", k)
+		}
 	default:
 		// No distribution requirement beyond the generic checks below.
 	}
 	if n.Dist.Kind == plan.DistHash && len(n.Dist.Keys) == 0 {
 		report(n, "hash distribution without keys")
 	}
+}
+
+// keyOutside returns a hash key of d that is not among keys, and false, when
+// d is a hash distribution with one: a keyed operator's groups are then
+// split across partitions. It returns true for any other distribution.
+func keyOutside(d plan.Distribution, keys []plan.Column) (plan.ColumnID, bool) {
+	if d.Kind != plan.DistHash {
+		return 0, true
+	}
+	for _, k := range d.Keys {
+		if !slices.ContainsFunc(keys, func(c plan.Column) bool { return c.ID == k }) {
+			return k, false
+		}
+	}
+	return 0, true
 }
 
 // validateSchema checks column-ID consistency between an operator's schema,

@@ -198,12 +198,20 @@ func (c *Catalog) StreamNames() []string { return append([]string(nil), c.names.
 
 // Column returns the column statistics for the named column, or nil.
 func (s *Stream) Column(name string) *Column {
-	for i := range s.Columns {
-		if s.Columns[i].Name == name {
-			return &s.Columns[i]
-		}
+	if i := s.ColumnIndex(name); i >= 0 {
+		return &s.Columns[i]
 	}
 	return nil
+}
+
+// ColumnIndex returns the index of the named column in Columns, or -1.
+func (s *Stream) ColumnIndex(name string) int {
+	for i := range s.Columns {
+		if s.Columns[i].Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // ColumnSource returns the lineage source "stream.col" of the stream's i-th

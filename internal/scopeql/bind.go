@@ -3,6 +3,7 @@ package scopeql
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"steerq/internal/catalog"
 	"steerq/internal/plan"
@@ -36,11 +37,14 @@ type binder struct {
 	nextID plan.ColumnID
 }
 
-// bind binds s with sc's variable table and output list.
+// bind binds s with sc's variable table and output list, building the plan
+// from plan piles that planSize sized for it.
 func (sc *scratch) bind(s *Script, cat *catalog.Catalog) (*plan.Node, error) {
 	if sc.vars == nil {
 		sc.vars = make(map[string]*boundVar)
+		sc.widths = make(map[string]int)
 	}
+	sc.startPlan(sizePlan(s, cat, sc.widths))
 	b := binder{cat: cat, sc: sc}
 	return b.bindScript(s)
 }
@@ -70,7 +74,9 @@ func (b *binder) bindScript(s *Script) (*plan.Node, error) {
 			}
 			// Outputs share the bound node directly: two outputs of one
 			// intermediate form a DAG, and their schemas never merge.
-			sc.outs = append(sc.outs, plan.NewOutput(v.node, st.Path))
+			out := b.unary(plan.OpOutput, v.node)
+			out.OutputPath = st.Path
+			sc.outs = append(sc.outs, out)
 		}
 	}
 	switch len(sc.outs) {
@@ -79,7 +85,7 @@ func (b *binder) bindScript(s *Script) (*plan.Node, error) {
 	case 1:
 		return sc.outs[0], nil
 	}
-	return plan.NewMulti(slices.Clone(sc.outs)...), nil
+	return b.node(plan.OpMulti, sc.kids.keep(sc.outs), nil), nil
 }
 
 // useVar returns the node bound to a variable. The first relational use
@@ -121,19 +127,17 @@ func (b *binder) bindExtract(e *ExtractExpr) (*plan.Node, error) {
 	if st == nil {
 		return nil, errf(e.Pos, "unknown input stream %q", e.Stream)
 	}
-	schema := make([]plan.Column, 0, len(e.Columns))
-	for _, name := range e.Columns {
-		col := st.Column(name)
-		if col == nil {
+	schema := b.sc.columns.take(len(e.Columns))
+	for k, name := range e.Columns {
+		i := st.ColumnIndex(name)
+		if i < 0 {
 			return nil, errf(e.Pos, "stream %q has no column %q", e.Stream, name)
 		}
-		schema = append(schema, plan.Column{
-			ID:     b.newID(),
-			Name:   name,
-			Source: e.Stream + "." + name,
-		})
+		schema[k] = plan.Column{ID: b.newID(), Name: name, Source: st.ColumnSource(i)}
 	}
-	return plan.NewGet(e.Stream, schema), nil
+	n := b.node(plan.OpGet, nil, schema)
+	n.Table = e.Stream
+	return n, nil
 }
 
 // bindStream binds a direct stream reference in FROM position, extracting
@@ -143,25 +147,23 @@ func (b *binder) bindStream(name string, pos Pos) (*plan.Node, error) {
 	if st == nil {
 		return nil, errf(pos, "unknown input stream %q", name)
 	}
-	schema := make([]plan.Column, 0, len(st.Columns))
+	schema := b.sc.columns.take(len(st.Columns))
 	for i, col := range st.Columns {
-		schema = append(schema, plan.Column{
-			ID:     b.newID(),
-			Name:   col.Name,
-			Source: st.ColumnSource(i),
-		})
+		schema[i] = plan.Column{ID: b.newID(), Name: col.Name, Source: st.ColumnSource(i)}
 	}
-	return plan.NewGet(name, schema), nil
+	n := b.node(plan.OpGet, nil, schema)
+	n.Table = name
+	return n, nil
 }
 
 func (b *binder) bindUnion(u *UnionExpr) (*plan.Node, error) {
-	children := make([]*plan.Node, 0, len(u.Terms))
-	for _, t := range u.Terms {
+	children := b.sc.kids.take(len(u.Terms))
+	for i, t := range u.Terms {
 		n, err := b.bindRel(t)
 		if err != nil {
 			return nil, err
 		}
-		children = append(children, n)
+		children[i] = n
 	}
 	arity := len(children[0].Schema)
 	for i, c := range children[1:] {
@@ -169,7 +171,7 @@ func (b *binder) bindUnion(u *UnionExpr) (*plan.Node, error) {
 			return nil, errf(u.Pos, "UNION ALL branch %d has %d columns, want %d", i+2, len(c.Schema), arity)
 		}
 	}
-	return plan.NewUnionAll(children...), nil
+	return b.node(plan.OpUnionAll, children, children[0].Schema), nil
 }
 
 func (b *binder) bindProcess(e *ProcessExpr) (*plan.Node, error) {
@@ -180,7 +182,9 @@ func (b *binder) bindProcess(e *ProcessExpr) (*plan.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return plan.NewProcess(child, e.UDO), nil
+	n := b.unary(plan.OpProcess, child)
+	n.Processor = e.UDO
+	return n, nil
 }
 
 func (b *binder) bindReduce(e *ReduceExpr) (*plan.Node, error) {
@@ -192,15 +196,17 @@ func (b *binder) bindReduce(e *ReduceExpr) (*plan.Node, error) {
 		return nil, err
 	}
 	env := scope{{alias: "", node: child}}
-	keys := make([]plan.Column, 0, len(e.Keys))
-	for _, k := range e.Keys {
+	keys := b.sc.columns.take(len(e.Keys))
+	for i, k := range e.Keys {
 		col, err := env.resolve(k)
 		if err != nil {
 			return nil, err
 		}
-		keys = append(keys, col)
+		keys[i] = col
 	}
-	return plan.NewReduce(child, keys, e.UDO), nil
+	n := b.unary(plan.OpReduce, child)
+	n.ReduceKeys, n.Processor = keys, e.UDO
+	return n, nil
 }
 
 // scope is the name-resolution environment of one SELECT: the FROM and JOIN
@@ -281,7 +287,10 @@ func (b *binder) bindSelect(sel *SelectExpr) (*plan.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		cur = plan.NewJoin(cur, rightEntry.node, on)
+		schema := b.sc.columns.take(len(cur.Schema) + len(rightEntry.node.Schema))
+		copy(schema[copy(schema, cur.Schema):], rightEntry.node.Schema)
+		cur = b.node(plan.OpJoin, b.sc.kids.keep([]*plan.Node{cur, rightEntry.node}), schema)
+		cur.Pred = on
 	}
 
 	if sel.Where != nil {
@@ -289,7 +298,8 @@ func (b *binder) bindSelect(sel *SelectExpr) (*plan.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		cur = plan.NewSelect(cur, pred)
+		cur = b.unary(plan.OpSelect, cur)
+		cur.Pred = pred
 	}
 
 	grouped := len(sel.GroupBy) > 0 || hasAggregate(sel)
@@ -298,15 +308,15 @@ func (b *binder) bindSelect(sel *SelectExpr) (*plan.Node, error) {
 	}
 
 	if !sel.Star {
-		projs := make([]plan.Projection, 0, len(sel.Items))
-		for _, item := range sel.Items {
+		projs := b.sc.projs.take(len(sel.Items))
+		for i, item := range sel.Items {
 			p, err := b.bindProjection(item, env)
 			if err != nil {
 				return nil, err
 			}
-			projs = append(projs, p)
+			projs[i] = p
 		}
-		cur = plan.NewProject(cur, projs)
+		cur = b.project(cur, projs)
 	}
 	return b.applyTop(sel, cur)
 }
@@ -324,19 +334,26 @@ func (b *binder) bindGrouped(sel *SelectExpr, child *plan.Node, env scope) (*pla
 	if sel.Star {
 		return nil, errf(sel.Pos, "SELECT * cannot be combined with GROUP BY or aggregates")
 	}
-	keys := make([]plan.Column, 0, len(sel.GroupBy))
-	for _, k := range sel.GroupBy {
+	keys := b.sc.columns.take(len(sel.GroupBy))
+	for i, k := range sel.GroupBy {
 		col, err := env.resolve(k)
 		if err != nil {
 			return nil, err
 		}
-		keys = append(keys, col)
+		keys[i] = col
 	}
 
-	var (
-		aggs  []plan.Agg
-		projs []plan.Projection
-	)
+	nAggs := 0
+	for _, item := range sel.Items {
+		if _, ok := item.Expr.(*CallExpr); ok {
+			nAggs++
+		}
+	}
+	var aggs []plan.Agg // nil without aggregates, as plan.NewGroupBy gets it
+	if nAggs > 0 {
+		aggs = b.sc.aggs.take(nAggs)[:0]
+	}
+	projs := b.sc.projs.take(len(sel.Items))[:0]
 	for _, item := range sel.Items {
 		switch e := item.Expr.(type) {
 		case *CallExpr:
@@ -350,11 +367,11 @@ func (b *binder) bindGrouped(sel *SelectExpr, child *plan.Node, env scope) (*pla
 			}
 			name := item.Alias
 			if name == "" {
-				name = fmt.Sprintf("%s_%d", e.Fn, len(aggs)+1)
+				name = e.Fn + "_" + strconv.Itoa(len(aggs)+1)
 			}
 			out := plan.Column{ID: b.newID(), Name: name}
 			aggs = append(aggs, plan.Agg{Fn: e.Fn, Arg: arg, Out: out})
-			projs = append(projs, plan.Projection{Expr: plan.ColExpr(out), Out: out})
+			projs = append(projs, plan.Projection{Expr: b.colExpr(out), Out: out})
 		case *ColName:
 			col, err := env.resolve(*e)
 			if err != nil {
@@ -367,13 +384,19 @@ func (b *binder) bindGrouped(sel *SelectExpr, child *plan.Node, env scope) (*pla
 			if item.Alias != "" {
 				out.Name = item.Alias
 			}
-			projs = append(projs, plan.Projection{Expr: plan.ColExpr(col), Out: out})
+			projs = append(projs, plan.Projection{Expr: b.colExpr(col), Out: out})
 		default:
 			return nil, errf(sel.Pos, "grouped SELECT items must be group keys or aggregates")
 		}
 	}
 
-	cur := plan.NewGroupBy(child, keys, aggs)
+	schema := b.sc.columns.take(len(keys) + len(aggs))
+	copy(schema, keys)
+	for i, a := range aggs {
+		schema[len(keys)+i] = a.Out
+	}
+	cur := b.node(plan.OpGroupBy, b.sc.kids.keep([]*plan.Node{child}), schema)
+	cur.GroupKeys, cur.Aggs = keys, aggs
 
 	if sel.Having != nil {
 		henv := scope{{alias: "", node: cur}}
@@ -381,9 +404,10 @@ func (b *binder) bindGrouped(sel *SelectExpr, child *plan.Node, env scope) (*pla
 		if err != nil {
 			return nil, err
 		}
-		cur = plan.NewSelect(cur, pred)
+		cur = b.unary(plan.OpSelect, cur)
+		cur.Pred = pred
 	}
-	cur = plan.NewProject(cur, projs)
+	cur = b.project(cur, projs)
 	return b.applyTop(sel, cur)
 }
 
@@ -393,19 +417,20 @@ func (b *binder) applyTop(sel *SelectExpr, cur *plan.Node) (*plan.Node, error) {
 	}
 	if sel.Top > 0 {
 		env := scope{{alias: "", node: cur}}
-		keys := make([]plan.SortKey, 0, len(sel.OrderBy))
-		for _, ok := range sel.OrderBy {
+		keys := b.sc.sortKeys.take(max(len(sel.OrderBy), 1))
+		for i, ok := range sel.OrderBy {
 			col, err := env.resolve(ok.Col)
 			if err != nil {
 				return nil, err
 			}
-			keys = append(keys, plan.SortKey{Col: col, Desc: ok.Desc})
+			keys[i] = plan.SortKey{Col: col, Desc: ok.Desc}
 		}
-		if len(keys) == 0 {
+		if len(sel.OrderBy) == 0 {
 			// TOP without ORDER BY: sort on first column for determinism.
-			keys = append(keys, plan.SortKey{Col: cur.Schema[0]})
+			keys[0] = plan.SortKey{Col: cur.Schema[0]}
 		}
-		cur = plan.NewTop(cur, sel.Top, keys)
+		cur = b.unary(plan.OpTop, cur)
+		cur.TopN, cur.SortKeys = sel.Top, keys
 	}
 	return cur, nil
 }
@@ -420,7 +445,7 @@ func (b *binder) bindProjection(item SelectItem, env scope) (plan.Projection, er
 		if e.Kind == plan.ExprColumn {
 			name = e.Col.Name
 		} else {
-			name = fmt.Sprintf("expr_%d", b.nextID+1)
+			name = "expr_" + strconv.Itoa(int(b.nextID)+1)
 		}
 	}
 	var out plan.Column
@@ -434,12 +459,6 @@ func (b *binder) bindProjection(item SelectItem, env scope) (plan.Projection, er
 	return plan.Projection{Expr: e, Out: out}, nil
 }
 
-var binOps = map[string]plan.CmpOp{
-	"==": plan.OpEQ, "!=": plan.OpNE,
-	"<": plan.OpLT, "<=": plan.OpLE, ">": plan.OpGT, ">=": plan.OpGE,
-	"+": plan.OpAdd, "-": plan.OpSub, "*": plan.OpMul, "/": plan.OpDiv,
-}
-
 func (b *binder) bindScalar(e ScalarExpr, env scope) (*plan.Expr, error) {
 	switch e := e.(type) {
 	case *ColName:
@@ -447,11 +466,15 @@ func (b *binder) bindScalar(e ScalarExpr, env scope) (*plan.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return plan.ColExpr(col), nil
+		return b.colExpr(col), nil
 	case *NumLit:
-		return plan.NumExpr(e.Value), nil
+		c := b.expr(plan.ExprConst, nil)
+		c.Lit.F = e.Value
+		return c, nil
 	case *StrLit:
-		return plan.StrExpr(e.Value), nil
+		c := b.expr(plan.ExprConst, nil)
+		c.Lit.IsString, c.Lit.S = true, e.Value
+		return c, nil
 	case *BinExpr:
 		l, err := b.bindScalar(e.L, env)
 		if err != nil {
@@ -463,21 +486,95 @@ func (b *binder) bindScalar(e ScalarExpr, env scope) (*plan.Expr, error) {
 		}
 		switch e.Op {
 		case "AND":
-			return plan.And(l, r), nil
+			return b.flatten(plan.ExprAnd, l, r), nil
 		case "OR":
-			return plan.Or(l, r), nil
+			return b.flatten(plan.ExprOr, l, r), nil
 		}
-		op, ok := binOps[e.Op]
-		if !ok {
+		// The operator whose text (plan.CmpOp.String) e.Op is.
+		op := plan.OpEQ
+		for op <= plan.OpDiv && op.String() != e.Op {
+			op++
+		}
+		if op > plan.OpDiv {
 			return nil, errf(e.Pos, "unsupported operator %q", e.Op)
 		}
 		kind := plan.ExprCmp
 		if op >= plan.OpAdd {
 			kind = plan.ExprArith
 		}
-		return &plan.Expr{Kind: kind, Op: op, Args: []*plan.Expr{l, r}}, nil
+		x := b.expr(kind, b.sc.args.keep([]*plan.Expr{l, r}))
+		x.Op = op
+		return x, nil
 	case *CallExpr:
 		return nil, errf(e.Pos, "aggregate %s outside grouped SELECT", e.Fn)
 	}
 	return nil, fmt.Errorf("scopeql: unknown scalar expression %T", e)
+}
+
+// The binder builds the plan it returns from the scratch's plan piles, which
+// Compile starts afresh for every script and never rewinds: the plan owns
+// them, a few backing arrays per script instead of one allocation per node,
+// expression, child list and schema. Each of those is still its own
+// capacity-clipped slice or element, built as the plan package's
+// constructors build it (TestBinderBuildsAsPlanConstructors).
+
+// node returns a fresh node; the caller sets its payload. Nodes and
+// expressions are filled in place, not copied in.
+func (b *binder) node(op plan.Op, children []*plan.Node, schema []plan.Column) *plan.Node {
+	n := &b.sc.nodes.take(1)[0]
+	n.Op, n.Children, n.Schema = op, children, schema
+	return n
+}
+
+// unary returns a node over child with child's schema, as plan.NewSelect,
+// NewProcess, NewReduce, NewTop and NewOutput build it.
+func (b *binder) unary(op plan.Op, child *plan.Node) *plan.Node {
+	return b.node(op, b.sc.kids.keep([]*plan.Node{child}), child.Schema)
+}
+
+// project is plan.NewProject.
+func (b *binder) project(child *plan.Node, projs []plan.Projection) *plan.Node {
+	schema := b.sc.columns.take(len(projs))
+	for i, p := range projs {
+		schema[i] = p.Out
+	}
+	n := b.node(plan.OpProject, b.sc.kids.keep([]*plan.Node{child}), schema)
+	n.Projs = projs
+	return n
+}
+
+// expr returns a fresh expression; the caller sets its payload.
+func (b *binder) expr(kind plan.ExprKind, args []*plan.Expr) *plan.Expr {
+	e := &b.sc.exprs.take(1)[0]
+	e.Kind, e.Args = kind, args
+	return e
+}
+
+// colExpr is plan.ColExpr.
+func (b *binder) colExpr(c plan.Column) *plan.Expr {
+	e := b.expr(plan.ExprColumn, nil)
+	e.Col = c
+	return e
+}
+
+// flatten is plan.And (kind ExprAnd) or plan.Or (ExprOr) of two predicates:
+// an operand of the same kind contributes its arguments.
+func (b *binder) flatten(kind plan.ExprKind, l, r *plan.Expr) *plan.Expr {
+	n := 0
+	for _, p := range [2]*plan.Expr{l, r} {
+		if p.Kind == kind {
+			n += len(p.Args)
+		} else {
+			n++
+		}
+	}
+	args := b.sc.args.take(n)[:0]
+	for _, p := range [2]*plan.Expr{l, r} {
+		if p.Kind == kind {
+			args = append(args, p.Args...)
+		} else {
+			args = append(args, p)
+		}
+	}
+	return b.expr(kind, args)
 }

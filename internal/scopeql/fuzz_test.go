@@ -78,8 +78,9 @@ func FuzzParse(f *testing.F) {
 // Binding is where name resolution and schema bookkeeping live, so this
 // exercises far more invariants than parsing alone. Compile runs on a
 // recycled scratch and must agree with Bind(Parse(src)), which runs on fresh
-// ones (compileDiff); each iteration also compiles the previous input again,
-// on a scratch the current one has just been through.
+// ones (compileDiff), and planSize must count what the binder carves
+// (planPilesDiff); each iteration also compiles the previous input again, on
+// a scratch the current one has just been through.
 func FuzzCompile(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(strings.ReplaceAll(seed, "lake/t", "lake/orders"))
@@ -96,6 +97,11 @@ func FuzzCompile(f *testing.F) {
 		}
 		if d := compileDiff(src, root, err, cat); d != "" {
 			t.Fatalf("%s\ninput:\n%s", d, src)
+		}
+		if sc, z, err := bindCounted(src, cat); err == nil {
+			if d := planPilesDiff(sc, z); d != "" {
+				t.Fatalf("%s\ninput:\n%s", d, src)
+			}
 		}
 		root, err = Compile(prev, cat)
 		if d := compileDiff(prev, root, err, cat); d != "" {
@@ -159,6 +165,13 @@ func FuzzLex(f *testing.F) {
 	for _, seed := range []string{"ſelect joın 日本 é9 ٣", "\"a\xffb\" 1.2.3 a.1 1.", "a\r\n-- c", "x // 日本"} {
 		f.Add(seed)
 	}
+	// Where the ASCII fast path ends or hands a word or number over to the
+	// Unicode path: an ASCII word running into é, ſ or ٣, a '_'-led word, a
+	// keyword-like word one letter too long, CRLF and a tab, and a number
+	// running into a letter, a dot and an Arabic-Indic digit.
+	for _, seed := range []string{"selecté abſ x٣ FROMé", "_a _1 __ a_b", "EXTRACTS extracts Select", "a\r\nb\tc\r\n", "12a 3.5b 7.x 1.٣ 2٣"} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		toks, err := Lex(src)
 		if err != nil {
@@ -196,7 +209,7 @@ func FuzzLex(f *testing.F) {
 				if w := wordAt(src[off:]); w != tok.Text {
 					t.Fatalf("identifier %q at %v: source word is %q", tok.Text, tok.Pos, w)
 				}
-				if _, kw := keywords[strings.ToUpper(tok.Text)]; kw {
+				if slices.Contains(keywords[1:], strings.ToUpper(tok.Text)) {
 					t.Fatalf("identifier %q at %v is a keyword", tok.Text, tok.Pos)
 				}
 			case TokNumber:

@@ -29,36 +29,38 @@ type parser struct {
 	sc   *scratch
 }
 
-func (p *parser) cur() Token  { return p.toks[p.i] }
-func (p *parser) next() Token { t := p.toks[p.i]; p.i++; return t }
+// cur and next return the token in place, and atKeyword and atSymbol
+// probe it by its code.
+func (p *parser) cur() *Token  { return &p.toks[p.i] }
+func (p *parser) next() *Token { t := &p.toks[p.i]; p.i++; return t }
 
-func (p *parser) atKeyword(kw string) bool {
+func (p *parser) atKeyword(kw keyword) bool {
 	t := p.cur()
-	return t.Kind == TokKeyword && t.Text == kw
+	return t.Kind == TokKeyword && t.code == uint8(kw)
 }
 
-func (p *parser) atSymbol(sym string) bool {
+func (p *parser) atSymbol(sym symbol) bool {
 	t := p.cur()
-	return t.Kind == TokSymbol && t.Text == sym
+	return t.Kind == TokSymbol && t.code == uint8(sym)
 }
 
-func (p *parser) expectKeyword(kw string) (Token, error) {
+func (p *parser) expectKeyword(kw keyword) (*Token, error) {
 	if !p.atKeyword(kw) {
-		return Token{}, errf(p.cur().Pos, "expected %s, found %q", kw, p.cur().Text)
+		return nil, errf(p.cur().Pos, "expected %s, found %q", keywords[kw], p.cur().Text)
 	}
 	return p.next(), nil
 }
 
-func (p *parser) expectSymbol(sym string) (Token, error) {
+func (p *parser) expectSymbol(sym symbol) (*Token, error) {
 	if !p.atSymbol(sym) {
-		return Token{}, errf(p.cur().Pos, "expected %q, found %q", sym, p.cur().Text)
+		return nil, errf(p.cur().Pos, "expected %q, found %q", symbols[sym], p.cur().Text)
 	}
 	return p.next(), nil
 }
 
-func (p *parser) expectIdent() (Token, error) {
+func (p *parser) expectIdent() (*Token, error) {
 	if p.cur().Kind != TokIdent {
-		return Token{}, errf(p.cur().Pos, "expected identifier, found %q", p.cur().Text)
+		return nil, errf(p.cur().Pos, "expected identifier, found %q", p.cur().Text)
 	}
 	return p.next(), nil
 }
@@ -80,20 +82,20 @@ func (p *parser) script() (*Script, error) {
 }
 
 func (p *parser) statement() (Stmt, error) {
-	if p.atKeyword("OUTPUT") {
+	if p.atKeyword(kwOutput) {
 		pos := p.next().Pos
 		name, err := p.expectIdent()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expectKeyword("TO"); err != nil {
+		if _, err := p.expectKeyword(kwTo); err != nil {
 			return nil, err
 		}
 		if p.cur().Kind != TokString {
 			return nil, errf(p.cur().Pos, "expected output path string, found %q", p.cur().Text)
 		}
 		path := p.next().Text
-		if _, err := p.expectSymbol(";"); err != nil {
+		if _, err := p.expectSymbol(symSemi); err != nil {
 			return nil, err
 		}
 		return p.sc.outputs.add(OutputStmt{Name: name.Text, Path: path, Pos: pos}), nil
@@ -102,14 +104,14 @@ func (p *parser) statement() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expectSymbol("="); err != nil {
+	if _, err := p.expectSymbol(symAssign); err != nil {
 		return nil, err
 	}
 	rel, err := p.relExpr()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expectSymbol(";"); err != nil {
+	if _, err := p.expectSymbol(symSemi); err != nil {
 		return nil, err
 	}
 	return p.sc.assigns.add(AssignStmt{Name: name.Text, Rel: rel, Pos: name.Pos}), nil
@@ -122,15 +124,15 @@ func (p *parser) relExpr() (RelExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !p.atKeyword("UNION") {
+	if !p.atKeyword(kwUnion) {
 		return first, nil
 	}
 	pos := p.cur().Pos
 	var buf [8]RelExpr
 	terms := append(buf[:0], first)
-	for p.atKeyword("UNION") {
+	for p.atKeyword(kwUnion) {
 		p.next()
-		if _, err := p.expectKeyword("ALL"); err != nil {
+		if _, err := p.expectKeyword(kwAll); err != nil {
 			return nil, err
 		}
 		t, err := p.relTerm()
@@ -145,23 +147,23 @@ func (p *parser) relExpr() (RelExpr, error) {
 func (p *parser) relTerm() (RelExpr, error) {
 	t := p.cur()
 	switch {
-	case p.atSymbol("("):
+	case p.atSymbol(symLParen):
 		p.next()
 		inner, err := p.relExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expectSymbol(")"); err != nil {
+		if _, err := p.expectSymbol(symRParen); err != nil {
 			return nil, err
 		}
 		return inner, nil
-	case p.atKeyword("SELECT"):
+	case p.atKeyword(kwSelect):
 		return p.selectExpr()
-	case p.atKeyword("EXTRACT"):
+	case p.atKeyword(kwExtract):
 		return p.extractExpr()
-	case p.atKeyword("PROCESS"):
+	case p.atKeyword(kwProcess):
 		return p.processExpr()
-	case p.atKeyword("REDUCE"):
+	case p.atKeyword(kwReduce):
 		return p.reduceExpr()
 	case t.Kind == TokIdent:
 		p.next()
@@ -180,12 +182,12 @@ func (p *parser) extractExpr() (RelExpr, error) {
 			return nil, err
 		}
 		cols = append(cols, c.Text)
-		if !p.atSymbol(",") {
+		if !p.atSymbol(symComma) {
 			break
 		}
 		p.next()
 	}
-	if _, err := p.expectKeyword("FROM"); err != nil {
+	if _, err := p.expectKeyword(kwFrom); err != nil {
 		return nil, err
 	}
 	if p.cur().Kind != TokString {
@@ -201,7 +203,7 @@ func (p *parser) processExpr() (RelExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expectKeyword("USING"); err != nil {
+	if _, err := p.expectKeyword(kwUsing); err != nil {
 		return nil, err
 	}
 	udo, err := p.expectIdent()
@@ -217,7 +219,7 @@ func (p *parser) reduceExpr() (RelExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.expectKeyword("ON"); err != nil {
+	if _, err := p.expectKeyword(kwOn); err != nil {
 		return nil, err
 	}
 	var buf [8]ColName
@@ -228,12 +230,12 @@ func (p *parser) reduceExpr() (RelExpr, error) {
 			return nil, err
 		}
 		keys = append(keys, c)
-		if !p.atSymbol(",") {
+		if !p.atSymbol(symComma) {
 			break
 		}
 		p.next()
 	}
-	if _, err := p.expectKeyword("USING"); err != nil {
+	if _, err := p.expectKeyword(kwUsing); err != nil {
 		return nil, err
 	}
 	udo, err := p.expectIdent()
@@ -246,13 +248,13 @@ func (p *parser) reduceExpr() (RelExpr, error) {
 // relSource parses the source of PROCESS/REDUCE: a variable or a
 // parenthesized relational expression.
 func (p *parser) relSource() (RelExpr, error) {
-	if p.atSymbol("(") {
+	if p.atSymbol(symLParen) {
 		p.next()
 		inner, err := p.relExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expectSymbol(")"); err != nil {
+		if _, err := p.expectSymbol(symRParen); err != nil {
 			return nil, err
 		}
 		return inner, nil
@@ -264,7 +266,7 @@ func (p *parser) relSource() (RelExpr, error) {
 	return p.varRef(id), nil
 }
 
-func (p *parser) varRef(id Token) *VarRef {
+func (p *parser) varRef(id *Token) *VarRef {
 	return p.sc.varRefs.add(VarRef{Name: id.Text, Pos: id.Pos})
 }
 
@@ -281,7 +283,7 @@ func (p *parser) selectExpr() (RelExpr, error) {
 		groupBy  = groupBuf[:0]
 		orderBy  = orderBuf[:0]
 	)
-	if p.atKeyword("TOP") {
+	if p.atKeyword(kwTop) {
 		p.next()
 		if p.cur().Kind != TokNumber {
 			return nil, errf(p.cur().Pos, "expected number after TOP, found %q", p.cur().Text)
@@ -292,7 +294,7 @@ func (p *parser) selectExpr() (RelExpr, error) {
 		}
 		sel.Top = n
 	}
-	if p.atSymbol("*") {
+	if p.atSymbol(symStar) {
 		p.next()
 		sel.Star = true
 	} else {
@@ -302,13 +304,13 @@ func (p *parser) selectExpr() (RelExpr, error) {
 				return nil, err
 			}
 			items = append(items, item)
-			if !p.atSymbol(",") {
+			if !p.atSymbol(symComma) {
 				break
 			}
 			p.next()
 		}
 	}
-	if _, err := p.expectKeyword("FROM"); err != nil {
+	if _, err := p.expectKeyword(kwFrom); err != nil {
 		return nil, err
 	}
 	from, err := p.tableRef()
@@ -316,19 +318,19 @@ func (p *parser) selectExpr() (RelExpr, error) {
 		return nil, err
 	}
 	sel.From = from
-	for p.atKeyword("INNER") || p.atKeyword("JOIN") {
+	for p.atKeyword(kwInner) || p.atKeyword(kwJoin) {
 		jpos := p.cur().Pos
-		if p.atKeyword("INNER") {
+		if p.atKeyword(kwInner) {
 			p.next()
 		}
-		if _, err := p.expectKeyword("JOIN"); err != nil {
+		if _, err := p.expectKeyword(kwJoin); err != nil {
 			return nil, err
 		}
 		right, err := p.tableRef()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expectKeyword("ON"); err != nil {
+		if _, err := p.expectKeyword(kwOn); err != nil {
 			return nil, err
 		}
 		on, err := p.orExpr()
@@ -337,7 +339,7 @@ func (p *parser) selectExpr() (RelExpr, error) {
 		}
 		joins = append(joins, JoinClause{Right: right, On: on, Pos: jpos})
 	}
-	if p.atKeyword("WHERE") {
+	if p.atKeyword(kwWhere) {
 		p.next()
 		w, err := p.orExpr()
 		if err != nil {
@@ -345,9 +347,9 @@ func (p *parser) selectExpr() (RelExpr, error) {
 		}
 		sel.Where = w
 	}
-	if p.atKeyword("GROUP") {
+	if p.atKeyword(kwGroup) {
 		p.next()
-		if _, err := p.expectKeyword("BY"); err != nil {
+		if _, err := p.expectKeyword(kwBy); err != nil {
 			return nil, err
 		}
 		for {
@@ -356,13 +358,13 @@ func (p *parser) selectExpr() (RelExpr, error) {
 				return nil, err
 			}
 			groupBy = append(groupBy, c)
-			if !p.atSymbol(",") {
+			if !p.atSymbol(symComma) {
 				break
 			}
 			p.next()
 		}
 	}
-	if p.atKeyword("HAVING") {
+	if p.atKeyword(kwHaving) {
 		p.next()
 		h, err := p.orExpr()
 		if err != nil {
@@ -370,9 +372,9 @@ func (p *parser) selectExpr() (RelExpr, error) {
 		}
 		sel.Having = h
 	}
-	if p.atKeyword("ORDER") {
+	if p.atKeyword(kwOrder) {
 		p.next()
-		if _, err := p.expectKeyword("BY"); err != nil {
+		if _, err := p.expectKeyword(kwBy); err != nil {
 			return nil, err
 		}
 		for {
@@ -381,14 +383,14 @@ func (p *parser) selectExpr() (RelExpr, error) {
 				return nil, err
 			}
 			key := OrderKey{Col: c}
-			if p.atKeyword("DESC") {
+			if p.atKeyword(kwDesc) {
 				p.next()
 				key.Desc = true
-			} else if p.atKeyword("ASC") {
+			} else if p.atKeyword(kwAsc) {
 				p.next()
 			}
 			orderBy = append(orderBy, key)
-			if !p.atSymbol(",") {
+			if !p.atSymbol(symComma) {
 				break
 			}
 			p.next()
@@ -407,7 +409,7 @@ func (p *parser) selectItem() (SelectItem, error) {
 		return SelectItem{}, err
 	}
 	item := SelectItem{Expr: e}
-	if p.atKeyword("AS") {
+	if p.atKeyword(kwAs) {
 		p.next()
 		a, err := p.expectIdent()
 		if err != nil {
@@ -429,20 +431,20 @@ func (p *parser) tableRef() (TableRef, error) {
 	case t.Kind == TokIdent:
 		p.next()
 		ref.Var = t.Text
-	case p.atSymbol("("):
+	case p.atSymbol(symLParen):
 		p.next()
 		inner, err := p.relExpr()
 		if err != nil {
 			return TableRef{}, err
 		}
-		if _, err := p.expectSymbol(")"); err != nil {
+		if _, err := p.expectSymbol(symRParen); err != nil {
 			return TableRef{}, err
 		}
 		ref.Sub = inner
 	default:
 		return TableRef{}, errf(t.Pos, "expected table reference, found %q", t.Text)
 	}
-	if p.atKeyword("AS") {
+	if p.atKeyword(kwAs) {
 		p.next()
 		a, err := p.expectIdent()
 		if err != nil {
@@ -466,7 +468,7 @@ func (p *parser) orExpr() (ScalarExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.atKeyword("OR") {
+	for p.atKeyword(kwOr) {
 		pos := p.next().Pos
 		r, err := p.andExpr()
 		if err != nil {
@@ -482,7 +484,7 @@ func (p *parser) andExpr() (ScalarExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.atKeyword("AND") {
+	for p.atKeyword(kwAnd) {
 		pos := p.next().Pos
 		r, err := p.cmpExpr()
 		if err != nil {
@@ -493,15 +495,13 @@ func (p *parser) andExpr() (ScalarExpr, error) {
 	return l, nil
 }
 
-var cmpOps = map[string]bool{"==": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true}
-
 func (p *parser) cmpExpr() (ScalarExpr, error) {
 	l, err := p.addExpr()
 	if err != nil {
 		return nil, err
 	}
 	t := p.cur()
-	if t.Kind == TokSymbol && cmpOps[t.Text] {
+	if t.Kind == TokSymbol && isComparison(symbol(t.code)) {
 		p.next()
 		r, err := p.addExpr()
 		if err != nil {
@@ -517,7 +517,7 @@ func (p *parser) addExpr() (ScalarExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.atSymbol("+") || p.atSymbol("-") {
+	for p.atSymbol(symPlus) || p.atSymbol(symMinus) {
 		t := p.next()
 		r, err := p.mulExpr()
 		if err != nil {
@@ -533,7 +533,7 @@ func (p *parser) mulExpr() (ScalarExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.atSymbol("*") || p.atSymbol("/") {
+	for p.atSymbol(symStar) || p.atSymbol(symSlash) {
 		t := p.next()
 		r, err := p.unary()
 		if err != nil {
@@ -557,13 +557,13 @@ func (p *parser) unary() (ScalarExpr, error) {
 	case t.Kind == TokString:
 		p.next()
 		return p.sc.strs.add(StrLit{Value: t.Text, Pos: t.Pos}), nil
-	case t.Kind == TokKeyword && aggregates[t.Text]:
+	case t.Kind == TokKeyword && isAggregate(keyword(t.code)):
 		p.next()
-		if _, err := p.expectSymbol("("); err != nil {
+		if _, err := p.expectSymbol(symLParen); err != nil {
 			return nil, err
 		}
 		call := CallExpr{Fn: t.Text, Pos: t.Pos}
-		if p.atSymbol("*") {
+		if p.atSymbol(symStar) {
 			p.next()
 			call.Star = true
 		} else {
@@ -573,19 +573,19 @@ func (p *parser) unary() (ScalarExpr, error) {
 			}
 			call.Args = p.sc.scalars.keep([]ScalarExpr{arg})
 		}
-		if _, err := p.expectSymbol(")"); err != nil {
+		if _, err := p.expectSymbol(symRParen); err != nil {
 			return nil, err
 		}
 		return p.sc.calls.add(call), nil
 	case t.Kind == TokIdent:
 		return p.colNameExpr()
-	case p.atSymbol("("):
+	case p.atSymbol(symLParen):
 		p.next()
 		inner, err := p.orExpr()
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.expectSymbol(")"); err != nil {
+		if _, err := p.expectSymbol(symRParen); err != nil {
 			return nil, err
 		}
 		return inner, nil
@@ -599,7 +599,7 @@ func (p *parser) colName() (ColName, error) {
 		return ColName{}, err
 	}
 	c := ColName{Name: id.Text, Pos: id.Pos}
-	if p.atSymbol(".") {
+	if p.atSymbol(symDot) {
 		p.next()
 		id2, err := p.expectIdent()
 		if err != nil {

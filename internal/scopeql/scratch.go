@@ -12,16 +12,27 @@ const pileFirstLen = 8
 
 // pile is a bump allocator over one backing array, as cost.Arena is: take
 // carves from the free tail and, when it is short, moves on to a fresh array
-// twice the size (what was carved from the old one stays valid, and the old
-// array dies with its last holder). reset zeroes what the current array
-// handed out and rewinds, so a warm pile allocates nothing.
-type pile[T any] struct{ buf []T }
+// (what was carved from the old one stays valid, and the old array dies with
+// its last holder). A recycled pile doubles its array each time and rewinds
+// (rewind, or reset, which also zeroes what it handed out), so a warm pile
+// allocates nothing. A plan pile (fresh) gets arrays of a fixed size and is
+// never rewound: what it carved belongs to the plan.
+type pile[T any] struct {
+	buf []T
+	// next is the capacity of a fresh array; 0 doubles the current one.
+	next int
+}
 
-// take returns n zeroed elements, capacity clipped to n so no holder can
-// append into a neighbour.
+// take returns n elements, capacity clipped to n so no holder can append
+// into a neighbour; never nil, even for n = 0. They are zero unless the pile
+// was rewound over them: add and keep overwrite them whole.
 func (p *pile[T]) take(n int) []T {
-	if len(p.buf)+n > cap(p.buf) {
-		p.buf = make([]T, 0, max(2*cap(p.buf), n, pileFirstLen))
+	if p.buf == nil || len(p.buf)+n > cap(p.buf) {
+		size := p.next
+		if size == 0 {
+			size = max(2*cap(p.buf), pileFirstLen)
+		}
+		p.buf = make([]T, 0, max(size, n))
 	}
 	off := len(p.buf)
 	p.buf = p.buf[:off+n]
@@ -49,22 +60,33 @@ func (p *pile[T]) keep(src []T) []T {
 
 func (p *pile[T]) reset() {
 	clear(p.buf)
-	p.buf = p.buf[:0]
+	p.rewind()
+}
+
+func (p *pile[T]) rewind() { p.buf = p.buf[:0] }
+
+// fresh lets go of the backing array, leaving it to what was carved from
+// it, and has take carve from arrays of n elements (at least what it is
+// asked for) from now on.
+func (p *pile[T]) fresh(n int) {
+	p.buf = nil
+	p.next = n
 }
 
 // scratch is the memory of one front-end pass that dies with it: the token
 // buffer, the piles every AST node and AST slice is carved from, and the
 // binder's variable table and output list. Compile takes one from
-// scratchPool and hands it back cleared, so a warm Compile allocates only the
-// plan it returns; Parse and Bind run the same code over a scratch of their
-// own that nothing recycles, so an AST a caller holds stays valid.
+// scratchPool and hands it back released, so a warm Compile allocates only
+// the plan it returns; Parse and Bind run the same code over a scratch of
+// their own that nothing recycles, so an AST a caller holds stays valid.
 //
-// Recycling is safe because nothing Compile returns points into the scratch:
-// token texts are substrings of src or shared keyword and symbol constants,
-// so every string the AST and then the plan hold outlives the scratch; the
-// binder copies names out of the AST and builds every plan node, schema,
-// expression and slice it returns with fresh allocations (a multi-output
-// root's output list included), because those are the output. An error
+// Recycling is safe because nothing Compile returns points into recycled
+// memory: token texts are substrings of src or shared keyword and symbol
+// constants, so every string the AST and then the plan hold outlives the
+// scratch; the binder copies names out of the AST and carves every plan
+// node, schema, expression and slice it returns (a multi-output root's
+// output list included) from the plan piles, whose arrays are fresh for
+// each script and never rewound, because those are the output. An error
 // carries only the text errf formatted.
 type scratch struct {
 	toks []Token
@@ -94,10 +116,24 @@ type scratch struct {
 	joins   pile[JoinClause]
 	orders  pile[OrderKey]
 
-	// Binder state: the script's variables and its outputs so far.
-	vars  map[string]*boundVar
-	bound pile[boundVar]
-	outs  []*plan.Node
+	// Binder state: the script's variables and its outputs so far, and the
+	// variables' schema widths for planSize.
+	vars   map[string]*boundVar
+	bound  pile[boundVar]
+	outs   []*plan.Node
+	widths map[string]int
+
+	// The plan's memory: bind starts each pile afresh with one array of the
+	// size planSize counts, and the plan it returns owns what they carved,
+	// so release only lets go.
+	nodes    pile[plan.Node]
+	exprs    pile[plan.Expr]
+	columns  pile[plan.Column] // schemas and key lists
+	kids     pile[*plan.Node]
+	args     pile[*plan.Expr]
+	projs    pile[plan.Projection]
+	aggs     pile[plan.Agg]
+	sortKeys pile[plan.SortKey]
 }
 
 // scratchPool holds the idle scratches of Compile. The runtime drops pooled
@@ -116,37 +152,55 @@ func (sc *scratch) compile(src string, cat *catalog.Catalog) (*plan.Node, error)
 	return sc.bind(s, cat)
 }
 
-// release zeroes everything the pass carved or filed — which also drops the
-// references into src and into the returned plan — and rewinds, leaving sc as
-// good as a new one.
+// release rewinds sc, leaving it as good as a new one. It zeroes the
+// binder's state, which points into the returned plan, and lets go of the
+// plan piles. The token buffer and the AST piles are rewound without being
+// zeroed: every string they hold is a substring of a source or a shared
+// constant, so stale entries can pin only earlier scripts' sources, and only
+// while the scratch is reused or pooled (the pool drops idle entries within
+// two collections).
 func (sc *scratch) release() {
-	// toks and outs only ever grow between releases, so past their length
-	// the backing arrays are already zero.
-	clear(sc.toks)
 	sc.toks = sc.toks[:0]
-	sc.scripts.reset()
-	sc.assigns.reset()
-	sc.outputs.reset()
-	sc.varRefs.reset()
-	sc.extracts.reset()
-	sc.selects.reset()
-	sc.unions.reset()
-	sc.procs.reset()
-	sc.reduces.reset()
-	sc.cols.reset()
-	sc.nums.reset()
-	sc.strs.reset()
-	sc.bins.reset()
-	sc.calls.reset()
-	sc.stmts.reset()
-	sc.rels.reset()
-	sc.scalars.reset()
-	sc.names.reset()
-	sc.items.reset()
-	sc.joins.reset()
-	sc.orders.reset()
+	sc.scripts.rewind()
+	sc.assigns.rewind()
+	sc.outputs.rewind()
+	sc.varRefs.rewind()
+	sc.extracts.rewind()
+	sc.selects.rewind()
+	sc.unions.rewind()
+	sc.procs.rewind()
+	sc.reduces.rewind()
+	sc.cols.rewind()
+	sc.nums.rewind()
+	sc.strs.rewind()
+	sc.bins.rewind()
+	sc.calls.rewind()
+	sc.stmts.rewind()
+	sc.rels.rewind()
+	sc.scalars.rewind()
+	sc.names.rewind()
+	sc.items.rewind()
+	sc.joins.rewind()
+	sc.orders.rewind()
 	clear(sc.vars)
+	clear(sc.widths)
 	sc.bound.reset()
+	// outs only ever grows between releases, so past its length the
+	// backing array is already zero.
 	clear(sc.outs)
 	sc.outs = sc.outs[:0]
+	sc.startPlan(planSize{}) // lets go of the plan
+}
+
+// startPlan starts the plan piles afresh, each with one array of what z
+// counts (none for a zero count).
+func (sc *scratch) startPlan(z planSize) {
+	sc.nodes.fresh(z.nodes)
+	sc.exprs.fresh(z.exprs)
+	sc.columns.fresh(z.columns)
+	sc.kids.fresh(z.kids)
+	sc.args.fresh(z.args)
+	sc.projs.fresh(z.projs)
+	sc.aggs.fresh(z.aggs)
+	sc.sortKeys.fresh(z.sortKeys)
 }

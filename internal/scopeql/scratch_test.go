@@ -1,8 +1,12 @@
 package scopeql
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
+
+	"steerq/internal/catalog"
 )
 
 // compileCorpus interleaves scripts that bind against bindCatalog with ones
@@ -60,4 +64,63 @@ func TestCompileScratchReuse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// planPilesDiff describes how the plan piles sc's last bind carved from
+// differ from what planSize counted for it: each pile must hold one array,
+// filled to its capacity, of exactly the counted length. It returns "" when
+// they agree.
+func planPilesDiff(sc *scratch, z planSize) string {
+	var d []string
+	check := func(name string, n, c, want int) {
+		if n != want || c != want {
+			d = append(d, fmt.Sprintf("%s: carved %d of an array of %d, planSize counts %d", name, n, c, want))
+		}
+	}
+	check("nodes", len(sc.nodes.buf), cap(sc.nodes.buf), z.nodes)
+	check("exprs", len(sc.exprs.buf), cap(sc.exprs.buf), z.exprs)
+	check("columns", len(sc.columns.buf), cap(sc.columns.buf), z.columns)
+	check("kids", len(sc.kids.buf), cap(sc.kids.buf), z.kids)
+	check("args", len(sc.args.buf), cap(sc.args.buf), z.args)
+	check("projs", len(sc.projs.buf), cap(sc.projs.buf), z.projs)
+	check("aggs", len(sc.aggs.buf), cap(sc.aggs.buf), z.aggs)
+	check("sortKeys", len(sc.sortKeys.buf), cap(sc.sortKeys.buf), z.sortKeys)
+	return strings.Join(d, "; ")
+}
+
+// bindCounted parses and binds src on a fresh scratch, as compile does, and
+// returns the scratch before release with planSize's count of the script.
+func bindCounted(src string, cat *catalog.Catalog) (*scratch, planSize, error) {
+	sc := new(scratch)
+	s, err := sc.parse(src)
+	if err != nil {
+		return nil, planSize{}, err
+	}
+	z := sizePlan(s, cat, make(map[string]int))
+	if _, err := sc.bind(s, cat); err != nil {
+		return nil, planSize{}, err
+	}
+	return sc, z, nil
+}
+
+// TestPlanSizeIsExact: for every script of the compile corpus and the fuzz
+// seeds that binds, each plan pile takes one array that planSize sized
+// exactly — a miscount shows as a second array or an unfilled one.
+func TestPlanSizeIsExact(t *testing.T) {
+	cat := bindCatalog()
+	bound := 0
+	for _, src := range append(compileCorpus, fuzzSeeds...) {
+		src = strings.ReplaceAll(src, "lake/t", "lake/orders")
+		sc, z, err := bindCounted(src, cat)
+		if err != nil {
+			continue
+		}
+		bound++
+		if d := planPilesDiff(sc, z); d != "" {
+			t.Errorf("%s\ninput:\n%s", d, src)
+		}
+	}
+	if bound < 5 {
+		t.Fatalf("only %d scripts bind", bound)
+	}
 }

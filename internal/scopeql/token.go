@@ -21,7 +21,7 @@ package scopeql
 import "fmt"
 
 // TokenKind enumerates lexical token classes.
-type TokenKind int
+type TokenKind uint8
 
 // Token kinds.
 const (
@@ -40,6 +40,9 @@ func (k TokenKind) String() string { return tokNames[k] }
 // Token is one lexical token with its source position.
 type Token struct {
 	Kind TokenKind
+	// code is the keyword of a TokKeyword and the symbol of a TokSymbol
+	// (zero for other kinds), so the parser probes a token by one byte.
+	code uint8
 	Text string // keyword text is upper-cased; others verbatim
 	Pos  Pos
 }
@@ -51,31 +54,96 @@ type Pos struct {
 
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
-// keywords of the dialect, each mapped to itself: the lexer upper-cases
-// candidate identifiers and looks them up, so keywords are case-insensitive
-// as in SCOPE and every keyword token shares the table's text.
-var keywords = selfMap(
-	"SELECT", "TOP", "FROM", "AS",
-	"INNER", "JOIN", "ON", "WHERE",
-	"GROUP", "BY", "HAVING", "ORDER",
-	"UNION", "ALL", "EXTRACT", "OUTPUT",
-	"TO", "PROCESS", "REDUCE", "USING",
-	"DESC", "ASC", "AND", "OR",
-	"COUNT", "SUM", "MIN", "MAX", "AVG",
+// keyword identifies a keyword of the dialect by its index in keywords.
+type keyword uint8
+
+// Keywords, in the order of the keywords table. The aggregate functions come
+// last, from kwCount on.
+const (
+	_ keyword = iota
+	kwSelect
+	kwTop
+	kwFrom
+	kwAs
+	kwInner
+	kwJoin
+	kwOn
+	kwWhere
+	kwGroup
+	kwBy
+	kwHaving
+	kwOrder
+	kwUnion
+	kwAll
+	kwExtract
+	kwOutput
+	kwTo
+	kwProcess
+	kwReduce
+	kwUsing
+	kwDesc
+	kwAsc
+	kwAnd
+	kwOr
+	kwCount
+	kwSum
+	kwMin
+	kwMax
+	kwAvg
 )
 
-func selfMap(words ...string) map[string]string {
-	m := make(map[string]string, len(words))
-	for _, w := range words {
-		m[w] = w
-	}
-	return m
+// keywords spells every keyword of the dialect, upper-cased. Keywords are
+// case-insensitive as in SCOPE, and every keyword token shares the table's
+// text. The lexer's lookup (keywordSlots) is derived from this table.
+var keywords = [...]string{
+	kwSelect: "SELECT", kwTop: "TOP", kwFrom: "FROM", kwAs: "AS",
+	kwInner: "INNER", kwJoin: "JOIN", kwOn: "ON", kwWhere: "WHERE",
+	kwGroup: "GROUP", kwBy: "BY", kwHaving: "HAVING", kwOrder: "ORDER",
+	kwUnion: "UNION", kwAll: "ALL", kwExtract: "EXTRACT", kwOutput: "OUTPUT",
+	kwTo: "TO", kwProcess: "PROCESS", kwReduce: "REDUCE", kwUsing: "USING",
+	kwDesc: "DESC", kwAsc: "ASC", kwAnd: "AND", kwOr: "OR",
+	kwCount: "COUNT", kwSum: "SUM", kwMin: "MIN", kwMax: "MAX", kwAvg: "AVG",
 }
 
-// aggregates are the keyword-functions treated as aggregate calls.
-var aggregates = map[string]bool{
-	"COUNT": true, "SUM": true, "MIN": true, "MAX": true, "AVG": true,
+// isAggregate reports whether k is one of the keyword-functions treated as
+// aggregate calls (COUNT, SUM, MIN, MAX, AVG).
+func isAggregate(k keyword) bool { return k >= kwCount }
+
+// symbol identifies a symbol of the dialect by its index in symbols.
+type symbol uint8
+
+// Symbols, in the order of the symbols table: the six comparison operators
+// first.
+const (
+	_ symbol = iota
+	symEQ
+	symNE
+	symLT
+	symLE
+	symGT
+	symGE
+	symPlus
+	symMinus
+	symStar
+	symSlash
+	symAssign
+	symLParen
+	symRParen
+	symComma
+	symSemi
+	symDot
+)
+
+// symbols spells every symbol of the dialect; a symbol token's Text is the
+// table's entry. Each two-character symbol is a one-byte prefix and '='.
+var symbols = [...]string{
+	symEQ: "==", symNE: "!=", symLT: "<", symLE: "<=", symGT: ">", symGE: ">=",
+	symPlus: "+", symMinus: "-", symStar: "*", symSlash: "/",
+	symAssign: "=", symLParen: "(", symRParen: ")", symComma: ",", symSemi: ";", symDot: ".",
 }
+
+// isComparison reports whether s is one of the six comparison operators.
+func isComparison(s symbol) bool { return symEQ <= s && s <= symGE }
 
 // Error is a front-end error carrying a source position.
 type Error struct {
