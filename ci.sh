@@ -85,7 +85,9 @@
 #   9. coverage floor            go test -cover over the robustness- and
 #                                observability-critical packages (faults, par,
 #                                steering, obs, learning, nn, analysis, serve,
-#                                bundle) with an 80% per-package floor
+#                                bundle) and the plan algebra and its two
+#                                builders (plan, scopeql, cascades) with an
+#                                80% per-package floor
 #  10. fault-injection smoke     one pipeline run with a pinned fault seed and
 #                                plan checking on: it must complete with every
 #                                faulted job surviving via retry or fallback
@@ -181,10 +183,11 @@ go test -run '^$' -bench 'Benchmark(TrainModel|SaveLoad)$' -benchtime=1x ./inter
 go test -run '^$' -bench 'Benchmark(Run|Explain)$' -benchtime=1x ./internal/exec/
 go test -run '^$' -bench 'Benchmark(ReseedDraw3|SeedFill)$' -benchtime=1x ./internal/xrand/
 
-echo "== coverage floor (faults, par, steering, obs, learning, nn, analysis, serve, bundle >= 80%) =="
+echo "== coverage floor (faults, par, steering, obs, learning, nn, analysis, serve, bundle, plan, scopeql, cascades >= 80%) =="
 go test -cover ./internal/faults/ ./internal/par/ ./internal/steering/ \
     ./internal/obs/ ./internal/learning/ ./internal/nn/ ./internal/analysis/ \
-    ./internal/serve/ ./internal/bundle/ > /tmp/steerq-cover.$$
+    ./internal/serve/ ./internal/bundle/ ./internal/plan/ ./internal/scopeql/ \
+    ./internal/cascades/ > /tmp/steerq-cover.$$
 cat /tmp/steerq-cover.$$
 awk '
     /coverage:/ {

@@ -25,55 +25,13 @@ import (
 //     lists, the result list and predicate scratch lists — is rewound after
 //     every rule application (search.explore).
 
-// Expr carves a zeroed expression node.
+// Expr carves a zeroed expression node. With ExprArgs it makes the memo a
+// plan.ExprAlloc, so rules build predicates with plan.ColExpr, plan.And and
+// the other expression constructors.
 func (m *Memo) Expr() *plan.Expr { return m.arena.exprNodes.one(exprNodesChunkLen) }
 
 // ExprArgs carves n zeroed expression arguments.
 func (m *Memo) ExprArgs(n int) []*plan.Expr { return m.arena.exprArgs.take(n, exprArgsChunkLen) }
-
-// ColExpr carves a reference to column c, as plan.ColExpr builds it.
-func (m *Memo) ColExpr(c plan.Column) *plan.Expr {
-	e := m.Expr()
-	e.Kind, e.Col = plan.ExprColumn, c
-	return e
-}
-
-// And carves the conjunction of preds exactly as plan.And builds it: nested
-// conjunctions are flattened and nils dropped; no conjunct is nil, and a
-// single one is returned as itself.
-func (m *Memo) And(preds ...*plan.Expr) *plan.Expr {
-	n, last := 0, (*plan.Expr)(nil)
-	for _, p := range preds {
-		switch {
-		case p == nil:
-		case p.Kind == plan.ExprAnd:
-			if len(p.Args) > 0 {
-				n, last = n+len(p.Args), p.Args[len(p.Args)-1]
-			}
-		default:
-			n, last = n+1, p
-		}
-	}
-	switch n {
-	case 0:
-		return nil
-	case 1:
-		return last
-	}
-	args := m.ExprArgs(n)[:0]
-	for _, p := range preds {
-		switch {
-		case p == nil:
-		case p.Kind == plan.ExprAnd:
-			args = append(args, p.Args...)
-		default:
-			args = append(args, p)
-		}
-	}
-	e := m.Expr()
-	e.Kind, e.Args = plan.ExprAnd, args
-	return e
-}
 
 // Node carves a zeroed payload node.
 func (m *Memo) Node() *plan.Node { return m.arena.nodes.one(nodeChunkLen) }
@@ -159,7 +117,7 @@ func (m *Memo) RChildren(n int) []RChild { return m.arena.rchildren.take(n, rchi
 func (m *Memo) Results(n int) []*RNode { return m.arena.results.take(n, resultsChunkLen)[:0] }
 
 // Preds carves an empty predicate list with room for n conjuncts, scratch
-// for assembling a conjunction (And copies its arguments).
+// for assembling a conjunction (plan.And copies its arguments).
 func (m *Memo) Preds(n int) []*plan.Expr { return m.arena.preds.take(n, predsChunkLen)[:0] }
 
 // applied rewinds what carried one rule application's output to Intern.

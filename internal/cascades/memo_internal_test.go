@@ -12,6 +12,9 @@ import (
 	"steerq/internal/plan"
 )
 
+// heap is the allocator the tests build plans with.
+var heap plan.Heap
+
 func memoCatalog() *catalog.Catalog {
 	cat := catalog.New()
 	cat.AddStream(&catalog.Stream{
@@ -51,9 +54,9 @@ func tcol(id int, name string) plan.Column {
 
 func scanSelect() *plan.Node {
 	a, b := tcol(1, "a"), tcol(2, "b")
-	get := plan.NewGet("t", []plan.Column{a, b})
-	sel := plan.NewSelect(get, plan.Cmp(plan.OpGT, plan.ColExpr(b), plan.NumExpr(5)))
-	return plan.NewOutput(sel, "o")
+	get := plan.NewGet(heap, "t", []plan.Column{a, b})
+	sel := plan.NewSelect(heap, get, plan.Cmp(heap, plan.OpGT, plan.ColExpr(heap, b), plan.NumExpr(heap, 5)))
+	return plan.NewOutput(heap, sel, "o")
 }
 
 func TestMemoInitialGroups(t *testing.T) {
@@ -73,8 +76,8 @@ func TestMemoInitialGroups(t *testing.T) {
 
 func TestMemoSharedNodesShareGroups(t *testing.T) {
 	a := tcol(1, "a")
-	get := plan.NewGet("t", []plan.Column{a})
-	root := plan.NewMulti(plan.NewOutput(get, "x"), plan.NewOutput(get, "y"))
+	get := plan.NewGet(heap, "t", []plan.Column{a})
+	root := plan.NewMulti(heap, plan.NewOutput(heap, get, "x"), plan.NewOutput(heap, get, "y"))
 	m := NewMemo(root, cost.NewEstimated(memoCatalog()))
 	// Groups: Get, Output(x), Output(y), Multi = 4 (Get shared).
 	if len(m.Groups) != 4 {
@@ -121,7 +124,7 @@ func TestInternProvenanceChains(t *testing.T) {
 	variant := &RNode{
 		Node: &plan.Node{
 			Op:     plan.OpSelect,
-			Pred:   plan.Cmp(plan.OpGE, plan.ColExpr(b), plan.NumExpr(5)),
+			Pred:   plan.Cmp(heap, plan.OpGE, plan.ColExpr(heap, b), plan.NumExpr(heap, 5)),
 			Schema: selExpr.Group.Schema,
 		},
 		Children: []RChild{GroupChild(selExpr.Children[0])},
@@ -140,7 +143,7 @@ func TestInternProvenanceChains(t *testing.T) {
 	variant2 := &RNode{
 		Node: &plan.Node{
 			Op:     plan.OpSelect,
-			Pred:   plan.Cmp(plan.OpGT, plan.ColExpr(b), plan.NumExpr(4)),
+			Pred:   plan.Cmp(heap, plan.OpGT, plan.ColExpr(heap, b), plan.NumExpr(heap, 4)),
 			Schema: selExpr.Group.Schema,
 		},
 		Children: []RChild{GroupChild(selExpr.Children[0])},
@@ -170,7 +173,7 @@ func TestExprLimitBoundsGroup(t *testing.T) {
 		rn := &RNode{
 			Node: &plan.Node{
 				Op:     plan.OpSelect,
-				Pred:   plan.Cmp(plan.OpGT, plan.ColExpr(b), plan.NumExpr(float64(100+i))),
+				Pred:   plan.Cmp(heap, plan.OpGT, plan.ColExpr(heap, b), plan.NumExpr(heap, float64(100+i))),
 				Schema: selExpr.Group.Schema,
 			},
 			Children: []RChild{GroupChild(selExpr.Children[0])},
@@ -208,7 +211,7 @@ func selectVariant(base *MExpr, c float64) *RNode {
 	return &RNode{
 		Node: &plan.Node{
 			Op:     plan.OpSelect,
-			Pred:   plan.Cmp(plan.OpGT, plan.ColExpr(b), plan.NumExpr(c)),
+			Pred:   plan.Cmp(heap, plan.OpGT, plan.ColExpr(heap, b), plan.NumExpr(heap, c)),
 			Schema: base.Group.Schema,
 		},
 		Children: []RChild{GroupChild(base.Children[0])},
@@ -284,7 +287,7 @@ func TestExprKeyInjective(t *testing.T) {
 		}
 		return out
 	}
-	col := func(id int) *plan.Expr { return plan.ColExpr(plan.Column{ID: plan.ColumnID(id)}) }
+	col := func(id int) *plan.Expr { return plan.ColExpr(heap, plan.Column{ID: plan.ColumnID(id)}) }
 	and := func(args ...*plan.Expr) *plan.Expr { return &plan.Expr{Kind: plan.ExprAnd, Args: args} }
 	type side struct {
 		n        *plan.Node
@@ -337,8 +340,8 @@ func TestExprKeyInjective(t *testing.T) {
 		},
 		{
 			"signed zero",
-			side{&plan.Node{Op: plan.OpSelect, Pred: plan.NumExpr(0)}, nil},
-			side{&plan.Node{Op: plan.OpSelect, Pred: plan.NumExpr(math.Copysign(0, -1))}, nil},
+			side{&plan.Node{Op: plan.OpSelect, Pred: plan.NumExpr(heap, 0)}, nil},
+			side{&plan.Node{Op: plan.OpSelect, Pred: plan.NumExpr(heap, math.Copysign(0, -1))}, nil},
 		},
 	}
 	for _, c := range distinct {
@@ -346,8 +349,8 @@ func TestExprKeyInjective(t *testing.T) {
 			t.Errorf("%s: distinct expressions share the key %x", c.name, ka)
 		}
 	}
-	nan1 := side{&plan.Node{Op: plan.OpSelect, Pred: plan.NumExpr(math.NaN())}, nil}
-	nan2 := side{&plan.Node{Op: plan.OpSelect, Pred: plan.NumExpr(math.Float64frombits(0x7ff8000000000000))}, nil}
+	nan1 := side{&plan.Node{Op: plan.OpSelect, Pred: plan.NumExpr(heap, math.NaN())}, nil}
+	nan2 := side{&plan.Node{Op: plan.OpSelect, Pred: plan.NumExpr(heap, math.Float64frombits(0x7ff8000000000000))}, nil}
 	if ka, kb := key(nan1), key(nan2); !bytes.Equal(ka, kb) {
 		t.Errorf("NaN payloads key apart: %x vs %x", ka, kb)
 	}

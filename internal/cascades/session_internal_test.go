@@ -107,7 +107,7 @@ func toyOptimizer(t *testing.T) *Optimizer {
 				return nil
 			}
 			m.NewColID()
-			wide := m.And(e.Node.Pred, plan.Cmp(plan.OpGT, m.ColExpr(e.Group.Schema[0]), plan.NumExpr(-1)))
+			wide := plan.And(m, e.Node.Pred, plan.Cmp(heap, plan.OpGT, plan.ColExpr(m, e.Group.Schema[0]), plan.NumExpr(heap, -1)))
 			n := m.Node()
 			n.Op, n.Pred, n.Schema = plan.OpSelect, wide, m.Concat(e.Node.Schema, nil)
 			return append(m.Results(1), m.RNode(n, GroupChild(e.Children[0])))
@@ -161,22 +161,22 @@ func toyOptimizer(t *testing.T) *Optimizer {
 func toyPlans() []*plan.Node {
 	a, b, n, x := tcol(1, "a"), tcol(2, "b"), plan.Column{ID: 3, Name: "n"}, plan.Column{ID: 4, Name: "x"}
 	w := wideSchema()
-	wideAgg := plan.NewGroupBy(
-		plan.NewSelect(plan.NewGet("w", w), plan.Cmp(plan.OpGT, plan.ColExpr(w[7]), plan.NumExpr(5))),
+	wideAgg := plan.NewGroupBy(heap,
+		plan.NewSelect(heap, plan.NewGet(heap, "w", w), plan.Cmp(heap, plan.OpGT, plan.ColExpr(heap, w[7]), plan.NumExpr(heap, 5))),
 		[]plan.Column{w[0], w[3]}, []plan.Agg{{Fn: "COUNT", Out: n}})
 	filtered := func() *plan.Node {
-		return plan.NewSelect(plan.NewGet("t", []plan.Column{a, b}), plan.Cmp(plan.OpGT, plan.ColExpr(b), plan.NumExpr(5)))
+		return plan.NewSelect(heap, plan.NewGet(heap, "t", []plan.Column{a, b}), plan.Cmp(heap, plan.OpGT, plan.ColExpr(heap, b), plan.NumExpr(heap, 5)))
 	}
 	count := []plan.Agg{{Fn: "COUNT", Out: n}}
 	shared, twice := filtered(), filtered()
 	return []*plan.Node{
-		plan.NewOutput(wideAgg, "wide"),
-		plan.NewOutput(plan.NewGroupBy(filtered(), []plan.Column{a}, count), "agg"),
-		plan.NewMulti(plan.NewOutput(shared, "raw"), plan.NewOutput(plan.NewGroupBy(shared, []plan.Column{b}, count), "byb")),
-		plan.NewOutput(plan.NewTop(plan.NewProject(filtered(), []plan.Projection{{Expr: plan.ColExpr(a), Out: x}}),
+		plan.NewOutput(heap, wideAgg, "wide"),
+		plan.NewOutput(heap, plan.NewGroupBy(heap, filtered(), []plan.Column{a}, count), "agg"),
+		plan.NewMulti(heap, plan.NewOutput(heap, shared, "raw"), plan.NewOutput(heap, plan.NewGroupBy(heap, shared, []plan.Column{b}, count), "byb")),
+		plan.NewOutput(heap, plan.NewTop(heap, plan.NewProject(heap, filtered(), []plan.Projection{{Expr: plan.ColExpr(heap, a), Out: x}}),
 			5, []plan.SortKey{{Col: x, Desc: true}}), "top"),
-		plan.NewMulti(plan.NewOutput(plan.NewGroupBy(twice, []plan.Column{a}, count), "bya"),
-			plan.NewOutput(plan.NewGroupBy(twice, []plan.Column{b}, count), "byb")),
+		plan.NewMulti(heap, plan.NewOutput(heap, plan.NewGroupBy(heap, twice, []plan.Column{a}, count), "bya"),
+			plan.NewOutput(heap, plan.NewGroupBy(heap, twice, []plan.Column{b}, count), "byb")),
 	}
 }
 
@@ -467,8 +467,8 @@ func poison(sc *searchScratch, clean bool) {
 	jw := &groupWinner{w: jp}
 	js := &groupSearch{foot: bitvec.AllSet(bitvec.Width), winners: jw, candidates: []*pexpr{jp}, enumerated: true}
 	jcol := plan.Column{ID: 1 << 30, Name: "poison"}
-	jagg := plan.Agg{Fn: "POISON", Arg: plan.ColExpr(jcol), Out: jcol}
-	jproj := plan.Projection{Expr: plan.ColExpr(jcol), Out: jcol}
+	jagg := plan.Agg{Fn: "POISON", Arg: plan.ColExpr(heap, jcol), Out: jcol}
+	jproj := plan.Projection{Expr: plan.ColExpr(heap, jcol), Out: jcol}
 	jsort := plan.SortKey{Col: jcol, Desc: true}
 	jdist := plan.Distribution{Kind: plan.DistBroadcast, Keys: []plan.ColumnID{jcol.ID}, DOP: -1}
 	jproto := &PhysProto{Op: plan.PhysMultiImpl, Node: junk, ChildReq: []plan.Distribution{jdist}, OutDist: jdist}

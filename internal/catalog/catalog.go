@@ -108,7 +108,11 @@ type Stream struct {
 // where the ~800 skewed columns of Workload A at scale 0.01 would add 60 ms
 // (a fifth) to discover_cold's set-up for columns most runs never touch.
 type ColumnSkew struct {
-	// Fanout is SkewFanout(TrueDistinct, Skew); 1 for an unskewed column.
+	// Fanout is the multiplier by which the true join fan-out on the column
+	// exceeds the uniform-frequency prediction: with skew z over d distinct
+	// values, the expected frequency of a uniformly drawn row's key is
+	// sum(f_i^2)/sum(f_i) rather than n/d, and Fanout is the ratio of the
+	// two, >= 1; 1 for an unskewed column.
 	Fanout float64
 	// ZipfNorm is the harmonic normaliser of the column's Zipf law, the sum
 	// of i^-Skew over ranks i <= min(TrueDistinct, MaxRanks); 0 if unskewed.
@@ -312,13 +316,4 @@ func skewOf(distinct, skew float64) ColumnSkew {
 		r = 1
 	}
 	return ColumnSkew{Fanout: r, ZipfNorm: s1}
-}
-
-// SkewFanout converts a column's Zipf skew into the multiplier by which the
-// true join fan-out on that key exceeds the uniform-frequency prediction.
-// With skew z over d distinct values, the expected frequency of a uniformly
-// drawn *row*'s key is sum(f_i^2)/sum(f_i) rather than n/d; this returns the
-// ratio of the two, >= 1. ColumnBySource serves it computed once per column.
-func SkewFanout(distinct, skew float64) float64 {
-	return skewOf(distinct, skew).Fanout
 }

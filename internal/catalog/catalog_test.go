@@ -103,19 +103,19 @@ func TestSkewFanoutProperties(t *testing.T) {
 	f := func(d uint16, z8 uint8) bool {
 		d64 := float64(d%5000) + 2
 		z := float64(z8%30) / 10 // [0, 3)
-		f1 := SkewFanout(d64, z)
+		f1 := skewOf(d64, z).Fanout
 		if f1 < 1 {
 			return false
 		}
-		return SkewFanout(d64, z+0.5) >= f1-1e-9
+		return skewOf(d64, z+0.5).Fanout >= f1-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-	if SkewFanout(100, 0) != 1 {
+	if skewOf(100, 0).Fanout != 1 {
 		t.Fatal("zero skew fanout must be 1")
 	}
-	if SkewFanout(1, 2) != 1 {
+	if skewOf(1, 2).Fanout != 1 {
 		t.Fatal("single-value fanout must be 1")
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // refSkewFanout and refZipfNorm are the loops the true oracle ran on every
-// call before ColumnBySource served their results: SkewFanout's body and the
+// call before ColumnBySource served their results: the join fan-out's and the
 // harmonic normaliser out of cost.zipfFreq, verbatim.
 func refSkewFanout(distinct, skew float64) float64 {
 	if skew <= 0 || distinct <= 1 {
@@ -64,9 +64,8 @@ func TestColumnSkewMatchesReference(t *testing.T) {
 					t.Fatalf("%s.%s resolved to %p/%p, want %p/%p", name, c.Name, gotSt, gotCol, st, c)
 				}
 				want := refSkewFanout(c.TrueDistinct, c.Skew)
-				if sk.Fanout != want || catalog.SkewFanout(c.TrueDistinct, c.Skew) != want {
-					t.Fatalf("%s.%s: fan-out %v, SkewFanout %v, reference %v", name, c.Name,
-						sk.Fanout, catalog.SkewFanout(c.TrueDistinct, c.Skew), want)
+				if sk.Fanout != want {
+					t.Fatalf("%s.%s: fan-out %v, reference %v", name, c.Name, sk.Fanout, want)
 				}
 				cols++
 				if c.Skew > 0 {

@@ -26,8 +26,8 @@ func derivations(e *Estimator, a *Arena) []derivation {
 		out = append(out, derivation{name, p})
 		return p
 	}
-	col := plan.ColExpr
-	num := plan.NumExpr
+	col := func(c plan.Column) *plan.Expr { return plan.ColExpr(heap, c) }
+	num := func(v float64) *plan.Expr { return plan.NumExpr(heap, v) }
 	k, v, f1, f2 := scol(1, "k"), scol(2, "v"), scol(3, "f1"), scol(4, "f2")
 	dk, attr := dcol(10, "k"), dcol(11, "attr")
 	cnt := plan.Column{ID: 99, Name: "c"}
@@ -36,32 +36,32 @@ func derivations(e *Estimator, a *Arena) []derivation {
 	// Scan: plain, predicated, unknown stream, unordered and repeated IDs.
 	s := add("scan/s", e.Scan(a, "s", sSchema(), nil))
 	d := add("scan/d", e.Scan(a, "d", []plan.Column{dk, attr}, nil))
-	add("scan/s-eq-skewed", e.Scan(a, "s", sSchema(), plan.Cmp(plan.OpEQ, col(k), num(17))))
-	add("scan/s-range", e.Scan(a, "s", sSchema(), plan.Cmp(plan.OpLT, col(v), num(20))))
+	add("scan/s-eq-skewed", e.Scan(a, "s", sSchema(), plan.Cmp(heap, plan.OpEQ, col(k), num(17))))
+	add("scan/s-range", e.Scan(a, "s", sSchema(), plan.Cmp(heap, plan.OpLT, col(v), num(20))))
 	add("scan/unknown", e.Scan(a, "nope", []plan.Column{{ID: 7, Name: "x"}, {ID: 5, Name: "y"}}, nil))
 	add("scan/unordered-repeated", e.Scan(a, "s", []plan.Column{f2, k, scol(4, "v"), f1, scol(1, "f1")}, nil))
 
 	// Filter: backoff conjunction, correlated pair, disjunction, col-col,
 	// opaque; a selective chain ends in clamped copies.
-	corr := plan.And(plan.Cmp(plan.OpEQ, col(f1), num(3)), plan.Cmp(plan.OpEQ, col(f2), num(2)))
-	add("filter/and3", e.Filter(a, s, plan.And(plan.Cmp(plan.OpGT, col(v), num(10)), plan.Cmp(plan.OpEQ, col(f1), num(3)), plan.Cmp(plan.OpNE, col(f2), num(1)))))
+	corr := plan.And(heap, plan.Cmp(heap, plan.OpEQ, col(f1), num(3)), plan.Cmp(heap, plan.OpEQ, col(f2), num(2)))
+	add("filter/and3", e.Filter(a, s, plan.And(heap, plan.Cmp(heap, plan.OpGT, col(v), num(10)), plan.Cmp(heap, plan.OpEQ, col(f1), num(3)), plan.Cmp(heap, plan.OpNE, col(f2), num(1)))))
 	fc := add("filter/correlated", e.Filter(a, s, corr))
-	add("filter/or", e.Filter(a, s, plan.Or(plan.Cmp(plan.OpEQ, col(f1), num(3)), plan.Cmp(plan.OpGE, col(v), num(90)))))
-	add("filter/colcol", e.Filter(a, s, plan.Cmp(plan.OpEQ, col(k), col(v))))
-	add("filter/string", e.Filter(a, s, plan.Cmp(plan.OpLT, col(v), plan.StrExpr("m"))))
-	add("filter/chain", e.Filter(a, fc, plan.Cmp(plan.OpEQ, col(k), num(400))))
-	add("filter/noop", e.Filter(a, d, plan.Cmp(plan.OpGE, col(attr), num(-5))))
+	add("filter/or", e.Filter(a, s, plan.Or(heap, plan.Cmp(heap, plan.OpEQ, col(f1), num(3)), plan.Cmp(heap, plan.OpGE, col(v), num(90)))))
+	add("filter/colcol", e.Filter(a, s, plan.Cmp(heap, plan.OpEQ, col(k), col(v))))
+	add("filter/string", e.Filter(a, s, plan.Cmp(heap, plan.OpLT, col(v), plan.StrExpr(heap, "m"))))
+	add("filter/chain", e.Filter(a, fc, plan.Cmp(heap, plan.OpEQ, col(k), num(400))))
+	add("filter/noop", e.Filter(a, d, plan.Cmp(heap, plan.OpGE, col(attr), num(-5))))
 
 	// Join: equi, equi + residuals, two equi conjuncts, cross, and a self
 	// join whose sides carry the same column IDs with different values.
-	eq := plan.Cmp(plan.OpEQ, col(k), col(dk))
+	eq := plan.Cmp(heap, plan.OpEQ, col(k), col(dk))
 	add("join/equi", e.Join(a, s, d, eq))
 	add("join/equi-flipped", e.Join(a, d, s, eq))
-	add("join/equi-residual", e.Join(a, s, d, plan.And(eq, plan.Cmp(plan.OpGT, col(v), num(50)), plan.Cmp(plan.OpLT, col(attr), col(f1)))))
-	add("join/equi2", e.Join(a, s, d, plan.And(eq, plan.Cmp(plan.OpEQ, col(f1), col(attr)))))
+	add("join/equi-residual", e.Join(a, s, d, plan.And(heap, eq, plan.Cmp(heap, plan.OpGT, col(v), num(50)), plan.Cmp(heap, plan.OpLT, col(attr), col(f1)))))
+	add("join/equi2", e.Join(a, s, d, plan.And(heap, eq, plan.Cmp(heap, plan.OpEQ, col(f1), col(attr)))))
 	add("join/cross", e.Join(a, s, d, nil))
-	add("join/residual-only", e.Join(a, fc, d, plan.Cmp(plan.OpNE, col(f2), col(attr))))
-	add("join/self-overlap", e.Join(a, s, fc, plan.Cmp(plan.OpEQ, col(k), col(k))))
+	add("join/residual-only", e.Join(a, fc, d, plan.Cmp(heap, plan.OpNE, col(f2), col(attr))))
+	add("join/self-overlap", e.Join(a, s, fc, plan.Cmp(heap, plan.OpEQ, col(k), col(k))))
 	add("join/empty-side", e.Join(a, Props{Rows: 40, RowBytes: 8}, d, nil))
 
 	// GroupBy: 0–3 keys, a repeated key, an aggregate writing over a key.
@@ -93,7 +93,7 @@ func derivations(e *Estimator, a *Arena) []derivation {
 	// Project: pass-through, computed, repeated outputs (last one wins).
 	add("project/mixed", e.Project(a, s, []plan.Projection{
 		{Expr: col(k), Out: k},
-		{Expr: plan.Cmp(plan.OpAdd, col(v), num(1)), Out: plan.Column{ID: 50, Name: "vx"}},
+		{Expr: plan.Cmp(heap, plan.OpAdd, col(v), num(1)), Out: plan.Column{ID: 50, Name: "vx"}},
 		{Expr: col(f1), Out: plan.Column{ID: 40, Name: "g"}},
 	}))
 	add("project/repeated-out", e.Project(a, s, []plan.Projection{

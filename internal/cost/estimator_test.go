@@ -8,6 +8,9 @@ import (
 	"steerq/internal/plan"
 )
 
+// heap is the allocator the tests build plans with.
+var heap plan.Heap
+
 func estCatalog() *catalog.Catalog {
 	cat := catalog.New()
 	cat.AddStream(&catalog.Stream{
@@ -74,7 +77,7 @@ func TestSelectivityClamped(t *testing.T) {
 	est := NewEstimated(estCatalog())
 	p := est.Scan(&Arena{}, "s", sSchema(), nil)
 	f := func(op uint8, v float64) bool {
-		pred := plan.Cmp(plan.CmpOp(op%6), plan.ColExpr(scol(2, "v")), plan.NumExpr(v))
+		pred := plan.Cmp(heap, plan.CmpOp(op%6), plan.ColExpr(heap, scol(2, "v")), plan.NumExpr(heap, v))
 		s := est.Selectivity(pred, p)
 		return s > 0 && s <= 1
 	}
@@ -89,10 +92,10 @@ func TestBackoffOrderMatters(t *testing.T) {
 	cat := estCatalog()
 	est := NewEstimated(cat)
 	p := est.Scan(&Arena{}, "s", sSchema(), nil)
-	selective := plan.Cmp(plan.OpEQ, plan.ColExpr(scol(3, "f1")), plan.NumExpr(3))
-	loose := plan.Cmp(plan.OpGT, plan.ColExpr(scol(2, "v")), plan.NumExpr(10))
-	s1 := est.Selectivity(plan.And(selective, loose), p)
-	s2 := est.Selectivity(plan.And(loose, selective), p)
+	selective := plan.Cmp(heap, plan.OpEQ, plan.ColExpr(heap, scol(3, "f1")), plan.NumExpr(heap, 3))
+	loose := plan.Cmp(heap, plan.OpGT, plan.ColExpr(heap, scol(2, "v")), plan.NumExpr(heap, 10))
+	s1 := est.Selectivity(plan.And(heap, selective, loose), p)
+	s2 := est.Selectivity(plan.And(heap, loose, selective), p)
 	if s1 == s2 {
 		t.Fatal("estimated backoff ignores conjunct order")
 	}
@@ -100,8 +103,8 @@ func TestBackoffOrderMatters(t *testing.T) {
 		t.Fatalf("most-selective-first should give the lower estimate: %v vs %v", s1, s2)
 	}
 	oracle := NewTrue(cat, 0)
-	t1 := oracle.Selectivity(plan.And(selective, loose), p)
-	t2 := oracle.Selectivity(plan.And(loose, selective), p)
+	t1 := oracle.Selectivity(plan.And(heap, selective, loose), p)
+	t2 := oracle.Selectivity(plan.And(heap, loose, selective), p)
 	if t1 != t2 {
 		t.Fatal("true selectivity depends on conjunct order")
 	}
@@ -112,9 +115,9 @@ func TestCorrelationBoost(t *testing.T) {
 	est := NewEstimated(cat)
 	oracle := NewTrue(cat, 0)
 	p := est.Scan(&Arena{}, "s", sSchema(), nil)
-	pred := plan.And(
-		plan.Cmp(plan.OpEQ, plan.ColExpr(scol(3, "f1")), plan.NumExpr(3)),
-		plan.Cmp(plan.OpEQ, plan.ColExpr(scol(4, "f2")), plan.NumExpr(2)),
+	pred := plan.And(heap,
+		plan.Cmp(heap, plan.OpEQ, plan.ColExpr(heap, scol(3, "f1")), plan.NumExpr(heap, 3)),
+		plan.Cmp(heap, plan.OpEQ, plan.ColExpr(heap, scol(4, "f2")), plan.NumExpr(heap, 2)),
 	)
 	se := est.Selectivity(pred, p)
 	st := oracle.Selectivity(pred, p)
@@ -126,8 +129,8 @@ func TestCorrelationBoost(t *testing.T) {
 func TestDisjunctionSelectivity(t *testing.T) {
 	est := NewEstimated(estCatalog())
 	p := est.Scan(&Arena{}, "s", sSchema(), nil)
-	a := plan.Cmp(plan.OpEQ, plan.ColExpr(scol(3, "f1")), plan.NumExpr(3))
-	or := plan.Or(a, plan.Cmp(plan.OpEQ, plan.ColExpr(scol(3, "f1")), plan.NumExpr(4)))
+	a := plan.Cmp(heap, plan.OpEQ, plan.ColExpr(heap, scol(3, "f1")), plan.NumExpr(heap, 3))
+	or := plan.Or(heap, a, plan.Cmp(heap, plan.OpEQ, plan.ColExpr(heap, scol(3, "f1")), plan.NumExpr(heap, 4)))
 	sa := est.Selectivity(a, p)
 	so := est.Selectivity(or, p)
 	if so <= sa {
@@ -143,7 +146,7 @@ func TestJoinCardinality(t *testing.T) {
 	est := NewEstimated(cat)
 	l := est.Scan(&Arena{}, "s", sSchema(), nil)
 	r := est.Scan(&Arena{}, "d", []plan.Column{dcol(10, "k"), dcol(11, "attr")}, nil)
-	pred := plan.Cmp(plan.OpEQ, plan.ColExpr(scol(1, "k")), plan.ColExpr(dcol(10, "k")))
+	pred := plan.Cmp(heap, plan.OpEQ, plan.ColExpr(heap, scol(1, "k")), plan.ColExpr(heap, dcol(10, "k")))
 	j := est.Join(&Arena{}, l, r, pred)
 	// Containment: |L||R|/max(ndv) = 1e6*1000/1000 = 1e6.
 	if j.Rows < 0.5e6 || j.Rows > 2e6 {
@@ -232,8 +235,8 @@ func TestProjectNDVPropagation(t *testing.T) {
 	est := NewEstimated(estCatalog())
 	in := est.Scan(&Arena{}, "s", sSchema(), nil)
 	out := est.Project(&Arena{}, in, []plan.Projection{
-		{Expr: plan.ColExpr(scol(1, "k")), Out: scol(1, "k")},
-		{Expr: plan.Cmp(plan.OpAdd, plan.ColExpr(scol(2, "v")), plan.NumExpr(1)), Out: plan.Column{ID: 50, Name: "vx"}},
+		{Expr: plan.ColExpr(heap, scol(1, "k")), Out: scol(1, "k")},
+		{Expr: plan.Cmp(heap, plan.OpAdd, plan.ColExpr(heap, scol(2, "v")), plan.NumExpr(heap, 1)), Out: plan.Column{ID: 50, Name: "vx"}},
 	})
 	if out.ColNDV(1) != in.ColNDV(1) {
 		t.Fatal("pass-through NDV lost")
@@ -247,7 +250,7 @@ func TestFilterReducesRowsMonotonically(t *testing.T) {
 	est := NewEstimated(estCatalog())
 	in := est.Scan(&Arena{}, "s", sSchema(), nil)
 	f := func(v float64) bool {
-		pred := plan.Cmp(plan.OpGT, plan.ColExpr(scol(2, "v")), plan.NumExpr(v))
+		pred := plan.Cmp(heap, plan.OpGT, plan.ColExpr(heap, scol(2, "v")), plan.NumExpr(heap, v))
 		out := est.Filter(&Arena{}, in, pred)
 		return out.Rows >= 1 && out.Rows <= in.Rows
 	}

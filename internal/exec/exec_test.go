@@ -11,6 +11,9 @@ import (
 	"steerq/internal/plan"
 )
 
+// heap is the allocator the tests build plans with.
+var heap plan.Heap
+
 func execCatalog() *catalog.Catalog {
 	cat := catalog.New()
 	cat.AddStream(&catalog.Stream{
@@ -36,7 +39,7 @@ func scanPlan(dop int) *plan.PhysNode {
 	}
 	filter := &plan.PhysNode{
 		Op: plan.PhysFilter, Schema: schema,
-		Pred:     plan.Cmp(plan.OpGT, plan.ColExpr(v), plan.NumExpr(50)),
+		Pred:     plan.Cmp(heap, plan.OpGT, plan.ColExpr(heap, v), plan.NumExpr(heap, 50)),
 		Children: []*plan.PhysNode{scan},
 		Dist:     plan.Distribution{Kind: plan.DistRandom, DOP: dop}, EstRows: 5e6, RuleID: 4,
 	}
@@ -224,7 +227,7 @@ func unionPlan(branches int) *plan.PhysNode {
 		scan := &plan.PhysNode{Op: plan.PhysExtract, Table: "s", Schema: schema, Dist: random, EstRows: 1e7, RuleID: 3}
 		filter := &plan.PhysNode{
 			Op: plan.PhysFilter, Schema: schema, Children: []*plan.PhysNode{scan}, Dist: random, EstRows: 5e6, RuleID: 4,
-			Pred: plan.Cmp(plan.OpGT, plan.ColExpr(v), plan.NumExpr(float64(i))),
+			Pred: plan.Cmp(heap, plan.OpGT, plan.ColExpr(heap, v), plan.NumExpr(heap, float64(i))),
 		}
 		union.Children = append(union.Children, &plan.PhysNode{
 			Op: plan.PhysExchange, Exchange: plan.ExchangeShuffle, Schema: schema,

@@ -103,63 +103,6 @@ type Expr struct {
 	Args []*Expr
 }
 
-// ColExpr returns a column reference expression.
-func ColExpr(c Column) *Expr { return &Expr{Kind: ExprColumn, Col: c} }
-
-// NumExpr returns a numeric literal expression.
-func NumExpr(v float64) *Expr { return &Expr{Kind: ExprConst, Lit: Literal{F: v}} }
-
-// StrExpr returns a string literal expression.
-func StrExpr(s string) *Expr { return &Expr{Kind: ExprConst, Lit: Literal{IsString: true, S: s}} }
-
-// Cmp returns a comparison expression l op r.
-func Cmp(op CmpOp, l, r *Expr) *Expr { return &Expr{Kind: ExprCmp, Op: op, Args: []*Expr{l, r}} }
-
-// And returns the conjunction of the given predicates. It flattens nested
-// conjunctions and returns nil for no arguments, the sole argument for one.
-func And(preds ...*Expr) *Expr {
-	flat := make([]*Expr, 0, len(preds))
-	for _, p := range preds {
-		if p == nil {
-			continue
-		}
-		if p.Kind == ExprAnd {
-			flat = append(flat, p.Args...)
-		} else {
-			flat = append(flat, p)
-		}
-	}
-	switch len(flat) {
-	case 0:
-		return nil
-	case 1:
-		return flat[0]
-	}
-	return &Expr{Kind: ExprAnd, Args: flat}
-}
-
-// Or returns the disjunction of the given predicates.
-func Or(preds ...*Expr) *Expr {
-	flat := make([]*Expr, 0, len(preds))
-	for _, p := range preds {
-		if p == nil {
-			continue
-		}
-		if p.Kind == ExprOr {
-			flat = append(flat, p.Args...)
-		} else {
-			flat = append(flat, p)
-		}
-	}
-	switch len(flat) {
-	case 0:
-		return nil
-	case 1:
-		return flat[0]
-	}
-	return &Expr{Kind: ExprOr, Args: flat}
-}
-
 // Conjuncts splits a predicate into its top-level conjuncts. A nil predicate
 // yields nil.
 func Conjuncts(e *Expr) []*Expr {

@@ -74,80 +74,6 @@ type Node struct {
 	OutputPath string       // Output
 }
 
-// NewGet returns a Get node scanning the named stream with the given output
-// schema.
-func NewGet(table string, schema []Column) *Node {
-	return &Node{Op: OpGet, Table: table, Schema: schema}
-}
-
-// NewSelect returns a Select node filtering child by pred.
-func NewSelect(child *Node, pred *Expr) *Node {
-	return &Node{Op: OpSelect, Children: []*Node{child}, Pred: pred, Schema: child.Schema}
-}
-
-// NewProject returns a Project node computing the given projections.
-func NewProject(child *Node, projs []Projection) *Node {
-	schema := make([]Column, len(projs))
-	for i, p := range projs {
-		schema[i] = p.Out
-	}
-	return &Node{Op: OpProject, Children: []*Node{child}, Projs: projs, Schema: schema}
-}
-
-// NewJoin returns an inner Join of left and right on pred.
-func NewJoin(left, right *Node, pred *Expr) *Node {
-	schema := make([]Column, 0, len(left.Schema)+len(right.Schema))
-	schema = append(schema, left.Schema...)
-	schema = append(schema, right.Schema...)
-	return &Node{Op: OpJoin, Children: []*Node{left, right}, Pred: pred, Schema: schema}
-}
-
-// NewGroupBy returns a GroupBy node.
-func NewGroupBy(child *Node, keys []Column, aggs []Agg) *Node {
-	schema := make([]Column, 0, len(keys)+len(aggs))
-	schema = append(schema, keys...)
-	for _, a := range aggs {
-		schema = append(schema, a.Out)
-	}
-	return &Node{Op: OpGroupBy, Children: []*Node{child}, GroupKeys: keys, Aggs: aggs, Schema: schema}
-}
-
-// NewUnionAll returns an n-ary UnionAll. All children must share arity; the
-// schema is taken from the first child.
-func NewUnionAll(children ...*Node) *Node {
-	if len(children) == 0 {
-		// steerq:allow-panic — constructor misuse, caught at generator-authoring time.
-		panic("plan: UnionAll needs at least one child")
-	}
-	return &Node{Op: OpUnionAll, Children: children, Schema: children[0].Schema}
-}
-
-// NewProcess returns a Process node applying the named UDO. The schema is
-// preserved (row-wise transforms in the dialect keep columns).
-func NewProcess(child *Node, processor string) *Node {
-	return &Node{Op: OpProcess, Children: []*Node{child}, Processor: processor, Schema: child.Schema}
-}
-
-// NewReduce returns a Reduce node applying the named UDO per key group.
-func NewReduce(child *Node, keys []Column, processor string) *Node {
-	return &Node{Op: OpReduce, Children: []*Node{child}, ReduceKeys: keys, Processor: processor, Schema: child.Schema}
-}
-
-// NewTop returns a Top-N node ordered by the given keys.
-func NewTop(child *Node, n int, keys []SortKey) *Node {
-	return &Node{Op: OpTop, Children: []*Node{child}, TopN: n, SortKeys: keys, Schema: child.Schema}
-}
-
-// NewOutput returns an Output node writing child to path.
-func NewOutput(child *Node, path string) *Node {
-	return &Node{Op: OpOutput, Children: []*Node{child}, OutputPath: path, Schema: child.Schema}
-}
-
-// NewMulti returns the virtual root over a job's outputs.
-func NewMulti(outputs ...*Node) *Node {
-	return &Node{Op: OpMulti, Children: outputs}
-}
-
 // ColumnSet returns the set of column IDs produced by the node.
 func (n *Node) ColumnSet() map[ColumnID]bool {
 	set := make(map[ColumnID]bool, len(n.Schema))

@@ -7,33 +7,17 @@ import (
 	"testing"
 )
 
+// heap is the allocator the tests build plans with.
+var heap Heap
+
 func col(id int, name, source string) Column {
 	return Column{ID: ColumnID(id), Name: name, Source: source}
 }
 
-func TestAndFlattening(t *testing.T) {
-	a := Cmp(OpGT, ColExpr(col(1, "a", "")), NumExpr(1))
-	b := Cmp(OpLT, ColExpr(col(2, "b", "")), NumExpr(2))
-	c := Cmp(OpEQ, ColExpr(col(3, "c", "")), NumExpr(3))
-	got := And(And(a, b), c)
-	if got.Kind != ExprAnd || len(got.Args) != 3 {
-		t.Fatalf("And did not flatten: %v", got)
-	}
-	if And() != nil {
-		t.Fatal("And() should be nil")
-	}
-	if And(a) != a {
-		t.Fatal("And(a) should be a")
-	}
-	if And(nil, a, nil) != a {
-		t.Fatal("And should skip nils")
-	}
-}
-
 func TestConjuncts(t *testing.T) {
-	a := Cmp(OpGT, ColExpr(col(1, "a", "")), NumExpr(1))
-	b := Cmp(OpLT, ColExpr(col(2, "b", "")), NumExpr(2))
-	if got := Conjuncts(And(a, b)); len(got) != 2 {
+	a := Cmp(heap, OpGT, ColExpr(heap, col(1, "a", "")), NumExpr(heap, 1))
+	b := Cmp(heap, OpLT, ColExpr(heap, col(2, "b", "")), NumExpr(heap, 2))
+	if got := Conjuncts(And(heap, a, b)); len(got) != 2 {
 		t.Fatalf("Conjuncts = %v", got)
 	}
 	if got := Conjuncts(a); len(got) != 1 || got[0] != a {
@@ -45,9 +29,9 @@ func TestConjuncts(t *testing.T) {
 }
 
 func TestRefersOnly(t *testing.T) {
-	e := And(
-		Cmp(OpGT, ColExpr(col(1, "a", "")), NumExpr(1)),
-		Cmp(OpEQ, ColExpr(col(2, "b", "")), ColExpr(col(3, "c", ""))),
+	e := And(heap,
+		Cmp(heap, OpGT, ColExpr(heap, col(1, "a", "")), NumExpr(heap, 1)),
+		Cmp(heap, OpEQ, ColExpr(heap, col(2, "b", "")), ColExpr(heap, col(3, "c", ""))),
 	)
 	if !e.RefersOnly(map[ColumnID]bool{1: true, 2: true, 3: true}) {
 		t.Fatal("RefersOnly false with full set")
@@ -59,15 +43,15 @@ func TestRefersOnly(t *testing.T) {
 
 func TestEquiJoinSides(t *testing.T) {
 	a, b := col(1, "a", ""), col(2, "b", "")
-	e := Cmp(OpEQ, ColExpr(a), ColExpr(b))
+	e := Cmp(heap, OpEQ, ColExpr(heap, a), ColExpr(heap, b))
 	l, r, ok := e.EquiJoinSides()
 	if !ok || l.ID != 1 || r.ID != 2 {
 		t.Fatalf("EquiJoinSides = %v %v %v", l, r, ok)
 	}
-	if _, _, ok := Cmp(OpLT, ColExpr(a), ColExpr(b)).EquiJoinSides(); ok {
+	if _, _, ok := Cmp(heap, OpLT, ColExpr(heap, a), ColExpr(heap, b)).EquiJoinSides(); ok {
 		t.Fatal("non-equality accepted")
 	}
-	if _, _, ok := Cmp(OpEQ, ColExpr(a), NumExpr(5)).EquiJoinSides(); ok {
+	if _, _, ok := Cmp(heap, OpEQ, ColExpr(heap, a), NumExpr(heap, 5)).EquiJoinSides(); ok {
 		t.Fatal("column-constant accepted")
 	}
 }
@@ -76,10 +60,10 @@ func TestEquiJoinSides(t *testing.T) {
 // constant in the predicate.
 func buildJob(threshold float64, stream string) *Node {
 	c := col(1, "a", stream+".a")
-	get := NewGet(stream, []Column{c})
-	sel := NewSelect(get, Cmp(OpGT, ColExpr(c), NumExpr(threshold)))
-	proj := NewProject(sel, []Projection{{Expr: ColExpr(c), Out: c}})
-	return NewOutput(proj, "out/x")
+	get := NewGet(heap, stream, []Column{c})
+	sel := NewSelect(heap, get, Cmp(heap, OpGT, ColExpr(heap, c), NumExpr(heap, threshold)))
+	proj := NewProject(heap, sel, []Projection{{Expr: ColExpr(heap, c), Out: c}})
+	return NewOutput(heap, proj, "out/x")
 }
 
 func TestTemplateHashIgnoresLiterals(t *testing.T) {
@@ -106,10 +90,10 @@ func TestTemplateHashSensitiveToInputs(t *testing.T) {
 
 func TestWalkVisitsSharedOnce(t *testing.T) {
 	c := col(1, "a", "s.a")
-	get := NewGet("s", []Column{c})
-	o1 := NewOutput(get, "x")
-	o2 := NewOutput(get, "y")
-	root := NewMulti(o1, o2)
+	get := NewGet(heap, "s", []Column{c})
+	o1 := NewOutput(heap, get, "x")
+	o2 := NewOutput(heap, get, "y")
+	root := NewMulti(heap, o1, o2)
 	count := 0
 	root.Walk(func(n *Node) {
 		if n.Op == OpGet {
@@ -125,9 +109,9 @@ func TestWalkVisitsSharedOnce(t *testing.T) {
 }
 
 func TestInputs(t *testing.T) {
-	g1 := NewGet("s2", []Column{col(1, "a", "s2.a")})
-	g2 := NewGet("s1", []Column{col(2, "b", "s1.b")})
-	j := NewJoin(g1, g2, Cmp(OpEQ, ColExpr(col(1, "a", "s2.a")), ColExpr(col(2, "b", "s1.b"))))
+	g1 := NewGet(heap, "s2", []Column{col(1, "a", "s2.a")})
+	g2 := NewGet(heap, "s1", []Column{col(2, "b", "s1.b")})
+	j := NewJoin(heap, g1, g2, Cmp(heap, OpEQ, ColExpr(heap, col(1, "a", "s2.a")), ColExpr(heap, col(2, "b", "s1.b"))))
 	got := j.Inputs()
 	if len(got) != 2 || got[0] != "s1" || got[1] != "s2" {
 		t.Fatalf("Inputs = %v", got)
@@ -165,8 +149,8 @@ func TestCloneWithFreshIDs(t *testing.T) {
 
 func TestCloneSharingPreserved(t *testing.T) {
 	c := col(1, "a", "s.a")
-	get := NewGet("s", []Column{c})
-	root := NewMulti(NewOutput(get, "x"), NewOutput(get, "y"))
+	get := NewGet(heap, "s", []Column{c})
+	root := NewMulti(heap, NewOutput(heap, get, "x"), NewOutput(heap, get, "y"))
 	next := ColumnID(100)
 	clone := CloneWithFreshIDs(root, func() ColumnID { next++; return next })
 	if clone.Children[0].Children[0] != clone.Children[1].Children[0] {
@@ -207,9 +191,9 @@ func TestNodeString(t *testing.T) {
 }
 
 func TestExprString(t *testing.T) {
-	e := And(
-		Cmp(OpGT, ColExpr(col(1, "a", "")), NumExpr(1.5)),
-		Or(Cmp(OpEQ, ColExpr(col(2, "b", "")), StrExpr("x")), Cmp(OpNE, ColExpr(col(3, "c", "")), NumExpr(2))),
+	e := And(heap,
+		Cmp(heap, OpGT, ColExpr(heap, col(1, "a", "")), NumExpr(heap, 1.5)),
+		Or(heap, Cmp(heap, OpEQ, ColExpr(heap, col(2, "b", "")), StrExpr(heap, "x")), Cmp(heap, OpNE, ColExpr(heap, col(3, "c", "")), NumExpr(heap, 2))),
 	)
 	s := e.String()
 	for _, want := range []string{"a", ">", "1.5", `"x"`, "OR", "AND"} {
@@ -251,17 +235,17 @@ func fmtExprString(e *Expr) string {
 }
 
 func TestExprAppendStringMatchesFmt(t *testing.T) {
-	a, b := ColExpr(col(1, "a", "")), ColExpr(col(2, "é", ""))
+	a, b := ColExpr(heap, col(1, "a", "")), ColExpr(heap, col(2, "é", ""))
 	exprs := []*Expr{
 		nil, a,
-		NumExpr(1.5), NumExpr(-0.0), NumExpr(1e21), NumExpr(math.Inf(-1)), NumExpr(math.NaN()),
-		StrExpr(""), StrExpr("q\"uo\\te\n"), StrExpr("日本\xff"),
-		&Expr{Kind: ExprArith, Op: OpDiv, Args: []*Expr{a, NumExpr(3)}},
+		NumExpr(heap, 1.5), NumExpr(heap, -0.0), NumExpr(heap, 1e21), NumExpr(heap, math.Inf(-1)), NumExpr(heap, math.NaN()),
+		StrExpr(heap, ""), StrExpr(heap, "q\"uo\\te\n"), StrExpr(heap, "日本\xff"),
+		&Expr{Kind: ExprArith, Op: OpDiv, Args: []*Expr{a, NumExpr(heap, 3)}},
 		&Expr{Kind: ExprFunc, Fn: "ABS", Args: []*Expr{a, b}},
 		&Expr{Kind: ExprFunc, Fn: "NOW"},
 		&Expr{Kind: ExprCmp, Op: OpLE, Args: []*Expr{nil, b}},
 		&Expr{Kind: ExprKind(99)},
-		And(Cmp(OpGT, a, NumExpr(1.5)), Or(Cmp(OpEQ, b, StrExpr("x")), Cmp(OpNE, a, b)), Cmp(OpGE, a, b)),
+		And(heap, Cmp(heap, OpGT, a, NumExpr(heap, 1.5)), Or(heap, Cmp(heap, OpEQ, b, StrExpr(heap, "x")), Cmp(heap, OpNE, a, b)), Cmp(heap, OpGE, a, b)),
 	}
 	for _, op := range []CmpOp{OpEQ, OpNE, OpLT, OpLE, OpGT, OpGE, OpAdd, OpSub, OpMul, OpDiv} {
 		exprs = append(exprs, &Expr{Kind: ExprCmp, Op: op, Args: []*Expr{a, b}})
@@ -283,9 +267,9 @@ func TestExprAppendStringMatchesFmt(t *testing.T) {
 }
 
 func TestExprClone(t *testing.T) {
-	e := And(
-		Cmp(OpGT, ColExpr(col(1, "a", "")), NumExpr(1)),
-		Cmp(OpLT, ColExpr(col(2, "b", "")), NumExpr(2)),
+	e := And(heap,
+		Cmp(heap, OpGT, ColExpr(heap, col(1, "a", "")), NumExpr(heap, 1)),
+		Cmp(heap, OpLT, ColExpr(heap, col(2, "b", "")), NumExpr(heap, 2)),
 	)
 	c := e.Clone()
 	c.Args[0].Op = OpLE

@@ -41,7 +41,7 @@ func remapExpr(m *cascades.Memo, e *plan.Expr, mp map[plan.ColumnID]plan.Column,
 	}
 	if e.Kind == plan.ExprColumn {
 		if c, ok := mp[e.Col.ID]; ok {
-			return m.ColExpr(c), true
+			return plan.ColExpr(m, c), true
 		}
 		if keep != nil && keep[e.Col.ID] {
 			return e, true

@@ -9,6 +9,9 @@ import (
 	"steerq/internal/scopeql"
 )
 
+// heap is the allocator the tests build plans with.
+var heap plan.Heap
+
 // testCatalog builds a small catalog shared by the package tests.
 func testCatalog() *catalog.Catalog {
 	cat := catalog.New()
@@ -109,10 +112,10 @@ func TestWinnerKeyedByHashKeys(t *testing.T) {
 		return plan.Column{ID: plan.ColumnID(id), Name: name, Source: "shop/orders." + name}
 	}
 	user, amount, region, dayPart := col(1, "user_id"), col(2, "amount"), col(3, "region"), col(4, "day_part")
-	get := plan.NewGet("shop/orders", []plan.Column{user, amount, region, dayPart})
-	root := plan.NewMulti(
-		plan.NewOutput(plan.NewGroupBy(get, []plan.Column{user}, nil), "out/by_user"),
-		plan.NewOutput(plan.NewGroupBy(get, []plan.Column{region}, nil), "out/by_region"),
+	get := plan.NewGet(heap, "shop/orders", []plan.Column{user, amount, region, dayPart})
+	root := plan.NewMulti(heap,
+		plan.NewOutput(heap, plan.NewGroupBy(heap, get, []plan.Column{user}, nil), "out/by_user"),
+		plan.NewOutput(heap, plan.NewGroupBy(heap, get, []plan.Column{region}, nil), "out/by_region"),
 	)
 	opt := NewOptimizer(cost.NewEstimated(cat))
 	cfg := opt.Rules.DefaultConfig()

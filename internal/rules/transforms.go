@@ -59,7 +59,7 @@ func (r selectPredNormalized) Apply(e *cascades.MExpr, m *cascades.Memo) []*casc
 		}
 		return 0
 	})
-	return one(m, m.RNode(selNode(m, m.And(conj...), e.Group.Schema), cascades.GroupChild(e.Children[0])))
+	return one(m, m.RNode(selNode(m, plan.And(m, conj...), e.Group.Schema), cascades.GroupChild(e.Children[0])))
 }
 
 // selectIntoGet merges a filter into the scan beneath it, enabling the
@@ -74,7 +74,7 @@ func (r selectIntoGet) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RN
 			continue
 		}
 		n := copyNode(m, g.Node, g.Node.Schema)
-		n.Pred = m.And(g.Node.Pred, e.Node.Pred)
+		n.Pred = plan.And(m, g.Node.Pred, e.Node.Pred)
 		out = append(out, m.RNode(n))
 	}
 	return out
@@ -251,7 +251,7 @@ func (r groupbyBelowUnionAll) Apply(e *cascades.MExpr, m *cascades.Memo) []*casc
 		}
 		finalAggs := m.Aggs(len(e.Node.Aggs))
 		for ai, a := range e.Node.Aggs {
-			finalAggs[ai] = plan.Agg{Fn: mergeAggFn(a.Fn), Arg: m.ColExpr(firstAggOuts[ai]), Out: a.Out}
+			finalAggs[ai] = plan.Agg{Fn: mergeAggFn(a.Fn), Arg: plan.ColExpr(m, firstAggOuts[ai]), Out: a.Out}
 		}
 		out = append(out, m.RNode(groupByNode(m, e.Node.GroupKeys, finalAggs, e.Group.Schema),
 			cascades.SubChild(union(m, firstLocalSchema, kids))))
@@ -398,7 +398,7 @@ func (r groupbyOnJoin) Apply(e *cascades.MExpr, m *cascades.Memo) []*cascades.RN
 		}
 		finalAggs := m.Aggs(len(e.Node.Aggs))
 		for ai, a := range e.Node.Aggs {
-			finalAggs[ai] = plan.Agg{Fn: mergeAggFn(a.Fn), Arg: m.ColExpr(outs[ai]), Out: a.Out}
+			finalAggs[ai] = plan.Agg{Fn: mergeAggFn(a.Fn), Arg: plan.ColExpr(m, outs[ai]), Out: a.Out}
 		}
 		out = append(out, m.RNode(groupByNode(m, e.Node.GroupKeys, finalAggs, e.Group.Schema), cascades.SubChild(join)))
 	}

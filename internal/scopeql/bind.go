@@ -34,18 +34,22 @@ type boundVar struct {
 type binder struct {
 	cat    *catalog.Catalog
 	sc     *scratch
+	a      plan.Alloc // sc's plan piles
 	nextID plan.ColumnID
 }
 
 // bind binds s with sc's variable table and output list, building the plan
-// from plan piles that planSize sized for it.
+// from plan piles that planSize sized for it. Every node and expression is
+// built by a plan constructor; the binder carves only the payload lists it
+// hands them (schemas of Gets, key, projection, aggregate, sort-key and
+// UNION ALL child lists, and a multi-output root's output list).
 func (sc *scratch) bind(s *Script, cat *catalog.Catalog) (*plan.Node, error) {
 	if sc.vars == nil {
 		sc.vars = make(map[string]*boundVar)
 		sc.widths = make(map[string]int)
 	}
-	sc.startPlan(sizePlan(s, cat, sc.widths))
-	b := binder{cat: cat, sc: sc}
+	sc.start(sizePlan(s, cat, sc.widths))
+	b := binder{cat: cat, sc: sc, a: &sc.planPiles}
 	return b.bindScript(s)
 }
 
@@ -74,9 +78,7 @@ func (b *binder) bindScript(s *Script) (*plan.Node, error) {
 			}
 			// Outputs share the bound node directly: two outputs of one
 			// intermediate form a DAG, and their schemas never merge.
-			out := b.unary(plan.OpOutput, v.node)
-			out.OutputPath = st.Path
-			sc.outs = append(sc.outs, out)
+			sc.outs = append(sc.outs, plan.NewOutput(b.a, v.node, st.Path))
 		}
 	}
 	switch len(sc.outs) {
@@ -85,7 +87,7 @@ func (b *binder) bindScript(s *Script) (*plan.Node, error) {
 	case 1:
 		return sc.outs[0], nil
 	}
-	return b.node(plan.OpMulti, sc.kids.keep(sc.outs), nil), nil
+	return plan.NewMulti(b.a, sc.kids.keep(sc.outs)...), nil
 }
 
 // useVar returns the node bound to a variable. The first relational use
@@ -135,9 +137,7 @@ func (b *binder) bindExtract(e *ExtractExpr) (*plan.Node, error) {
 		}
 		schema[k] = plan.Column{ID: b.newID(), Name: name, Source: st.ColumnSource(i)}
 	}
-	n := b.node(plan.OpGet, nil, schema)
-	n.Table = e.Stream
-	return n, nil
+	return plan.NewGet(b.a, e.Stream, schema), nil
 }
 
 // bindStream binds a direct stream reference in FROM position, extracting
@@ -151,9 +151,7 @@ func (b *binder) bindStream(name string, pos Pos) (*plan.Node, error) {
 	for i, col := range st.Columns {
 		schema[i] = plan.Column{ID: b.newID(), Name: col.Name, Source: st.ColumnSource(i)}
 	}
-	n := b.node(plan.OpGet, nil, schema)
-	n.Table = name
-	return n, nil
+	return plan.NewGet(b.a, name, schema), nil
 }
 
 func (b *binder) bindUnion(u *UnionExpr) (*plan.Node, error) {
@@ -171,7 +169,7 @@ func (b *binder) bindUnion(u *UnionExpr) (*plan.Node, error) {
 			return nil, errf(u.Pos, "UNION ALL branch %d has %d columns, want %d", i+2, len(c.Schema), arity)
 		}
 	}
-	return b.node(plan.OpUnionAll, children, children[0].Schema), nil
+	return plan.NewUnionAll(b.a, children...), nil
 }
 
 func (b *binder) bindProcess(e *ProcessExpr) (*plan.Node, error) {
@@ -182,9 +180,7 @@ func (b *binder) bindProcess(e *ProcessExpr) (*plan.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := b.unary(plan.OpProcess, child)
-	n.Processor = e.UDO
-	return n, nil
+	return plan.NewProcess(b.a, child, e.UDO), nil
 }
 
 func (b *binder) bindReduce(e *ReduceExpr) (*plan.Node, error) {
@@ -204,9 +200,7 @@ func (b *binder) bindReduce(e *ReduceExpr) (*plan.Node, error) {
 		}
 		keys[i] = col
 	}
-	n := b.unary(plan.OpReduce, child)
-	n.ReduceKeys, n.Processor = keys, e.UDO
-	return n, nil
+	return plan.NewReduce(b.a, child, keys, e.UDO), nil
 }
 
 // scope is the name-resolution environment of one SELECT: the FROM and JOIN
@@ -287,10 +281,7 @@ func (b *binder) bindSelect(sel *SelectExpr) (*plan.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		schema := b.sc.columns.take(len(cur.Schema) + len(rightEntry.node.Schema))
-		copy(schema[copy(schema, cur.Schema):], rightEntry.node.Schema)
-		cur = b.node(plan.OpJoin, b.sc.kids.keep([]*plan.Node{cur, rightEntry.node}), schema)
-		cur.Pred = on
+		cur = plan.NewJoin(b.a, cur, rightEntry.node, on)
 	}
 
 	if sel.Where != nil {
@@ -298,8 +289,7 @@ func (b *binder) bindSelect(sel *SelectExpr) (*plan.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		cur = b.unary(plan.OpSelect, cur)
-		cur.Pred = pred
+		cur = plan.NewSelect(b.a, cur, pred)
 	}
 
 	grouped := len(sel.GroupBy) > 0 || hasAggregate(sel)
@@ -316,7 +306,7 @@ func (b *binder) bindSelect(sel *SelectExpr) (*plan.Node, error) {
 			}
 			projs[i] = p
 		}
-		cur = b.project(cur, projs)
+		cur = plan.NewProject(b.a, cur, projs)
 	}
 	return b.applyTop(sel, cur)
 }
@@ -349,7 +339,7 @@ func (b *binder) bindGrouped(sel *SelectExpr, child *plan.Node, env scope) (*pla
 			nAggs++
 		}
 	}
-	var aggs []plan.Agg // nil without aggregates, as plan.NewGroupBy gets it
+	var aggs []plan.Agg // nil without aggregates
 	if nAggs > 0 {
 		aggs = b.sc.aggs.take(nAggs)[:0]
 	}
@@ -371,7 +361,7 @@ func (b *binder) bindGrouped(sel *SelectExpr, child *plan.Node, env scope) (*pla
 			}
 			out := plan.Column{ID: b.newID(), Name: name}
 			aggs = append(aggs, plan.Agg{Fn: e.Fn, Arg: arg, Out: out})
-			projs = append(projs, plan.Projection{Expr: b.colExpr(out), Out: out})
+			projs = append(projs, plan.Projection{Expr: plan.ColExpr(b.a, out), Out: out})
 		case *ColName:
 			col, err := env.resolve(*e)
 			if err != nil {
@@ -384,19 +374,13 @@ func (b *binder) bindGrouped(sel *SelectExpr, child *plan.Node, env scope) (*pla
 			if item.Alias != "" {
 				out.Name = item.Alias
 			}
-			projs = append(projs, plan.Projection{Expr: b.colExpr(col), Out: out})
+			projs = append(projs, plan.Projection{Expr: plan.ColExpr(b.a, col), Out: out})
 		default:
 			return nil, errf(sel.Pos, "grouped SELECT items must be group keys or aggregates")
 		}
 	}
 
-	schema := b.sc.columns.take(len(keys) + len(aggs))
-	copy(schema, keys)
-	for i, a := range aggs {
-		schema[len(keys)+i] = a.Out
-	}
-	cur := b.node(plan.OpGroupBy, b.sc.kids.keep([]*plan.Node{child}), schema)
-	cur.GroupKeys, cur.Aggs = keys, aggs
+	cur := plan.NewGroupBy(b.a, child, keys, aggs)
 
 	if sel.Having != nil {
 		henv := scope{{alias: "", node: cur}}
@@ -404,10 +388,9 @@ func (b *binder) bindGrouped(sel *SelectExpr, child *plan.Node, env scope) (*pla
 		if err != nil {
 			return nil, err
 		}
-		cur = b.unary(plan.OpSelect, cur)
-		cur.Pred = pred
+		cur = plan.NewSelect(b.a, cur, pred)
 	}
-	cur = b.project(cur, projs)
+	cur = plan.NewProject(b.a, cur, projs)
 	return b.applyTop(sel, cur)
 }
 
@@ -429,8 +412,7 @@ func (b *binder) applyTop(sel *SelectExpr, cur *plan.Node) (*plan.Node, error) {
 			// TOP without ORDER BY: sort on first column for determinism.
 			keys[0] = plan.SortKey{Col: cur.Schema[0]}
 		}
-		cur = b.unary(plan.OpTop, cur)
-		cur.TopN, cur.SortKeys = sel.Top, keys
+		cur = plan.NewTop(b.a, cur, sel.Top, keys)
 	}
 	return cur, nil
 }
@@ -466,15 +448,11 @@ func (b *binder) bindScalar(e ScalarExpr, env scope) (*plan.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return b.colExpr(col), nil
+		return plan.ColExpr(b.a, col), nil
 	case *NumLit:
-		c := b.expr(plan.ExprConst, nil)
-		c.Lit.F = e.Value
-		return c, nil
+		return plan.NumExpr(b.a, e.Value), nil
 	case *StrLit:
-		c := b.expr(plan.ExprConst, nil)
-		c.Lit.IsString, c.Lit.S = true, e.Value
-		return c, nil
+		return plan.StrExpr(b.a, e.Value), nil
 	case *BinExpr:
 		l, err := b.bindScalar(e.L, env)
 		if err != nil {
@@ -486,9 +464,9 @@ func (b *binder) bindScalar(e ScalarExpr, env scope) (*plan.Expr, error) {
 		}
 		switch e.Op {
 		case "AND":
-			return b.flatten(plan.ExprAnd, l, r), nil
+			return plan.And(b.a, l, r), nil
 		case "OR":
-			return b.flatten(plan.ExprOr, l, r), nil
+			return plan.Or(b.a, l, r), nil
 		}
 		// The operator whose text (plan.CmpOp.String) e.Op is.
 		op := plan.OpEQ
@@ -498,83 +476,9 @@ func (b *binder) bindScalar(e ScalarExpr, env scope) (*plan.Expr, error) {
 		if op > plan.OpDiv {
 			return nil, errf(e.Pos, "unsupported operator %q", e.Op)
 		}
-		kind := plan.ExprCmp
-		if op >= plan.OpAdd {
-			kind = plan.ExprArith
-		}
-		x := b.expr(kind, b.sc.args.keep([]*plan.Expr{l, r}))
-		x.Op = op
-		return x, nil
+		return plan.Cmp(b.a, op, l, r), nil
 	case *CallExpr:
 		return nil, errf(e.Pos, "aggregate %s outside grouped SELECT", e.Fn)
 	}
 	return nil, fmt.Errorf("scopeql: unknown scalar expression %T", e)
-}
-
-// The binder builds the plan it returns from the scratch's plan piles, which
-// Compile starts afresh for every script and never rewinds: the plan owns
-// them, a few backing arrays per script instead of one allocation per node,
-// expression, child list and schema. Each of those is still its own
-// capacity-clipped slice or element, built as the plan package's
-// constructors build it (TestBinderBuildsAsPlanConstructors).
-
-// node returns a fresh node; the caller sets its payload. Nodes and
-// expressions are filled in place, not copied in.
-func (b *binder) node(op plan.Op, children []*plan.Node, schema []plan.Column) *plan.Node {
-	n := &b.sc.nodes.take(1)[0]
-	n.Op, n.Children, n.Schema = op, children, schema
-	return n
-}
-
-// unary returns a node over child with child's schema, as plan.NewSelect,
-// NewProcess, NewReduce, NewTop and NewOutput build it.
-func (b *binder) unary(op plan.Op, child *plan.Node) *plan.Node {
-	return b.node(op, b.sc.kids.keep([]*plan.Node{child}), child.Schema)
-}
-
-// project is plan.NewProject.
-func (b *binder) project(child *plan.Node, projs []plan.Projection) *plan.Node {
-	schema := b.sc.columns.take(len(projs))
-	for i, p := range projs {
-		schema[i] = p.Out
-	}
-	n := b.node(plan.OpProject, b.sc.kids.keep([]*plan.Node{child}), schema)
-	n.Projs = projs
-	return n
-}
-
-// expr returns a fresh expression; the caller sets its payload.
-func (b *binder) expr(kind plan.ExprKind, args []*plan.Expr) *plan.Expr {
-	e := &b.sc.exprs.take(1)[0]
-	e.Kind, e.Args = kind, args
-	return e
-}
-
-// colExpr is plan.ColExpr.
-func (b *binder) colExpr(c plan.Column) *plan.Expr {
-	e := b.expr(plan.ExprColumn, nil)
-	e.Col = c
-	return e
-}
-
-// flatten is plan.And (kind ExprAnd) or plan.Or (ExprOr) of two predicates:
-// an operand of the same kind contributes its arguments.
-func (b *binder) flatten(kind plan.ExprKind, l, r *plan.Expr) *plan.Expr {
-	n := 0
-	for _, p := range [2]*plan.Expr{l, r} {
-		if p.Kind == kind {
-			n += len(p.Args)
-		} else {
-			n++
-		}
-	}
-	args := b.sc.args.take(n)[:0]
-	for _, p := range [2]*plan.Expr{l, r} {
-		if p.Kind == kind {
-			args = append(args, p.Args...)
-		} else {
-			args = append(args, p)
-		}
-	}
-	return b.expr(kind, args)
 }

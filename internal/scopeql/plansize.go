@@ -148,7 +148,8 @@ func (w *sizer) project(n int) int {
 }
 
 // scalar counts e's expressions and arguments, and returns e's operator and
-// its argument count when e is an AND or an OR, which flatten counts on.
+// its argument count when e is an AND or an OR: plan.And and plan.Or flatten
+// an operand of their own kind, so its parent counts its arguments.
 func (w *sizer) scalar(e ScalarExpr) (op string, args int) {
 	switch e := e.(type) {
 	case *BinExpr:

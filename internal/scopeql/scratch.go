@@ -123,9 +123,13 @@ type scratch struct {
 	outs   []*plan.Node
 	widths map[string]int
 
-	// The plan's memory: bind starts each pile afresh with one array of the
-	// size planSize counts, and the plan it returns owns what they carved,
-	// so release only lets go.
+	planPiles
+}
+
+// planPiles is the plan's memory and the plan.Alloc the binder builds with:
+// bind starts each pile afresh with one array of the size planSize counts,
+// and the plan it returns owns what they carved, so release only lets go.
+type planPiles struct {
 	nodes    pile[plan.Node]
 	exprs    pile[plan.Expr]
 	columns  pile[plan.Column] // schemas and key lists
@@ -135,6 +139,12 @@ type scratch struct {
 	aggs     pile[plan.Agg]
 	sortKeys pile[plan.SortKey]
 }
+
+func (p *planPiles) Node() *plan.Node            { return &p.nodes.take(1)[0] }
+func (p *planPiles) Expr() *plan.Expr            { return &p.exprs.take(1)[0] }
+func (p *planPiles) Children(n int) []*plan.Node { return p.kids.take(n) }
+func (p *planPiles) ExprArgs(n int) []*plan.Expr { return p.args.take(n) }
+func (p *planPiles) Columns(n int) []plan.Column { return p.columns.take(n) }
 
 // scratchPool holds the idle scratches of Compile. The runtime drops pooled
 // entries under memory pressure, so a one-off giant script cannot pin its
@@ -189,18 +199,18 @@ func (sc *scratch) release() {
 	// backing array is already zero.
 	clear(sc.outs)
 	sc.outs = sc.outs[:0]
-	sc.startPlan(planSize{}) // lets go of the plan
+	sc.start(planSize{}) // lets go of the plan
 }
 
-// startPlan starts the plan piles afresh, each with one array of what z
-// counts (none for a zero count).
-func (sc *scratch) startPlan(z planSize) {
-	sc.nodes.fresh(z.nodes)
-	sc.exprs.fresh(z.exprs)
-	sc.columns.fresh(z.columns)
-	sc.kids.fresh(z.kids)
-	sc.args.fresh(z.args)
-	sc.projs.fresh(z.projs)
-	sc.aggs.fresh(z.aggs)
-	sc.sortKeys.fresh(z.sortKeys)
+// start starts the piles afresh, each with one array of what z counts (none
+// for a zero count).
+func (p *planPiles) start(z planSize) {
+	p.nodes.fresh(z.nodes)
+	p.exprs.fresh(z.exprs)
+	p.columns.fresh(z.columns)
+	p.kids.fresh(z.kids)
+	p.args.fresh(z.args)
+	p.projs.fresh(z.projs)
+	p.aggs.fresh(z.aggs)
+	p.sortKeys.fresh(z.sortKeys)
 }
