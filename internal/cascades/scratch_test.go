@@ -2,9 +2,11 @@ package cascades_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"steerq/internal/cascades"
+	"steerq/internal/plan"
 	"steerq/internal/rules"
 )
 
@@ -58,4 +60,44 @@ func TestSessionOnScratchMatchesOptimize(t *testing.T) {
 		}
 		sess.Close()
 	}
+}
+
+// TestMemoAndMatchesPlanAnd: plan.And with the memo as allocator builds the
+// very conjunction it builds on the heap — same shape, same argument
+// pointers, nested conjunctions flattened, nils dropped, a lone conjunct
+// returned as itself — for every combination of up to three arguments drawn
+// from nil, leaves and conjunctions (empty, one-armed and two-armed).
+func TestMemoAndMatchesPlanAnd(t *testing.T) {
+	cat := testCatalog()
+	m := cascades.NewMemo(compile(t, cat, joinAggScript), newOpt(cat).Est)
+	var heap plan.Heap
+	x, y, z := plan.NumExpr(heap, 1), plan.NumExpr(heap, 2), plan.NumExpr(heap, 3)
+	pool := []*plan.Expr{
+		nil, x, y,
+		{Kind: plan.ExprAnd},
+		{Kind: plan.ExprAnd, Args: []*plan.Expr{z}},
+		plan.And(heap, y, z),
+	}
+	same := func(a, b *plan.Expr) bool {
+		if a == nil || b == nil || a.Kind != plan.ExprAnd {
+			return a == b
+		}
+		return b.Kind == plan.ExprAnd && slices.Equal(a.Args, b.Args)
+	}
+	var args []*plan.Expr
+	var rec func(depth int)
+	rec = func(depth int) {
+		if want, got := plan.And(heap, args...), plan.And(m, args...); !same(want, got) {
+			t.Fatalf("And(%v) = %v on the memo, %v on the heap", args, got, want)
+		}
+		if depth == 3 {
+			return
+		}
+		for _, p := range pool {
+			args = append(args, p)
+			rec(depth + 1)
+			args = args[:len(args)-1]
+		}
+	}
+	rec(0)
 }

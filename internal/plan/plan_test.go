@@ -14,6 +14,25 @@ func col(id int, name, source string) Column {
 	return Column{ID: ColumnID(id), Name: name, Source: source}
 }
 
+func TestAndFlattening(t *testing.T) {
+	a := Cmp(heap, OpGT, ColExpr(heap, col(1, "a", "")), NumExpr(heap, 1))
+	b := Cmp(heap, OpLT, ColExpr(heap, col(2, "b", "")), NumExpr(heap, 2))
+	c := Cmp(heap, OpEQ, ColExpr(heap, col(3, "c", "")), NumExpr(heap, 3))
+	got := And(heap, And(heap, a, b), c)
+	if got.Kind != ExprAnd || len(got.Args) != 3 {
+		t.Fatalf("And did not flatten: %v", got)
+	}
+	if And(heap) != nil {
+		t.Fatal("And() should be nil")
+	}
+	if And(heap, a) != a {
+		t.Fatal("And(a) should be a")
+	}
+	if And(heap, nil, a, nil) != a {
+		t.Fatal("And should skip nils")
+	}
+}
+
 func TestConjuncts(t *testing.T) {
 	a := Cmp(heap, OpGT, ColExpr(heap, col(1, "a", "")), NumExpr(heap, 1))
 	b := Cmp(heap, OpLT, ColExpr(heap, col(2, "b", "")), NumExpr(heap, 2))
