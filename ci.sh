@@ -85,9 +85,11 @@
 #   9. coverage floor            go test -cover over the robustness- and
 #                                observability-critical packages (faults, par,
 #                                steering, obs, learning, nn, analysis, serve,
-#                                bundle) and the plan algebra and its two
-#                                builders (plan, scopeql, cascades) with an
-#                                80% per-package floor
+#                                bundle), the plan algebra and its two
+#                                builders (plan, scopeql, cascades) and the
+#                                experiment runner and A/B harness
+#                                (experiments, abtest) with an 80%
+#                                per-package floor
 #  10. fault-injection smoke     one pipeline run with a pinned fault seed and
 #                                plan checking on: it must complete with every
 #                                faulted job surviving via retry or fallback
@@ -102,7 +104,9 @@
 #                                fault seed, diffed byte-for-byte against
 #                                cmd/steerq-bench/testdata/exp_all.golden.txt
 #                                (its stdout is the same at any -workers and
-#                                with or without the fault seed); besides the
+#                                with or without the fault seed, so a serial
+#                                run without it is diffed against the same
+#                                golden too); besides the
 #                                paper's tables and figures it holds, under
 #                                Figure 1, what each workload's day-0 bundle
 #                                does to the day-1 jobs it is served to
@@ -183,11 +187,11 @@ go test -run '^$' -bench 'Benchmark(TrainModel|SaveLoad)$' -benchtime=1x ./inter
 go test -run '^$' -bench 'Benchmark(Run|Explain)$' -benchtime=1x ./internal/exec/
 go test -run '^$' -bench 'Benchmark(ReseedDraw3|SeedFill)$' -benchtime=1x ./internal/xrand/
 
-echo "== coverage floor (faults, par, steering, obs, learning, nn, analysis, serve, bundle, plan, scopeql, cascades >= 80%) =="
+echo "== coverage floor (faults, par, steering, obs, learning, nn, analysis, serve, bundle, plan, scopeql, cascades, experiments, abtest >= 80%) =="
 go test -cover ./internal/faults/ ./internal/par/ ./internal/steering/ \
     ./internal/obs/ ./internal/learning/ ./internal/nn/ ./internal/analysis/ \
     ./internal/serve/ ./internal/bundle/ ./internal/plan/ ./internal/scopeql/ \
-    ./internal/cascades/ > /tmp/steerq-cover.$$
+    ./internal/cascades/ ./internal/experiments/ ./internal/abtest/ > /tmp/steerq-cover.$$
 cat /tmp/steerq-cover.$$
 awk '
     /coverage:/ {
@@ -220,12 +224,20 @@ diff -u cmd/steerq/testdata/ci_metrics.golden.json /tmp/steerq-metrics.$$.json |
 }
 rm -f /tmp/steerq-metrics.$$.json
 
-echo "== paper tables golden (steerq-bench -exp all, pinned seed 1337) =="
+echo "== paper tables golden (steerq-bench -exp all, pinned seed 1337; serial, no faults) =="
 go run ./cmd/steerq-bench -scale 0.01 -m 300 -exp all -fault-seed 1337 -workers 4 \
     > /tmp/steerq-exp.$$.txt 2> /dev/null
 diff -u cmd/steerq-bench/testdata/exp_all.golden.txt /tmp/steerq-exp.$$.txt || {
     echo "paper tables: steerq-bench -exp all stdout drifted from committed golden" >&2
     echo "(if the change is intentional, regenerate with the command above)" >&2
+    rm -f /tmp/steerq-exp.$$.txt
+    exit 1
+}
+go run ./cmd/steerq-bench -scale 0.01 -m 300 -exp all -workers 1 \
+    > /tmp/steerq-exp.$$.txt 2> /dev/null
+diff -u cmd/steerq-bench/testdata/exp_all.golden.txt /tmp/steerq-exp.$$.txt || {
+    echo "paper tables: a -workers 1 run without fault injection differs from the golden" >&2
+    echo "(the faulted 4-worker run above matches it, so faults or the worker count leak into the tables)" >&2
     rm -f /tmp/steerq-exp.$$.txt
     exit 1
 }

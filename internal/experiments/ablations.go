@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"slices"
@@ -44,20 +45,15 @@ func (r *Runner) RandomVsGuided(name string, day, jobs, k int) (*AblationRandomV
 	// The pipeline is shared across workers below, so its selection width is
 	// set once up front rather than mutated per job.
 	p.ExecutePerJob = k
-	type slot struct {
-		row RandomVsGuidedRow
-		ok  bool
-	}
+	rows := make([]*RandomVsGuidedRow, len(idx))
 	// Per-job randomness comes from streams derived by job ID, not from rnd's
 	// own sequence, so the fan-out order cannot change any draw.
-	slots, _ := par.Map(r.Cfg.Workers, idx, func(_, i int) (slot, error) {
-		job := long[i]
-		a, err := p.Recompile(job)
+	_ = p.AnalyzeEachCtx(context.Background(), pick(long, idx), func(n int, a *steering.Analysis, err error) {
 		if err != nil || len(a.Candidates) == 0 {
-			return slot{}, nil
+			return
 		}
+		job := a.Job
 		// Guided: the pipeline's standard selection.
-		p.Execute(a)
 		guided := a.BestConfig(steering.MetricRuntime).Metrics.RuntimeSec
 
 		// Random: K uniform draws from the same candidate pool.
@@ -79,16 +75,16 @@ func (r *Runner) RandomVsGuided(name string, day, jobs, k int) (*AblationRandomV
 				randomBest = t.Metrics.RuntimeSec
 			}
 		}
-		return slot{row: RandomVsGuidedRow{
+		rows[n] = &RandomVsGuidedRow{
 			Job:        job.ID,
 			DefaultRT:  a.Default.Metrics.RuntimeSec,
 			GuidedBest: guided,
 			RandomBest: randomBest,
-		}, ok: true}, nil
+		}
 	})
-	for _, s := range slots {
-		if s.ok {
-			out.Rows = append(out.Rows, s.row)
+	for _, row := range rows {
+		if row != nil {
+			out.Rows = append(out.Rows, *row)
 		}
 	}
 	return out, nil
@@ -251,7 +247,6 @@ type AblationGrouping struct {
 
 // Grouping computes the comparison over a window of days.
 func (r *Runner) Grouping(name string, days int) (*AblationGrouping, error) {
-	h := r.Harness(name)
 	var jobs []*workload.Job
 	for d := 0; d < days; d++ {
 		jobs = append(jobs, r.Day(name, d)...)
@@ -260,8 +255,7 @@ func (r *Runner) Grouping(name string, days int) (*AblationGrouping, error) {
 	for _, j := range jobs {
 		byTemplate[j.TemplateHash]++
 	}
-	grouper := steering.NewGrouper(h)
-	groups, err := grouper.Group(jobs)
+	groups, err := r.Pipeline(name).Grouper().Group(jobs)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,6 @@ import (
 	"steerq/internal/cost"
 	"steerq/internal/faults"
 	"steerq/internal/obs"
-	"steerq/internal/par"
 	"steerq/internal/rules"
 	"steerq/internal/steering"
 	"steerq/internal/workload"
@@ -50,7 +49,8 @@ type Config struct {
 	LearnMinGroup     int
 	LearnMinMedianSec float64
 	// Workers bounds the goroutines jobs are analyzed on (one analysis is
-	// serial). Zero resolves through STEERQ_WORKERS and then
+	// serial) and, as every harness's Workers, the goroutines grouping
+	// compiles jobs on. Zero resolves through STEERQ_WORKERS and then
 	// GOMAXPROCS; every value produces bit-for-bit identical results.
 	Workers int
 	// Log, when non-nil, receives progress lines.
@@ -157,6 +157,7 @@ func (r *Runner) Harness(name string) *abtest.Harness {
 	opt := rules.NewOptimizer(cost.NewEstimated(w.Cat))
 	opt.SetObs(r.Obs())
 	h := abtest.New(w.Cat, opt, r.Cfg.Seed+1)
+	h.Workers = r.Cfg.Workers
 	h.SetObs(r.Obs())
 	if in := r.Faults(); in != nil {
 		h.SetFaults(in)
@@ -286,6 +287,7 @@ func (r *Runner) LongJobs(name string, day int) []*workload.Job {
 func (r *Runner) AnalyzedJobs(name string, day int) []*steering.Analysis {
 	if r.analyses[name] == nil {
 		r.analyses[name] = make(map[string]*steering.Analysis)
+		r.failed[name] = make(map[string]bool)
 	}
 	long := r.LongJobs(name, day)
 	rnd := xrand.New(r.Cfg.Seed).Derive("select", name, fmt.Sprint(day))
@@ -296,69 +298,68 @@ func (r *Runner) AnalyzedJobs(name string, day int) []*steering.Analysis {
 	idx := rnd.Sample(len(long), n)
 	sort.Ints(idx)
 	p := r.Pipeline(name)
-	jobs := make([]*workload.Job, len(idx))
-	for k, i := range idx {
-		jobs[k] = long[i]
-	}
-	// Fan the uncached jobs out across workers; the analysis cache is only
-	// read during the fan-out and only written in the serial merge below, so
-	// results, cache contents and log order all match a Workers=1 run.
-	if r.failed[name] == nil {
-		r.failed[name] = make(map[string]bool)
-	}
-	type slot struct {
-		a       *steering.Analysis
-		err     error
-		cached  bool
-		skipped bool
-	}
-	slots, _ := par.Map(r.Cfg.Workers, jobs, func(k int, j *workload.Job) (slot, error) {
-		if a, ok := r.analyses[name][j.ID]; ok {
-			return slot{a: a, cached: true}, nil
+	jobs := pick(long, idx)
+	// Analyze the jobs neither cached nor given up on through the pipeline's
+	// fan-out, todo[i] into slot at[i]; the analysis cache is only read
+	// before it and only written in the serial merge below, so results,
+	// cache contents and log order all match a Workers=1 run.
+	var todo []*workload.Job
+	var at []int
+	for k, j := range jobs {
+		if _, ok := r.analyses[name][j.ID]; !ok && !r.failed[name][j.ID] {
+			todo, at = append(todo, j), append(at, k)
 		}
-		if r.failed[name][j.ID] {
-			return slot{skipped: true}, nil
-		}
-		a, err := p.AnalyzeCtx(context.Background(), j)
-		return slot{a: a, err: err}, nil
+	}
+	fresh := make([]*steering.Analysis, len(jobs))
+	errs := make([]error, len(jobs))
+	_ = p.AnalyzeEachCtx(context.Background(), todo, func(i int, a *steering.Analysis, err error) {
+		fresh[at[i]], errs[at[i]] = a, err
 	})
 	rec := r.Robustness(name)
 	out := make([]*steering.Analysis, 0, len(jobs))
 	for k, j := range jobs {
-		s := slots[k]
-		if s.skipped {
+		if a, ok := r.analyses[name][j.ID]; ok {
+			out = append(out, a)
 			continue
 		}
-		if s.err != nil {
+		if r.failed[name][j.ID] {
+			continue
+		}
+		a, err := fresh[k], errs[k]
+		if err != nil {
 			// The job's analysis exhausted every retry even for the default
 			// configuration; there is nothing to fall back to, so the
 			// pipeline gives the job up (already logged and counted once).
 			r.failed[name][j.ID] = true
 			rec.GiveUps++
-			r.logf("analyze %s: %v", j.ID, s.err)
+			r.logf("analyze %s: %v", j.ID, err)
 			continue
 		}
-		if s.cached {
-			out = append(out, s.a)
-			continue
-		}
-		r.analyses[name][j.ID] = s.a
-		rec.Add(s.a.Robustness)
-		out = append(out, s.a)
-		if rb := s.a.Robustness; rb.IsZero() {
-			r.logf("analyzed %s: span=%d candidates=%d", j.ID, s.a.Span.Count(), len(s.a.Candidates))
+		r.analyses[name][j.ID] = a
+		rec.Add(a.Robustness)
+		out = append(out, a)
+		if rb := a.Robustness; rb.IsZero() {
+			r.logf("analyzed %s: span=%d candidates=%d", j.ID, a.Span.Count(), len(a.Candidates))
 		} else {
 			r.logf("analyzed %s: span=%d candidates=%d retries=%d timeouts=%d corruptions=%d fallbacks=%d",
-				j.ID, s.a.Span.Count(), len(s.a.Candidates), rb.Retries(), rb.Timeouts, rb.Corruptions, rb.Fallbacks)
+				j.ID, a.Span.Count(), len(a.Candidates), rb.Retries(), rb.Timeouts, rb.Corruptions, rb.Fallbacks)
 		}
+	}
+	return out
+}
+
+// pick returns jobs[i] for each i of idx, in idx order.
+func pick(jobs []*workload.Job, idx []int) []*workload.Job {
+	out := make([]*workload.Job, len(idx))
+	for k, i := range idx {
+		out[k] = jobs[i]
 	}
 	return out
 }
 
 // UniqueSignatures counts distinct default rule signatures over jobs.
 func (r *Runner) UniqueSignatures(name string, jobs []*workload.Job) (int, error) {
-	g := steering.NewGrouper(r.Harness(name))
-	groups, err := g.Group(jobs)
+	groups, err := r.Pipeline(name).Grouper().Group(jobs)
 	if err != nil {
 		return 0, err
 	}

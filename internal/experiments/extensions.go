@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
-	"steerq/internal/par"
 	"steerq/internal/steering"
 )
 
@@ -51,62 +51,52 @@ func (r *Runner) Extensions(name string, day, jobs int) (*ExtensionResults, erro
 	// One-shot baseline budget: 12 executions. Set once — the pipeline is
 	// shared by the workers below.
 	p.ExecutePerJob = 12
-	type slot struct {
-		it    IterativeRow
-		ind   IndependenceRow
-		hasIt bool
-		// hasInd implies hasIt: independence probing runs only after the
-		// iterative comparison succeeds, as in the serial loop.
-		hasInd bool
-	}
-	slots, _ := par.Map(r.Cfg.Workers, idx, func(_, i int) (slot, error) {
-		job := long[i]
-		a, err := p.Recompile(job)
+	its := make([]*IterativeRow, len(idx))
+	// inds[n] is set only with its[n]: independence probing runs only after
+	// the iterative comparison succeeds.
+	inds := make([]*IndependenceRow, len(idx))
+	_ = p.AnalyzeEachCtx(context.Background(), pick(long, idx), func(n int, a *steering.Analysis, err error) {
 		if err != nil {
-			return slot{}, nil
+			return
 		}
-
-		p.Execute(a)
 		oneShot := a.BestConfig(steering.MetricRuntime).Metrics.RuntimeSec
 
 		// Iterative: the same 12 executions split into 3 feedback rounds.
 		res, err := steering.IterativeSearch(p, a)
 		if err != nil {
-			return slot{}, nil
+			return
 		}
 		iterative := a.Default.Metrics.RuntimeSec
 		if res.Best != nil {
 			iterative = res.Best.Runtime
 		}
-		s := slot{hasIt: true, it: IterativeRow{
-			Job:           job.ID,
+		its[n] = &IterativeRow{
+			Job:           a.Job.ID,
 			DefaultRT:     a.Default.Metrics.RuntimeSec,
 			OneShotBest:   oneShot,
 			IterativeBest: iterative,
-		}}
+		}
 
 		ind, err := steering.ProbeIndependence(p, a)
 		if err != nil {
-			return s, nil
+			return
 		}
 		naive, part := ind.SearchSpace(a.Span.Count())
-		s.hasInd = true
-		s.ind = IndependenceRow{
-			Job:          job.ID,
+		inds[n] = &IndependenceRow{
+			Job:          a.Job.ID,
 			SpanSize:     a.Span.Count(),
 			Groups:       len(ind.Groups),
 			NaiveSpace:   naive,
 			PartSpace:    part,
 			Compilations: ind.Compilations,
 		}
-		return s, nil
 	})
-	for _, s := range slots {
-		if s.hasIt {
-			out.Iterative = append(out.Iterative, s.it)
+	for n, it := range its {
+		if it != nil {
+			out.Iterative = append(out.Iterative, *it)
 		}
-		if s.hasInd {
-			out.Independence = append(out.Independence, s.ind)
+		if ind := inds[n]; ind != nil {
+			out.Independence = append(out.Independence, *ind)
 		}
 	}
 	return out, nil

@@ -48,25 +48,27 @@ func (r *Runner) Figure1(name string, days, maxJobs int) (*Figure1, error) {
 	}
 	sort.Slice(sc, func(i, j int) bool { return sc[i].pct < sc[j].pct })
 
-	// Collect the multi-day corpus once.
+	// Group the multi-day corpus once; a group lists its jobs in corpus order.
 	var corpus []*workload.Job
 	for d := 0; d < days; d++ {
 		corpus = append(corpus, r.Day(name, d)...)
 	}
-	grouper := steering.NewGrouper(h)
+	groups, err := r.Pipeline(name).Grouper().Group(corpus)
+	if err != nil {
+		return nil, err
+	}
+	bySig := make(map[bitvec.Key][]*workload.Job, len(groups))
+	for _, g := range groups {
+		bySig[g.Signature.Key()] = g.Jobs
+	}
 
 	best := &Figure1{Workload: name, Days: days}
 	bestScore := math.Inf(1)
 	for i := 0; i < len(sc) && i < 5; i++ {
 		a := sc[i].a
-		sig := a.Default.Signature
 		var group []*workload.Job
-		for _, j := range corpus {
-			js, err := grouper.DefaultSignature(j)
-			if err != nil {
-				continue
-			}
-			if js.Equal(sig) && j.ID != a.Job.ID {
+		for _, j := range bySig[a.Default.Signature.Key()] {
+			if j.ID != a.Job.ID {
 				group = append(group, j)
 			}
 		}
@@ -138,7 +140,8 @@ type ServedRow struct {
 func (r *Runner) Served(day int, names ...string) (*Served, error) {
 	out := &Served{Day: day}
 	for _, name := range names {
-		b, rep, err := r.Pipeline(name).BuildBundleCtx(context.Background(), r.Day(name, day), 0, 0)
+		p := r.Pipeline(name)
+		b, rep, err := p.BuildBundleCtx(context.Background(), r.Day(name, day), 0, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -150,7 +153,7 @@ func (r *Runner) Served(day int, names ...string) (*Served, error) {
 		}
 		row := ServedRow{Workload: name, Steered: rep.Steered, Groups: rep.Groups}
 		h := r.Harness(name)
-		g := steering.NewGrouper(h)
+		g := p.Grouper()
 		for _, j := range r.Day(name, day+1) {
 			sig, err := g.DefaultSignature(j)
 			if err != nil {

@@ -43,7 +43,15 @@ func TestMeanStd(t *testing.T) {
 }
 
 func TestRunnerCaching(t *testing.T) {
-	r := NewRunner(tinyConfig())
+	cfg := tinyConfig()
+	cfg.Workers = 1
+	r := NewRunner(cfg)
+	if h := r.Harness("A"); h != r.Harness("A") || h.Workers != 1 {
+		t.Fatalf("harness rebuilt or its Workers (%d) not Cfg.Workers (1): grouping would fan out", h.Workers)
+	}
+	if p := r.Pipeline("A"); p.Workers != 1 || p.Cache != r.Cache("A") {
+		t.Fatalf("pipeline Workers %d (want 1) or not on the workload's cache", p.Workers)
+	}
 	w1 := r.Workload("A")
 	w2 := r.Workload("A")
 	if w1 != w2 {

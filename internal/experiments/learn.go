@@ -35,8 +35,8 @@ func (r *Runner) Learning(name string, days, nGroups int) (*LearningRun, error) 
 	for d := 0; d < days; d++ {
 		jobs = append(jobs, r.Day(name, d)...)
 	}
-	grouper := steering.NewGrouper(h)
-	groups, err := grouper.Group(jobs)
+	p := r.Pipeline(name)
+	groups, err := p.Grouper().Group(jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +61,6 @@ func (r *Runner) Learning(name string, days, nGroups int) (*LearningRun, error) 
 	}
 
 	run := &LearningRun{}
-	p := r.Pipeline(name)
 	rnd := xrand.New(r.Cfg.Seed).Derive("learning", name)
 	for gi, g := range selected {
 		arms, err := learning.CandidateArms(p, g.Jobs, 3, 10)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"steerq/internal/bitvec"
@@ -87,6 +88,7 @@ func TestAblationsParallelDeterminism(t *testing.T) {
 	type results struct {
 		rvg  *AblationRandomVsGuided
 		span *AblationSpanSearch
+		ext  *ExtensionResults
 	}
 	runAll := func(workers int) results {
 		cfg := tinyConfig()
@@ -100,7 +102,11 @@ func TestAblationsParallelDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: SpanSearch: %v", workers, err)
 		}
-		return results{rvg: rvg, span: span}
+		ext, err := r.Extensions("A", 0, 3)
+		if err != nil {
+			t.Fatalf("workers=%d: Extensions: %v", workers, err)
+		}
+		return results{rvg: rvg, span: span, ext: ext}
 	}
 	serial := runAll(1)
 	parallel := runAll(8)
@@ -117,5 +123,15 @@ func TestAblationsParallelDeterminism(t *testing.T) {
 	}
 	if *serial.span != *parallel.span {
 		t.Fatalf("SpanSearch differs: %+v vs %+v", serial.span, parallel.span)
+	}
+	if len(serial.ext.Iterative) == 0 || len(serial.ext.Independence) == 0 {
+		t.Fatalf("Extensions produced %d iterative and %d independence rows; test is vacuous",
+			len(serial.ext.Iterative), len(serial.ext.Independence))
+	}
+	if !slices.Equal(serial.ext.Iterative, parallel.ext.Iterative) {
+		t.Fatalf("Extensions iterative rows differ: %+v vs %+v", serial.ext.Iterative, parallel.ext.Iterative)
+	}
+	if !slices.Equal(serial.ext.Independence, parallel.ext.Independence) {
+		t.Fatalf("Extensions independence rows differ: %+v vs %+v", serial.ext.Independence, parallel.ext.Independence)
 	}
 }

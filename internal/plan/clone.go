@@ -1,15 +1,5 @@
 package plan
 
-// CloneWithFreshIDs deep-copies a logical DAG, remapping every column ID to a
-// fresh one obtained from nextID. Internal sharing within the subtree is
-// preserved (a node consumed twice inside the subtree is cloned once).
-//
-// The binder uses this when a script variable is referenced more than once in
-// relational position: sharing the node verbatim would make the two
-// occurrences' columns indistinguishable inside a join, so later references
-// get fresh column identities while keeping the identical structure (and
-// therefore the identical template hash contribution).
-
 // ClonePhys deep-copies a physical DAG's node structure, preserving internal
 // sharing (a node consumed twice is cloned once). Payload slices and
 // expressions are shared with the original — callers that mutate a clone may
@@ -37,6 +27,15 @@ func ClonePhys(n *PhysNode) *PhysNode {
 	return rec(n)
 }
 
+// CloneWithFreshIDs deep-copies a logical DAG, remapping every column ID to a
+// fresh one obtained from nextID. Internal sharing within the subtree is
+// preserved (a node consumed twice inside the subtree is cloned once).
+//
+// The binder uses this when a script variable is referenced more than once in
+// relational position: sharing the node verbatim would make the two
+// occurrences' columns indistinguishable inside a join, so later references
+// get fresh column identities while keeping the identical structure (and
+// therefore the identical template hash contribution).
 func CloneWithFreshIDs(n *Node, nextID func() ColumnID) *Node {
 	remap := make(map[ColumnID]ColumnID)
 	cloned := make(map[*Node]*Node)

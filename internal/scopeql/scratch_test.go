@@ -12,7 +12,8 @@ import (
 // compileCorpus interleaves scripts that bind against bindCatalog with ones
 // that fail in the lexer, the parser and the binder (early and after a
 // subquery, a join and a grouped SELECT have been carved), so a recycled
-// scratch meets every exit path.
+// scratch meets every exit path. One binds a chained AND of four arms around
+// an OR of three, so the flattened junction argument lists meet sizePlan.
 var compileCorpus = []string{
 	frontEndScript,
 	`x = SELECT user_id FROM "lake/orders" WHERE amount > 1.5 OR region != "EU"; OUTPUT x TO "o";`,
@@ -27,6 +28,7 @@ OUTPUT u TO "u"; OUTPUT o TO "o";`,
 	`s = SELECT s.user_id AS k FROM (SELECT user_id FROM "lake/orders" WHERE amount * 2 > region + 1) AS s INNER JOIN "lake/users" AS u ON s.user_id == u.user_id; g = SELECT k, COUNT(*) AS c FROM s GROUP BY k HAVING c > 2; t = SELECT TOP 3 k FROM g ORDER BY k DESC; OUTPUT t TO "t"; OUTPUT bogus TO "b";`,
 	`f = SELECT user_id, SUM(amount) AS total FROM "lake/orders" GROUP BY user_id; p = PROCESS (SELECT * FROM f) USING Cook; OUTPUT p TO "p"; OUTPUT f TO "f";`,
 	`x = SELECT region, amount FROM "lake/orders" GROUP BY region; OUTPUT x TO "o";`,
+	`x = SELECT region, COUNT(*) AS c, SUM(amount) FROM "lake/orders" GROUP BY region; y = SELECT TOP 2 region, amount * 2 FROM "lake/orders"; e = EXTRACT region, amount FROM "lake/orders"; z = SELECT region FROM e WHERE amount > 1 AND region < 3 AND (amount == 2 OR amount != 4 OR region >= 1) AND amount - 1 <= region / 2; OUTPUT x TO "x"; OUTPUT y TO "y"; OUTPUT z TO "z";`,
 	"x = SELECT user_id FROM \"lake/orders\" WHERE amount ≠ 1;",
 	`x = SELECT user_id FROM "lake/orders"; x = SELECT user_id FROM "lake/orders"; OUTPUT x TO "o";`,
 }

@@ -25,38 +25,31 @@ type JobGroup struct {
 // the default configuration.
 type Grouper struct {
 	Harness *abtest.Harness
-	// cache maps instance hashes to signatures so recurring instances skip
-	// recompilation. Only fingerprinted jobs are memoized (see memoized).
-	cache map[uint64]bitvec.Vector
-	// compiles, when non-nil (BuildBundle hands over its pipeline's cache),
-	// is probed before and filled after every default compile, so a warm pass
-	// groups without compiling and a cold one seeds each job's default class.
+	// compiles, when non-nil (Pipeline.Grouper hands over the pipeline's
+	// cache), is probed before and filled after every default compile, so a
+	// warm pass groups without compiling and a cold one seeds each job's
+	// default class. It is the Grouper's only memo across calls.
 	compiles *CompileCache
 }
 
-// NewGrouper returns a Grouper over the harness's optimizer.
+// NewGrouper returns a Grouper over the harness's optimizer with no memo:
+// every DefaultSignature compiles, and every Group compiles each distinct
+// fingerprint it is handed once.
 func NewGrouper(h *abtest.Harness) *Grouper {
-	return &Grouper{Harness: h, cache: make(map[uint64]bitvec.Vector)}
+	return &Grouper{Harness: h}
 }
 
-// memoized reports whether the Grouper memoizes job's default signature by
-// its instance hash: only a job the compile cache fingerprints does, since a
-// hand-built or scripted job carries all-zero hashes.
-func memoized(job *workload.Job) bool {
-	_, ok := jobFingerprint(job)
-	return ok
+// Grouper returns a Grouper over the pipeline's harness whose default
+// compiles go through the pipeline's cache, so grouping fingerprinted jobs
+// again — or asking for a grouped job's DefaultSignature — compiles nothing.
+func (p *Pipeline) Grouper() *Grouper {
+	return &Grouper{Harness: p.Harness, compiles: p.Cache}
 }
 
-// DefaultSignature compiles (or recalls) the job's default rule signature.
+// DefaultSignature compiles (or, through the compile cache, recalls) the
+// job's default rule signature.
 func (g *Grouper) DefaultSignature(job *workload.Job) (bitvec.Vector, error) {
-	if sig, ok := g.cache[job.InstanceHash]; ok && memoized(job) {
-		return sig, nil
-	}
-	sig, err := g.compileSignature(job, g.Harness.Opt.Rules.DefaultConfig())
-	if err == nil && memoized(job) {
-		g.cache[job.InstanceHash] = sig
-	}
-	return sig, err
+	return g.compileSignature(job, g.Harness.Opt.Rules.DefaultConfig())
 }
 
 // compileSignature compiles job under cfg, the default configuration (built
@@ -75,21 +68,28 @@ func (g *Grouper) compileSignature(job *workload.Job, cfg bitvec.Vector) (bitvec
 }
 
 // Group partitions jobs into job groups, ordered by descending size (ties by
-// signature hex for determinism). The instances the Grouper has not seen are
-// deduplicated serially, compiled concurrently on up to Harness.Workers
-// workers and grouped serially, so the groups — and the error, the first
-// failing job's in input order — are the same at any worker count. A job
-// without a fingerprint is never deduplicated: each compiles on its own.
+// signature hex for determinism). Jobs are deduplicated serially by
+// JobFingerprint, the first of each fingerprint is compiled concurrently on
+// up to Harness.Workers workers, and the jobs are grouped serially, so the
+// groups — and the error, the first failing job's in input order — are the
+// same at any worker count. A job without a fingerprint is never
+// deduplicated: each compiles on its own.
 func (g *Grouper) Group(jobs []*workload.Job) ([]*JobGroup, error) {
 	fresh := make([]*workload.Job, 0, len(jobs))
-	seen := make(map[uint64]bool, len(jobs))
-	for _, j := range jobs {
-		if !memoized(j) {
-			fresh = append(fresh, j)
-		} else if _, ok := g.cache[j.InstanceHash]; !ok && !seen[j.InstanceHash] {
-			seen[j.InstanceHash] = true
-			fresh = append(fresh, j)
+	// of[i] is the index in fresh of the job whose signature jobs[i] takes.
+	of := make([]int, len(jobs))
+	first := make(map[JobFingerprint]int, len(jobs))
+	for i, j := range jobs {
+		fp, ok := jobFingerprint(j)
+		if k, seen := first[fp]; ok && seen {
+			of[i] = k
+			continue
 		}
+		if ok {
+			first[fp] = len(fresh)
+		}
+		of[i] = len(fresh)
+		fresh = append(fresh, j)
 	}
 	cfg := g.Harness.Opt.Rules.DefaultConfig()
 	sigs, err := par.Map(g.Harness.Workers, fresh, func(_ int, j *workload.Job) (bitvec.Vector, error) {
@@ -98,20 +98,9 @@ func (g *Grouper) Group(jobs []*workload.Job) ([]*JobGroup, error) {
 	if err != nil {
 		return nil, err
 	}
-	unmemoized := make(map[*workload.Job]bitvec.Vector)
-	for i, j := range fresh {
-		if memoized(j) {
-			g.cache[j.InstanceHash] = sigs[i]
-		} else {
-			unmemoized[j] = sigs[i]
-		}
-	}
 	byKey := make(map[bitvec.Key]*JobGroup)
-	for _, j := range jobs {
-		sig, ok := unmemoized[j]
-		if !ok {
-			sig = g.cache[j.InstanceHash]
-		}
+	for i, j := range jobs {
+		sig := sigs[of[i]]
 		k := sig.Key()
 		grp, ok := byKey[k]
 		if !ok {

@@ -127,7 +127,7 @@ type Pipeline struct {
 	// paper executes the 10 cheapest).
 	ExecutePerJob int
 
-	// Workers bounds the goroutines BuildBundle analyzes job groups on (one
+	// Workers bounds the goroutines AnalyzeEachCtx analyzes jobs on (one
 	// analysis is serial). Zero resolves through STEERQ_WORKERS and then
 	// GOMAXPROCS (see internal/par); any value yields a byte-identical
 	// bundle — results are slotted by group index, each job draws from its
@@ -135,15 +135,16 @@ type Pipeline struct {
 	// schedule.
 	Workers int
 
-	// Cache, when non-nil, memoizes every compile outcome — BuildBundle's
-	// grouping, span probes, candidates, and the plans of executed trials —
-	// per (job fingerprint, config), so recurring jobs skip identical
-	// recompilations, and each analysed job's candidate configurations per
-	// (job fingerprint, the seed of its Rand-derived stream, MaxCandidates,
-	// span), so a re-analysis samples nothing either. Safe to share across
-	// goroutines and across pipelines of one workload. Faulted compilations —
-	// injected failures, timeouts, corrupted plans — are never cached; only
-	// validated successes and genuine no-plan outcomes are.
+	// Cache, when non-nil, memoizes every compile outcome — the default
+	// signatures of its Grouper, span probes, candidates, and the plans of
+	// executed trials — per (job fingerprint, config), so recurring jobs
+	// skip identical recompilations, and each analysed job's candidate
+	// configurations per (job fingerprint, the seed of its Rand-derived
+	// stream, MaxCandidates, span), so a re-analysis samples nothing either.
+	// Safe to share across goroutines and across pipelines of one workload.
+	// Faulted compilations — injected failures, timeouts, corrupted plans —
+	// are never cached; only validated successes and genuine no-plan outcomes
+	// are.
 	Cache *CompileCache
 
 	// Obs, when non-nil, records per-stage spans (pipeline.recompile,
@@ -243,8 +244,9 @@ func (p *Pipeline) recompile(ctx context.Context, sess *cascades.Session, job *w
 	return a, nil
 }
 
-// AnalyzeEachCtx is the job-level fan-out BuildBundle runs over its group
-// representatives: it analyzes every job on up to Workers scheduler workers
+// AnalyzeEachCtx is the one job-level fan-out, which BuildBundle runs over
+// its group representatives and the experiments over their sampled jobs: it
+// analyzes every job on up to Workers scheduler workers
 // — one analysis serial on its worker — and hands each outcome to visit on
 // the goroutine that produced it, so visit may only touch state slotted by i.
 // It returns the lowest-index error; once ctx is done unstarted jobs are

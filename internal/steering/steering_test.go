@@ -346,8 +346,8 @@ func TestGrouperGroupsConsistently(t *testing.T) {
 }
 
 // TestGrouperKeepsUnfingerprintedJobsApart: hand-built and scripted jobs
-// carry all-zero hashes, so the Grouper must not memoize their signatures by
-// instance hash — two different scripts keep two signatures, through Group
+// carry all-zero hashes, so the Grouper must not deduplicate them by
+// fingerprint — two different scripts keep two signatures, through Group
 // and through DefaultSignature on one Grouper.
 func TestGrouperKeepsUnfingerprintedJobsApart(t *testing.T) {
 	cat := steerCatalog()
