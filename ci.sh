@@ -32,7 +32,11 @@
 #                                enforcers reused across compiles, each plan
 #                                the one-shot DAG node for node), the
 #                                one compile path under injection
-#                                (TestFaultedTrialsKeepPlans) and the
+#                                (TestFaultedTrialsKeepPlans), the one trial
+#                                path (the TestTrialPath tests: Pipeline.Trial
+#                                against RunConfigCtx, Extrapolate cached and
+#                                uncached, second §8 passes compiling
+#                                nothing) and the
 #                                plan-under-injection rule it rests on
 #                                (faults' TestCompileAttemptBuildsPlanUnder-
 #                                Injection) — re-run with STEERQ_WORKERS=4 so
@@ -82,14 +86,8 @@
 #                                executed once
 #                                (-benchtime=1x) so a broken or pathologically
 #                                slow hot path fails CI, not the next perf run
-#   9. coverage floor            go test -cover over the robustness- and
-#                                observability-critical packages (faults, par,
-#                                steering, obs, learning, nn, analysis, serve,
-#                                bundle), the plan algebra and its two
-#                                builders (plan, scopeql, cascades) and the
-#                                experiment runner and A/B harness
-#                                (experiments, abtest) with an 80%
-#                                per-package floor
+#   9. coverage floor            go test -cover over every package under
+#                                internal/ with an 80% per-package floor
 #  10. fault-injection smoke     one pipeline run with a pinned fault seed and
 #                                plan checking on: it must complete with every
 #                                faulted job surviving via retry or fallback
@@ -167,7 +165,7 @@ STEERQ_CHECK_PLANS=1 go test -race ./...
 
 echo "== parallel pipeline smoke (race, 4 workers) =="
 STEERQ_WORKERS=4 STEERQ_CHECK_PLANS=1 go test -race ./internal/cascades/ ./internal/steering/ ./internal/experiments/ \
-    -run 'Parallel|Determinism|Fault|Repass|Session|GroupState|Frozen|Reentrant'
+    -run 'Parallel|Determinism|Fault|Repass|Session|GroupState|Frozen|Reentrant|TrialPath'
 STEERQ_WORKERS=4 STEERQ_CHECK_PLANS=1 go test -race ./internal/faults/ -run 'TestCompileAttemptBuildsPlanUnderInjection'
 
 echo "== alloc regression (race) =="
@@ -187,11 +185,8 @@ go test -run '^$' -bench 'Benchmark(TrainModel|SaveLoad)$' -benchtime=1x ./inter
 go test -run '^$' -bench 'Benchmark(Run|Explain)$' -benchtime=1x ./internal/exec/
 go test -run '^$' -bench 'Benchmark(ReseedDraw3|SeedFill)$' -benchtime=1x ./internal/xrand/
 
-echo "== coverage floor (faults, par, steering, obs, learning, nn, analysis, serve, bundle, plan, scopeql, cascades, experiments, abtest >= 80%) =="
-go test -cover ./internal/faults/ ./internal/par/ ./internal/steering/ \
-    ./internal/obs/ ./internal/learning/ ./internal/nn/ ./internal/analysis/ \
-    ./internal/serve/ ./internal/bundle/ ./internal/plan/ ./internal/scopeql/ \
-    ./internal/cascades/ ./internal/experiments/ ./internal/abtest/ > /tmp/steerq-cover.$$
+echo "== coverage floor (every internal package >= 80%) =="
+go test -cover ./internal/... > /tmp/steerq-cover.$$
 cat /tmp/steerq-cover.$$
 awk '
     /coverage:/ {

@@ -277,10 +277,10 @@ func cmdPipeline(args []string, stdout io.Writer) error {
 	rs := e.harness.Opt.Rules
 	fmt.Fprintf(stdout, "job %s: default runtime %.1fs, cost %.2f, span %d rules, %d candidates compiled\n",
 		j.ID, a.Default.Metrics.RuntimeSec, a.Default.EstCost, a.Span.Count(), len(a.Candidates))
-	fmt.Fprintf(stdout, "default signature (%d rules): %v\n", a.Default.Signature.Count(), names(rs, a.Default.Signature.Ones()))
+	fmt.Fprintf(stdout, "default signature (%d rules): %v\n", a.Default.Signature.Count(), rs.Names(a.Default.Signature.Ones()))
 	for cat, v := range steering.SpanByCategory(a.Span, rs) {
 		if !v.IsEmpty() {
-			fmt.Fprintf(stdout, "span %s (%d rules): %v\n", cascades.Category(cat), v.Count(), names(rs, v.Ones()))
+			fmt.Fprintf(stdout, "span %s (%d rules): %v\n", cascades.Category(cat), v.Count(), rs.Names(v.Ones()))
 		}
 	}
 	for i, t := range a.Trials {
@@ -295,7 +295,7 @@ func cmdPipeline(args []string, stdout io.Writer) error {
 		pct := a.PercentChange(&a.Trials[i], steering.MetricRuntime)
 		d := steering.Diff(a.Default.Signature, t.Signature)
 		fmt.Fprintf(stdout, "  alt%d: runtime %.1fs (%+.1f%%) cost %.2f  -%v +%v\n",
-			i, t.Metrics.RuntimeSec, pct, t.EstCost, names(rs, d.OnlyDefault), names(rs, d.OnlyNew))
+			i, t.Metrics.RuntimeSec, pct, t.EstCost, rs.Names(d.OnlyDefault), rs.Names(d.OnlyNew))
 	}
 	best := a.BestConfig(steering.MetricRuntime)
 	fmt.Fprintf(stdout, "best runtime: %.1fs (%+.1f%% vs default)\n",
@@ -307,9 +307,9 @@ func cmdPipeline(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "  survived via %d retries (%d compile, %d exec), %d timeouts, %d corrupted plans caught, %d fallbacks\n",
 			rb.Retries(), rb.CompileRetries, rb.ExecRetries, rb.Timeouts, rb.Corruptions, rb.Fallbacks)
 	}
-	if rec := steering.Recommend(a, rs); rec != nil {
+	if cfg, ok := steering.MinimalConfig(a, rs); ok {
 		fmt.Fprintf(stdout, "recommended plan hint for job group %s...:\n%s",
-			rec.GroupSignature[:16], rec.Hints)
+			a.Default.Signature.Hex()[:16], steering.HintsFor(cfg, rs))
 	}
 	return e.finish()
 }
@@ -338,7 +338,7 @@ func cmdGroups(args []string, stdout io.Writer) error {
 			break
 		}
 		fmt.Fprintf(stdout, "  group %2d: %4d jobs, signature %d rules: %v\n",
-			i+1, len(grp.Jobs), grp.Signature.Count(), names(rs, grp.Signature.Ones()))
+			i+1, len(grp.Jobs), grp.Signature.Count(), rs.Names(grp.Signature.Ones()))
 	}
 	return e.finish()
 }
@@ -373,18 +373,6 @@ func cmdWorkload(args []string, stdout io.Writer) error {
 }
 
 // names maps rule IDs to rule names for display.
-func names(rs *cascades.RuleSet, ids []int) []string {
-	out := make([]string, 0, len(ids))
-	for _, id := range ids {
-		if ri, ok := rs.Info(id); ok {
-			out = append(out, ri.Name)
-		} else {
-			out = append(out, fmt.Sprintf("rule#%d", id))
-		}
-	}
-	return out
-}
-
 // cmdExplain compiles a job under the default configuration (or hints from
 // -hints) and prints the per-operator planned-vs-actual breakdown. The run
 // draws the noise of the pipeline's default trial, so its runtime under the

@@ -467,9 +467,7 @@ func (s *search) localUsage(p *pexpr) cost.OpUsage {
 		InRows:   inRows,
 		InBytes:  inBytes,
 		OutRows:  p.props.Rows,
-		OutBytes: p.props.Rows * p.props.RowBytes,
 		DOP:      p.dop,
-		Branches: len(p.children),
 	}
 	if p.node != nil {
 		params.TopN = p.node.TopN
@@ -485,7 +483,7 @@ func (s *search) localUsage(p *pexpr) cost.OpUsage {
 		params.BuildRows = p.children[b].props.Rows
 		params.ProbeRows = p.children[1-b].props.Rows
 	}
-	return s.o.Coster.Cost(params)
+	return cost.Cost(params)
 }
 
 // enforce wraps a candidate with an Exchange enforcer so it satisfies req.

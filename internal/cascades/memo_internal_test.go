@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"steerq/internal/bitvec"
@@ -401,5 +402,29 @@ func TestDefaultConfigCategories(t *testing.T) {
 	ids := rs.NonRequiredIDs()
 	if len(ids) != 3 {
 		t.Fatalf("non-required IDs %v", ids)
+	}
+}
+
+// TestRuleSetNames: known IDs take their catalog name, an unknown one (a
+// stray bit) "rule#<id>", in the order given; no IDs give an empty list.
+func TestRuleSetNames(t *testing.T) {
+	rs, err := NewRuleSet(nil, nil, []RuleInfo{
+		{ID: 1, Name: "req", Category: Required},
+		{ID: 7, Name: "on", Category: OnByDefault},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		ids  []int
+		want []string
+	}{
+		{[]int{7, 1}, []string{"on", "req"}},
+		{[]int{1, 200, 7}, []string{"req", "rule#200", "on"}},
+		{nil, []string{}},
+	} {
+		if got := rs.Names(tc.ids); !slices.Equal(got, tc.want) {
+			t.Errorf("Names(%v) = %q, want %q", tc.ids, got, tc.want)
+		}
 	}
 }

@@ -13,9 +13,8 @@ import (
 // Optimizer compiles logical plans into physical plans under a rule
 // configuration.
 type Optimizer struct {
-	Rules  *RuleSet
-	Est    *cost.Estimator
-	Coster *cost.Coster
+	Rules *RuleSet
+	Est   *cost.Estimator
 
 	// EnforceExchangeID and EnforceSortID are the rule IDs attributed to
 	// enforcer-inserted Exchange and Sort operators. Both must name
@@ -117,7 +116,7 @@ var ErrNoPlan = errors.New("cascades: no physical plan under this rule configura
 // of one compile.
 //
 // Optimize is safe for concurrent use: every call opens its own Session, and
-// the Optimizer's own fields (Rules, Est, Coster) are read-only after
+// the Optimizer's own fields (Rules, Est) are read-only after
 // construction. The discovery pipeline relies on this to fan job analyses out
 // across workers.
 func (o *Optimizer) Optimize(root *plan.Node, cfg bitvec.Vector) (*Result, error) {

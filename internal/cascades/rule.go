@@ -134,6 +134,9 @@ type RuleSet struct {
 	// every configuration bit logical exploration can read, hence the bits
 	// that key a Session's explored memos.
 	transformMask bitvec.Vector
+
+	// defaultConfig is DefaultConfig's value, computed once by NewRuleSet.
+	defaultConfig bitvec.Vector
 }
 
 // NewRuleSet assembles a rule set and verifies rule IDs are unique and in
@@ -169,8 +172,14 @@ func NewRuleSet(transforms []TransformRule, implements []ImplementRule, extra []
 	return rs, nil
 }
 
-// indexByOp builds the per-operator rule lists and the transform mask.
+// indexByOp builds the per-operator rule lists, the transform mask and the
+// default configuration.
 func (rs *RuleSet) indexByOp() {
+	for id, ri := range rs.infos {
+		if ri.Category != OffByDefault {
+			rs.defaultConfig.Set(id)
+		}
+	}
 	for _, r := range rs.Transforms {
 		if ri := r.Info(); ri.Category != Required {
 			rs.transformMask.Set(ri.ID)
@@ -229,14 +238,20 @@ func (rs *RuleSet) Infos() []RuleInfo {
 
 // DefaultConfig returns the default rule configuration (Definition 3.1):
 // every rule enabled except the off-by-default category.
-func (rs *RuleSet) DefaultConfig() bitvec.Vector {
-	var v bitvec.Vector
-	for id, ri := range rs.infos {
-		if ri.Category != OffByDefault {
-			v.Set(id)
+func (rs *RuleSet) DefaultConfig() bitvec.Vector { return rs.defaultConfig }
+
+// Names returns the names of the rule IDs, in order; an ID the catalog does
+// not know (a stray bit) is named "rule#<id>".
+func (rs *RuleSet) Names(ids []int) []string {
+	out := make([]string, 0, len(ids))
+	for _, id := range ids {
+		if ri, ok := rs.infos[id]; ok {
+			out = append(out, ri.Name)
+		} else {
+			out = append(out, fmt.Sprintf("rule#%d", id))
 		}
 	}
-	return v
+	return out
 }
 
 // NonRequiredIDs returns the IDs of all rules outside the Required category

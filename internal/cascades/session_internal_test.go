@@ -146,7 +146,7 @@ func toyOptimizer(t *testing.T) *Optimizer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Optimizer{Rules: rs, Est: cost.NewEstimated(memoCatalog()), Coster: cost.NewCoster(), EnforceExchangeID: 3, EnforceSortID: 4}
+	return &Optimizer{Rules: rs, Est: cost.NewEstimated(memoCatalog()), EnforceExchangeID: 3, EnforceSortID: 4}
 }
 
 // toyPlans are small jobs over the toy catalog: a filtered aggregation over

@@ -24,9 +24,9 @@ type OpCostParams struct {
 	Op       plan.PhysOp
 	Exchange plan.ExchangeKind
 
-	// InRows/InBytes total over all inputs; OutRows/OutBytes of the output.
-	InRows, InBytes   float64
-	OutRows, OutBytes float64
+	// InRows/InBytes total over all inputs; OutRows of the output.
+	InRows, InBytes float64
+	OutRows         float64
 
 	// BuildRows/ProbeRows for join operators.
 	BuildRows, ProbeRows float64
@@ -37,44 +37,30 @@ type OpCostParams struct {
 	// UDO for Process/Reduce implementations.
 	UDO *catalog.UDO
 
-	// TopN for top operators; Branches for union operators.
-	TopN     int
-	Branches int
+	// TopN for top operators.
+	TopN int
 }
 
-// Coster converts operator work into seconds of CPU, bytes of I/O and
-// critical-path latency. The same Coster is used to produce the optimizer's
-// estimated plan costs (fed with estimated Props) and the executor's true
-// resource usage (fed with true Props), so estimation error comes only from
-// cardinalities and DOP — mirroring SCOPE, where the cost formulas are "tuned
-// over the years" (§3.1) but the inputs betray them.
-type Coster struct {
-	// Tunable rates. Zero values are replaced by defaults in New.
-	RowsPerCPUSecond  float64 // relational work throughput per vertex
-	BytesPerIOSecond  float64 // sequential I/O throughput per vertex
-	VertexStartup     float64 // seconds of scheduling overhead per vertex wave
-	ShuffleBytesCost  float64 // multiplier on shuffled bytes (write+read)
-	BroadcastPenalty  float64 // per-consumer replication multiplier
-	LoopJoinRowFactor float64 // cost per (probe row x build row) pair
-}
-
-// NewCoster returns a Coster with default rates.
-func NewCoster() *Coster {
-	return &Coster{
-		RowsPerCPUSecond:  1e6,
-		BytesPerIOSecond:  100e6,
-		VertexStartup:     0.4,
-		ShuffleBytesCost:  2.0,
-		BroadcastPenalty:  1.0,
-		LoopJoinRowFactor: 1.0 / 2e8,
-	}
-}
+// The cost rates. Cost converts operator work into seconds of CPU, bytes of
+// I/O and critical-path latency at these rates, both for the optimizer's
+// estimated plan costs (fed with estimated Props) and for the executor's
+// true resource usage (fed with true Props), so estimation error comes only
+// from cardinalities and DOP — mirroring SCOPE, where the cost formulas are
+// "tuned over the years" (§3.1) but the inputs betray them.
+const (
+	rowsPerCPUSecond  float64 = 1e6       // relational work throughput per vertex
+	BytesPerIOSecond  float64 = 100e6     // sequential I/O throughput per vertex
+	vertexStartup     float64 = 0.4       // seconds of scheduling overhead per vertex wave
+	shuffleBytesCost  float64 = 2.0       // multiplier on shuffled bytes (write+read)
+	broadcastPenalty  float64 = 1.0       // per-consumer replication multiplier
+	loopJoinRowFactor float64 = 1.0 / 2e8 // cost per (probe row x build row) pair
+)
 
 // cpuRows converts row-operations into CPU seconds.
-func (c *Coster) cpuRows(rowOps float64) float64 { return rowOps / c.RowsPerCPUSecond }
+func cpuRows(rowOps float64) float64 { return rowOps / rowsPerCPUSecond }
 
 // Cost returns the usage of one operator.
-func (c *Coster) Cost(p OpCostParams) OpUsage {
+func Cost(p OpCostParams) OpUsage {
 	dop := float64(p.DOP)
 	if dop < 1 {
 		dop = 1
@@ -88,72 +74,72 @@ func (c *Coster) Cost(p OpCostParams) OpUsage {
 		// selective an embedded range predicate is; only downstream
 		// operators see the filtered OutRows.
 		io = p.InBytes
-		cpu = c.cpuRows(p.InRows*0.5 + p.OutRows*0.2)
+		cpu = cpuRows(p.InRows*0.5 + p.OutRows*0.2)
 	case plan.PhysFilter:
-		cpu = c.cpuRows(p.InRows * 1.0)
+		cpu = cpuRows(p.InRows * 1.0)
 	case plan.PhysCompute:
-		cpu = c.cpuRows(p.InRows * 0.7)
+		cpu = cpuRows(p.InRows * 0.7)
 	case plan.PhysHashJoin, plan.PhysHashJoinAlt:
-		cpu = c.cpuRows(p.BuildRows*3.0 + p.ProbeRows*1.2 + p.OutRows*0.3)
+		cpu = cpuRows(p.BuildRows*3.0 + p.ProbeRows*1.2 + p.OutRows*0.3)
 	case plan.PhysMergeJoin:
-		cpu = c.cpuRows(p.InRows*1.0 + p.OutRows*0.3)
+		cpu = cpuRows(p.InRows*1.0 + p.OutRows*0.3)
 	case plan.PhysLoopJoin:
 		// Each probe partition scans its build copy per row: quadratic.
 		pairs := p.ProbeRows * p.BuildRows
-		cpu = c.cpuRows(p.ProbeRows+p.BuildRows) + pairs*c.LoopJoinRowFactor
+		cpu = cpuRows(p.ProbeRows+p.BuildRows) + pairs*loopJoinRowFactor
 	case plan.PhysHashAgg, plan.PhysFinalHashAgg:
-		cpu = c.cpuRows(p.InRows * 2.2)
+		cpu = cpuRows(p.InRows * 2.2)
 	case plan.PhysPartialHashAgg:
-		cpu = c.cpuRows(p.InRows * 1.6)
+		cpu = cpuRows(p.InRows * 1.6)
 	case plan.PhysStreamAgg:
-		cpu = c.cpuRows(p.InRows * 0.8)
+		cpu = cpuRows(p.InRows * 0.8)
 	case plan.PhysSort:
 		n := math.Max(p.InRows, 2)
-		cpu = c.cpuRows(p.InRows * math.Log2(n) * 0.25)
+		cpu = cpuRows(p.InRows * math.Log2(n) * 0.25)
 	case plan.PhysUnionMerge:
-		cpu = c.cpuRows(p.InRows * 0.3)
+		cpu = cpuRows(p.InRows * 0.3)
 		io = p.InBytes * 0.5
 	case plan.PhysVirtualDataset:
 		// Consumers read branch outputs in place: no movement, trivial CPU,
 		// but downstream parallelism is pinned to the branch layout (the
 		// executor models that through the DOP of this node).
-		cpu = c.cpuRows(p.InRows * 0.02)
+		cpu = cpuRows(p.InRows * 0.02)
 	case plan.PhysProcessImpl:
 		w := 1.0
 		if p.UDO != nil {
 			w = p.UDO.CPUPerRow
 		}
-		cpu = c.cpuRows(p.InRows * w * 4.0)
+		cpu = cpuRows(p.InRows * w * 4.0)
 	case plan.PhysReduceImpl:
 		w := 1.0
 		if p.UDO != nil {
 			w = p.UDO.CPUPerRow
 		}
-		cpu = c.cpuRows(p.InRows * w * 5.0)
+		cpu = cpuRows(p.InRows * w * 5.0)
 	case plan.PhysLocalTop:
 		n := math.Max(float64(p.TopN), 2)
-		cpu = c.cpuRows(p.InRows * math.Log2(n) * 0.2)
+		cpu = cpuRows(p.InRows * math.Log2(n) * 0.2)
 	case plan.PhysGlobalTop:
-		cpu = c.cpuRows(p.InRows * 0.5)
+		cpu = cpuRows(p.InRows * 0.5)
 		serial = true
 	case plan.PhysExchange:
 		switch p.Exchange {
 		case plan.ExchangeShuffle:
-			io = p.InBytes * c.ShuffleBytesCost
-			cpu = c.cpuRows(p.InRows * 0.6)
+			io = p.InBytes * shuffleBytesCost
+			cpu = cpuRows(p.InRows * 0.6)
 		case plan.ExchangeBroadcast:
-			io = p.InBytes * dop * c.BroadcastPenalty
-			cpu = c.cpuRows(p.InRows * 0.3 * dop)
+			io = p.InBytes * dop * broadcastPenalty
+			cpu = cpuRows(p.InRows * 0.3 * dop)
 		case plan.ExchangeGather:
 			io = p.InBytes
-			cpu = c.cpuRows(p.InRows * 0.3)
+			cpu = cpuRows(p.InRows * 0.3)
 			serial = true
 		case plan.ExchangeInitial:
 			// Initial partitioned layout: costless, the scan pays.
 		}
 	case plan.PhysOutputImpl:
 		io = p.InBytes
-		cpu = c.cpuRows(p.InRows * 0.3)
+		cpu = cpuRows(p.InRows * 0.3)
 	case plan.PhysMultiImpl:
 		// Virtual root.
 	}
@@ -163,9 +149,9 @@ func (c *Coster) Cost(p OpCostParams) OpUsage {
 	if serial {
 		par = 1
 	}
-	u.LatencySeconds = cpu/par + io/(c.BytesPerIOSecond*par)
+	u.LatencySeconds = cpu/par + io/(BytesPerIOSecond*par)
 	if cpu > 0 || io > 0 {
-		u.LatencySeconds += c.VertexStartup * math.Sqrt(par) / 8
+		u.LatencySeconds += vertexStartup * math.Sqrt(par) / 8
 	}
 	return u
 }

@@ -60,8 +60,7 @@ type Metrics struct {
 
 // Executor runs physical plans against the simulated cluster.
 type Executor struct {
-	Cat    *catalog.Catalog
-	Coster *cost.Coster
+	Cat *catalog.Catalog
 
 	// Tokens is the container budget per job. The A/B infrastructure pins
 	// it (50 in the paper's experiments, §3.1.3). Stages wider than the
@@ -116,7 +115,6 @@ func (x *Executor) SetObs(reg *obs.Registry) {
 func New(cat *catalog.Catalog, seed uint64) *Executor {
 	return &Executor{
 		Cat:         cat,
-		Coster:      cost.NewCoster(),
 		Tokens:      50,
 		Seed:        seed,
 		BaseSigma:   0.05,
@@ -215,7 +213,7 @@ func (s *sim) simulate(x *Executor, p *plan.PhysNode, day int, tag string) {
 			m.Vertices += dop
 		}
 	}
-	m.IOTimeSec = m.IOBytes / x.Coster.BytesPerIOSecond
+	m.IOTimeSec = m.IOBytes / cost.BytesPerIOSecond
 	m.RuntimeSec = s.nodes[root].path
 	x.runtimeHist.Observe(m.RuntimeSec)
 }
@@ -331,10 +329,8 @@ func (s *sim) nodeUsage(n *plan.PhysNode, props cost.Props, kids []int) cost.OpU
 		InRows:   inRows,
 		InBytes:  inBytes,
 		OutRows:  props.Rows,
-		OutBytes: props.Rows * props.RowBytes,
 		DOP:      dop,
 		TopN:     n.TopN,
-		Branches: len(n.Children),
 	}
 	if n.Processor != "" {
 		params.UDO = x.Cat.UDO(n.Processor)
@@ -349,7 +345,7 @@ func (s *sim) nodeUsage(n *plan.PhysNode, props cost.Props, kids []int) cost.OpU
 			// Binary but not a join: no build/probe split to cost.
 		}
 	}
-	u := x.Coster.Cost(params)
+	u := cost.Cost(params)
 
 	// Wave execution past the token budget: a 200-wide stage on 50 tokens
 	// needs four waves.

@@ -37,7 +37,6 @@ type RandomVsGuidedRow struct {
 // RandomVsGuided runs the ablation over `jobs` analyzed jobs of the workload.
 func (r *Runner) RandomVsGuided(name string, day, jobs, k int) (*AblationRandomVsGuided, error) {
 	p := r.Pipeline(name)
-	h := r.Harness(name)
 	rnd := r.sampleRand(name, "ablation-rvg")
 	long := r.LongJobs(name, day)
 	idx := rnd.Sample(len(long), jobs)
@@ -70,7 +69,7 @@ func (r *Runner) RandomVsGuided(name string, day, jobs, k int) (*AblationRandomV
 			}
 			seen[c.Signature.Key()] = true
 			picked++
-			t := h.RunConfig(job.Root, c.Config, job.Day, fmt.Sprintf("%s/rand%d", job.ID, picked))
+			t := p.Trial(context.Background(), job, c.Config, fmt.Sprintf("%s/rand%d", job.ID, picked), nil)
 			if t.Err == nil && t.Metrics.RuntimeSec < randomBest {
 				randomBest = t.Metrics.RuntimeSec
 			}

@@ -220,8 +220,9 @@ func (r *Runner) Day(name string, day int) []*workload.Job {
 	return jobs
 }
 
-// DefaultTrial compiles and executes a job under the default configuration,
-// memoized per job ID.
+// DefaultTrial runs a job under the default configuration through the
+// workload's pipeline (Pipeline.Trial), memoized per job ID; the plan it
+// compiles stays in the workload's cache for the job's analysis.
 func (r *Runner) DefaultTrial(name string, j *workload.Job) abtest.Trial {
 	if r.defaults[name] == nil {
 		r.defaults[name] = make(map[string]abtest.Trial)
@@ -229,8 +230,8 @@ func (r *Runner) DefaultTrial(name string, j *workload.Job) abtest.Trial {
 	if t, ok := r.defaults[name][j.ID]; ok {
 		return t
 	}
-	h := r.Harness(name)
-	t := h.RunConfigCtx(context.Background(), j.Root, h.Opt.Rules.DefaultConfig(), j.Day, steering.DefaultTag(j.ID), r.Robustness(name))
+	p := r.Pipeline(name)
+	t := p.Trial(context.Background(), j, p.Harness.Opt.Rules.DefaultConfig(), steering.DefaultTag(j.ID), r.Robustness(name))
 	r.defaults[name][j.ID] = t
 	return t
 }

@@ -28,7 +28,7 @@ type Figure1 struct {
 // reports that configuration's per-job changes (capped at maxJobs jobs, 65 in
 // the paper's plot).
 func (r *Runner) Figure1(name string, days, maxJobs int) (*Figure1, error) {
-	h := r.Harness(name)
+	p := r.Pipeline(name)
 	as := r.AnalyzedJobs(name, 0)
 	// Rank candidate base jobs by their best improvement.
 	type scored struct {
@@ -53,7 +53,7 @@ func (r *Runner) Figure1(name string, days, maxJobs int) (*Figure1, error) {
 	for d := 0; d < days; d++ {
 		corpus = append(corpus, r.Day(name, d)...)
 	}
-	groups, err := r.Pipeline(name).Grouper().Group(corpus)
+	groups, err := p.Grouper().Group(corpus)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +79,7 @@ func (r *Runner) Figure1(name string, days, maxJobs int) (*Figure1, error) {
 			group = group[:maxJobs]
 		}
 		cfg := a.BestAlternative(steering.MetricRuntime).Config
-		cmp := steering.Extrapolate(h, cfg, group)
+		cmp := steering.Extrapolate(p, cfg, group)
 		if len(cmp) == 0 {
 			continue
 		}
@@ -152,7 +152,6 @@ func (r *Runner) Served(day int, names ...string) (*Served, error) {
 			}
 		}
 		row := ServedRow{Workload: name, Steered: rep.Steered, Groups: rep.Groups}
-		h := r.Harness(name)
 		g := p.Grouper()
 		for _, j := range r.Day(name, day+1) {
 			sig, err := g.DefaultSignature(j)
@@ -163,7 +162,7 @@ func (r *Runner) Served(day int, names ...string) (*Served, error) {
 			if !ok {
 				continue
 			}
-			for _, c := range steering.Extrapolate(h, cfg, []*workload.Job{j}) {
+			for _, c := range steering.Extrapolate(p, cfg, []*workload.Job{j}) {
 				row.Jobs++
 				row.DefaultSec += c.Default.Metrics.RuntimeSec
 				row.ServedSec += c.New.Metrics.RuntimeSec

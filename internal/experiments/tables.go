@@ -238,24 +238,12 @@ func (r *Runner) Table4(day, perWorkload int) (*Table4, error) {
 			out.Rows = append(out.Rows, Table4Row{
 				Job:         fmt.Sprintf("Q_%s%d (%s)", name, i+1, a.Job.ID),
 				PctChange:   sc[i].pct,
-				OnlyDefault: ruleNames(h.Opt.Rules, diff.OnlyDefault),
-				OnlyBest:    ruleNames(h.Opt.Rules, diff.OnlyNew),
+				OnlyDefault: h.Opt.Rules.Names(diff.OnlyDefault),
+				OnlyBest:    h.Opt.Rules.Names(diff.OnlyNew),
 			})
 		}
 	}
 	return out, nil
-}
-
-func ruleNames(rs *cascades.RuleSet, ids []int) []string {
-	out := make([]string, 0, len(ids))
-	for _, id := range ids {
-		if ri, ok := rs.Info(id); ok {
-			out = append(out, ri.Name)
-		} else {
-			out = append(out, fmt.Sprintf("rule#%d", id))
-		}
-	}
-	return out
 }
 
 // Render prints the table.

@@ -1,6 +1,7 @@
 package steering
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -47,17 +48,11 @@ func (p *Pipeline) Grouper() *Grouper {
 }
 
 // DefaultSignature compiles (or, through the compile cache, recalls) the
-// job's default rule signature.
-func (g *Grouper) DefaultSignature(job *workload.Job) (bitvec.Vector, error) {
-	return g.compileSignature(job, g.Harness.Opt.Rules.DefaultConfig())
-}
-
-// compileSignature compiles job under cfg, the default configuration (built
-// once per Group: on a warm pass building it would cost more than the probe),
-// through the compile cache. Only the signature is kept, so the plan-less
+// job's default rule signature. Only the signature is kept, so the plan-less
 // compile skips building a physical DAG that would be dropped on the next
 // line.
-func (g *Grouper) compileSignature(job *workload.Job, cfg bitvec.Vector) (bitvec.Vector, error) {
+func (g *Grouper) DefaultSignature(job *workload.Job) (bitvec.Vector, error) {
+	cfg := g.Harness.Opt.Rules.DefaultConfig()
 	v, _, err := g.compiles.compile(job, cfg, false, func() (*cascades.Result, error) {
 		return g.Harness.Opt.OptimizeCost(job.Root, cfg)
 	})
@@ -91,9 +86,8 @@ func (g *Grouper) Group(jobs []*workload.Job) ([]*JobGroup, error) {
 		of[i] = len(fresh)
 		fresh = append(fresh, j)
 	}
-	cfg := g.Harness.Opt.Rules.DefaultConfig()
 	sigs, err := par.Map(g.Harness.Workers, fresh, func(_ int, j *workload.Job) (bitvec.Vector, error) {
-		return g.compileSignature(j, cfg)
+		return g.DefaultSignature(j)
 	})
 	if err != nil {
 		return nil, err
@@ -135,15 +129,19 @@ type Comparison struct {
 
 // Extrapolate applies a discovered configuration to each job (typically the
 // members of the base job's group across days, §6.4) and compares against the
-// default execution. Jobs that fail to compile under cfg are skipped.
-func Extrapolate(h *abtest.Harness, cfg bitvec.Vector, jobs []*workload.Job) []Comparison {
+// default execution. Both runs are Pipeline.Trial, so a job whose default or
+// cfg's class the cache holds a plan for executes it without compiling. Jobs
+// that fail to compile under cfg are skipped.
+func Extrapolate(p *Pipeline, cfg bitvec.Vector, jobs []*workload.Job) []Comparison {
+	ctx := context.Background()
+	defCfg := p.Harness.Opt.Rules.DefaultConfig()
 	out := make([]Comparison, 0, len(jobs))
 	for _, j := range jobs {
-		def := h.RunConfig(j.Root, h.Opt.Rules.DefaultConfig(), j.Day, DefaultTag(j.ID))
+		def := p.Trial(ctx, j, defCfg, DefaultTag(j.ID), nil)
 		if def.Err != nil {
 			continue
 		}
-		alt := h.RunConfig(j.Root, cfg, j.Day, j.ID+"/extrapolated")
+		alt := p.Trial(ctx, j, cfg, j.ID+"/extrapolated", nil)
 		if alt.Err != nil {
 			continue
 		}

@@ -30,19 +30,7 @@ type Hints struct {
 // rendered as "rule#<id>".
 func HintsFor(cfg bitvec.Vector, rs *cascades.RuleSet) Hints {
 	def := rs.DefaultConfig()
-	name := func(id int) string {
-		if ri, ok := rs.Info(id); ok {
-			return ri.Name
-		}
-		return fmt.Sprintf("rule#%d", id)
-	}
-	var h Hints
-	for _, id := range def.AndNot(cfg).Ones() {
-		h.Disable = append(h.Disable, name(id))
-	}
-	for _, id := range cfg.AndNot(def).Ones() {
-		h.Enable = append(h.Enable, name(id))
-	}
+	h := Hints{Disable: rs.Names(def.AndNot(cfg).Ones()), Enable: rs.Names(cfg.AndNot(def).Ones())}
 	sort.Strings(h.Disable)
 	sort.Strings(h.Enable)
 	return h
@@ -108,26 +96,6 @@ func ParseHints(text string, rs *cascades.RuleSet) (bitvec.Vector, error) {
 	return cfg, nil
 }
 
-// Recommendation packages a discovered configuration for handoff to a
-// workload owner: the hints, the evidence it was selected on, and the job
-// group it is expected to transfer to.
-type Recommendation struct {
-	// Workload and BaseJob identify where the configuration was found.
-	Workload string `json:"workload"`
-	BaseJob  string `json:"base_job"`
-	// GroupSignature is the default rule signature (hex) of the job group
-	// the recommendation extrapolates to (Definition 6.2).
-	GroupSignature string `json:"group_signature"`
-	// ConfigHex is the full configuration bit vector in hex.
-	ConfigHex string `json:"config_hex"`
-	// Hints is the human-facing diff from the default configuration.
-	Hints string `json:"hints"`
-	// DefaultRuntimeSec and SteeredRuntimeSec record the base job's A/B
-	// measurement.
-	DefaultRuntimeSec float64 `json:"default_runtime_sec"`
-	SteeredRuntimeSec float64 `json:"steered_runtime_sec"`
-}
-
 // MinimalConfig returns the deployable configuration for an analysis whose
 // best alternative beats the default, minimized against the job span: rules
 // outside the span cannot affect the plan (Definition 5.1), so their bits
@@ -146,24 +114,4 @@ func MinimalConfig(a *Analysis, rs *cascades.RuleSet) (bitvec.Vector, bool) {
 		minimal.Assign(id, best.Config.Get(id))
 	}
 	return minimal, true
-}
-
-// Recommend builds the recommendation for an analysis whose best alternative
-// beats the default (see MinimalConfig). Returns nil when no alternative
-// improved the runtime.
-func Recommend(a *Analysis, rs *cascades.RuleSet) *Recommendation {
-	minimal, ok := MinimalConfig(a, rs)
-	if !ok {
-		return nil
-	}
-	best := a.BestAlternative(MetricRuntime)
-	return &Recommendation{
-		Workload:          a.Job.Workload,
-		BaseJob:           a.Job.ID,
-		GroupSignature:    a.Default.Signature.Hex(),
-		ConfigHex:         minimal.Hex(),
-		Hints:             HintsFor(minimal, rs).String(),
-		DefaultRuntimeSec: a.Default.Metrics.RuntimeSec,
-		SteeredRuntimeSec: best.Metrics.RuntimeSec,
-	}
 }

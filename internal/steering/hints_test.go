@@ -65,11 +65,15 @@ func TestParseHintsErrors(t *testing.T) {
 	}
 }
 
+// TestRecommend: the recommendation `steerq pipeline` prints is
+// MinimalConfig rendered by HintsFor. There is none without an improving
+// alternative; otherwise the hints parse back to the minimized
+// configuration, which agrees with the measured one on every span rule and
+// toggles nothing outside the span.
 func TestRecommend(t *testing.T) {
 	cat := steerCatalog()
 	h := steerHarness(cat)
 	job := steerJob(t, cat)
-	job.Workload = "A"
 	p := steering.NewPipeline(h, xrand.New(3))
 	p.MaxCandidates = 60
 	p.ExecutePerJob = 5
@@ -77,34 +81,31 @@ func TestRecommend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := steering.Recommend(a, h.Opt.Rules)
+	rs := h.Opt.Rules
+	minimal, ok := steering.MinimalConfig(a, rs)
 	best := a.BestAlternative(steering.MetricRuntime)
 	if best == nil || best.Metrics.RuntimeSec >= a.Default.Metrics.RuntimeSec {
-		if rec != nil {
+		if ok {
 			t.Fatal("recommendation issued without an improvement")
 		}
 		t.Skip("no improving alternative at this seed")
 	}
-	if rec == nil {
+	if !ok {
 		t.Fatal("no recommendation despite an improving alternative")
 	}
-	if rec.SteeredRuntimeSec >= rec.DefaultRuntimeSec {
-		t.Fatalf("recommendation does not improve: %+v", rec)
-	}
-	// The hints reconstruct the minimized configuration, which agrees with
-	// the measured configuration on every span rule.
-	cfg, err := steering.ParseHints(rec.Hints, h.Opt.Rules)
+	cfg, err := steering.ParseHints(steering.HintsFor(minimal, rs).String(), rs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !cfg.Equal(minimal) {
+		t.Fatal("hints do not round-trip the minimized configuration")
 	}
 	for _, id := range a.Span.Ones() {
 		if cfg.Get(id) != best.Config.Get(id) {
 			t.Fatalf("minimized configuration disagrees with the measured one on span rule %d", id)
 		}
 	}
-	// And names only span toggles: nothing outside the span differs from
-	// the default.
-	if !a.Span.Contains(cfg.Xor(h.Opt.Rules.DefaultConfig())) {
+	if !a.Span.Contains(cfg.Xor(rs.DefaultConfig())) {
 		t.Fatal("recommendation toggles rules outside the job span")
 	}
 }

@@ -1,10 +1,12 @@
 package steering
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"steerq/internal/bitvec"
+	"steerq/internal/cascades"
 )
 
 // iterativeRounds is how many feedback rounds IterativeSearch splits the
@@ -37,8 +39,9 @@ type RoundTrial struct {
 // reweight the sampling — rules whose flips correlated with runtime
 // improvements are flipped more often, rules that correlated with
 // regressions revert toward the default. It reads only a's job, span and
-// default trial, and compiles the candidates on one plan-less optimizer
-// session.
+// default trial. Candidates compile plan-less and trials execute through the
+// pipeline's compile cache, on one optimizer session, so a second search
+// over the same analysis compiles nothing.
 func IterativeSearch(p *Pipeline, a *Analysis) (*IterativeResult, error) {
 	h := p.Harness
 	rs := h.Opt.Rules
@@ -46,9 +49,9 @@ func IterativeSearch(p *Pipeline, a *Analysis) (*IterativeResult, error) {
 	def := rs.DefaultConfig()
 	perRound := p.MaxCandidates / iterativeRounds
 	executePerRound := p.ExecutePerJob / iterativeRounds
-	// Every trial compiles the plan it executes, so a round samples its
-	// compile budget minus its executions' worth of candidates, no-plan
-	// ones included.
+	// A trial compiles the plan it executes unless the cache keeps one, so
+	// a round samples its compile budget minus its executions' worth of
+	// candidates, no-plan ones included: M bounds an uncached search.
 	samplePerRound := perRound - executePerRound
 
 	res := &IterativeResult{}
@@ -93,11 +96,13 @@ func IterativeSearch(p *Pipeline, a *Analysis) (*IterativeResult, error) {
 			}
 			seen[cfg.Key()] = true
 			compiled++
-			c, err := sess.Optimize(cfg, false)
+			v, _, err := p.Cache.compile(job, cfg, false, func() (*cascades.Result, error) {
+				return sess.Optimize(cfg, false)
+			})
 			if err != nil {
 				continue
 			}
-			cands = append(cands, Candidate{Config: cfg, EstCost: c.Cost, Signature: c.Signature})
+			cands = append(cands, Candidate{Config: cfg, EstCost: v.Cost, Signature: v.Signature})
 		}
 		// Execute the cheapest distinct-signature candidates.
 		sort.SliceStable(cands, func(i, j int) bool { return cands[i].EstCost < cands[j].EstCost })
@@ -111,7 +116,7 @@ func IterativeSearch(p *Pipeline, a *Analysis) (*IterativeResult, error) {
 			}
 			seenSig[c.Signature.Key()] = true
 			executed++
-			t := h.RunConfig(job.Root, c.Config, job.Day, fmt.Sprintf("%s/it%d-%d", job.ID, round, executed))
+			t := p.trial(context.Background(), sess, job, c.Config, fmt.Sprintf("%s/it%d-%d", job.ID, round, executed), nil)
 			if t.Err != nil {
 				continue
 			}
@@ -185,12 +190,14 @@ type Independence struct {
 	// Groups partitions the probed span rules; rules in different groups
 	// were observed independent.
 	Groups [][]int
-	// Compilations counts optimizer invocations spent probing.
+	// Compilations counts the probes issued, whether the compile cache
+	// answered them or the optimizer ran.
 	Compilations int
 }
 
 // ProbeIndependence partitions a job's span rules into interaction groups,
-// compiling every probe on one plan-less optimizer session.
+// compiling every probe plan-less on one optimizer session through the
+// pipeline's compile cache.
 func ProbeIndependence(p *Pipeline, a *Analysis) (*Independence, error) {
 	h := p.Harness
 	rs := h.Opt.Rules
@@ -206,11 +213,13 @@ func ProbeIndependence(p *Pipeline, a *Analysis) (*Independence, error) {
 	defer sess.Close()
 	sig := func(cfg bitvec.Vector) (bitvec.Vector, bool) {
 		out.Compilations++
-		res, err := sess.Optimize(cfg, false)
+		v, _, err := p.Cache.compile(job, cfg, false, func() (*cascades.Result, error) {
+			return sess.Optimize(cfg, false)
+		})
 		if err != nil {
 			return bitvec.Vector{}, false
 		}
-		return res.Signature, true
+		return v.Signature, true
 	}
 	s0, ok := sig(def)
 	if !ok {

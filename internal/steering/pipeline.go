@@ -349,6 +349,17 @@ func (t compileTag) name(jobID string) string {
 	return jobID + "/" + t.kind + strconv.Itoa(t.n)
 }
 
+// Trial is one A/B run of job under cfg — Harness.RunConfigCtx through the
+// pipeline's compile cache, on an optimizer session of its own. It is the
+// trial every caller outside an analysis runs (extrapolation, the
+// experiments' default runs and random picks): tag names the run's exec
+// noise and fault decisions, and rec, when non-nil, tallies its retries.
+func (p *Pipeline) Trial(ctx context.Context, job *workload.Job, cfg bitvec.Vector, tag string, rec *faults.Record) abtest.Trial {
+	sess := p.Harness.Opt.NewSession(job.Root)
+	defer sess.Close()
+	return p.trial(ctx, sess, job, cfg, tag, rec)
+}
+
 // trial is Harness.RunConfigCtx through the analysis's compile path: the
 // plan an earlier trial of cfg's footprint class left in the cache is
 // executed as is, and a plan compiled here is left for the next trial — a

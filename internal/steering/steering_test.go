@@ -403,18 +403,3 @@ func TestGrouperKeepsUnfingerprintedJobsApart(t *testing.T) {
 		}
 	}
 }
-
-func TestExtrapolateSkipsUncompilable(t *testing.T) {
-	cat := steerCatalog()
-	h := steerHarness(cat)
-	job := steerJob(t, cat)
-	// A configuration that cannot compile (all join impls off).
-	cfg := h.Opt.Rules.DefaultConfig()
-	for _, id := range []int{rules.IDHashJoinImpl1, rules.IDJoinImpl2, rules.IDMergeJoinImpl, rules.IDJoinToApplyIndex1} {
-		cfg.Clear(id)
-	}
-	out := steering.Extrapolate(h, cfg, []*workload.Job{job})
-	if len(out) != 0 {
-		t.Fatalf("uncompilable extrapolation produced %d comparisons", len(out))
-	}
-}
