@@ -4,7 +4,9 @@
 # Stages, in order:
 #   1. go build ./...            everything compiles
 #   2. gofmt -l                  no unformatted files
-#   3. go vet ./...              stdlib vet findings
+#   3. go vet ./...              stdlib vet findings, plus internal/nn vetted
+#                                for arm64 so the build without the amd64
+#                                kernel bodies (portable only) compiles too
 #   4. go run ./cmd/steerq-lint  all eight project analyzers (see README); each
 #                                finding prints to the log as
 #                                file:line:col: analyzer: message and any
@@ -129,7 +131,7 @@
 #                                pin BENCHMARK.json to `-manifest`, check the
 #                                oracles against tampered outputs and smoke
 #                                all five workloads offline
-#  16. short fuzz pass           65s total over the scopeql lexer (token
+#  16. short fuzz pass           75s total over the scopeql lexer (token
 #                                texts and positions against the source,
 #                                seeded where its ASCII fast path ends or
 #                                hands over to the Unicode path), parser and
@@ -137,8 +139,10 @@
 #                                round trip, and the binder's plan piles
 #                                against the sizes counted for them),
 #                                the bundle decoder, xrand's generator
-#                                against math/rand's and the column-statistics
-#                                merge against its map reference
+#                                against math/rand's, the column-statistics
+#                                merge against its map reference and the nn
+#                                training kernel bodies (AVX2 on a CPU that
+#                                has it) against the portable ones
 #
 # Set STEERQ_CI_SKIP_FUZZ=1 to skip stage 16 (e.g. on very slow machines).
 set -eu
@@ -156,6 +160,7 @@ fi
 
 echo "== vet =="
 go vet ./...
+GOARCH=arm64 go vet ./internal/nn/
 
 echo "== steerq-lint =="
 go run ./cmd/steerq-lint ./...
@@ -339,6 +344,7 @@ if [ "${STEERQ_CI_SKIP_FUZZ:-0}" != "1" ]; then
     go test -fuzz=FuzzBundleDecode -fuzztime=15s ./internal/bundle/
     go test -fuzz=FuzzSourceMatchesMathRand -fuzztime=10s ./internal/xrand/
     go test -fuzz=FuzzNDVsMerge -fuzztime=5s ./internal/cost/
+    go test -fuzz=FuzzKernelsMatchPortable -fuzztime=10s ./internal/nn/
 fi
 
 echo "CI OK"

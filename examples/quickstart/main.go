@@ -61,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\njob span: %d of %d non-required rules\n", span.Count(), len(rs.NonRequiredIDs()))
+	fmt.Printf("\njob span: %d of %d non-required rules\n", span.Count(), rs.NonRequired().Count())
 
 	// Run the discovery pipeline: sample candidate configurations from the
 	// span, recompile them, execute the 10 cheapest, keep the best.

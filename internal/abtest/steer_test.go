@@ -39,7 +39,7 @@ func TestRunSteeredConsultsSteerer(t *testing.T) {
 	// A steerer that knows this signature redirects the compile. Flip one
 	// non-required optional bit off so the config differs but still compiles.
 	alt := def
-	for _, id := range h.Opt.Rules.NonRequiredIDs() {
+	for _, id := range h.Opt.Rules.NonRequired().Ones() {
 		if def.Get(id) {
 			alt.Clear(id)
 			break

@@ -399,7 +399,7 @@ func TestDefaultConfigCategories(t *testing.T) {
 	if !cfg.Get(1) || cfg.Get(2) || !cfg.Get(3) || !cfg.Get(4) {
 		t.Fatalf("default config %v", cfg)
 	}
-	ids := rs.NonRequiredIDs()
+	ids := rs.NonRequired().Ones()
 	if len(ids) != 3 {
 		t.Fatalf("non-required IDs %v", ids)
 	}

@@ -135,8 +135,9 @@ type RuleSet struct {
 	// that key a Session's explored memos.
 	transformMask bitvec.Vector
 
-	// defaultConfig is DefaultConfig's value, computed once by NewRuleSet.
-	defaultConfig bitvec.Vector
+	// defaultConfig and nonRequired are DefaultConfig's and NonRequired's
+	// values, computed once by NewRuleSet.
+	defaultConfig, nonRequired bitvec.Vector
 }
 
 // NewRuleSet assembles a rule set and verifies rule IDs are unique and in
@@ -172,12 +173,15 @@ func NewRuleSet(transforms []TransformRule, implements []ImplementRule, extra []
 	return rs, nil
 }
 
-// indexByOp builds the per-operator rule lists, the transform mask and the
-// default configuration.
+// indexByOp builds the per-operator rule lists, the transform mask, the
+// default configuration and the non-required rules.
 func (rs *RuleSet) indexByOp() {
 	for id, ri := range rs.infos {
 		if ri.Category != OffByDefault {
 			rs.defaultConfig.Set(id)
+		}
+		if ri.Category != Required {
+			rs.nonRequired.Set(id)
 		}
 	}
 	for _, r := range rs.Transforms {
@@ -254,15 +258,7 @@ func (rs *RuleSet) Names(ids []int) []string {
 	return out
 }
 
-// NonRequiredIDs returns the IDs of all rules outside the Required category
-// — the "learnable" rules the configuration search may toggle (the paper's
-// 219 non-required rules).
-func (rs *RuleSet) NonRequiredIDs() []int {
-	var out []int
-	for id := 0; id < bitvec.Width; id++ {
-		if ri, ok := rs.infos[id]; ok && ri.Category != Required {
-			out = append(out, id)
-		}
-	}
-	return out
-}
+// NonRequired returns the set of all rules outside the Required category —
+// the "learnable" rules the configuration search may toggle (the paper's 219
+// non-required rules).
+func (rs *RuleSet) NonRequired() bitvec.Vector { return rs.nonRequired }

@@ -130,7 +130,7 @@ func (r *Runner) SpanSearch(name string, day, jobs, m int) (*AblationSpanSearch,
 	idx := rnd.Sample(len(all), jobs)
 	out := &AblationSpanSearch{Workload: name}
 
-	nonRequired := bitvec.New(h.Opt.Rules.NonRequiredIDs()...)
+	nonRequired := h.Opt.Rules.NonRequired()
 	// Each job tallies into its own slot; the serial reduce below sums them
 	// in input order, so the totals match a Workers=1 run exactly.
 	type tally struct {

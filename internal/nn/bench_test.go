@@ -1,9 +1,8 @@
-package nn_test
+package nn
 
 import (
 	"testing"
 
-	"steerq/internal/nn"
 	"steerq/internal/xrand"
 )
 
@@ -18,15 +17,15 @@ func BenchmarkTrain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net := nn.New(benchIn, benchHidden, benchOut, xrand.New(7).Derive("init"))
-		benchSink = net.Train(samples, nn.DefaultTrainConfig(), xrand.New(7).Derive("train"))
+		net := New(benchIn, benchHidden, benchOut, xrand.New(7).Derive("init"))
+		benchSink = net.Train(samples, DefaultTrainConfig(), xrand.New(7).Derive("train"))
 	}
 }
 
 func BenchmarkForward(b *testing.B) {
 	samples := benchShapeSamples(benchSamples, benchIn, benchOut, 7)
-	net := nn.New(benchIn, benchHidden, benchOut, xrand.New(7).Derive("init"))
-	var e nn.Eval
+	net := New(benchIn, benchHidden, benchOut, xrand.New(7).Derive("init"))
+	var e Eval
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,11 +1,10 @@
-package nn_test
+package nn
 
 import (
 	"encoding/json"
 	"hash/fnv"
 	"testing"
 
-	"steerq/internal/nn"
 	"steerq/internal/xrand"
 )
 
@@ -25,9 +24,9 @@ const (
 // shape — the layout feature.Encode produces: one continuous value, two
 // 50-bin one-hots, a block of mostly-zero continuous slots and 0/1 bits —
 // about 30 % dense.
-func benchShapeSamples(n, in, out int, seed uint64) []nn.Sample {
+func benchShapeSamples(n, in, out int, seed uint64) []Sample {
 	r := xrand.New(seed).Derive("bench-shape")
-	samples := make([]nn.Sample, n)
+	samples := make([]Sample, n)
 	for s := range samples {
 		x := make([]float64, in)
 		x[0] = r.Float64()
@@ -46,16 +45,14 @@ func benchShapeSamples(n, in, out int, seed uint64) []nn.Sample {
 			y[o] = r.Float64()
 		}
 		y[r.Intn(out)] = 0
-		samples[s] = nn.Sample{X: x, Y: y}
+		samples[s] = Sample{X: x, Y: y}
 	}
 	return samples
 }
 
-func trainedHash(t *testing.T, in, hidden, out int, samples []nn.Sample, cfg nn.TrainConfig, seed uint64) uint64 {
+// netHash is the FNV-1a 64 hash of a network's JSON.
+func netHash(t *testing.T, net *Network) uint64 {
 	t.Helper()
-	root := xrand.New(seed)
-	net := nn.New(in, hidden, out, root.Derive("init"))
-	net.Train(samples, cfg, root.Derive("train"))
 	data, err := json.Marshal(net)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +62,23 @@ func trainedHash(t *testing.T, in, hidden, out int, samples []nn.Sample, cfg nn.
 	return h.Sum64()
 }
 
-func TestTrainedWeightsGolden(t *testing.T) {
+// goldenCase is one training run whose trained weights are pinned.
+type goldenCase struct {
+	name            string
+	in, hidden, out int
+	samples         []Sample
+	cfg             TrainConfig
+	seed            uint64
+	want            uint64
+}
+
+// network returns the case's untrained network and its training stream.
+func (c goldenCase) network() (*Network, *xrand.Source) {
+	root := xrand.New(c.seed)
+	return New(c.in, c.hidden, c.out, root.Derive("init")), root.Derive("train")
+}
+
+func goldenCases() []goldenCase {
 	masked := synthSamples(21, 9, 4, 31)
 	for s := range masked {
 		switch s % 3 {
@@ -77,23 +90,21 @@ func TestTrainedWeightsGolden(t *testing.T) {
 	}
 	masked[5].Mask = []bool{false, false, false, false}
 
-	cases := []struct {
-		name            string
-		in, hidden, out int
-		samples         []nn.Sample
-		cfg             nn.TrainConfig
-		seed            uint64
-		want            uint64
-	}{
+	return []goldenCase{
 		// The benchmark shape: sparse one-hot inputs, one batch per epoch.
-		{"sparse", 180, 64, 4, benchShapeSamples(16, 180, 4, 7), nn.TrainConfig{Epochs: 100, BatchSize: 16, LR: 1e-3, L2: 1e-5}, 7, goldenSparse},
+		{"sparse", 180, 64, 4, benchShapeSamples(16, 180, 4, 7), TrainConfig{Epochs: 100, BatchSize: 16, LR: 1e-3, L2: 1e-5}, 7, goldenSparse},
 		// Dense inputs, several batches per epoch, a short last batch.
-		{"dense", 12, 10, 3, synthSamples(37, 12, 3, 3), nn.TrainConfig{Epochs: 40, BatchSize: 8, LR: 5e-3, L2: 1e-4}, 11, goldenDense},
+		{"dense", 12, 10, 3, synthSamples(37, 12, 3, 3), TrainConfig{Epochs: 40, BatchSize: 8, LR: 5e-3, L2: 1e-4}, 11, goldenDense},
 		// Masked outputs (one sample fully masked), no weight decay.
-		{"masked", 9, 7, 4, masked, nn.TrainConfig{Epochs: 50, BatchSize: 5, LR: 1e-2}, 13, goldenMasked},
+		{"masked", 9, 7, 4, masked, TrainConfig{Epochs: 50, BatchSize: 5, LR: 1e-2}, 13, goldenMasked},
 	}
-	for _, c := range cases {
-		if got := trainedHash(t, c.in, c.hidden, c.out, c.samples, c.cfg, c.seed); got != c.want {
+}
+
+func TestTrainedWeightsGolden(t *testing.T) {
+	for _, c := range goldenCases() {
+		net, r := c.network()
+		net.Train(c.samples, c.cfg, r)
+		if got := netHash(t, net); got != c.want {
 			t.Errorf("%s: trained weights hash %#016x, golden %#016x", c.name, got, c.want)
 		}
 	}

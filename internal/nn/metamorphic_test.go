@@ -1,20 +1,19 @@
-package nn_test
+package nn
 
 import (
 	"encoding/json"
 	"math"
 	"testing"
 
-	"steerq/internal/nn"
 	"steerq/internal/xrand"
 )
 
 // synthSamples builds a deterministic synthetic training set where the target
 // of each output is a smooth function of the inputs — learnable but not
 // trivially constant.
-func synthSamples(n, in, out int, seed uint64) []nn.Sample {
+func synthSamples(n, in, out int, seed uint64) []Sample {
 	r := xrand.New(seed).Derive("synth")
-	samples := make([]nn.Sample, n)
+	samples := make([]Sample, n)
 	for s := range samples {
 		x := make([]float64, in)
 		for i := range x {
@@ -32,7 +31,7 @@ func synthSamples(n, in, out int, seed uint64) []nn.Sample {
 			}
 			y[o] = 1 / (1 + math.Exp(-v)) // separable-ish smooth target in (0, 1)
 		}
-		samples[s] = nn.Sample{X: x, Y: y}
+		samples[s] = Sample{X: x, Y: y}
 	}
 	return samples
 }
@@ -42,7 +41,7 @@ func synthSamples(n, in, out int, seed uint64) []nn.Sample {
 // with a central finite difference of BCELoss at every probed parameter.
 func TestGradientsMatchFiniteDifference(t *testing.T) {
 	const in, hidden, out = 4, 5, 3
-	net := nn.New(in, hidden, out, xrand.New(7).Derive("init"))
+	net := New(in, hidden, out, xrand.New(7).Derive("init"))
 	samples := synthSamples(12, in, out, 21)
 	// Mask a few outputs so the masked path is under test too.
 	samples[0].Mask = []bool{true, false, true}
@@ -79,7 +78,7 @@ func TestGradientsMatchFiniteDifference(t *testing.T) {
 }
 
 func TestGradientsAllMaskedAreZero(t *testing.T) {
-	net := nn.New(3, 4, 2, xrand.New(9).Derive("init"))
+	net := New(3, 4, 2, xrand.New(9).Derive("init"))
 	samples := synthSamples(5, 3, 2, 5)
 	for i := range samples {
 		samples[i].Mask = []bool{false, false}
@@ -114,7 +113,7 @@ func TestLossDecreasesOnSeparableSet(t *testing.T) {
 	const in, out = 4, 2
 	// Separable: output o is 1 exactly when x[o] > 0.
 	r := xrand.New(3).Derive("sep")
-	samples := make([]nn.Sample, 64)
+	samples := make([]Sample, 64)
 	for s := range samples {
 		x := make([]float64, in)
 		for i := range x {
@@ -126,17 +125,17 @@ func TestLossDecreasesOnSeparableSet(t *testing.T) {
 				y[o] = 1
 			}
 		}
-		samples[s] = nn.Sample{X: x, Y: y}
+		samples[s] = Sample{X: x, Y: y}
 	}
 
 	train := func(epochs int) float64 {
-		net := nn.New(in, 8, out, xrand.New(11).Derive("init"))
-		cfg := nn.TrainConfig{Epochs: epochs, BatchSize: 16, LR: 1e-2, L2: 0}
+		net := New(in, 8, out, xrand.New(11).Derive("init"))
+		cfg := TrainConfig{Epochs: epochs, BatchSize: 16, LR: 1e-2, L2: 0}
 		net.Train(samples, cfg, xrand.New(11).Derive("train"))
 		return net.BCELoss(samples)
 	}
 
-	initial := nn.New(in, 8, out, xrand.New(11).Derive("init")).BCELoss(samples)
+	initial := New(in, 8, out, xrand.New(11).Derive("init")).BCELoss(samples)
 	short := train(40)
 	long := train(160)
 	if short >= initial {
@@ -157,15 +156,15 @@ func TestLossDecreasesOnSeparableSet(t *testing.T) {
 func TestTrainingReseedDerivedBitIdentical(t *testing.T) {
 	const in, hidden, out = 5, 6, 3
 	samples := synthSamples(24, in, out, 77)
-	cfg := nn.TrainConfig{Epochs: 30, BatchSize: 8, LR: 1e-3, L2: 1e-5}
+	cfg := TrainConfig{Epochs: 30, BatchSize: 8, LR: 1e-3, L2: 1e-5}
 
 	root := xrand.New(42)
-	a := nn.New(in, hidden, out, root.Derive("init", ""))
+	a := New(in, hidden, out, root.Derive("init", ""))
 	lossA := a.Train(samples, cfg, root.Derive("train", "epochs"))
 
 	scratch := xrand.New(0)
 	root.ReseedDerivedBytes(scratch, "init", nil)
-	b := nn.New(in, hidden, out, scratch)
+	b := New(in, hidden, out, scratch)
 	root.ReseedDerivedBytes(scratch, "train", []byte("epochs"))
 	lossB := b.Train(samples, cfg, scratch)
 
@@ -189,12 +188,12 @@ func TestTrainingReseedDerivedBitIdentical(t *testing.T) {
 // sample multiset, not its order (up to float summation error).
 func TestBCELossPermutationInvariant(t *testing.T) {
 	const in, out = 4, 2
-	net := nn.New(in, 6, out, xrand.New(5).Derive("init"))
+	net := New(in, 6, out, xrand.New(5).Derive("init"))
 	samples := synthSamples(40, in, out, 13)
 	base := net.BCELoss(samples)
 
 	perm := xrand.New(99).Derive("perm").Perm(len(samples))
-	shuffled := make([]nn.Sample, len(samples))
+	shuffled := make([]Sample, len(samples))
 	for i, p := range perm {
 		shuffled[i] = samples[p]
 	}

@@ -4,7 +4,11 @@
 // mean squared error ("we really only care about choosing the fastest
 // configuration").
 //
-// Only the standard library is used; the math is plain float64 slices.
+// Only the standard library is used. Train's two vector operations, the
+// fused Adam step and axpy (kernel.go), have a portable Go body and, on
+// amd64, an AVX2 body (kernel_amd64.s) that a CPUID check picks once at
+// init; every body trains the same bits, and the portable one is the
+// reference the tests hold the others to.
 //
 // One model is trained per job group and retrained on a schedule;
 // TestTrainAllocationBudget keeps the epoch loop free of allocation. DESIGN.md ("Training kernel") states what may and
@@ -30,15 +34,13 @@ type Network struct {
 	B1 []float64   `json:"b1"`
 	W2 [][]float64 `json:"w2"`
 	B2 []float64   `json:"b2"`
-
-	// flat is the one array W1, B1, W2 and B2 are views into, in that order
-	// (see slab).
-	flat []float64
 }
 
 // params is one parameter-shaped array — W1 rows, B1, W2 rows, B2, back to
-// back — with the four views into it. Weights, gradients and Adam moments all
-// use this layout, so an optimisation step is one loop over flat.
+// back — with the four views into it. New lays a network out this way, with
+// W1 as [Hidden][In]. Train's working copy, gradient and Adam moments use
+// W1ᵀ, [In][Hidden] (newTrainParams), so one input's weights to every hidden
+// unit are one contiguous row and an Adam step is one loop over flat.
 type params struct {
 	flat []float64
 	w1   [][]float64
@@ -47,12 +49,17 @@ type params struct {
 	b2   []float64
 }
 
-func paramCount(in, hidden, out int) int { return hidden*in + hidden + out*hidden + out }
+func newParams(in, hidden, out int) params { return carve(hidden, in, hidden, out) }
 
-func newParams(in, hidden, out int) params {
+func newTrainParams(in, hidden, out int) params { return carve(in, hidden, hidden, out) }
+
+// carve allocates one array and cuts it into a w1Rows x w1Cols W1 block, B1,
+// W2 and B2. Rows are capacity-limited views, so an append on one cannot run
+// into its neighbour.
+func carve(w1Rows, w1Cols, hidden, out int) params {
 	p := params{
-		flat: make([]float64, paramCount(in, hidden, out)),
-		w1:   make([][]float64, hidden),
+		flat: make([]float64, w1Rows*w1Cols+hidden+out*hidden+out),
+		w1:   make([][]float64, w1Rows),
 		w2:   make([][]float64, out),
 	}
 	rest := p.flat
@@ -61,8 +68,8 @@ func newParams(in, hidden, out int) params {
 		rest = rest[n:]
 		return v
 	}
-	for h := range p.w1 {
-		p.w1[h] = take(in)
+	for r := range p.w1 {
+		p.w1[r] = take(w1Cols)
 	}
 	p.b1 = take(hidden)
 	for o := range p.w2 {
@@ -72,15 +79,30 @@ func newParams(in, hidden, out int) params {
 	return p
 }
 
-// adopt makes p the network's parameters.
-func (n *Network) adopt(p params) {
-	n.W1, n.B1, n.W2, n.B2, n.flat = p.w1, p.b1, p.w2, p.b2, p.flat
+// views is the network's parameters as params, without flat.
+func (n *Network) views() params {
+	return params{w1: n.W1, b1: n.B1, w2: n.W2, b2: n.B2}
+}
+
+// transposeInto copies p's values into q, whose W1 block is p's transposed:
+// a network's views into a working copy, or back.
+func (p params) transposeInto(q params) {
+	for r, row := range p.w1 {
+		for c, x := range row {
+			q.w1[c][r] = x
+		}
+	}
+	copy(q.b1, p.b1)
+	for o, row := range p.w2 {
+		copy(q.w2[o], row)
+	}
+	copy(q.b2, p.b2)
 }
 
 // New builds a network with He-initialized weights, deterministic in r.
 func New(in, hidden, out int, r *xrand.Source) *Network {
-	n := &Network{In: in, Hidden: hidden, Out: out}
-	n.adopt(newParams(in, hidden, out))
+	p := newParams(in, hidden, out)
+	n := &Network{In: in, Hidden: hidden, Out: out, W1: p.w1, B1: p.b1, W2: p.w2, B2: p.b2}
 	scale1 := math.Sqrt(2 / float64(in))
 	scale2 := math.Sqrt(2 / float64(hidden))
 	for _, row := range n.W1 {
@@ -94,55 +116,6 @@ func New(in, hidden, out int, r *xrand.Source) *Network {
 		}
 	}
 	return n
-}
-
-// slab returns the contiguous array behind W1, B1, W2 and B2. New lays a
-// network out that way; one decoded from JSON, or whose exported views were
-// replaced, is repacked here first (same values, same shapes), so Train can
-// always update every parameter in one linear loop.
-func (n *Network) slab() []float64 {
-	if n.packed() {
-		return n.flat
-	}
-	p := newParams(n.In, n.Hidden, n.Out)
-	for h, row := range n.W1 {
-		copy(p.w1[h], row)
-	}
-	copy(p.b1, n.B1)
-	for o, row := range n.W2 {
-		copy(p.w2[o], row)
-	}
-	copy(p.b2, n.B2)
-	n.adopt(p)
-	return n.flat
-}
-
-// packed reports whether the exported views still alias flat at their
-// offsets.
-func (n *Network) packed() bool {
-	if len(n.flat) != paramCount(n.In, n.Hidden, n.Out) || len(n.W1) != n.Hidden || len(n.W2) != n.Out {
-		return false
-	}
-	off := 0
-	at := func(view []float64, want int) bool {
-		ok := len(view) == want && (want == 0 || &view[0] == &n.flat[off])
-		off += want
-		return ok
-	}
-	for _, row := range n.W1 {
-		if !at(row, n.In) {
-			return false
-		}
-	}
-	if !at(n.B1, n.Hidden) {
-		return false
-	}
-	for _, row := range n.W2 {
-		if !at(row, n.Hidden) {
-			return false
-		}
-	}
-	return at(n.B2, n.Out)
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
@@ -217,9 +190,14 @@ func (n *Network) forward(x sparse, hidden, out []float64) {
 			hidden[h] = 0
 		}
 	}
+	outputs(n.W2, n.B2, hidden, out)
+}
+
+// outputs computes the output layer from the hidden activations.
+func outputs(w2 [][]float64, b2, hidden, out []float64) {
 	for o := range out {
-		s := n.B2[o]
-		w := n.W2[o]
+		s := b2[o]
+		w := w2[o]
 		for h, hv := range hidden {
 			s += w[h] * hv
 		}
@@ -325,22 +303,26 @@ func (c TrainConfig) withDefaults() TrainConfig {
 // Train fits the network with Adam on the BCE loss. Deterministic in r.
 // It returns the final training loss.
 //
-// Everything the epoch loop touches is allocated before it starts and owned
-// by this call: the gradient accumulator and Adam moments (laid out like the
-// weights), the samples' non-zero lists, one sample's activations and the
-// shuffle order.
+// Train updates a private working copy of the parameters (see trainer),
+// read through the exported views on entry and written back through them on
+// return. Everything the epoch loop touches is allocated before it starts
+// and owned by this call.
 func (n *Network) Train(samples []Sample, cfg TrainConfig, r *xrand.Source) float64 {
+	return n.train(samples, cfg, r, active)
+}
+
+// train is Train on the kernel bodies k.
+func (n *Network) train(samples []Sample, cfg TrainConfig, r *xrand.Source, k kernels) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
 	cfg = cfg.withDefaults()
 	const beta1, beta2, eps = 0.9, 0.999, 1e-8
-	w := n.slab()
-	g := newParams(n.In, n.Hidden, n.Out)
+	t := n.newTrainer(samples, k)
+	w := t.w.flat
 	m := make([]float64, len(w))
 	v := make([]float64, len(w))
-	xs := sparsify(samples)
-	act := make([]float64, n.Hidden+2*n.Out)
+	c := &adamConsts{l2: cfg.L2, beta1: beta1, omb1: 1 - beta1, beta2: beta2, omb2: 1 - beta2, lr: cfg.LR, eps: eps}
 	order := make([]int, len(samples))
 	step := 0
 
@@ -352,45 +334,79 @@ func (n *Network) Train(samples []Sample, cfg TrainConfig, r *xrand.Source) floa
 		for start := 0; start < len(order); start += cfg.BatchSize {
 			end := min(start+cfg.BatchSize, len(order))
 			for _, si := range order[start:end] {
-				epochCount += n.accumGrads(xs[si], samples[si], act, g, &epochLoss)
+				epochCount += t.accumGrads(si, samples[si], &epochLoss)
 			}
-			inv := 1 / float64(end-start)
+			c.inv = 1 / float64(end-start)
 			step++
 			// The bias corrections depend on the step alone. They stay
 			// divisors: multiplying by a reciprocal rounds differently.
-			c1 := 1 - math.Pow(beta1, float64(step))
-			c2 := 1 - math.Pow(beta2, float64(step))
-			for i, wi := range w {
-				// The batch mean is rounded on its own (the conversion
-				// forbids fusing it into the add), then decayed, then the
-				// accumulator is cleared for the next batch.
-				gi := float64(g.flat[i]*inv) + cfg.L2*wi
-				g.flat[i] = 0
-				m[i] = beta1*m[i] + (1-beta1)*gi
-				v[i] = beta2*v[i] + (1-beta2)*gi*gi
-				mh := m[i] / c1
-				vh := v[i] / c2
-				w[i] = wi - cfg.LR*mh/(math.Sqrt(vh)+eps)
-			}
+			c.c1 = 1 - math.Pow(beta1, float64(step))
+			c.c2 = 1 - math.Pow(beta2, float64(step))
+			k.adam(w, t.g.flat, m, v, c)
 		}
 		if epochCount > 0 {
 			lastLoss = epochLoss / float64(epochCount)
 		}
 	}
+	t.w.transposeInto(n.views())
 	return lastLoss
 }
 
-// accumGrads runs forward and backprop for one sample (x is s.X's non-zero
-// list), adding its un-scaled gradient contributions (of the summed
-// per-output BCE loss) into g and its loss terms into *lossAcc, one bce() add
-// at a time. act is scratch for Hidden+2*Out values. It returns the number of
-// valid (masked-in) output pairs.
-func (n *Network) accumGrads(x sparse, s Sample, act []float64, g params, lossAcc *float64) int {
-	hidden, out, dz2 := act[:n.Hidden], act[n.Hidden:n.Hidden+n.Out], act[n.Hidden+n.Out:]
-	n.forward(x, hidden, out)
+// trainer is the state of one Train or Gradients call, private to it: a
+// working copy w of the network's parameters whose W1 block is transposed
+// (w.w1[i] holds input i's weight to every hidden unit), the gradient
+// accumulator g in the same layout, the samples' non-zero lists, one
+// sample's activations, and the kernel bodies to run.
+type trainer struct {
+	k                    kernels
+	w, g                 params
+	xs                   []sparse
+	hidden, out, dz2, dh []float64
+}
+
+func (n *Network) newTrainer(samples []Sample, k kernels) *trainer {
+	t := &trainer{
+		k:  k,
+		w:  newTrainParams(n.In, n.Hidden, n.Out),
+		g:  newTrainParams(n.In, n.Hidden, n.Out),
+		xs: sparsify(samples),
+	}
+	n.views().transposeInto(t.w)
+	act := make([]float64, 2*(n.Hidden+n.Out))
+	t.hidden, act = act[:n.Hidden], act[n.Hidden:]
+	t.out, act = act[:n.Out], act[n.Out:]
+	t.dz2, t.dh = act[:n.Out], act[n.Out:]
+	return t
+}
+
+// forward is Network.forward on the working copy. The hidden layer starts
+// from B1 and adds W1ᵀ[i]·x_i for each non-zero input i, ascending: every
+// hidden unit still adds its own terms to its own sum in the order the
+// row-major loop adds them.
+func (t *trainer) forward(x sparse) {
+	copy(t.hidden, t.w.b1)
+	val := x.val[:len(x.idx)]
+	for k, i := range x.idx {
+		t.k.axpy(t.hidden, t.w.w1[i], val[k])
+	}
+	for h, s := range t.hidden {
+		if !(s > 0) {
+			t.hidden[h] = 0
+		}
+	}
+	outputs(t.w.w2, t.w.b2, t.hidden, t.out)
+}
+
+// accumGrads runs forward and backprop for sample si (s), adding its
+// un-scaled gradient contributions (of the summed per-output BCE loss) into
+// t.g and its loss terms into *lossAcc, one bce() add at a time. It returns
+// the number of valid (masked-in) output pairs.
+func (t *trainer) accumGrads(si int, s Sample, lossAcc *float64) int {
+	t.forward(t.xs[si])
+	hidden, dz2, dh, g := t.hidden, t.dz2, t.dh, t.g
 	valid := 0
 	// dL/dz2 for sigmoid+BCE is (p - y).
-	for o, p := range out {
+	for o, p := range t.out {
 		dz2[o] = 0
 		if s.Mask != nil && !s.Mask[o] {
 			continue
@@ -404,29 +420,27 @@ func (n *Network) accumGrads(x sparse, s Sample, act []float64, g params, lossAc
 			continue
 		}
 		g.b2[o] += d
-		gw := g.w2[o]
-		for h, hv := range hidden {
-			gw[h] += d * hv
-		}
+		t.k.axpy(g.w2[o], hidden, d)
 	}
-	// Backprop to hidden (ReLU).
-	val := x.val[:len(x.idx)]
+	// Backprop to hidden (ReLU): dh[h] sums dz2[o]·W2[o][h] in ascending o
+	// from +0, and is 0 for an inactive unit, whose updates below then add
+	// ±0 to accumulators that are never −0 — no change.
+	clear(dh)
+	for o, d := range dz2 {
+		t.k.axpy(dh, t.w.w2[o], d)
+	}
 	for h, hv := range hidden {
 		if hv <= 0 {
-			continue
+			dh[h] = 0
 		}
-		var dh float64
-		for o, d := range dz2 {
-			dh += d * n.W2[o][h]
-		}
-		if dh == 0 {
-			continue
-		}
-		g.b1[h] += dh
-		gw := g.w1[h]
-		for k, i := range x.idx {
-			gw[i] += dh * val[k]
-		}
+	}
+	for h, d := range dh {
+		g.b1[h] += d
+	}
+	x := t.xs[si]
+	val := x.val[:len(x.idx)]
+	for k, i := range x.idx {
+		t.k.axpy(g.w1[i], dh, val[k])
 	}
 	return valid
 }
@@ -437,20 +451,20 @@ func (n *Network) accumGrads(x sparse, s Sample, act []float64, g params, lossAc
 // validates these directly. The network is not modified. All-masked sample
 // sets return zero gradients.
 func (n *Network) Gradients(samples []Sample) (gw1 [][]float64, gb1 []float64, gw2 [][]float64, gb2 []float64) {
-	g := newParams(n.In, n.Hidden, n.Out)
-	xs := sparsify(samples)
-	act := make([]float64, n.Hidden+2*n.Out)
+	t := n.newTrainer(samples, active)
 	var loss float64
 	valid := 0
 	for k, s := range samples {
-		valid += n.accumGrads(xs[k], s, act, g, &loss)
+		valid += t.accumGrads(k, s, &loss)
 	}
 	if valid > 0 {
 		inv := 1 / float64(valid)
-		for i := range g.flat {
-			g.flat[i] *= inv
+		for i := range t.g.flat {
+			t.g.flat[i] *= inv
 		}
 	}
+	g := newParams(n.In, n.Hidden, n.Out)
+	t.g.transposeInto(g)
 	return g.w1, g.b1, g.w2, g.b2
 }
 

@@ -215,8 +215,8 @@ func TestTrainPartialConfig(t *testing.T) {
 }
 
 // TestTrainDecodedNetwork: a network decoded from JSON has separately
-// allocated rows; Train repacks it into one array first and must then produce
-// the same bits as training the original.
+// allocated rows; Train copies them into its working copy and writes the
+// result back through them, with the same bits as training the original.
 func TestTrainDecodedNetwork(t *testing.T) {
 	r := xrand.New(29)
 	orig := New(3, 6, 2, r.Derive("init"))

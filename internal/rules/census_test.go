@@ -39,7 +39,7 @@ type outcome struct {
 func censusSample(t *testing.T, rs *cascades.RuleSet, m int) []censusJob {
 	t.Helper()
 	const seed = 2021
-	all := bitvec.New(rs.NonRequiredIDs()...)
+	all := rs.NonRequired()
 	var out []censusJob
 	for _, p := range []workload.Profile{
 		workload.ProfileA(0.002, seed), workload.ProfileB(0.002, seed), workload.ProfileC(0.002, seed),

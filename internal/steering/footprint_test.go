@@ -22,7 +22,7 @@ func TestFootprintSoundnessMetamorphic(t *testing.T) {
 	job := steerJob(t, cat)
 	r := xrand.New(2021).Derive("footprint-meta")
 
-	nonRequired := h.Opt.Rules.NonRequiredIDs()
+	nonRequired := h.Opt.Rules.NonRequired().Ones()
 	compiled, noplans := 0, 0
 	for trial := 0; trial < 40; trial++ {
 		// Alternate densities: mostly-enabled configurations exercise real

@@ -136,7 +136,7 @@ func TestRepassSamplesNothing(t *testing.T) {
 func TestKeptCandidateListIsExactlySized(t *testing.T) {
 	rs := rules.Catalog()
 	var span bitvec.Vector
-	for _, id := range rs.NonRequiredIDs()[:8] {
+	for _, id := range rs.NonRequired().Ones()[:8] {
 		span.Set(id)
 	}
 	const m = 300

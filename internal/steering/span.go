@@ -40,7 +40,7 @@ func JobSpan(opt *cascades.Optimizer, root *plan.Node) (bitvec.Vector, error) {
 // signature for a configuration. The pipeline passes its cached compile so
 // recurring jobs pay for each span iteration at most once.
 func JobSpanFunc(rs *cascades.RuleSet, compile func(cfg bitvec.Vector) (bitvec.Vector, error)) (bitvec.Vector, error) {
-	nonRequired := bitvec.New(rs.NonRequiredIDs()...)
+	nonRequired := rs.NonRequired()
 
 	var span bitvec.Vector
 	config := nonRequired

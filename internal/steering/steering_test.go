@@ -71,7 +71,7 @@ func TestJobSpanContainsDefaultSignature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nonRequired := bitvec.New(h.Opt.Rules.NonRequiredIDs()...)
+	nonRequired := h.Opt.Rules.NonRequired()
 	defaultNonReq := res.Signature.And(nonRequired)
 	if !span.Contains(defaultNonReq) {
 		t.Fatalf("span %v misses default-signature rules %v", span, defaultNonReq.AndNot(span))
@@ -193,7 +193,7 @@ func candidateConfigsFullBudget(span bitvec.Vector, rs *cascades.RuleSet, m int,
 // whole attempt budget yields, for spans below, at and above m.
 func TestCandidateConfigsStopsAtExhaustedSpan(t *testing.T) {
 	rs := rules.Catalog()
-	ids := rs.NonRequiredIDs()
+	ids := rs.NonRequired().Ones()
 	pick := xrand.New(11)
 	exhausted := 0
 	for n := 0; n <= 12; n++ {
