@@ -159,7 +159,9 @@ func BenchmarkPipelineCached(b *testing.B) {
 // compile cache an earlier pass filled. compiles/op is the optimizer calls per
 // pass and must read 0 — grouping, span, candidates and trials all resolve
 // from the cache, and so does each analysis's candidate list, so nothing is
-// sampled either; only the executions are repeated.
+// sampled either; only the executions are repeated. probes/op is the
+// candidates per pass looked up in the cache one at a time and must read 0
+// too: each list's resolution is kept with it and read whole.
 func BenchmarkBundleRepass(b *testing.B) {
 	r := experiments.NewRunner(benchConfig())
 	long := benchLongJobs(b, r, 8)
@@ -175,16 +177,21 @@ func BenchmarkBundleRepass(b *testing.B) {
 		return r.Obs().Counter(name, "outcome", "ok").Value() + r.Obs().Counter(name, "outcome", "noplan").Value()
 	}
 	build()
-	before := compiles()
+	before, probesBefore := compiles(), p.Cache.CandidateProbes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		build()
 	}
 	b.StopTimer()
 	perOp := float64(compiles()-before) / float64(b.N)
+	probes := float64(p.Cache.CandidateProbes()-probesBefore) / float64(b.N)
 	b.ReportMetric(perOp, "compiles/op")
+	b.ReportMetric(probes, "probes/op")
 	if perOp != 0 {
 		b.Fatalf("a warm BuildBundle made %v optimizer calls", perOp)
+	}
+	if probes != 0 {
+		b.Fatalf("a warm BuildBundle probed the cache for %v candidates", probes)
 	}
 }
 

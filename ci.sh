@@ -21,9 +21,11 @@
 #   6. parallel smoke            the pipeline determinism tests — the
 #                                BuildBundle/Group fan-out battery, the fault
 #                                batteries, the warm re-pass (no compile, no
-#                                candidate sampling, kept plans executed
-#                                concurrently, candidate lists kept per stream
-#                                seed and M under a shared cache), the experiment
+#                                candidate sampling, no candidate probe, kept
+#                                plans executed concurrently, candidate lists
+#                                kept per stream seed and M under a shared
+#                                cache, no resolution kept after a faulted
+#                                compile), the experiment
 #                                runner's, the faulted build held to its
 #                                pre-session baseline, one session per
 #                                analysis (TestAnalyzeSharesOneSession),
@@ -70,7 +72,8 @@
 #                                the warm re-pass over the same set, whose
 #                                compiles and candidate lists all resolve
 #                                from the cache (fails unless it reads 0
-#                                compiles/op), one job's
+#                                compiles/op and 0 probes/op — each list's
+#                                resolution is read whole), one job's
 #                                span probes + 300 candidates through one
 #                                optimizer session (fails unless explores/op
 #                                stays within a quarter of compiles/op,

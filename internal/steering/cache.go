@@ -92,12 +92,48 @@ type listKey struct {
 	span bitvec.Vector
 }
 
-// candList is a job's candidate configurations under one listKey, and the
-// job's next list.
+// candList is a job's candidate configurations under one listKey, their
+// clean resolution once an analysis found one, and the job's next list.
+//
+// res is written at most once, by the first analysis that resolved every
+// candidate without a faulted compile, and read by every later analysis of
+// the list instead of probing the cache candidate by candidate. Analyses of
+// one job may run concurrently; a writer that loses the race holds an
+// identical resolution, since every outcome it read is deterministic.
 type candList struct {
 	key  listKey
 	cfgs []bitvec.Vector
+	res  atomic.Pointer[resolution]
 	next *candList
+}
+
+// resolution is what resolving a candidate list through the cache gives when
+// no compile faulted: the successful candidates in candidate order, exactly
+// sized (cap == len, so a caller's append copies rather than writing into a
+// kept list) and shared read-only by every analysis that reads it, the
+// number of candidates the optimizer found no plan for, and the successes'
+// stable cost order (see costOrder), which selection walks.
+type resolution struct {
+	cands  []Candidate
+	noplan int
+	order  []int32
+}
+
+// newResolution builds the resolution of successes cands and noplan no-plan
+// verdicts, computing the cost order once.
+func newResolution(cands []Candidate, noplan int) *resolution {
+	cands = exactly(cands)
+	return &resolution{cands: cands, noplan: noplan, order: costOrder(cands)}
+}
+
+// exactly returns s, copied to an array of its length when it has spare
+// capacity, so a slice the cache keeps holds no unused tail and a caller's
+// append to it copies.
+func exactly[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return append(make([]T, 0, len(s)), s...)
+	}
+	return s
 }
 
 // jobEntry holds one job's cached outcomes: its distinct footprints in
@@ -147,8 +183,12 @@ const (
 // evicts; one job's cache traffic is serial (an analysis runs on one
 // goroutine), so its contents and counters are the same at any worker count.
 // Next to a job's outcomes it keeps each analysed job's candidate list (see
-// candidates), so a re-analysis neither compiles nor samples; the lists are
-// not counted as hits, misses or entries.
+// candidates) and, once an analysis resolved the list without a faulted
+// compile, that resolution, so a re-analysis neither compiles nor samples
+// nor probes the cache candidate by candidate. The resolution's candidates
+// are shared read-only by every analysis that reads them. The lists are not
+// counted as entries; reading a kept resolution counts one hit per
+// candidate, as probing each would.
 //
 // Lookups project the probing configuration onto each stored footprint of
 // the job, so recurring templates hit even when the probing configuration
@@ -162,6 +202,9 @@ type CompileCache struct {
 	entries atomic.Int64
 	hits    *obs.Counter
 	misses  *obs.Counter
+	// candProbes counts the candidates of kept lists resolved one probe at
+	// a time (see CandidateProbes).
+	candProbes atomic.Uint64
 }
 
 // NewCompileCache returns an empty cache.
@@ -212,16 +255,16 @@ func (s *cacheShard) entry(fp JobFingerprint) *jobEntry {
 	return je
 }
 
-// list returns the fingerprinted job's candidate list under key.
-func (s *cacheShard) list(fp JobFingerprint, key listKey) ([]bitvec.Vector, bool) {
+// list returns the fingerprinted job's candidate list under key, or nil.
+func (s *cacheShard) list(fp JobFingerprint, key listKey) *candList {
 	if je := s.jobs[fp]; je != nil {
 		for l := je.lists; l != nil; l = l.next {
 			if l.key == key {
-				return l.cfgs, true
+				return l
 			}
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // lookup returns the fingerprinted job's outcome under cfg.
@@ -327,36 +370,35 @@ func (c *CompileCache) Put(fp JobFingerprint, cfg bitvec.Vector, v CompileValue)
 // which tests wrap to count its runs.
 var sampleCandidates = CandidateConfigs
 
-// candidates returns the job's candidate configurations for span, m and the
-// stream r — CandidateConfigs(span, rs, m, r) — sampling only when the cache
-// holds no list of the job under (r's seed, m, span). The key is sound because
-// r is derived afresh for the call, so its seed names its whole draw
-// sequence; rs is the optimizer's, which every outcome of the cache already
-// assumes. A kept list is exactly sized and shared: callers only read it. A
-// nil cache, or a job without a fingerprint, samples on every call and keeps
-// nothing. Lists are never counted as hits, misses or entries.
-func (c *CompileCache) candidates(job *workload.Job, span bitvec.Vector, rs *cascades.RuleSet, m int, r *xrand.Source) []bitvec.Vector {
+// candidates returns the job's candidate list for span, m and the stream r —
+// CandidateConfigs(span, rs, m, r) — sampling only when the cache holds no
+// list of the job under (r's seed, m, span), and whether the list is kept in
+// the cache. The key is sound because r is derived afresh for the call, so
+// its seed names its whole draw sequence; rs is the optimizer's, which every
+// outcome of the cache already assumes. A kept list's configurations are
+// exactly sized and shared: callers only read them. A nil cache, or a job
+// without a fingerprint, samples on every call and returns a list of the
+// call's own, which nothing else reads. Lists are never counted as hits,
+// misses or entries.
+func (c *CompileCache) candidates(job *workload.Job, span bitvec.Vector, rs *cascades.RuleSet, m int, r *xrand.Source) (l *candList, kept bool) {
 	fp, cacheable := jobFingerprint(job)
 	if c == nil || !cacheable {
-		return sampleCandidates(span, rs, m, r)
+		return &candList{cfgs: sampleCandidates(span, rs, m, r)}, false
 	}
 	key := listKey{seed: r.Seed(), m: m, span: span}
 	s := c.shard(fp)
 	s.mu.RLock()
-	cfgs, ok := s.list(fp, key)
+	l = s.list(fp, key)
 	s.mu.RUnlock()
-	if ok {
-		return cfgs
+	if l != nil {
+		return l, true
 	}
-	cfgs = sampleCandidates(span, rs, m, r)
-	if len(cfgs) < cap(cfgs) {
-		cfgs = append(make([]bitvec.Vector, 0, len(cfgs)), cfgs...)
-	}
+	cfgs := exactly(sampleCandidates(span, rs, m, r))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if kept, ok := s.list(fp, key); ok {
+	if l = s.list(fp, key); l != nil {
 		// A concurrent analysis of the same job kept an identical list first.
-		return kept
+		return l, true
 	}
 	je := s.entry(fp)
 	last := &je.lists
@@ -364,7 +406,19 @@ func (c *CompileCache) candidates(job *workload.Job, span bitvec.Vector, rs *cas
 		last = &(*last).next
 	}
 	*last = &candList{key: key, cfgs: cfgs}
-	return cfgs
+	return *last, true
+}
+
+// CandidateProbes returns how many candidates of kept candidate lists were
+// resolved by probing the cache one at a time: every candidate of a list's
+// first clean analysis, and of each analysis before it. An analysis that
+// reads the list's kept resolution adds none, so a warm re-pass leaves it
+// unchanged. Safe on a nil cache.
+func (c *CompileCache) CandidateProbes() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.candProbes.Load()
 }
 
 // CacheStats is a point-in-time snapshot of cache effectiveness.

@@ -5,16 +5,20 @@ import (
 	"steerq/internal/obs"
 )
 
+// trialOutcomes are the steerq_pipeline_trials_total outcome labels, indexed
+// by trialOutcome.
+var trialOutcomes = [...]string{obs.OutcomeOK, obs.OutcomeError, "fallback"}
+
 // trialOutcome classifies one executed alternative for the
-// steerq_pipeline_trials_total counter.
-func trialOutcome(err error, fellBack bool) string {
+// steerq_pipeline_trials_total counter: an index into trialOutcomes.
+func trialOutcome(err error, fellBack bool) int {
 	switch {
 	case fellBack:
-		return "fallback"
+		return 2
 	case err != nil:
-		return obs.OutcomeError
+		return 1
 	default:
-		return obs.OutcomeOK
+		return 0
 	}
 }
 

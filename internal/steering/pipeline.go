@@ -35,7 +35,10 @@ type Analysis struct {
 	Span bitvec.Vector
 
 	// Candidates are the successfully recompiled candidate configurations
-	// (compile failures are dropped — §4 expects them).
+	// (compile failures are dropped — §4 expects them), in candidate order.
+	// The slice may be the one the compile cache keeps for the job's
+	// candidate list, shared by every analysis that reads it: read it only.
+	// Its capacity equals its length, so appending to it copies.
 	Candidates []Candidate
 
 	// Selected are the configurations chosen for execution (the cheapest
@@ -65,6 +68,10 @@ type Analysis struct {
 	// MaxWorkers is always 1. Parallelism lives one level up, across job
 	// groups (see BuildBundleCtx).
 	Sched SchedStats
+
+	// res is the resolution Candidates came from; selection walks its cost
+	// order.
+	res *resolution
 }
 
 // SchedStats is the candidate stage's compile count, kept in its historical
@@ -238,8 +245,8 @@ func (p *Pipeline) recompile(ctx context.Context, sess *cascades.Session, job *w
 	}
 	a.Span = span
 	r := p.Rand.Derive("job", job.ID)
-	cfgs := p.Cache.candidates(job, span, h.Opt.Rules, p.MaxCandidates, r)
-	p.resolveCandidates(ctx, job, cfgs, a, sess)
+	l, kept := p.Cache.candidates(job, span, h.Opt.Rules, p.MaxCandidates, r)
+	p.resolveCandidates(ctx, job, l, kept, a, sess)
 	p.Obs.Counter("steerq_pipeline_compiles_avoided_total").Add(uint64(a.Footprint.Avoided))
 	return a, nil
 }
@@ -259,7 +266,7 @@ func (p *Pipeline) AnalyzeEachCtx(ctx context.Context, jobs []*workload.Job, vis
 	})
 }
 
-// resolveCandidates resolves every candidate configuration to a compile
+// resolveCandidates resolves every candidate configuration of l to a compile
 // outcome in one serial in-order loop through the analysis's compile path.
 // The compile cache indexes a job's outcomes by footprint, so only one
 // representative per footprint equivalence class goes through the optimizer:
@@ -274,12 +281,32 @@ func (p *Pipeline) AnalyzeEachCtx(ctx context.Context, jobs []*workload.Job, vis
 // faulted compiles are dropped — §4 expects them). Candidate outcomes are
 // counters, not spans: M can be 1000, and an atomic add per candidate keeps
 // the volume O(1) in memory.
-func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, cfgs []bitvec.Vector, a *Analysis, sess *cascades.Session) {
+//
+// A loop over a list the cache keeps (kept) that met no faulted or canceled
+// compile leaves its resolution on the list. Every later analysis of the
+// list would hit the cache on every candidate, so it reads that resolution
+// instead — no probe, no loop — and adds to the cache's hits and the
+// candidate counters exactly what the probes would have.
+func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, l *candList, kept bool, a *Analysis, sess *cascades.Session) {
+	cfgs := l.cfgs
 	a.Footprint.Candidates = len(cfgs)
+	a.Sched = SchedStats{MaxWorkers: 1}
 	compiled := p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "compiled")
 	noplan := p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "noplan")
 	faulted := p.Obs.Counter("steerq_pipeline_candidates_total", "outcome", "faulted")
-	a.Candidates = make([]Candidate, 0, len(cfgs))
+	if res := l.res.Load(); res != nil {
+		a.Candidates, a.res = res.cands, res
+		a.Footprint.Avoided = len(cfgs)
+		p.Cache.hits.Add(uint64(len(cfgs)))
+		compiled.Add(uint64(len(res.cands)))
+		noplan.Add(uint64(res.noplan))
+		return
+	}
+	if kept {
+		p.Cache.candProbes.Add(uint64(len(cfgs)))
+	}
+	cands := make([]Candidate, 0, len(cfgs))
+	nNoplan, clean := 0, true
 	for i, cfg := range cfgs {
 		v, _, hit, err := p.compile(ctx, sess, job, cfg, compileTag{kind: "cand", n: i}, &a.Robustness, false)
 		if hit {
@@ -290,16 +317,24 @@ func (p *Pipeline) resolveCandidates(ctx context.Context, job *workload.Job, cfg
 		if err != nil && !errors.Is(err, cascades.ErrNoPlan) {
 			// Faulted compile: no footprint to trust, nothing written back.
 			faulted.Inc()
+			clean = false
 			continue
 		}
 		if !v.OK {
 			noplan.Inc()
+			nNoplan++
 			continue
 		}
 		compiled.Inc()
-		a.Candidates = append(a.Candidates, Candidate{Config: cfg, EstCost: v.Cost, Signature: v.Signature})
+		cands = append(cands, Candidate{Config: cfg, EstCost: v.Cost, Signature: v.Signature})
 	}
-	a.Sched = SchedStats{Items: a.Footprint.Compiled, MaxWorkers: 1}
+	a.Sched.Items = a.Footprint.Compiled
+	res := newResolution(cands, nNoplan)
+	a.Candidates, a.res = res.cands, res
+	if kept && clean {
+		// A concurrent analysis of the job may have kept an identical one.
+		l.res.CompareAndSwap(nil, res)
+	}
 }
 
 // compile is every compile of an analysis: job under cfg through the cache
@@ -401,51 +436,70 @@ func (p *Pipeline) execute(ctx context.Context, sess *cascades.Session, a *Analy
 		sp.End(obs.OutcomeOK)
 		mirrorRobustness(p.Obs, recordDelta(a.Robustness, before))
 	}()
-	a.Selected, a.Trials = selectCheapest(a.Candidates, a.Default.Signature, p.ExecutePerJob), nil
+	a.Selected, a.Trials = selectCheapest(a.Candidates, a.candidateOrder(), a.Default.Signature, p.ExecutePerJob), nil
+	// Each outcome's counter is resolved on its first trial only, so the
+	// registry holds just the outcomes that happened.
+	var trials [len(trialOutcomes)]*obs.Counter
 	for i, c := range a.Selected {
-		t := p.trial(ctx, sess, a.Job, c.Config, fmt.Sprintf("%s/alt%d", a.Job.ID, i), &a.Robustness)
+		t := p.trial(ctx, sess, a.Job, c.Config, a.Job.ID+"/alt"+strconv.Itoa(i), &a.Robustness)
 		if t.Err != nil && p.Harness.Faults.Active() {
 			fb := a.Default
 			fb.Attempts, fb.FellBack = t.Attempts, true
 			a.Robustness.Fallbacks++
 			t = fb
 		}
-		p.Obs.Counter("steerq_pipeline_trials_total", "outcome", trialOutcome(t.Err, t.FellBack)).Inc()
+		o := trialOutcome(t.Err, t.FellBack)
+		if trials[o] == nil {
+			trials[o] = p.Obs.Counter("steerq_pipeline_trials_total", "outcome", trialOutcomes[o])
+		}
+		trials[o].Inc()
 		a.Trials = append(a.Trials, t)
 	}
 }
 
-// selectCheapest returns up to k candidates, cheapest estimated cost first,
-// at most one per rule signature and none with the default plan's signature
-// def. The order is a stable sort on EstCost alone: ties, NaN costs
-// included, keep candidate order. It sorts (cost, index) keys rather than
-// the candidates themselves; a stable sort's output depends only on its
-// comparisons, so the order is the one sorting the candidates would give.
-func selectCheapest(cands []Candidate, def bitvec.Vector, k int) []Candidate {
-	type costKey struct {
-		cost float64
-		i    int
+// candidateOrder returns the cost order of a.Candidates: the one their
+// resolution computed, or a fresh one when a caller replaced the slice.
+func (a *Analysis) candidateOrder() []int32 {
+	if r := a.res; r != nil && len(r.cands) == len(a.Candidates) && (len(r.cands) == 0 || &r.cands[0] == &a.Candidates[0]) {
+		return r.order
 	}
-	keys := make([]costKey, len(cands))
-	for i, c := range cands {
-		keys[i] = costKey{c.EstCost, i}
+	return costOrder(a.Candidates)
+}
+
+// costOrder returns the indexes of cands, cheapest estimated cost first. The
+// sort is stable on EstCost alone: ties, NaN costs included, keep candidate
+// order. It sorts indexes rather than the candidates themselves; a stable
+// sort's output depends only on its comparisons, so the order is the one
+// sorting the candidates would give.
+func costOrder(cands []Candidate) []int32 {
+	order := make([]int32, len(cands))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	slices.SortStableFunc(keys, func(x, y costKey) int {
+	slices.SortStableFunc(order, func(x, y int32) int {
+		cx, cy := cands[x].EstCost, cands[y].EstCost
 		switch {
-		case x.cost < y.cost:
+		case cx < cy:
 			return -1
-		case y.cost < x.cost:
+		case cy < cx:
 			return 1
 		}
 		return 0
 	})
+	return order
+}
+
+// selectCheapest returns up to k candidates, walking their cost order order
+// (see costOrder), at most one per rule signature and none with the default
+// plan's signature def.
+func selectCheapest(cands []Candidate, order []int32, def bitvec.Vector, k int) []Candidate {
 	var sel []Candidate
 	seen := map[bitvec.Key]bool{def.Key(): true}
-	for _, key := range keys {
+	for _, i := range order {
 		if len(sel) >= k {
 			break
 		}
-		c := cands[key.i]
+		c := cands[i]
 		sk := c.Signature.Key()
 		if seen[sk] {
 			continue

@@ -31,14 +31,14 @@ func countSamples(t *testing.T) *atomic.Int64 {
 
 // candidateLists returns every candidate list c keeps, by job fingerprint,
 // each job's in the order they were kept.
-func candidateLists(c *CompileCache) map[JobFingerprint][][]bitvec.Vector {
-	out := make(map[JobFingerprint][][]bitvec.Vector)
+func candidateLists(c *CompileCache) map[JobFingerprint][]*candList {
+	out := make(map[JobFingerprint][]*candList)
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.RLock()
 		for fp, je := range s.jobs {
 			for l := je.lists; l != nil; l = l.next {
-				out[fp] = append(out[fp], l.cfgs)
+				out[fp] = append(out[fp], l)
 			}
 		}
 		s.mu.RUnlock()
@@ -100,7 +100,7 @@ func TestRepassSamplesNothing(t *testing.T) {
 		if len(kept) != 1 || len(warm) != 1 {
 			t.Fatalf("%s: %d candidate lists after the cold pass, %d after the re-pass; want 1", job.ID, len(kept), len(warm))
 		}
-		if len(kept[0]) == 0 || len(warm[0]) != len(kept[0]) || &warm[0][0] != &kept[0][0] {
+		if len(kept[0].cfgs) == 0 || warm[0] != kept[0] {
 			t.Errorf("%s: the re-pass's list is not the one the cold pass kept", job.ID)
 		}
 		a, err := p.Recompile(job)
@@ -108,8 +108,8 @@ func TestRepassSamplesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := CandidateConfigs(a.Span, h.Opt.Rules, p.MaxCandidates, p.Rand.Derive("job", job.ID))
-		if !slices.Equal(kept[0], want) || cap(kept[0]) != len(kept[0]) {
-			t.Errorf("%s: kept list (len %d, cap %d) is not the %d configurations sampling gives", job.ID, len(kept[0]), cap(kept[0]), len(want))
+		if cfgs := kept[0].cfgs; !slices.Equal(cfgs, want) || cap(cfgs) != len(cfgs) {
+			t.Errorf("%s: kept list (len %d, cap %d) is not the %d configurations sampling gives", job.ID, len(cfgs), cap(cfgs), len(want))
 		}
 	}
 	if n := samples.Load(); n != 0 {
@@ -152,11 +152,11 @@ func TestKeptCandidateListIsExactlySized(t *testing.T) {
 	want := CandidateConfigs(span, rs, m, xrand.New(seed))
 	c := NewCompileCache()
 	job := &workload.Job{ID: "0/0", TemplateHash: 1}
-	got := c.candidates(job, span, rs, m, xrand.New(seed))
-	if !slices.Equal(got, want) || cap(got) != len(got) {
-		t.Fatalf("kept list has len %d, cap %d; sampled %d of capacity %d", len(got), cap(got), len(want), cap(want))
+	l, kept := c.candidates(job, span, rs, m, xrand.New(seed))
+	if got := l.cfgs; !kept || !slices.Equal(got, want) || cap(got) != len(got) {
+		t.Fatalf("kept %v list has len %d, cap %d; sampled %d of capacity %d", kept, len(got), cap(got), len(want), cap(want))
 	}
-	if again := c.candidates(job, span, rs, m, xrand.New(seed)); len(again) != len(got) || &again[0] != &got[0] {
+	if again, kept := c.candidates(job, span, rs, m, xrand.New(seed)); !kept || again != l {
 		t.Fatal("a second analysis under the same stream did not read the kept list")
 	}
 	if st := c.Stats(); st != (CacheStats{}) {
