@@ -111,8 +111,13 @@
 #                                run without it is diffed against the same
 #                                golden too); besides the
 #                                paper's tables and figures it holds, under
-#                                Figure 1, what each workload's day-0 bundle
-#                                does to the day-1 jobs it is served to
+#                                Figure 1, the daily loop (Runner.Loop): each
+#                                workload's day-d bundle served to its day
+#                                d+1 jobs for d = 0..5, the split totals and
+#                                the day-0 bundle's shelf life. The two runs
+#                                are that loop's determinism gate: its rows
+#                                must not move with the worker count or with
+#                                fault injection
 #  13. quickstart vs README      `go run ./examples/quickstart` (README's first
 #                                run): every line of README's quoted
 #                                quickstart output must be a line of the

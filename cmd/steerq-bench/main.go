@@ -185,7 +185,7 @@ func plan(r *experiments.Runner, out io.Writer) []step {
 		{"fig7", show(out, func() (*experiments.Figure7, error) { return r.Figure7("B", 2) })},
 		{"fig1", seq(out, "",
 			show(out, func() (*experiments.Figure1, error) { return r.Figure1("A", 7, 65) }),
-			show(out, func() (*experiments.Served, error) { return r.Served(0, "A", "B", "C") }))},
+			show(out, func() (*experiments.Loop, error) { return r.Loop("A", "B", "C") }))},
 		{"ablations", seq(out, "\n",
 			show(out, func() (*experiments.AblationRandomVsGuided, error) { return r.RandomVsGuided("A", 0, 12, 8) }),
 			show(out, func() (*experiments.AblationSpanSearch, error) { return r.SpanSearch("A", 0, 25, 40) }),

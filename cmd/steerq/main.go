@@ -441,7 +441,7 @@ func cmdBundle(args []string, stdout io.Writer) error {
 	if *maxJobs > 0 && len(jobs) > *maxJobs {
 		jobs = jobs[:*maxJobs]
 	}
-	b, rep, err := e.pipeline("cli-bundle", *m, *k).BuildBundle(jobs, *version, *created)
+	b, rep, err := e.pipeline("cli-bundle", *m, *k).BuildBundleCtx(context.Background(), jobs, *version, *created)
 	if err != nil {
 		return err
 	}

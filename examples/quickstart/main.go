@@ -44,7 +44,7 @@ func main() {
 	h := abtest.New(cat, opt, 7)
 
 	// Compile and execute under the default rule configuration.
-	def := h.RunConfig(root, rs.DefaultConfig(), 0, "quickstart")
+	def := h.RunConfigCtx(context.Background(), root, rs.DefaultConfig(), 0, "quickstart", nil)
 	if def.Err != nil {
 		log.Fatal(def.Err)
 	}

@@ -14,6 +14,7 @@
 package bitvec
 
 import (
+	"cmp"
 	"encoding/hex"
 	"fmt"
 	"hash/fnv"
@@ -210,6 +211,17 @@ func (v Vector) Hex() string {
 		}
 	}
 	return hex.EncodeToString(buf)
+}
+
+// Compare orders vectors as their Hex strings order: words from the most
+// significant down, each compared as a uint64. It returns -1, 0 or +1.
+func (v Vector) Compare(o Vector) int {
+	for wi := words - 1; wi >= 0; wi-- {
+		if c := cmp.Compare(v.w[wi], o.w[wi]); c != 0 {
+			return c
+		}
+	}
+	return 0
 }
 
 // ParseHex parses a string previously produced by Hex.

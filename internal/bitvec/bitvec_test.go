@@ -2,6 +2,7 @@ package bitvec
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"steerq/internal/xrand"
@@ -142,6 +143,20 @@ func TestHexRoundTrip(t *testing.T) {
 	checkProp(t, 100, func(a, _ Vector) bool {
 		got, err := ParseHex(a.Hex())
 		return err == nil && got.Equal(a)
+	})
+}
+
+// TestCompareMatchesHexOrder holds Compare to the order of the Hex strings
+// it replaces as a sort key: on random pairs, on a vector against itself, and
+// on pairs that differ only in the lowest word, where the higher words tie.
+func TestCompareMatchesHexOrder(t *testing.T) {
+	agrees := func(a, b Vector) bool { return a.Compare(b) == strings.Compare(a.Hex(), b.Hex()) }
+	checkProp(t, 200, agrees)
+	checkProp(t, 100, func(a, _ Vector) bool { return agrees(a, a) })
+	checkProp(t, 200, func(a, b Vector) bool {
+		lo := a
+		lo.w[0] = b.w[0]
+		return agrees(a, lo) && agrees(lo, a)
 	})
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"steerq/internal/bitvec"
 	"steerq/internal/cascades"
+	"steerq/internal/serve"
 	"steerq/internal/steering"
 	"steerq/internal/workload"
 	"steerq/internal/xrand"
@@ -111,85 +112,163 @@ func (f *Figure1) Render(w io.Writer) {
 	fmt.Fprintf(w, "  summary: %d/%d jobs improved\n", improved, len(f.Comparisons))
 }
 
-// Served measures Figure 1's extrapolation over every steered entry of a
-// bundle instead of the best group only: one day's bundle served to the jobs
-// of the next day, one row per workload.
-type Served struct {
-	Day  int
-	Rows []ServedRow
+// The daily loop's shape: loopDays day pairs per workload; the first
+// tunePairs of tuneWorkload tune bundle rules, every other pair is held out.
+const (
+	loopDays     = 6
+	tuneWorkload = "A"
+	tunePairs    = 3
+)
+
+// Loop is the paper's daily pipeline (§6.4, Figure 1) run offline: each
+// day's bundle served to the next day's jobs through the lookup steerqd
+// answers with, every steered hit compared with its default run.
+type Loop struct {
+	Rows []LoopRow
 }
 
-// ServedRow is one workload: its bundle's census and what the steered
-// entries did to the next day's jobs they were served to.
-type ServedRow struct {
-	Workload        string
+// LoopRow is what one workload's bundles did to the jobs they were served
+// to: one day pair, a split's total over its pairs, or the day-0 bundle's
+// shelf life over days 1–6.
+type LoopRow struct {
+	Workload string
+	Kind     string // "pair", "total" or "shelf"
+	Split    string // "tune", "held-out", or "mixed" for a span over both
+	// Built and Served span the days the row's bundles were built on and
+	// served to.
+	Built, Served   [2]int
 	Steered, Groups int
-	// Jobs counts the next day's jobs whose default signature hits a
-	// steered entry and which ran under both configurations.
-	Jobs int
-	// DefaultSec and ServedSec sum those jobs' runtimes under the default
-	// and the served configuration.
-	DefaultSec, ServedSec float64
-	// Worse and Better count the jobs more than 10 % slower or faster.
-	Worse, Better int
+	// Jobs counts the KindHit jobs that ran under both configurations,
+	// DefaultSec and ServedSec sum their runtimes and Median is their median
+	// served/default ratio. Worse and Better count jobs more than 10 %
+	// slower or faster, Tenfold those at ≥ 10× their default, and Worst is
+	// the job with the highest ratio.
+	Jobs                          int
+	DefaultSec, ServedSec, Median float64
+	Worse, Better, Tenfold        int
+	Worst                         string
+	WorstRatio                    float64
+	served                        []steering.Comparison
 }
 
-// Served builds each workload's bundle from every job of day through the
-// runner's pipeline, serves it to the jobs of day+1 by default signature and
-// compares each served job with its default run (steering.Extrapolate).
-func (r *Runner) Served(day int, names ...string) (*Served, error) {
-	out := &Served{Day: day}
+// add folds a later row's served jobs into this one, widening its spans.
+func (row *LoopRow) add(o LoopRow) {
+	if row.Split == "" {
+		row.Split, row.Built[0], row.Served[0] = o.Split, o.Built[0], o.Served[0]
+	} else if row.Split != o.Split {
+		row.Split = "mixed"
+	}
+	row.Built[1], row.Served[1] = o.Built[1], o.Served[1]
+	row.Steered += o.Steered
+	row.Groups += o.Groups
+	row.served = append(row.served, o.served...)
+}
+
+// tally derives the row's figures from its served jobs.
+func (row *LoopRow) tally() {
+	ratios := make([]float64, 0, len(row.served))
+	for _, c := range row.served {
+		ratio := 1 + c.PctChange/100
+		row.DefaultSec += c.Default.Metrics.RuntimeSec
+		row.ServedSec += c.New.Metrics.RuntimeSec
+		switch {
+		case c.PctChange > 10:
+			row.Worse++
+		case c.PctChange < -10:
+			row.Better++
+		}
+		if ratio >= 10 {
+			row.Tenfold++
+		}
+		if ratio > row.WorstRatio {
+			row.Worst, row.WorstRatio = c.Job.ID, ratio
+		}
+		ratios = append(ratios, ratio)
+	}
+	if row.Jobs = len(ratios); row.Jobs > 0 {
+		sort.Float64s(ratios)
+		row.Median = ratios[row.Jobs/2]
+	}
+}
+
+// Loop builds each workload's bundle on day d = 0 … 5 and serves it to day
+// d+1: the six pairs, one total per split, and the day-0 bundle served to
+// days 1–6.
+func (r *Runner) Loop(names ...string) (*Loop, error) {
+	out := &Loop{}
 	for _, name := range names {
-		p := r.Pipeline(name)
-		b, rep, err := p.BuildBundleCtx(context.Background(), r.Day(name, day), 0, 0)
-		if err != nil {
-			return nil, err
-		}
-		steered := make(map[bitvec.Key]bitvec.Vector, rep.Steered)
-		for _, e := range b.Entries {
-			if !e.Fallback {
-				steered[e.Signature.Key()] = e.Config
-			}
-		}
-		row := ServedRow{Workload: name, Steered: rep.Steered, Groups: rep.Groups}
-		g := p.Grouper()
-		for _, j := range r.Day(name, day+1) {
-			sig, err := g.DefaultSignature(j)
+		var pairs, totals []LoopRow
+		var day0 *serve.Table
+		for d := 0; d < loopDays; d++ {
+			b, rep, err := r.Pipeline(name).BuildBundleCtx(context.Background(), r.Day(name, d), 0, 0)
 			if err != nil {
-				continue
+				return nil, err
 			}
-			cfg, ok := steered[sig.Key()]
-			if !ok {
-				continue
+			t := serve.NewTable(b)
+			if d == 0 {
+				day0 = t
 			}
-			for _, c := range steering.Extrapolate(p, cfg, []*workload.Job{j}) {
-				row.Jobs++
-				row.DefaultSec += c.Default.Metrics.RuntimeSec
-				row.ServedSec += c.New.Metrics.RuntimeSec
-				switch {
-				case c.PctChange > 10:
-					row.Worse++
-				case c.PctChange < -10:
-					row.Better++
-				}
+			row := r.serveDay(name, t, d, d+1)
+			row.Steered, row.Groups = rep.Steered, rep.Groups
+			pairs = append(pairs, row)
+			if n := len(totals); n == 0 || totals[n-1].Split != row.Split {
+				totals = append(totals, LoopRow{Workload: name, Kind: "total"})
 			}
+			totals[len(totals)-1].add(row)
 		}
-		out.Rows = append(out.Rows, row)
+		shelf := LoopRow{Workload: name, Kind: "shelf"}
+		shelf.add(pairs[0])
+		for d := 2; d <= loopDays; d++ {
+			shelf.add(r.serveDay(name, day0, 0, d))
+		}
+		out.Rows = append(append(append(out.Rows, pairs...), totals...), shelf)
+	}
+	for i := range out.Rows {
+		out.Rows[i].tally()
 	}
 	return out, nil
 }
 
-// Render prints one row per workload.
-func (s *Served) Render(w io.Writer) {
-	fmt.Fprintf(w, "  day-%d bundle served to day-%d jobs (every steered entry vs default):\n", s.Day, s.Day+1)
-	fmt.Fprintf(w, "  workload  steered/groups  jobs served  Σ runtime  jobs >10%% worse/better\n")
-	for _, row := range s.Rows {
+// serveDay serves the table built on day built to the jobs of day served:
+// each job whose default signature serve.Table.Lookup resolves to KindHit
+// runs under that configuration and the default (steering.Extrapolate).
+func (r *Runner) serveDay(name string, t *serve.Table, built, served int) LoopRow {
+	row := LoopRow{Workload: name, Kind: "pair", Split: "held-out",
+		Built: [2]int{built, built}, Served: [2]int{served, served}}
+	if name == tuneWorkload && served <= tunePairs {
+		row.Split = "tune"
+	}
+	p := r.Pipeline(name)
+	g := p.Grouper()
+	for _, j := range r.Day(name, served) {
+		sig, err := g.DefaultSignature(j)
+		if d := t.Lookup(sig); err == nil && d.Kind == serve.KindHit {
+			row.served = append(row.served, steering.Extrapolate(p, d.Config, []*workload.Job{j})...)
+		}
+	}
+	return row
+}
+
+// Render prints one row per day pair, split total and shelf life.
+func (l *Loop) Render(w io.Writer) {
+	fmt.Fprintf(w, "  day-d bundle served to day-d+1 jobs, every steered hit vs default (%s's first %d pairs tune, the rest are held out; shelf: the day-0 bundle on days 1-%d):\n",
+		tuneWorkload, tunePairs, loopDays)
+	fmt.Fprintf(w, "  workload  row    split     bundle  served  steered/groups   jobs  Σ runtime  median  >10%% worse/better  ≥10×  worst job\n")
+	days := func(d [2]int) string {
+		if d[0] == d[1] {
+			return fmt.Sprintf("d%d", d[0])
+		}
+		return fmt.Sprintf("d%d-%d", d[0], d[1])
+	}
+	for _, row := range l.Rows {
 		pct := 0.0
 		if row.DefaultSec > 0 {
 			pct = 100 * (row.ServedSec - row.DefaultSec) / row.DefaultSec
 		}
-		fmt.Fprintf(w, "  %-8s  %14s  %11d  %+8.1f%%  %22s\n", row.Workload,
-			fmt.Sprintf("%d/%d", row.Steered, row.Groups), row.Jobs, pct, fmt.Sprintf("%d/%d", row.Worse, row.Better))
+		fmt.Fprintf(w, "  %-8s  %-5s  %-8s  %-6s  %-6s  %14s  %5d  %+8.1f%%  %6.2f  %17s  %4d  %s %.1f×\n",
+			row.Workload, row.Kind, row.Split, days(row.Built), days(row.Served),
+			fmt.Sprintf("%d/%d", row.Steered, row.Groups), row.Jobs, pct, row.Median,
+			fmt.Sprintf("%d/%d", row.Worse, row.Better), row.Tenfold, row.Worst, row.WorstRatio)
 	}
 }
 
@@ -393,7 +472,7 @@ func (r *Runner) Figure4(name string, day, sample int) (*Figure4, error) {
 	idx := rnd.Sample(len(jobs), sample)
 	out := &Figure4{Workload: name}
 	for _, i := range idx {
-		a, err := p.Recompile(jobs[i])
+		a, err := p.RecompileCtx(context.Background(), jobs[i])
 		if err != nil || len(a.Candidates) == 0 {
 			continue
 		}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -149,18 +150,16 @@ func TestFiguresSmoke(t *testing.T) {
 	}
 	f1.Render(&buf)
 
-	served, err := r.Served(0, "A", "B", "C")
+	loop, err := r.Loop("A", "B", "C")
 	if err != nil {
-		t.Fatalf("served: %v", err)
+		t.Fatalf("loop: %v", err)
 	}
-	served.Render(&buf)
-	for _, row := range served.Rows {
-		if row.Steered > row.Groups || row.Worse+row.Better > row.Jobs {
-			t.Errorf("served: workload %s row out of range: %+v", row.Workload, row)
+	loop.Render(&buf)
+	checkLoop(t, loop)
+	for _, row := range loop.Rows {
+		if row.Workload == "A" && row.Kind == "pair" && row.Jobs == 0 {
+			t.Errorf("loop: workload A served its day-%d bundle to no day-%d job", row.Built[0], row.Served[0])
 		}
-	}
-	if served.Rows[0].Jobs == 0 {
-		t.Error("served: workload A served its bundle to no day-1 job")
 	}
 
 	t.Logf("\n%s", buf.String())
@@ -292,6 +291,57 @@ func TestCheckedPlansSmoke(t *testing.T) {
 		tr := r.DefaultTrial("A", j)
 		if tr.Metrics.RuntimeSec <= 0 {
 			t.Fatalf("job %s: bad checked trial %+v", j.ID, tr.Metrics)
+		}
+	}
+}
+
+// checkLoop holds every row of a Loop in range, each total to the sum of its
+// split's pair rows, and gives every workload a shelf-life row.
+func checkLoop(t *testing.T, loop *Loop) {
+	t.Helper()
+	type key struct{ workload, split string }
+	sums := map[key]LoopRow{}
+	shelves := map[string]int{}
+	// A total sums its jobs' runtimes in one pass and the pairs in several,
+	// so the two Σ may differ in the last bits.
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(b) }
+	for _, row := range loop.Rows {
+		if row.Steered > row.Groups || row.Worse+row.Better > row.Jobs || row.Tenfold > row.Worse {
+			t.Errorf("loop: %s %s %s row out of range: steered %d/%d, jobs %d, worse/better %d/%d, ≥10× %d",
+				row.Workload, row.Kind, row.Split, row.Steered, row.Groups, row.Jobs, row.Worse, row.Better, row.Tenfold)
+		}
+		k := key{row.Workload, row.Split}
+		switch row.Kind {
+		case "pair":
+			sum := sums[k]
+			sum.Jobs += row.Jobs
+			sum.DefaultSec += row.DefaultSec
+			sum.ServedSec += row.ServedSec
+			sum.Worse += row.Worse
+			sum.Better += row.Better
+			sum.Tenfold += row.Tenfold
+			sums[k] = sum
+		case "total":
+			sum := sums[k]
+			if row.Jobs != sum.Jobs || !near(row.DefaultSec, sum.DefaultSec) || !near(row.ServedSec, sum.ServedSec) ||
+				row.Worse != sum.Worse || row.Better != sum.Better || row.Tenfold != sum.Tenfold {
+				t.Errorf("loop: %s %s total (jobs %d, Σ %.3f/%.3f s, %d/%d/%d) is not the sum of its pairs (jobs %d, Σ %.3f/%.3f s, %d/%d/%d)",
+					row.Workload, row.Split, row.Jobs, row.DefaultSec, row.ServedSec, row.Worse, row.Better, row.Tenfold,
+					sum.Jobs, sum.DefaultSec, sum.ServedSec, sum.Worse, sum.Better, sum.Tenfold)
+			}
+			delete(sums, k)
+		case "shelf":
+			shelves[row.Workload]++
+		default:
+			t.Errorf("loop: unknown row kind %q", row.Kind)
+		}
+	}
+	for k := range sums {
+		t.Errorf("loop: workload %s split %s has pair rows and no total", k.workload, k.split)
+	}
+	for _, name := range []string{"A", "B", "C"} {
+		if shelves[name] != 1 {
+			t.Errorf("loop: workload %s has %d shelf-life rows, want 1", name, shelves[name])
 		}
 	}
 }

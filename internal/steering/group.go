@@ -111,7 +111,7 @@ func (g *Grouper) Group(jobs []*workload.Job) ([]*JobGroup, error) {
 		if len(out[i].Jobs) != len(out[j].Jobs) {
 			return len(out[i].Jobs) > len(out[j].Jobs)
 		}
-		return out[i].Signature.Hex() < out[j].Signature.Hex()
+		return out[i].Signature.Compare(out[j].Signature) < 0
 	})
 	return out, nil
 }
