@@ -43,7 +43,10 @@
 #                                nothing) and the
 #                                plan-under-injection rule it rests on
 #                                (faults' TestCompileAttemptBuildsPlanUnder-
-#                                Injection) — re-run with STEERQ_WORKERS=4 so
+#                                Injection), and every steered bundle entry
+#                                compiling to its measured plan
+#                                (TestBundleServesMeasuredPlan, A/B/C day 0)
+#                                — re-run with STEERQ_WORKERS=4 so
 #                                the race detector covers the worker pool on
 #                                every run
 #   7. alloc regression          the front end's allocation budget (Lex
@@ -178,7 +181,7 @@ STEERQ_CHECK_PLANS=1 go test -race ./...
 
 echo "== parallel pipeline smoke (race, 4 workers) =="
 STEERQ_WORKERS=4 STEERQ_CHECK_PLANS=1 go test -race ./internal/cascades/ ./internal/steering/ ./internal/experiments/ \
-    -run 'Parallel|Determinism|Fault|Repass|Session|GroupState|Frozen|Reentrant|TrialPath'
+    -run 'Parallel|Determinism|Fault|Repass|Session|GroupState|Frozen|Reentrant|TrialPath|ServesMeasured'
 STEERQ_WORKERS=4 STEERQ_CHECK_PLANS=1 go test -race ./internal/faults/ -run 'TestCompileAttemptBuildsPlanUnderInjection'
 
 echo "== alloc regression (race) =="

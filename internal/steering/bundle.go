@@ -38,7 +38,7 @@ func (p *Pipeline) BuildBundle(jobs []*workload.Job, version uint64, createdUnix
 
 // BuildBundleCtx is BuildBundle bounded by a context.
 //
-// Every group gets exactly one entry: the span-minimized best alternative
+// Every group gets exactly one entry: the footprint-minimized best alternative
 // when the analysis found a runtime improvement (see MinimalConfig), and an
 // explicit fallback entry pinning the default configuration otherwise —
 // including when the representative's analysis failed under fault

@@ -97,21 +97,16 @@ func ParseHints(text string, rs *cascades.RuleSet) (bitvec.Vector, error) {
 }
 
 // MinimalConfig returns the deployable configuration for an analysis whose
-// best alternative beats the default, minimized against the job span: rules
-// outside the span cannot affect the plan (Definition 5.1), so their bits
-// are reset to the default — the customer-facing hint and the bundle entry
-// then carry only the toggles that matter. (If the span heuristic missed a
-// dependency, the minimized configuration can compile slightly differently
-// from the measured one; the paper accepts the same limitation, §5.1.)
-// Reports false when no alternative improved the runtime.
+// best alternative beats the default: the default configuration with the
+// best trial's decision footprint copied from the measured configuration.
+// The footprint holds every rule bit the compile read, so the served
+// configuration compiles to the measured plan (DESIGN.md "Footprint
+// memoization & equivalence classes"), and every bit outside it keeps its
+// default. Reports false when no alternative improved the runtime.
 func MinimalConfig(a *Analysis, rs *cascades.RuleSet) (bitvec.Vector, bool) {
 	best := a.BestAlternative(MetricRuntime)
 	if best == nil || best.Metrics.RuntimeSec >= a.Default.Metrics.RuntimeSec {
 		return bitvec.Vector{}, false
 	}
-	minimal := rs.DefaultConfig()
-	for _, id := range a.Span.Ones() {
-		minimal.Assign(id, best.Config.Get(id))
-	}
-	return minimal, true
+	return rs.DefaultConfig().AndNot(best.Footprint).Or(best.Config.And(best.Footprint)), true
 }

@@ -68,8 +68,8 @@ func TestParseHintsErrors(t *testing.T) {
 // TestRecommend: the recommendation `steerq pipeline` prints is
 // MinimalConfig rendered by HintsFor. There is none without an improving
 // alternative; otherwise the hints parse back to the minimized
-// configuration, which agrees with the measured one on every span rule and
-// toggles nothing outside the span.
+// configuration, which agrees with the measured one on every bit of the
+// measured compile's footprint and toggles nothing outside it.
 func TestRecommend(t *testing.T) {
 	cat := steerCatalog()
 	h := steerHarness(cat)
@@ -100,12 +100,10 @@ func TestRecommend(t *testing.T) {
 	if !cfg.Equal(minimal) {
 		t.Fatal("hints do not round-trip the minimized configuration")
 	}
-	for _, id := range a.Span.Ones() {
-		if cfg.Get(id) != best.Config.Get(id) {
-			t.Fatalf("minimized configuration disagrees with the measured one on span rule %d", id)
-		}
+	if d := cfg.Xor(best.Config).And(best.Footprint); !d.IsEmpty() {
+		t.Fatalf("minimized configuration disagrees with the measured one on footprint rules %v", d.Ones())
 	}
-	if !a.Span.Contains(cfg.Xor(rs.DefaultConfig())) {
-		t.Fatal("recommendation toggles rules outside the job span")
+	if !best.Footprint.Contains(cfg.Xor(rs.DefaultConfig())) {
+		t.Fatal("recommendation toggles rules outside the measured footprint")
 	}
 }

@@ -42,12 +42,15 @@ func analysisDigest(a *steering.Analysis) uint64 {
 // analysis and the summed robustness record, at Workers 1 and 8. The
 // analyses fold was re-derived at commit b983202 when analysisDigest began
 // spelling out the Record fields, and at commit 4534548 when it began
-// spelling out the footprint counts, with nothing else changed. Injected
+// spelling out the footprint counts, with nothing else changed. The bundle
+// hash alone was re-derived in the change after commit 1f17793, when
+// MinimalConfig began minimizing against the best trial's footprint instead
+// of the span: entry configs moved, analyses and robustness did not. Injected
 // failures and hangs never enter the optimizer, so a session must see — and
 // produce — exactly what per-compile memos did.
 func TestSessionFaultedBuildMatchesPerCompileBaseline(t *testing.T) {
 	const (
-		wantBundle   = uint64(0x5aa075f0bfcc99c9)
+		wantBundle   = uint64(0xa70536d24e75a24d)
 		wantAnalyses = uint64(0xfb16fa2eb00d9b20)
 	)
 	wantReport := steering.BundleReport{Jobs: 24, Groups: 13, Steered: 12, Fallbacks: 1}
