@@ -14,7 +14,8 @@ test:
 race:
 	STEERQ_CHECK_PLANS=1 go test -race ./...
 
-# lint mirrors the CI stage: all eight analyzers, any finding fails.
+# lint runs the driver: all eight analyzers, any finding fails. CI runs the
+# same lint as internal/analysis's TestRepoIsClean, inside `test` and `race`.
 lint:
 	go run ./cmd/steerq-lint ./...
 
@@ -24,7 +25,7 @@ vet:
 fmt:
 	gofmt -w .
 
-# fuzz is ci.sh's short fuzz stage: the same six targets and budgets.
+# fuzz is ci.sh's "fuzz (short)" stage: the same seven targets and budgets.
 fuzz:
 	go test -fuzz=FuzzLex -fuzztime=5s ./internal/scopeql/
 	go test -fuzz=FuzzParse -fuzztime=15s ./internal/scopeql/
@@ -32,6 +33,7 @@ fuzz:
 	go test -fuzz=FuzzBundleDecode -fuzztime=15s ./internal/bundle/
 	go test -fuzz=FuzzSourceMatchesMathRand -fuzztime=10s ./internal/xrand/
 	go test -fuzz=FuzzNDVsMerge -fuzztime=5s ./internal/cost/
+	go test -fuzz=FuzzKernelsMatchPortable -fuzztime=10s ./internal/nn/
 
 # bench runs the root pipeline benchmarks, then every workload of the repo
 # benchmark the way the driver calls it (README "Benchmark"). The workload

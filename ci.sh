@@ -1,24 +1,54 @@
 #!/bin/sh
 # ci.sh — the full steerq gate. Run from the repository root.
 #
-# Stages, in order:
-#   1. go build ./...            everything compiles
-#   2. gofmt -l                  no unformatted files
-#   3. go vet ./...              stdlib vet findings, plus internal/nn vetted
+# Stages, in order; each prints its name as an "== name ==" header, and
+# the docs cite stages by that name:
+#   1. build                     go build ./...: everything compiles
+#   2. gofmt                     no unformatted files
+#   3. vet                       stdlib vet findings, plus internal/nn vetted
 #                                for arm64 so the build without the amd64
 #                                kernel bodies (portable only) compiles too
-#   4. go run ./cmd/steerq-lint  all eight project analyzers (see README); each
-#                                finding prints to the log as
-#                                file:line:col: analyzer: message and any
-#                                finding fails the stage
-#   5. go test -race ./...       unit + property + golden tests under the
-#                                race detector, with plan validation forced
-#                                on via STEERQ_CHECK_PLANS — the serving
-#                                client's drain battery (TestSteerMidDrain),
-#                                WaitReady's budget bound and the rules'
-#                                prove-or-delete census
-#                                (TestBehaviourRulesChangeOutcomes) among them
-#   6. parallel smoke            the pipeline determinism tests — the
+#   4. test (race)               go test -race ./...: unit + property +
+#                                golden tests under the race detector, with
+#                                plan validation forced on via
+#                                STEERQ_CHECK_PLANS — among them:
+#                                - steerq-lint's gate: internal/analysis's
+#                                  TestRepoIsClean runs all eight project
+#                                  analyzers (see README) over the module,
+#                                  benchmark/ included, and fails on any
+#                                  finding, printed as
+#                                  file:line:col: analyzer: message;
+#                                - the serving client's drain battery
+#                                  (TestSteerMidDrain), WaitReady's budget
+#                                  bound and the rules' prove-or-delete
+#                                  census (TestBehaviourRulesChangeOutcomes);
+#                                - the allocation budgets, checked under
+#                                  -race too (testing.AllocsPerRun): the
+#                                  front end's (TestFrontEndAllocationBudget:
+#                                  Lex allocates only its token slice, a warm
+#                                  Compile only its plan — one array per plan
+#                                  pile, whose sizes the binder counts from
+#                                  the AST — pinned exactly), the compile
+#                                  allocation budget
+#                                  (TestCompileAllocationBudget), the
+#                                  one-shot compile's byte bound
+#                                  (TestOneShotCompileBytes: rules carve
+#                                  their output from the arena), the warm
+#                                  session compile's
+#                                  (TestSessionWarmCompileAllocations: its
+#                                  Result and nothing else), the
+#                                  column-statistics sets against their map
+#                                  reference (TestNDVsMatchMapReference), the
+#                                  nn training/inference budgets
+#                                  (TestTrainAllocationBudget,
+#                                  TestForwardAllocationFree), the exec
+#                                  simulator's once-per-node work and
+#                                  allocation-free warm execution
+#                                  (TestRunCostsEachNodeOnce,
+#                                  TestRunAllocationBudget) and xrand's
+#                                  allocation-free reseed-and-draw
+#                                  (TestReseedDrawAllocationFree)
+#   5. parallel pipeline smoke   the pipeline determinism tests — the
 #                                BuildBundle/Group fan-out battery, the fault
 #                                batteries, the warm re-pass (no compile, no
 #                                candidate sampling, no candidate probe, kept
@@ -49,24 +79,7 @@
 #                                — re-run with STEERQ_WORKERS=4 so
 #                                the race detector covers the worker pool on
 #                                every run
-#   7. alloc regression          the front end's allocation budget (Lex
-#                                allocates only its token slice, a warm
-#                                Compile only its plan — one array per plan
-#                                pile, whose sizes the binder counts from
-#                                the AST — pinned exactly), the
-#                                compile allocation
-#                                budget, the one-shot compile's byte bound
-#                                (rules carve their output from the arena),
-#                                the warm
-#                                session compile's (its Result and nothing
-#                                else), the column-statistics sets against
-#                                their map reference, the nn
-#                                training/inference allocation budgets, the
-#                                exec simulator's once-per-node work and
-#                                allocation-free warm execution and xrand's
-#                                allocation-free reseed-and-draw re-checked
-#                                under -race (testing.AllocsPerRun)
-#   8. bench smoke               the one-shot compile (a one-compile
+#   6. bench smoke               the one-shot compile (a one-compile
 #                                session; at -benchtime=20000x it reads 14
 #                                allocs/op, here the first compile also
 #                                builds the pooled arena), the
@@ -94,17 +107,17 @@
 #                                executed once
 #                                (-benchtime=1x) so a broken or pathologically
 #                                slow hot path fails CI, not the next perf run
-#   9. coverage floor            go test -cover over every package under
+#   7. coverage floor            go test -cover over every package under
 #                                internal/ with an 80% per-package floor
-#  10. fault-injection smoke     one pipeline run with a pinned fault seed and
+#   8. fault-injection smoke     one pipeline run with a pinned fault seed and
 #                                plan checking on: it must complete with every
 #                                faulted job surviving via retry or fallback
-#  11. metrics golden smoke      the same pinned-seed pipeline run under the
+#   9. metrics golden smoke      the same pinned-seed pipeline run under the
 #                                frozen virtual clock (STEERQ_VCLOCK) with
 #                                -metrics-out, diffed byte-for-byte against the
 #                                committed snapshot golden — metric drift and
 #                                nondeterminism both fail here
-#  12. paper tables golden       the one regenerator of the paper's tables,
+#  10. paper tables golden       the one regenerator of the paper's tables,
 #                                `steerq-bench -exp all` at -scale 0.01 -m 300
 #                                (the run EXPERIMENTS.md cites) with a pinned
 #                                fault seed, diffed byte-for-byte against
@@ -121,11 +134,11 @@
 #                                are that loop's determinism gate: its rows
 #                                must not move with the worker count or with
 #                                fault injection
-#  13. quickstart vs README      `go run ./examples/quickstart` (README's first
+#  11. quickstart vs README      `go run ./examples/quickstart` (README's first
 #                                run): every line of README's quoted
 #                                quickstart output must be a line of the
 #                                program's stdout
-#  14. serving smoke             the full serving path end to end: build a
+#  12. serving smoke             the full serving path end to end: build a
 #                                pinned-seed bundle with `steerq bundle`,
 #                                check that steerqd refuses to boot from a
 #                                missing -bundle (nonzero exit, no address
@@ -135,14 +148,14 @@
 #                                drain the daemon with SIGTERM, and diff its
 #                                frozen-clock metrics snapshot against the
 #                                committed ci_serving.golden.json
-#  15. benchmark module          (cd benchmark && go vet ./... && go test
+#  13. benchmark module          (cd benchmark && go vet ./... && go test
 #                                ./...): the repo benchmark is its own module
 #                                importing this one, so a root change that
 #                                breaks the API it calls fails here; its tests
 #                                pin BENCHMARK.json to `-manifest`, check the
 #                                oracles against tampered outputs and smoke
 #                                all five workloads offline
-#  16. short fuzz pass           75s total over the scopeql lexer (token
+#  14. fuzz (short)              75s total over the scopeql lexer (token
 #                                texts and positions against the source,
 #                                seeded where its ASCII fast path ends or
 #                                hands over to the Unicode path), parser and
@@ -155,7 +168,8 @@
 #                                training kernel bodies (AVX2 on a CPU that
 #                                has it) against the portable ones
 #
-# Set STEERQ_CI_SKIP_FUZZ=1 to skip stage 16 (e.g. on very slow machines).
+# Set STEERQ_CI_SKIP_FUZZ=1 to skip the fuzz stage (e.g. on very slow
+# machines).
 set -eu
 
 echo "== build =="
@@ -173,9 +187,6 @@ echo "== vet =="
 go vet ./...
 GOARCH=arm64 go vet ./internal/nn/
 
-echo "== steerq-lint =="
-go run ./cmd/steerq-lint ./...
-
 echo "== test (race) =="
 STEERQ_CHECK_PLANS=1 go test -race ./...
 
@@ -183,15 +194,6 @@ echo "== parallel pipeline smoke (race, 4 workers) =="
 STEERQ_WORKERS=4 STEERQ_CHECK_PLANS=1 go test -race ./internal/cascades/ ./internal/steering/ ./internal/experiments/ \
     -run 'Parallel|Determinism|Fault|Repass|Session|GroupState|Frozen|Reentrant|TrialPath|ServesMeasured'
 STEERQ_WORKERS=4 STEERQ_CHECK_PLANS=1 go test -race ./internal/faults/ -run 'TestCompileAttemptBuildsPlanUnderInjection'
-
-echo "== alloc regression (race) =="
-go test -race ./internal/scopeql/ -run TestFrontEndAllocationBudget -count=1
-go test -race ./internal/rules/ -run TestCompileAllocationBudget -count=1
-go test -race ./internal/cascades/ -run 'TestSessionWarmCompileAllocations|TestOneShotCompileBytes' -count=1
-go test -race ./internal/cost/ -run TestNDVsMatchMapReference -count=1
-go test -race ./internal/nn/ -run 'TestTrainAllocationBudget|TestForwardAllocationFree' -count=1
-go test -race ./internal/exec/ -run 'TestRunCostsEachNodeOnce|TestRunAllocationBudget' -count=1
-go test -race ./internal/xrand/ -run TestReseedDrawAllocationFree -count=1
 
 echo "== bench smoke (1x, serial + 4 workers) =="
 go test -run '^$' -bench 'Benchmark(CompileDefault|PipelineWorkers(1|4)|BundleRepass|SessionCandidates)$' -benchtime=1x -benchmem .
@@ -235,7 +237,7 @@ diff -u cmd/steerq/testdata/ci_metrics.golden.json /tmp/steerq-metrics.$$.json |
 }
 rm -f /tmp/steerq-metrics.$$.json
 
-echo "== paper tables golden (steerq-bench -exp all, pinned seed 1337; serial, no faults) =="
+echo "== paper tables golden (steerq-bench -exp all: 4 workers, pinned seed 1337; then serial, no faults) =="
 go run ./cmd/steerq-bench -scale 0.01 -m 300 -exp all -fault-seed 1337 -workers 4 \
     > /tmp/steerq-exp.$$.txt 2> /dev/null
 diff -u cmd/steerq-bench/testdata/exp_all.golden.txt /tmp/steerq-exp.$$.txt || {

@@ -107,7 +107,8 @@ func TestCtxFlowFixture(t *testing.T) {
 }
 
 // TestRepoIsClean runs every analyzer over the whole module and expects zero
-// findings — the same gate ci.sh enforces via cmd/steerq-lint.
+// findings. It is the lint gate of tier-1 and of ci.sh's race stage; `go run
+// ./cmd/steerq-lint ./...` runs the same check by hand.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")

@@ -12,9 +12,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
-
-	"steerq/internal/par"
 )
 
 // Unit is one type-checked analysis unit: a base package, its in-package
@@ -38,16 +35,14 @@ type Unit struct {
 	ModulePath string
 }
 
-// Loader type-checks the module's packages from source on demand. Module
-// packages resolve from the source tree; standard-library imports resolve
-// through go/importer's source importer, so the loader needs no pre-built
-// export data and no external tooling.
+// Loader type-checks the module's packages from source on demand: the
+// analyzers need their ASTs and types.Info. Standard-library imports resolve
+// through go/importer's gc importer, which reads the compiled export data the
+// go command keeps in its build cache (it runs `go list -export` once per
+// package), so no standard-library source is parsed or type-checked.
 //
-// LoadAll parses every package directory concurrently through internal/par
-// on par.Workers(0) goroutines (token.FileSet is safe for concurrent use;
-// scheduling affects only file base offsets, never reported positions) and
-// then type-checks serially in sorted directory order, so the unit list — and
-// therefore every diagnostic — is deterministic at any worker count.
+// LoadAll parses and type-checks serially in sorted directory order, so the
+// unit list — and therefore every diagnostic — is deterministic.
 type Loader struct {
 	Root       string // module root directory (holds go.mod)
 	ModulePath string
@@ -57,8 +52,7 @@ type Loader struct {
 	base map[string]*Unit // import path -> checked base unit
 	busy map[string]bool  // import-cycle guard
 
-	parseMu sync.Mutex
-	parsed  map[string]parsedDir // dir -> parse results
+	parsed map[string]parsedDir // dir -> parse results
 }
 
 // parsedDir caches one directory's parsed files, split non-test/test.
@@ -77,7 +71,7 @@ func NewLoader(root string) (*Loader, error) {
 		Root:       root,
 		ModulePath: modPath,
 		Fset:       fset,
-		std:        importer.ForCompiler(fset, "source", nil),
+		std:        importer.ForCompiler(fset, "gc", nil),
 		base:       make(map[string]*Unit),
 		busy:       make(map[string]bool),
 		parsed:     make(map[string]parsedDir),
@@ -101,7 +95,7 @@ func modulePath(gomod string) (string, error) {
 
 // Import implements types.Importer: module packages are type-checked from
 // source (and cached); everything else falls through to the standard-library
-// source importer.
+// export-data importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	if path == l.ModulePath || strings.HasPrefix(path, l.ModulePath+"/") {
 		u, err := l.loadBase(path)
@@ -150,27 +144,12 @@ func (l *Loader) loadBase(path string) (*Unit, error) {
 }
 
 // parseDir parses a directory's Go files, split into non-test and test
-// files. Results are cached, and the cache is safe for the concurrent
-// pre-parse LoadAll runs.
+// files. Results are cached: LoadAll and loadBase both read a directory, and
+// an imported package is parsed before LoadAll reaches its directory.
 func (l *Loader) parseDir(dir string) (base, tests []*ast.File, err error) {
-	l.parseMu.Lock()
 	if p, ok := l.parsed[dir]; ok {
-		l.parseMu.Unlock()
 		return p.base, p.tests, nil
 	}
-	l.parseMu.Unlock()
-	base, tests, err = l.parseDirUncached(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	l.parseMu.Lock()
-	l.parsed[dir] = parsedDir{base: base, tests: tests}
-	l.parseMu.Unlock()
-	return base, tests, nil
-}
-
-// parseDirUncached does the actual parsing for parseDir.
-func (l *Loader) parseDirUncached(dir string) (base, tests []*ast.File, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("analysis: read dir: %w", err)
@@ -194,6 +173,7 @@ func (l *Loader) parseDirUncached(dir string) (base, tests []*ast.File, err erro
 			base = append(base, f)
 		}
 	}
+	l.parsed[dir] = parsedDir{base: base, tests: tests}
 	return base, tests, nil
 }
 
@@ -280,15 +260,6 @@ func (l *Loader) LoadAll() ([]*Unit, error) {
 		return nil, fmt.Errorf("analysis: walk module: %w", err)
 	}
 	sort.Strings(dirs)
-
-	// Pre-parse every directory concurrently; the error surfaced is the
-	// lowest-index failure, so even the failure mode is deterministic.
-	if err := par.ForEach(0, len(dirs), func(i int) error {
-		_, _, err := l.parseDir(dirs[i])
-		return err
-	}); err != nil {
-		return nil, err
-	}
 
 	var units []*Unit
 	for _, dir := range dirs {
