@@ -119,7 +119,9 @@
 #                                nondeterminism both fail here
 #  10. paper tables golden       the one regenerator of the paper's tables,
 #                                `steerq-bench -exp all` at -scale 0.01 -m 300
-#                                (the run EXPERIMENTS.md cites) with a pinned
+#                                (EXPERIMENTS.md quotes this golden, and
+#                                TestExperimentsQuoteExpAll fails when an
+#                                excerpt departs from it) with a pinned
 #                                fault seed, diffed byte-for-byte against
 #                                cmd/steerq-bench/testdata/exp_all.golden.txt
 #                                (its stdout is the same at any -workers and

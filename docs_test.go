@@ -202,16 +202,171 @@ func (d decls) undeclared(span string) string {
 func TestDocsNameDeclaredIdentifiers(t *testing.T) {
 	d := moduleDecls(t)
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
-		raw, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, line := range strings.Split(string(raw), "\n") {
+		for i, line := range readLines(t, doc) {
 			for _, m := range backticked.FindAllStringSubmatch(line, -1) {
 				if why := d.undeclared(m[1]); why != "" {
 					t.Errorf("%s:%d: `%s`: %s", doc, i+1, m[1], why)
 				}
 			}
 		}
+	}
+}
+
+// expAllGolden is the stdout of `steerq-bench -exp all -scale 0.01 -m 300`,
+// the run ci.sh's "paper tables golden" stage diffs.
+const expAllGolden = "cmd/steerq-bench/testdata/exp_all.golden.txt"
+
+// readLines returns a file's lines without their newlines.
+func readLines(t *testing.T, path string) []string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(string(raw), "\n")
+}
+
+// TestExperimentsQuoteExpAll: every fenced block of EXPERIMENTS.md whose info
+// string is exp_all is a contiguous run of lines of the exp_all golden, byte
+// for byte, and every section of the reproduction (each "## " section before
+// the "# Ledger" heading) holds at least one such block. So a number the
+// reproduction shows is one ci.sh checks, and a change that moves exp_all
+// fails here until the excerpts it moved are refreshed.
+func TestExperimentsQuoteExpAll(t *testing.T) {
+	golden := readLines(t, expAllGolden)
+	doc := readLines(t, "EXPERIMENTS.md")
+	section, sectionLine, quoted, ledger := "", 0, false, false
+	endSection := func() {
+		if section != "" && !ledger && !quoted {
+			t.Errorf("EXPERIMENTS.md:%d: reproduction section %q quotes no exp_all block", sectionLine, section)
+		}
+	}
+	for i := 0; i < len(doc); i++ {
+		line := doc[i]
+		switch {
+		case strings.HasPrefix(line, "## "):
+			endSection()
+			section, sectionLine, quoted = strings.TrimPrefix(line, "## "), i+1, false
+		case line == "# Ledger":
+			endSection()
+			section, ledger = "", true
+		case line == "```exp_all":
+			start := i + 1
+			for i++; i < len(doc) && doc[i] != "```"; i++ {
+			}
+			if i == len(doc) {
+				t.Fatalf("EXPERIMENTS.md:%d: exp_all block is never closed", start)
+			}
+			checkExcerpt(t, golden, doc[start:i], start+1)
+			quoted = true
+		}
+	}
+	endSection()
+	if !ledger {
+		t.Error(`EXPERIMENTS.md has no "# Ledger" heading ending the reproduction`)
+	}
+}
+
+// checkExcerpt reports the first line of block (which starts at EXPERIMENTS.md
+// line first) that departs from the golden run that matches the most of it.
+func checkExcerpt(t *testing.T, golden, block []string, first int) {
+	t.Helper()
+	if len(block) == 0 {
+		t.Errorf("EXPERIMENTS.md:%d: empty exp_all block", first)
+		return
+	}
+	best, at := -1, 0
+	for g := range golden {
+		n := 0
+		for n < len(block) && g+n < len(golden) && golden[g+n] == block[n] {
+			n++
+		}
+		if n == len(block) {
+			return
+		}
+		if n > best {
+			best, at = n, g+n
+		}
+	}
+	switch {
+	case best == 0:
+		t.Errorf("EXPERIMENTS.md:%d: %q is no line of %s", first, block[0], expAllGolden)
+	case at == len(golden):
+		t.Errorf("EXPERIMENTS.md:%d: %q runs past the end of %s", first+best, block[best], expAllGolden)
+	default:
+		t.Errorf("EXPERIMENTS.md:%d: %q differs from %s:%d, %q", first+best, block[best], expAllGolden, at+1, golden[at])
+	}
+}
+
+// citation is a reference to an EXPERIMENTS.md section by the start of its
+// title, as the documents and comments write it: EXPERIMENTS.md "<title>",
+// EXPERIMENTS.md, "<title>", EXPERIMENTS.md ("<title>") or
+// EXPERIMENTS "<title>".
+var citation = regexp.MustCompile(`EXPERIMENTS(?:\.md)?,? \(?"([^"]+)"`)
+
+// TestExperimentsCitationsResolve: every citation of an EXPERIMENTS.md
+// section in the repository's Markdown files, Go comments and ci.sh is the
+// start of one of its "## " headings, so cutting or renaming a section cannot
+// strand a reference to it. Text is matched with its whitespace collapsed,
+// because citations wrap across lines. A title in angle brackets is a
+// placeholder, not a citation.
+func TestExperimentsCitationsResolve(t *testing.T) {
+	var headings []string
+	for _, line := range readLines(t, "EXPERIMENTS.md") {
+		if title, ok := strings.CutPrefix(line, "## "); ok {
+			headings = append(headings, title)
+		}
+	}
+	resolves := func(title string) bool {
+		for _, h := range headings {
+			if strings.HasPrefix(h, title) {
+				return true
+			}
+		}
+		return false
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if e.Name() == ".git" || e.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		var text string
+		switch {
+		case strings.HasSuffix(path, ".md"):
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			text = string(raw)
+		case path == "ci.sh":
+			for _, line := range readLines(t, path) {
+				text += strings.TrimLeft(line, " \t#") + "\n"
+			}
+		case strings.HasSuffix(path, ".go"):
+			f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			for _, c := range f.Comments {
+				text += c.Text()
+			}
+		default:
+			return nil
+		}
+		for _, m := range citation.FindAllStringSubmatch(strings.Join(strings.Fields(text), " "), -1) {
+			if !strings.HasPrefix(m[1], "<") && !resolves(m[1]) {
+				t.Errorf("%s: %s cites no EXPERIMENTS.md heading", path, m[0])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

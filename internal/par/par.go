@@ -44,24 +44,13 @@ func Workers(n int) int {
 	return 1
 }
 
-// ForEach runs f(i) for every i in [0, n) on at most Workers(workers)
-// goroutines and waits for all of them. Every index runs regardless of other
-// indices' failures (pipeline call sites treat per-item failure as data, not
-// as a reason to stop); the returned error is the one from the lowest failing
-// index, so the error too is independent of scheduling.
-//
-// ForEach is Run without a context; callers that want one use Run directly.
-func ForEach(workers, n int, f func(i int) error) error {
-	return Run(context.Background(), workers, n, f)
-}
-
 // Map applies f to every item and returns the results slotted by input index.
 // The output slice always has len(items) entries — failed items keep their
 // zero value — and the returned error is the lowest-index failure, exactly as
-// in ForEach.
+// in Run.
 func Map[T, R any](workers int, items []T, f func(i int, item T) (R, error)) ([]R, error) {
 	out := make([]R, len(items))
-	err := ForEach(workers, len(items), func(i int) error {
+	err := Run(context.Background(), workers, len(items), func(i int) error {
 		r, err := f(i, items[i])
 		out[i] = r
 		return err

@@ -1,6 +1,7 @@
 package par_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -54,27 +55,14 @@ func TestMapSlotsResultsByInputIndex(t *testing.T) {
 	}
 }
 
-func TestForEachRunsEveryIndexOnce(t *testing.T) {
-	const n = 257
-	var counts [n]atomic.Int32
-	if err := par.ForEach(7, n, func(i int) error {
-		counts[i].Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range counts {
-		if c := counts[i].Load(); c != 1 {
-			t.Fatalf("index %d ran %d times", i, c)
-		}
-	}
-}
-
+// TestFirstErrorIsLowestIndex: with some indices failing and the rest
+// succeeding, Run returns the lowest failing index's error at any worker
+// count (TestRunAllErrorLowestIndexWins covers every index failing).
 func TestFirstErrorIsLowestIndex(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
 	for _, workers := range []int{1, 8} {
-		err := par.ForEach(workers, 64, func(i int) error {
+		err := par.Run(context.Background(), workers, 64, func(i int) error {
 			switch i {
 			case 50:
 				return errB
@@ -91,7 +79,7 @@ func TestFirstErrorIsLowestIndex(t *testing.T) {
 
 func TestErrorDoesNotStopOtherIndices(t *testing.T) {
 	var ran atomic.Int32
-	err := par.ForEach(4, 32, func(i int) error {
+	err := par.Run(context.Background(), 4, 32, func(i int) error {
 		ran.Add(1)
 		if i == 0 {
 			return errors.New("boom")
@@ -103,15 +91,5 @@ func TestErrorDoesNotStopOtherIndices(t *testing.T) {
 	}
 	if got := ran.Load(); got != 32 {
 		t.Fatalf("ran %d of 32 indices", got)
-	}
-}
-
-func TestEmptyAndZeroInputs(t *testing.T) {
-	if err := par.ForEach(4, 0, func(int) error { return errors.New("never") }); err != nil {
-		t.Fatal(err)
-	}
-	out, err := par.Map(4, []int(nil), func(int, int) (int, error) { return 0, nil })
-	if err != nil || len(out) != 0 {
-		t.Fatalf("nil items: out=%v err=%v", out, err)
 	}
 }

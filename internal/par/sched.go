@@ -1,4 +1,5 @@
-// Scheduler: the execution engine behind ForEach/Map and the direct Run API.
+// Scheduler: Run, the execution engine behind Map and the API for callers
+// with a context.
 //
 // The index set is a flat range, so scheduling is one shared cursor: a free
 // worker takes the next index. That keeps every core busy when items are as
@@ -21,8 +22,10 @@ import (
 // min(Workers(workers), n) goroutines, each taking the next unstarted index
 // when it is free, and waits for all of them.
 //
-// Every index runs regardless of other indices' failures and the returned
-// error is the one from the lowest failing index, exactly as in ForEach.
+// Every index runs regardless of other indices' failures (pipeline call sites
+// treat per-item failure as data, not as a reason to stop), and the returned
+// error is the one from the lowest failing index, so the error too is
+// independent of scheduling.
 // Once ctx is done no further indices start: each unstarted index records
 // ctx.Err() as its error instead of running, while indices already in flight
 // run to completion (they see the cancellation through the ctx their
