@@ -43,15 +43,22 @@
 #                                  (TestTrainAllocationBudget,
 #                                  TestForwardAllocationFree), the exec
 #                                  simulator's once-per-node work and
-#                                  allocation-free warm execution
+#                                  allocation-free warm execution, from a
+#                                  pooled sim and from a prepared plan
 #                                  (TestRunCostsEachNodeOnce,
-#                                  TestRunAllocationBudget) and xrand's
+#                                  TestRunAllocationBudget,
+#                                  TestPreparedRunAllocationBudget), the
+#                                  registry's allocation-free lookup of an
+#                                  existing series
+#                                  (TestLookupAllocatesNothing) and xrand's
 #                                  allocation-free reseed-and-draw
 #                                  (TestReseedDrawAllocationFree)
 #   5. parallel pipeline smoke   the pipeline determinism tests — the
 #                                BuildBundle/Group fan-out battery, the fault
 #                                batteries, the warm re-pass (no compile, no
-#                                candidate sampling, no candidate probe, kept
+#                                candidate sampling, no candidate probe, no
+#                                plan prepared twice, one prepared ground
+#                                truth per kept plan and day, kept
 #                                plans executed concurrently, candidate lists
 #                                kept per stream seed and M under a shared
 #                                cache, no resolution kept after a faulted
@@ -102,6 +109,8 @@
 #                                learn_groups shape, one learn_groups
 #                                group's Train and Save+Load, the exec simulator's
 #                                Run/Explain over the discover_* plan shapes
+#                                and the warm re-execution of those plans
+#                                prepared once (RunPrepared)
 #                                and xrand's short-stream (reseed + 3 draws)
 #                                and long-stream (seed + 1,000 draws) paths,
 #                                executed once
@@ -202,7 +211,7 @@ go test -run '^$' -bench 'Benchmark(CompileDefault|PipelineWorkers(1|4)|BundleRe
 go test -run '^$' -bench 'BenchmarkFrontEndDay$/^(Compile|Lex)$' -benchtime=1x -benchmem .
 go test -run '^$' -bench 'Benchmark(Train|Forward)$' -benchtime=1x ./internal/nn/
 go test -run '^$' -bench 'Benchmark(TrainModel|SaveLoad)$' -benchtime=1x ./internal/learning/
-go test -run '^$' -bench 'Benchmark(Run|Explain)$' -benchtime=1x ./internal/exec/
+go test -run '^$' -bench 'Benchmark(Run|Explain|RunPrepared)$' -benchtime=1x ./internal/exec/
 go test -run '^$' -bench 'Benchmark(ReseedDraw3|SeedFill)$' -benchtime=1x ./internal/xrand/
 
 echo "== coverage floor (every internal package >= 80%) =="

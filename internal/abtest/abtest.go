@@ -173,10 +173,30 @@ func (h *Harness) RetryCompile(ctx context.Context, jobTag string, rec *faults.R
 // this job under res.Config yields, e.g. one kept from an earlier compile
 // — run for the given day. The trial's Attempts count the executions only.
 func (h *Harness) ExecCtx(ctx context.Context, res *cascades.Result, day int, jobTag string, rec *faults.Record) Trial {
+	return h.execute(ctx, res, nil, day, jobTag, rec)
+}
+
+// ExecPreparedCtx is ExecCtx of res.Plan on the day pr was prepared for,
+// run from pr — res.Plan's ground truth for that day (exec.Prepare) — so
+// each attempt draws only its noise. The trial, its span, retries and
+// attempt counts are ExecCtx's, bit for bit.
+func (h *Harness) ExecPreparedCtx(ctx context.Context, res *cascades.Result, pr *exec.Prepared, jobTag string, rec *faults.Record) Trial {
+	return h.execute(ctx, res, pr, 0, jobTag, rec)
+}
+
+// execute is ExecCtx, running pr instead of res.Plan on day when pr is
+// non-nil.
+func (h *Harness) execute(ctx context.Context, res *cascades.Result, pr *exec.Prepared, day int, jobTag string, rec *faults.Record) Trial {
 	t := Trial{Config: res.Config, Signature: res.Signature, Footprint: res.Footprint, EstCost: res.Cost}
 	ectx, esp := h.Obs.StartSpan(ctx, "abtest.exec", jobTag)
 	t.Attempts, t.Err = h.Faults.Retry(ectx, faults.SiteExec, rec, func(attempt int) error {
-		m, xerr := h.Executor.RunCtx(ectx, res.Plan, day, jobTag, attempt)
+		var m exec.Metrics
+		var xerr error
+		if pr != nil {
+			m, xerr = h.Executor.RunPreparedCtx(ectx, pr, jobTag, attempt)
+		} else {
+			m, xerr = h.Executor.RunCtx(ectx, res.Plan, day, jobTag, attempt)
+		}
 		if xerr != nil {
 			return xerr
 		}

@@ -34,3 +34,20 @@ func BenchmarkExplain(b *testing.B) {
 		benchSink = x.Explain(g.plan, 0, g.tag).Metrics.RuntimeSec
 	}
 }
+
+// BenchmarkRunPrepared is the re-execution of a kept plan: each corpus plan
+// is prepared once, before the timer starts, and every iteration runs one.
+func BenchmarkRunPrepared(b *testing.B) {
+	w, corpus := goldenCorpus(b, workload.ProfileA(0.01, 7))
+	x := exec.New(w.Cat, 7)
+	prs := make([]*exec.Prepared, len(corpus))
+	for i, g := range corpus {
+		prs[i] = x.Prepare(g.plan, 0, g.tag)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(corpus)
+		benchSink = x.RunPrepared(prs[j], corpus[j].tag).RuntimeSec
+	}
+}

@@ -19,11 +19,20 @@
 // A/B comparisons (internal/abtest) are reproducible while still showing the
 // runtime variance the paper reports for short jobs (§3.1.1).
 //
-// A/B executions are most of a discovery re-pass; TestRunCostsEachNodeOnce
-// and TestRunAllocationBudget keep an execution at one costing per node and,
-// on a pooled sim, no allocation at all. DESIGN.md
-// ("Execution simulator") states the noise-seed and summation-order contracts
-// that any change here has to keep for the metrics to keep their bits.
+// An execution is a plan's ground truth for its day — true statistics,
+// costing, token waves and skew, which no run's tag changes — and a run that
+// draws each node's noise from (seed, tag, day) and folds the metrics. Run
+// and Explain prepare the truth into a pooled sim and run it; Prepare keeps
+// an immutable copy that RunPrepared runs again and again, which is how a
+// re-executed plan the compile cache keeps (internal/steering) draws only
+// its noise.
+//
+// A/B executions are most of a discovery re-pass; TestRunCostsEachNodeOnce,
+// TestRunAllocationBudget and TestPreparedRunAllocationBudget keep an
+// execution at one costing per node and, on a pooled sim, no allocation at
+// all. DESIGN.md ("Execution simulator") states the noise-seed and
+// summation-order contracts that any change here has to keep for the metrics
+// to keep their bits.
 package exec
 
 import (
@@ -78,10 +87,10 @@ type Executor struct {
 	// down. Zero means the default.
 	HotSpotProb float64
 
-	// CheckPlans runs cascades.Validate on every plan before executing it
-	// and fails loudly on a violation. New enables it when the
-	// STEERQ_CHECK_PLANS environment variable is non-empty; harnesses may
-	// also set it directly.
+	// CheckPlans runs cascades.Validate on every plan when it is prepared
+	// — before its first run — and fails loudly on a violation. New
+	// enables it when the STEERQ_CHECK_PLANS environment variable is
+	// non-empty; harnesses may also set it directly.
 	CheckPlans bool
 
 	// Faults, when non-nil, injects deterministic execution faults into
@@ -128,46 +137,119 @@ func New(cat *catalog.Catalog, seed uint64) *Executor {
 // different noise, identical tags reproduce identical metrics.
 func (x *Executor) Run(p *plan.PhysNode, day int, tag string) Metrics {
 	s := simPool.Get().(*sim)
-	s.simulate(x, p, day, tag)
+	s.prepare(x, p, day, tag)
+	s.run(x, &s.truth, tag)
 	m := s.metrics
 	s.release()
 	simPool.Put(s)
 	return m
 }
 
-// simNode is one distinct plan node of a simulated execution.
-type simNode struct {
-	node  *plan.PhysNode
-	props cost.Props   // true statistics of the node's output
-	usage cost.OpUsage // true usage: waves, skew and noise applied
-	path  float64      // longest latency path from any leaf through this node
+// Prepared is a plan's ground truth for one day on one cluster: everything
+// an execution computes that does not depend on its tag, so a run of it
+// draws only the noise. It holds, per distinct plan node in post-order, the
+// node's true usage before noise (token waves and partition skew applied),
+// its DOP and stage-head flag, the indexes of its children and its content
+// tag, the bytes its noise seed is hashed from — not the plan itself.
+//
+// A Prepared that Prepare returns is immutable, exactly sized and safe for
+// concurrent runs; RunPrepared of it reads exactly what Run of its plan on
+// its day reads, bit for bit.
+type Prepared struct {
+	cat    *catalog.Catalog
+	tokens int
+	day    int
+	nodes  []truthNode
+	kids   []int32 // every node's child indexes, node after node
+	tags   []byte  // every node's content tag, node after node
 }
 
-// sim is one simulated execution: the plan DAG flattened in post-order, each
-// distinct node costed exactly once, and the metrics folded from the stored
-// usages. Run and Explain are both views of it. It is confined to one call,
-// so the shared Executor stays safe for concurrent use.
+// truthNode is one distinct plan node of a Prepared. A node's child indexes
+// and tag end where the next node's begin.
+type truthNode struct {
+	usage   cost.OpUsage // true usage before noise
+	dop     int          // the plan's DOP, at least 1
+	kidsEnd int32        // end of the node's child indexes in kids
+	tagEnd  int32        // end of the node's content tag in tags
+	head    bool         // the node starts a stage (see isStageHead)
+}
+
+// Fits reports whether pr is the ground truth x's cluster gives its plan on
+// day: prepared for that day on x's catalog and token budget. The noise
+// parameters and seed are a run's, not the truth's.
+func (pr *Prepared) Fits(x *Executor, day int) bool {
+	return pr.day == day && pr.cat == x.Cat && pr.tokens == x.Tokens
+}
+
+// Prepare computes p's ground truth for day once, for any number of later
+// RunPrepared calls; a plan run once is cheaper through Run, which prepares
+// into a pooled buffer. With CheckPlans set, p is validated here, and tag
+// names the job in the failure.
+func (x *Executor) Prepare(p *plan.PhysNode, day int, tag string) *Prepared {
+	s := simPool.Get().(*sim)
+	s.prepare(x, p, day, tag)
+	t := &s.truth
+	pr := &Prepared{cat: t.cat, tokens: t.tokens, day: t.day,
+		nodes: exactly(t.nodes), kids: exactly(t.kids), tags: exactly(t.tags)}
+	s.release()
+	simPool.Put(s)
+	return pr
+}
+
+// exactly returns a copy of s in an array of its length.
+func exactly[T any](s []T) []T {
+	return append(make([]T, 0, len(s)), s...)
+}
+
+// RunPrepared executes the prepared plan under tag: Run of the plan on pr's
+// day, bit for bit, with x's seed and noise parameters.
+func (x *Executor) RunPrepared(pr *Prepared, tag string) Metrics {
+	s := simPool.Get().(*sim)
+	s.run(x, pr, tag)
+	m := s.metrics
+	s.release()
+	simPool.Put(s)
+	return m
+}
+
+// simNode is what preparing a plan node keeps beside its truthNode: the
+// node, which later edges to it are matched against, and the true
+// statistics of its output, which its parents are derived from.
+type simNode struct {
+	node  *plan.PhysNode
+	props cost.Props
+}
+
+// simRun is one node's outcome in a run: its usage with noise and the
+// longest latency path from any leaf through it.
+type simRun struct {
+	usage cost.OpUsage
+	path  float64
+}
+
+// sim is one simulated execution in two parts. prepare flattens the plan
+// DAG in post-order and costs each distinct node exactly once with true
+// statistics into truth; run derives the execution's noise stream, draws
+// each node's noise and folds the metrics from the noisy usages in the same
+// post-order. A run reads its Prepared only, so it runs the sim's own truth
+// or a retained one alike. Run and Explain are both views of it. It is
+// confined to one call, so the shared Executor stays safe for concurrent
+// use.
 //
 // Between calls a sim waits in simPool with its buffers, its stats arena and
 // scratch's generator (~4.9 KB) kept, so a warm Run allocates nothing.
 // Recycling is safe because nothing a call returns points into the sim:
-// Metrics is a value, and Explain copies each node's rows and usage into its
-// report before the sim goes back. Reusing scratch's generator changes no
-// draw: a reseeded generator draws exactly like a freshly derived one
-// (TestSourceReseedMatchesMathRand), which is already what every node but
-// the first of one execution relies on.
+// Metrics is a value, Prepare copies the truth out, and Explain copies each
+// node's rows and usage into its report before the sim goes back. Reusing
+// scratch's generator changes no draw: a reseeded generator draws exactly
+// like a freshly derived one (TestSourceReseedMatchesMathRand), which is
+// already what every node but the first of one execution relies on.
 type sim struct {
+	// prepare's state.
 	x      *Executor
 	oracle cost.Estimator // the true oracle of the execution's day
-	// noise is the execution's stream; scratch is re-seeded from it per node,
-	// and tag holds the node-content bytes that pick the node's seed.
-	noise, scratch xrand.Source
-	tag            []byte
-
-	nodes   []simNode // post-order: children before parents, root last
-	metrics Metrics
-	reseeds int // noise reseeds performed; tests hold it to one per node
-
+	truth  Prepared
+	nodes  []simNode // aligned with truth.nodes
 	// kids stacks the node indexes of the children of every node being
 	// visited; inProps/inSchemas are the n-ary union's argument buffers.
 	kids      []int
@@ -175,15 +257,22 @@ type sim struct {
 	inSchemas [][]plan.Column
 	// stats backs every node's column statistics and dies with the sim.
 	stats cost.Arena
+
+	// run's state. noise is the execution's stream; scratch is re-seeded
+	// from it per node.
+	noise, scratch xrand.Source
+	out            []simRun // aligned with the run's truth nodes
+	metrics        Metrics
+	reseeds        int // noise reseeds performed; tests hold it to one per node
 }
 
-// simPool holds the idle sims of Run and Explain.
+// simPool holds the idle sims of Run, Prepare, RunPrepared and Explain.
 var simPool = sync.Pool{
 	New: func() any { return new(sim) },
 }
 
-// simulate runs one execution of p on s, which is new or released.
-func (s *sim) simulate(x *Executor, p *plan.PhysNode, day int, tag string) {
+// prepare fills s.truth with p's ground truth for day; s is new or released.
+func (s *sim) prepare(x *Executor, p *plan.PhysNode, day int, tag string) {
 	if x.CheckPlans {
 		// maxDOP 0: a virtual dataset legitimately runs above the
 		// optimizer's per-operator cap (see cascades.Validate).
@@ -195,26 +284,53 @@ func (s *sim) simulate(x *Executor, p *plan.PhysNode, day int, tag string) {
 		}
 	}
 	s.x, s.oracle = x, *cost.NewTrue(x.Cat, day)
-	xrand.New(x.Seed).ReseedDerived(&s.noise, "exec", tag, strconv.Itoa(day))
-	root := s.visit(p)
+	s.truth.cat, s.truth.tokens, s.truth.day = x.Cat, x.Tokens, day
+	s.visit(p)
+}
 
-	// Totals in post-order, each node once — the order fixes the bits of the
-	// float sums. Parallel branches overlap and operators along a path
-	// serialize at stage boundaries, so the runtime is the root's longest
-	// path.
+// run executes t under tag into s.metrics. The noise stream derives from
+// (seed, tag, day); each node reseeds from it by the node's content tag.
+// Totals are folded in post-order, each node once — the order fixes the bits
+// of the float sums. Parallel branches overlap and operators along a path
+// serialize at stage boundaries, so the runtime is the root's longest path.
+func (s *sim) run(x *Executor, t *Prepared, tag string) {
+	xrand.New(x.Seed).ReseedDerived(&s.noise, "exec", tag, strconv.Itoa(t.day))
+	r := &s.scratch
 	m := &s.metrics
-	for i := range s.nodes {
-		n, u := s.nodes[i].node, s.nodes[i].usage
+	var kidsAt, tagAt int32
+	for i := range t.nodes {
+		tn := &t.nodes[i]
+		var childMax float64
+		for _, k := range t.kids[kidsAt:tn.kidsEnd] {
+			if v := s.out[k].path; v > childMax {
+				childMax = v
+			}
+		}
+		// Execution noise, deterministic per node content. Re-seeding the
+		// per-execution scratch stream draws exactly like a freshly derived
+		// one, and xrand seeds only the words these two or three draws read.
+		u := tn.usage
+		s.noise.ReseedDerivedBytes(r, "node", t.tags[tagAt:tn.tagEnd])
+		s.reseeds++
+		sigma := x.BaseSigma + 0.25/math.Sqrt(1+u.LatencySeconds)
+		mult := r.LogNormal(0, sigma)
+		if r.Bool(x.HotSpotProb) {
+			mult *= r.Uniform(1.3, 2.5)
+		}
+		u.LatencySeconds *= mult
+		u.CPUSeconds *= mult
+		s.out = append(s.out, simRun{usage: u, path: childMax + u.LatencySeconds})
+
 		m.CPUSec += u.CPUSeconds
 		m.IOBytes += u.IOBytes
-		dop := max(n.Dist.DOP, 1)
-		m.VertexSeconds += u.LatencySeconds * float64(dop)
-		if isStageHead(n.Op) {
-			m.Vertices += dop
+		m.VertexSeconds += u.LatencySeconds * float64(tn.dop)
+		if tn.head {
+			m.Vertices += tn.dop
 		}
+		kidsAt, tagAt = tn.kidsEnd, tn.tagEnd
 	}
 	m.IOTimeSec = m.IOBytes / cost.BytesPerIOSecond
-	m.RuntimeSec = s.nodes[root].path
+	m.RuntimeSec = s.out[len(s.out)-1].path
 	x.runtimeHist.Observe(m.RuntimeSec)
 }
 
@@ -223,10 +339,11 @@ func (s *sim) simulate(x *Executor, p *plan.PhysNode, day int, tag string) {
 // arena and scratch's generator for the next execution.
 func (s *sim) release() {
 	s.x, s.oracle = nil, cost.Estimator{}
-	s.tag = s.tag[:0]
+	t := &s.truth
+	t.cat = nil
+	t.nodes, t.kids, t.tags = t.nodes[:0], t.kids[:0], t.tags[:0]
 	clear(s.nodes)
 	s.nodes = s.nodes[:0]
-	s.metrics, s.reseeds = Metrics{}, 0
 	s.kids = s.kids[:0]
 	// The union buffers are truncated per node, so references may sit past
 	// their length.
@@ -234,9 +351,11 @@ func (s *sim) release() {
 	clear(s.inSchemas[:cap(s.inSchemas)])
 	s.inProps, s.inSchemas = s.inProps[:0], s.inSchemas[:0]
 	s.stats.Reset()
+	s.out = s.out[:0]
+	s.metrics, s.reseeds = Metrics{}, 0
 }
 
-// index returns n's index in s.nodes, or -1 if n has not been simulated.
+// index returns n's index in s.nodes, or -1 if n has not been prepared.
 // Plans have tens of nodes: finding a shared node again is a scan, not a map.
 func (s *sim) index(n *plan.PhysNode) int {
 	for i := range s.nodes {
@@ -247,26 +366,33 @@ func (s *sim) index(n *plan.PhysNode) int {
 	return -1
 }
 
-// visit returns n's index in s.nodes, first simulating n's subtree if this is
+// visit returns n's index in s.nodes, first preparing n's subtree if this is
 // the first edge to reach it.
 func (s *sim) visit(n *plan.PhysNode) int {
 	if i := s.index(n); i >= 0 {
 		return i
 	}
 	base := len(s.kids)
-	var childMax float64
 	for _, c := range n.Children {
 		k := s.visit(c)
 		s.kids = append(s.kids, k)
-		if v := s.nodes[k].path; v > childMax {
-			childMax = v
-		}
 	}
 	kids := s.kids[base:]
 	props := s.trueProps(n, kids)
-	u := s.nodeUsage(n, props, kids)
+	t := &s.truth
+	for _, k := range kids {
+		t.kids = append(t.kids, int32(k))
+	}
+	t.tags = appendNodeTag(t.tags, n)
+	t.nodes = append(t.nodes, truthNode{
+		usage:   s.nodeUsage(n, props, kids),
+		dop:     max(n.Dist.DOP, 1),
+		kidsEnd: int32(len(t.kids)),
+		tagEnd:  int32(len(t.tags)),
+		head:    isStageHead(n.Op),
+	})
 	s.kids = s.kids[:base]
-	s.nodes = append(s.nodes, simNode{node: n, props: props, usage: u, path: childMax + u.LatencySeconds})
+	s.nodes = append(s.nodes, simNode{node: n, props: props})
 	return len(s.nodes) - 1
 }
 
@@ -277,20 +403,38 @@ func (s *sim) visit(n *plan.PhysNode) int {
 // from (seed, tag, day), never from the attempt number, so a retried
 // execution of the same plan reproduces the same metrics bit-for-bit.
 func (x *Executor) RunCtx(ctx context.Context, p *plan.PhysNode, day int, tag string, attempt int) (Metrics, error) {
+	if err := x.attempt(ctx, tag, attempt); err != nil {
+		return Metrics{}, err
+	}
+	return x.Run(p, day, tag), nil
+}
+
+// RunPreparedCtx is RunPrepared behind RunCtx's fault-injection and timeout
+// layer: the same decisions for the same tag and attempt.
+func (x *Executor) RunPreparedCtx(ctx context.Context, pr *Prepared, tag string, attempt int) (Metrics, error) {
+	if err := x.attempt(ctx, tag, attempt); err != nil {
+		return Metrics{}, err
+	}
+	return x.RunPrepared(pr, tag), nil
+}
+
+// attempt is the fault-injection and timeout layer of one execution attempt:
+// the error the attempt fails with before it executes, or nil.
+func (x *Executor) attempt(ctx context.Context, tag string, attempt int) error {
 	switch x.Faults.Decide(faults.SiteExec, tag, attempt) {
 	case faults.KindFail:
 		x.execFail.Inc()
-		return Metrics{}, faults.Injectedf(faults.SiteExec, tag, attempt)
+		return faults.Injectedf(faults.SiteExec, tag, attempt)
 	case faults.KindHang, faults.KindCorrupt:
 		// Executions have no result to corrupt; a corrupt draw (site probs
 		// normally keep it at zero) degrades to a hang.
 		x.execHang.Inc()
-		return Metrics{}, faults.Hang(ctx, faults.SiteExec, tag, attempt)
+		return faults.Hang(ctx, faults.SiteExec, tag, attempt)
 	}
 	if err := ctx.Err(); err != nil {
-		return Metrics{}, fmt.Errorf("%w: exec %s attempt %d: %v", faults.ErrTimeout, tag, attempt, err)
+		return fmt.Errorf("%w: exec %s attempt %d: %v", faults.ErrTimeout, tag, attempt, err)
 	}
-	return x.Run(p, day, tag), nil
+	return nil
 }
 
 func isStageHead(op plan.PhysOp) bool {
@@ -302,11 +446,9 @@ func isStageHead(op plan.PhysOp) bool {
 	}
 }
 
-// nodeUsage costs one node with true statistics, the plan's DOP, skew
-// penalties and execution noise. props are the node's own true statistics and
-// kids index its children in s.nodes. Deterministic per (executor seed, tag,
-// day, node content): the noise seed is derived from the node's
-// position-independent content, never from its place in the walk.
+// nodeUsage costs one node with true statistics, the plan's DOP and skew
+// penalties, before noise. props are the node's own true statistics and kids
+// index its children in s.nodes.
 func (s *sim) nodeUsage(n *plan.PhysNode, props cost.Props, kids []int) cost.OpUsage {
 	x := s.x
 	var inRows, inBytes float64
@@ -359,21 +501,6 @@ func (s *sim) nodeUsage(n *plan.PhysNode, props cost.Props, kids []int) cost.OpU
 	if f := x.skewFactor(n); f > 1 {
 		u.LatencySeconds *= f
 	}
-
-	// Execution noise, deterministic per node content. Re-seeding the
-	// per-execution scratch stream draws exactly like a freshly derived one,
-	// and xrand seeds only the words these two or three draws read.
-	r := &s.scratch
-	s.tag = appendNodeTag(s.tag[:0], n)
-	s.noise.ReseedDerivedBytes(r, "node", s.tag)
-	s.reseeds++
-	sigma := x.BaseSigma + 0.25/math.Sqrt(1+u.LatencySeconds)
-	mult := r.LogNormal(0, sigma)
-	if r.Bool(x.HotSpotProb) {
-		mult *= r.Uniform(1.3, 2.5)
-	}
-	u.LatencySeconds *= mult
-	u.CPUSeconds *= mult
 	return u
 }
 

@@ -14,6 +14,12 @@ import (
 // heap is the allocator the tests build plans with.
 var heap plan.Heap
 
+// simulate is Run's body on a sim the test holds: prepare p, then run it.
+func (s *sim) simulate(x *Executor, p *plan.PhysNode, day int, tag string) {
+	s.prepare(x, p, day, tag)
+	s.run(x, &s.truth, tag)
+}
+
 func execCatalog() *catalog.Catalog {
 	cat := catalog.New()
 	cat.AddStream(&catalog.Stream{
@@ -313,8 +319,8 @@ func TestRunCostsEachNodeOnce(t *testing.T) {
 	for name, p := range map[string]*plan.PhysNode{"diamond": diamondPlan(), "union41": unionPlan(13)} {
 		s := new(sim)
 		s.simulate(x, p, 0, "job")
-		if want := p.Count(); len(s.nodes) != want || s.reseeds != want {
-			t.Errorf("%s: %d nodes simulated, %d reseeds, plan has %d distinct nodes", name, len(s.nodes), s.reseeds, want)
+		if want := p.Count(); len(s.nodes) != want || len(s.truth.nodes) != want || s.reseeds != want {
+			t.Errorf("%s: %d nodes simulated (%d prepared), %d reseeds, plan has %d distinct nodes", name, len(s.nodes), len(s.truth.nodes), s.reseeds, want)
 		}
 		if len(s.kids) != 0 {
 			t.Errorf("%s: child-index stack not unwound: %v", name, s.kids)
@@ -375,6 +381,57 @@ func TestRunAllocationBudget(t *testing.T) {
 	}
 	if fixed := small - 14*perNode; fixed != 0 {
 		t.Errorf("Run's fixed allocations %.1f, want 0", fixed)
+	}
+}
+
+// TestPreparedRunAllocationBudget: a warm run of a retained Prepared — the
+// re-execution a recurring job's kept plan gets — allocates nothing at any
+// plan size, and reseeds the noise stream once per node.
+func TestPreparedRunAllocationBudget(t *testing.T) {
+	x := New(execCatalog(), 42)
+	s := new(sim)
+	for _, branches := range []int{4, 40} {
+		p := unionPlan(branches)
+		pr := x.Prepare(p, 0, "job")
+		if allocs := testing.AllocsPerRun(20, func() {
+			s.run(x, pr, "job")
+			s.release()
+		}); allocs != 0 {
+			t.Errorf("%d nodes: a warm prepared run allocates %v, want 0", p.Count(), allocs)
+		}
+		s.run(x, pr, "job")
+		if s.reseeds != p.Count() {
+			t.Errorf("%d nodes: %d reseeds", p.Count(), s.reseeds)
+		}
+		s.release()
+	}
+}
+
+// TestPreparedIsExactlySized: a retained Prepared holds no spare capacity
+// and no reference into the sim that prepared it, so later executions on
+// that sim leave it as it was.
+func TestPreparedIsExactlySized(t *testing.T) {
+	x := New(execCatalog(), 42)
+	p := unionPlan(13)
+	pr := x.Prepare(p, 2, "job")
+	if n := p.Count(); len(pr.nodes) != n || cap(pr.nodes) != n || cap(pr.kids) != len(pr.kids) || cap(pr.tags) != len(pr.tags) {
+		t.Fatalf("prepared %d/%d nodes, %d/%d kids, %d/%d tag bytes; plan has %d nodes",
+			len(pr.nodes), cap(pr.nodes), len(pr.kids), cap(pr.kids), len(pr.tags), cap(pr.tags), n)
+	}
+	want := x.RunPrepared(pr, "job")
+	for i := 0; i < 4; i++ {
+		x.Run(unionPlan(20), 2, "other")
+	}
+	if got := x.RunPrepared(pr, "job"); got != want || got != x.Run(p, 2, "job") {
+		t.Fatalf("prepared run %+v after other executions, first %+v", got, want)
+	}
+	if !pr.Fits(x, 2) || pr.Fits(x, 3) || pr.Fits(New(execCatalog(), 42), 2) {
+		t.Fatal("Fits does not match the day and the catalog")
+	}
+	y := New(x.Cat, 42)
+	y.Tokens = 10
+	if pr.Fits(y, 2) {
+		t.Fatal("Fits ignores the token budget")
 	}
 }
 

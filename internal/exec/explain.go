@@ -37,7 +37,8 @@ func (x *Executor) Explain(p *plan.PhysNode, day int, tag string) Report {
 	s := simPool.Get().(*sim)
 	defer simPool.Put(s)
 	defer s.release()
-	s.simulate(x, p, day, tag)
+	s.prepare(x, p, day, tag)
+	s.run(x, &s.truth, tag)
 	rep := Report{Metrics: s.metrics, Nodes: make([]NodeReport, 0, len(s.nodes))}
 	reported := make([]bool, len(s.nodes))
 	var rec func(n *plan.PhysNode)
@@ -53,7 +54,7 @@ func (x *Executor) Explain(p *plan.PhysNode, day int, tag string) Report {
 			DOP:      max(n.Dist.DOP, 1),
 			EstRows:  n.EstRows,
 			TrueRows: s.nodes[i].props.Rows,
-			Usage:    s.nodes[i].usage,
+			Usage:    s.out[i].usage,
 		}
 		if nr.EstRows > 0 {
 			nr.MisestimateX = nr.TrueRows / nr.EstRows

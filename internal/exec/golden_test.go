@@ -3,6 +3,7 @@ package exec_test
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"steerq/internal/bitvec"
@@ -102,3 +103,67 @@ const (
 	goldenRunsA, goldenHashA = 10792, uint64(0x340e668951617ff8)
 	goldenRunsB, goldenHashB = 1966, uint64(0x6874d4d1b5fc3c09)
 )
+
+// metricsBits is every bit of m, NaNs included.
+func metricsBits(m exec.Metrics) [6]uint64 {
+	return [6]uint64{
+		math.Float64bits(m.RuntimeSec), math.Float64bits(m.CPUSec), math.Float64bits(m.IOTimeSec),
+		math.Float64bits(m.IOBytes), uint64(m.Vertices), math.Float64bits(m.VertexSeconds),
+	}
+}
+
+// TestPreparedMatchesRun: over TestMetricsGolden's corpus, on both of its
+// days, a plan prepared once and run under three tags reads exactly Run's
+// metrics under each, and Explain reads them under a tag other than the
+// one TestMetricsGolden explains. Then eight goroutines run
+// a sample of the retained Prepareds at once, and every run agrees with the
+// serial one. Run with -race.
+func TestPreparedMatchesRun(t *testing.T) {
+	type run struct {
+		pr   *exec.Prepared
+		tag  string
+		want [6]uint64
+	}
+	var sample []run
+	for _, profile := range []workload.Profile{workload.ProfileA(0.01, 7), workload.ProfileB(0.01, 7)} {
+		w, corpus := goldenCorpus(t, profile)
+		x := exec.New(w.Cat, 7)
+		for i, g := range corpus {
+			for _, day := range []int{0, 3} {
+				pr := x.Prepare(g.plan, day, g.tag)
+				for r, tag := range [...]string{g.tag, g.tag + "/rerun1", g.tag + "/rerun2"} {
+					want := metricsBits(x.Run(g.plan, day, tag))
+					if got := metricsBits(x.RunPrepared(pr, tag)); got != want {
+						t.Fatalf("%s day %d: prepared run %v, Run %v", tag, day, got, want)
+					}
+					if r != 1 {
+						continue
+					}
+					if got := metricsBits(x.Explain(g.plan, day, tag).Metrics); got != want {
+						t.Fatalf("%s day %d: Explain %v, Run %v", tag, day, got, want)
+					}
+					if i%97 == 0 {
+						sample = append(sample, run{pr, tag, want})
+					}
+				}
+			}
+		}
+		if len(sample) < 20 {
+			t.Fatalf("%d sampled runs; test is vacuous", len(sample))
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, r := range sample {
+					if got := metricsBits(x.RunPrepared(r.pr, r.tag)); got != r.want {
+						t.Errorf("%s: concurrent prepared run %v, serial %v", r.tag, got, r.want)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		sample = sample[:0]
+	}
+}

@@ -35,7 +35,6 @@ package obs
 
 import (
 	"os"
-	"sort"
 	"sync"
 	"time"
 )
@@ -134,38 +133,40 @@ func (r *Registry) Clock() Clock {
 
 // Counter returns (creating once) the counter with the given name and
 // label pairs (key, value, key, value, ...). A nil registry returns a nil
-// counter, which records nothing.
+// counter, which records nothing. Finding an existing counter allocates
+// nothing, whatever order its labels are given in.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	ls := labelPairs(labels)
-	id := metricID(name, ls)
+	var buf [idBuf]byte
+	id := appendMetricID(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.counters[id]; ok {
+	if c, ok := r.counters[string(id)]; ok {
 		return c
 	}
-	c := &Counter{name: name, labels: ls}
-	r.counters[id] = c
+	c := &Counter{name: name, labels: labelPairs(labels)}
+	r.counters[string(id)] = c
 	return c
 }
 
 // Gauge returns (creating once) the gauge with the given name and label
 // pairs. Gauges are last-write-wins: set them only from serial sections.
+// Finding an existing gauge allocates nothing.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	ls := labelPairs(labels)
-	id := metricID(name, ls)
+	var buf [idBuf]byte
+	id := appendMetricID(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g, ok := r.gauges[id]; ok {
+	if g, ok := r.gauges[string(id)]; ok {
 		return g
 	}
-	g := &Gauge{name: name, labels: ls}
-	r.gauges[id] = g
+	g := &Gauge{name: name, labels: labelPairs(labels)}
+	r.gauges[string(id)] = g
 	return g
 }
 
@@ -176,31 +177,59 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...string) {
 	if r == nil || fn == nil {
 		return
 	}
-	ls := labelPairs(labels)
-	id := metricID(name, ls)
+	id := string(appendMetricID(nil, name, labels))
 	r.mu.Lock()
-	r.gaugeFuncs[id] = gaugeFunc{name: name, labels: ls, fn: fn}
+	r.gaugeFuncs[id] = gaugeFunc{name: name, labels: labelPairs(labels), fn: fn}
 	r.mu.Unlock()
 }
 
 // Histogram returns (creating once) the fixed-bucket histogram with the
 // given name, upper bounds (ascending; an implicit +Inf bucket is appended)
 // and label pairs. Bounds are fixed at first registration; later callers
-// get the existing instance regardless of the bounds they pass.
+// get the existing instance regardless of the bounds they pass. Finding an
+// existing histogram allocates nothing.
 func (r *Registry) Histogram(name string, bounds []float64, labels ...string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	ls := labelPairs(labels)
-	id := metricID(name, ls)
+	var buf [idBuf]byte
+	id := appendMetricID(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok := r.hists[id]; ok {
+	if h, ok := r.hists[string(id)]; ok {
 		return h
 	}
-	h := newHistogram(name, ls, bounds)
-	r.hists[id] = h
+	h := newHistogram(name, labelPairs(labels), bounds)
+	r.hists[string(id)] = h
 	return h
+}
+
+// idBuf is the stack buffer a lookup builds its metric identity in; a longer
+// identity spills to the heap.
+const idBuf = 256
+
+// maxSortedPairs is how many label pairs keyOrder sorts in the caller's
+// stack array.
+const maxSortedPairs = 8
+
+// keyOrder returns the indexes of kv's (key, value) pairs in key order, in
+// idx when it is long enough. The sort is a stable insertion sort: label
+// lists are short, and pairs with equal keys keep their given order.
+func keyOrder(kv []string, idx []int) []int {
+	n := (len(kv) + 1) / 2
+	if n > cap(idx) {
+		idx = make([]int, 0, n)
+	}
+	idx = idx[:0]
+	for i := 0; i < n; i++ {
+		j := len(idx)
+		idx = append(idx, i)
+		for ; j > 0 && kv[2*i] < kv[2*idx[j-1]]; j-- {
+			idx[j] = idx[j-1]
+		}
+		idx[j] = i
+	}
+	return idx
 }
 
 // labelPairs folds a (key, value, key, value, ...) vararg list into sorted
@@ -210,35 +239,40 @@ func labelPairs(kv []string) []Label {
 	if len(kv) == 0 {
 		return nil
 	}
+	var order [maxSortedPairs]int
 	ls := make([]Label, 0, (len(kv)+1)/2)
-	for i := 0; i < len(kv); i += 2 {
-		l := Label{Key: kv[i]}
-		if i+1 < len(kv) {
-			l.Value = kv[i+1]
-		}
-		ls = append(ls, l)
+	for _, i := range keyOrder(kv, order[:0]) {
+		ls = append(ls, Label{Key: kv[2*i], Value: pairValue(kv, i)})
 	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
 	return ls
 }
 
-// metricID is the canonical identity of one metric instance: name plus
-// sorted labels.
-func metricID(name string, ls []Label) string {
-	if len(ls) == 0 {
-		return name
+// pairValue is the value of kv's i-th pair, empty for a trailing odd key.
+func pairValue(kv []string, i int) string {
+	if 2*i+1 < len(kv) {
+		return kv[2*i+1]
 	}
-	b := make([]byte, 0, len(name)+16*len(ls))
+	return ""
+}
+
+// appendMetricID appends the canonical identity of one metric instance to b:
+// the name, then the labels of the (key, value, ...) list kv sorted by key
+// as labelPairs sorts them, "{k=v,k=v}". It allocates only when b is too
+// short or kv holds more than maxSortedPairs pairs.
+func appendMetricID(b []byte, name string, kv []string) []byte {
 	b = append(b, name...)
+	if len(kv) == 0 {
+		return b
+	}
+	var order [maxSortedPairs]int
 	b = append(b, '{')
-	for i, l := range ls {
-		if i > 0 {
+	for n, i := range keyOrder(kv, order[:0]) {
+		if n > 0 {
 			b = append(b, ',')
 		}
-		b = append(b, l.Key...)
+		b = append(b, kv[2*i]...)
 		b = append(b, '=')
-		b = append(b, l.Value...)
+		b = append(b, pairValue(kv, i)...)
 	}
-	b = append(b, '}')
-	return string(b)
+	return append(b, '}')
 }

@@ -51,6 +51,44 @@ func TestLabelSortingNormalizesIdentity(t *testing.T) {
 	}
 }
 
+// TestLookupAllocatesNothing: finding an existing counter, gauge or
+// histogram — the hot path of every instrumented call site — allocates
+// nothing with 0, 2 or 4 label pairs given out of key order, and a new
+// series still files its labels sorted, under the identity any order of
+// them finds.
+func TestLookupAllocatesNothing(t *testing.T) {
+	r := obs.New()
+	bounds := []float64{1, 2}
+	for _, kv := range [][]string{nil, {"site", "exec", "kind", "fail"}, {"z", "4", "b", "2", "y", "3", "a", "1"}} {
+		c, g, h := r.Counter("c_total", kv...), r.Gauge("g", kv...), r.Histogram("h", bounds, kv...)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if r.Counter("c_total", kv...) != c || r.Gauge("g", kv...) != g || r.Histogram("h", bounds, kv...) != h {
+				t.Fatal("lookup returned another instance")
+			}
+		}); allocs != 0 {
+			t.Errorf("%d label pairs: lookups allocate %v, want 0", len(kv)/2, allocs)
+		}
+	}
+	r.Counter("new_total", "z", "4", "b", "2", "y", "3", "a", "1").Inc()
+	if r.Counter("new_total", "a", "1", "y", "3", "b", "2", "z", "4").Value() != 1 {
+		t.Fatal("the same labels in another order name another series")
+	}
+	for _, c := range r.Snapshot().Counters {
+		if c.Name != "new_total" {
+			continue
+		}
+		var keys []string
+		for _, l := range c.Labels {
+			keys = append(keys, l.Key)
+		}
+		if !reflect.DeepEqual(keys, []string{"a", "b", "y", "z"}) {
+			t.Fatalf("new series filed labels %v, want sorted by key", keys)
+		}
+		return
+	}
+	t.Fatal("new series missing from the snapshot")
+}
+
 func TestTrailingOddLabelKeyKept(t *testing.T) {
 	r := obs.New()
 	r.Counter("m", "k").Inc()

@@ -7,6 +7,7 @@ import (
 
 	"steerq/internal/bitvec"
 	"steerq/internal/cascades"
+	"steerq/internal/exec"
 	"steerq/internal/obs"
 	"steerq/internal/plan"
 	"steerq/internal/workload"
@@ -53,8 +54,63 @@ type CompileValue struct {
 	// re-executing the configuration needs no compile: extraction is as
 	// deterministic per footprint class as cost and signature are, and a
 	// Result.Plan never points into a compile arena (cascades/scratch.go).
-	// Executions only read it. It leaves the cache with its entry.
+	// Executions only read it. The cache keeps it with its ground truth
+	// (exec.Prepared) for each day a re-execution ran it on, prepared on
+	// that re-execution, so every later run of the plan on that day draws
+	// only its noise (see Prepared). Both leave the cache with its entry.
 	Plan *plan.PhysNode
+
+	// kept holds Plan's prepared ground truths on a value the cache
+	// returns; Put ignores it.
+	kept *keptPlan
+}
+
+// Prepared returns the ground truth the cache keeps for v's plan on day on
+// x's cluster — the one every re-execution of the plan on that day runs —
+// or nil when no re-execution prepared one. It prepares nothing.
+func (v CompileValue) Prepared(x *exec.Executor, day int) *exec.Prepared {
+	if v.kept == nil {
+		return nil
+	}
+	v.kept.mu.Lock()
+	defer v.kept.mu.Unlock()
+	return v.kept.find(x, day)
+}
+
+// keptPlan is a trial plan the cache keeps and the ground truths prepared
+// for it: one per day it was re-executed on, since a job whose fingerprint
+// recurs on another day reads another day's data. A plan executed once, as
+// every plan of a cold pass is, has none; a truth is prepared on the plan's
+// first re-execution of a day and kept for every later one.
+type keptPlan struct {
+	plan  *plan.PhysNode
+	mu    sync.Mutex
+	truth []*exec.Prepared
+}
+
+// find returns the kept truth that fits x and day, or nil. The caller holds
+// k.mu.
+func (k *keptPlan) find(x *exec.Executor, day int) *exec.Prepared {
+	for _, pr := range k.truth {
+		if pr.Fits(x, day) {
+			return pr
+		}
+	}
+	return nil
+}
+
+// prepared returns k's plan's ground truth for day on x's cluster,
+// preparing and keeping it on the first call; tag names the execution if
+// plan checking rejects the plan. Concurrent first calls prepare once.
+func (k *keptPlan) prepared(x *exec.Executor, day int, tag string) *exec.Prepared {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	pr := k.find(x, day)
+	if pr == nil {
+		pr = x.Prepare(k.plan, day, tag)
+		k.truth = append(k.truth, pr)
+	}
+	return pr
 }
 
 // cacheShards is the fixed shard count. Power of two so the shard pick is a
@@ -79,7 +135,7 @@ type outcome struct {
 	cost float64
 	sig  bitvec.Vector
 	ok   bool
-	plan *plan.PhysNode
+	plan *keptPlan
 }
 
 // listKey names one candidate list of a job: the seed of the stream it was
@@ -156,7 +212,11 @@ type jobEntry struct {
 func (je *jobEntry) lookup(cfg bitvec.Vector) (CompileValue, bool) {
 	for i, foot := range je.foots {
 		if o, ok := je.vals[classKey{i, cfg.And(foot).Key()}]; ok {
-			return CompileValue{Cost: o.cost, Signature: o.sig, Footprint: foot, OK: o.ok, Plan: o.plan}, true
+			v := CompileValue{Cost: o.cost, Signature: o.sig, Footprint: foot, OK: o.ok, kept: o.plan}
+			if o.plan != nil {
+				v.Plan = o.plan.plan
+			}
+			return v, true
 		}
 	}
 	return CompileValue{}, false
@@ -188,7 +248,9 @@ const (
 // nor probes the cache candidate by candidate. The resolution's candidates
 // are shared read-only by every analysis that reads them. The lists are not
 // counted as entries; reading a kept resolution counts one hit per
-// candidate, as probing each would.
+// candidate, as probing each would. A kept trial plan carries the ground
+// truth each day's first re-execution of it prepared (see CompileValue.Plan),
+// which later re-executions run without simulating the plan again.
 //
 // Lookups project the probing configuration onto each stored footprint of
 // the job, so recurring templates hit even when the probing configuration
@@ -363,7 +425,11 @@ func (c *CompileCache) Put(fp JobFingerprint, cfg bitvec.Vector, v CompileValue)
 		c.entries.Add(1)
 	}
 	// A deterministic recompile of a known class refreshes it.
-	je.vals[k] = outcome{cost: v.Cost, sig: v.Signature, ok: v.OK, plan: v.Plan}
+	o := outcome{cost: v.Cost, sig: v.Signature, ok: v.OK}
+	if v.Plan != nil {
+		o.plan = &keptPlan{plan: v.Plan}
+	}
+	je.vals[k] = o
 }
 
 // sampleCandidates is the sampler candidates runs on a miss: CandidateConfigs,

@@ -399,13 +399,22 @@ func (p *Pipeline) Trial(ctx context.Context, job *workload.Job, cfg bitvec.Vect
 // plan an earlier trial of cfg's footprint class left in the cache is
 // executed as is, and a plan compiled here is left for the next trial — a
 // re-analysis of a recurring job executes everything and compiles nothing.
+// A kept plan runs from the ground truth the cache keeps with it for the
+// job's day (prepared on its first re-execution that day), so it draws only
+// its noise; the trial is the one executing the plan gives, bit for bit.
 func (p *Pipeline) trial(ctx context.Context, sess *cascades.Session, job *workload.Job, cfg bitvec.Vector, tag string, rec *faults.Record) abtest.Trial {
-	v, attempts, _, err := p.compile(ctx, sess, job, cfg, compileTag{full: tag}, rec, true)
+	v, attempts, hit, err := p.compile(ctx, sess, job, cfg, compileTag{full: tag}, rec, true)
 	if err != nil {
 		return abtest.Trial{Config: cfg, Err: err, Attempts: attempts}
 	}
+	h := p.Harness
 	res := &cascades.Result{Plan: v.Plan, Cost: v.Cost, Signature: v.Signature, Footprint: v.Footprint, Config: cfg}
-	t := p.Harness.ExecCtx(ctx, res, job.Day, tag, rec)
+	var t abtest.Trial
+	if hit {
+		t = h.ExecPreparedCtx(ctx, res, v.kept.prepared(h.Executor, job.Day, tag), tag, rec)
+	} else {
+		t = h.ExecCtx(ctx, res, job.Day, tag, rec)
+	}
 	t.Attempts += attempts
 	return t
 }

@@ -12,6 +12,7 @@ import (
 	"steerq/internal/abtest"
 	"steerq/internal/bitvec"
 	"steerq/internal/cascades"
+	"steerq/internal/exec"
 	"steerq/internal/faults"
 	"steerq/internal/obs"
 	"steerq/internal/plan"
@@ -194,7 +195,9 @@ func TestRepassSharedCacheKeysListsBySeedAndM(t *testing.T) {
 // TestTrialFromCachedPlanMatchesFresh: for every group representative and
 // each of its executed configurations, the trial a re-analysis runs from the
 // plan kept in the cache equals the trial a fresh compile gives, field for
-// field, and the kept plan explains exactly like a freshly compiled one.
+// field, and the kept plan explains exactly like a freshly compiled one. The
+// re-analysis leaves each kept plan's ground truth for the day prepared, and
+// a second re-analysis runs those same Prepareds: nothing is prepared twice.
 func TestTrialFromCachedPlanMatchesFresh(t *testing.T) {
 	e := newFanoutEnv(t, fanoutSetup{workers: 1})
 	h := e.p.Harness
@@ -220,11 +223,15 @@ func TestTrialFromCachedPlanMatchesFresh(t *testing.T) {
 			tags = append(tags, fmt.Sprintf("%s/alt%d", job.ID, i))
 			got = append(got, a.Trials[i])
 		}
+		truths := make([]*exec.Prepared, len(cfgs))
 		for i, cfg := range cfgs {
 			requireSameTrial(t, tags[i], got[i], h.RunConfigCtx(ctx, job.Root, cfg, job.Day, tags[i], nil))
 			v, ok := e.p.Cache.Get(fingerprintOf(job), cfg)
 			if !ok || v.Plan == nil {
 				t.Fatalf("%s: no plan kept in the cache", tags[i])
+			}
+			if truths[i] = v.Prepared(h.Executor, job.Day); truths[i] == nil {
+				t.Fatalf("%s: the re-execution kept no prepared ground truth", tags[i])
 			}
 			res, err := h.Opt.Optimize(job.Root, cfg)
 			if err != nil {
@@ -235,6 +242,16 @@ func TestTrialFromCachedPlanMatchesFresh(t *testing.T) {
 				t.Fatalf("%s: kept plan explains differently:\n%s--- fresh ---\n%s", tags[i], kept, fresh)
 			}
 			checked++
+		}
+		again, err := e.p.AnalyzeCtx(context.Background(), job)
+		if err != nil {
+			t.Fatalf("%s: %v", job.ID, err)
+		}
+		requireSameAnalysis(t, job.ID+" second re-analysis", a, again)
+		for i, cfg := range cfgs {
+			if v, _ := e.p.Cache.Get(fingerprintOf(job), cfg); v.Prepared(h.Executor, job.Day) != truths[i] {
+				t.Fatalf("%s: the second re-analysis prepared the kept plan again", tags[i])
+			}
 		}
 	}
 	if checked < 8 {
@@ -312,10 +329,13 @@ func TestCachedPlanOutlivesItsArena(t *testing.T) {
 }
 
 // TestCachedPlanParallelExec: eight goroutines re-analysing one warm job
-// execute the same kept plans at once; every analysis equals the serial one
-// and none compiles. Under -race this holds exec to only reading a plan.
+// execute the same kept plans at once, twice over; every analysis equals the
+// serial one and none compiles. The first round prepares each kept plan's
+// ground truth once, and the second runs those same Prepareds. Under -race
+// this holds exec to only reading a plan and a Prepared.
 func TestCachedPlanParallelExec(t *testing.T) {
 	e := newFanoutEnv(t, fanoutSetup{workers: 1})
+	h := e.p.Harness
 	job := e.reps(t)[0]
 	base, err := e.p.AnalyzeCtx(context.Background(), job)
 	if err != nil {
@@ -324,26 +344,93 @@ func TestCachedPlanParallelExec(t *testing.T) {
 	if len(base.Trials) == 0 {
 		t.Fatal("no trials; test is vacuous")
 	}
-	before := compiles(e.reg)
-	as := make([]*steering.Analysis, 8)
-	errs := make([]error, len(as))
-	var wg sync.WaitGroup
-	for i := range as {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			as[i], errs[i] = e.p.AnalyzeCtx(context.Background(), job)
-		}()
+	cfgs := []bitvec.Vector{h.Opt.Rules.DefaultConfig()}
+	for _, c := range base.Selected {
+		cfgs = append(cfgs, c.Config)
 	}
-	wg.Wait()
-	for i, a := range as {
-		if errs[i] != nil {
-			t.Fatalf("goroutine %d: %v", i, errs[i])
+	before := compiles(e.reg)
+	var truths []*exec.Prepared
+	for round := 0; round < 2; round++ {
+		as := make([]*steering.Analysis, 8)
+		errs := make([]error, len(as))
+		var wg sync.WaitGroup
+		for i := range as {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				as[i], errs[i] = e.p.AnalyzeCtx(context.Background(), job)
+			}()
 		}
-		requireSameAnalysis(t, fmt.Sprintf("goroutine %d", i), base, a)
+		wg.Wait()
+		for i, a := range as {
+			if errs[i] != nil {
+				t.Fatalf("round %d goroutine %d: %v", round, i, errs[i])
+			}
+			requireSameAnalysis(t, fmt.Sprintf("round %d goroutine %d", round, i), base, a)
+		}
+		for i, cfg := range cfgs {
+			v, _ := e.p.Cache.Get(fingerprintOf(job), cfg)
+			pr := v.Prepared(h.Executor, job.Day)
+			switch {
+			case pr == nil:
+				t.Fatalf("round %d: trial %d's kept plan has no prepared ground truth", round, i)
+			case round == 0:
+				truths = append(truths, pr)
+			case pr != truths[i]:
+				t.Fatalf("trial %d's kept plan was prepared again", i)
+			}
+		}
 	}
 	if n := compiles(e.reg) - before; n != 0 {
 		t.Fatalf("warm re-analyses made %d optimizer calls", n)
+	}
+}
+
+// TestRepassKeepsOneTruthPerDay: a job whose fingerprint recurs on another
+// day finds its kept plan, but not that day's ground truth. The plan keeps
+// one Prepared per day it was re-executed on, each trial reads what
+// executing the plan fresh on its day gives, and running a day again
+// prepares nothing.
+func TestRepassKeepsOneTruthPerDay(t *testing.T) {
+	e := newFanoutEnv(t, fanoutSetup{workers: 1})
+	h := e.p.Harness
+	ctx := context.Background()
+	job := e.reps(t)[0]
+	if _, err := e.p.AnalyzeCtx(ctx, job); err != nil {
+		t.Fatal(err)
+	}
+	later := *job
+	later.Day = job.Day + 3
+	cfg, tag := h.Opt.Rules.DefaultConfig(), steering.DefaultTag(job.ID)
+	var truths []*exec.Prepared
+	var runtimes []float64
+	for _, j := range []*workload.Job{job, &later, job, &later} {
+		before := compiles(e.reg)
+		tr := e.p.Trial(ctx, j, cfg, tag, nil)
+		if n := compiles(e.reg) - before; n != 0 {
+			t.Fatalf("day %d: the trial made %d optimizer calls", j.Day, n)
+		}
+		v, ok := e.p.Cache.Get(fingerprintOf(j), cfg)
+		if !ok || v.Plan == nil {
+			t.Fatalf("day %d: no plan kept", j.Day)
+		}
+		if want := h.Executor.Run(v.Plan, j.Day, tag); tr.Err != nil || tr.Metrics != want {
+			t.Fatalf("day %d: trial %+v (%v), fresh run %+v", j.Day, tr.Metrics, tr.Err, want)
+		}
+		pr := v.Prepared(h.Executor, j.Day)
+		if pr == nil {
+			t.Fatalf("day %d: the re-execution kept no prepared ground truth", j.Day)
+		}
+		truths, runtimes = append(truths, pr), append(runtimes, tr.Metrics.RuntimeSec)
+	}
+	if truths[0] == truths[1] {
+		t.Fatal("the kept plan ran both days from one prepared ground truth")
+	}
+	if truths[2] != truths[0] || truths[3] != truths[1] {
+		t.Fatal("re-running a day prepared its ground truth again")
+	}
+	if runtimes[0] == runtimes[1] {
+		t.Fatal("both days read the same runtime; test is vacuous")
 	}
 }
 
