@@ -18,6 +18,10 @@
 #                                  benchmark/ included, and fails on any
 #                                  finding, printed as
 #                                  file:line:col: analyzer: message;
+#                                - README's quoted quickstart output: each
+#                                  line must be a line the example prints
+#                                  (examples/quickstart's
+#                                  TestReadmeQuotesOutput);
 #                                - the serving client's drain battery
 #                                  (TestSteerMidDrain), WaitReady's budget
 #                                  bound and the rules' prove-or-delete
@@ -145,11 +149,7 @@
 #                                are that loop's determinism gate: its rows
 #                                must not move with the worker count or with
 #                                fault injection
-#  11. quickstart vs README      `go run ./examples/quickstart` (README's first
-#                                run): every line of README's quoted
-#                                quickstart output must be a line of the
-#                                program's stdout
-#  12. serving smoke             the full serving path end to end: build a
+#  11. serving smoke             the full serving path end to end: build a
 #                                pinned-seed bundle with `steerq bundle`,
 #                                check that steerqd refuses to boot from a
 #                                missing -bundle (nonzero exit, no address
@@ -159,14 +159,14 @@
 #                                drain the daemon with SIGTERM, and diff its
 #                                frozen-clock metrics snapshot against the
 #                                committed ci_serving.golden.json
-#  13. benchmark module          (cd benchmark && go vet ./... && go test
+#  12. benchmark module          (cd benchmark && go vet ./... && go test
 #                                ./...): the repo benchmark is its own module
 #                                importing this one, so a root change that
 #                                breaks the API it calls fails here; its tests
 #                                pin BENCHMARK.json to `-manifest`, check the
 #                                oracles against tampered outputs and smoke
 #                                all five workloads offline
-#  14. fuzz (short)              75s total over the scopeql lexer (token
+#  13. fuzz (short)              75s total over the scopeql lexer (token
 #                                texts and positions against the source,
 #                                seeded where its ASCII fast path ends or
 #                                hands over to the Unicode path), parser and
@@ -266,36 +266,6 @@ diff -u cmd/steerq-bench/testdata/exp_all.golden.txt /tmp/steerq-exp.$$.txt || {
     exit 1
 }
 rm -f /tmp/steerq-exp.$$.txt
-
-echo "== quickstart vs README (go run ./examples/quickstart) =="
-go run ./examples/quickstart > /tmp/steerq-qs.$$.txt
-# The quoted output is the first bare ``` block of README's Quickstart
-# section; fenced blocks with a language tag (the command) are skipped.
-awk '
-    /^## Quickstart/ { q = 1; next }
-    q && /^```/ {
-        if (inb) exit
-        if (open) { open = 0; next }
-        if ($0 == "```") { inb = 1; next }
-        open = 1; next
-    }
-    inb { print }
-' README.md > /tmp/steerq-qs-readme.$$.txt
-[ -s /tmp/steerq-qs-readme.$$.txt ] || {
-    echo "quickstart: no quoted output block found in README's Quickstart section" >&2
-    rm -f /tmp/steerq-qs.$$.txt /tmp/steerq-qs-readme.$$.txt
-    exit 1
-}
-awk '
-    NR == FNR { out[$0] = 1; next }
-    !($0 in out) { printf "quickstart: README line not printed by the program: %s\n", $0; bad = 1 }
-    END { exit bad }
-' /tmp/steerq-qs.$$.txt /tmp/steerq-qs-readme.$$.txt || {
-    echo "(refresh README's quickstart output from go run ./examples/quickstart)" >&2
-    rm -f /tmp/steerq-qs.$$.txt /tmp/steerq-qs-readme.$$.txt
-    exit 1
-}
-rm -f /tmp/steerq-qs.$$.txt /tmp/steerq-qs-readme.$$.txt
 
 echo "== serving smoke (steerqd end to end, frozen clock) =="
 servdir=$(mktemp -d)

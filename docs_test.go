@@ -298,27 +298,41 @@ func checkExcerpt(t *testing.T, golden, block []string, first int) {
 	}
 }
 
-// citation is a reference to an EXPERIMENTS.md section by the start of its
-// title, as the documents and comments write it: EXPERIMENTS.md "<title>",
-// EXPERIMENTS.md, "<title>", EXPERIMENTS.md ("<title>") or
-// EXPERIMENTS "<title>".
-var citation = regexp.MustCompile(`EXPERIMENTS(?:\.md)?,? \(?"([^"]+)"`)
+// citation is a reference to a section of EXPERIMENTS.md, DESIGN.md or README
+// by the start of its title, as the documents and comments write it:
+// EXPERIMENTS.md "<title>", DESIGN.md, "<title>", EXPERIMENTS.md ("<title>"),
+// EXPERIMENTS "<title>" or README "<title>".
+var citation = regexp.MustCompile(`(EXPERIMENTS|DESIGN|README)(?:\.md)?,? \(?"([^"]+)"`)
 
-// TestExperimentsCitationsResolve: every citation of an EXPERIMENTS.md
-// section in the repository's Markdown files, Go comments and ci.sh is the
-// start of one of its "## " headings, so cutting or renaming a section cannot
-// strand a reference to it. Text is matched with its whitespace collapsed,
-// because citations wrap across lines. A title in angle brackets is a
-// placeholder, not a citation.
+// citedLevels are the headings a citation of each document may name:
+// EXPERIMENTS.md's sections and ledger entries are all "## " headings, while
+// DESIGN.md and README nest "### " sections under them.
+var citedLevels = map[string][]string{
+	"EXPERIMENTS": {"## "},
+	"DESIGN":      {"## ", "### "},
+	"README":      {"## ", "### "},
+}
+
+// TestExperimentsCitationsResolve: every citation of an EXPERIMENTS.md,
+// DESIGN.md or README section in the repository's Markdown files, Go
+// comments and ci.sh is the start of one of that document's headings, so
+// cutting or renaming a section cannot strand a reference to it. Text is
+// matched with its whitespace collapsed, because citations wrap across lines.
+// A title in angle brackets, or an ellipsis, is a placeholder, not a
+// citation.
 func TestExperimentsCitationsResolve(t *testing.T) {
-	var headings []string
-	for _, line := range readLines(t, "EXPERIMENTS.md") {
-		if title, ok := strings.CutPrefix(line, "## "); ok {
-			headings = append(headings, title)
+	headings := map[string][]string{}
+	for doc, levels := range citedLevels {
+		for _, line := range readLines(t, doc+".md") {
+			for _, level := range levels {
+				if title, ok := strings.CutPrefix(line, level); ok {
+					headings[doc] = append(headings[doc], title)
+				}
+			}
 		}
 	}
-	resolves := func(title string) bool {
-		for _, h := range headings {
+	resolves := func(doc, title string) bool {
+		for _, h := range headings[doc] {
 			if strings.HasPrefix(h, title) {
 				return true
 			}
@@ -360,8 +374,14 @@ func TestExperimentsCitationsResolve(t *testing.T) {
 			return nil
 		}
 		for _, m := range citation.FindAllStringSubmatch(strings.Join(strings.Fields(text), " "), -1) {
-			if !strings.HasPrefix(m[1], "<") && !resolves(m[1]) {
-				t.Errorf("%s: %s cites no EXPERIMENTS.md heading", path, m[0])
+			// benchmark/ is a module of its own: its README citations name
+			// benchmark/README.md, whose sections lead with bold text rather
+			// than headings.
+			if m[1] == "README" && strings.HasPrefix(path, "benchmark"+string(filepath.Separator)) {
+				continue
+			}
+			if !strings.HasPrefix(m[2], "<") && m[2] != "…" && !resolves(m[1], m[2]) {
+				t.Errorf("%s: %s cites no %s.md heading", path, m[0], m[1])
 			}
 		}
 		return nil

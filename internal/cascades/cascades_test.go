@@ -336,6 +336,56 @@ func TestEstimatesVaryAcrossConfigs(t *testing.T) {
 	}
 }
 
+// TestScanDOPFollowsStreamSize: a scan's degree of parallelism is sized on
+// the bytes of the stream it reads (§5.3), so one job compiled against
+// catalogs that differ only in that stream's size gets a DOP below the cap
+// for a small stream, the cap for a large one, and a DOP that never drops as
+// the rows widen.
+func TestScanDOPFollowsStreamSize(t *testing.T) {
+	const capDOP = 50 // the optimizer's maxDOP
+	scanDOP := func(rows, bytesPerRow float64) int {
+		t.Helper()
+		cat := catalog.New()
+		cat.AddStream(&catalog.Stream{
+			Name: "s",
+			Columns: []catalog.Column{
+				{Name: "k", Distinct: 5000, TrueDistinct: 5000, Min: 0, Max: 5000},
+				{Name: "v", Distinct: 1000, TrueDistinct: 1000, Min: 0, Max: 500},
+			},
+			BaseRows: rows, BytesPerRow: bytesPerRow, GrowthPerDay: 1,
+		})
+		opt := newOpt(cat)
+		res, err := opt.Optimize(compile(t, cat, `a = SELECT k, v FROM "s" WHERE v > 100; OUTPUT a TO "out/s";`), opt.Rules.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		dop := 0
+		res.Plan.Walk(func(n *plan.PhysNode) {
+			if (n.Op == plan.PhysExtract || n.Op == plan.PhysRangeScan) && n.Table == "s" {
+				dop = n.Dist.DOP
+			}
+		})
+		if dop == 0 {
+			t.Fatalf("no scan of s in\n%s", res.Plan)
+		}
+		return dop
+	}
+	if d := scanDOP(1e6, 100); d >= capDOP {
+		t.Errorf("scan of a 100 MB stream: DOP %d, want below %d", d, capDOP)
+	}
+	if d := scanDOP(1e9, 100); d != capDOP {
+		t.Errorf("scan of a 100 GB stream: DOP %d, want %d", d, capDOP)
+	}
+	prev := 0
+	for _, bpr := range []float64{10, 100, 1000, 10000} {
+		d := scanDOP(1e7, bpr)
+		if d < prev {
+			t.Errorf("1e7 rows of %v bytes: DOP %d, below the %d of narrower rows", bpr, d, prev)
+		}
+		prev = d
+	}
+}
+
 func TestSignatureContainsRequiredMachinery(t *testing.T) {
 	cat := testCatalog()
 	opt := newOpt(cat)

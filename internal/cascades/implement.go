@@ -388,8 +388,7 @@ func (s *search) chooseOpDOP(p *pexpr) int {
 	case plan.PhysExtract, plan.PhysRangeScan:
 		// Scan parallelism follows the stored stream's partitioning, not
 		// the (possibly tiny) filtered output.
-		rows, bytes := s.scanInput(p)
-		return cost.ChooseDOP(rows, bytes, maxDOP)
+		return cost.ChooseDOP(s.scanInput(p), maxDOP)
 	case plan.PhysGlobalTop, plan.PhysMultiImpl:
 		return 1
 	case plan.PhysVirtualDataset:
@@ -403,7 +402,7 @@ func (s *search) chooseOpDOP(p *pexpr) int {
 		}
 		return d
 	case plan.PhysUnionMerge:
-		return cost.ChooseDOP(p.props.Rows, p.props.RowBytes, maxDOP)
+		return cost.ChooseDOP(p.props, maxDOP)
 	case plan.PhysHashJoin, plan.PhysMergeJoin:
 		// Both sides were re-partitioned to matching hash layouts.
 		d := 1
@@ -444,11 +443,11 @@ func (s *search) deliveredDist(proto *PhysProto, p *pexpr) plan.Distribution {
 }
 
 // scanInput returns the estimated size of the stream a scan reads.
-func (s *search) scanInput(p *pexpr) (rows, bytes float64) {
+func (s *search) scanInput(p *pexpr) cost.Props {
 	if st := s.o.Est.Cat.Stream(p.node.Table); st != nil {
-		return st.BaseRows, st.BaseRows * st.BytesPerRow
+		return cost.Props{Rows: st.BaseRows, RowBytes: st.BytesPerRow}
 	}
-	return p.props.Rows, p.props.Rows * p.props.RowBytes
+	return p.props
 }
 
 // localUsage costs the candidate's own operator.
@@ -459,7 +458,8 @@ func (s *search) localUsage(p *pexpr) cost.OpUsage {
 		inBytes += c.props.Rows * c.props.RowBytes
 	}
 	if p.op == plan.PhysExtract || p.op == plan.PhysRangeScan {
-		inRows, inBytes = s.scanInput(p)
+		in := s.scanInput(p)
+		inRows, inBytes = in.Rows, in.Rows*in.RowBytes
 	}
 	params := cost.OpCostParams{
 		Op:       p.op,
@@ -495,7 +495,7 @@ func (s *search) enforce(inner *pexpr, req plan.Distribution) *pexpr {
 	switch req.Kind {
 	case plan.DistHash, plan.DistRandom:
 		kind = plan.ExchangeShuffle
-		dop = cost.ChooseDOP(inner.props.Rows, inner.props.RowBytes, maxDOP)
+		dop = cost.ChooseDOP(inner.props, maxDOP)
 	case plan.DistSingleton:
 		kind = plan.ExchangeGather
 		dop = 1
@@ -504,7 +504,7 @@ func (s *search) enforce(inner *pexpr, req plan.Distribution) *pexpr {
 		if req.DOP > 0 {
 			dop = req.DOP
 		} else {
-			dop = cost.ChooseDOP(inner.props.Rows, inner.props.RowBytes, maxDOP)
+			dop = cost.ChooseDOP(inner.props, maxDOP)
 		}
 	default:
 		return inner

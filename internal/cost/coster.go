@@ -157,13 +157,13 @@ func Cost(p OpCostParams) OpUsage {
 }
 
 // ChooseDOP is the optimizer's degree-of-parallelism heuristic: partitions
-// sized to ~256 MB of data, clamped to [1, maxDOP]. Because it runs on
-// *estimated* bytes, different rule configurations — which change estimates —
-// select different degrees of parallelism for the same data (§5.3,
-// "Degree of Parallelism").
-func ChooseDOP(rows, rowBytes float64, maxDOP int) int {
+// sized to ~256 MB of the stream in (in.Rows rows of in.RowBytes bytes each),
+// clamped to [1, maxDOP]. Because it runs on *estimated* bytes, different
+// rule configurations — which change estimates — select different degrees of
+// parallelism for the same data (§5.3, "Degree of Parallelism").
+func ChooseDOP(in Props, maxDOP int) int {
 	const partitionBytes = 256e6
-	bytes := rows * math.Max(rowBytes, 1)
+	bytes := in.Rows * math.Max(in.RowBytes, 1)
 	d := int(math.Ceil(bytes / partitionBytes))
 	if d < 1 {
 		d = 1

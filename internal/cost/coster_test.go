@@ -16,7 +16,7 @@ func TestChooseDOPBounds(t *testing.T) {
 		if bytes < 0 {
 			bytes = -bytes
 		}
-		d := ChooseDOP(rows, bytes, 50)
+		d := ChooseDOP(Props{Rows: rows, RowBytes: bytes}, 50)
 		return d >= 1 && d <= 50
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -25,13 +25,13 @@ func TestChooseDOPBounds(t *testing.T) {
 }
 
 func TestChooseDOPMonotonic(t *testing.T) {
-	if ChooseDOP(1e9, 100, 50) < ChooseDOP(1e6, 100, 50) {
+	if ChooseDOP(Props{Rows: 1e9, RowBytes: 100}, 50) < ChooseDOP(Props{Rows: 1e6, RowBytes: 100}, 50) {
 		t.Fatal("DOP not monotone in data size")
 	}
-	if ChooseDOP(1, 1, 50) != 1 {
+	if ChooseDOP(Props{Rows: 1, RowBytes: 1}, 50) != 1 {
 		t.Fatal("tiny input should get DOP 1")
 	}
-	if ChooseDOP(1e12, 1000, 50) != 50 {
+	if ChooseDOP(Props{Rows: 1e12, RowBytes: 1000}, 50) != 50 {
 		t.Fatal("huge input should hit the cap")
 	}
 }

@@ -46,7 +46,10 @@ func memoEquivRecordOf(job, config string, res *cascades.Result, err error) (mem
 // as frozen in testdata/memoequiv.golden.json. Each job is compiled twice:
 // one-shot, and with both configurations through one shared session. A
 // divergence is an interning bug (a missed duplicate or a false merge) or a
-// session that leaked state between compiles.
+// session that leaked state between compiles. The cost bits, signatures and
+// plans were re-derived in the change after commit 335f664, when a scan's
+// degree of parallelism began to be sized on its stream's bytes rather than
+// rows² × bytes per row; every group and expression count stayed.
 func TestHashedInternMatchesLegacy(t *testing.T) {
 	raw, err := os.ReadFile("testdata/memoequiv.golden.json")
 	if err != nil {

@@ -11,7 +11,7 @@
 //     table — built once, then only read;
 //   - SDK owns an atomic pointer to the active Table and swaps it whole on
 //     bundle load, so every lookup sees exactly one bundle version end to
-//     end (see DESIGN.md, "Immutable tables and the atomic swap");
+//     end (see DESIGN.md, "Immutable tables & atomic swap");
 //   - Server is the HTTP surface: GET /v1/steer lookups, POST /v1/bundles
 //     hot reload (the one way a bundle goes live after boot), /metrics (the
 //     live text exposition of internal/obs), /healthz and /readyz, and

@@ -45,16 +45,19 @@ func analysisDigest(a *steering.Analysis) uint64 {
 // spelling out the footprint counts, with nothing else changed. The bundle
 // hash alone was re-derived in the change after commit 1f17793, when
 // MinimalConfig began minimizing against the best trial's footprint instead
-// of the span: entry configs moved, analyses and robustness did not. Injected
+// of the span: entry configs moved, analyses and robustness did not. Every
+// constant was re-derived in the change after commit 335f664, when a scan's
+// degree of parallelism began to be sized on its stream's bytes rather than
+// rows² × bytes per row: plans, groups and the retries they draw moved. Injected
 // failures and hangs never enter the optimizer, so a session must see — and
 // produce — exactly what per-compile memos did.
 func TestSessionFaultedBuildMatchesPerCompileBaseline(t *testing.T) {
 	const (
-		wantBundle   = uint64(0xa70536d24e75a24d)
-		wantAnalyses = uint64(0xfb16fa2eb00d9b20)
+		wantBundle   = uint64(0x8b694c1009fdbed7)
+		wantAnalyses = uint64(0x136eba2d9c30f02d)
 	)
-	wantReport := steering.BundleReport{Jobs: 24, Groups: 13, Steered: 12, Fallbacks: 1}
-	wantRobustness := faults.Record{CompileRetries: 36, Timeouts: 10, Corruptions: 6}
+	wantReport := steering.BundleReport{Jobs: 24, Groups: 12, Steered: 9, Fallbacks: 3}
+	wantRobustness := faults.Record{CompileRetries: 32, Timeouts: 8, Corruptions: 5}
 	plan := faults.DefaultPlan(1337)
 	for _, w := range []int{1, 8} {
 		setup := fanoutSetup{workers: w, fault: &plan}
