@@ -62,9 +62,10 @@
 #                                batteries, the warm re-pass (no compile, no
 #                                candidate sampling, no candidate probe, no
 #                                plan prepared twice, one prepared ground
-#                                truth per kept plan and day, kept
-#                                plans executed concurrently, candidate lists
-#                                kept per stream seed and M under a shared
+#                                truth per kept plan, replaced on a day
+#                                switch, kept plans executed concurrently,
+#                                one candidate list per job, replaced under
+#                                another stream seed or M in a shared
 #                                cache, no resolution kept after a faulted
 #                                compile), the experiment
 #                                runner's, the faulted build held to its

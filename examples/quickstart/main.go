@@ -56,11 +56,20 @@ func run(out io.Writer) error {
 	rs := opt.Rules
 	h := abtest.New(cat, opt, 7)
 
-	// Compile and execute under the default rule configuration.
-	def := h.RunConfigCtx(context.Background(), root, rs.DefaultConfig(), 0, "quickstart", nil)
-	if def.Err != nil {
-		return def.Err
+	// Run the discovery pipeline: compile and execute the job under the
+	// default rule configuration, compute its span, sample candidate
+	// configurations from the span, recompile them, execute the 10
+	// cheapest, keep the best.
+	p := steering.NewPipeline(h, xrand.New(11))
+	p.MaxCandidates = 200
+	job := &workload.Job{ID: "quickstart", Root: root, Script: script}
+	a, err := p.AnalyzeCtx(context.Background(), job)
+	if err != nil {
+		return err
 	}
+
+	// The default run every change below is measured against.
+	def := a.Default
 	fmt.Fprintf(out, "default: est cost %.2f, simulated runtime %.1fs\n", def.EstCost, def.Metrics.RuntimeSec)
 	fmt.Fprintln(out, "default rule signature:")
 	for _, id := range def.Signature.Ones() {
@@ -70,21 +79,8 @@ func run(out io.Writer) error {
 
 	// The job span: every non-required rule that can influence this job's
 	// final plan (Algorithm 1 of the paper).
-	span, err := steering.JobSpan(opt, root)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "\njob span: %d of %d non-required rules\n", span.Count(), rs.NonRequired().Count())
+	fmt.Fprintf(out, "\njob span: %d of %d non-required rules\n", a.Span.Count(), rs.NonRequired().Count())
 
-	// Run the discovery pipeline: sample candidate configurations from the
-	// span, recompile them, execute the 10 cheapest, keep the best.
-	p := steering.NewPipeline(h, xrand.New(11))
-	p.MaxCandidates = 200
-	job := &workload.Job{ID: "quickstart", Root: root, Script: script}
-	a, err := p.AnalyzeCtx(context.Background(), job)
-	if err != nil {
-		return err
-	}
 	best := a.BestConfig(steering.MetricRuntime)
 	fmt.Fprintf(out, "\npipeline: %d candidates compiled, %d executed\n", len(a.Candidates), len(a.Trials))
 	fmt.Fprintf(out, "best configuration: runtime %.1fs (%+.1f%% vs default)\n",

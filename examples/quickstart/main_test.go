@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -59,5 +61,42 @@ func TestReadmeQuotesOutput(t *testing.T) {
 		if !printed[line] {
 			t.Errorf("README quotes a line the example does not print (refresh it from go run ./examples/quickstart): %q", line)
 		}
+	}
+}
+
+// TestBestComparesWithPrintedDefault: the percentage the example prints for
+// the best configuration is the change from the default runtime it prints to
+// the best runtime it prints, within the rounding of the three printed
+// figures (one decimal each).
+func TestBestComparesWithPrintedDefault(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(&out); err != nil {
+		t.Fatal(err)
+	}
+	var estCost, def, best, pct float64
+	found := 0
+	for _, line := range strings.Split(out.String(), "\n") {
+		if _, err := fmt.Sscanf(line, "default: est cost %f, simulated runtime %fs", &estCost, &def); err == nil {
+			found++
+		}
+		if _, err := fmt.Sscanf(line, "best configuration: runtime %fs (%f%% vs default)", &best, &pct); err == nil {
+			found++
+		}
+	}
+	if found != 2 || def <= 0 {
+		t.Fatalf("found %d of the default and best lines (default %.1fs) in:\n%s", found, def, out.String())
+	}
+	// The extremes of the change over every pair of runtimes that print as
+	// the printed ones.
+	const half = 0.05
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, d := range []float64{def - half, def + half} {
+		for _, b := range []float64{best - half, best + half} {
+			c := 100 * (b - d) / d
+			lo, hi = math.Min(lo, c), math.Max(hi, c)
+		}
+	}
+	if pct < lo-half || pct > hi+half {
+		t.Errorf("best runtime %.1fs against the printed default %.1fs is a %.2f%% to %.2f%% change, but the example prints %+.1f%%", best, def, lo, hi, pct)
 	}
 }

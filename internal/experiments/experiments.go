@@ -62,11 +62,6 @@ type Config struct {
 	// same plan (same seed) reproduces the same faults at any Workers
 	// value.
 	Faults *faults.Plan
-	// Obs, when non-nil, is the registry the runner wires through every
-	// harness, optimizer, pipeline and cache it builds. Nil means the
-	// runner builds its own on obs.ClockFromEnv (so STEERQ_VCLOCK freezes
-	// span durations for byte-stable snapshots).
-	Obs *obs.Registry
 }
 
 // DefaultConfig returns the standard experiment configuration.
@@ -167,16 +162,12 @@ func (r *Runner) Harness(name string) *abtest.Harness {
 }
 
 // Obs returns the runner's shared observability registry, building it on
-// first use from Cfg.Obs (or a fresh registry on obs.ClockFromEnv). Every
-// harness, optimizer, pipeline, cache and injector the runner builds
-// reports into it.
+// first use on obs.ClockFromEnv (so STEERQ_VCLOCK freezes span durations for
+// byte-stable snapshots). Every harness, optimizer, pipeline, cache and
+// injector the runner builds reports into it.
 func (r *Runner) Obs() *obs.Registry {
 	if r.obs == nil {
-		if r.Cfg.Obs != nil {
-			r.obs = r.Cfg.Obs
-		} else {
-			r.obs = obs.NewWithClock(obs.ClockFromEnv())
-		}
+		r.obs = obs.NewWithClock(obs.ClockFromEnv())
 	}
 	return r.obs
 }

@@ -54,63 +54,55 @@ type CompileValue struct {
 	// re-executing the configuration needs no compile: extraction is as
 	// deterministic per footprint class as cost and signature are, and a
 	// Result.Plan never points into a compile arena (cascades/scratch.go).
-	// Executions only read it. The cache keeps it with its ground truth
-	// (exec.Prepared) for each day a re-execution ran it on, prepared on
-	// that re-execution, so every later run of the plan on that day draws
-	// only its noise (see Prepared). Both leave the cache with its entry.
+	// Executions only read it. The cache keeps it with one ground truth
+	// (exec.Prepared), prepared on the plan's first re-execution of a day,
+	// so every later run of the plan that day draws only its noise (see
+	// Prepared). Both leave the cache with its entry.
 	Plan *plan.PhysNode
 
-	// kept holds Plan's prepared ground truths on a value the cache
-	// returns; Put ignores it.
+	// kept holds Plan's prepared ground truth on a value the cache returns;
+	// Put ignores it.
 	kept *keptPlan
 }
 
-// Prepared returns the ground truth the cache keeps for v's plan on day on
-// x's cluster — the one every re-execution of the plan on that day runs —
-// or nil when no re-execution prepared one. It prepares nothing.
+// Prepared returns the ground truth the cache keeps for v's plan if it fits
+// day on x's cluster — the one every re-execution of the plan on that day
+// runs — or nil when no re-execution of that day prepared it. It prepares
+// nothing.
 func (v CompileValue) Prepared(x *exec.Executor, day int) *exec.Prepared {
 	if v.kept == nil {
 		return nil
 	}
 	v.kept.mu.Lock()
 	defer v.kept.mu.Unlock()
-	return v.kept.find(x, day)
-}
-
-// keptPlan is a trial plan the cache keeps and the ground truths prepared
-// for it: one per day it was re-executed on, since a job whose fingerprint
-// recurs on another day reads another day's data. A plan executed once, as
-// every plan of a cold pass is, has none; a truth is prepared on the plan's
-// first re-execution of a day and kept for every later one.
-type keptPlan struct {
-	plan  *plan.PhysNode
-	mu    sync.Mutex
-	truth []*exec.Prepared
-}
-
-// find returns the kept truth that fits x and day, or nil. The caller holds
-// k.mu.
-func (k *keptPlan) find(x *exec.Executor, day int) *exec.Prepared {
-	for _, pr := range k.truth {
-		if pr.Fits(x, day) {
-			return pr
-		}
+	if pr := v.kept.truth; pr != nil && pr.Fits(x, day) {
+		return pr
 	}
 	return nil
 }
 
-// prepared returns k's plan's ground truth for day on x's cluster,
-// preparing and keeping it on the first call; tag names the execution if
+// keptPlan is a trial plan the cache keeps and the ground truth of its last
+// re-executed day. A plan executed once, as every plan of a cold pass is, has
+// none; a re-execution on a day the truth does not fit prepares that day's
+// and replaces it. No workload re-executes one plan on two days (no job
+// fingerprint recurs across days), so one truth serves every re-execution,
+// and the truths a cache retains are bounded by its kept plans.
+type keptPlan struct {
+	plan  *plan.PhysNode
+	mu    sync.Mutex
+	truth *exec.Prepared
+}
+
+// prepared returns k's plan's ground truth for day on x's cluster, preparing
+// and keeping it when the kept one does not fit; tag names the execution if
 // plan checking rejects the plan. Concurrent first calls prepare once.
 func (k *keptPlan) prepared(x *exec.Executor, day int, tag string) *exec.Prepared {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	pr := k.find(x, day)
-	if pr == nil {
-		pr = x.Prepare(k.plan, day, tag)
-		k.truth = append(k.truth, pr)
+	if k.truth == nil || !k.truth.Fits(x, day) {
+		k.truth = x.Prepare(k.plan, day, tag)
 	}
-	return pr
+	return k.truth
 }
 
 // cacheShards is the fixed shard count. Power of two so the shard pick is a
@@ -148,8 +140,8 @@ type listKey struct {
 	span bitvec.Vector
 }
 
-// candList is a job's candidate configurations under one listKey, their
-// clean resolution once an analysis found one, and the job's next list.
+// candList is a job's candidate configurations under one listKey and their
+// clean resolution once an analysis found one.
 //
 // res is written at most once, by the first analysis that resolved every
 // candidate without a faulted compile, and read by every later analysis of
@@ -160,7 +152,6 @@ type candList struct {
 	key  listKey
 	cfgs []bitvec.Vector
 	res  atomic.Pointer[resolution]
-	next *candList
 }
 
 // resolution is what resolving a candidate list through the cache gives when
@@ -197,14 +188,15 @@ func exactly[T any](s []T) []T {
 // costs a list entry, not a map of its own, while a job's lookups stay in
 // one small table. Lookups scan the footprints oldest-first; compiles of one
 // job read overlapping rule sets, so the list stays short (often length
-// one). lists heads the job's candidate lists, one per listKey it was
-// analysed under (one per pipeline seed, M and span; usually one). Most
-// entries are never analysed — the Grouper caches every job's default
-// compile — so the lists hang off a pointer that stays nil for them.
+// one). list is the candidate list of the job's last analysis: an analysis
+// under another listKey (pipeline seed, M or span) replaces it, since no
+// workload analyses one job under two keys. Most entries are never analysed
+// — the Grouper caches every job's default compile — so their list stays
+// nil.
 type jobEntry struct {
 	foots []bitvec.Vector
 	vals  map[classKey]outcome
-	lists *candList
+	list  *candList
 }
 
 // lookup returns the outcome of the first of the job's footprints, in
@@ -242,15 +234,15 @@ const (
 // cache is shared across days and experiments of one workload and never
 // evicts; one job's cache traffic is serial (an analysis runs on one
 // goroutine), so its contents and counters are the same at any worker count.
-// Next to a job's outcomes it keeps each analysed job's candidate list (see
-// candidates) and, once an analysis resolved the list without a faulted
-// compile, that resolution, so a re-analysis neither compiles nor samples
-// nor probes the cache candidate by candidate. The resolution's candidates
+// Next to a job's outcomes it keeps the candidate list of the job's last
+// analysis (see candidates) and, once an analysis resolved the list without
+// a faulted compile, that resolution, so a re-analysis neither compiles nor
+// samples nor probes the cache candidate by candidate. The resolution's candidates
 // are shared read-only by every analysis that reads them. The lists are not
 // counted as entries; reading a kept resolution counts one hit per
 // candidate, as probing each would. A kept trial plan carries the ground
-// truth each day's first re-execution of it prepared (see CompileValue.Plan),
-// which later re-executions run without simulating the plan again.
+// truth its first re-execution of a day prepared (see CompileValue.Plan),
+// which later re-executions that day run without simulating the plan again.
 //
 // Lookups project the probing configuration onto each stored footprint of
 // the job, so recurring templates hit even when the probing configuration
@@ -317,14 +309,11 @@ func (s *cacheShard) entry(fp JobFingerprint) *jobEntry {
 	return je
 }
 
-// list returns the fingerprinted job's candidate list under key, or nil.
+// list returns the fingerprinted job's candidate list if it is kept under
+// key, or nil.
 func (s *cacheShard) list(fp JobFingerprint, key listKey) *candList {
-	if je := s.jobs[fp]; je != nil {
-		for l := je.lists; l != nil; l = l.next {
-			if l.key == key {
-				return l
-			}
-		}
+	if je := s.jobs[fp]; je != nil && je.list != nil && je.list.key == key {
+		return je.list
 	}
 	return nil
 }
@@ -437,15 +426,15 @@ func (c *CompileCache) Put(fp JobFingerprint, cfg bitvec.Vector, v CompileValue)
 var sampleCandidates = CandidateConfigs
 
 // candidates returns the job's candidate list for span, m and the stream r —
-// CandidateConfigs(span, rs, m, r) — sampling only when the cache holds no
-// list of the job under (r's seed, m, span), and whether the list is kept in
-// the cache. The key is sound because r is derived afresh for the call, so
-// its seed names its whole draw sequence; rs is the optimizer's, which every
-// outcome of the cache already assumes. A kept list's configurations are
-// exactly sized and shared: callers only read them. A nil cache, or a job
-// without a fingerprint, samples on every call and returns a list of the
-// call's own, which nothing else reads. Lists are never counted as hits,
-// misses or entries.
+// CandidateConfigs(span, rs, m, r) — sampling only when the job's kept list
+// is not under (r's seed, m, span), and whether the list is kept in the
+// cache. A sampled list replaces the job's kept one. The key is sound
+// because r is derived afresh for the call, so its seed names its whole draw
+// sequence; rs is the optimizer's, which every outcome of the cache already
+// assumes. A kept list's configurations are exactly sized and shared:
+// callers only read them. A nil cache, or a job without a fingerprint,
+// samples on every call and returns a list of the call's own, which nothing
+// else reads. Lists are never counted as hits, misses or entries.
 func (c *CompileCache) candidates(job *workload.Job, span bitvec.Vector, rs *cascades.RuleSet, m int, r *xrand.Source) (l *candList, kept bool) {
 	fp, cacheable := jobFingerprint(job)
 	if c == nil || !cacheable {
@@ -466,13 +455,9 @@ func (c *CompileCache) candidates(job *workload.Job, span bitvec.Vector, rs *cas
 		// A concurrent analysis of the same job kept an identical list first.
 		return l, true
 	}
-	je := s.entry(fp)
-	last := &je.lists
-	for *last != nil {
-		last = &(*last).next
-	}
-	*last = &candList{key: key, cfgs: cfgs}
-	return *last, true
+	l = &candList{key: key, cfgs: cfgs}
+	s.entry(fp).list = l
+	return l, true
 }
 
 // CandidateProbes returns how many candidates of kept candidate lists were

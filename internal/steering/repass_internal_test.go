@@ -29,16 +29,15 @@ func countSamples(t *testing.T) *atomic.Int64 {
 	return n
 }
 
-// candidateLists returns every candidate list c keeps, by job fingerprint,
-// each job's in the order they were kept.
-func candidateLists(c *CompileCache) map[JobFingerprint][]*candList {
-	out := make(map[JobFingerprint][]*candList)
+// candidateLists returns every candidate list c keeps, by job fingerprint.
+func candidateLists(c *CompileCache) map[JobFingerprint]*candList {
+	out := make(map[JobFingerprint]*candList)
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.RLock()
 		for fp, je := range s.jobs {
-			for l := je.lists; l != nil; l = l.next {
-				out[fp] = append(out[fp], l)
+			if je.list != nil {
+				out[fp] = je.list
 			}
 		}
 		s.mu.RUnlock()
@@ -97,10 +96,10 @@ func TestRepassSamplesNothing(t *testing.T) {
 		job := g.Jobs[0]
 		fp, _ := jobFingerprint(job)
 		kept, warm := coldLists[fp], warmLists[fp]
-		if len(kept) != 1 || len(warm) != 1 {
-			t.Fatalf("%s: %d candidate lists after the cold pass, %d after the re-pass; want 1", job.ID, len(kept), len(warm))
+		if kept == nil || len(kept.cfgs) == 0 {
+			t.Fatalf("%s: the cold pass kept no candidate list", job.ID)
 		}
-		if len(kept[0].cfgs) == 0 || warm[0] != kept[0] {
+		if warm != kept {
 			t.Errorf("%s: the re-pass's list is not the one the cold pass kept", job.ID)
 		}
 		a, err := p.Recompile(job)
@@ -108,7 +107,7 @@ func TestRepassSamplesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := CandidateConfigs(a.Span, h.Opt.Rules, p.MaxCandidates, p.Rand.Derive("job", job.ID))
-		if cfgs := kept[0].cfgs; !slices.Equal(cfgs, want) || cap(cfgs) != len(cfgs) {
+		if cfgs := kept.cfgs; !slices.Equal(cfgs, want) || cap(cfgs) != len(cfgs) {
 			t.Errorf("%s: kept list (len %d, cap %d) is not the %d configurations sampling gives", job.ID, len(cfgs), cap(cfgs), len(want))
 		}
 	}

@@ -151,7 +151,8 @@ func TestRepassCompilesNothing(t *testing.T) {
 // TestRepassSharedCacheKeysListsBySeedAndM: pipelines sharing one compile
 // cache — one differing from the base only in its Rand seed, one only in
 // MaxCandidates — each build the bundle they build on a private cache, in
-// either build order, so a kept candidate list is served only to an analysis
+// either build order and when the base builds again after another key
+// replaced its lists, so a kept candidate list is served only to an analysis
 // that would have sampled it.
 func TestRepassSharedCacheKeysListsBySeedAndM(t *testing.T) {
 	e := newFanoutEnv(t, fanoutSetup{})
@@ -182,7 +183,7 @@ func TestRepassSharedCacheKeysListsBySeedAndM(t *testing.T) {
 			t.Fatalf("the %s variant builds the base's bundle; test is vacuous", names[i])
 		}
 	}
-	for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}} {
+	for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}, {0, 1, 0}} {
 		shared := steering.NewCompileCache()
 		for _, i := range order {
 			if !bytes.Equal(build(pipes[i], shared), private[i]) {
@@ -386,12 +387,12 @@ func TestCachedPlanParallelExec(t *testing.T) {
 	}
 }
 
-// TestRepassKeepsOneTruthPerDay: a job whose fingerprint recurs on another
-// day finds its kept plan, but not that day's ground truth. The plan keeps
-// one Prepared per day it was re-executed on, each trial reads what
-// executing the plan fresh on its day gives, and running a day again
-// prepares nothing.
-func TestRepassKeepsOneTruthPerDay(t *testing.T) {
+// TestRepassKeepsOneTruthPerPlan: a kept plan keeps one prepared ground
+// truth, of the last day it was re-executed on. Re-running that day reuses
+// it; a run on another day prepares that day's and drops the old one, which
+// Prepared then no longer returns; and every trial reads what executing the
+// plan fresh on its day gives.
+func TestRepassKeepsOneTruthPerPlan(t *testing.T) {
 	e := newFanoutEnv(t, fanoutSetup{workers: 1})
 	h := e.p.Harness
 	ctx := context.Background()
@@ -402,34 +403,38 @@ func TestRepassKeepsOneTruthPerDay(t *testing.T) {
 	later := *job
 	later.Day = job.Day + 3
 	cfg, tag := h.Opt.Rules.DefaultConfig(), steering.DefaultTag(job.ID)
-	var truths []*exec.Prepared
+	var prev *exec.Prepared
+	var prevDay int
 	var runtimes []float64
-	for _, j := range []*workload.Job{job, &later, job, &later} {
+	for i, j := range []*workload.Job{job, job, &later, &later, job} {
 		before := compiles(e.reg)
 		tr := e.p.Trial(ctx, j, cfg, tag, nil)
 		if n := compiles(e.reg) - before; n != 0 {
-			t.Fatalf("day %d: the trial made %d optimizer calls", j.Day, n)
+			t.Fatalf("run %d (day %d): the trial made %d optimizer calls", i, j.Day, n)
 		}
 		v, ok := e.p.Cache.Get(fingerprintOf(j), cfg)
 		if !ok || v.Plan == nil {
-			t.Fatalf("day %d: no plan kept", j.Day)
+			t.Fatalf("run %d (day %d): no plan kept", i, j.Day)
 		}
 		if want := h.Executor.Run(v.Plan, j.Day, tag); tr.Err != nil || tr.Metrics != want {
-			t.Fatalf("day %d: trial %+v (%v), fresh run %+v", j.Day, tr.Metrics, tr.Err, want)
+			t.Fatalf("run %d (day %d): trial %+v (%v), fresh run %+v", i, j.Day, tr.Metrics, tr.Err, want)
 		}
 		pr := v.Prepared(h.Executor, j.Day)
 		if pr == nil {
-			t.Fatalf("day %d: the re-execution kept no prepared ground truth", j.Day)
+			t.Fatalf("run %d (day %d): the re-execution kept no prepared ground truth", i, j.Day)
 		}
-		truths, runtimes = append(truths, pr), append(runtimes, tr.Metrics.RuntimeSec)
+		switch {
+		case i == 0:
+		case j.Day == prevDay && pr != prev:
+			t.Fatalf("run %d (day %d): re-running the day prepared its ground truth again", i, j.Day)
+		case j.Day != prevDay && pr == prev:
+			t.Fatalf("run %d (day %d): the day switch ran the old day's ground truth", i, j.Day)
+		case j.Day != prevDay && v.Prepared(h.Executor, prevDay) != nil:
+			t.Fatalf("run %d (day %d): day %d's ground truth is still kept", i, j.Day, prevDay)
+		}
+		prev, prevDay, runtimes = pr, j.Day, append(runtimes, tr.Metrics.RuntimeSec)
 	}
-	if truths[0] == truths[1] {
-		t.Fatal("the kept plan ran both days from one prepared ground truth")
-	}
-	if truths[2] != truths[0] || truths[3] != truths[1] {
-		t.Fatal("re-running a day prepared its ground truth again")
-	}
-	if runtimes[0] == runtimes[1] {
+	if runtimes[0] == runtimes[2] {
 		t.Fatal("both days read the same runtime; test is vacuous")
 	}
 }
