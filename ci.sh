@@ -22,6 +22,15 @@
 #                                  line must be a line the example prints
 #                                  (examples/quickstart's
 #                                  TestReadmeQuotesOutput);
+#                                - the documents' checks (docs_test.go):
+#                                  every exp_all block of EXPERIMENTS.md,
+#                                  DESIGN.md and README.md is a run of the
+#                                  exp_all golden's lines
+#                                  (TestExperimentsQuoteExpAll), every
+#                                  package has one DESIGN.md inventory row,
+#                                  no golden line ends in a blank, and
+#                                  DESIGN.md and README.md cite no change
+#                                  by number;
 #                                - the serving client's drain battery
 #                                  (TestSteerMidDrain), WaitReady's budget
 #                                  bound and the rules' prove-or-delete
@@ -133,7 +142,8 @@
 #                                nondeterminism both fail here
 #  10. paper tables golden       the one regenerator of the paper's tables,
 #                                `steerq-bench -exp all` at -scale 0.01 -m 300
-#                                (EXPERIMENTS.md quotes this golden, and
+#                                (EXPERIMENTS.md, DESIGN.md and README.md
+#                                quote this golden, and
 #                                TestExperimentsQuoteExpAll fails when an
 #                                excerpt departs from it) with a pinned
 #                                fault seed, diffed byte-for-byte against

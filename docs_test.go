@@ -8,16 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"unicode"
 )
-
-// historicalNames are the exported names the documents mention on purpose
-// although no code declares them any more.
-var historicalNames = map[string]bool{
-	"FootprintClasses": true, // DESIGN.md names the deleted API it replaced
-}
 
 // decls is what the module's non-test Go files declare.
 type decls struct {
@@ -163,7 +158,7 @@ func (d decls) undeclared(span string) string {
 	}
 	parts := strings.Split(m[1], ".")
 	last := parts[len(parts)-1]
-	if !exported(last) || envLike(last) || historicalNames[last] {
+	if !exported(last) || envLike(last) {
 		return ""
 	}
 	if len(parts) > 1 && !exported(parts[0]) {
@@ -198,7 +193,7 @@ func (d decls) undeclared(span string) string {
 // DESIGN.md backtick — `Name`, `pkg.Name`, `Type.Method` — is declared by a
 // non-test .go file of the repository, so a rename or deletion cannot leave
 // the documents describing code that no longer exists. Environment-variable
-// spellings and historicalNames are exempt.
+// spellings are exempt.
 func TestDocsNameDeclaredIdentifiers(t *testing.T) {
 	d := moduleDecls(t)
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
@@ -226,12 +221,13 @@ func readLines(t *testing.T, path string) []string {
 	return strings.Split(string(raw), "\n")
 }
 
-// TestExperimentsQuoteExpAll: every fenced block of EXPERIMENTS.md whose info
-// string is exp_all is a contiguous run of lines of the exp_all golden, byte
-// for byte, and every section of the reproduction (each "## " section before
-// the "# Ledger" heading) holds at least one such block. So a number the
-// reproduction shows is one ci.sh checks, and a change that moves exp_all
-// fails here until the excerpts it moved are refreshed.
+// TestExperimentsQuoteExpAll: every fenced block of EXPERIMENTS.md, DESIGN.md
+// and README.md whose info string is exp_all is a contiguous run of lines of
+// the exp_all golden, byte for byte, and every section of EXPERIMENTS.md's
+// reproduction (each "## " section before the "# Ledger" heading) holds at
+// least one such block. So a number the documents quote from a run is one
+// ci.sh checks, and a change that moves exp_all fails here until the excerpts
+// it moved are refreshed.
 func TestExperimentsQuoteExpAll(t *testing.T) {
 	golden := readLines(t, expAllGolden)
 	doc := readLines(t, "EXPERIMENTS.md")
@@ -251,13 +247,7 @@ func TestExperimentsQuoteExpAll(t *testing.T) {
 			endSection()
 			section, ledger = "", true
 		case line == "```exp_all":
-			start := i + 1
-			for i++; i < len(doc) && doc[i] != "```"; i++ {
-			}
-			if i == len(doc) {
-				t.Fatalf("EXPERIMENTS.md:%d: exp_all block is never closed", start)
-			}
-			checkExcerpt(t, golden, doc[start:i], start+1)
+			i = checkExcerpt(t, "EXPERIMENTS.md", golden, doc, i)
 			quoted = true
 		}
 	}
@@ -265,15 +255,33 @@ func TestExperimentsQuoteExpAll(t *testing.T) {
 	if !ledger {
 		t.Error(`EXPERIMENTS.md has no "# Ledger" heading ending the reproduction`)
 	}
+	for _, name := range []string{"DESIGN.md", "README.md"} {
+		doc := readLines(t, name)
+		for i := 0; i < len(doc); i++ {
+			if doc[i] == "```exp_all" {
+				i = checkExcerpt(t, name, golden, doc, i)
+			}
+		}
+	}
 }
 
-// checkExcerpt reports the first line of block (which starts at EXPERIMENTS.md
-// line first) that departs from the golden run that matches the most of it.
-func checkExcerpt(t *testing.T, golden, block []string, first int) {
+// checkExcerpt checks the exp_all block whose opening fence is line open of
+// doc (the lines of the file called name), reporting the first line that
+// departs from the golden run that matches the most of it, and returns the
+// index of the closing fence.
+func checkExcerpt(t *testing.T, name string, golden, doc []string, open int) int {
 	t.Helper()
+	end := open + 1
+	for end < len(doc) && doc[end] != "```" {
+		end++
+	}
+	if end == len(doc) {
+		t.Fatalf("%s:%d: exp_all block is never closed", name, open+1)
+	}
+	block, first := doc[open+1:end], open+2
 	if len(block) == 0 {
-		t.Errorf("EXPERIMENTS.md:%d: empty exp_all block", first)
-		return
+		t.Errorf("%s:%d: empty exp_all block", name, first)
+		return end
 	}
 	best, at := -1, 0
 	for g := range golden {
@@ -282,7 +290,7 @@ func checkExcerpt(t *testing.T, golden, block []string, first int) {
 			n++
 		}
 		if n == len(block) {
-			return
+			return end
 		}
 		if n > best {
 			best, at = n, g+n
@@ -290,12 +298,13 @@ func checkExcerpt(t *testing.T, golden, block []string, first int) {
 	}
 	switch {
 	case best == 0:
-		t.Errorf("EXPERIMENTS.md:%d: %q is no line of %s", first, block[0], expAllGolden)
+		t.Errorf("%s:%d: %q is no line of %s", name, first, block[0], expAllGolden)
 	case at == len(golden):
-		t.Errorf("EXPERIMENTS.md:%d: %q runs past the end of %s", first+best, block[best], expAllGolden)
+		t.Errorf("%s:%d: %q runs past the end of %s", name, first+best, block[best], expAllGolden)
 	default:
-		t.Errorf("EXPERIMENTS.md:%d: %q differs from %s:%d, %q", first+best, block[best], expAllGolden, at+1, golden[at])
+		t.Errorf("%s:%d: %q differs from %s:%d, %q", name, first+best, block[best], expAllGolden, at+1, golden[at])
 	}
+	return end
 }
 
 // citation is a reference to a section of EXPERIMENTS.md, DESIGN.md or README
@@ -388,5 +397,127 @@ func TestExperimentsCitationsResolve(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGoldensHaveNoTrailingBlanks: no line of a committed golden — a file
+// directly under cmd/*/testdata or internal/*/testdata — ends in a space or a
+// tab. An editor that trims trailing blanks on save would otherwise change a
+// golden, or a document's excerpt of one, without anyone meaning to.
+func TestGoldensHaveNoTrailingBlanks(t *testing.T) {
+	var paths []string
+	for _, pattern := range []string{"cmd/*/testdata/*", "internal/*/testdata/*"} {
+		m, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, m...)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no golden under cmd/*/testdata or internal/*/testdata")
+	}
+	for _, path := range paths {
+		if info, err := os.Stat(path); err != nil {
+			t.Fatal(err)
+		} else if info.IsDir() {
+			continue
+		}
+		for i, line := range readLines(t, path) {
+			if strings.HasSuffix(line, " ") || strings.HasSuffix(line, "\t") {
+				t.Errorf("%s:%d: line ends in a blank: %q", path, i+1, line)
+			}
+		}
+	}
+}
+
+// inventoryPath is the backticked path that opens a row of DESIGN.md's
+// "System inventory" table.
+var inventoryPath = regexp.MustCompile("^\\| `([^`]+)`")
+
+// TestDesignInventoryListsEveryPackage: DESIGN.md's "System inventory" has
+// exactly one row per Go package directory of the root module — the root
+// itself as `.`, every directory under internal/, cmd/ and examples/ that
+// holds a .go file — plus one for benchmark/, the separate module that
+// measures it, and no other row. So a package cannot be added, moved or
+// deleted without the inventory following.
+func TestDesignInventoryListsEveryPackage(t *testing.T) {
+	want := map[string]bool{"benchmark": true}
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir // another module
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") {
+			want[filepath.ToSlash(filepath.Dir(path))] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]int{}
+	in := false
+	for i, line := range readLines(t, "DESIGN.md") {
+		switch {
+		case line == "## System inventory":
+			in = true
+		case in && strings.HasPrefix(line, "## "):
+			in = false
+		case in:
+			m := inventoryPath.FindStringSubmatch(line)
+			if m == nil {
+				continue
+			}
+			dir := strings.TrimSuffix(m[1], "/")
+			if rows[dir] > 0 {
+				t.Errorf("DESIGN.md:%d: %s has a second inventory row (first at line %d)", i+1, m[1], rows[dir])
+			} else {
+				rows[dir] = i + 1
+			}
+			if !want[dir] {
+				t.Errorf("DESIGN.md:%d: inventory row %s is no package directory of the module", i+1, m[1])
+			}
+		}
+	}
+	if len(rows) == 0 {
+		t.Fatal(`DESIGN.md has no "## System inventory" rows`)
+	}
+	var missing []string
+	for dir := range want {
+		if rows[dir] == 0 {
+			missing = append(missing, dir)
+		}
+	}
+	sort.Strings(missing)
+	for _, dir := range missing {
+		t.Errorf("DESIGN.md \"System inventory\" has no row for %s", dir)
+	}
+}
+
+// changeRef is a reference to a numbered change or request: the history of
+// the code, which the ledger at the end of EXPERIMENTS.md and CHANGES.md keep.
+var changeRef = regexp.MustCompile(`\b(PR|ISSUE)s? [0-9]+`)
+
+// TestDocsCiteNoChangeNumbers: README.md and DESIGN.md describe the code as
+// it is and cite no change by number; what a change measured is in its
+// ledger entry, which the documents cite by heading.
+func TestDocsCiteNoChangeNumbers(t *testing.T) {
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		for i, line := range readLines(t, doc) {
+			if m := changeRef.FindString(line); m != "" {
+				t.Errorf("%s:%d: names a change (%q): cite its EXPERIMENTS.md ledger entry instead", doc, i+1, m)
+			}
+		}
 	}
 }

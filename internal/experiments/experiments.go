@@ -390,8 +390,11 @@ func (h Histogram) Render(w io.Writer) {
 		}
 	}
 	for b := 0; b < len(h.Counts); b++ {
-		bar := barString(h.Counts[b], maxN, 40)
-		fmt.Fprintf(w, "  [%10.4g, %10.4g) %6d %s\n", h.Edges[b], h.Edges[b+1], h.Counts[b], bar)
+		fmt.Fprintf(w, "  [%10.4g, %10.4g) %6d", h.Edges[b], h.Edges[b+1], h.Counts[b])
+		if bar := barString(h.Counts[b], maxN, 40); bar != "" {
+			fmt.Fprintf(w, " %s", bar)
+		}
+		fmt.Fprintln(w)
 	}
 }
 

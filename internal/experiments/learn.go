@@ -114,8 +114,12 @@ type Table5 struct {
 func (t *Table5) Render(w io.Writer) {
 	fmt.Fprintf(w, "Table 5: runtimes (seconds) per job group under Best/Default/Learned\n")
 	fmt.Fprintf(w, "%-9s", "")
-	for _, g := range t.Run.Groups {
-		fmt.Fprintf(w, " | group %d (n=%d, K=%d)           ", g.Index, g.Size, g.Arms)
+	for i, g := range t.Run.Groups {
+		head := fmt.Sprintf("group %d (n=%d, K=%d)", g.Index, g.Size, g.Arms)
+		if i < len(t.Run.Groups)-1 {
+			head += "           "
+		}
+		fmt.Fprintf(w, " | %s", head)
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "%-9s", "")
