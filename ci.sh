@@ -156,7 +156,10 @@
 #                                Figure 1, the daily loop (Runner.Loop): each
 #                                workload's day-d bundle served to its day
 #                                d+1 jobs for d = 0..5, the split totals and
-#                                the day-0 bundle's shelf life. The two runs
+#                                the day-0 bundle's shelf life, where a hit
+#                                whose served configuration abtest.Admit
+#                                refuses runs the default and counts in the
+#                                guarded column. The two runs
 #                                are that loop's determinism gate: its rows
 #                                must not move with the worker count or with
 #                                fault injection

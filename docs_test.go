@@ -313,6 +313,16 @@ func checkExcerpt(t *testing.T, name string, golden, doc []string, open int) int
 // EXPERIMENTS "<title>" or README "<title>".
 var citation = regexp.MustCompile(`(EXPERIMENTS|DESIGN|README)(?:\.md)?,? \(?"([^"]+)"`)
 
+// ownRef is a reference inside DESIGN.md to its own sections, by the start
+// of their titles and with no document name: ("<title>"), ("<title>",
+// "<title>") or see "<title>". ownTitle picks the titles out of it, and
+// codeSpan is Markdown code, where a quoted string is no reference.
+var (
+	ownRef   = regexp.MustCompile(`(?:\(|\b[Ss]ee )((?:"[^"]+"(?:, )?)+)`)
+	ownTitle = regexp.MustCompile(`"([^"]+)"`)
+	codeSpan = regexp.MustCompile("```.*?```|`[^`]*`")
+)
+
 // citedLevels are the headings a citation of each document may name:
 // EXPERIMENTS.md's sections and ledger entries are all "## " headings, while
 // DESIGN.md and README nest "### " sections under them.
@@ -324,7 +334,8 @@ var citedLevels = map[string][]string{
 
 // TestExperimentsCitationsResolve: every citation of an EXPERIMENTS.md,
 // DESIGN.md or README section in the repository's Markdown files, Go
-// comments and ci.sh is the start of one of that document's headings, so
+// comments and ci.sh, and every reference DESIGN.md makes to its own
+// sections (ownRef), is the start of one of that document's headings, so
 // cutting or renaming a section cannot strand a reference to it. Text is
 // matched with its whitespace collapsed, because citations wrap across lines.
 // A title in angle brackets, or an ellipsis, is a placeholder, not a
@@ -382,7 +393,18 @@ func TestExperimentsCitationsResolve(t *testing.T) {
 		default:
 			return nil
 		}
-		for _, m := range citation.FindAllStringSubmatch(strings.Join(strings.Fields(text), " "), -1) {
+		text = strings.Join(strings.Fields(text), " ")
+		if path == "DESIGN.md" {
+			own := citation.ReplaceAllString(codeSpan.ReplaceAllString(text, ""), "")
+			for _, m := range ownRef.FindAllStringSubmatch(own, -1) {
+				for _, title := range ownTitle.FindAllStringSubmatch(m[1], -1) {
+					if !resolves("DESIGN", title[1]) {
+						t.Errorf("%s: %s cites no DESIGN.md heading", path, title[0])
+					}
+				}
+			}
+		}
+		for _, m := range citation.FindAllStringSubmatch(text, -1) {
 			// benchmark/ is a module of its own: its README citations name
 			// benchmark/README.md, whose sections lead with bold text rather
 			// than headings.

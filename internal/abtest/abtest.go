@@ -208,29 +208,40 @@ func (h *Harness) execute(ctx context.Context, res *cascades.Result, pr *exec.Pr
 	return t
 }
 
+// Admit is the one rule for what a job whose signature hits the bundle runs:
+// the served configuration only when it compiled (err is nil) and the
+// optimizer does not expect it to cost more than the default — servedCost ≤
+// defaultCost, both estimates of the same job — and the default otherwise.
+func Admit(defaultCost, servedCost float64, err error) bool {
+	return err == nil && servedCost <= defaultCost
+}
+
 // RunSteered executes the job the way a steered cluster would: compile the
 // default configuration far enough to learn the job's rule signature, ask
 // the Steerer for that group's recommended configuration, and run the trial
-// under it. The boolean reports whether the trial was actually steered away
-// from the default; with no Steerer wired (or no bundle live) the job runs
-// unsteered, exactly as before deployment.
+// under it if Admit does. The boolean reports whether the trial was actually
+// steered away from the default; with no Steerer wired (or no bundle live),
+// or a served configuration Admit refuses, the job runs unsteered.
 func (h *Harness) RunSteered(root *plan.Node, day int, jobTag string) (Trial, bool) {
 	return h.RunSteeredCtx(context.Background(), root, day, jobTag, nil)
 }
 
 // RunSteeredCtx is RunSteered bounded by a context, with the same fault
-// record contract as RunConfigCtx. The signature probe is a plan-less
-// compile (OptimizeCost); if it fails, the job falls through to the
-// unsteered path and RunConfigCtx surfaces the error with full retry
-// handling.
+// record contract as RunConfigCtx. The signature probe and the served
+// configuration's cost are plan-less compiles (OptimizeCost); if the probe
+// fails, the job falls through to the unsteered path and RunConfigCtx
+// surfaces the error with full retry handling.
 func (h *Harness) RunSteeredCtx(ctx context.Context, root *plan.Node, day int, jobTag string, rec *faults.Record) (Trial, bool) {
 	cfg := h.Opt.Rules.DefaultConfig()
 	steered := false
 	if h.Steer != nil {
-		if res, err := h.Opt.OptimizeCost(root, cfg); err == nil {
-			if sc, ok := h.Steer.Decide(res.Signature); ok && !sc.Equal(cfg) {
-				cfg = sc
-				steered = true
+		if def, err := h.Opt.OptimizeCost(root, cfg); err == nil {
+			if sc, ok := h.Steer.Decide(def.Signature); ok && !sc.Equal(cfg) {
+				// root compiled, so err is the no-plan verdict: res is not nil.
+				if res, err := h.Opt.OptimizeCost(root, sc); Admit(def.Cost, res.Cost, err) {
+					cfg = sc
+					steered = true
+				}
 			}
 		}
 	}

@@ -36,17 +36,28 @@ func TestRunSteeredConsultsSteerer(t *testing.T) {
 		t.Fatalf("unsteered run: steered=%v cfg=%s err=%v", steered, tr.Config.Hex(), tr.Err)
 	}
 
-	// A steerer that knows this signature redirects the compile. Flip one
-	// non-required optional bit off so the config differs but still compiles.
-	alt := def
+	// A steerer that knows this signature redirects the compile when the
+	// optimizer does not expect its answer to cost more than the default;
+	// an answer it expects to cost more runs the default, unsteered. Each
+	// candidate answer clears one enabled optional bit.
+	var alt, costlier bitvec.Vector
 	for _, id := range h.Opt.Rules.NonRequired().Ones() {
-		if def.Get(id) {
-			alt.Clear(id)
-			break
+		if !def.Get(id) {
+			continue
+		}
+		cfg := def
+		cfg.Clear(id)
+		r, err := h.Opt.OptimizeCost(root, cfg)
+		switch {
+		case err != nil:
+		case r.Cost <= res.Cost && alt.IsEmpty():
+			alt = cfg
+		case r.Cost > res.Cost && costlier.IsEmpty():
+			costlier = cfg
 		}
 	}
-	if alt.Equal(def) {
-		t.Fatal("could not derive an alternative config")
+	if alt.IsEmpty() || costlier.IsEmpty() {
+		t.Fatal("could not derive an admitted and a costlier alternative config")
 	}
 	h.Steer = &mapSteerer{decisions: map[bitvec.Key]bitvec.Vector{sig.Key(): alt}}
 	tr, steered = h.RunSteered(root, 0, "s1")
@@ -55,6 +66,28 @@ func TestRunSteeredConsultsSteerer(t *testing.T) {
 	}
 	if !tr.Config.Equal(alt) {
 		t.Fatalf("steered config %s, want %s", tr.Config.Hex(), alt.Hex())
+	}
+	h.Steer = &mapSteerer{decisions: map[bitvec.Key]bitvec.Vector{sig.Key(): costlier}}
+	tr, steered = h.RunSteered(root, 0, "s4")
+	if steered || tr.Err != nil || !tr.Config.Equal(def) {
+		t.Fatalf("costlier answer: steered=%v cfg=%s err=%v, want the default %s", steered, tr.Config.Hex(), tr.Err, def.Hex())
+	}
+
+	// An answer with no plan (no TOP implementation enabled) runs the
+	// default too.
+	topRoot, err := scopeql.Compile(`x = SELECT TOP 5 k FROM "s" ORDER BY k; OUTPUT x TO "o";`, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topRes, err := h.Opt.OptimizeCost(topRoot, def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var empty bitvec.Vector
+	h.Steer = &mapSteerer{decisions: map[bitvec.Key]bitvec.Vector{topRes.Signature.Key(): empty}}
+	tr, steered = h.RunSteered(topRoot, 0, "s5")
+	if steered || tr.Err != nil || !tr.Config.Equal(def) {
+		t.Fatalf("plan-less answer: steered=%v cfg=%s err=%v, want the default %s", steered, tr.Config.Hex(), tr.Err, def.Hex())
 	}
 
 	// A steerer that misses the signature leaves the run unsteered.

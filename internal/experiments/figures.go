@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 
+	"steerq/internal/abtest"
 	"steerq/internal/bitvec"
 	"steerq/internal/cascades"
 	"steerq/internal/serve"
@@ -138,12 +139,13 @@ type LoopRow struct {
 	// served to.
 	Built, Served   [2]int
 	Steered, Groups int
-	// Jobs counts the KindHit jobs that ran under both configurations,
-	// DefaultSec and ServedSec sum their runtimes and Median is their median
-	// served/default ratio. Worse and Better count jobs more than 10 %
-	// slower or faster, Tenfold those at ≥ 10× their default, and Worst is
-	// the job with the highest ratio.
-	Jobs                          int
+	// Jobs counts the KindHit jobs whose default ran, Guarded those of them
+	// that ran the default because abtest.Admit refused the served
+	// configuration (each at ratio 1). DefaultSec and ServedSec sum their
+	// runtimes and Median is their median served/default ratio. Worse and
+	// Better count jobs more than 10 % slower or faster, Tenfold those at
+	// ≥ 10× their default, and Worst is the job with the highest ratio.
+	Jobs, Guarded                 int
 	DefaultSec, ServedSec, Median float64
 	Worse, Better, Tenfold        int
 	Worst                         string
@@ -161,6 +163,7 @@ func (row *LoopRow) add(o LoopRow) {
 	row.Built[1], row.Served[1] = o.Built[1], o.Served[1]
 	row.Steered += o.Steered
 	row.Groups += o.Groups
+	row.Guarded += o.Guarded
 	row.served = append(row.served, o.served...)
 }
 
@@ -231,7 +234,9 @@ func (r *Runner) Loop(names ...string) (*Loop, error) {
 
 // serveDay serves the table built on day built to the jobs of day served:
 // each job whose default signature serve.Table.Lookup resolves to KindHit
-// runs under that configuration and the default (steering.Extrapolate).
+// runs under that configuration and the default (steering.Compare). A hit
+// abtest.Admit refuses runs the default: it counts in Guarded, and in Jobs at
+// ratio 1.
 func (r *Runner) serveDay(name string, t *serve.Table, built, served int) LoopRow {
 	row := LoopRow{Workload: name, Kind: "pair", Split: "held-out",
 		Built: [2]int{built, built}, Served: [2]int{served, served}}
@@ -242,18 +247,28 @@ func (r *Runner) serveDay(name string, t *serve.Table, built, served int) LoopRo
 	g := p.Grouper()
 	for _, j := range r.Day(name, served) {
 		sig, err := g.DefaultSignature(j)
-		if d := t.Lookup(sig); err == nil && d.Kind == serve.KindHit {
-			row.served = append(row.served, steering.Extrapolate(p, d.Config, []*workload.Job{j})...)
+		d := t.Lookup(sig)
+		if err != nil || d.Kind != serve.KindHit {
+			continue
 		}
+		c := steering.Compare(p, d.Config, j)
+		if c.Default.Err != nil {
+			continue
+		}
+		if !abtest.Admit(c.Default.EstCost, c.New.EstCost, c.New.Err) {
+			c.New, c.PctChange = c.Default, 0
+			row.Guarded++
+		}
+		row.served = append(row.served, c)
 	}
 	return row
 }
 
 // Render prints one row per day pair, split total and shelf life.
 func (l *Loop) Render(w io.Writer) {
-	fmt.Fprintf(w, "  day-d bundle served to day-d+1 jobs, every steered hit vs default (%s's first %d pairs tune, the rest are held out; shelf: the day-0 bundle on days 1-%d):\n",
+	fmt.Fprintf(w, "  day-d bundle served to day-d+1 jobs, every steered hit vs default; a guarded hit (served config with no plan or a higher estimated cost) runs the default, in jobs at ratio 1 (%s's first %d pairs tune, the rest are held out; shelf: the day-0 bundle on days 1-%d):\n",
 		tuneWorkload, tunePairs, loopDays)
-	fmt.Fprintf(w, "  workload  row    split     bundle  served  steered/groups   jobs  Σ runtime  median  >10%% worse/better  ≥10×  worst job\n")
+	fmt.Fprintf(w, "  workload  row    split     bundle  served  steered/groups   jobs  guarded  Σ runtime  median  >10%% worse/better  ≥10×  worst job\n")
 	days := func(d [2]int) string {
 		if d[0] == d[1] {
 			return fmt.Sprintf("d%d", d[0])
@@ -265,9 +280,9 @@ func (l *Loop) Render(w io.Writer) {
 		if row.DefaultSec > 0 {
 			pct = 100 * (row.ServedSec - row.DefaultSec) / row.DefaultSec
 		}
-		fmt.Fprintf(w, "  %-8s  %-5s  %-8s  %-6s  %-6s  %14s  %5d  %+8.1f%%  %6.2f  %17s  %4d  %s %.1f×\n",
+		fmt.Fprintf(w, "  %-8s  %-5s  %-8s  %-6s  %-6s  %14s  %5d  %7d  %+8.1f%%  %6.2f  %17s  %4d  %s %.1f×\n",
 			row.Workload, row.Kind, row.Split, days(row.Built), days(row.Served),
-			fmt.Sprintf("%d/%d", row.Steered, row.Groups), row.Jobs, pct, row.Median,
+			fmt.Sprintf("%d/%d", row.Steered, row.Groups), row.Jobs, row.Guarded, pct, row.Median,
 			fmt.Sprintf("%d/%d", row.Worse, row.Better), row.Tenfold, row.Worst, row.WorstRatio)
 	}
 }

@@ -160,6 +160,12 @@ func TestFiguresSmoke(t *testing.T) {
 		if row.Workload == "A" && row.Kind == "pair" && row.Jobs == 0 {
 			t.Errorf("loop: workload A served its day-%d bundle to no day-%d job", row.Built[0], row.Served[0])
 		}
+		// What abtest.Admit buys: no served job runs at ten times its
+		// default, in any row.
+		if row.Tenfold != 0 {
+			t.Errorf("loop: %s %s d%v→d%v: %d served jobs at ≥ 10× their default (worst %s %.1f×)",
+				row.Workload, row.Kind, row.Built, row.Served, row.Tenfold, row.Worst, row.WorstRatio)
+		}
 	}
 
 	t.Logf("\n%s", buf.String())
@@ -306,15 +312,16 @@ func checkLoop(t *testing.T, loop *Loop) {
 	// so the two Σ may differ in the last bits.
 	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Abs(b) }
 	for _, row := range loop.Rows {
-		if row.Steered > row.Groups || row.Worse+row.Better > row.Jobs || row.Tenfold > row.Worse {
-			t.Errorf("loop: %s %s %s row out of range: steered %d/%d, jobs %d, worse/better %d/%d, ≥10× %d",
-				row.Workload, row.Kind, row.Split, row.Steered, row.Groups, row.Jobs, row.Worse, row.Better, row.Tenfold)
+		if row.Steered > row.Groups || row.Guarded > row.Jobs || row.Worse+row.Better > row.Jobs || row.Tenfold > row.Worse {
+			t.Errorf("loop: %s %s %s row out of range: steered %d/%d, jobs %d, guarded %d, worse/better %d/%d, ≥10× %d",
+				row.Workload, row.Kind, row.Split, row.Steered, row.Groups, row.Jobs, row.Guarded, row.Worse, row.Better, row.Tenfold)
 		}
 		k := key{row.Workload, row.Split}
 		switch row.Kind {
 		case "pair":
 			sum := sums[k]
 			sum.Jobs += row.Jobs
+			sum.Guarded += row.Guarded
 			sum.DefaultSec += row.DefaultSec
 			sum.ServedSec += row.ServedSec
 			sum.Worse += row.Worse
@@ -323,11 +330,11 @@ func checkLoop(t *testing.T, loop *Loop) {
 			sums[k] = sum
 		case "total":
 			sum := sums[k]
-			if row.Jobs != sum.Jobs || !near(row.DefaultSec, sum.DefaultSec) || !near(row.ServedSec, sum.ServedSec) ||
+			if row.Jobs != sum.Jobs || row.Guarded != sum.Guarded || !near(row.DefaultSec, sum.DefaultSec) || !near(row.ServedSec, sum.ServedSec) ||
 				row.Worse != sum.Worse || row.Better != sum.Better || row.Tenfold != sum.Tenfold {
-				t.Errorf("loop: %s %s total (jobs %d, Σ %.3f/%.3f s, %d/%d/%d) is not the sum of its pairs (jobs %d, Σ %.3f/%.3f s, %d/%d/%d)",
-					row.Workload, row.Split, row.Jobs, row.DefaultSec, row.ServedSec, row.Worse, row.Better, row.Tenfold,
-					sum.Jobs, sum.DefaultSec, sum.ServedSec, sum.Worse, sum.Better, sum.Tenfold)
+				t.Errorf("loop: %s %s total (jobs %d, guarded %d, Σ %.3f/%.3f s, %d/%d/%d) is not the sum of its pairs (jobs %d, guarded %d, Σ %.3f/%.3f s, %d/%d/%d)",
+					row.Workload, row.Split, row.Jobs, row.Guarded, row.DefaultSec, row.ServedSec, row.Worse, row.Better, row.Tenfold,
+					sum.Jobs, sum.Guarded, sum.DefaultSec, sum.ServedSec, sum.Worse, sum.Better, sum.Tenfold)
 			}
 			delete(sums, k)
 		case "shelf":

@@ -127,25 +127,44 @@ func TestServingEquivalence(t *testing.T) {
 	}
 
 	// Metamorphic leg 3: the steered executor compiles under exactly the
-	// bundle's decision — RunSteered through the SDK agrees with the entry.
+	// bundle's decision when abtest.Admit admits it, and under the default
+	// otherwise — RunSteered through the SDK agrees with the entry and the
+	// rule. The jobs checked include one of each kind.
 	h.Steer = sdk
 	def := h.Opt.Rules.DefaultConfig()
-	for _, job := range jobs[:4] {
+	var admitted, refused int
+	for _, job := range jobs {
 		sig, err := g.DefaultSignature(job)
 		if err != nil {
 			t.Fatal(err)
 		}
 		e := offline[sig.Key()]
+		want := def
+		if !e.Config.Equal(def) {
+			dr, err := h.Opt.OptimizeCost(job.Root, def)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if er, err := h.Opt.OptimizeCost(job.Root, e.Config); abtest.Admit(dr.Cost, er.Cost, err) {
+				want = e.Config
+				admitted++
+			} else {
+				refused++
+			}
+		}
 		tr, steered := h.RunSteered(job.Root, 0, job.ID)
 		if tr.Err != nil {
 			t.Fatalf("%s: steered trial failed: %v", job.ID, tr.Err)
 		}
-		if !tr.Config.Equal(e.Config) {
-			t.Fatalf("%s: executed config %s != bundle decision %s", job.ID, tr.Config.Hex(), e.Config.Hex())
+		if !tr.Config.Equal(want) {
+			t.Fatalf("%s: executed config %s, want %s (bundle decision %s)", job.ID, tr.Config.Hex(), want.Hex(), e.Config.Hex())
 		}
-		if want := !e.Config.Equal(def); steered != want {
-			t.Fatalf("%s: steered=%v, want %v", job.ID, steered, want)
+		if w := !want.Equal(def); steered != w {
+			t.Fatalf("%s: steered=%v, want %v", job.ID, steered, w)
 		}
+	}
+	if admitted == 0 || refused == 0 {
+		t.Fatalf("leg 3 checked %d admitted and %d refused steered entries, want at least one of each", admitted, refused)
 	}
 
 	// With no bundle live the executor behaves exactly unsteered.

@@ -127,29 +127,32 @@ type Comparison struct {
 	PctChange float64
 }
 
-// Extrapolate applies a discovered configuration to each job (typically the
-// members of the base job's group across days, §6.4) and compares against the
-// default execution. Both runs are Pipeline.Trial, so a job whose default or
-// cfg's class the cache holds a plan for executes it without compiling. Jobs
-// that fail to compile under cfg are skipped.
-func Extrapolate(p *Pipeline, cfg bitvec.Vector, jobs []*workload.Job) []Comparison {
+// Compare runs j under its default and, if that succeeds, under cfg: both
+// Pipeline.Trial, so a run whose class the cache holds a plan for executes it
+// without compiling. PctChange is set only when both runs succeed.
+func Compare(p *Pipeline, cfg bitvec.Vector, j *workload.Job) Comparison {
 	ctx := context.Background()
-	defCfg := p.Harness.Opt.Rules.DefaultConfig()
+	c := Comparison{Job: j, Default: p.Trial(ctx, j, p.Harness.Opt.Rules.DefaultConfig(), DefaultTag(j.ID), nil)}
+	if c.Default.Err != nil {
+		return c
+	}
+	c.New = p.Trial(ctx, j, cfg, j.ID+"/extrapolated", nil)
+	if def := c.Default.Metrics.RuntimeSec; c.New.Err == nil && def > 0 {
+		c.PctChange = 100 * (c.New.Metrics.RuntimeSec - def) / def
+	}
+	return c
+}
+
+// Extrapolate applies a discovered configuration to each job (typically the
+// members of the base job's group across days, §6.4) and compares it against
+// the default execution (Compare). Jobs that fail under either configuration
+// are skipped.
+func Extrapolate(p *Pipeline, cfg bitvec.Vector, jobs []*workload.Job) []Comparison {
 	out := make([]Comparison, 0, len(jobs))
 	for _, j := range jobs {
-		def := p.Trial(ctx, j, defCfg, DefaultTag(j.ID), nil)
-		if def.Err != nil {
-			continue
+		if c := Compare(p, cfg, j); c.Default.Err == nil && c.New.Err == nil {
+			out = append(out, c)
 		}
-		alt := p.Trial(ctx, j, cfg, j.ID+"/extrapolated", nil)
-		if alt.Err != nil {
-			continue
-		}
-		pct := 0.0
-		if def.Metrics.RuntimeSec > 0 {
-			pct = 100 * (alt.Metrics.RuntimeSec - def.Metrics.RuntimeSec) / def.Metrics.RuntimeSec
-		}
-		out = append(out, Comparison{Job: j, Default: def, New: alt, PctChange: pct})
 	}
 	return out
 }
